@@ -1039,13 +1039,25 @@ impl TupleStore {
 
     /// Visit every live row in row-id (= arrival) order. Each spilled
     /// segment is decoded once for the whole scan.
-    pub fn for_each_live(&self, mut f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
-        for s in &self.segs {
+    pub fn for_each_live(&self, f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
+        self.for_each_live_in(0, u64::MAX, f);
+    }
+
+    /// [`TupleStore::for_each_live`] restricted to row ids in
+    /// `[lo, hi)`: segments outside the range are never touched.
+    pub fn for_each_live_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
+        let start = self.segs.partition_point(|s| s.base + s.rows as u64 <= lo);
+        for s in &self.segs[start..] {
+            if s.base >= hi {
+                break;
+            }
             if s.live == 0 {
                 continue;
             }
             let cols = s.columns();
-            for off in (s.first as usize)..s.rows as usize {
+            let from = (lo.saturating_sub(s.base) as usize).max(s.first as usize);
+            let to = (hi - s.base).min(s.rows as u64) as usize;
+            for off in from..to {
                 if s.dead[off] {
                     continue;
                 }
@@ -1055,6 +1067,38 @@ impl TupleStore {
                 f(s.base + off as u64, cells, s.ts[off], w);
             }
         }
+    }
+
+    /// Mark every live row with id below `row` dead — the release of a
+    /// FIFO prefix. Sealed segments wholly below the bound are dropped
+    /// outright (with their spill files) without visiting their rows.
+    pub fn mark_dead_below(&mut self, row: u64) {
+        let whole = self
+            .segs
+            .iter()
+            .take_while(|s| s.sealed && s.base + s.rows as u64 <= row)
+            .count();
+        for seg in self.segs.drain(..whole) {
+            self.live -= seg.live as u64;
+            self.sealed_resident -= seg.resident_bytes();
+            self.spilled -= seg.spilled_bytes();
+        }
+        // At most one segment straddles the bound (or is the unsealed
+        // active one, which is kept even when fully dead).
+        let Some(s) = self.segs.first_mut() else {
+            return;
+        };
+        let upto = (row.saturating_sub(s.base).min(s.rows as u64)) as usize;
+        let mut killed = 0u32;
+        for dead in &mut s.dead[(s.first as usize).min(upto)..upto] {
+            if !*dead {
+                *dead = true;
+                killed += 1;
+            }
+        }
+        s.live -= killed;
+        s.first = s.first.max(upto as u32);
+        self.live -= killed as u64;
     }
 
     /// Drop every row (spill files included). Row ids keep increasing
@@ -1288,6 +1332,38 @@ mod tests {
         assert_eq!(s.weight(r), Some(-2));
         s.mark_dead(r);
         assert_eq!(s.weight(r), None);
+    }
+
+    #[test]
+    fn prefix_release_and_range_scan_agree_with_per_row_marks() {
+        let mut bulk = TupleStore::new(3).segment_rows(4);
+        let mut single = TupleStore::new(3).segment_rows(4);
+        for i in 0..23 {
+            bulk.push(&row(i), i as u64);
+            single.push(&row(i), i as u64);
+        }
+        for bound in [0u64, 3, 4, 9, 9, 17, 23, 40] {
+            bulk.mark_dead_below(bound);
+            for r in 0..bound.min(23) {
+                single.mark_dead(r);
+            }
+            assert_eq!(bulk.live_rows(), single.live_rows(), "bound {bound}");
+            assert_eq!(bulk.first_live(), single.first_live(), "bound {bound}");
+            assert_eq!(bulk.resident_bytes(), single.resident_bytes());
+        }
+        // Ids stay monotone and a range scan sees exactly its rows.
+        let mut s = TupleStore::new(3).segment_rows(4);
+        for i in 0..10 {
+            s.push(&row(i), i as u64);
+        }
+        s.mark_dead_below(3);
+        let mut seen = Vec::new();
+        s.for_each_live_in(1, 7, |id, cells, ts, _| {
+            assert_eq!(cells, row(id as i64));
+            assert_eq!(ts, id);
+            seen.push(id);
+        });
+        assert_eq!(seen, vec![3, 4, 5, 6]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! `on_deltas` ingest path. There is no cluster-private fast path —
 //! remote deltas are indistinguishable from local ones once past the
 //! link, so retained-table replay, push accumulation, watermarks, and
-//! shared-chain taps all behave identically on every node.
+//! source-log cursors all behave identically on every node.
 //!
 //! ## Coordinator and placement
 //!
@@ -45,8 +45,8 @@
 //!
 //! [`Cluster::migrate`] generalizes intra-engine shard migration
 //! across nodes: the donor engine *extracts* the live runtime —
-//! window state, sink ledger, push subscription, shared-chain debt
-//! already demoted to a private window — and the recipient installs
+//! window state, sink ledger, push subscription, log cursors
+//! already demoted to private windows — and the recipient installs
 //! it through the same attach path a resume uses, with no replay and
 //! no snapshot discontinuity. The handoff is charged as a control
 //! frame on the donor→recipient link. A cluster-level
@@ -732,8 +732,8 @@ impl Cluster {
     // -----------------------------------------------------------------
 
     /// Move a live query between nodes with no replay: the donor
-    /// extracts the runtime (demoting any shared-chain tap to a
-    /// private window first, exactly as intra-engine migration does),
+    /// extracts the runtime (demoting its log cursors to private
+    /// windows first, exactly as intra-engine migration does),
     /// the recipient installs it through the resume-attach path, and
     /// the handoff is charged as a control frame on the link. Window
     /// contents, the sink's result ledger, and an attached push

@@ -265,7 +265,7 @@ impl StreamEngine {
         self.inner.total_ops_invoked()
     }
 
-    /// Resident operator-state census (shared chains counted once); see
+    /// Resident operator-state census (source logs counted once); see
     /// [`ShardedEngine::resident_state`].
     pub fn resident_state(&self) -> crate::shard::ResidentState {
         self.inner.resident_state()

@@ -35,11 +35,12 @@
 //! delta per operator, so the optimizer's calibration is unchanged by
 //! batching — consolidation only ever lowers it.
 //!
-//! ## Shared-subplan execution: templates, chains, and fan-out taps
+//! ## Source logs and window cursors (and the plan-template cache)
 //!
-//! SmartCIS workloads are dominated by parameterized variants of a few
-//! query shapes — `temp > 20 in room 7`, `temp > 25 in room 9` — so the
-//! engine dedups both the *front-end* and the *runtime* of repeats:
+//! SmartCIS workloads are many displays and visitors watching the *same*
+//! building feeds — parameterized variants of a few query shapes, each
+//! through its own window — so the engine dedups both the *front-end*
+//! and the *window state* of repeats:
 //!
 //! * **Plan-template cache** — SQL registrations resolve through
 //!   `aspen-optimizer`'s `PlanCache`: the statement is canonicalized
@@ -52,38 +53,65 @@
 //!   re-binds (it mutates the catalog). On by default; opt out with
 //!   [`session::EngineConfig::plan_cache`].
 //!
-//! * **Shared scan+window chains** — at placement, a single-scan query
-//!   over a live stream whose `(source, window spec)` prefix already
-//!   runs on its shard splices onto that chain through a **fan-out
-//!   tap** instead of instantiating its own window: one copy of window
-//!   state serves every tap, and only the *residual* operators (filter,
-//!   project, aggregate) and the sink stay per-query. A late tap
-//!   records the chain's live tuples as *debt* and suppresses exactly
-//!   their retractions, which makes it behave precisely like a fresh
-//!   private window (streams are never replayed). The tap list is the
-//!   refcount: deregister/pause drop one tap without disturbing
-//!   siblings, the last tap out frees the chain, and migration first
-//!   *demotes* the query to a private window (the chain window forked
-//!   minus the debt) so the runtime moves with its exact live multiset.
-//!   Results are bit-identical to private execution — per-event
-//!   shared-vs-unshared equivalence under full lifecycle churn is
-//!   property-tested in `tests/sharding.rs` — and telemetry attribution
-//!   is unchanged: chain work meters once on the shard, while each
-//!   query's `tuples_in`/`ops_invoked` count what a private run would
-//!   have counted. On by default; opt out with
-//!   [`session::EngineConfig::shared_subplans`].
+//! * **One arrival log per source** — each shard keeps, per stream (or
+//!   device) source some local query scans, one append-only arrival
+//!   log: the columnar buffer a window would own, written once per
+//!   tuple. Every stream scan of every plan — any window spec, both
+//!   sides of a join, both aliases of a self-join — attaches to its
+//!   source's log as a **cursor**, and only the operators above the
+//!   window (filter, join, aggregate) and the sink stay per-query. N
+//!   windows over a stream therefore store it once, not N times. The
+//!   invariants:
+//!
+//!   - *Contiguous suffix.* A window sits directly above its scan, so
+//!     its live set is always the suffix `[head, tail)` of the arrival
+//!     order. The cursor is that `head` (plus the tumbling pane):
+//!     `ROWS n` evicts while `tail − head > n`, `RANGE` expires while
+//!     the row at `head` is out of the window, `TUMBLING` jumps
+//!     `head = tail` on rollover. A cursor holds no per-row state.
+//!   - *O(1) attach.* A new cursor starts at `head = tail` — streams
+//!     are never replayed — so registering (or resuming) a window costs
+//!     the same on a cold log and on one holding 20 000 rows.
+//!   - *Min-head release.* The log drops rows below the minimum head of
+//!     its cursors (unbounded windows buffer nothing and pin nothing; a
+//!     log with no pinning cursor appends nothing), so it never retains
+//!     a row no window can still retract. The last cursor out frees it.
+//!   - *Scan-order delivery.* Each cursor feeds its query, delta for
+//!     delta, the sequence a private `WindowOp` of its spec would have
+//!     emitted (pinned by a seeded property in `window.rs`), and a
+//!     query's scans are fed in scan order — so snapshots, push
+//!     streams, `ops_invoked` and per-query telemetry are bit-identical
+//!     to private execution. Cursors of one spec share one materialized
+//!     retraction list per batch; a junior cursor takes the suffix from
+//!     its own head.
+//!   - *Private path.* Table and view scans keep a private window
+//!     (their retained state replays into each registration — state a
+//!     shared log must not absorb), as does direct `Pipeline` /
+//!     `WindowOp` use. Migration demotes: each cursor's live suffix
+//!     moves into the query's own window, the runtime travels with its
+//!     exact live multiset, and the query stays private on the
+//!     recipient. [`session::EngineConfig::shared_subplans`]`(false)`
+//!     pins every scan to the private path (the equivalence baseline).
+//!
+//!   Shared-vs-private equivalence under full lifecycle churn
+//!   (register / deregister / pause / resume / migrate, all three
+//!   scheduling modes) is property-tested in `tests/sharding.rs`. Log
+//!   work meters once on the shard; each query's `tuples_in` and
+//!   `ops_invoked` count what a private run would have counted.
 //!
 //! ```text
-//!                         ┌─ tap(q1: debt∅) ──▶ Filter(>20) ▶ Sink q1
-//! batch ─▶ Scan ▶ Window ─┼─ tap(q2: debt∅) ──▶ Filter(>25) ▶ Sink q2
-//!           (one copy)    └─ tap(q3: debt W) ─▶ Agg        ▶ Sink q3
+//!                       ┌ cursor(q1 ROWS 20k) ─▶ Filter(>20) ▶ Sink q1
+//! batch ─▶ log(Events) ─┼ cursor(q2 RANGE 1h) ─▶ Agg         ▶ Sink q2
+//!          (rows once)  ├ cursor(q3.a ROWS 4) ─▶ Join ───────▶ Sink q3
+//!                       └ cursor(q3.b TUMBLE) ──┘
 //! ```
 //!
-//! `harness e16` registers 10 000 parameterized variants and measures
-//! registration throughput and resident window state, cache+sharing on
-//! vs off; [`shard::ShardedEngine::resident_state`] and
-//! [`shard::ShardedEngine::plan_cache_stats`] are the observability
-//! surface it reads.
+//! [`shard::ShardedEngine::resident_state`] (`shared_chains` = logs,
+//! `shared_taps` = cursors, `window_tuples` = rows retained in logs and
+//! private windows) and the per-shard `log_rows` / `cursors` of the
+//! telemetry export are the observability surface; `harness e16`
+//! registers 10 000 parameterized variants and measures registration
+//! throughput and resident window state, cache+sharing on vs off.
 //!
 //! ## Sessions, registration, and the query lifecycle
 //!
@@ -288,14 +316,14 @@
 //! [`cluster::LanModel`], decoded on the far side, and re-admitted
 //! through the remote node's ordinary `on_deltas` ingest — so
 //! retained-table replay, push accumulation, watermark consistency,
-//! and shared-chain taps hold unchanged clusterwide. Hash-exchange
+//! and source-log cursors hold unchanged clusterwide. Hash-exchange
 //! ([`cluster::Cluster::register_hash_partitioned`]) scatters keyed
 //! sources across all nodes with the same key hashing
 //! `distributed::PartitionedJoin` uses for workers, so a repartitioned
 //! join's members compute disjoint key ranges whose merged snapshots
 //! equal the monolithic result. Live migration generalizes across
 //! nodes: the donor engine extracts a query's runtime (window state,
-//! sink ledger, push subscription, chain debt demoted) and the
+//! sink ledger, push subscription, log cursors demoted) and the
 //! recipient installs it with **no replay** — same snapshot, same ops
 //! total — driven manually or by a cluster-level
 //! [`rebalance::RebalanceController`] consuming the merged per-node

@@ -269,26 +269,32 @@ impl DeltaOp for AggregateOp {
             for g in &self.group {
                 key.push(g.eval(&delta.tuple)?);
             }
-            let fresh = self.fresh_accs();
-            let state = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| GroupState {
-                    accs: fresh,
-                    weight: 0,
-                    last_output: None,
-                });
+            // The hot case is a delta for a group that already exists
+            // and was already touched by this batch: two lookups by
+            // reference, no accumulator build, no key clone.
+            if !self.groups.contains_key(&key) {
+                let accs = self.fresh_accs();
+                self.groups.insert(
+                    key.clone(),
+                    GroupState {
+                        accs,
+                        weight: 0,
+                        last_output: None,
+                    },
+                );
+            }
+            let state = self.groups.get_mut(&key).expect("group ensured above");
 
-            let slot = match index.entry(key) {
-                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                std::collections::hash_map::Entry::Vacant(v) => {
+            let slot = match index.get(&key) {
+                Some(&slot) => slot,
+                None => {
                     let slot = touched.len();
                     touched.push(Touch {
-                        key: v.key().clone(),
+                        key: key.clone(),
                         prev_output: state.last_output.clone(),
                         last_ts: SimTime::ZERO,
                     });
-                    v.insert(slot);
+                    index.insert(key, slot);
                     slot
                 }
             };

@@ -8,7 +8,7 @@
 
 use aspen_sql::expr::BoundExpr;
 use aspen_sql::plan::LogicalPlan;
-use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple};
+use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple, WindowSpec};
 
 use crate::delta::DeltaBatch;
 use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionOp};
@@ -290,46 +290,39 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Feed one pre-windowed delta batch from a shared scan+window chain
-    /// into the scan bound to `source`, bypassing this pipeline's own
-    /// window stage (which stays empty while the query is tapped).
-    /// `charge` is the raw source-batch size to account to `tuples_in` —
-    /// the same number `push_source` would have charged — and 0 for
-    /// clock-driven expiry fans, which `advance_time` never meters or
-    /// slows with drag either.
-    pub fn push_tap(
+    /// The `(source, window spec)` of every scan, by scan index — what
+    /// the engine needs to attach the stream scans as cursors on their
+    /// sources' logs.
+    pub(crate) fn scan_windows(&self) -> impl Iterator<Item = (SourceId, WindowSpec)> + '_ {
+        self.scans.iter().map(|s| (s.source, s.window.spec()))
+    }
+
+    /// Feed the pre-windowed delta batches of one source batch — one
+    /// `(scan index, deltas)` per cursor-fed scan, in scan order — past
+    /// this pipeline's own window stages (which stay empty while the
+    /// scans are cursors on a source log). `charge` is the raw
+    /// source-batch size to account to `tuples_in` per scan, the same
+    /// number `push_source` would have charged.
+    pub(crate) fn push_windowed(
         &mut self,
-        source: SourceId,
-        deltas: &DeltaBatch,
+        fed: &mut dyn Iterator<Item = (usize, DeltaBatch)>,
         charge: u64,
         sink: &mut Sink,
     ) -> Result<()> {
-        if charge > 0 {
-            self.pay_drag();
-        }
-        for i in 0..self.scans.len() {
-            if self.scans[i].source != source {
-                continue;
-            }
+        self.pay_drag();
+        for (scan, deltas) in fed {
             self.tuples_in += charge;
-            let attach = self.scans[i].attach;
-            self.propagate(attach, deltas.clone(), sink)?;
+            let attach = self.scans[scan].attach;
+            self.propagate(attach, deltas, sink)?;
         }
         Ok(())
     }
 
-    /// Replace the window stage of the scan bound to `source` — the
-    /// shared-subplan demotion path installs the chain window forked
-    /// minus the tap's debt, so the query carries its exact live
-    /// multiset into private execution. Only single-scan pipelines are
-    /// ever tapped, so at most one scan matches.
-    pub(crate) fn install_window(&mut self, source: SourceId, window: crate::window::WindowOp) {
-        for s in &mut self.scans {
-            if s.source == source {
-                s.window = window;
-                return;
-            }
-        }
+    /// Hand scan `scan`'s window stage the live tuples and pane of the
+    /// log cursor it replaces (migration demotes cursors to private
+    /// windows), so the query carries its exact live multiset along.
+    pub(crate) fn adopt_window(&mut self, scan: usize, live: Vec<Tuple>, pane: Option<u64>) {
+        self.scans[scan].window.adopt(live, pane);
     }
 
     /// Operator node instances owned by this pipeline (resident-state
@@ -338,8 +331,9 @@ impl Pipeline {
         self.nodes.len()
     }
 
-    /// Tuples buffered across this pipeline's own window stages. Zero
-    /// for a tapped query — its windowing happens on the shared chain.
+    /// Tuples buffered across this pipeline's own window stages. A
+    /// cursor-fed scan contributes zero — its tuples live on the source
+    /// log.
     pub fn buffered_window_tuples(&self) -> usize {
         self.scans.iter().map(|s| s.window.live()).sum()
     }
@@ -384,8 +378,25 @@ impl Pipeline {
 
     /// Advance the clock: expire windows and propagate retractions.
     pub fn advance_time(&mut self, now: SimTime, sink: &mut Sink) -> Result<()> {
+        self.advance_scans(now, Vec::new(), sink)
+    }
+
+    /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
+    /// `expired` holds the `(scan index, retractions)` their source logs
+    /// computed for this clock. Each scan propagates in scan order
+    /// whichever side windowed it — a cursor-fed scan's own window is
+    /// empty, so the two never both fire.
+    pub(crate) fn advance_scans(
+        &mut self,
+        now: SimTime,
+        mut expired: Vec<(usize, DeltaBatch)>,
+        sink: &mut Sink,
+    ) -> Result<()> {
         for i in 0..self.scans.len() {
-            let mut batch = DeltaBatch::new();
+            let mut batch = match expired.iter().position(|(scan, _)| *scan == i) {
+                Some(at) => expired.swap_remove(at).1,
+                None => DeltaBatch::new(),
+            };
             self.scans[i].window.advance(now, &mut batch);
             if !batch.is_empty() {
                 let attach = self.scans[i].attach;

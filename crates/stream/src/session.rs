@@ -60,9 +60,8 @@ pub struct EngineConfig {
     /// telemetry every `interval_boundaries` batch boundaries and
     /// live-migrates queries off sustained hot shards.
     rebalance: Option<RebalanceConfig>,
-    /// Shared-subplan execution (`None` = on): single-scan stream
-    /// queries with the same (source, window) prefix on a shard share
-    /// one window instance behind fan-out taps.
+    /// Shared-subplan execution (`None` = on): every stream scan is a
+    /// cursor on its shard's one arrival log of that source.
     shared_subplans: Option<bool>,
     /// Plan-template caching of SQL registrations (`None` = on):
     /// canonicalized templates skip parse/bind on repeat registrations.
@@ -142,13 +141,13 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle shared-subplan execution (default on). When on, queries
-    /// whose canonical plans share a scan+window prefix on the same
-    /// shard splice onto one shared operator chain through fan-out taps
-    /// — one copy of window state, per-query residual operators — with
-    /// results identical to private execution (property-tested in
-    /// `tests/sharding.rs`). Off pins every query to a private chain;
-    /// the E16 bench uses this as its unshared baseline.
+    /// Toggle shared-subplan execution (default on). When on, each
+    /// shard stores a stream source's arrivals once, in one log, and
+    /// every window over it — any spec, join sides included — is a
+    /// cursor into that log, with results identical to private
+    /// execution (property-tested in `tests/sharding.rs`). Off gives
+    /// every scan a private window; the equivalence property and the
+    /// E16 bench use this as their unshared baseline.
     pub fn shared_subplans(mut self, on: bool) -> Self {
         self.shared_subplans = Some(on);
         self

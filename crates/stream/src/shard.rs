@@ -74,7 +74,7 @@
 //! number an N-core deployment would see.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,30 +100,35 @@ use crate::sink::Sink;
 use crate::state::{BagState, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
-use crate::window::WindowOp;
+use crate::window::SourceLog;
 
 /// Handle to a registered continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryHandle(pub QueryId);
 
 /// Resident operator-state census across the engine — what the E16
-/// bench compares between shared and private execution.
+/// bench compares between shared and private execution. The sharing
+/// fields keep their historical names; since stream windows became
+/// cursors over per-source arrival logs they count logs and cursors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentState {
     /// Operator node instances across all registered pipelines.
     pub operators: usize,
-    /// Tuples buffered in window stages: private scan windows plus each
-    /// shared chain's window counted once (a tapped query's own window
-    /// stays empty).
+    /// Tuples buffered for windows: the rows every source log retains
+    /// (each stored once, however many windows cover it) plus the
+    /// private windows of table scans and migrated queries.
     pub window_tuples: usize,
-    /// Shared scan+window chains across all shards.
+    /// Source logs across all shards — one per `(shard, stream source)`
+    /// with at least one window attached.
     pub shared_chains: usize,
-    /// Queries currently fed through a chain tap.
+    /// Window cursors attached to those logs — one per stream scan of
+    /// every live, non-migrated query (a self-join counts two).
     pub shared_taps: usize,
     /// Resident operator-state bytes across the engine: pipeline state
-    /// (windows, join sides, aggregate groups), shared chain windows,
-    /// and the retained table store. Measured for columnar state,
-    /// estimated for row state — the E20 bench's reduction metric.
+    /// (private windows, join sides, aggregate groups), each source log
+    /// once, and the retained table store. Measured for columnar
+    /// state, estimated for row state — the E20 bench's reduction
+    /// metric.
     pub state_bytes: usize,
     /// Bytes currently paged out to the spill tier (disjoint from
     /// `state_bytes`).
@@ -461,76 +466,39 @@ struct QueryMeta {
     tune_mark: (u64, u64, SimTime),
 }
 
-/// Key of a shareable scan+window prefix: every single-scan stream
-/// query over the same source and window spec computes an identical
-/// prefix, so one window instance can serve all of them.
-type ChainKey = (SourceId, WindowSpec);
+/// A stream scan to attach as a cursor: `(scan index, source, spec)`.
+type CursorScan = (usize, SourceId, WindowSpec);
 
-/// One query spliced onto a shared chain. `debt` is the multiset of
-/// tuples that were live in the chain window when the tap attached:
-/// their eventual retractions belong to taps that saw the matching
-/// insertions, so this tap suppresses them — making a late tap behave
-/// exactly like a freshly registered private window (streams are never
-/// replayed, so a fresh window starts empty).
-struct Tap {
-    qid: QueryId,
-    debt: HashMap<Tuple, i64>,
-}
-
-impl Tap {
-    /// Filter one chain output batch for this tap: insertions pass,
-    /// retractions of owed tuples are consumed against the debt. The
-    /// window evicts oldest-first and owed instances predate everything
-    /// this tap was shown, so a surviving retraction always refers to a
-    /// tuple the tap saw inserted.
-    fn filter(&mut self, batch: &DeltaBatch) -> DeltaBatch {
-        if self.debt.is_empty() {
-            return batch.clone();
-        }
-        let mut out = DeltaBatch::with_capacity(batch.len());
-        for d in batch {
-            if d.sign < 0 {
-                if let Some(c) = self.debt.get_mut(&d.tuple) {
-                    *c -= 1;
-                    if *c == 0 {
-                        self.debt.remove(&d.tuple);
-                    }
-                    continue;
-                }
-            }
-            out.push(d.clone());
-        }
-        out
-    }
-}
-
-/// One shared scan+window prefix on a shard: a single window instance
-/// whose output fans out — debt-filtered — to every tapped query's
-/// residual operators. Refcounting is the tap list itself: the last tap
-/// out frees the chain and its buffered state.
-struct SharedChain {
-    window: WindowOp,
-    taps: Vec<Tap>,
+/// What one shard's source logs hold (see [`EngineShard::log_census`]).
+#[derive(Default)]
+struct LogCensus {
+    logs: usize,
+    cursors: usize,
+    rows: usize,
+    state_bytes: usize,
+    spilled_bytes: usize,
 }
 
 /// One worker shard: a disjoint set of query runtimes plus the slice of
 /// the routing index that targets them. All indices are shard-local and
 /// keyed by the global `QueryId`, so queries can be detached without
 /// renumbering their neighbors. The executor's tasks mutate only the
-/// runtimes, chains, and meters; the routing slices are
+/// runtimes, logs, and meters; the routing slices are
 /// coordinator-owned and change only under quiescence.
 #[derive(Default)]
 pub(crate) struct EngineShard {
     queries: HashMap<QueryId, QueryRuntime>,
     /// Routing-index slice: source → local queries scanning it, in
     /// registration order. Tapped queries stay in here — the slice is
-    /// the authority on who is live — but ingest feeds them through
-    /// their chain instead of their own window.
+    /// the authority on who is live — but ingest feeds their stream
+    /// scans through log cursors instead of their own windows.
     subs: HashMap<SourceId, Vec<QueryId>>,
-    /// Shared scan+window prefixes maintained on this shard.
-    chains: HashMap<ChainKey, SharedChain>,
-    /// Which chain feeds each tapped query.
-    tapped: HashMap<QueryId, ChainKey>,
+    /// The arrival log of every stream source some local window covers;
+    /// the last cursor out frees the log.
+    logs: HashMap<SourceId, SourceLog>,
+    /// Queries whose stream scans are cursors on `logs` (all of them
+    /// or none: migrated-in queries keep private windows).
+    tapped: HashSet<QueryId>,
     /// Local queries whose windows react to the clock.
     clock_subs: Vec<QueryId>,
     /// Local live queries with a push subscription attached (flush set).
@@ -552,44 +520,41 @@ impl EngineShard {
         let EngineShard {
             queries,
             subs,
-            chains,
+            logs,
             tapped,
             meters,
             ..
         } = self;
-        if let Some(subs) = subs.get(&src) {
-            // One meter hit per shard per source batch: shared-prefix
-            // work is charged once, never once per tap.
-            meters.tuples_in += tuples.len() as u64;
-            for qid in subs {
-                if tapped.contains_key(qid) {
-                    // Fed below through its chain.
-                    continue;
-                }
-                let q = queries.get_mut(qid).expect("routed query is local");
-                q.pipeline.push_source(src, tuples, &mut q.sink)?;
+        let Some(subs) = subs.get(&src) else {
+            return Ok(());
+        };
+        // One meter hit per shard per source batch: the log append is
+        // charged once, never once per cursor.
+        meters.tuples_in += tuples.len() as u64;
+        let log = logs.get_mut(&src);
+        for qid in subs {
+            if log.is_some() && tapped.contains(qid) {
+                // Fed below through its cursors.
+                continue;
+            }
+            let q = queries.get_mut(qid).expect("routed query is local");
+            q.pipeline.push_source(src, tuples, &mut q.sink)?;
+            if let Some(ctx) = &trace {
+                q.sink.latency.record_us(ctx.elapsed_us());
+            }
+        }
+        if let Some(log) = log {
+            // The log stores the batch exactly once; each query gets the
+            // deltas its own windows over `src` would have emitted.
+            log.insert_batch(tuples, |qid, fed| {
+                let q = queries.get_mut(&qid).expect("tapped query is local");
+                q.pipeline
+                    .push_windowed(fed, tuples.len() as u64, &mut q.sink)?;
                 if let Some(ctx) = &trace {
                     q.sink.latency.record_us(ctx.elapsed_us());
                 }
-            }
-            for (key, chain) in chains.iter_mut() {
-                if key.0 != src {
-                    continue;
-                }
-                // The chain window ingests the batch exactly once; each
-                // tap sees its debt-filtered view of the output.
-                let mut batch = DeltaBatch::with_capacity(tuples.len());
-                chain.window.insert_batch(tuples, &mut batch);
-                for tap in &mut chain.taps {
-                    let filtered = tap.filter(&batch);
-                    let q = queries.get_mut(&tap.qid).expect("tapped query is local");
-                    q.pipeline
-                        .push_tap(src, &filtered, tuples.len() as u64, &mut q.sink)?;
-                    if let Some(ctx) = &trace {
-                        q.sink.latency.record_us(ctx.elapsed_us());
-                    }
-                }
-            }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -616,31 +581,23 @@ impl EngineShard {
     pub(crate) fn advance_time(&mut self, now: SimTime) -> Result<()> {
         let EngineShard {
             queries,
-            chains,
-            tapped,
+            logs,
             clock_subs,
             ..
         } = self;
-        for qid in clock_subs.iter() {
-            if tapped.contains_key(qid) {
-                // A tapped query has exactly one scan, and its window
-                // lives on the chain — expired below.
-                continue;
-            }
-            let q = queries.get_mut(qid).expect("clocked query is local");
-            q.pipeline.advance_time(now, &mut q.sink)?;
+        // Cursor expiry is computed once per log and regrouped per
+        // query, so each pipeline expires its scans in scan order
+        // whichever side windows them.
+        let mut expired: HashMap<QueryId, Vec<(usize, DeltaBatch)>> = HashMap::new();
+        for log in logs.values_mut() {
+            log.advance(now, |qid, scan, batch| {
+                expired.entry(qid).or_default().push((scan, batch));
+            });
         }
-        for (key, chain) in chains.iter_mut() {
-            let mut batch = DeltaBatch::new();
-            chain.window.advance(now, &mut batch);
-            if batch.is_empty() {
-                continue;
-            }
-            for tap in &mut chain.taps {
-                let filtered = tap.filter(&batch);
-                let q = queries.get_mut(&tap.qid).expect("tapped query is local");
-                q.pipeline.push_tap(key.0, &filtered, 0, &mut q.sink)?;
-            }
+        for qid in clock_subs.iter() {
+            let q = queries.get_mut(qid).expect("clocked query is local");
+            let fed = expired.remove(qid).unwrap_or_default();
+            q.pipeline.advance_scans(now, fed, &mut q.sink)?;
         }
         Ok(())
     }
@@ -686,67 +643,70 @@ impl EngineShard {
         self.push_subs.retain(|&q| q != qid);
     }
 
-    /// Splice a query onto the shared chain for `key`, creating the
-    /// chain if this is the first tap. The new tap's debt records the
-    /// chain window's current live multiset — the tuples whose future
-    /// retractions belong to older taps.
-    fn attach_tap(&mut self, qid: QueryId, key: ChainKey, opts: &StateOptions) {
-        let chain = self.chains.entry(key).or_insert_with(|| SharedChain {
-            window: WindowOp::with_options(key.1, opts),
-            taps: Vec::new(),
-        });
-        let mut debt: HashMap<Tuple, i64> = HashMap::new();
-        for t in chain.window.buffered() {
-            *debt.entry(t.clone()).or_insert(0) += 1;
+    /// Attach a query's stream scans as cursors on their sources' logs,
+    /// creating a log for a source's first window. Each cursor starts
+    /// at its log's tail — O(1), whatever the log holds — so the query
+    /// sees none of the pre-attach arrivals, exactly like a fresh
+    /// private window (streams are never replayed). Scans are attached
+    /// in scan order, which keeps a query's cursors on one log adjacent
+    /// and ordered.
+    fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
+        for &(scan, src, spec) in scans {
+            self.logs
+                .entry(src)
+                .or_insert_with(|| SourceLog::new(opts))
+                .attach(qid, scan, spec);
         }
-        chain.taps.push(Tap { qid, debt });
-        self.tapped.insert(qid, key);
+        if !scans.is_empty() {
+            self.tapped.insert(qid);
+        }
     }
 
-    /// Unwind a query's tap, if any. The last tap out frees the chain —
-    /// window buffer included — so shared state never outlives its
-    /// subscribers. No-op for private queries.
-    fn detach_tap(&mut self, qid: QueryId) {
-        let Some(key) = self.tapped.remove(&qid) else {
+    /// Unwind a query's cursors, if any. Rows only they pinned are
+    /// released, and the last cursor out frees the log, so shared state
+    /// never outlives its windows. With `keep_windows` (the migration
+    /// donor path) each cursor's live suffix first moves into the
+    /// query's own window stage: the query continues privately with
+    /// exactly the retractions its cursors would have fed it, so
+    /// snapshots and the ops total are untouched. No-op for private
+    /// queries.
+    fn detach_cursors(&mut self, qid: QueryId, sources: &[SourceId], keep_windows: bool) {
+        if !self.tapped.remove(&qid) {
             return;
-        };
-        let chain = self.chains.get_mut(&key).expect("tapped query has a chain");
-        chain.taps.retain(|t| t.qid != qid);
-        if chain.taps.is_empty() {
-            self.chains.remove(&key);
+        }
+        for src in sources {
+            let Some(log) = self.logs.get_mut(src) else {
+                continue;
+            };
+            if keep_windows {
+                let rt = self.queries.get_mut(&qid).expect("tapped query is local");
+                for (scan, live, pane) in log.demote(qid) {
+                    rt.pipeline.adopt_window(scan, live, pane);
+                }
+            } else {
+                log.detach(qid);
+            }
+            if log.cursors() == 0 {
+                self.logs.remove(src);
+            }
         }
     }
 
-    /// Convert a tapped query back to private execution (the migration
-    /// donor path): fork the chain window minus the tap's debt into the
-    /// query's own scan, then drop the tap. The forked window will emit
-    /// exactly the retractions the chain would have fed through the tap,
-    /// so snapshots and the ops total are provably untouched.
-    fn demote(&mut self, qid: QueryId) {
-        let Some(key) = self.tapped.remove(&qid) else {
-            return;
+    /// Census of this shard's source logs. A log is shard residency,
+    /// charged once — never once per cursor (mirrors the ops
+    /// attribution rule).
+    fn log_census(&self) -> LogCensus {
+        let mut out = LogCensus {
+            logs: self.logs.len(),
+            ..LogCensus::default()
         };
-        let chain = self.chains.get_mut(&key).expect("tapped query has a chain");
-        let pos = chain
-            .taps
-            .iter()
-            .position(|t| t.qid == qid)
-            .expect("tap is registered");
-        let tap = chain.taps.remove(pos);
-        let private = chain.window.fork_without(&tap.debt);
-        if chain.taps.is_empty() {
-            self.chains.remove(&key);
+        for log in self.logs.values() {
+            out.cursors += log.cursors();
+            out.rows += log.rows();
+            out.state_bytes += log.state_bytes();
+            out.spilled_bytes += log.spilled_bytes();
         }
-        let rt = self.queries.get_mut(&qid).expect("tapped query is local");
-        rt.pipeline.install_window(key.0, private);
-    }
-
-    /// (chains, taps) resident on this shard.
-    fn sharing_counts(&self) -> (usize, usize) {
-        (
-            self.chains.len(),
-            self.chains.values().map(|c| c.taps.len()).sum(),
-        )
+        out
     }
 }
 
@@ -793,8 +753,9 @@ pub struct ShardedEngine {
     rebalancer: Option<RebalanceController>,
     /// Queries live-migrated between shards so far.
     migrations: u64,
-    /// Whether new single-scan stream queries splice onto shared
-    /// scan+window chains ([`EngineConfig::shared_subplans`]).
+    /// Whether stream scans attach as cursors on per-source logs
+    /// ([`EngineConfig::shared_subplans`]); off, every scan keeps a
+    /// private window.
     shared_subplans: bool,
     /// Canonicalized plan-template cache over SQL registrations; `None`
     /// when disabled by [`EngineConfig::plan_cache`].
@@ -1015,6 +976,13 @@ impl ShardedEngine {
     /// rebalancer, the knob auto-tuner, the benches, and the GUI all
     /// read it; the old `shard_busy_seconds` / `shard_ops_invoked` /
     /// `shard_query_counts` accessors folded into it.
+    ///
+    /// This is a [`Consistency::Cut`] read — `telemetry_at(Cut)` — and
+    /// so **not** the same default as [`ShardedEngine::snapshot`], which
+    /// is `Fresh`: under pool or deterministic scheduling a report taken
+    /// right after an `on_batch` may predate that batch (each shard's
+    /// `lag` says by how much). Code that must observe everything it
+    /// admitted reads `telemetry_at(Consistency::Fresh)`.
     pub fn telemetry(&self) -> TelemetryReport {
         self.telemetry_at(Consistency::default())
     }
@@ -1063,19 +1031,15 @@ impl ShardedEngine {
                         ops_invoked: rt.pipeline.ops_invoked,
                         output_deltas: rt.sink.deltas_applied,
                         push_batches: rt.sink.push_batches_delivered(),
-                        shared: shard.tapped.contains_key(qid),
+                        shared: shard.tapped.contains(qid),
                         latency: rt.sink.latency.clone(),
                         state_bytes: q_bytes,
                     });
                 }
             }
-            for chain in shard.chains.values() {
-                // Shared window state is shard residency, charged once —
-                // never once per tap (mirrors the ops attribution rule).
-                state_bytes += chain.window.state_bytes() as u64;
-                spilled_bytes += chain.window.spilled_bytes() as u64;
-            }
-            let (shared_chains, shared_taps) = shard.sharing_counts();
+            let logs = shard.log_census();
+            state_bytes += logs.state_bytes as u64;
+            spilled_bytes += logs.spilled_bytes as u64;
             shards.push(ShardLoad {
                 shard: i,
                 queries: shard.queries.len(),
@@ -1083,8 +1047,9 @@ impl ShardedEngine {
                 ops_invoked: ops,
                 batches: shard.meters.batches,
                 busy_seconds: shard.meters.busy.as_secs_f64(),
-                shared_chains,
-                shared_taps,
+                shared_chains: logs.logs,
+                shared_taps: logs.cursors,
+                log_rows: logs.rows,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
@@ -1291,7 +1256,7 @@ impl ShardedEngine {
         self.next_query += 1;
         let shard_idx = self.shard_of(qid);
         let needs_clock = pipeline.needs_clock();
-        let share_key = self.share_candidate(&plan);
+        let cursor_scans = self.cursor_scans(&plan, &pipeline);
         // Registration itself is a batch boundary: deliver the replayed
         // state now so a push subscription is immediately consistent
         // with a snapshot poll.
@@ -1309,9 +1274,7 @@ impl ShardedEngine {
                 shard.mark_push(qid);
             }
             shard.queries.insert(qid, QueryRuntime { pipeline, sink });
-            if let Some(key) = share_key {
-                shard.attach_tap(qid, key, &self.state_opts);
-            }
+            shard.attach_cursors(qid, &cursor_scans, &self.state_opts);
         }
         self.queries.insert(
             qid,
@@ -1357,7 +1320,7 @@ impl ShardedEngine {
             // first so forwarded view deltas are included).
             self.settle_with_views(meta.shard);
             let mut shard = self.shard(meta.shard).lock();
-            shard.detach_tap(qid);
+            shard.detach_cursors(qid, &meta.sources, false);
             shard.detach(qid, &meta.sources);
             shard.queries.remove(&qid);
         }
@@ -1390,25 +1353,27 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Whether a plan's scan+window prefix can splice onto a shared
-    /// chain: sharing must be on, and the plan must have exactly one
-    /// scan over a live stream-kind source. Tables and views replay
-    /// retained state into each new registration — state a shared
-    /// window must not absorb — so they always run private; multi-scan
-    /// plans (joins, unions, self-joins) keep private windows because
-    /// their prefixes are not chain-shaped.
-    fn share_candidate(&self, plan: &LogicalPlan) -> Option<ChainKey> {
+    /// The scans of a plan that attach as log cursors: with sharing on,
+    /// every scan — whatever its window spec, joins and self-joins
+    /// included — over a live stream-kind source. Tables and views
+    /// replay retained state into each new registration, state a shared
+    /// log must not absorb, so their scans keep private windows.
+    fn cursor_scans(&self, plan: &LogicalPlan, pipeline: &Pipeline) -> Vec<CursorScan> {
         if !self.shared_subplans {
-            return None;
+            return Vec::new();
         }
-        let scans = plan.scans();
-        let [rel] = scans.as_slice() else {
-            return None;
-        };
-        match rel.meta.kind {
-            SourceKind::Device(_) | SourceKind::Stream => Some((rel.meta.id, rel.window)),
-            _ => None,
-        }
+        let streams: Vec<SourceId> = plan
+            .scans()
+            .iter()
+            .filter(|rel| rel.meta.kind.is_stream_like())
+            .map(|rel| rel.meta.id)
+            .collect();
+        pipeline
+            .scan_windows()
+            .enumerate()
+            .filter(|(_, (src, _))| streams.contains(src))
+            .map(|(scan, (src, spec))| (scan, src, spec))
+            .collect()
     }
 
     /// Replay retained table contents and current view materializations
@@ -1545,11 +1510,11 @@ impl ShardedEngine {
             // before the pause — view-forwarded deltas included.
             self.quiesce_with_views(shard_idx)?;
             let mut shard = self.shard(shard_idx).lock();
-            // The tap goes with the routing entry — a paused query
-            // receives nothing, and resume re-splices it fresh (stream
-            // windows restart empty on resume, which is exactly what a
-            // new tap's debt filtering provides).
-            shard.detach_tap(q.0);
+            // The cursors go with the routing entry — a paused query
+            // receives nothing, and resume attaches fresh ones (stream
+            // windows restart empty on resume, which is exactly where a
+            // new cursor starts).
+            shard.detach_cursors(q.0, &sources, false);
             shard.detach(q.0, &sources);
             if let Some(rt) = shard.queries.get_mut(&q.0) {
                 rt.sink.flush_push(self.now, true);
@@ -1609,10 +1574,9 @@ impl ShardedEngine {
             shard.mark_push(q.0);
         }
         let replayed_deltas = sink.deltas_applied;
+        let cursor_scans = self.cursor_scans(&plan, &pipeline);
         shard.queries.insert(q.0, QueryRuntime { pipeline, sink });
-        if let Some(key) = self.share_candidate(&plan) {
-            shard.attach_tap(q.0, key, &self.state_opts);
-        }
+        shard.attach_cursors(q.0, &cursor_scans, &self.state_opts);
         drop(shard);
 
         let meta = self.queries.get_mut(&q.0).expect("meta checked");
@@ -1721,13 +1685,13 @@ impl ShardedEngine {
         self.exec.quiesce(to)?;
         let rt = {
             let mut shard = self.shard(from).lock();
-            // A tapped query demotes to private execution first: the
-            // chain window (minus the tap's debt) forks into its own
-            // scan, so the runtime leaves carrying its exact live
-            // multiset — snapshots and the ops total are unchanged by
-            // the move, and sibling taps on the donor are undisturbed.
-            // The migrated query stays private on the recipient.
-            shard.demote(q.0);
+            // A tapped query demotes to private execution first: each
+            // cursor's live suffix moves into its own scan's window, so
+            // the runtime leaves carrying its exact live multiset —
+            // snapshots and the ops total are unchanged by the move,
+            // and sibling cursors on the donor are undisturbed. The
+            // migrated query stays private on the recipient.
+            shard.detach_cursors(q.0, &sources, true);
             shard.detach(q.0, &sources);
             shard
                 .queries
@@ -1791,10 +1755,10 @@ impl ShardedEngine {
         self.exec.quiesce(shard_idx)?;
         let runtime = {
             let mut shard = self.shard(shard_idx).lock();
-            // A tapped query demotes to private execution first (chain
-            // window minus tap debt forks into its own scan), so the
-            // runtime leaves carrying its exact live multiset.
-            shard.demote(q.0);
+            // A tapped query demotes to private execution first (each
+            // cursor's live suffix moves into its own scan's window),
+            // so the runtime leaves carrying its exact live multiset.
+            shard.detach_cursors(q.0, &sources, true);
             shard.detach(q.0, &sources);
             shard
                 .queries
@@ -2335,7 +2299,7 @@ impl ShardedEngine {
     }
 
     /// Census of resident operator state: per-pipeline node instances
-    /// and buffered window tuples, with shared chains counted exactly
+    /// and buffered window tuples, with each source log counted exactly
     /// once. The E16 bench derives its state-reduction factor from the
     /// shared-vs-private ratio of `window_tuples`.
     pub fn resident_state(&self) -> ResidentState {
@@ -2349,14 +2313,12 @@ impl ShardedEngine {
                 out.state_bytes += rt.pipeline.state_bytes();
                 out.spilled_bytes += rt.pipeline.spilled_bytes();
             }
-            for chain in shard.chains.values() {
-                out.window_tuples += chain.window.live();
-                out.state_bytes += chain.window.state_bytes();
-                out.spilled_bytes += chain.window.spilled_bytes();
-            }
-            let (chains, taps) = shard.sharing_counts();
-            out.shared_chains += chains;
-            out.shared_taps += taps;
+            let logs = shard.log_census();
+            out.shared_chains += logs.logs;
+            out.shared_taps += logs.cursors;
+            out.window_tuples += logs.rows;
+            out.state_bytes += logs.state_bytes;
+            out.spilled_bytes += logs.spilled_bytes;
         }
         for slice in &self.slices {
             let slice = slice.lock();
@@ -2840,8 +2802,8 @@ mod tests {
             .register_sql("select count(*) from Readings r")
             .unwrap()
             .expect_query();
-        // All three share the Readings + RANGE 10s prefix: one chain,
-        // three taps, and routing sees the taps as ordinary subscribers.
+        // All three window the Readings stream: one log, three cursors,
+        // and routing sees the tapped queries as ordinary subscribers.
         let rs = e.resident_state();
         assert_eq!((rs.shared_chains, rs.shared_taps), (1, 3));
         assert_eq!(e.subscriber_count(src), 3);
@@ -2849,7 +2811,7 @@ mod tests {
             .unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 2);
         assert_eq!(e.snapshot(q2).unwrap().len(), 1);
-        // Deregistering one tap leaves the siblings' state undisturbed.
+        // Deregistering one cursor leaves the siblings' state undisturbed.
         e.deregister(q2).unwrap();
         let rs = e.resident_state();
         assert_eq!((rs.shared_chains, rs.shared_taps), (1, 2));
@@ -2857,17 +2819,17 @@ mod tests {
         assert_eq!(e.snapshot(q1).unwrap().len(), 2);
         e.on_batch("Readings", &[reading(3, 30.0, 2)]).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 3, "survivors keep flowing");
-        // Last tap out frees the chain and its buffered window state.
+        // Last cursor out frees the log and the rows it retained.
         e.deregister(q1).unwrap();
         e.deregister(q3).unwrap();
         let rs = e.resident_state();
         assert_eq!((rs.shared_chains, rs.shared_taps), (0, 0));
-        assert_eq!(rs.window_tuples, 0, "chain window state was freed");
+        assert_eq!(rs.window_tuples, 0, "log rows were freed");
         assert_eq!(e.subscriber_count(src), 0);
     }
 
     #[test]
-    fn late_tap_debt_hides_pre_attach_state() {
+    fn late_cursor_hides_pre_attach_state() {
         let mut e = ShardedEngine::new(catalog(), 1);
         let q1 = e
             .register_sql("select r.value from Readings r")
@@ -2875,30 +2837,81 @@ mod tests {
             .expect_query();
         e.on_batch("Readings", &[reading(1, 10.0, 1), reading(2, 20.0, 2)])
             .unwrap();
-        // A late tap starts from an empty window, exactly like a fresh
-        // private registration: streams are never replayed.
+        // A late cursor starts at the log's tail — an empty window,
+        // exactly like a fresh private registration: streams are never
+        // replayed.
         let q2 = e
             .register_sql("select r.value from Readings r where r.value > 0")
             .unwrap()
             .expect_query();
-        assert_eq!(e.resident_state().shared_taps, 2);
+        let rs = e.resident_state();
+        assert_eq!((rs.shared_chains, rs.shared_taps), (1, 2));
         assert!(e.snapshot(q2).unwrap().is_empty());
         e.on_batch("Readings", &[reading(3, 30.0, 3)]).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 3);
         assert_eq!(
             e.snapshot(q2).unwrap(),
             vec![Tuple::new(vec![Value::Float(30.0)], SimTime::from_secs(3))],
-            "only post-attach data reaches the late tap"
+            "only post-attach data reaches the late cursor"
         );
+        assert_eq!(e.resident_state().window_tuples, 3, "each row stored once");
         // Expiring the pre-attach tuples (RANGE 10s, ts 1 and 2 fall out
-        // at t=12) retracts them from q1 but is absorbed by q2's debt.
+        // at t=12) retracts them from q1 alone: they lie below q2's head.
         e.heartbeat(SimTime::from_secs(12)).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 1);
-        assert_eq!(e.snapshot(q2).unwrap().len(), 1, "debt absorbed expiry");
+        assert_eq!(e.snapshot(q2).unwrap().len(), 1, "pre-attach expiry leaked");
+        assert_eq!(e.resident_state().window_tuples, 1, "min-head release");
     }
 
     #[test]
-    fn pause_resume_recycles_the_tap() {
+    fn late_attach_on_a_warm_log_copies_nothing() {
+        // Attaching is `head = tail`: a window over a stream that already
+        // holds 20 000 rows costs no state and touches no row, whatever
+        // its spec — a second window, a wider one, a join side.
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let q1 = e
+            .register_sql("select r.value from Readings r [rows 20000] where r.value < 0")
+            .unwrap()
+            .expect_query();
+        let rows: Vec<Tuple> = (0..20_000i64)
+            .map(|i| reading(i % 8, (i % 100) as f64, (i / 100) as u64))
+            .collect();
+        for chunk in rows.chunks(500) {
+            e.on_batch("Readings", chunk).unwrap();
+        }
+        let warm = e.resident_state();
+        assert_eq!(warm.window_tuples, 20_000);
+        let mut late = Vec::new();
+        for sql in [
+            "select r.value from Readings r [rows 20000] where r.value < 0",
+            "select r.sensor from Readings r [rows 30000] where r.value < 0",
+            "select a.value from Readings a [range 5 seconds], Readings b [rows 9] \
+             where a.sensor = b.sensor ^ a.value < 0",
+        ] {
+            late.push(e.register_sql(sql).unwrap().expect_query());
+            let rs = e.resident_state();
+            assert_eq!(rs.window_tuples, warm.window_tuples, "attach copied rows");
+            assert_eq!(rs.state_bytes, warm.state_bytes, "attach grew state");
+        }
+        assert_eq!(e.resident_state().shared_taps, 5);
+        // The log's rows are untouched: the next arrival evicts exactly
+        // the oldest one from the ROWS 20000 windows, and the late
+        // windows hold only what arrived after them.
+        e.on_batch("Readings", &[reading(1, 50.0, 200)]).unwrap();
+        let rs = e.resident_state();
+        assert_eq!(
+            rs.window_tuples, 20_000,
+            "ROWS 30000 cursor pins only its own suffix"
+        );
+        for q in late {
+            e.deregister(q).unwrap();
+        }
+        e.deregister(q1).unwrap();
+        assert_eq!(e.resident_state().window_tuples, 0);
+    }
+
+    #[test]
+    fn pause_resume_recycles_the_cursor() {
         let mut e = ShardedEngine::new(catalog(), 1);
         let q1 = e
             .register_sql("select r.value from Readings r")
@@ -2910,13 +2923,13 @@ mod tests {
             .expect_query();
         e.on_batch("Readings", &[reading(1, 10.0, 1)]).unwrap();
         e.pause(q2).unwrap();
-        assert_eq!(e.resident_state().shared_taps, 1, "pause drops the tap");
+        assert_eq!(e.resident_state().shared_taps, 1, "pause drops the cursor");
         let frozen = e.snapshot(q2).unwrap();
         e.on_batch("Readings", &[reading(2, 20.0, 2)]).unwrap();
         assert_eq!(e.snapshot(q2).unwrap(), frozen, "paused sink is frozen");
         assert_eq!(e.snapshot(q1).unwrap().len(), 2);
-        // Resume re-splices a fresh tap: debt makes it behave like a new
-        // registration, seeing only post-resume data.
+        // Resume attaches a fresh cursor at the tail: it behaves like a
+        // new registration, seeing only post-resume data.
         e.resume(q2).unwrap();
         assert_eq!(e.resident_state().shared_taps, 2);
         e.on_batch("Readings", &[reading(3, 30.0, 3)]).unwrap();
@@ -2934,8 +2947,8 @@ mod tests {
         let home = e.queries[&early.0].shard;
         e.on_batch("Readings", &[reading(1, 10.0, 1), reading(2, 20.0, 2)])
             .unwrap();
-        // Land a late tap on the same shard (placement is hash-driven,
-        // so keep registering variants until one arrives with debt).
+        // Land a late cursor on the same shard (placement is hash-driven,
+        // so keep registering variants until one arrives on a warm log).
         let mut late = None;
         for i in 0..32 {
             let h = e
@@ -2952,16 +2965,16 @@ mod tests {
         let late = late.expect("some late variant lands on the early query's shard");
         e.on_batch("Readings", &[reading(1, 100.0, 3)]).unwrap();
         let before = e.snapshot(late).unwrap();
-        assert_eq!(before.len(), 1, "late tap saw only the post-attach row");
+        assert_eq!(before.len(), 1, "late cursor saw only the post-attach row");
         let ops_before = e.total_ops_invoked();
-        // Migration demotes: the chain window forks minus the tap's debt
-        // into a private window that moves with the runtime.
+        // Migration demotes: the cursor's live suffix of the log moves
+        // into a private window that travels with the runtime.
         let taps_before = e.resident_state().shared_taps;
         e.migrate(late, (home + 1) % 2).unwrap();
         assert_eq!(e.resident_state().shared_taps, taps_before - 1);
         assert_eq!(e.snapshot(late).unwrap(), before, "no replay on migrate");
         assert_eq!(e.total_ops_invoked(), ops_before);
-        // The forked private window holds only post-attach tuples: the
+        // The private window holds only post-attach tuples: the
         // pre-attach expiry retracts from `early` alone, and both keep
         // ingesting.
         e.heartbeat(SimTime::from_secs(12)).unwrap();
@@ -3082,7 +3095,7 @@ mod tests {
         assert_eq!(e.snapshot(q2).unwrap().len(), 1);
         assert_eq!(
             rs.window_tuples, 0,
-            "resident census still works without chains"
+            "resident census still works without logs"
         );
     }
 

@@ -726,10 +726,6 @@ impl ColumnarDeque {
         }
     }
 
-    pub fn spill_config(&self) -> Option<SpillConfig> {
-        self.store.spill_config().cloned()
-    }
-
     pub fn len(&self) -> usize {
         self.store.live_rows() as usize
     }
@@ -761,10 +757,34 @@ impl ColumnarDeque {
     /// Live tuples in arrival order.
     pub fn snapshot(&self) -> Vec<Tuple> {
         let mut out = Vec::with_capacity(self.len());
-        self.store.for_each_live(|_, cells, ts, _| {
+        self.extend_range(0, u64::MAX, &mut out);
+        out
+    }
+
+    /// Row id the next `push_back` gets. Ids count arrivals and are
+    /// never reused, so a source log addresses its rows by them.
+    pub fn next_row(&self) -> u64 {
+        self.store.len()
+    }
+
+    /// Timestamp of a live row — O(log segments), never faults a
+    /// spilled segment in.
+    pub fn ts_at(&self, row: u64) -> Option<SimTime> {
+        self.store.ts(row).map(SimTime::from_micros)
+    }
+
+    /// Append the live tuples with row ids in `[lo, hi)` to `out`, in
+    /// arrival order; each touched segment is decoded once.
+    pub fn extend_range(&self, lo: u64, hi: u64, out: &mut Vec<Tuple>) {
+        self.store.for_each_live_in(lo, hi, |_, cells, ts, _| {
             out.push(cells_tuple(cells, ts));
         });
-        out
+    }
+
+    /// Kill every row with id below `row` (whole dead segments drop
+    /// without being decoded).
+    pub fn release_below(&mut self, row: u64) {
+        self.store.mark_dead_below(row);
     }
 
     /// Materialize and drop every live tuple (tumbling pane rollover).

@@ -67,11 +67,13 @@ pub struct QueryLoad {
     pub output_deltas: u64,
     /// Batches delivered through the push subscription (0 when polling).
     pub push_batches: u64,
-    /// Whether the query currently rides a shared scan+window chain.
-    /// Attribution is unchanged by sharing: `tuples_in` still counts the
-    /// source batches routed to the query and `ops_invoked` counts its
-    /// residual operators downstream of the tap — so the rebalancer sees
-    /// the same per-query load shared or private, never phantom work.
+    /// Whether any of the query's scans is a cursor on a shared source
+    /// log (true for every live query over a stream unless it was
+    /// migrated, which demotes it to private windows). Attribution is
+    /// unchanged by sharing: `tuples_in` still counts the source batches
+    /// routed to the query and `ops_invoked` counts its operators
+    /// downstream of the windows — so the rebalancer sees the same
+    /// per-query load shared or private, never phantom work.
     pub shared: bool,
     /// Distribution of ingest→sink-apply latency for batches that
     /// reached this query's sink (empty with tracing off). Lives in the
@@ -79,8 +81,9 @@ pub struct QueryLoad {
     pub latency: LatencyHistogram,
     /// Resident bytes of this query's own operator state (window
     /// buffers, join sides, aggregate groups) — a gauge, not a counter.
-    /// Measured for columnar state, estimated for row state; a tapped
-    /// query's shared window is accounted to the shard, not here.
+    /// Measured for columnar state, estimated for row state; the source
+    /// logs a tapped query's cursors read are accounted to the shard,
+    /// not here.
     pub state_bytes: u64,
 }
 
@@ -114,12 +117,18 @@ pub struct ShardLoad {
     pub batches: u64,
     /// Wall seconds spent inside this shard's slice of the work.
     pub busy_seconds: f64,
-    /// Shared scan+window chains maintained on this shard. Chain work
-    /// (window insert/expiry) is metered once here — in `tuples_in` and
-    /// `busy_seconds` — not once per tapped query.
+    /// Source logs on this shard: one arrival log per stream source
+    /// with a window attached (the field keeps its pre-log name). Log
+    /// work (append/release) is metered once here — in `tuples_in` and
+    /// `busy_seconds` — not once per window.
     pub shared_chains: usize,
-    /// Queries on this shard currently fed through a chain tap.
+    /// Window cursors attached to this shard's logs — one per stream
+    /// scan of each live, non-migrated query. Exported as `cursors`.
     pub shared_taps: usize,
+    /// Rows this shard's logs currently retain, each stored once
+    /// however many cursors cover it — with `cursors`, the answer to
+    /// "why is this shard fat".
+    pub log_rows: usize,
     /// Highest boundary sequence number this shard has fully applied —
     /// its watermark, published at batch boundaries. The cut a
     /// barrier-free (`Consistency::Cut`) observation read this shard at.
@@ -133,7 +142,7 @@ pub struct ShardLoad {
     /// (empty with tracing off).
     pub queue_wait: LatencyHistogram,
     /// Resident operator-state bytes on this shard: every owned query's
-    /// state plus each shared chain's window, counted once. A gauge.
+    /// state plus each source log, counted once. A gauge.
     pub state_bytes: u64,
     /// Bytes this shard's columnar state has paged out to the spill
     /// tier (also a gauge; disjoint from `state_bytes`).
@@ -221,6 +230,7 @@ impl TelemetryReport {
             busy_seconds: 0.0,
             shared_chains: 0,
             shared_taps: 0,
+            log_rows: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -235,6 +245,7 @@ impl TelemetryReport {
             out.busy_seconds += s.busy_seconds;
             out.shared_chains += s.shared_chains;
             out.shared_taps += s.shared_taps;
+            out.log_rows += s.log_rows;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
@@ -459,6 +470,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             busy_seconds: 0.0,
             shared_chains: 0,
             shared_taps: 0,
+            log_rows: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),

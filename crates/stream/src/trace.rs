@@ -465,6 +465,8 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_tuples_in_total counter\n");
     out.push_str("# TYPE aspen_shard_busy_seconds_total counter\n");
     out.push_str("# TYPE aspen_shard_lag gauge\n");
+    out.push_str("# TYPE aspen_shard_log_rows gauge\n");
+    out.push_str("# TYPE aspen_shard_cursors gauge\n");
     for s in &report.shards {
         let l = format!("shard=\"{}\"", s.shard);
         prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
@@ -475,6 +477,8 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
             s.busy_seconds,
         );
         prom_line(&mut out, "aspen_shard_lag", &l, s.lag);
+        prom_line(&mut out, "aspen_shard_log_rows", &l, s.log_rows);
+        prom_line(&mut out, "aspen_shard_cursors", &l, s.shared_taps);
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     for q in &report.queries {
@@ -565,13 +569,15 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"cursors\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
                 s.ops_invoked,
                 s.batches,
                 s.busy_seconds,
+                s.log_rows,
+                s.shared_taps,
                 s.watermark,
                 s.lag,
                 json_hist(&s.queue_wait)

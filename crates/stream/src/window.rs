@@ -13,10 +13,18 @@
 //! `VecDeque` for direct construction. Expiry checks only touch the
 //! always-resident timestamp column, so a spilled window never faults
 //! segments in just to discover nothing expired.
+//!
+//! Inside the engine, stream scans do not own a buffer at all: a shard
+//! keeps one [`SourceLog`] per stream source — the same buffer, appended
+//! once per arrival — and every window over that source is a *cursor*
+//! into it. A window sits directly above its scan, so its live set is
+//! always the contiguous suffix `[head, tail)` of the arrival order;
+//! the cursor is that `head` (plus the tumbling pane), and replays the
+//! exact delta sequence a private [`WindowOp`] of its spec would emit.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use aspen_types::{SimTime, Tuple, WindowSpec};
+use aspen_types::{QueryId, Result, SimTime, Tuple, WindowSpec};
 
 use crate::delta::DeltaBatch;
 use crate::state::{ColumnarDeque, StateLayout, StateOptions};
@@ -29,6 +37,13 @@ enum Buffer {
 }
 
 impl Buffer {
+    fn with_options(opts: &StateOptions) -> Buffer {
+        match opts.layout {
+            StateLayout::Row => Buffer::Row(VecDeque::new()),
+            StateLayout::Columnar => Buffer::Col(ColumnarDeque::new(opts.spill.clone())),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Buffer::Row(b) => b.len(),
@@ -71,10 +86,48 @@ impl Buffer {
         }
     }
 
-    fn empty_like(&self) -> Buffer {
+    fn state_bytes(&self) -> usize {
         match self {
-            Buffer::Row(_) => Buffer::Row(VecDeque::new()),
-            Buffer::Col(c) => Buffer::Col(ColumnarDeque::new(c.spill_config())),
+            Buffer::Row(b) => b.iter().map(crate::state::tuple_heap_bytes).sum(),
+            Buffer::Col(c) => c.state_bytes(),
+        }
+    }
+
+    fn spilled_bytes(&self) -> usize {
+        match self {
+            Buffer::Row(_) => 0,
+            Buffer::Col(c) => c.spilled_bytes(),
+        }
+    }
+
+    // Row-id addressing for [`SourceLog`]: a log only ever appends and
+    // releases a prefix, so its buffer holds exactly the rows
+    // `[floor, tail)`. The columnar store numbers rows itself; the row
+    // deque is offset by the `floor` the log passes in.
+
+    fn ts_at(&self, floor: u64, row: u64) -> SimTime {
+        match self {
+            Buffer::Row(b) => b[(row - floor) as usize].timestamp(),
+            Buffer::Col(c) => c
+                .ts_at(row)
+                .expect("log rows at or above the floor are live"),
+        }
+    }
+
+    fn extend_range(&self, floor: u64, lo: u64, hi: u64, out: &mut Vec<Tuple>) {
+        match self {
+            Buffer::Row(b) => out.extend(
+                b.range((lo - floor) as usize..(hi - floor) as usize)
+                    .cloned(),
+            ),
+            Buffer::Col(c) => c.extend_range(lo, hi, out),
+        }
+    }
+
+    fn release_below(&mut self, floor: u64, row: u64) {
+        match self {
+            Buffer::Row(b) => drop(b.drain(..(row - floor) as usize)),
+            Buffer::Col(c) => c.release_below(row),
         }
     }
 }
@@ -97,13 +150,9 @@ impl WindowOp {
     }
 
     pub fn with_options(spec: WindowSpec, opts: &StateOptions) -> Self {
-        let buffer = match opts.layout {
-            StateLayout::Row => Buffer::Row(VecDeque::new()),
-            StateLayout::Columnar => Buffer::Col(ColumnarDeque::new(opts.spill.clone())),
-        };
         WindowOp {
             spec,
-            buffer,
+            buffer: Buffer::with_options(opts),
             pane: None,
         }
     }
@@ -120,50 +169,29 @@ impl WindowOp {
     /// Resident bytes held by the buffer (measured for the columnar
     /// layout, estimated for the row layout).
     pub fn state_bytes(&self) -> usize {
-        match &self.buffer {
-            Buffer::Row(b) => b.iter().map(crate::state::tuple_heap_bytes).sum(),
-            Buffer::Col(c) => c.state_bytes(),
-        }
+        self.buffer.state_bytes()
     }
 
     /// Bytes paged out to the spill tier.
     pub fn spilled_bytes(&self) -> usize {
-        match &self.buffer {
-            Buffer::Row(_) => 0,
-            Buffer::Col(c) => c.spilled_bytes(),
-        }
+        self.buffer.spilled_bytes()
     }
 
-    /// The live tuples in arrival order. A shared-subplan tap records
-    /// this multiset as its *debt* at attach time: retractions of these
-    /// tuples belong to taps that saw the matching insertions.
+    /// The live tuples in arrival order.
     pub fn buffered(&self) -> Vec<Tuple> {
         self.buffer.snapshot()
     }
 
-    /// Fork this window minus a debt multiset: the private window a tap
-    /// demotes to (e.g. before migration). Arrival order, the tumbling
-    /// pane, the spec, *and the layout* (including any spill config) are
-    /// preserved; each debt count removes that many *oldest* instances
-    /// of the tuple — exactly the instances whose retractions the tap
-    /// would have suppressed.
-    pub fn fork_without(&self, debt: &HashMap<Tuple, i64>) -> WindowOp {
-        let mut owed = debt.clone();
-        let mut buffer = self.buffer.empty_like();
-        for t in self.buffer.snapshot() {
-            if let Some(c) = owed.get_mut(&t) {
-                if *c > 0 {
-                    *c -= 1;
-                    continue;
-                }
-            }
-            buffer.push_back(t);
+    /// Take over a demoted cursor's window: its live suffix of the
+    /// source log, in arrival order, and its tumbling pane. Nothing is
+    /// emitted — downstream operators already hold these tuples — so
+    /// from here on this window retracts exactly what the cursor would
+    /// have.
+    pub(crate) fn adopt(&mut self, live: Vec<Tuple>, pane: Option<u64>) {
+        for t in live {
+            self.buffer.push_back(t);
         }
-        WindowOp {
-            spec: self.spec,
-            buffer,
-            pane: self.pane,
-        }
+        self.pane = pane;
     }
 
     /// Whether this window reacts to the passage of time (i.e. whether
@@ -253,6 +281,329 @@ impl WindowOp {
     }
 }
 
+/// One window over a [`SourceLog`]: the scan `scan` of query `query`,
+/// whose live set is the log suffix `[head, tail)`.
+#[derive(Debug)]
+struct Cursor {
+    query: QueryId,
+    scan: usize,
+    spec: WindowSpec,
+    /// Row id of the oldest live tuple. Meaningless for `Unbounded`,
+    /// which buffers nothing and therefore pins nothing.
+    head: u64,
+    /// Current pane index for tumbling windows.
+    pane: Option<u64>,
+}
+
+/// A demoted cursor: scan index, live tuples in arrival order, pane —
+/// what [`WindowOp::adopt`] takes.
+pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Option<u64>);
+
+/// The retraction lists of one log operation, materialized from the
+/// log at most once per window spec: cursors of one spec retract nested
+/// suffixes of the same run of rows, so the senior cursor's list serves
+/// every junior from its own head on.
+struct Retired<'a> {
+    rows: &'a Buffer,
+    floor: u64,
+    /// `(spec, first row id, tuples)` — one contiguous run per spec.
+    runs: Vec<(WindowSpec, u64, Vec<Tuple>)>,
+}
+
+impl<'a> Retired<'a> {
+    fn of(rows: &'a Buffer, floor: u64) -> Self {
+        Retired {
+            rows,
+            floor,
+            runs: Vec::new(),
+        }
+    }
+
+    /// The tuples of log rows `[lo, hi)`.
+    fn rows(&mut self, spec: WindowSpec, lo: u64, hi: u64) -> &[Tuple] {
+        if lo >= hi {
+            return &[];
+        }
+        let i = match self.runs.iter().position(|r| r.0 == spec) {
+            Some(i) => i,
+            None => {
+                self.runs.push((spec, lo, Vec::new()));
+                self.runs.len() - 1
+            }
+        };
+        let (_, start, run) = &mut self.runs[i];
+        let end = *start + run.len() as u64;
+        if run.is_empty() || lo > end || hi < *start {
+            // Disjoint from the cached run (only non-monotone stamps or
+            // a pane-less tumbling junior get here): start over, so a
+            // run never holds a row no cursor asked for.
+            run.clear();
+            *start = lo;
+            self.rows.extend_range(self.floor, lo, hi, run);
+        } else {
+            if lo < *start {
+                let mut front = Vec::with_capacity((end - lo) as usize);
+                self.rows.extend_range(self.floor, lo, *start, &mut front);
+                front.append(run);
+                *run = front;
+                *start = lo;
+            }
+            if hi > end {
+                self.rows.extend_range(self.floor, end, hi, run);
+            }
+        }
+        &run[(lo - *start) as usize..(hi - *start) as usize]
+    }
+
+    /// Where a range cursor's expiry scan may start: past the rows a
+    /// senior cursor of the same spec already proved expired at this
+    /// clock, so a heartbeat costs one scan per spec, not per cursor.
+    fn proven_expired(&self, spec: WindowSpec, head: u64) -> u64 {
+        match self.runs.iter().find(|r| r.0 == spec) {
+            Some((_, start, run)) if (*start..*start + run.len() as u64).contains(&head) => {
+                *start + run.len() as u64
+            }
+            _ => head,
+        }
+    }
+}
+
+impl Cursor {
+    /// Whether this window buffers tuples, i.e. needs the log to retain
+    /// rows from `head` on.
+    fn pins(&self) -> bool {
+        self.spec != WindowSpec::Unbounded
+    }
+
+    /// [`WindowOp::insert_batch`] for the arrivals `tuples`, which the
+    /// log appended as rows `[tail, tail + tuples.len())`.
+    fn insert_batch(&mut self, tail: u64, tuples: &[Tuple], retired: &mut Retired) -> DeltaBatch {
+        let mut out = DeltaBatch::with_capacity(tuples.len());
+        match self.spec {
+            WindowSpec::Unbounded | WindowSpec::Range(_) => {
+                for t in tuples {
+                    out.push_insert(t.clone());
+                }
+            }
+            WindowSpec::Rows(n) => {
+                let end = tail + tuples.len() as u64;
+                let mut evicted = retired
+                    .rows(self.spec, self.head, self.head.max(end.saturating_sub(n)))
+                    .iter();
+                for (i, t) in tuples.iter().enumerate() {
+                    out.push_insert(t.clone());
+                    while tail + i as u64 + 1 - self.head > n {
+                        out.push_retract(evicted.next().expect("eviction run is sized").clone());
+                        self.head += 1;
+                    }
+                }
+            }
+            WindowSpec::Tumbling(w) => {
+                for (i, t) in tuples.iter().enumerate() {
+                    let pane = if w.as_micros() == 0 {
+                        0
+                    } else {
+                        t.timestamp().as_micros() / w.as_micros()
+                    };
+                    if self.pane.is_some_and(|current| current != pane) {
+                        // Pane rollover: retract the entire previous pane.
+                        let row = tail + i as u64;
+                        for old in retired.rows(self.spec, self.head, row) {
+                            out.push_retract(old.clone());
+                        }
+                        self.head = row;
+                    }
+                    self.pane = Some(pane);
+                    out.push_insert(t.clone());
+                }
+            }
+        }
+        out
+    }
+
+    /// [`WindowOp::advance`] against a log whose next row id is `tail`.
+    fn advance(&mut self, now: SimTime, tail: u64, retired: &mut Retired) -> DeltaBatch {
+        let mut out = DeltaBatch::new();
+        let expired_to = match self.spec {
+            WindowSpec::Range(_) => {
+                let mut h = retired.proven_expired(self.spec, self.head);
+                while h < tail
+                    && !self
+                        .spec
+                        .contains(retired.rows.ts_at(retired.floor, h), now)
+                {
+                    h += 1;
+                }
+                h
+            }
+            WindowSpec::Tumbling(w) if w.as_micros() > 0 => {
+                let now_pane = now.as_micros() / w.as_micros();
+                match self.pane {
+                    Some(current) if now_pane > current => {
+                        self.pane = Some(now_pane);
+                        tail
+                    }
+                    _ => self.head,
+                }
+            }
+            _ => self.head,
+        };
+        for old in retired.rows(self.spec, self.head, expired_to) {
+            out.push_retract(old.clone());
+        }
+        self.head = expired_to;
+        out
+    }
+}
+
+/// The arrival log of one stream source on one shard: every tuple the
+/// source delivered that some window still holds, stored once, with
+/// every window over the source attached as a [`Cursor`].
+///
+/// Invariants: the buffer holds exactly rows `[floor, tail)`; every
+/// pinning cursor has `floor <= head <= tail`; `floor` is the minimum
+/// pinning head (or `tail` when nothing pins), so the log never retains
+/// a row no window can still retract. A new cursor starts at
+/// `head = tail` — streams are never replayed — which makes attaching
+/// O(1) whatever the log holds. Cursors of one query are adjacent and in
+/// scan order, which is the order their batches are delivered in.
+#[derive(Debug)]
+pub(crate) struct SourceLog {
+    rows: Buffer,
+    floor: u64,
+    tail: u64,
+    cursors: Vec<Cursor>,
+}
+
+impl SourceLog {
+    pub(crate) fn new(opts: &StateOptions) -> Self {
+        SourceLog {
+            rows: Buffer::with_options(opts),
+            floor: 0,
+            tail: 0,
+            cursors: Vec::new(),
+        }
+    }
+
+    /// Attach scan `scan` of `query` as a cursor at the current tail.
+    /// A query attaches all its scans of this source back to back, in
+    /// scan order.
+    pub(crate) fn attach(&mut self, query: QueryId, scan: usize, spec: WindowSpec) {
+        self.cursors.push(Cursor {
+            query,
+            scan,
+            spec,
+            head: self.tail,
+            pane: None,
+        });
+    }
+
+    /// Drop the cursors of `query`; rows only they pinned are released.
+    pub(crate) fn detach(&mut self, query: QueryId) {
+        self.cursors.retain(|c| c.query != query);
+        self.release();
+    }
+
+    /// [`SourceLog::detach`], handing back each dropped cursor's window
+    /// for the query's own [`WindowOp`]s to adopt.
+    pub(crate) fn demote(&mut self, query: QueryId) -> Vec<DemotedWindow> {
+        let mut out = Vec::new();
+        for c in self.cursors.iter().filter(|c| c.query == query) {
+            let mut live = Vec::new();
+            if c.pins() {
+                self.rows
+                    .extend_range(self.floor, c.head, self.tail, &mut live);
+            }
+            out.push((c.scan, live, c.pane));
+        }
+        self.detach(query);
+        out
+    }
+
+    /// Append one source batch and hand every query its cursors'
+    /// batches, in scan order. A query whose delivery fails does not
+    /// stop the others: every cursor still steps (a cursor left behind
+    /// would later retract tuples it never inserted), and the first
+    /// error is returned once all are served.
+    pub(crate) fn insert_batch(
+        &mut self,
+        tuples: &[Tuple],
+        mut deliver: impl FnMut(QueryId, &mut dyn Iterator<Item = (usize, DeltaBatch)>) -> Result<()>,
+    ) -> Result<()> {
+        let tail = self.tail;
+        if self.cursors.iter().any(Cursor::pins) {
+            for t in tuples {
+                self.rows.push_back(t.clone());
+            }
+            self.tail += tuples.len() as u64;
+        }
+        let mut retired = Retired::of(&self.rows, self.floor);
+        let mut first_err = None;
+        for tap in self.cursors.chunk_by_mut(|a, b| a.query == b.query) {
+            let query = tap[0].query;
+            let mut fed = tap
+                .iter_mut()
+                .map(|c| (c.scan, c.insert_batch(tail, tuples, &mut retired)));
+            let delivered = deliver(query, &mut fed);
+            fed.for_each(drop);
+            if let Err(e) = delivered {
+                first_err.get_or_insert(e);
+            }
+        }
+        self.release();
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Advance the clock of every cursor; `deliver` gets each non-empty
+    /// expiry batch as `(query, scan, retractions)`.
+    pub(crate) fn advance(
+        &mut self,
+        now: SimTime,
+        mut deliver: impl FnMut(QueryId, usize, DeltaBatch),
+    ) {
+        let mut retired = Retired::of(&self.rows, self.floor);
+        for c in &mut self.cursors {
+            let out = c.advance(now, self.tail, &mut retired);
+            if !out.is_empty() {
+                deliver(c.query, c.scan, out);
+            }
+        }
+        self.release();
+    }
+
+    /// Release the rows below the minimum pinning head.
+    fn release(&mut self) {
+        let keep = self
+            .cursors
+            .iter()
+            .filter(|c| c.pins())
+            .map(|c| c.head)
+            .min()
+            .unwrap_or(self.tail);
+        if keep > self.floor {
+            self.rows.release_below(self.floor, keep);
+            self.floor = keep;
+        }
+    }
+
+    pub(crate) fn cursors(&self) -> usize {
+        self.cursors.len()
+    }
+
+    /// Rows currently retained (`tail - floor`).
+    pub(crate) fn rows(&self) -> usize {
+        (self.tail - self.floor) as usize
+    }
+
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.rows.state_bytes()
+    }
+
+    pub(crate) fn spilled_bytes(&self) -> usize {
+        self.rows.spilled_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,38 +689,161 @@ mod tests {
         assert!(!WindowOp::new(WindowSpec::Unbounded).needs_clock());
     }
 
-    fn fork_without_drops_oldest_debt_instances_impl(opts: &StateOptions) {
-        let mut w = WindowOp::with_options(WindowSpec::Range(SimDuration::from_secs(100)), opts);
-        let mut out = DeltaBatch::new();
-        // Two identical instances of t(1, 0) plus one t(2, 1).
-        w.insert_batch(&[t(1, 0), t(1, 0), t(2, 1)], &mut out);
-        let mut debt = HashMap::new();
-        debt.insert(t(1, 0), 1i64);
-        let forked = w.fork_without(&debt);
-        assert_eq!(forked.live(), 2, "one owed instance removed");
-        assert_eq!(forked.buffered(), vec![t(1, 0), t(2, 1)]);
-        assert_eq!(w.live(), 3, "the source window is untouched");
-        // A forked window expires exactly what it kept.
-        let mut forked = forked;
-        out.clear();
-        forked.advance(SimTime::from_secs(100), &mut out);
-        assert_eq!(out.len(), 1, "only the kept ts=0 instance expires");
-        out.clear();
-        forked.advance(SimTime::from_secs(101), &mut out);
-        assert_eq!(out.len(), 1, "then the ts=1 tuple");
+    #[test]
+    fn adopted_window_expires_exactly_what_it_took_over() {
+        for opts in [StateOptions::row(), StateOptions::columnar()] {
+            let spec = WindowSpec::Tumbling(SimDuration::from_secs(10));
+            let mut w = WindowOp::with_options(spec, &opts);
+            w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], Some(0));
+            assert_eq!(w.buffered(), vec![t(1, 3), t(1, 3), t(2, 4)]);
+            let mut out = DeltaBatch::new();
+            // Still pane 0: the adopted pane index holds, nothing rolls.
+            w.insert(t(3, 9), &mut out);
+            assert_eq!(signs(&out), vec![1]);
+            out.clear();
+            w.advance(SimTime::from_secs(10), &mut out);
+            assert_eq!(signs(&out), vec![-1, -1, -1, -1]);
+            assert_eq!(w.live(), 0);
+        }
+    }
+
+    /// Property: k cursors attached at random points of one log emit,
+    /// per batch and per heartbeat, exactly the delta sequences of k
+    /// private `WindowOp`s fed the same suffixes — for all four specs
+    /// (degenerate `ROWS 0` and zero-width tumbling included), with
+    /// batches larger than the row windows (in-batch insert/evict
+    /// interleaving), several tumbling rollovers per batch, stamps that
+    /// run backwards inside a batch, self-join (two-scan) taps, and
+    /// detach/demote at random points. The log itself must retain
+    /// exactly the longest live suffix, and be delivered in attach order.
+    #[test]
+    fn cursors_replay_private_windows_delta_for_delta() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+
+        let specs = [
+            WindowSpec::Unbounded,
+            WindowSpec::Range(SimDuration::from_secs(5)),
+            WindowSpec::Range(SimDuration::from_secs(9)),
+            WindowSpec::Rows(0),
+            WindowSpec::Rows(1),
+            WindowSpec::Rows(3),
+            WindowSpec::Rows(7),
+            WindowSpec::Tumbling(SimDuration::from_secs(4)),
+            WindowSpec::Tumbling(SimDuration::from_secs(0)),
+        ];
+        let base: u64 = std::env::var("ASPEN_TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        for opts in [StateOptions::row(), StateOptions::columnar()] {
+            for seed in (0..6).map(|i| base.wrapping_mul(0x1000).wrapping_add(i)) {
+                let mut rng = seeded(0xC0_45 ^ seed);
+                let mut log = SourceLog::new(&opts);
+                // The oracle: one private window per cursor, attach order.
+                let mut private: Vec<(QueryId, usize, WindowOp)> = Vec::new();
+                let mut next_query = 0u32;
+                let mut now = 0u64;
+                for step in 0..160 {
+                    let ctx = format!("{:?}, seed {seed}, step {step}", opts.layout);
+                    match rng.gen_range(0..10u32) {
+                        0 | 1 => {
+                            let query = QueryId(next_query);
+                            next_query += 1;
+                            for scan in 0..rng.gen_range(1..3usize) {
+                                let spec = specs[rng.gen_range(0..specs.len())];
+                                log.attach(query, scan, spec);
+                                private.push((query, scan, WindowOp::with_options(spec, &opts)));
+                            }
+                        }
+                        2 if !private.is_empty() => {
+                            let query = private[rng.gen_range(0..private.len())].0;
+                            let demoted = log.demote(query);
+                            let mut gone = private.iter().filter(|p| p.0 == query);
+                            for (scan, live, pane) in demoted {
+                                let (_, pscan, w) = gone.next().expect("one window per cursor");
+                                assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
+                                assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
+                            }
+                            assert!(gone.next().is_none(), "{ctx}");
+                            private.retain(|p| p.0 != query);
+                        }
+                        3 | 4 => {
+                            now += rng.gen_range(0..6u64);
+                            let mut got = Vec::new();
+                            log.advance(SimTime::from_secs(now), |q, scan, batch| {
+                                got.push((q, scan, batch));
+                            });
+                            let mut want = Vec::new();
+                            for (q, scan, w) in &mut private {
+                                let mut out = DeltaBatch::new();
+                                w.advance(SimTime::from_secs(now), &mut out);
+                                if !out.is_empty() {
+                                    want.push((*q, *scan, out));
+                                }
+                            }
+                            assert_eq!(got, want, "heartbeat {now}, {ctx}");
+                        }
+                        _ => {
+                            let batch: Vec<Tuple> = (0..rng.gen_range(0..12usize))
+                                .map(|_| t(rng.gen_range(0..4i64), now + rng.gen_range(0..3u64)))
+                                .collect();
+                            now += rng.gen_range(0..3u64);
+                            let mut got = Vec::new();
+                            log.insert_batch(&batch, |q, fed| {
+                                got.extend(fed.map(|(scan, out)| (q, scan, out)));
+                                Ok(())
+                            })
+                            .unwrap();
+                            let want: Vec<_> = private
+                                .iter_mut()
+                                .map(|(q, scan, w)| {
+                                    let mut out = DeltaBatch::new();
+                                    w.insert_batch(&batch, &mut out);
+                                    (*q, *scan, out)
+                                })
+                                .collect();
+                            assert_eq!(got, want, "batch of {}, {ctx}", batch.len());
+                        }
+                    }
+                    assert_eq!(log.cursors(), private.len(), "{ctx}");
+                    assert_eq!(
+                        log.rows(),
+                        private.iter().map(|p| p.2.live()).max().unwrap_or(0),
+                        "the log retains exactly the longest live suffix, {ctx}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn fork_without_drops_oldest_debt_instances() {
-        fork_without_drops_oldest_debt_instances_impl(&StateOptions::row());
-    }
-
-    #[test]
-    fn fork_without_drops_oldest_debt_instances_columnar() {
-        // The columnar buffer must honor the same debt semantics: the
-        // oldest live row of the owed tuple is skipped, arrival order of
-        // the rest is preserved, and the fork keeps the columnar layout.
-        fork_without_drops_oldest_debt_instances_impl(&StateOptions::columnar());
+    fn failed_delivery_still_steps_every_cursor() {
+        let mut log = SourceLog::new(&StateOptions::columnar());
+        log.attach(QueryId(0), 0, WindowSpec::Rows(1));
+        log.attach(QueryId(1), 0, WindowSpec::Rows(1));
+        let mut served = Vec::new();
+        let err = log.insert_batch(&[t(1, 0), t(2, 0)], |q, _fed| {
+            served.push(q);
+            Err(aspen_types::AspenError::Execution("sink is gone".into()))
+        });
+        assert!(err.is_err());
+        assert_eq!(
+            served,
+            vec![QueryId(0), QueryId(1)],
+            "one failure stops no one"
+        );
+        // Neither consumer drained its feed, yet both cursors evicted:
+        // the log holds one row, and the next batch evicts only t(2, 0).
+        assert_eq!(log.rows(), 1);
+        let mut got = Vec::new();
+        log.insert_batch(&[t(3, 1)], |_, fed| {
+            got.extend(fed.map(|(_, out)| out));
+            Ok(())
+        })
+        .unwrap();
+        let want: DeltaBatch = vec![Delta::insert(t(3, 1)), Delta::retract(t(2, 0))].into();
+        assert_eq!(got, vec![want.clone(), want]);
     }
 
     #[test]

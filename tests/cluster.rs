@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
-    Cluster, ClusterConfig, EngineConfig, QueryHandle, QuerySpec, Registration, ResultSubscription,
-    ShardedEngine,
+    Cluster, ClusterConfig, Consistency, EngineConfig, QueryHandle, QuerySpec, Registration,
+    ResultSubscription, ShardedEngine,
 };
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
@@ -635,7 +635,10 @@ fn cross_node_traces_conserve_spans_and_charge_remote_histograms() {
     // The receiving nodes' histograms are non-empty, and their maxima
     // carry the simulated wire hop the shipped batches were charged.
     for host in [1usize, 2] {
-        let h = c.node(host).telemetry().ingest_latency();
+        let h = c
+            .node(host)
+            .telemetry_at(Consistency::Fresh)
+            .ingest_latency();
         assert!(
             !h.is_empty(),
             "node {host} hosts migrated queries but recorded nothing"
@@ -649,7 +652,12 @@ fn cross_node_traces_conserve_spans_and_charge_remote_histograms() {
     // The merged histogram (shipped over the control link as encoded
     // frames) conserves every per-node sample.
     let per_node: u64 = (0..nodes)
-        .map(|i| c.node(i).telemetry().ingest_latency().count())
+        .map(|i| {
+            c.node(i)
+                .telemetry_at(Consistency::Fresh)
+                .ingest_latency()
+                .count()
+        })
         .sum();
     let merged = c.merged_latency().unwrap();
     assert_eq!(merged.count(), per_node);

@@ -46,6 +46,20 @@ fn catalog() -> Arc<Catalog> {
         SourceStats::stream(2.0).with_distinct("sensor", 4),
     )
     .unwrap();
+    // A second stream, scanned only by the log-sharing property's
+    // stream ⋈ stream join.
+    let alarms = Schema::new(vec![
+        Field::new("sensor", DataType::Int),
+        Field::new("level", DataType::Int),
+    ])
+    .into_ref();
+    cat.register_source(
+        "Alarms",
+        alarms,
+        SourceKind::Stream,
+        SourceStats::stream(0.5).with_distinct("sensor", 4),
+    )
+    .unwrap();
     cat
 }
 
@@ -540,7 +554,12 @@ fn migration_churn_shard_invariance_with_push_subscriptions() {
         // that dropped or re-recorded either would break equality here.
         let latency_counts: Vec<u64> = clients
             .iter()
-            .map(|c| c.engine.telemetry().ingest_latency().count())
+            .map(|c| {
+                c.engine
+                    .telemetry_at(Consistency::Fresh)
+                    .ingest_latency()
+                    .count()
+            })
             .collect();
         assert!(latency_counts[0] > 0, "no latencies recorded (seed {seed})");
         assert!(
@@ -549,7 +568,12 @@ fn migration_churn_shard_invariance_with_push_subscriptions() {
         );
         let profiled: Vec<u64> = clients
             .iter()
-            .map(|c| c.engine.telemetry().profile.total_deltas())
+            .map(|c| {
+                c.engine
+                    .telemetry_at(Consistency::Fresh)
+                    .profile
+                    .total_deltas()
+            })
             .collect();
         assert!(
             profiled.windows(2).all(|w| w[0] == w[1]),
@@ -909,183 +933,231 @@ fn watermark_cut_reads_observe_without_draining() {
     assert_eq!(e.telemetry_at(Consistency::Cut).max_lag(), 0);
 }
 
-/// Property (ISSUE 6 acceptance): shared-subplan execution is invisible.
-/// Single-scan queries over the same (source, window) prefix ride one
-/// shared chain per shard, yet every engine must stay observationally
-/// identical to private execution under full lifecycle churn — register
-/// / deregister / pause / resume / *forced migration* (which demotes a
-/// tap back to a private window) — for N ∈ {1, 2, 4} shards: per-event
-/// snapshots agree slot-for-slot with the sharing-off baseline, every
-/// push subscription's accumulated deltas reconstruct the polled
-/// snapshot, and the ops total is invariant (chain work is attributed
-/// exactly as private execution would attribute it). The run also
-/// proves sharing *actually engaged* — a vacuously-private run passing
-/// the equivalence would prove nothing.
+/// On top of [`PLANS`], what the source-log property registers: further
+/// window specs over the same stream (so one log carries cursors of
+/// five different specs), a stream ⋈ stream join, and a self-join whose
+/// two scans window the one log differently.
+const LOG_PLANS: &[&str] = &[
+    "select r.sensor, r.value from Readings r [range 7 seconds] where r.value > 20",
+    "select r.sensor, count(*) from Readings r [rows 9] group by r.sensor",
+    "select r.value, a.level from Readings r [rows 6], Alarms a [range 12 seconds] \
+     where r.sensor = a.sensor",
+    "select a.value, b.value from Readings a [rows 4], Readings b [tumbling 6 seconds] \
+     where a.sensor = b.sensor ^ a.value < b.value",
+];
+
+/// Property (ISSUE 6 / ISSUE 16 acceptance): source-log execution is
+/// invisible. Every stream scan — any window spec, joins and self-joins
+/// included — is a cursor on its shard's one log of that source, yet
+/// every engine must stay observationally identical to private windows
+/// under full lifecycle churn — register (a *late cursor*) / deregister
+/// / pause / resume / *forced migration* (which demotes cursors back to
+/// private windows) — for N ∈ {1, 2, 4} shards under sequential, pool,
+/// and seeded deterministic scheduling: per-event snapshots agree
+/// slot-for-slot with the sharing-off baseline, every push
+/// subscription's accumulated deltas reconstruct the polled snapshot,
+/// and the ops total is invariant (each cursor feeds its query exactly
+/// the deltas a private window would have). The run also proves sharing
+/// *actually engaged* — a vacuously-private run passing the equivalence
+/// would prove nothing.
 #[test]
 fn shared_subplan_churn_matches_private_execution() {
     use rand::Rng;
     use smartcis::types::rng::seeded;
 
+    let plans: Vec<&str> = PLANS.iter().chain(LOG_PLANS).copied().collect();
     for seed in seeds(3) {
-        let mut rng = seeded(0x5A7E ^ seed);
-        // Baseline: sharing off, one shard. Under test: sharing on at
-        // N ∈ {1, 2, 4}. (The plan cache stays on everywhere — cached
-        // plans must not change results either.)
-        let mut baseline = Client::with_engine(ShardedEngine::with_config(
-            catalog(),
-            EngineConfig::new().shards(1).shared_subplans(false),
-        ));
-        let mut clients: Vec<Client> = [1usize, 2, 4]
-            .into_iter()
-            .map(|n| {
-                Client::with_engine(ShardedEngine::with_config(
-                    catalog(),
-                    EngineConfig::new().shards(n).shared_subplans(true),
-                ))
-            })
-            .collect();
-        for sql in PLANS {
-            baseline.register(sql);
-            for c in &mut clients {
-                c.register(sql);
-            }
-        }
-
-        let mut max_taps = 0usize;
-        let mut now = 0u64;
-        for step in 0..60 {
-            let ctx = format!("seed {seed}, step {step}");
-            let slots: Vec<usize> = baseline
-                .queries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| q.as_ref().map(|_| i))
+        for scheduling in [
+            Scheduling::Sequential,
+            Scheduling::Pool,
+            Scheduling::Deterministic(seed),
+        ] {
+            let mut rng = seeded(0x5A7E ^ seed);
+            // Baseline: sharing off, one shard. Under test: sharing on
+            // at N ∈ {1, 2, 4}. (The plan cache stays on everywhere —
+            // cached plans must not change results either.)
+            let mut baseline = Client::with_engine(ShardedEngine::with_config(
+                catalog(),
+                EngineConfig::new().shards(1).shared_subplans(false),
+            ));
+            let mut clients: Vec<Client> = [1usize, 2, 4]
+                .into_iter()
+                .map(|n| {
+                    Client::with_engine(ShardedEngine::with_config(
+                        catalog(),
+                        EngineConfig::new()
+                            .shards(n)
+                            .shared_subplans(true)
+                            .scheduling(scheduling),
+                    ))
+                })
                 .collect();
-            match rng.gen_range(0..12u32) {
-                // Ingest (most common).
-                0..=4 => {
-                    let n = rng.gen_range(1..8usize);
-                    let batch: Vec<Tuple> = (0..n)
-                        .map(|_| {
-                            reading(
-                                rng.gen_range(0..4i64),
-                                rng.gen_range(0..100i64) as f64,
-                                now + rng.gen_range(0..2u64),
-                            )
-                        })
-                        .collect();
-                    now += 1;
-                    baseline.engine.on_batch("Readings", &batch).unwrap();
-                    for c in &mut clients {
-                        c.engine.on_batch("Readings", &batch).unwrap();
-                    }
+            for sql in &plans {
+                baseline.register(sql);
+                for c in &mut clients {
+                    c.register(sql);
                 }
-                // Heartbeat: expiry retractions flow through the chains
-                // and must be debt-filtered per tap.
-                5 | 6 => {
-                    now += rng.gen_range(1..15u64);
-                    baseline.engine.heartbeat(SimTime::from_secs(now)).unwrap();
-                    for c in &mut clients {
-                        c.engine.heartbeat(SimTime::from_secs(now)).unwrap();
-                    }
-                }
-                // Register a fresh query — a *late tap* when its prefix
-                // already runs: it must see none of the pre-attach state.
-                7 => {
-                    let sql = PLANS[rng.gen_range(0..PLANS.len())];
-                    baseline.register(sql);
-                    for c in &mut clients {
-                        c.register(sql);
-                    }
-                }
-                // Deregister: drops exactly one tap; the last tap out
-                // frees the chain.
-                8 => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        for c in std::iter::once(&mut baseline).chain(&mut clients) {
-                            let q = c.queries[slot].take().unwrap();
-                            c.engine.deregister(q.handle).unwrap();
+            }
+
+            let (mut max_logs, mut max_cursors) = (0usize, 0usize);
+            let mut now = 0u64;
+            for step in 0..70 {
+                let ctx = format!("seed {seed}, {scheduling:?}, step {step}");
+                let slots: Vec<usize> = baseline
+                    .queries
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, q)| q.as_ref().map(|_| i))
+                    .collect();
+                match rng.gen_range(0..13u32) {
+                    // Ingest (most common): one batch of either stream.
+                    // Some batches outgrow the ROWS windows, so rows
+                    // arrive and are evicted inside one append.
+                    action @ 0..=5 => {
+                        let n = rng.gen_range(1..12usize);
+                        let alarms = action == 5;
+                        let batch: Vec<Tuple> = (0..n)
+                            .map(|_| {
+                                let sensor = rng.gen_range(0..4i64);
+                                let v = rng.gen_range(0..100i64);
+                                let ts = SimTime::from_secs(now + rng.gen_range(0..2u64));
+                                let v = if alarms {
+                                    Value::Int(v % 5)
+                                } else {
+                                    Value::Float(v as f64)
+                                };
+                                Tuple::new(vec![Value::Int(sensor), v], ts)
+                            })
+                            .collect();
+                        now += 1;
+                        let source = if alarms { "Alarms" } else { "Readings" };
+                        baseline.engine.on_batch(source, &batch).unwrap();
+                        for c in &mut clients {
+                            c.engine.on_batch(source, &batch).unwrap();
                         }
                     }
-                }
-                // Toggle pause/resume: pause detaches the tap, resume
-                // re-splices a fresh one.
-                9 => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        for c in std::iter::once(&mut baseline).chain(&mut clients) {
-                            let h = c.queries[slot].as_ref().unwrap().handle;
-                            if c.engine.is_paused(h).unwrap() {
-                                c.engine.resume(h).unwrap();
-                            } else {
-                                c.engine.pause(h).unwrap();
+                    // Heartbeat: each cursor expires its own suffix of
+                    // the log; rows below every head are released.
+                    6 | 7 => {
+                        now += rng.gen_range(1..15u64);
+                        baseline.engine.heartbeat(SimTime::from_secs(now)).unwrap();
+                        for c in &mut clients {
+                            c.engine.heartbeat(SimTime::from_secs(now)).unwrap();
+                        }
+                    }
+                    // Register a fresh query — *late cursors* on warm
+                    // logs: it must see none of the pre-attach state.
+                    8 => {
+                        let sql = plans[rng.gen_range(0..plans.len())];
+                        baseline.register(sql);
+                        for c in &mut clients {
+                            c.register(sql);
+                        }
+                    }
+                    // Deregister: drops that query's cursors; the last
+                    // cursor out frees the log.
+                    9 => {
+                        if !slots.is_empty() {
+                            let slot = slots[rng.gen_range(0..slots.len())];
+                            for c in std::iter::once(&mut baseline).chain(&mut clients) {
+                                let q = c.queries[slot].take().unwrap();
+                                c.engine.deregister(q.handle).unwrap();
+                            }
+                        }
+                    }
+                    // Toggle pause/resume: pause detaches the cursors,
+                    // resume attaches fresh ones at the tail.
+                    10 => {
+                        if !slots.is_empty() {
+                            let slot = slots[rng.gen_range(0..slots.len())];
+                            for c in std::iter::once(&mut baseline).chain(&mut clients) {
+                                let h = c.queries[slot].as_ref().unwrap().handle;
+                                if c.engine.is_paused(h).unwrap() {
+                                    c.engine.resume(h).unwrap();
+                                } else {
+                                    c.engine.pause(h).unwrap();
+                                }
+                            }
+                        }
+                    }
+                    // Forced migration: demotes the cursors to private
+                    // windows holding their live suffixes (a no-op at
+                    // N = 1).
+                    _ => {
+                        if !slots.is_empty() {
+                            let slot = slots[rng.gen_range(0..slots.len())];
+                            let target = rng.gen_range(0..4usize);
+                            for c in std::iter::once(&mut baseline).chain(&mut clients) {
+                                let h = c.queries[slot].as_ref().unwrap().handle;
+                                c.engine
+                                    .migrate(h, target % c.engine.shard_count())
+                                    .unwrap();
                             }
                         }
                     }
                 }
-                // Forced migration: demotes the tap to a private window
-                // forked minus its debt (a no-op at N = 1).
-                _ => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        let target = rng.gen_range(0..4usize);
-                        for c in std::iter::once(&mut baseline).chain(&mut clients) {
-                            let h = c.queries[slot].as_ref().unwrap().handle;
-                            c.engine
-                                .migrate(h, target % c.engine.shard_count())
-                                .unwrap();
-                        }
+
+                // Invariants after every event.
+                baseline.check_push_matches_poll(&ctx);
+                for c in &mut clients {
+                    c.check_push_matches_poll(&ctx);
+                }
+                for c in &clients {
+                    let rs = c.engine.resident_state();
+                    max_logs = max_logs.max(rs.shared_chains);
+                    max_cursors = max_cursors.max(rs.shared_taps);
+                    assert_eq!(
+                        c.engine.now(),
+                        baseline.engine.now(),
+                        "clock diverged ({ctx})"
+                    );
+                    for (slot, (bq, cq)) in baseline.queries.iter().zip(&c.queries).enumerate() {
+                        let (Some(bq), Some(cq)) = (bq, cq) else {
+                            continue;
+                        };
+                        assert_eq!(
+                            value_rows(&c.engine.snapshot(cq.handle).unwrap()),
+                            value_rows(&baseline.engine.snapshot(bq.handle).unwrap()),
+                            "slot {slot} diverged from private execution at {} shards ({ctx})",
+                            c.engine.shard_count(),
+                        );
                     }
                 }
-            }
-
-            // Invariants after every event.
-            baseline.check_push_matches_poll(&ctx);
-            for c in &mut clients {
-                c.check_push_matches_poll(&ctx);
-            }
-            for c in &clients {
-                max_taps = max_taps.max(c.engine.resident_state().shared_taps);
+                let private = baseline.engine.resident_state();
                 assert_eq!(
-                    c.engine.now(),
-                    baseline.engine.now(),
-                    "clock diverged ({ctx})"
+                    (private.shared_chains, private.shared_taps),
+                    (0, 0),
+                    "sharing-off engine grew a log ({ctx})"
                 );
-                for (slot, (bq, cq)) in baseline.queries.iter().zip(&c.queries).enumerate() {
-                    let (Some(bq), Some(cq)) = (bq, cq) else {
-                        continue;
-                    };
-                    assert_eq!(
-                        value_rows(&c.engine.snapshot(cq.handle).unwrap()),
-                        value_rows(&baseline.engine.snapshot(bq.handle).unwrap()),
-                        "slot {slot} diverged from private execution at {} shards ({ctx})",
-                        c.engine.shard_count(),
-                    );
-                }
+                // One shard, nothing migrated yet: the logs hold each row
+                // once, so they can never retain more than the private
+                // windows they replace.
+                let one = &clients[0].engine;
+                assert!(
+                    one.resident_state().window_tuples <= private.window_tuples,
+                    "logs retain more than private windows would ({ctx})"
+                );
             }
-            assert_eq!(
-                baseline.engine.resident_state().shared_taps,
-                0,
-                "sharing-off engine grew a tap ({ctx})"
+            // Sharing saves state, never work: ops totals match private
+            // execution exactly.
+            let base_ops = baseline.engine.total_ops_invoked();
+            for c in &clients {
+                assert_eq!(
+                    c.engine.total_ops_invoked(),
+                    base_ops,
+                    "ops diverged from private execution at {} shards ({ctx})",
+                    c.engine.shard_count(),
+                    ctx = format_args!("seed {seed}, {scheduling:?}")
+                );
+            }
+            // The equivalence is non-vacuous: both streams had a log,
+            // and one log carried many windows at once.
+            assert!(
+                max_logs >= 2 && max_cursors >= plans.len(),
+                "sharing never engaged over the whole run \
+                 ({max_logs} logs, {max_cursors} cursors, seed {seed})"
             );
         }
-        // Sharing saves state, never work: ops totals match private
-        // execution exactly.
-        let base_ops = baseline.engine.total_ops_invoked();
-        for c in &clients {
-            assert_eq!(
-                c.engine.total_ops_invoked(),
-                base_ops,
-                "ops diverged from private execution at {} shards (seed {seed})",
-                c.engine.shard_count()
-            );
-        }
-        // The equivalence is non-vacuous: chains really carried taps.
-        assert!(
-            max_taps >= 2,
-            "sharing never engaged over the whole run (seed {seed})"
-        );
     }
 }
 
@@ -1330,7 +1402,7 @@ fn state_bytes_travel_with_migration() {
     }
     let snap_before = value_rows(&e.snapshot(fat).unwrap());
 
-    let tel = e.telemetry();
+    let tel = e.telemetry_at(Consistency::Fresh);
     let q = tel.queries.iter().find(|q| q.query == fat.0).unwrap();
     let (from, bytes) = (q.shard, q.state_bytes);
     assert!(bytes > 0, "window query reports no state bytes");
@@ -1340,7 +1412,7 @@ fn state_bytes_travel_with_migration() {
     let to = 1 - from;
     e.migrate(fat, to).unwrap();
 
-    let tel = e.telemetry();
+    let tel = e.telemetry_at(Consistency::Fresh);
     let q = tel.queries.iter().find(|q| q.query == fat.0).unwrap();
     assert_eq!(q.shard, to, "query did not move");
     assert_eq!(q.state_bytes, bytes, "state_bytes changed in flight");
@@ -1425,7 +1497,7 @@ fn byte_aware_rebalancer_drains_memory_fat_shard() {
         e.on_batch("Readings", &batch).unwrap();
     }
 
-    let tel = e.telemetry();
+    let tel = e.telemetry_at(Consistency::Fresh);
     let fat_shards: Vec<usize> = fats
         .iter()
         .map(|h| {
