@@ -3,9 +3,8 @@
 //! These time the code paths the harness tables measure by counting:
 //! sensor-network join strategies (E3), TAG aggregation (E4), the
 //! federated optimizer (E5/E9), recursive-view maintenance (E6), the
-//! end-to-end app tick (E7), localization (E8), stream-operator
-//! throughput (calibration for the stream cost model), and the batched
-//! delta fan-out path (E11).
+//! end-to-end app tick (E7), localization (E8), and stream-operator
+//! throughput (calibration for the stream cost model).
 //!
 //! The offline build environment has no criterion, so this is a plain
 //! `harness = false` bench: each workload runs a fixed number of
@@ -145,16 +144,6 @@ fn bench_stream_join_throughput() {
     });
 }
 
-fn bench_fanout_throughput() {
-    bench("e11_fanout/50q_batched_vs_per_tuple", 1, || {
-        let r = aspen_bench::e11_run(50, 2_000, 64);
-        (
-            r.batched_tuples_per_sec as u64,
-            r.per_tuple_tuples_per_sec as u64,
-        )
-    });
-}
-
 fn bench_localization() {
     use aspen_types::Point;
     use smartcis_app::{Building, Localizer};
@@ -180,6 +169,5 @@ fn main() {
     bench_recursive_view();
     bench_end_to_end();
     bench_stream_join_throughput();
-    bench_fanout_throughput();
     bench_localization();
 }

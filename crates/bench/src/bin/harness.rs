@@ -1,5 +1,6 @@
-//! Experiment harness: regenerates every table and figure of the
-//! reproduction (see `EXPERIMENTS.md`).
+//! Experiment harness: regenerates the paper's figures and tables
+//! (F1, F2, E3–E10). Engine performance is measured by the standalone
+//! `benchmark/` crate, not here.
 //!
 //! ```text
 //! cargo run -p aspen-bench --bin harness --release            # everything
@@ -21,9 +22,7 @@ fn main() {
             None => {
                 eprintln!(
                     "unknown experiment '{name}' — expected one of: \
-                     f1 f2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e12json e13 e13json \
-                     e14 e14json e15 e15json e16 e16json e17 e17json \
-                     e18 e18json e19 e19json e20 e20json metrics all"
+                     f1 f2 e3 e4 e5 e6 e7 e8 e9 e10 all"
                 );
                 std::process::exit(2);
             }

@@ -1,5 +1,6 @@
-//! The experiment suite (DESIGN.md §4). Each function runs one
-//! experiment deterministically (fixed seeds) and renders its table.
+//! The experiment suite: the paper's F1/F2 figures and E3–E10 tables.
+//! Each function runs one experiment deterministically (fixed seeds)
+//! and renders its table.
 
 use std::time::Instant;
 
@@ -680,2574 +681,10 @@ fn e10_row(
 }
 
 // ---------------------------------------------------------------------------
-// E11 — batched delta dataflow: multi-query fan-out throughput
-// ---------------------------------------------------------------------------
-
-/// One fan-out throughput measurement: the same workload driven through
-/// the engine with real batches vs. degenerate single-tuple batches.
-#[derive(Debug, Clone)]
-pub struct E11Run {
-    pub queries: usize,
-    pub tuples: usize,
-    pub batch_size: usize,
-    pub batched_ms: f64,
-    pub per_tuple_ms: f64,
-    pub batched_tuples_per_sec: f64,
-    pub per_tuple_tuples_per_sec: f64,
-    /// per-tuple time / batched time (> 1 means batching wins).
-    pub speedup: f64,
-    pub batched_ops_invoked: u64,
-    pub per_tuple_ops_invoked: u64,
-}
-
-/// Build a fresh engine with `n` standing queries over a hot `Readings`
-/// stream plus `n / 2` queries over a cold `IdleTable` the workload never
-/// touches — the routing index must keep the cold queries free.
-fn e11_engine(n: usize) -> aspen_stream::StreamEngine {
-    fanout_engine(n, 1)
-}
-
-/// The same fan-out fixture with the pipeline set partitioned across
-/// `shards` worker shards (E12). `parallel` pins the fan-out mode at
-/// construction (sequential keeps per-shard busy accounting free of
-/// thread-scheduling noise).
-fn fanout_engine_with(n: usize, shards: usize, parallel: bool) -> aspen_stream::StreamEngine {
-    use aspen_stream::EngineConfig;
-    let mut engine = aspen_stream::StreamEngine::with_config(
-        fanout_catalog(),
-        EngineConfig::new().shards(shards).parallel_ingest(parallel),
-    );
-    for sql in fanout_sqls(n) {
-        engine.register_sql(&sql).unwrap().expect_query();
-    }
-    engine
-}
-
-/// The fan-out fixture's catalog: one hot `Readings` stream and one cold
-/// `IdleTable`, shared by E11/E12/E13 so all three measure the same
-/// workload shape.
-fn fanout_catalog() -> std::sync::Arc<aspen_catalog::Catalog> {
-    use aspen_catalog::{Catalog, SourceKind, SourceStats};
-    use aspen_types::{DataType, Field, Schema};
-    let cat = Catalog::shared();
-    let readings = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("value", DataType::Float),
-    ])
-    .into_ref();
-    cat.register_source(
-        "Readings",
-        readings,
-        SourceKind::Stream,
-        SourceStats::stream(2.0).with_distinct("sensor", 32),
-    )
-    .unwrap();
-    let idle = Schema::new(vec![Field::new("x", DataType::Int)]).into_ref();
-    cat.register_source("IdleTable", idle, SourceKind::Table, SourceStats::table(4))
-        .unwrap();
-    cat
-}
-
-fn fanout_engine(n: usize, shards: usize) -> aspen_stream::StreamEngine {
-    fanout_engine_with(n, shards, false)
-}
-
-/// The mixed standing-query set of the fan-out fixture: `n` queries over
-/// the hot `Readings` stream plus `n / 2` over the cold `IdleTable`.
-fn fanout_sqls(n: usize) -> Vec<String> {
-    let mut sqls: Vec<String> = (0..n)
-        .map(|i| match i % 4 {
-            0 => format!(
-                "select r.sensor, r.value from Readings r where r.value > {}",
-                (i % 10) * 10
-            ),
-            1 => "select r.sensor, avg(r.value) from Readings r group by r.sensor".to_string(),
-            2 => "select count(*) from Readings r".to_string(),
-            _ => format!("select r.value from Readings r where r.sensor = {}", i % 32),
-        })
-        .collect();
-    sqls.extend((0..n / 2).map(|_| "select t.x from IdleTable t".to_string()));
-    sqls
-}
-
-/// Deterministic reading stream: `sensor = i mod 32`, sawtooth values,
-/// timestamps advancing one second every 10 tuples (so the default
-/// stream window expires during the run).
-fn e11_tuple(i: usize) -> Tuple {
-    Tuple::new(
-        vec![
-            Value::Int((i % 32) as i64),
-            Value::Float((i % 97) as f64 + (i % 7) as f64 * 0.5),
-        ],
-        SimTime::from_secs((i / 10) as u64),
-    )
-}
-
-/// Drive `tuples` readings through a fresh `queries`-query engine in
-/// batches of `chunk`, returning elapsed milliseconds and the cost-model
-/// counter.
-fn e11_drive(queries: usize, tuples: usize, chunk: usize) -> (f64, u64) {
-    let mut engine = e11_engine(queries);
-    let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-    let start = Instant::now();
-    for batch in rows.chunks(chunk) {
-        engine.on_batch("Readings", batch).unwrap();
-    }
-    (
-        start.elapsed().as_secs_f64() * 1e3,
-        engine.total_ops_invoked(),
-    )
-}
-
-/// Measure batched vs. per-tuple ingest over an identical workload.
-pub fn e11_run(queries: usize, tuples: usize, batch_size: usize) -> E11Run {
-    let (batched_ms, batched_ops) = e11_drive(queries, tuples, batch_size);
-    let (per_tuple_ms, per_tuple_ops) = e11_drive(queries, tuples, 1);
-    E11Run {
-        queries,
-        tuples,
-        batch_size,
-        batched_ms,
-        per_tuple_ms,
-        batched_tuples_per_sec: tuples as f64 / (batched_ms / 1e3).max(1e-9),
-        per_tuple_tuples_per_sec: tuples as f64 / (per_tuple_ms / 1e3).max(1e-9),
-        speedup: per_tuple_ms / batched_ms.max(1e-9),
-        batched_ops_invoked: batched_ops,
-        per_tuple_ops_invoked: per_tuple_ops,
-    }
-}
-
-/// E11 table: end-to-end delta throughput through a standing-query
-/// fan-out, batched vs. per-tuple — the perf baseline for the batch-first
-/// dataflow.
-pub fn e11() -> String {
-    let mut out = String::from(
-        "E11 — batched delta dataflow: tuples/sec through a standing-query fan-out\n\
-         (one hot stream source; idle-table queries ride the routing index for free)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "queries",
-        "tuples",
-        "batch",
-        "batched ms",
-        "per-tuple ms",
-        "batched tup/s",
-        "per-tuple tup/s",
-        "speedup",
-    ]);
-    for (queries, batch_size) in [(10usize, 64usize), (50, 64), (50, 256)] {
-        let r = e11_run(queries, 20_000, batch_size);
-        t.row(&[
-            r.queries.to_string(),
-            r.tuples.to_string(),
-            r.batch_size.to_string(),
-            f(r.batched_ms, 1),
-            f(r.per_tuple_ms, 1),
-            f(r.batched_tuples_per_sec, 0),
-            f(r.per_tuple_tuples_per_sec, 0),
-            f(r.speedup, 2),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E12 — sharded pipeline execution: fan-out throughput vs shard count
-// ---------------------------------------------------------------------------
-
-/// One sharded fan-out measurement. `critical_path_ms` is the busiest
-/// shard's processing time — the wall time an N-core deployment would
-/// pay for the same ingest, and the number `scaled_tuples_per_sec` and
-/// `speedup` are derived from. Shards run sequentially during the
-/// measurement (see [`e12_run`]), so `wall_ms` stays roughly flat
-/// across shard counts while the critical path drops.
-#[derive(Debug, Clone)]
-pub struct E12Run {
-    pub shards: usize,
-    pub queries: usize,
-    pub tuples: usize,
-    pub batch_size: usize,
-    pub wall_ms: f64,
-    pub critical_path_ms: f64,
-    pub total_busy_ms: f64,
-    pub scaled_tuples_per_sec: f64,
-    /// Busiest shard / ideal even share (1.0 = perfectly balanced).
-    pub balance: f64,
-}
-
-/// Drive the E11 workload through a `shards`-way engine and account
-/// per-shard busy time. Shards are processed *sequentially* during the
-/// measurement: each shard's `busy` is then pure processing time, so
-/// `critical_path_ms` reflects work placement rather than how an
-/// oversubscribed host happened to schedule worker threads.
-pub fn e12_run(shards: usize, queries: usize, tuples: usize, batch_size: usize) -> E12Run {
-    let mut engine = fanout_engine(queries, shards);
-    let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-    let start = Instant::now();
-    for batch in rows.chunks(batch_size) {
-        engine.on_batch("Readings", batch).unwrap();
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let report = engine.telemetry();
-    let busy: Vec<f64> = report.shards.iter().map(|s| s.busy_seconds).collect();
-    let critical_path = busy.iter().cloned().fold(0.0f64, f64::max);
-    let total_busy: f64 = busy.iter().sum();
-    E12Run {
-        shards,
-        queries,
-        tuples,
-        batch_size,
-        wall_ms,
-        critical_path_ms: critical_path * 1e3,
-        total_busy_ms: total_busy * 1e3,
-        scaled_tuples_per_sec: tuples as f64 / critical_path.max(1e-9),
-        balance: critical_path / (total_busy / shards as f64).max(1e-9),
-    }
-}
-
-/// The E12 sweep: the E11-style 50-query fan-out at 1/2/4/8 shards.
-pub fn e12_runs() -> Vec<E12Run> {
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|shards| e12_run(shards, 50, 20_000, 256))
-        .collect()
-}
-
-/// E12 table: sharded pipeline execution against the E11 single-shard
-/// baseline (speedup = critical-path throughput vs 1 shard).
-pub fn e12() -> String {
-    let runs = e12_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from(
-        "E12 — sharded pipeline execution: 50-query fan-out vs shard count\n\
-         (hash-placed pipelines; critical path = busiest shard's processing time,\n\
-         i.e. the wall time an N-core deployment pays; E11 baseline = 1 shard)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "shards",
-        "tuples",
-        "batch",
-        "wall ms",
-        "critical-path ms",
-        "scaled tup/s",
-        "balance",
-        "speedup vs 1",
-    ]);
-    for r in &runs {
-        t.row(&[
-            r.shards.to_string(),
-            r.tuples.to_string(),
-            r.batch_size.to_string(),
-            f(r.wall_ms, 1),
-            f(r.critical_path_ms, 1),
-            f(r.scaled_tuples_per_sec, 0),
-            f(r.balance, 2),
-            format!("{:.2}x", base / r.critical_path_ms.max(1e-9)),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// E12 results as JSON (written to `BENCH_E12.json` by CI so the perf
-/// trajectory tracks sharded throughput across commits).
-pub fn e12_json() -> String {
-    let runs = e12_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from("{\n  \"experiment\": \"e12\",\n  \"workload\": \"50-query fan-out, 20000 tuples, batch 256\",\n  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_ms\": {:.2}, \"critical_path_ms\": {:.2}, \
-             \"scaled_tuples_per_sec\": {:.0}, \"balance\": {:.3}, \"speedup_vs_one_shard\": {:.3}}}{}\n",
-            r.shards,
-            r.wall_ms,
-            r.critical_path_ms,
-            r.scaled_tuples_per_sec,
-            r.balance,
-            base / r.critical_path_ms.max(1e-9),
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E13 — session API: push vs. poll delivery, register/deregister churn
-// ---------------------------------------------------------------------------
-
-/// One delivery-mode measurement on the 50-query fan-out. `delivered`
-/// counts what crossed the client boundary: polled result rows in poll
-/// mode, pushed deltas in push modes (`batches` is poll calls resp.
-/// delivered batches).
-#[derive(Debug, Clone)]
-pub struct E13Run {
-    pub mode: &'static str,
-    pub queries: usize,
-    pub tuples: usize,
-    pub batch_size: usize,
-    pub wall_ms: f64,
-    pub tuples_per_sec: f64,
-    pub batches: u64,
-    pub delivered: u64,
-}
-
-/// Register/deregister churn throughput against a standing fan-out.
-#[derive(Debug, Clone)]
-pub struct E13Churn {
-    pub standing: usize,
-    pub cycles: usize,
-    pub wall_ms: f64,
-    pub cycles_per_sec: f64,
-}
-
-/// The fan-out fixture with handles exposed, each query registered
-/// through a caller-shaped `QuerySpec` (delivery mode, micro-batch
-/// knobs).
-fn e13_engine<F>(n: usize, spec: F) -> (aspen_stream::StreamEngine, Vec<aspen_stream::QueryHandle>)
-where
-    F: Fn(aspen_stream::QuerySpec) -> aspen_stream::QuerySpec,
-{
-    let mut engine = aspen_stream::StreamEngine::new(fanout_catalog());
-    let handles = fanout_sqls(n)
-        .iter()
-        .map(|sql| {
-            engine
-                .register(spec(aspen_stream::QuerySpec::sql(sql)))
-                .unwrap()
-                .expect_query()
-        })
-        .collect();
-    (engine, handles)
-}
-
-/// Drive the E11 workload and deliver results continuously in one of
-/// three modes: `poll` snapshots every query at every batch boundary
-/// (the pre-session API's only option), `push` drains subscriptions at
-/// every boundary, `push coalesced` adds a 5 s `max_delay` so churn
-/// cancels before delivery.
-pub fn e13_delivery_run(mode: &'static str, queries: usize, tuples: usize, batch: usize) -> E13Run {
-    use aspen_types::SimDuration;
-    let coalesce = SimDuration::from_secs(5);
-    let (mut engine, handles) = match mode {
-        "poll" => e13_engine(queries, |s| s),
-        "push" => e13_engine(queries, aspen_stream::QuerySpec::push),
-        "push 5s coalesce" => e13_engine(queries, |s| s.push().max_delay(coalesce)),
-        other => panic!("unknown E13 delivery mode '{other}'"),
-    };
-    let subs: Vec<_> = if mode == "poll" {
-        Vec::new()
-    } else {
-        handles
-            .iter()
-            .map(|&h| engine.subscribe(h).unwrap())
-            .collect()
-    };
-    let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-    let mut batches = 0u64;
-    let mut delivered = 0u64;
-    let start = Instant::now();
-    for chunk in rows.chunks(batch) {
-        engine.on_batch("Readings", chunk).unwrap();
-        if mode == "poll" {
-            for &h in &handles {
-                delivered += engine.snapshot(h).unwrap().len() as u64;
-                batches += 1;
-            }
-        } else {
-            for sub in &subs {
-                for b in sub.drain() {
-                    delivered += b.len() as u64;
-                    batches += 1;
-                }
-            }
-        }
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    E13Run {
-        mode,
-        queries,
-        tuples,
-        batch_size: batch,
-        wall_ms,
-        tuples_per_sec: tuples as f64 / (wall_ms / 1e3).max(1e-9),
-        batches,
-        delivered,
-    }
-}
-
-/// Register/deregister churn against `standing` live queries: each
-/// cycle registers a fresh filter query and retires it again — the
-/// routing index, route table, and clock sets unwind every time.
-pub fn e13_churn_run(standing: usize, cycles: usize) -> E13Churn {
-    let (mut engine, _) = e13_engine(standing, |s| s);
-    // Retained table rows make every registration replay real state
-    // (streams are never replayed — only Table sources are retained).
-    let table_rows: Vec<Tuple> = (0..200)
-        .map(|i| Tuple::new(vec![Value::Int(i)], SimTime::from_secs(1)))
-        .collect();
-    engine.on_batch("IdleTable", &table_rows).unwrap();
-    let readings = engine.catalog().source("Readings").unwrap().id;
-    let idle = engine.catalog().source("IdleTable").unwrap().id;
-    let before = (
-        engine.subscriber_count(readings),
-        engine.subscriber_count(idle),
-    );
-    let start = Instant::now();
-    for i in 0..cycles {
-        // Alternate a stream query (index/route churn) with a table
-        // query (replay churn).
-        let sql = if i % 2 == 0 {
-            format!("select r.value from Readings r where r.value > {}", i % 90)
-        } else {
-            format!("select t.x from IdleTable t where t.x > {}", i % 100)
-        };
-        let h = engine.register_sql(&sql).unwrap().expect_query();
-        engine.deregister(h).unwrap();
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        (
-            engine.subscriber_count(readings),
-            engine.subscriber_count(idle)
-        ),
-        before,
-        "churn must leave the routing index exactly where it started"
-    );
-    E13Churn {
-        standing,
-        cycles,
-        wall_ms,
-        cycles_per_sec: cycles as f64 / (wall_ms / 1e3).max(1e-9),
-    }
-}
-
-/// The E13 sweep: three delivery modes on the 50-query fan-out, plus
-/// lifecycle churn.
-pub fn e13_runs() -> (Vec<E13Run>, E13Churn) {
-    let runs = ["poll", "push", "push 5s coalesce"]
-        .into_iter()
-        .map(|mode| e13_delivery_run(mode, 50, 20_000, 256))
-        .collect();
-    (runs, e13_churn_run(50, 400))
-}
-
-/// E13 table: session-API delivery overhead and lifecycle churn.
-pub fn e13() -> String {
-    let (runs, churn) = e13_runs();
-    let mut out = String::from(
-        "E13 — session API: push vs. poll delivery on the 50-query fan-out,\n\
-         plus register/deregister churn throughput\n\
-         (poll = snapshot every query at every batch boundary; push = drain\n\
-         subscriptions; coalesce = 5 s max_delay micro-batching knob)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "mode",
-        "tuples",
-        "batch",
-        "wall ms",
-        "tup/s",
-        "deliveries",
-        "rows/deltas out",
-    ]);
-    for r in &runs {
-        t.row(&[
-            r.mode.to_string(),
-            r.tuples.to_string(),
-            r.batch_size.to_string(),
-            f(r.wall_ms, 1),
-            f(r.tuples_per_sec, 0),
-            r.batches.to_string(),
-            r.delivered.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "register/deregister churn vs {} standing queries: {} cycles in {} ms \
-         ({} cycles/s)\n",
-        churn.standing,
-        churn.cycles,
-        f(churn.wall_ms, 1),
-        f(churn.cycles_per_sec, 0),
-    ));
-    out
-}
-
-/// E13 results as JSON (written to `BENCH_E13.json` by CI so the perf
-/// trajectory tracks delivery overhead and churn across commits).
-pub fn e13_json() -> String {
-    let (runs, churn) = e13_runs();
-    let mut out = String::from(
-        "{\n  \"experiment\": \"e13\",\n  \"workload\": \"50-query fan-out, 20000 tuples, batch 256\",\n  \"delivery\": [\n",
-    );
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"wall_ms\": {:.2}, \"tuples_per_sec\": {:.0}, \
-             \"deliveries\": {}, \"delivered\": {}}}{}\n",
-            r.mode,
-            r.wall_ms,
-            r.tuples_per_sec,
-            r.batches,
-            r.delivered,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"churn\": {{\"standing\": {}, \"cycles\": {}, \"wall_ms\": {:.2}, \
-         \"cycles_per_sec\": {:.0}}}\n}}\n",
-        churn.standing, churn.cycles, churn.wall_ms, churn.cycles_per_sec,
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E14 — runtime telemetry + adaptive shard rebalancing
-// ---------------------------------------------------------------------------
-
-/// One measurement of the skewed fan-out at a shard count, rebalancing
-/// off or on. Balance and critical path are computed over the
-/// *measurement window only* (after a warmup phase during which the
-/// controller — when on — observes and migrates), so they describe the
-/// steady state each policy converges to.
-#[derive(Debug, Clone)]
-pub struct E14Run {
-    pub shards: usize,
-    pub rebalancing: bool,
-    /// Busiest shard's measurement-window operator invocations over the
-    /// ideal even share (deterministic; 1.0 = perfectly balanced).
-    pub balance: f64,
-    /// Busiest shard's measurement-window processing time.
-    pub critical_path_ms: f64,
-    pub scaled_tuples_per_sec: f64,
-    /// Queries live-migrated over the whole run.
-    pub migrations: u64,
-    pub wall_ms: f64,
-}
-
-/// The skewed standing-query set: every third query is a self-join over
-/// ROWS windows (an order of magnitude more work per delta than the
-/// rest), the remainder are cheap single-sensor filters. Query cost is
-/// deliberately *not* what hash placement balances — shard load depends
-/// on where the 17 heavy queries happen to land.
-fn e14_sqls(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|i| {
-            if i % 3 == 0 {
-                "select a.value, b.value from Readings a [rows 64], Readings b [rows 64] \
-                 where a.sensor = b.sensor ^ a.value < b.value"
-                    .to_string()
-            } else {
-                format!("select r.value from Readings r where r.sensor = {}", i % 32)
-            }
-        })
-        .collect()
-}
-
-/// Eager controller for the bench: observe often, act on the first
-/// clearly-skewed window, move up to 8 queries per round. E14 isolates
-/// CPU-based planning, so the state-bytes term is switched off — this
-/// workload's queries hold near-uniform state, and blending bytes in
-/// would dilute exactly the ops skew the bench measures (the bytes
-/// term is exercised by the rebalance unit tests and E20).
-fn e14_rebalance_config() -> aspen_stream::RebalanceConfig {
-    aspen_stream::RebalanceConfig {
-        threshold: 1.05,
-        patience: 1,
-        max_moves: 8,
-        interval_boundaries: 8,
-        bytes_weight: 0.0,
-        ..Default::default()
-    }
-}
-
-fn e14_engine(shards: usize, rebalancing: bool) -> aspen_stream::StreamEngine {
-    use aspen_stream::EngineConfig;
-    let mut config = EngineConfig::new().shards(shards).parallel_ingest(false);
-    if rebalancing {
-        config = config.rebalance(e14_rebalance_config());
-    }
-    let mut engine = aspen_stream::StreamEngine::with_config(fanout_catalog(), config);
-    for sql in e14_sqls(50) {
-        engine.register_sql(&sql).unwrap().expect_query();
-    }
-    engine
-}
-
-/// Drive the skewed workload through one engine: warmup (the controller
-/// converges here when rebalancing is on), then measure balance and
-/// critical path over the remaining tuples. Returns the run plus every
-/// query's final snapshot for the off-vs-on divergence check.
-fn e14_drive(shards: usize, rebalancing: bool) -> (E14Run, Vec<Vec<Tuple>>) {
-    let tuples = 20_000usize;
-    let warmup = 8_000usize;
-    let batch = 256usize;
-    let mut engine = e14_engine(shards, rebalancing);
-    let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-    let start = Instant::now();
-    for chunk in rows[..warmup].chunks(batch) {
-        engine.on_batch("Readings", chunk).unwrap();
-    }
-    let mark = engine.telemetry();
-    for chunk in rows[warmup..].chunks(batch) {
-        engine.on_batch("Readings", chunk).unwrap();
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let end = engine.telemetry();
-    // Measurement-window balance through the engine's own windowing
-    // helper (per-query diffs grouped by final placement — the same
-    // judgment the rebalance controller acts on).
-    let balance = end.window_since(&mark).balance_ratio();
-    let critical_path = end
-        .shards
-        .iter()
-        .zip(&mark.shards)
-        .map(|(e, m)| e.busy_seconds - m.busy_seconds)
-        .fold(0.0f64, f64::max);
-    let snapshots: Vec<Vec<Tuple>> = end
-        .queries
-        .iter()
-        .map(|q| engine.snapshot(aspen_stream::QueryHandle(q.query)).unwrap())
-        .collect();
-    (
-        E14Run {
-            shards,
-            rebalancing,
-            balance,
-            critical_path_ms: critical_path * 1e3,
-            scaled_tuples_per_sec: (tuples - warmup) as f64 / critical_path.max(1e-9),
-            migrations: engine.sharded().migration_count(),
-            wall_ms,
-        },
-        snapshots,
-    )
-}
-
-/// One off/on pair at a shard count, plus how many queries' final
-/// snapshots diverged between the two policies (must be 0 — migration
-/// moves runtimes intact).
-pub fn e14_pair(shards: usize) -> (E14Run, E14Run, usize) {
-    let (off, snaps_off) = e14_drive(shards, false);
-    let (on, snaps_on) = e14_drive(shards, true);
-    let diverged = snaps_off
-        .iter()
-        .zip(&snaps_on)
-        .filter(|(a, b)| {
-            let vals = |rows: &[Tuple]| -> Vec<Vec<Value>> {
-                rows.iter().map(|t| t.values().to_vec()).collect()
-            };
-            vals(a) != vals(b)
-        })
-        .count();
-    (off, on, diverged)
-}
-
-/// Telemetry observation overhead on the E11 fan-out workload: drive
-/// the 50-query fixture once with a full telemetry report taken (and
-/// fed to a rebalance controller) at every batch boundary, timing the
-/// observation work separately inside the same run. Returns (ingest ms,
-/// observation ms, observation as % of ingest). The engine runs at 4
-/// shards (sequential fan-out) so the controller pays its real
-/// multi-shard cost — at 1 shard `observe` early-returns before any
-/// windowing work and the number would bound only report construction.
-/// Timing the added work directly — instead of diffing two whole runs —
-/// keeps the number free of run-to-run scheduler noise, which on this
-/// ~300 ms workload dwarfs the ~1 ms being measured. (The always-on
-/// counters themselves are plain integer adds on paths the shards
-/// already own; their cost is bounded by E11 tracking the same workload
-/// across commits.)
-pub fn e14_overhead_run() -> (f64, f64, f64) {
-    let mut engine = fanout_engine_with(50, 4, false);
-    let mut ctrl = aspen_stream::RebalanceController::new(e14_rebalance_config());
-    let rows: Vec<Tuple> = (0..20_000).map(e11_tuple).collect();
-    let mut observe_ms = 0.0;
-    let start = Instant::now();
-    for chunk in rows.chunks(256) {
-        engine.on_batch("Readings", chunk).unwrap();
-        let obs = Instant::now();
-        let report = engine.telemetry();
-        let _ = ctrl.observe(&report);
-        observe_ms += obs.elapsed().as_secs_f64() * 1e3;
-    }
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
-    let ingest_ms = total_ms - observe_ms;
-    let pct = observe_ms / ingest_ms.max(1e-9) * 100.0;
-    (ingest_ms, observe_ms, pct)
-}
-
-/// The E14 sweep: the skewed fan-out at 1/2/4/8 shards, off vs on.
-pub fn e14_pairs() -> Vec<(E14Run, E14Run, usize)> {
-    [1usize, 2, 4, 8].into_iter().map(e14_pair).collect()
-}
-
-/// E14 table: adaptive rebalancing on the skewed 50-query fan-out, plus
-/// the telemetry overhead bound.
-pub fn e14() -> String {
-    let pairs = e14_pairs();
-    let mut out = String::from(
-        "E14 — telemetry-driven shard rebalancing on a skewed 50-query fan-out\n\
-         (17 heavy self-join queries among 33 cheap filters; hash placement vs\n\
-         live migration; balance = busiest shard's measurement-window ops over\n\
-         the even share; divergence compares every query's final snapshot)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "shards",
-        "rebalance",
-        "balance",
-        "critical-path ms",
-        "scaled tup/s",
-        "migrations",
-        "diverged",
-    ]);
-    for (off, on, diverged) in &pairs {
-        for r in [off, on] {
-            t.row(&[
-                r.shards.to_string(),
-                if r.rebalancing { "on" } else { "off" }.into(),
-                f(r.balance, 3),
-                f(r.critical_path_ms, 1),
-                f(r.scaled_tuples_per_sec, 0),
-                r.migrations.to_string(),
-                diverged.to_string(),
-            ]);
-        }
-    }
-    out.push_str(&t.render());
-    let (ingest, observe, pct) = e14_overhead_run();
-    out.push_str(&format!(
-        "telemetry overhead on the 50-query E11 fan-out at 4 shards: {} ms ingest, \
-         {} ms spent in per-boundary reports + controller observations \
-         ({}% — bound: < 2%)\n",
-        f(ingest, 1),
-        f(observe, 2),
-        f(pct, 2),
-    ));
-    out
-}
-
-/// E14 results as JSON (written to `BENCH_E14.json` by CI so the perf
-/// trajectory tracks rebalancing quality and telemetry overhead).
-pub fn e14_json() -> String {
-    let pairs = e14_pairs();
-    let (ingest, observe, pct) = e14_overhead_run();
-    let mut out = String::from(
-        "{\n  \"experiment\": \"e14\",\n  \"workload\": \"skewed 50-query fan-out (17 heavy self-joins), 20000 tuples, batch 256, warmup 8000\",\n  \"runs\": [\n",
-    );
-    for (i, (off, on, diverged)) in pairs.iter().enumerate() {
-        for (j, r) in [off, on].into_iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"shards\": {}, \"rebalancing\": {}, \"balance\": {:.3}, \
-                 \"critical_path_ms\": {:.2}, \"scaled_tuples_per_sec\": {:.0}, \
-                 \"migrations\": {}, \"diverged\": {}}}{}\n",
-                r.shards,
-                r.rebalancing,
-                r.balance,
-                r.critical_path_ms,
-                r.scaled_tuples_per_sec,
-                r.migrations,
-                diverged,
-                if i + 1 == pairs.len() && j == 1 {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-    }
-    out.push_str(&format!(
-        "  ],\n  \"telemetry_overhead\": {{\"ingest_ms\": {ingest:.2}, \"observe_ms\": {observe:.2}, \
-         \"overhead_pct\": {pct:.2}}}\n}}\n",
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E15 — worker-pool executor: ingest admission & sibling freshness under
-// a pathological slow query
-// ---------------------------------------------------------------------------
-
-/// One measurement of the E14 skewed fan-out under one execution mode,
-/// with or without the pathological slow query present. Three modes:
-///
-/// * `"sequential"` — inline gated fan-out (the accounting baseline:
-///   no threads, admission pays every shard's processing).
-/// * `"scoped"` — the pre-pool *scoped-thread* semantics, reproduced
-///   exactly: worker threads process the shards but admission barriers
-///   on all of them before returning (a full quiesce inside the
-///   admission window — what the old per-call `thread::scope` join
-///   did, minus the per-call spawn cost it also paid).
-/// * `"pool"` — the persistent pool with boundary-yield scheduling:
-///   admission returns at enqueue, bounded queues absorb skew.
-///
-/// * `admission_stall_ms` — total wall time ingest is blocked before
-///   the next batch can be admitted. The gated modes pay every shard's
-///   processing here; the pool pays only enqueueing plus any
-///   backpressure wait on a full bounded queue.
-/// * `sibling_freshness_ms` — total latency from handing a `Readings`
-///   batch to the engine until a cheap *sibling* query (on a different
-///   shard than the slow query) polls a snapshot reflecting it. Gated
-///   modes pay all shards (including the slow one) before the poll can
-///   even start; the pool pays only the sibling's own shard.
-#[derive(Debug, Clone)]
-pub struct E15Run {
-    pub mode: &'static str,
-    pub slow_query: bool,
-    pub wall_ms: f64,
-    pub tuples_per_sec: f64,
-    pub admission_stall_ms: f64,
-    pub sibling_freshness_ms: f64,
-    /// Deepest any shard's pending-task queue got (0 in the gated
-    /// modes; bounded by the configured queue depth in pool mode).
-    pub max_pending: usize,
-    pub workers: usize,
-}
-
-const E15_QUEUE_DEPTH: usize = 16;
-
-/// The E15 fixture: the E14 skewed 50-query fan-out over `Readings`,
-/// plus a second `SlowFeed` stream that only the pathological query
-/// scans (its per-batch drag models one expensive standing query — a
-/// slow consumer the device streams must not pause for).
-fn e15_engine(
-    threaded: bool,
-    slow: bool,
-) -> (aspen_stream::StreamEngine, Vec<aspen_stream::QueryHandle>) {
-    use aspen_catalog::{SourceKind, SourceStats};
-    use aspen_stream::{EngineConfig, Scheduling};
-    use aspen_types::{DataType, Field, Schema};
-    let cat = fanout_catalog();
-    let slow_schema = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("value", DataType::Float),
-    ])
-    .into_ref();
-    cat.register_source(
-        "SlowFeed",
-        slow_schema,
-        SourceKind::Stream,
-        SourceStats::stream(1.0),
-    )
-    .unwrap();
-    let config = if threaded {
-        EngineConfig::new()
-            .shards(4)
-            .scheduling(Scheduling::Pool)
-            .workers(3)
-            .queue_depth(E15_QUEUE_DEPTH)
-    } else {
-        EngineConfig::new().shards(4).parallel_ingest(false)
-    };
-    let mut engine = aspen_stream::StreamEngine::with_config(cat, config);
-    let mut handles: Vec<_> = e14_sqls(50)
-        .iter()
-        .map(|sql| engine.register_sql(sql).unwrap().expect_query())
-        .collect();
-    if slow {
-        let h = engine
-            .register_sql("select s.sensor, s.value from SlowFeed s")
-            .unwrap()
-            .expect_query();
-        // Pin the slow query to shard 0 so the sibling probe can be
-        // chosen off-shard, and give it a 3 ms/batch drag.
-        engine.migrate(h, 0).unwrap();
-        engine
-            .set_query_drag(h, Some(std::time::Duration::from_millis(3)))
-            .unwrap();
-        handles.push(h);
-    }
-    (engine, handles)
-}
-
-/// Drive the E15 workload through one engine. Every `Readings` batch is
-/// followed by a sibling snapshot poll; every third one also ingests a
-/// `SlowFeed` batch that the dragged query must chew through. Returns
-/// the run plus every query's final snapshot for the gated-vs-pool
-/// divergence check.
-fn e15_drive(mode: &'static str, slow: bool) -> (E15Run, Vec<Vec<Tuple>>) {
-    let tuples = 20_000usize;
-    let batch = 256usize;
-    let (mut engine, handles) = e15_engine(mode != "sequential", slow);
-    // The scoped-thread semantics: a full barrier inside the admission
-    // window after every boundary, exactly what the old per-call
-    // `thread::scope` join imposed.
-    let barrier = mode == "scoped";
-    // Sibling probe: the first cheap filter living on a different shard
-    // than the slow query (shard 0).
-    let report = engine.telemetry();
-    let probe = handles
-        .iter()
-        .enumerate()
-        .find(|&(i, h)| i % 3 != 0 && i < 50 && report.query(h.0).unwrap().shard != 0)
-        .map(|(_, &h)| h)
-        .expect("a filter query off shard 0");
-    let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-    let slow_rows: Vec<Tuple> = (0..24 * 16).map(e11_tuple).collect();
-    let mut slow_chunks = slow_rows.chunks(16);
-    let mut admission_ms = 0.0;
-    let mut freshness_ms = 0.0;
-    let mut max_pending = 0usize;
-    let start = Instant::now();
-    for (k, chunk) in rows.chunks(batch).enumerate() {
-        let t0 = Instant::now();
-        engine.on_batch("Readings", chunk).unwrap();
-        if barrier {
-            engine.quiesce().unwrap();
-        }
-        admission_ms += t0.elapsed().as_secs_f64() * 1e3;
-        engine.snapshot(probe).unwrap();
-        freshness_ms += t0.elapsed().as_secs_f64() * 1e3;
-        if slow && k % 3 == 0 {
-            if let Some(sc) = slow_chunks.next() {
-                let t1 = Instant::now();
-                engine.on_batch("SlowFeed", sc).unwrap();
-                if barrier {
-                    engine.quiesce().unwrap();
-                }
-                admission_ms += t1.elapsed().as_secs_f64() * 1e3;
-            }
-        }
-        max_pending = max_pending.max(
-            engine
-                .executor_stats()
-                .pending
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0),
-        );
-    }
-    engine.quiesce().unwrap();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let snapshots: Vec<Vec<Tuple>> = handles
-        .iter()
-        .map(|&h| engine.snapshot(h).unwrap())
-        .collect();
-    (
-        E15Run {
-            mode,
-            slow_query: slow,
-            wall_ms,
-            tuples_per_sec: tuples as f64 / (wall_ms / 1e3).max(1e-9),
-            admission_stall_ms: admission_ms,
-            sibling_freshness_ms: freshness_ms,
-            max_pending,
-            workers: engine.executor_stats().workers,
-        },
-        snapshots,
-    )
-}
-
-/// One sequential/scoped/pool triple at one slow-query setting, plus
-/// how many queries' final snapshots diverged from the sequential
-/// reference across the threaded modes (must be 0 — the pool reorders
-/// work across shards, never within one).
-pub fn e15_triple(slow: bool) -> (Vec<E15Run>, usize) {
-    let mut runs = Vec::new();
-    let mut snaps: Vec<Vec<Vec<Tuple>>> = Vec::new();
-    for mode in ["sequential", "scoped", "pool"] {
-        let (run, snap) = e15_drive(mode, slow);
-        runs.push(run);
-        snaps.push(snap);
-    }
-    let vals =
-        |rows: &[Tuple]| -> Vec<Vec<Value>> { rows.iter().map(|t| t.values().to_vec()).collect() };
-    let diverged = snaps[0]
-        .iter()
-        .zip(snaps[1].iter().zip(&snaps[2]))
-        .filter(|(a, (b, c))| vals(a) != vals(b) || vals(a) != vals(c))
-        .count();
-    (runs, diverged)
-}
-
-/// The E15 sweep: balanced (no slow query) and slow-query workloads,
-/// sequential vs scoped-threads vs pool.
-pub fn e15_triples() -> Vec<(Vec<E15Run>, usize)> {
-    vec![e15_triple(false), e15_triple(true)]
-}
-
-/// E15 table: the worker-pool executor against the scoped-thread
-/// semantics it replaced and the inline sequential baseline.
-pub fn e15() -> String {
-    let triples = e15_triples();
-    let mut out = String::from(
-        "E15 — worker-pool executor: ingest admission & sibling freshness\n\
-         (E14 skewed 50-query fan-out at 4 shards; slow = one SlowFeed query\n\
-         dragging 3 ms/batch; scoped = worker threads with the old per-call\n\
-         admission barrier; pool = 3 workers, queue depth 16, admission\n\
-         returns at enqueue; admission stall = wall time ingest is blocked;\n\
-         freshness = batch handed to engine -> off-shard sibling snapshot\n\
-         reflects it)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "workload",
-        "mode",
-        "wall ms",
-        "tup/s",
-        "admission stall ms",
-        "sibling freshness ms",
-        "max queue",
-        "diverged",
-    ]);
-    for (runs, diverged) in &triples {
-        for r in runs {
-            t.row(&[
-                if r.slow_query {
-                    "slow query"
-                } else {
-                    "balanced"
-                }
-                .into(),
-                r.mode.to_string(),
-                f(r.wall_ms, 1),
-                f(r.tuples_per_sec, 0),
-                f(r.admission_stall_ms, 1),
-                f(r.sibling_freshness_ms, 1),
-                r.max_pending.to_string(),
-                diverged.to_string(),
-            ]);
-        }
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// E15 results as JSON (written to `BENCH_E15.json` by CI so the perf
-/// trajectory tracks executor admission stall and isolation).
-pub fn e15_json() -> String {
-    let triples = e15_triples();
-    let mut out = String::from(
-        "{\n  \"experiment\": \"e15\",\n  \"workload\": \"E14 skewed 50-query fan-out at 4 shards, 20000 tuples, batch 256; slow = SlowFeed scan dragging 3ms/batch, 24 batches; scoped = worker threads + per-call admission barrier; pool = 3 workers, queue depth 16\",\n  \"runs\": [\n",
-    );
-    for (i, (runs, diverged)) in triples.iter().enumerate() {
-        for (j, r) in runs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"mode\": \"{}\", \"wall_ms\": {:.2}, \
-                 \"tuples_per_sec\": {:.0}, \"admission_stall_ms\": {:.2}, \
-                 \"sibling_freshness_ms\": {:.2}, \"max_pending\": {}, \"workers\": {}, \
-                 \"diverged\": {}}}{}\n",
-                if r.slow_query { "slow" } else { "balanced" },
-                r.mode,
-                r.wall_ms,
-                r.tuples_per_sec,
-                r.admission_stall_ms,
-                r.sibling_freshness_ms,
-                r.max_pending,
-                r.workers,
-                diverged,
-                if i + 1 == triples.len() && j + 1 == runs.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E16 — shared-subplan execution: plan-template cache + common-prefix dedup
-// ---------------------------------------------------------------------------
-
-/// One E16 measurement: a large parameterized standing-query set (a few
-/// templates, many constant bindings) registered twice — once with the
-/// plan-template cache and shared scan+window chains enabled (the
-/// default) and once with both disabled — plus an isolated front-end
-/// comparison and a shared-vs-private divergence check.
-///
-/// Two throughput numbers are reported deliberately:
-///
-/// * `resolve_speedup` — the query *front end* alone (parse, canonical-
-///   ize, bind, instantiate) against the cache, which collapses a repeat
-///   of a known SQL string to a hash lookup plus an `Arc` clone. This is
-///   the stage the cache accelerates, and where the ≥ 10× claim lives.
-/// * `register_speedup` — end-to-end registration wall time including
-///   compile + placement, which both configurations pay identically, so
-///   the ratio is diluted toward the placement floor. Reported honestly
-///   rather than hidden inside the front-end number.
-#[derive(Debug, Clone)]
-pub struct E16 {
-    pub regs: usize,
-    /// Front end without the cache: parse + bind every statement.
-    pub resolve_cold_ms: f64,
-    /// Front end through the two-tier plan cache.
-    pub resolve_cached_ms: f64,
-    pub resolve_speedup: f64,
-    /// End-to-end registration, cache + sharing off / on.
-    pub register_off_ms: f64,
-    pub register_on_ms: f64,
-    pub register_speedup: f64,
-    pub regs_per_sec: f64,
-    pub exact_hits: u64,
-    pub template_hits: u64,
-    pub misses: u64,
-    pub hit_rate: f64,
-    /// Window tuples resident after the ingest phase, sharing off / on,
-    /// and the reduction factor.
-    pub window_tuples_off: usize,
-    pub window_tuples_on: usize,
-    pub window_factor: f64,
-    pub operators_off: usize,
-    pub operators_on: usize,
-    pub shared_chains: usize,
-    pub shared_taps: usize,
-    /// Queries whose snapshots differed between the shared and private
-    /// configurations across the divergence workload (must be 0).
-    pub diverged: usize,
-}
-
-/// The E16 statement pool: five templates over the hot `Readings`
-/// stream, each instantiated with 48 distinct constant bindings — 240
-/// distinct SQL strings, deliberately under the exact-tier capacity so
-/// a long registration run cycles through repeats (the common case for
-/// per-client parameterized dashboards) rather than thrashing the LRU.
-fn e16_sqls() -> Vec<String> {
-    (0..240)
-        .map(|i| {
-            let p = i % 48;
-            match i / 48 {
-                0 => format!("select r.sensor, r.value from Readings r where r.value > {p}"),
-                1 => format!("select r.value from Readings r where r.sensor = {p}"),
-                2 => format!(
-                    "select r.sensor, avg(r.value) from Readings r \
-                     where r.value > {p} group by r.sensor"
-                ),
-                3 => format!("select count(*) from Readings r where r.sensor = {p}"),
-                _ => format!(
-                    "select r.sensor, r.value from Readings r \
-                     where r.sensor = {} and r.value > {p}",
-                    p % 8
-                ),
-            }
-        })
-        .collect()
-}
-
-/// A 4-shard sequential engine over the fan-out catalog with the
-/// sharing layer and plan cache toggled together.
-fn e16_engine(shared: bool) -> aspen_stream::StreamEngine {
-    use aspen_stream::EngineConfig;
-    aspen_stream::StreamEngine::with_config(
-        fanout_catalog(),
-        EngineConfig::new()
-            .shards(4)
-            .parallel_ingest(false)
-            .shared_subplans(shared)
-            .plan_cache(shared),
-    )
-}
-
-/// Shared-vs-private equivalence under churn: register `n` queries on
-/// both configurations, interleave ingest, heartbeats, and deregistering
-/// every third query, and count snapshot mismatches (the bench-side
-/// smoke companion to the full property test in `tests/sharding.rs`).
-fn e16_divergence(n: usize) -> usize {
-    let sqls = e16_sqls();
-    let mut on = e16_engine(true);
-    let mut off = e16_engine(false);
-    let h_on: Vec<_> = (0..n)
-        .map(|i| {
-            on.register_sql(&sqls[i % sqls.len()])
-                .unwrap()
-                .expect_query()
-        })
-        .collect();
-    let h_off: Vec<_> = (0..n)
-        .map(|i| {
-            off.register_sql(&sqls[i % sqls.len()])
-                .unwrap()
-                .expect_query()
-        })
-        .collect();
-    let rows: Vec<Tuple> = (0..2_000).map(e11_tuple).collect();
-    let mut live: Vec<usize> = (0..n).collect();
-    let mut diverged = 0usize;
-    for (k, chunk) in rows.chunks(250).enumerate() {
-        on.on_batch("Readings", chunk).unwrap();
-        off.on_batch("Readings", chunk).unwrap();
-        let now = SimTime::from_secs(40 + k as u64 * 25);
-        on.heartbeat(now).unwrap();
-        off.heartbeat(now).unwrap();
-        if k % 2 == 1 && live.len() > 2 {
-            let victim = live.remove(k % live.len());
-            on.deregister(h_on[victim]).unwrap();
-            off.deregister(h_off[victim]).unwrap();
-        }
-        for &i in &live {
-            let a = on.snapshot(h_on[i]).unwrap();
-            let b = off.snapshot(h_off[i]).unwrap();
-            if a.iter()
-                .map(|t| t.values())
-                .ne(b.iter().map(|t| t.values()))
-            {
-                diverged += 1;
-            }
-        }
-    }
-    diverged
-}
-
-/// Run the full E16 measurement at `regs` registrations with an
-/// `ingest`-tuple resident-state phase.
-pub fn e16_measure(regs: usize, ingest: usize) -> E16 {
-    use aspen_optimizer::PlanCache;
-    let sqls = e16_sqls();
-    let cat = fanout_catalog();
-
-    // Front end alone: full parse+bind per statement vs the cache.
-    let t0 = Instant::now();
-    for i in 0..regs {
-        let bound = bind(&parse(&sqls[i % sqls.len()]).unwrap(), &cat).unwrap();
-        std::hint::black_box(&bound);
-    }
-    let resolve_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut cache = PlanCache::new(256);
-    let t0 = Instant::now();
-    for i in 0..regs {
-        let resolved = cache.resolve(&sqls[i % sqls.len()], &cat).unwrap();
-        std::hint::black_box(&resolved);
-    }
-    let resolve_cached_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let front_stats = cache.stats();
-
-    // End to end: the engine pays compile + placement either way.
-    let mut off = e16_engine(false);
-    let t0 = Instant::now();
-    for i in 0..regs {
-        off.register_sql(&sqls[i % sqls.len()]).unwrap();
-    }
-    let register_off_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mut on = e16_engine(true);
-    let t0 = Instant::now();
-    for i in 0..regs {
-        on.register_sql(&sqls[i % sqls.len()]).unwrap();
-    }
-    let register_on_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = on.plan_cache_stats().expect("cache enabled");
-
-    // Resident operator state once the windows are warm.
-    let rows: Vec<Tuple> = (0..ingest).map(e11_tuple).collect();
-    for chunk in rows.chunks(256) {
-        off.on_batch("Readings", chunk).unwrap();
-        on.on_batch("Readings", chunk).unwrap();
-    }
-    let r_off = off.resident_state();
-    let r_on = on.resident_state();
-
-    E16 {
-        regs,
-        resolve_cold_ms,
-        resolve_cached_ms,
-        resolve_speedup: resolve_cold_ms / resolve_cached_ms.max(1e-9),
-        register_off_ms,
-        register_on_ms,
-        register_speedup: register_off_ms / register_on_ms.max(1e-9),
-        regs_per_sec: regs as f64 / (register_on_ms / 1e3).max(1e-9),
-        exact_hits: stats.exact_hits,
-        template_hits: stats.template_hits,
-        misses: stats.misses,
-        hit_rate: front_stats.hit_rate(),
-        window_tuples_off: r_off.window_tuples,
-        window_tuples_on: r_on.window_tuples,
-        window_factor: r_off.window_tuples as f64 / (r_on.window_tuples as f64).max(1.0),
-        operators_off: r_off.operators,
-        operators_on: r_on.operators,
-        shared_chains: r_on.shared_chains,
-        shared_taps: r_on.shared_taps,
-        diverged: e16_divergence(120),
-    }
-}
-
-/// E16 table: 10 000 parameterized registrations, shared vs private.
-pub fn e16() -> String {
-    let r = e16_measure(10_000, 1_024);
-    let mut out = String::from(
-        "E16 — shared-subplan execution: plan-template cache + chain dedup\n\
-         (10000 registrations cycling 240 distinct SQL strings over 5\n\
-         templates at 4 shards; resolve = front end alone, parse+bind vs\n\
-         cache; register = end-to-end incl. compile + placement; resident\n\
-         window tuples after a 1024-tuple ingest; diverged counts\n\
-         shared-vs-private snapshot mismatches under churn)\n",
-    );
-    let mut t = TableBuilder::new(&["metric", "cache/sharing off", "on", "factor"]);
-    t.row(&[
-        "front-end resolve ms".into(),
-        f(r.resolve_cold_ms, 1),
-        f(r.resolve_cached_ms, 1),
-        format!("{}x", f(r.resolve_speedup, 1)),
-    ]);
-    t.row(&[
-        "register ms (end-to-end)".into(),
-        f(r.register_off_ms, 1),
-        f(r.register_on_ms, 1),
-        format!("{}x", f(r.register_speedup, 1)),
-    ]);
-    t.row(&[
-        "registrations / s".into(),
-        f(r.regs as f64 / (r.register_off_ms / 1e3), 0),
-        f(r.regs_per_sec, 0),
-        String::new(),
-    ]);
-    t.row(&[
-        "resident window tuples".into(),
-        r.window_tuples_off.to_string(),
-        r.window_tuples_on.to_string(),
-        format!("{}x", f(r.window_factor, 0)),
-    ]);
-    t.row(&[
-        "operator nodes".into(),
-        r.operators_off.to_string(),
-        r.operators_on.to_string(),
-        String::new(),
-    ]);
-    out.push_str(&t.render());
-    out.push_str(&format!(
-        "cache: {} exact hits, {} template hits, {} misses (hit rate {:.4});\n\
-         sharing: {} chains feeding {} taps; diverged snapshots: {}\n",
-        r.exact_hits,
-        r.template_hits,
-        r.misses,
-        r.hit_rate,
-        r.shared_chains,
-        r.shared_taps,
-        r.diverged,
-    ));
-    out
-}
-
-/// E16 results as JSON (written to `BENCH_E16.json` by CI so the perf
-/// trajectory tracks front-end resolution and resident-state sharing).
-pub fn e16_json() -> String {
-    let r = e16_measure(10_000, 1_024);
-    format!(
-        "{{\n  \"experiment\": \"e16\",\n  \"workload\": \"10000 registrations cycling 240 \
-         distinct SQL strings over 5 templates at 4 shards; resolve = front end alone; \
-         register = end-to-end; resident window tuples after 1024-tuple ingest; diverged = \
-         shared-vs-private snapshot mismatches under churn\",\n  \
-         \"regs\": {},\n  \"resolve_cold_ms\": {:.2},\n  \"resolve_cached_ms\": {:.2},\n  \
-         \"resolve_speedup\": {:.1},\n  \"register_off_ms\": {:.2},\n  \
-         \"register_on_ms\": {:.2},\n  \"register_speedup\": {:.2},\n  \
-         \"regs_per_sec\": {:.0},\n  \"exact_hits\": {},\n  \"template_hits\": {},\n  \
-         \"misses\": {},\n  \"hit_rate\": {:.4},\n  \"window_tuples_off\": {},\n  \
-         \"window_tuples_on\": {},\n  \"window_factor\": {:.0},\n  \"operators_off\": {},\n  \
-         \"operators_on\": {},\n  \"shared_chains\": {},\n  \"shared_taps\": {},\n  \
-         \"diverged\": {}\n}}\n",
-        r.regs,
-        r.resolve_cold_ms,
-        r.resolve_cached_ms,
-        r.resolve_speedup,
-        r.register_off_ms,
-        r.register_on_ms,
-        r.register_speedup,
-        r.regs_per_sec,
-        r.exact_hits,
-        r.template_hits,
-        r.misses,
-        r.hit_rate,
-        r.window_tuples_off,
-        r.window_tuples_on,
-        r.window_factor,
-        r.operators_off,
-        r.operators_on,
-        r.shared_chains,
-        r.shared_taps,
-        r.diverged,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// E17 — source-sharded ingest plane: throughput under continuous telemetry
-// ---------------------------------------------------------------------------
-
-/// One E17 measurement at a fixed shard count. Ingest drives a 512-query
-/// fan-out spread over the first 512 sources of a million-source route
-/// table while a monitoring loop polls `telemetry_at(Cut)` continuously —
-/// the barrier-free read the sharded ingest plane exists to make cheap.
-/// `critical_path_ms` / `scaled_tuples_per_sec` follow the E12
-/// convention (busiest shard's processing time, i.e. what an N-core
-/// deployment pays). The consistency columns come from a deterministic
-/// churn phase: `churn_max_lag` is the deepest watermark lag a cut poll
-/// observed on deferred queues, and `diverged` counts cut snapshots that
-/// failed to match the barrier snapshot taken at the same instant.
-#[derive(Debug, Clone)]
-pub struct E17Run {
-    pub shards: usize,
-    pub sources: usize,
-    pub queries: usize,
-    pub tuples: usize,
-    pub wall_ms: f64,
-    pub critical_path_ms: f64,
-    pub scaled_tuples_per_sec: f64,
-    /// Cut-telemetry polls interleaved with ingest.
-    pub polls: u64,
-    /// Max watermark lag any poll saw during the (inline) ingest phase.
-    pub poll_max_lag: u64,
-    /// Max watermark lag a cut poll observed during deterministic churn.
-    pub churn_max_lag: u64,
-    /// Cut-vs-barrier snapshot mismatches across the churn seeds.
-    pub diverged: usize,
-}
-
-const E17_SOURCES: usize = 1_000_000;
-const E17_QUERIES: usize = 512;
-const E17_BATCHES: usize = 4_096;
-const E17_BATCH: usize = 64;
-
-/// A route table worth the name: `sources` stream sources (`s0`…) on one
-/// shared schema. Built once and shared across the shard sweep — the
-/// engine's per-source state is allocated lazily on admission, so the
-/// catalog is the only O(sources) cost.
-fn e17_catalog(sources: usize) -> std::sync::Arc<aspen_catalog::Catalog> {
-    use aspen_catalog::{Catalog, SourceKind, SourceStats};
-    use aspen_types::{DataType, Field, Schema};
-    let cat = Catalog::shared();
-    let schema = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("value", DataType::Float),
-    ])
-    .into_ref();
-    for i in 0..sources {
-        cat.register_source(
-            &format!("s{i}"),
-            schema.clone(),
-            SourceKind::Stream,
-            SourceStats::stream(2.0),
-        )
-        .unwrap();
-    }
-    cat
-}
-
-/// The standing query for hot source `i` (four shapes, cycled).
-fn e17_sql(i: usize) -> String {
-    match i % 4 {
-        0 => format!(
-            "select r.sensor, r.value from s{i} r where r.value > {}",
-            (i % 10) * 10
-        ),
-        1 => format!("select r.sensor, avg(r.value) from s{i} r group by r.sensor"),
-        2 => format!("select count(*) from s{i} r"),
-        _ => format!("select r.value from s{i} r where r.sensor = {}", i % 32),
-    }
-}
-
-fn e17_tuple(i: usize, sec: u64) -> Tuple {
-    Tuple::new(
-        vec![
-            Value::Int((i % 32) as i64),
-            Value::Float((i % 97) as f64 + (i % 7) as f64 * 0.5),
-        ],
-        SimTime::from_secs(sec),
-    )
-}
-
-/// Deterministic churn on a deferred-queue engine: ingest, heartbeats,
-/// pause/resume flips, and cut-telemetry polls, with every event closing
-/// on a barrier snapshot followed by a cut snapshot of the same query.
-/// Returns (diverged cut snapshots, max watermark lag a poll observed).
-fn e17_churn(shards: usize, seed: u64) -> (usize, u64) {
-    use aspen_stream::{Consistency, EngineConfig};
-    let mut e = aspen_stream::StreamEngine::with_config(
-        e17_catalog(256),
-        EngineConfig::new()
-            .shards(shards)
-            .deterministic(seed)
-            .queue_depth(4),
-    );
-    let handles: Vec<aspen_stream::QueryHandle> = (0..48)
-        .map(|i| e.register_sql(&e17_sql(i)).unwrap().expect_query())
-        .collect();
-    let mut rng = seeded(0xE17 ^ seed);
-    let (mut diverged, mut max_lag) = (0usize, 0u64);
-    let mut now = 0u64;
-    for step in 0..160usize {
-        match rng.gen_range(0..8u32) {
-            0..=4 => {
-                let src = format!("s{}", rng.gen_range(0..48usize));
-                let batch: Vec<Tuple> = (0..16).map(|j| e17_tuple(step * 16 + j, now)).collect();
-                e.on_batch(&src, &batch).unwrap();
-            }
-            5 => {
-                now += rng.gen_range(1..10u64);
-                e.heartbeat(SimTime::from_secs(now)).unwrap();
-            }
-            6 => {
-                let h = handles[rng.gen_range(0..handles.len())];
-                if e.is_paused(h).unwrap() {
-                    e.resume(h).unwrap();
-                } else {
-                    e.pause(h).unwrap();
-                }
-            }
-            _ => max_lag = max_lag.max(e.telemetry_at(Consistency::Cut).max_lag()),
-        }
-        let h = handles[rng.gen_range(0..handles.len())];
-        if !e.is_paused(h).unwrap() {
-            let fresh = e.snapshot(h).unwrap();
-            let cut = e.snapshot_at(h, Consistency::Cut).unwrap();
-            if fresh
-                .iter()
-                .map(|t| t.values())
-                .ne(cut.iter().map(|t| t.values()))
-            {
-                diverged += 1;
-            }
-        }
-    }
-    (diverged, max_lag)
-}
-
-/// One shard count: drive the full ingest phase with a cut-telemetry
-/// poll every 8 batches, then the deterministic churn phase over three
-/// seeds. `catalog` is the shared million-source route table.
-pub fn e17_run(shards: usize, catalog: std::sync::Arc<aspen_catalog::Catalog>) -> E17Run {
-    use aspen_stream::{Consistency, EngineConfig};
-    let mut engine = aspen_stream::StreamEngine::with_config(
-        catalog,
-        EngineConfig::new().shards(shards).parallel_ingest(false),
-    );
-    for i in 0..E17_QUERIES {
-        engine.register_sql(&e17_sql(i)).unwrap().expect_query();
-    }
-    let (mut polls, mut poll_max_lag) = (0u64, 0u64);
-    let start = Instant::now();
-    for b in 0..E17_BATCHES {
-        let src = format!("s{}", b % E17_QUERIES);
-        let batch: Vec<Tuple> = (0..E17_BATCH)
-            .map(|j| e17_tuple(b * E17_BATCH + j, (b / 64) as u64))
-            .collect();
-        engine.on_batch(&src, &batch).unwrap();
-        if b % 8 == 0 {
-            let cut = engine.telemetry_at(Consistency::Cut);
-            polls += 1;
-            poll_max_lag = poll_max_lag.max(cut.max_lag());
-        }
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let report = engine.telemetry_at(Consistency::Fresh);
-    let busy: Vec<f64> = report.shards.iter().map(|s| s.busy_seconds).collect();
-    let critical_path = busy.iter().cloned().fold(0.0f64, f64::max);
-    let (mut diverged, mut churn_max_lag) = (0usize, 0u64);
-    for seed in 0..3u64 {
-        let (d, lag) = e17_churn(shards, seed);
-        diverged += d;
-        churn_max_lag = churn_max_lag.max(lag);
-    }
-    E17Run {
-        shards,
-        sources: E17_SOURCES,
-        queries: E17_QUERIES,
-        tuples: E17_BATCHES * E17_BATCH,
-        wall_ms,
-        critical_path_ms: critical_path * 1e3,
-        scaled_tuples_per_sec: (E17_BATCHES * E17_BATCH) as f64 / critical_path.max(1e-9),
-        polls,
-        poll_max_lag,
-        churn_max_lag,
-        diverged,
-    }
-}
-
-/// The E17 sweep: 1/2/4/8 shards over one shared million-source catalog.
-pub fn e17_runs() -> Vec<E17Run> {
-    let catalog = e17_catalog(E17_SOURCES);
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|shards| e17_run(shards, catalog.clone()))
-        .collect()
-}
-
-/// E17 table: the sharded ingest plane under continuous monitoring.
-pub fn e17() -> String {
-    let runs = e17_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from(
-        "E17 — source-sharded ingest plane: 1M-source route table, 512-query\n\
-         fan-out, cut-telemetry poll every 8 batches (barrier-free reads at\n\
-         the per-shard applied watermarks; critical path = busiest shard's\n\
-         processing time; churn columns from a deferred-queue deterministic\n\
-         engine — diverged counts cut snapshots that mismatched the barrier\n\
-         snapshot taken at the same event)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "shards",
-        "tuples",
-        "wall ms",
-        "critical-path ms",
-        "scaled tup/s",
-        "speedup vs 1",
-        "polls",
-        "churn max lag",
-        "diverged",
-    ]);
-    for r in &runs {
-        t.row(&[
-            r.shards.to_string(),
-            r.tuples.to_string(),
-            f(r.wall_ms, 1),
-            f(r.critical_path_ms, 1),
-            f(r.scaled_tuples_per_sec, 0),
-            format!("{:.2}x", base / r.critical_path_ms.max(1e-9)),
-            r.polls.to_string(),
-            r.churn_max_lag.to_string(),
-            r.diverged.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// E17 results as JSON (written to `BENCH_E17.json` by CI; the workflow
-/// hard-asserts `speedup_vs_one_shard >= 2` at 4 shards and a zero
-/// `diverged` total).
-pub fn e17_json() -> String {
-    let runs = e17_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from(
-        "{\n  \"experiment\": \"e17\",\n  \"workload\": \"1M-source route table, 512-query \
-         fan-out, 262144 tuples, cut-telemetry poll every 8 batches; churn = deterministic \
-         deferred-queue engine, 3 seeds, cut vs barrier snapshot at every event\",\n  \
-         \"runs\": [\n",
-    );
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"wall_ms\": {:.2}, \"critical_path_ms\": {:.2}, \
-             \"scaled_tuples_per_sec\": {:.0}, \"speedup_vs_one_shard\": {:.3}, \
-             \"polls\": {}, \"poll_max_lag\": {}, \"churn_max_lag\": {}, \"diverged\": {}}}{}\n",
-            r.shards,
-            r.wall_ms,
-            r.critical_path_ms,
-            r.scaled_tuples_per_sec,
-            base / r.critical_path_ms.max(1e-9),
-            r.polls,
-            r.poll_max_lag,
-            r.churn_max_lag,
-            r.diverged,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E18 — multi-node cluster: scaling over simulated links + live migration
-// ---------------------------------------------------------------------------
-
-/// One E18 measurement at a fixed node count. A cluster of real
-/// single-shard engines over netsim links runs a 64-query fan-out whose
-/// sources home round-robin across the nodes, plus one hash-partitioned
-/// join whose keyed shares cross the wire. `critical_path_ms` is the
-/// busiest *node's* processing time (what an N-machine deployment
-/// pays); the wire columns are real encoded-frame accounting off the
-/// links; the churn columns come from a deterministic cluster-vs-oracle
-/// phase with forced cross-node live migrations.
-#[derive(Debug, Clone)]
-pub struct E18Run {
-    pub nodes: usize,
-    pub queries: usize,
-    pub tuples: usize,
-    pub wall_ms: f64,
-    pub critical_path_ms: f64,
-    pub scaled_tuples_per_sec: f64,
-    /// Encoded frames / bytes shipped over the data links.
-    pub wire_frames: u64,
-    pub wire_bytes: u64,
-    /// Tuples serialized onto links == tuples decoded off them.
-    pub exchange_out: u64,
-    pub exchange_in: u64,
-    /// Cross-node live migrations performed during the churn phase.
-    pub migrations: u64,
-    /// Cluster snapshots that mismatched the single-node oracle across
-    /// the churn seeds (must be 0: migration never replays or drops).
-    pub diverged: usize,
-}
-
-const E18_SOURCES: usize = 64;
-const E18_BATCHES: usize = 4_096;
-const E18_BATCH: usize = 32;
-
-/// `E18_SOURCES` stream sources `c0`… plus the two join legs `jl`/`jr`,
-/// one shared schema. Registration order fixes the source ids, so the
-/// default cluster homes (`id % nodes`) spread `c*` round-robin.
-fn e18_catalog() -> std::sync::Arc<aspen_catalog::Catalog> {
-    use aspen_catalog::{Catalog, SourceKind, SourceStats};
-    use aspen_types::{DataType, Field, Schema};
-    let cat = Catalog::shared();
-    let schema = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("value", DataType::Float),
-    ])
-    .into_ref();
-    for i in 0..E18_SOURCES {
-        cat.register_source(
-            &format!("c{i}"),
-            schema.clone(),
-            SourceKind::Stream,
-            SourceStats::stream(2.0),
-        )
-        .unwrap();
-    }
-    for leg in ["jl", "jr"] {
-        cat.register_source(
-            leg,
-            schema.clone(),
-            SourceKind::Stream,
-            SourceStats::stream(2.0).with_distinct("sensor", 64),
-        )
-        .unwrap();
-    }
-    cat
-}
-
-/// The standing query for hot source `i` (four shapes, cycled).
-fn e18_sql(i: usize) -> String {
-    match i % 4 {
-        0 => format!(
-            "select r.sensor, r.value from c{i} r where r.value > {}",
-            (i % 10) * 10
-        ),
-        1 => format!("select r.sensor, avg(r.value) from c{i} r group by r.sensor"),
-        2 => format!("select count(*) from c{i} r"),
-        _ => format!("select r.value from c{i} r where r.sensor = {}", i % 32),
-    }
-}
-
-fn e18_tuple(i: usize, sec: u64) -> Tuple {
-    Tuple::new(
-        vec![
-            Value::Int((i % 64) as i64),
-            Value::Float((i % 97) as f64 + (i % 7) as f64 * 0.5),
-        ],
-        SimTime::from_secs(sec),
-    )
-}
-
-/// Deterministic churn: an `nodes`-node cluster against a single-node
-/// oracle under interleaved ingest, heartbeats, and forced cross-node
-/// live migrations, with every event closed by a full snapshot sweep.
-/// Returns (diverged snapshots, migrations performed).
-fn e18_churn(nodes: usize, seed: u64) -> (usize, u64) {
-    use aspen_stream::{Cluster, ClusterConfig, EngineConfig};
-    let node_cfg = EngineConfig::new().shards(1).parallel_ingest(false);
-    let mut oracle = aspen_stream::ShardedEngine::with_config(e18_catalog(), node_cfg.clone());
-    let mut cluster = Cluster::new(
-        e18_catalog(),
-        ClusterConfig::new().nodes(nodes).node_config(node_cfg),
-    );
-    let handles: Vec<(aspen_stream::QueryHandle, aspen_stream::QueryHandle)> = (0..12)
-        .map(|i| {
-            let sql = e18_sql(i);
-            (
-                oracle.register_sql(&sql).unwrap().expect_query(),
-                cluster.register_sql(&sql).unwrap().expect_query(),
-            )
-        })
-        .collect();
-    let mut rng = seeded(0xE18 ^ seed);
-    let mut diverged = 0usize;
-    let mut now = 0u64;
-    for step in 0..80usize {
-        match rng.gen_range(0..8u32) {
-            0..=4 => {
-                let src = format!("c{}", rng.gen_range(0..12usize));
-                let batch: Vec<Tuple> = (0..16).map(|j| e18_tuple(step * 16 + j, now)).collect();
-                oracle.on_batch(&src, &batch).unwrap();
-                cluster.on_batch(&src, &batch).unwrap();
-            }
-            5 => {
-                now += rng.gen_range(1..10u64);
-                oracle.heartbeat(SimTime::from_secs(now)).unwrap();
-                cluster.heartbeat(SimTime::from_secs(now)).unwrap();
-            }
-            // Forced cross-node live migration of a random query.
-            _ => {
-                let (_, ch) = handles[rng.gen_range(0..handles.len())];
-                cluster.migrate(ch, rng.gen_range(0..nodes)).unwrap();
-            }
-        }
-        for (oh, ch) in &handles {
-            let want = oracle.snapshot(*oh).unwrap();
-            let got = cluster.snapshot(*ch).unwrap();
-            if want
-                .iter()
-                .map(|t| t.values())
-                .ne(got.iter().map(|t| t.values()))
-            {
-                diverged += 1;
-            }
-        }
-    }
-    if oracle.total_ops_invoked() != cluster.total_ops_invoked() {
-        // A migration that replayed (or dropped) work shows up here even
-        // when the snapshots happen to agree.
-        diverged += 1;
-    }
-    (diverged, cluster.migration_count())
-}
-
-/// One node count: place the 64-query fan-out by source home, spread
-/// one hash-partitioned join over every node, drive the full ingest
-/// phase, then the deterministic churn phase over three seeds.
-pub fn e18_run(nodes: usize) -> E18Run {
-    use aspen_stream::{Cluster, ClusterConfig, EngineConfig};
-    let mut cluster = Cluster::new(
-        e18_catalog(),
-        ClusterConfig::new()
-            .nodes(nodes)
-            .node_config(EngineConfig::new().shards(1).parallel_ingest(false)),
-    );
-    for i in 0..E18_SOURCES {
-        cluster.register_sql(&e18_sql(i)).unwrap().expect_query();
-    }
-    cluster
-        .register_hash_partitioned(
-            "select l.value, r.value from jl l, jr r where l.sensor = r.sensor",
-            &[("jl", vec![0]), ("jr", vec![0])],
-        )
-        .unwrap();
-    let mut tuples = 0usize;
-    let start = Instant::now();
-    for b in 0..E18_BATCHES {
-        let src = format!("c{}", b % E18_SOURCES);
-        let batch: Vec<Tuple> = (0..E18_BATCH)
-            .map(|j| e18_tuple(b * E18_BATCH + j, (b / 64) as u64))
-            .collect();
-        tuples += batch.len();
-        cluster.on_batch(&src, &batch).unwrap();
-        if b % 16 == 0 {
-            // Feed the repartitioned join: shares hash-exchange across
-            // the nodes (real frames on real links at N > 1).
-            let leg: Vec<Tuple> = (0..8)
-                .map(|j| e18_tuple(b + j * 131, (b / 64) as u64))
-                .collect();
-            tuples += 2 * leg.len();
-            cluster.on_batch("jl", &leg).unwrap();
-            cluster.on_batch("jr", &leg).unwrap();
-        }
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    // Critical path = the busiest node: each node is its own machine,
-    // so the deployment finishes when the slowest one does.
-    let node_busy = |i: usize| -> f64 {
-        cluster
-            .node(i)
-            .telemetry()
-            .shards
-            .iter()
-            .map(|s| s.busy_seconds)
-            .sum()
-    };
-    let critical_path = (0..nodes).map(node_busy).fold(0.0f64, f64::max);
-    let wire = cluster.wire_stats();
-    let (exchange_out, exchange_in) = cluster.exchange_tuples();
-    let (mut diverged, mut migrations) = (0usize, 0u64);
-    for seed in 0..3u64 {
-        let (d, m) = e18_churn(nodes.max(2), seed);
-        diverged += d;
-        migrations += m;
-    }
-    E18Run {
-        nodes,
-        queries: E18_SOURCES + 1,
-        tuples,
-        wall_ms,
-        critical_path_ms: critical_path * 1e3,
-        scaled_tuples_per_sec: tuples as f64 / critical_path.max(1e-9),
-        wire_frames: wire.frames,
-        wire_bytes: wire.bytes,
-        exchange_out,
-        exchange_in,
-        migrations,
-        diverged,
-    }
-}
-
-/// The E18 sweep: 1/2/4-node clusters over the same workload.
-pub fn e18_runs() -> Vec<E18Run> {
-    [1usize, 2, 4].into_iter().map(e18_run).collect()
-}
-
-/// E18 table: multi-node cluster scaling and live migration.
-pub fn e18() -> String {
-    let runs = e18_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from(
-        "E18 — multi-node cluster: 64-query fan-out homed round-robin over\n\
-         real single-shard engine nodes joined by netsim links, plus one\n\
-         hash-partitioned join exchanged across every node (critical path =\n\
-         busiest node's processing time; wire columns = encoded frames off\n\
-         the links; churn columns from a deterministic cluster-vs-oracle\n\
-         phase with forced cross-node live migrations — diverged counts\n\
-         cluster snapshots that mismatched the single-node oracle)\n",
-    );
-    let mut t = TableBuilder::new(&[
-        "nodes",
-        "tuples",
-        "wall ms",
-        "critical-path ms",
-        "scaled tup/s",
-        "speedup vs 1",
-        "wire frames",
-        "wire KB",
-        "exchange out/in",
-        "migrations",
-        "diverged",
-    ]);
-    for r in &runs {
-        t.row(&[
-            r.nodes.to_string(),
-            r.tuples.to_string(),
-            f(r.wall_ms, 1),
-            f(r.critical_path_ms, 1),
-            f(r.scaled_tuples_per_sec, 0),
-            format!("{:.2}x", base / r.critical_path_ms.max(1e-9)),
-            r.wire_frames.to_string(),
-            f(r.wire_bytes as f64 / 1024.0, 1),
-            format!("{}/{}", r.exchange_out, r.exchange_in),
-            r.migrations.to_string(),
-            r.diverged.to_string(),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// E18 results as JSON (written to `BENCH_E18.json` by CI; the workflow
-/// hard-asserts `speedup_vs_one_node >= 2` at 4 nodes, a zero
-/// `diverged` total, real wire traffic at N > 1, and exact exchange
-/// conservation).
-pub fn e18_json() -> String {
-    let runs = e18_runs();
-    let base = runs[0].critical_path_ms;
-    let mut out = String::from(
-        "{\n  \"experiment\": \"e18\",\n  \"workload\": \"64-query fan-out homed round-robin \
-         over 1/2/4 real single-shard engine nodes joined by netsim links, plus one \
-         hash-partitioned join exchanged across every node; churn = deterministic \
-         cluster-vs-oracle phase, 3 seeds, forced cross-node live migrations, full \
-         snapshot sweep at every event\",\n  \"runs\": [\n",
-    );
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"nodes\": {}, \"wall_ms\": {:.2}, \"critical_path_ms\": {:.2}, \
-             \"scaled_tuples_per_sec\": {:.0}, \"speedup_vs_one_node\": {:.3}, \
-             \"wire_frames\": {}, \"wire_bytes\": {}, \"exchange_out\": {}, \
-             \"exchange_in\": {}, \"migrations\": {}, \"diverged\": {}}}{}\n",
-            r.nodes,
-            r.wall_ms,
-            r.critical_path_ms,
-            r.scaled_tuples_per_sec,
-            base / r.critical_path_ms.max(1e-9),
-            r.wire_frames,
-            r.wire_bytes,
-            r.exchange_out,
-            r.exchange_in,
-            r.migrations,
-            r.diverged,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// ---------------------------------------------------------------------------
-// E19 — trace plane: tracing overhead, end-to-end latency, cross-node spans
-// ---------------------------------------------------------------------------
-
-/// One E19 measurement. Phase A is a tracing on/off A/B over the
-/// E17-style single-engine ingest (min-of-3 walls each way) — the trace
-/// plane's overhead budget. Phase B is a 4-node cluster under the E18
-/// churn workload (forced cross-node live migrations against a
-/// single-node oracle) with tracing on: the per-node ingest→sink-apply
-/// histograms merge over the control link into cluster-wide
-/// percentiles, shipped batches charge their simulated wire hop into
-/// the receiving node's histogram, and the span journal's Ship/Arrive
-/// counts prove trace conservation across the exchange.
-#[derive(Debug, Clone)]
-pub struct E19Run {
-    /// Min-of-3 ingest wall with tracing off / on, and the relative
-    /// overhead the trace plane costs (negative = within noise).
-    pub untraced_ms: f64,
-    pub traced_ms: f64,
-    pub overhead_pct: f64,
-    /// Single-engine end-to-end ingest latency (traced run).
-    pub ingest_p50_us: u64,
-    pub ingest_p99_us: u64,
-    /// Measured operator throughput from the traced run's op profile.
-    pub ops_per_sec_observed: f64,
-    /// Cluster phase: nodes and merged ingest→apply percentiles
-    /// (shipped batches include their simulated wire hop).
-    pub nodes: usize,
-    pub batches: u64,
-    pub p50_us: u64,
-    pub p90_us: u64,
-    pub p99_us: u64,
-    pub max_us: u64,
-    /// Cluster-wide queue-wait p99 (time a task sat in a shard queue).
-    pub queue_p99_us: u64,
-    /// Ship spans recorded at egress == Arrive spans at ingress.
-    pub spans_out: u64,
-    pub spans_in: u64,
-    pub migrations: u64,
-    /// Cluster snapshots that mismatched the oracle (must be 0: the
-    /// trace plane never perturbs results).
-    pub diverged: usize,
-}
-
-const E19_BATCHES: usize = 2_048;
-const E19_QUERIES: usize = 64;
-
-/// One E17-style ingest wall at a fixed tracing setting, plus the
-/// run's telemetry (histograms + op profile).
-fn e19_ingest_once(
-    catalog: std::sync::Arc<aspen_catalog::Catalog>,
-    tracing: bool,
-) -> (f64, aspen_stream::TelemetryReport) {
-    use aspen_stream::{Consistency, EngineConfig};
-    let mut engine = aspen_stream::StreamEngine::with_config(
-        catalog,
-        EngineConfig::new()
-            .shards(4)
-            .parallel_ingest(false)
-            .tracing(tracing),
-    );
-    for i in 0..E19_QUERIES {
-        engine.register_sql(&e17_sql(i)).unwrap().expect_query();
-    }
-    let start = Instant::now();
-    for b in 0..E19_BATCHES {
-        let src = format!("s{}", b % E19_QUERIES);
-        let batch: Vec<Tuple> = (0..E17_BATCH)
-            .map(|j| e17_tuple(b * E17_BATCH + j, (b / 64) as u64))
-            .collect();
-        engine.on_batch(&src, &batch).unwrap();
-    }
-    let wall = start.elapsed().as_secs_f64() * 1e3;
-    (wall, engine.telemetry_at(Consistency::Fresh))
-}
-
-/// Per-seed cluster trace harvest off the E18 churn workload.
-struct E19Cluster {
-    merged: aspen_stream::LatencyHistogram,
-    queue: aspen_stream::LatencyHistogram,
-    spans_out: u64,
-    spans_in: u64,
-    migrations: u64,
-    diverged: usize,
-}
-
-/// The E18 churn phase (4-node cluster vs single-node oracle, forced
-/// cross-node migrations, full snapshot sweep at every event) with the
-/// trace plane harvested at the end: merged latency histogram over the
-/// control link, cluster-wide queue waits, and the span journal's
-/// Ship/Arrive conservation counts.
-fn e19_cluster(nodes: usize, seed: u64) -> E19Cluster {
-    use aspen_stream::{Cluster, ClusterConfig, EngineConfig, SpanKind};
-    let node_cfg = EngineConfig::new()
-        .shards(1)
-        .parallel_ingest(false)
-        .tracing(true);
-    let mut oracle = aspen_stream::ShardedEngine::with_config(e18_catalog(), node_cfg.clone());
-    let mut cluster = Cluster::new(
-        e18_catalog(),
-        ClusterConfig::new().nodes(nodes).node_config(node_cfg),
-    );
-    let handles: Vec<(aspen_stream::QueryHandle, aspen_stream::QueryHandle)> = (0..12)
-        .map(|i| {
-            let sql = e18_sql(i);
-            (
-                oracle.register_sql(&sql).unwrap().expect_query(),
-                cluster.register_sql(&sql).unwrap().expect_query(),
-            )
-        })
-        .collect();
-    let mut rng = seeded(0xE19 ^ seed);
-    let mut diverged = 0usize;
-    let mut now = 0u64;
-    for step in 0..80usize {
-        match rng.gen_range(0..8u32) {
-            0..=4 => {
-                let src = format!("c{}", rng.gen_range(0..12usize));
-                let batch: Vec<Tuple> = (0..16).map(|j| e18_tuple(step * 16 + j, now)).collect();
-                oracle.on_batch(&src, &batch).unwrap();
-                cluster.on_batch(&src, &batch).unwrap();
-            }
-            5 => {
-                now += rng.gen_range(1..10u64);
-                oracle.heartbeat(SimTime::from_secs(now)).unwrap();
-                cluster.heartbeat(SimTime::from_secs(now)).unwrap();
-            }
-            // Forced cross-node live migration: once a query leaves its
-            // source's home node, its batches ship — and trace.
-            _ => {
-                let (_, ch) = handles[rng.gen_range(0..handles.len())];
-                cluster.migrate(ch, rng.gen_range(0..nodes)).unwrap();
-            }
-        }
-        for (oh, ch) in &handles {
-            let want = oracle.snapshot(*oh).unwrap();
-            let got = cluster.snapshot(*ch).unwrap();
-            if want
-                .iter()
-                .map(|t| t.values())
-                .ne(got.iter().map(|t| t.values()))
-            {
-                diverged += 1;
-            }
-        }
-    }
-    if oracle.total_ops_invoked() != cluster.total_ops_invoked() {
-        diverged += 1;
-    }
-    let report = cluster.cluster_report();
-    let merged = cluster.merged_latency().unwrap();
-    let journal = cluster.journal();
-    E19Cluster {
-        merged,
-        queue: report.queue_wait(),
-        spans_out: journal.count_kind(SpanKind::Ship) as u64,
-        spans_in: journal.count_kind(SpanKind::Arrive) as u64,
-        migrations: cluster.migration_count(),
-        diverged,
-    }
-}
-
-/// The full E19 measurement: tracing A/B, then three churn seeds on a
-/// 4-node cluster with every seed's histograms merged.
-pub fn e19_run() -> E19Run {
-    let catalog = e17_catalog(E19_QUERIES);
-    // One discarded warm-up run, then interleaved off/on pairs with a
-    // min-of-3 per arm — alternation cancels the slow drift (allocator
-    // and cache warm-up, frequency scaling) that a sequential A-then-B
-    // comparison would misread as tracing cost.
-    let _ = e19_ingest_once(catalog.clone(), false);
-    let mut untraced_ms = f64::INFINITY;
-    let mut traced_ms = f64::INFINITY;
-    let mut traced = None;
-    for _ in 0..3 {
-        untraced_ms = untraced_ms.min(e19_ingest_once(catalog.clone(), false).0);
-        let (wall, report) = e19_ingest_once(catalog.clone(), true);
-        traced_ms = traced_ms.min(wall);
-        traced = Some(report);
-    }
-    let traced = traced.unwrap();
-    let ingest = traced.ingest_latency();
-    let nodes = 4usize;
-    let mut merged = aspen_stream::LatencyHistogram::new();
-    let mut queue = aspen_stream::LatencyHistogram::new();
-    let (mut spans_out, mut spans_in, mut migrations) = (0u64, 0u64, 0u64);
-    let mut diverged = 0usize;
-    for seed in 0..3u64 {
-        let c = e19_cluster(nodes, seed);
-        merged.merge(&c.merged);
-        queue.merge(&c.queue);
-        spans_out += c.spans_out;
-        spans_in += c.spans_in;
-        migrations += c.migrations;
-        diverged += c.diverged;
-    }
-    E19Run {
-        untraced_ms,
-        traced_ms,
-        overhead_pct: (traced_ms - untraced_ms) / untraced_ms.max(1e-9) * 100.0,
-        ingest_p50_us: ingest.p50_us(),
-        ingest_p99_us: ingest.p99_us(),
-        ops_per_sec_observed: traced.ops_per_sec_observed().unwrap_or(0.0),
-        nodes,
-        batches: merged.count(),
-        p50_us: merged.p50_us(),
-        p90_us: merged.p90_us(),
-        p99_us: merged.p99_us(),
-        max_us: merged.max_us(),
-        queue_p99_us: queue.p99_us(),
-        spans_out,
-        spans_in,
-        migrations,
-        diverged,
-    }
-}
-
-/// E19 table: the end-to-end trace plane.
-pub fn e19() -> String {
-    let r = e19_run();
-    let mut out = String::from(
-        "E19 — trace plane: tracing on/off A/B over the E17-style ingest\n\
-         (min-of-3 walls; overhead = what latency histograms, queue-wait\n\
-         stamping, span journaling, and per-operator timing cost), then a\n\
-         4-node cluster under the E18 churn workload with tracing on —\n\
-         per-node histograms merge over the control link, shipped batches\n\
-         charge their simulated wire hop into the receiving node's\n\
-         histogram, and Ship/Arrive span counts prove trace conservation\n",
-    );
-    let mut t = TableBuilder::new(&["metric", "value"]);
-    t.row(&[
-        "ingest wall, tracing off".into(),
-        format!("{} ms", f(r.untraced_ms, 1)),
-    ]);
-    t.row(&[
-        "ingest wall, tracing on".into(),
-        format!("{} ms", f(r.traced_ms, 1)),
-    ]);
-    t.row(&[
-        "tracing overhead".into(),
-        format!("{}%", f(r.overhead_pct, 2)),
-    ]);
-    t.row(&[
-        "single-engine ingest p50/p99".into(),
-        format!("{}/{} us", r.ingest_p50_us, r.ingest_p99_us),
-    ]);
-    t.row(&[
-        "measured operator rate".into(),
-        format!("{} ops/s", f(r.ops_per_sec_observed, 0)),
-    ]);
-    t.row(&["cluster nodes".into(), r.nodes.to_string()]);
-    t.row(&["cluster batches traced".into(), r.batches.to_string()]);
-    t.row(&[
-        "cluster latency p50/p90/p99/max".into(),
-        format!("{}/{}/{}/{} us", r.p50_us, r.p90_us, r.p99_us, r.max_us),
-    ]);
-    t.row(&[
-        "cluster queue-wait p99".into(),
-        format!("{} us", r.queue_p99_us),
-    ]);
-    t.row(&[
-        "spans out/in (Ship/Arrive)".into(),
-        format!("{}/{}", r.spans_out, r.spans_in),
-    ]);
-    t.row(&["forced migrations".into(), r.migrations.to_string()]);
-    t.row(&["diverged snapshots".into(), r.diverged.to_string()]);
-    out.push_str(&t.render());
-    out
-}
-
-/// E19 results as JSON (written to `BENCH_E19.json` by CI; the workflow
-/// hard-asserts `overhead_pct < 2`, a positive cluster `p99_us`, span
-/// conservation (`spans_out == spans_in`), and zero `diverged`).
-pub fn e19_json() -> String {
-    let r = e19_run();
-    format!(
-        "{{\n  \"experiment\": \"e19\",\n  \"workload\": \"tracing on/off A/B over the \
-         E17-style single-engine ingest (min-of-3 walls), then a 4-node cluster under \
-         the E18 churn workload with tracing on: 3 seeds, forced cross-node live \
-         migrations vs a single-node oracle, per-node latency histograms merged over \
-         the control link\",\n  \
-         \"untraced_ms\": {:.2},\n  \"traced_ms\": {:.2},\n  \"overhead_pct\": {:.3},\n  \
-         \"ingest_p50_us\": {},\n  \"ingest_p99_us\": {},\n  \
-         \"ops_per_sec_observed\": {:.0},\n  \"nodes\": {},\n  \"batches\": {},\n  \
-         \"p50_us\": {},\n  \"p90_us\": {},\n  \"p99_us\": {},\n  \"max_us\": {},\n  \
-         \"queue_p99_us\": {},\n  \"spans_out\": {},\n  \"spans_in\": {},\n  \
-         \"migrations\": {},\n  \"diverged\": {}\n}}\n",
-        r.untraced_ms,
-        r.traced_ms,
-        r.overhead_pct,
-        r.ingest_p50_us,
-        r.ingest_p99_us,
-        r.ops_per_sec_observed,
-        r.nodes,
-        r.batches,
-        r.p50_us,
-        r.p90_us,
-        r.p99_us,
-        r.max_us,
-        r.queue_p99_us,
-        r.spans_out,
-        r.spans_in,
-        r.migrations,
-        r.diverged,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// E20 — columnar operator state: resident bytes, throughput, spill tier
-// ---------------------------------------------------------------------------
-
-/// Row-vs-columnar state layout on a large-window 50-query fan-out, plus
-/// a columnar engine with the spill tier forced on. All three ingest the
-/// same workload in lockstep; snapshots are compared at every
-/// checkpoint, so the byte/throughput numbers come with a correctness
-/// proof attached.
-#[derive(Debug, Clone)]
-pub struct E20Run {
-    pub queries: usize,
-    pub batches: usize,
-    pub tuples: usize,
-    /// Ingest walls (whole workload, per engine).
-    pub row_wall_ms: f64,
-    pub col_wall_ms: f64,
-    pub spill_wall_ms: f64,
-    pub row_tuples_per_sec: f64,
-    pub col_tuples_per_sec: f64,
-    /// End-of-run resident operator-state bytes (measured for columnar,
-    /// estimated for row) and the headline reduction factor.
-    pub row_bytes: usize,
-    pub col_bytes: usize,
-    pub byte_reduction: f64,
-    /// Live window tuples at end of run (identical across engines).
-    pub window_tuples: usize,
-    /// Row-vs-columnar snapshot mismatches across all checkpoints
-    /// (must be 0).
-    pub diverged: usize,
-    /// Columnar-vs-columnar+spill snapshot mismatches (must be 0: the
-    /// spill tier pages bytes, never changes results).
-    pub spill_diverged: usize,
-    /// Bytes the spill engine had paged out at end of run (must be > 0
-    /// or the spill arm proved nothing).
-    pub spilled_bytes: usize,
-}
-
-const E20_QUERIES: usize = 50;
-const E20_BATCHES: usize = 384;
-const E20_BATCH: usize = 32;
-const E20_CHECK_EVERY: usize = 64;
-
-/// Query `i` of the fan-out: a large-window shape. Window sizes differ
-/// per query, so no two queries share a scan+window chain — all 50
-/// carry their own retained state.
-fn e20_sql(i: usize) -> String {
-    match i % 3 {
-        0 => format!("select r.sensor, r.value from s0 r [rows {}]", 200 + i),
-        1 => format!(
-            "select r.sensor, avg(r.value) from s0 r [range {} seconds] group by r.sensor",
-            40 + i
-        ),
-        _ => format!(
-            "select r.sensor, r.value from s0 r [rows {}] where r.value > {}",
-            150 + i,
-            (i % 10) * 10
-        ),
-    }
-}
-
-fn e20_engine(
-    layout: aspen_stream::StateLayout,
-    spill: Option<(usize, std::path::PathBuf)>,
-) -> (aspen_stream::ShardedEngine, Vec<aspen_stream::QueryHandle>) {
-    use aspen_stream::{EngineConfig, ShardedEngine};
-    let mut cfg = EngineConfig::new().shards(2).state_layout(layout);
-    if let Some((threshold, dir)) = spill {
-        cfg = cfg.spill(threshold, dir);
-    }
-    let mut e = ShardedEngine::with_config(e17_catalog(1), cfg);
-    let handles = (0..E20_QUERIES)
-        .map(|i| e.register_sql(&e20_sql(i)).unwrap().expect_query())
-        .collect();
-    (e, handles)
-}
-
-pub fn e20_run() -> E20Run {
-    use aspen_stream::StateLayout;
-    let spill_dir = std::env::temp_dir().join(format!("aspen-e20-spill-{}", std::process::id()));
-    let (mut row, row_h) = e20_engine(StateLayout::Row, None);
-    let (mut col, col_h) = e20_engine(StateLayout::Columnar, None);
-    // An 8 KB per-structure threshold forces every large window to page
-    // cold segments while its live tail stays resident.
-    let (mut spill, spill_h) =
-        e20_engine(StateLayout::Columnar, Some((8 * 1024, spill_dir.clone())));
-
-    let value_rows = |rows: Vec<Tuple>| -> Vec<Vec<Value>> {
-        rows.into_iter().map(|t| t.values().to_vec()).collect()
-    };
-    let (mut row_wall, mut col_wall, mut spill_wall) = (0.0f64, 0.0f64, 0.0f64);
-    let (mut diverged, mut spill_diverged) = (0usize, 0usize);
-    for b in 0..E20_BATCHES {
-        let batch: Vec<Tuple> = (0..E20_BATCH)
-            .map(|j| e17_tuple(b * E20_BATCH + j, b as u64))
-            .collect();
-        let t0 = Instant::now();
-        row.on_batch("s0", &batch).unwrap();
-        row_wall += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        col.on_batch("s0", &batch).unwrap();
-        col_wall += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        spill.on_batch("s0", &batch).unwrap();
-        spill_wall += t0.elapsed().as_secs_f64();
-
-        if (b + 1) % E20_CHECK_EVERY == 0 {
-            for ((&rh, &ch), &sh) in row_h.iter().zip(&col_h).zip(&spill_h) {
-                let r = value_rows(row.snapshot(rh).unwrap());
-                let c = value_rows(col.snapshot(ch).unwrap());
-                let s = value_rows(spill.snapshot(sh).unwrap());
-                if r != c {
-                    diverged += 1;
-                }
-                if c != s {
-                    spill_diverged += 1;
-                }
-            }
-        }
-    }
-    let row_state = row.resident_state();
-    let col_state = col.resident_state();
-    let spill_state = spill.resident_state();
-    std::fs::remove_dir_all(&spill_dir).ok();
-    let tuples = E20_BATCHES * E20_BATCH;
-    E20Run {
-        queries: E20_QUERIES,
-        batches: E20_BATCHES,
-        tuples,
-        row_wall_ms: row_wall * 1e3,
-        col_wall_ms: col_wall * 1e3,
-        spill_wall_ms: spill_wall * 1e3,
-        row_tuples_per_sec: tuples as f64 / row_wall.max(1e-9),
-        col_tuples_per_sec: tuples as f64 / col_wall.max(1e-9),
-        row_bytes: row_state.state_bytes,
-        col_bytes: col_state.state_bytes,
-        byte_reduction: row_state.state_bytes as f64 / (col_state.state_bytes.max(1)) as f64,
-        window_tuples: col_state.window_tuples,
-        diverged,
-        spill_diverged,
-        spilled_bytes: spill_state.spilled_bytes,
-    }
-}
-
-/// E20 table: columnar operator state + spill tier.
-pub fn e20() -> String {
-    let r = e20_run();
-    let mut out = String::from(
-        "E20 — columnar operator state: row vs columnar layout on a\n\
-         large-window 50-query fan-out (every query its own multi-hundred\n\
-         row window), lockstep ingest with per-checkpoint snapshot\n\
-         equality, plus a columnar engine with an 8 KB spill threshold —\n\
-         resident bytes are measured (columnar) vs estimated (row), and\n\
-         the spill tier must page state out without changing one result\n",
-    );
-    let mut t = TableBuilder::new(&["metric", "value"]);
-    t.row(&[
-        "fan-out".into(),
-        format!("{} queries, {} tuples", r.queries, r.tuples),
-    ]);
-    t.row(&[
-        "ingest wall row/columnar/spill".into(),
-        format!(
-            "{}/{}/{} ms",
-            f(r.row_wall_ms, 1),
-            f(r.col_wall_ms, 1),
-            f(r.spill_wall_ms, 1)
-        ),
-    ]);
-    t.row(&[
-        "scan throughput row/columnar".into(),
-        format!(
-            "{}/{} tuples/s",
-            f(r.row_tuples_per_sec, 0),
-            f(r.col_tuples_per_sec, 0)
-        ),
-    ]);
-    t.row(&[
-        "resident state row/columnar".into(),
-        format!("{}/{} bytes", r.row_bytes, r.col_bytes),
-    ]);
-    t.row(&[
-        "resident-byte reduction".into(),
-        format!("{}x", f(r.byte_reduction, 2)),
-    ]);
-    t.row(&["live window tuples".into(), r.window_tuples.to_string()]);
-    t.row(&[
-        "diverged snapshots (row vs col)".into(),
-        r.diverged.to_string(),
-    ]);
-    t.row(&[
-        "diverged snapshots (col vs spill)".into(),
-        r.spill_diverged.to_string(),
-    ]);
-    t.row(&["spilled bytes at end".into(), r.spilled_bytes.to_string()]);
-    out.push_str(&t.render());
-    out
-}
-
-/// E20 results as JSON (written to `BENCH_E20.json` by CI; the workflow
-/// hard-asserts `byte_reduction >= 2`, zero `diverged`, zero
-/// `spill_diverged`, and `spilled_bytes > 0`).
-pub fn e20_json() -> String {
-    let r = e20_run();
-    format!(
-        "{{\n  \"experiment\": \"e20\",\n  \"workload\": \"row vs columnar operator-state \
-         layout on a large-window 50-query fan-out ({} batches x {} tuples, lockstep \
-         ingest, snapshot equality checked every {} batches), plus a columnar engine \
-         with an 8 KB per-structure spill threshold\",\n  \
-         \"queries\": {},\n  \"tuples\": {},\n  \
-         \"row_wall_ms\": {:.2},\n  \"col_wall_ms\": {:.2},\n  \"spill_wall_ms\": {:.2},\n  \
-         \"row_tuples_per_sec\": {:.0},\n  \"col_tuples_per_sec\": {:.0},\n  \
-         \"row_bytes\": {},\n  \"col_bytes\": {},\n  \"byte_reduction\": {:.3},\n  \
-         \"window_tuples\": {},\n  \"diverged\": {},\n  \"spill_diverged\": {},\n  \
-         \"spilled_bytes\": {}\n}}\n",
-        E20_BATCHES,
-        E20_BATCH,
-        E20_CHECK_EVERY,
-        r.queries,
-        r.tuples,
-        r.row_wall_ms,
-        r.col_wall_ms,
-        r.spill_wall_ms,
-        r.row_tuples_per_sec,
-        r.col_tuples_per_sec,
-        r.row_bytes,
-        r.col_bytes,
-        r.byte_reduction,
-        r.window_tuples,
-        r.diverged,
-        r.spill_diverged,
-        r.spilled_bytes,
-    )
-}
-
-/// `harness metrics` — the metrics export surface: a live engine's
-/// [`aspen_stream::TelemetryReport`] rendered as Prometheus text
-/// exposition and as JSON (what an operator would scrape).
-pub fn metrics() -> String {
-    use aspen_stream::{Consistency, EngineConfig};
-    let mut engine = aspen_stream::StreamEngine::with_config(
-        e17_catalog(8),
-        EngineConfig::new().shards(2).parallel_ingest(false),
-    );
-    for i in 0..8 {
-        engine.register_sql(&e17_sql(i)).unwrap().expect_query();
-    }
-    for b in 0..256usize {
-        let src = format!("s{}", b % 8);
-        let batch: Vec<Tuple> = (0..16)
-            .map(|j| e17_tuple(b * 16 + j, (b / 32) as u64))
-            .collect();
-        engine.on_batch(&src, &batch).unwrap();
-    }
-    engine.heartbeat(SimTime::from_secs(16)).unwrap();
-    let report = engine.telemetry_at(Consistency::Fresh);
-    format!(
-        "metrics — Prometheus text exposition\n\n{}\nmetrics — JSON\n\n{}",
-        aspen_stream::render_prometheus(&report),
-        aspen_stream::render_json(&report),
-    )
-}
-
-// ---------------------------------------------------------------------------
 
 /// Run every experiment, concatenated (the full harness output).
 pub fn run_all() -> String {
-    let sections = [
-        f1(),
-        f2(),
-        e3(),
-        e4(),
-        e5(),
-        e6(),
-        e7(),
-        e8(),
-        e9(),
-        e10(),
-        e11(),
-        e12(),
-        e13(),
-        e14(),
-        e15(),
-        e16(),
-        e17(),
-        e18(),
-        e19(),
-        e20(),
-    ];
+    let sections = [f1(), f2(), e3(), e4(), e5(), e6(), e7(), e8(), e9(), e10()];
     let mut out = String::new();
     for s in sections {
         out.push_str(&s);
@@ -3269,26 +706,6 @@ pub fn by_name(name: &str) -> Option<String> {
         "e8" => e8(),
         "e9" => e9(),
         "e10" => e10(),
-        "e11" => e11(),
-        "e12" => e12(),
-        "e12json" => e12_json(),
-        "e13" => e13(),
-        "e13json" => e13_json(),
-        "e14" => e14(),
-        "e14json" => e14_json(),
-        "e15" => e15(),
-        "e15json" => e15_json(),
-        "e16" => e16(),
-        "e16json" => e16_json(),
-        "e17" => e17(),
-        "e17json" => e17_json(),
-        "e18" => e18(),
-        "e18json" => e18_json(),
-        "e19" => e19(),
-        "e19json" => e19_json(),
-        "e20" => e20(),
-        "e20json" => e20_json(),
-        "metrics" => metrics(),
         "all" => run_all(),
         _ => return None,
     })
@@ -3297,270 +714,6 @@ pub fn by_name(name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn e11_batched_fanout_beats_per_tuple_and_agrees() {
-        use aspen_types::QueryId;
-        // 50-query fan-out: the batched path must outrun degenerate
-        // 1-tuple batches AND produce identical query results.
-        let n = 50;
-        let tuples = 4_000;
-        let mut batched = e11_engine(n);
-        let mut per_tuple = e11_engine(n);
-        let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-        for chunk in rows.chunks(128) {
-            batched.on_batch("Readings", chunk).unwrap();
-        }
-        for row in &rows {
-            per_tuple
-                .on_batch("Readings", std::slice::from_ref(row))
-                .unwrap();
-        }
-        let value_rows = |rows: Vec<Tuple>| -> Vec<Vec<Value>> {
-            rows.into_iter().map(|t| t.values().to_vec()).collect()
-        };
-        for i in 0..(n + n / 2) {
-            let q = aspen_stream::QueryHandle(QueryId(i as u32));
-            assert_eq!(
-                value_rows(batched.snapshot(q).unwrap()),
-                value_rows(per_tuple.snapshot(q).unwrap()),
-                "query {i} diverged between batched and per-tuple ingest"
-            );
-        }
-        // The cost model only ever shrinks under batching (consolidation
-        // removes cancelled work before operators see it). The wall-clock
-        // speedup itself is asserted nowhere in unit tests — it depends on
-        // the machine; `harness e11` / `cargo bench` are the perf gate.
-        assert!(batched.total_ops_invoked() <= per_tuple.total_ops_invoked());
-    }
-
-    #[test]
-    fn e12_sharding_cuts_critical_path_and_agrees() {
-        use aspen_types::QueryId;
-        // Same workload through 1-shard and 4-shard engines: identical
-        // results, and the busiest of the 4 shards must carry well under
-        // the whole single-shard load (the critical-path win E12 reports).
-        let n = 50;
-        let tuples = 4_000;
-        let mut one = fanout_engine(n, 1);
-        let mut four = fanout_engine(n, 4);
-        let rows: Vec<Tuple> = (0..tuples).map(e11_tuple).collect();
-        for chunk in rows.chunks(128) {
-            one.on_batch("Readings", chunk).unwrap();
-            four.on_batch("Readings", chunk).unwrap();
-        }
-        let value_rows = |rows: Vec<Tuple>| -> Vec<Vec<Value>> {
-            rows.into_iter().map(|t| t.values().to_vec()).collect()
-        };
-        for i in 0..(n + n / 2) {
-            let q = aspen_stream::QueryHandle(QueryId(i as u32));
-            assert_eq!(
-                value_rows(one.snapshot(q).unwrap()),
-                value_rows(four.snapshot(q).unwrap()),
-                "query {i} diverged between 1-shard and 4-shard execution"
-            );
-        }
-        // Placement actually spread the pipelines...
-        let counts: Vec<usize> = four.telemetry().shards.iter().map(|s| s.queries).collect();
-        assert_eq!(counts.len(), 4);
-        assert!(
-            counts.iter().all(|&c| c > 0),
-            "a shard ended up empty: {counts:?}"
-        );
-        // ...and the busiest shard carries well under the full load.
-        // Judged on per-shard operator invocations — deterministic, so
-        // scheduler noise on a loaded CI runner cannot flake this. The
-        // wall-clock 1.5x acceptance bar lives in `harness e12`.
-        let one_ops = one.telemetry().shards[0].ops_invoked;
-        let four_ops: Vec<u64> = four
-            .telemetry()
-            .shards
-            .iter()
-            .map(|s| s.ops_invoked)
-            .collect();
-        let four_max = *four_ops.iter().max().unwrap();
-        assert_eq!(
-            four_ops.iter().sum::<u64>(),
-            one_ops,
-            "work must move, not change"
-        );
-        assert!(
-            four_max < one_ops * 3 / 4,
-            "busiest shard {four_max} ops !< 75% of single-shard {one_ops} ops ({four_ops:?})"
-        );
-    }
-
-    #[test]
-    fn e13_coalescing_reduces_deliveries_and_churn_unwinds() {
-        // Deterministic slice of E13 (wall-clock numbers are the bench's
-        // job): coalesced push must deliver no more deltas than eager
-        // push — consolidation across boundaries only cancels work — in
-        // strictly fewer batches, and churn must leave the routing index
-        // where it started (asserted inside e13_churn_run).
-        let push = e13_delivery_run("push", 20, 4_000, 128);
-        let held = e13_delivery_run("push 5s coalesce", 20, 4_000, 128);
-        assert!(
-            held.delivered <= push.delivered,
-            "coalesced {} !<= eager {}",
-            held.delivered,
-            push.delivered
-        );
-        assert!(
-            held.batches < push.batches,
-            "coalesced {} batches !< eager {}",
-            held.batches,
-            push.batches
-        );
-        let churn = e13_churn_run(20, 50);
-        assert_eq!(churn.cycles, 50);
-    }
-
-    #[test]
-    fn e14_rebalancing_improves_balance_without_divergence() {
-        // Deterministic slice of E14 at the headline shard count: the
-        // skewed workload must leave hash placement clearly imbalanced,
-        // rebalancing must fix it, and no query's snapshot may change.
-        let (off, on, diverged) = e14_pair(4);
-        assert_eq!(diverged, 0, "rebalancing changed query results");
-        assert!(
-            off.balance >= 1.3,
-            "skewed workload not skewed enough: off balance {:.3}",
-            off.balance
-        );
-        assert!(
-            on.balance <= 1.1,
-            "rebalancing left imbalance: on balance {:.3} (off {:.3}, {} migrations)",
-            on.balance,
-            off.balance,
-            on.migrations
-        );
-        assert!(on.migrations > 0);
-        assert_eq!(off.migrations, 0, "controller off must never migrate");
-        // Observation cost bound, measured as a within-run ratio (robust
-        // to scheduler noise): per-boundary reports must stay under 2%
-        // of ingest.
-        let (_, _, pct) = e14_overhead_run();
-        assert!(pct < 2.0, "telemetry observation overhead {pct:.2}%");
-    }
-
-    #[test]
-    fn e16_shared_registration_smoke() {
-        // The acceptance gate at unit-test scale: 10k parameterized
-        // registrations must be dominated by cache hits, land on shared
-        // chains, shrink resident window state by orders of magnitude,
-        // and never diverge from the private configuration. Timing
-        // thresholds are deliberately loose (debug build, shared CI
-        // runner); the release-mode harness reports the real factors.
-        let r = e16_measure(10_000, 256);
-        assert_eq!(r.misses, 5, "one miss per template");
-        assert_eq!(r.exact_hits + r.template_hits + r.misses, 10_000);
-        assert!(r.hit_rate > 0.99, "hit rate {}", r.hit_rate);
-        assert!(
-            r.resolve_speedup >= 3.0,
-            "front-end resolve speedup {}x",
-            r.resolve_speedup
-        );
-        assert!(
-            r.register_speedup >= 1.2,
-            "end-to-end register speedup {}x",
-            r.register_speedup
-        );
-        assert!(
-            r.shared_taps >= 9_000,
-            "taps {} — the single-scan pool should share",
-            r.shared_taps
-        );
-        assert!(
-            (1..=8).contains(&r.shared_chains),
-            "chains {} — one prefix per owning shard",
-            r.shared_chains
-        );
-        assert!(
-            r.window_factor >= 100.0,
-            "resident window reduction {}x",
-            r.window_factor
-        );
-        assert_eq!(r.diverged, 0, "shared vs private snapshots diverged");
-    }
-
-    #[test]
-    fn e17_cut_reads_never_diverge_and_churn_defers() {
-        // Deterministic slice of E17 (the 1M-source throughput sweep is
-        // the release harness's job): the deferred-queue churn phase
-        // must produce zero cut-vs-barrier snapshot mismatches at the
-        // headline shard count while actually observing lag — a zero
-        // max lag would mean the polls never caught a deferred queue
-        // and the consistency property was tested vacuously.
-        let (mut diverged, mut max_lag) = (0usize, 0u64);
-        for seed in 0..3u64 {
-            let (d, lag) = e17_churn(4, seed);
-            diverged += d;
-            max_lag = max_lag.max(lag);
-        }
-        assert_eq!(diverged, 0, "cut snapshot diverged from barrier");
-        assert!(max_lag > 0, "cut polls never observed a deferred queue");
-    }
-
-    #[test]
-    fn e18_cluster_churn_never_diverges_and_really_migrates() {
-        // Deterministic slice of E18 (the scaling sweep is the release
-        // harness's job): the cluster-vs-oracle churn phase must
-        // produce zero snapshot mismatches at the headline node counts
-        // while actually performing cross-node live migrations — zero
-        // moves would test the no-replay property vacuously.
-        for nodes in [2usize, 4] {
-            let (mut diverged, mut migrations) = (0usize, 0u64);
-            for seed in 0..3u64 {
-                let (d, m) = e18_churn(nodes, seed);
-                diverged += d;
-                migrations += m;
-            }
-            assert_eq!(
-                diverged, 0,
-                "cluster snapshot diverged from the single-node oracle at {nodes} nodes"
-            );
-            assert!(
-                migrations > 0,
-                "churn never performed a cross-node migration at {nodes} nodes"
-            );
-        }
-    }
-
-    #[test]
-    fn e15_pool_unblocks_ingest_without_divergence() {
-        // Deterministic slice of E15 (wall-clock throughput is the
-        // bench's job): with the pathological slow query present, the
-        // pool's ingest-admission stall must be materially lower than
-        // both gated modes' — structural, not a scheduling accident:
-        // gated admission pays every shard's processing plus the whole
-        // 3 ms/batch drag inside the admission window, the pool pays
-        // enqueueing plus bounded backpressure — no query's final
-        // snapshot may change, and the bounded queues must never exceed
-        // their configured depth.
-        let (runs, diverged) = e15_triple(true);
-        let (sequential, scoped, pool) = (&runs[0], &runs[1], &runs[2]);
-        assert_eq!(diverged, 0, "executor mode changed query results");
-        for gated in [sequential, scoped] {
-            assert!(
-                pool.admission_stall_ms < gated.admission_stall_ms / 2.0,
-                "pool admission stall {:.1} ms !< half of {} {:.1} ms",
-                pool.admission_stall_ms,
-                gated.mode,
-                gated.admission_stall_ms
-            );
-        }
-        assert!(
-            pool.max_pending <= E15_QUEUE_DEPTH,
-            "queue depth bound violated: {} > {}",
-            pool.max_pending,
-            E15_QUEUE_DEPTH
-        );
-        assert!(
-            pool.max_pending > 0,
-            "the slow shard never lagged admission — the pool ran gated"
-        );
-        assert_eq!(scoped.max_pending, 0, "the admission barrier leaked work");
-    }
 
     #[test]
     fn e3_in_network_beats_base_at_low_occupancy() {

@@ -1,10 +1,11 @@
 //! # aspen-bench
 //!
-//! Experiment implementations for every figure and experiment in
-//! `DESIGN.md` §4 / `EXPERIMENTS.md`. Each `e*`/`f*` function runs one
+//! The paper's figures and tables: F1/F2 (the federated plan and the
+//! GUI) and experiments E3–E10. Each `e*`/`f*` function runs one
 //! experiment and returns printable rows; the `harness` binary renders
-//! them as tables, and the Criterion benches in `benches/` reuse the
-//! same code paths for timing.
+//! them as tables, and the plain-timing benches in `benches/` reuse the
+//! same code paths. Engine performance lives in the standalone
+//! `benchmark/` crate at the repo root.
 
 pub mod experiments;
 pub mod fixtures;

@@ -39,15 +39,15 @@ pub struct StreamCost {
 }
 
 /// Per-tuple processing cost assumptions (calibrated against the local
-/// pipeline executor; see `aspen-bench`).
+/// pipeline executor).
 const CPU_OPS_PER_SEC: f64 = 50_000_000.0;
 const LAN_HOP_SEC: f64 = 200e-6;
 const BYTES_PER_TUPLE: f64 = 48.0;
 
 /// Delivery-side cost constants, in the same CPU-op currency as
 /// `cpu_ops` (one op ≈ one delta through one operator ≈ 20 ns at
-/// [`CPU_OPS_PER_SEC`]). Calibrated against the E13 measurements
-/// (`BENCH_E13.json`, 50-query fan-out): polling every query at every
+/// [`CPU_OPS_PER_SEC`]). Calibrated on a measured 50-query fan-out
+/// (20 000 tuples, 79 boundaries): polling every query at every
 /// boundary cost ~1.2 s of wall time for ~6.6 M polled rows (~8 ops per
 /// row), while eager push delivery cost ~75 ms for ~4 k batches /
 /// ~229 k deltas (~5 µs per batch + ~0.16 µs per delta). With these
@@ -62,7 +62,7 @@ pub const PUSH_OPS_PER_DELTA: f64 = 8.0;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeliverySpec {
     /// Push subscription (false = the client snapshot-polls at every
-    /// batch boundary, the E13 poll mode).
+    /// batch boundary).
     pub push: bool,
     /// Cap on deltas per delivered batch (chunking floor).
     pub max_batch: Option<usize>,
@@ -485,13 +485,13 @@ mod tests {
         assert!(sorted.cpu_ops > unsorted.cpu_ops);
     }
 
-    /// The per-query shape of the E13 measurement (`BENCH_E13.json`,
-    /// 50-query fan-out, 20 000 tuples in 79 boundaries over ~2 000 s of
+    /// The per-query shape of the calibration measurement (50-query
+    /// fan-out, 20 000 tuples in 79 boundaries over ~2 000 s of
     /// simulated time): boundary rate, live result rows per poll, and
     /// output-delta rate.
-    const E13_BOUNDARY_HZ: f64 = 79.0 / 2000.0;
-    const E13_OUT_CARD: f64 = 1108.0;
-    const E13_OUT_RATE: f64 = 1.53;
+    const FANOUT_BOUNDARY_HZ: f64 = 79.0 / 2000.0;
+    const FANOUT_OUT_CARD: f64 = 1108.0;
+    const FANOUT_OUT_RATE: f64 = 1.53;
 
     fn push_spec(max_batch: Option<usize>, max_delay_sec: Option<f64>) -> DeliverySpec {
         DeliverySpec {
@@ -503,19 +503,19 @@ mod tests {
 
     #[test]
     fn delivery_term_reproduces_measured_poll_push_gap() {
-        // E13 measured ~1.2 s of poll overhead vs ~75 ms of eager-push
+        // Measured: ~1.2 s of poll overhead vs ~75 ms of eager-push
         // overhead on the same workload: a ~16x gap. The model must land
         // in that order of magnitude.
         let poll = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &DeliverySpec::default(),
         );
         let eager = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(None, None),
         );
         let ratio = poll / eager;
@@ -528,15 +528,15 @@ mod tests {
         // batch — push's advantage is gone, and the cost must be on par
         // with polling the snapshot at every boundary.
         let poll = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &DeliverySpec::default(),
         );
         let single = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(Some(1), None),
         );
         let ratio = single / poll;
@@ -549,27 +549,27 @@ mod tests {
     #[test]
     fn large_max_delay_approaches_coalesced_floor() {
         let eager = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(None, None),
         );
         let mild = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(None, Some(50.0)),
         );
         let huge = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(None, Some(1e6)),
         );
         assert!(mild < eager, "coalescing must cut batch cost");
         assert!(huge < mild);
         // The floor is pure per-delta work.
-        let floor = E13_OUT_RATE * PUSH_OPS_PER_DELTA;
+        let floor = FANOUT_OUT_RATE * PUSH_OPS_PER_DELTA;
         assert!(
             (huge - floor) / floor < 0.05,
             "huge {huge} vs floor {floor}"
@@ -580,17 +580,17 @@ mod tests {
     fn choose_knobs_spends_the_latency_budget() {
         // No budget (or a budget below the boundary spacing): eager.
         assert_eq!(
-            choose_knobs(E13_OUT_RATE, E13_BOUNDARY_HZ, 0.0),
+            choose_knobs(FANOUT_OUT_RATE, FANOUT_BOUNDARY_HZ, 0.0),
             (None, None)
         );
         assert_eq!(
-            choose_knobs(E13_OUT_RATE, E13_BOUNDARY_HZ, 10.0),
+            choose_knobs(FANOUT_OUT_RATE, FANOUT_BOUNDARY_HZ, 10.0),
             (None, None),
             "boundaries arrive every ~25 s; a 10 s hold never spans two"
         );
         // A real budget coalesces for the whole budget, with max_batch
         // sized to one budget's worth of output.
-        let (batch, delay) = choose_knobs(E13_OUT_RATE, E13_BOUNDARY_HZ, 100.0);
+        let (batch, delay) = choose_knobs(FANOUT_OUT_RATE, FANOUT_BOUNDARY_HZ, 100.0);
         assert_eq!(delay, Some(100.0));
         assert_eq!(batch, Some(153));
         // Hotter queries get proportionally bigger batches; queries too
@@ -604,15 +604,15 @@ mod tests {
         assert_eq!(choose_knobs(0.0, 10.0, 1.0), (None, Some(1.0)));
         // The chosen knobs never cost more than eager delivery.
         let chosen = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(batch, delay),
         );
         let eager = delivery_overhead_ops(
-            E13_OUT_RATE,
-            E13_OUT_CARD,
-            E13_BOUNDARY_HZ,
+            FANOUT_OUT_RATE,
+            FANOUT_OUT_CARD,
+            FANOUT_BOUNDARY_HZ,
             &push_spec(None, None),
         );
         assert!(chosen <= eager);

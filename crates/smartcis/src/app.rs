@@ -17,7 +17,8 @@ use aspen_optimizer::{optimize_named, FederatedPlan};
 use aspen_sql::{bind, parse, BoundQuery};
 use aspen_stream::delta::{Delta, DeltaBatch};
 use aspen_stream::{
-    EngineConfig, QueryHandle, QuerySpec, Registration, ResultSubscription, SessionId, StreamEngine,
+    EngineConfig, QueryHandle, QuerySpec, Registration, ResultSubscription, SessionId,
+    ShardedEngine,
 };
 use aspen_types::rng::{chance, seeded};
 use aspen_types::{
@@ -91,7 +92,7 @@ impl OccupancySim {
 /// The assembled SmartCIS system.
 pub struct SmartCis {
     pub catalog: Arc<Catalog>,
-    pub engine: StreamEngine,
+    pub engine: ShardedEngine,
     pub building: Building,
     pub planner: RoutePlanner,
     pub localizer: Localizer,
@@ -249,7 +250,7 @@ impl SmartCis {
         let web = WebSourceWrapper::register(&catalog, SimDuration::from_secs(60), seed ^ 1)?;
 
         // --- engines ---
-        let mut engine = StreamEngine::with_config(Arc::clone(&catalog), config);
+        let mut engine = ShardedEngine::with_config(Arc::clone(&catalog), config);
         engine.on_batch("Route", &route_batch.tuples)?;
         engine.on_batch("RoutePoints", &points_batch.tuples)?;
         engine.on_batch("Machines", &machines_batch.tuples)?;
@@ -425,7 +426,7 @@ impl SmartCis {
             if !meta.kind.is_stream_like() {
                 continue;
             }
-            let seen = self.engine.sharded().source_tuples_in(meta.id);
+            let seen = self.engine.source_tuples_in(meta.id);
             let (mark_seen, mark_time) = self
                 .rate_marks
                 .get(&meta.id)

@@ -9,11 +9,10 @@
 //! link, so every downstream invariant (routing refcounts, retained
 //! tables, push flushing, watermarks) holds unchanged.
 //!
-//! [`node_of`] / [`partition`] are the hash-exchange half: the same
-//! key-column hashing `crate::distributed::PartitionedJoin` uses to
-//! route deltas to workers, lifted to route tuples to *nodes*, so a
-//! repartitioned join's co-partitioning guarantee (equal keys meet on
-//! one node) carries across the cluster.
+//! [`node_of`] / [`partition`] are the hash-exchange half: key-column
+//! hashing routes tuples to *nodes*, so a repartitioned join's
+//! co-partitioning guarantee (equal keys meet on one node) holds
+//! across the cluster.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -120,10 +119,8 @@ fn rebuild(deltas: Vec<WireDelta>) -> DeltaBatch {
     batch
 }
 
-/// Which node a tuple's key columns hash to — the cross-node
-/// counterpart of `PartitionedJoin::worker_of` (same `DefaultHasher`
-/// over the key values, so intra-node worker partitioning nests
-/// consistently under inter-node exchange).
+/// Which node a tuple's key columns hash to (`DefaultHasher` over the
+/// key values).
 pub fn node_of(tuple: &Tuple, key_cols: &[usize], nodes: usize) -> usize {
     let mut h = DefaultHasher::new();
     for &c in key_cols {

@@ -4,14 +4,10 @@
 //! building LAN. [`LanModel`] prices one hop (fixed per-message latency
 //! plus bytes over bandwidth); [`WireStats`] meters what actually
 //! crossed a link — *encoded* frame bytes from the netsim codec, not an
-//! estimate — so the E18 bench and the churn property can assert real
-//! conservation (bytes out == bytes decoded in) across exchanges.
-//!
-//! This module is also the home of the LAN types the old
-//! `distributed.rs` stage-placement model introduced; that module
-//! re-exports them for compatibility.
+//! estimate — so the churn property in `tests/cluster.rs` can assert
+//! real conservation (tuples out == tuples decoded in) across exchanges.
 
-use aspen_types::{SimDuration, Tuple, Value};
+use aspen_types::SimDuration;
 
 /// LAN link parameters between PC nodes.
 #[derive(Debug, Clone)]
@@ -38,40 +34,9 @@ impl LanModel {
     }
 }
 
-/// Rough wire size of a tuple on the LAN (binary encoding estimate:
-/// 1-byte tag + payload per value). The cluster's exchange paths use
-/// the exact encoded frame length instead; this estimate remains for
-/// the `DistributedQuery` cost model and the federated optimizer.
-pub fn tuple_lan_bytes(t: &Tuple) -> u64 {
-    let mut sz = 8u64; // batch framing share + timestamp
-    for v in t.values() {
-        sz += 1 + match v {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 8,
-            Value::Text(s) => 2 + s.len() as u64,
-            // Plan-template parameter markers never appear in data rows.
-            Value::Param(..) => 0,
-        };
-    }
-    sz
-}
-
-/// Network accounting for one distributed query.
-#[derive(Debug, Clone, Default)]
-pub struct LanStats {
-    pub batches: u64,
-    pub tuples: u64,
-    pub bytes: u64,
-    /// Sum of per-batch shipping latencies (the queueing-free total).
-    pub total_latency: SimDuration,
-    /// Worst single-batch latency.
-    pub max_batch_latency: SimDuration,
-}
-
 /// Cumulative wire accounting of one directed cluster link (or of the
-/// control plane). Unlike [`LanStats`]'s estimated tuple sizes, these
-/// bytes are the encoded frame lengths that actually crossed the link.
+/// control plane): the bytes are the encoded frame lengths that
+/// actually crossed the link, not an estimate.
 #[derive(Debug, Clone, Default)]
 pub struct WireStats {
     /// Frames shipped.
@@ -116,7 +81,6 @@ impl WireStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aspen_types::SimTime;
 
     #[test]
     fn lan_model_latency() {
@@ -125,20 +89,6 @@ mod tests {
         let big = lan.batch_latency(125_000);
         assert_eq!(small, SimDuration::from_micros(201));
         assert!(big > small);
-    }
-
-    #[test]
-    fn tuple_bytes_accounts_text() {
-        let a = tuple_lan_bytes(&Tuple::new(
-            vec![Value::Int(1), Value::Int(2)],
-            SimTime::ZERO,
-        ));
-        let b = tuple_lan_bytes(&Tuple::new(
-            vec![Value::Text("a-long-room-name".into())],
-            SimTime::ZERO,
-        ));
-        assert!(a >= 18);
-        assert!(b > 16);
     }
 
     #[test]

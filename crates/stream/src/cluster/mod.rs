@@ -1,12 +1,10 @@
 //! Multi-node cluster execution: real engine instances over simulated
 //! links.
 //!
-//! Where [`crate::distributed`] *prices* placement against one local
-//! pipeline, this module actually runs N independent
-//! [`ShardedEngine`] nodes — each with its own executor, shards,
-//! ingest slices, and query runtimes — joined by `aspen-netsim`
-//! simulated LAN links. Everything that crosses a node boundary goes
-//! through the netsim codec as an encoded
+//! This module runs N independent [`ShardedEngine`] nodes — each with
+//! its own executor, shards, ingest slices, and query runtimes — joined
+//! by `aspen-netsim` simulated LAN links. Everything that crosses a
+//! node boundary goes through the netsim codec as an encoded
 //! [`WireFrame`](aspen_netsim::frames::WireFrame): data batches are
 //! serialized by the [`exchange`] egress operator, charged against the
 //! directed link's [`WireStats`] under the [`LanModel`], decoded on
@@ -36,10 +34,9 @@
 //! batches ship only to nodes with live subscribers of that source.
 //! [`Cluster::register_hash_partitioned`] installs the same plan on
 //! every node and marks its sources *exchanged*: their batches are
-//! hash-scattered by key columns ([`exchange::partition`], the same
-//! `DefaultHasher` routing `PartitionedJoin` uses for workers), so
-//! equal join keys always meet on one node and the merged member
-//! snapshots equal the monolithic result.
+//! hash-scattered by key columns ([`exchange::partition`]), so equal
+//! join keys always meet on one node and the merged member snapshots
+//! equal the monolithic result.
 //!
 //! ## Cross-node live migration
 //!
@@ -196,16 +193,12 @@ pub struct Cluster {
     boundaries: u64,
     migrations: u64,
     /// Tuples serialized onto links / decoded off links. Equal by
-    /// construction (the codec is lossless); the churn property and
-    /// E18 assert the conservation.
+    /// construction (the codec is lossless); the churn property in
+    /// `tests/cluster.rs` asserts the conservation.
     exchange_tuples_out: u64,
     exchange_tuples_in: u64,
     /// Recursive views registered (all live on node 0).
     views: usize,
-    /// End-to-end tracing, inherited from the node config: exchange
-    /// frames carry trace contexts and hop latency is charged into the
-    /// receiving node's histograms.
-    tracing: bool,
     /// Admission sequence for trace contexts created at cluster ingest.
     next_batch: u64,
     /// Cluster-level span journal: ships, arrivals, cross-node
@@ -226,7 +219,6 @@ impl Cluster {
                 node
             })
             .collect();
-        let tracing = nodes.first().is_some_and(ShardedEngine::tracing_enabled);
         Cluster {
             nodes,
             links: (0..n).map(|_| vec![WireStats::default(); n]).collect(),
@@ -248,21 +240,18 @@ impl Cluster {
             exchange_tuples_out: 0,
             exchange_tuples_in: 0,
             views: 0,
-            tracing,
             next_batch: 0,
             journal: SpanJournal::default(),
         }
     }
 
-    /// Trace context for one cluster-admitted batch entering at `home`,
-    /// or `None` with tracing off.
-    fn make_ctx(&mut self, home: usize) -> Option<TraceCtx> {
-        if !self.tracing {
-            return None;
-        }
+    /// Trace context for one cluster-admitted batch entering at `home`.
+    /// It travels inside every exchange frame of the batch, and the hop
+    /// latency is charged into the receiving node's histograms.
+    fn make_ctx(&mut self, home: usize) -> TraceCtx {
         let ctx = TraceCtx::new(home as u32, self.next_batch);
         self.next_batch += 1;
-        Some(ctx)
+        ctx
     }
 
     /// The cluster-level span journal (ships, arrivals, cross-node
@@ -466,8 +455,7 @@ impl Cluster {
     /// Register the same continuous plan on *every* node, fed by
     /// hash-exchange: each keyed source's batches are scattered by the
     /// given key columns, so equal keys meet on exactly one node and
-    /// the union of member results equals the monolithic result. This
-    /// is how a repartitioned `PartitionedJoin` runs cluster-wide.
+    /// the union of member results equals the monolithic result.
     ///
     /// `keys` maps each scanned source name to the columns whose hash
     /// routes its tuples; every source the plan scans must be keyed, be
@@ -763,15 +751,13 @@ impl Cluster {
         cq.node = to;
         cq.local = new_local;
         self.migrations += 1;
-        if self.tracing {
-            self.journal.record(Span {
-                at_us: now_us(),
-                node: from as u32,
-                batch: u64::from(q.0 .0),
-                kind: SpanKind::Migrate,
-                detail: to as u64,
-            });
-        }
+        self.journal.record(Span {
+            at_us: now_us(),
+            node: from as u32,
+            batch: u64::from(q.0 .0),
+            kind: SpanKind::Migrate,
+            detail: to as u64,
+        });
         Ok(())
     }
 
@@ -792,7 +778,7 @@ impl Cluster {
             }
         }
         self.rebalancer = Some(ctrl);
-        if self.tracing && planned > 0 {
+        if planned > 0 {
             self.journal.record(Span {
                 at_us: now_us(),
                 node: 0,
@@ -823,7 +809,7 @@ impl Cluster {
                     continue;
                 }
                 if to == home {
-                    self.nodes[home].on_batch_traced(source_name, share, trace)?;
+                    self.nodes[home].on_batch_traced(source_name, share, Some(trace))?;
                 } else {
                     self.ship(
                         source_name,
@@ -841,7 +827,7 @@ impl Cluster {
         let trace = self.make_ctx(home);
         for to in self.ingest_targets(meta.id, &meta.kind, home) {
             if to == home {
-                self.nodes[home].on_batch_traced(source_name, tuples, trace)?;
+                self.nodes[home].on_batch_traced(source_name, tuples, Some(trace))?;
             } else {
                 self.ship(
                     source_name,
@@ -873,7 +859,7 @@ impl Cluster {
                     continue;
                 }
                 if to == home {
-                    self.nodes[home].on_deltas_traced(source_name, share, trace)?;
+                    self.nodes[home].on_deltas_traced(source_name, share, Some(trace))?;
                 } else {
                     self.ship(
                         source_name,
@@ -891,7 +877,7 @@ impl Cluster {
         let trace = self.make_ctx(home);
         for to in self.ingest_targets(meta.id, &meta.kind, home) {
             if to == home {
-                self.nodes[home].on_deltas_traced(source_name, deltas, trace)?;
+                self.nodes[home].on_deltas_traced(source_name, deltas, Some(trace))?;
             } else {
                 self.ship(
                     source_name,
@@ -965,7 +951,7 @@ impl Cluster {
         to: usize,
         frame: WireFrame,
         admit: Admission,
-        trace: Option<TraceCtx>,
+        trace: TraceCtx,
     ) -> Result<()> {
         let carried = match &frame {
             WireFrame::Deltas { deltas, .. } => deltas.len() as u64,
@@ -973,11 +959,7 @@ impl Cluster {
         };
         // A trace context travels *inside* the frame, so its bytes are
         // charged against the link like any other payload.
-        let frame = match &trace {
-            Some(ctx) => exchange::with_trace(frame, ctx),
-            None => frame,
-        };
-        let wire = encode_frame(&frame);
+        let wire = encode_frame(&exchange::with_trace(frame, &trace));
         let hop = self.links[from][to].charge(&self.lan, wire.len() as u64, carried);
         self.exchange_tuples_out += carried;
         let (_, batch, mut ctx) = exchange::ingress_traced(decode_frame(wire)?)?;
@@ -1054,7 +1036,7 @@ impl Cluster {
     }
 
     /// `(serialized onto links, decoded off links)` data tuples —
-    /// equal by construction; asserted by the churn property and E18.
+    /// equal by construction; asserted by the churn property.
     pub fn exchange_tuples(&self) -> (u64, u64) {
         (self.exchange_tuples_out, self.exchange_tuples_in)
     }

@@ -26,9 +26,9 @@
 //!   unless it asks for a coherent global snapshot
 //!   ([`Executor::quiesce_all`]).
 //! * **Three scheduling modes** ([`Scheduling`]): `Sequential` runs
-//!   every task inline on the submitting thread (identical to the old
-//!   sequential loop — the benches pin this so per-shard busy accounting
-//!   is free of scheduler noise); `Pool` runs the persistent workers;
+//!   every task inline on the submitting thread (no threads, no
+//!   scheduler noise in per-shard busy accounting); `Pool` runs the
+//!   persistent workers;
 //!   `Deterministic(seed)` keeps the queues but replays a fixed, seeded
 //!   interleaving on the submitting thread — tasks are deferred and
 //!   executed out of order across shards exactly as a pool would, but
@@ -292,10 +292,6 @@ struct PoolCore {
     /// Global boundary sequence: one tick per submission, carried by
     /// every task of that boundary into the per-shard watermarks.
     seq: AtomicU64,
-    /// Whether the trace plane is on: queue-wait latencies are recorded
-    /// into the shard meters at execution (fixed at engine construction,
-    /// like every other engine toggle).
-    traced: bool,
 }
 
 impl PoolCore {
@@ -313,12 +309,10 @@ impl PoolCore {
         run: impl FnOnce(&mut EngineShard, &mut Vec<FollowUp>) -> Result<()>,
     ) -> (Result<()>, Duration) {
         let mut state = self.cells[shard].state.lock();
-        if self.traced {
-            state
-                .meters
-                .queue_wait
-                .record_us(now_us().saturating_sub(enq_us));
-        }
+        state
+            .meters
+            .queue_wait
+            .record_us(now_us().saturating_sub(enq_us));
         let start = Instant::now();
         let result = run(&mut state, out);
         let elapsed = start.elapsed();
@@ -439,7 +433,7 @@ enum Mode {
 
 /// Point-in-time scheduling statistics (queue depths, admission stall).
 /// Exposed through `ShardedEngine::executor_stats` for the isolation
-/// tests and the E15 bench.
+/// tests and the benchmark.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutorStats {
     /// Tasks currently queued per shard (excludes the one mid-flight).
@@ -465,13 +459,7 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    pub(crate) fn new(
-        shards: usize,
-        scheduling: Scheduling,
-        workers: usize,
-        depth: usize,
-        traced: bool,
-    ) -> Self {
+    pub(crate) fn new(shards: usize, scheduling: Scheduling, workers: usize, depth: usize) -> Self {
         let core = Arc::new(PoolCore {
             cells: (0..shards.max(1)).map(|_| ShardCell::new()).collect(),
             ready: StdMutex::new(VecDeque::new()),
@@ -488,7 +476,6 @@ impl Executor {
             stall_nanos: AtomicU64::new(0),
             tasks_executed: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            traced,
         });
         let (mode, handles) = match scheduling {
             Scheduling::Sequential => (Mode::Sequential, Vec::new()),
@@ -894,7 +881,7 @@ mod tests {
             Scheduling::Pool,
             Scheduling::Deterministic(3),
         ] {
-            let e = Executor::new(2, scheduling, 2, 4, true);
+            let e = Executor::new(2, scheduling, 2, 4);
             e.quiesce_all().unwrap();
             let stats = e.stats();
             assert_eq!(stats.pending, vec![0, 0]);

@@ -7,6 +7,25 @@
 //! deletion support, which is what computes SmartCIS's building routes in
 //! real time.
 //!
+//! ## Public surface
+//!
+//! * [`ShardedEngine`] — the one engine type: register / lifecycle /
+//!   ingest / read-at-consistency over N worker shards
+//!   (`ShardedEngine::new(catalog, shards)` or
+//!   [`ShardedEngine::with_config`]). [`StreamEngine`] is a type alias
+//!   for it, kept for the `benchmark/` crate.
+//! * [`EngineConfig`] — eight construction-time fields, each with its
+//!   default: `shards` (1), `scheduling` (pool iff shards > 1 and
+//!   cores > 1, else sequential), `workers` (min(shards, cores)),
+//!   `queue_depth` (32), `rebalance` (off), `shared_subplans` (on),
+//!   `state_layout` (columnar), `spill` (off).
+//! * [`QuerySpec`] / [`Registration`] / [`SessionId`] /
+//!   [`ResultSubscription`] / [`Consistency`] — the client vocabulary.
+//! * [`Cluster`] (+ [`ClusterConfig`]) — N engines behind one
+//!   coordinator speaking the same `QuerySpec` front end.
+//! * [`TelemetryReport`], the [`trace`] renderers, and
+//!   [`ResidentState`] — the read-only observability surface.
+//!
 //! ## Execution model: batch-first signed dataflow
 //!
 //! Everything is a flow of signed [`Delta`]s (insert / retract, with
@@ -50,8 +69,8 @@
 //!   the exact SQL string skips parse *and* bind; a new variant of a
 //!   known template skips bind and pays only parse + constant
 //!   substitution. Both tiers are LRU-bounded; `CREATE VIEW` always
-//!   re-binds (it mutates the catalog). On by default; opt out with
-//!   [`session::EngineConfig::plan_cache`].
+//!   re-binds (it mutates the catalog). Always on; registering a bound
+//!   plan (`register_plan`) is the path that never touches it.
 //!
 //! * **One arrival log per source** — each shard keeps, per stream (or
 //!   device) source some local query scans, one append-only arrival
@@ -109,9 +128,7 @@
 //! [`shard::ShardedEngine::resident_state`] (`shared_chains` = logs,
 //! `shared_taps` = cursors, `window_tuples` = rows retained in logs and
 //! private windows) and the per-shard `log_rows` / `cursors` of the
-//! telemetry export are the observability surface; `harness e16`
-//! registers 10 000 parameterized variants and measures registration
-//! throughput and resident window state, cache+sharing on vs off.
+//! telemetry export are the observability surface.
 //!
 //! ## Sessions, registration, and the query lifecycle
 //!
@@ -143,9 +160,7 @@
 //! micro-batch knobs shape this stream: `max_delay` holds output deltas
 //! across boundaries (coalescing cancels churn before it is ever
 //! delivered) until they age past the delay, and `max_batch` both
-//! releases a hold early and caps the size of each delivered batch. The
-//! E13 bench (`harness e13`) measures push vs. poll delivery overhead
-//! and register/deregister churn throughput on the 50-query fan-out.
+//! releases a hold early and caps the size of each delivered batch.
 //!
 //! ## Source-routed subscriptions, sharded
 //!
@@ -155,8 +170,7 @@
 //! subscribers — ingest cost scales with a source's fan-out, not with
 //! the total number of registered queries — and `heartbeat` visits only
 //! pipelines (and time-windowed views) that react to time. This is what
-//! lets one building-wide sensor feed serve many concurrent dashboards
-//! (the E11 bench drives a 50-query fan-out through this path).
+//! lets one building-wide sensor feed serve many concurrent dashboards.
 //!
 //! Since the sharding refactor that index and the pipeline set are
 //! *partitioned*: [`shard::ShardedEngine`] hash-places every query on
@@ -172,14 +186,9 @@
 //! Recursive views run on a dedicated **view shard** (one extra
 //! executor cell): base deltas are forwarded to it as ordinary tasks,
 //! and its output deltas fan back into the query shards like any other
-//! source's. [`StreamEngine`] is the facade
-//! (`StreamEngine::with_config` exposes sharding); `harness e12`
-//! measures the 50-query fan-out at 1/2/4/8 shards against E11,
-//! `harness e17` drives a million-source route table under continuous
-//! telemetry polling, and the shard-count invariance property —
-//! including under interleaved register/deregister/pause/migration
-//! churn with push subscriptions attached — is tested in
-//! `tests/sharding.rs`.
+//! source's. The shard-count invariance property — including under
+//! interleaved register/deregister/pause/migration churn with push
+//! subscriptions attached — is tested in `tests/sharding.rs`.
 //!
 //! ## Execution: a persistent worker pool with boundary-yield scheduling
 //!
@@ -209,18 +218,16 @@
 //! lock and reports the submitted-minus-applied backlog as per-shard
 //! lag, so a monitoring loop polling telemetry never stalls ingest.
 //! Immediately after a `Fresh` drain the two levels agree byte for byte
-//! (property-tested under full churn in `tests/sharding.rs`; `harness
-//! e17` asserts zero divergence while measuring the polled ingest
-//! path). Sequential mode runs the same tasks inline (identical
-//! results, no threads — the default on single-core hosts and the
-//! benches' accounting mode), and
+//! (property-tested under full churn in `tests/sharding.rs`).
+//! Sequential mode runs the same tasks inline (identical results, no
+//! threads — the default for one shard or one core), and
 //! [`executor::Scheduling::Deterministic`] replays a seeded
 //! interleaving single-threaded, which is what makes the
 //! scheduling-determinism property in `tests/sharding.rs` assertable
-//! event for event. `harness e15` measures ingest-admission stall and
-//! sibling snapshot freshness under a pathological slow query, pool vs
-//! the scoped-thread semantics it replaced; per-worker busy/steal
-//! meters surface in [`telemetry::TelemetryReport::workers`].
+//! event for event. Slow-query isolation (siblings stay fresh, the
+//! admission queue stays bounded) is a test in `tests/sharding.rs`;
+//! per-worker busy/steal meters surface in
+//! [`telemetry::TelemetryReport::workers`].
 //!
 //! ## Telemetry and adaptive rebalancing
 //!
@@ -228,9 +235,9 @@
 //! counters (tuples in, slices run, busy wall time) and each query's
 //! pipeline/sink carry their own (`tuples_in`, `ops_invoked`, output
 //! deltas, push batches) — metering is plain integer adds on paths the
-//! shard already owns, bounded at < 2% of the E11 baseline by the E14
-//! bench. [`shard::ShardedEngine::telemetry`] assembles one coherent
-//! [`telemetry::TelemetryReport`]; it is the *single* metering surface
+//! shard already owns. [`shard::ShardedEngine::telemetry`] assembles
+//! one coherent [`telemetry::TelemetryReport`]; it is the *single*
+//! metering surface
 //! (the old per-accessor statistics folded into it).
 //!
 //! Two control loops close over those meters:
@@ -247,15 +254,14 @@
 //!   over instead of rebuilt, so snapshots, push accumulation, and ops
 //!   totals are provably unchanged (property-tested in
 //!   `tests/sharding.rs` under interleaved lifecycle churn and forced
-//!   migrations). Enable with [`session::EngineConfig::rebalance`];
-//!   `harness e14` measures the skewed fan-out at 1/2/4/8 shards with
-//!   the controller off vs on.
+//!   migrations). Enable with [`session::EngineConfig::rebalance`].
 //! * **Micro-batch knobs** — a query registered with
 //!   [`session::QuerySpec::auto_knobs`] hands its `max_batch` /
 //!   `max_delay` to the optimizer: `auto_tune` measures the query's
-//!   output-delta rate and the boundary rate, asks a chooser calibrated
-//!   on the E13 delivery measurements (`aspen-optimizer`'s
-//!   `choose_knobs`), and retunes the live sink through `tune_query`.
+//!   output-delta rate and the boundary rate, asks a chooser built on
+//!   the measured per-batch and per-delta delivery costs
+//!   (`aspen-optimizer`'s `choose_knobs`), and retunes the live sink
+//!   through `tune_query`.
 //!   The app layer also publishes measured per-source ingest rates back
 //!   into the catalog, so the optimizer's cardinality estimates track
 //!   observed reality instead of registration-time guesses.
@@ -281,8 +287,8 @@
 //!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`];
 //!   columnar segments report their actual encoded footprint, row
 //!   layouts a heap estimate. Those gauges feed the rebalancer's
-//!   blended score above and the E20 bench, which pins the columnar
-//!   layout at ≥ 2× fewer resident bytes on the large-window fan-out.
+//!   blended score above; a unit test in [`state`] pins the columnar
+//!   layout at ≥ 2× fewer bytes than the row estimate.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
 //!   first) page to disk and fault back transparently on access, while
@@ -318,8 +324,7 @@
 //! retained-table replay, push accumulation, watermark consistency,
 //! and source-log cursors hold unchanged clusterwide. Hash-exchange
 //! ([`cluster::Cluster::register_hash_partitioned`]) scatters keyed
-//! sources across all nodes with the same key hashing
-//! `distributed::PartitionedJoin` uses for workers, so a repartitioned
+//! sources across all nodes by key hash, so a repartitioned
 //! join's members compute disjoint key ranges whose merged snapshots
 //! equal the monolithic result. Live migration generalizes across
 //! nodes: the donor engine extracts a query's runtime (window state,
@@ -329,21 +334,13 @@
 //! [`rebalance::RebalanceController`] consuming the merged per-node
 //! telemetry of [`cluster::Cluster::cluster_report`]. The churn
 //! property in `tests/cluster.rs` pins 1/2/4-node clusters against a
-//! single-node oracle event for event; `harness e18` measures the
-//! 4-node vs 1-node scaling of a source-partitioned fan-out with one
-//! repartitioned join.
-//!
-//! [`distributed`] remains the *single-process cost model* of that
-//! picture: stage placement over one pipeline with LAN hops charged
-//! per batch — the calibration source for the federated optimizer's
-//! stream-side cost estimates — plus the intra-node
-//! `PartitionedJoin`.
+//! single-node oracle event for event.
 //!
 //! ## Observability: the trace plane
 //!
-//! The [`trace`] module is the engine's end-to-end observability layer,
-//! on by default and disabled with [`session::EngineConfig::tracing`]
-//! (the E19 bench bounds its cost at < 2% of the E17 ingest):
+//! The [`trace`] module is the engine's end-to-end observability layer.
+//! It is always on (the benchmark reports its cost as
+//! `bench.trace_overhead_share`):
 //!
 //! * **Latency histograms** — [`trace::LatencyHistogram`] is a
 //!   40-bucket log₂ histogram (mergeable: merging two histograms
@@ -372,7 +369,7 @@
 //!   the cost model in place of the static CPU calibration.
 //! * **Export surface** — [`trace::render_prometheus`] /
 //!   [`trace::render_json`] render a [`telemetry::TelemetryReport`] in
-//!   Prometheus text exposition and JSON (`harness metrics`).
+//!   Prometheus text exposition and JSON.
 //!
 //! Histograms and op profiles are query state: they ride the sink and
 //! pipeline through live migration (asserted under churn in
@@ -382,8 +379,6 @@
 
 pub mod cluster;
 pub mod delta;
-pub mod distributed;
-pub mod engine;
 pub mod executor;
 pub mod operators;
 pub mod pipeline;
@@ -399,14 +394,13 @@ pub mod window;
 
 pub use cluster::{Cluster, ClusterConfig, LanModel, WireStats};
 pub use delta::{Delta, DeltaBatch};
-pub use engine::{QueryHandle, StreamEngine};
 pub use executor::{ExecutorStats, Scheduling};
 pub use rebalance::{Migration, RebalanceConfig, RebalanceController};
 pub use recursive::RecursiveView;
 pub use session::{
     Consistency, Delivery, EngineConfig, QuerySpec, Registration, ResultSubscription, SessionId,
 };
-pub use shard::{ResidentState, ShardedEngine};
+pub use shard::{QueryHandle, ResidentState, ShardedEngine, StreamEngine};
 pub use sink::Sink;
 pub use state::{SpillConfig, StateLayout, StateOptions};
 pub use telemetry::{

@@ -69,12 +69,12 @@ pub struct Pipeline {
     /// profile; busy time only accumulates while `timed` is set.
     pub profile: OpProfile,
     /// Whether `propagate` wall-clocks each operator invocation into
-    /// `profile` — set from the engine's tracing config at placement;
-    /// off, the profile still counts invocations/deltas (integer adds)
-    /// but never reads the clock.
+    /// `profile` — the engine sets it on every pipeline it places; off
+    /// (standalone `Pipeline::compile`), the profile still counts
+    /// invocations/deltas (integer adds) but never reads the clock.
     pub timed: bool,
     /// Artificial per-batch processing drag (slow-consumer injection for
-    /// the scheduling tests and the E15 bench): each data push sleeps
+    /// the scheduling tests): each data push sleeps
     /// this long first. Never set in production paths; travels with
     /// migrations like any pipeline state, and is rebuilt away (cleared)
     /// by a pause/resume cycle.

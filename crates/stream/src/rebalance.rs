@@ -2,8 +2,8 @@
 //! into placement.
 //!
 //! Hash placement spreads *query counts* evenly but knows nothing about
-//! per-query cost — the E12 bench records ~1.3× hot-shard imbalance on
-//! the standard fan-out, and a deliberately skewed workload is worse.
+//! per-query cost — a uniform 50-query fan-out lands ~1.3× hot-shard
+//! imbalance, and a deliberately skewed workload is worse.
 //! The [`RebalanceController`] watches successive [`TelemetryReport`]s,
 //! diffs per-query `ops_invoked` into a *windowed* load (so a query
 //! that was hot an hour ago but is idle now carries no weight), blends

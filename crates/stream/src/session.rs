@@ -7,9 +7,10 @@
 //! contract:
 //!
 //! * [`EngineConfig`] — construction-time engine knobs (shard count,
-//!   executor scheduling mode, worker count, per-shard queue depth).
-//!   There are no runtime-mutable engine toggles; everything is fixed
-//!   when the engine is built.
+//!   executor scheduling mode, worker count, per-shard queue depth,
+//!   rebalancing, log sharing, state layout, spill). There are no
+//!   runtime-mutable engine toggles; everything is fixed when the
+//!   engine is built.
 //! * [`QuerySpec`] — a builder carrying what to run (SQL text or a bound
 //!   [`LogicalPlan`]), how results leave the engine ([`Delivery`]), and
 //!   per-query micro-batch knobs ([`QuerySpec::max_batch`] /
@@ -37,18 +38,15 @@ use crate::rebalance::RebalanceConfig;
 use crate::shard::QueryHandle;
 use crate::state::{SpillConfig, StateLayout, StateOptions};
 
-/// Construction-time engine configuration. Replaces the old pattern of
-/// building an engine and then mutating toggles (`set_parallel_ingest`)
-/// at runtime — the shard layout and fan-out mode are fixed for the
-/// engine's lifetime.
+/// Construction-time engine configuration: eight settable fields, each
+/// documented with its default on its setter, all fixed for the engine's
+/// lifetime (there are no runtime toggles). The plan-template cache and
+/// the trace plane are not configurable — both are always on.
 #[derive(Debug, Clone, Default)]
 pub struct EngineConfig {
     shards: usize,
-    /// `None` = auto-detect (pool when shards > 1 and the host is
-    /// multicore); `Some(on)` pins pool (`true`) vs sequential
-    /// (`false`). An explicit [`EngineConfig::scheduling`] wins.
-    parallel_ingest: Option<bool>,
-    /// Explicit executor scheduling mode; overrides `parallel_ingest`.
+    /// Executor scheduling mode (`None` = pool when shards > 1 and the
+    /// host is multicore, sequential otherwise).
     scheduling: Option<Scheduling>,
     /// Worker threads serving the pool (`None` = min(shards, cores)).
     workers: Option<usize>,
@@ -63,13 +61,6 @@ pub struct EngineConfig {
     /// Shared-subplan execution (`None` = on): every stream scan is a
     /// cursor on its shard's one arrival log of that source.
     shared_subplans: Option<bool>,
-    /// Plan-template caching of SQL registrations (`None` = on):
-    /// canonicalized templates skip parse/bind on repeat registrations.
-    plan_cache: Option<bool>,
-    /// End-to-end tracing (`None` = on): ingest batches carry trace
-    /// contexts, pipelines clock per-operator busy time, the executor
-    /// records queue waits.
-    tracing: Option<bool>,
     /// Physical layout of operator state (`None` = columnar): window
     /// buffers, join sides, and retained tables.
     state_layout: Option<StateLayout>,
@@ -90,19 +81,11 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the shard fan-out onto the persistent worker pool (`true`)
-    /// or the inline sequential loop (`false`) — results are identical
-    /// either way. Benches pin this so per-shard busy accounting is
-    /// free of thread-scheduling noise; unset, the engine decides from
-    /// the core count. An explicit [`EngineConfig::scheduling`] takes
-    /// precedence.
-    pub fn parallel_ingest(mut self, on: bool) -> Self {
-        self.parallel_ingest = Some(on);
-        self
-    }
-
-    /// Pin the executor scheduling mode directly (sequential, pool, or
-    /// the seeded deterministic replay used by the scheduling tests).
+    /// Pin the executor scheduling mode: the inline sequential loop,
+    /// the persistent worker pool, or the seeded deterministic replay
+    /// used by the scheduling tests — results are identical in all
+    /// three. Unset, the engine picks pool when it has more than one
+    /// shard and the host more than one core, sequential otherwise.
     pub fn scheduling(mut self, s: Scheduling) -> Self {
         self.scheduling = Some(s);
         self
@@ -146,34 +129,16 @@ impl EngineConfig {
     /// every window over it — any spec, join sides included — is a
     /// cursor into that log, with results identical to private
     /// execution (property-tested in `tests/sharding.rs`). Off gives
-    /// every scan a private window; the equivalence property and the
-    /// E16 bench use this as their unshared baseline.
+    /// every scan a private window — the equivalence property's
+    /// unshared reference.
     pub fn shared_subplans(mut self, on: bool) -> Self {
         self.shared_subplans = Some(on);
         self
     }
 
-    /// Toggle the canonicalized plan-template cache on the SQL
-    /// registration path (default on). Off forces every registration
-    /// through parse + bind — the E16 baseline.
-    pub fn plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = Some(on);
-        self
-    }
-
-    /// Toggle the end-to-end trace plane (default on): ingest→apply
-    /// latency histograms, per-shard queue-wait histograms, per-operator
-    /// busy timings, and the sampled span journal. Off skips every clock
-    /// read on the hot path — the E19 overhead baseline.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = Some(on);
-        self
-    }
-
     /// Pin the physical layout of operator state (default columnar).
     /// `StateLayout::Row` restores the pre-columnar HashMap layout —
-    /// the E20 bench's baseline and the reference in the row-vs-columnar
-    /// equivalence properties.
+    /// the reference in the row-vs-columnar equivalence properties.
     pub fn state_layout(mut self, layout: StateLayout) -> Self {
         self.state_layout = Some(layout);
         self
@@ -203,21 +168,13 @@ impl EngineConfig {
         self.rebalance.clone()
     }
 
-    pub(crate) fn resolve_parallel(&self, cores: usize) -> bool {
-        let n = self.shard_count();
-        match self.parallel_ingest {
-            Some(on) => on && n > 1,
-            None => n > 1 && cores > 1,
-        }
-    }
-
     /// The executor mode this config resolves to on a `cores`-way host:
-    /// an explicit `scheduling` wins; otherwise the `parallel_ingest`
-    /// auto-detection picks pool or sequential.
+    /// an explicit `scheduling` wins; otherwise threads only when both
+    /// shards and cores are plural.
     pub(crate) fn resolve_scheduling(&self, cores: usize) -> Scheduling {
         match self.scheduling {
             Some(s) => s,
-            None if self.resolve_parallel(cores) => Scheduling::Pool,
+            None if self.shard_count() > 1 && cores > 1 => Scheduling::Pool,
             None => Scheduling::Sequential,
         }
     }
@@ -234,14 +191,6 @@ impl EngineConfig {
 
     pub(crate) fn resolve_shared_subplans(&self) -> bool {
         self.shared_subplans.unwrap_or(true)
-    }
-
-    pub(crate) fn resolve_plan_cache(&self) -> bool {
-        self.plan_cache.unwrap_or(true)
-    }
-
-    pub(crate) fn resolve_tracing(&self) -> bool {
-        self.tracing.unwrap_or(true)
     }
 }
 
@@ -484,26 +433,10 @@ mod tests {
     use aspen_types::{SimTime, Tuple, Value};
 
     #[test]
-    fn config_resolves_parallel_mode() {
+    fn config_resolves_scheduling_workers_and_depth() {
         assert_eq!(EngineConfig::new().shard_count(), 1);
         assert_eq!(EngineConfig::new().shards(0).shard_count(), 1);
         // Auto: threads only when both shards and cores are plural.
-        assert!(!EngineConfig::new().shards(4).resolve_parallel(1));
-        assert!(EngineConfig::new().shards(4).resolve_parallel(8));
-        assert!(!EngineConfig::new().resolve_parallel(8));
-        // Pinned: forced off on multicore, and on never exceeds shards.
-        assert!(!EngineConfig::new()
-            .shards(4)
-            .parallel_ingest(false)
-            .resolve_parallel(8));
-        assert!(!EngineConfig::new()
-            .parallel_ingest(true)
-            .resolve_parallel(8));
-    }
-
-    #[test]
-    fn config_resolves_scheduling_workers_and_depth() {
-        // parallel auto-detection maps onto the executor modes.
         assert_eq!(
             EngineConfig::new().shards(4).resolve_scheduling(8),
             Scheduling::Pool
@@ -513,17 +446,20 @@ mod tests {
             Scheduling::Sequential
         );
         assert_eq!(
-            EngineConfig::new()
-                .shards(4)
-                .parallel_ingest(false)
-                .resolve_scheduling(8),
+            EngineConfig::new().resolve_scheduling(8),
             Scheduling::Sequential
         );
-        // An explicit mode always wins, even over pinned parallel mode.
+        // An explicit mode always wins.
         assert_eq!(
             EngineConfig::new()
                 .shards(4)
-                .parallel_ingest(true)
+                .scheduling(Scheduling::Sequential)
+                .resolve_scheduling(8),
+            Scheduling::Sequential
+        );
+        assert_eq!(
+            EngineConfig::new()
+                .shards(4)
                 .deterministic(9)
                 .resolve_scheduling(8),
             Scheduling::Deterministic(9)
@@ -550,15 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn sharing_and_plan_cache_default_on() {
+    fn sharing_defaults_on() {
         assert!(EngineConfig::new().resolve_shared_subplans());
-        assert!(EngineConfig::new().resolve_plan_cache());
         assert!(!EngineConfig::new()
             .shared_subplans(false)
             .resolve_shared_subplans());
-        assert!(!EngineConfig::new().plan_cache(false).resolve_plan_cache());
-        assert!(EngineConfig::new().resolve_tracing());
-        assert!(!EngineConfig::new().tracing(false).resolve_tracing());
     }
 
     #[test]

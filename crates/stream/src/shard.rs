@@ -2,8 +2,7 @@
 //! worker shards, with full query lifecycle and a source-sharded,
 //! barrier-free ingest plane.
 //!
-//! [`ShardedEngine`] lifts the per-operator partitioning idea of
-//! [`crate::distributed::PartitionedJoin`] to *whole pipelines*: every
+//! [`ShardedEngine`] hash-partitions *whole pipelines*: every
 //! registered continuous query is placed on exactly one of N worker
 //! shards by hashing its [`QueryId`], and each shard owns the disjoint
 //! set of [`QueryRuntime`]s placed on it **plus the slice of the
@@ -69,9 +68,9 @@
 //!
 //! What stays on the coordinator: the catalog, sessions, the query
 //! metas, and the engine clock. The per-shard `busy` accounting measures
-//! the wall time each shard spends inside its slice of the work; the E12
-//! bench derives critical-path (max-shard) throughput from it — the
-//! number an N-core deployment would see.
+//! the wall time each shard spends inside its slice of the work; the
+//! busiest shard's total is the critical path an N-core deployment
+//! would see.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -83,7 +82,7 @@ use aspen_catalog::{Catalog, SourceKind, SourceStats};
 use aspen_optimizer::{CachedQuery, PlanCache, PlanCacheStats};
 use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
-use aspen_sql::{bind, parse, BoundQuery};
+use aspen_sql::BoundQuery;
 use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, WindowSpec};
 use parking_lot::Mutex;
 
@@ -106,8 +105,8 @@ use crate::window::SourceLog;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryHandle(pub QueryId);
 
-/// Resident operator-state census across the engine — what the E16
-/// bench compares between shared and private execution. The sharing
+/// Resident operator-state census across the engine — what the
+/// shared-vs-private tests compare. The sharing
 /// fields keep their historical names; since stream windows became
 /// cursors over per-source arrival logs they count logs and cursors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,8 +126,7 @@ pub struct ResidentState {
     /// Resident operator-state bytes across the engine: pipeline state
     /// (private windows, join sides, aggregate groups), each source log
     /// once, and the retained table store. Measured for columnar
-    /// state, estimated for row state — the E20 bench's reduction
-    /// metric.
+    /// state, estimated for row state — the benchmark's `state_bytes`.
     pub state_bytes: usize,
     /// Bytes currently paged out to the spill tier (disjoint from
     /// `state_bytes`).
@@ -757,13 +755,8 @@ pub struct ShardedEngine {
     /// ([`EngineConfig::shared_subplans`]); off, every scan keeps a
     /// private window.
     shared_subplans: bool,
-    /// Canonicalized plan-template cache over SQL registrations; `None`
-    /// when disabled by [`EngineConfig::plan_cache`].
-    plan_cache: Option<PlanCache>,
-    /// End-to-end tracing ([`EngineConfig::tracing`]): ingest batches
-    /// carry a [`TraceCtx`], pipelines clock per-operator busy time,
-    /// and the executor records queue waits.
-    tracing: bool,
+    /// Canonicalized plan-template cache over SQL registrations.
+    plan_cache: PlanCache,
     /// This engine's node id in a cluster — stamped as the origin into
     /// every trace context created here; 0 standalone.
     node_id: u32,
@@ -777,7 +770,16 @@ pub struct ShardedEngine {
     state_opts: StateOptions,
 }
 
+/// The engine's older name. Kept, with [`ShardedEngine::sharded`], only
+/// because the frozen `benchmark/` crate spells both.
+pub type StreamEngine = ShardedEngine;
+
 impl ShardedEngine {
+    /// Identity — see [`StreamEngine`].
+    pub fn sharded(&self) -> &Self {
+        self
+    }
+
     /// Engine with `shards` worker shards and default settings. Shard
     /// count 1 is exactly the unsharded engine: one shard owning every
     /// query and the whole routing index.
@@ -799,7 +801,6 @@ impl ShardedEngine {
                 config.resolve_scheduling(cores),
                 config.resolve_workers(cores),
                 config.resolve_queue_depth(),
-                config.resolve_tracing(),
             ),
             queries: HashMap::new(),
             order: Vec::new(),
@@ -818,8 +819,7 @@ impl ShardedEngine {
             rebalancer: config.rebalance_config().map(RebalanceController::new),
             migrations: 0,
             shared_subplans: config.resolve_shared_subplans(),
-            plan_cache: config.resolve_plan_cache().then(PlanCache::default),
-            tracing: config.resolve_tracing(),
+            plan_cache: PlanCache::default(),
             node_id: 0,
             next_batch: 0,
             journal: SpanJournal::default(),
@@ -838,23 +838,15 @@ impl ShardedEngine {
         self.node_id
     }
 
-    /// Whether end-to-end tracing is on for this engine.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing
-    }
-
     /// The engine's span journal (sampled admissions, migrations,
     /// rebalance decisions, knob retunes).
     pub fn journal(&self) -> &SpanJournal {
         &self.journal
     }
 
-    /// Trace context for one admitted batch, or `None` with tracing
-    /// off. Samples an admission span into the journal.
-    fn make_ctx(&mut self) -> Option<TraceCtx> {
-        if !self.tracing {
-            return None;
-        }
+    /// Trace context for one admitted batch. Samples an admission span
+    /// into the journal.
+    fn make_ctx(&mut self) -> TraceCtx {
         let ctx = TraceCtx::new(self.node_id, self.next_batch);
         self.next_batch += 1;
         if SpanJournal::sample_admit(ctx.batch) {
@@ -866,7 +858,7 @@ impl ShardedEngine {
                 detail: 0,
             });
         }
-        Some(ctx)
+        ctx
     }
 
     pub fn catalog(&self) -> &Arc<Catalog> {
@@ -877,8 +869,8 @@ impl ShardedEngine {
     /// catalog, where the optimizer's
     /// `stream_cost::estimate_plan_calibrated` blends it into the cost
     /// model in place of the static CPU calibration. Returns the rate
-    /// published, or `None` when too little timed work has run (or
-    /// tracing is off) to measure one.
+    /// published, or `None` when too little timed work has run to
+    /// measure one.
     pub fn publish_observed_op_rate(&self) -> Option<f64> {
         let rate = self.telemetry().ops_per_sec_observed()?;
         self.catalog.record_observed_op_rate(rate);
@@ -942,7 +934,7 @@ impl ShardedEngine {
 
     /// Scheduling statistics of the executor (queue depths, admission
     /// stall, tasks executed) — the observability surface the isolation
-    /// tests and the E15 bench read.
+    /// tests and the benchmark read.
     pub fn executor_stats(&self) -> ExecutorStats {
         self.exec.stats()
     }
@@ -1211,16 +1203,11 @@ impl ShardedEngine {
         Ok(Registration::Query(handle))
     }
 
-    /// Resolve SQL through the plan-template cache when enabled: a
-    /// repeat of a known template (same canonical shape, any constants)
-    /// skips parse/bind entirely or pays only parse + substitution.
-    /// With the cache off, every statement takes the full front-end.
+    /// Resolve SQL through the plan-template cache: a repeat of a known
+    /// template (same canonical shape, any constants) skips parse/bind
+    /// entirely or pays only parse + substitution.
     fn resolve_sql(&mut self, sql: &str) -> Result<CachedQuery> {
-        let catalog = Arc::clone(&self.catalog);
-        match self.plan_cache.as_mut() {
-            Some(cache) => cache.resolve(sql, &catalog),
-            None => Ok(CachedQuery::Other(Box::new(bind(&parse(sql)?, &catalog)?))),
-        }
+        self.plan_cache.resolve(sql, &self.catalog)
     }
 
     /// Compile a plan, replay retained state, place the runtime on
@@ -1236,7 +1223,7 @@ impl ShardedEngine {
         auto: bool,
     ) -> Result<QueryHandle> {
         let mut pipeline = Pipeline::compile_with(&plan, &self.state_opts)?;
-        pipeline.timed = self.tracing;
+        pipeline.timed = true;
         if delivery == Delivery::Push {
             Self::check_push_compatible(&pipeline)?;
         }
@@ -1549,7 +1536,7 @@ impl ShardedEngine {
         // failed resume (compile/replay error) leaves the query paused
         // and fully intact rather than half-rebuilt.
         let mut pipeline = Pipeline::compile_with(&plan, &self.state_opts)?;
-        pipeline.timed = self.tracing;
+        pipeline.timed = true;
         let mut sink = pipeline.make_sink();
         pipeline.start(&mut sink)?;
         let sources = pipeline.sources();
@@ -1721,15 +1708,13 @@ impl ShardedEngine {
             self.add_routes(q.0);
         }
         self.migrations += 1;
-        if self.tracing {
-            self.journal.record(Span {
-                at_us: now_us(),
-                node: self.node_id,
-                batch: q.0 .0 as u64,
-                kind: SpanKind::Migrate,
-                detail: to as u64,
-            });
-        }
+        self.journal.record(Span {
+            at_us: now_us(),
+            node: self.node_id,
+            batch: q.0 .0 as u64,
+            kind: SpanKind::Migrate,
+            detail: to as u64,
+        });
         Ok(())
     }
 
@@ -1798,7 +1783,7 @@ impl ShardedEngine {
     /// handle.
     pub fn install_query(&mut self, d: DetachedQuery) -> Result<QueryHandle> {
         let DetachedQuery {
-            mut runtime,
+            runtime,
             plan,
             sources,
             needs_clock,
@@ -1815,9 +1800,6 @@ impl ShardedEngine {
             self.exec.quiesce(self.view_cell())?;
         }
         self.exec.quiesce(shard_idx)?;
-        // The histogram and op profile travel with the runtime; only the
-        // clocking policy follows the recipient's config.
-        runtime.pipeline.timed = self.tracing;
         let applied = runtime.sink.deltas_applied;
         {
             let mut shard = self.shard(shard_idx).lock();
@@ -1878,7 +1860,7 @@ impl ShardedEngine {
             }
         }
         self.rebalancer = Some(ctrl);
-        if self.tracing && !moves.is_empty() {
+        if !moves.is_empty() {
             self.journal.record(Span {
                 at_us: now_us(),
                 node: self.node_id,
@@ -1975,7 +1957,7 @@ impl ShardedEngine {
                 (deltas, self.boundaries, now);
             tuned += 1;
         }
-        if self.tracing && tuned > 0 {
+        if tuned > 0 {
             self.journal.record(Span {
                 at_us: now_us(),
                 node: self.node_id,
@@ -2074,7 +2056,7 @@ impl ShardedEngine {
     /// its backlog without gating its siblings or the next ingest.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
         let trace = self.make_ctx();
-        self.on_batch_traced(source_name, tuples, trace)
+        self.on_batch_traced(source_name, tuples, Some(trace))
     }
 
     /// [`ShardedEngine::on_batch`] with an explicit trace context — the
@@ -2121,7 +2103,7 @@ impl ShardedEngine {
     /// must not leave the engine clock stale.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
         let trace = self.make_ctx();
-        self.on_deltas_traced(source_name, deltas, trace)
+        self.on_deltas_traced(source_name, deltas, Some(trace))
     }
 
     /// [`ShardedEngine::on_deltas`] with an explicit trace context — the
@@ -2300,8 +2282,8 @@ impl ShardedEngine {
 
     /// Census of resident operator state: per-pipeline node instances
     /// and buffered window tuples, with each source log counted exactly
-    /// once. The E16 bench derives its state-reduction factor from the
-    /// shared-vs-private ratio of `window_tuples`.
+    /// once — the shared-vs-private ratio of `window_tuples` is the
+    /// state reduction log sharing buys.
     pub fn resident_state(&self) -> ResidentState {
         self.exec.settle_all();
         let mut out = ResidentState::default();
@@ -2330,10 +2312,11 @@ impl ShardedEngine {
         out
     }
 
-    /// Plan-cache effectiveness counters, or `None` when the cache is
-    /// disabled ([`EngineConfig::plan_cache`]).
+    /// Plan-cache effectiveness counters. Always `Some`: the cache can
+    /// no longer be disabled, and the `Option` stays only because the
+    /// frozen `benchmark/` reads this through `filter_map`.
     pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        self.plan_cache.as_ref().map(PlanCache::stats)
+        Some(self.plan_cache.stats())
     }
 
     /// Current materialization of a named view (drains the view cell
@@ -2380,6 +2363,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Delta;
     use aspen_catalog::{DeviceClass, SourceKind, SourceStats};
     use aspen_types::{DataType, Field, Schema, SimDuration, Value};
 
@@ -2474,43 +2458,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_matches_sequential() {
-        let run = |parallel: bool| -> Vec<Vec<Value>> {
-            let mut e = ShardedEngine::with_config(
-                catalog(),
-                EngineConfig::new().shards(4).parallel_ingest(parallel),
-            );
-            let mut handles = Vec::new();
-            for i in 0..8 {
-                let sql = match i % 3 {
-                    0 => format!("select r.value from Readings r where r.sensor = {i}"),
-                    1 => "select r.sensor, avg(r.value) from Readings r group by r.sensor"
-                        .to_string(),
-                    _ => "select count(*) from Readings r".to_string(),
-                };
-                handles.push(e.register_sql(&sql).unwrap().expect_query());
-            }
-            for i in 0..40 {
-                e.on_batch("Readings", &[reading(i % 8, (i * 3 % 50) as f64, i as u64)])
-                    .unwrap();
-            }
-            e.heartbeat(SimTime::from_secs(60)).unwrap();
-            handles
-                .iter()
-                .flat_map(|&h| {
-                    e.snapshot(h)
-                        .unwrap()
-                        .into_iter()
-                        .map(|t| t.values().to_vec())
-                })
-                .collect()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn on_deltas_advances_clock_and_feeds_shards() {
-        use crate::delta::Delta;
         let mut e = ShardedEngine::new(catalog(), 2);
         let q = e
             .register_sql("select e.src from Edge e")
@@ -2674,46 +2622,60 @@ mod tests {
     #[test]
     fn auto_rebalance_drains_a_hot_shard() {
         use crate::rebalance::RebalanceConfig;
-        // Engine with an eager controller: observe every boundary, act
-        // on the first skewed window.
-        let mut e = ShardedEngine::with_config(
-            catalog(),
-            EngineConfig::new().shards(2).rebalance(RebalanceConfig {
-                threshold: 1.05,
-                patience: 1,
-                max_moves: 4,
-                interval_boundaries: 1,
-                ..Default::default()
-            }),
-        );
-        // Force skew: pile every query onto shard 0.
-        let mut handles = Vec::new();
-        for i in 0..6 {
-            let h = e
-                .register_sql(&format!(
-                    "select r.sensor, avg(r.value) from Readings r where r.sensor < {} \
-                     group by r.sensor",
-                    8 - i
-                ))
-                .unwrap()
-                .expect_query();
-            e.migrate(h, 0).unwrap();
-            handles.push(h);
-        }
-        let forced = e.migration_count();
-        for i in 0..40u64 {
-            e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i)])
-                .unwrap();
-        }
+        // The same forced-skew workload with and without an eager
+        // controller (observe every boundary, act on the first skewed
+        // window). Returns the engine, its handles, and the migration
+        // count right after the forced pile-up.
+        let run = |rebalance: bool| {
+            let mut config = EngineConfig::new().shards(2);
+            if rebalance {
+                config = config.rebalance(RebalanceConfig {
+                    threshold: 1.05,
+                    patience: 1,
+                    max_moves: 4,
+                    interval_boundaries: 1,
+                    ..Default::default()
+                });
+            }
+            let mut e = ShardedEngine::with_config(catalog(), config);
+            // Force skew: pile every query onto shard 0.
+            let mut handles = Vec::new();
+            for i in 0..6 {
+                let h = e
+                    .register_sql(&format!(
+                        "select r.sensor, avg(r.value) from Readings r where r.sensor < {} \
+                         group by r.sensor",
+                        8 - i
+                    ))
+                    .unwrap()
+                    .expect_query();
+                e.migrate(h, 0).unwrap();
+                handles.push(h);
+            }
+            let forced = e.migration_count();
+            for i in 0..40u64 {
+                e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i)])
+                    .unwrap();
+            }
+            (e, handles, forced)
+        };
+        let (on, on_handles, forced) = run(true);
         assert!(
-            e.migration_count() > forced,
+            on.migration_count() > forced,
             "controller never moved a query off the hot shard"
         );
-        let report = e.telemetry();
+        let report = on.telemetry();
         assert!(
             report.shards.iter().all(|s| s.queries > 0),
             "both shards should hold queries after rebalancing: {report:?}"
         );
+        // Without a controller nothing ever moves, and rebalancing
+        // changed no query's result.
+        let (off, off_handles, forced) = run(false);
+        assert_eq!(off.migration_count(), forced);
+        for (&a, &b) in on_handles.iter().zip(&off_handles) {
+            assert_eq!(on.snapshot(a).unwrap(), off.snapshot(b).unwrap());
+        }
     }
 
     #[test]
@@ -3071,15 +3033,11 @@ mod tests {
     }
 
     #[test]
-    fn sharing_and_cache_can_be_disabled() {
+    fn sharing_can_be_disabled() {
         let mut e = ShardedEngine::with_config(
             catalog(),
-            EngineConfig::new()
-                .shards(1)
-                .shared_subplans(false)
-                .plan_cache(false),
+            EngineConfig::new().shards(1).shared_subplans(false),
         );
-        assert!(e.plan_cache_stats().is_none());
         let q1 = e
             .register_sql("select r.value from Readings r")
             .unwrap()
@@ -3247,5 +3205,241 @@ mod tests {
             e.deltas_applied(qh).unwrap(),
             solo.deltas_applied(qs).unwrap()
         );
+    }
+
+    /// An `Edge` table plus a `Temps` device stream on one shard — the
+    /// fixture of the replay / view / display tests below.
+    fn engine() -> ShardedEngine {
+        let cat = Catalog::shared();
+        let edges = Schema::new(vec![
+            Field::new("src", DataType::Text),
+            Field::new("dst", DataType::Text),
+        ])
+        .into_ref();
+        cat.register_source("Edge", edges, SourceKind::Table, SourceStats::table(10))
+            .unwrap();
+        let temps = Schema::new(vec![
+            Field::new("desk", DataType::Int),
+            Field::new("temp", DataType::Float),
+        ])
+        .into_ref();
+        cat.register_source(
+            "Temps",
+            temps,
+            SourceKind::Device(DeviceClass::new(&["temp"], SimDuration::from_secs(10), 4)),
+            SourceStats::stream(0.4),
+        )
+        .unwrap();
+        ShardedEngine::new(cat, 1)
+    }
+
+    fn edge(a: &str, b: &str) -> Tuple {
+        Tuple::new(
+            vec![Value::Text(a.into()), Value::Text(b.into())],
+            SimTime::ZERO,
+        )
+    }
+
+    #[test]
+    fn sql_round_trip_with_heartbeat() {
+        let mut e = engine();
+        let q = e
+            .register_sql("select t.desk from Temps t where t.temp > 90")
+            .unwrap()
+            .expect_query();
+        e.on_batch(
+            "Temps",
+            &[Tuple::new(
+                vec![Value::Int(1), Value::Float(99.0)],
+                SimTime::from_secs(1),
+            )],
+        )
+        .unwrap();
+        assert_eq!(e.snapshot(q).unwrap().len(), 1);
+        e.heartbeat(SimTime::from_secs(20)).unwrap();
+        assert!(e.snapshot(q).unwrap().is_empty());
+        assert_eq!(e.now(), SimTime::from_secs(20));
+    }
+
+    #[test]
+    fn delta_ingest_advances_clock_like_batch_ingest() {
+        // Regression: `on_deltas` used to leave `now()` stale while
+        // `on_batch` advanced it — delta-only workloads then saw no time
+        // pass at all. Both paths share the clock rule now.
+        let mut e = engine();
+        e.on_deltas(
+            "Edge",
+            &DeltaBatch::from(vec![Delta::insert(Tuple::new(
+                vec![Value::Text("a".into()), Value::Text("b".into())],
+                SimTime::from_secs(9),
+            ))]),
+        )
+        .unwrap();
+        assert_eq!(e.now(), SimTime::from_secs(9));
+        // Older deltas never move the clock backwards.
+        e.on_deltas(
+            "Edge",
+            &DeltaBatch::from(vec![Delta::retract(Tuple::new(
+                vec![Value::Text("a".into()), Value::Text("b".into())],
+                SimTime::from_secs(2),
+            ))]),
+        )
+        .unwrap();
+        assert_eq!(e.now(), SimTime::from_secs(9));
+    }
+
+    #[test]
+    fn recursive_view_feeds_downstream_query() {
+        let mut e = engine();
+        e.register_sql(
+            "create recursive view Reach as ( \
+               select e.src, e.dst from Edge e \
+               union \
+               select r.src, e.dst from Reach r, Edge e where r.dst = e.src )",
+        )
+        .unwrap();
+        let q = e
+            .register_sql("select r.dst from Reach r where r.src = 'a'")
+            .unwrap()
+            .expect_query();
+        e.on_batch("Edge", &[edge("a", "b"), edge("b", "c")])
+            .unwrap();
+        let snap = e.snapshot(q).unwrap();
+        let dsts: Vec<_> = snap.iter().map(|t| t.get(0).clone()).collect();
+        assert_eq!(dsts, vec![Value::Text("b".into()), Value::Text("c".into())]);
+        // Delete the b→c edge: a→c must retract downstream too.
+        e.on_deltas(
+            "Edge",
+            &DeltaBatch::from(vec![Delta::retract(edge("b", "c"))]),
+        )
+        .unwrap();
+        let snap = e.snapshot(q).unwrap();
+        assert_eq!(snap.len(), 1);
+    }
+
+    #[test]
+    fn late_query_replays_tables_and_views() {
+        let mut e = engine();
+        e.register_sql(
+            "create recursive view Reach as ( \
+               select e.src, e.dst from Edge e \
+               union \
+               select r.src, e.dst from Reach r, Edge e where r.dst = e.src )",
+        )
+        .unwrap();
+        e.on_batch("Edge", &[edge("a", "b"), edge("b", "c")])
+            .unwrap();
+        // Register AFTER the data arrived.
+        let q = e
+            .register_sql("select r.src, r.dst from Reach r")
+            .unwrap()
+            .expect_query();
+        assert_eq!(e.snapshot(q).unwrap().len(), 3);
+        let q2 = e
+            .register_sql("select e.src from Edge e")
+            .unwrap()
+            .expect_query();
+        assert_eq!(e.snapshot(q2).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn late_self_join_query_replays_table_once() {
+        // `Edge` is scanned under TWO aliases; the retained rows must be
+        // replayed once per source, not once per alias — otherwise every
+        // row appears squared.
+        let mut e = engine();
+        e.on_batch("Edge", &[edge("a", "b"), edge("b", "c")])
+            .unwrap();
+        let q = e
+            .register_sql("select x.src, y.dst from Edge x, Edge y where x.dst = y.src")
+            .unwrap()
+            .expect_query();
+        // Exactly one path a→b→c.
+        let snap = e.snapshot(q).unwrap();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(
+            snap[0].values(),
+            &[Value::Text("a".into()), Value::Text("c".into())]
+        );
+    }
+
+    #[test]
+    fn late_rows_window_query_replays_in_arrival_order() {
+        // A ROWS window is order-sensitive: a query registered after the
+        // data arrived must retain the same (latest-arrived) rows as one
+        // that was live during ingestion.
+        let mut live = engine();
+        let mut late = engine();
+        let rows = [edge("x9", "a"), edge("x1", "b"), edge("x2", "c")];
+        let sql = "select e.src from Edge e [rows 2]";
+        let q_live = live.register_sql(sql).unwrap().expect_query();
+        live.on_batch("Edge", &rows).unwrap();
+        late.on_batch("Edge", &rows).unwrap();
+        let q_late = late.register_sql(sql).unwrap().expect_query();
+        let srcs =
+            |snap: Vec<Tuple>| -> Vec<Value> { snap.iter().map(|t| t.get(0).clone()).collect() };
+        assert_eq!(
+            srcs(live.snapshot(q_live).unwrap()),
+            srcs(late.snapshot(q_late).unwrap())
+        );
+        assert_eq!(
+            srcs(late.snapshot(q_late).unwrap()),
+            vec![Value::Text("x1".into()), Value::Text("x2".into())]
+        );
+    }
+
+    #[test]
+    fn view_registered_after_table_data_seeds_itself() {
+        let mut e = engine();
+        e.on_batch("Edge", &[edge("a", "b"), edge("b", "c")])
+            .unwrap();
+        e.register_sql(
+            "create recursive view Reach as ( \
+               select e.src, e.dst from Edge e \
+               union \
+               select r.src, e.dst from Reach r, Edge e where r.dst = e.src )",
+        )
+        .unwrap();
+        assert_eq!(e.view_snapshot("Reach").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn display_snapshot_routes() {
+        let mut e = engine();
+        let _ = e
+            .register_sql("select t.desk from Temps t output to display 'lobby'")
+            .unwrap()
+            .expect_query();
+        e.on_batch(
+            "Temps",
+            &[Tuple::new(
+                vec![Value::Int(7), Value::Float(50.0)],
+                SimTime::from_secs(1),
+            )],
+        )
+        .unwrap();
+        let views = e.display_snapshot("lobby").unwrap();
+        assert_eq!(views.len(), 1);
+        assert_eq!(views[0].len(), 1);
+        assert!(e.display_snapshot("nowhere").unwrap().is_empty());
+    }
+
+    #[test]
+    fn routing_index_tracks_subscribers() {
+        let mut e = engine();
+        let temps_id = e.catalog().source("Temps").unwrap().id;
+        let edge_id = e.catalog().source("Edge").unwrap().id;
+        assert_eq!(e.subscriber_count(temps_id), 0);
+        e.register_sql("select t.desk from Temps t").unwrap();
+        e.register_sql("select t.temp from Temps t").unwrap();
+        e.register_sql("select e.src from Edge e").unwrap();
+        assert_eq!(e.subscriber_count(temps_id), 2);
+        assert_eq!(e.subscriber_count(edge_id), 1);
+        // Batches to Edge must not grow Temps queries' cost counters.
+        let before = e.total_ops_invoked();
+        e.on_batch("Edge", &[edge("a", "b")]).unwrap();
+        let after = e.total_ops_invoked();
+        // Only the Edge query (one Project node) ran.
+        assert_eq!(after - before, 1);
     }
 }

@@ -11,7 +11,8 @@
 //! [`StateOptions`]:
 //!
 //! * **Row** — the classic `HashMap`-of-`Tuple` layout. Cheap for small
-//!   state, and the baseline the E20 bench compares against.
+//!   state, and the reference the layout-equivalence tests compare
+//!   against.
 //! * **Columnar** (the default) — tuples are decomposed into per-column
 //!   primitive vectors in a `columnar::TupleStore` (dictionary-coded
 //!   text, RLE'd sealed segments), indexed by tuple/key hash. Hot-path
@@ -199,24 +200,21 @@ impl Default for KeyedState {
 }
 
 impl KeyedState {
-    /// Row-layout state (the legacy default for direct construction).
+    /// State in the default layout ([`StateOptions::default`]).
     pub fn new() -> Self {
-        KeyedState {
-            inner: KeyedInner::Row {
+        KeyedState::with_options(&StateOptions::default())
+    }
+
+    pub fn with_options(opts: &StateOptions) -> Self {
+        let inner = match opts.layout {
+            StateLayout::Row => KeyedInner::Row {
                 map: HashMap::new(),
                 live: 0,
                 bytes: 0,
             },
-        }
-    }
-
-    pub fn with_options(opts: &StateOptions) -> Self {
-        match opts.layout {
-            StateLayout::Row => KeyedState::new(),
-            StateLayout::Columnar => KeyedState {
-                inner: KeyedInner::Col(ColumnarKeyedState::new(opts.spill.clone())),
-            },
-        }
+            StateLayout::Columnar => KeyedInner::Col(ColumnarKeyedState::new(opts.spill.clone())),
+        };
+        KeyedState { inner }
     }
 
     /// Apply a signed update; returns the tuple's new multiplicity.
@@ -455,25 +453,22 @@ impl Default for BagState {
 }
 
 impl BagState {
-    /// Row-layout bag (the legacy default for direct construction).
+    /// Bag in the default layout ([`StateOptions::default`]).
     pub fn new() -> Self {
-        BagState {
-            inner: BagInner::Row {
+        BagState::with_options(&StateOptions::default())
+    }
+
+    pub fn with_options(opts: &StateOptions) -> Self {
+        let inner = match opts.layout {
+            StateLayout::Row => BagInner::Row {
                 occurrences: HashMap::new(),
                 debts: HashMap::new(),
                 next_seq: 0,
                 bytes: 0,
             },
-        }
-    }
-
-    pub fn with_options(opts: &StateOptions) -> Self {
-        match opts.layout {
-            StateLayout::Row => BagState::new(),
-            StateLayout::Columnar => BagState {
-                inner: BagInner::Col(ColumnarBag::new(opts.spill.clone())),
-            },
-        }
+            StateLayout::Columnar => BagInner::Col(ColumnarBag::new(opts.spill.clone())),
+        };
+        BagState { inner }
     }
 
     /// Apply a whole batch of signed changes.
@@ -813,12 +808,12 @@ mod tests {
     }
 
     fn both_keyed(test: impl Fn(KeyedState)) {
-        test(KeyedState::new());
+        test(KeyedState::with_options(&StateOptions::row()));
         test(KeyedState::with_options(&StateOptions::columnar()));
     }
 
     fn both_bags(test: impl Fn(BagState)) {
-        test(BagState::new());
+        test(BagState::with_options(&StateOptions::row()));
         test(BagState::with_options(&StateOptions::columnar()));
     }
 
@@ -952,7 +947,7 @@ mod tests {
 
     #[test]
     fn columnar_state_measures_fewer_bytes_than_row_estimate() {
-        let mut row = KeyedState::new();
+        let mut row = KeyedState::with_options(&StateOptions::row());
         let mut col = KeyedState::with_options(&StateOptions::columnar());
         for i in 0..2000i64 {
             let tuple = Tuple::new(

@@ -11,8 +11,7 @@
 //!   (`tuples_in`, `ops_invoked`) and [`crate::sink::Sink`]
 //!   (`deltas_applied`, push-batch count), a shard's in its
 //!   [`ShardMeters`] — so metering adds plain integer adds on paths the
-//!   shard already owns exclusively, never extra synchronization. The
-//!   E14 bench bounds the observation overhead at < 2% of E11.
+//!   shard already owns exclusively, never extra synchronization.
 //! * **Snapshots** ([`TelemetryReport`], built by
 //!   `ShardedEngine::telemetry`) are taken by the coordinator walking
 //!   the shards once. Consumers diff successive reports to get windowed
@@ -258,10 +257,10 @@ impl TelemetryReport {
     /// Diff this report against an earlier one into a [`LoadWindow`]:
     /// per-query ops since `prev`, grouped per shard by *current*
     /// residence. This is the one place windowing semantics live —
-    /// the rebalance controller and the E14 bench both judge skew
-    /// through it. Cumulative counters travel with migrating queries,
-    /// so raw shard-level diffs would credit a mid-window arrival's
-    /// whole history to its destination; the per-query diff does not.
+    /// the rebalance controller judges skew through it. Cumulative
+    /// counters travel with migrating queries, so raw shard-level diffs
+    /// would credit a mid-window arrival's whole history to its
+    /// destination; the per-query diff does not.
     /// Saturating: a pause/resume cycle rebuilds the pipeline and
     /// restarts its counter below the mark — that window reads as
     /// zero, not wrap-around garbage.

@@ -144,9 +144,9 @@ pub struct WindowOp {
 }
 
 impl WindowOp {
-    /// Row-layout window (the legacy default for direct construction).
+    /// Window in the default layout ([`StateOptions::default`]).
     pub fn new(spec: WindowSpec) -> Self {
-        WindowOp::with_options(spec, &StateOptions::row())
+        WindowOp::with_options(spec, &StateOptions::default())
     }
 
     pub fn with_options(spec: WindowSpec, opts: &StateOptions) -> Self {
@@ -854,7 +854,7 @@ mod tests {
             WindowSpec::Range(SimDuration::from_secs(7)),
             WindowSpec::Tumbling(SimDuration::from_secs(5)),
         ] {
-            let mut row = WindowOp::new(spec);
+            let mut row = WindowOp::with_options(spec, &StateOptions::row());
             let mut col = WindowOp::with_options(spec, &opts);
             for i in 0..64u64 {
                 let mut ro = DeltaBatch::new();

@@ -5,7 +5,7 @@
 //! ```
 
 use smartcis::catalog::{Catalog, DeviceClass, SourceKind, SourceStats};
-use smartcis::stream::StreamEngine;
+use smartcis::stream::ShardedEngine;
 use smartcis::types::{DataType, Field, Schema, SimDuration, SimTime, Tuple, Value};
 
 fn main() -> smartcis::types::Result<()> {
@@ -37,7 +37,7 @@ fn main() -> smartcis::types::Result<()> {
 
     // 2. A stream engine and a continuous query: who owns the machines
     //    that are running hot right now?
-    let mut engine = StreamEngine::new(catalog);
+    let mut engine = ShardedEngine::new(catalog, 1);
     engine.on_batch(
         "Machines",
         &[

@@ -15,9 +15,16 @@ use std::sync::Arc;
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
     Cluster, ClusterConfig, Consistency, EngineConfig, QueryHandle, QuerySpec, Registration,
-    ResultSubscription, ShardedEngine,
+    ResultSubscription, Scheduling, ShardedEngine,
 };
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
+
+/// Every node (and the single-node oracle) runs one shard, inline.
+fn inline_node() -> EngineConfig {
+    EngineConfig::new()
+        .shards(1)
+        .scheduling(Scheduling::Sequential)
+}
 
 /// Base seed offset, from `ASPEN_TEST_SEED` (CI sweeps a seed matrix
 /// over the same binary; each value explores disjoint workloads).
@@ -210,10 +217,7 @@ struct Client {
 impl Client {
     fn oracle() -> Client {
         Client {
-            engine: AnyEngine::Single(ShardedEngine::with_config(
-                catalog(),
-                EngineConfig::new().shards(1).parallel_ingest(false),
-            )),
+            engine: AnyEngine::Single(ShardedEngine::with_config(catalog(), inline_node())),
             queries: Vec::new(),
         }
     }
@@ -221,9 +225,7 @@ impl Client {
     fn cluster(nodes: usize) -> Client {
         let mut c = Cluster::new(
             catalog(),
-            ClusterConfig::new()
-                .nodes(nodes)
-                .node_config(EngineConfig::new().shards(1).parallel_ingest(false)),
+            ClusterConfig::new().nodes(nodes).node_config(inline_node()),
         );
         // Pin the wrappers apart so remote subscriptions really cross
         // links (PowerB enters at the far end of the cluster).
@@ -497,17 +499,12 @@ fn hash_partitioned_join_tracks_oracle_under_interleaved_ingest() {
     for seed in seeds(2) {
         for nodes in [2usize, 4] {
             let mut rng = seeded(0x9A54 ^ seed);
-            let mut oracle = ShardedEngine::with_config(
-                catalog(),
-                EngineConfig::new().shards(1).parallel_ingest(false),
-            );
+            let mut oracle = ShardedEngine::with_config(catalog(), inline_node());
             let oq = oracle.register_sql(sql).unwrap().expect_query();
 
             let mut c = Cluster::new(
                 catalog(),
-                ClusterConfig::new()
-                    .nodes(nodes)
-                    .node_config(EngineConfig::new().shards(1).parallel_ingest(false)),
+                ClusterConfig::new().nodes(nodes).node_config(inline_node()),
             );
             let q = c
                 .register_hash_partitioned(sql, &[("PowerA", vec![0]), ("PowerB", vec![0])])
@@ -591,9 +588,7 @@ fn cross_node_traces_conserve_spans_and_charge_remote_histograms() {
     let nodes = 3usize;
     let mut c = Cluster::new(
         catalog(),
-        ClusterConfig::new()
-            .nodes(nodes)
-            .node_config(EngineConfig::new().shards(1).parallel_ingest(false)),
+        ClusterConfig::new().nodes(nodes).node_config(inline_node()),
     );
     // Two PowerA queries (home node 0) and two PowerB queries (home
     // node 1): registration order over the catalog fixes the homes.

@@ -16,7 +16,7 @@ use smartcis::optimizer::optimize;
 use smartcis::sensor::config::LIGHT_THRESHOLD;
 use smartcis::sensor::{Deployment, JoinStrategy, QuerySpec, SensorEngine};
 use smartcis::sql::{bind, parse, BoundQuery};
-use smartcis::stream::StreamEngine;
+use smartcis::stream::ShardedEngine;
 use smartcis::types::{DataType, Field, Schema, SimDuration, Tuple, Value};
 
 /// Machine temperatures for in-use desks, annotated with the machine's
@@ -96,7 +96,7 @@ fn mote_join_feeds_stream_residual_end_to_end() {
 
     // 2. Stream engine runs the residual.
     let exec = plan.register(&cat).unwrap();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     let q = engine.register_plan(&exec).unwrap();
     let machines: Vec<Tuple> = (1..=n_desks as i64)
         .map(|d| {

@@ -1,7 +1,7 @@
 //! Integration: the session-based query lifecycle — registration
 //! through `QuerySpec`, push subscriptions, pause/resume via the replay
 //! path, deregistration unwinding the routing index, and per-client
-//! sessions — at the `StreamEngine` facade and through the SmartCIS
+//! sessions — at the engine and through the SmartCIS
 //! app.
 
 use std::collections::HashMap;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use smartcis::app::{queries, SmartCis};
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::stream::{Delta, DeltaBatch, EngineConfig, QuerySpec, StreamEngine};
+use smartcis::stream::{Delta, DeltaBatch, EngineConfig, QuerySpec, ShardedEngine};
 use smartcis::types::{DataType, Field, Schema, SimDuration, SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
@@ -60,7 +60,7 @@ fn values(rows: &[Tuple]) -> Vec<Vec<Value>> {
 #[test]
 fn deregister_restores_subscriber_counts_and_allows_reregistration() {
     let cat = catalog();
-    let mut e = StreamEngine::with_config(Arc::clone(&cat), EngineConfig::new().shards(4));
+    let mut e = ShardedEngine::with_config(Arc::clone(&cat), EngineConfig::new().shards(4));
     let readings = cat.source("Readings").unwrap().id;
     let facts = cat.source("Facts").unwrap().id;
 
@@ -103,7 +103,7 @@ fn deregister_restores_subscriber_counts_and_allows_reregistration() {
 /// table changes made during the pause are reflected after resume.
 #[test]
 fn paused_query_freezes_then_resumes_with_replayed_state() {
-    let mut e = StreamEngine::with_config(catalog(), EngineConfig::new().shards(2));
+    let mut e = ShardedEngine::with_config(catalog(), EngineConfig::new().shards(2));
     let q = e
         .register_sql("select f.key, f.val from Facts f")
         .unwrap()
@@ -152,7 +152,7 @@ fn paused_query_freezes_then_resumes_with_replayed_state() {
 /// always reconstruct the polled snapshot.
 #[test]
 fn push_subscription_survives_pause_resume_with_catchup_diff() {
-    let mut e = StreamEngine::new(catalog());
+    let mut e = ShardedEngine::new(catalog(), 1);
     let q = e
         .register(QuerySpec::sql("select f.key from Facts f").push())
         .unwrap()
@@ -195,7 +195,7 @@ fn push_subscription_survives_pause_resume_with_catchup_diff() {
 #[test]
 fn micro_batch_knobs_coalesce_and_chunk_push_delivery() {
     let run = |spec: QuerySpec| -> (u64, usize, Vec<usize>) {
-        let mut e = StreamEngine::new(catalog());
+        let mut e = ShardedEngine::new(catalog(), 1);
         let q = e.register(spec).unwrap().expect_query();
         let sub = e.subscribe(q).unwrap();
         // Ten boundaries of churn inside one 10 s window: same fact
@@ -240,7 +240,7 @@ fn micro_batch_knobs_coalesce_and_chunk_push_delivery() {
 /// and nothing panics afterwards.
 #[test]
 fn failed_resume_leaves_query_paused_and_readable() {
-    let mut e = StreamEngine::new(catalog());
+    let mut e = ShardedEngine::new(catalog(), 1);
     let q = e
         .register_sql("select f.key from Facts f where f.val > 0")
         .unwrap()
@@ -271,7 +271,7 @@ fn failed_resume_leaves_query_paused_and_readable() {
 /// than silently break the accumulate-equals-poll contract.
 #[test]
 fn limit_queries_reject_push_delivery() {
-    let mut e = StreamEngine::new(catalog());
+    let mut e = ShardedEngine::new(catalog(), 1);
     let sql = "select f.key, f.val from Facts f order by f.val desc limit 2";
     assert!(e.register(QuerySpec::sql(sql).push()).is_err());
     // Poll registration is fine; subscribing to it later is not.
@@ -295,7 +295,7 @@ fn limit_queries_reject_push_delivery() {
 /// View specs reject query-only features instead of dropping them.
 #[test]
 fn view_spec_rejects_push_and_knobs() {
-    let mut e = StreamEngine::new(catalog());
+    let mut e = ShardedEngine::new(catalog(), 1);
     let view_sql = "create recursive view Chain as ( \
                     select f.key, f.val from Facts f \
                     union \
@@ -313,7 +313,7 @@ fn view_spec_rejects_push_and_knobs() {
 /// the current snapshot, keeping accumulate == poll from that point on.
 #[test]
 fn late_subscription_starts_from_snapshot() {
-    let mut e = StreamEngine::new(catalog());
+    let mut e = ShardedEngine::new(catalog(), 1);
     let q = e
         .register_sql("select f.key from Facts f")
         .unwrap()

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
-    Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling, ShardedEngine, StreamEngine,
+    Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling, ShardedEngine,
 };
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
@@ -123,7 +123,7 @@ fn shard_count_invariance_property() {
         }
 
         let cat = catalog();
-        let mut baseline = StreamEngine::new(Arc::clone(&cat));
+        let mut baseline = ShardedEngine::new(Arc::clone(&cat), 1);
         let mut sharded: Vec<ShardedEngine> = [1usize, 2, 4]
             .into_iter()
             .map(|n| ShardedEngine::new(Arc::clone(&cat), n))
@@ -616,7 +616,9 @@ fn deterministic_scheduling_matches_sequential_under_full_churn() {
             ));
             let mut seq = Client::with_engine(ShardedEngine::with_config(
                 catalog(),
-                EngineConfig::new().shards(shards).parallel_ingest(false),
+                EngineConfig::new()
+                    .shards(shards)
+                    .scheduling(Scheduling::Sequential),
             ));
             for sql in PLANS {
                 det.register(sql);
@@ -1161,15 +1163,16 @@ fn shared_subplan_churn_matches_private_execution() {
     }
 }
 
-/// The pool path must agree with the sequential loop — same shards,
-/// same slices, same results. The mode is fixed at construction via
-/// `EngineConfig`.
+/// Every scheduling mode — the inline sequential loop, the worker pool,
+/// and a seeded deterministic interleaving — must produce the same
+/// results: same shards, same slices, same snapshots. The mode is fixed
+/// at construction via `EngineConfig`.
 #[test]
 fn parallel_fan_out_matches_sequential() {
-    let run = |parallel: bool| -> Vec<Vec<Vec<Value>>> {
+    let run = |scheduling: Scheduling| -> Vec<Vec<Vec<Value>>> {
         let mut e = ShardedEngine::with_config(
             catalog(),
-            EngineConfig::new().shards(4).parallel_ingest(parallel),
+            EngineConfig::new().shards(4).scheduling(scheduling),
         );
         let handles: Vec<_> = PLANS
             .iter()
@@ -1190,7 +1193,113 @@ fn parallel_fan_out_matches_sequential() {
             .map(|&h| value_rows(&e.snapshot(h).unwrap()))
             .collect()
     };
-    assert_eq!(run(false), run(true));
+    let sequential = run(Scheduling::Sequential);
+    assert_eq!(sequential, run(Scheduling::Pool));
+    assert_eq!(
+        sequential,
+        run(Scheduling::Deterministic(0x5EED ^ seed_base()))
+    );
+}
+
+/// The plan cache has no off switch; its oracle is the path that never
+/// touches it. For dashboard-style templates at several constants each,
+/// `register_sql` (a miss, then template hits, then an exact hit) and
+/// `register_plan` of the freshly parsed-and-bound statement must yield
+/// equal snapshots after the same seeded ingest and heartbeats.
+#[test]
+fn cached_registration_matches_direct_bind() {
+    use rand::Rng;
+    use smartcis::sql::{compile, BoundQuery};
+    use smartcis::types::rng::seeded;
+
+    // `{c}` is the template's constant.
+    let templates = [
+        "select r.sensor, r.value from Readings r [range 20 seconds] where r.value > {c}",
+        "select r.value from Readings r [range 20 seconds] where r.sensor = {c}",
+        "select r.sensor, avg(r.value) from Readings r [range 20 seconds] \
+         where r.value < {c} group by r.sensor",
+        "select r.sensor, count(*) from Readings r [range 20 seconds] \
+         where r.value > {c} group by r.sensor",
+        "select count(*) from Readings r [range 20 seconds] where r.value < {c}",
+        "select r.sensor, r.value from Readings r [range 20 seconds] \
+         where r.value > {c} order by r.value desc limit 5",
+    ];
+    let constants = ["1", "3", "40", "75"];
+    // Every template at every constant, then the first constant again
+    // (the exact-tier repeat).
+    let sqls: Vec<String> = templates
+        .iter()
+        .flat_map(|t| {
+            constants
+                .iter()
+                .chain(&constants[..1])
+                .map(move |c| t.replace("{c}", c))
+        })
+        .collect();
+
+    for seed in seeds(3) {
+        let mut cached = ShardedEngine::new(catalog(), 2);
+        let direct_cat = catalog();
+        let mut direct = ShardedEngine::new(Arc::clone(&direct_cat), 2);
+        let handles: Vec<(QueryHandle, QueryHandle)> = sqls
+            .iter()
+            .map(|sql| {
+                let BoundQuery::Select(bound) = compile(sql, &direct_cat).unwrap() else {
+                    panic!("{sql} is a select");
+                };
+                (
+                    cached.register_sql(sql).unwrap().expect_query(),
+                    direct.register_plan(&bound.plan).unwrap(),
+                )
+            })
+            .collect();
+        let stats = cached.plan_cache_stats().unwrap();
+        assert_eq!(stats.misses, templates.len() as u64);
+        assert_eq!(
+            stats.template_hits,
+            (templates.len() * (constants.len() - 1)) as u64
+        );
+        assert_eq!(stats.exact_hits, templates.len() as u64);
+        let untouched = direct.plan_cache_stats().unwrap();
+        assert_eq!(
+            (
+                untouched.misses,
+                untouched.template_hits,
+                untouched.exact_hits
+            ),
+            (0, 0, 0),
+            "register_plan must bypass the cache"
+        );
+
+        let mut rng = seeded(0xCAC4E ^ seed);
+        let mut now = 0u64;
+        for step in 0..40 {
+            let batch: Vec<Tuple> = (0..rng.gen_range(1..8usize))
+                .map(|_| {
+                    reading(
+                        rng.gen_range(0..4i64),
+                        rng.gen_range(0..100i64) as f64,
+                        now + rng.gen_range(0..2u64),
+                    )
+                })
+                .collect();
+            cached.on_batch("Readings", &batch).unwrap();
+            direct.on_batch("Readings", &batch).unwrap();
+            now += 1;
+            if rng.gen_bool(0.3) {
+                now += rng.gen_range(1..15u64);
+                cached.heartbeat(SimTime::from_secs(now)).unwrap();
+                direct.heartbeat(SimTime::from_secs(now)).unwrap();
+            }
+            for (sql, &(c, d)) in sqls.iter().zip(&handles) {
+                assert_eq!(
+                    value_rows(&cached.snapshot(c).unwrap()),
+                    value_rows(&direct.snapshot(d).unwrap()),
+                    "seed {seed}, step {step}: {sql}"
+                );
+            }
+        }
+    }
 }
 
 /// The big-state plan mix for the columnar-layout properties: wide ROWS

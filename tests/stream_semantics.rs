@@ -1,14 +1,11 @@
 //! Integration: stream-engine semantics across crates — tumbling and
 //! row-count windows through full SQL pipelines, batch/per-tuple
-//! equivalence of the delta dataflow, distributed placement accounting,
-//! and display routing.
+//! equivalence of the delta dataflow, and display routing.
 
 use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::sql::{compile, BoundQuery};
-use smartcis::stream::distributed::{DistributedQuery, LanModel};
-use smartcis::stream::StreamEngine;
+use smartcis::stream::ShardedEngine;
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
@@ -38,7 +35,7 @@ fn reading(sensor: i64, value: f64, sec: u64) -> Tuple {
 #[test]
 fn tumbling_window_aggregate_resets_per_pane() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     let q = engine
         .register_sql("select sum(r.value) from Readings r [tumbling 10 seconds]")
         .unwrap()
@@ -68,7 +65,7 @@ fn tumbling_window_aggregate_resets_per_pane() {
 #[test]
 fn rows_window_keeps_exactly_n() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     let q = engine
         .register_sql("select r.sensor, r.value from Readings r [rows 3]")
         .unwrap()
@@ -143,8 +140,8 @@ fn batched_pipeline_equivalent_to_per_tuple() {
 
         for sql in plans {
             let cat = catalog();
-            let mut batched = StreamEngine::new(Arc::clone(&cat));
-            let mut per_tuple = StreamEngine::new(Arc::clone(&cat));
+            let mut batched = ShardedEngine::new(Arc::clone(&cat), 1);
+            let mut per_tuple = ShardedEngine::new(Arc::clone(&cat), 1);
             let qb = batched.register_sql(sql).unwrap().expect_query();
             let qp = per_tuple.register_sql(sql).unwrap().expect_query();
 
@@ -196,11 +193,11 @@ fn late_rows_replay_with_duplicate_rows() {
     let rows = [row(7), row(1), row(7), row(2)];
     let sql = "select t.v from T t [rows 2]";
 
-    let mut live = StreamEngine::new(Arc::clone(&cat));
+    let mut live = ShardedEngine::new(Arc::clone(&cat), 1);
     let q_live = live.register_sql(sql).unwrap().expect_query();
     live.on_batch("T", &rows).unwrap();
 
-    let mut late = StreamEngine::new(Arc::clone(&cat));
+    let mut late = ShardedEngine::new(Arc::clone(&cat), 1);
     late.on_batch("T", &rows).unwrap();
     let q_late = late.register_sql(sql).unwrap().expect_query();
 
@@ -220,7 +217,7 @@ fn delta_only_ingest_advances_engine_clock() {
     let s = Schema::new(vec![Field::new("v", DataType::Int)]).into_ref();
     cat.register_source("T", s, SourceKind::Table, SourceStats::table(10))
         .unwrap();
-    let mut engine = StreamEngine::new(cat);
+    let mut engine = ShardedEngine::new(cat, 1);
     assert_eq!(engine.now(), SimTime::ZERO);
     let row = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(42));
     engine
@@ -240,7 +237,7 @@ fn delta_only_ingest_advances_engine_clock() {
 #[test]
 fn heartbeat_expires_time_windowed_view_state() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     // Stream scans default to a 30 s range window: the view is
     // clock-sensitive even without an explicit window clause.
     engine
@@ -273,43 +270,9 @@ fn heartbeat_expires_time_windowed_view_state() {
 }
 
 #[test]
-fn distributed_query_accounts_lan_traffic() {
-    let cat = catalog();
-    let BoundQuery::Select(b) = compile(
-        "select r.sensor, avg(r.value) from Readings r group by r.sensor",
-        &cat,
-    )
-    .unwrap() else {
-        panic!()
-    };
-    let mut dq = DistributedQuery::new(&b.plan, LanModel::default(), "server-1").unwrap();
-    let src = cat.source("Readings").unwrap().id;
-    // Remote wrapper host: every batch pays a LAN hop.
-    dq.place_source(src, "wrapper-host");
-    let mut total_ship = smartcis::types::SimDuration::ZERO;
-    for i in 0..20 {
-        let ship = dq.push(src, &[reading(i % 4, i as f64, i as u64)]).unwrap();
-        total_ship = total_ship + ship;
-    }
-    assert_eq!(dq.stats.batches, 20);
-    assert_eq!(dq.stats.tuples, 20);
-    assert!(dq.stats.bytes > 0);
-    assert!(total_ship.as_micros() >= 20 * 200); // ≥ base latency each
-    assert_eq!(dq.stats.total_latency, total_ship);
-    // Results are unaffected by the accounting.
-    assert_eq!(dq.snapshot().unwrap().len(), 4);
-
-    // A co-located source pays nothing.
-    let mut local = DistributedQuery::new(&b.plan, LanModel::default(), "server-1").unwrap();
-    local.place_source(src, "server-1");
-    local.push(src, &[reading(0, 1.0, 1)]).unwrap();
-    assert_eq!(local.stats.batches, 0);
-}
-
-#[test]
 fn multiple_displays_receive_their_own_queries() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     engine
         .register_sql("select r.value from Readings r where r.value > 50 output to display 'lobby'")
         .unwrap();
@@ -329,7 +292,7 @@ fn multiple_displays_receive_their_own_queries() {
 #[test]
 fn having_filters_groups_continuously() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     let q = engine
         .register_sql(
             "select r.sensor, count(*) from Readings r \
@@ -363,7 +326,7 @@ fn having_filters_groups_continuously() {
 #[test]
 fn arithmetic_and_scalar_functions_in_projection() {
     let cat = catalog();
-    let mut engine = StreamEngine::new(Arc::clone(&cat));
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
     let q = engine
         .register_sql(
             "select r.sensor, abs(r.value - 70) as delta from Readings r \
