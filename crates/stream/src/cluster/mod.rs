@@ -18,13 +18,15 @@
 //!
 //! [`Cluster`] is the coordinator: it owns the global catalog, the
 //! source→home map, and the global query table, and speaks the same
-//! [`QuerySpec`]/[`Registration`] front-end as a single engine. Query
-//! handles returned here live in the *cluster's* id namespace; the
-//! coordinator maps them to `(node, local handle)` pairs. A
-//! registration binds SQL at the coordinator and places the bound plan
-//! on the node hinted by [`QuerySpec::on_node`], else on the node
-//! homing the most of its scanned stream sources (view-scanning
-//! queries are pinned to node 0, where view runtimes live).
+//! [`QuerySpec`]/[`Registration`] front end as a single engine — the
+//! same code, not a copy: it owns a [`crate::session`] `FrontEnd` (plan
+//! cache + session table) exactly as each node does. Query handles
+//! returned here live in the *cluster's* id namespace; the coordinator
+//! maps them to `(node, local handle)` pairs. A registration resolves
+//! its SQL at the coordinator and places the bound plan on the node
+//! hinted by [`QuerySpec::on_node`], else on the node homing the most
+//! of its scanned stream sources (view-scanning queries are pinned to
+//! node 0, where view runtimes live).
 //!
 //! ## Ingest routing
 //!
@@ -41,11 +43,12 @@
 //! ## Cross-node live migration
 //!
 //! [`Cluster::migrate`] generalizes intra-engine shard migration
-//! across nodes: the donor engine *extracts* the live runtime —
-//! window state, sink ledger, push subscription, log cursors
-//! already demoted to private windows — and the recipient installs
-//! it through the same attach path a resume uses, with no replay and
-//! no snapshot discontinuity. The handoff is charged as a control
+//! across nodes: the recipient drains first (its one fallible step),
+//! then the donor engine *extracts* the live runtime — window state,
+//! sink ledger, push subscription, log cursors already demoted to
+//! private windows — and the recipient routes it in exactly as a
+//! shard-to-shard move does, with no replay and no snapshot
+//! discontinuity. The handoff is charged as a control
 //! frame on the donor→recipient link. A cluster-level
 //! [`RebalanceController`] can drive this automatically from the
 //! per-node [`TelemetryReport`] assembled by
@@ -59,16 +62,16 @@ use std::sync::Arc;
 
 use aspen_catalog::{Catalog, SourceKind};
 use aspen_netsim::frames::{decode_frame, encode_frame, WireFrame};
-use aspen_sql::{bind, parse, BoundQuery};
+use aspen_optimizer::PlanCacheStats;
 use aspen_types::{AspenError, QueryId, Result, SimTime, SourceId, Tuple};
 
 use crate::delta::DeltaBatch;
 use crate::rebalance::{RebalanceConfig, RebalanceController};
 use crate::session::{
-    Consistency, Delivery, EngineConfig, QuerySpec, QueryText, Registration, ResultSubscription,
-    SessionId,
+    BoundSpec, Consistency, EngineConfig, FrontEnd, QuerySpec, Registration, Resolved,
+    ResultSubscription, SessionId,
 };
-use crate::shard::{QueryHandle, ShardedEngine};
+use crate::shard::{Admission, QueryHandle, ShardedEngine};
 use crate::telemetry::TelemetryReport;
 use crate::trace::{now_us, LatencyHistogram, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 
@@ -76,17 +79,6 @@ pub use link::{LanModel, WireStats};
 
 /// Control-frame opcode: a live query runtime moved between nodes.
 const CTRL_MIGRATE: u8 = 1;
-
-/// How a shipped frame re-enters the receiving node: as a source batch
-/// (windowed at the remote scan, like `on_batch` at the home) or as a
-/// signed delta ingest (window-bypassing, like `on_deltas`). Carried
-/// out-of-band by [`Cluster::ship`] so the remote admission path always
-/// mirrors the home's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Admission {
-    Batch,
-    Deltas,
-}
 
 /// Construction-time shape of a [`Cluster`]: node count, the config
 /// every node engine is built from, the link model, and (optionally)
@@ -183,8 +175,9 @@ pub struct Cluster {
     /// Global registration order (snapshot/report stability).
     order: Vec<QueryId>,
     next_query: u32,
-    sessions: HashMap<SessionId, Vec<QueryId>>,
-    next_session: u32,
+    /// SQL resolution (plan-template cache) and the session table — the
+    /// same front end every node owns.
+    front: FrontEnd,
     groups: HashMap<usize, HashGroup>,
     next_group: usize,
     /// Sources whose ingest is hash-scattered, and to which group.
@@ -229,8 +222,7 @@ impl Cluster {
             queries: HashMap::new(),
             order: Vec::new(),
             next_query: 0,
-            sessions: HashMap::new(),
-            next_session: 0,
+            front: FrontEnd::default(),
             groups: HashMap::new(),
             next_group: 0,
             exchanged: HashMap::new(),
@@ -296,23 +288,16 @@ impl Cluster {
     // -----------------------------------------------------------------
 
     pub fn open_session(&mut self) -> SessionId {
-        let sid = SessionId(self.next_session);
-        self.next_session += 1;
-        self.sessions.insert(sid, Vec::new());
-        sid
+        self.front.open_session()
     }
 
     /// Retire every query the session still owns; returns how many.
     pub fn close_session(&mut self, session: SessionId) -> Result<usize> {
-        let qids = self
-            .sessions
-            .remove(&session)
-            .ok_or_else(|| AspenError::InvalidArgument(format!("unknown session {session}")))?;
-        let n = qids.len();
-        for qid in qids {
+        let qids = self.front.close_session(session)?;
+        for &qid in &qids {
             self.deregister(QueryHandle(qid))?;
         }
-        Ok(n)
+        Ok(qids.len())
     }
 
     pub fn register(&mut self, spec: QuerySpec) -> Result<Registration> {
@@ -320,11 +305,6 @@ impl Cluster {
     }
 
     pub fn register_in(&mut self, session: SessionId, spec: QuerySpec) -> Result<Registration> {
-        if !self.sessions.contains_key(&session) {
-            return Err(AspenError::InvalidArgument(format!(
-                "unknown session {session}"
-            )));
-        }
         self.do_register(Some(session), spec)
     }
 
@@ -332,48 +312,32 @@ impl Cluster {
         self.register(QuerySpec::sql(sql))
     }
 
+    /// Plan-cache effectiveness counters of the coordinator's front end
+    /// (nodes receive bound plans, so their own caches stay cold).
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.front.plan_cache_stats()
+    }
+
     fn do_register(&mut self, session: Option<SessionId>, spec: QuerySpec) -> Result<Registration> {
-        let QuerySpec {
-            text,
-            delivery,
-            max_batch,
-            max_delay,
-            auto,
-            node,
-        } = spec;
-        // Bind at the coordinator: the catalog is global, so the plan
+        // Resolve at the coordinator: the catalog is global, so the plan
         // is the same wherever the runtime lands.
-        let plan = match text {
-            QueryText::Plan(plan) => plan,
-            QueryText::Sql(sql) => match bind(&parse(&sql)?, &self.catalog)? {
-                BoundQuery::Select(b) => b.plan,
-                BoundQuery::View(v) => {
-                    if delivery == Delivery::Push
-                        || max_batch.is_some()
-                        || max_delay.is_some()
-                        || auto
-                    {
-                        return Err(AspenError::InvalidArgument(format!(
-                            "view '{}' cannot take push delivery or micro-batch knobs; \
-                             they apply to continuous queries only",
-                            v.name
-                        )));
-                    }
-                    // Views are shared infrastructure: their runtime
-                    // lives on node 0 and their output deltas fan out
-                    // from there. All ingest routes to node 0 while
-                    // any view is live (see `ingest_targets`).
-                    let src = self.nodes[0].register_view(&v)?;
-                    self.views += 1;
-                    return Ok(Registration::View(src));
-                }
-            },
+        let bound = match self.front.resolve(session, spec, &self.catalog)? {
+            Resolved::Query(bound) => bound,
+            Resolved::View(v) => {
+                // Views are shared infrastructure: their runtime lives
+                // on node 0 and their output deltas fan out from there.
+                // All ingest routes to node 0 while any view is live
+                // (see `ingest_targets`).
+                let src = self.nodes[0].register_view(&v)?;
+                self.views += 1;
+                return Ok(Registration::View(src));
+            }
         };
 
         let mut sources = Vec::new();
         let mut stream_sources = Vec::new();
         let mut scans_view = false;
-        for rel in plan.scans() {
+        for rel in bound.plan.scans() {
             if self.exchanged.contains_key(&rel.meta.id) {
                 return Err(AspenError::InvalidArgument(format!(
                     "source '{}' is hash-exchanged across the cluster; only its \
@@ -390,7 +354,7 @@ impl Cluster {
             }
         }
 
-        let target = match node {
+        let target = match bound.node {
             Some(n) if n >= self.nodes.len() => {
                 return Err(AspenError::InvalidArgument(format!(
                     "placement hint node {n} out of range (cluster has {})",
@@ -423,33 +387,25 @@ impl Cluster {
             }
         };
 
-        let mut node_spec = QuerySpec::plan(plan);
-        node_spec.delivery = delivery;
-        node_spec.max_batch = max_batch;
-        node_spec.max_delay = max_delay;
-        node_spec.auto = auto;
-        let local = self.nodes[target].register(node_spec)?.expect_query();
+        let local = self.nodes[target].place(None, bound)?;
+        Ok(Registration::Query(self.record(ClusterQuery {
+            node: target,
+            local,
+            sources,
+            group: None,
+            session,
+        })))
+    }
 
+    /// Enter a placed query into the coordinator's tables under the next
+    /// cluster-wide id.
+    fn record(&mut self, cq: ClusterQuery) -> QueryHandle {
         let qid = QueryId(self.next_query);
         self.next_query += 1;
-        self.queries.insert(
-            qid,
-            ClusterQuery {
-                node: target,
-                local,
-                sources,
-                group: None,
-                session,
-            },
-        );
+        self.front.enroll(cq.session, qid);
+        self.queries.insert(qid, cq);
         self.order.push(qid);
-        if let Some(sid) = session {
-            self.sessions
-                .get_mut(&sid)
-                .expect("session validated by caller")
-                .push(qid);
-        }
-        Ok(Registration::Query(QueryHandle(qid)))
+        QueryHandle(qid)
     }
 
     /// Register the same continuous plan on *every* node, fed by
@@ -468,12 +424,15 @@ impl Cluster {
         sql: &str,
         keys: &[(&str, Vec<usize>)],
     ) -> Result<QueryHandle> {
-        let BoundQuery::Select(b) = bind(&parse(sql)?, &self.catalog)? else {
+        let Resolved::Query(bound) =
+            self.front
+                .resolve(None, QuerySpec::sql(sql), &self.catalog)?
+        else {
             return Err(AspenError::InvalidArgument(
                 "hash-partitioned registration takes a continuous SELECT".into(),
             ));
         };
-        let plan = b.plan;
+        let plan = bound.plan;
         let mut key_map: HashMap<SourceId, Vec<usize>> = HashMap::new();
         for (name, cols) in keys {
             let meta = self.catalog.source(name)?;
@@ -518,7 +477,11 @@ impl Cluster {
 
         let mut members = Vec::with_capacity(self.nodes.len());
         for node in &mut self.nodes {
-            members.push(node.register(QuerySpec::plan(plan.clone()))?.expect_query());
+            let member = BoundSpec {
+                plan: Arc::clone(&plan),
+                ..bound
+            };
+            members.push(node.place(None, member)?);
         }
         let gid = self.next_group;
         self.next_group += 1;
@@ -532,20 +495,13 @@ impl Cluster {
                 keys: key_map,
             },
         );
-        let qid = QueryId(self.next_query);
-        self.next_query += 1;
-        self.queries.insert(
-            qid,
-            ClusterQuery {
-                node: 0,
-                local: members[0],
-                sources,
-                group: Some(gid),
-                session: None,
-            },
-        );
-        self.order.push(qid);
-        Ok(QueryHandle(qid))
+        Ok(self.record(ClusterQuery {
+            node: 0,
+            local: members[0],
+            sources,
+            group: Some(gid),
+            session: None,
+        }))
     }
 
     fn cluster_query(&self, q: QueryHandle) -> Result<&ClusterQuery> {
@@ -554,7 +510,8 @@ impl Cluster {
             .ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))
     }
 
-    fn unpinned(&self, q: QueryHandle, op: &str) -> Result<&ClusterQuery> {
+    /// Where an unpinned query lives: `(node, local handle)`.
+    fn unpinned(&self, q: QueryHandle, op: &str) -> Result<(usize, QueryHandle)> {
         let cq = self.cluster_query(q)?;
         if cq.group.is_some() {
             return Err(AspenError::InvalidArgument(format!(
@@ -562,20 +519,14 @@ impl Cluster {
                 q.0
             )));
         }
-        Ok(cq)
+        Ok((cq.node, cq.local))
     }
 
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
-        let cq = self
-            .queries
-            .remove(&q.0)
-            .ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))?;
+        self.cluster_query(q)?;
+        let cq = self.queries.remove(&q.0).expect("checked above");
         self.order.retain(|&qid| qid != q.0);
-        if let Some(sid) = cq.session {
-            if let Some(qids) = self.sessions.get_mut(&sid) {
-                qids.retain(|&qid| qid != q.0);
-            }
-        }
+        self.front.leave(cq.session, q.0);
         match cq.group {
             None => self.nodes[cq.node].deregister(cq.local),
             Some(gid) => {
@@ -590,22 +541,19 @@ impl Cluster {
     }
 
     pub fn pause(&mut self, q: QueryHandle) -> Result<()> {
-        let cq = self.unpinned(q, "pause")?;
-        let (node, local) = (cq.node, cq.local);
+        let (node, local) = self.unpinned(q, "pause")?;
         self.nodes[node].pause(local)
     }
 
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
-        let cq = self.unpinned(q, "resume")?;
-        let (node, local) = (cq.node, cq.local);
+        let (node, local) = self.unpinned(q, "resume")?;
         self.nodes[node].resume(local)
     }
 
     /// Attach push delivery; the subscription rides the sink and so
     /// survives cross-node migration untouched.
     pub fn subscribe(&mut self, q: QueryHandle) -> Result<ResultSubscription> {
-        let cq = self.unpinned(q, "subscribe")?;
-        let (node, local) = (cq.node, cq.local);
+        let (node, local) = self.unpinned(q, "subscribe")?;
         self.nodes[node].subscribe(local)
     }
 
@@ -722,11 +670,13 @@ impl Cluster {
     /// Move a live query between nodes with no replay: the donor
     /// extracts the runtime (demoting its log cursors to private
     /// windows first, exactly as intra-engine migration does),
-    /// the recipient installs it through the resume-attach path, and
-    /// the handoff is charged as a control frame on the link. Window
-    /// contents, the sink's result ledger, and an attached push
-    /// subscription move wholesale — snapshots, push accumulation,
-    /// and total ops are unchanged by the move.
+    /// the recipient routes it in, and the handoff is charged as a
+    /// control frame on the link. Window contents, the sink's result
+    /// ledger, and an attached push subscription move wholesale —
+    /// snapshots, push accumulation, and total ops are unchanged by the
+    /// move. Both fallible drains run before the donor lifts anything
+    /// and landing cannot fail, so a migration that returns `Err` left
+    /// the query registered, on the donor, untouched.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         if to >= self.nodes.len() {
             return Err(AspenError::InvalidArgument(format!(
@@ -734,13 +684,13 @@ impl Cluster {
                 self.nodes.len()
             )));
         }
-        let cq = self.unpinned(q, "cross-node migration")?;
-        let (from, local) = (cq.node, cq.local);
+        let (from, local) = self.unpinned(q, "cross-node migration")?;
         if from == to {
             return Ok(());
         }
+        self.nodes[to].drain_for_install()?;
         let detached = self.nodes[from].extract_query(local)?;
-        let new_local = self.nodes[to].install_query(detached)?;
+        let new_local = self.nodes[to].install_query(detached);
         let frame = WireFrame::Control {
             op: CTRL_MIGRATE,
             args: vec![u64::from(q.0 .0), from as u64, to as u64],
@@ -767,25 +717,11 @@ impl Cluster {
         let Some(mut ctrl) = self.rebalancer.take() else {
             return 0;
         };
-        let moves = ctrl.observe(&self.cluster_report());
-        let mut applied = 0;
-        let planned = moves.len();
-        for m in moves {
-            // The report omits pinned queries, but a plan can still be
-            // stale (the query deregistered since); skip, don't fail.
-            if self.migrate(QueryHandle(m.query), m.to).is_ok() {
-                applied += 1;
-            }
-        }
+        let report = self.cluster_report();
+        let (applied, span) = ctrl.round(&report, 0, |q, to| self.migrate(q, to));
         self.rebalancer = Some(ctrl);
-        if planned > 0 {
-            self.journal.record(Span {
-                at_us: now_us(),
-                node: 0,
-                batch: 0,
-                kind: SpanKind::Rebalance,
-                detail: applied as u64,
-            });
+        if let Some(span) = span {
+            self.journal.record(span);
         }
         applied
     }
@@ -798,98 +734,66 @@ impl Cluster {
     /// delivery at the home, wire-framed exchange to every other node
     /// that needs it (see the module docs for the routing policy).
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
-        let meta = self.catalog.source(source_name)?;
-        if let Some(&gid) = self.exchanged.get(&meta.id) {
-            let keys = self.groups[&gid].keys[&meta.id].clone();
-            let home = self.home_of(meta.id);
-            let trace = self.make_ctx(home);
-            let shares = exchange::partition(tuples, &keys, self.nodes.len());
-            for (to, share) in shares.iter().enumerate() {
-                if share.is_empty() {
-                    continue;
-                }
-                if to == home {
-                    self.nodes[home].on_batch_traced(source_name, share, Some(trace))?;
-                } else {
-                    self.ship(
-                        source_name,
-                        home,
-                        to,
-                        exchange::egress_batch(meta.id, share),
-                        Admission::Batch,
-                        trace,
-                    )?;
-                }
-            }
-            return self.finish_boundary();
-        }
-        let home = self.home_of(meta.id);
-        let trace = self.make_ctx(home);
-        for to in self.ingest_targets(meta.id, &meta.kind, home) {
-            if to == home {
-                self.nodes[home].on_batch_traced(source_name, tuples, Some(trace))?;
-            } else {
-                self.ship(
-                    source_name,
-                    home,
-                    to,
-                    exchange::egress_batch(meta.id, tuples),
-                    Admission::Batch,
-                    trace,
-                )?;
-            }
-        }
-        self.finish_boundary()
+        self.ingest(source_name, Admission::Batch(tuples))
     }
 
     /// Signed-delta ingest (the retraction-capable path), routed the
     /// same way as [`Cluster::on_batch`].
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
+        self.ingest(source_name, Admission::Deltas(deltas))
+    }
+
+    /// The one routing function behind both ingest calls: the whole
+    /// payload to each of [`Cluster::ingest_targets`], or — for an
+    /// exchanged source — a hash-scattered share to each node whose
+    /// share is non-empty.
+    fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
-        if let Some(&gid) = self.exchanged.get(&meta.id) {
-            let keys = self.groups[&gid].keys[&meta.id].clone();
-            let home = self.home_of(meta.id);
-            let trace = self.make_ctx(home);
-            let mut shares: Vec<DeltaBatch> = vec![DeltaBatch::new(); self.nodes.len()];
-            for d in deltas {
-                shares[exchange::node_of(&d.tuple, &keys, self.nodes.len())].push(d.clone());
-            }
-            for (to, share) in shares.iter().enumerate() {
-                if share.is_empty() {
-                    continue;
-                }
-                if to == home {
-                    self.nodes[home].on_deltas_traced(source_name, share, Some(trace))?;
-                } else {
-                    self.ship(
-                        source_name,
-                        home,
-                        to,
-                        exchange::egress_deltas(meta.id, share),
-                        Admission::Deltas,
-                        trace,
-                    )?;
-                }
-            }
-            return self.finish_boundary();
-        }
-        let home = self.home_of(meta.id);
+        let (src, n) = (meta.id, self.nodes.len());
+        let home = self.home_of(src);
         let trace = self.make_ctx(home);
-        for to in self.ingest_targets(meta.id, &meta.kind, home) {
-            if to == home {
-                self.nodes[home].on_deltas_traced(source_name, deltas, Some(trace))?;
-            } else {
-                self.ship(
-                    source_name,
-                    home,
-                    to,
-                    exchange::egress_deltas(meta.id, deltas),
-                    Admission::Deltas,
-                    trace,
-                )?;
+        let keys = self.exchanged.get(&src);
+        match (keys.map(|gid| self.groups[gid].keys[&src].clone()), payload) {
+            (None, whole) => {
+                for to in self.ingest_targets(src, &meta.kind, home) {
+                    self.deliver(source_name, src, home, to, whole, trace)?;
+                }
+            }
+            (Some(keys), Admission::Batch(tuples)) => {
+                let shares = exchange::partition(tuples, &keys, n);
+                for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+                    self.deliver(source_name, src, home, to, Admission::Batch(share), trace)?;
+                }
+            }
+            (Some(keys), Admission::Deltas(deltas)) => {
+                let mut shares = vec![DeltaBatch::new(); n];
+                for d in deltas {
+                    shares[exchange::node_of(&d.tuple, &keys, n)].push(d.clone());
+                }
+                for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+                    self.deliver(source_name, src, home, to, Admission::Deltas(share), trace)?;
+                }
             }
         }
         self.finish_boundary()
+    }
+
+    /// Hand one node its share: admitted in place at the home, shipped
+    /// over the link anywhere else.
+    fn deliver(
+        &mut self,
+        source_name: &str,
+        src: SourceId,
+        home: usize,
+        to: usize,
+        share: Admission<'_>,
+        trace: TraceCtx,
+    ) -> Result<()> {
+        if to == home {
+            self.nodes[home].admit(source_name, share, Some(trace))
+        } else {
+            self.ship(source_name, src, home, to, share, trace)
+        }
     }
 
     /// Advance every node's clock; the tick crosses each link as one
@@ -929,34 +833,34 @@ impl Cluster {
         targets
     }
 
-    /// One cross-node hop, for real: encode the frame through the
-    /// netsim codec, charge the encoded length against the directed
-    /// link, decode on the far side, and re-admit the decoded deltas
-    /// through the recipient's normal ingest.
+    /// One cross-node hop, for real: serialize the payload into a frame
+    /// through the netsim codec, charge the encoded length against the
+    /// directed link, decode on the far side, and re-admit the decoded
+    /// deltas through the recipient's normal ingest.
     ///
-    /// Re-admission preserves the sender's admission path
-    /// ([`Admission::Batch`] for a source batch, [`Admission::Deltas`]
-    /// for a signed ingest): a shipped source batch re-enters through
-    /// `on_batch`, so the remote scan's *window stage* buffers and
-    /// later expires the tuples exactly as the home node's does, while
-    /// signed frames re-enter through `on_deltas`, which bypasses
-    /// windowing — the same semantics the local signed ingest had at
-    /// the home. Without this split a shipped stream batch would never
-    /// leave its remote windows, and a cluster snapshot would diverge
-    /// from the single-node result as soon as a window rolled over.
+    /// Re-admission preserves the sender's [`Admission`] variant: a
+    /// shipped source batch re-enters as a batch, so the remote scan's
+    /// *window stage* buffers and later expires the tuples exactly as
+    /// the home node's does, while signed deltas re-enter as deltas,
+    /// which bypass windowing — the same semantics the local signed
+    /// ingest had at the home. Without this split a shipped stream batch
+    /// would never leave its remote windows, and a cluster snapshot
+    /// would diverge from the single-node result as soon as a window
+    /// rolled over.
     fn ship(
         &mut self,
         source_name: &str,
+        src: SourceId,
         from: usize,
         to: usize,
-        frame: WireFrame,
-        admit: Admission,
+        payload: Admission<'_>,
         trace: TraceCtx,
     ) -> Result<()> {
-        let carried = match &frame {
-            WireFrame::Deltas { deltas, .. } => deltas.len() as u64,
-            _ => 0,
+        let frame = match payload {
+            Admission::Batch(tuples) => exchange::egress_batch(src, tuples),
+            Admission::Deltas(deltas) => exchange::egress_deltas(src, deltas),
         };
+        let carried = payload.len() as u64;
         // A trace context travels *inside* the frame, so its bytes are
         // charged against the link like any other payload.
         let wire = encode_frame(&exchange::with_trace(frame, &trace));
@@ -984,23 +888,26 @@ impl Cluster {
                 detail: from as u64,
             });
         }
-        match admit {
-            Admission::Batch => {
+        let tuples: Vec<Tuple>;
+        let arrived = match payload {
+            Admission::Batch(_) => {
                 debug_assert!(batch.iter().all(|d| d.sign == 1));
-                let tuples: Vec<Tuple> = batch.iter().map(|d| d.tuple.clone()).collect();
-                self.nodes[to].on_batch_traced(source_name, &tuples, ctx)
+                tuples = batch.iter().map(|d| d.tuple.clone()).collect();
+                Admission::Batch(&tuples)
             }
-            Admission::Deltas => self.nodes[to].on_deltas_traced(source_name, &batch, ctx),
-        }
+            Admission::Deltas(_) => Admission::Deltas(&batch),
+        };
+        self.nodes[to].admit(source_name, arrived, ctx)
     }
 
     fn finish_boundary(&mut self) -> Result<()> {
         self.boundaries += 1;
-        if let Some(ctrl) = &self.rebalancer {
-            let every = ctrl.config().interval_boundaries;
-            if every > 0 && self.boundaries.is_multiple_of(every) {
-                self.rebalance_now();
-            }
+        if self
+            .rebalancer
+            .as_ref()
+            .is_some_and(|ctrl| ctrl.due(self.boundaries))
+        {
+            self.rebalance_now();
         }
         Ok(())
     }
@@ -1299,6 +1206,43 @@ mod tests {
         assert!(nodes.contains(&0) && nodes.contains(&1));
         // The moved query kept its full history.
         assert_eq!(c.snapshot(a).unwrap().len(), 30);
+    }
+
+    #[test]
+    fn cluster_front_end_is_the_node_front_end() {
+        // The three-registration template check of
+        // `shard.rs::plan_cache_serves_repeats_and_templates`, driven
+        // through the coordinator: it resolves through the same cache.
+        let mut c = two_nodes();
+        for sql in [
+            "select r.value from Readings r where r.value > 10",
+            "select r.value from Readings r where r.value > 10",
+            "select r.value from Readings r where r.value > 99",
+        ] {
+            c.register_sql(sql).unwrap().expect_query();
+        }
+        let stats = c.plan_cache_stats();
+        assert_eq!(
+            (stats.misses, stats.exact_hits, stats.template_hits),
+            (1, 1, 1)
+        );
+        assert_eq!(c.query_count(), 3);
+        // Nodes were handed bound plans; their own caches saw no SQL.
+        assert_eq!(c.node(0).plan_cache_stats().unwrap().misses, 0);
+
+        // A view spec asking for query-only features is refused by that
+        // same front end — one message, node or cluster.
+        let view = "create recursive view Chain as ( \
+                    select r.room, r.floor from Rooms r \
+                    union \
+                    select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )";
+        let refused = |r: Result<Registration>| r.unwrap_err().to_string();
+        let on_cluster = refused(c.register(QuerySpec::sql(view).push()));
+        let mut node = ShardedEngine::new(catalog(), 1);
+        let on_node = refused(node.register(QuerySpec::sql(view).push()));
+        assert!(on_cluster.contains("micro-batch knobs"), "{on_cluster}");
+        assert_eq!(on_cluster, on_node);
+        assert!(c.register(QuerySpec::sql(view)).unwrap().view().is_some());
     }
 
     #[test]

@@ -9,11 +9,28 @@
 //!
 //! ## Public surface
 //!
-//! * [`ShardedEngine`] — the one engine type: register / lifecycle /
-//!   ingest / read-at-consistency over N worker shards
+//! * [`ShardedEngine`] — the one engine type
 //!   (`ShardedEngine::new(catalog, shards)` or
-//!   [`ShardedEngine::with_config`]). [`StreamEngine`] is a type alias
-//!   for it, kept for the `benchmark/` crate.
+//!   [`ShardedEngine::with_config`]; [`StreamEngine`] is a type alias
+//!   for it, kept for the `benchmark/` crate). Its verbs, by group:
+//!   - *register*: `open_session` / `register` / `register_in` /
+//!     `register_sql` / `register_plan` / `register_view` /
+//!     `close_session`;
+//!   - *lifecycle*: `pause` / `resume` / `deregister` / `subscribe` /
+//!     `tune_query` / `auto_tune` / `migrate` / `rebalance_now`, and
+//!     `extract_query` → `install_query` across engines;
+//!   - *ingest*: `on_batch` / `on_deltas` / `heartbeat`;
+//!   - *read at a [`Consistency`]*: `snapshot[_at]` / `telemetry[_at]`,
+//!     plus `resident_state`, `view_snapshot`, `display_snapshot`,
+//!     `executor_stats`, `plan_cache_stats`, `journal`.
+//!
+//!   Every lifecycle verb is a composition of three private primitives
+//!   in [`shard`] — **build** (compile + sink + start + replay),
+//!   **route** (land the runtime; wire shard slice, push set, log
+//!   cursors, route refcounts) and **unroute** (the inverse, dropping
+//!   or demoting the cursors). Build and the shard drain are the only
+//!   fallible steps and always come first, so a verb that returns `Err`
+//!   changed nothing (property-tested in `tests/lifecycle.rs`).
 //! * [`EngineConfig`] — eight construction-time fields, each with its
 //!   default: `shards` (1), `scheduling` (pool iff shards > 1 and
 //!   cores > 1, else sequential), `workers` (min(shards, cores)),
@@ -21,8 +38,15 @@
 //!   `state_layout` (columnar), `spill` (off).
 //! * [`QuerySpec`] / [`Registration`] / [`SessionId`] /
 //!   [`ResultSubscription`] / [`Consistency`] — the client vocabulary.
-//! * [`Cluster`] (+ [`ClusterConfig`]) — N engines behind one
-//!   coordinator speaking the same `QuerySpec` front end.
+//! * [`Cluster`] (+ [`ClusterConfig`], four fields) — N engines behind
+//!   one coordinator with the same register / lifecycle / ingest / read
+//!   verbs. Node and coordinator share one front end by composition:
+//!   each owns a [`session`] `FrontEnd` (spec → bound plan through the
+//!   plan-template cache, the view-spec check, the session table) and
+//!   calls the one [`RebalanceController`] for the "observe every
+//!   `interval_boundaries`" rule and the rebalance round. There is no
+//!   engine trait: nothing outside `tests/` is generic over which of
+//!   the two it holds.
 //! * [`TelemetryReport`], the [`trace`] renderers, and
 //!   [`ResidentState`] — the read-only observability surface.
 //!
@@ -125,8 +149,8 @@
 //!                       └ cursor(q3.b TUMBLE) ──┘
 //! ```
 //!
-//! [`shard::ShardedEngine::resident_state`] (`shared_chains` = logs,
-//! `shared_taps` = cursors, `window_tuples` = rows retained in logs and
+//! [`shard::ShardedEngine::resident_state`] (`source_logs`,
+//! `log_cursors`, and `window_tuples` = rows retained in logs and
 //! private windows) and the per-shard `log_rows` / `cursors` of the
 //! telemetry export are the observability surface.
 //!
@@ -138,12 +162,12 @@
 //! retire queries when they leave. Registration returns a typed
 //! [`session::Registration`] — `Query(QueryHandle)` for a continuous
 //! `SELECT`, `View(SourceId)` for a `CREATE VIEW`. A query is live until
-//! `deregister` unwinds its runtime, its routing-index entries, and its
-//! clock-sensitive set memberships, or `pause` detaches it (sink frozen
-//! but readable) until `resume` rebuilds it through the same
-//! retained-table/view replay path a late registration uses. Closing a
-//! session retires every query it still owns. Ingest cost therefore
-//! tracks **live** fan-out, never the historical registration count.
+//! `deregister` unroutes and drops it, or `pause` unroutes it (sink
+//! frozen but readable) until `resume` builds it afresh — the same
+//! retained-table/view replay a late registration gets — and routes it
+//! again. Closing a session retires every query it still owns. Ingest
+//! cost therefore tracks **live** fan-out, never the historical
+//! registration count.
 //!
 //! ## Delivery: snapshot polling and push subscriptions
 //!
@@ -250,7 +274,7 @@
 //!   counts are balanced), and, on sustained skew, plans greedy
 //!   migrations; [`shard::ShardedEngine::migrate`] executes them by
 //!   *moving the live runtime* (pipeline state, sink, push subscription)
-//!   between shards — the resume attach path with the runtime carried
+//!   between shards — unroute, move, route, with the runtime carried
 //!   over instead of rebuilt, so snapshots, push accumulation, and ops
 //!   totals are provably unchanged (property-tested in
 //!   `tests/sharding.rs` under interleaved lifecycle churn and forced
@@ -327,10 +351,11 @@
 //! sources across all nodes by key hash, so a repartitioned
 //! join's members compute disjoint key ranges whose merged snapshots
 //! equal the monolithic result. Live migration generalizes across
-//! nodes: the donor engine extracts a query's runtime (window state,
-//! sink ledger, push subscription, log cursors demoted) and the
-//! recipient installs it with **no replay** — same snapshot, same ops
-//! total — driven manually or by a cluster-level
+//! nodes: the recipient drains first, the donor engine extracts the
+//! query's runtime (window state, sink ledger, push subscription, log
+//! cursors demoted) and the recipient routes it in with **no replay** —
+//! same snapshot, same ops total, and a failed attempt leaves the query
+//! on the donor — driven manually or by a cluster-level
 //! [`rebalance::RebalanceController`] consuming the merged per-node
 //! telemetry of [`cluster::Cluster::cluster_report`]. The churn
 //! property in `tests/cluster.rs` pins 1/2/4-node clusters against a

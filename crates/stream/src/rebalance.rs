@@ -30,9 +30,11 @@
 
 use std::collections::HashMap;
 
-use aspen_types::QueryId;
+use aspen_types::{QueryId, Result};
 
+use crate::shard::QueryHandle;
 use crate::telemetry::{LoadWindow, TelemetryReport};
+use crate::trace::{now_us, Span, SpanKind};
 
 /// Tuning knobs of the skew detector. The defaults favor stability:
 /// act only on sustained, clearly-skewed load.
@@ -47,7 +49,7 @@ pub struct RebalanceConfig {
     /// Most queries migrated per rebalance round.
     pub max_moves: usize,
     /// When auto-rebalancing is enabled on the engine, observe every
-    /// this many batch boundaries.
+    /// this many batch boundaries (0 reads as 1: every boundary).
     pub interval_boundaries: u64,
     /// Most submitted-but-unapplied boundaries any shard may carry
     /// before its meters are considered stale (barrier-free `Cut`
@@ -114,6 +116,41 @@ impl RebalanceController {
 
     pub fn config(&self) -> &RebalanceConfig {
         &self.config
+    }
+
+    /// Whether the owning engine's auto-rebalancer takes its periodic
+    /// look at boundary number `boundaries` — the one statement of the
+    /// [`RebalanceConfig::interval_boundaries`] rule, for node and
+    /// cluster alike.
+    pub(crate) fn due(&self, boundaries: u64) -> bool {
+        boundaries.is_multiple_of(self.config.interval_boundaries.max(1))
+    }
+
+    /// One rebalance round: observe `report` and apply the planned moves
+    /// through `migrate` — the owner's own migrate, between shards or
+    /// between nodes. Plans are advisory: a move that fails (the query
+    /// retired between observation and application) is skipped. Returns
+    /// how many moves were applied and, when any were planned, the
+    /// decision span for the owner's journal.
+    pub(crate) fn round(
+        &mut self,
+        report: &TelemetryReport,
+        node: u32,
+        mut migrate: impl FnMut(QueryHandle, usize) -> Result<()>,
+    ) -> (usize, Option<Span>) {
+        let moves = self.observe(report);
+        let applied = moves
+            .iter()
+            .filter(|m| migrate(QueryHandle(m.query), m.to).is_ok())
+            .count();
+        let span = (!moves.is_empty()).then(|| Span {
+            at_us: now_us(),
+            node,
+            batch: 0,
+            kind: SpanKind::Rebalance,
+            detail: applied as u64,
+        });
+        (applied, span)
     }
 
     /// Feed one telemetry observation; returns the migrations to apply
@@ -276,6 +313,20 @@ mod tests {
             interval_boundaries: 1,
             ..Default::default()
         })
+    }
+
+    #[test]
+    fn interval_zero_observes_every_boundary() {
+        let every = |interval_boundaries| {
+            RebalanceController::new(RebalanceConfig {
+                interval_boundaries,
+                ..Default::default()
+            })
+        };
+        assert!((1..=5).all(|b| every(0).due(b)), "0 reads as 1, not never");
+        assert!((1..=5).all(|b| every(1).due(b)));
+        let due: Vec<u64> = (1..=9).filter(|&b| every(3).due(b)).collect();
+        assert_eq!(due, [3, 6, 9]);
     }
 
     #[test]

@@ -25,11 +25,20 @@
 //! * [`ResultSubscription`] — the consumer half of push delivery: the
 //!   engine appends consolidated output [`DeltaBatch`]es at batch
 //!   boundaries; the client drains them at its own pace.
+//! * `FrontEnd` (crate-internal) — the one implementation of that
+//!   contract's bookkeeping: spec → bound plan through the plan-template
+//!   cache, and the session table. The node engine and the cluster
+//!   coordinator each own one and call it; neither re-implements it.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use aspen_catalog::Catalog;
+use aspen_optimizer::{CachedQuery, PlanCache, PlanCacheStats};
+use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
-use aspen_types::{QueryId, SimDuration, SourceId};
+use aspen_sql::BoundQuery;
+use aspen_types::{AspenError, QueryId, Result, SimDuration, SourceId};
 use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
@@ -262,10 +271,9 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// A spec from Stream SQL text (`SELECT` or `CREATE VIEW`).
-    pub fn sql(sql: impl Into<String>) -> Self {
+    fn new(text: QueryText) -> Self {
         QuerySpec {
-            text: QueryText::Sql(sql.into()),
+            text,
             delivery: Delivery::Poll,
             max_batch: None,
             max_delay: None,
@@ -274,17 +282,15 @@ impl QuerySpec {
         }
     }
 
+    /// A spec from Stream SQL text (`SELECT` or `CREATE VIEW`).
+    pub fn sql(sql: impl Into<String>) -> Self {
+        QuerySpec::new(QueryText::Sql(sql.into()))
+    }
+
     /// A spec from an already-bound continuous-query plan (e.g. the
     /// stream half of a federated plan).
     pub fn plan(plan: LogicalPlan) -> Self {
-        QuerySpec {
-            text: QueryText::Plan(plan),
-            delivery: Delivery::Poll,
-            max_batch: None,
-            max_delay: None,
-            auto: false,
-            node: None,
-        }
+        QuerySpec::new(QueryText::Plan(plan))
     }
 
     /// Deliver results by push: a subscription channel is attached at
@@ -373,6 +379,131 @@ impl Registration {
             }
         }
     }
+}
+
+/// A continuous query bound against the catalog: the plan plus what the
+/// spec asked for, ready to place on a shard (or, in a cluster, a node).
+pub(crate) struct BoundSpec {
+    pub(crate) plan: Arc<LogicalPlan>,
+    pub(crate) push: bool,
+    pub(crate) max_batch: Option<usize>,
+    pub(crate) max_delay: Option<SimDuration>,
+    pub(crate) auto: bool,
+    /// [`QuerySpec::on_node`]; only the cluster coordinator reads it.
+    pub(crate) node: Option<usize>,
+}
+
+/// What a [`QuerySpec`] resolved to.
+pub(crate) enum Resolved {
+    Query(BoundSpec),
+    View(BoundView),
+}
+
+/// The front end shared by [`crate::shard::ShardedEngine`] and
+/// [`crate::cluster::Cluster`]: SQL resolution through the
+/// plan-template cache and the session table. Plain owned state — each
+/// engine holds one and calls it, so a cluster registration binds
+/// exactly as a node registration does.
+#[derive(Default)]
+pub(crate) struct FrontEnd {
+    /// Canonicalized plan-template cache over SQL registrations.
+    plan_cache: PlanCache,
+    sessions: HashMap<SessionId, Vec<QueryId>>,
+    next_session: u32,
+}
+
+impl FrontEnd {
+    pub(crate) fn open_session(&mut self) -> SessionId {
+        let sid = SessionId(self.next_session);
+        self.next_session += 1;
+        self.sessions.insert(sid, Vec::new());
+        sid
+    }
+
+    /// Forget `session`, returning the queries still enrolled in it.
+    pub(crate) fn close_session(&mut self, session: SessionId) -> Result<Vec<QueryId>> {
+        self.sessions
+            .remove(&session)
+            .ok_or_else(|| unknown_session(session))
+    }
+
+    /// Record a placed query in the session it was registered through.
+    pub(crate) fn enroll(&mut self, session: Option<SessionId>, qid: QueryId) {
+        if let Some(sid) = session {
+            self.sessions
+                .get_mut(&sid)
+                .expect("session validated by resolve")
+                .push(qid);
+        }
+    }
+
+    /// Drop a retired query from its session (a no-op once the session
+    /// itself is closed).
+    pub(crate) fn leave(&mut self, session: Option<SessionId>, qid: QueryId) {
+        if let Some(qids) = session.and_then(|sid| self.sessions.get_mut(&sid)) {
+            qids.retain(|&q| q != qid);
+        }
+    }
+
+    /// Resolve a spec to a bound plan or a bound view. SQL goes through
+    /// the plan-template cache: a repeat of a known template (same
+    /// canonical shape, any constants) skips parse/bind entirely or pays
+    /// only parse + substitution. Fails — before anything is placed —
+    /// on an unknown `session` and on a view spec asking for query-only
+    /// features.
+    pub(crate) fn resolve(
+        &mut self,
+        session: Option<SessionId>,
+        spec: QuerySpec,
+        catalog: &Catalog,
+    ) -> Result<Resolved> {
+        if let Some(sid) = session.filter(|sid| !self.sessions.contains_key(sid)) {
+            return Err(unknown_session(sid));
+        }
+        let plan = match spec.text {
+            QueryText::Plan(plan) => Arc::new(plan),
+            QueryText::Sql(sql) => match self.plan_cache.resolve(&sql, catalog)? {
+                CachedQuery::Select(plan) => plan,
+                CachedQuery::Other(other) => match *other {
+                    BoundQuery::Select(b) => Arc::new(b.plan),
+                    // Views are shared, catalog-named infrastructure —
+                    // they have no sink to subscribe to and are not
+                    // retired with a client session, so a spec that asks
+                    // for query-only features must fail loudly instead
+                    // of dropping them.
+                    BoundQuery::View(v)
+                        if spec.delivery == Delivery::Push
+                            || spec.max_batch.is_some()
+                            || spec.max_delay.is_some()
+                            || spec.auto =>
+                    {
+                        return Err(AspenError::InvalidArgument(format!(
+                            "view '{}' cannot take push delivery or micro-batch knobs; \
+                             they apply to continuous queries only",
+                            v.name
+                        )));
+                    }
+                    BoundQuery::View(v) => return Ok(Resolved::View(v)),
+                },
+            },
+        };
+        Ok(Resolved::Query(BoundSpec {
+            plan,
+            push: spec.delivery == Delivery::Push,
+            max_batch: spec.max_batch,
+            max_delay: spec.max_delay,
+            auto: spec.auto,
+            node: spec.node,
+        }))
+    }
+
+    pub(crate) fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plan_cache.stats()
+    }
+}
+
+fn unknown_session(session: SessionId) -> AspenError {
+    AspenError::InvalidArgument(format!("unknown session {session}"))
 }
 
 /// Producer/consumer state shared between a query's sink and its

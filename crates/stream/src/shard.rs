@@ -30,17 +30,31 @@
 //! per-`(base, window spec)` groups, so many views sharing a windowed
 //! base pay one expiry bound check, not one scan each.
 //!
-//! Queries are *not* permanent: [`ShardedEngine::deregister`] unwinds a
-//! query's runtime from its shard, its entries in the sharded routing
-//! slices, the route refcounts, and the clock-sensitive sets, so
-//! per-source ingest cost always tracks **live** fan-out.
-//! [`ShardedEngine::pause`] detaches a query from routing while keeping
-//! its sink readable (frozen); [`ShardedEngine::resume`] rebuilds the
-//! runtime from the stored plan through the same replay path a
-//! late-registered query uses, so the resumed snapshot is exactly what a
-//! fresh registration would see. Push subscriptions
-//! ([`ShardedEngine::subscribe`]) survive pause/resume: the channel is
-//! carried over and a consolidated catch-up diff is delivered.
+//! Queries are *not* permanent, and every lifecycle verb is a
+//! composition of three private primitives, each written once:
+//!
+//! * **build** — compile the plan, make the sink, start the pipeline and
+//!   replay retained tables and view materializations into it. All of a
+//!   verb's fallible work is here or in the drain that follows it.
+//! * **route** — land a runtime on its shard and, unless the query is
+//!   paused, wire it in: the shard's routing slice, the push-flush set,
+//!   its log cursors, and the route refcounts. Infallible.
+//! * **unroute** — the inverse: cursors out (dropped, or *demoted* into
+//!   the query's own windows when the runtime is about to travel), the
+//!   shard's routing slice, the route refcounts. Infallible; the caller
+//!   drained the shard first.
+//!
+//! Register is build + route; [`ShardedEngine::pause`] is unroute (the
+//! sink stays readable, frozen); [`ShardedEngine::resume`] is build +
+//! carry the push channel over + route, so the resumed snapshot is
+//! exactly what a fresh registration would see and a subscription gets
+//! one consolidated catch-up diff; [`ShardedEngine::deregister`] is
+//! unroute + drop, so per-source ingest cost always tracks **live**
+//! fan-out; [`ShardedEngine::migrate`] is unroute(demote) + move the
+//! runtime + route; [`ShardedEngine::extract_query`] and
+//! [`ShardedEngine::install_query`] are those same two halves in two
+//! engines. Because build and the drain come first and route/unroute
+//! cannot fail, a verb that returns `Err` has changed nothing.
 //!
 //! Shards live behind the `parking_lot` shim ([`Mutex<EngineShard>`]):
 //! shard state is `Send`, cross-shard work is disjoint by construction
@@ -66,8 +80,9 @@
 //! lag, which the rebalance controller uses to skip observations too
 //! stale to judge.
 //!
-//! What stays on the coordinator: the catalog, sessions, the query
-//! metas, and the engine clock. The per-shard `busy` accounting measures
+//! What stays on the coordinator: the catalog, the front end
+//! ([`crate::session`]'s plan cache and session table, shared with the
+//! cluster coordinator), the query metas, and the engine clock. The per-shard `busy` accounting measures
 //! the wall time each shard spends inside its slice of the work; the
 //! busiest shard's total is the critical path an N-core deployment
 //! would see.
@@ -79,10 +94,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aspen_catalog::{Catalog, SourceKind, SourceStats};
-use aspen_optimizer::{CachedQuery, PlanCache, PlanCacheStats};
+use aspen_optimizer::PlanCacheStats;
 use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
-use aspen_sql::BoundQuery;
 use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, WindowSpec};
 use parking_lot::Mutex;
 
@@ -92,8 +106,8 @@ use crate::pipeline::Pipeline;
 use crate::rebalance::RebalanceController;
 use crate::recursive::RecursiveView;
 use crate::session::{
-    Consistency, Delivery, EngineConfig, QuerySpec, QueryText, Registration, ResultSubscription,
-    SessionId, SharedQueue, SubscriptionQueue,
+    BoundSpec, Consistency, EngineConfig, FrontEnd, QuerySpec, Registration, Resolved,
+    ResultSubscription, SessionId, SharedQueue, SubscriptionQueue,
 };
 use crate::sink::Sink;
 use crate::state::{BagState, StateOptions};
@@ -106,9 +120,7 @@ use crate::window::SourceLog;
 pub struct QueryHandle(pub QueryId);
 
 /// Resident operator-state census across the engine — what the
-/// shared-vs-private tests compare. The sharing
-/// fields keep their historical names; since stream windows became
-/// cursors over per-source arrival logs they count logs and cursors.
+/// shared-vs-private tests compare.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentState {
     /// Operator node instances across all registered pipelines.
@@ -119,10 +131,10 @@ pub struct ResidentState {
     pub window_tuples: usize,
     /// Source logs across all shards — one per `(shard, stream source)`
     /// with at least one window attached.
-    pub shared_chains: usize,
+    pub source_logs: usize,
     /// Window cursors attached to those logs — one per stream scan of
     /// every live, non-migrated query (a self-join counts two).
-    pub shared_taps: usize,
+    pub log_cursors: usize,
     /// Resident operator-state bytes across the engine: pipeline state
     /// (private windows, join sides, aggregate groups), each source log
     /// once, and the retained table store. Measured for columnar
@@ -142,19 +154,12 @@ pub(crate) struct QueryRuntime {
 /// A query runtime lifted out of one engine, in flight to another —
 /// the carrier of a cross-node live migration. Holds the running
 /// [`QueryRuntime`] (window state, sink ledger, push subscription)
-/// plus the coordinator metadata [`ShardedEngine::install_query`]
-/// needs to re-home it. Opaque by design: there is nothing useful a
+/// plus the coordinator record [`ShardedEngine::install_query`]
+/// re-homes it under. Opaque by design: there is nothing useful a
 /// caller can do with one except install it somewhere.
 pub struct DetachedQuery {
     runtime: QueryRuntime,
-    plan: Arc<LogicalPlan>,
-    sources: Vec<SourceId>,
-    needs_clock: bool,
-    paused: bool,
-    max_batch: Option<usize>,
-    max_delay: Option<SimDuration>,
-    push: bool,
-    auto: bool,
+    meta: QueryMeta,
 }
 
 pub(crate) struct ViewRuntime {
@@ -467,6 +472,25 @@ struct QueryMeta {
 /// A stream scan to attach as a cursor: `(scan index, source, spec)`.
 type CursorScan = (usize, SourceId, WindowSpec);
 
+/// One ingest call's payload: a source batch (windowed at each scan) or
+/// signed deltas (window-bypassing). The cluster ships either across a
+/// link and re-admits it as the same variant, so the remote admission
+/// path always mirrors the home's.
+#[derive(Clone, Copy)]
+pub(crate) enum Admission<'a> {
+    Batch(&'a [Tuple]),
+    Deltas(&'a DeltaBatch),
+}
+
+impl Admission<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Admission::Batch(tuples) => tuples.len(),
+            Admission::Deltas(deltas) => deltas.len(),
+        }
+    }
+}
+
 /// What one shard's source logs hold (see [`EngineShard::log_census`]).
 #[derive(Default)]
 struct LogCensus {
@@ -720,8 +744,8 @@ pub struct ShardedEngine {
     /// deterministic route rebuilds and display iteration).
     order: Vec<QueryId>,
     next_query: u32,
-    sessions: HashMap<SessionId, Vec<QueryId>>,
-    next_session: u32,
+    /// SQL resolution (plan-template cache) and the session table.
+    front: FrontEnd,
     /// Query-shard count; the executor owns one extra cell (`nshards`) —
     /// the dedicated view shard.
     nshards: usize,
@@ -755,8 +779,6 @@ pub struct ShardedEngine {
     /// ([`EngineConfig::shared_subplans`]); off, every scan keeps a
     /// private window.
     shared_subplans: bool,
-    /// Canonicalized plan-template cache over SQL registrations.
-    plan_cache: PlanCache,
     /// This engine's node id in a cluster — stamped as the origin into
     /// every trace context created here; 0 standalone.
     node_id: u32,
@@ -768,6 +790,11 @@ pub struct ShardedEngine {
     /// Physical layout + spill policy for every stateful operator
     /// ([`EngineConfig::state_layout`] / [`EngineConfig::spill`]).
     state_opts: StateOptions,
+}
+
+/// The fan-out a per-shard live count names: shards above zero, ascending.
+fn live_shards(counts: &[u32]) -> Vec<usize> {
+    (0..counts.len()).filter(|&i| counts[i] > 0).collect()
 }
 
 /// The engine's older name. Kept, with [`ShardedEngine::sharded`], only
@@ -805,8 +832,7 @@ impl ShardedEngine {
             queries: HashMap::new(),
             order: Vec::new(),
             next_query: 0,
-            sessions: HashMap::new(),
-            next_session: 0,
+            front: FrontEnd::default(),
             nshards: n,
             slices: (0..n).map(|_| Mutex::new(IngestSlice::default())).collect(),
             clock_counts: vec![0; n],
@@ -819,7 +845,6 @@ impl ShardedEngine {
             rebalancer: config.rebalance_config().map(RebalanceController::new),
             migrations: 0,
             shared_subplans: config.resolve_shared_subplans(),
-            plan_cache: PlanCache::default(),
             node_id: 0,
             next_batch: 0,
             journal: SpanJournal::default(),
@@ -1039,8 +1064,8 @@ impl ShardedEngine {
                 ops_invoked: ops,
                 batches: shard.meters.batches,
                 busy_seconds: shard.meters.busy.as_secs_f64(),
-                shared_chains: logs.logs,
-                shared_taps: logs.cursors,
+                source_logs: logs.logs,
+                log_cursors: logs.cursors,
                 log_rows: logs.rows,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
@@ -1092,16 +1117,13 @@ impl ShardedEngine {
     }
 
     // -----------------------------------------------------------------
-    // Sessions
+    // Sessions and registration
     // -----------------------------------------------------------------
 
     /// Open a client session. Registrations made through it are retired
     /// together by [`ShardedEngine::close_session`].
     pub fn open_session(&mut self) -> SessionId {
-        let sid = SessionId(self.next_session);
-        self.next_session += 1;
-        self.sessions.insert(sid, Vec::new());
-        sid
+        self.front.open_session()
     }
 
     /// Deregister every *query* still registered in `session` and forget
@@ -1109,27 +1131,16 @@ impl ShardedEngine {
     /// through the session are shared catalog objects (other clients'
     /// queries may scan them) and deliberately survive it.
     pub fn close_session(&mut self, session: SessionId) -> Result<usize> {
-        let qids = self
-            .sessions
-            .remove(&session)
-            .ok_or_else(|| AspenError::InvalidArgument(format!("unknown session {session}")))?;
-        let mut removed: Vec<QueryId> = Vec::new();
-        for qid in qids {
-            // A query may already have been deregistered individually.
-            if self.queries.contains_key(&qid) {
-                self.remove_query_inner(qid, false);
-                removed.push(qid);
-            }
+        let mut removed: Vec<QueryId> = self.front.close_session(session)?;
+        // A query may already have been deregistered individually.
+        removed.retain(|qid| self.queries.contains_key(qid));
+        for &qid in &removed {
+            self.drop_query(qid);
         }
-        // One order prune for the whole batch, not one per query (route
-        // refcounts were already unwound per query).
+        // One order prune for the whole batch, not one per query.
         self.order.retain(|q| !removed.contains(q));
         Ok(removed.len())
     }
-
-    // -----------------------------------------------------------------
-    // Registration
-    // -----------------------------------------------------------------
 
     /// Register a [`QuerySpec`] outside any session.
     pub fn register(&mut self, spec: QuerySpec) -> Result<Registration> {
@@ -1138,11 +1149,6 @@ impl ShardedEngine {
 
     /// Register a [`QuerySpec`] in a client session.
     pub fn register_in(&mut self, session: SessionId, spec: QuerySpec) -> Result<Registration> {
-        if !self.sessions.contains_key(&session) {
-            return Err(AspenError::InvalidArgument(format!(
-                "unknown session {session}"
-            )));
-        }
         self.do_register(Some(session), spec)
     }
 
@@ -1161,164 +1167,213 @@ impl ShardedEngine {
     }
 
     fn do_register(&mut self, session: Option<SessionId>, spec: QuerySpec) -> Result<Registration> {
-        let QuerySpec {
-            text,
-            delivery,
+        match self.front.resolve(session, spec, &self.catalog)? {
+            Resolved::Query(bound) => self.place(session, bound).map(Registration::Query),
+            Resolved::View(view) => self.register_view(&view).map(Registration::View),
+        }
+    }
+
+    /// Register a bound query: build its runtime, place it on
+    /// `hash(QueryId) % shards`, and route it. The cluster coordinator
+    /// enters here with what its own front end resolved; its placement
+    /// hint and sessions mean nothing inside one node.
+    pub(crate) fn place(
+        &mut self,
+        session: Option<SessionId>,
+        bound: BoundSpec,
+    ) -> Result<QueryHandle> {
+        let BoundSpec {
+            plan,
+            push,
             max_batch,
             max_delay,
             auto,
-            // Cluster placement hint — meaningless inside one node; the
-            // cluster coordinator consumed it before the spec got here.
             node: _,
-        } = spec;
-        let plan = match text {
-            QueryText::Plan(plan) => Arc::new(plan),
-            QueryText::Sql(sql) => match self.resolve_sql(&sql)? {
-                CachedQuery::Select(plan) => plan,
-                CachedQuery::Other(other) => match *other {
-                    BoundQuery::Select(b) => Arc::new(b.plan),
-                    BoundQuery::View(v) => {
-                        // Views are shared, catalog-named infrastructure —
-                        // they have no sink to subscribe to and are not
-                        // retired with a client session, so a spec that asks
-                        // for query-only features must fail loudly instead
-                        // of dropping them.
-                        if delivery == Delivery::Push
-                            || max_batch.is_some()
-                            || max_delay.is_some()
-                            || auto
-                        {
-                            return Err(AspenError::InvalidArgument(format!(
-                                "view '{}' cannot take push delivery or micro-batch knobs; \
-                             they apply to continuous queries only",
-                                v.name
-                            )));
-                        }
-                        return Ok(Registration::View(self.register_view(&v)?));
-                    }
-                },
-            },
-        };
-        let handle = self.place_query(plan, session, delivery, max_batch, max_delay, auto)?;
-        Ok(Registration::Query(handle))
-    }
-
-    /// Resolve SQL through the plan-template cache: a repeat of a known
-    /// template (same canonical shape, any constants) skips parse/bind
-    /// entirely or pays only parse + substitution.
-    fn resolve_sql(&mut self, sql: &str) -> Result<CachedQuery> {
-        self.plan_cache.resolve(sql, &self.catalog)
-    }
-
-    /// Compile a plan, replay retained state, place the runtime on
-    /// `hash(QueryId) % shards`, and wire both index levels (coordinator
-    /// route table + the owning shard's slice) before it goes live.
-    fn place_query(
-        &mut self,
-        plan: Arc<LogicalPlan>,
-        session: Option<SessionId>,
-        delivery: Delivery,
-        max_batch: Option<usize>,
-        max_delay: Option<SimDuration>,
-        auto: bool,
-    ) -> Result<QueryHandle> {
-        let mut pipeline = Pipeline::compile_with(&plan, &self.state_opts)?;
-        pipeline.timed = true;
-        if delivery == Delivery::Push {
-            Self::check_push_compatible(&pipeline)?;
-        }
-        let mut sink = pipeline.make_sink();
-        // Attach push delivery before the first delta can flow, so the
-        // subscription sees everything from the initial aggregate rows
-        // onward.
-        if delivery == Delivery::Push {
-            let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
-            sink.attach_push(queue, HashMap::new(), max_batch, max_delay);
-        }
-        pipeline.start(&mut sink)?;
-        let sources = pipeline.sources();
-        self.seed_pipeline(&mut pipeline, &sources, &mut sink)?;
-
-        let qid = QueryId(self.next_query);
-        self.next_query += 1;
-        let shard_idx = self.shard_of(qid);
-        let needs_clock = pipeline.needs_clock();
-        let cursor_scans = self.cursor_scans(&plan, &pipeline);
+        } = bound;
+        let (mut rt, scans) = self.build(&plan, push.then_some((max_batch, max_delay)))?;
         // Registration itself is a batch boundary: deliver the replayed
         // state now so a push subscription is immediately consistent
         // with a snapshot poll.
-        sink.flush_push(self.now, true);
-        let seeded_deltas = sink.deltas_applied;
-        {
-            // Quiesce before attaching: boundaries already queued for
-            // this shard predate the registration and must not route to
-            // the freshly replayed pipeline (they would double-deliver
-            // what the replay just seeded).
-            self.exec.quiesce(shard_idx)?;
-            let mut shard = self.shard(shard_idx).lock();
-            shard.attach(qid, &sources, needs_clock);
-            if delivery == Delivery::Push {
-                shard.mark_push(qid);
-            }
-            shard.queries.insert(qid, QueryRuntime { pipeline, sink });
-            shard.attach_cursors(qid, &cursor_scans, &self.state_opts);
-        }
+        rt.sink.flush_push(self.now, true);
+        let qid = QueryId(self.next_query);
+        let shard = self.shard_of(qid);
+        // Boundaries already queued for this shard predate the
+        // registration and must not route to the freshly replayed
+        // pipeline (they would double-deliver what the replay seeded).
+        self.exec.quiesce(shard)?;
+        self.next_query += 1;
         self.queries.insert(
             qid,
             QueryMeta {
-                shard: shard_idx,
-                sources,
-                needs_clock,
+                shard,
+                sources: rt.pipeline.sources(),
+                needs_clock: rt.pipeline.needs_clock(),
                 paused: false,
                 plan,
                 session,
                 max_batch,
                 max_delay,
-                push: delivery == Delivery::Push,
+                push,
                 auto,
-                tune_mark: (seeded_deltas, self.boundaries, self.now),
+                tune_mark: (rt.sink.deltas_applied, self.boundaries, self.now),
             },
         );
         self.order.push(qid);
-        if let Some(sid) = session {
-            self.sessions
-                .get_mut(&sid)
-                .expect("session validated by caller")
-                .push(qid);
-        }
-        self.add_routes(qid);
+        self.front.enroll(session, qid);
+        self.route(qid, rt, &scans);
         Ok(QueryHandle(qid))
     }
 
-    /// Unwind one query everywhere — route refcounts in the ingest
-    /// slices included — except (optionally) the registration-order
-    /// list, which `close_session` prunes once per batch. Route removal
-    /// is incremental: only the refcounts of this query's sources move,
-    /// never a whole-table rebuild.
-    fn remove_query_inner(&mut self, qid: QueryId, prune_order: bool) {
-        if !self.queries[&qid].paused {
-            // A paused query already left the routing slices.
-            self.remove_routes(qid);
+    // -----------------------------------------------------------------
+    // Lifecycle primitives: build, route, unroute
+    // -----------------------------------------------------------------
+
+    /// **Build** a runtime for `plan`: compile, make the sink, start the
+    /// pipeline, and replay retained table contents and current view
+    /// materializations so the query starts consistent. `fresh_push`
+    /// carries the micro-batch knobs of a channel to create (resume
+    /// carries the old channel over instead). Also returns the scans
+    /// [`Self::route`] attaches as log cursors. Touches nothing but the
+    /// view cell's queue: a failed build leaves the engine as it was.
+    fn build(
+        &self,
+        plan: &LogicalPlan,
+        fresh_push: Option<(Option<usize>, Option<SimDuration>)>,
+    ) -> Result<(QueryRuntime, Vec<CursorScan>)> {
+        let mut pipeline = Pipeline::compile_with(plan, &self.state_opts)?;
+        pipeline.timed = true;
+        let mut sink = pipeline.make_sink();
+        if let Some((max_batch, max_delay)) = fresh_push {
+            Self::check_push_compatible(&pipeline)?;
+            // Attach before the first delta can flow, so the
+            // subscription sees everything from the initial aggregate
+            // rows onward.
+            let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
+            sink.attach_push(queue, HashMap::new(), max_batch, max_delay);
         }
-        let meta = self.queries.remove(&qid).expect("caller checked");
-        {
-            // Pending boundaries still route to this query; apply them
-            // before the runtime leaves the shard (the view cell drains
-            // first so forwarded view deltas are included).
-            self.settle_with_views(meta.shard);
-            let mut shard = self.shard(meta.shard).lock();
-            shard.detach_cursors(qid, &meta.sources, false);
-            shard.detach(qid, &meta.sources);
-            shard.queries.remove(&qid);
-        }
-        if prune_order {
-            self.order.retain(|&q| q != qid);
-        }
-        if let Some(sid) = meta.session {
-            if let Some(qids) = self.sessions.get_mut(&sid) {
-                qids.retain(|&q| q != qid);
+        pipeline.start(&mut sink)?;
+        // `Pipeline::sources()` is deduplicated: a source scanned under
+        // several aliases is replayed exactly once (push_source feeds
+        // every scan bound to it), so rows are not multiplied by the
+        // alias count.
+        for src in pipeline.sources() {
+            if let Some(rows) = self.retained(src) {
+                pipeline.push_source(src, &rows, &mut sink)?;
+            }
+            if let Some(idx) = self.view_outs.iter().position(|&o| o == src) {
+                // Views live on the dedicated view cell; drain it so the
+                // replayed materialization includes every admitted base
+                // boundary.
+                self.exec.settle(self.view_cell());
+                let snapshot = self.shard(self.view_cell()).lock().views.snapshot_of(idx);
+                pipeline.push_source(src, &snapshot, &mut sink)?;
             }
         }
+        let scans = self.cursor_scans(plan, &pipeline);
+        Ok((QueryRuntime { pipeline, sink }, scans))
+    }
+
+    /// **Route**: land `rt` on the query's shard and — unless the query
+    /// is paused, in which case it only lands — wire it in: the shard's
+    /// routing slice, the push-flush set, `scans` as log cursors (none
+    /// for a runtime that travelled here with private windows), and the
+    /// route refcounts — per source, the owning ingest slice's
+    /// `source → shard` count, plus the clock and push-flush shard
+    /// counts. O(this query's sources), never a whole-table walk, and
+    /// commutative with [`Self::unroute`], so the resulting fan-out sets
+    /// are independent of the order queries came and went (pinned by a
+    /// unit test below). Infallible; the caller drained the shard, so
+    /// no boundary queued before this point reaches the runtime.
+    fn route(&mut self, qid: QueryId, rt: QueryRuntime, scans: &[CursorScan]) {
+        let meta = &self.queries[&qid];
+        let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
+        let mut shard = self.shard(shard_idx).lock();
+        shard.queries.insert(qid, rt);
+        if meta.paused {
+            // Resume routes it, on whatever shard it lives on then.
+            return;
+        }
+        shard.attach(qid, &meta.sources, needs_clock);
+        if push {
+            shard.mark_push(qid);
+        }
+        shard.attach_cursors(qid, scans, &self.state_opts);
+        drop(shard);
+        for &src in &meta.sources {
+            self.slices[self.slice_of(src)]
+                .lock()
+                .add_route(src, shard_idx, self.nshards);
+        }
+        self.clock_counts[shard_idx] += u32::from(needs_clock);
+        self.push_counts[shard_idx] += u32::from(push);
+    }
+
+    /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
+    /// query's cursors, its entries in the shard's routing slice, and
+    /// its route refcounts (a count reaching zero drops the shard from
+    /// that source's fan-out; the last subscriber removes the slice
+    /// entry). The runtime stays on the shard. With `demote` (the
+    /// runtime is about to travel) each cursor's live suffix first moves
+    /// into the query's own window, so it leaves carrying its exact live
+    /// multiset — snapshots and the ops total are unchanged, sibling
+    /// cursors undisturbed — and stays private wherever it lands.
+    /// Infallible, and a no-op for a paused query (already out). The
+    /// caller drained the shard (view cell first), so every admitted
+    /// boundary has reached the runtime.
+    fn unroute(&mut self, qid: QueryId, demote: bool) {
+        let meta = &self.queries[&qid];
+        if meta.paused {
+            return;
+        }
+        let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
+        {
+            let mut shard = self.shard(shard_idx).lock();
+            shard.detach_cursors(qid, &meta.sources, demote);
+            shard.detach(qid, &meta.sources);
+        }
+        for &src in &meta.sources {
+            self.slices[self.slice_of(src)]
+                .lock()
+                .remove_route(src, shard_idx);
+        }
+        self.clock_counts[shard_idx] -= u32::from(needs_clock);
+        self.push_counts[shard_idx] -= u32::from(push);
+    }
+
+    /// Deregister one query, except for pruning `order`. Pending
+    /// boundaries still route to it; apply them before the runtime
+    /// leaves the shard (the view cell drains first so forwarded view
+    /// deltas are included). The drain is the infallible one: a deferred
+    /// task error stays for the next observer, and retirement completes.
+    fn drop_query(&mut self, qid: QueryId) {
+        self.settle_with_views(self.queries[&qid].shard);
+        self.retire(qid, false);
+    }
+
+    /// Take a drained query out of the engine: unroute it, lift its
+    /// runtime off the shard, and drop its coordinator record and
+    /// session membership. The caller prunes `order` (once per batch).
+    fn retire(&mut self, qid: QueryId, demote: bool) -> DetachedQuery {
+        self.unroute(qid, demote);
+        let mut meta = self.queries.remove(&qid).expect("caller checked");
+        self.front.leave(meta.session.take(), qid);
+        DetachedQuery {
+            runtime: self.lift(meta.shard, qid),
+            meta,
+        }
+    }
+
+    /// Remove a registered query's runtime from `shard`.
+    fn lift(&self, shard: usize, qid: QueryId) -> QueryRuntime {
+        let rt = self.shard(shard).lock().queries.remove(&qid);
+        rt.expect("registered query keeps a runtime")
+    }
+
+    /// The retained contents of a Table source, if it has any — what
+    /// late registrations, resumes and new views replay.
+    fn retained(&self, src: SourceId) -> Option<Vec<Tuple>> {
+        let slice = self.slices[self.slice_of(src)].lock();
+        slice.tables.get(&src).map(BagState::snapshot)
     }
 
     /// Push delivery exposes the maintained result *multiset* — exactly
@@ -1363,38 +1418,6 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Replay retained table contents and current view materializations
-    /// so the query starts consistent. `Pipeline::sources()` is
-    /// deduplicated: a source scanned under several aliases is replayed
-    /// exactly once (push_source feeds every scan bound to it), so rows
-    /// are not multiplied by the alias count.
-    fn seed_pipeline(
-        &self,
-        pipeline: &mut Pipeline,
-        sources: &[SourceId],
-        sink: &mut Sink,
-    ) -> Result<()> {
-        for &src in sources {
-            let rows = self.slices[self.slice_of(src)]
-                .lock()
-                .tables
-                .get(&src)
-                .map(BagState::snapshot);
-            if let Some(rows) = rows {
-                pipeline.push_source(src, &rows, sink)?;
-            }
-            if let Some(idx) = self.view_outs.iter().position(|&o| o == src) {
-                // Views live on the dedicated view cell; drain it so the
-                // replayed materialization includes every admitted base
-                // boundary.
-                self.exec.settle(self.view_cell());
-                let snapshot = self.shard(self.view_cell()).lock().views.snapshot_of(idx);
-                pipeline.push_source(src, &snapshot, sink)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Materialize a bound view on the dedicated view shard: its
     /// maintenance runs as queued tasks on executor cell `nshards`, and
     /// its output deltas fan into the query shards like any other
@@ -1413,12 +1436,7 @@ impl ShardedEngine {
         // boundaries still queued on the view cell.
         let mut emitted = DeltaBatch::new();
         for src in view.base_sources() {
-            let rows = self.slices[self.slice_of(src)]
-                .lock()
-                .tables
-                .get(&src)
-                .map(BagState::snapshot);
-            if let Some(rows) = rows {
+            if let Some(rows) = self.retained(src) {
                 emitted.extend(view.on_base_deltas(src, &DeltaBatch::inserts(rows))?);
             }
         }
@@ -1466,15 +1484,11 @@ impl ShardedEngine {
     /// clock-sensitive sets, and its session — per-source ingest cost
     /// drops back to the remaining live fan-out. Any push subscription
     /// stops receiving batches (already-delivered batches stay
-    /// drainable).
+    /// drainable). Never fails on a registered query.
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
-        if !self.queries.contains_key(&q.0) {
-            return Err(AspenError::InvalidArgument(format!(
-                "unknown query {}",
-                q.0
-            )));
-        }
-        self.remove_query_inner(q.0, true);
+        self.meta(q)?;
+        self.drop_query(q.0);
+        self.order.retain(|&qid| qid != q.0);
         Ok(())
     }
 
@@ -1491,36 +1505,27 @@ impl ShardedEngine {
                 q.0
             )));
         }
-        let (shard_idx, sources) = (meta.shard, meta.sources.clone());
-        {
-            // The frozen sink must reflect every boundary admitted
-            // before the pause — view-forwarded deltas included.
-            self.quiesce_with_views(shard_idx)?;
-            let mut shard = self.shard(shard_idx).lock();
-            // The cursors go with the routing entry — a paused query
-            // receives nothing, and resume attaches fresh ones (stream
-            // windows restart empty on resume, which is exactly where a
-            // new cursor starts).
-            shard.detach_cursors(q.0, &sources, false);
-            shard.detach(q.0, &sources);
-            if let Some(rt) = shard.queries.get_mut(&q.0) {
-                rt.sink.flush_push(self.now, true);
-            }
+        let shard_idx = meta.shard;
+        // The frozen sink must reflect every boundary admitted before
+        // the pause — view-forwarded deltas included.
+        self.quiesce_with_views(shard_idx)?;
+        // The cursors go with the routing entry: resume attaches fresh
+        // ones (stream windows restart empty on resume, which is exactly
+        // where a new cursor starts).
+        self.unroute(q.0, false);
+        if let Some(rt) = self.shard(shard_idx).lock().queries.get_mut(&q.0) {
+            rt.sink.flush_push(self.now, true);
         }
-        // Routes come out while the meta still reads live (remove_routes
-        // consults it) and only after the quiesce succeeded, so a
-        // surfaced deferred error leaves the routing slices intact.
-        self.remove_routes(q.0);
         self.queries.get_mut(&q.0).expect("meta checked").paused = true;
         Ok(())
     }
 
-    /// Reattach a paused query through the replay path: the pipeline is
-    /// recompiled from the stored plan and seeded from the retained
-    /// table store and current view materializations — exactly what a
-    /// fresh registration of the same plan would see (stream windows
-    /// restart empty; streams are not replayed). A push subscription
-    /// carries over and receives one consolidated catch-up diff.
+    /// Reattach a paused query through the replay path: the runtime is
+    /// rebuilt from the stored plan — exactly what a fresh registration
+    /// of the same plan would see (stream windows restart empty; streams
+    /// are not replayed). A push subscription carries over and receives
+    /// one consolidated catch-up diff. A failed resume (compile/replay
+    /// error) leaves the query paused and fully intact.
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
         let meta = self.meta(q)?;
         if !meta.paused {
@@ -1531,54 +1536,27 @@ impl ShardedEngine {
         }
         let (shard_idx, plan) = (meta.shard, meta.plan.clone());
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
-
-        // All fallible work happens before the shard is touched, so a
-        // failed resume (compile/replay error) leaves the query paused
-        // and fully intact rather than half-rebuilt.
-        let mut pipeline = Pipeline::compile_with(&plan, &self.state_opts)?;
-        pipeline.timed = true;
-        let mut sink = pipeline.make_sink();
-        pipeline.start(&mut sink)?;
-        let sources = pipeline.sources();
-        self.seed_pipeline(&mut pipeline, &sources, &mut sink)?;
-
+        let (mut rt, scans) = self.build(&plan, None)?;
         self.quiesce_with_views(shard_idx)?;
-        let mut shard = self.shard(shard_idx).lock();
-        let mut old = shard
-            .queries
-            .remove(&q.0)
-            .expect("paused query keeps its runtime");
+        let mut old = self.lift(shard_idx, q.0);
         if let Some((queue, delivered)) = old.sink.take_push() {
             // Transfer the channel: attaching against the replayed state
             // seeds the pending buffer with exactly the diff between
             // what was already delivered and the state after resume.
-            sink.attach_push(queue, delivered, max_batch, max_delay);
-            sink.flush_push(self.now, true);
+            rt.sink.attach_push(queue, delivered, max_batch, max_delay);
+            rt.sink.flush_push(self.now, true);
         }
-        let needs_clock = pipeline.needs_clock();
-        shard.attach(q.0, &sources, needs_clock);
-        if sink.push_queue().is_some() {
-            shard.mark_push(q.0);
-        }
-        let replayed_deltas = sink.deltas_applied;
-        let cursor_scans = self.cursor_scans(&plan, &pipeline);
-        shard.queries.insert(q.0, QueryRuntime { pipeline, sink });
-        shard.attach_cursors(q.0, &cursor_scans, &self.state_opts);
-        drop(shard);
-
         let meta = self.queries.get_mut(&q.0).expect("meta checked");
         meta.paused = false;
-        meta.needs_clock = needs_clock;
-        meta.sources = sources;
         // The rebuilt sink restarts its delta counter at the replayed
         // state; restart the knob-tuning measurement window with it.
-        meta.tune_mark = (replayed_deltas, self.boundaries, self.now);
-        self.add_routes(q.0);
+        meta.tune_mark = (rt.sink.deltas_applied, self.boundaries, self.now);
+        self.route(q.0, rt, &scans);
         Ok(())
     }
 
     /// Attach (or re-fetch) the push subscription of a query. Queries
-    /// registered with [`Delivery::Push`] already have a channel — this
+    /// registered with [`QuerySpec::push`] already have a channel — this
     /// returns another handle to it. For poll-registered queries a
     /// channel is attached now and seeded with the current snapshot as
     /// inserts, so accumulated deltas always reconstruct the polled
@@ -1621,7 +1599,7 @@ impl ShardedEngine {
         self.queries.get_mut(&q.0).expect("meta checked").push = true;
         if !was_push && !paused {
             // The query newly entered its shard's push-flush set; a
-            // paused query enters it at resume through add_routes.
+            // paused query enters it at resume, through route.
             self.push_counts[shard_idx] += 1;
         }
         Ok(ResultSubscription { queue, query: q.0 })
@@ -1633,29 +1611,22 @@ impl ShardedEngine {
 
     /// Live-migrate a query's runtime to another shard.
     ///
-    /// This is the resume attach path with the *running* runtime carried
-    /// over instead of rebuilt: the pipeline state (window contents,
-    /// join/aggregate state), the sink, and any push subscription move
-    /// intact, so snapshots, push accumulation, and the ops total are
-    /// exactly what they would have been without the move — no replay,
-    /// no divergence (property-tested in `tests/sharding.rs`). All
-    /// fallible work (validation) happens before any mutation. Session
-    /// membership and every other coordinator record are untouched;
-    /// only the shard assignment and the routing slices change.
+    /// Unroute with demotion, move the *running* runtime, route: the
+    /// pipeline state (window contents, join/aggregate state), the sink,
+    /// and any push subscription move intact, so snapshots, push
+    /// accumulation, and the ops total are exactly what they would have
+    /// been without the move — no replay, no divergence (property-tested
+    /// in `tests/sharding.rs`). Session membership and every other
+    /// coordinator record are untouched; only the shard assignment and
+    /// the routing slices change.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
-        let meta = self.meta(q)?;
+        let from = self.meta(q)?.shard;
         if to >= self.shard_count() {
             return Err(AspenError::InvalidArgument(format!(
                 "shard {to} out of range (engine has {})",
                 self.shard_count()
             )));
         }
-        let (from, sources, needs_clock, paused) = (
-            meta.shard,
-            meta.sources.clone(),
-            meta.needs_clock,
-            meta.paused,
-        );
         if from == to {
             return Ok(());
         }
@@ -1665,48 +1636,12 @@ impl ShardedEngine {
         // runtime leaves with every admitted boundary applied, the
         // recipient so queued boundaries there cannot interleave with
         // the attach.
-        if !self.view_outs.is_empty() {
-            self.exec.quiesce(self.view_cell())?;
-        }
-        self.exec.quiesce(from)?;
+        self.quiesce_with_views(from)?;
         self.exec.quiesce(to)?;
-        let rt = {
-            let mut shard = self.shard(from).lock();
-            // A tapped query demotes to private execution first: each
-            // cursor's live suffix moves into its own scan's window, so
-            // the runtime leaves carrying its exact live multiset —
-            // snapshots and the ops total are unchanged by the move,
-            // and sibling cursors on the donor are undisturbed. The
-            // migrated query stays private on the recipient.
-            shard.detach_cursors(q.0, &sources, true);
-            shard.detach(q.0, &sources);
-            shard
-                .queries
-                .remove(&q.0)
-                .expect("registered query keeps a runtime")
-        };
-        {
-            let mut shard = self.shard(to).lock();
-            if !paused {
-                // A paused query stays out of routing; resume reattaches
-                // it on whatever shard it lives on then.
-                shard.attach(q.0, &sources, needs_clock);
-                if rt.sink.push_queue().is_some() {
-                    shard.mark_push(q.0);
-                }
-            }
-            shard.queries.insert(q.0, rt);
-        }
-        // Incremental route move: drop the donor-shard refcounts while
-        // the meta still points at `from`, flip the shard, re-add on the
-        // recipient. Paused queries carry no routes either side.
-        if !paused {
-            self.remove_routes(q.0);
-        }
+        self.unroute(q.0, true);
+        let rt = self.lift(from, q.0);
         self.queries.get_mut(&q.0).expect("meta checked").shard = to;
-        if !paused {
-            self.add_routes(q.0);
-        }
+        self.route(q.0, rt, &[]);
         self.migrations += 1;
         self.journal.record(Span {
             at_us: now_us(),
@@ -1719,124 +1654,48 @@ impl ShardedEngine {
     }
 
     /// Lift a registered query *out* of this engine for cross-node
-    /// migration: the live runtime (pipeline state, sink ledger, push
-    /// subscription) plus the coordinator metadata needed to
-    /// [`ShardedEngine::install_query`] it into another engine. The
-    /// donor side of the [`ShardedEngine::migrate`] path generalized
-    /// across engines — the same quiesce/demote/detach sequence, the
-    /// same no-replay invariants — except the query also leaves this
-    /// engine's coordinator records (meta, order, session, routes)
-    /// entirely.
+    /// migration — the donor half of [`ShardedEngine::migrate`] across
+    /// engines: the same drain and unroute-with-demotion, the same
+    /// no-replay invariants, except the query also leaves this engine's
+    /// coordinator records (meta, order, session) entirely.
     pub fn extract_query(&mut self, q: QueryHandle) -> Result<DetachedQuery> {
-        let meta = self.meta(q)?;
-        let (shard_idx, sources, paused) = (meta.shard, meta.sources.clone(), meta.paused);
-        // Quiesce exactly what the donor path touches: the view cell
-        // (so forwarded view deltas are enqueued where they belong) and
-        // the owning shard (so the runtime leaves with every admitted
-        // boundary applied).
-        if !self.view_outs.is_empty() {
-            self.exec.quiesce(self.view_cell())?;
-        }
-        self.exec.quiesce(shard_idx)?;
-        let runtime = {
-            let mut shard = self.shard(shard_idx).lock();
-            // A tapped query demotes to private execution first (each
-            // cursor's live suffix moves into its own scan's window),
-            // so the runtime leaves carrying its exact live multiset.
-            shard.detach_cursors(q.0, &sources, true);
-            shard.detach(q.0, &sources);
-            shard
-                .queries
-                .remove(&q.0)
-                .expect("registered query keeps a runtime")
-        };
-        if !paused {
-            // While the meta still describes the counted state.
-            self.remove_routes(q.0);
-        }
-        let meta = self.queries.remove(&q.0).expect("meta checked");
+        self.quiesce_with_views(self.meta(q)?.shard)?;
+        let detached = self.retire(q.0, true);
         self.order.retain(|&qid| qid != q.0);
-        if let Some(sid) = meta.session {
-            if let Some(qids) = self.sessions.get_mut(&sid) {
-                qids.retain(|&qid| qid != q.0);
-            }
-        }
-        Ok(DetachedQuery {
-            runtime,
-            plan: meta.plan,
-            sources: meta.sources,
-            needs_clock: meta.needs_clock,
-            paused: meta.paused,
-            max_batch: meta.max_batch,
-            max_delay: meta.max_delay,
-            push: meta.push,
-            auto: meta.auto,
-        })
+        Ok(detached)
+    }
+
+    /// The one fallible step of landing a migrated-in query: drain what
+    /// the next [`ShardedEngine::install_query`] will touch, surfacing
+    /// any deferred task error. A cross-node migration runs this on the
+    /// recipient *before* the donor lifts anything, exactly as
+    /// [`ShardedEngine::migrate`] drains both shards up front.
+    pub(crate) fn drain_for_install(&self) -> Result<()> {
+        self.quiesce_with_views(self.shard_of(QueryId(self.next_query)))
     }
 
     /// Install a query lifted out of another engine by
-    /// [`ShardedEngine::extract_query`] — the recipient side of a
-    /// cross-node migration. The runtime is adopted intact (no replay:
+    /// [`ShardedEngine::extract_query`] — the recipient half of a
+    /// cross-node migration. The runtime is routed intact (no replay:
     /// window contents, sink ledger, and any push subscription arrive
     /// exactly as they left the donor) under a locally assigned id;
-    /// session membership does not cross engines. Returns the new local
-    /// handle.
-    pub fn install_query(&mut self, d: DetachedQuery) -> Result<QueryHandle> {
-        let DetachedQuery {
-            runtime,
-            plan,
-            sources,
-            needs_clock,
-            paused,
-            max_batch,
-            max_delay,
-            push,
-            auto,
-        } = d;
+    /// session membership does not cross engines. Cannot fail, so a
+    /// lifted query is never dropped; its drain leaves any deferred
+    /// task error for the next observer.
+    pub fn install_query(&mut self, d: DetachedQuery) -> QueryHandle {
+        let DetachedQuery { runtime, mut meta } = d;
         let qid = QueryId(self.next_query);
         self.next_query += 1;
-        let shard_idx = self.shard_of(qid);
-        if !self.view_outs.is_empty() {
-            self.exec.quiesce(self.view_cell())?;
-        }
-        self.exec.quiesce(shard_idx)?;
-        let applied = runtime.sink.deltas_applied;
-        {
-            let mut shard = self.shard(shard_idx).lock();
-            if !paused {
-                // A paused query stays out of routing; resume reattaches
-                // it here like anywhere else.
-                shard.attach(qid, &sources, needs_clock);
-                if runtime.sink.push_queue().is_some() {
-                    shard.mark_push(qid);
-                }
-            }
-            shard.queries.insert(qid, runtime);
-        }
-        self.queries.insert(
-            qid,
-            QueryMeta {
-                shard: shard_idx,
-                sources,
-                needs_clock,
-                paused,
-                plan,
-                session: None,
-                max_batch,
-                max_delay,
-                push,
-                auto,
-                // The sink's delta counter travelled with the runtime;
-                // restart the knob-tuning window against this engine's
-                // clock and boundary count.
-                tune_mark: (applied, self.boundaries, self.now),
-            },
-        );
+        meta.shard = self.shard_of(qid);
+        self.settle_with_views(meta.shard);
+        // The sink's delta counter travelled with the runtime; restart
+        // the knob-tuning window against this engine's clock and
+        // boundary count.
+        meta.tune_mark = (runtime.sink.deltas_applied, self.boundaries, self.now);
+        self.queries.insert(qid, meta);
         self.order.push(qid);
-        if !paused {
-            self.add_routes(qid);
-        }
-        Ok(QueryHandle(qid))
+        self.route(qid, runtime, &[]);
+        QueryHandle(qid)
     }
 
     /// Take one telemetry observation, feed the rebalance controller,
@@ -1850,24 +1709,10 @@ impl ShardedEngine {
             return 0;
         };
         let report = self.telemetry();
-        let moves = ctrl.observe(&report);
-        let mut applied = 0;
-        for m in &moves {
-            // Plans are advisory: a query retired between observation
-            // and application is simply skipped.
-            if self.migrate(QueryHandle(m.query), m.to).is_ok() {
-                applied += 1;
-            }
-        }
+        let (applied, span) = ctrl.round(&report, self.node_id, |q, to| self.migrate(q, to));
         self.rebalancer = Some(ctrl);
-        if !moves.is_empty() {
-            self.journal.record(Span {
-                at_us: now_us(),
-                node: self.node_id,
-                batch: 0,
-                kind: SpanKind::Rebalance,
-                detail: applied as u64,
-            });
+        if let Some(span) = span {
+            self.journal.record(span);
         }
         applied
     }
@@ -1877,13 +1722,12 @@ impl ShardedEngine {
     fn finish_boundary(&mut self) -> Result<()> {
         self.boundaries += 1;
         self.flush_push()?;
-        if let Some(ctrl) = &self.rebalancer {
-            if self
-                .boundaries
-                .is_multiple_of(ctrl.config().interval_boundaries.max(1))
-            {
-                self.rebalance_now();
-            }
+        if self
+            .rebalancer
+            .as_ref()
+            .is_some_and(|ctrl| ctrl.due(self.boundaries))
+        {
+            self.rebalance_now();
         }
         Ok(())
     }
@@ -1897,11 +1741,7 @@ impl ShardedEngine {
         max_batch: Option<usize>,
         max_delay: Option<SimDuration>,
     ) -> Result<()> {
-        let shard_idx = self
-            .queries
-            .get(&q.0)
-            .ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))?
-            .shard;
+        let shard_idx = self.meta(q)?.shard;
         // All fallible work first (a quiesce can surface a deferred
         // task error): pending boundaries flush under the old knobs,
         // and a failed tune leaves meta and the live sink untouched —
@@ -1969,79 +1809,9 @@ impl ShardedEngine {
         tuned
     }
 
-    /// Count one live query into the routing refcounts: per source, the
-    /// owning ingest slice's `source → shard` count; plus the clock and
-    /// push-flush shard counts. O(this query's sources) — never a
-    /// whole-table walk — and commutative with [`Self::remove_routes`],
-    /// so the resulting fan-out sets are independent of the order
-    /// queries came and went (pinned by a unit test below).
-    fn add_routes(&mut self, qid: QueryId) {
-        let meta = &self.queries[&qid];
-        if meta.paused {
-            // E.g. subscribing to a paused query: its routes return when
-            // it resumes.
-            return;
-        }
-        let (shard, sources, needs_clock, push) = (
-            meta.shard,
-            meta.sources.clone(),
-            meta.needs_clock,
-            meta.push,
-        );
-        let nshards = self.nshards;
-        for src in sources {
-            self.slices[self.slice_of(src)]
-                .lock()
-                .add_route(src, shard, nshards);
-        }
-        if needs_clock {
-            self.clock_counts[shard] += 1;
-        }
-        if push {
-            self.push_counts[shard] += 1;
-        }
-    }
-
-    /// Uncount one live query from the routing refcounts — the exact
-    /// inverse of [`Self::add_routes`]. A count reaching zero drops the
-    /// shard from that source's fan-out; the last subscriber of a source
-    /// removes its slice entry entirely. The caller guarantees the meta
-    /// still describes the counted state (live, old shard).
-    fn remove_routes(&mut self, qid: QueryId) {
-        let meta = &self.queries[&qid];
-        let (shard, sources, needs_clock, push) = (
-            meta.shard,
-            meta.sources.clone(),
-            meta.needs_clock,
-            meta.push,
-        );
-        for src in sources {
-            self.slices[self.slice_of(src)]
-                .lock()
-                .remove_route(src, shard);
-        }
-        if needs_clock {
-            self.clock_counts[shard] -= 1;
-        }
-        if push {
-            self.push_counts[shard] -= 1;
-        }
-    }
-
     // -----------------------------------------------------------------
     // Ingest
     // -----------------------------------------------------------------
-
-    /// Advance the engine clock to the latest observed event timestamp.
-    /// Both ingest paths go through here, so batch-only, delta-only, and
-    /// mixed workloads all keep `now()` fresh.
-    fn observe_timestamps<I: IntoIterator<Item = SimTime>>(&mut self, stamps: I) {
-        if let Some(max_ts) = stamps.into_iter().max() {
-            if max_ts > self.now {
-                self.now = max_ts;
-            }
-        }
-    }
 
     /// Ingest a batch of tuples for a named source. Admission touches
     /// exactly one ingest slice — the one owning the source: its meter,
@@ -2056,46 +1826,7 @@ impl ShardedEngine {
     /// its backlog without gating its siblings or the next ingest.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
         let trace = self.make_ctx();
-        self.on_batch_traced(source_name, tuples, Some(trace))
-    }
-
-    /// [`ShardedEngine::on_batch`] with an explicit trace context — the
-    /// cluster re-admission path, where the context was created on the
-    /// origin node and already carries the wire hop.
-    pub fn on_batch_traced(
-        &mut self,
-        source_name: &str,
-        tuples: &[Tuple],
-        trace: Option<TraceCtx>,
-    ) -> Result<()> {
-        let meta = self.catalog.source(source_name)?;
-        let src = meta.id;
-        self.observe_timestamps(tuples.iter().map(Tuple::timestamp));
-        let routes = {
-            let mut slice = self.slices[self.slice_of(src)].lock();
-            *slice.tuples_in.entry(src).or_insert(0) += tuples.len() as u64;
-            // Retain table contents for replay at admission time, so a
-            // late registration never races the shard queues.
-            if matches!(meta.kind, SourceKind::Table) {
-                slice
-                    .tables
-                    .entry(src)
-                    .or_insert_with(|| BagState::with_options(&self.state_opts))
-                    .insert_all(tuples);
-            }
-            slice.fanout(src)
-        };
-        if !routes.is_empty() {
-            self.exec
-                .submit(&routes, Boundary::Batch { src, tuples, trace })?;
-        }
-        // Views reading this source (skip building the delta batch when
-        // no view subscribes).
-        if self.view_subs.contains_key(&src) {
-            let deltas = Arc::new(DeltaBatch::inserts(tuples.iter().cloned()));
-            self.submit_view_deltas(src, deltas)?;
-        }
-        self.finish_boundary()
+        self.admit(source_name, Admission::Batch(tuples), Some(trace))
     }
 
     /// Ingest signed changes for a source (e.g. a table update/delete).
@@ -2103,38 +1834,61 @@ impl ShardedEngine {
     /// must not leave the engine clock stale.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
         let trace = self.make_ctx();
-        self.on_deltas_traced(source_name, deltas, Some(trace))
+        self.admit(source_name, Admission::Deltas(deltas), Some(trace))
     }
 
-    /// [`ShardedEngine::on_deltas`] with an explicit trace context — the
-    /// cluster re-admission path.
-    pub fn on_deltas_traced(
+    /// The one admission path behind [`ShardedEngine::on_batch`] and
+    /// [`ShardedEngine::on_deltas`], with an explicit trace context —
+    /// the cluster re-admits shipped payloads here, where the context
+    /// was created on the origin node and already carries the wire hop.
+    pub(crate) fn admit(
         &mut self,
         source_name: &str,
-        deltas: &DeltaBatch,
+        payload: Admission<'_>,
         trace: Option<TraceCtx>,
     ) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let src = meta.id;
-        self.observe_timestamps(deltas.iter().map(|d| d.tuple.timestamp()));
+        // Advance the engine clock to the latest observed event
+        // timestamp, so batch-only, delta-only, and mixed workloads all
+        // keep `now()` fresh.
+        let latest = match payload {
+            Admission::Batch(tuples) => tuples.iter().map(Tuple::timestamp).max(),
+            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
+        };
+        self.now = self.now.max(latest.unwrap_or(self.now));
         let routes = {
             let mut slice = self.slices[self.slice_of(src)].lock();
-            *slice.tuples_in.entry(src).or_insert(0) += deltas.len() as u64;
+            *slice.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
+            // Retain table contents for replay at admission time, so a
+            // late registration never races the shard queues.
             if matches!(meta.kind, SourceKind::Table) {
-                slice
+                let table = slice
                     .tables
                     .entry(src)
-                    .or_insert_with(|| BagState::with_options(&self.state_opts))
-                    .apply(deltas);
+                    .or_insert_with(|| BagState::with_options(&self.state_opts));
+                match payload {
+                    Admission::Batch(tuples) => table.insert_all(tuples),
+                    Admission::Deltas(deltas) => table.apply(deltas),
+                }
             }
             slice.fanout(src)
         };
         if !routes.is_empty() {
-            self.exec
-                .submit(&routes, Boundary::Deltas { src, deltas, trace })?;
+            let boundary = match payload {
+                Admission::Batch(tuples) => Boundary::Batch { src, tuples, trace },
+                Admission::Deltas(deltas) => Boundary::Deltas { src, deltas, trace },
+            };
+            self.exec.submit(&routes, boundary)?;
         }
+        // Views reading this source (skip building the delta batch when
+        // no view subscribes).
         if self.view_subs.contains_key(&src) {
-            self.submit_view_deltas(src, Arc::new(deltas.clone()))?;
+            let deltas = match payload {
+                Admission::Batch(tuples) => DeltaBatch::inserts(tuples.iter().cloned()),
+                Admission::Deltas(deltas) => deltas.clone(),
+            };
+            self.submit_view_deltas(src, Arc::new(deltas))?;
         }
         self.finish_boundary()
     }
@@ -2160,12 +1914,9 @@ impl ShardedEngine {
             .iter()
             .map(|&out| (out, self.slices[self.slice_of(out)].lock().fanout(out)))
             .collect();
-        let flush = (0..self.nshards)
-            .filter(|&i| self.push_counts[i] > 0)
-            .collect();
         Arc::new(ViewCtx {
             routes,
-            flush,
+            flush: live_shards(&self.push_counts),
             now: self.now,
         })
     }
@@ -2198,11 +1949,8 @@ impl ShardedEngine {
         if now > self.now {
             self.now = now;
         }
-        let clock_routes: Vec<usize> = (0..self.nshards)
-            .filter(|&i| self.clock_counts[i] > 0)
-            .collect();
         self.exec
-            .submit(&clock_routes, Boundary::AdvanceTime(now))?;
+            .submit(&live_shards(&self.clock_counts), Boundary::AdvanceTime(now))?;
         // Time-windowed view state expires on the view cell too, and the
         // resulting deltas reach downstream queries like any other
         // maintenance.
@@ -2217,9 +1965,7 @@ impl ShardedEngine {
     /// Deliver pending push batches on every shard with a live
     /// subscribed query (no-op when nothing is subscribed).
     fn flush_push(&mut self) -> Result<()> {
-        let push_routes: Vec<usize> = (0..self.nshards)
-            .filter(|&i| self.push_counts[i] > 0)
-            .collect();
+        let push_routes = live_shards(&self.push_counts);
         if push_routes.is_empty() {
             return Ok(());
         }
@@ -2296,8 +2042,8 @@ impl ShardedEngine {
                 out.spilled_bytes += rt.pipeline.spilled_bytes();
             }
             let logs = shard.log_census();
-            out.shared_chains += logs.logs;
-            out.shared_taps += logs.cursors;
+            out.source_logs += logs.logs;
+            out.log_cursors += logs.cursors;
             out.window_tuples += logs.rows;
             out.state_bytes += logs.state_bytes;
             out.spilled_bytes += logs.spilled_bytes;
@@ -2316,30 +2062,25 @@ impl ShardedEngine {
     /// no longer be disabled, and the `Option` stays only because the
     /// frozen `benchmark/` reads this through `filter_map`.
     pub fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        Some(self.plan_cache.stats())
+        Some(self.front.plan_cache_stats())
     }
 
     /// Current materialization of a named view (drains the view cell
     /// first, so every admitted base boundary is reflected).
     pub fn view_snapshot(&self, name: &str) -> Result<Vec<Tuple>> {
-        self.exec.settle(self.view_cell());
-        self.shard(self.view_cell())
-            .lock()
-            .views
-            .by_name(name)
-            .map(|v| v.view.snapshot())
-            .ok_or_else(|| AspenError::Unresolved(format!("no materialized view '{name}'")))
+        self.read_view(name, RecursiveView::snapshot)
     }
 
     /// Maintenance statistics of a named view.
     pub fn view_stats(&self, name: &str) -> Result<crate::recursive::ViewStats> {
+        self.read_view(name, |view| view.stats.clone())
+    }
+
+    fn read_view<T>(&self, name: &str, read: impl FnOnce(&RecursiveView) -> T) -> Result<T> {
         self.exec.settle(self.view_cell());
-        self.shard(self.view_cell())
-            .lock()
-            .views
-            .by_name(name)
-            .map(|v| v.view.stats.clone())
-            .ok_or_else(|| AspenError::Unresolved(format!("no materialized view '{name}'")))
+        let cell = self.shard(self.view_cell()).lock();
+        let found = cell.views.by_name(name).map(|v| read(&v.view));
+        found.ok_or_else(|| AspenError::Unresolved(format!("no materialized view '{name}'")))
     }
 
     /// Snapshots of every query routed to the named display, in
@@ -2767,7 +2508,7 @@ mod tests {
         // All three window the Readings stream: one log, three cursors,
         // and routing sees the tapped queries as ordinary subscribers.
         let rs = e.resident_state();
-        assert_eq!((rs.shared_chains, rs.shared_taps), (1, 3));
+        assert_eq!((rs.source_logs, rs.log_cursors), (1, 3));
         assert_eq!(e.subscriber_count(src), 3);
         e.on_batch("Readings", &[reading(1, 10.0, 1), reading(2, 20.0, 1)])
             .unwrap();
@@ -2776,7 +2517,7 @@ mod tests {
         // Deregistering one cursor leaves the siblings' state undisturbed.
         e.deregister(q2).unwrap();
         let rs = e.resident_state();
-        assert_eq!((rs.shared_chains, rs.shared_taps), (1, 2));
+        assert_eq!((rs.source_logs, rs.log_cursors), (1, 2));
         assert_eq!(e.subscriber_count(src), 2);
         assert_eq!(e.snapshot(q1).unwrap().len(), 2);
         e.on_batch("Readings", &[reading(3, 30.0, 2)]).unwrap();
@@ -2785,7 +2526,7 @@ mod tests {
         e.deregister(q1).unwrap();
         e.deregister(q3).unwrap();
         let rs = e.resident_state();
-        assert_eq!((rs.shared_chains, rs.shared_taps), (0, 0));
+        assert_eq!((rs.source_logs, rs.log_cursors), (0, 0));
         assert_eq!(rs.window_tuples, 0, "log rows were freed");
         assert_eq!(e.subscriber_count(src), 0);
     }
@@ -2807,7 +2548,7 @@ mod tests {
             .unwrap()
             .expect_query();
         let rs = e.resident_state();
-        assert_eq!((rs.shared_chains, rs.shared_taps), (1, 2));
+        assert_eq!((rs.source_logs, rs.log_cursors), (1, 2));
         assert!(e.snapshot(q2).unwrap().is_empty());
         e.on_batch("Readings", &[reading(3, 30.0, 3)]).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 3);
@@ -2855,7 +2596,7 @@ mod tests {
             assert_eq!(rs.window_tuples, warm.window_tuples, "attach copied rows");
             assert_eq!(rs.state_bytes, warm.state_bytes, "attach grew state");
         }
-        assert_eq!(e.resident_state().shared_taps, 5);
+        assert_eq!(e.resident_state().log_cursors, 5);
         // The log's rows are untouched: the next arrival evicts exactly
         // the oldest one from the ROWS 20000 windows, and the late
         // windows hold only what arrived after them.
@@ -2885,7 +2626,7 @@ mod tests {
             .expect_query();
         e.on_batch("Readings", &[reading(1, 10.0, 1)]).unwrap();
         e.pause(q2).unwrap();
-        assert_eq!(e.resident_state().shared_taps, 1, "pause drops the cursor");
+        assert_eq!(e.resident_state().log_cursors, 1, "pause drops the cursor");
         let frozen = e.snapshot(q2).unwrap();
         e.on_batch("Readings", &[reading(2, 20.0, 2)]).unwrap();
         assert_eq!(e.snapshot(q2).unwrap(), frozen, "paused sink is frozen");
@@ -2893,7 +2634,7 @@ mod tests {
         // Resume attaches a fresh cursor at the tail: it behaves like a
         // new registration, seeing only post-resume data.
         e.resume(q2).unwrap();
-        assert_eq!(e.resident_state().shared_taps, 2);
+        assert_eq!(e.resident_state().log_cursors, 2);
         e.on_batch("Readings", &[reading(3, 30.0, 3)]).unwrap();
         assert_eq!(e.snapshot(q2).unwrap().len(), 1);
         assert_eq!(e.snapshot(q1).unwrap().len(), 3);
@@ -2931,9 +2672,9 @@ mod tests {
         let ops_before = e.total_ops_invoked();
         // Migration demotes: the cursor's live suffix of the log moves
         // into a private window that travels with the runtime.
-        let taps_before = e.resident_state().shared_taps;
+        let taps_before = e.resident_state().log_cursors;
         e.migrate(late, (home + 1) % 2).unwrap();
-        assert_eq!(e.resident_state().shared_taps, taps_before - 1);
+        assert_eq!(e.resident_state().log_cursors, taps_before - 1);
         assert_eq!(e.snapshot(late).unwrap(), before, "no replay on migrate");
         assert_eq!(e.total_ops_invoked(), ops_before);
         // The private window holds only post-attach tuples: the
@@ -2973,7 +2714,7 @@ mod tests {
                     .unwrap();
             }
             e.heartbeat(SimTime::from_secs(40)).unwrap();
-            let shared_taps = e.resident_state().shared_taps;
+            let cursors = e.resident_state().log_cursors;
             let report = e.telemetry();
             let loads: Vec<_> = handles
                 .iter()
@@ -2982,7 +2723,7 @@ mod tests {
                     (q.tuples_in, q.ops_invoked, q.output_deltas)
                 })
                 .collect();
-            (shared_taps, report.shards[0].tuples_in, loads)
+            (cursors, report.shards[0].tuples_in, loads)
         };
         let (taps_on, shard_on, loads_on) = run(true);
         let (taps_off, shard_off, loads_off) = run(false);
@@ -3006,8 +2747,8 @@ mod tests {
         let report = e.telemetry();
         assert!(report.query(shared_q.0).unwrap().shared);
         assert!(!report.query(private_q.0).unwrap().shared);
-        assert_eq!(report.shards[0].shared_chains, 1);
-        assert_eq!(report.shards[0].shared_taps, 1);
+        assert_eq!(report.shards[0].source_logs, 1);
+        assert_eq!(report.shards[0].log_cursors, 1);
     }
 
     #[test]
@@ -3047,7 +2788,7 @@ mod tests {
             .unwrap()
             .expect_query();
         let rs = e.resident_state();
-        assert_eq!((rs.shared_chains, rs.shared_taps), (0, 0));
+        assert_eq!((rs.source_logs, rs.log_cursors), (0, 0));
         e.on_batch("Readings", &[reading(1, 10.0, 1)]).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 1);
         assert_eq!(e.snapshot(q2).unwrap().len(), 1);

@@ -117,13 +117,13 @@ pub struct ShardLoad {
     /// Wall seconds spent inside this shard's slice of the work.
     pub busy_seconds: f64,
     /// Source logs on this shard: one arrival log per stream source
-    /// with a window attached (the field keeps its pre-log name). Log
-    /// work (append/release) is metered once here — in `tuples_in` and
-    /// `busy_seconds` — not once per window.
-    pub shared_chains: usize,
+    /// with a window attached. Log work (append/release) is metered
+    /// once here — in `tuples_in` and `busy_seconds` — not once per
+    /// window.
+    pub source_logs: usize,
     /// Window cursors attached to this shard's logs — one per stream
     /// scan of each live, non-migrated query. Exported as `cursors`.
-    pub shared_taps: usize,
+    pub log_cursors: usize,
     /// Rows this shard's logs currently retain, each stored once
     /// however many cursors cover it — with `cursors`, the answer to
     /// "why is this shard fat".
@@ -227,8 +227,8 @@ impl TelemetryReport {
             ops_invoked: 0,
             batches: 0,
             busy_seconds: 0.0,
-            shared_chains: 0,
-            shared_taps: 0,
+            source_logs: 0,
+            log_cursors: 0,
             log_rows: 0,
             watermark: 0,
             lag: 0,
@@ -242,8 +242,8 @@ impl TelemetryReport {
             out.ops_invoked += s.ops_invoked;
             out.batches += s.batches;
             out.busy_seconds += s.busy_seconds;
-            out.shared_chains += s.shared_chains;
-            out.shared_taps += s.shared_taps;
+            out.source_logs += s.source_logs;
+            out.log_cursors += s.log_cursors;
             out.log_rows += s.log_rows;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
@@ -467,8 +467,8 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             ops_invoked: 0,
             batches: 0,
             busy_seconds: 0.0,
-            shared_chains: 0,
-            shared_taps: 0,
+            source_logs: 0,
+            log_cursors: 0,
             log_rows: 0,
             watermark: 0,
             lag: 0,

@@ -478,7 +478,7 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         );
         prom_line(&mut out, "aspen_shard_lag", &l, s.lag);
         prom_line(&mut out, "aspen_shard_log_rows", &l, s.log_rows);
-        prom_line(&mut out, "aspen_shard_cursors", &l, s.shared_taps);
+        prom_line(&mut out, "aspen_shard_cursors", &l, s.log_cursors);
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     for q in &report.queries {
@@ -577,7 +577,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.batches,
                 s.busy_seconds,
                 s.log_rows,
-                s.shared_taps,
+                s.log_cursors,
                 s.watermark,
                 s.lag,
                 json_hist(&s.queue_wait)

@@ -9,8 +9,10 @@ use std::sync::Arc;
 
 use smartcis::app::{queries, SmartCis};
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::stream::{Delta, DeltaBatch, EngineConfig, QuerySpec, ShardedEngine};
-use smartcis::types::{DataType, Field, Schema, SimDuration, SimTime, Tuple, Value};
+use smartcis::stream::{
+    Consistency, Delta, DeltaBatch, EngineConfig, QueryHandle, QuerySpec, Scheduling, ShardedEngine,
+};
+use smartcis::types::{DataType, Field, QueryId, Schema, SimDuration, SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
     let cat = Catalog::shared();
@@ -373,4 +375,127 @@ fn app_session_lifecycle_end_to_end() {
     assert!(app.engine.snapshot(alarm).is_err(), "alarm is retired");
     // The rest of the app keeps running.
     app.tick().unwrap();
+}
+
+/// Everything a lifecycle verb may move: the registry; placement, the
+/// pause flags and push deliveries as `telemetry_at(Fresh)` reports
+/// them; the live fan-out of both sources; and the log-cursor census.
+/// Reading it drains every queue without consuming a deferred task
+/// error.
+#[derive(Debug, PartialEq)]
+struct Wiring {
+    queries: usize,
+    placement: Vec<(QueryId, usize, bool, u64)>,
+    subscribers: [usize; 2],
+    cursors: usize,
+}
+
+fn wiring(e: &ShardedEngine) -> Wiring {
+    let sources = ["Readings", "Facts"].map(|name| e.catalog().source(name).unwrap().id);
+    Wiring {
+        queries: e.query_count(),
+        placement: e
+            .telemetry_at(Consistency::Fresh)
+            .queries
+            .iter()
+            .map(|q| (q.query, q.shard, q.paused, q.push_batches))
+            .collect(),
+        subscribers: sources.map(|src| e.subscriber_count(src)),
+        cursors: e.resident_state().log_cursors,
+    }
+}
+
+/// Leave a failing boundary queued: a malformed 1-column reading errors
+/// inside every subscribing shard's task. An ingest that returns `Ok`
+/// did not run it yet — the failure is deferred to the next observer.
+/// Sequential scheduling defers nothing, so there this returns `false`.
+fn poison(e: &mut ShardedEngine) -> bool {
+    let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(3));
+    (0..64).any(|_| e.on_batch("Readings", std::slice::from_ref(&bad)).is_ok())
+}
+
+/// Property: a lifecycle verb that fails changes nothing. With a
+/// deferred task error pending, `pause`, `resume`, `migrate`,
+/// `extract_query`, `subscribe` and `tune_query` each return that error
+/// and leave the registry, pause flags, placement, fan-out and cursors
+/// exactly as they were — and, the error observed, succeed on retry.
+/// `deregister` and `close_session` drain infallibly and complete,
+/// leaving the error for the next observer. All three scheduling modes
+/// (sequential defers nothing: every verb simply succeeds).
+#[test]
+fn failed_lifecycle_verb_changes_nothing() {
+    type Verb = fn(&mut ShardedEngine, [QueryHandle; 3], usize) -> bool;
+    let verbs: [(&str, Verb); 6] = [
+        ("pause", |e, [live, ..], _| e.pause(live).is_ok()),
+        ("resume", |e, [_, held, _], _| e.resume(held).is_ok()),
+        ("migrate", |e, [live, ..], to| e.migrate(live, to).is_ok()),
+        ("extract_query", |e, [live, ..], _| {
+            e.extract_query(live).is_ok()
+        }),
+        ("subscribe", |e, [live, ..], _| e.subscribe(live).is_ok()),
+        ("tune_query", |e, [.., pushed], _| {
+            e.tune_query(pushed, Some(4), None).is_ok()
+        }),
+    ];
+    let base: u64 = std::env::var("ASPEN_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    for seed in (0..3).map(|i| base.wrapping_mul(0x1000).wrapping_add(i)) {
+        for mode in [
+            Scheduling::Sequential,
+            Scheduling::Pool,
+            Scheduling::Deterministic(seed),
+        ] {
+            let engine = || {
+                let mut e = ShardedEngine::with_config(
+                    catalog(),
+                    EngineConfig::new().shards(2).scheduling(mode),
+                );
+                let session = e.open_session();
+                let mut register = |spec| e.register_in(session, spec).unwrap().expect_query();
+                let live = register(QuerySpec::sql(
+                    "select r.sensor from Readings r where r.value > 10",
+                ));
+                let held = register(QuerySpec::sql(
+                    "select r.value, f.val from Readings r, Facts f where r.sensor = f.val",
+                ));
+                let pushed = register(QuerySpec::sql("select r.value from Readings r").push());
+                e.on_batch("Facts", &[fact("a", 1, 1), fact("b", 2, 1)])
+                    .unwrap();
+                for i in 0..=seed % 4 {
+                    e.on_batch("Readings", &[reading(1 + i as i64, 20.0, 1 + i)])
+                        .unwrap();
+                }
+                e.pause(held).unwrap();
+                (e, session, [live, held, pushed])
+            };
+            let ctx = |verb: &str| format!("{verb} under {mode:?}, seed {seed}");
+
+            for (name, verb) in verbs {
+                let (mut e, _, handles) = engine();
+                let away = (e.shard_of(handles[0].0) + 1) % 2;
+                let deferred = poison(&mut e);
+                assert_eq!(deferred, mode != Scheduling::Sequential, "{}", ctx(name));
+                let before = wiring(&e);
+                assert_eq!(verb(&mut e, handles, away), !deferred, "{}", ctx(name));
+                if deferred {
+                    assert_eq!(wiring(&e), before, "failed {} moved state", ctx(name));
+                    assert!(verb(&mut e, handles, away), "retried {}", ctx(name));
+                }
+                // (Knobs are the one effect no read exposes.)
+                if name != "tune_query" {
+                    assert_ne!(wiring(&e), before, "{} had no effect", ctx(name));
+                }
+            }
+
+            let (mut e, session, [live, ..]) = engine();
+            let deferred = poison(&mut e);
+            e.deregister(live).unwrap();
+            assert_eq!(e.close_session(session).unwrap(), 2, "{}", ctx("close"));
+            assert_eq!(e.query_count(), 0);
+            assert_eq!(wiring(&e).subscribers, [0, 0], "{}", ctx("close"));
+            assert_eq!(e.quiesce().is_err(), deferred, "{}", ctx("close"));
+        }
+    }
 }

@@ -1106,8 +1106,8 @@ fn shared_subplan_churn_matches_private_execution() {
                 }
                 for c in &clients {
                     let rs = c.engine.resident_state();
-                    max_logs = max_logs.max(rs.shared_chains);
-                    max_cursors = max_cursors.max(rs.shared_taps);
+                    max_logs = max_logs.max(rs.source_logs);
+                    max_cursors = max_cursors.max(rs.log_cursors);
                     assert_eq!(
                         c.engine.now(),
                         baseline.engine.now(),
@@ -1127,7 +1127,7 @@ fn shared_subplan_churn_matches_private_execution() {
                 }
                 let private = baseline.engine.resident_state();
                 assert_eq!(
-                    (private.shared_chains, private.shared_taps),
+                    (private.source_logs, private.log_cursors),
                     (0, 0),
                     "sharing-off engine grew a log ({ctx})"
                 );
