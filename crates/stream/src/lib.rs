@@ -119,14 +119,25 @@
 //!     its cursors (unbounded windows buffer nothing and pin nothing; a
 //!     log with no pinning cursor appends nothing), so it never retains
 //!     a row no window can still retract. The last cursor out frees it.
-//!   - *Scan-order delivery.* Each cursor feeds its query, delta for
-//!     delta, the sequence a private `WindowOp` of its spec would have
-//!     emitted (pinned by a seeded property in `window.rs`), and a
-//!     query's scans are fed in scan order — so snapshots, push
-//!     streams, `ops_invoked` and per-query telemetry are bit-identical
-//!     to private execution. Cursors of one spec share one materialized
-//!     retraction list per batch; a junior cursor takes the suffix from
-//!     its own head.
+//!   - *Cursor classes.* Cursors in equal window state `(spec, head,
+//!     pane)` — every `Unbounded` cursor, every same-spec window whose
+//!     head has caught up — emit the same deltas on the next step, so
+//!     the log steps **classes**: one materialized, consolidated batch
+//!     per class per step, borrowed by every member's pipeline, whose
+//!     own cost starts at its first operator. Classes have no registry;
+//!     the key is recomputed per step, so a late cursor joins the
+//!     senior class of its spec by itself (first expiry reaching its
+//!     attach row / `n` arrivals / next rollover), detach, demote and
+//!     pause take nothing from the classmates, and all members step
+//!     before the first delivery — a failing sink cannot desynchronize
+//!     its class.
+//!   - *Scan-order delivery.* Each cursor feeds its query the
+//!     consolidation of the delta sequence a private `WindowOp` of its
+//!     spec would have emitted — exactly the batch the private pipeline
+//!     consolidates for itself on entry (pinned by a seeded property in
+//!     `window.rs`) — and a query's scans are fed in scan order, so
+//!     snapshots, push streams, `ops_invoked` and per-query telemetry
+//!     are bit-identical to private execution.
 //!   - *Private path.* Table and view scans keep a private window
 //!     (their retained state replays into each registration — state a
 //!     shared log must not absorb), as does direct `Pipeline` /
@@ -143,16 +154,24 @@
 //!   `ops_invoked` count what a private run would have counted.
 //!
 //! ```text
-//!                       ┌ cursor(q1 ROWS 20k) ─▶ Filter(>20) ▶ Sink q1
-//! batch ─▶ log(Events) ─┼ cursor(q2 RANGE 1h) ─▶ Agg         ▶ Sink q2
-//!          (rows once)  ├ cursor(q3.a ROWS 4) ─▶ Join ───────▶ Sink q3
-//!                       └ cursor(q3.b TUMBLE) ──┘
+//!                       ┌ class(RANGE 30s, head 17) ── one batch ─┬▶ Filter(>20) ▶ Sink q1
+//! batch ─▶ log(Events) ─┤   windowed + consolidated once          ├▶ Filter(>35) ▶ Sink q2
+//!          (rows once)  │                                         └▶ Agg         ▶ Sink q3
+//!                       ├ class(ROWS 4, head 96) ───── one batch ──▶ Join ───────▶ Sink q4
+//!                       └ class(TUMBLE 1m, pane 3) ─── one batch ───┘
 //! ```
 //!
+//! Tables and views pay the same once: `EngineShard::push_deltas`
+//! consolidates an admitted delta batch one time and every subscribed
+//! scan borrows it.
+//!
 //! [`shard::ShardedEngine::resident_state`] (`source_logs`,
-//! `log_cursors`, and `window_tuples` = rows retained in logs and
-//! private windows) and the per-shard `log_rows` / `cursors` of the
-//! telemetry export are the observability surface.
+//! `log_cursors`, `cursor_classes`, and `window_tuples` = rows retained
+//! in logs and private windows) and the per-shard `log_rows` /
+//! `cursors` / `cursor_classes` gauges and `window_batches` /
+//! `window_deliveries` counters of the telemetry export are the
+//! observability surface: `window_deliveries / window_batches` is how
+//! many windows shared each batch of window work, exact per seed.
 //!
 //! ## Sessions, registration, and the query lifecycle
 //!

@@ -6,6 +6,8 @@
 //! peeled off the top of the plan into a [`SinkSpec`]; they re-apply per
 //! snapshot rather than per delta.
 
+use std::sync::Arc;
+
 use aspen_sql::expr::BoundExpr;
 use aspen_sql::plan::LogicalPlan;
 use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple, WindowSpec};
@@ -300,20 +302,21 @@ impl Pipeline {
     /// Feed the pre-windowed delta batches of one source batch — one
     /// `(scan index, deltas)` per cursor-fed scan, in scan order — past
     /// this pipeline's own window stages (which stay empty while the
-    /// scans are cursors on a source log). `charge` is the raw
-    /// source-batch size to account to `tuples_in` per scan, the same
-    /// number `push_source` would have charged.
+    /// scans are cursors on a source log). The batches are borrowed:
+    /// the log consolidated each once for every cursor of its class, so
+    /// this query's cost starts at its first operator. `charge` is the
+    /// raw source-batch size to account to `tuples_in` per scan, the
+    /// same number `push_source` would have charged.
     pub(crate) fn push_windowed(
         &mut self,
-        fed: &mut dyn Iterator<Item = (usize, DeltaBatch)>,
+        fed: &mut dyn Iterator<Item = (usize, &DeltaBatch)>,
         charge: u64,
         sink: &mut Sink,
     ) -> Result<()> {
         self.pay_drag();
         for (scan, deltas) in fed {
             self.tuples_in += charge;
-            let attach = self.scans[scan].attach;
-            self.propagate(attach, deltas, sink)?;
+            self.run(self.scans[scan].attach, deltas, sink)?;
         }
         Ok(())
     }
@@ -356,12 +359,15 @@ impl Pipeline {
     }
 
     /// Feed a signed batch (view maintenance output, table updates) from
-    /// `source`. Retractions bypass window buffering — view sources are
-    /// unbounded.
-    pub fn push_deltas(
+    /// `source` — already consolidated by the shard, once for all its
+    /// subscribers — into every scan bound to it. Retractions bypass
+    /// window buffering — view sources are unbounded. `charge` is the
+    /// raw batch size to account to `tuples_in` per scan.
+    pub(crate) fn push_deltas(
         &mut self,
         source: SourceId,
         deltas: &DeltaBatch,
+        charge: u64,
         sink: &mut Sink,
     ) -> Result<()> {
         self.pay_drag();
@@ -369,44 +375,42 @@ impl Pipeline {
             if self.scans[i].source != source {
                 continue;
             }
-            self.tuples_in += deltas.len() as u64;
-            let attach = self.scans[i].attach;
-            self.propagate(attach, deltas.clone(), sink)?;
+            self.tuples_in += charge;
+            self.run(self.scans[i].attach, deltas, sink)?;
         }
         Ok(())
     }
 
     /// Advance the clock: expire windows and propagate retractions.
     pub fn advance_time(&mut self, now: SimTime, sink: &mut Sink) -> Result<()> {
-        self.advance_scans(now, Vec::new(), sink)
+        self.advance_scans(now, &[], sink)
     }
 
     /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
     /// `expired` holds the `(scan index, retractions)` their source logs
-    /// computed for this clock. Each scan propagates in scan order
-    /// whichever side windowed it — a cursor-fed scan's own window is
-    /// empty, so the two never both fire.
+    /// computed (and consolidated, once per cursor class) for this
+    /// clock. Each scan propagates in scan order whichever side windowed
+    /// it — a cursor-fed scan's own window is empty, so the two never
+    /// both fire.
     pub(crate) fn advance_scans(
         &mut self,
         now: SimTime,
-        mut expired: Vec<(usize, DeltaBatch)>,
+        expired: &[(usize, Arc<DeltaBatch>)],
         sink: &mut Sink,
     ) -> Result<()> {
         for i in 0..self.scans.len() {
-            let mut batch = match expired.iter().position(|(scan, _)| *scan == i) {
-                Some(at) => expired.swap_remove(at).1,
-                None => DeltaBatch::new(),
-            };
-            self.scans[i].window.advance(now, &mut batch);
-            if !batch.is_empty() {
-                let attach = self.scans[i].attach;
-                self.propagate(attach, batch, sink)?;
+            let attach = self.scans[i].attach;
+            if let Some((_, batch)) = expired.iter().find(|(scan, _)| *scan == i) {
+                self.run(attach, batch, sink)?;
             }
+            let mut batch = DeltaBatch::new();
+            self.scans[i].window.advance(now, &mut batch);
+            self.propagate(attach, batch, sink)?;
         }
         Ok(())
     }
 
-    /// Move one batch up the operator chain from `start` to the sink.
+    /// Move one batch this pipeline built itself up the operator chain.
     ///
     /// The batch is consolidated on entry — insert/retract pairs that
     /// cancel within a push (e.g. a tuple that arrives and is evicted by
@@ -416,36 +420,32 @@ impl Pipeline {
     /// the optimizer's CPU-cost calibration is unchanged by batching;
     /// consolidation only ever shrinks it.
     fn propagate(&mut self, start: Attach, batch: DeltaBatch, sink: &mut Sink) -> Result<()> {
-        let mut batch = batch.consolidated();
+        self.run(start, &batch.consolidated(), sink)
+    }
+
+    /// Run an already-consolidated batch from `start` to the sink. The
+    /// first hop only borrows it, so a batch the shard consolidated once
+    /// (a cursor class's, a table's, a view's) serves every subscriber.
+    fn run(&mut self, start: Attach, first: &DeltaBatch, sink: &mut Sink) -> Result<()> {
         let mut attach = start;
+        let mut produced: Option<DeltaBatch> = None;
         loop {
+            let batch = produced.as_ref().unwrap_or(first);
             if batch.is_empty() {
                 return Ok(());
             }
-            match attach {
-                None => {
-                    sink.apply(&batch);
-                    return Ok(());
-                }
-                Some((idx, port)) => {
-                    let deltas = batch.len() as u64;
-                    self.ops_invoked += deltas;
-                    if self.timed {
-                        let t0 = std::time::Instant::now();
-                        batch = self.nodes[idx].op.process_batch(port, &batch)?;
-                        self.profile
-                            .record(self.nodes[idx].kind, deltas, t0.elapsed());
-                    } else {
-                        batch = self.nodes[idx].op.process_batch(port, &batch)?;
-                        self.profile.record(
-                            self.nodes[idx].kind,
-                            deltas,
-                            std::time::Duration::ZERO,
-                        );
-                    }
-                    attach = self.nodes[idx].parent;
-                }
-            }
+            let Some((idx, port)) = attach else {
+                sink.apply(batch);
+                return Ok(());
+            };
+            let deltas = batch.len() as u64;
+            self.ops_invoked += deltas;
+            let t0 = self.timed.then(std::time::Instant::now);
+            let out = self.nodes[idx].op.process_batch(port, batch)?;
+            let busy = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());
+            self.profile.record(self.nodes[idx].kind, deltas, busy);
+            produced = Some(out);
+            attach = self.nodes[idx].parent;
         }
     }
 }

@@ -135,6 +135,10 @@ pub struct ResidentState {
     /// Window cursors attached to those logs — one per stream scan of
     /// every live, non-migrated query (a self-join counts two).
     pub log_cursors: usize,
+    /// Cursor classes across those logs — cursors in equal window state
+    /// `(spec, head, pane)`, which share one materialized batch per log
+    /// step. `log_cursors / cursor_classes` is the window-work sharing.
+    pub cursor_classes: usize,
     /// Resident operator-state bytes across the engine: pipeline state
     /// (private windows, join sides, aggregate groups), each source log
     /// once, and the retained table store. Measured for columnar
@@ -496,6 +500,7 @@ impl Admission<'_> {
 struct LogCensus {
     logs: usize,
     cursors: usize,
+    classes: usize,
     rows: usize,
     state_bytes: usize,
     spilled_bytes: usize,
@@ -566,9 +571,10 @@ impl EngineShard {
             }
         }
         if let Some(log) = log {
-            // The log stores the batch exactly once; each query gets the
+            // The log stores the batch exactly once and windows it once
+            // per cursor class; each query borrows the consolidated
             // deltas its own windows over `src` would have emitted.
-            log.insert_batch(tuples, |qid, fed| {
+            log.insert_batch(tuples, meters, |qid, fed| {
                 let q = queries.get_mut(&qid).expect("tapped query is local");
                 q.pipeline
                     .push_windowed(fed, tuples.len() as u64, &mut q.sink)?;
@@ -588,10 +594,13 @@ impl EngineShard {
         trace: Option<TraceCtx>,
     ) -> Result<()> {
         if let Some(subs) = self.subs.get(&src) {
-            self.meters.tuples_in += deltas.len() as u64;
+            let charge = deltas.len() as u64;
+            self.meters.tuples_in += charge;
+            // Consolidated once here, not once per subscribed scan.
+            let deltas = &deltas.clone().consolidated();
             for qid in subs {
                 let q = self.queries.get_mut(qid).expect("routed query is local");
-                q.pipeline.push_deltas(src, deltas, &mut q.sink)?;
+                q.pipeline.push_deltas(src, deltas, charge, &mut q.sink)?;
                 if let Some(ctx) = &trace {
                     q.sink.latency.record_us(ctx.elapsed_us());
                 }
@@ -605,20 +614,21 @@ impl EngineShard {
             queries,
             logs,
             clock_subs,
+            meters,
             ..
         } = self;
-        // Cursor expiry is computed once per log and regrouped per
-        // query, so each pipeline expires its scans in scan order
+        // Cursor expiry is computed once per class per log and regrouped
+        // per query, so each pipeline expires its scans in scan order
         // whichever side windows them.
-        let mut expired: HashMap<QueryId, Vec<(usize, DeltaBatch)>> = HashMap::new();
+        let mut expired: HashMap<QueryId, Vec<(usize, Arc<DeltaBatch>)>> = HashMap::new();
         for log in logs.values_mut() {
-            log.advance(now, |qid, scan, batch| {
-                expired.entry(qid).or_default().push((scan, batch));
+            log.advance(now, meters, |qid, scan, batch| {
+                expired.entry(qid).or_default().push((scan, batch.clone()));
             });
         }
         for qid in clock_subs.iter() {
             let q = queries.get_mut(qid).expect("clocked query is local");
-            let fed = expired.remove(qid).unwrap_or_default();
+            let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
             q.pipeline.advance_scans(now, fed, &mut q.sink)?;
         }
         Ok(())
@@ -724,6 +734,7 @@ impl EngineShard {
         };
         for log in self.logs.values() {
             out.cursors += log.cursors();
+            out.classes += log.classes();
             out.rows += log.rows();
             out.state_bytes += log.state_bytes();
             out.spilled_bytes += log.spilled_bytes();
@@ -1066,7 +1077,10 @@ impl ShardedEngine {
                 busy_seconds: shard.meters.busy.as_secs_f64(),
                 source_logs: logs.logs,
                 log_cursors: logs.cursors,
+                cursor_classes: logs.classes,
                 log_rows: logs.rows,
+                window_batches: shard.meters.window_batches,
+                window_deliveries: shard.meters.window_deliveries,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
@@ -2044,6 +2058,7 @@ impl ShardedEngine {
             let logs = shard.log_census();
             out.source_logs += logs.logs;
             out.log_cursors += logs.cursors;
+            out.cursor_classes += logs.classes;
             out.window_tuples += logs.rows;
             out.state_bytes += logs.state_bytes;
             out.spilled_bytes += logs.spilled_bytes;
@@ -2213,6 +2228,50 @@ mod tests {
             .unwrap();
         assert_eq!(e.now(), SimTime::from_secs(7), "delta ingest moves clock");
         assert_eq!(e.snapshot(q).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn delta_batch_is_consolidated_once_and_charged_raw() {
+        // One admitted batch, two subscribers (one a self-join: two
+        // scans): the shard consolidates it once, every scan borrows
+        // the net batch, and the meters read what a private
+        // per-scan consolidation read — raw size in, net size through
+        // the operators.
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let filter = e
+            .register_sql("select e.dst from Edge e where e.src = 'a'")
+            .unwrap()
+            .expect_query();
+        let join = e
+            .register_sql("select x.src, y.dst from Edge x, Edge y where x.dst = y.src")
+            .unwrap()
+            .expect_query();
+        let edge = |s: &str, d: &str| {
+            Tuple::new(
+                vec![Value::Text(s.into()), Value::Text(d.into())],
+                SimTime::from_secs(1),
+            )
+        };
+        e.on_deltas(
+            "Edge",
+            &DeltaBatch::from(vec![
+                Delta::insert(edge("a", "b")),
+                Delta::insert(edge("b", "c")),
+                Delta::insert(edge("x", "y")),
+                Delta::retract(edge("x", "y")),
+                Delta::insert(edge("a", "b")),
+            ]),
+        )
+        .unwrap();
+        assert_eq!(e.snapshot(filter).unwrap().len(), 2, "a→b twice");
+        assert_eq!(e.snapshot(join).unwrap().len(), 2, "a→b→c twice");
+        let report = e.telemetry();
+        assert_eq!(report.shards[0].tuples_in, 5);
+        assert_eq!(report.query(filter.0).unwrap().tuples_in, 5);
+        assert_eq!(report.query(join.0).unwrap().tuples_in, 10, "per scan");
+        // Net batch: (a,b)×2 and (b,c) — two deltas into the filter, one
+        // out of it into the projection; the cancelled pair ran nowhere.
+        assert_eq!(report.query(filter.0).unwrap().ops_invoked, 3);
     }
 
     #[test]
@@ -2509,6 +2568,7 @@ mod tests {
         // and routing sees the tapped queries as ordinary subscribers.
         let rs = e.resident_state();
         assert_eq!((rs.source_logs, rs.log_cursors), (1, 3));
+        assert_eq!(rs.cursor_classes, 1, "one window, one class");
         assert_eq!(e.subscriber_count(src), 3);
         e.on_batch("Readings", &[reading(1, 10.0, 1), reading(2, 20.0, 1)])
             .unwrap();
@@ -2557,12 +2617,16 @@ mod tests {
             vec![Tuple::new(vec![Value::Float(30.0)], SimTime::from_secs(3))],
             "only post-attach data reaches the late cursor"
         );
-        assert_eq!(e.resident_state().window_tuples, 3, "each row stored once");
+        let rs = e.resident_state();
+        assert_eq!(rs.window_tuples, 3, "each row stored once");
+        assert_eq!(rs.cursor_classes, 2, "the late cursor's head is its own");
         // Expiring the pre-attach tuples (RANGE 10s, ts 1 and 2 fall out
         // at t=12) retracts them from q1 alone: they lie below q2's head.
         e.heartbeat(SimTime::from_secs(12)).unwrap();
         assert_eq!(e.snapshot(q1).unwrap().len(), 1);
         assert_eq!(e.snapshot(q2).unwrap().len(), 1, "pre-attach expiry leaked");
+        // ...and brings q1's head up to q2's: from here they are one class.
+        assert_eq!(e.resident_state().cursor_classes, 1);
         assert_eq!(e.resident_state().window_tuples, 1, "min-head release");
     }
 

@@ -44,6 +44,13 @@ pub struct ShardMeters {
     /// Wall time spent inside this shard's slice of the work. `max` over
     /// shards is the critical path an N-core deployment pays.
     pub busy: Duration,
+    /// Window batches this shard's source logs materialized (and
+    /// consolidated): one per cursor class per log step. Exact per seed.
+    pub window_batches: u64,
+    /// Window batches handed to pipelines: one per cursor per step.
+    /// `window_deliveries / window_batches` is how many windows shared
+    /// each batch of window work.
+    pub window_deliveries: u64,
     /// Distribution of admission→execution queue wait per task, recorded
     /// by the executor as it takes the shard lock (empty with tracing
     /// off).
@@ -124,10 +131,17 @@ pub struct ShardLoad {
     /// Window cursors attached to this shard's logs — one per stream
     /// scan of each live, non-migrated query. Exported as `cursors`.
     pub log_cursors: usize,
+    /// Cursor classes on this shard's logs right now: cursors in equal
+    /// window state, which share one batch per log step (a gauge).
+    pub cursor_classes: usize,
     /// Rows this shard's logs currently retain, each stored once
     /// however many cursors cover it — with `cursors`, the answer to
     /// "why is this shard fat".
     pub log_rows: usize,
+    /// Cumulative [`ShardMeters::window_batches`].
+    pub window_batches: u64,
+    /// Cumulative [`ShardMeters::window_deliveries`].
+    pub window_deliveries: u64,
     /// Highest boundary sequence number this shard has fully applied —
     /// its watermark, published at batch boundaries. The cut a
     /// barrier-free (`Consistency::Cut`) observation read this shard at.
@@ -229,7 +243,10 @@ impl TelemetryReport {
             busy_seconds: 0.0,
             source_logs: 0,
             log_cursors: 0,
+            cursor_classes: 0,
             log_rows: 0,
+            window_batches: 0,
+            window_deliveries: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -244,7 +261,10 @@ impl TelemetryReport {
             out.busy_seconds += s.busy_seconds;
             out.source_logs += s.source_logs;
             out.log_cursors += s.log_cursors;
+            out.cursor_classes += s.cursor_classes;
             out.log_rows += s.log_rows;
+            out.window_batches += s.window_batches;
+            out.window_deliveries += s.window_deliveries;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
@@ -469,7 +489,10 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             busy_seconds: 0.0,
             source_logs: 0,
             log_cursors: 0,
+            cursor_classes: 0,
             log_rows: 0,
+            window_batches: 0,
+            window_deliveries: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),

@@ -467,6 +467,9 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_lag gauge\n");
     out.push_str("# TYPE aspen_shard_log_rows gauge\n");
     out.push_str("# TYPE aspen_shard_cursors gauge\n");
+    out.push_str("# TYPE aspen_shard_cursor_classes gauge\n");
+    out.push_str("# TYPE aspen_shard_window_batches_total counter\n");
+    out.push_str("# TYPE aspen_shard_window_deliveries_total counter\n");
     for s in &report.shards {
         let l = format!("shard=\"{}\"", s.shard);
         prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
@@ -479,6 +482,19 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         prom_line(&mut out, "aspen_shard_lag", &l, s.lag);
         prom_line(&mut out, "aspen_shard_log_rows", &l, s.log_rows);
         prom_line(&mut out, "aspen_shard_cursors", &l, s.log_cursors);
+        prom_line(&mut out, "aspen_shard_cursor_classes", &l, s.cursor_classes);
+        prom_line(
+            &mut out,
+            "aspen_shard_window_batches_total",
+            &l,
+            s.window_batches,
+        );
+        prom_line(
+            &mut out,
+            "aspen_shard_window_deliveries_total",
+            &l,
+            s.window_deliveries,
+        );
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     for q in &report.queries {
@@ -569,7 +585,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"cursors\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
@@ -578,6 +594,9 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.busy_seconds,
                 s.log_rows,
                 s.log_cursors,
+                s.cursor_classes,
+                s.window_batches,
+                s.window_deliveries,
                 s.watermark,
                 s.lag,
                 json_hist(&s.queue_wait)

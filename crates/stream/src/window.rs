@@ -21,13 +21,18 @@
 //! always the contiguous suffix `[head, tail)` of the arrival order;
 //! the cursor is that `head` (plus the tumbling pane), and replays the
 //! exact delta sequence a private [`WindowOp`] of its spec would emit.
+//! Cursors in equal state are one *class*: the log windows and
+//! consolidates each step once per class, and every member's pipeline
+//! borrows that batch.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use aspen_types::{QueryId, Result, SimTime, Tuple, WindowSpec};
 
-use crate::delta::DeltaBatch;
+use crate::delta::{Delta, DeltaBatch};
 use crate::state::{ColumnarDeque, StateLayout, StateOptions};
+use crate::telemetry::ShardMeters;
 
 /// Layout-dual arrival-ordered tuple buffer.
 #[derive(Debug)]
@@ -114,14 +119,20 @@ impl Buffer {
         }
     }
 
-    fn extend_range(&self, floor: u64, lo: u64, hi: u64, out: &mut Vec<Tuple>) {
-        match self {
-            Buffer::Row(b) => out.extend(
-                b.range((lo - floor) as usize..(hi - floor) as usize)
-                    .cloned(),
-            ),
-            Buffer::Col(c) => c.extend_range(lo, hi, out),
+    /// The tuples of rows `[lo, hi)`, in arrival order (empty when
+    /// `lo >= hi`).
+    fn range(&self, floor: u64, lo: u64, hi: u64) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        if lo < hi {
+            match self {
+                Buffer::Row(b) => out.extend(
+                    b.range((lo - floor) as usize..(hi - floor) as usize)
+                        .cloned(),
+                ),
+                Buffer::Col(c) => c.extend_range(lo, hi, &mut out),
+            }
         }
+        out
     }
 
     fn release_below(&mut self, floor: u64, row: u64) {
@@ -281,94 +292,35 @@ impl WindowOp {
     }
 }
 
-/// One window over a [`SourceLog`]: the scan `scan` of query `query`,
-/// whose live set is the log suffix `[head, tail)`.
+/// The state of one window over a [`SourceLog`]: its live set is the
+/// log suffix `[head, tail)`. Windows in equal state emit equal deltas
+/// on the next log step, so a frame is also the key of a cursor *class*.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Frame {
+    spec: WindowSpec,
+    /// Row id of the oldest live tuple. Always 0 for `Unbounded`, which
+    /// buffers nothing and therefore pins nothing.
+    head: u64,
+    /// Current pane index for tumbling windows.
+    pane: Option<u64>,
+}
+
+/// One window over a [`SourceLog`]: the scan `scan` of query `query`.
 #[derive(Debug)]
 struct Cursor {
     query: QueryId,
     scan: usize,
-    spec: WindowSpec,
-    /// Row id of the oldest live tuple. Meaningless for `Unbounded`,
-    /// which buffers nothing and therefore pins nothing.
-    head: u64,
-    /// Current pane index for tumbling windows.
-    pane: Option<u64>,
+    at: Frame,
+    /// The class this cursor stepped with: an index into the batches of
+    /// the log step in progress, meaningless between steps.
+    class: usize,
 }
 
 /// A demoted cursor: scan index, live tuples in arrival order, pane —
 /// what [`WindowOp::adopt`] takes.
 pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Option<u64>);
 
-/// The retraction lists of one log operation, materialized from the
-/// log at most once per window spec: cursors of one spec retract nested
-/// suffixes of the same run of rows, so the senior cursor's list serves
-/// every junior from its own head on.
-struct Retired<'a> {
-    rows: &'a Buffer,
-    floor: u64,
-    /// `(spec, first row id, tuples)` — one contiguous run per spec.
-    runs: Vec<(WindowSpec, u64, Vec<Tuple>)>,
-}
-
-impl<'a> Retired<'a> {
-    fn of(rows: &'a Buffer, floor: u64) -> Self {
-        Retired {
-            rows,
-            floor,
-            runs: Vec::new(),
-        }
-    }
-
-    /// The tuples of log rows `[lo, hi)`.
-    fn rows(&mut self, spec: WindowSpec, lo: u64, hi: u64) -> &[Tuple] {
-        if lo >= hi {
-            return &[];
-        }
-        let i = match self.runs.iter().position(|r| r.0 == spec) {
-            Some(i) => i,
-            None => {
-                self.runs.push((spec, lo, Vec::new()));
-                self.runs.len() - 1
-            }
-        };
-        let (_, start, run) = &mut self.runs[i];
-        let end = *start + run.len() as u64;
-        if run.is_empty() || lo > end || hi < *start {
-            // Disjoint from the cached run (only non-monotone stamps or
-            // a pane-less tumbling junior get here): start over, so a
-            // run never holds a row no cursor asked for.
-            run.clear();
-            *start = lo;
-            self.rows.extend_range(self.floor, lo, hi, run);
-        } else {
-            if lo < *start {
-                let mut front = Vec::with_capacity((end - lo) as usize);
-                self.rows.extend_range(self.floor, lo, *start, &mut front);
-                front.append(run);
-                *run = front;
-                *start = lo;
-            }
-            if hi > end {
-                self.rows.extend_range(self.floor, end, hi, run);
-            }
-        }
-        &run[(lo - *start) as usize..(hi - *start) as usize]
-    }
-
-    /// Where a range cursor's expiry scan may start: past the rows a
-    /// senior cursor of the same spec already proved expired at this
-    /// clock, so a heartbeat costs one scan per spec, not per cursor.
-    fn proven_expired(&self, spec: WindowSpec, head: u64) -> u64 {
-        match self.runs.iter().find(|r| r.0 == spec) {
-            Some((_, start, run)) if (*start..*start + run.len() as u64).contains(&head) => {
-                *start + run.len() as u64
-            }
-            _ => head,
-        }
-    }
-}
-
-impl Cursor {
+impl Frame {
     /// Whether this window buffers tuples, i.e. needs the log to retain
     /// rows from `head` on.
     fn pins(&self) -> bool {
@@ -377,7 +329,8 @@ impl Cursor {
 
     /// [`WindowOp::insert_batch`] for the arrivals `tuples`, which the
     /// log appended as rows `[tail, tail + tuples.len())`.
-    fn insert_batch(&mut self, tail: u64, tuples: &[Tuple], retired: &mut Retired) -> DeltaBatch {
+    fn insert_batch(&mut self, log: (&Buffer, u64), tail: u64, tuples: &[Tuple]) -> DeltaBatch {
+        let (rows, floor) = log;
         let mut out = DeltaBatch::with_capacity(tuples.len());
         match self.spec {
             WindowSpec::Unbounded | WindowSpec::Range(_) => {
@@ -387,13 +340,13 @@ impl Cursor {
             }
             WindowSpec::Rows(n) => {
                 let end = tail + tuples.len() as u64;
-                let mut evicted = retired
-                    .rows(self.spec, self.head, self.head.max(end.saturating_sub(n)))
-                    .iter();
+                let mut evicted = rows
+                    .range(floor, self.head, end.saturating_sub(n))
+                    .into_iter();
                 for (i, t) in tuples.iter().enumerate() {
                     out.push_insert(t.clone());
                     while tail + i as u64 + 1 - self.head > n {
-                        out.push_retract(evicted.next().expect("eviction run is sized").clone());
+                        out.push_retract(evicted.next().expect("eviction run is sized"));
                         self.head += 1;
                     }
                 }
@@ -408,8 +361,8 @@ impl Cursor {
                     if self.pane.is_some_and(|current| current != pane) {
                         // Pane rollover: retract the entire previous pane.
                         let row = tail + i as u64;
-                        for old in retired.rows(self.spec, self.head, row) {
-                            out.push_retract(old.clone());
+                        for old in rows.range(floor, self.head, row) {
+                            out.push_retract(old);
                         }
                         self.head = row;
                     }
@@ -422,16 +375,12 @@ impl Cursor {
     }
 
     /// [`WindowOp::advance`] against a log whose next row id is `tail`.
-    fn advance(&mut self, now: SimTime, tail: u64, retired: &mut Retired) -> DeltaBatch {
-        let mut out = DeltaBatch::new();
+    fn advance(&mut self, log: (&Buffer, u64), now: SimTime, tail: u64) -> DeltaBatch {
+        let (rows, floor) = log;
         let expired_to = match self.spec {
             WindowSpec::Range(_) => {
-                let mut h = retired.proven_expired(self.spec, self.head);
-                while h < tail
-                    && !self
-                        .spec
-                        .contains(retired.rows.ts_at(retired.floor, h), now)
-                {
+                let mut h = self.head;
+                while h < tail && !self.spec.contains(rows.ts_at(floor, h), now) {
                     h += 1;
                 }
                 h
@@ -448,9 +397,11 @@ impl Cursor {
             }
             _ => self.head,
         };
-        for old in retired.rows(self.spec, self.head, expired_to) {
-            out.push_retract(old.clone());
-        }
+        let out = rows
+            .range(floor, self.head, expired_to)
+            .into_iter()
+            .map(Delta::retract)
+            .collect();
         self.head = expired_to;
         out
     }
@@ -467,6 +418,15 @@ impl Cursor {
 /// `head = tail` — streams are never replayed — which makes attaching
 /// O(1) whatever the log holds. Cursors of one query are adjacent and in
 /// scan order, which is the order their batches are delivered in.
+///
+/// The log steps cursor **classes**, not cursors: cursors whose
+/// [`Frame`]s are equal emit the same deltas, so each step materializes
+/// and consolidates one batch per distinct frame and every member
+/// borrows it. Classes have no registry — the key is recomputed per
+/// step — so a late cursor falls into the senior class of its spec by
+/// itself once its head catches up (first expiry past its attach row
+/// for `RANGE`, `n` arrivals for `ROWS n`, the next rollover for
+/// `TUMBLING`), and detaching a member takes nothing from the others.
 #[derive(Debug)]
 pub(crate) struct SourceLog {
     rows: Buffer,
@@ -489,12 +449,21 @@ impl SourceLog {
     /// A query attaches all its scans of this source back to back, in
     /// scan order.
     pub(crate) fn attach(&mut self, query: QueryId, scan: usize, spec: WindowSpec) {
+        let head = if spec == WindowSpec::Unbounded {
+            0
+        } else {
+            self.tail
+        };
+        let at = Frame {
+            spec,
+            head,
+            pane: None,
+        };
         self.cursors.push(Cursor {
             query,
             scan,
-            spec,
-            head: self.tail,
-            pane: None,
+            at,
+            class: 0,
         });
     }
 
@@ -509,44 +478,73 @@ impl SourceLog {
     pub(crate) fn demote(&mut self, query: QueryId) -> Vec<DemotedWindow> {
         let mut out = Vec::new();
         for c in self.cursors.iter().filter(|c| c.query == query) {
-            let mut live = Vec::new();
-            if c.pins() {
-                self.rows
-                    .extend_range(self.floor, c.head, self.tail, &mut live);
-            }
-            out.push((c.scan, live, c.pane));
+            let live = if c.at.pins() {
+                self.rows.range(self.floor, c.at.head, self.tail)
+            } else {
+                Vec::new()
+            };
+            out.push((c.scan, live, c.at.pane));
         }
         self.detach(query);
         out
     }
 
+    /// The one place a log step becomes deltas. `step` runs once per
+    /// class — on the first cursor found in each distinct frame — and
+    /// every member moves to the frame it produced, so all cursors have
+    /// stepped before anything is delivered. Returns each class's
+    /// consolidated batch; `Cursor::class` indexes them.
+    fn step_classes(
+        cursors: &mut [Cursor],
+        mut step: impl FnMut(&mut Frame) -> DeltaBatch,
+    ) -> Vec<Arc<DeltaBatch>> {
+        let mut frames: Vec<(Frame, Frame)> = Vec::new();
+        let mut batches = Vec::new();
+        for c in cursors {
+            c.class = frames
+                .iter()
+                .position(|(from, _)| *from == c.at)
+                .unwrap_or_else(|| {
+                    let mut to = c.at;
+                    batches.push(Arc::new(step(&mut to).consolidated()));
+                    frames.push((c.at, to));
+                    frames.len() - 1
+                });
+            c.at = frames[c.class].1;
+        }
+        batches
+    }
+
     /// Append one source batch and hand every query its cursors'
-    /// batches, in scan order. A query whose delivery fails does not
-    /// stop the others: every cursor still steps (a cursor left behind
-    /// would later retract tuples it never inserted), and the first
-    /// error is returned once all are served.
+    /// consolidated batches, in scan order — one materialized batch per
+    /// class, borrowed by every member (counted into `meters`). A query
+    /// whose delivery fails does not stop the others, and cannot
+    /// desynchronize its class (a cursor left behind would later retract
+    /// tuples it never inserted): every cursor has stepped before the
+    /// first delivery, and the first error is returned once all are
+    /// served.
     pub(crate) fn insert_batch(
         &mut self,
         tuples: &[Tuple],
-        mut deliver: impl FnMut(QueryId, &mut dyn Iterator<Item = (usize, DeltaBatch)>) -> Result<()>,
+        meters: &mut ShardMeters,
+        mut deliver: impl FnMut(QueryId, &mut dyn Iterator<Item = (usize, &DeltaBatch)>) -> Result<()>,
     ) -> Result<()> {
         let tail = self.tail;
-        if self.cursors.iter().any(Cursor::pins) {
+        if self.cursors.iter().any(|c| c.at.pins()) {
             for t in tuples {
                 self.rows.push_back(t.clone());
             }
             self.tail += tuples.len() as u64;
         }
-        let mut retired = Retired::of(&self.rows, self.floor);
+        let log = (&self.rows, self.floor);
+        let batches =
+            Self::step_classes(&mut self.cursors, |at| at.insert_batch(log, tail, tuples));
+        meters.window_batches += batches.len() as u64;
+        meters.window_deliveries += self.cursors.len() as u64;
         let mut first_err = None;
-        for tap in self.cursors.chunk_by_mut(|a, b| a.query == b.query) {
-            let query = tap[0].query;
-            let mut fed = tap
-                .iter_mut()
-                .map(|c| (c.scan, c.insert_batch(tail, tuples, &mut retired)));
-            let delivered = deliver(query, &mut fed);
-            fed.for_each(drop);
-            if let Err(e) = delivered {
+        for tap in self.cursors.chunk_by(|a, b| a.query == b.query) {
+            let mut fed = tap.iter().map(|c| (c.scan, &*batches[c.class]));
+            if let Err(e) = deliver(tap[0].query, &mut fed) {
                 first_err.get_or_insert(e);
             }
         }
@@ -555,17 +553,21 @@ impl SourceLog {
     }
 
     /// Advance the clock of every cursor; `deliver` gets each non-empty
-    /// expiry batch as `(query, scan, retractions)`.
+    /// expiry batch as `(query, scan, retractions)` — consolidated, and
+    /// shared by every member of the class that expired it.
     pub(crate) fn advance(
         &mut self,
         now: SimTime,
-        mut deliver: impl FnMut(QueryId, usize, DeltaBatch),
+        meters: &mut ShardMeters,
+        mut deliver: impl FnMut(QueryId, usize, &Arc<DeltaBatch>),
     ) {
-        let mut retired = Retired::of(&self.rows, self.floor);
-        for c in &mut self.cursors {
-            let out = c.advance(now, self.tail, &mut retired);
-            if !out.is_empty() {
-                deliver(c.query, c.scan, out);
+        let (log, tail) = ((&self.rows, self.floor), self.tail);
+        let batches = Self::step_classes(&mut self.cursors, |at| at.advance(log, now, tail));
+        meters.window_batches += batches.iter().filter(|b| !b.is_empty()).count() as u64;
+        for c in &self.cursors {
+            if !batches[c.class].is_empty() {
+                meters.window_deliveries += 1;
+                deliver(c.query, c.scan, &batches[c.class]);
             }
         }
         self.release();
@@ -576,8 +578,8 @@ impl SourceLog {
         let keep = self
             .cursors
             .iter()
-            .filter(|c| c.pins())
-            .map(|c| c.head)
+            .filter(|c| c.at.pins())
+            .map(|c| c.at.head)
             .min()
             .unwrap_or(self.tail);
         if keep > self.floor {
@@ -588,6 +590,18 @@ impl SourceLog {
 
     pub(crate) fn cursors(&self) -> usize {
         self.cursors.len()
+    }
+
+    /// Cursor classes right now: distinct frames, i.e. the batches the
+    /// next step will materialize.
+    pub(crate) fn classes(&self) -> usize {
+        let mut frames: Vec<Frame> = Vec::new();
+        for c in &self.cursors {
+            if !frames.contains(&c.at) {
+                frames.push(c.at);
+            }
+        }
+        frames.len()
     }
 
     /// Rows currently retained (`tail - floor`).
@@ -707,15 +721,36 @@ mod tests {
         }
     }
 
-    /// Property: k cursors attached at random points of one log emit,
-    /// per batch and per heartbeat, exactly the delta sequences of k
-    /// private `WindowOp`s fed the same suffixes — for all four specs
-    /// (degenerate `ROWS 0` and zero-width tumbling included), with
-    /// batches larger than the row windows (in-batch insert/evict
+    /// The oracle's class key of a private window: all cursors of a log
+    /// share its tail, so equal live counts are equal heads.
+    fn frame_of(w: &WindowOp) -> (WindowSpec, usize, Option<u64>) {
+        (w.spec, w.live(), w.pane)
+    }
+
+    fn distinct<T: PartialEq>(keys: impl Iterator<Item = T>) -> u64 {
+        let mut seen = Vec::new();
+        for k in keys {
+            if !seen.contains(&k) {
+                seen.push(k);
+            }
+        }
+        seen.len() as u64
+    }
+
+    /// Property: cursors attached in groups (same specs, same attach
+    /// point) at random points of one log receive, per batch and per
+    /// heartbeat, exactly the *consolidation* of the delta sequences
+    /// private `WindowOp`s fed the same suffixes emit — for all four
+    /// specs (degenerate `ROWS 0` and zero-width tumbling included),
+    /// with batches larger than the row windows (in-batch insert/evict
     /// interleaving), several tumbling rollovers per batch, stamps that
     /// run backwards inside a batch, self-join (two-scan) taps, and
-    /// detach/demote at random points. The log itself must retain
-    /// exactly the longest live suffix, and be delivered in attach order.
+    /// detach/demote of single members at random points (their
+    /// classmates keep matching their oracles). The log materializes one
+    /// batch per distinct oracle frame per step — so a late cursor is in
+    /// the senior class exactly from the step its private window's state
+    /// coincides with the senior's — retains exactly the longest live
+    /// suffix, and delivers in attach order.
     #[test]
     fn cursors_replay_private_windows_delta_for_delta() {
         use aspen_types::rng::seeded;
@@ -736,6 +771,7 @@ mod tests {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
+        let mut shared_steps = 0u64;
         for opts in [StateOptions::row(), StateOptions::columnar()] {
             for seed in (0..6).map(|i| base.wrapping_mul(0x1000).wrapping_add(i)) {
                 let mut rng = seeded(0xC0_45 ^ seed);
@@ -746,43 +782,68 @@ mod tests {
                 let mut now = 0u64;
                 for step in 0..160 {
                     let ctx = format!("{:?}, seed {seed}, step {step}", opts.layout);
+                    let mut meters = ShardMeters::default();
+                    let classes = distinct(private.iter().map(|p| frame_of(&p.2)));
+                    assert_eq!(log.classes() as u64, classes, "{ctx}");
                     match rng.gen_range(0..10u32) {
                         0 | 1 => {
-                            let query = QueryId(next_query);
-                            next_query += 1;
-                            for scan in 0..rng.gen_range(1..3usize) {
-                                let spec = specs[rng.gen_range(0..specs.len())];
-                                log.attach(query, scan, spec);
-                                private.push((query, scan, WindowOp::with_options(spec, &opts)));
+                            // A group of queries over the same windows,
+                            // attached at the same point: one class.
+                            let scans: Vec<WindowSpec> = (0..rng.gen_range(1..3usize))
+                                .map(|_| specs[rng.gen_range(0..specs.len())])
+                                .collect();
+                            for _ in 0..rng.gen_range(1..4usize) {
+                                let query = QueryId(next_query);
+                                next_query += 1;
+                                for (scan, &spec) in scans.iter().enumerate() {
+                                    log.attach(query, scan, spec);
+                                    private.push((
+                                        query,
+                                        scan,
+                                        WindowOp::with_options(spec, &opts),
+                                    ));
+                                }
                             }
                         }
                         2 if !private.is_empty() => {
                             let query = private[rng.gen_range(0..private.len())].0;
-                            let demoted = log.demote(query);
-                            let mut gone = private.iter().filter(|p| p.0 == query);
-                            for (scan, live, pane) in demoted {
-                                let (_, pscan, w) = gone.next().expect("one window per cursor");
-                                assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
-                                assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
+                            if rng.gen_range(0..2u32) == 0 {
+                                log.detach(query);
+                            } else {
+                                let demoted = log.demote(query);
+                                let mut gone = private.iter().filter(|p| p.0 == query);
+                                for (scan, live, pane) in demoted {
+                                    let (_, pscan, w) = gone.next().expect("one window per cursor");
+                                    assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
+                                    assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
+                                }
+                                assert!(gone.next().is_none(), "{ctx}");
                             }
-                            assert!(gone.next().is_none(), "{ctx}");
                             private.retain(|p| p.0 != query);
                         }
                         3 | 4 => {
                             now += rng.gen_range(0..6u64);
                             let mut got = Vec::new();
-                            log.advance(SimTime::from_secs(now), |q, scan, batch| {
-                                got.push((q, scan, batch));
+                            log.advance(SimTime::from_secs(now), &mut meters, |q, scan, batch| {
+                                got.push((q, scan, DeltaBatch::clone(batch)));
                             });
                             let mut want = Vec::new();
+                            let mut fired = Vec::new();
                             for (q, scan, w) in &mut private {
+                                let from = frame_of(w);
                                 let mut out = DeltaBatch::new();
                                 w.advance(SimTime::from_secs(now), &mut out);
                                 if !out.is_empty() {
-                                    want.push((*q, *scan, out));
+                                    want.push((*q, *scan, out.consolidated()));
+                                    fired.push(from);
                                 }
                             }
                             assert_eq!(got, want, "heartbeat {now}, {ctx}");
+                            assert_eq!(
+                                (meters.window_batches, meters.window_deliveries),
+                                (distinct(fired.into_iter()), want.len() as u64),
+                                "one expiry batch per class that expired, {ctx}"
+                            );
                         }
                         _ => {
                             let batch: Vec<Tuple> = (0..rng.gen_range(0..12usize))
@@ -790,8 +851,8 @@ mod tests {
                                 .collect();
                             now += rng.gen_range(0..3u64);
                             let mut got = Vec::new();
-                            log.insert_batch(&batch, |q, fed| {
-                                got.extend(fed.map(|(scan, out)| (q, scan, out)));
+                            log.insert_batch(&batch, &mut meters, |q, fed| {
+                                got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
                                 Ok(())
                             })
                             .unwrap();
@@ -800,10 +861,16 @@ mod tests {
                                 .map(|(q, scan, w)| {
                                     let mut out = DeltaBatch::new();
                                     w.insert_batch(&batch, &mut out);
-                                    (*q, *scan, out)
+                                    (*q, *scan, out.consolidated())
                                 })
                                 .collect();
                             assert_eq!(got, want, "batch of {}, {ctx}", batch.len());
+                            assert_eq!(
+                                (meters.window_batches, meters.window_deliveries),
+                                (classes, private.len() as u64),
+                                "one batch per class, one delivery per cursor, {ctx}"
+                            );
+                            shared_steps += u64::from(classes < private.len() as u64);
                         }
                     }
                     assert_eq!(log.cursors(), private.len(), "{ctx}");
@@ -815,35 +882,139 @@ mod tests {
                 }
             }
         }
+        assert!(
+            shared_steps > 200,
+            "the run shares classes ({shared_steps})"
+        );
+    }
+
+    /// A cursor attached to a warm log starts in a class of its own and
+    /// falls into the senior class of its spec at a predictable step:
+    /// when expiry reaches its attach row (`RANGE`), after `n` arrivals
+    /// (`ROWS n`), at the next rollover (`TUMBLING`) — and from then on
+    /// the log materializes one batch for both.
+    #[test]
+    fn late_cursors_merge_into_the_senior_class() {
+        // Per step: (classes before, batches materialized, deliveries).
+        fn feed(log: &mut SourceLog, tuples: &[Tuple]) -> (usize, u64, u64) {
+            let (before, mut m) = (log.classes(), ShardMeters::default());
+            log.insert_batch(tuples, &mut m, |_, fed| {
+                fed.for_each(drop);
+                Ok(())
+            })
+            .unwrap();
+            (before, m.window_batches, m.window_deliveries)
+        }
+        for opts in [StateOptions::row(), StateOptions::columnar()] {
+            // RANGE 5 s: rows at t = 0, 1, 2, then the junior attaches
+            // at row 3.
+            let spec = WindowSpec::Range(SimDuration::from_secs(5));
+            let mut log = SourceLog::new(&opts);
+            log.attach(QueryId(0), 0, spec);
+            feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
+            log.attach(QueryId(1), 0, spec);
+            assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
+            let expire = |log: &mut SourceLog, secs| {
+                let (mut m, mut got) = (ShardMeters::default(), Vec::new());
+                log.advance(SimTime::from_secs(secs), &mut m, |q, _, batch| {
+                    got.push((q, batch.len()));
+                });
+                (got, m.window_batches, log.classes())
+            };
+            // Expiry short of the attach row: only the senior retracts.
+            assert_eq!(expire(&mut log, 6), (vec![(QueryId(0), 2)], 1, 2));
+            // Expiry reaches the attach row: the heads meet.
+            assert_eq!(expire(&mut log, 7), (vec![(QueryId(0), 1)], 1, 1));
+            // From here on one batch serves both.
+            assert_eq!(
+                expire(&mut log, 8),
+                (vec![(QueryId(0), 1), (QueryId(1), 1)], 1, 1)
+            );
+            assert_eq!(feed(&mut log, &[t(5, 9)]), (1, 1, 2));
+
+            // ROWS 3: the junior attaches to a full senior and merges
+            // after exactly three arrivals — before its first eviction.
+            let mut log = SourceLog::new(&opts);
+            log.attach(QueryId(0), 0, WindowSpec::Rows(3));
+            feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
+            log.attach(QueryId(1), 0, WindowSpec::Rows(3));
+            assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
+            assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
+            assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
+
+            // TUMBLING 4 s: same pane, different heads, until the pane
+            // rolls over.
+            let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
+            let mut log = SourceLog::new(&opts);
+            log.attach(QueryId(0), 0, spec);
+            feed(&mut log, &[t(0, 0), t(1, 1)]);
+            log.attach(QueryId(1), 0, spec);
+            assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
+            assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
+            assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
+        }
     }
 
     #[test]
     fn failed_delivery_still_steps_every_cursor() {
+        // Three queries in one class; the middle one's delivery fails.
         let mut log = SourceLog::new(&StateOptions::columnar());
-        log.attach(QueryId(0), 0, WindowSpec::Rows(1));
-        log.attach(QueryId(1), 0, WindowSpec::Rows(1));
+        let spec = WindowSpec::Range(SimDuration::from_secs(5));
+        for q in 0..3 {
+            log.attach(QueryId(q), 0, WindowSpec::Rows(1));
+            log.attach(QueryId(q), 1, spec);
+        }
+        let mut meters = ShardMeters::default();
         let mut served = Vec::new();
-        let err = log.insert_batch(&[t(1, 0), t(2, 0)], |q, _fed| {
+        let err = log.insert_batch(&[t(1, 0), t(2, 0)], &mut meters, |q, fed| {
             served.push(q);
-            Err(aspen_types::AspenError::Execution("sink is gone".into()))
+            if q == QueryId(1) {
+                return Err(aspen_types::AspenError::Execution("sink is gone".into()));
+            }
+            fed.for_each(drop);
+            Ok(())
         });
         assert!(err.is_err());
         assert_eq!(
             served,
-            vec![QueryId(0), QueryId(1)],
+            vec![QueryId(0), QueryId(1), QueryId(2)],
             "one failure stops no one"
         );
-        // Neither consumer drained its feed, yet both cursors evicted:
-        // the log holds one row, and the next batch evicts only t(2, 0).
-        assert_eq!(log.rows(), 1);
+        // The failing consumer never drained its feed, yet its cursors
+        // stepped with their classes: still two classes, two batches a
+        // step, and the ROWS cursors hold one row each.
+        assert_eq!((log.classes(), log.rows()), (2, 2));
         let mut got = Vec::new();
-        log.insert_batch(&[t(3, 1)], |_, fed| {
-            got.extend(fed.map(|(_, out)| out));
+        log.insert_batch(&[t(3, 1)], &mut meters, |q, fed| {
+            got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
             Ok(())
         })
         .unwrap();
-        let want: DeltaBatch = vec![Delta::insert(t(3, 1)), Delta::retract(t(2, 0))].into();
-        assert_eq!(got, vec![want.clone(), want]);
+        assert_eq!((meters.window_batches, meters.window_deliveries), (4, 12));
+        let rows: DeltaBatch = vec![Delta::insert(t(3, 1)), Delta::retract(t(2, 0))].into();
+        let range: DeltaBatch = vec![Delta::insert(t(3, 1))].into();
+        let want: Vec<_> = (0..3)
+            .flat_map(|q| {
+                [
+                    (QueryId(q), 0, rows.clone()),
+                    (QueryId(q), 1, range.clone()),
+                ]
+            })
+            .collect();
+        assert_eq!(got, want, "every member evicts only what it inserted");
+        // Then a heartbeat: each member retracts exactly the three rows
+        // it was fed — the failed one included, nothing it never saw.
+        let mut expired = Vec::new();
+        log.advance(SimTime::from_secs(10), &mut meters, |q, scan, batch| {
+            expired.push((q, scan, DeltaBatch::clone(batch)));
+        });
+        let all: DeltaBatch = [t(1, 0), t(2, 0), t(3, 1)]
+            .map(Delta::retract)
+            .into_iter()
+            .collect();
+        let want: Vec<_> = (0..3).map(|q| (QueryId(q), 1, all.clone())).collect();
+        assert_eq!(expired, want);
+        assert_eq!((meters.window_batches, meters.window_deliveries), (5, 15));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use smartcis::app::{queries, SmartCis};
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
@@ -409,7 +410,14 @@ fn wiring(e: &ShardedEngine) -> Wiring {
 /// inside every subscribing shard's task. An ingest that returns `Ok`
 /// did not run it yet — the failure is deferred to the next observer.
 /// Sequential scheduling defers nothing, so there this returns `false`.
+/// The malformed batch is queued behind a valid one: a pool worker woken
+/// by an enqueue can run the task before the ingesting thread is
+/// scheduled again (on a busy host, 64 times in a row), which surfaces
+/// the error to that very call and leaves nothing pending — so the
+/// caller makes the subscribers slow under `Pool`, and the worker is
+/// still inside the valid batch when the malformed one is admitted.
 fn poison(e: &mut ShardedEngine) -> bool {
+    e.on_batch("Readings", &[reading(1, 20.0, 3)]).unwrap();
     let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(3));
     (0..64).any(|_| e.on_batch("Readings", std::slice::from_ref(&bad)).is_ok())
 }
@@ -468,6 +476,12 @@ fn failed_lifecycle_verb_changes_nothing() {
                         .unwrap();
                 }
                 e.pause(held).unwrap();
+                if mode == Scheduling::Pool {
+                    // Slow subscribers keep `poison`'s batch queued.
+                    for q in [live, pushed] {
+                        e.set_query_drag(q, Some(Duration::from_millis(2))).unwrap();
+                    }
+                }
                 (e, session, [live, held, pushed])
             };
             let ctx = |verb: &str| format!("{verb} under {mode:?}, seed {seed}");

@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
-    Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling, ShardedEngine,
+    render_json, render_prometheus, Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling,
+    ShardedEngine,
 };
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
@@ -1167,6 +1168,79 @@ fn shared_subplan_churn_matches_private_execution() {
 /// and a seeded deterministic interleaving — must produce the same
 /// results: same shards, same slices, same snapshots. The mode is fixed
 /// at construction via `EngineConfig`.
+/// Window work is shared exactly: 100 queries behind one window are one
+/// cursor class, so every admitted batch is windowed and consolidated
+/// twice (that class + the one query with a window of its own) and
+/// delivered 101 times; a heartbeat that expires the shared window
+/// materializes one retraction batch for its 100 members. The counters
+/// are exact, so this holds under every scheduling mode — read `Fresh`,
+/// since pool-scheduled admits may still be queued.
+#[test]
+fn window_sharing_counters_are_exact_under_every_scheduling_mode() {
+    for scheduling in [
+        Scheduling::Sequential,
+        Scheduling::Pool,
+        Scheduling::Deterministic(0x101 ^ seed_base()),
+    ] {
+        let mut e = ShardedEngine::with_config(
+            catalog(),
+            EngineConfig::new().shards(1).scheduling(scheduling),
+        );
+        let shared: Vec<QueryHandle> = (0..100)
+            .map(|i| {
+                let sql = format!(
+                    "select r.sensor, r.value from Readings r [range 30 seconds] \
+                     where r.value > {i}"
+                );
+                e.register_sql(&sql).unwrap().expect_query()
+            })
+            .collect();
+        let own = e
+            .register_sql("select r.sensor, r.value from Readings r [rows 5]")
+            .unwrap()
+            .expect_query();
+        let work = |e: &ShardedEngine| {
+            let s = &e.telemetry_at(Consistency::Fresh).shards[0];
+            (s.window_batches, s.window_deliveries, s.cursor_classes)
+        };
+        assert_eq!(work(&e), (0, 0, 2), "{scheduling:?}");
+        for b in 0..8u64 {
+            let batch: Vec<Tuple> = (0..16)
+                .map(|i| reading(i % 4, (b * 16 + i as u64) as f64, b))
+                .collect();
+            e.on_batch("Readings", &batch).unwrap();
+            assert_eq!(
+                work(&e),
+                (2 * (b + 1), 101 * (b + 1), 2),
+                "{scheduling:?}, batch {b}"
+            );
+        }
+        let rs = e.resident_state();
+        assert_eq!((rs.log_cursors, rs.cursor_classes), (101, 2));
+        // Every member saw the whole feed through the one shared batch.
+        assert_eq!(e.snapshot(shared[0]).unwrap().len(), 127, "{scheduling:?}");
+        assert_eq!(e.snapshot(shared[99]).unwrap().len(), 28, "{scheduling:?}");
+        assert_eq!(e.snapshot(own).unwrap().len(), 5, "{scheduling:?}");
+        // RANGE expires on the clock, ROWS never does: one batch, 100
+        // deliveries.
+        e.heartbeat(SimTime::from_secs(60)).unwrap();
+        assert_eq!(work(&e), (17, 908, 2), "{scheduling:?}");
+        let report = e.telemetry_at(Consistency::Fresh);
+        let prom = render_prometheus(&report);
+        for line in [
+            "aspen_shard_cursor_classes{shard=\"0\"} 2",
+            "aspen_shard_window_batches_total{shard=\"0\"} 17",
+            "aspen_shard_window_deliveries_total{shard=\"0\"} 908",
+        ] {
+            assert!(prom.contains(line), "{line} missing from:\n{prom}");
+        }
+        assert!(render_json(&report)
+            .contains("\"cursor_classes\":2,\"window_batches\":17,\"window_deliveries\":908"));
+        assert!(e.snapshot(shared[0]).unwrap().is_empty());
+        assert_eq!(e.snapshot(own).unwrap().len(), 5);
+    }
+}
+
 #[test]
 fn parallel_fan_out_matches_sequential() {
     let run = |scheduling: Scheduling| -> Vec<Vec<Vec<Value>>> {
