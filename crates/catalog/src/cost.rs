@@ -29,8 +29,10 @@ pub struct CostModelParams {
     /// Cost units per byte shipped over the LAN between stream-engine
     /// nodes.
     pub units_per_lan_byte: f64,
-    /// E9 ablation switch: when `false`, [`CostModelParams::normalize`]
-    /// returns the *raw sum* of incommensurable engine numbers.
+    /// E9 ablation switch: when `false`, the conversions
+    /// ([`CostModelParams::from_messages`],
+    /// [`CostModelParams::from_stream_cost`]) return the *raw sum* of
+    /// incommensurable engine numbers.
     pub normalization_enabled: bool,
 }
 

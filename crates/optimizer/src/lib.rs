@@ -1,7 +1,7 @@
 //! # aspen-optimizer
 //!
 //! ASPEN's **federated query optimizer** (§3 of the paper, modeled on
-//! Garlic [7]): it takes a bound query over heterogeneous sources,
+//! Garlic \[7\]): it takes a bound query over heterogeneous sources,
 //! enumerates candidate partitionings of the plan between the **sensor
 //! engine** (on motes) and the **stream engine** (on PCs), asks each
 //! engine's sub-optimizer *"can you execute this fragment, and at what

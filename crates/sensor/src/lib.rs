@@ -1,7 +1,7 @@
 //! # aspen-sensor
 //!
 //! ASPEN's **distributed sensor engine** — the in-network query runtime
-//! the paper deploys on motes (§3, detailed in ref [13], DMSN'08). It
+//! the paper deploys on motes (§3, detailed in ref \[13\], DMSN'08). It
 //! runs as per-node programs over the [`aspen_netsim`] simulator and
 //! supports:
 //!

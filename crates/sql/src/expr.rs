@@ -8,7 +8,7 @@
 //!
 //! * [`PartialAgg`] — the small, **mergeable** `(count, sum, min, max)`
 //!   record used by TAG-style in-network aggregation on motes (partials
-//!   combine up the routing tree; ref [12] of the paper);
+//!   combine up the routing tree; ref \[12\] of the paper);
 //! * [`AggAccumulator`] — the stream engine's windowed accumulator with
 //!   full **retraction** support (expired tuples are subtracted; MIN/MAX
 //!   keep a multiset so deletions are exact).

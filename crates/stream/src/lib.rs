@@ -1,7 +1,7 @@
 //! # aspen-stream
 //!
 //! ASPEN's **distributed stream engine** — the PC-side query runtime of
-//! the paper (its §3 "distributed stream engine", detailed in ref [11]).
+//! the paper (its §3 "distributed stream engine", detailed in ref \[11\]).
 //! It executes windowed Stream SQL plans incrementally and maintains
 //! **recursive stream views** (transitive closure) with provenance-backed
 //! deletion support, which is what computes SmartCIS's building routes in
@@ -31,11 +31,11 @@
 //!   or demoting the cursors). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
-//! * [`EngineConfig`] — eight construction-time fields, each with its
+//! * [`EngineConfig`] — seven construction-time fields, each with its
 //!   default: `shards` (1), `scheduling` (pool iff shards > 1 and
 //!   cores > 1, else sequential), `workers` (min(shards, cores)),
 //!   `queue_depth` (32), `rebalance` (off), `shared_subplans` (on),
-//!   `state_layout` (columnar), `spill` (off).
+//!   `spill` (off).
 //! * [`QuerySpec`] / [`Registration`] / [`SessionId`] /
 //!   [`ResultSubscription`] / [`Consistency`] — the client vocabulary.
 //! * [`Cluster`] (+ [`ClusterConfig`], four fields) — N engines behind
@@ -313,25 +313,23 @@
 //!
 //! Hot operator state — window buffers, retained-table
 //! [`state::BagState`]s, join/aggregate [`state::KeyedState`] — is laid
-//! out **columnar** by default: tuples are shredded into per-column
-//! primitive vectors (dictionary-encoded text, run-length-encoded
-//! constant runs) in segment files managed by the vendored
-//! `columnar` shim, with per-tuple multisets replaced by a hash index
-//! over row ids. Row-major `VecDeque`/`HashMap` layouts remain available
-//! via [`session::EngineConfig::state_layout`] and every state structure
-//! is property-tested to behave *identically* under both layouts —
+//! out **columnar**, the one layout there is: tuples are shredded into
+//! per-column primitive vectors (dictionary-encoded text,
+//! run-length-encoded constant runs) in segment files managed by the
+//! vendored `columnar` shim, with per-tuple multisets replaced by a hash
+//! index over row ids. Every state structure is property-tested in
+//! [`state`] and [`window`] against a naive model of its contract —
 //! exact retraction multiplicities, per-occurrence arrival-order
-//! replay, debt healing, oldest-first eviction.
+//! replay, debt healing, oldest-first eviction — resident and spilled.
 //!
-//! Two things fall out of the columnar re-lay:
+//! Two things fall out of the columnar layout:
 //!
 //! * **Byte-accounted state** — every operator reports measured
 //!   `state_bytes` (and `spilled_bytes`) through
-//!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`];
-//!   columnar segments report their actual encoded footprint, row
-//!   layouts a heap estimate. Those gauges feed the rebalancer's
-//!   blended score above; a unit test in [`state`] pins the columnar
-//!   layout at ≥ 2× fewer bytes than the row estimate.
+//!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`]:
+//!   segments report their actual encoded footprint. Those gauges feed
+//!   the rebalancer's blended score above; a unit test in [`state`]
+//!   pins a fixed fixture's bytes under a ceiling.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
 //!   first) page to disk and fault back transparently on access, while
@@ -446,7 +444,7 @@ pub use session::{
 };
 pub use shard::{QueryHandle, ResidentState, ShardedEngine, StreamEngine};
 pub use sink::Sink;
-pub use state::{SpillConfig, StateLayout, StateOptions};
+pub use state::{SpillConfig, StateOptions};
 pub use telemetry::{
     LoadWindow, QueryLoad, ShardLoad, TelemetryReport, WindowedQueryLoad, WorkerLoad,
 };
@@ -454,3 +452,14 @@ pub use trace::{
     render_json, render_prometheus, LatencyHistogram, OpKind, OpProfile, Span, SpanJournal,
     SpanKind, TraceCtx,
 };
+
+/// This run's property-test seeds: `n` of them, in a block of their own
+/// per `ASPEN_TEST_SEED` (CI sweeps a seed matrix).
+#[cfg(test)]
+pub(crate) fn test_seeds(n: u64) -> impl Iterator<Item = u64> {
+    let base: u64 = std::env::var("ASPEN_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    (0..n).map(move |i| base.wrapping_mul(0x1000).wrapping_add(i))
+}

@@ -111,7 +111,7 @@ pub struct JoinOp {
 }
 
 impl JoinOp {
-    /// Columnar-layout join state (the engine default).
+    /// Resident join state (the engine default).
     pub fn new(keys: Vec<(usize, usize)>, residual: Option<BoundExpr>) -> Self {
         JoinOp::with_options(keys, residual, &StateOptions::default())
     }

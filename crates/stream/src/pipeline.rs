@@ -84,7 +84,7 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Compile a plan with default (columnar) state options.
+    /// Compile a plan with default (resident) state options.
     pub fn compile(plan: &LogicalPlan) -> Result<Pipeline> {
         Pipeline::compile_with(plan, &StateOptions::default())
     }
@@ -92,8 +92,8 @@ impl Pipeline {
     /// Compile a plan. Sort/Limit/Output must appear only at the top
     /// (which is how the binder builds plans); RecursiveRef is rejected —
     /// recursive views compile through `recursive::RecursiveView` instead.
-    /// `opts` selects the physical layout (and spill policy) of every
-    /// stateful operator — window buffers and join state.
+    /// `opts` carries the spill policy of every stateful operator —
+    /// window buffers and join state.
     pub fn compile_with(plan: &LogicalPlan, opts: &StateOptions) -> Result<Pipeline> {
         // Peel presentation operators off the top.
         let mut sort_keys = Vec::new();
@@ -343,8 +343,7 @@ impl Pipeline {
 
     /// Resident bytes held by this pipeline's stateful stages: window
     /// buffers plus every operator's private state (join sides,
-    /// aggregate groups). Measured for columnar state, estimated for
-    /// row state.
+    /// aggregate groups).
     pub fn state_bytes(&self) -> usize {
         let windows: usize = self.scans.iter().map(|s| s.window.state_bytes()).sum();
         let ops: usize = self.nodes.iter().map(|n| n.op.state_bytes()).sum();

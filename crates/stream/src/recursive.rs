@@ -1,4 +1,4 @@
-//! Recursive stream views with provenance (the paper's ref [11],
+//! Recursive stream views with provenance (the paper's ref \[11\],
 //! "Maintaining recursive stream views with provenance", ICDE 2009).
 //!
 //! A [`RecursiveView`] materializes a `CREATE RECURSIVE VIEW` definition

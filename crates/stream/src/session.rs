@@ -8,7 +8,7 @@
 //!
 //! * [`EngineConfig`] — construction-time engine knobs (shard count,
 //!   executor scheduling mode, worker count, per-shard queue depth,
-//!   rebalancing, log sharing, state layout, spill). There are no
+//!   rebalancing, log sharing, spill). There are no
 //!   runtime-mutable engine toggles; everything is fixed when the
 //!   engine is built.
 //! * [`QuerySpec`] — a builder carrying what to run (SQL text or a bound
@@ -45,9 +45,9 @@ use crate::delta::DeltaBatch;
 use crate::executor::Scheduling;
 use crate::rebalance::RebalanceConfig;
 use crate::shard::QueryHandle;
-use crate::state::{SpillConfig, StateLayout, StateOptions};
+use crate::state::{SpillConfig, StateOptions};
 
-/// Construction-time engine configuration: eight settable fields, each
+/// Construction-time engine configuration: seven settable fields, each
 /// documented with its default on its setter, all fixed for the engine's
 /// lifetime (there are no runtime toggles). The plan-template cache and
 /// the trace plane are not configurable — both are always on.
@@ -70,11 +70,9 @@ pub struct EngineConfig {
     /// Shared-subplan execution (`None` = on): every stream scan is a
     /// cursor on its shard's one arrival log of that source.
     shared_subplans: Option<bool>,
-    /// Physical layout of operator state (`None` = columnar): window
-    /// buffers, join sides, and retained tables.
-    state_layout: Option<StateLayout>,
-    /// Spill tier for columnar state (`None` = stay resident): cold
-    /// sealed segments page to disk past the threshold.
+    /// Spill tier for operator state — window buffers, join sides,
+    /// retained tables (`None` = stay resident): cold sealed segments
+    /// page to disk past the threshold.
     spill: Option<SpillConfig>,
 }
 
@@ -145,18 +143,10 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the physical layout of operator state (default columnar).
-    /// `StateLayout::Row` restores the pre-columnar HashMap layout —
-    /// the reference in the row-vs-columnar equivalence properties.
-    pub fn state_layout(mut self, layout: StateLayout) -> Self {
-        self.state_layout = Some(layout);
-        self
-    }
-
-    /// Enable the spill tier: columnar state pages cold sealed segments
+    /// Enable the spill tier: operator state pages cold sealed segments
     /// to files under `dir` whenever a store's resident bytes exceed
     /// `threshold_bytes`. Reads fault segments in transiently; results
-    /// are unchanged. Ignored under `StateLayout::Row`.
+    /// are unchanged.
     pub fn spill(mut self, threshold_bytes: usize, dir: impl Into<std::path::PathBuf>) -> Self {
         self.spill = Some(SpillConfig::new(threshold_bytes, dir));
         self
@@ -164,7 +154,6 @@ impl EngineConfig {
 
     pub(crate) fn resolve_state_options(&self) -> StateOptions {
         StateOptions {
-            layout: self.state_layout.unwrap_or_default(),
             spill: self.spill.clone(),
         }
     }

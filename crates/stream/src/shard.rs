@@ -141,8 +141,8 @@ pub struct ResidentState {
     pub cursor_classes: usize,
     /// Resident operator-state bytes across the engine: pipeline state
     /// (private windows, join sides, aggregate groups), each source log
-    /// once, and the retained table store. Measured for columnar
-    /// state, estimated for row state — the benchmark's `state_bytes`.
+    /// once, and the retained table store — measured; the benchmark's
+    /// `state_bytes`.
     pub state_bytes: usize,
     /// Bytes currently paged out to the spill tier (disjoint from
     /// `state_bytes`).
@@ -798,8 +798,8 @@ pub struct ShardedEngine {
     /// Sampled span journal: admissions (1-in-16), migrations,
     /// rebalance decisions, knob retunes.
     journal: SpanJournal,
-    /// Physical layout + spill policy for every stateful operator
-    /// ([`EngineConfig::state_layout`] / [`EngineConfig::spill`]).
+    /// Spill policy for every stateful operator
+    /// ([`EngineConfig::spill`]).
     state_opts: StateOptions,
 }
 

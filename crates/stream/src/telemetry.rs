@@ -87,9 +87,8 @@ pub struct QueryLoad {
     pub latency: LatencyHistogram,
     /// Resident bytes of this query's own operator state (window
     /// buffers, join sides, aggregate groups) — a gauge, not a counter.
-    /// Measured for columnar state, estimated for row state; the source
-    /// logs a tapped query's cursors read are accounted to the shard,
-    /// not here.
+    /// The source logs a tapped query's cursors read are accounted to
+    /// the shard, not here.
     pub state_bytes: u64,
 }
 

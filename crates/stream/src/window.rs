@@ -7,12 +7,10 @@
 //! overflow instead. Ingest is batch-oriented: a whole source batch is
 //! folded into one output [`DeltaBatch`] before anything propagates.
 //!
-//! The buffer is layout-dual: engine-built windows default to a
-//! [`ColumnarDeque`] (per-column storage, measured bytes, optional
-//! spill of cold segments), while `WindowOp::new` keeps the row
-//! `VecDeque` for direct construction. Expiry checks only touch the
-//! always-resident timestamp column, so a spilled window never faults
-//! segments in just to discover nothing expired.
+//! The buffer is a [`ColumnarDeque`] (per-column storage, measured
+//! bytes, optional spill of cold segments). Expiry checks only touch
+//! the always-resident timestamp column, so a spilled window never
+//! faults segments in just to discover nothing expired.
 //!
 //! Inside the engine, stream scans do not own a buffer at all: a shard
 //! keeps one [`SourceLog`] per stream source — the same buffer, appended
@@ -25,123 +23,13 @@
 //! consolidates each step once per class, and every member's pipeline
 //! borrows that batch.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use aspen_types::{QueryId, Result, SimTime, Tuple, WindowSpec};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{ColumnarDeque, StateLayout, StateOptions};
+use crate::state::{ColumnarDeque, StateOptions};
 use crate::telemetry::ShardMeters;
-
-/// Layout-dual arrival-ordered tuple buffer.
-#[derive(Debug)]
-enum Buffer {
-    Row(VecDeque<Tuple>),
-    Col(ColumnarDeque),
-}
-
-impl Buffer {
-    fn with_options(opts: &StateOptions) -> Buffer {
-        match opts.layout {
-            StateLayout::Row => Buffer::Row(VecDeque::new()),
-            StateLayout::Columnar => Buffer::Col(ColumnarDeque::new(opts.spill.clone())),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Buffer::Row(b) => b.len(),
-            Buffer::Col(c) => c.len(),
-        }
-    }
-
-    fn push_back(&mut self, tuple: Tuple) {
-        match self {
-            Buffer::Row(b) => b.push_back(tuple),
-            Buffer::Col(c) => c.push_back(&tuple),
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<Tuple> {
-        match self {
-            Buffer::Row(b) => b.pop_front(),
-            Buffer::Col(c) => c.pop_front(),
-        }
-    }
-
-    fn front_ts(&self) -> Option<SimTime> {
-        match self {
-            Buffer::Row(b) => b.front().map(|t| t.timestamp()),
-            Buffer::Col(c) => c.front_ts(),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<Tuple> {
-        match self {
-            Buffer::Row(b) => b.iter().cloned().collect(),
-            Buffer::Col(c) => c.snapshot(),
-        }
-    }
-
-    fn drain_all(&mut self) -> Vec<Tuple> {
-        match self {
-            Buffer::Row(b) => b.drain(..).collect(),
-            Buffer::Col(c) => c.drain(),
-        }
-    }
-
-    fn state_bytes(&self) -> usize {
-        match self {
-            Buffer::Row(b) => b.iter().map(crate::state::tuple_heap_bytes).sum(),
-            Buffer::Col(c) => c.state_bytes(),
-        }
-    }
-
-    fn spilled_bytes(&self) -> usize {
-        match self {
-            Buffer::Row(_) => 0,
-            Buffer::Col(c) => c.spilled_bytes(),
-        }
-    }
-
-    // Row-id addressing for [`SourceLog`]: a log only ever appends and
-    // releases a prefix, so its buffer holds exactly the rows
-    // `[floor, tail)`. The columnar store numbers rows itself; the row
-    // deque is offset by the `floor` the log passes in.
-
-    fn ts_at(&self, floor: u64, row: u64) -> SimTime {
-        match self {
-            Buffer::Row(b) => b[(row - floor) as usize].timestamp(),
-            Buffer::Col(c) => c
-                .ts_at(row)
-                .expect("log rows at or above the floor are live"),
-        }
-    }
-
-    /// The tuples of rows `[lo, hi)`, in arrival order (empty when
-    /// `lo >= hi`).
-    fn range(&self, floor: u64, lo: u64, hi: u64) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        if lo < hi {
-            match self {
-                Buffer::Row(b) => out.extend(
-                    b.range((lo - floor) as usize..(hi - floor) as usize)
-                        .cloned(),
-                ),
-                Buffer::Col(c) => c.extend_range(lo, hi, &mut out),
-            }
-        }
-        out
-    }
-
-    fn release_below(&mut self, floor: u64, row: u64) {
-        match self {
-            Buffer::Row(b) => drop(b.drain(..(row - floor) as usize)),
-            Buffer::Col(c) => c.release_below(row),
-        }
-    }
-}
 
 /// Stateful window maintenance for one scan.
 #[derive(Debug)]
@@ -149,13 +37,13 @@ pub struct WindowOp {
     spec: WindowSpec,
     /// Live tuples in arrival order (timestamps are nondecreasing per
     /// source, enforced by the engine).
-    buffer: Buffer,
+    buffer: ColumnarDeque,
     /// Current pane index for tumbling windows.
     pane: Option<u64>,
 }
 
 impl WindowOp {
-    /// Window in the default layout ([`StateOptions::default`]).
+    /// Resident window ([`StateOptions::default`]).
     pub fn new(spec: WindowSpec) -> Self {
         WindowOp::with_options(spec, &StateOptions::default())
     }
@@ -163,7 +51,7 @@ impl WindowOp {
     pub fn with_options(spec: WindowSpec, opts: &StateOptions) -> Self {
         WindowOp {
             spec,
-            buffer: Buffer::with_options(opts),
+            buffer: ColumnarDeque::new(opts.spill.clone()),
             pane: None,
         }
     }
@@ -177,8 +65,7 @@ impl WindowOp {
         self.buffer.len()
     }
 
-    /// Resident bytes held by the buffer (measured for the columnar
-    /// layout, estimated for the row layout).
+    /// Resident bytes held by the buffer (measured).
     pub fn state_bytes(&self) -> usize {
         self.buffer.state_bytes()
     }
@@ -199,7 +86,7 @@ impl WindowOp {
     /// from here on this window retracts exactly what the cursor would
     /// have.
     pub(crate) fn adopt(&mut self, live: Vec<Tuple>, pane: Option<u64>) {
-        for t in live {
+        for t in &live {
             self.buffer.push_back(t);
         }
         self.pane = pane;
@@ -228,11 +115,11 @@ impl WindowOp {
                 out.push_insert(tuple);
             }
             WindowSpec::Range(_) => {
-                self.buffer.push_back(tuple.clone());
+                self.buffer.push_back(&tuple);
                 out.push_insert(tuple);
             }
             WindowSpec::Rows(n) => {
-                self.buffer.push_back(tuple.clone());
+                self.buffer.push_back(&tuple);
                 out.push_insert(tuple);
                 while self.buffer.len() as u64 > n {
                     let evicted = self.buffer.pop_front().expect("nonempty");
@@ -248,13 +135,13 @@ impl WindowOp {
                 if let Some(current) = self.pane {
                     if pane != current {
                         // Pane rollover: retract the entire previous pane.
-                        for old in self.buffer.drain_all() {
+                        for old in self.buffer.drain() {
                             out.push_retract(old);
                         }
                     }
                 }
                 self.pane = Some(pane);
-                self.buffer.push_back(tuple.clone());
+                self.buffer.push_back(&tuple);
                 out.push_insert(tuple);
             }
         }
@@ -280,7 +167,7 @@ impl WindowOp {
                 let now_pane = now.as_micros() / w.as_micros();
                 if let Some(current) = self.pane {
                     if now_pane > current {
-                        for old in self.buffer.drain_all() {
+                        for old in self.buffer.drain() {
                             out.push_retract(old);
                         }
                         self.pane = Some(now_pane);
@@ -320,6 +207,16 @@ struct Cursor {
 /// what [`WindowOp::adopt`] takes.
 pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Option<u64>);
 
+/// The tuples of log rows `[lo, hi)`, in arrival order (empty, and no
+/// segment touched, when `lo >= hi`).
+fn range(rows: &ColumnarDeque, lo: u64, hi: u64) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    if lo < hi {
+        rows.extend_range(lo, hi, &mut out);
+    }
+    out
+}
+
 impl Frame {
     /// Whether this window buffers tuples, i.e. needs the log to retain
     /// rows from `head` on.
@@ -329,8 +226,7 @@ impl Frame {
 
     /// [`WindowOp::insert_batch`] for the arrivals `tuples`, which the
     /// log appended as rows `[tail, tail + tuples.len())`.
-    fn insert_batch(&mut self, log: (&Buffer, u64), tail: u64, tuples: &[Tuple]) -> DeltaBatch {
-        let (rows, floor) = log;
+    fn insert_batch(&mut self, rows: &ColumnarDeque, tail: u64, tuples: &[Tuple]) -> DeltaBatch {
         let mut out = DeltaBatch::with_capacity(tuples.len());
         match self.spec {
             WindowSpec::Unbounded | WindowSpec::Range(_) => {
@@ -340,9 +236,7 @@ impl Frame {
             }
             WindowSpec::Rows(n) => {
                 let end = tail + tuples.len() as u64;
-                let mut evicted = rows
-                    .range(floor, self.head, end.saturating_sub(n))
-                    .into_iter();
+                let mut evicted = range(rows, self.head, end.saturating_sub(n)).into_iter();
                 for (i, t) in tuples.iter().enumerate() {
                     out.push_insert(t.clone());
                     while tail + i as u64 + 1 - self.head > n {
@@ -361,7 +255,7 @@ impl Frame {
                     if self.pane.is_some_and(|current| current != pane) {
                         // Pane rollover: retract the entire previous pane.
                         let row = tail + i as u64;
-                        for old in rows.range(floor, self.head, row) {
+                        for old in range(rows, self.head, row) {
                             out.push_retract(old);
                         }
                         self.head = row;
@@ -374,13 +268,14 @@ impl Frame {
         out
     }
 
-    /// [`WindowOp::advance`] against a log whose next row id is `tail`.
-    fn advance(&mut self, log: (&Buffer, u64), now: SimTime, tail: u64) -> DeltaBatch {
-        let (rows, floor) = log;
+    /// [`WindowOp::advance`] against the log's retained rows.
+    fn advance(&mut self, rows: &ColumnarDeque, now: SimTime) -> DeltaBatch {
+        let tail = rows.next_row();
         let expired_to = match self.spec {
             WindowSpec::Range(_) => {
+                let ts = |row| rows.ts_at(row).expect("rows from a head on are live");
                 let mut h = self.head;
-                while h < tail && !self.spec.contains(rows.ts_at(floor, h), now) {
+                while h < tail && !self.spec.contains(ts(h), now) {
                     h += 1;
                 }
                 h
@@ -397,8 +292,7 @@ impl Frame {
             }
             _ => self.head,
         };
-        let out = rows
-            .range(floor, self.head, expired_to)
+        let out = range(rows, self.head, expired_to)
             .into_iter()
             .map(Delta::retract)
             .collect();
@@ -411,10 +305,11 @@ impl Frame {
 /// source delivered that some window still holds, stored once, with
 /// every window over the source attached as a [`Cursor`].
 ///
-/// Invariants: the buffer holds exactly rows `[floor, tail)`; every
-/// pinning cursor has `floor <= head <= tail`; `floor` is the minimum
-/// pinning head (or `tail` when nothing pins), so the log never retains
-/// a row no window can still retract. A new cursor starts at
+/// Invariants: the store numbers rows by arrival and holds exactly
+/// `[floor, tail)` live, `tail` being its next row id; every pinning
+/// cursor has `floor <= head <= tail`; `floor` is the minimum pinning
+/// head (or `tail` when nothing pins), so the log never retains a row
+/// no window can still retract. A new cursor starts at
 /// `head = tail` — streams are never replayed — which makes attaching
 /// O(1) whatever the log holds. Cursors of one query are adjacent and in
 /// scan order, which is the order their batches are delivered in.
@@ -429,18 +324,14 @@ impl Frame {
 /// `TUMBLING`), and detaching a member takes nothing from the others.
 #[derive(Debug)]
 pub(crate) struct SourceLog {
-    rows: Buffer,
-    floor: u64,
-    tail: u64,
+    rows: ColumnarDeque,
     cursors: Vec<Cursor>,
 }
 
 impl SourceLog {
     pub(crate) fn new(opts: &StateOptions) -> Self {
         SourceLog {
-            rows: Buffer::with_options(opts),
-            floor: 0,
-            tail: 0,
+            rows: ColumnarDeque::new(opts.spill.clone()),
             cursors: Vec::new(),
         }
     }
@@ -452,7 +343,7 @@ impl SourceLog {
         let head = if spec == WindowSpec::Unbounded {
             0
         } else {
-            self.tail
+            self.rows.next_row()
         };
         let at = Frame {
             spec,
@@ -479,7 +370,7 @@ impl SourceLog {
         let mut out = Vec::new();
         for c in self.cursors.iter().filter(|c| c.query == query) {
             let live = if c.at.pins() {
-                self.rows.range(self.floor, c.at.head, self.tail)
+                range(&self.rows, c.at.head, self.rows.next_row())
             } else {
                 Vec::new()
             };
@@ -529,16 +420,15 @@ impl SourceLog {
         meters: &mut ShardMeters,
         mut deliver: impl FnMut(QueryId, &mut dyn Iterator<Item = (usize, &DeltaBatch)>) -> Result<()>,
     ) -> Result<()> {
-        let tail = self.tail;
+        let tail = self.rows.next_row();
         if self.cursors.iter().any(|c| c.at.pins()) {
             for t in tuples {
-                self.rows.push_back(t.clone());
+                self.rows.push_back(t);
             }
-            self.tail += tuples.len() as u64;
         }
-        let log = (&self.rows, self.floor);
+        let rows = &self.rows;
         let batches =
-            Self::step_classes(&mut self.cursors, |at| at.insert_batch(log, tail, tuples));
+            Self::step_classes(&mut self.cursors, |at| at.insert_batch(rows, tail, tuples));
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
         let mut first_err = None;
@@ -561,8 +451,8 @@ impl SourceLog {
         meters: &mut ShardMeters,
         mut deliver: impl FnMut(QueryId, usize, &Arc<DeltaBatch>),
     ) {
-        let (log, tail) = ((&self.rows, self.floor), self.tail);
-        let batches = Self::step_classes(&mut self.cursors, |at| at.advance(log, now, tail));
+        let rows = &self.rows;
+        let batches = Self::step_classes(&mut self.cursors, |at| at.advance(rows, now));
         meters.window_batches += batches.iter().filter(|b| !b.is_empty()).count() as u64;
         for c in &self.cursors {
             if !batches[c.class].is_empty() {
@@ -581,11 +471,8 @@ impl SourceLog {
             .filter(|c| c.at.pins())
             .map(|c| c.at.head)
             .min()
-            .unwrap_or(self.tail);
-        if keep > self.floor {
-            self.rows.release_below(self.floor, keep);
-            self.floor = keep;
-        }
+            .unwrap_or_else(|| self.rows.next_row());
+        self.rows.release_below(keep);
     }
 
     pub(crate) fn cursors(&self) -> usize {
@@ -606,7 +493,7 @@ impl SourceLog {
 
     /// Rows currently retained (`tail - floor`).
     pub(crate) fn rows(&self) -> usize {
-        (self.tail - self.floor) as usize
+        self.rows.len()
     }
 
     pub(crate) fn state_bytes(&self) -> usize {
@@ -705,20 +592,17 @@ mod tests {
 
     #[test]
     fn adopted_window_expires_exactly_what_it_took_over() {
-        for opts in [StateOptions::row(), StateOptions::columnar()] {
-            let spec = WindowSpec::Tumbling(SimDuration::from_secs(10));
-            let mut w = WindowOp::with_options(spec, &opts);
-            w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], Some(0));
-            assert_eq!(w.buffered(), vec![t(1, 3), t(1, 3), t(2, 4)]);
-            let mut out = DeltaBatch::new();
-            // Still pane 0: the adopted pane index holds, nothing rolls.
-            w.insert(t(3, 9), &mut out);
-            assert_eq!(signs(&out), vec![1]);
-            out.clear();
-            w.advance(SimTime::from_secs(10), &mut out);
-            assert_eq!(signs(&out), vec![-1, -1, -1, -1]);
-            assert_eq!(w.live(), 0);
-        }
+        let mut w = WindowOp::new(WindowSpec::Tumbling(SimDuration::from_secs(10)));
+        w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], Some(0));
+        assert_eq!(w.buffered(), vec![t(1, 3), t(1, 3), t(2, 4)]);
+        let mut out = DeltaBatch::new();
+        // Still pane 0: the adopted pane index holds, nothing rolls.
+        w.insert(t(3, 9), &mut out);
+        assert_eq!(signs(&out), vec![1]);
+        out.clear();
+        w.advance(SimTime::from_secs(10), &mut out);
+        assert_eq!(signs(&out), vec![-1, -1, -1, -1]);
+        assert_eq!(w.live(), 0);
     }
 
     /// The oracle's class key of a private window: all cursors of a log
@@ -767,119 +651,110 @@ mod tests {
             WindowSpec::Tumbling(SimDuration::from_secs(4)),
             WindowSpec::Tumbling(SimDuration::from_secs(0)),
         ];
-        let base: u64 = std::env::var("ASPEN_TEST_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
         let mut shared_steps = 0u64;
-        for opts in [StateOptions::row(), StateOptions::columnar()] {
-            for seed in (0..6).map(|i| base.wrapping_mul(0x1000).wrapping_add(i)) {
-                let mut rng = seeded(0xC0_45 ^ seed);
-                let mut log = SourceLog::new(&opts);
-                // The oracle: one private window per cursor, attach order.
-                let mut private: Vec<(QueryId, usize, WindowOp)> = Vec::new();
-                let mut next_query = 0u32;
-                let mut now = 0u64;
-                for step in 0..160 {
-                    let ctx = format!("{:?}, seed {seed}, step {step}", opts.layout);
-                    let mut meters = ShardMeters::default();
-                    let classes = distinct(private.iter().map(|p| frame_of(&p.2)));
-                    assert_eq!(log.classes() as u64, classes, "{ctx}");
-                    match rng.gen_range(0..10u32) {
-                        0 | 1 => {
-                            // A group of queries over the same windows,
-                            // attached at the same point: one class.
-                            let scans: Vec<WindowSpec> = (0..rng.gen_range(1..3usize))
-                                .map(|_| specs[rng.gen_range(0..specs.len())])
-                                .collect();
-                            for _ in 0..rng.gen_range(1..4usize) {
-                                let query = QueryId(next_query);
-                                next_query += 1;
-                                for (scan, &spec) in scans.iter().enumerate() {
-                                    log.attach(query, scan, spec);
-                                    private.push((
-                                        query,
-                                        scan,
-                                        WindowOp::with_options(spec, &opts),
-                                    ));
-                                }
+        let opts = StateOptions::columnar();
+        for seed in crate::test_seeds(6) {
+            let mut rng = seeded(0xC0_45 ^ seed);
+            let mut log = SourceLog::new(&opts);
+            // The oracle: one private window per cursor, attach order.
+            let mut private: Vec<(QueryId, usize, WindowOp)> = Vec::new();
+            let mut next_query = 0u32;
+            let mut now = 0u64;
+            for step in 0..160 {
+                let ctx = format!("seed {seed}, step {step}");
+                let mut meters = ShardMeters::default();
+                let classes = distinct(private.iter().map(|p| frame_of(&p.2)));
+                assert_eq!(log.classes() as u64, classes, "{ctx}");
+                match rng.gen_range(0..10u32) {
+                    0 | 1 => {
+                        // A group of queries over the same windows,
+                        // attached at the same point: one class.
+                        let scans: Vec<WindowSpec> = (0..rng.gen_range(1..3usize))
+                            .map(|_| specs[rng.gen_range(0..specs.len())])
+                            .collect();
+                        for _ in 0..rng.gen_range(1..4usize) {
+                            let query = QueryId(next_query);
+                            next_query += 1;
+                            for (scan, &spec) in scans.iter().enumerate() {
+                                log.attach(query, scan, spec);
+                                private.push((query, scan, WindowOp::with_options(spec, &opts)));
                             }
-                        }
-                        2 if !private.is_empty() => {
-                            let query = private[rng.gen_range(0..private.len())].0;
-                            if rng.gen_range(0..2u32) == 0 {
-                                log.detach(query);
-                            } else {
-                                let demoted = log.demote(query);
-                                let mut gone = private.iter().filter(|p| p.0 == query);
-                                for (scan, live, pane) in demoted {
-                                    let (_, pscan, w) = gone.next().expect("one window per cursor");
-                                    assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
-                                    assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
-                                }
-                                assert!(gone.next().is_none(), "{ctx}");
-                            }
-                            private.retain(|p| p.0 != query);
-                        }
-                        3 | 4 => {
-                            now += rng.gen_range(0..6u64);
-                            let mut got = Vec::new();
-                            log.advance(SimTime::from_secs(now), &mut meters, |q, scan, batch| {
-                                got.push((q, scan, DeltaBatch::clone(batch)));
-                            });
-                            let mut want = Vec::new();
-                            let mut fired = Vec::new();
-                            for (q, scan, w) in &mut private {
-                                let from = frame_of(w);
-                                let mut out = DeltaBatch::new();
-                                w.advance(SimTime::from_secs(now), &mut out);
-                                if !out.is_empty() {
-                                    want.push((*q, *scan, out.consolidated()));
-                                    fired.push(from);
-                                }
-                            }
-                            assert_eq!(got, want, "heartbeat {now}, {ctx}");
-                            assert_eq!(
-                                (meters.window_batches, meters.window_deliveries),
-                                (distinct(fired.into_iter()), want.len() as u64),
-                                "one expiry batch per class that expired, {ctx}"
-                            );
-                        }
-                        _ => {
-                            let batch: Vec<Tuple> = (0..rng.gen_range(0..12usize))
-                                .map(|_| t(rng.gen_range(0..4i64), now + rng.gen_range(0..3u64)))
-                                .collect();
-                            now += rng.gen_range(0..3u64);
-                            let mut got = Vec::new();
-                            log.insert_batch(&batch, &mut meters, |q, fed| {
-                                got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
-                                Ok(())
-                            })
-                            .unwrap();
-                            let want: Vec<_> = private
-                                .iter_mut()
-                                .map(|(q, scan, w)| {
-                                    let mut out = DeltaBatch::new();
-                                    w.insert_batch(&batch, &mut out);
-                                    (*q, *scan, out.consolidated())
-                                })
-                                .collect();
-                            assert_eq!(got, want, "batch of {}, {ctx}", batch.len());
-                            assert_eq!(
-                                (meters.window_batches, meters.window_deliveries),
-                                (classes, private.len() as u64),
-                                "one batch per class, one delivery per cursor, {ctx}"
-                            );
-                            shared_steps += u64::from(classes < private.len() as u64);
                         }
                     }
-                    assert_eq!(log.cursors(), private.len(), "{ctx}");
-                    assert_eq!(
-                        log.rows(),
-                        private.iter().map(|p| p.2.live()).max().unwrap_or(0),
-                        "the log retains exactly the longest live suffix, {ctx}"
-                    );
+                    2 if !private.is_empty() => {
+                        let query = private[rng.gen_range(0..private.len())].0;
+                        if rng.gen_range(0..2u32) == 0 {
+                            log.detach(query);
+                        } else {
+                            let demoted = log.demote(query);
+                            let mut gone = private.iter().filter(|p| p.0 == query);
+                            for (scan, live, pane) in demoted {
+                                let (_, pscan, w) = gone.next().expect("one window per cursor");
+                                assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
+                                assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
+                            }
+                            assert!(gone.next().is_none(), "{ctx}");
+                        }
+                        private.retain(|p| p.0 != query);
+                    }
+                    3 | 4 => {
+                        now += rng.gen_range(0..6u64);
+                        let mut got = Vec::new();
+                        log.advance(SimTime::from_secs(now), &mut meters, |q, scan, batch| {
+                            got.push((q, scan, DeltaBatch::clone(batch)));
+                        });
+                        let mut want = Vec::new();
+                        let mut fired = Vec::new();
+                        for (q, scan, w) in &mut private {
+                            let from = frame_of(w);
+                            let mut out = DeltaBatch::new();
+                            w.advance(SimTime::from_secs(now), &mut out);
+                            if !out.is_empty() {
+                                want.push((*q, *scan, out.consolidated()));
+                                fired.push(from);
+                            }
+                        }
+                        assert_eq!(got, want, "heartbeat {now}, {ctx}");
+                        assert_eq!(
+                            (meters.window_batches, meters.window_deliveries),
+                            (distinct(fired.into_iter()), want.len() as u64),
+                            "one expiry batch per class that expired, {ctx}"
+                        );
+                    }
+                    _ => {
+                        let batch: Vec<Tuple> = (0..rng.gen_range(0..12usize))
+                            .map(|_| t(rng.gen_range(0..4i64), now + rng.gen_range(0..3u64)))
+                            .collect();
+                        now += rng.gen_range(0..3u64);
+                        let mut got = Vec::new();
+                        log.insert_batch(&batch, &mut meters, |q, fed| {
+                            got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
+                            Ok(())
+                        })
+                        .unwrap();
+                        let want: Vec<_> = private
+                            .iter_mut()
+                            .map(|(q, scan, w)| {
+                                let mut out = DeltaBatch::new();
+                                w.insert_batch(&batch, &mut out);
+                                (*q, *scan, out.consolidated())
+                            })
+                            .collect();
+                        assert_eq!(got, want, "batch of {}, {ctx}", batch.len());
+                        assert_eq!(
+                            (meters.window_batches, meters.window_deliveries),
+                            (classes, private.len() as u64),
+                            "one batch per class, one delivery per cursor, {ctx}"
+                        );
+                        shared_steps += u64::from(classes < private.len() as u64);
+                    }
                 }
+                assert_eq!(log.cursors(), private.len(), "{ctx}");
+                assert_eq!(
+                    log.rows(),
+                    private.iter().map(|p| p.2.live()).max().unwrap_or(0),
+                    "the log retains exactly the longest live suffix, {ctx}"
+                );
             }
         }
         assert!(
@@ -905,54 +780,53 @@ mod tests {
             .unwrap();
             (before, m.window_batches, m.window_deliveries)
         }
-        for opts in [StateOptions::row(), StateOptions::columnar()] {
-            // RANGE 5 s: rows at t = 0, 1, 2, then the junior attaches
-            // at row 3.
-            let spec = WindowSpec::Range(SimDuration::from_secs(5));
-            let mut log = SourceLog::new(&opts);
-            log.attach(QueryId(0), 0, spec);
-            feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
-            log.attach(QueryId(1), 0, spec);
-            assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
-            let expire = |log: &mut SourceLog, secs| {
-                let (mut m, mut got) = (ShardMeters::default(), Vec::new());
-                log.advance(SimTime::from_secs(secs), &mut m, |q, _, batch| {
-                    got.push((q, batch.len()));
-                });
-                (got, m.window_batches, log.classes())
-            };
-            // Expiry short of the attach row: only the senior retracts.
-            assert_eq!(expire(&mut log, 6), (vec![(QueryId(0), 2)], 1, 2));
-            // Expiry reaches the attach row: the heads meet.
-            assert_eq!(expire(&mut log, 7), (vec![(QueryId(0), 1)], 1, 1));
-            // From here on one batch serves both.
-            assert_eq!(
-                expire(&mut log, 8),
-                (vec![(QueryId(0), 1), (QueryId(1), 1)], 1, 1)
-            );
-            assert_eq!(feed(&mut log, &[t(5, 9)]), (1, 1, 2));
+        let opts = StateOptions::columnar();
+        // RANGE 5 s: rows at t = 0, 1, 2, then the junior attaches
+        // at row 3.
+        let spec = WindowSpec::Range(SimDuration::from_secs(5));
+        let mut log = SourceLog::new(&opts);
+        log.attach(QueryId(0), 0, spec);
+        feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
+        log.attach(QueryId(1), 0, spec);
+        assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
+        let expire = |log: &mut SourceLog, secs| {
+            let (mut m, mut got) = (ShardMeters::default(), Vec::new());
+            log.advance(SimTime::from_secs(secs), &mut m, |q, _, batch| {
+                got.push((q, batch.len()));
+            });
+            (got, m.window_batches, log.classes())
+        };
+        // Expiry short of the attach row: only the senior retracts.
+        assert_eq!(expire(&mut log, 6), (vec![(QueryId(0), 2)], 1, 2));
+        // Expiry reaches the attach row: the heads meet.
+        assert_eq!(expire(&mut log, 7), (vec![(QueryId(0), 1)], 1, 1));
+        // From here on one batch serves both.
+        assert_eq!(
+            expire(&mut log, 8),
+            (vec![(QueryId(0), 1), (QueryId(1), 1)], 1, 1)
+        );
+        assert_eq!(feed(&mut log, &[t(5, 9)]), (1, 1, 2));
 
-            // ROWS 3: the junior attaches to a full senior and merges
-            // after exactly three arrivals — before its first eviction.
-            let mut log = SourceLog::new(&opts);
-            log.attach(QueryId(0), 0, WindowSpec::Rows(3));
-            feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
-            log.attach(QueryId(1), 0, WindowSpec::Rows(3));
-            assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
-            assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
-            assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
+        // ROWS 3: the junior attaches to a full senior and merges
+        // after exactly three arrivals — before its first eviction.
+        let mut log = SourceLog::new(&opts);
+        log.attach(QueryId(0), 0, WindowSpec::Rows(3));
+        feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
+        log.attach(QueryId(1), 0, WindowSpec::Rows(3));
+        assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
+        assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
+        assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
 
-            // TUMBLING 4 s: same pane, different heads, until the pane
-            // rolls over.
-            let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
-            let mut log = SourceLog::new(&opts);
-            log.attach(QueryId(0), 0, spec);
-            feed(&mut log, &[t(0, 0), t(1, 1)]);
-            log.attach(QueryId(1), 0, spec);
-            assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
-            assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
-            assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
-        }
+        // TUMBLING 4 s: same pane, different heads, until the pane
+        // rolls over.
+        let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
+        let mut log = SourceLog::new(&opts);
+        log.attach(QueryId(0), 0, spec);
+        feed(&mut log, &[t(0, 0), t(1, 1)]);
+        log.attach(QueryId(1), 0, spec);
+        assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
+        assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
+        assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
     }
 
     #[test]
@@ -1017,30 +891,93 @@ mod tests {
         assert_eq!((meters.window_batches, meters.window_deliveries), (5, 15));
     }
 
+    /// A window's live set by its spec's definition, recomputed from the
+    /// whole arrival history: the last `n` arrivals; the arrivals the
+    /// spec still `contains` at the last clock the window was advanced
+    /// to; the arrivals in the pane of the latest time it has seen.
+    fn live_by_definition(
+        spec: WindowSpec,
+        arrivals: &[Tuple],
+        advanced: SimTime,
+        latest: SimTime,
+    ) -> Vec<Tuple> {
+        let keep = |alive: &dyn Fn(&Tuple) -> bool| -> Vec<Tuple> {
+            arrivals.iter().filter(|t| alive(t)).cloned().collect()
+        };
+        match spec {
+            WindowSpec::Unbounded => arrivals.to_vec(),
+            WindowSpec::Rows(n) => arrivals[arrivals.len().saturating_sub(n as usize)..].to_vec(),
+            WindowSpec::Range(_) => keep(&|t| spec.contains(t.timestamp(), advanced)),
+            // Zero width never rolls: one pane holds everything.
+            WindowSpec::Tumbling(w) => {
+                keep(&|t| w.as_micros() == 0 || spec.contains(t.timestamp(), latest))
+            }
+        }
+    }
+
+    /// The multiset a batch denotes, in a canonical order.
+    fn net(batch: &DeltaBatch) -> Vec<(Tuple, i64)> {
+        let mut net = batch.consolidate();
+        net.sort_by_key(|(t, _)| (t.values().to_vec(), t.timestamp()));
+        net
+    }
+
+    /// Property: a private `WindowOp` fed random batches and heartbeats
+    /// (nondecreasing stamps, repeated tuples, batches larger than the
+    /// row bound, several panes per step) emits, per step, exactly the
+    /// multiset difference between the declared live set after and
+    /// before it, and buffers exactly the declared live set in arrival
+    /// order.
     #[test]
-    fn columnar_window_tracks_row_window_through_churn() {
-        let opts = StateOptions::columnar();
-        for spec in [
+    fn private_window_tracks_declarative_model() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+
+        let specs = [
+            WindowSpec::Unbounded,
+            WindowSpec::Rows(0),
             WindowSpec::Rows(3),
             WindowSpec::Range(SimDuration::from_secs(7)),
             WindowSpec::Tumbling(SimDuration::from_secs(5)),
-        ] {
-            let mut row = WindowOp::with_options(spec, &StateOptions::row());
-            let mut col = WindowOp::with_options(spec, &opts);
-            for i in 0..64u64 {
-                let mut ro = DeltaBatch::new();
-                let mut co = DeltaBatch::new();
-                row.insert(t(i as i64 % 6, i), &mut ro);
-                col.insert(t(i as i64 % 6, i), &mut co);
-                assert_eq!(ro.as_slice(), co.as_slice(), "{spec:?} insert {i}");
-                if i % 4 == 3 {
-                    ro.clear();
-                    co.clear();
-                    row.advance(SimTime::from_secs(i + 1), &mut ro);
-                    col.advance(SimTime::from_secs(i + 1), &mut co);
-                    assert_eq!(ro.as_slice(), co.as_slice(), "{spec:?} advance {i}");
+            WindowSpec::Tumbling(SimDuration::from_secs(0)),
+        ];
+        for seed in crate::test_seeds(4) {
+            for spec in specs {
+                let mut rng = seeded(0xDEC1 ^ seed);
+                let mut w = WindowOp::new(spec);
+                let mut arrivals: Vec<Tuple> = Vec::new();
+                let (mut now, mut advanced) = (0u64, SimTime::ZERO);
+                let mut live = Vec::new();
+                for step in 0..120 {
+                    let ctx = format!("{spec:?}, seed {seed}, step {step}");
+                    let mut out = DeltaBatch::new();
+                    if rng.gen_range(0..3u32) == 0 {
+                        now += rng.gen_range(0..6u64);
+                        advanced = SimTime::from_secs(now);
+                        w.advance(advanced, &mut out);
+                    } else {
+                        let batch: Vec<Tuple> = (0..rng.gen_range(0..6usize))
+                            .map(|_| {
+                                now += rng.gen_range(0..3u64);
+                                t(rng.gen_range(0..3i64), now)
+                            })
+                            .collect();
+                        w.insert_batch(&batch, &mut out);
+                        arrivals.extend(batch);
+                    }
+                    let before = std::mem::replace(
+                        &mut live,
+                        live_by_definition(spec, &arrivals, advanced, SimTime::from_secs(now)),
+                    );
+                    let mut change = DeltaBatch::inserts(live.iter().cloned());
+                    change.extend(before.into_iter().map(Delta::retract));
+                    assert_eq!(net(&out), net(&change), "deltas, {ctx}");
+                    if spec == WindowSpec::Unbounded {
+                        assert_eq!(w.live(), 0, "unbounded buffers nothing, {ctx}");
+                    } else {
+                        assert_eq!(w.buffered(), live, "buffer, {ctx}");
+                    }
                 }
-                assert_eq!(row.buffered(), col.buffered(), "{spec:?} buffer {i}");
             }
         }
     }

@@ -31,7 +31,7 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Linear interpolation toward `other`; `t` in [0,1]. Used by the
+    /// Linear interpolation toward `other`; `t` in `[0, 1]`. Used by the
     /// simulated visitor walking along hallway segments.
     pub fn lerp(self, other: Point, t: f64) -> Point {
         Point {
