@@ -625,6 +625,7 @@ impl Cluster {
             queries,
             workers: Vec::new(),
             boundaries: self.boundaries,
+            out_of_order_tuples: reports.iter().map(|r| r.out_of_order_tuples).sum(),
             now_secs,
             profile,
         }

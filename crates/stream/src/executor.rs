@@ -107,7 +107,7 @@ pub(crate) enum Task {
         ctx: Arc<ViewCtx>,
     },
     /// Heartbeat for the view shard: expire time-windowed view state
-    /// (grouped per base source + window spec) and forward the deltas.
+    /// and forward the deltas.
     ViewAdvance {
         now: SimTime,
         ctx: Arc<ViewCtx>,

@@ -132,20 +132,24 @@
 //!     before the first delivery — a failing sink cannot desynchronize
 //!     its class.
 //!   - *Scan-order delivery.* Each cursor feeds its query the
-//!     consolidation of the delta sequence a private `WindowOp` of its
-//!     spec would have emitted — exactly the batch the private pipeline
-//!     consolidates for itself on entry (pinned by a seeded property in
-//!     `window.rs`) — and a query's scans are fed in scan order, so
-//!     snapshots, push streams, `ops_invoked` and per-query telemetry
-//!     are bit-identical to private execution.
-//!   - *Private path.* Table and view scans keep a private window
-//!     (their retained state replays into each registration — state a
-//!     shared log must not absorb), as does direct `Pipeline` /
-//!     `WindowOp` use. Migration demotes: each cursor's live suffix
-//!     moves into the query's own window, the runtime travels with its
-//!     exact live multiset, and the query stays private on the
-//!     recipient. [`session::EngineConfig::shared_subplans`]`(false)`
-//!     pins every scan to the private path (the equivalence baseline).
+//!     consolidation of its window's deltas for the step — exactly the
+//!     batch a private pipeline consolidates for itself on entry — and
+//!     a query's scans are fed in scan order, so snapshots, push
+//!     streams, `ops_invoked` and per-query telemetry are bit-identical
+//!     to private execution.
+//!   - *Private path.* A private `WindowOp` is the same state machine
+//!     over a log of its own with exactly one cursor — append, step,
+//!     release below the head — so private = cursor by construction (N
+//!     cursors ≡ N private windows is a seeded property in
+//!     `window.rs`). Table scans keep one (their retained state replays
+//!     into each registration — state a shared log must not absorb), as
+//!     does direct `Pipeline` / `WindowOp` use, and a recursive view
+//!     puts one in front of each base it scans under a bounded spec.
+//!     Migration demotes: each cursor's live suffix moves into the
+//!     query's own window, the runtime travels with its exact live
+//!     multiset, and the query stays private on the recipient.
+//!     [`session::EngineConfig::shared_subplans`]`(false)` pins every
+//!     scan to the private path (the equivalence baseline).
 //!
 //!   Shared-vs-private equivalence under full lifecycle churn
 //!   (register / deregister / pause / resume / migrate, all three
@@ -346,7 +350,10 @@
 //! *insertions* incrementally, and under *deletions* via provenance-
 //! guided DRed (overdelete the tuples whose recorded derivation touched
 //! the deleted base facts, then rederive). Experiment E6 measures exactly
-//! this machinery against full recomputation.
+//! this machinery against full recomputation. A base scanned under a
+//! bounded window sits behind a `WindowOp`, so its facts arrive and
+//! expire exactly like a query's over the same scan: a heartbeat is
+//! `WindowOp::advance` per windowed base, then the deletion pass.
 //!
 //! ## Distribution: the cluster layer
 //!

@@ -19,7 +19,7 @@
 //! the view stay consistent. `recompute()` is the from-scratch baseline
 //! the E6 experiment compares against, and doubles as the test oracle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use aspen_sql::binder::BoundView;
 use aspen_sql::expr::BoundExpr;
@@ -27,6 +27,7 @@ use aspen_sql::plan::LogicalPlan;
 use aspen_types::{AspenError, Result, SimTime, SourceId, Tuple, Value, WindowSpec};
 
 use crate::delta::{Delta, DeltaBatch};
+use crate::window::WindowOp;
 
 /// Sorted set of base-fact ids supporting one derivation.
 pub type Prov = Vec<u64>;
@@ -56,6 +57,21 @@ fn prov_union(a: &Prov, b: &Prov) -> Prov {
     out
 }
 
+/// The base-fact changes of one window step. A base relation is a set
+/// and a window a multiset: a fact appears with its first copy and dies
+/// only when its *last* copy leaves the window, so a net eviction of a
+/// tuple the window still holds is not a change.
+fn fact_changes(window: &WindowOp, stepped: DeltaBatch) -> DeltaBatch {
+    let net = stepped.consolidated();
+    if net.iter().all(Delta::is_insert) {
+        return net;
+    }
+    let held: HashSet<Tuple> = window.buffered().into_iter().collect();
+    net.into_iter()
+        .filter(|d| d.is_insert() || !held.contains(&d.tuple))
+        .collect()
+}
+
 /// A base relation's live facts, each with a stable id.
 #[derive(Debug, Default)]
 struct BaseState {
@@ -80,17 +96,15 @@ pub struct RecursiveView {
     /// Materialization: tuple → provenance of its recorded derivation.
     state: HashMap<Tuple, Prov>,
     base_states: HashMap<SourceId, BaseState>,
-    /// Window each base relation is scanned under. Time windows make the
-    /// view clock-sensitive: `advance_time` expires base facts that fell
-    /// out and runs the ordinary deletion pass over them.
-    windows: HashMap<SourceId, WindowSpec>,
-    /// Tumbling sources: the current pane — pane of the last insertion,
-    /// exactly like `WindowOp`'s `pane` field.
-    panes: HashMap<SourceId, u64>,
-    /// Range sources: lower bound on live fact timestamps (lazily
-    /// tightened), so heartbeats skip the expiry scan entirely when
-    /// nothing can have expired.
-    oldest: HashMap<SourceId, SimTime>,
+    /// The window in front of each base relation scanned under a bounded
+    /// spec — the same [`WindowOp`] a pipeline puts above the same scan,
+    /// so a view's base facts arrive and expire exactly like a query's
+    /// (arrival-order prefix rule included: a late-stamped fact expires
+    /// with its predecessor in arrival order, not by a scan over
+    /// stamps). Unbounded bases have no entry. Ordered by source so a
+    /// heartbeat's expiry deltas come out in one sequence on every
+    /// instance, whatever the process's hash seed.
+    windows: BTreeMap<SourceId, WindowOp>,
     next_fact_id: u64,
     /// Iteration cap: a fixpoint that runs longer than this aborts
     /// (guards against non-terminating value-generating recursion, e.g.
@@ -113,19 +127,15 @@ impl std::fmt::Debug for RecursiveView {
 
 impl RecursiveView {
     pub fn new(bound: &BoundView) -> Result<Self> {
-        let mut base_sources = HashMap::new();
-        let mut windows: HashMap<SourceId, WindowSpec> = HashMap::new();
+        let mut specs: HashMap<SourceId, WindowSpec> = HashMap::new();
         for plan in bound.bases.iter().chain(&bound.steps) {
             for rel in plan.scans() {
-                base_sources
-                    .entry(rel.meta.id)
-                    .or_insert_with(BaseState::default);
                 // One base relation must be scanned under ONE window:
                 // branches declaring different windows over the same
                 // source (unbounded vs range, range 10 vs range 60, …)
                 // would silently expire with whichever spec won, so
                 // reject outright instead of guessing.
-                let w = windows.entry(rel.meta.id).or_insert(rel.window);
+                let w = specs.entry(rel.meta.id).or_insert(rel.window);
                 if *w != rel.window {
                     return Err(AspenError::NotExecutable(format!(
                         "view '{}' scans {} under both {} and {}; a base \
@@ -143,10 +153,12 @@ impl RecursiveView {
             bases: bound.bases.clone(),
             steps: bound.steps.clone(),
             state: HashMap::new(),
-            base_states: base_sources,
-            windows,
-            panes: HashMap::new(),
-            oldest: HashMap::new(),
+            base_states: specs.keys().map(|&s| (s, BaseState::default())).collect(),
+            windows: specs
+                .into_iter()
+                .filter(|(_, spec)| !spec.is_append_only())
+                .map(|(src, spec)| (src, WindowOp::new(spec)))
+                .collect(),
             next_fact_id: 0,
             max_rounds: 1_000,
             stats: ViewStats::default(),
@@ -180,185 +192,57 @@ impl RecursiveView {
         self.base_states.contains_key(&source)
     }
 
-    fn clock_sensitive(w: WindowSpec) -> bool {
-        matches!(w, WindowSpec::Range(_) | WindowSpec::Tumbling(_))
-    }
-
     /// Whether any base relation is scanned under a time window, i.e.
     /// whether `advance_time` can ever change the materialization. The
     /// engine routes heartbeats only to clock-sensitive views.
     pub fn needs_clock(&self) -> bool {
-        self.windows.values().any(|w| Self::clock_sensitive(*w))
+        self.windows.values().any(WindowOp::needs_clock)
     }
 
-    /// Advance the clock, mirroring `WindowOp::advance`: range windows
-    /// retract facts that aged out; tumbling windows roll only *forward*
-    /// (`now` in a newer pane than the current one drains it — a lagging
-    /// heartbeat never touches live facts). Expired facts go through the
-    /// ordinary deletion pass (DRed), so derived tuples whose support
-    /// expired disappear too. Returns the net view deltas to forward
-    /// downstream.
+    /// Advance the clock: [`WindowOp::advance`] on each windowed base,
+    /// in source order, then the ordinary deletion pass (DRed) over what
+    /// expired, so derived tuples whose support expired disappear too.
+    /// A base with nothing to expire costs its window's O(1) head check.
+    /// Returns the net view deltas to forward downstream.
     pub fn advance_time(&mut self, now: SimTime) -> Result<DeltaBatch> {
+        let mut expired = Vec::new();
+        for (&src, window) in &mut self.windows {
+            let mut stepped = DeltaBatch::new();
+            window.advance(now, &mut stepped);
+            expired.push((src, fact_changes(window, stepped)));
+        }
         let mut out = DeltaBatch::new();
-        for (src, _) in self.clocked_windows() {
-            out.extend(self.advance_source(src, now)?);
+        for (src, facts) in expired {
+            out.extend(self.apply_base_deltas_inner(src, &facts)?);
         }
         Ok(out)
-    }
-
-    /// The clock-sensitive base scans of this view: `(source, window
-    /// spec)` pairs whose state `advance_source` can expire. The view
-    /// shard groups views sharing a base source and spec through this,
-    /// so a heartbeat pays one expiry check per *group*, not per view.
-    pub fn clocked_windows(&self) -> Vec<(SourceId, WindowSpec)> {
-        self.windows
-            .iter()
-            .filter(|(_, w)| Self::clock_sensitive(**w))
-            .map(|(s, w)| (*s, *w))
-            .collect()
-    }
-
-    /// Oldest live base-fact timestamp of a range-windowed base scan
-    /// (`None` when nothing is buffered) — the O(1) bound the grouped
-    /// heartbeat check compares against the window edge.
-    pub fn source_oldest(&self, src: SourceId) -> Option<SimTime> {
-        self.oldest.get(&src).copied()
-    }
-
-    /// Current pane of a tumbling-windowed base scan (`None` until the
-    /// first insert establishes one).
-    pub fn source_pane(&self, src: SourceId) -> Option<u64> {
-        self.panes.get(&src).copied()
-    }
-
-    /// Advance the clock for **one** base scan only — the per-source arm
-    /// of [`RecursiveView::advance_time`], split out so the engine's
-    /// view shard can advance exactly the `(source, spec)` groups whose
-    /// shared bound says something may expire. No-op (empty batch) for
-    /// sources this view does not scan under a time window.
-    pub fn advance_source(&mut self, src: SourceId, now: SimTime) -> Result<DeltaBatch> {
-        let mut out = DeltaBatch::new();
-        let Some(spec) = self.windows.get(&src).copied() else {
-            return Ok(out);
-        };
-        match spec {
-            WindowSpec::Tumbling(_) => {
-                let (Some(now_pane), Some(&current)) = (spec.pane_of(now), self.panes.get(&src))
-                else {
-                    return Ok(out);
-                };
-                if now_pane > current {
-                    self.panes.insert(src, now_pane);
-                    out.extend(self.expire_where(src, |ts| spec.pane_of(ts) != Some(now_pane))?);
-                }
-            }
-            WindowSpec::Range(_) => {
-                // O(1) fast path: if the oldest live fact is still in
-                // the window, so is everything else.
-                let Some(&oldest) = self.oldest.get(&src) else {
-                    return Ok(out);
-                };
-                if spec.contains(oldest, now) {
-                    return Ok(out);
-                }
-                out.extend(self.expire_where(src, |ts| !spec.contains(ts, now))?);
-                match self.base_states[&src]
-                    .facts
-                    .keys()
-                    .map(Tuple::timestamp)
-                    .min()
-                {
-                    Some(min_ts) => self.oldest.insert(src, min_ts),
-                    None => self.oldest.remove(&src),
-                };
-            }
-            _ => {}
-        }
-        Ok(out)
-    }
-
-    /// Retract every live base fact of `src` matching `dead`, running
-    /// the ordinary deletion pass over them.
-    fn expire_tuples_where<F: Fn(&Tuple) -> bool>(
-        &mut self,
-        src: SourceId,
-        dead: F,
-    ) -> Result<DeltaBatch> {
-        let expired: DeltaBatch = self.base_states[&src]
-            .facts
-            .keys()
-            .filter(|t| dead(t))
-            .cloned()
-            .map(Delta::retract)
-            .collect();
-        if expired.is_empty() {
-            return Ok(DeltaBatch::new());
-        }
-        self.apply_base_deltas_inner(src, &expired)
-    }
-
-    /// Retract every live base fact of `src` whose *timestamp* matches
-    /// `dead`.
-    fn expire_where<F: Fn(SimTime) -> bool>(
-        &mut self,
-        src: SourceId,
-        dead: F,
-    ) -> Result<DeltaBatch> {
-        self.expire_tuples_where(src, |t| dead(t.timestamp()))
     }
 
     /// Apply a batch of base-fact changes from one source; returns the
     /// net view deltas as one batch.
     ///
-    /// Tumbling-windowed base scans roll panes *eagerly*, exactly like
-    /// the pipeline `WindowOp`'s per-tuple rollover: the batch's
-    /// insertions are replayed in arrival order, each pane *transition*
-    /// drains everything buffered so far (pre-existing facts and
-    /// earlier same-batch inserts alike — even when a stray
-    /// out-of-order tuple transitions backwards or re-enters a pane
-    /// seen earlier in the batch), so only the insertions since the
-    /// last transition survive. (Retract-then-insert vs insert-then-
-    /// retract differ only transiently; downstream consolidation sees
-    /// the same net batch either way.)
+    /// A windowed base sends the batch's insertions through its window
+    /// and maintains the view over the consolidated result — the
+    /// arrivals plus whatever they evicted (`ROWS` overflow, `TUMBLING`
+    /// pane changes inside the batch included), so a fact that arrives
+    /// and is evicted in one batch never reaches the fixpoint. Upstream
+    /// retractions pass straight through, as they do in a pipeline. An
+    /// unbounded base has no window and applies the batch as it came.
     pub fn on_base_deltas(&mut self, source: SourceId, deltas: &DeltaBatch) -> Result<DeltaBatch> {
         if !self.base_states.contains_key(&source) {
             return Ok(DeltaBatch::new());
         }
-        let mut out = self.apply_base_deltas_inner(source, deltas)?;
-        let mut inserts = deltas.iter().filter(|d| d.is_insert()).peekable();
-        match self.windows.get(&source).copied() {
-            Some(spec @ WindowSpec::Tumbling(_)) if inserts.peek().is_some() => {
-                // Replay WindowOp's buffer over the batch: survivors are
-                // the inserts since the last pane transition.
-                let mut pane = self.panes.get(&source).copied();
-                let mut rolled = false;
-                let mut survivors: HashSet<&Tuple> = HashSet::new();
-                for d in inserts {
-                    let p = spec.pane_of(d.tuple.timestamp());
-                    if p.is_some() && p != pane {
-                        survivors.clear();
-                        rolled = true;
-                        pane = p;
-                    }
-                    survivors.insert(&d.tuple);
-                }
-                if let Some(p) = pane {
-                    self.panes.insert(source, p);
-                }
-                if rolled {
-                    let survivors: HashSet<Tuple> = survivors.into_iter().cloned().collect();
-                    out.extend(self.expire_tuples_where(source, |t| !survivors.contains(t))?);
-                }
-            }
-            Some(WindowSpec::Range(_)) => {
-                if let Some(min_ts) = inserts.map(|d| d.tuple.timestamp()).min() {
-                    let bound = self.oldest.entry(source).or_insert(min_ts);
-                    *bound = (*bound).min(min_ts);
-                }
-            }
-            _ => {}
-        }
-        Ok(out)
+        let Some(window) = self.windows.get_mut(&source) else {
+            return self.apply_base_deltas_inner(source, deltas);
+        };
+        let (arrivals, retractions): (Vec<Delta>, Vec<Delta>) =
+            deltas.iter().cloned().partition(Delta::is_insert);
+        let arrivals: Vec<Tuple> = arrivals.into_iter().map(|d| d.tuple).collect();
+        let mut stepped = DeltaBatch::new();
+        window.insert_batch(&arrivals, &mut stepped);
+        let mut facts = fact_changes(window, stepped);
+        facts.extend(retractions);
+        self.apply_base_deltas_inner(source, &facts)
     }
 
     fn apply_base_deltas_inner(
@@ -478,11 +362,15 @@ impl RecursiveView {
         self.stats.tuples_overdeleted += overdeleted.len() as u64;
 
         // 2. Re-derive: base branches plus steps over the surviving view
-        //    may re-establish some over-deleted tuples.
+        //    may re-establish some over-deleted tuples. Only those are
+        //    candidates: anything else the branches derive now comes from
+        //    facts the same batch inserted, and is the insert pass's to
+        //    derive *and announce*.
+        let mut pending: HashSet<Tuple> = overdeleted.into_iter().collect();
         let mut rescued: Vec<(Tuple, Prov)> = Vec::new();
         for b in &self.bases.clone() {
             for (t, p) in self.eval(b, &[])? {
-                if !self.state.contains_key(&t) && !rescued.iter().any(|(rt, _)| *rt == t) {
+                if pending.remove(&t) {
                     rescued.push((t, p));
                 }
             }
@@ -494,7 +382,7 @@ impl RecursiveView {
             .collect();
         for s in &self.steps.clone() {
             for (t, p) in self.eval(s, &survivors)? {
-                if !self.state.contains_key(&t) && !rescued.iter().any(|(rt, _)| *rt == t) {
+                if pending.remove(&t) {
                     rescued.push((t, p));
                 }
             }
@@ -502,11 +390,7 @@ impl RecursiveView {
         self.stats.tuples_rederived += rescued.len() as u64;
 
         // 3. Close over the rescued tuples semi-naïvely.
-        let mut emitted = DeltaBatch::new();
-        let mut delta_set = rescued.clone();
-        for (t, p) in rescued {
-            self.state.insert(t.clone(), p);
-        }
+        let mut delta_set = rescued;
         let mut round = 0u64;
         while !delta_set.is_empty() {
             round += 1;
@@ -517,28 +401,23 @@ impl RecursiveView {
                 )));
             }
             self.stats.seminaive_rounds += 1;
+            for (t, p) in &delta_set {
+                self.state.insert(t.clone(), p.clone());
+            }
             let mut next: Vec<(Tuple, Prov)> = Vec::new();
             for s in &self.steps.clone() {
                 for (t, p) in self.eval(s, &delta_set)? {
                     self.stats.derivations_computed += 1;
-                    if !self.state.contains_key(&t) && !next.iter().any(|(nt, _)| *nt == t) {
+                    if pending.remove(&t) {
                         next.push((t, p));
                     }
                 }
-            }
-            for (t, p) in &next {
-                self.state.insert(t.clone(), p.clone());
             }
             delta_set = next;
         }
 
         // Net deltas: over-deleted tuples that did not come back.
-        for t in overdeleted {
-            if !self.state.contains_key(&t) {
-                emitted.push_retract(t);
-            }
-        }
-        Ok(emitted)
+        Ok(pending.into_iter().map(Delta::retract).collect())
     }
 
     /// From-scratch naive fixpoint — the E6 baseline and the test oracle.
@@ -688,9 +567,11 @@ impl RecursiveView {
 mod tests {
     use super::*;
     use crate::delta::Delta;
+    use crate::pipeline::Pipeline;
+    use crate::sink::Sink;
     use aspen_catalog::{Catalog, SourceKind, SourceStats};
-    use aspen_sql::{bind, parse, BoundQuery};
-    use aspen_types::{DataType, Field, Schema, SimTime};
+    use aspen_sql::{bind, compile, parse, BoundQuery};
+    use aspen_types::{DataType, Field, Schema, SimDuration, SimTime};
 
     fn edge_catalog() -> Catalog {
         let cat = Catalog::new();
@@ -834,6 +715,44 @@ mod tests {
         assert_eq!(retracted[0].tuple, edge("a", "b"));
         assert!(pairs(&v).contains(&("a".into(), "c".into())));
         assert!(v.stats.tuples_rederived > 0 || v.stats.tuples_overdeleted >= 1);
+    }
+
+    #[test]
+    fn mixed_batch_announces_what_its_inserts_derive() {
+        // One batch that deletes a→b and inserts a→c (a table update):
+        // the deletion pass must not quietly materialize what the new
+        // fact derives — a downstream query joins the *deltas*.
+        let cat = edge_catalog();
+        let mut v = tc_view(&cat);
+        let src = cat.source("Edge").unwrap().id;
+        v.on_base_deltas(
+            src,
+            &DeltaBatch::from(vec![
+                Delta::insert(edge("a", "b")),
+                Delta::insert(edge("c", "d")),
+            ]),
+        )
+        .unwrap();
+        let out = v
+            .on_base_deltas(
+                src,
+                &DeltaBatch::from(vec![
+                    Delta::retract(edge("a", "b")),
+                    Delta::insert(edge("a", "c")),
+                ]),
+            )
+            .unwrap();
+        assert_eq!(pairs(&v).len(), 3); // ac, cd, ad
+        let mut net = out.consolidate();
+        net.sort_by_key(|(t, n)| (*n, t.values().to_vec()));
+        assert_eq!(
+            net,
+            vec![
+                (edge("a", "b"), -1),
+                (edge("a", "c"), 1),
+                (edge("a", "d"), 1)
+            ]
+        );
     }
 
     #[test]
@@ -1164,6 +1083,200 @@ mod tests {
             v.snapshot()
         );
         assert!(pairs(&v).contains(&("e".into(), "f".into())));
+    }
+
+    fn bound_view(sql: &str, cat: &Catalog) -> RecursiveView {
+        let BoundQuery::View(bv) = bind(&parse(sql).unwrap(), cat).unwrap() else {
+            panic!()
+        };
+        RecursiveView::new(&bv).unwrap()
+    }
+
+    /// Put the one scan of a filter/project plan under `spec` — the
+    /// parser rejects the degenerate `rows 0` and zero-width tumbling
+    /// the windows themselves define.
+    fn rewindow(plan: &mut LogicalPlan, spec: WindowSpec) {
+        match plan {
+            LogicalPlan::Scan { rel } => rel.window = spec,
+            LogicalPlan::Project { input, .. } | LogicalPlan::Filter { input, .. } => {
+                rewindow(input, spec)
+            }
+            other => panic!("not a single-scan plan: {other:?}"),
+        }
+    }
+
+    /// `select e.src, e.dst from Edge e [spec]` twice over: as the one
+    /// branch of a non-recursive view, and as a pipeline with its sink.
+    fn scan_as_view_and_pipeline(
+        cat: &Catalog,
+        spec: WindowSpec,
+    ) -> (RecursiveView, Pipeline, Sink) {
+        let BoundQuery::View(mut bv) = bind(
+            &parse("create view Scan as ( select e.src, e.dst from Edge e )").unwrap(),
+            cat,
+        )
+        .unwrap() else {
+            panic!()
+        };
+        rewindow(&mut bv.bases[0], spec);
+        let BoundQuery::Select(mut b) = compile("select e.src, e.dst from Edge e", cat).unwrap()
+        else {
+            panic!()
+        };
+        rewindow(&mut b.plan, spec);
+        let mut p = Pipeline::compile(&b.plan).unwrap();
+        let mut sink = p.make_sink();
+        p.start(&mut sink).unwrap();
+        (RecursiveView::new(&bv).unwrap(), p, sink)
+    }
+
+    fn stamped(a: &str, b: &str, sec: u64) -> Tuple {
+        Tuple::new(
+            vec![Value::Text(a.into()), Value::Text(b.into())],
+            SimTime::from_secs(sec),
+        )
+    }
+
+    #[test]
+    fn rows_windowed_base_evicts_like_a_pipeline() {
+        // `[rows 3]` on a view base is the same window as on a query
+        // scan: the fourth edge evicts the first, and the closure loses
+        // everything that hung on it.
+        let cat = edge_catalog();
+        let src = cat.source("Edge").unwrap().id;
+        let mut v = bound_view(
+            "create recursive view Reach as (
+                select e.src, e.dst from Edge e [rows 3]
+                union
+                select r.src, e.dst from Reach r, Edge e [rows 3] where r.dst = e.src
+            )",
+            &cat,
+        );
+        assert!(!v.needs_clock());
+        let (_, mut p, mut sink) = scan_as_view_and_pipeline(&cat, WindowSpec::Rows(3));
+        for (i, (a, b)) in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
+            .into_iter()
+            .enumerate()
+        {
+            let batch = [stamped(a, b, i as u64)];
+            v.on_base_deltas(src, &DeltaBatch::inserts(batch.iter().cloned()))
+                .unwrap();
+            p.push_source(src, &batch, &mut sink).unwrap();
+        }
+        let scanned = sink.snapshot().unwrap();
+        assert_eq!(scanned.len(), 3, "the query scan holds three edges");
+        // The view is the closure of exactly those three edges.
+        let mut oracle = tc_view(&cat);
+        oracle
+            .on_base_deltas(src, &DeltaBatch::inserts(scanned))
+            .unwrap();
+        assert_eq!(pairs(&v), pairs(&oracle));
+        assert_eq!(v.len(), 6, "b→c→d→e; nothing from a: {:?}", v.snapshot());
+    }
+
+    /// Property: a non-recursive view over `Edge e [w]` and the pipeline
+    /// of `select e.src, e.dst from Edge e [w]`, fed identical batches
+    /// and heartbeats (repeated tuples, stamps running backwards inside
+    /// a batch, batches larger than the row bound, several panes per
+    /// batch), agree at every step: the view's snapshot is the distinct
+    /// tuples of the pipeline's, and the deltas the view emitted sum to
+    /// its snapshot.
+    #[test]
+    fn windowed_view_base_tracks_the_pipeline_over_the_same_scan() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+
+        let cat = edge_catalog();
+        let src = cat.source("Edge").unwrap().id;
+        let nodes = ["a", "b", "c"];
+        for spec in [
+            WindowSpec::Unbounded,
+            WindowSpec::Rows(0),
+            WindowSpec::Rows(3),
+            WindowSpec::Range(SimDuration::from_secs(7)),
+            WindowSpec::Tumbling(SimDuration::from_secs(5)),
+            WindowSpec::Tumbling(SimDuration::from_secs(0)),
+        ] {
+            for seed in crate::test_seeds(4) {
+                let mut rng = seeded(0x71E3 ^ seed);
+                let (mut v, mut p, mut sink) = scan_as_view_and_pipeline(&cat, spec);
+                let mut emitted: HashMap<Tuple, i64> = HashMap::new();
+                let mut now = 0u64;
+                for step in 0..100 {
+                    let ctx = format!("{spec:?}, seed {seed}, step {step}");
+                    let out = if rng.gen_range(0..3u32) == 0 {
+                        now += rng.gen_range(0..6u64);
+                        let t = SimTime::from_secs(now);
+                        p.advance_time(t, &mut sink).unwrap();
+                        v.advance_time(t).unwrap()
+                    } else {
+                        let batch: Vec<Tuple> = (0..rng.gen_range(0..8usize))
+                            .map(|_| {
+                                now += rng.gen_range(0..3u64);
+                                let (a, b) = (rng.gen_range(0..3usize), rng.gen_range(0..3usize));
+                                stamped(
+                                    nodes[a],
+                                    nodes[b],
+                                    now.saturating_sub(rng.gen_range(0..3u64)),
+                                )
+                            })
+                            .collect();
+                        p.push_source(src, &batch, &mut sink).unwrap();
+                        v.on_base_deltas(src, &DeltaBatch::inserts(batch)).unwrap()
+                    };
+                    for d in &out {
+                        *emitted.entry(d.tuple.clone()).or_insert(0) += d.sign;
+                    }
+                    emitted.retain(|_, n| *n != 0);
+                    let view: HashSet<Tuple> = v.snapshot().into_iter().collect();
+                    let scan: HashSet<Tuple> = sink.snapshot().unwrap().into_iter().collect();
+                    assert_eq!(view, scan, "{ctx}");
+                    assert!(emitted.values().all(|&n| n == 1), "{ctx}");
+                    assert_eq!(emitted.len(), view.len(), "emitted deltas, {ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn advance_order_is_independent_of_hash_seed() {
+        // Two windowed bases expire on one heartbeat. Every freshly
+        // built view — each `HashMap` in it seeded differently — must
+        // emit the expiry deltas in the same sequence: source order.
+        let cat = edge_catalog();
+        let schema = cat.source("Edge").unwrap().schema.clone();
+        cat.register_source("Door", schema, SourceKind::Table, SourceStats::table(16))
+            .unwrap();
+        let (edge, door) = (
+            cat.source("Edge").unwrap().id,
+            cat.source("Door").unwrap().id,
+        );
+        let run = || {
+            let mut v = bound_view(
+                "create view Links as (
+                    select e.src, e.dst from Edge e [range 10 seconds]
+                    union
+                    select d.src, d.dst from Door d [tumbling 10 seconds]
+                )",
+                &cat,
+            );
+            let mut seen = Vec::new();
+            for sec in [1, 12, 23, 34] {
+                for (src, name) in [(door, "door"), (edge, "edge")] {
+                    let fact = stamped(name, "x", sec);
+                    seen.extend(v.on_base_deltas(src, &DeltaBatch::inserts([fact])).unwrap());
+                }
+                // Expires this round's fact of each base, one apiece.
+                seen.extend(v.advance_time(SimTime::from_secs(sec + 10)).unwrap());
+            }
+            assert!(v.is_empty());
+            seen
+        };
+        let first = run();
+        assert_eq!(first.len(), 16);
+        for _ in 1..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

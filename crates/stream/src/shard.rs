@@ -26,9 +26,10 @@
 //! the task carries an admission-time routing snapshot ([`ViewCtx`]) and
 //! forwards net output deltas (DRed-style deletions included — the
 //! deltas carry signs) to the subscribed query shards as follow-up tasks
-//! through the same bounded queues. Heartbeats advance views through
-//! per-`(base, window spec)` groups, so many views sharing a windowed
-//! base pay one expiry bound check, not one scan each.
+//! through the same bounded queues. A heartbeat advances each view's
+//! windowed bases through the same [`crate::window::WindowOp`] a
+//! pipeline would put above that scan — an O(1) head check when nothing
+//! expired.
 //!
 //! Queries are *not* permanent, and every lifecycle verb is a
 //! composition of three private primitives, each written once:
@@ -191,6 +192,12 @@ struct IngestSlice {
     tables: HashMap<SourceId, BagState>,
     /// Cumulative tuples/deltas ingested per source.
     tuples_in: HashMap<SourceId, u64>,
+    /// Latest stamp each stream-like source has delivered in a batch.
+    latest: HashMap<SourceId, SimTime>,
+    /// Batch tuples that arrived stamped below their source's `latest`:
+    /// admitted as they come, expired in arrival order (the prefix rule
+    /// of [`crate::window`]) — this count is how an operator sees it.
+    out_of_order: u64,
 }
 
 impl IngestSlice {
@@ -243,23 +250,6 @@ pub(crate) struct ViewCtx {
     pub(crate) now: SimTime,
 }
 
-/// Key of a heartbeat-dedupe group: views scanning the same base source
-/// under the same clock-sensitive window spec expire in lockstep, so one
-/// bound check covers all of them.
-type GroupKey = (SourceId, WindowSpec);
-
-/// One heartbeat-dedupe group: the views sharing a `(base, spec)` scan,
-/// plus the group-wide expiry bounds — min oldest live timestamp for
-/// range windows, min current pane for tumbling ones (the member closest
-/// to expiring governs). A heartbeat pays one O(1) check per group; only
-/// a firing group walks its members.
-#[derive(Default)]
-struct AdvanceGroup {
-    members: Vec<usize>,
-    oldest: Option<SimTime>,
-    pane: Option<u64>,
-}
-
 /// The recursive views of the engine, resident on the dedicated view
 /// shard (executor cell `nshards`). Maintenance runs as ordinary
 /// boundary tasks on that cell's FIFO queue; net output deltas travel to
@@ -271,8 +261,6 @@ pub(crate) struct ViewSet {
     views: Vec<ViewRuntime>,
     /// Base source → views scanning it.
     subs: HashMap<SourceId, Vec<usize>>,
-    /// Heartbeat-dedupe groups over clock-sensitive base scans.
-    groups: HashMap<GroupKey, AdvanceGroup>,
 }
 
 impl ViewSet {
@@ -283,14 +271,7 @@ impl ViewSet {
         for src in view.base_sources() {
             self.subs.entry(src).or_default().push(idx);
         }
-        let clocked = view.clocked_windows();
-        for &key in &clocked {
-            self.groups.entry(key).or_default().members.push(idx);
-        }
         self.views.push(ViewRuntime { view, out_source });
-        for key in clocked {
-            self.refresh_group(key);
-        }
     }
 
     /// Base-relation changes: maintain every view scanning `src`, then
@@ -312,21 +293,15 @@ impl ViewSet {
             let got = vr.view.on_base_deltas(src, deltas)?;
             emitted |= Self::forward(vr.out_source, got, ctx, out);
         }
-        // Inserts may have rolled tumbling panes or lowered range oldest
-        // bounds eagerly; refresh the groups this base participates in.
-        self.refresh_groups_of(src);
         if emitted {
             Self::push_flush(ctx, out);
         }
         Ok(())
     }
 
-    /// Heartbeat: advance clock-sensitive view state. One O(1) bound
-    /// check per `(base, spec)` group decides whether its members can
-    /// have anything to expire; only firing groups pay the per-view
-    /// expiry walk — views sharing a windowed base do not multiply the
-    /// heartbeat cost (pinned by a regression test against per-view
-    /// advancement).
+    /// Heartbeat: advance every view, in registration order. A view's
+    /// windowed bases each pay their window's O(1) head check; a view
+    /// with none pays nothing.
     pub(crate) fn advance(
         &mut self,
         now: SimTime,
@@ -334,18 +309,9 @@ impl ViewSet {
         out: &mut Vec<FollowUp>,
     ) -> Result<()> {
         let mut emitted = false;
-        let keys: Vec<GroupKey> = self.groups.keys().copied().collect();
-        for key in keys {
-            if !self.group_fires(key, now) {
-                continue;
-            }
-            let members = self.groups[&key].members.clone();
-            for i in members {
-                let vr = &mut self.views[i];
-                let got = vr.view.advance_source(key.0, now)?;
-                emitted |= Self::forward(vr.out_source, got, ctx, out);
-            }
-            self.refresh_group(key);
+        for vr in &mut self.views {
+            let got = vr.view.advance_time(now)?;
+            emitted |= Self::forward(vr.out_source, got, ctx, out);
         }
         if emitted {
             Self::push_flush(ctx, out);
@@ -390,51 +356,6 @@ impl ViewSet {
                 shards: ctx.flush.clone(),
                 task: Task::FlushPush(ctx.now),
             });
-        }
-    }
-
-    /// Whether a group's shared bound says some member may expire state
-    /// at `now`. A member whose own bound is tighter re-checks inside
-    /// `advance_source`, so firing a group is always safe — the check is
-    /// purely a dedupe.
-    fn group_fires(&self, key: GroupKey, now: SimTime) -> bool {
-        let g = &self.groups[&key];
-        match key.1 {
-            WindowSpec::Range(_) => g.oldest.is_some_and(|o| !key.1.contains(o, now)),
-            WindowSpec::Tumbling(_) => match (key.1.pane_of(now), g.pane) {
-                (Some(np), Some(p)) => np > p,
-                _ => false,
-            },
-            _ => false,
-        }
-    }
-
-    /// Recompute a group's shared bounds from its members.
-    fn refresh_group(&mut self, key: GroupKey) {
-        let members = match self.groups.get(&key) {
-            Some(g) => g.members.clone(),
-            None => return,
-        };
-        let mut oldest: Option<SimTime> = None;
-        let mut pane: Option<u64> = None;
-        for i in members {
-            let v = &self.views[i].view;
-            if let Some(o) = v.source_oldest(key.0) {
-                oldest = Some(oldest.map_or(o, |x| x.min(o)));
-            }
-            if let Some(p) = v.source_pane(key.0) {
-                pane = Some(pane.map_or(p, |x| x.min(p)));
-            }
-        }
-        let g = self.groups.get_mut(&key).expect("group exists");
-        g.oldest = oldest;
-        g.pane = pane;
-    }
-
-    fn refresh_groups_of(&mut self, src: SourceId) {
-        let keys: Vec<GroupKey> = self.groups.keys().filter(|k| k.0 == src).copied().collect();
-        for key in keys {
-            self.refresh_group(key);
         }
     }
 
@@ -1093,6 +1014,7 @@ impl ShardedEngine {
             queries: queries.into_iter().flatten().collect(),
             workers: self.exec.worker_loads(),
             boundaries: self.boundaries,
+            out_of_order_tuples: self.slices.iter().map(|s| s.lock().out_of_order).sum(),
             now_secs: self.now.as_secs_f64(),
             profile,
         }
@@ -1874,6 +1796,14 @@ impl ShardedEngine {
         let routes = {
             let mut slice = self.slices[self.slice_of(src)].lock();
             *slice.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
+            if let (Admission::Batch(tuples), true) = (payload, meta.kind.is_stream_like()) {
+                let slice = &mut *slice;
+                let latest = slice.latest.entry(src).or_insert(SimTime::ZERO);
+                for t in tuples {
+                    slice.out_of_order += u64::from(t.timestamp() < *latest);
+                    *latest = (*latest).max(t.timestamp());
+                }
+            }
             // Retain table contents for replay at admission time, so a
             // late registration never races the shard queues.
             if matches!(meta.kind, SourceKind::Table) {
@@ -2934,11 +2864,43 @@ mod tests {
     }
 
     #[test]
-    fn views_sharing_a_windowed_base_advance_as_one_group() {
+    fn late_stamped_tuple_expires_with_its_predecessor_and_is_counted() {
+        // Admission takes stamps as they come. A `RANGE` window expires
+        // a prefix of the arrival order, so the tuple stamped 2 that
+        // arrives behind 5 and 9 outlives its own stamp — it goes when
+        // 9 does — and telemetry says one tuple arrived out of order.
+        let mut e = ShardedEngine::new(catalog(), 2);
+        let q = e
+            .register_sql("select r.sensor from Readings r [range 10 seconds]")
+            .unwrap()
+            .expect_query();
+        e.on_batch("Readings", &[reading(1, 0.0, 5), reading(2, 0.0, 9)])
+            .unwrap();
+        e.on_batch("Readings", &[reading(3, 0.0, 2)]).unwrap();
+        // A table is not a stream: its stamps are not arrival times.
+        let edge = |sec| Tuple::new(vec!["a".into(), "b".into()], SimTime::from_secs(sec));
+        e.on_batch("Edge", &[edge(7), edge(1)]).unwrap();
+        let mut sensors_at = |sec: u64| -> Vec<Value> {
+            e.heartbeat(SimTime::from_secs(sec)).unwrap();
+            let rows = e.snapshot(q).unwrap();
+            rows.iter().map(|t| t.get(0).clone()).collect()
+        };
+        let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+        // t=13: stamp 2 is outside (13 - 10, 13], but the head (5) is
+        // live, so nothing expires.
+        assert_eq!(sensors_at(13), ints(&[1, 2, 3]));
+        // t=16: 5 goes; 9 is live and shields the late tuple behind it.
+        assert_eq!(sensors_at(16), ints(&[2, 3]));
+        // t=20: 9 goes, and the late tuple with it.
+        assert_eq!(sensors_at(20), ints(&[]));
+        assert_eq!(e.telemetry().out_of_order_tuples, 1);
+    }
+
+    #[test]
+    fn views_sharing_a_windowed_base_advance_like_solo_views() {
         // Two recursive views over the same `Edge [range 10 seconds]`
-        // base must coalesce into one heartbeat group — one expiry-bound
-        // check per clock tick, not one scan per view — while their net
-        // deltas stay exactly what each view would emit alone.
+        // base each window it themselves: their net deltas are exactly
+        // what each view would emit alone.
         let view_sql = |name: &str| {
             format!(
                 "create recursive view {name} as ( \
@@ -2966,25 +2928,20 @@ mod tests {
             .unwrap()
             .expect_query();
         // One oracle engine per view, registered alone: the per-view
-        // ground truth the shared group must not disturb.
+        // ground truth a second view on the base must not disturb.
         let mut solo = ShardedEngine::new(catalog(), 2);
         solo.register_sql(&view_sql("Reach")).unwrap();
         let qs = solo
             .register_sql("select v.src, v.dst from Reach v")
             .unwrap()
             .expect_query();
-        {
-            let cell = e.shard(e.view_cell()).lock();
-            assert_eq!(cell.views.groups.len(), 1, "one (base, window) group");
-            assert_eq!(cell.views.groups.values().next().unwrap().members.len(), 2);
-        }
         for eng in [&mut e, &mut solo] {
             eng.on_batch("Edge", &[edge_at("a", "b", 1), edge_at("b", "c", 8)])
                 .unwrap();
         }
         assert_eq!(e.snapshot(qr).unwrap().len(), 3); // ab, bc, ac
         assert_eq!(e.snapshot(qh).unwrap().len(), 3);
-        // t=5: inside the window — the group check must fire nothing.
+        // t=5: inside the window — nothing fires.
         for eng in [&mut e, &mut solo] {
             eng.heartbeat(SimTime::from_secs(5)).unwrap();
         }
@@ -3004,7 +2961,7 @@ mod tests {
         assert_eq!(
             e.deltas_applied(qr).unwrap(),
             solo.deltas_applied(qs).unwrap(),
-            "grouped advance emitted the same net deltas as a solo view"
+            "same net deltas as a solo view"
         );
         assert_eq!(
             e.deltas_applied(qh).unwrap(),

@@ -460,9 +460,10 @@ impl BagState {
 // ColumnarDeque — the window buffer
 
 /// Arrival-ordered tuple deque over a [`TupleStore`]: `push_back`
-/// appends a row, `pop_front` kills the oldest live row. The timestamp
-/// column stays resident even when a segment spills, so window-expiry
-/// checks never fault cold segments in just to peek at the front.
+/// appends a row, `release_below` kills the oldest live rows. The
+/// timestamp column stays resident even when a segment spills, so
+/// window-expiry checks never fault cold segments in just to peek at a
+/// stamp.
 #[derive(Debug, Clone)]
 pub struct ColumnarDeque {
     store: TupleStore,
@@ -488,21 +489,6 @@ impl ColumnarDeque {
     pub fn push_back(&mut self, tuple: &Tuple) {
         self.store
             .push(&tuple_cells(tuple), tuple.timestamp().as_micros());
-    }
-
-    /// Timestamp of the oldest live tuple — O(1), never faults a
-    /// spilled segment in.
-    pub fn front_ts(&self) -> Option<SimTime> {
-        self.store
-            .first_live()
-            .map(|(_, ts)| SimTime::from_micros(ts))
-    }
-
-    pub fn pop_front(&mut self) -> Option<Tuple> {
-        let (row, _) = self.store.first_live()?;
-        let (cells, ts) = self.store.get(row)?;
-        self.store.mark_dead(row);
-        Some(cells_tuple(cells, ts))
     }
 
     /// Live tuples in arrival order.
@@ -538,11 +524,10 @@ impl ColumnarDeque {
         self.store.mark_dead_below(row);
     }
 
-    /// Materialize and drop every live tuple (tumbling pane rollover).
-    pub fn drain(&mut self) -> Vec<Tuple> {
-        let out = self.snapshot();
+    /// Drop every row, the dead ones of the active segment included;
+    /// row ids keep counting.
+    pub fn clear(&mut self) {
         self.store.clear();
-        out
     }
 
     pub fn state_bytes(&self) -> usize {

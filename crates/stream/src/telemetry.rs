@@ -175,6 +175,12 @@ pub struct TelemetryReport {
     /// Engine-level batch boundaries observed so far (ingest calls +
     /// heartbeats).
     pub boundaries: u64,
+    /// Batch tuples admitted on stream-like sources stamped below their
+    /// source's running maximum. Admission does not reorder or reject
+    /// them; each expires from a `RANGE` window when its predecessor in
+    /// arrival order does — late, never lost. (A cluster report sums
+    /// its nodes' admissions.)
+    pub out_of_order_tuples: u64,
     /// Engine clock at observation time, seconds.
     pub now_secs: f64,
     /// Per-operator-kind measured busy timings, merged over every live
@@ -524,6 +530,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
         queries,
         workers: Vec::new(),
         boundaries: 0,
+        out_of_order_tuples: 0,
         now_secs: 0.0,
         profile: OpProfile::default(),
     }

@@ -462,6 +462,9 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     let mut out = String::new();
     out.push_str("# TYPE aspen_boundaries_total counter\n");
     prom_line(&mut out, "aspen_boundaries_total", "", report.boundaries);
+    out.push_str("# TYPE aspen_out_of_order_tuples_total counter\n");
+    let late = report.out_of_order_tuples;
+    prom_line(&mut out, "aspen_out_of_order_tuples_total", "", late);
     out.push_str("# TYPE aspen_shard_tuples_in_total counter\n");
     out.push_str("# TYPE aspen_shard_busy_seconds_total counter\n");
     out.push_str("# TYPE aspen_shard_lag gauge\n");
@@ -628,8 +631,9 @@ pub fn render_json(report: &TelemetryReport) -> String {
         })
         .collect();
     format!(
-        "{{\"boundaries\":{},\"now_secs\":{:.3},\"ingest_latency\":{},\"queue_wait\":{},\"ops_per_sec_observed\":{},\"shards\":[{}],\"queries\":[{}],\"ops\":[{}]}}",
+        "{{\"boundaries\":{},\"out_of_order_tuples\":{},\"now_secs\":{:.3},\"ingest_latency\":{},\"queue_wait\":{},\"ops_per_sec_observed\":{},\"shards\":[{}],\"queries\":[{}],\"ops\":[{}]}}",
         report.boundaries,
+        report.out_of_order_tuples,
         report.now_secs,
         json_hist(&report.ingest_latency()),
         json_hist(&report.queue_wait()),
@@ -818,6 +822,7 @@ mod tests {
     fn renders_are_nonempty_and_structured() {
         let mut report = TelemetryReport {
             boundaries: 3,
+            out_of_order_tuples: 2,
             ..Default::default()
         };
         report
@@ -825,11 +830,12 @@ mod tests {
             .record(OpKind::Filter, 100, Duration::from_micros(50));
         let prom = render_prometheus(&report);
         assert!(prom.contains("aspen_boundaries_total 3"));
+        assert!(prom.contains("aspen_out_of_order_tuples_total 2"));
         assert!(prom.contains("# TYPE aspen_ingest_latency_us histogram"));
         assert!(prom.contains("aspen_op_deltas_total{op=\"filter\"} 100"));
         let json = render_json(&report);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"boundaries\":3"));
+        assert!(json.contains("\"boundaries\":3,\"out_of_order_tuples\":2"));
         assert!(json.contains("\"op\":\"filter\""));
         // Balanced braces/brackets — a cheap structural parse.
         assert_eq!(

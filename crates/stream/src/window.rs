@@ -1,27 +1,38 @@
 //! Window maintenance: turning the clock into retraction deltas.
 //!
-//! A [`WindowOp`] sits immediately above each stream scan. Insertions
-//! pass through; as simulated time advances, expired tuples are emitted
-//! as retractions, so every downstream operator sees a coherent multiset
+//! A window sits immediately above each stream scan. Insertions pass
+//! through; as simulated time advances, expired tuples are emitted as
+//! retractions, so every downstream operator sees a coherent multiset
 //! view of "the window as of now". `ROWS n` windows retract eagerly on
 //! overflow instead. Ingest is batch-oriented: a whole source batch is
 //! folded into one output [`DeltaBatch`] before anything propagates.
 //!
-//! The buffer is a [`ColumnarDeque`] (per-column storage, measured
-//! bytes, optional spill of cold segments). Expiry checks only touch
-//! the always-resident timestamp column, so a spilled window never
-//! faults segments in just to discover nothing expired.
+//! There is one window state machine, `Frame`. A window sits directly
+//! above its scan, so its live set is always the contiguous suffix
+//! `[head, tail)` of the scan's arrival order; a frame is that `head`
+//! plus the tumbling pane, and only the owner of the log differs:
 //!
-//! Inside the engine, stream scans do not own a buffer at all: a shard
-//! keeps one [`SourceLog`] per stream source — the same buffer, appended
-//! once per arrival — and every window over that source is a *cursor*
-//! into it. A window sits directly above its scan, so its live set is
-//! always the contiguous suffix `[head, tail)` of the arrival order;
-//! the cursor is that `head` (plus the tumbling pane), and replays the
-//! exact delta sequence a private [`WindowOp`] of its spec would emit.
-//! Cursors in equal state are one *class*: the log windows and
-//! consolidates each step once per class, and every member's pipeline
-//! borrows that batch.
+//! * A shard keeps one [`SourceLog`] per stream source, appended once
+//!   per arrival, and every window over the source is a *cursor* into
+//!   it. Cursors in equal state are one *class*: the log windows and
+//!   consolidates each step once per class, and every member borrows
+//!   that batch.
+//! * A [`WindowOp`] — table and view-base scans, migrated queries — is
+//!   a private log with exactly one cursor: append, step the frame,
+//!   release below the head. N cursors on one log and N private windows
+//!   fed the same arrivals emit the same deltas by construction.
+//!
+//! **The prefix rule.** Admission accepts any stamp, and every spec
+//! expires a *prefix* of the arrival order: `RANGE` advances `head`
+//! while the row *at* `head` is out of the window, so a tuple stamped
+//! below its predecessor in arrival order expires when the predecessor
+//! does — late, never lost, never early. The engine's telemetry counts
+//! such arrivals as `out_of_order_tuples`.
+//!
+//! The log is a [`ColumnarDeque`] (per-column storage, measured bytes,
+//! optional spill of cold segments). Expiry checks only touch the
+//! always-resident timestamp column, so a spilled window never faults
+//! segments in just to discover nothing expired.
 
 use std::sync::Arc;
 
@@ -31,15 +42,12 @@ use crate::delta::{Delta, DeltaBatch};
 use crate::state::{ColumnarDeque, StateOptions};
 use crate::telemetry::ShardMeters;
 
-/// Stateful window maintenance for one scan.
+/// Stateful window maintenance for one scan: a log with one cursor.
 #[derive(Debug)]
 pub struct WindowOp {
-    spec: WindowSpec,
-    /// Live tuples in arrival order (timestamps are nondecreasing per
-    /// source, enforced by the engine).
-    buffer: ColumnarDeque,
-    /// Current pane index for tumbling windows.
-    pane: Option<u64>,
+    /// The arrivals the window still holds — exactly `[at.head, tail)`.
+    rows: ColumnarDeque,
+    at: Frame,
 }
 
 impl WindowOp {
@@ -50,34 +58,37 @@ impl WindowOp {
 
     pub fn with_options(spec: WindowSpec, opts: &StateOptions) -> Self {
         WindowOp {
-            spec,
-            buffer: ColumnarDeque::new(opts.spill.clone()),
-            pane: None,
+            rows: ColumnarDeque::new(opts.spill.clone()),
+            at: Frame {
+                spec,
+                head: 0,
+                pane: None,
+            },
         }
     }
 
     pub fn spec(&self) -> WindowSpec {
-        self.spec
+        self.at.spec
     }
 
     /// Number of live (buffered) tuples.
     pub fn live(&self) -> usize {
-        self.buffer.len()
+        self.rows.len()
     }
 
     /// Resident bytes held by the buffer (measured).
     pub fn state_bytes(&self) -> usize {
-        self.buffer.state_bytes()
+        self.rows.state_bytes()
     }
 
     /// Bytes paged out to the spill tier.
     pub fn spilled_bytes(&self) -> usize {
-        self.buffer.spilled_bytes()
+        self.rows.spilled_bytes()
     }
 
     /// The live tuples in arrival order.
     pub fn buffered(&self) -> Vec<Tuple> {
-        self.buffer.snapshot()
+        self.rows.snapshot()
     }
 
     /// Take over a demoted cursor's window: its live suffix of the
@@ -87,99 +98,55 @@ impl WindowOp {
     /// have.
     pub(crate) fn adopt(&mut self, live: Vec<Tuple>, pane: Option<u64>) {
         for t in &live {
-            self.buffer.push_back(t);
+            self.rows.push_back(t);
         }
-        self.pane = pane;
+        self.at.pane = pane;
     }
 
     /// Whether this window reacts to the passage of time (i.e. whether
     /// `advance` can ever emit retractions). The engine uses this to
     /// route heartbeats only to clock-sensitive pipelines.
     pub fn needs_clock(&self) -> bool {
-        matches!(self.spec, WindowSpec::Range(_) | WindowSpec::Tumbling(_))
+        matches!(self.at.spec, WindowSpec::Range(_) | WindowSpec::Tumbling(_))
     }
 
     /// Ingest a whole source batch; appends the deltas to propagate
     /// (the insertions plus any eager retractions) to `out`.
     pub fn insert_batch(&mut self, tuples: &[Tuple], out: &mut DeltaBatch) {
-        for t in tuples {
-            self.insert(t.clone(), out);
+        let tail = self.rows.next_row();
+        if self.at.pins() {
+            for t in tuples {
+                self.rows.push_back(t);
+            }
         }
+        out.extend(self.at.insert_batch(&self.rows, tail, tuples));
+        self.release();
     }
 
     /// Ingest one inserted tuple; appends the deltas to propagate to
     /// `out`.
     pub fn insert(&mut self, tuple: Tuple, out: &mut DeltaBatch) {
-        match self.spec {
-            WindowSpec::Unbounded => {
-                out.push_insert(tuple);
-            }
-            WindowSpec::Range(_) => {
-                self.buffer.push_back(&tuple);
-                out.push_insert(tuple);
-            }
-            WindowSpec::Rows(n) => {
-                self.buffer.push_back(&tuple);
-                out.push_insert(tuple);
-                while self.buffer.len() as u64 > n {
-                    let evicted = self.buffer.pop_front().expect("nonempty");
-                    out.push_retract(evicted);
-                }
-            }
-            WindowSpec::Tumbling(w) => {
-                let pane = if w.as_micros() == 0 {
-                    0
-                } else {
-                    tuple.timestamp().as_micros() / w.as_micros()
-                };
-                if let Some(current) = self.pane {
-                    if pane != current {
-                        // Pane rollover: retract the entire previous pane.
-                        for old in self.buffer.drain() {
-                            out.push_retract(old);
-                        }
-                    }
-                }
-                self.pane = Some(pane);
-                self.buffer.push_back(&tuple);
-                out.push_insert(tuple);
-            }
-        }
+        self.insert_batch(std::slice::from_ref(&tuple), out);
     }
 
     /// Advance the clock; appends retractions for tuples that fell out of
     /// a RANGE window (and pane rollovers for TUMBLING).
     pub fn advance(&mut self, now: SimTime, out: &mut DeltaBatch) {
-        match self.spec {
-            WindowSpec::Range(_) => {
-                while let Some(front_ts) = self.buffer.front_ts() {
-                    if self.spec.contains(front_ts, now) {
-                        break;
-                    }
-                    let expired = self.buffer.pop_front().expect("nonempty");
-                    out.push_retract(expired);
-                }
-            }
-            WindowSpec::Tumbling(w) => {
-                if w.as_micros() == 0 {
-                    return;
-                }
-                let now_pane = now.as_micros() / w.as_micros();
-                if let Some(current) = self.pane {
-                    if now_pane > current {
-                        for old in self.buffer.drain() {
-                            out.push_retract(old);
-                        }
-                        self.pane = Some(now_pane);
-                    }
-                }
-            }
-            WindowSpec::Unbounded | WindowSpec::Rows(_) => {}
+        out.extend(self.at.advance(&self.rows, now));
+        self.release();
+    }
+
+    /// Release the rows below the head; a window that emptied holds
+    /// nothing, not even the dead tail of its last segment.
+    fn release(&mut self) {
+        self.rows.release_below(self.at.head);
+        if self.rows.is_empty() {
+            self.rows.clear();
         }
     }
 }
 
-/// The state of one window over a [`SourceLog`]: its live set is the
+/// The state of one window over an arrival log: its live set is the
 /// log suffix `[head, tail)`. Windows in equal state emit equal deltas
 /// on the next log step, so a frame is also the key of a cursor *class*.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -221,11 +188,14 @@ impl Frame {
     /// Whether this window buffers tuples, i.e. needs the log to retain
     /// rows from `head` on.
     fn pins(&self) -> bool {
-        self.spec != WindowSpec::Unbounded
+        !self.spec.is_append_only()
     }
 
-    /// [`WindowOp::insert_batch`] for the arrivals `tuples`, which the
-    /// log appended as rows `[tail, tail + tuples.len())`.
+    /// Step over the arrivals `tuples`, which the log appended as rows
+    /// `[tail, tail + tuples.len())`: the insertions plus the eager
+    /// retractions (`ROWS` overflow, `TUMBLING` pane change — *any*
+    /// change, so a stray older-pane arrival rolls too), interleaved in
+    /// arrival order.
     fn insert_batch(&mut self, rows: &ColumnarDeque, tail: u64, tuples: &[Tuple]) -> DeltaBatch {
         let mut out = DeltaBatch::with_capacity(tuples.len());
         match self.spec {
@@ -268,7 +238,9 @@ impl Frame {
         out
     }
 
-    /// [`WindowOp::advance`] against the log's retained rows.
+    /// Advance the clock against the log's retained rows: `RANGE`
+    /// retracts the expired prefix, `TUMBLING` rolls only *forward* (a
+    /// lagging clock never touches live rows).
     fn advance(&mut self, rows: &ColumnarDeque, now: SimTime) -> DeltaBatch {
         let tail = rows.next_row();
         let expired_to = match self.spec {
@@ -340,16 +312,14 @@ impl SourceLog {
     /// A query attaches all its scans of this source back to back, in
     /// scan order.
     pub(crate) fn attach(&mut self, query: QueryId, scan: usize, spec: WindowSpec) {
-        let head = if spec == WindowSpec::Unbounded {
-            0
-        } else {
-            self.rows.next_row()
-        };
-        let at = Frame {
+        let mut at = Frame {
             spec,
-            head,
+            head: 0,
             pane: None,
         };
+        if at.pins() {
+            at.head = self.rows.next_row();
+        }
         self.cursors.push(Cursor {
             query,
             scan,
@@ -570,6 +540,7 @@ mod tests {
         assert_eq!(signs(&out), vec![-1]);
         assert_eq!(out.as_slice()[0].tuple, t(3, 12));
         assert_eq!(w.live(), 0);
+        assert_eq!(w.state_bytes(), 0, "an emptied window holds nothing");
     }
 
     #[test]
@@ -608,7 +579,7 @@ mod tests {
     /// The oracle's class key of a private window: all cursors of a log
     /// share its tail, so equal live counts are equal heads.
     fn frame_of(w: &WindowOp) -> (WindowSpec, usize, Option<u64>) {
-        (w.spec, w.live(), w.pane)
+        (w.at.spec, w.live(), w.at.pane)
     }
 
     fn distinct<T: PartialEq>(keys: impl Iterator<Item = T>) -> u64 {
@@ -690,7 +661,7 @@ mod tests {
                             let mut gone = private.iter().filter(|p| p.0 == query);
                             for (scan, live, pane) in demoted {
                                 let (_, pscan, w) = gone.next().expect("one window per cursor");
-                                assert_eq!((scan, pane), (*pscan, w.pane), "{ctx}");
+                                assert_eq!((scan, pane), (*pscan, w.at.pane), "{ctx}");
                                 assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
                             }
                             assert!(gone.next().is_none(), "{ctx}");
