@@ -840,6 +840,13 @@ impl TupleStore {
         self.next_row
     }
 
+    /// Continue another store's numbering: the next row appended gets
+    /// id `row`. Only an empty store can be renumbered.
+    pub fn resume_at(&mut self, row: u64) {
+        assert!(self.segs.is_empty(), "resume_at on a store holding rows");
+        self.next_row = row;
+    }
+
     pub fn live_rows(&self) -> u64 {
         self.live
     }
@@ -1375,6 +1382,15 @@ mod tests {
         assert!(s.is_empty());
         let r = s.push(&[Cell::Int(3)], 0);
         assert_eq!(r, 2, "ids are never reused");
+    }
+
+    #[test]
+    fn resume_at_continues_a_numbering() {
+        let mut s = TupleStore::new(1);
+        s.resume_at(40);
+        assert_eq!(s.push(&[Cell::Int(7)], 9), 40);
+        assert_eq!(s.get(40), Some((vec![Cell::Int(7)], 9)));
+        assert_eq!((s.get(0), s.len()), (None, 41));
     }
 
     #[test]

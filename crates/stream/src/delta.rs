@@ -7,6 +7,9 @@
 //! away before they are propagated downstream. Tuples inside a batch are
 //! cheap to share: a [`Tuple`]'s value row is `Arc`-backed, so cloning a
 //! delta copies a pointer, not the row.
+//!
+//! A batch a window step emits is *addressed* — beside each delta, the id
+//! of the log row it inserts or retracts (crate docs, *Addressed batches*).
 
 use aspen_types::Tuple;
 
@@ -51,6 +54,10 @@ impl Delta {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaBatch {
     deltas: Vec<Delta>,
+    /// The log row of each delta — as long as `deltas` in an addressed
+    /// batch, empty otherwise. Only [`DeltaBatch::push_row`] keeps a
+    /// batch addressed; every other way of adding deltas forgets the ids.
+    rows: Vec<u64>,
 }
 
 impl DeltaBatch {
@@ -59,16 +66,12 @@ impl DeltaBatch {
     }
 
     pub fn with_capacity(n: usize) -> Self {
-        DeltaBatch {
-            deltas: Vec::with_capacity(n),
-        }
+        Vec::with_capacity(n).into()
     }
 
     /// A batch inserting every tuple of a source batch, in order.
     pub fn inserts<I: IntoIterator<Item = Tuple>>(tuples: I) -> Self {
-        DeltaBatch {
-            deltas: tuples.into_iter().map(Delta::insert).collect(),
-        }
+        tuples.into_iter().map(Delta::insert).collect()
     }
 
     pub fn len(&self) -> usize {
@@ -80,15 +83,30 @@ impl DeltaBatch {
     }
 
     pub fn push(&mut self, delta: Delta) {
+        self.rows.clear();
         self.deltas.push(delta);
     }
 
     pub fn push_insert(&mut self, tuple: Tuple) {
-        self.deltas.push(Delta::insert(tuple));
+        self.push(Delta::insert(tuple));
     }
 
     pub fn push_retract(&mut self, tuple: Tuple) {
-        self.deltas.push(Delta::retract(tuple));
+        self.push(Delta::retract(tuple));
+    }
+
+    /// Append a unit delta that inserts or retracts log row `row`. The
+    /// batch stays addressed as long as every delta came in this way.
+    pub(crate) fn push_row(&mut self, delta: Delta, row: u64) {
+        if self.rows.len() == self.deltas.len() {
+            self.rows.push(row);
+        }
+        self.deltas.push(delta);
+    }
+
+    /// The log row of each delta, when the batch is addressed.
+    pub(crate) fn row_ids(&self) -> Option<&[u64]> {
+        (!self.rows.is_empty()).then_some(&self.rows)
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Delta> {
@@ -105,13 +123,12 @@ impl DeltaBatch {
 
     pub fn clear(&mut self) {
         self.deltas.clear();
+        self.rows.clear();
     }
 
     /// Every delta with its sign flipped (order preserved).
     pub fn negated(&self) -> DeltaBatch {
-        DeltaBatch {
-            deltas: self.deltas.iter().map(Delta::negate).collect(),
-        }
+        self.deltas.iter().map(Delta::negate).collect()
     }
 
     /// Net effect on a multiset: `(tuple, net_count)` with zero-net
@@ -122,9 +139,10 @@ impl DeltaBatch {
 
     /// The batch reduced to one delta per distinct tuple carrying the net
     /// sign (at its first-occurrence position), with cancelled pairs
-    /// removed. This is what the pipeline propagates: downstream
-    /// operators then pay one invocation per net change instead of one
-    /// per raw delta.
+    /// removed — what a shard does once to a table or view delta batch
+    /// before its subscribers run it: downstream operators then pay one
+    /// invocation per net change instead of one per raw delta. (Window
+    /// steps need none: they are net by row.) The result is unaddressed.
     ///
     /// Consolidation preserves the multiset a batch denotes, but not the
     /// per-delta arrival order of duplicates — so an aggregate's output
@@ -150,26 +168,28 @@ impl DeltaBatch {
             }
         }
         out.retain(|d| d.sign != 0);
-        DeltaBatch { deltas: out }
+        out.into()
     }
 }
 
 impl From<Vec<Delta>> for DeltaBatch {
     fn from(deltas: Vec<Delta>) -> Self {
-        DeltaBatch { deltas }
+        DeltaBatch {
+            deltas,
+            rows: Vec::new(),
+        }
     }
 }
 
 impl FromIterator<Delta> for DeltaBatch {
     fn from_iter<I: IntoIterator<Item = Delta>>(iter: I) -> Self {
-        DeltaBatch {
-            deltas: iter.into_iter().collect(),
-        }
+        iter.into_iter().collect::<Vec<Delta>>().into()
     }
 }
 
 impl Extend<Delta> for DeltaBatch {
     fn extend<I: IntoIterator<Item = Delta>>(&mut self, iter: I) {
+        self.rows.clear();
         self.deltas.extend(iter);
     }
 }

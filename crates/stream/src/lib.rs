@@ -56,16 +56,17 @@
 //! `|sign| > 1` encoding multiplicity), moved through the operator DAG as
 //! whole [`delta::DeltaBatch`]es — never tuple-at-a-time. A wrapper batch
 //! enters at a scan, the window stage folds it (plus any eager
-//! evictions) into one delta batch, the batch is **consolidated**
-//! (cancelling insert/retract pairs merge away, duplicate tuples collapse
-//! to one delta with a net sign), and each operator then processes the
-//! surviving batch in a single [`operators::DeltaOp::process_batch`]
-//! invocation. Batching amortizes dispatch and allocation; consolidation
-//! shrinks the work itself — a grouped aggregate emits one retract/insert
-//! pair per *touched group* per batch, not per input delta.
+//! evictions) into one delta batch that is **net by row** (a row that
+//! arrives and is evicted within the step appears as neither; table and
+//! view delta batches are consolidated once by the shard instead), and
+//! each operator then processes the batch in a single
+//! [`operators::DeltaOp::process_batch`] invocation. Batching amortizes
+//! dispatch and allocation and shrinks the work itself — a grouped
+//! aggregate emits one retract/insert pair per *touched group* per
+//! batch, not per input delta.
 //!
 //! ```text
-//! wrapper batch ──▶ Scan ▶ Window ▶ consolidate ▶ Filter ▶ Join ▶ Agg ▶ Sink
+//! wrapper batch ──▶ Scan ▶ Window (net by row) ▶ Filter ▶ Join ▶ Agg ▶ Sink
 //!    heartbeat(t) ────────┘ (expiry retractions, batched the same way)
 //! ```
 //!
@@ -73,10 +74,31 @@
 //! workload as one batch or as single-tuple batches yields the same
 //! consolidated result multiset (property-tested in
 //! `tests/stream_semantics.rs`). Output-row timestamps of aggregates may
-//! differ across granularities, since consolidation merges duplicate
-//! deltas. The `Pipeline::ops_invoked` cost proxy counts one unit per
-//! delta per operator, so the optimizer's calibration is unchanged by
-//! batching — consolidation only ever lowers it.
+//! differ across granularities (a group's row is stamped by the last
+//! delta of the batch to touch it). The `Pipeline::ops_invoked` cost
+//! proxy counts one unit per delta per operator, so the optimizer's
+//! calibration is unchanged by batching.
+//!
+//! **Addressed batches and indexed join sides.** A window's live set is
+//! a suffix of its scan's arrival log, so the operator above it need
+//! not copy it. A window step's batch is *addressed*: each delta names
+//! the log row it inserts or retracts ([`window`]: a step is net by
+//! row). A filter is a selection and passes the ids of what it keeps;
+//! a project, aggregate, join or union ends the addressed region, and
+//! `Unbounded` scans and table/view delta batches never start one. A
+//! join side fed by an addressed region — `Filter* → Scan` under a
+//! `ROWS` / `RANGE` / `TUMBLING` window, decided from the plan at
+//! compile time — is *indexed*: it keeps `key hash → row ids` and
+//! fetches a tuple by id only to emit a match; every other side copies
+//! its rows as before ([`operators::JoinOp`]). The rows belong to the
+//! scan's window: the shard's source log while the scan is a cursor,
+//! the pipeline's own `WindowOp` otherwise — and demotion hands them
+//! over under the same ids. Fetch-by-id is sound because a shard runs
+//! every log step as **step → deliver → release**: all cursors move,
+//! every pipeline of the step runs with read access to all logs, and
+//! only then are rows below the minimum head dropped, so a retraction
+//! delivered on one side of a join can still read rows the same step
+//! expires on the other. An id that resolves to no row is an error.
 //!
 //! ## Source logs and window cursors (and the plan-template cache)
 //!
@@ -122,7 +144,7 @@
 //!   - *Cursor classes.* Cursors in equal window state `(spec, head,
 //!     pane)` — every `Unbounded` cursor, every same-spec window whose
 //!     head has caught up — emit the same deltas on the next step, so
-//!     the log steps **classes**: one materialized, consolidated batch
+//!     the log steps **classes**: one materialized batch
 //!     per class per step, borrowed by every member's pipeline, whose
 //!     own cost starts at its first operator. Classes have no registry;
 //!     the key is recomputed per step, so a late cursor joins the
@@ -131,9 +153,9 @@
 //!     pause take nothing from the classmates, and all members step
 //!     before the first delivery — a failing sink cannot desynchronize
 //!     its class.
-//!   - *Scan-order delivery.* Each cursor feeds its query the
-//!     consolidation of its window's deltas for the step — exactly the
-//!     batch a private pipeline consolidates for itself on entry — and
+//!   - *Scan-order delivery.* Each cursor feeds its query its
+//!     window's net deltas for the step — exactly the batch a private
+//!     window emits, both being the same state machine — and
 //!     a query's scans are fed in scan order, so snapshots, push
 //!     streams, `ops_invoked` and per-query telemetry are bit-identical
 //!     to private execution.
@@ -145,9 +167,10 @@
 //!     into each registration — state a shared log must not absorb), as
 //!     does direct `Pipeline` / `WindowOp` use, and a recursive view
 //!     puts one in front of each base it scans under a bounded spec.
-//!     Migration demotes: each cursor's live suffix moves into the
-//!     query's own window, the runtime travels with its exact live
-//!     multiset, and the query stays private on the recipient.
+//!     Migration demotes: each cursor's frame and live suffix move
+//!     into the query's own window under the log's row ids, the runtime
+//!     travels with its exact live multiset, and the query stays
+//!     private on the recipient.
 //!     [`session::EngineConfig::shared_subplans`]`(false)` pins every
 //!     scan to the private path (the equivalence baseline).
 //!
@@ -159,7 +182,7 @@
 //!
 //! ```text
 //!                       ┌ class(RANGE 30s, head 17) ── one batch ─┬▶ Filter(>20) ▶ Sink q1
-//! batch ─▶ log(Events) ─┤   windowed + consolidated once          ├▶ Filter(>35) ▶ Sink q2
+//! batch ─▶ log(Events) ─┤   windowed once, net by row             ├▶ Filter(>35) ▶ Sink q2
 //!          (rows once)  │                                         └▶ Agg         ▶ Sink q3
 //!                       ├ class(ROWS 4, head 96) ───── one batch ──▶ Join ───────▶ Sink q4
 //!                       └ class(TUMBLE 1m, pane 3) ─── one batch ───┘

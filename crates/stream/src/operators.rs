@@ -11,10 +11,15 @@
 use std::collections::HashMap;
 
 use aspen_sql::expr::{AggAccumulator, BoundAgg, BoundExpr};
-use aspen_types::{Result, SimTime, Tuple, Value};
+use aspen_types::{AspenError, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{tuple_heap_bytes, KeyedState, StateOptions};
+use crate::state::{hash_of, KeyedState, RowIndex, StateOptions};
+
+/// Where the row ids of addressed batches resolve: `(scan, row)` is the
+/// tuple at that row of what the pipeline's scan `scan` windows (its own
+/// window's rows, or its source log's), `None` when the row is gone.
+pub type RowSource<'a> = &'a dyn Fn(usize, u64) -> Option<Tuple>;
 
 /// A delta-batch processor. `port` distinguishes the inputs of binary
 /// operators (0 = left, 1 = right).
@@ -23,6 +28,17 @@ pub trait DeltaOp: std::fmt::Debug {
     /// Deltas must be applied in batch order (stateful operators see
     /// earlier deltas of the same batch in their state).
     fn process_batch(&mut self, port: usize, batch: &DeltaBatch) -> Result<DeltaBatch>;
+
+    /// [`DeltaOp::process_batch`] inside a pipeline, which can resolve
+    /// row ids. Only an operator that keeps ids overrides it.
+    fn process_rows(
+        &mut self,
+        port: usize,
+        batch: &DeltaBatch,
+        _rows: RowSource,
+    ) -> Result<DeltaBatch> {
+        self.process_batch(port, batch)
+    }
 
     /// Deltas to emit when the pipeline starts (global aggregates emit
     /// their empty-input row here).
@@ -54,7 +70,8 @@ pub trait DeltaOp: std::fmt::Debug {
 
 // ---------------------------------------------------------------------------
 
-/// Filter: passes deltas whose tuple satisfies the predicate.
+/// Filter: passes deltas whose tuple satisfies the predicate — a
+/// selection, so the survivors of an addressed batch keep their row ids.
 #[derive(Debug)]
 pub struct FilterOp {
     pub predicate: BoundExpr,
@@ -63,9 +80,13 @@ pub struct FilterOp {
 impl DeltaOp for FilterOp {
     fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
         let mut out = DeltaBatch::with_capacity(batch.len());
-        for d in batch {
+        let ids = batch.row_ids();
+        for (i, d) in batch.iter().enumerate() {
             if self.predicate.eval_bool(&d.tuple)? {
-                out.push(d.clone());
+                match ids {
+                    Some(ids) => out.push_row(d.clone(), ids[i]),
+                    None => out.push(d.clone()),
+                }
             }
         }
         Ok(out)
@@ -102,12 +123,99 @@ impl DeltaOp for ProjectOp {
 /// Symmetric hash join on equi-keys with an optional residual predicate
 /// over the concatenated tuple. With no keys this degenerates to a
 /// (windowed) cross product — both sides land in one bucket.
+///
+/// **Side kinds**, fixed when the operator is built. A *materialised*
+/// side copies its input's live rows into a [`KeyedState`] and accepts
+/// any input. An *indexed* side is fed by one scan's window with only
+/// filters in between, so its input is addressed and its rows already
+/// sit in that window or its source log: it keeps `key hash → row ids`
+/// and nothing else, inserts and retracts by id, and asks the pipeline's
+/// [`RowSource`] for a tuple only when the other side probes the key. An
+/// id whose row is gone, a retraction of an id not held and a delta
+/// without an id are [`AspenError::Execution`], never a missing match.
+///
+/// **Keys follow SQL `=`**: a pair matches iff [`Value::sql_eq`] holds
+/// on every key column, so a delta whose key holds a `NULL` enters
+/// neither side and matches nothing, and `Int(2)` meets `Float(2.0)`.
+/// Either side kind finds candidates under a normalised key (`norm`)
+/// and then checks `sql_eq` on the two tuples themselves.
 #[derive(Debug)]
 pub struct JoinOp {
     pub keys: Vec<(usize, usize)>,
     pub residual: Option<BoundExpr>,
-    left: KeyedState,
-    right: KeyedState,
+    sides: [Side; 2],
+}
+
+#[derive(Debug)]
+enum Side {
+    Materialised(KeyedState),
+    /// Ids of the live rows of scan `scan` that reached this side.
+    Indexed {
+        scan: usize,
+        ids: RowIndex,
+    },
+}
+
+/// A key value's stand-in for lookup: values that are [`Value::sql_eq`]
+/// normalise to equal (and equally hashed) values. A float holding an
+/// integer becomes that integer — except from 2^53, where `f64` stops
+/// telling integers apart and integers become floats instead.
+fn norm(v: &Value) -> Value {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    match *v {
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < EXACT => Value::Int(f as i64),
+        Value::Int(i) if (i as f64).abs() >= EXACT => Value::Float(i as f64),
+        _ => v.clone(),
+    }
+}
+
+impl Side {
+    fn len(&self) -> usize {
+        match self {
+            Side::Materialised(state) => state.len(),
+            Side::Indexed { ids, .. } => ids.len(),
+        }
+    }
+
+    /// Apply one delta of this side's input under its join key.
+    fn update(&mut self, key: &[Value], delta: &Delta, row: Option<u64>) -> Result<()> {
+        match self {
+            Side::Materialised(state) => {
+                state.update(key.to_vec(), &delta.tuple, delta.sign);
+            }
+            Side::Indexed { scan, ids } => {
+                // Signed changes fed past a window that pins rows have
+                // no row to address.
+                let row = row.ok_or_else(|| dangling(*scan, "an unaddressed delta"))?;
+                debug_assert_eq!(delta.sign.abs(), 1, "window steps emit unit deltas");
+                if delta.sign > 0 {
+                    ids.insert(hash_of(key), row);
+                } else if !ids.remove(hash_of(key), row) {
+                    return Err(dangling(*scan, format_args!("a retraction of row {row}")));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The live rows under `key` with their multiplicities.
+    fn get(&self, key: &[Value], rows: RowSource) -> Result<Vec<(Tuple, i64)>> {
+        match self {
+            Side::Materialised(state) => Ok(state.get(key)),
+            Side::Indexed { scan, ids } => {
+                let gone = |row| dangling(*scan, format_args!("a probe for row {row}"));
+                let fetch = |&row| Ok((rows(*scan, row).ok_or_else(|| gone(row))?, 1));
+                ids.get(hash_of(key)).iter().map(fetch).collect()
+            }
+        }
+    }
+}
+
+/// An indexed side and its scan's window disagree about what is live.
+fn dangling(scan: usize, what: impl std::fmt::Display) -> AspenError {
+    AspenError::Execution(format!(
+        "{what} reached the join side over scan {scan}, whose window holds no such row"
+    ))
 }
 
 impl JoinOp {
@@ -116,56 +224,91 @@ impl JoinOp {
         JoinOp::with_options(keys, residual, &StateOptions::default())
     }
 
+    /// A join with two materialised sides.
     pub fn with_options(
         keys: Vec<(usize, usize)>,
         residual: Option<BoundExpr>,
         opts: &StateOptions,
     ) -> Self {
+        JoinOp::over_scans(keys, residual, opts, [None, None])
+    }
+
+    /// A join inside a pipeline: `scans[port]` names the scan whose
+    /// window feeds that port directly and addressed — an indexed side —
+    /// or is `None` for any other input, a materialised side.
+    pub(crate) fn over_scans(
+        keys: Vec<(usize, usize)>,
+        residual: Option<BoundExpr>,
+        opts: &StateOptions,
+        scans: [Option<usize>; 2],
+    ) -> Self {
+        let sides = scans.map(|scan| match scan {
+            Some(scan) => Side::Indexed {
+                scan,
+                ids: RowIndex::default(),
+            },
+            None => Side::Materialised(KeyedState::with_options(opts)),
+        });
         JoinOp {
             keys,
             residual,
-            left: KeyedState::with_options(opts),
-            right: KeyedState::with_options(opts),
+            sides,
         }
     }
 
     /// Gross state size, for memory accounting in the cost model.
     pub fn state_size(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
-
-    fn key_of(&self, tuple: &Tuple, is_left: bool) -> Vec<Value> {
-        self.keys
-            .iter()
-            .map(|(l, r)| {
-                let idx = if is_left { *l } else { *r };
-                tuple.get(idx).clone()
-            })
-            .collect()
+        self.sides.iter().map(Side::len).sum()
     }
 }
 
 impl DeltaOp for JoinOp {
     fn process_batch(&mut self, port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+        // Outside a pipeline there are no rows to resolve ids against.
+        self.process_rows(port, batch, &|_, _| None)
+    }
+
+    fn process_rows(
+        &mut self,
+        port: usize,
+        batch: &DeltaBatch,
+        rows: RowSource,
+    ) -> Result<DeltaBatch> {
         let is_left = port == 0;
+        let JoinOp {
+            keys,
+            residual,
+            sides: [left, right],
+        } = self;
+        let (own, other) = if is_left {
+            (left, &*right)
+        } else {
+            (right, &*left)
+        };
+        // The lookup is by hash of a normalised key; `=` decides.
+        let eq = |l: &Value, r: &Value| l.sql_eq(r) == Some(true);
+        let ids = batch.row_ids();
         let mut out = DeltaBatch::with_capacity(batch.len());
-        for delta in batch {
-            let key = self.key_of(&delta.tuple, is_left);
+        for (i, delta) in batch.iter().enumerate() {
+            let cols = keys.iter().map(|&(l, r)| if is_left { l } else { r });
+            let key: Vec<Value> = cols.map(|c| norm(delta.tuple.get(c))).collect();
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
             // Update own side's state first so self-joins on the same
             // batch behave like set-at-a-time semantics.
-            if is_left {
-                self.left.update(key.clone(), &delta.tuple, delta.sign);
-            } else {
-                self.right.update(key.clone(), &delta.tuple, delta.sign);
-            }
-            let other = if is_left { &self.right } else { &self.left };
-            for (match_tuple, mult) in other.get(&key) {
-                let joined = if is_left {
-                    delta.tuple.join(&match_tuple)
+            own.update(&key, delta, ids.map(|ids| ids[i]))?;
+            for (match_tuple, mult) in other.get(&key, rows)? {
+                let (l, r) = if is_left {
+                    (&delta.tuple, &match_tuple)
                 } else {
-                    match_tuple.join(&delta.tuple)
+                    (&match_tuple, &delta.tuple)
                 };
-                if let Some(residual) = &self.residual {
+                if !keys.iter().all(|&(lc, rc)| eq(l.get(lc), r.get(rc))) {
+                    continue;
+                }
+                let joined = l.join(r);
+                if let Some(residual) = residual {
                     if !residual.eval_bool(&joined)? {
                         continue;
                     }
@@ -180,11 +323,19 @@ impl DeltaOp for JoinOp {
     }
 
     fn state_bytes(&self) -> usize {
-        self.left.state_bytes() + self.right.state_bytes()
+        let bytes = |side: &Side| match side {
+            Side::Materialised(state) => state.state_bytes(),
+            Side::Indexed { ids, .. } => ids.state_bytes(),
+        };
+        self.sides.iter().map(bytes).sum()
     }
 
     fn spilled_bytes(&self) -> usize {
-        self.left.spilled_bytes() + self.right.spilled_bytes()
+        let bytes = |side: &Side| match side {
+            Side::Materialised(state) => state.spilled_bytes(),
+            Side::Indexed { .. } => 0,
+        };
+        self.sides.iter().map(bytes).sum()
     }
 }
 
@@ -206,7 +357,10 @@ struct GroupState {
     accs: Vec<AggAccumulator>,
     /// Gross multiplicity of live input rows in this group.
     weight: i64,
-    last_output: Option<Tuple>,
+    /// Stamp of the output row the group shows downstream, if it shows
+    /// one: between batches that row is `output_tuple` of the
+    /// accumulators at this stamp, so it is recomputed, not retained.
+    shown: Option<SimTime>,
 }
 
 impl AggregateOp {
@@ -279,7 +433,7 @@ impl DeltaOp for AggregateOp {
                     GroupState {
                         accs,
                         weight: 0,
-                        last_output: None,
+                        shown: None,
                     },
                 );
             }
@@ -288,10 +442,13 @@ impl DeltaOp for AggregateOp {
             let slot = match index.get(&key) {
                 Some(&slot) => slot,
                 None => {
+                    // First touch of the batch, before the delta lands:
+                    // the accumulators still say what the group shows.
+                    let shown = |ts| Self::output_tuple(&key, &state.accs, &self.aggs, ts);
                     let slot = touched.len();
                     touched.push(Touch {
+                        prev_output: state.shown.map(shown),
                         key: key.clone(),
-                        prev_output: state.last_output.clone(),
                         last_ts: SimTime::ZERO,
                     });
                     index.insert(key, slot);
@@ -335,9 +492,9 @@ impl DeltaOp for AggregateOp {
                         if let Some(prev) = touch.prev_output {
                             out.push_retract(prev);
                         }
-                        out.push_insert(tuple.clone());
+                        out.push_insert(tuple);
                     }
-                    state.last_output = Some(tuple);
+                    state.shown = Some(touch.last_ts);
                 }
                 // Group died during the batch (and was not rebuilt):
                 // retract whatever it showed before the batch.
@@ -364,7 +521,7 @@ impl DeltaOp for AggregateOp {
             GroupState {
                 accs,
                 weight: 0,
-                last_output: Some(tuple.clone()),
+                shown: Some(SimTime::ZERO),
             },
         );
         DeltaBatch::from(vec![Delta::insert(tuple)])
@@ -384,10 +541,7 @@ impl DeltaOp for AggregateOp {
                     }
                 }
                 b += std::mem::size_of::<AggAccumulator>() * state.accs.len();
-                if let Some(t) = &state.last_output {
-                    b += tuple_heap_bytes(t);
-                }
-                b
+                b + std::mem::size_of_val(&state.shown)
             })
             .sum()
     }
@@ -395,21 +549,23 @@ impl DeltaOp for AggregateOp {
 
 // ---------------------------------------------------------------------------
 
-/// Bag union: deltas from every port pass through unchanged.
+/// Bag union: deltas from every port pass through unchanged — and
+/// unaddressed, since ids of different scans would meet in the output.
 #[derive(Debug, Default)]
 pub struct UnionOp;
 
 impl DeltaOp for UnionOp {
     fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
-        Ok(batch.clone())
+        Ok(batch.iter().cloned().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowOp;
     use aspen_sql::expr::AggFunc;
-    use aspen_types::DataType;
+    use aspen_types::{DataType, WindowSpec};
 
     fn t(vals: Vec<Value>, us: u64) -> Tuple {
         Tuple::new(vals, SimTime::from_micros(us))
@@ -552,6 +708,139 @@ mod tests {
             .process(1, &Delta::insert(t(vec![Value::Int(9)], 1)))
             .unwrap();
         assert_eq!(out.len(), 2);
+    }
+
+    /// A join as a pipeline builds it over `from L [rows n], R [rows n]`:
+    /// both sides indexed, each fed by its scan's window.
+    struct Windowed {
+        join: JoinOp,
+        windows: [WindowOp; 2],
+    }
+
+    impl Windowed {
+        fn new(rows: u64) -> Self {
+            let opts = StateOptions::default();
+            Windowed {
+                join: JoinOp::over_scans(vec![(0, 0)], None, &opts, [Some(0), Some(1)]),
+                windows: [0, 1].map(|_| WindowOp::new(WindowSpec::Rows(rows))),
+            }
+        }
+
+        /// Step `port`'s window over `tuples` and run the join on the
+        /// batch; with `tell` off the join never hears of the step.
+        fn push(&mut self, port: usize, tuples: &[Tuple], tell: bool) -> Result<DeltaBatch> {
+            let mut batch = DeltaBatch::new();
+            self.windows[port].insert_batch(tuples, &mut batch);
+            if !tell {
+                return Ok(batch);
+            }
+            let windows = &self.windows;
+            let rows = |scan: usize, row: u64| windows[scan].get(row);
+            self.join.process_rows(port, &batch, &rows)
+        }
+    }
+
+    fn net_values(batch: &DeltaBatch) -> Vec<(Vec<Value>, i64)> {
+        let net = batch.consolidate().into_iter();
+        net.map(|(t, n)| (t.values().to_vec(), n)).collect()
+    }
+
+    /// `A(k int, v) ⋈ B(k float, w)` on `k`: SQL `=` never matches a
+    /// NULL and widens numerics — under both side kinds.
+    #[test]
+    fn join_keys_follow_sql_equality() {
+        let a = [
+            t(vec![Value::Null, Value::Int(1)], 0),
+            t(vec![Value::Int(2), Value::Int(2)], 0),
+        ];
+        let b = [
+            t(vec![Value::Null, Value::Int(10)], 1),
+            t(vec![Value::Float(2.0), Value::Int(20)], 1),
+        ];
+        let want = vec![(
+            vec![
+                Value::Int(2),
+                Value::Int(2),
+                Value::Float(2.0),
+                Value::Int(20),
+            ],
+            1,
+        )];
+
+        let mut j = JoinOp::new(vec![(0, 0)], None);
+        let mut out = j.process_batch(0, &DeltaBatch::inserts(a.clone())).unwrap();
+        out.extend(j.process_batch(1, &DeltaBatch::inserts(b.clone())).unwrap());
+        assert_eq!(net_values(&out), want, "materialised sides");
+        assert_eq!(j.state_size(), 2, "a NULL key enters neither side");
+        // The same predicate as a filter over the pairs agrees.
+        let eq = |l: &Tuple, r: &Tuple| l.get(0).sql_eq(r.get(0)) == Some(true);
+        let pairs = a.iter().flat_map(|l| b.iter().map(move |r| (l, r)));
+        assert_eq!(pairs.filter(|(l, r)| eq(l, r)).count(), 1);
+
+        let mut w = Windowed::new(10);
+        let mut out = w.push(0, &a, true).unwrap();
+        out.extend(w.push(1, &b, true).unwrap());
+        assert_eq!(net_values(&out), want, "indexed sides");
+        assert_eq!(w.join.state_size(), 2);
+        // Retracting the matched row retracts the pair, whichever side
+        // kind holds it; integers `f64` cannot tell apart stay apart.
+        let gone = j.process(1, &Delta::retract(b[1].clone())).unwrap();
+        assert_eq!((gone.len(), gone[0].sign), (1, -1));
+        let big = |i: i64| t(vec![Value::Int(i), Value::Int(0)], 2);
+        j.process(0, &Delta::insert(big(1 << 53))).unwrap();
+        let near = j.process(1, &Delta::insert(big((1 << 53) + 1))).unwrap();
+        assert!(
+            near.is_empty(),
+            "2^53 and 2^53 + 1 share a bucket, not a match"
+        );
+    }
+
+    /// An indexed side and its window must agree on what is live; when
+    /// they do not, the probe fails loudly instead of dropping the match.
+    #[test]
+    fn dangling_row_id_is_an_error_not_a_missing_match() {
+        let row = |k: i64, secs: u64| t(vec![Value::Int(k)], secs);
+        let mut w = Windowed::new(2);
+        w.push(0, &[row(1, 0), row(2, 0)], true).unwrap();
+        assert_eq!(w.push(1, &[row(1, 1)], true).unwrap().len(), 1);
+        // Release early by hand: the left window evicts row 0 (key 1)
+        // and the join is never delivered the retraction.
+        let lost = w.push(0, &[row(3, 2)], false).unwrap();
+        assert_eq!(lost.len(), 2, "one insertion, one eviction");
+        let err = w.push(1, &[row(1, 3)], true).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+        // So is retracting an id the side never held ...
+        let mut stray = DeltaBatch::new();
+        stray.push_row(Delta::retract(row(7, 0)), 99);
+        let err = w.join.process_batch(0, &stray).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+        // ... and a delta that names no row at all.
+        let err = w.join.process(0, &Delta::insert(row(7, 0))).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+    }
+
+    /// The tripwire under the benchmark's gated `state_bytes`: a join
+    /// side fed by a window holds an index entry per row, not the row.
+    #[test]
+    fn indexed_side_costs_an_index_entry_not_a_copy() {
+        let mut w = Windowed::new(2_000);
+        let left: Vec<Tuple> = (0..2_000i64)
+            .map(|i| {
+                let site = Value::Text(format!("site-{}", i % 64));
+                t(
+                    vec![Value::Int(i % 256), site, Value::Float(i as f64)],
+                    i as u64,
+                )
+            })
+            .collect();
+        w.push(0, &left, true).unwrap();
+        assert_eq!(w.join.state_size(), 2_000);
+        let bytes = w.join.state_bytes();
+        assert!(bytes <= 24 * 2_000, "{bytes} bytes for 2 000 rows");
+        // The copy this replaces costs several times that.
+        let mut copy = JoinOp::new(vec![(0, 0)], None);
+        copy.process_batch(0, &DeltaBatch::inserts(left)).unwrap();
+        assert!(copy.state_bytes() > 3 * bytes, "{}", copy.state_bytes());
     }
 
     fn avg_agg() -> AggregateOp {

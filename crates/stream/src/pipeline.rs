@@ -6,8 +6,6 @@
 //! peeled off the top of the plan into a [`SinkSpec`]; they re-apply per
 //! snapshot rather than per delta.
 
-use std::sync::Arc;
-
 use aspen_sql::expr::BoundExpr;
 use aspen_sql::plan::LogicalPlan;
 use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple, WindowSpec};
@@ -17,7 +15,7 @@ use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionO
 use crate::sink::Sink;
 use crate::state::StateOptions;
 use crate::trace::{OpKind, OpProfile};
-use crate::window::WindowOp;
+use crate::window::{Frame, Logs, WindowOp};
 
 /// Where an operator sends its output: another operator's input port, or
 /// the sink.
@@ -42,6 +40,19 @@ struct ScanEntry {
     source: SourceId,
     window: WindowOp,
     attach: Attach,
+    /// Whether the scan is a cursor on its source's log: the log, not
+    /// `window`, holds its rows then.
+    cursor: bool,
+}
+
+/// Whether `plan` is `Filter* → Scan` under a window that pins rows: its
+/// output is addressed, so a join side it feeds can keep row ids.
+fn is_addressed(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Filter { input, .. } => is_addressed(input),
+        LogicalPlan::Scan { rel } => !rel.window.is_append_only(),
+        _ => false,
+    }
 }
 
 /// Presentation spec extracted from the plan top.
@@ -186,6 +197,7 @@ impl Pipeline {
                     source: rel.meta.id,
                     window: WindowOp::with_options(rel.window, opts),
                     attach: parent,
+                    cursor: false,
                 });
                 Ok(())
             }
@@ -216,11 +228,15 @@ impl Pipeline {
                 residual,
                 ..
             } => {
-                let idx = self.push_node(
-                    Box::new(JoinOp::with_options(keys.clone(), residual.clone(), opts)),
-                    parent,
-                    OpKind::Join,
-                );
+                // The scans below are numbered as they are built: the
+                // left subtree's first, then the right's.
+                let next = self.scans.len();
+                let scans = [
+                    is_addressed(left).then_some(next),
+                    is_addressed(right).then_some(next + left.scans().len()),
+                ];
+                let join = JoinOp::over_scans(keys.clone(), residual.clone(), opts, scans);
+                let idx = self.push_node(Box::new(join), parent, OpKind::Join);
                 self.build(left, Some((idx, 0)), opts)?;
                 self.build(right, Some((idx, 1)), opts)
             }
@@ -261,11 +277,8 @@ impl Pipeline {
     /// Emit operators' initial deltas (global aggregates) into the sink.
     pub fn start(&mut self, sink: &mut Sink) -> Result<()> {
         for i in 0..self.nodes.len() {
-            let init = self.nodes[i].op.initial();
-            if !init.is_empty() {
-                let attach = self.nodes[i].parent;
-                self.propagate(attach, init, sink)?;
-            }
+            let init = self.nodes[i].op.initial().consolidated();
+            self.run(self.nodes[i].parent, &init, sink, None)?;
         }
         Ok(())
     }
@@ -278,6 +291,18 @@ impl Pipeline {
         tuples: &[Tuple],
         sink: &mut Sink,
     ) -> Result<()> {
+        self.push_source_over(source, tuples, sink, None)
+    }
+
+    /// [`Pipeline::push_source`] on a shard, where the pipeline's other
+    /// scans may be cursors on `logs`.
+    pub(crate) fn push_source_over(
+        &mut self,
+        source: SourceId,
+        tuples: &[Tuple],
+        sink: &mut Sink,
+        logs: Option<&Logs>,
+    ) -> Result<()> {
         self.pay_drag();
         for i in 0..self.scans.len() {
             if self.scans[i].source != source {
@@ -286,8 +311,7 @@ impl Pipeline {
             self.tuples_in += tuples.len() as u64;
             let mut batch = DeltaBatch::with_capacity(tuples.len());
             self.scans[i].window.insert_batch(tuples, &mut batch);
-            let attach = self.scans[i].attach;
-            self.propagate(attach, batch, sink)?;
+            self.run(self.scans[i].attach, &batch, sink, logs)?;
         }
         Ok(())
     }
@@ -299,11 +323,16 @@ impl Pipeline {
         self.scans.iter().map(|s| (s.source, s.window.spec()))
     }
 
+    /// Scan `scan` is now a cursor: its batches carry its source log's ids.
+    pub(crate) fn attach_cursor(&mut self, scan: usize) {
+        self.scans[scan].cursor = true;
+    }
+
     /// Feed the pre-windowed delta batches of one source batch — one
     /// `(scan index, deltas)` per cursor-fed scan, in scan order — past
     /// this pipeline's own window stages (which stay empty while the
     /// scans are cursors on a source log). The batches are borrowed:
-    /// the log consolidated each once for every cursor of its class, so
+    /// the log stepped each once for every cursor of its class, so
     /// this query's cost starts at its first operator. `charge` is the
     /// raw source-batch size to account to `tuples_in` per scan, the
     /// same number `push_source` would have charged.
@@ -312,20 +341,23 @@ impl Pipeline {
         fed: &mut dyn Iterator<Item = (usize, &DeltaBatch)>,
         charge: u64,
         sink: &mut Sink,
+        logs: &Logs,
     ) -> Result<()> {
         self.pay_drag();
         for (scan, deltas) in fed {
             self.tuples_in += charge;
-            self.run(self.scans[scan].attach, deltas, sink)?;
+            self.run(self.scans[scan].attach, deltas, sink, Some(logs))?;
         }
         Ok(())
     }
 
-    /// Hand scan `scan`'s window stage the live tuples and pane of the
+    /// Hand scan `scan`'s window stage the frame and live tuples of the
     /// log cursor it replaces (migration demotes cursors to private
-    /// windows), so the query carries its exact live multiset along.
-    pub(crate) fn adopt_window(&mut self, scan: usize, live: Vec<Tuple>, pane: Option<u64>) {
-        self.scans[scan].window.adopt(live, pane);
+    /// windows), so the query carries its exact live multiset along —
+    /// under the row ids its operators already hold.
+    pub(crate) fn adopt_window(&mut self, scan: usize, live: Vec<Tuple>, at: Frame) {
+        self.scans[scan].window.adopt(live, at);
+        self.scans[scan].cursor = false;
     }
 
     /// Operator node instances owned by this pipeline (resident-state
@@ -368,6 +400,7 @@ impl Pipeline {
         deltas: &DeltaBatch,
         charge: u64,
         sink: &mut Sink,
+        logs: &Logs,
     ) -> Result<()> {
         self.pay_drag();
         for i in 0..self.scans.len() {
@@ -375,57 +408,55 @@ impl Pipeline {
                 continue;
             }
             self.tuples_in += charge;
-            self.run(self.scans[i].attach, deltas, sink)?;
+            self.run(self.scans[i].attach, deltas, sink, Some(logs))?;
         }
         Ok(())
     }
 
     /// Advance the clock: expire windows and propagate retractions.
     pub fn advance_time(&mut self, now: SimTime, sink: &mut Sink) -> Result<()> {
-        self.advance_scans(now, &[], sink)
+        self.advance_scans(now, &[], sink, None)
     }
 
     /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
     /// `expired` holds the `(scan index, retractions)` their source logs
-    /// computed (and consolidated, once per cursor class) for this
-    /// clock. Each scan propagates in scan order whichever side windowed
-    /// it — a cursor-fed scan's own window is empty, so the two never
-    /// both fire.
+    /// stepped (once per cursor class) for this clock. Each scan
+    /// propagates in scan order whichever side windowed it — a
+    /// cursor-fed scan's own window is empty, so the two never both
+    /// fire.
     pub(crate) fn advance_scans(
         &mut self,
         now: SimTime,
-        expired: &[(usize, Arc<DeltaBatch>)],
+        expired: &[(usize, &DeltaBatch)],
         sink: &mut Sink,
+        logs: Option<&Logs>,
     ) -> Result<()> {
         for i in 0..self.scans.len() {
             let attach = self.scans[i].attach;
             if let Some((_, batch)) = expired.iter().find(|(scan, _)| *scan == i) {
-                self.run(attach, batch, sink)?;
+                self.run(attach, batch, sink, logs)?;
             }
             let mut batch = DeltaBatch::new();
             self.scans[i].window.advance(now, &mut batch);
-            self.propagate(attach, batch, sink)?;
+            self.run(attach, &batch, sink, logs)?;
         }
         Ok(())
     }
 
-    /// Move one batch this pipeline built itself up the operator chain.
-    ///
-    /// The batch is consolidated on entry — insert/retract pairs that
-    /// cancel within a push (e.g. a tuple that arrives and is evicted by
-    /// the same window rollover) never touch an operator — and every
-    /// operator invocation processes the whole surviving batch at once.
-    /// `ops_invoked` still counts one unit per *delta* per operator, so
-    /// the optimizer's CPU-cost calibration is unchanged by batching;
-    /// consolidation only ever shrinks it.
-    fn propagate(&mut self, start: Attach, batch: DeltaBatch, sink: &mut Sink) -> Result<()> {
-        self.run(start, &batch.consolidated(), sink)
-    }
-
-    /// Run an already-consolidated batch from `start` to the sink. The
-    /// first hop only borrows it, so a batch the shard consolidated once
-    /// (a cursor class's, a table's, a view's) serves every subscriber.
-    fn run(&mut self, start: Attach, first: &DeltaBatch, sink: &mut Sink) -> Result<()> {
+    /// Run a batch from `start` to the sink: a window step's (net by
+    /// row, so nothing that cancels within a push touches an operator)
+    /// or one the shard consolidated once (a table's, a view's). The
+    /// first hop only borrows it, so one batch serves every subscriber.
+    /// `ops_invoked` counts one unit per *delta* per operator, so the
+    /// optimizer's CPU-cost calibration is unchanged by batching. `logs`
+    /// is where the ids of cursor-fed scans resolve (`None` off a shard).
+    fn run(
+        &mut self,
+        start: Attach,
+        first: &DeltaBatch,
+        sink: &mut Sink,
+        logs: Option<&Logs>,
+    ) -> Result<()> {
         let mut attach = start;
         let mut produced: Option<DeltaBatch> = None;
         loop {
@@ -439,8 +470,15 @@ impl Pipeline {
             };
             let deltas = batch.len() as u64;
             self.ops_invoked += deltas;
+            // The rows behind addressed batches: each scan's own window,
+            // or — for a cursor — its source's log on the shard.
+            let scans = &self.scans;
+            let rows = |scan: usize, row: u64| match &scans[scan] {
+                scan if scan.cursor => logs?.get(&scan.source)?.get(row),
+                scan => scan.window.get(row),
+            };
             let t0 = self.timed.then(std::time::Instant::now);
-            let out = self.nodes[idx].op.process_batch(port, batch)?;
+            let out = self.nodes[idx].op.process_rows(port, batch, &rows)?;
             let busy = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());
             self.profile.record(self.nodes[idx].kind, deltas, busy);
             produced = Some(out);

@@ -479,33 +479,43 @@ impl EngineShard {
         // One meter hit per shard per source batch: the log append is
         // charged once, never once per cursor.
         meters.tuples_in += tuples.len() as u64;
-        let log = logs.get_mut(&src);
+        let shared = logs.contains_key(&src);
         for qid in subs {
-            if log.is_some() && tapped.contains(qid) {
+            if shared && tapped.contains(qid) {
                 // Fed below through its cursors.
                 continue;
             }
             let q = queries.get_mut(qid).expect("routed query is local");
-            q.pipeline.push_source(src, tuples, &mut q.sink)?;
+            q.pipeline
+                .push_source_over(src, tuples, &mut q.sink, Some(logs))?;
             if let Some(ctx) = &trace {
                 q.sink.latency.record_us(ctx.elapsed_us());
             }
         }
-        if let Some(log) = log {
-            // The log stores the batch exactly once and windows it once
-            // per cursor class; each query borrows the consolidated
-            // deltas its own windows over `src` would have emitted.
-            log.insert_batch(tuples, meters, |qid, fed| {
-                let q = queries.get_mut(&qid).expect("tapped query is local");
-                q.pipeline
-                    .push_windowed(fed, tuples.len() as u64, &mut q.sink)?;
-                if let Some(ctx) = &trace {
-                    q.sink.latency.record_us(ctx.elapsed_us());
-                }
-                Ok(())
-            })?;
+        // Step: the log stores the batch exactly once and windows it
+        // once per cursor class.
+        let Some(log) = logs.get_mut(&src) else {
+            return Ok(());
+        };
+        let batches = log.insert_batch(tuples, meters);
+        let logs = &*logs;
+        // Deliver: each query borrows the deltas its own windows over
+        // `src` would have emitted, and reads rows off any log. A failed
+        // delivery does not stop the others; the first error is returned.
+        let mut served = Ok(());
+        for (qid, mut fed) in logs[&src].fed(&batches) {
+            let q = queries.get_mut(&qid).expect("tapped query is local");
+            let run = q
+                .pipeline
+                .push_windowed(&mut fed, tuples.len() as u64, &mut q.sink, logs);
+            if let Some(ctx) = &trace {
+                q.sink.latency.record_us(ctx.elapsed_us());
+            }
+            served = served.and(run);
         }
-        Ok(())
+        // Release, now that no pipeline can ask for an evicted row.
+        self.logs.get_mut(&src).expect("stepped above").release();
+        served
     }
 
     pub(crate) fn push_deltas(
@@ -521,7 +531,8 @@ impl EngineShard {
             let deltas = &deltas.clone().consolidated();
             for qid in subs {
                 let q = self.queries.get_mut(qid).expect("routed query is local");
-                q.pipeline.push_deltas(src, deltas, charge, &mut q.sink)?;
+                q.pipeline
+                    .push_deltas(src, deltas, charge, &mut q.sink, &self.logs)?;
                 if let Some(ctx) = &trace {
                     q.sink.latency.record_us(ctx.elapsed_us());
                 }
@@ -538,21 +549,34 @@ impl EngineShard {
             meters,
             ..
         } = self;
-        // Cursor expiry is computed once per class per log and regrouped
-        // per query, so each pipeline expires its scans in scan order
-        // whichever side windows them.
-        let mut expired: HashMap<QueryId, Vec<(usize, Arc<DeltaBatch>)>> = HashMap::new();
-        for log in logs.values_mut() {
-            log.advance(now, meters, |qid, scan, batch| {
-                expired.entry(qid).or_default().push((scan, batch.clone()));
-            });
+        // Step every log: cursor expiry is computed once per class.
+        let stepped: Vec<(SourceId, Vec<DeltaBatch>)> = logs
+            .iter_mut()
+            .map(|(&src, log)| (src, log.advance(now, meters)))
+            .collect();
+        // Deliver, regrouped per query so each pipeline expires its
+        // scans in scan order whichever side windows them, with every
+        // log readable: a retraction on one side of a join probes the
+        // other side's rows, whether or not this step expires them too.
+        let logs = &*logs;
+        let mut expired: HashMap<QueryId, Vec<(usize, &DeltaBatch)>> = HashMap::new();
+        for (src, batches) in &stepped {
+            for (qid, fed) in logs[src].fed(batches) {
+                for fired in fed.filter(|(_, batch)| !batch.is_empty()) {
+                    expired.entry(qid).or_default().push(fired);
+                }
+            }
         }
-        for qid in clock_subs.iter() {
+        let served = clock_subs.iter().try_for_each(|qid| {
             let q = queries.get_mut(qid).expect("clocked query is local");
             let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
-            q.pipeline.advance_scans(now, fed, &mut q.sink)?;
+            q.pipeline.advance_scans(now, fed, &mut q.sink, Some(logs))
+        });
+        // Release only now (on an error too).
+        for log in self.logs.values_mut() {
+            log.release();
         }
-        Ok(())
+        served
     }
 
     /// Deliver pending push batches for every live subscribed sink
@@ -604,15 +628,18 @@ impl EngineShard {
     /// in scan order, which keeps a query's cursors on one log adjacent
     /// and ordered.
     fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
+        if scans.is_empty() {
+            return;
+        }
+        let rt = self.queries.get_mut(&qid).expect("routed query is local");
         for &(scan, src, spec) in scans {
             self.logs
                 .entry(src)
                 .or_insert_with(|| SourceLog::new(opts))
                 .attach(qid, scan, spec);
+            rt.pipeline.attach_cursor(scan);
         }
-        if !scans.is_empty() {
-            self.tapped.insert(qid);
-        }
+        self.tapped.insert(qid);
     }
 
     /// Unwind a query's cursors, if any. Rows only they pinned are
@@ -633,8 +660,8 @@ impl EngineShard {
             };
             if keep_windows {
                 let rt = self.queries.get_mut(&qid).expect("tapped query is local");
-                for (scan, live, pane) in log.demote(qid) {
-                    rt.pipeline.adopt_window(scan, live, pane);
+                for (scan, live, at) in log.demote(qid) {
+                    rt.pipeline.adopt_window(scan, live, at);
                 }
             } else {
                 log.detach(qid);
@@ -2861,6 +2888,80 @@ mod tests {
             b.snapshot(hb[5]).unwrap(),
             "surviving queries agree after order-reversed churn"
         );
+    }
+
+    /// One heartbeat expires matching rows on both sides of a
+    /// `RANGE ⋈ RANGE` join. Whichever side comes first in scan order is
+    /// delivered its retractions while the other side's index still
+    /// names the rows this very step expires — so the logs must keep
+    /// them until every pipeline ran (step → deliver → release).
+    #[test]
+    fn expiry_in_either_scan_order_retracts_each_pair_once() {
+        let cat = catalog();
+        let alarms = Schema::new(vec![
+            Field::new("sensor", DataType::Int),
+            Field::new("level", DataType::Int),
+        ]);
+        let stats = SourceStats::stream(0.5);
+        cat.register_source("Alarms", alarms.into_ref(), SourceKind::Stream, stats)
+            .unwrap();
+        let mut e = ShardedEngine::new(cat, 1);
+        let select = "select r.value, a.level from";
+        let on = "where r.sensor = a.sensor";
+        let (r, a) = (
+            "Readings r [range 10 seconds]",
+            "Alarms a [range 10 seconds]",
+        );
+        let orders = [
+            format!("{select} {r}, {a} {on}"),
+            format!("{select} {a}, {r} {on}"),
+        ];
+        let queries = orders.map(|sql| e.register_sql(&sql).unwrap().expect_query());
+
+        e.on_batch("Readings", &[reading(1, 5.0, 1), reading(2, 6.0, 1)])
+            .unwrap();
+        let alarm = |sensor, level, sec| {
+            Tuple::new(
+                vec![Value::Int(sensor), Value::Int(level)],
+                SimTime::from_secs(sec),
+            )
+        };
+        e.on_batch("Alarms", &[alarm(1, 3, 1), alarm(1, 4, 2), alarm(2, 9, 2)])
+            .unwrap();
+        let pairs = |e: &ShardedEngine, q| {
+            let mut rows: Vec<Vec<Value>> = e
+                .snapshot(q)
+                .unwrap()
+                .iter()
+                .map(|t| t.values().to_vec())
+                .collect();
+            rows.sort();
+            rows
+        };
+        // The model: a nested loop over both windows.
+        let model = vec![
+            vec![Value::Float(5.0), Value::Int(3)],
+            vec![Value::Float(5.0), Value::Int(4)],
+            vec![Value::Float(6.0), Value::Int(9)],
+        ];
+        for q in queries {
+            assert_eq!(pairs(&e, q), model);
+        }
+        e.heartbeat(SimTime::from_secs(20)).unwrap();
+        for q in queries {
+            assert_eq!(
+                pairs(&e, q),
+                Vec::<Vec<Value>>::new(),
+                "both windows are empty"
+            );
+        }
+        assert_eq!(e.resident_state().window_tuples, 0, "and so are the logs");
+        // Nothing is left behind: a fresh pair joins exactly once.
+        e.on_batch("Readings", &[reading(1, 7.0, 21)]).unwrap();
+        e.on_batch("Alarms", &[alarm(1, 2, 21)]).unwrap();
+        for q in queries {
+            assert_eq!(pairs(&e, q), vec![vec![Value::Float(7.0), Value::Int(2)]]);
+        }
     }
 
     #[test]

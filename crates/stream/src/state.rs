@@ -105,7 +105,7 @@ fn cells_tuple(cells: Vec<Cell>, ts: u64) -> Tuple {
     )
 }
 
-fn hash_of(h: &impl Hash) -> u64 {
+pub(crate) fn hash_of(h: &(impl Hash + ?Sized)) -> u64 {
     let mut hasher = DefaultHasher::new();
     h.hash(&mut hasher);
     hasher.finish()
@@ -140,9 +140,53 @@ pub(crate) fn tuple_heap_bytes(t: &Tuple) -> usize {
     b
 }
 
-/// Resident bytes of a hash → live-row-ids index.
-fn index_bytes(index: &HashMap<u64, Vec<u64>>) -> usize {
-    index.values().map(|b| MAP_ENTRY + b.len() * 8).sum()
+/// `hash → live row ids`, each bucket in arrival order. [`KeyedState`]
+/// and [`BagState`] point it at rows of their own store; an indexed join
+/// side (`operators::JoinOp`) keeps nothing else and points it at rows
+/// its scan's window or source log holds. A bucket goes when its last
+/// row does, so the index tracks the live key domain.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RowIndex {
+    buckets: HashMap<u64, Vec<u64>>,
+    rows: usize,
+}
+
+impl RowIndex {
+    /// The bucket of the keys (or tuples) that hash to `h` ([`hash_of`]).
+    pub(crate) fn get(&self, h: u64) -> &[u64] {
+        self.buckets.get(&h).map_or(&[], Vec::as_slice)
+    }
+
+    pub(crate) fn insert(&mut self, h: u64, row: u64) {
+        self.buckets.entry(h).or_default().push(row);
+        self.rows += 1;
+    }
+
+    /// Drop `row` from bucket `h`; whether it was there.
+    pub(crate) fn remove(&mut self, h: u64, row: u64) -> bool {
+        let Some(bucket) = self.buckets.get_mut(&h) else {
+            return false;
+        };
+        let Some(pos) = bucket.iter().position(|&r| r == row) else {
+            return false;
+        };
+        bucket.remove(pos);
+        if bucket.is_empty() {
+            self.buckets.remove(&h);
+        }
+        self.rows -= 1;
+        true
+    }
+
+    /// Rows indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Resident bytes: a map entry per bucket, eight bytes per row.
+    pub(crate) fn state_bytes(&self) -> usize {
+        self.buckets.len() * MAP_ENTRY + self.rows * 8
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,9 +200,8 @@ fn index_bytes(index: &HashMap<u64, Vec<u64>>) -> usize {
 #[derive(Debug, Clone)]
 pub struct KeyedState {
     store: TupleStore,
-    /// key hash → live row ids (insertion order). A bucket goes when its
-    /// last row dies, so the index tracks the live key domain.
-    index: HashMap<u64, Vec<u64>>,
+    /// By key hash.
+    index: RowIndex,
     key_width: Option<usize>,
     /// Gross live count: Σ max(weight, 0).
     live: usize,
@@ -181,7 +224,7 @@ impl KeyedState {
             store: TupleStore::weighted(0)
                 .segment_rows(SEGMENT_ROWS)
                 .with_spill(opts.spill.clone()),
-            index: HashMap::new(),
+            index: RowIndex::default(),
             key_width: None,
             live: 0,
         }
@@ -195,13 +238,11 @@ impl KeyedState {
         probe.extend(tuple.values().iter().map(value_to_cell));
         let ts = tuple.timestamp().as_micros();
         let h = hash_of(&key);
-        let bucket = self.index.entry(h).or_default();
-        let found = bucket.iter().position(
+        let found = self.index.get(h).iter().copied().find(
             |&row| matches!(self.store.get(row), Some((cells, rts)) if rts == ts && cells == probe),
         );
-        let now = match found {
-            Some(pos) => {
-                let row = bucket[pos];
+        match found {
+            Some(row) => {
                 let old = self.store.weight(row).unwrap_or(0);
                 let now = old + sign;
                 // Gross count from the actual multiplicity transition, so
@@ -210,7 +251,7 @@ impl KeyedState {
                 self.live = (self.live as i64 + now.max(0) - old.max(0)) as usize;
                 if now == 0 {
                     self.store.mark_dead(row);
-                    bucket.remove(pos);
+                    self.index.remove(h, row);
                 } else {
                     self.store.set_weight(row, now);
                 }
@@ -218,16 +259,13 @@ impl KeyedState {
             }
             None => {
                 if sign != 0 {
-                    bucket.push(self.store.push_weighted(&probe, ts, sign));
+                    let row = self.store.push_weighted(&probe, ts, sign);
+                    self.index.insert(h, row);
                     self.live += sign.max(0) as usize;
                 }
                 sign
             }
-        };
-        if bucket.is_empty() {
-            self.index.remove(&h);
         }
-        now
     }
 
     /// The live tuples under a key with their multiplicities.
@@ -237,18 +275,16 @@ impl KeyedState {
         };
         let key_cells: Vec<Cell> = key.iter().map(value_to_cell).collect();
         let mut out = Vec::new();
-        if let Some(bucket) = self.index.get(&hash_of(&key)) {
-            for &row in bucket {
-                let Some((mut cells, ts)) = self.store.get(row) else {
-                    continue;
-                };
-                if cells.len() < kw || cells[..kw] != key_cells[..] {
-                    continue;
-                }
-                let w = self.store.weight(row).unwrap_or(0);
-                let tuple_part = cells.split_off(kw);
-                out.push((cells_tuple(tuple_part, ts), w));
+        for &row in self.index.get(hash_of(key)) {
+            let Some((mut cells, ts)) = self.store.get(row) else {
+                continue;
+            };
+            if cells.len() < kw || cells[..kw] != key_cells[..] {
+                continue;
             }
+            let w = self.store.weight(row).unwrap_or(0);
+            let tuple_part = cells.split_off(kw);
+            out.push((cells_tuple(tuple_part, ts), w));
         }
         out
     }
@@ -276,7 +312,7 @@ impl KeyedState {
 
     /// Resident state bytes: the store's measured bytes plus the index.
     pub fn state_bytes(&self) -> usize {
-        self.store.resident_bytes() + index_bytes(&self.index)
+        self.store.resident_bytes() + self.index.state_bytes()
     }
 
     /// Bytes currently paged out to the spill tier.
@@ -306,8 +342,8 @@ impl KeyedState {
 #[derive(Debug, Clone)]
 pub struct BagState {
     store: TupleStore,
-    /// tuple hash → live row ids, ascending (arrival order).
-    index: HashMap<u64, Vec<u64>>,
+    /// By tuple hash.
+    index: RowIndex,
     /// Transient over-retractions (out-of-order deltas), per tuple.
     debts: HashMap<Tuple, u64>,
     distinct: usize,
@@ -330,7 +366,7 @@ impl BagState {
             store: TupleStore::new(0)
                 .segment_rows(SEGMENT_ROWS)
                 .with_spill(opts.spill.clone()),
-            index: HashMap::new(),
+            index: RowIndex::default(),
             debts: HashMap::new(),
             distinct: 0,
         }
@@ -381,38 +417,31 @@ impl BagState {
         let cells = tuple_cells(tuple);
         let ts = tuple.timestamp().as_micros();
         let h = hash_of(tuple);
-        let already = self
-            .index
-            .get(&h)
-            .map(|b| b.iter().any(|&r| self.row_equals(r, &cells, ts)))
-            .unwrap_or(false);
+        let already = self.holds(h, &cells, ts).is_some();
         let row = self.store.push(&cells, ts);
-        self.index.entry(h).or_default().push(row);
+        self.index.insert(h, row);
         if !already {
             self.distinct += 1;
         }
+    }
+
+    /// The oldest live occurrence of the tuple hashing to `h`.
+    fn holds(&self, h: u64, cells: &[Cell], ts: u64) -> Option<u64> {
+        let mut rows = self.index.get(h).iter().copied();
+        rows.find(|&r| self.row_equals(r, cells, ts))
     }
 
     fn retract_one(&mut self, tuple: &Tuple) {
         let cells = tuple_cells(tuple);
         let ts = tuple.timestamp().as_micros();
         let h = hash_of(tuple);
-        let oldest = self
-            .index
-            .get(&h)
-            .and_then(|bucket| bucket.iter().position(|&r| self.row_equals(r, &cells, ts)));
-        match oldest {
-            Some(pos) => {
-                let bucket = self.index.get_mut(&h).expect("bucket exists");
-                let row = bucket.remove(pos); // oldest occurrence leaves first
+        match self.holds(h, &cells, ts) {
+            Some(row) => {
+                // The oldest occurrence leaves first.
+                self.index.remove(h, row);
                 self.store.mark_dead(row);
-                let bucket = self.index.get(&h).expect("bucket exists");
-                let still = bucket.iter().any(|&r| self.row_equals(r, &cells, ts));
-                if !still {
+                if self.holds(h, &cells, ts).is_none() {
                     self.distinct -= 1;
-                }
-                if self.index.get(&h).map(|b| b.is_empty()).unwrap_or(false) {
-                    self.index.remove(&h);
                 }
             }
             None => {
@@ -447,7 +476,7 @@ impl BagState {
             .keys()
             .map(|t| tuple_heap_bytes(t) + MAP_ENTRY)
             .sum();
-        self.store.resident_bytes() + index_bytes(&self.index) + debt_bytes
+        self.store.resident_bytes() + self.index.state_bytes() + debt_bytes
     }
 
     /// Bytes currently paged out to the spill tier.
@@ -504,6 +533,18 @@ impl ColumnarDeque {
         self.store.len()
     }
 
+    /// Continue another deque's numbering (a demoted cursor's): the next
+    /// `push_back` gets id `row`. Only for a deque that holds no rows.
+    pub fn resume_at(&mut self, row: u64) {
+        self.store.resume_at(row);
+    }
+
+    /// The live tuple at `row`, if the deque still holds it.
+    pub fn get(&self, row: u64) -> Option<Tuple> {
+        let (cells, ts) = self.store.get(row)?;
+        Some(cells_tuple(cells, ts))
+    }
+
     /// Timestamp of a live row — O(log segments), never faults a
     /// spilled segment in.
     pub fn ts_at(&self, row: u64) -> Option<SimTime> {
@@ -519,15 +560,13 @@ impl ColumnarDeque {
     }
 
     /// Kill every row with id below `row` (whole dead segments drop
-    /// without being decoded).
+    /// without being decoded). A deque that emptied holds nothing, not
+    /// even the dead tail of its last segment; row ids keep counting.
     pub fn release_below(&mut self, row: u64) {
         self.store.mark_dead_below(row);
-    }
-
-    /// Drop every row, the dead ones of the active segment included;
-    /// row ids keep counting.
-    pub fn clear(&mut self) {
-        self.store.clear();
+        if self.store.is_empty() {
+            self.store.clear();
+        }
     }
 
     pub fn state_bytes(&self) -> usize {
@@ -886,7 +925,7 @@ mod tests {
         for k in 0..10_000 {
             assert_eq!(s.update(vec![Value::Int(k)], &t(k), -1), 0);
         }
-        assert!(s.is_empty() && s.index.is_empty());
+        assert!(s.is_empty() && s.index.buckets.is_empty());
         // All that is left is the store's active segment (kept when
         // dead, under one segment of rows) — nothing per key.
         assert_eq!(s.state_bytes(), s.store.resident_bytes());

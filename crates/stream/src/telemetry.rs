@@ -88,7 +88,9 @@ pub struct QueryLoad {
     /// Resident bytes of this query's own operator state (window
     /// buffers, join sides, aggregate groups) — a gauge, not a counter.
     /// The source logs a tapped query's cursors read are accounted to
-    /// the shard, not here.
+    /// the shard, not here; an indexed join side charges its index only,
+    /// the rows it points at being counted once, where they live (the
+    /// log, or the query's own window).
     pub state_bytes: u64,
 }
 

@@ -14,13 +14,28 @@
 //!
 //! * A shard keeps one [`SourceLog`] per stream source, appended once
 //!   per arrival, and every window over the source is a *cursor* into
-//!   it. Cursors in equal state are one *class*: the log windows and
-//!   consolidates each step once per class, and every member borrows
-//!   that batch.
+//!   it. Cursors in equal state are one *class*: the log steps each
+//!   class once, and every member borrows that batch.
 //! * A [`WindowOp`] — table and view-base scans, migrated queries — is
 //!   a private log with exactly one cursor: append, step the frame,
 //!   release below the head. N cursors on one log and N private windows
 //!   fed the same arrivals emit the same deltas by construction.
+//!
+//! **A step is net by row.** A step moves `head` and `tail`, so what it
+//! emits is read off the row ids: rows `[old head, new head)` that
+//! predate the step are retracted, rows `[old tail, new tail)` at or
+//! above the new head are inserted, and a row both appended and evicted
+//! by the step (`ROWS n` under a batch longer than `n`, a `TUMBLING`
+//! rollover inside a batch) appears as neither — nothing downstream
+//! consolidates a window's output. Each delta carries its row id (an
+//! *addressed* batch; `WindowOp::get` / `SourceLog::get` resolve
+//! it), and `k` rows holding equal tuples arrive as `k` unit deltas.
+//! `Unbounded` buffers nothing, so its insertions carry no id.
+//!
+//! **Demotion keeps the numbering.** A migrating query's cursors become
+//! private windows (`SourceLog::demote` → `WindowOp::adopt`): the
+//! window takes the cursor's frame as it is and its buffer continues at
+//! `head`, so every row keeps the id the log gave it.
 //!
 //! **The prefix rule.** Admission accepts any stamp, and every spec
 //! expires a *prefix* of the arrival order: `RANGE` advances `head`
@@ -34,9 +49,9 @@
 //! always-resident timestamp column, so a spilled window never faults
 //! segments in just to discover nothing expired.
 
-use std::sync::Arc;
+use std::collections::HashMap;
 
-use aspen_types::{QueryId, Result, SimTime, Tuple, WindowSpec};
+use aspen_types::{QueryId, SimTime, SourceId, Tuple, WindowSpec};
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::state::{ColumnarDeque, StateOptions};
@@ -59,11 +74,7 @@ impl WindowOp {
     pub fn with_options(spec: WindowSpec, opts: &StateOptions) -> Self {
         WindowOp {
             rows: ColumnarDeque::new(opts.spill.clone()),
-            at: Frame {
-                spec,
-                head: 0,
-                pane: None,
-            },
+            at: Frame::new(spec),
         }
     }
 
@@ -91,16 +102,22 @@ impl WindowOp {
         self.rows.snapshot()
     }
 
-    /// Take over a demoted cursor's window: its live suffix of the
-    /// source log, in arrival order, and its tumbling pane. Nothing is
-    /// emitted — downstream operators already hold these tuples — so
-    /// from here on this window retracts exactly what the cursor would
-    /// have.
-    pub(crate) fn adopt(&mut self, live: Vec<Tuple>, pane: Option<u64>) {
+    /// The live tuple at row id `row` (an id this window's steps emitted).
+    pub(crate) fn get(&self, row: u64) -> Option<Tuple> {
+        self.rows.get(row)
+    }
+
+    /// Take over a demoted cursor's window: its frame, and its live
+    /// suffix of the source log in arrival order, under the log's row
+    /// ids. Nothing is emitted — downstream operators hold these tuples
+    /// or ids — so this window retracts what the cursor would have.
+    pub(crate) fn adopt(&mut self, live: Vec<Tuple>, at: Frame) {
+        debug_assert_eq!(at.spec, self.at.spec, "a cursor demotes into its own scan");
+        self.rows.resume_at(at.head);
         for t in &live {
             self.rows.push_back(t);
         }
-        self.at.pane = pane;
+        self.at = at;
     }
 
     /// Whether this window reacts to the passage of time (i.e. whether
@@ -110,8 +127,8 @@ impl WindowOp {
         matches!(self.at.spec, WindowSpec::Range(_) | WindowSpec::Tumbling(_))
     }
 
-    /// Ingest a whole source batch; appends the deltas to propagate
-    /// (the insertions plus any eager retractions) to `out`.
+    /// Ingest a whole source batch; appends the step's net deltas (the
+    /// surviving insertions plus any eager retractions) to `out`.
     pub fn insert_batch(&mut self, tuples: &[Tuple], out: &mut DeltaBatch) {
         let tail = self.rows.next_row();
         if self.at.pins() {
@@ -119,8 +136,8 @@ impl WindowOp {
                 self.rows.push_back(t);
             }
         }
-        out.extend(self.at.insert_batch(&self.rows, tail, tuples));
-        self.release();
+        self.at.insert_batch(&self.rows, tail, tuples, out);
+        self.rows.release_below(self.at.head);
     }
 
     /// Ingest one inserted tuple; appends the deltas to propagate to
@@ -132,17 +149,8 @@ impl WindowOp {
     /// Advance the clock; appends retractions for tuples that fell out of
     /// a RANGE window (and pane rollovers for TUMBLING).
     pub fn advance(&mut self, now: SimTime, out: &mut DeltaBatch) {
-        out.extend(self.at.advance(&self.rows, now));
-        self.release();
-    }
-
-    /// Release the rows below the head; a window that emptied holds
-    /// nothing, not even the dead tail of its last segment.
-    fn release(&mut self) {
+        self.at.advance(&self.rows, now, out);
         self.rows.release_below(self.at.head);
-        if self.rows.is_empty() {
-            self.rows.clear();
-        }
     }
 }
 
@@ -150,7 +158,7 @@ impl WindowOp {
 /// log suffix `[head, tail)`. Windows in equal state emit equal deltas
 /// on the next log step, so a frame is also the key of a cursor *class*.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Frame {
+pub(crate) struct Frame {
     spec: WindowSpec,
     /// Row id of the oldest live tuple. Always 0 for `Unbounded`, which
     /// buffers nothing and therefore pins nothing.
@@ -170,9 +178,13 @@ struct Cursor {
     class: usize,
 }
 
-/// A demoted cursor: scan index, live tuples in arrival order, pane —
+/// A demoted cursor: scan index, live tuples in arrival order, frame —
 /// what [`WindowOp::adopt`] takes.
-pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Option<u64>);
+pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Frame);
+
+/// A shard's source logs — what a pipeline with cursor-fed scans
+/// resolves their row ids against.
+pub(crate) type Logs = HashMap<SourceId, SourceLog>;
 
 /// The tuples of log rows `[lo, hi)`, in arrival order (empty, and no
 /// segment touched, when `lo >= hi`).
@@ -185,6 +197,14 @@ fn range(rows: &ColumnarDeque, lo: u64, hi: u64) -> Vec<Tuple> {
 }
 
 impl Frame {
+    fn new(spec: WindowSpec) -> Self {
+        Frame {
+            spec,
+            head: 0,
+            pane: None,
+        }
+    }
+
     /// Whether this window buffers tuples, i.e. needs the log to retain
     /// rows from `head` on.
     fn pins(&self) -> bool {
@@ -194,54 +214,71 @@ impl Frame {
     /// Step over the arrivals `tuples`, which the log appended as rows
     /// `[tail, tail + tuples.len())`: the insertions plus the eager
     /// retractions (`ROWS` overflow, `TUMBLING` pane change — *any*
-    /// change, so a stray older-pane arrival rolls too), interleaved in
-    /// arrival order.
-    fn insert_batch(&mut self, rows: &ColumnarDeque, tail: u64, tuples: &[Tuple]) -> DeltaBatch {
-        let mut out = DeltaBatch::with_capacity(tuples.len());
+    /// change, so a stray older-pane arrival rolls too), net by row and
+    /// in arrival order.
+    fn insert_batch(
+        &mut self,
+        rows: &ColumnarDeque,
+        tail: u64,
+        tuples: &[Tuple],
+        out: &mut DeltaBatch,
+    ) {
+        let arrivals = (tail..).zip(tuples);
         match self.spec {
-            WindowSpec::Unbounded | WindowSpec::Range(_) => {
+            WindowSpec::Unbounded => {
                 for t in tuples {
                     out.push_insert(t.clone());
                 }
             }
+            WindowSpec::Range(_) => {
+                for (row, t) in arrivals {
+                    out.push_row(Delta::insert(t.clone()), row);
+                }
+            }
             WindowSpec::Rows(n) => {
-                let end = tail + tuples.len() as u64;
-                let mut evicted = range(rows, self.head, end.saturating_sub(n)).into_iter();
-                for (i, t) in tuples.iter().enumerate() {
-                    out.push_insert(t.clone());
-                    while tail + i as u64 + 1 - self.head > n {
-                        out.push_retract(evicted.next().expect("eviction run is sized"));
+                // Where the head ends up: arrivals below it never show.
+                let head = (tail + tuples.len() as u64).saturating_sub(n);
+                let mut evicted = range(rows, self.head, head.min(tail)).into_iter();
+                for (row, t) in arrivals {
+                    if row >= head {
+                        out.push_row(Delta::insert(t.clone()), row);
+                    }
+                    while row + 1 - self.head > n {
+                        if self.head < tail {
+                            let old = evicted.next().expect("eviction run is sized");
+                            out.push_row(Delta::retract(old), self.head);
+                        }
                         self.head += 1;
                     }
                 }
             }
             WindowSpec::Tumbling(w) => {
-                for (i, t) in tuples.iter().enumerate() {
-                    let pane = if w.as_micros() == 0 {
-                        0
-                    } else {
-                        t.timestamp().as_micros() / w.as_micros()
-                    };
+                // The last pane change of the batch retracts everything
+                // before it, the batch's own earlier arrivals included.
+                let mut head = self.head;
+                for (row, t) in arrivals.clone() {
+                    let stamp = t.timestamp().as_micros();
+                    let pane = stamp.checked_div(w.as_micros()).unwrap_or(0);
                     if self.pane.is_some_and(|current| current != pane) {
-                        // Pane rollover: retract the entire previous pane.
-                        let row = tail + i as u64;
-                        for old in range(rows, self.head, row) {
-                            out.push_retract(old);
-                        }
-                        self.head = row;
+                        head = row;
                     }
                     self.pane = Some(pane);
-                    out.push_insert(t.clone());
                 }
+                for (row, old) in (self.head..).zip(range(rows, self.head, head.min(tail))) {
+                    out.push_row(Delta::retract(old), row);
+                }
+                for (row, t) in arrivals.filter(|(row, _)| *row >= head) {
+                    out.push_row(Delta::insert(t.clone()), row);
+                }
+                self.head = head;
             }
         }
-        out
     }
 
     /// Advance the clock against the log's retained rows: `RANGE`
     /// retracts the expired prefix, `TUMBLING` rolls only *forward* (a
     /// lagging clock never touches live rows).
-    fn advance(&mut self, rows: &ColumnarDeque, now: SimTime) -> DeltaBatch {
+    fn advance(&mut self, rows: &ColumnarDeque, now: SimTime, out: &mut DeltaBatch) {
         let tail = rows.next_row();
         let expired_to = match self.spec {
             WindowSpec::Range(_) => {
@@ -264,12 +301,10 @@ impl Frame {
             }
             _ => self.head,
         };
-        let out = range(rows, self.head, expired_to)
-            .into_iter()
-            .map(Delta::retract)
-            .collect();
+        for (row, old) in (self.head..).zip(range(rows, self.head, expired_to)) {
+            out.push_row(Delta::retract(old), row);
+        }
         self.head = expired_to;
-        out
     }
 }
 
@@ -279,21 +314,30 @@ impl Frame {
 ///
 /// Invariants: the store numbers rows by arrival and holds exactly
 /// `[floor, tail)` live, `tail` being its next row id; every pinning
-/// cursor has `floor <= head <= tail`; `floor` is the minimum pinning
-/// head (or `tail` when nothing pins), so the log never retains a row
-/// no window can still retract. A new cursor starts at
-/// `head = tail` — streams are never replayed — which makes attaching
-/// O(1) whatever the log holds. Cursors of one query are adjacent and in
-/// scan order, which is the order their batches are delivered in.
+/// cursor has `floor <= head <= tail`; after a [`SourceLog::release`]
+/// `floor` is the minimum pinning head (or `tail` when nothing pins), so
+/// the log never retains a row no window can still retract. A new
+/// cursor starts at `head = tail` — streams are never replayed — which
+/// makes attaching O(1) whatever the log holds. Cursors of one query are
+/// adjacent and in scan order, which is the order their batches are
+/// delivered in.
 ///
 /// The log steps cursor **classes**, not cursors: cursors whose
 /// [`Frame`]s are equal emit the same deltas, so each step materializes
-/// and consolidates one batch per distinct frame and every member
-/// borrows it. Classes have no registry — the key is recomputed per
+/// one batch per distinct frame and every member borrows it. Classes
+/// have no registry — the key is recomputed per
 /// step — so a late cursor falls into the senior class of its spec by
 /// itself once its head catches up (first expiry past its attach row
 /// for `RANGE`, `n` arrivals for `ROWS n`, the next rollover for
 /// `TUMBLING`), and detaching a member takes nothing from the others.
+///
+/// One log step is three calls: **step** ([`SourceLog::insert_batch`] /
+/// [`SourceLog::advance`]: every cursor moves, one batch per class comes
+/// back), **deliver** ([`SourceLog::fed`], [`SourceLog::get`]) and
+/// **release** — last, once every pipeline of the step ran: delivered one
+/// cursor's retraction, a pipeline may look up a row another cursor
+/// retracts in the same step. (A [`WindowOp`] has one consumer, which
+/// reads retracted tuples off the deltas: it releases within its step.)
 #[derive(Debug)]
 pub(crate) struct SourceLog {
     rows: ColumnarDeque,
@@ -312,11 +356,7 @@ impl SourceLog {
     /// A query attaches all its scans of this source back to back, in
     /// scan order.
     pub(crate) fn attach(&mut self, query: QueryId, scan: usize, spec: WindowSpec) {
-        let mut at = Frame {
-            spec,
-            head: 0,
-            pane: None,
-        };
+        let mut at = Frame::new(spec);
         if at.pins() {
             at.head = self.rows.next_row();
         }
@@ -344,7 +384,7 @@ impl SourceLog {
             } else {
                 Vec::new()
             };
-            out.push((c.scan, live, c.at.pane));
+            out.push((c.scan, live, c.at));
         }
         self.detach(query);
         out
@@ -354,11 +394,11 @@ impl SourceLog {
     /// class — on the first cursor found in each distinct frame — and
     /// every member moves to the frame it produced, so all cursors have
     /// stepped before anything is delivered. Returns each class's
-    /// consolidated batch; `Cursor::class` indexes them.
+    /// batch; `Cursor::class` indexes them.
     fn step_classes(
         cursors: &mut [Cursor],
-        mut step: impl FnMut(&mut Frame) -> DeltaBatch,
-    ) -> Vec<Arc<DeltaBatch>> {
+        mut step: impl FnMut(&mut Frame, &mut DeltaBatch),
+    ) -> Vec<DeltaBatch> {
         let mut frames: Vec<(Frame, Frame)> = Vec::new();
         let mut batches = Vec::new();
         for c in cursors {
@@ -366,8 +406,9 @@ impl SourceLog {
                 .iter()
                 .position(|(from, _)| *from == c.at)
                 .unwrap_or_else(|| {
-                    let mut to = c.at;
-                    batches.push(Arc::new(step(&mut to).consolidated()));
+                    let (mut to, mut batch) = (c.at, DeltaBatch::new());
+                    step(&mut to, &mut batch);
+                    batches.push(batch);
                     frames.push((c.at, to));
                     frames.len() - 1
                 });
@@ -376,20 +417,17 @@ impl SourceLog {
         batches
     }
 
-    /// Append one source batch and hand every query its cursors'
-    /// consolidated batches, in scan order — one materialized batch per
-    /// class, borrowed by every member (counted into `meters`). A query
-    /// whose delivery fails does not stop the others, and cannot
-    /// desynchronize its class (a cursor left behind would later retract
-    /// tuples it never inserted): every cursor has stepped before the
-    /// first delivery, and the first error is returned once all are
-    /// served.
+    /// **Step** over one source batch: append it and move every cursor.
+    /// Returns one batch per class (counted into `meters`, with one
+    /// delivery per cursor) for [`SourceLog::fed`] to hand out. Every
+    /// cursor has stepped when this returns, so a query whose delivery
+    /// fails cannot desynchronize its class (a cursor left behind would
+    /// later retract tuples it never inserted).
     pub(crate) fn insert_batch(
         &mut self,
         tuples: &[Tuple],
         meters: &mut ShardMeters,
-        mut deliver: impl FnMut(QueryId, &mut dyn Iterator<Item = (usize, &DeltaBatch)>) -> Result<()>,
-    ) -> Result<()> {
+    ) -> Vec<DeltaBatch> {
         let tail = self.rows.next_row();
         if self.cursors.iter().any(|c| c.at.pins()) {
             for t in tuples {
@@ -397,44 +435,51 @@ impl SourceLog {
             }
         }
         let rows = &self.rows;
-        let batches =
-            Self::step_classes(&mut self.cursors, |at| at.insert_batch(rows, tail, tuples));
+        let batches = Self::step_classes(&mut self.cursors, |at, out| {
+            at.insert_batch(rows, tail, tuples, out)
+        });
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
-        let mut first_err = None;
-        for tap in self.cursors.chunk_by(|a, b| a.query == b.query) {
-            let mut fed = tap.iter().map(|c| (c.scan, &*batches[c.class]));
-            if let Err(e) = deliver(tap[0].query, &mut fed) {
-                first_err.get_or_insert(e);
-            }
-        }
-        self.release();
-        first_err.map_or(Ok(()), Err)
+        batches
     }
 
-    /// Advance the clock of every cursor; `deliver` gets each non-empty
-    /// expiry batch as `(query, scan, retractions)` — consolidated, and
-    /// shared by every member of the class that expired it.
-    pub(crate) fn advance(
-        &mut self,
-        now: SimTime,
-        meters: &mut ShardMeters,
-        mut deliver: impl FnMut(QueryId, usize, &Arc<DeltaBatch>),
-    ) {
+    /// **Step** the clock of every cursor. Returns one batch of
+    /// retractions per class, empty where nothing expired; only the
+    /// others count into `meters`.
+    pub(crate) fn advance(&mut self, now: SimTime, meters: &mut ShardMeters) -> Vec<DeltaBatch> {
         let rows = &self.rows;
-        let batches = Self::step_classes(&mut self.cursors, |at| at.advance(rows, now));
-        meters.window_batches += batches.iter().filter(|b| !b.is_empty()).count() as u64;
-        for c in &self.cursors {
-            if !batches[c.class].is_empty() {
-                meters.window_deliveries += 1;
-                deliver(c.query, c.scan, &batches[c.class]);
-            }
-        }
-        self.release();
+        let batches = Self::step_classes(&mut self.cursors, |at, out| at.advance(rows, now, out));
+        let fired = |batch: &&DeltaBatch| !batch.is_empty();
+        meters.window_batches += batches.iter().filter(fired).count() as u64;
+        let fed = self.cursors.iter().map(|c| &batches[c.class]);
+        meters.window_deliveries += fed.filter(fired).count() as u64;
+        batches
     }
 
-    /// Release the rows below the minimum pinning head.
-    fn release(&mut self) {
+    /// **Deliver**: whose batch is whose. Each query with cursors here,
+    /// in attach order, with its cursors' `(scan, batch)` in scan order,
+    /// out of the step's `batches`; classmates borrow the same batch.
+    pub(crate) fn fed<'a>(
+        &'a self,
+        batches: &'a [DeltaBatch],
+    ) -> impl Iterator<Item = (QueryId, impl Iterator<Item = (usize, &'a DeltaBatch)> + 'a)> + 'a
+    {
+        let taps = self.cursors.chunk_by(|a, b| a.query == b.query);
+        taps.map(move |tap| {
+            let fed = tap.iter().map(move |c| (c.scan, &batches[c.class]));
+            (tap[0].query, fed)
+        })
+    }
+
+    /// The tuple at row id `row`: live from its arrival until the
+    /// release after the step in which its last cursor retracted it.
+    pub(crate) fn get(&self, row: u64) -> Option<Tuple> {
+        self.rows.get(row)
+    }
+
+    /// **Release** the rows below the minimum pinning head — once every
+    /// pipeline fed by the step has run.
+    pub(crate) fn release(&mut self) {
         let keep = self
             .cursors
             .iter()
@@ -487,6 +532,40 @@ mod tests {
 
     fn signs(ds: &DeltaBatch) -> Vec<i64> {
         ds.iter().map(|d| d.sign).collect()
+    }
+
+    /// The multiset a batch denotes, in a canonical order.
+    fn net(batch: &DeltaBatch) -> Vec<(Tuple, i64)> {
+        let mut net = batch.consolidate();
+        net.sort_by_key(|(t, _)| (t.values().to_vec(), t.timestamp()));
+        net
+    }
+
+    /// What each cursor was fed, as the multiset it denotes.
+    type Fed = Vec<(QueryId, usize, Vec<(Tuple, i64)>)>;
+
+    /// One whole log step the way a shard runs it — step, deliver,
+    /// release — returning every cursor's share of `batches`.
+    fn deliver(log: &mut SourceLog, batches: Vec<DeltaBatch>) -> Fed {
+        let mut got = Vec::new();
+        for (q, fed) in log.fed(&batches) {
+            got.extend(fed.map(|(scan, batch)| (q, scan, net(batch))));
+        }
+        log.release();
+        got
+    }
+
+    fn feed(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Fed {
+        let batches = log.insert_batch(tuples, meters);
+        deliver(log, batches)
+    }
+
+    /// A heartbeat: the cursors that expired something.
+    fn tick(log: &mut SourceLog, secs: u64, meters: &mut ShardMeters) -> Fed {
+        let batches = log.advance(SimTime::from_secs(secs), meters);
+        let mut got = deliver(log, batches);
+        got.retain(|(.., net)| !net.is_empty());
+        got
     }
 
     #[test]
@@ -564,7 +643,11 @@ mod tests {
     #[test]
     fn adopted_window_expires_exactly_what_it_took_over() {
         let mut w = WindowOp::new(WindowSpec::Tumbling(SimDuration::from_secs(10)));
-        w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], Some(0));
+        let at = Frame {
+            pane: Some(0),
+            ..w.at
+        };
+        w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], at);
         assert_eq!(w.buffered(), vec![t(1, 3), t(1, 3), t(2, 4)]);
         let mut out = DeltaBatch::new();
         // Still pane 0: the adopted pane index holds, nothing rolls.
@@ -574,6 +657,48 @@ mod tests {
         w.advance(SimTime::from_secs(10), &mut out);
         assert_eq!(signs(&out), vec![-1, -1, -1, -1]);
         assert_eq!(w.live(), 0);
+    }
+
+    /// Demotion hands a cursor's rows to a private window under the ids
+    /// the log gave them, and the window keeps counting where the log
+    /// was — so whatever holds those ids (an indexed join side) needs no
+    /// rebase.
+    #[test]
+    fn demoted_window_continues_the_logs_numbering() {
+        let mut log = SourceLog::new(&StateOptions::columnar());
+        let mut meters = ShardMeters::default();
+        log.attach(QueryId(0), 0, WindowSpec::Range(SimDuration::from_secs(60)));
+        feed(&mut log, &[t(0, 0), t(1, 1)], &mut meters);
+        log.attach(QueryId(1), 0, WindowSpec::Rows(3));
+        let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
+        feed(&mut log, &arrivals, &mut meters);
+        let issued: Vec<Option<Tuple>> = (0..8).map(|row| log.get(row)).collect();
+        assert_eq!(
+            issued[4..],
+            [Some(t(4, 4)), Some(t(5, 5)), Some(t(6, 6)), None]
+        );
+
+        let mut demoted = log.demote(QueryId(1));
+        let (scan, live, at) = demoted.pop().expect("one cursor");
+        assert_eq!((scan, at.head, live.len()), (0, 4, 3));
+        let mut w = WindowOp::new(WindowSpec::Rows(3));
+        w.adopt(live, at);
+        assert_eq!(
+            (w.at.head, w.rows.next_row()),
+            (4, 7),
+            "the cursor's head and tail"
+        );
+        for (row, tuple) in issued.iter().enumerate() {
+            let held = (4..7).contains(&row).then(|| tuple.clone()).flatten();
+            assert_eq!(w.get(row as u64), held, "row {row}");
+        }
+        // The next arrival is row 7 and evicts row 4 — by its log id.
+        let mut out = DeltaBatch::new();
+        w.insert(t(7, 7), &mut out);
+        assert_eq!(out.row_ids(), Some(&[7, 4][..]));
+        assert_eq!(out.as_slice()[1], Delta::retract(t(4, 4)));
+        // The senior cursor is undisturbed: the log still holds its rows.
+        assert_eq!((log.cursors(), log.rows()), (1, 7));
     }
 
     /// The oracle's class key of a private window: all cursors of a log
@@ -594,8 +719,9 @@ mod tests {
 
     /// Property: cursors attached in groups (same specs, same attach
     /// point) at random points of one log receive, per batch and per
-    /// heartbeat, exactly the *consolidation* of the delta sequences
-    /// private `WindowOp`s fed the same suffixes emit — for all four
+    /// heartbeat, exactly the multiset of deltas private `WindowOp`s
+    /// fed the same suffixes emit (row ids differ: a private window
+    /// numbers from its own first arrival) — for all four
     /// specs (degenerate `ROWS 0` and zero-width tumbling included),
     /// with batches larger than the row windows (in-batch insert/evict
     /// interleaving), several tumbling rollovers per batch, stamps that
@@ -659,9 +785,9 @@ mod tests {
                         } else {
                             let demoted = log.demote(query);
                             let mut gone = private.iter().filter(|p| p.0 == query);
-                            for (scan, live, pane) in demoted {
+                            for (scan, live, at) in demoted {
                                 let (_, pscan, w) = gone.next().expect("one window per cursor");
-                                assert_eq!((scan, pane), (*pscan, w.at.pane), "{ctx}");
+                                assert_eq!((scan, at.pane), (*pscan, w.at.pane), "{ctx}");
                                 assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
                             }
                             assert!(gone.next().is_none(), "{ctx}");
@@ -670,10 +796,7 @@ mod tests {
                     }
                     3 | 4 => {
                         now += rng.gen_range(0..6u64);
-                        let mut got = Vec::new();
-                        log.advance(SimTime::from_secs(now), &mut meters, |q, scan, batch| {
-                            got.push((q, scan, DeltaBatch::clone(batch)));
-                        });
+                        let got = tick(&mut log, now, &mut meters);
                         let mut want = Vec::new();
                         let mut fired = Vec::new();
                         for (q, scan, w) in &mut private {
@@ -681,7 +804,7 @@ mod tests {
                             let mut out = DeltaBatch::new();
                             w.advance(SimTime::from_secs(now), &mut out);
                             if !out.is_empty() {
-                                want.push((*q, *scan, out.consolidated()));
+                                want.push((*q, *scan, net(&out)));
                                 fired.push(from);
                             }
                         }
@@ -697,18 +820,13 @@ mod tests {
                             .map(|_| t(rng.gen_range(0..4i64), now + rng.gen_range(0..3u64)))
                             .collect();
                         now += rng.gen_range(0..3u64);
-                        let mut got = Vec::new();
-                        log.insert_batch(&batch, &mut meters, |q, fed| {
-                            got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
-                            Ok(())
-                        })
-                        .unwrap();
+                        let got = feed(&mut log, &batch, &mut meters);
                         let want: Vec<_> = private
                             .iter_mut()
                             .map(|(q, scan, w)| {
                                 let mut out = DeltaBatch::new();
                                 w.insert_batch(&batch, &mut out);
-                                (*q, *scan, out.consolidated())
+                                (*q, *scan, net(&out))
                             })
                             .collect();
                         assert_eq!(got, want, "batch of {}, {ctx}", batch.len());
@@ -744,11 +862,7 @@ mod tests {
         // Per step: (classes before, batches materialized, deliveries).
         fn feed(log: &mut SourceLog, tuples: &[Tuple]) -> (usize, u64, u64) {
             let (before, mut m) = (log.classes(), ShardMeters::default());
-            log.insert_batch(tuples, &mut m, |_, fed| {
-                fed.for_each(drop);
-                Ok(())
-            })
-            .unwrap();
+            self::feed(log, tuples, &mut m);
             (before, m.window_batches, m.window_deliveries)
         }
         let opts = StateOptions::columnar();
@@ -761,10 +875,9 @@ mod tests {
         log.attach(QueryId(1), 0, spec);
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         let expire = |log: &mut SourceLog, secs| {
-            let (mut m, mut got) = (ShardMeters::default(), Vec::new());
-            log.advance(SimTime::from_secs(secs), &mut m, |q, _, batch| {
-                got.push((q, batch.len()));
-            });
+            let mut m = ShardMeters::default();
+            let got = tick(log, secs, &mut m);
+            let got: Vec<_> = got.into_iter().map(|(q, _, net)| (q, net.len())).collect();
             (got, m.window_batches, log.classes())
         };
         // Expiry short of the attach row: only the senior retracts.
@@ -802,7 +915,8 @@ mod tests {
 
     #[test]
     fn failed_delivery_still_steps_every_cursor() {
-        // Three queries in one class; the middle one's delivery fails.
+        // Three queries in one class; the middle one's delivery fails —
+        // its consumer errors out before reading its share of the step.
         let mut log = SourceLog::new(&StateOptions::columnar());
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         for q in 0..3 {
@@ -810,16 +924,15 @@ mod tests {
             log.attach(QueryId(q), 1, spec);
         }
         let mut meters = ShardMeters::default();
+        let batches = log.insert_batch(&[t(1, 0), t(2, 0)], &mut meters);
         let mut served = Vec::new();
-        let err = log.insert_batch(&[t(1, 0), t(2, 0)], &mut meters, |q, fed| {
+        for (q, fed) in log.fed(&batches) {
             served.push(q);
-            if q == QueryId(1) {
-                return Err(aspen_types::AspenError::Execution("sink is gone".into()));
+            if q != QueryId(1) {
+                fed.for_each(drop);
             }
-            fed.for_each(drop);
-            Ok(())
-        });
-        assert!(err.is_err());
+        }
+        log.release();
         assert_eq!(
             served,
             vec![QueryId(0), QueryId(1), QueryId(2)],
@@ -829,15 +942,10 @@ mod tests {
         // stepped with their classes: still two classes, two batches a
         // step, and the ROWS cursors hold one row each.
         assert_eq!((log.classes(), log.rows()), (2, 2));
-        let mut got = Vec::new();
-        log.insert_batch(&[t(3, 1)], &mut meters, |q, fed| {
-            got.extend(fed.map(|(scan, out)| (q, scan, out.clone())));
-            Ok(())
-        })
-        .unwrap();
+        let got = feed(&mut log, &[t(3, 1)], &mut meters);
         assert_eq!((meters.window_batches, meters.window_deliveries), (4, 12));
-        let rows: DeltaBatch = vec![Delta::insert(t(3, 1)), Delta::retract(t(2, 0))].into();
-        let range: DeltaBatch = vec![Delta::insert(t(3, 1))].into();
+        let rows = net(&vec![Delta::insert(t(3, 1)), Delta::retract(t(2, 0))].into());
+        let range = net(&vec![Delta::insert(t(3, 1))].into());
         let want: Vec<_> = (0..3)
             .flat_map(|q| {
                 [
@@ -849,14 +957,11 @@ mod tests {
         assert_eq!(got, want, "every member evicts only what it inserted");
         // Then a heartbeat: each member retracts exactly the three rows
         // it was fed — the failed one included, nothing it never saw.
-        let mut expired = Vec::new();
-        log.advance(SimTime::from_secs(10), &mut meters, |q, scan, batch| {
-            expired.push((q, scan, DeltaBatch::clone(batch)));
-        });
-        let all: DeltaBatch = [t(1, 0), t(2, 0), t(3, 1)]
+        let expired = tick(&mut log, 10, &mut meters);
+        let all = net(&[t(1, 0), t(2, 0), t(3, 1)]
             .map(Delta::retract)
             .into_iter()
-            .collect();
+            .collect());
         let want: Vec<_> = (0..3).map(|q| (QueryId(q), 1, all.clone())).collect();
         assert_eq!(expired, want);
         assert_eq!((meters.window_batches, meters.window_deliveries), (5, 15));
@@ -884,13 +989,6 @@ mod tests {
                 keep(&|t| w.as_micros() == 0 || spec.contains(t.timestamp(), latest))
             }
         }
-    }
-
-    /// The multiset a batch denotes, in a canonical order.
-    fn net(batch: &DeltaBatch) -> Vec<(Tuple, i64)> {
-        let mut net = batch.consolidate();
-        net.sort_by_key(|(t, _)| (t.values().to_vec(), t.timestamp()));
-        net
     }
 
     /// Property: a private `WindowOp` fed random batches and heartbeats

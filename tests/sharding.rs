@@ -15,7 +15,7 @@ use smartcis::stream::{
     render_json, render_prometheus, Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling,
     ShardedEngine,
 };
-use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
+use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value, WindowSpec};
 
 /// Base seed offset for the property tests, taken from `ASPEN_TEST_SEED`
 /// so CI can sweep a seed matrix over the same test binary (each value
@@ -1169,7 +1169,7 @@ fn shared_subplan_churn_matches_private_execution() {
 /// results: same shards, same slices, same snapshots. The mode is fixed
 /// at construction via `EngineConfig`.
 /// Window work is shared exactly: 100 queries behind one window are one
-/// cursor class, so every admitted batch is windowed and consolidated
+/// cursor class, so every admitted batch is windowed
 /// twice (that class + the one query with a window of its own) and
 /// delivered 101 times; a heartbeat that expires the shared window
 /// materializes one retraction batch for its 100 members. The counters
@@ -1687,5 +1687,375 @@ fn byte_aware_rebalancer_drains_memory_fat_shard() {
     assert!(
         shard_bytes.iter().all(|&b| b > 0),
         "bytes did not spread across shards: {shard_bytes:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Indexed join sides ≡ materialised ≡ model
+
+/// The join property's sources: two streams whose keys meet across
+/// numeric types and sometimes hold NULL, and a retained table.
+fn join_catalog() -> Arc<Catalog> {
+    let cat = Catalog::shared();
+    let schema = |key: DataType| {
+        Schema::new(vec![Field::new("k", key), Field::new("v", DataType::Int)]).into_ref()
+    };
+    let stream = || (SourceKind::Stream, SourceStats::stream(1.0));
+    for (name, key, (kind, stats)) in [
+        ("A", DataType::Int, stream()),
+        ("B", DataType::Float, stream()),
+        (
+            "T",
+            DataType::Int,
+            (SourceKind::Table, SourceStats::table(8)),
+        ),
+    ] {
+        cat.register_source(name, schema(key), kind, stats).unwrap();
+    }
+    cat
+}
+
+/// One scan's window by its spec's definition: the last `n` arrivals;
+/// the arrivals left once the out-of-range *prefix* is dropped at each
+/// heartbeat; the arrivals since the last pane change.
+struct ModelWindow {
+    spec: WindowSpec,
+    live: Vec<Tuple>,
+    pane: Option<u64>,
+}
+
+impl ModelWindow {
+    fn insert(&mut self, batch: &[Tuple]) {
+        for t in batch {
+            if let WindowSpec::Tumbling(w) = self.spec {
+                let pane = t.timestamp().as_micros() / w.as_micros();
+                if self.pane.is_some_and(|current| current != pane) {
+                    self.live.clear();
+                }
+                self.pane = Some(pane);
+            }
+            self.live.push(t.clone());
+            if let WindowSpec::Rows(n) = self.spec {
+                let excess = self.live.len().saturating_sub(n as usize);
+                self.live.drain(..excess);
+            }
+        }
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        match self.spec {
+            WindowSpec::Range(_) => {
+                let spec = self.spec;
+                let expired = |t: &Tuple| !spec.contains(t.timestamp(), now);
+                let keep = self.live.iter().position(|t| !expired(t));
+                self.live.drain(..keep.unwrap_or(self.live.len()));
+            }
+            WindowSpec::Tumbling(w) => {
+                let now_pane = now.as_micros() / w.as_micros();
+                if self.pane.is_some_and(|current| now_pane > current) {
+                    self.live.clear();
+                    self.pane = Some(now_pane);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// `select x.v, y.v from A x [left], <right source> y [right]
+///  where x.k = y.k [and x.v > above]`.
+#[derive(Clone)]
+struct JoinCase {
+    left: WindowSpec,
+    right_source: &'static str,
+    right: WindowSpec,
+    above: Option<i64>,
+}
+
+impl JoinCase {
+    fn sql(&self) -> String {
+        let clause = |w: WindowSpec| match w {
+            WindowSpec::Rows(n) => format!("[rows {n}]"),
+            WindowSpec::Range(d) => format!("[range {} seconds]", d.as_micros() / 1_000_000),
+            WindowSpec::Tumbling(d) => format!("[tumbling {} seconds]", d.as_micros() / 1_000_000),
+            WindowSpec::Unbounded => "[unbounded]".into(),
+        };
+        let filter = self
+            .above
+            .map_or(String::new(), |c| format!(" and x.v > {c}"));
+        format!(
+            "select x.v, y.v from A x {}, {} y {} where x.k = y.k{filter}",
+            clause(self.left),
+            self.right_source,
+            clause(self.right),
+        )
+    }
+}
+
+/// A registered [`JoinCase`] as the model sees it: the two windows as
+/// they stand since the query was (re)built.
+struct ModelJoin {
+    case: JoinCase,
+    sides: [ModelWindow; 2],
+}
+
+impl ModelJoin {
+    /// A fresh runtime: stream windows start empty, a table scan
+    /// replays what the table retains.
+    fn new(case: JoinCase, table: &[Tuple]) -> Self {
+        let window = |spec| ModelWindow {
+            spec,
+            live: Vec::new(),
+            pane: None,
+        };
+        let mut sides = [window(case.left), window(case.right)];
+        if case.right_source == "T" {
+            sides[1].insert(table);
+        }
+        ModelJoin { case, sides }
+    }
+
+    fn insert(&mut self, source: &str, batch: &[Tuple]) {
+        for (side, on) in [(0, "A"), (1, self.case.right_source)] {
+            if on == source {
+                self.sides[side].insert(batch);
+            }
+        }
+    }
+
+    /// The nested loop over both windows.
+    fn rows(&self) -> Vec<Vec<Value>> {
+        let mut out = Vec::new();
+        for x in &self.sides[0].live {
+            if self
+                .case
+                .above
+                .is_some_and(|c| x.get(1).as_int().unwrap() <= c)
+            {
+                continue;
+            }
+            for y in &self.sides[1].live {
+                if x.get(0).sql_eq(y.get(0)) == Some(true) {
+                    out.push(vec![x.get(1).clone(), y.get(1).clone()]);
+                }
+            }
+        }
+        out.sort();
+        out
+    }
+}
+
+/// Property (ISSUE 23): a join side fed by a window keeps row ids, and
+/// nothing observable changes. Joins whose sides are drawn from
+/// {`rows 1` (SQL has no `rows 0`; `window.rs` steps that spec), `rows
+/// 3`, `rows 64`, `range 7 seconds`, `tumbling 5 seconds`,
+/// `unbounded`} over two streams — one of them a self-join on
+/// one log — or a retained table, with and without a filter below the
+/// join, are fed batches larger than the row windows, pane changes
+/// inside a batch, duplicate tuples (equal values *and* stamp),
+/// late-stamped tuples, NULL and cross-type keys, and heartbeats, with
+/// a migrate / pause+resume / deregister+register every tenth event.
+/// After every event each query's snapshot equals the nested loop over
+/// the model's windows — on the engine under test (shared logs, 2
+/// shards, every scheduling mode), on private windows
+/// (`shared_subplans(false)`: the same indexed sides over the
+/// pipelines' own windows) and on a spilling engine (ids resolve
+/// through paged-out segments). An indexed side's rows are counted
+/// once, where they live: a query still on cursors holds no more bytes
+/// than its private twin, and until the first lifecycle event — while
+/// every window was attached at row 0, so a log is byte for byte its
+/// longest private window — neither does the whole engine.
+#[test]
+fn indexed_join_sides_match_materialised_sides_and_the_model() {
+    use rand::Rng;
+    use smartcis::types::rng::seeded;
+    use smartcis::types::{SimDuration, WindowSpec};
+
+    let secs = SimDuration::from_secs;
+    let specs = [
+        WindowSpec::Rows(1),
+        WindowSpec::Rows(3),
+        WindowSpec::Rows(64),
+        WindowSpec::Range(secs(7)),
+        WindowSpec::Tumbling(secs(5)),
+        WindowSpec::Unbounded,
+    ];
+    // What the run must have exercised for passing to mean anything:
+    // joined pairs seen, per-query byte comparisons made on cursors,
+    // bytes the spilling engine paged out.
+    let (mut pairs, mut on_cursors, mut max_spilled) = (0usize, 0usize, 0usize);
+    for seed in seeds(2) {
+        for scheduling in [
+            Scheduling::Sequential,
+            Scheduling::Pool,
+            Scheduling::Deterministic(seed),
+        ] {
+            let mut rng = seeded(0x1D5 ^ seed);
+            let spill_dir = std::env::temp_dir().join(format!(
+                "aspen-indexed-join-{}-{seed}-{scheduling:?}",
+                std::process::id()
+            ));
+            let shared = EngineConfig::new().shards(2).scheduling(scheduling);
+            let configs = [
+                shared.clone(),
+                EngineConfig::new().shards(2).shared_subplans(false),
+                shared.spill(256, &spill_dir),
+            ];
+            let mut engines = configs.map(|cfg| ShardedEngine::with_config(join_catalog(), cfg));
+            // Slot i of every engine holds the same query as `model[i]`.
+            let mut handles: Vec<Vec<QueryHandle>> = vec![Vec::new(); engines.len()];
+            let mut model: Vec<ModelJoin> = Vec::new();
+            let mut table: Vec<Tuple> = Vec::new();
+            let random_case = |rng: &mut rand::rngs::StdRng, slot: usize| JoinCase {
+                left: specs[rng.gen_range(0..specs.len())],
+                // Slot 0 is always the self-join, slot 1 the table join.
+                right_source: ["A", "T", "B"][slot.min(2)],
+                right: match slot {
+                    1 => WindowSpec::Unbounded,
+                    _ => specs[rng.gen_range(0..specs.len())],
+                },
+                above: (rng.gen_range(0..2u32) == 0).then(|| rng.gen_range(0..60i64)),
+            };
+            // The opening hand pins the shapes a random draw may miss: the
+            // self-join windows one log two ways, and one join has both
+            // sides on the clock, so a heartbeat expires matching rows
+            // left and right at once.
+            let pinned = [
+                (specs[1], specs[3]),
+                (specs[2], specs[5]),
+                (specs[3], specs[4]),
+            ];
+            for slot in 0..6 {
+                let mut case = random_case(&mut rng, slot);
+                if let Some(&(left, right)) = pinned.get(slot) {
+                    (case.left, case.right) = (left, right);
+                }
+                for (e, hs) in engines.iter_mut().zip(&mut handles) {
+                    hs.push(e.register_sql(&case.sql()).unwrap().expect_query());
+                }
+                model.push(ModelJoin::new(case, &table));
+            }
+
+            let (mut now, mut churned, mut last) = (0u64, false, None::<Tuple>);
+            for step in 0..120 {
+                let ctx = format!("seed {seed}, {scheduling:?}, step {step}");
+                if step % 10 == 9 {
+                    churned = true;
+                    let slot = rng.gen_range(0..model.len());
+                    match rng.gen_range(0..3u32) {
+                        // Migrate: cursors demote to private windows
+                        // under the log's row ids; nothing else changes.
+                        0 => {
+                            let to = rng.gen_range(0..2usize);
+                            for (e, hs) in engines.iter_mut().zip(&handles) {
+                                e.migrate(hs[slot], to).unwrap();
+                            }
+                        }
+                        // Pause + resume, deregister + register: a new
+                        // runtime either way — empty stream windows, the
+                        // table replayed.
+                        kind => {
+                            let case = match kind {
+                                1 => model[slot].case.clone(),
+                                _ => random_case(&mut rng, slot),
+                            };
+                            for (e, hs) in engines.iter_mut().zip(&mut handles) {
+                                if kind == 1 {
+                                    e.pause(hs[slot]).unwrap();
+                                    e.resume(hs[slot]).unwrap();
+                                } else {
+                                    e.deregister(hs[slot]).unwrap();
+                                    hs[slot] = e.register_sql(&case.sql()).unwrap().expect_query();
+                                }
+                            }
+                            model[slot] = ModelJoin::new(case, &table);
+                        }
+                    }
+                } else if rng.gen_range(0..4u32) == 0 {
+                    now += rng.gen_range(0..6u64);
+                    let at = SimTime::from_secs(now);
+                    for e in &mut engines {
+                        e.heartbeat(at).unwrap();
+                    }
+                    for side in model.iter_mut().flat_map(|m| &mut m.sides) {
+                        side.advance(at);
+                    }
+                } else {
+                    let source = ["A", "A", "B", "T"][rng.gen_range(0..4usize)];
+                    let batch: Vec<Tuple> = (0..rng.gen_range(0..10usize))
+                        .map(|_| {
+                            // A duplicate of the previous tuple, stamp
+                            // and all; or a fresh one, sometimes late.
+                            if let (Some(dup), 0) = (&last, rng.gen_range(0..5u32)) {
+                                return dup.clone();
+                            }
+                            now += rng.gen_range(0..3u64);
+                            let late = [0, 0, 0, rng.gen_range(1..9u64)][rng.gen_range(0..4usize)];
+                            let key = rng.gen_range(0..4i64);
+                            let key = match (rng.gen_range(0..8u32), source) {
+                                (0, _) => Value::Null,
+                                (1, "B") => Value::Float(key as f64 + 0.5),
+                                (_, "B") => Value::Float(key as f64),
+                                _ => Value::Int(key),
+                            };
+                            let row = vec![key, Value::Int(rng.gen_range(0..100i64))];
+                            let t = Tuple::new(row, SimTime::from_secs(now.saturating_sub(late)));
+                            last = Some(t.clone());
+                            t
+                        })
+                        .collect();
+                    last = last.filter(|_| source != "T");
+                    for e in &mut engines {
+                        e.on_batch(source, &batch).unwrap();
+                    }
+                    for m in &mut model {
+                        m.insert(source, &batch);
+                    }
+                    if source == "T" {
+                        table.extend(batch);
+                    }
+                }
+
+                // Invariants after every event.
+                for (slot, m) in model.iter().enumerate() {
+                    let want = m.rows();
+                    pairs += want.len();
+                    for (e, hs) in engines.iter().zip(&handles) {
+                        let mut got = value_rows(&e.snapshot(hs[slot]).unwrap());
+                        got.sort();
+                        let (sql, shards) = (m.case.sql(), e.shard_count());
+                        assert_eq!(got, want, "slot {slot} `{sql}`, {shards} shards ({ctx})");
+                    }
+                }
+                let loads = engines
+                    .each_ref()
+                    .map(|e| e.telemetry_at(Consistency::Fresh));
+                for (slot, (sh, ph)) in handles[0].iter().zip(&handles[1]).enumerate() {
+                    let (on_log, private) = (loads[0].query(sh.0), loads[1].query(ph.0));
+                    let (on_log, private) = (on_log.unwrap(), private.unwrap());
+                    on_cursors += usize::from(on_log.shared);
+                    assert!(
+                        !on_log.shared || on_log.state_bytes <= private.state_bytes,
+                        "slot {slot} holds {} bytes on cursors, {} on private windows ({ctx})",
+                        on_log.state_bytes,
+                        private.state_bytes,
+                    );
+                }
+                max_spilled = max_spilled.max(engines[2].resident_state().spilled_bytes);
+                let bytes = engines.each_ref().map(|e| e.resident_state().state_bytes);
+                assert!(
+                    churned || bytes[0] <= bytes[1],
+                    "shared logs hold {} bytes, private windows {} ({ctx})",
+                    bytes[0],
+                    bytes[1],
+                );
+            }
+            std::fs::remove_dir_all(&spill_dir).ok();
+        }
+    }
+    assert!(
+        pairs > 10_000 && on_cursors > 1_000 && max_spilled > 0,
+        "the run exercised too little: {pairs} joined pairs, {on_cursors} byte \
+         comparisons on cursors, {max_spilled} bytes spilled"
     );
 }

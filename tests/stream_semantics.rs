@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::stream::ShardedEngine;
+use smartcis::stream::{EngineConfig, ShardedEngine};
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
@@ -350,4 +350,46 @@ fn arithmetic_and_scalar_functions_in_projection() {
     assert_eq!(rows[0].values()[0], Value::Int(3));
     assert_eq!(rows[0].values()[1], Value::Float(30.0));
     assert_eq!(rows[1].values()[0], Value::Int(1));
+}
+
+/// The SQL-level twin of `operators.rs::join_keys_follow_sql_equality`:
+/// an equi-join key follows SQL `=` — a NULL key matches nothing (not
+/// even another NULL) and an `int` key meets the equal `float` — which
+/// is also what the same predicate answers when it runs as a filter
+/// over the cross product. Sharing on and off: the windowed sides are
+/// indexed either way, over the shard's logs or over private windows.
+#[test]
+fn equi_join_keys_follow_sql_equality() {
+    for shared in [true, false] {
+        let cat = Catalog::shared();
+        for (name, key) in [("A", DataType::Int), ("B", DataType::Float)] {
+            let fields = vec![Field::new("k", key), Field::new("v", DataType::Int)];
+            let stats = SourceStats::stream(1.0);
+            cat.register_source(
+                name,
+                Schema::new(fields).into_ref(),
+                SourceKind::Stream,
+                stats,
+            )
+            .unwrap();
+        }
+        let config = EngineConfig::new().shards(1).shared_subplans(shared);
+        let mut engine = ShardedEngine::with_config(cat, config);
+        let from = "select x.v, y.v from A x [rows 10], B y [rows 10]";
+        let join = engine.register_sql(&format!("{from} where x.k = y.k"));
+        // `x.k - y.k = 0` is no equi-key: it runs as a filter (residual).
+        let filter = engine.register_sql(&format!("{from} where x.k - y.k = 0"));
+        let row = |k: Value, v: i64| Tuple::new(vec![k, Value::Int(v)], SimTime::from_secs(1));
+        engine
+            .on_batch("A", &[row(Value::Null, 1), row(Value::Int(2), 2)])
+            .unwrap();
+        engine
+            .on_batch("B", &[row(Value::Null, 10), row(Value::Float(2.0), 20)])
+            .unwrap();
+        for q in [join, filter] {
+            let rows = engine.snapshot(q.unwrap().expect_query()).unwrap();
+            let rows: Vec<&[Value]> = rows.iter().map(Tuple::values).collect();
+            assert_eq!(rows, [[Value::Int(2), Value::Int(20)]], "shared: {shared}");
+        }
+    }
 }
