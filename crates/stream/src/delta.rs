@@ -54,10 +54,13 @@ impl Delta {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaBatch {
     deltas: Vec<Delta>,
-    /// The log row of each delta — as long as `deltas` in an addressed
-    /// batch, empty otherwise. Only [`DeltaBatch::push_row`] keeps a
-    /// batch addressed; every other way of adding deltas forgets the ids.
-    rows: Vec<u64>,
+    /// The log row of each delta, in an addressed batch. Only
+    /// [`DeltaBatch::push_row`] keeps a batch addressed; every other way
+    /// of adding deltas forgets the ids. Boxed: the batches anything
+    /// retains (pending push deliveries) are unaddressed, and pay one
+    /// pointer for the field, not a second `Vec` header.
+    #[allow(clippy::box_collection)]
+    rows: Option<Box<Vec<u64>>>,
 }
 
 impl DeltaBatch {
@@ -83,7 +86,7 @@ impl DeltaBatch {
     }
 
     pub fn push(&mut self, delta: Delta) {
-        self.rows.clear();
+        self.rows = None;
         self.deltas.push(delta);
     }
 
@@ -98,15 +101,18 @@ impl DeltaBatch {
     /// Append a unit delta that inserts or retracts log row `row`. The
     /// batch stays addressed as long as every delta came in this way.
     pub(crate) fn push_row(&mut self, delta: Delta, row: u64) {
-        if self.rows.len() == self.deltas.len() {
-            self.rows.push(row);
+        if self.deltas.is_empty() {
+            self.rows = Some(Box::new(Vec::with_capacity(self.deltas.capacity())));
+        }
+        if let Some(rows) = &mut self.rows {
+            rows.push(row);
         }
         self.deltas.push(delta);
     }
 
     /// The log row of each delta, when the batch is addressed.
     pub(crate) fn row_ids(&self) -> Option<&[u64]> {
-        (!self.rows.is_empty()).then_some(&self.rows)
+        self.rows.as_ref().map(|rows| rows.as_slice())
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Delta> {
@@ -123,7 +129,7 @@ impl DeltaBatch {
 
     pub fn clear(&mut self) {
         self.deltas.clear();
-        self.rows.clear();
+        self.rows = None;
     }
 
     /// Every delta with its sign flipped (order preserved).
@@ -174,10 +180,7 @@ impl DeltaBatch {
 
 impl From<Vec<Delta>> for DeltaBatch {
     fn from(deltas: Vec<Delta>) -> Self {
-        DeltaBatch {
-            deltas,
-            rows: Vec::new(),
-        }
+        DeltaBatch { deltas, rows: None }
     }
 }
 
@@ -189,7 +192,7 @@ impl FromIterator<Delta> for DeltaBatch {
 
 impl Extend<Delta> for DeltaBatch {
     fn extend<I: IntoIterator<Item = Delta>>(&mut self, iter: I) {
-        self.rows.clear();
+        self.rows = None;
         self.deltas.extend(iter);
     }
 }

@@ -84,21 +84,22 @@
 //! not copy it. A window step's batch is *addressed*: each delta names
 //! the log row it inserts or retracts ([`window`]: a step is net by
 //! row). A filter is a selection and passes the ids of what it keeps;
-//! a project, aggregate, join or union ends the addressed region, and
-//! `Unbounded` scans and table/view delta batches never start one. A
-//! join side fed by an addressed region — `Filter* → Scan` under a
-//! `ROWS` / `RANGE` / `TUMBLING` window, decided from the plan at
-//! compile time — is *indexed*: it keeps `key hash → row ids` and
-//! fetches a tuple by id only to emit a match; every other side copies
-//! its rows as before ([`operators::JoinOp`]). The rows belong to the
-//! scan's window: the shard's source log while the scan is a cursor,
-//! the pipeline's own `WindowOp` otherwise — and demotion hands them
-//! over under the same ids. Fetch-by-id is sound because a shard runs
-//! every log step as **step → deliver → release**: all cursors move,
-//! every pipeline of the step runs with read access to all logs, and
-//! only then are rows below the minimum head dropped, so a retraction
-//! delivered on one side of a join can still read rows the same step
-//! expires on the other. An id that resolves to no row is an error.
+//! any other operator ends the addressed region, and `Unbounded` scans
+//! and signed delta batches (a table's, a view's — they bypass windows)
+//! never start one. A join side fed by an addressed region — `Filter* →
+//! Scan` of a *stream* under a `ROWS` / `RANGE` / `TUMBLING` window,
+//! decided from the plan at compile time — is *indexed*: it keeps `key
+//! hash → row ids` and fetches a tuple by id only to emit a match; every
+//! other side copies its rows as before ([`operators::JoinOp`]). The
+//! rows belong to the scan's window: the shard's source log while the
+//! scan is a cursor, the pipeline's own `WindowOp` otherwise — demotion
+//! hands them over under the same ids. Fetch-by-id is sound because a
+//! shard runs every log step as **step → deliver → release**: all
+//! cursors move, every pipeline runs with read access to all logs, and
+//! only then are rows below the minimum head dropped — a retraction on
+//! one side of a join can still read rows the same step expires on the
+//! other. An id that resolves to no row is an error, as is a signed
+//! delta fed past the window of an indexed stream scan.
 //!
 //! ## Source logs and window cursors (and the plan-template cache)
 //!

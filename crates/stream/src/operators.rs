@@ -126,8 +126,8 @@ impl DeltaOp for ProjectOp {
 ///
 /// **Side kinds**, fixed when the operator is built. A *materialised*
 /// side copies its input's live rows into a [`KeyedState`] and accepts
-/// any input. An *indexed* side is fed by one scan's window with only
-/// filters in between, so its input is addressed and its rows already
+/// any input. An *indexed* side is fed by one stream scan's window with
+/// only filters in between, so its input is addressed and its rows already
 /// sit in that window or its source log: it keeps `key hash → row ids`
 /// and nothing else, inserts and retracts by id, and asks the pipeline's
 /// [`RowSource`] for a tuple only when the other side probes the key. An
@@ -350,6 +350,9 @@ pub struct AggregateOp {
     pub group: Vec<BoundExpr>,
     pub aggs: Vec<BoundAgg>,
     groups: HashMap<Vec<Value>, GroupState>,
+    /// The rows downstream still shows for the groups a failed batch
+    /// touched: their accumulators moved, nothing was emitted.
+    stale: HashMap<Vec<Value>, Option<Tuple>>,
 }
 
 #[derive(Debug)]
@@ -369,6 +372,7 @@ impl AggregateOp {
             group,
             aggs,
             groups: HashMap::new(),
+            stale: HashMap::new(),
         }
     }
 
@@ -406,17 +410,16 @@ struct Touch {
     last_ts: SimTime,
 }
 
-impl DeltaOp for AggregateOp {
-    fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+impl AggregateOp {
+    /// Pass 1: apply every delta to its group's accumulators, tracking
+    /// touched groups in first-touch order. A non-global group whose
+    /// weight drops to zero or below is dropped *immediately* — exactly
+    /// as single-delta delivery would — so a later delta in the same
+    /// batch rebuilds it from fresh accumulators rather than reviving
+    /// a poisoned one (negative weights arise from out-of-order
+    /// retractions and must not leak accumulator state).
+    fn apply(&mut self, batch: &DeltaBatch, touched: &mut Vec<Touch>) -> Result<()> {
         let is_global = self.group.is_empty();
-        // Pass 1: apply every delta to its group's accumulators, tracking
-        // touched groups in first-touch order. A non-global group whose
-        // weight drops to zero or below is dropped *immediately* — exactly
-        // as single-delta delivery would — so a later delta in the same
-        // batch rebuilds it from fresh accumulators rather than reviving
-        // a poisoned one (negative weights arise from out-of-order
-        // retractions and must not leak accumulator state).
-        let mut touched: Vec<Touch> = Vec::new();
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         for delta in batch {
             let mut key = Vec::with_capacity(self.group.len());
@@ -447,7 +450,10 @@ impl DeltaOp for AggregateOp {
                     let shown = |ts| Self::output_tuple(&key, &state.accs, &self.aggs, ts);
                     let slot = touched.len();
                     touched.push(Touch {
-                        prev_output: state.shown.map(shown),
+                        prev_output: match self.stale.remove(&key) {
+                            Some(row) => row,
+                            None => state.shown.map(shown),
+                        },
                         key: key.clone(),
                         last_ts: SimTime::ZERO,
                     });
@@ -478,6 +484,19 @@ impl DeltaOp for AggregateOp {
             if dead {
                 self.groups.remove(&touched[slot].key);
             }
+        }
+        Ok(())
+    }
+}
+
+impl DeltaOp for AggregateOp {
+    fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+        let is_global = self.group.is_empty();
+        let mut touched: Vec<Touch> = Vec::new();
+        if let Err(e) = self.apply(batch, &mut touched) {
+            let shown = touched.into_iter().map(|t| (t.key, t.prev_output));
+            self.stale.extend(shown);
+            return Err(e);
         }
 
         // Pass 2: one retract/insert pair per touched group, diffing the
@@ -879,6 +898,35 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sign, -1);
         assert_eq!(a.group_count(), 0);
+    }
+
+    /// A batch that fails half-way leaves the accumulators moved and
+    /// nothing emitted. The group's row is recomputed, not retained, so
+    /// the next batch must retract the row downstream really shows —
+    /// not the one the moved accumulators would describe.
+    #[test]
+    fn aggregate_failed_batch_retracts_only_rows_it_emitted() {
+        let mut a = avg_agg();
+        let reading = |v: Value, us| Delta::insert(t(vec![Value::Text("lab1".into()), v], us));
+        let mut shown = a.process(0, &reading(Value::Float(10.0), 1)).unwrap();
+        let poisoned: DeltaBatch = [
+            reading(Value::Float(30.0), 2),
+            reading(Value::Text("n/a".into()), 3),
+        ]
+        .into_iter()
+        .collect();
+        assert!(a.process_batch(0, &poisoned).is_err());
+        shown.extend(a.process(0, &reading(Value::Float(50.0), 4)).unwrap());
+        // Downstream saw (lab1, 10), then its retraction and the average
+        // of the three readings that were applied.
+        assert_eq!(
+            crate::delta::consolidate(&shown),
+            vec![(
+                t(vec![Value::Text("lab1".into()), Value::Float(30.0)], 4),
+                1
+            )]
+        );
+        assert_eq!(shown[1], Delta::retract(shown[0].tuple.clone()));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionO
 use crate::sink::Sink;
 use crate::state::StateOptions;
 use crate::trace::{OpKind, OpProfile};
-use crate::window::{Frame, Logs, WindowOp};
+use crate::window::{Frame, WindowOp};
 
 /// Where an operator sends its output: another operator's input port, or
 /// the sink.
@@ -40,17 +40,21 @@ struct ScanEntry {
     source: SourceId,
     window: WindowOp,
     attach: Attach,
-    /// Whether the scan is a cursor on its source's log: the log, not
-    /// `window`, holds its rows then.
-    cursor: bool,
 }
 
-/// Whether `plan` is `Filter* → Scan` under a window that pins rows: its
-/// output is addressed, so a join side it feeds can keep row ids.
+/// Where a cursor-fed scan's row ids resolve: `(source, row)` is the
+/// tuple at that row of the source's log. A shard passes its logs; off a
+/// shard there are none to ask.
+pub(crate) type LogRows<'a> = &'a dyn Fn(SourceId, u64) -> Option<Tuple>;
+
+/// Whether `plan` is `Filter* → Scan` of a stream under a window that
+/// pins rows: every row reaches the scan through its window (a table's
+/// or a view's signed deltas bypass theirs), so the output is addressed
+/// and a join side it feeds can keep row ids.
 fn is_addressed(plan: &LogicalPlan) -> bool {
     match plan {
         LogicalPlan::Filter { input, .. } => is_addressed(input),
-        LogicalPlan::Scan { rel } => !rel.window.is_append_only(),
+        LogicalPlan::Scan { rel } => rel.meta.kind.is_stream_like() && !rel.window.is_append_only(),
         _ => false,
     }
 }
@@ -92,6 +96,10 @@ pub struct Pipeline {
     /// migrations like any pipeline state, and is rebuilt away (cleared)
     /// by a pause/resume cycle.
     drag: Option<std::time::Duration>,
+    /// Whether the stream scans are cursors on their sources' logs — all
+    /// of them or none; the shard that attaches them says. The logs, not
+    /// the scans' own windows, hold those scans' rows then.
+    pub(crate) tapped: bool,
 }
 
 impl Pipeline {
@@ -142,6 +150,7 @@ impl Pipeline {
             profile: OpProfile::default(),
             timed: false,
             drag: None,
+            tapped: false,
         };
         pipeline.build(core, None, opts)?;
         Ok(pipeline)
@@ -197,7 +206,6 @@ impl Pipeline {
                     source: rel.meta.id,
                     window: WindowOp::with_options(rel.window, opts),
                     attach: parent,
-                    cursor: false,
                 });
                 Ok(())
             }
@@ -278,7 +286,7 @@ impl Pipeline {
     pub fn start(&mut self, sink: &mut Sink) -> Result<()> {
         for i in 0..self.nodes.len() {
             let init = self.nodes[i].op.initial().consolidated();
-            self.run(self.nodes[i].parent, &init, sink, None)?;
+            self.run(self.nodes[i].parent, &init, sink, &|_, _| None)?;
         }
         Ok(())
     }
@@ -291,17 +299,17 @@ impl Pipeline {
         tuples: &[Tuple],
         sink: &mut Sink,
     ) -> Result<()> {
-        self.push_source_over(source, tuples, sink, None)
+        self.push_source_over(source, tuples, sink, &|_, _| None)
     }
 
     /// [`Pipeline::push_source`] on a shard, where the pipeline's other
-    /// scans may be cursors on `logs`.
+    /// scans may be cursors on the logs behind `logs`.
     pub(crate) fn push_source_over(
         &mut self,
         source: SourceId,
         tuples: &[Tuple],
         sink: &mut Sink,
-        logs: Option<&Logs>,
+        logs: LogRows,
     ) -> Result<()> {
         self.pay_drag();
         for i in 0..self.scans.len() {
@@ -323,11 +331,6 @@ impl Pipeline {
         self.scans.iter().map(|s| (s.source, s.window.spec()))
     }
 
-    /// Scan `scan` is now a cursor: its batches carry its source log's ids.
-    pub(crate) fn attach_cursor(&mut self, scan: usize) {
-        self.scans[scan].cursor = true;
-    }
-
     /// Feed the pre-windowed delta batches of one source batch — one
     /// `(scan index, deltas)` per cursor-fed scan, in scan order — past
     /// this pipeline's own window stages (which stay empty while the
@@ -341,12 +344,12 @@ impl Pipeline {
         fed: &mut dyn Iterator<Item = (usize, &DeltaBatch)>,
         charge: u64,
         sink: &mut Sink,
-        logs: &Logs,
+        logs: LogRows,
     ) -> Result<()> {
         self.pay_drag();
         for (scan, deltas) in fed {
             self.tuples_in += charge;
-            self.run(self.scans[scan].attach, deltas, sink, Some(logs))?;
+            self.run(self.scans[scan].attach, deltas, sink, logs)?;
         }
         Ok(())
     }
@@ -357,7 +360,6 @@ impl Pipeline {
     /// under the row ids its operators already hold.
     pub(crate) fn adopt_window(&mut self, scan: usize, live: Vec<Tuple>, at: Frame) {
         self.scans[scan].window.adopt(live, at);
-        self.scans[scan].cursor = false;
     }
 
     /// Operator node instances owned by this pipeline (resident-state
@@ -400,7 +402,7 @@ impl Pipeline {
         deltas: &DeltaBatch,
         charge: u64,
         sink: &mut Sink,
-        logs: &Logs,
+        logs: LogRows,
     ) -> Result<()> {
         self.pay_drag();
         for i in 0..self.scans.len() {
@@ -408,14 +410,14 @@ impl Pipeline {
                 continue;
             }
             self.tuples_in += charge;
-            self.run(self.scans[i].attach, deltas, sink, Some(logs))?;
+            self.run(self.scans[i].attach, deltas, sink, logs)?;
         }
         Ok(())
     }
 
     /// Advance the clock: expire windows and propagate retractions.
     pub fn advance_time(&mut self, now: SimTime, sink: &mut Sink) -> Result<()> {
-        self.advance_scans(now, &[], sink, None)
+        self.advance_scans(now, &[], sink, &|_, _| None)
     }
 
     /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
@@ -429,7 +431,7 @@ impl Pipeline {
         now: SimTime,
         expired: &[(usize, &DeltaBatch)],
         sink: &mut Sink,
-        logs: Option<&Logs>,
+        logs: LogRows,
     ) -> Result<()> {
         for i in 0..self.scans.len() {
             let attach = self.scans[i].attach;
@@ -449,13 +451,13 @@ impl Pipeline {
     /// first hop only borrows it, so one batch serves every subscriber.
     /// `ops_invoked` counts one unit per *delta* per operator, so the
     /// optimizer's CPU-cost calibration is unchanged by batching. `logs`
-    /// is where the ids of cursor-fed scans resolve (`None` off a shard).
+    /// is where the ids of cursor-fed scans resolve.
     fn run(
         &mut self,
         start: Attach,
         first: &DeltaBatch,
         sink: &mut Sink,
-        logs: Option<&Logs>,
+        logs: LogRows,
     ) -> Result<()> {
         let mut attach = start;
         let mut produced: Option<DeltaBatch> = None;
@@ -470,11 +472,11 @@ impl Pipeline {
             };
             let deltas = batch.len() as u64;
             self.ops_invoked += deltas;
-            // The rows behind addressed batches: each scan's own window,
-            // or — for a cursor — its source's log on the shard.
-            let scans = &self.scans;
+            // The rows behind addressed batches (stream scans' only): the
+            // scan's own window or, tapped, its source's log on the shard.
+            let (scans, tapped) = (&self.scans, self.tapped);
             let rows = |scan: usize, row: u64| match &scans[scan] {
-                scan if scan.cursor => logs?.get(&scan.source)?.get(row),
+                scan if tapped => logs(scan.source, row),
                 scan => scan.window.get(row),
             };
             let t0 = self.timed.then(std::time::Instant::now);

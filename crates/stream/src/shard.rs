@@ -89,7 +89,7 @@
 //! would see.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -442,11 +442,10 @@ pub(crate) struct EngineShard {
     /// scans through log cursors instead of their own windows.
     subs: HashMap<SourceId, Vec<QueryId>>,
     /// The arrival log of every stream source some local window covers;
-    /// the last cursor out frees the log.
+    /// the last cursor out frees the log. A query's stream scans are
+    /// cursors on these (`Pipeline::tapped`) — all of them, or none:
+    /// migrated-in queries keep private windows.
     logs: HashMap<SourceId, SourceLog>,
-    /// Queries whose stream scans are cursors on `logs` (all of them
-    /// or none: migrated-in queries keep private windows).
-    tapped: HashSet<QueryId>,
     /// Local queries whose windows react to the clock.
     clock_subs: Vec<QueryId>,
     /// Local live queries with a push subscription attached (flush set).
@@ -469,7 +468,6 @@ impl EngineShard {
             queries,
             subs,
             logs,
-            tapped,
             meters,
             ..
         } = self;
@@ -481,13 +479,14 @@ impl EngineShard {
         meters.tuples_in += tuples.len() as u64;
         let shared = logs.contains_key(&src);
         for qid in subs {
-            if shared && tapped.contains(qid) {
+            let q = queries.get_mut(qid).expect("routed query is local");
+            if shared && q.pipeline.tapped {
                 // Fed below through its cursors.
                 continue;
             }
-            let q = queries.get_mut(qid).expect("routed query is local");
+            let rows = |src, row| logs.get(&src)?.get(row);
             q.pipeline
-                .push_source_over(src, tuples, &mut q.sink, Some(logs))?;
+                .push_source_over(src, tuples, &mut q.sink, &rows)?;
             if let Some(ctx) = &trace {
                 q.sink.latency.record_us(ctx.elapsed_us());
             }
@@ -498,7 +497,7 @@ impl EngineShard {
             return Ok(());
         };
         let batches = log.insert_batch(tuples, meters);
-        let logs = &*logs;
+        let rows = |src, row| logs.get(&src)?.get(row);
         // Deliver: each query borrows the deltas its own windows over
         // `src` would have emitted, and reads rows off any log. A failed
         // delivery does not stop the others; the first error is returned.
@@ -507,7 +506,7 @@ impl EngineShard {
             let q = queries.get_mut(&qid).expect("tapped query is local");
             let run = q
                 .pipeline
-                .push_windowed(&mut fed, tuples.len() as u64, &mut q.sink, logs);
+                .push_windowed(&mut fed, tuples.len() as u64, &mut q.sink, &rows);
             if let Some(ctx) = &trace {
                 q.sink.latency.record_us(ctx.elapsed_us());
             }
@@ -524,21 +523,28 @@ impl EngineShard {
         deltas: &DeltaBatch,
         trace: Option<TraceCtx>,
     ) -> Result<()> {
-        if let Some(subs) = self.subs.get(&src) {
-            let charge = deltas.len() as u64;
-            self.meters.tuples_in += charge;
-            // Consolidated once here, not once per subscribed scan.
-            let deltas = &deltas.clone().consolidated();
-            for qid in subs {
-                let q = self.queries.get_mut(qid).expect("routed query is local");
-                q.pipeline
-                    .push_deltas(src, deltas, charge, &mut q.sink, &self.logs)?;
-                if let Some(ctx) = &trace {
-                    q.sink.latency.record_us(ctx.elapsed_us());
-                }
+        let Some(subs) = self.subs.get(&src) else {
+            return Ok(());
+        };
+        let charge = deltas.len() as u64;
+        self.meters.tuples_in += charge;
+        // Consolidated once here, not once per subscribed scan.
+        let deltas = &deltas.clone().consolidated();
+        let rows = |src, row| self.logs.get(&src)?.get(row);
+        // As in `push_batch`, one subscriber's failure does not starve
+        // the ones after it; the first error is returned.
+        let mut served = Ok(());
+        for qid in subs {
+            let q = self.queries.get_mut(qid).expect("routed query is local");
+            let run = q
+                .pipeline
+                .push_deltas(src, deltas, charge, &mut q.sink, &rows);
+            if let Some(ctx) = &trace {
+                q.sink.latency.record_us(ctx.elapsed_us());
             }
+            served = served.and(run);
         }
-        Ok(())
+        served
     }
 
     pub(crate) fn advance_time(&mut self, now: SimTime) -> Result<()> {
@@ -558,7 +564,7 @@ impl EngineShard {
         // scans in scan order whichever side windows them, with every
         // log readable: a retraction on one side of a join probes the
         // other side's rows, whether or not this step expires them too.
-        let logs = &*logs;
+        let rows = |src, row| logs.get(&src)?.get(row);
         let mut expired: HashMap<QueryId, Vec<(usize, &DeltaBatch)>> = HashMap::new();
         for (src, batches) in &stepped {
             for (qid, fed) in logs[src].fed(batches) {
@@ -570,7 +576,7 @@ impl EngineShard {
         let served = clock_subs.iter().try_for_each(|qid| {
             let q = queries.get_mut(qid).expect("clocked query is local");
             let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
-            q.pipeline.advance_scans(now, fed, &mut q.sink, Some(logs))
+            q.pipeline.advance_scans(now, fed, &mut q.sink, &rows)
         });
         // Release only now (on an error too).
         for log in self.logs.values_mut() {
@@ -628,18 +634,14 @@ impl EngineShard {
     /// in scan order, which keeps a query's cursors on one log adjacent
     /// and ordered.
     fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
-        if scans.is_empty() {
-            return;
-        }
-        let rt = self.queries.get_mut(&qid).expect("routed query is local");
         for &(scan, src, spec) in scans {
             self.logs
                 .entry(src)
                 .or_insert_with(|| SourceLog::new(opts))
                 .attach(qid, scan, spec);
-            rt.pipeline.attach_cursor(scan);
         }
-        self.tapped.insert(qid);
+        let rt = self.queries.get_mut(&qid).expect("routed query is local");
+        rt.pipeline.tapped = !scans.is_empty();
     }
 
     /// Unwind a query's cursors, if any. Rows only they pinned are
@@ -651,7 +653,8 @@ impl EngineShard {
     /// snapshots and the ops total are untouched. No-op for private
     /// queries.
     fn detach_cursors(&mut self, qid: QueryId, sources: &[SourceId], keep_windows: bool) {
-        if !self.tapped.remove(&qid) {
+        let rt = self.queries.get_mut(&qid).expect("routed query is local");
+        if !std::mem::take(&mut rt.pipeline.tapped) {
             return;
         }
         for src in sources {
@@ -659,7 +662,6 @@ impl EngineShard {
                 continue;
             };
             if keep_windows {
-                let rt = self.queries.get_mut(&qid).expect("tapped query is local");
                 for (scan, live, at) in log.demote(qid) {
                     rt.pipeline.adopt_window(scan, live, at);
                 }
@@ -1007,7 +1009,7 @@ impl ShardedEngine {
                         ops_invoked: rt.pipeline.ops_invoked,
                         output_deltas: rt.sink.deltas_applied,
                         push_batches: rt.sink.push_batches_delivered(),
-                        shared: shard.tapped.contains(qid),
+                        shared: rt.pipeline.tapped,
                         latency: rt.sink.latency.clone(),
                         state_bytes: q_bytes,
                     });
@@ -2962,6 +2964,92 @@ mod tests {
         for q in queries {
             assert_eq!(pairs(&e, q), vec![vec![Value::Float(7.0), Value::Int(2)]]);
         }
+    }
+
+    /// A window on a table is legal SQL, but a table's signed deltas
+    /// bypass it and carry no row ids — so the join side such a scan
+    /// feeds must be a materialised one, as at every release before
+    /// indexed sides. And whatever one subscriber makes of a delta
+    /// batch, the subscribers after it still get theirs.
+    #[test]
+    fn windowed_table_scan_under_a_join_takes_signed_deltas() {
+        let cat = catalog();
+        let caps = Schema::new(vec![
+            Field::new("sensor", DataType::Int),
+            Field::new("cap", DataType::Int),
+        ]);
+        cat.register_source(
+            "Caps",
+            caps.into_ref(),
+            SourceKind::Table,
+            SourceStats::table(4),
+        )
+        .unwrap();
+        let mut e = ShardedEngine::new(cat, 1);
+        let join = e
+            .register_sql(
+                "select r.value, c.cap from Caps c [rows 4], Readings r [rows 3] \
+                 where c.sensor = r.sensor",
+            )
+            .unwrap()
+            .expect_query();
+        let plain = e
+            .register_sql("select c.cap from Caps c where c.sensor = 1")
+            .unwrap()
+            .expect_query();
+        let cap =
+            |sensor, cap| Tuple::new(vec![Value::Int(sensor), Value::Int(cap)], SimTime::ZERO);
+        let rows = |e: &ShardedEngine, q| {
+            let snap = e.snapshot(q).unwrap();
+            let mut rows: Vec<Vec<Value>> = snap.iter().map(|t| t.values().to_vec()).collect();
+            rows.sort();
+            rows
+        };
+        e.on_deltas(
+            "Caps",
+            &DeltaBatch::from(vec![Delta::insert(cap(1, 10)), Delta::insert(cap(2, 20))]),
+        )
+        .unwrap();
+        e.on_batch("Readings", &[reading(1, 5.0, 1), reading(2, 6.0, 1)])
+            .unwrap();
+        assert_eq!(
+            rows(&e, join),
+            vec![
+                vec![Value::Float(5.0), Value::Int(10)],
+                vec![Value::Float(6.0), Value::Int(20)],
+            ]
+        );
+        assert_eq!(rows(&e, plain), vec![vec![Value::Int(10)]]);
+        // An update: the old row is retracted by value, past the window.
+        e.on_deltas(
+            "Caps",
+            &DeltaBatch::from(vec![Delta::retract(cap(1, 10)), Delta::insert(cap(1, 11))]),
+        )
+        .unwrap();
+        e.quiesce().unwrap();
+        assert_eq!(
+            rows(&e, join),
+            vec![
+                vec![Value::Float(5.0), Value::Int(11)],
+                vec![Value::Float(6.0), Value::Int(20)],
+            ]
+        );
+        assert_eq!(rows(&e, plain), vec![vec![Value::Int(11)]]);
+        // The stream side is still indexed: its rows live in the log only.
+        let report = e.telemetry();
+        let held = report.query(join.0).unwrap().state_bytes;
+        assert!(held < 400, "two table rows and an index, not {held} B");
+        // Signed deltas on the *stream* name no log row, so the query
+        // indexing its window refuses them — alone: the subscriber
+        // registered after it is served all the same.
+        let tail = e
+            .register_sql("select r.value from Readings r [rows 3]")
+            .unwrap()
+            .expect_query();
+        let signed = DeltaBatch::from(vec![Delta::insert(reading(2, 7.0, 2))]);
+        let refused = e.on_deltas("Readings", &signed).and_then(|()| e.quiesce());
+        assert_eq!(refused.unwrap_err().kind(), "execution");
+        assert_eq!(rows(&e, tail), vec![vec![Value::Float(7.0)]]);
     }
 
     #[test]

@@ -49,9 +49,7 @@
 //! always-resident timestamp column, so a spilled window never faults
 //! segments in just to discover nothing expired.
 
-use std::collections::HashMap;
-
-use aspen_types::{QueryId, SimTime, SourceId, Tuple, WindowSpec};
+use aspen_types::{QueryId, SimTime, Tuple, WindowSpec};
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::state::{ColumnarDeque, StateOptions};
@@ -181,10 +179,6 @@ struct Cursor {
 /// A demoted cursor: scan index, live tuples in arrival order, frame —
 /// what [`WindowOp::adopt`] takes.
 pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Frame);
-
-/// A shard's source logs — what a pipeline with cursor-fed scans
-/// resolves their row ids against.
-pub(crate) type Logs = HashMap<SourceId, SourceLog>;
 
 /// The tuples of log rows `[lo, hi)`, in arrival order (empty, and no
 /// segment touched, when `lo >= hi`).
