@@ -6,29 +6,44 @@
 //!   converts its own `Value` enum to and from cells at the boundary).
 //!   Equality and hashing are *bit-exact* for floats, matching a
 //!   total-order comparison: `NaN == NaN`, `0.0 != -0.0`.
-//! * [`Column`] — one attribute laid out as a primitive vector. A column
-//!   starts typed from its first cell (`i64`, `f64` bits, `bool`, `u64`,
-//!   or dictionary-coded text) and promotes itself to a row-of-cells
-//!   `Mixed` fallback the moment a non-conforming cell arrives, so the
-//!   store never rejects data. Sealed integer columns are additionally
-//!   run-length encoded when that shrinks them.
+//! * `Column` — one attribute of a segment. A column starts typed from
+//!   its first cell (`i64`, `f64` bits, `bool`, `u64`, or text) and
+//!   promotes itself to a row-of-cells `Mixed` fallback the moment a
+//!   non-conforming cell arrives, so the store never rejects data. Only
+//!   the one *active* segment of a store holds the append form (plain
+//!   8-byte words; text as a string dictionary with its lookup map).
+//!   Sealing re-encodes each column at the width its values need and
+//!   keeps, per segment and per column, whichever encoding measures the
+//!   fewest bytes — nothing but the data selects it:
+//!   * integers and stamps: plain words, run-length runs, or
+//!     frame-of-reference (`min + u8 | u16 | u32` when `max − min` fits
+//!     32 bits);
+//!   * text: one byte blob plus narrow offset vectors, either as a local
+//!     dictionary (distinct strings, codes as wide as the dictionary
+//!     needs) or as plain per-row strings when nearly all are distinct.
+//!     The append map and the `String`s are dropped, not emptied.
 //! * [`TupleStore`] — an append-only row store laid out column-wise in
 //!   fixed-capacity *segments*. Every row gets a monotonically increasing
 //!   row id (never reused, stable across compaction), a timestamp, a
-//!   liveness bit, and optionally a signed weight. Timestamps, liveness,
-//!   and weights stay resident always; the value columns of a sealed
-//!   segment may be *spilled* to disk ([`SpillConfig`]) and are decoded
-//!   transiently on access. Fully-dead sealed segments are dropped (and
-//!   their spill files deleted) automatically.
+//!   liveness bit, and optionally a signed weight. Timestamps (sealed
+//!   like an integer column), liveness (a bit a row) and weights stay
+//!   resident always; the value columns of a sealed segment may be
+//!   *spilled* to disk ([`SpillConfig`]) and are decoded transiently on
+//!   access. A spill file that cannot be read back or decoded makes its
+//!   segment's rows read as absent and is counted
+//!   ([`TupleStore::spill_read_failures`]). Fully-dead sealed segments
+//!   are dropped (and their spill files deleted) automatically.
 //!
 //! Byte accounting is first-class: [`TupleStore::resident_bytes`] /
-//! [`TupleStore::spilled_bytes`] measure the actual heap/disk footprint,
-//! which is what the engine surfaces through its telemetry.
+//! [`TupleStore::spilled_bytes`] measure the actual heap/disk footprint
+//! (the byte length of every vector held), which is what the engine
+//! surfaces through its telemetry.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs;
 use std::hash::{Hash, Hasher};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -102,21 +117,176 @@ impl Hash for Cell {
 }
 
 // ---------------------------------------------------------------------------
+// Narrow vectors and word columns
+
+/// `u32`-range values stored at one, two or four bytes each — the
+/// narrowest width that holds the largest of them.
+#[derive(Debug, Clone)]
+enum Narrow {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Narrow {
+    /// Bytes a value takes when the largest is `max`.
+    fn width(max: u32) -> usize {
+        match max {
+            0..=0xFF => 1,
+            0x100..=0xFFFF => 2,
+            _ => 4,
+        }
+    }
+
+    /// `values`, none above `max`, at [`Narrow::width`]`(max)`.
+    fn pack(max: u32, values: impl Iterator<Item = u32>) -> Narrow {
+        match Narrow::width(max) {
+            1 => Narrow::U8(values.map(|v| v as u8).collect()),
+            2 => Narrow::U16(values.map(|v| v as u16).collect()),
+            _ => Narrow::U32(values.collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Narrow::U8(v) => v.len(),
+            Narrow::U16(v) => v.len(),
+            Narrow::U32(v) => v.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        match self {
+            Narrow::U8(v) => v[i] as u32,
+            Narrow::U16(v) => v[i] as u32,
+            Narrow::U32(v) => v[i],
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Narrow::U8(v) => v.len(),
+            Narrow::U16(v) => v.len() * 2,
+            Narrow::U32(v) => v.len() * 4,
+        }
+    }
+}
+
+/// A column of 64-bit words — `i64` bit patterns or stamps. Plain while
+/// it takes appends; sealed to whichever of plain, run-length and
+/// frame-of-reference measures the fewest bytes.
+#[derive(Debug, Clone)]
+enum Words {
+    Plain(Vec<u64>),
+    /// `ends[i]` is the exclusive prefix row count of run `i`.
+    Rle {
+        values: Vec<u64>,
+        ends: Vec<u32>,
+    },
+    /// Row `i` is `base + deltas[i]`; `base` is the column's minimum.
+    For {
+        base: u64,
+        deltas: Narrow,
+    },
+}
+
+impl Words {
+    fn len(&self) -> usize {
+        match self {
+            Words::Plain(v) => v.len(),
+            Words::Rle { ends, .. } => ends.last().copied().unwrap_or(0) as usize,
+            Words::For { deltas, .. } => deltas.len(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Words::Plain(v) => v.len() * 8,
+            Words::Rle { values, ends } => values.len() * 8 + ends.len() * 4,
+            Words::For { deltas, .. } => deltas.heap_bytes(),
+        }
+    }
+
+    fn push(&mut self, x: u64) {
+        match self {
+            Words::Plain(v) => v.push(x),
+            _ => unreachable!("a sealed column takes no appends"),
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> u64 {
+        match self {
+            Words::Plain(v) => v[i],
+            Words::Rle { values, ends } => values[ends.partition_point(|&e| e as usize <= i)],
+            Words::For { base, deltas } => base.wrapping_add(deltas.get(i) as u64),
+        }
+    }
+
+    /// Re-encode at the fewest bytes; `signed` orders the words as `i64`.
+    /// Plain stays unless another form actually shrinks it.
+    fn seal(&mut self, signed: bool) {
+        let Words::Plain(v) = self else { return };
+        if v.is_empty() {
+            return;
+        }
+        // Flipping the sign bit maps `i64` order onto `u64` order, so one
+        // min/max serves both and `hi - lo` cannot overflow.
+        let flip = (signed as u64) << 63;
+        let (lo, hi) = v.iter().fold((u64::MAX, 0), |(lo, hi), &x| {
+            (lo.min(x ^ flip), hi.max(x ^ flip))
+        });
+        let plain = v.len() * 8;
+        let rle = 12 * (1 + v.windows(2).filter(|w| w[0] != w[1]).count());
+        let packed = |range| v.len() * Narrow::width(range);
+        match u32::try_from(hi - lo) {
+            Ok(range) if packed(range) < plain && packed(range) <= rle => {
+                let base = lo ^ flip;
+                let deltas = Narrow::pack(range, v.iter().map(|&x| x.wrapping_sub(base) as u32));
+                *self = Words::For { base, deltas };
+            }
+            _ if rle < plain => {
+                let (values, ends) = rle_encode(v);
+                *self = Words::Rle { values, ends };
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The runs of a non-empty `v`.
+fn rle_encode(v: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    let mut values = Vec::new();
+    let mut ends = Vec::new();
+    for (i, w) in v.windows(2).enumerate() {
+        if w[0] != w[1] {
+            values.push(w[0]);
+            ends.push(i as u32 + 1);
+        }
+    }
+    values.extend(v.last());
+    ends.push(v.len() as u32);
+    (values, ends)
+}
+
+// ---------------------------------------------------------------------------
 // Columns
 
 /// One attribute of a segment, stored as a primitive vector where the
 /// data allows it.
 #[derive(Debug, Clone)]
-pub enum Column {
+enum Column {
     /// Untyped: no cell pushed yet.
     Empty,
-    Int(Vec<i64>),
+    /// `i64` bit patterns.
+    Int(Words),
     /// `f64` bit patterns — exact round-trip, NaN payloads included.
     Float(Vec<u64>),
     Bool(Vec<bool>),
-    Ts(Vec<u64>),
-    /// Dictionary-coded text. `map` accelerates appends and is dropped
-    /// at seal time (`codes` + `dict` suffice for reads).
+    Ts(Words),
+    /// Text while it takes appends (the active segment only):
+    /// dictionary-coded, `map` finding a string's code.
     Text {
         dict: Vec<String>,
         map: HashMap<String, u32>,
@@ -124,19 +294,16 @@ pub enum Column {
         /// Σ string lengths in `dict` (O(1) byte accounting).
         str_bytes: usize,
     },
+    /// Sealed text: the strings back to back in `blob`, string `e`
+    /// ending at `ends[e]`. With `codes` the strings are a dictionary
+    /// and row `i` is string `codes[i]`; without, row `i` is string `i`.
+    Packed {
+        blob: String,
+        ends: Narrow,
+        codes: Option<Narrow>,
+    },
     /// Row-of-cells fallback for heterogeneous or null-bearing columns.
     Mixed(Vec<Cell>, usize),
-    /// Run-length-encoded i64 (sealed segments only). `ends[i]` is the
-    /// exclusive prefix row count of run `i`.
-    RleInt {
-        values: Vec<i64>,
-        ends: Vec<u32>,
-    },
-    /// Run-length-encoded u64 timestamps (sealed segments only).
-    RleTs {
-        values: Vec<u64>,
-        ends: Vec<u32>,
-    },
 }
 
 fn cell_heap(c: &Cell) -> usize {
@@ -146,48 +313,94 @@ fn cell_heap(c: &Cell) -> usize {
     }
 }
 
+/// Row `i` of a [`Column::Packed`].
+fn packed_str<'a>(blob: &'a str, ends: &Narrow, codes: &Option<Narrow>, i: usize) -> &'a str {
+    let e = codes.as_ref().map_or(i, |c| c.get(i) as usize);
+    let start = if e == 0 { 0 } else { ends.get(e - 1) };
+    &blob[start as usize..ends.get(e) as usize]
+}
+
+/// `strs` back to back, and where each ends; `total` is Σ lengths.
+fn pack_strs<'a>(strs: impl Iterator<Item = &'a str> + Clone, total: u32) -> (String, Narrow) {
+    let mut end = 0;
+    let ends = Narrow::pack(
+        total,
+        strs.clone().map(|s| {
+            end += s.len() as u32;
+            end
+        }),
+    );
+    (strs.collect(), ends)
+}
+
+/// Seal an append-form text column (`dict` non-empty, every entry
+/// coded): a local dictionary or plain per-row strings, whichever
+/// measures fewer bytes.
+fn pack_text(dict: &[String], codes: &[u32], str_bytes: usize) -> Column {
+    let rows = || codes.iter().map(move |&c| dict[c as usize].as_str());
+    let row_bytes: usize = rows().map(str::len).sum();
+    // Offsets are 32-bit (`str_bytes <= row_bytes`); a segment holding
+    // more text than that stays cells.
+    let Ok(row_total) = u32::try_from(row_bytes) else {
+        return Column::Mixed(
+            rows().map(|s| Cell::Text(s.to_owned())).collect(),
+            row_bytes,
+        );
+    };
+    let (dict_total, last_code) = (str_bytes as u32, dict.len() as u32 - 1);
+    let as_dict =
+        str_bytes + dict.len() * Narrow::width(dict_total) + codes.len() * Narrow::width(last_code);
+    let as_rows = row_bytes + codes.len() * Narrow::width(row_total);
+    if as_dict < as_rows {
+        let (blob, ends) = pack_strs(dict.iter().map(String::as_str), dict_total);
+        let codes = Some(Narrow::pack(last_code, codes.iter().copied()));
+        Column::Packed { blob, ends, codes }
+    } else {
+        let (blob, ends) = pack_strs(rows(), row_total);
+        Column::Packed {
+            blob,
+            ends,
+            codes: None,
+        }
+    }
+}
+
 impl Column {
     fn len(&self) -> usize {
         match self {
             Column::Empty => 0,
-            Column::Int(v) => v.len(),
+            Column::Int(w) | Column::Ts(w) => w.len(),
             Column::Float(v) => v.len(),
             Column::Bool(v) => v.len(),
-            Column::Ts(v) => v.len(),
             Column::Text { codes, .. } => codes.len(),
+            Column::Packed { ends, codes, .. } => codes.as_ref().unwrap_or(ends).len(),
             Column::Mixed(v, _) => v.len(),
-            Column::RleInt { ends, .. } | Column::RleTs { ends, .. } => {
-                ends.last().copied().unwrap_or(0) as usize
-            }
         }
     }
 
-    /// Approximate heap bytes of this column's payload (O(1)).
-    pub fn heap_bytes(&self) -> usize {
+    /// Heap bytes of this column's payload: the byte length of the
+    /// vectors it holds (O(1)).
+    fn heap_bytes(&self) -> usize {
         match self {
             Column::Empty => 0,
-            Column::Int(v) => v.len() * 8,
+            Column::Int(w) | Column::Ts(w) => w.heap_bytes(),
             Column::Float(v) => v.len() * 8,
             Column::Bool(v) => v.len(),
-            Column::Ts(v) => v.len() * 8,
             Column::Text {
                 dict,
                 map,
                 codes,
                 str_bytes,
             } => {
-                // Dict strings + codes; the append map doubles the string
-                // payload while it is alive (cleared at seal).
-                let map_cost = if map.is_empty() {
-                    0
-                } else {
-                    *str_bytes + map.len() * 32
-                };
+                // Dict strings + codes, and the append map's own copy of
+                // every string.
+                let map_cost = *str_bytes + map.len() * 32;
                 codes.len() * 4 + dict.len() * 24 + *str_bytes + map_cost
             }
+            Column::Packed { blob, ends, codes } => {
+                blob.len() + ends.heap_bytes() + codes.as_ref().map_or(0, Narrow::heap_bytes)
+            }
             Column::Mixed(v, text) => v.len() * std::mem::size_of::<Cell>() + *text,
-            Column::RleInt { values, ends } => values.len() * 8 + ends.len() * 4,
-            Column::RleTs { values, ends } => values.len() * 8 + ends.len() * 4,
         }
     }
 
@@ -200,14 +413,14 @@ impl Column {
         self.push(cell);
     }
 
-    pub fn push(&mut self, cell: Cell) {
+    fn push(&mut self, cell: Cell) {
         match (&mut *self, cell) {
             (Column::Empty, c) => {
                 *self = match c {
-                    Cell::Int(i) => Column::Int(vec![i]),
+                    Cell::Int(i) => Column::Int(Words::Plain(vec![i as u64])),
                     Cell::Float(f) => Column::Float(vec![f.to_bits()]),
                     Cell::Bool(b) => Column::Bool(vec![b]),
-                    Cell::Ts(t) => Column::Ts(vec![t]),
+                    Cell::Ts(t) => Column::Ts(Words::Plain(vec![t])),
                     Cell::Text(s) => {
                         let str_bytes = s.len();
                         let mut map = HashMap::new();
@@ -222,10 +435,10 @@ impl Column {
                     other => Column::Mixed(vec![other], 0),
                 };
             }
-            (Column::Int(v), Cell::Int(i)) => v.push(i),
+            (Column::Int(w), Cell::Int(i)) => w.push(i as u64),
             (Column::Float(v), Cell::Float(f)) => v.push(f.to_bits()),
             (Column::Bool(v), Cell::Bool(b)) => v.push(b),
-            (Column::Ts(v), Cell::Ts(t)) => v.push(t),
+            (Column::Ts(w), Cell::Ts(t)) => w.push(t),
             (
                 Column::Text {
                     dict,
@@ -235,12 +448,6 @@ impl Column {
                 },
                 Cell::Text(s),
             ) => {
-                // A sealed column drops its map; re-seed it on resume.
-                if map.is_empty() && !dict.is_empty() {
-                    for (i, d) in dict.iter().enumerate() {
-                        map.insert(d.clone(), i as u32);
-                    }
-                }
                 let code = match map.get(&s) {
                     Some(&c) => c,
                     None => {
@@ -261,73 +468,60 @@ impl Column {
         }
     }
 
-    pub fn get(&self, i: usize) -> Cell {
+    #[inline]
+    fn get(&self, i: usize) -> Cell {
         match self {
             Column::Empty => Cell::Null,
-            Column::Int(v) => Cell::Int(v[i]),
+            Column::Int(w) => Cell::Int(w.get(i) as i64),
             Column::Float(v) => Cell::Float(f64::from_bits(v[i])),
             Column::Bool(v) => Cell::Bool(v[i]),
-            Column::Ts(v) => Cell::Ts(v[i]),
+            Column::Ts(w) => Cell::Ts(w.get(i)),
             Column::Text { dict, codes, .. } => Cell::Text(dict[codes[i] as usize].clone()),
+            Column::Packed { blob, ends, codes } => {
+                Cell::Text(packed_str(blob, ends, codes, i).to_owned())
+            }
             Column::Mixed(v, _) => v[i].clone(),
-            Column::RleInt { values, ends } => {
-                let run = ends.partition_point(|&e| e as usize <= i);
-                Cell::Int(values[run])
-            }
-            Column::RleTs { values, ends } => {
-                let run = ends.partition_point(|&e| e as usize <= i);
-                Cell::Ts(values[run])
-            }
         }
     }
 
-    /// Seal-time compression: drop append-only structures and apply RLE
-    /// where it shrinks the column.
+    /// Whether row `i` is `cell` — `self.get(i) == *cell`, compared
+    /// against the encoded value without materialising one.
+    fn holds(&self, i: usize, cell: &Cell) -> bool {
+        match (self, cell) {
+            (Column::Empty, Cell::Null) => true,
+            (Column::Int(w), Cell::Int(x)) => w.get(i) == *x as u64,
+            (Column::Float(v), Cell::Float(x)) => v[i] == x.to_bits(),
+            (Column::Bool(v), Cell::Bool(x)) => v[i] == *x,
+            (Column::Ts(w), Cell::Ts(x)) => w.get(i) == *x,
+            (Column::Text { dict, codes, .. }, Cell::Text(s)) => dict[codes[i] as usize] == *s,
+            (Column::Packed { blob, ends, codes }, Cell::Text(s)) => {
+                packed_str(blob, ends, codes, i) == s
+            }
+            (Column::Mixed(v, _), c) => v[i] == *c,
+            _ => false,
+        }
+    }
+
+    /// Seal-time re-encoding; the append form (and its map) is consumed.
     fn seal(&mut self) {
         match self {
-            Column::Text { map, .. } => map.clear(),
-            Column::Int(v) => {
-                if let Some((values, ends)) = rle_encode(v) {
-                    *self = Column::RleInt { values, ends };
-                }
-            }
-            Column::Ts(v) => {
-                if let Some((values, ends)) = rle_encode(v) {
-                    *self = Column::RleTs { values, ends };
-                }
-            }
+            Column::Text {
+                dict,
+                codes,
+                str_bytes,
+                ..
+            } => *self = pack_text(dict, codes, *str_bytes),
+            Column::Int(w) => w.seal(true),
+            Column::Ts(w) => w.seal(false),
             _ => {}
         }
     }
 }
 
-/// Run-length encode, returning `None` unless it actually shrinks the
-/// 8-byte-per-row plain layout.
-fn rle_encode<T: Copy + PartialEq>(v: &[T]) -> Option<(Vec<T>, Vec<u32>)> {
-    if v.is_empty() {
-        return None;
-    }
-    let mut values = Vec::new();
-    let mut ends = Vec::new();
-    let mut run_val = v[0];
-    for (i, &x) in v.iter().enumerate().skip(1) {
-        if x != run_val {
-            values.push(run_val);
-            ends.push(i as u32);
-            run_val = x;
-        }
-    }
-    values.push(run_val);
-    ends.push(v.len() as u32);
-    if values.len() * 12 < v.len() * 8 {
-        Some((values, ends))
-    } else {
-        None
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Spill encoding
+// Spill encoding. Decoding is total: a short, damaged or foreign file
+// yields `None`, never a panic and never a column that reads out of
+// bounds.
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -335,25 +529,53 @@ fn put_u32(buf: &mut Vec<u8>, v: u32) {
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
-fn take_u32(buf: &mut &[u8]) -> u32 {
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    u32::from_le_bytes(head.try_into().unwrap())
-}
-fn take_u64(buf: &mut &[u8]) -> u64 {
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    u64::from_le_bytes(head.try_into().unwrap())
+fn put_u64s(buf: &mut Vec<u8>, v: &[u64]) {
+    put_u32(buf, v.len() as u32);
+    v.iter().for_each(|&x| put_u64(buf, x));
 }
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
-fn take_str(buf: &mut &[u8]) -> String {
-    let n = take_u32(buf) as usize;
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if buf.len() < n {
+        return None;
+    }
     let (head, rest) = buf.split_at(n);
     *buf = rest;
-    String::from_utf8_lossy(head).into_owned()
+    Some(head)
+}
+fn take_u8(buf: &mut &[u8]) -> Option<u8> {
+    Some(take(buf, 1)?[0])
+}
+fn take_u32(buf: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(take(buf, 4)?.try_into().ok()?))
+}
+fn take_u64(buf: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(buf, 8)?.try_into().ok()?))
+}
+/// `n` fixed-width values; the bytes are claimed before anything is
+/// allocated for them.
+fn take_vec<T, const W: usize>(
+    buf: &mut &[u8],
+    n: usize,
+    from: fn([u8; W]) -> T,
+) -> Option<Vec<T>> {
+    let raw = take(buf, n.checked_mul(W)?)?;
+    let words = raw.chunks_exact(W);
+    Some(
+        words
+            .map(|c| from(c.try_into().expect("W bytes")))
+            .collect(),
+    )
+}
+fn take_u64s(buf: &mut &[u8]) -> Option<Vec<u64>> {
+    let n = take_u32(buf)? as usize;
+    take_vec(buf, n, u64::from_le_bytes)
+}
+fn take_str(buf: &mut &[u8]) -> Option<String> {
+    let n = take_u32(buf)? as usize;
+    String::from_utf8(take(buf, n)?.to_vec()).ok()
 }
 
 fn encode_cell(buf: &mut Vec<u8>, c: &Cell) {
@@ -387,77 +609,127 @@ fn encode_cell(buf: &mut Vec<u8>, c: &Cell) {
     }
 }
 
-fn decode_cell(buf: &mut &[u8]) -> Cell {
-    let tag = buf[0];
-    *buf = &buf[1..];
-    match tag {
+fn decode_cell(buf: &mut &[u8]) -> Option<Cell> {
+    Some(match take_u8(buf)? {
         0 => Cell::Null,
-        1 => {
-            let b = buf[0] != 0;
-            *buf = &buf[1..];
-            Cell::Bool(b)
+        1 => Cell::Bool(take_u8(buf)? != 0),
+        2 => Cell::Int(take_u64(buf)? as i64),
+        3 => Cell::Float(f64::from_bits(take_u64(buf)?)),
+        4 => Cell::Text(take_str(buf)?),
+        5 => Cell::Ts(take_u64(buf)?),
+        6 => {
+            let a = u16::from_le_bytes(take(buf, 2)?.try_into().ok()?);
+            Cell::Pair(a, take_u8(buf)?)
         }
-        2 => Cell::Int(take_u64(buf) as i64),
-        3 => Cell::Float(f64::from_bits(take_u64(buf))),
-        4 => Cell::Text(take_str(buf)),
-        5 => Cell::Ts(take_u64(buf)),
-        _ => {
-            let (head, rest) = buf.split_at(2);
-            let a = u16::from_le_bytes(head.try_into().unwrap());
-            let b = rest[0];
-            *buf = &rest[1..];
-            Cell::Pair(a, b)
+        _ => return None,
+    })
+}
+
+fn encode_narrow(buf: &mut Vec<u8>, n: &Narrow) {
+    match n {
+        Narrow::U8(v) => {
+            buf.push(1);
+            put_u32(buf, v.len() as u32);
+            buf.extend_from_slice(v);
+        }
+        Narrow::U16(v) => {
+            buf.push(2);
+            put_u32(buf, v.len() as u32);
+            v.iter()
+                .for_each(|x| buf.extend_from_slice(&x.to_le_bytes()));
+        }
+        Narrow::U32(v) => {
+            buf.push(4);
+            put_u32(buf, v.len() as u32);
+            v.iter().for_each(|&x| put_u32(buf, x));
         }
     }
+}
+
+fn decode_narrow(buf: &mut &[u8]) -> Option<Narrow> {
+    let width = take_u8(buf)?;
+    let n = take_u32(buf)? as usize;
+    Some(match width {
+        1 => Narrow::U8(take(buf, n)?.to_vec()),
+        2 => Narrow::U16(take_vec(buf, n, u16::from_le_bytes)?),
+        4 => Narrow::U32(take_vec(buf, n, u32::from_le_bytes)?),
+        _ => return None,
+    })
+}
+
+fn encode_words(buf: &mut Vec<u8>, w: &Words) {
+    match w {
+        Words::Plain(v) => {
+            buf.push(0);
+            put_u64s(buf, v);
+        }
+        Words::Rle { values, ends } => {
+            buf.push(1);
+            put_u64s(buf, values);
+            ends.iter().for_each(|&e| put_u32(buf, e));
+        }
+        Words::For { base, deltas } => {
+            buf.push(2);
+            put_u64(buf, *base);
+            encode_narrow(buf, deltas);
+        }
+    }
+}
+
+fn decode_words(buf: &mut &[u8]) -> Option<Words> {
+    Some(match take_u8(buf)? {
+        0 => Words::Plain(take_u64s(buf)?),
+        1 => {
+            let values = take_u64s(buf)?;
+            let ends = take_vec(buf, values.len(), u32::from_le_bytes)?;
+            // `get` searches the ends: they must ascend.
+            if !ends.windows(2).all(|w| w[0] < w[1]) {
+                return None;
+            }
+            Words::Rle { values, ends }
+        }
+        2 => Words::For {
+            base: take_u64(buf)?,
+            deltas: decode_narrow(buf)?,
+        },
+        _ => return None,
+    })
 }
 
 fn encode_column(buf: &mut Vec<u8>, col: &Column) {
     match col {
         Column::Empty => buf.push(0),
-        Column::Int(v) => {
+        Column::Int(w) => {
             buf.push(1);
-            put_u32(buf, v.len() as u32);
-            for &x in v {
-                put_u64(buf, x as u64);
-            }
+            encode_words(buf, w);
         }
         Column::Float(v) => {
             buf.push(2);
-            put_u32(buf, v.len() as u32);
-            for &x in v {
-                put_u64(buf, x);
-            }
+            put_u64s(buf, v);
         }
         Column::Bool(v) => {
             buf.push(3);
             put_u32(buf, v.len() as u32);
-            for &x in v {
-                buf.push(x as u8);
-            }
+            buf.extend(v.iter().map(|&x| x as u8));
         }
-        Column::Ts(v) => {
+        Column::Ts(w) => {
             buf.push(4);
-            put_u32(buf, v.len() as u32);
-            for &x in v {
-                put_u64(buf, x);
-            }
+            encode_words(buf, w);
         }
         Column::Text {
             dict,
             codes,
             str_bytes,
             ..
-        } => {
+        } => encode_column(buf, &pack_text(dict, codes, *str_bytes)),
+        Column::Packed { blob, ends, codes } => {
             buf.push(5);
-            put_u32(buf, dict.len() as u32);
-            for s in dict {
-                put_str(buf, s);
+            put_str(buf, blob);
+            encode_narrow(buf, ends);
+            buf.push(codes.is_some() as u8);
+            if let Some(codes) = codes {
+                encode_narrow(buf, codes);
             }
-            put_u32(buf, codes.len() as u32);
-            for &c in codes {
-                put_u32(buf, c);
-            }
-            put_u64(buf, *str_bytes as u64);
         }
         Column::Mixed(v, _) => {
             buf.push(6);
@@ -466,89 +738,60 @@ fn encode_column(buf: &mut Vec<u8>, col: &Column) {
                 encode_cell(buf, c);
             }
         }
-        Column::RleInt { values, ends } => {
-            buf.push(7);
-            put_u32(buf, values.len() as u32);
-            for &x in values {
-                put_u64(buf, x as u64);
-            }
-            for &e in ends {
-                put_u32(buf, e);
-            }
-        }
-        Column::RleTs { values, ends } => {
-            buf.push(8);
-            put_u32(buf, values.len() as u32);
-            for &x in values {
-                put_u64(buf, x);
-            }
-            for &e in ends {
-                put_u32(buf, e);
-            }
-        }
     }
 }
 
-fn decode_column(buf: &mut &[u8]) -> Column {
-    let tag = buf[0];
-    *buf = &buf[1..];
-    match tag {
+fn decode_column(buf: &mut &[u8]) -> Option<Column> {
+    Some(match take_u8(buf)? {
         0 => Column::Empty,
-        1 => {
-            let n = take_u32(buf) as usize;
-            Column::Int((0..n).map(|_| take_u64(buf) as i64).collect())
-        }
-        2 => {
-            let n = take_u32(buf) as usize;
-            Column::Float((0..n).map(|_| take_u64(buf)).collect())
-        }
+        1 => Column::Int(decode_words(buf)?),
+        2 => Column::Float(take_u64s(buf)?),
         3 => {
-            let n = take_u32(buf) as usize;
-            let v = (0..n)
-                .map(|_| {
-                    let b = buf[0] != 0;
-                    *buf = &buf[1..];
-                    b
-                })
-                .collect();
-            Column::Bool(v)
+            let n = take_u32(buf)? as usize;
+            Column::Bool(take(buf, n)?.iter().map(|&b| b != 0).collect())
         }
-        4 => {
-            let n = take_u32(buf) as usize;
-            Column::Ts((0..n).map(|_| take_u64(buf)).collect())
-        }
+        4 => Column::Ts(decode_words(buf)?),
         5 => {
-            let nd = take_u32(buf) as usize;
-            let dict: Vec<String> = (0..nd).map(|_| take_str(buf)).collect();
-            let nc = take_u32(buf) as usize;
-            let codes = (0..nc).map(|_| take_u32(buf)).collect();
-            let str_bytes = take_u64(buf) as usize;
-            Column::Text {
-                dict,
-                map: HashMap::new(),
-                codes,
-                str_bytes,
+            let blob = take_str(buf)?;
+            let ends = decode_narrow(buf)?;
+            let codes = match take_u8(buf)? {
+                0 => None,
+                1 => Some(decode_narrow(buf)?),
+                _ => return None,
+            };
+            // `get` slices the blob between ends: they must ascend on
+            // character boundaries inside it, and codes must name one.
+            let mut prev = 0;
+            for e in (0..ends.len()).map(|i| ends.get(i) as usize) {
+                if e < prev || !blob.is_char_boundary(e) {
+                    return None;
+                }
+                prev = e;
             }
+            let strings = ends.len() as u32;
+            if matches!(&codes, Some(c) if (0..c.len()).any(|i| c.get(i) >= strings)) {
+                return None;
+            }
+            Column::Packed { blob, ends, codes }
         }
         6 => {
-            let n = take_u32(buf) as usize;
-            let v: Vec<Cell> = (0..n).map(|_| decode_cell(buf)).collect();
+            let n = take_u32(buf)? as usize;
+            let v: Vec<Cell> = (0..n).map(|_| decode_cell(buf)).collect::<Option<_>>()?;
             let text = v.iter().map(cell_heap).sum();
             Column::Mixed(v, text)
         }
-        7 => {
-            let n = take_u32(buf) as usize;
-            let values = (0..n).map(|_| take_u64(buf) as i64).collect();
-            let ends = (0..n).map(|_| take_u32(buf)).collect();
-            Column::RleInt { values, ends }
-        }
-        _ => {
-            let n = take_u32(buf) as usize;
-            let values = (0..n).map(|_| take_u64(buf)).collect();
-            let ends = (0..n).map(|_| take_u32(buf)).collect();
-            Column::RleTs { values, ends }
-        }
-    }
+        _ => return None,
+    })
+}
+
+/// A spill file's columns: all of `raw` must decode, into columns of
+/// `rows` rows each.
+fn decode_segment(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
+    let n = take_u32(&mut raw)? as usize;
+    let cols: Vec<Column> = (0..n)
+        .map(|_| decode_column(&mut raw))
+        .collect::<Option<_>>()?;
+    (raw.is_empty() && cols.iter().all(|c| c.len() == rows)).then_some(cols)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,9 +810,10 @@ struct Segment {
     rows: u32,
     live: u32,
     sealed: bool,
-    /// Always-resident per-row metadata.
-    ts: Vec<u64>,
-    dead: Vec<bool>,
+    /// Always-resident per-row metadata. Stamps seal like a column.
+    ts: Words,
+    /// A dead bit per row, 64 rows a word.
+    dead: Vec<u64>,
     /// Signed weights (weighted stores only; empty otherwise).
     weight: Vec<i64>,
     /// True arity per row, allocated only if a row's arity ever differs
@@ -589,7 +833,7 @@ impl Segment {
             rows: 0,
             live: 0,
             sealed: false,
-            ts: Vec::new(),
+            ts: Words::Plain(Vec::new()),
             dead: Vec::new(),
             weight: Vec::new(),
             arity: None,
@@ -598,9 +842,28 @@ impl Segment {
         }
     }
 
+    fn is_dead(&self, off: usize) -> bool {
+        self.dead[off / 64] >> (off % 64) & 1 == 1
+    }
+
+    /// Set row `off`'s dead bit; whether it was live.
+    fn kill(&mut self, off: usize) -> bool {
+        let was_live = !self.is_dead(off);
+        self.dead[off / 64] |= 1 << (off % 64);
+        was_live
+    }
+
+    /// The first live offset at or after `off` (`rows` if none).
+    fn next_live(&self, mut off: usize) -> usize {
+        while off < self.rows as usize && self.is_dead(off) {
+            off += 1;
+        }
+        off
+    }
+
     fn meta_bytes(&self) -> usize {
-        self.ts.len() * 8
-            + self.dead.len()
+        self.ts.heap_bytes()
+            + self.dead.len() * 8
             + self.weight.len() * 8
             + self.arity.as_ref().map_or(0, |a| a.len() * 2)
     }
@@ -622,23 +885,23 @@ impl Segment {
 
     /// The segment's value columns, decoding a spilled segment
     /// transiently (the cache stays cold; reads do not fault pages in).
-    fn columns(&self) -> std::borrow::Cow<'_, [Column]> {
+    /// `None`, and one more in `failures`, when its file cannot be read
+    /// back whole.
+    #[inline] // the resident arm is every read's first step
+    fn columns(&self, failures: &AtomicU64) -> Option<Cow<'_, [Column]>> {
         match &self.state {
-            SegState::Resident(cols) => std::borrow::Cow::Borrowed(cols),
-            SegState::Spilled { path, .. } => {
-                let mut raw = Vec::new();
-                if let Ok(mut f) = fs::File::open(path) {
-                    let _ = f.read_to_end(&mut raw);
-                }
-                let mut slice = raw.as_slice();
-                let n = if slice.len() >= 4 {
-                    take_u32(&mut slice) as usize
-                } else {
-                    0
-                };
-                std::borrow::Cow::Owned((0..n).map(|_| decode_column(&mut slice)).collect())
-            }
+            SegState::Resident(cols) => Some(Cow::Borrowed(cols)),
+            SegState::Spilled { path, .. } => self.read_back(path, failures).map(Cow::Owned),
         }
+    }
+
+    fn read_back(&self, path: &PathBuf, failures: &AtomicU64) -> Option<Vec<Column>> {
+        let raw = fs::read(path).ok();
+        let cols = raw.and_then(|raw| decode_segment(&raw, self.rows as usize));
+        if cols.is_none() {
+            failures.fetch_add(1, Ordering::Relaxed);
+        }
+        cols
     }
 
     fn row_arity(&self, off: usize, n_cols: usize) -> usize {
@@ -648,19 +911,13 @@ impl Segment {
             .min(n_cols)
     }
 
-    /// Materialize one row's cells (live or dead).
-    fn row(&self, off: usize) -> Vec<Cell> {
-        let cols = self.columns();
-        let arity = self.row_arity(off, cols.len());
-        (0..arity).map(|c| cols[c].get(off)).collect()
-    }
-
     fn seal(&mut self) {
         if let SegState::Resident(cols) = &mut self.state {
             for c in cols.iter_mut() {
                 c.seal();
             }
         }
+        self.ts.seal(false);
         self.sealed = true;
     }
 
@@ -691,21 +948,12 @@ impl Segment {
             let _ = fs::remove_file(&path);
         }
     }
-}
 
-impl Drop for Segment {
-    fn drop(&mut self) {
-        if let SegState::Spilled { path, .. } = &self.state {
-            let _ = fs::remove_file(path);
-        }
-    }
-}
-
-impl Clone for Segment {
-    /// A clone is always fully resident — a spilled segment is decoded
-    /// from its file so the two stores never share a spill file.
-    fn clone(&self) -> Self {
-        Segment {
+    /// A fully resident copy — a spilled segment is decoded from its
+    /// file so two stores never share a spill file. `None` when that
+    /// file cannot be read: the copy does not hold the rows at all.
+    fn rehydrated(&self, failures: &AtomicU64) -> Option<Segment> {
+        Some(Segment {
             base: self.base,
             rows: self.rows,
             live: self.live,
@@ -715,7 +963,15 @@ impl Clone for Segment {
             weight: self.weight.clone(),
             arity: self.arity.clone(),
             first: self.first,
-            state: SegState::Resident(self.columns().into_owned()),
+            state: SegState::Resident(self.columns(failures)?.into_owned()),
+        })
+    }
+}
+
+impl Drop for Segment {
+    fn drop(&mut self) {
+        if let SegState::Spilled { path, .. } = &self.state {
+            let _ = fs::remove_file(path);
         }
     }
 }
@@ -757,7 +1013,7 @@ pub struct TupleStore {
     /// Rows per segment. Smaller segments seal sooner, which makes
     /// FIFO-style workloads reclaim dead prefixes (a fully-dead sealed
     /// segment is dropped) and gives the spill tier finer pages, at the
-    /// cost of more per-segment overhead and coarser dictionaries.
+    /// cost of more per-segment overhead.
     seg_rows: u32,
     /// Cached resident bytes of *sealed* segments. Sealed segments are
     /// byte-immutable until spilled or dropped, so the hot
@@ -766,13 +1022,21 @@ pub struct TupleStore {
     sealed_resident: usize,
     /// Cached total of spilled segment files.
     spilled: usize,
+    /// Reads of a spilled segment that found its file missing, short or
+    /// undecodable (a statistic: reads take `&self`).
+    read_failures: AtomicU64,
 }
 
 impl Clone for TupleStore {
-    /// Segment clones rehydrate spilled pages (the two stores must not
-    /// share spill files), so the byte caches are rebuilt for the clone.
+    /// Segment copies rehydrate spilled pages (the two stores must not
+    /// share spill files), so the byte caches are rebuilt for the clone;
+    /// a segment whose file cannot be read is left out of it.
     fn clone(&self) -> Self {
-        let segs: Vec<Segment> = self.segs.clone();
+        let segs: Vec<Segment> = self
+            .segs
+            .iter()
+            .filter_map(|s| s.rehydrated(&self.read_failures))
+            .collect();
         let sealed_resident = segs
             .iter()
             .filter(|s| s.sealed)
@@ -781,13 +1045,14 @@ impl Clone for TupleStore {
         TupleStore {
             width: self.width,
             weighted: self.weighted,
+            live: segs.iter().map(|s| s.live as u64).sum(),
             segs,
             next_row: self.next_row,
-            live: self.live,
             spill: self.spill.clone(),
             seg_rows: self.seg_rows,
             sealed_resident,
             spilled: 0,
+            read_failures: AtomicU64::new(self.spill_read_failures()),
         }
     }
 }
@@ -804,6 +1069,7 @@ impl TupleStore {
             seg_rows: SEG_CAP,
             sealed_resident: 0,
             spilled: 0,
+            read_failures: AtomicU64::new(0),
         }
     }
 
@@ -869,6 +1135,14 @@ impl TupleStore {
         self.spilled
     }
 
+    /// Segment reads that found a spill file missing, truncated or
+    /// undecodable since this store was made. The rows of such a segment
+    /// read as absent ([`TupleStore::get`] answers `None`, scans skip
+    /// them) until the file reads again.
+    pub fn spill_read_failures(&self) -> u64 {
+        self.read_failures.load(Ordering::Relaxed)
+    }
+
     /// Append a row; returns its (stable) row id.
     pub fn push(&mut self, cells: &[Cell], ts: u64) -> u64 {
         self.push_weighted(cells, ts, 1)
@@ -921,7 +1195,9 @@ impl TupleStore {
                 .push(cells.len() as u16);
         }
         seg.ts.push(ts);
-        seg.dead.push(false);
+        if off.is_multiple_of(64) {
+            seg.dead.push(0);
+        }
         if weighted {
             seg.weight.push(w);
         }
@@ -942,45 +1218,53 @@ impl TupleStore {
         Some(i)
     }
 
-    /// Whether a row id refers to a live row.
-    pub fn is_live(&self, row: u64) -> bool {
-        self.seg_index(row)
-            .map(|i| {
-                let s = &self.segs[i];
-                !s.dead[(row - s.base) as usize]
-            })
-            .unwrap_or(false)
+    /// The segment and offset of a live row.
+    fn live_at(&self, row: u64) -> Option<(&Segment, usize)> {
+        let s = &self.segs[self.seg_index(row)?];
+        let off = (row - s.base) as usize;
+        (!s.is_dead(off)).then_some((s, off))
     }
 
-    /// Materialize a live row as `(cells, ts)`; `None` if dead or gone.
+    /// Whether a row id refers to a live row.
+    pub fn is_live(&self, row: u64) -> bool {
+        self.live_at(row).is_some()
+    }
+
+    /// Materialize a live row as `(cells, ts)`; `None` if dead, gone, or
+    /// in a spilled segment that cannot be read back.
     pub fn get(&self, row: u64) -> Option<(Vec<Cell>, u64)> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
+        let (s, off) = self.live_at(row)?;
+        let cols = s.columns(&self.read_failures)?;
+        let arity = s.row_arity(off, cols.len());
+        let cells = cols[..arity].iter().map(|c| c.get(off)).collect();
+        Some((cells, s.ts.get(off)))
+    }
+
+    /// Whether `get(row)` would answer exactly `(cells, ts)` — each cell
+    /// compared in place against its encoded column, no row built. (A
+    /// spilled segment is still decoded, once per call.)
+    pub fn row_matches(&self, row: u64, cells: &[Cell], ts: u64) -> bool {
+        let Some((s, off)) = self.live_at(row) else {
+            return false;
+        };
+        if s.ts.get(off) != ts {
+            return false;
         }
-        Some((s.row(off), s.ts[off]))
+        let Some(cols) = s.columns(&self.read_failures) else {
+            return false;
+        };
+        s.row_arity(off, cols.len()) == cells.len()
+            && cols.iter().zip(cells).all(|(col, c)| col.holds(off, c))
     }
 
     /// Timestamp of a live row.
     pub fn ts(&self, row: u64) -> Option<u64> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
-        }
-        Some(s.ts[off])
+        let (s, off) = self.live_at(row)?;
+        Some(s.ts.get(off))
     }
 
     pub fn weight(&self, row: u64) -> Option<i64> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
-        }
+        let (s, off) = self.live_at(row)?;
         s.weight.get(off).copied()
     }
 
@@ -990,7 +1274,7 @@ impl TupleStore {
         };
         let s = &mut self.segs[i];
         let off = (row - s.base) as usize;
-        if s.dead[off] || off >= s.weight.len() {
+        if s.is_dead(off) || off >= s.weight.len() {
             return false;
         }
         s.weight[off] = w;
@@ -1006,18 +1290,13 @@ impl TupleStore {
         };
         let s = &mut self.segs[i];
         let off = (row - s.base) as usize;
-        if s.dead[off] {
+        if !s.kill(off) {
             return false;
         }
-        s.dead[off] = true;
         s.live -= 1;
         self.live -= 1;
         if off as u32 == s.first {
-            let mut f = s.first as usize;
-            while f < s.dead.len() && s.dead[f] {
-                f += 1;
-            }
-            s.first = f as u32;
+            s.first = s.next_live(off) as u32;
         }
         if s.live == 0 && s.sealed {
             let seg = self.segs.remove(i);
@@ -1029,19 +1308,9 @@ impl TupleStore {
 
     /// `(row id, ts)` of the oldest live row.
     pub fn first_live(&self) -> Option<(u64, u64)> {
-        for s in &self.segs {
-            if s.live == 0 {
-                continue;
-            }
-            let mut off = s.first as usize;
-            while off < s.dead.len() && s.dead[off] {
-                off += 1;
-            }
-            if off < s.dead.len() {
-                return Some((s.base + off as u64, s.ts[off]));
-            }
-        }
-        None
+        let s = self.segs.iter().find(|s| s.live > 0)?;
+        let off = s.next_live(s.first as usize);
+        Some((s.base + off as u64, s.ts.get(off)))
     }
 
     /// Visit every live row in row-id (= arrival) order. Each spilled
@@ -1051,7 +1320,8 @@ impl TupleStore {
     }
 
     /// [`TupleStore::for_each_live`] restricted to row ids in
-    /// `[lo, hi)`: segments outside the range are never touched.
+    /// `[lo, hi)`: segments outside the range are never touched, and a
+    /// spilled segment that cannot be read back is skipped.
     pub fn for_each_live_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
         let start = self.segs.partition_point(|s| s.base + s.rows as u64 <= lo);
         for s in &self.segs[start..] {
@@ -1061,17 +1331,19 @@ impl TupleStore {
             if s.live == 0 {
                 continue;
             }
-            let cols = s.columns();
+            let Some(cols) = s.columns(&self.read_failures) else {
+                continue;
+            };
             let from = (lo.saturating_sub(s.base) as usize).max(s.first as usize);
             let to = (hi - s.base).min(s.rows as u64) as usize;
             for off in from..to {
-                if s.dead[off] {
+                if s.is_dead(off) {
                     continue;
                 }
                 let arity = s.row_arity(off, cols.len());
-                let cells: Vec<Cell> = (0..arity).map(|c| cols[c].get(off)).collect();
+                let cells: Vec<Cell> = cols[..arity].iter().map(|c| c.get(off)).collect();
                 let w = s.weight.get(off).copied().unwrap_or(1);
-                f(s.base + off as u64, cells, s.ts[off], w);
+                f(s.base + off as u64, cells, s.ts.get(off), w);
             }
         }
     }
@@ -1096,13 +1368,9 @@ impl TupleStore {
             return;
         };
         let upto = (row.saturating_sub(s.base).min(s.rows as u64)) as usize;
-        let mut killed = 0u32;
-        for dead in &mut s.dead[(s.first as usize).min(upto)..upto] {
-            if !*dead {
-                *dead = true;
-                killed += 1;
-            }
-        }
+        let killed = ((s.first as usize).min(upto)..upto)
+            .filter(|&off| s.kill(off))
+            .count() as u32;
         s.live -= killed;
         s.first = s.first.max(upto as u32);
         self.live -= killed as u64;
@@ -1148,6 +1416,8 @@ impl TupleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn row(i: i64) -> Vec<Cell> {
         vec![
@@ -1261,7 +1531,8 @@ mod tests {
         let mut varying = TupleStore::new(1);
         for i in 0..(SEG_CAP as i64 + 1) {
             constant.push(&[Cell::Int(42)], i as u64);
-            varying.push(&[Cell::Int(i * 7919)], i as u64);
+            // Spread past 32 bits, so no narrower encoding applies.
+            varying.push(&[Cell::Int(i * (7919 << 32))], i as u64);
         }
         // Same rows, same always-resident metadata — the RLE'd constant
         // column should save nearly the whole 8-bytes/row payload.
@@ -1398,24 +1669,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("columnar-cache-{}", std::process::id()));
         let mut s = TupleStore::weighted(3)
             .segment_rows(8)
-            .with_spill(Some(SpillConfig::new(512, &dir)));
+            .with_spill(Some(SpillConfig::new(128, &dir)));
         for i in 0..200u64 {
             s.push_weighted(&row(i as i64), i, 1);
             if i >= 16 {
                 s.mark_dead(i - 16);
             }
-            let full_resident: usize = s.segs.iter().map(Segment::resident_bytes).sum();
-            let full_spilled: usize = s.segs.iter().map(Segment::spilled_bytes).sum();
-            assert_eq!(
-                s.resident_bytes(),
-                full_resident,
-                "resident cache drifted at {i}"
-            );
-            assert_eq!(
-                s.spilled_bytes(),
-                full_spilled,
-                "spill cache drifted at {i}"
-            );
+            assert_caches_exact(&s, &format!("at {i}"));
         }
         assert!(s.spilled_bytes() > 0, "spill tier never engaged");
         // Clones rehydrate spilled segments; their caches are rebuilt.
@@ -1438,5 +1698,376 @@ mod tests {
         assert_eq!(s.get(0).unwrap().0, vec![Cell::Int(1)]);
         assert_eq!(s.get(1).unwrap().0, vec![Cell::Int(2), Cell::Int(3)]);
         assert_eq!(s.get(2).unwrap().0, Vec::<Cell>::new());
+    }
+
+    /// Both byte gauges are caches; a full recompute must agree.
+    fn assert_caches_exact(s: &TupleStore, at: &str) {
+        let resident: usize = s.segs.iter().map(Segment::resident_bytes).sum();
+        let spilled: usize = s.segs.iter().map(Segment::spilled_bytes).sum();
+        assert_eq!(s.resident_bytes(), resident, "resident cache drifted {at}");
+        assert_eq!(s.spilled_bytes(), spilled, "spill cache drifted {at}");
+    }
+
+    // -- sealed ≡ appended ≡ spilled ≡ cloned ---------------------------------
+
+    /// This run's property seeds: `n` of them, in a block of their own
+    /// per `ASPEN_TEST_SEED` (CI sweeps a seed matrix).
+    fn test_seeds(n: u64) -> impl Iterator<Item = u64> {
+        let base: u64 = std::env::var("ASPEN_TEST_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0);
+        (0..n).map(move |i| base.wrapping_mul(0x1000).wrapping_add(i))
+    }
+
+    /// How one column of the property's rows is drawn.
+    #[derive(Clone, Copy)]
+    enum Draw {
+        /// `base + 0..=span`; span 0 is a constant column.
+        Int {
+            base: i64,
+            span: u64,
+        },
+        IntFull,
+        /// Stamps walking `step` a row: 0 constant, negative backwards.
+        Ts {
+            step: i64,
+        },
+        /// One of `pool` strings (`u32::MAX`: a new one every row) of
+        /// `pad` bytes and up. String 0 is empty, the rest multi-byte.
+        Text {
+            pool: u32,
+            pad: usize,
+        },
+        /// Small ints with a `Null` now and then: a `Mixed` column.
+        Nullable,
+        Float,
+    }
+
+    fn stamp(i: u64, step: i64) -> u64 {
+        (1u64 << 41).wrapping_add((i as i64).wrapping_mul(step) as u64)
+    }
+
+    fn draw(d: Draw, i: u64, rng: &mut StdRng) -> Cell {
+        match d {
+            Draw::Int { base, span } => Cell::Int(base + rng.gen_range(0..=span) as i64),
+            Draw::IntFull => Cell::Int(rng.gen()),
+            Draw::Ts { step } => Cell::Ts(stamp(i, step)),
+            Draw::Text { pool, pad } => {
+                let id = match pool {
+                    u32::MAX => i,
+                    _ => rng.gen_range(0..pool) as u64,
+                };
+                Cell::Text(match id {
+                    0 => String::new(),
+                    _ => format!("é{id}✓{}", "x".repeat(pad)),
+                })
+            }
+            Draw::Nullable if rng.gen_bool(0.1) => Cell::Null,
+            Draw::Nullable => Cell::Int(rng.gen_range(0..50i64)),
+            Draw::Float => Cell::Float(rng.gen()),
+        }
+    }
+
+    type Row = (u64, Vec<Cell>, u64, i64);
+
+    fn live_rows_of(s: &TupleStore) -> Vec<Row> {
+        let mut out = Vec::new();
+        s.for_each_live(|id, cells, ts, w| out.push((id, cells, ts, w)));
+        out
+    }
+
+    /// Row `r` reads alike everywhere, by `get` and by `row_matches`.
+    fn assert_row_alike(twin: &TupleStore, others: &[&TupleStore], r: u64, at: &str) {
+        let want = twin.get(r);
+        for (k, s) in others.iter().enumerate() {
+            assert_eq!(s.get(r), want, "store {k} row {r} {at}");
+            assert_eq!(s.weight(r), twin.weight(r), "store {k} row {r} {at}");
+            assert_eq!(s.ts(r), twin.ts(r), "store {k} row {r} {at}");
+            let (cells, ts) = want.clone().unwrap_or_default();
+            assert_eq!(s.row_matches(r, &cells, ts), want.is_some(), "{k} {r} {at}");
+            assert!(!s.row_matches(r, &cells, ts ^ 1), "store {k} row {r} {at}");
+            if !cells.is_empty() {
+                let other = [&cells[..cells.len() - 1], &[Cell::Pair(9, 9)]].concat();
+                assert!(!s.row_matches(r, &other, ts), "store {k} row {r} {at}");
+                assert!(!s.row_matches(r, &cells[1..], ts), "store {k} row {r} {at}");
+            }
+        }
+    }
+
+    /// No sealed column, and no sealed stamp vector, measures more than
+    /// the form it was appended in; no sealed text keeps that form.
+    fn assert_sealing_never_grows(s: &TupleStore, at: &str) {
+        for seg in s.segs.iter().filter(|g| g.sealed) {
+            assert!(seg.ts.heap_bytes() <= seg.rows as usize * 8, "stamps {at}");
+            let SegState::Resident(cols) = &seg.state else {
+                continue;
+            };
+            for col in cols {
+                assert!(!matches!(col, Column::Text { .. }), "append form {at}");
+                let mut appended = Column::Empty;
+                (0..col.len()).for_each(|i| appended.push(col.get(i)));
+                let (sealed, open) = (col.heap_bytes(), appended.heap_bytes());
+                assert!(sealed <= open, "{sealed} > {open} for {col:?} {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_appended_spilled_and_cloned_stores_read_alike() {
+        let columns = |rng: &mut StdRng| {
+            let mut int = |span: u64| Draw::Int {
+                base: rng.gen::<i64>().min(i64::MAX - span as i64),
+                span,
+            };
+            vec![
+                int(0),
+                int(1),
+                int(200),
+                int(70_000),
+                int(1 << 33),
+                Draw::IntFull,
+                Draw::Ts { step: 1 },
+                Draw::Ts { step: -180_000 },
+                Draw::Ts { step: 0 },
+                Draw::Ts { step: 1 << 40 },
+                Draw::Text { pool: 1, pad: 3 },
+                Draw::Text { pool: 4, pad: 3 },
+                Draw::Text {
+                    pool: 300,
+                    pad: 250,
+                },
+                Draw::Text {
+                    pool: u32::MAX,
+                    pad: 0,
+                },
+                Draw::Text {
+                    pool: u32::MAX,
+                    pad: 80,
+                },
+                Draw::Nullable,
+                Draw::Float,
+            ]
+        };
+        let cases = [(1u32, 40u64), (4, 90), (32, 300), (1024, 2_200)];
+        let steps = [180_000i64, 1, 0, -7, 1 << 36];
+        for seed in test_seeds(2) {
+            for (case, &(seg_rows, n)) in cases.iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let columns = columns(&mut rng);
+                let step = steps[(seed as usize + case) % steps.len()];
+                let dir = std::env::temp_dir().join(format!(
+                    "colshim-prop-{}-{seed}-{seg_rows}",
+                    std::process::id()
+                ));
+                let new = |rows: u32| TupleStore::weighted(columns.len()).segment_rows(rows);
+                let mut twin = new(u32::MAX);
+                let mut sealing = new(seg_rows);
+                let mut spilling = new(seg_rows).with_spill(Some(SpillConfig::new(0, &dir)));
+                // Short and long rows put a `Null` in most columns of a big
+                // segment, so every other seed keeps its rows whole.
+                let ragged = seed % 2 == 1;
+                let (mut max_spilled, mut saw_wide_dictionary) = (0, false);
+                for i in 0..n {
+                    let at = format!("(seed {seed}, {seg_rows}-row segments, step {i})");
+                    let mut cells: Vec<Cell> =
+                        columns.iter().map(|&d| draw(d, i, &mut rng)).collect();
+                    if ragged && rng.gen_bool(0.05) {
+                        cells.truncate(rng.gen_range(0..cells.len()));
+                    } else if ragged && rng.gen_bool(0.01) {
+                        cells.push(Cell::Bool(i % 2 == 0));
+                    }
+                    let (ts, w) = (stamp(i, step), rng.gen_range(-3..=3i64));
+                    let victim = rng.gen_range(0..=i);
+                    let below = rng.gen_range(0..=i / 2);
+                    let (kill, release, reweigh) =
+                        (rng.gen_bool(0.2), rng.gen_bool(0.02), rng.gen_bool(0.1));
+                    for s in [&mut twin, &mut sealing, &mut spilling] {
+                        assert_eq!(s.push_weighted(&cells, ts, w), i, "{at}");
+                        if kill {
+                            s.mark_dead(victim);
+                        }
+                        if release {
+                            s.mark_dead_below(below);
+                        }
+                        if reweigh {
+                            s.set_weight(victim, w - 1);
+                        }
+                    }
+                    max_spilled = max_spilled.max(spilling.spilled_bytes());
+                    let others = [&sealing, &spilling];
+                    assert_row_alike(&twin, &others, i, &at);
+                    if rng.gen_range(0..seg_rows) < 32 {
+                        assert_row_alike(&twin, &others, rng.gen_range(0..=i), &at);
+                    }
+                    if (i + 1) % (n / 5) != 0 {
+                        continue;
+                    }
+                    // The whole store, its clones included.
+                    let clones = [sealing.clone(), spilling.clone()];
+                    let want = live_rows_of(&twin);
+                    for s in [&sealing, &spilling, &clones[0], &clones[1]] {
+                        assert_eq!(live_rows_of(s), want, "{at}");
+                        assert_eq!(s.live_rows(), twin.live_rows(), "{at}");
+                        assert_eq!(s.first_live(), twin.first_live(), "{at}");
+                        assert_caches_exact(s, &at);
+                        assert_sealing_never_grows(s, &at);
+                    }
+                    let all = [&sealing, &spilling, &clones[0], &clones[1]];
+                    for _ in 0..48 {
+                        assert_row_alike(&twin, &all, rng.gen_range(0..=i), &at);
+                    }
+                    // 300 strings need two-byte codes, 77 KB of them
+                    // four-byte offsets.
+                    saw_wide_dictionary |= sealing.segs.iter().any(|g| match &g.state {
+                        SegState::Resident(cols) => cols.iter().any(|c| {
+                            matches!(
+                                c,
+                                Column::Packed {
+                                    ends: Narrow::U32(_),
+                                    codes: Some(Narrow::U16(_)),
+                                    ..
+                                }
+                            )
+                        }),
+                        SegState::Spilled { .. } => false,
+                    });
+                }
+                assert!(max_spilled > 0, "nothing spilled");
+                assert_eq!(spilling.spill_read_failures(), 0);
+                assert!(saw_wide_dictionary || seg_rows < 1024 || ragged);
+                drop(spilling);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    // -- pins -----------------------------------------------------------------
+
+    /// The benchmark's `bigwindow` row: a key below 4 096, one of 64
+    /// seven-byte sites, one of four kinds, a float, 180 ms a row.
+    fn events_store(spill: Option<SpillConfig>) -> TupleStore {
+        let mut s = TupleStore::new(4).segment_rows(32).with_spill(spill);
+        let mut rng = StdRng::seed_from_u64(1);
+        for i in 0..3_200u64 {
+            let key = rng.gen_range(0..4096i64);
+            let kind = ["temp", "power", "door", "motion"][rng.gen_range(0..4usize)];
+            let cells = [
+                Cell::Int(key),
+                Cell::Text(format!("site-{:02}", key % 64)),
+                Cell::Text(kind.into()),
+                Cell::Float(rng.gen_range(0..200i64) as f64 * 0.5),
+            ];
+            s.push(&cells, (i + 1) * 180_000);
+        }
+        s
+    }
+
+    #[test]
+    fn sealed_events_row_costs_under_30_bytes() {
+        let s = events_store(None);
+        let per_row = s.resident_bytes() as f64 / 3_200.0;
+        assert!(per_row <= 30.0, "{per_row} B a row (61 before)");
+    }
+
+    #[test]
+    fn fully_spilled_store_keeps_under_6_bytes_a_row_resident() {
+        let dir = std::env::temp_dir().join(format!("colshim-cold-{}", std::process::id()));
+        let s = events_store(Some(SpillConfig::new(0, &dir)));
+        let sealed = s.segs.iter().filter(|g| g.sealed);
+        assert!(sealed.clone().all(|g| g.spilled_bytes() > 0));
+        // Stamps and liveness are all that stays: 4 + 1/4 bytes a row.
+        let resident: usize = sealed.map(Segment::resident_bytes).sum();
+        let per_row = resident as f64 / 3_168.0;
+        assert!(per_row <= 6.0, "{per_row} B a row resident");
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_text_holds_no_append_map() {
+        let s = events_store(None);
+        let text_forms = |g: &Segment| {
+            let SegState::Resident(cols) = &g.state else {
+                panic!("resident store spilled");
+            };
+            let count = |f: fn(&Column) -> bool| cols.iter().filter(|c| f(c)).count();
+            (
+                count(|c| matches!(c, Column::Text { .. })),
+                count(|c| matches!(c, Column::Packed { .. })),
+            )
+        };
+        let (active, sealed) = s.segs.split_last().unwrap();
+        assert_eq!(text_forms(active), (2, 0), "the active segment appends");
+        assert!(sealed.iter().all(|g| text_forms(g) == (0, 2)));
+    }
+
+    /// Data no encoding helps measures no more than it did when sealing
+    /// only ran RLE (the numbers are that version's, on these rows).
+    #[test]
+    fn incompressible_columns_measure_no_more_than_before() {
+        let mut distinct = TupleStore::new(1).segment_rows(32);
+        let mut full = TupleStore::new(1).segment_rows(32);
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in 0..3_200u64 {
+            distinct.push(&[Cell::Text(format!("name-{i:06}"))], i);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            full.push(&[Cell::Int(x as i64)], x);
+        }
+        assert!(distinct.resident_bytes() <= 154_976);
+        assert!(full.resident_bytes() <= 54_400, "{}", full.resident_bytes());
+    }
+
+    // -- damaged spill files ----------------------------------------------------
+
+    #[test]
+    fn damaged_spill_file_reads_as_absent_rows_and_is_counted() {
+        let truncate = |p: &PathBuf, len: fn(usize) -> usize| {
+            let raw = fs::read(p).unwrap();
+            fs::write(p, &raw[..len(raw.len())]).unwrap();
+        };
+        type Damage<'a> = &'a dyn Fn(&PathBuf);
+        let damages: [(&str, Damage); 4] = [
+            ("deleted", &|p| fs::remove_file(p).unwrap()),
+            ("cut to 3 bytes", &|p| truncate(p, |_| 3)),
+            ("cut to half", &|p| truncate(p, |n| n / 2)),
+            ("tag byte flipped", &|p| {
+                let mut raw = fs::read(p).unwrap();
+                raw[4] ^= 0xFF; // the first column's tag, after the count
+                fs::write(p, raw).unwrap();
+            }),
+        ];
+        for (k, (what, damage)) in damages.iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("colshim-bad-{}-{k}", std::process::id()));
+            let mut s = TupleStore::new(3)
+                .segment_rows(8)
+                .with_spill(Some(SpillConfig::new(0, &dir)));
+            for i in 0..20 {
+                s.push(&row(i), i as u64);
+            }
+            let SegState::Spilled { path, .. } = &s.segs[0].state else {
+                panic!("the first segment did not spill");
+            };
+            damage(path);
+            // Every read of the segment fails once, without a panic.
+            assert_eq!(s.get(3), None, "{what}");
+            assert_eq!(s.spill_read_failures(), 1, "{what}");
+            assert!(!s.row_matches(3, &row(3), 3), "{what}");
+            assert_eq!(s.spill_read_failures(), 2, "{what}");
+            let seen: Vec<u64> = live_rows_of(&s).iter().map(|r| r.0).collect();
+            assert_eq!(seen, (8..20).collect::<Vec<u64>>(), "{what}");
+            assert_eq!(s.spill_read_failures(), 3, "{what}");
+            // Stamps stay resident; the other segments still read.
+            assert_eq!((s.ts(3), s.get(9).unwrap().0), (Some(3), row(9)), "{what}");
+            // A clone cannot hold what it could not read.
+            let c = s.clone();
+            assert_eq!((s.spill_read_failures(), c.spill_read_failures()), (4, 4));
+            assert_eq!((c.get(3), c.live_rows(), c.len()), (None, 12, 20), "{what}");
+            assert_eq!(c.get(9).unwrap().0, row(9), "{what}");
+            drop(s);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

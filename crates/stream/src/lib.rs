@@ -342,10 +342,17 @@
 //! Hot operator state — window buffers, retained-table
 //! [`state::BagState`]s, join/aggregate [`state::KeyedState`] — is laid
 //! out **columnar**, the one layout there is: tuples are shredded into
-//! per-column primitive vectors (dictionary-encoded text,
-//! run-length-encoded constant runs) in segment files managed by the
+//! per-column primitive vectors in 32-row segments managed by the
 //! vendored `columnar` shim, with per-tuple multisets replaced by a hash
-//! index over row ids. Every state structure is property-tested in
+//! index over row ids. Only a store's one active segment holds the
+//! append form; sealing re-encodes every column — and the segment's
+//! stamps — at the width its values need, keeping whichever encoding
+//! measures the fewest bytes: frame-of-reference ints (`min + u8 | u16 |
+//! u32`), run-length runs, text as one byte blob with narrow offsets
+//! (a per-segment dictionary, or plain when the strings are distinct),
+//! liveness as a bit a row. The data alone selects; there is no knob.
+//! Probes compare against the encoded columns in place. Every state
+//! structure is property-tested in
 //! [`state`] and [`window`] against a naive model of its contract —
 //! exact retraction multiplicities, per-occurrence arrival-order
 //! replay, debt healing, oldest-first eviction — resident and spilled.
@@ -355,14 +362,21 @@
 //! * **Byte-accounted state** — every operator reports measured
 //!   `state_bytes` (and `spilled_bytes`) through
 //!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`]:
-//!   segments report their actual encoded footprint. Those gauges feed
-//!   the rebalancer's blended score above; a unit test in [`state`]
-//!   pins a fixed fixture's bytes under a ceiling.
+//!   segments report their actual encoded footprint, and
+//!   `ResidentState` states the split (`log_bytes`, `table_bytes`, the
+//!   rest per query). Those gauges feed the rebalancer's blended score
+//!   above; a unit test in [`state`] pins a fixed fixture's bytes under
+//!   a ceiling.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
 //!   first) page to disk and fault back transparently on access, while
-//!   timestamps, liveness, and weights stay resident so window expiry
-//!   scans never touch spilled files. Live migration — including
+//!   timestamps, liveness, and weights stay resident (about 4¼ bytes a
+//!   row for a sensor stream) so window expiry scans never touch
+//!   spilled files. A spill file that is missing, short or undecodable
+//!   makes its segment's rows read as absent — an indexed join side then
+//!   fails with an execution error instead of dropping matches — and is
+//!   counted in `spill_read_failures` (`ResidentState`, `ShardLoad`,
+//!   `aspen_shard_spill_read_failures`). Live migration — including
 //!   cross-node — snapshots through the same tuple-level API, so moved
 //!   state re-lands columnar (respilling under the recipient's config)
 //!   with the existing no-replay invariants untouched.

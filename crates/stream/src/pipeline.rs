@@ -391,6 +391,13 @@ impl Pipeline {
         windows + ops
     }
 
+    /// Reads of this pipeline's spilled state that failed.
+    pub fn spill_read_failures(&self) -> u64 {
+        let windows = self.scans.iter().map(|s| s.window.spill_read_failures());
+        let ops = self.nodes.iter().map(|n| n.op.spill_read_failures());
+        windows.chain(ops).sum()
+    }
+
     /// Feed a signed batch (view maintenance output, table updates) from
     /// `source` — already consolidated by the shard, once for all its
     /// subscribers — into every scan bound to it. Retractions bypass

@@ -145,9 +145,17 @@ pub struct ResidentState {
     /// once, and the retained table store — measured; the benchmark's
     /// `state_bytes`.
     pub state_bytes: usize,
+    /// The source logs' share of `state_bytes`.
+    pub log_bytes: usize,
+    /// The retained table store's share of `state_bytes`; what is left
+    /// is the pipelines' ([`TelemetryReport::queries`] has it per query).
+    pub table_bytes: usize,
     /// Bytes currently paged out to the spill tier (disjoint from
     /// `state_bytes`).
     pub spilled_bytes: usize,
+    /// Reads of a spilled segment that found its file missing or
+    /// damaged; the rows of such a segment read as absent.
+    pub spill_read_failures: u64,
 }
 
 /// One placed continuous query: its operator pipeline plus result sink.
@@ -425,6 +433,7 @@ struct LogCensus {
     rows: usize,
     state_bytes: usize,
     spilled_bytes: usize,
+    spill_read_failures: u64,
 }
 
 /// One worker shard: a disjoint set of query runtimes plus the slice of
@@ -688,6 +697,7 @@ impl EngineShard {
             out.rows += log.rows();
             out.state_bytes += log.state_bytes();
             out.spilled_bytes += log.spilled_bytes();
+            out.spill_read_failures += log.spill_read_failures();
         }
         out
     }
@@ -993,11 +1003,13 @@ impl ShardedEngine {
             let mut ops = 0u64;
             let mut state_bytes = 0u64;
             let mut spilled_bytes = 0u64;
+            let mut spill_read_failures = 0u64;
             for (qid, rt) in &shard.queries {
                 ops += rt.pipeline.ops_invoked;
                 let q_bytes = rt.pipeline.state_bytes() as u64;
                 state_bytes += q_bytes;
                 spilled_bytes += rt.pipeline.spilled_bytes() as u64;
+                spill_read_failures += rt.pipeline.spill_read_failures();
                 profile.merge(&rt.pipeline.profile);
                 if let Some(&j) = slot.get(qid) {
                     let meta = &self.queries[qid];
@@ -1018,6 +1030,7 @@ impl ShardedEngine {
             let logs = shard.log_census();
             state_bytes += logs.state_bytes as u64;
             spilled_bytes += logs.spilled_bytes as u64;
+            spill_read_failures += logs.spill_read_failures;
             shards.push(ShardLoad {
                 shard: i,
                 queries: shard.queries.len(),
@@ -1029,6 +1042,7 @@ impl ShardedEngine {
                 log_cursors: logs.cursors,
                 cursor_classes: logs.classes,
                 log_rows: logs.rows,
+                log_bytes: logs.state_bytes as u64,
                 window_batches: shard.meters.window_batches,
                 window_deliveries: shard.meters.window_deliveries,
                 watermark: applied,
@@ -1036,6 +1050,7 @@ impl ShardedEngine {
                 queue_wait: shard.meters.queue_wait.clone(),
                 state_bytes,
                 spilled_bytes,
+                spill_read_failures,
             });
         }
         TelemetryReport {
@@ -2013,22 +2028,26 @@ impl ShardedEngine {
                 out.window_tuples += rt.pipeline.buffered_window_tuples();
                 out.state_bytes += rt.pipeline.state_bytes();
                 out.spilled_bytes += rt.pipeline.spilled_bytes();
+                out.spill_read_failures += rt.pipeline.spill_read_failures();
             }
             let logs = shard.log_census();
             out.source_logs += logs.logs;
             out.log_cursors += logs.cursors;
             out.cursor_classes += logs.classes;
             out.window_tuples += logs.rows;
-            out.state_bytes += logs.state_bytes;
+            out.log_bytes += logs.state_bytes;
             out.spilled_bytes += logs.spilled_bytes;
+            out.spill_read_failures += logs.spill_read_failures;
         }
         for slice in &self.slices {
             let slice = slice.lock();
             for table in slice.tables.values() {
-                out.state_bytes += table.state_bytes();
+                out.table_bytes += table.state_bytes();
                 out.spilled_bytes += table.spilled_bytes();
+                out.spill_read_failures += table.spill_read_failures();
             }
         }
+        out.state_bytes += out.log_bytes + out.table_bytes;
         out
     }
 
@@ -2772,6 +2791,66 @@ mod tests {
         assert!(!report.query(private_q.0).unwrap().shared);
         assert_eq!(report.shards[0].source_logs, 1);
         assert_eq!(report.shards[0].log_cursors, 1);
+    }
+
+    /// The engine states its own byte split: pipelines, logs and tables
+    /// are disjoint and add up to the gated total, per shard and whole.
+    #[test]
+    fn state_bytes_split_into_queries_logs_and_tables() {
+        let mut e = ShardedEngine::new(catalog(), 2);
+        for sql in [
+            "select r.sensor, avg(r.value) from Readings r [range 30 seconds] group by r.sensor",
+            "select a.sensor, b.value from Readings a [rows 40], Readings b [rows 9] \
+             where a.sensor = b.sensor",
+            "select r.value from Readings r [rows 25] where r.value > 3",
+            "select e.src from Edge e",
+        ] {
+            e.register_sql(sql).unwrap().expect_query();
+        }
+        let edges: Vec<Tuple> = (0..50)
+            .map(|i| {
+                let end = |n: i32| Value::Text(format!("room-{n}"));
+                Tuple::new(vec![end(i), end(i + 1)], SimTime::ZERO)
+            })
+            .collect();
+        e.on_batch("Edge", &edges).unwrap();
+        for i in 0..200u64 {
+            e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i / 4)])
+                .unwrap();
+        }
+        let rs = e.resident_state();
+        let report = e.telemetry_at(Consistency::Fresh);
+        let of_shard = |i: usize| -> u64 {
+            let on = report.queries.iter().filter(|q| q.shard == i);
+            on.map(|q| q.state_bytes).sum()
+        };
+        let queries = of_shard(0) + of_shard(1);
+        assert!(
+            queries > 0 && rs.log_bytes > 0 && rs.table_bytes > 0,
+            "{rs:?}"
+        );
+        assert_eq!(
+            rs.state_bytes,
+            queries as usize + rs.log_bytes + rs.table_bytes
+        );
+        for s in &report.shards {
+            assert_eq!(s.state_bytes, of_shard(s.shard) + s.log_bytes);
+        }
+        let logs: u64 = report.shards.iter().map(|s| s.log_bytes).sum();
+        assert_eq!((logs as usize, rs.spill_read_failures), (rs.log_bytes, 0));
+        let busiest = report.shards.iter().max_by_key(|s| s.log_bytes).unwrap();
+        let prom = format!(
+            "aspen_shard_log_bytes{{shard=\"{}\"}} {}\n",
+            busiest.shard, busiest.log_bytes
+        );
+        let rendered = crate::render_prometheus(&report);
+        assert!(rendered.contains(&prom), "{rendered}");
+        assert!(rendered.contains("aspen_shard_spill_read_failures{"));
+        let json = format!(
+            "\"log_bytes\":{},\"spill_read_failures\":0,",
+            busiest.log_bytes
+        );
+        assert!(crate::render_json(&report).contains(&json));
     }
 
     #[test]

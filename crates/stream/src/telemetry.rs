@@ -139,6 +139,9 @@ pub struct ShardLoad {
     /// however many cursors cover it — with `cursors`, the answer to
     /// "why is this shard fat".
     pub log_rows: usize,
+    /// Resident bytes of those logs — the part of `state_bytes` no
+    /// query owns.
+    pub log_bytes: u64,
     /// Cumulative [`ShardMeters::window_batches`].
     pub window_batches: u64,
     /// Cumulative [`ShardMeters::window_deliveries`].
@@ -161,6 +164,10 @@ pub struct ShardLoad {
     /// Bytes this shard's columnar state has paged out to the spill
     /// tier (also a gauge; disjoint from `state_bytes`).
     pub spilled_bytes: u64,
+    /// Reads of a spilled segment that found its file missing or
+    /// damaged, across this shard's queries and logs; the rows of such a
+    /// segment read as absent. Anything above 0 means lost state.
+    pub spill_read_failures: u64,
 }
 
 /// One coherent observation of the whole engine, taken at a batch
@@ -252,6 +259,7 @@ impl TelemetryReport {
             log_cursors: 0,
             cursor_classes: 0,
             log_rows: 0,
+            log_bytes: 0,
             window_batches: 0,
             window_deliveries: 0,
             watermark: 0,
@@ -259,6 +267,7 @@ impl TelemetryReport {
             queue_wait: LatencyHistogram::new(),
             state_bytes: 0,
             spilled_bytes: 0,
+            spill_read_failures: 0,
         };
         for s in &self.shards {
             out.queries += s.queries;
@@ -270,6 +279,7 @@ impl TelemetryReport {
             out.log_cursors += s.log_cursors;
             out.cursor_classes += s.cursor_classes;
             out.log_rows += s.log_rows;
+            out.log_bytes += s.log_bytes;
             out.window_batches += s.window_batches;
             out.window_deliveries += s.window_deliveries;
             out.watermark = out.watermark.max(s.watermark);
@@ -277,6 +287,7 @@ impl TelemetryReport {
             out.queue_wait.merge(&s.queue_wait);
             out.state_bytes += s.state_bytes;
             out.spilled_bytes += s.spilled_bytes;
+            out.spill_read_failures += s.spill_read_failures;
         }
         out
     }
@@ -498,6 +509,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             log_cursors: 0,
             cursor_classes: 0,
             log_rows: 0,
+            log_bytes: 0,
             window_batches: 0,
             window_deliveries: 0,
             watermark: 0,
@@ -505,6 +517,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             queue_wait: LatencyHistogram::new(),
             state_bytes: 0,
             spilled_bytes: 0,
+            spill_read_failures: 0,
         })
         .collect();
     let queries = rows

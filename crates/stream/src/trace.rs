@@ -469,6 +469,8 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_busy_seconds_total counter\n");
     out.push_str("# TYPE aspen_shard_lag gauge\n");
     out.push_str("# TYPE aspen_shard_log_rows gauge\n");
+    out.push_str("# TYPE aspen_shard_log_bytes gauge\n");
+    out.push_str("# TYPE aspen_shard_spill_read_failures counter\n");
     out.push_str("# TYPE aspen_shard_cursors gauge\n");
     out.push_str("# TYPE aspen_shard_cursor_classes gauge\n");
     out.push_str("# TYPE aspen_shard_window_batches_total counter\n");
@@ -484,6 +486,9 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         );
         prom_line(&mut out, "aspen_shard_lag", &l, s.lag);
         prom_line(&mut out, "aspen_shard_log_rows", &l, s.log_rows);
+        prom_line(&mut out, "aspen_shard_log_bytes", &l, s.log_bytes);
+        let failures = s.spill_read_failures;
+        prom_line(&mut out, "aspen_shard_spill_read_failures", &l, failures);
         prom_line(&mut out, "aspen_shard_cursors", &l, s.log_cursors);
         prom_line(&mut out, "aspen_shard_cursor_classes", &l, s.cursor_classes);
         prom_line(
@@ -588,7 +593,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
@@ -596,6 +601,8 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.batches,
                 s.busy_seconds,
                 s.log_rows,
+                s.log_bytes,
+                s.spill_read_failures,
                 s.log_cursors,
                 s.cursor_classes,
                 s.window_batches,

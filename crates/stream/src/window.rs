@@ -95,6 +95,11 @@ impl WindowOp {
         self.rows.spilled_bytes()
     }
 
+    /// Failed reads of spilled segments (see `ColumnarDeque`).
+    pub fn spill_read_failures(&self) -> u64 {
+        self.rows.spill_read_failures()
+    }
+
     /// The live tuples in arrival order.
     pub fn buffered(&self) -> Vec<Tuple> {
         self.rows.snapshot()
@@ -511,6 +516,10 @@ impl SourceLog {
 
     pub(crate) fn spilled_bytes(&self) -> usize {
         self.rows.spilled_bytes()
+    }
+
+    pub(crate) fn spill_read_failures(&self) -> u64 {
+        self.rows.spill_read_failures()
     }
 }
 
