@@ -9,10 +9,31 @@
 //! * [`PartialAgg`] — the small, **mergeable** `(count, sum, min, max)`
 //!   record used by TAG-style in-network aggregation on motes (partials
 //!   combine up the routing tree; ref \[12\] of the paper);
-//! * [`AggAccumulator`] — the stream engine's windowed accumulator with
-//!   full **retraction** support (expired tuples are subtracted; MIN/MAX
-//!   keep a multiset so deletions are exact).
+//! * [`AggColumn`] — the stream engine's windowed accumulators with full
+//!   **retraction** support (expired tuples are subtracted; MIN/MAX keep
+//!   a multiset so deletions are exact), one typed column per aggregate
+//!   call holding a *slot* for every group of the operator.
+//!
+//! ## The accumulator column
+//!
+//! A stream aggregate keeps its groups as slots of a table; each
+//! aggregate call owns one [`AggColumn`] and a group's accumulator is
+//! the column's cells at the group's slot — no per-group object:
+//!
+//! | call | cells a slot |
+//! |---|---|
+//! | `COUNT(*)` | none: the group's weight, which the operator keeps |
+//! | `COUNT(expr)` | `i64` non-`NULL` inputs |
+//! | `SUM` / `AVG` | `f64` sum, `i64` non-`NULL` inputs (`int_input` once per column) |
+//! | `MIN` / `MAX` | a `BTreeMap<Value, usize>` multiset of live values |
+//!
+//! `COUNT(*)` moves by the delta's sign exactly as the weight does, so
+//! it has no cells and reads the weight the operator passes to
+//! [`AggColumn::value`]. [`AggColumn::heap_bytes`] measures the column
+//! from its capacities; only a `BTreeMap` entry's share of its node is a
+//! constant.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use aspen_types::{ArithOp, AspenError, DataType, Result, Tuple, Value};
@@ -201,6 +222,17 @@ impl BoundExpr {
                 }
                 func.apply(&vals)
             }
+        }
+    }
+
+    /// [`BoundExpr::eval`], borrowing the value when the expression is a
+    /// plain column.
+    pub fn eval_ref<'t>(&self, tuple: &'t Tuple) -> Result<Cow<'t, Value>> {
+        match *self {
+            BoundExpr::Col { index, .. } if index < tuple.len() => {
+                Ok(Cow::Borrowed(tuple.get(index)))
+            }
+            _ => self.eval(tuple).map(Cow::Owned),
         }
     }
 
@@ -426,154 +458,204 @@ impl PartialAgg {
 }
 
 // ---------------------------------------------------------------------------
-// Stream-engine accumulators with retraction
+// Stream-engine accumulator columns with retraction
 // ---------------------------------------------------------------------------
 
-/// Windowed aggregate accumulator supporting insert *and* retract —
-/// required because sliding windows expire tuples. MIN/MAX keep an exact
-/// multiset of live values.
-#[derive(Debug, Clone)]
-pub enum AggAccumulator {
-    Count(i64),
-    /// `(sum, count)` — count tracks NULL-skipped cardinality for AVG.
-    Sum {
-        sum: f64,
-        count: i64,
-        int_input: bool,
-    },
-    MinMax {
-        is_min: bool,
-        multiset: BTreeMap<Value, usize>,
-    },
+/// What a `BTreeMap<Value, usize>` entry costs beyond its text: the
+/// `(value, count)` pair and three quarters as much again for its share
+/// of the node it sits in. A node holds up to 11 pairs behind a parent
+/// link (an internal one 12 child links besides) and runs between half
+/// full — in-order inserts split a full node 6 | 5 and never refill the
+/// left half: 64 B an entry, measured — and two thirds full for
+/// scattered inserts (50 B). The one per-entry constant in the aggregate
+/// accounting; `crates/stream/tests/state_accounting.rs` checks it
+/// against the allocator for both orders.
+const BTREE_ENTRY_BYTES: usize = std::mem::size_of::<(Value, usize)>() * 7 / 4;
+
+/// Heap bytes a value owns.
+pub fn value_heap_bytes(v: &Value) -> usize {
+    match v {
+        Value::Text(s) => s.capacity(),
+        _ => 0,
+    }
 }
 
-impl AggAccumulator {
+/// One aggregate call's accumulators for every group of a stream
+/// aggregate — a typed column with one *slot* a group, supporting insert
+/// *and* retract, because sliding windows expire tuples (module docs).
+/// Slots are appended by [`AggColumn::push`] and addressed by index;
+/// [`AggColumn::reset`] returns one to fresh in place.
+#[derive(Debug, Clone)]
+pub struct AggColumn {
+    func: AggFunc,
+    cells: Cells,
+}
+
+#[derive(Debug, Clone)]
+enum Cells {
+    /// `COUNT(*)`: the group's weight, kept by the operator.
+    Rows,
+    /// `COUNT(expr)`: non-`NULL` inputs.
+    Count(Vec<i64>),
+    /// `SUM` / `AVG`: the sum and the non-`NULL` inputs behind it.
+    Sum {
+        sum: Vec<f64>,
+        n: Vec<i64>,
+        int_input: bool,
+    },
+    /// `MIN` / `MAX`: the exact multiset of live values.
+    Extreme(Vec<BTreeMap<Value, usize>>),
+}
+
+impl AggColumn {
+    /// The column of `func(expr)` over an argument of type `arg_type`
+    /// (`None`: a `NULL` literal).
     pub fn new(func: AggFunc, arg_type: Option<DataType>) -> Self {
-        match func {
-            AggFunc::Count => AggAccumulator::Count(0),
-            AggFunc::Sum | AggFunc::Avg => AggAccumulator::Sum {
-                sum: 0.0,
-                count: 0,
+        let cells = match func {
+            AggFunc::Count => Cells::Count(Vec::new()),
+            AggFunc::Sum | AggFunc::Avg => Cells::Sum {
+                sum: Vec::new(),
+                n: Vec::new(),
                 int_input: arg_type == Some(DataType::Int),
             },
-            AggFunc::Min => AggAccumulator::MinMax {
-                is_min: true,
-                multiset: BTreeMap::new(),
+            AggFunc::Min | AggFunc::Max => Cells::Extreme(Vec::new()),
+        };
+        AggColumn { func, cells }
+    }
+
+    /// The column of a bound call: `COUNT(*)` keeps no cells.
+    pub fn of(agg: &BoundAgg) -> Self {
+        match &agg.arg {
+            None if agg.func == AggFunc::Count => AggColumn {
+                func: AggFunc::Count,
+                cells: Cells::Rows,
             },
-            AggFunc::Max => AggAccumulator::MinMax {
-                is_min: false,
-                multiset: BTreeMap::new(),
-            },
+            arg => AggColumn::new(agg.func, arg.as_ref().and_then(BoundExpr::data_type)),
         }
     }
 
-    /// Add a value (NULLs are skipped, per SQL).
-    pub fn insert(&mut self, v: &Value) -> Result<()> {
-        match self {
-            AggAccumulator::Count(c) => {
-                // COUNT(expr) skips NULLs; COUNT(*) passes a non-null
-                // marker from the operator.
-                if !v.is_null() {
-                    *c += 1;
-                }
+    /// Append a fresh slot.
+    pub fn push(&mut self) {
+        match &mut self.cells {
+            Cells::Rows => {}
+            Cells::Count(c) => c.push(0),
+            Cells::Sum { sum, n, .. } => {
+                sum.push(0.0);
+                n.push(0);
             }
-            AggAccumulator::Sum { sum, count, .. } => {
-                if !v.is_null() {
-                    *sum += v.as_f64()?;
-                    *count += 1;
-                }
+            Cells::Extreme(sets) => sets.push(BTreeMap::new()),
+        }
+    }
+
+    /// Room for `slots` more slots, allocated exactly.
+    pub fn reserve_exact(&mut self, slots: usize) {
+        match &mut self.cells {
+            Cells::Rows => {}
+            Cells::Count(c) => c.reserve_exact(slots),
+            Cells::Sum { sum, n, .. } => {
+                sum.reserve_exact(slots);
+                n.reserve_exact(slots);
             }
-            AggAccumulator::MinMax { multiset, .. } => {
-                if !v.is_null() {
-                    *multiset.entry(v.clone()).or_insert(0) += 1;
-                }
+            Cells::Extreme(sets) => sets.reserve_exact(slots),
+        }
+    }
+
+    /// Make `slot` fresh, as if just pushed.
+    pub fn reset(&mut self, slot: usize) {
+        match &mut self.cells {
+            Cells::Rows => {}
+            Cells::Count(c) => c[slot] = 0,
+            Cells::Sum { sum, n, .. } => {
+                sum[slot] = 0.0;
+                n[slot] = 0;
             }
+            Cells::Extreme(sets) => sets[slot] = BTreeMap::new(),
+        }
+    }
+
+    /// Add a value to `slot` (`NULL`s are skipped, per SQL; `COUNT(*)`
+    /// counts through the weight instead).
+    pub fn insert(&mut self, slot: usize, v: &Value) -> Result<()> {
+        if v.is_null() {
+            return Ok(());
+        }
+        match &mut self.cells {
+            Cells::Rows => {}
+            Cells::Count(c) => c[slot] += 1,
+            Cells::Sum { sum, n, .. } => {
+                sum[slot] += v.as_f64()?;
+                n[slot] += 1;
+            }
+            Cells::Extreme(sets) => *sets[slot].entry(v.clone()).or_insert(0) += 1,
         }
         Ok(())
     }
 
-    /// Retract a previously inserted value (window expiry or a recursive-
-    /// view deletion).
-    pub fn retract(&mut self, v: &Value) -> Result<()> {
-        match self {
-            AggAccumulator::Count(c) => {
-                if !v.is_null() {
-                    *c -= 1;
-                }
+    /// Retract a previously inserted value from `slot` (window expiry or
+    /// a recursive-view deletion).
+    pub fn retract(&mut self, slot: usize, v: &Value) -> Result<()> {
+        if v.is_null() {
+            return Ok(());
+        }
+        match &mut self.cells {
+            Cells::Rows => {}
+            Cells::Count(c) => c[slot] -= 1,
+            Cells::Sum { sum, n, .. } => {
+                sum[slot] -= v.as_f64()?;
+                n[slot] -= 1;
             }
-            AggAccumulator::Sum { sum, count, .. } => {
-                if !v.is_null() {
-                    *sum -= v.as_f64()?;
-                    *count -= 1;
+            Cells::Extreme(sets) => match sets[slot].get_mut(v) {
+                Some(n) if *n > 1 => *n -= 1,
+                Some(_) => {
+                    sets[slot].remove(v);
                 }
-            }
-            AggAccumulator::MinMax { multiset, .. } => {
-                if !v.is_null() {
-                    match multiset.get_mut(v) {
-                        Some(n) if *n > 1 => *n -= 1,
-                        Some(_) => {
-                            multiset.remove(v);
-                        }
-                        None => {
-                            return Err(AspenError::Execution(format!(
-                                "retracting value {v:?} never inserted"
-                            )))
-                        }
-                    }
+                None => {
+                    return Err(AspenError::Execution(format!(
+                        "retracting value {v:?} never inserted"
+                    )))
                 }
-            }
+            },
         }
         Ok(())
     }
 
-    /// Whether the accumulator has seen no live (non-retracted) rows.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            AggAccumulator::Count(c) => *c == 0,
-            AggAccumulator::Sum { count, .. } => *count == 0,
-            AggAccumulator::MinMax { multiset, .. } => multiset.is_empty(),
-        }
-    }
-
-    /// Current value for the given function.
-    pub fn value(&self, func: AggFunc) -> Value {
-        match (self, func) {
-            (AggAccumulator::Count(c), AggFunc::Count) => Value::Int(*c),
-            (
-                AggAccumulator::Sum {
-                    sum,
-                    count,
-                    int_input,
-                },
-                AggFunc::Sum,
-            ) => {
-                if *count == 0 {
-                    Value::Null
-                } else if *int_input {
-                    Value::Int(*sum as i64)
-                } else {
-                    Value::Float(*sum)
-                }
-            }
-            (AggAccumulator::Sum { sum, count, .. }, AggFunc::Avg) => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(*sum / *count as f64)
-                }
-            }
-            (AggAccumulator::MinMax { is_min, multiset }, AggFunc::Min)
-            | (AggAccumulator::MinMax { is_min, multiset }, AggFunc::Max) => {
-                let pick_min = matches!(func, AggFunc::Min);
-                debug_assert_eq!(*is_min, pick_min, "accumulator/function mismatch");
-                let entry = if pick_min {
-                    multiset.keys().next()
-                } else {
-                    multiset.keys().next_back()
+    /// The aggregate's current value at `slot`, whose group holds `rows`
+    /// rows (its weight — what `COUNT(*)` reads).
+    pub fn value(&self, slot: usize, rows: i64) -> Value {
+        match &self.cells {
+            Cells::Rows => Value::Int(rows),
+            Cells::Count(c) => Value::Int(c[slot]),
+            Cells::Sum { n, .. } if n[slot] == 0 => Value::Null,
+            Cells::Sum { sum, n, int_input } => match self.func {
+                AggFunc::Avg => Value::Float(sum[slot] / n[slot] as f64),
+                _ if *int_input => Value::Int(sum[slot] as i64),
+                _ => Value::Float(sum[slot]),
+            },
+            Cells::Extreme(sets) => {
+                let pick = match self.func {
+                    AggFunc::Min => sets[slot].first_key_value(),
+                    _ => sets[slot].last_key_value(),
                 };
-                entry.cloned().unwrap_or(Value::Null)
+                pick.map_or(Value::Null, |(v, _)| v.clone())
             }
-            _ => Value::Null,
+        }
+    }
+
+    /// Heap bytes: every cell vector at its capacity, and for `MIN` /
+    /// `MAX` each multiset's entries and their text.
+    pub fn heap_bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        match &self.cells {
+            Cells::Rows => 0,
+            Cells::Count(c) => cap(c),
+            Cells::Sum { sum, n, .. } => cap(sum) + cap(n),
+            Cells::Extreme(sets) => {
+                let entries = sets.iter().flat_map(BTreeMap::keys);
+                let bytes = entries.map(|v| BTREE_ENTRY_BYTES + value_heap_bytes(v));
+                cap(sets) + bytes.sum::<usize>()
+            }
         }
     }
 }
@@ -714,41 +796,68 @@ mod tests {
         assert_eq!(PartialAgg::default().finalize(AggFunc::Avg), Value::Null);
     }
 
+    /// A column with one slot.
+    fn one_slot(func: AggFunc, arg_type: Option<DataType>) -> AggColumn {
+        let mut col = AggColumn::new(func, arg_type);
+        col.push();
+        col
+    }
+
     #[test]
     fn accumulator_insert_retract_minmax() {
-        let mut acc = AggAccumulator::new(AggFunc::Min, Some(DataType::Float));
+        let mut acc = one_slot(AggFunc::Min, Some(DataType::Float));
         for v in [3.0, 1.0, 2.0, 1.0] {
-            acc.insert(&Value::Float(v)).unwrap();
+            acc.insert(0, &Value::Float(v)).unwrap();
         }
-        assert_eq!(acc.value(AggFunc::Min), Value::Float(1.0));
-        acc.retract(&Value::Float(1.0)).unwrap();
-        assert_eq!(acc.value(AggFunc::Min), Value::Float(1.0)); // duplicate survives
-        acc.retract(&Value::Float(1.0)).unwrap();
-        assert_eq!(acc.value(AggFunc::Min), Value::Float(2.0));
-        assert!(acc.retract(&Value::Float(9.0)).is_err());
+        assert_eq!(acc.value(0, 4), Value::Float(1.0));
+        acc.retract(0, &Value::Float(1.0)).unwrap();
+        assert_eq!(acc.value(0, 3), Value::Float(1.0)); // duplicate survives
+        acc.retract(0, &Value::Float(1.0)).unwrap();
+        assert_eq!(acc.value(0, 2), Value::Float(2.0));
+        assert!(acc.retract(0, &Value::Float(9.0)).is_err());
     }
 
     #[test]
     fn accumulator_sum_avg_int() {
-        let mut acc = AggAccumulator::new(AggFunc::Sum, Some(DataType::Int));
-        acc.insert(&Value::Int(4)).unwrap();
-        acc.insert(&Value::Int(6)).unwrap();
-        acc.insert(&Value::Null).unwrap(); // skipped
-        assert_eq!(acc.value(AggFunc::Sum), Value::Int(10));
-        assert_eq!(acc.value(AggFunc::Avg), Value::Float(5.0));
-        acc.retract(&Value::Int(4)).unwrap();
-        assert_eq!(acc.value(AggFunc::Sum), Value::Int(6));
-        acc.retract(&Value::Int(6)).unwrap();
-        assert!(acc.is_empty());
-        assert_eq!(acc.value(AggFunc::Sum), Value::Null);
+        let mut sum = one_slot(AggFunc::Sum, Some(DataType::Int));
+        let mut avg = one_slot(AggFunc::Avg, Some(DataType::Int));
+        // A second slot stays fresh while the first moves.
+        sum.push();
+        for v in [Value::Int(4), Value::Int(6), Value::Null] {
+            sum.insert(0, &v).unwrap();
+            avg.insert(0, &v).unwrap(); // NULL skipped
+        }
+        assert_eq!(sum.value(0, 3), Value::Int(10));
+        assert_eq!(avg.value(0, 3), Value::Float(5.0));
+        assert_eq!(sum.value(1, 0), Value::Null);
+        sum.retract(0, &Value::Int(4)).unwrap();
+        assert_eq!(sum.value(0, 2), Value::Int(6));
+        sum.retract(0, &Value::Int(6)).unwrap();
+        assert_eq!(sum.value(0, 1), Value::Null);
+        avg.reset(0);
+        assert_eq!(avg.value(0, 0), Value::Null);
+        let Cells::Sum { sum: cells, .. } = &sum.cells else {
+            panic!("SUM keeps sum cells");
+        };
+        assert_eq!(sum.heap_bytes(), 2 * 8 * cells.capacity());
     }
 
     #[test]
     fn count_star_and_count_expr() {
-        let mut acc = AggAccumulator::new(AggFunc::Count, None);
-        acc.insert(&Value::Int(1)).unwrap();
-        acc.insert(&Value::Null).unwrap(); // COUNT(expr) skips NULL
-        assert_eq!(acc.value(AggFunc::Count), Value::Int(1));
+        let star = BoundAgg {
+            func: AggFunc::Count,
+            arg: None,
+            name: "COUNT(*)".into(),
+        };
+        let mut rows = AggColumn::of(&star);
+        rows.push();
+        rows.insert(0, &Value::Int(1)).unwrap();
+        assert_eq!(rows.value(0, 7), Value::Int(7), "COUNT(*) is the weight");
+        assert_eq!(rows.heap_bytes(), 0);
+        let mut acc = one_slot(AggFunc::Count, None);
+        acc.insert(0, &Value::Int(1)).unwrap();
+        acc.insert(0, &Value::Null).unwrap(); // COUNT(expr) skips NULL
+        assert_eq!(acc.value(0, 2), Value::Int(1));
     }
 
     #[test]

@@ -83,7 +83,8 @@
 //! a suffix of its scan's arrival log, so the operator above it need
 //! not copy it. A window step's batch is *addressed*: each delta names
 //! the log row it inserts or retracts ([`window`]: a step is net by
-//! row). A filter is a selection and passes the ids of what it keeps;
+//! row). A filter is a selection and passes the ids of what it keeps
+//! when its output feeds an indexed join side (the only reader of ids);
 //! any other operator ends the addressed region, and `Unbounded` scans
 //! and signed delta batches (a table's, a view's — they bypass windows)
 //! never start one. A join side fed by an addressed region — `Filter* →
@@ -340,11 +341,11 @@
 //! ## Columnar operator state and the spill tier
 //!
 //! Hot operator state — window buffers, retained-table
-//! [`state::BagState`]s, join/aggregate [`state::KeyedState`] — is laid
-//! out **columnar**, the one layout there is: tuples are shredded into
-//! per-column primitive vectors in 32-row segments managed by the
-//! vendored `columnar` shim, with per-tuple multisets replaced by a hash
-//! index over row ids. Only a store's one active segment holds the
+//! [`state::BagState`]s, materialised join sides ([`state::KeyedState`])
+//! — is laid out **columnar**, the one layout there is: tuples are
+//! shredded into per-column primitive vectors in 32-row segments managed
+//! by the vendored `columnar` shim, with per-tuple multisets replaced by
+//! a hash index over row ids. Only a store's one active segment holds the
 //! append form; sealing re-encodes every column — and the segment's
 //! stamps — at the width its values need, keeping whichever encoding
 //! measures the fewest bytes: frame-of-reference ints (`min + u8 | u16 |
@@ -364,9 +365,12 @@
 //!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`]:
 //!   segments report their actual encoded footprint, and
 //!   `ResidentState` states the split (`log_bytes`, `table_bytes`, the
-//!   rest per query). Those gauges feed the rebalancer's blended score
-//!   above; a unit test in [`state`] pins a fixed fixture's bytes under
-//!   a ceiling.
+//!   rest per query: `aspen_query_state_bytes`, with the live aggregate
+//!   groups as `aspen_query_groups`). Those gauges feed the rebalancer's
+//!   blended score above; a unit test in [`state`] pins a fixed
+//!   fixture's bytes under a ceiling. Aggregate groups are slots in typed
+//!   columns charged at capacity ([`operators::AggregateOp`]), held to
+//!   0.8–1.25× of a counting allocator by `tests/state_accounting.rs`.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
 //!   first) page to disk and fault back transparently on access, while

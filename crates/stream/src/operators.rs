@@ -8,9 +8,10 @@
 //! allocation, group lookups): an aggregate touched by a thousand-delta
 //! batch emits one retract/insert pair per *group*, not per delta.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use aspen_sql::expr::{AggAccumulator, BoundAgg, BoundExpr};
+use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
 use aspen_types::{AspenError, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
@@ -63,6 +64,11 @@ pub trait DeltaOp: std::fmt::Debug {
         0
     }
 
+    /// Live aggregate groups this operator keeps (0 for any other).
+    fn groups(&self) -> usize {
+        0
+    }
+
     /// Single-delta convenience over [`DeltaOp::process_batch`], for
     /// tests and callers that genuinely have one delta in hand.
     fn process(&mut self, port: usize, delta: &Delta) -> Result<Vec<Delta>>
@@ -76,17 +82,19 @@ pub trait DeltaOp: std::fmt::Debug {
 
 // ---------------------------------------------------------------------------
 
-/// Filter: passes deltas whose tuple satisfies the predicate — a
-/// selection, so the survivors of an addressed batch keep their row ids.
+/// Filter: passes deltas whose tuple satisfies the predicate. A
+/// selection: with `keep_ids` — set by `Pipeline::build` when the output
+/// feeds an indexed join side — survivors keep their row ids.
 #[derive(Debug)]
 pub struct FilterOp {
     pub predicate: BoundExpr,
+    pub keep_ids: bool,
 }
 
 impl DeltaOp for FilterOp {
     fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
         let mut out = DeltaBatch::with_capacity(batch.len());
-        let ids = batch.row_ids();
+        let ids = batch.row_ids().filter(|_| self.keep_ids);
         for (i, d) in batch.iter().enumerate() {
             if self.predicate.eval_bool(&d.tuple)? {
                 match ids {
@@ -359,144 +367,234 @@ impl DeltaOp for JoinOp {
 /// touched group retracts its previous output row and inserts the new
 /// one — intermediate states that only existed mid-batch are never
 /// emitted, which is the batch path's consolidation win.
+///
+/// **Groups are slots in typed columns**: a group's key cells (`keys`,
+/// `group.len()` a slot), weight (gross live rows), shown stamp (of the
+/// row it shows downstream, recomputed from the cells, not kept) and one
+/// [`AggColumn`] cell per aggregate sit at one slot. `COUNT(*)` moves by
+/// the sign exactly as the weight does, so it reads the weight. `index`
+/// maps a key to its slot: a power-of-two table of slot ids, linear
+/// probing at load ≤ 7/8 under `hash_of`, `Value` `==` on the key
+/// cells, no stored hashes (growth and deletion rehash the cells),
+/// backward-shift deletion. A global aggregate is slot 0 at capacity 1.
+///
+/// **Death and reuse.** A group whose weight drops to zero or below
+/// mid-batch is reset to fresh in place — as single-delta delivery would
+/// drop it and a later delta rebuild it, so out-of-order retractions
+/// leak no state. At batch end a dead group's slot goes to the free list
+/// for the next new key. Bytes are measured from capacities.
 #[derive(Debug)]
 pub struct AggregateOp {
     pub group: Vec<BoundExpr>,
     pub aggs: Vec<BoundAgg>,
-    groups: HashMap<Vec<Value>, GroupState>,
-    /// The rows downstream still shows for the groups a failed batch
-    /// touched: their accumulators moved, nothing was emitted.
-    stale: HashMap<Vec<Value>, Option<Tuple>>,
+    cols: Vec<AggColumn>,
+    keys: Vec<Value>,
+    weight: Vec<i64>,
+    /// `NONE` for no row. In a batch, a touched slot's cell is its touch
+    /// position (the touch names the slot back: no stamp passes for one).
+    shown: Vec<u64>,
+    index: Vec<u32>,
+    free: Vec<u32>,
+    /// What downstream still shows for the slots a failed batch touched
+    /// (cells moved, nothing emitted). An entry overrides its slot's
+    /// `shown` cell; the slot is not freed before the entry is spent.
+    stale: HashMap<u32, (u64, Vec<Value>)>,
 }
 
-#[derive(Debug)]
-struct GroupState {
-    accs: Vec<AggAccumulator>,
-    /// Gross multiplicity of live input rows in this group.
-    weight: i64,
-    /// Stamp of the output row the group shows downstream, if it shows
-    /// one: between batches that row is `output_tuple` of the
-    /// accumulators at this stamp, so it is recomputed, not retained.
-    shown: Option<SimTime>,
+/// The `shown` stamp of a group that shows no row.
+const NONE: u64 = u64::MAX;
+/// An index position holding no slot.
+const VACANT: u32 = u32::MAX;
+
+/// A touched group: the stamp it showed before the batch (the values
+/// are `aggs.len()` of the batch's list at its position) and the stamp
+/// of the last delta that hit it, for its new row.
+struct Touch {
+    slot: u32,
+    shown: u64,
+    last_ts: SimTime,
 }
 
 impl AggregateOp {
     pub fn new(group: Vec<BoundExpr>, aggs: Vec<BoundAgg>) -> Self {
         AggregateOp {
+            cols: aggs.iter().map(AggColumn::of).collect(),
             group,
             aggs,
-            groups: HashMap::new(),
+            keys: Vec::new(),
+            weight: Vec::new(),
+            shown: Vec::new(),
+            index: Vec::new(),
+            free: Vec::new(),
             stale: HashMap::new(),
         }
     }
 
+    /// Groups holding rows (a global aggregate's one always, once made).
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        let global = self.group.is_empty();
+        self.weight.iter().filter(|&&w| global || w > 0).count()
     }
 
-    fn fresh_accs(&self) -> Vec<AggAccumulator> {
-        self.aggs
-            .iter()
-            .map(|a| AggAccumulator::new(a.func, a.arg.as_ref().and_then(BoundExpr::data_type)))
-            .collect()
+    fn key(&self, slot: u32) -> &[Value] {
+        let n = self.group.len();
+        &self.keys[slot as usize * n..][..n]
     }
 
-    fn output_tuple(
-        key: &[Value],
-        accs: &[AggAccumulator],
-        aggs: &[BoundAgg],
-        ts: SimTime,
-    ) -> Tuple {
-        let mut vals: Vec<Value> = key.to_vec();
-        for (acc, spec) in accs.iter().zip(aggs) {
-            vals.push(acc.value(spec.func));
+    /// Probe `index` from hash `h` for a slot `hit` accepts: `Ok` at its
+    /// position, else `Err` at the first vacancy.
+    fn probe(&self, h: u64, hit: impl Fn(u32) -> bool) -> std::result::Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut pos = h as usize & mask;
+        loop {
+            match self.index[pos] {
+                VACANT => return Err(pos),
+                slot if hit(slot) => return Ok(pos),
+                _ => pos = (pos + 1) & mask,
+            }
         }
-        Tuple::new(vals, ts)
     }
-}
 
-/// Per-batch bookkeeping for one touched group: the key, its output row
-/// as of *before* the batch, and the timestamp of the last delta that
-/// hit it (which times its new output row).
-struct Touch {
-    key: Vec<Value>,
-    prev_output: Option<Tuple>,
-    last_ts: SimTime,
-}
-
-impl AggregateOp {
-    /// Pass 1: apply every delta to its group's accumulators, tracking
-    /// touched groups in first-touch order. A non-global group whose
-    /// weight drops to zero or below is dropped *immediately* — exactly
-    /// as single-delta delivery would — so a later delta in the same
-    /// batch rebuilds it from fresh accumulators rather than reviving
-    /// a poisoned one (negative weights arise from out-of-order
-    /// retractions and must not leak accumulator state).
-    fn apply(&mut self, batch: &DeltaBatch, touched: &mut Vec<Touch>) -> Result<()> {
-        let is_global = self.group.is_empty();
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        for delta in batch {
-            let mut key = Vec::with_capacity(self.group.len());
-            for g in &self.group {
-                key.push(g.eval(&delta.tuple)?);
+    /// The slot of `key`'s group; a new key gets a fresh one.
+    fn slot(&mut self, key: &[Cow<Value>]) -> u32 {
+        if self.group.is_empty() {
+            if self.weight.is_empty() {
+                self.weight.reserve_exact(1);
+                self.shown.reserve_exact(1);
+                self.cols.iter_mut().for_each(|c| c.reserve_exact(1));
+                self.alloc(key);
             }
-            // The hot case is a delta for a group that already exists
-            // and was already touched by this batch: two lookups by
-            // reference, no accumulator build, no key clone.
-            if !self.groups.contains_key(&key) {
-                let accs = self.fresh_accs();
-                self.groups.insert(
-                    key.clone(),
-                    GroupState {
-                        accs,
-                        weight: 0,
-                        shown: None,
-                    },
-                );
+            return 0;
+        }
+        let h = hash_of(key);
+        if !self.index.is_empty() {
+            let same = |s| self.key(s).iter().eq(key.iter().map(|v| &**v));
+            if let Ok(pos) = self.probe(h, same) {
+                return self.index[pos];
             }
-            let state = self.groups.get_mut(&key).expect("group ensured above");
-
-            let slot = match index.get(&key) {
-                Some(&slot) => slot,
-                None => {
-                    // First touch of the batch, before the delta lands:
-                    // the accumulators still say what the group shows.
-                    let shown = |ts| Self::output_tuple(&key, &state.accs, &self.aggs, ts);
-                    let slot = touched.len();
-                    touched.push(Touch {
-                        prev_output: match self.stale.remove(&key) {
-                            Some(row) => row,
-                            None => state.shown.map(shown),
-                        },
-                        key: key.clone(),
-                        last_ts: SimTime::ZERO,
-                    });
-                    index.insert(key, slot);
-                    slot
+        }
+        if (self.weight.len() - self.free.len() + 1) * 8 > self.index.len() * 7 {
+            let len = (self.index.len() * 2).max(8);
+            for slot in std::mem::replace(&mut self.index, vec![VACANT; len]) {
+                if slot != VACANT {
+                    let pos = self.probe(hash_of(self.key(slot)), |_| false);
+                    self.index[pos.unwrap_err()] = slot;
                 }
-            };
-            touched[slot].last_ts = delta.tuple.timestamp();
+            }
+        }
+        let pos = self.probe(h, |_| false).unwrap_err();
+        self.index[pos] = self.alloc(key);
+        self.index[pos]
+    }
 
-            // Apply |sign| repetitions of the update.
-            let reps = delta.sign.unsigned_abs();
-            for _ in 0..reps {
-                for (acc, spec) in state.accs.iter_mut().zip(&self.aggs) {
-                    let v = match &spec.arg {
-                        Some(e) => e.eval(&delta.tuple)?,
-                        // COUNT(*): count every row regardless of content.
-                        None => Value::Int(1),
-                    };
-                    if delta.sign > 0 {
-                        acc.insert(&v)?;
-                    } else {
-                        acc.retract(&v)?;
+    /// A slot holding `key`, every other cell fresh: a freed one if any.
+    fn alloc(&mut self, key: &[Cow<Value>]) -> u32 {
+        let key = key.iter().map(|v| v.clone().into_owned());
+        let Some(slot) = self.free.pop() else {
+            self.keys.extend(key);
+            self.weight.push(0);
+            self.shown.push(NONE);
+            self.cols.iter_mut().for_each(AggColumn::push);
+            return (self.weight.len() - 1) as u32;
+        };
+        let at = slot as usize * self.group.len();
+        self.keys.splice(at..at + self.group.len(), key);
+        slot
+    }
+
+    /// Unindex a dead group's slot (its other cells already fresh) and
+    /// free it. Each entry further along the probe run moves back into
+    /// the hole unless its home lies cyclically in (hole, its position].
+    fn release(&mut self, slot: u32) {
+        let mask = self.index.len() - 1;
+        let found = self.probe(hash_of(self.key(slot)), |s| s == slot);
+        let mut hole = found.expect("a live group's slot is indexed");
+        let mut pos = (hole + 1) & mask;
+        while self.index[pos] != VACANT {
+            let home = hash_of(self.key(self.index[pos])) as usize & mask;
+            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
+                self.index[hole] = self.index[pos];
+                hole = pos;
+            }
+            pos = (pos + 1) & mask;
+        }
+        self.index[hole] = VACANT;
+        let n = self.group.len();
+        self.keys[slot as usize * n..][..n].fill(Value::Null);
+        self.shown[slot as usize] = NONE;
+        self.free.push(slot);
+    }
+
+    /// The aggregate values `slot` holds now.
+    fn values(&self, slot: u32) -> impl Iterator<Item = Value> + '_ {
+        let (s, rows) = (slot as usize, self.weight[slot as usize]);
+        self.cols.iter().map(move |c| c.value(s, rows))
+    }
+
+    /// The output row of `slot` with aggregate values `aggs`, at `stamp`.
+    fn row(&self, slot: u32, aggs: impl Iterator<Item = Value>, stamp: u64) -> Tuple {
+        let mut vals = Vec::with_capacity(self.group.len() + self.aggs.len());
+        vals.extend_from_slice(self.key(slot));
+        vals.extend(aggs);
+        Tuple::new(vals, SimTime::from_micros(stamp))
+    }
+
+    /// Pass 1: apply every delta to its group's cells, recording touched
+    /// groups in first-touch order with the values they showed in
+    /// `before`, and resetting a non-global group that dies (type docs).
+    fn apply(
+        &mut self,
+        batch: &DeltaBatch,
+        touched: &mut Vec<Touch>,
+        before: &mut Vec<Value>,
+    ) -> Result<()> {
+        // `COUNT(*)`'s input, which its column ignores.
+        let one = Value::Int(1);
+        let mut key = Vec::with_capacity(self.group.len());
+        for delta in batch {
+            key.clear();
+            for g in &self.group {
+                key.push(g.eval_ref(&delta.tuple)?);
+            }
+            let slot = self.slot(&key);
+            let s = slot as usize;
+            let at = self.shown[s] as usize;
+            if touched.get(at).is_none_or(|t| t.slot != slot) {
+                // First touch, before the delta lands: the cells still
+                // say what the group shows.
+                let stale = (!self.stale.is_empty()).then(|| self.stale.remove(&slot));
+                let shown = match stale.flatten() {
+                    Some((stamp, row)) => {
+                        before.extend(row);
+                        stamp
+                    }
+                    None => {
+                        before.extend(self.values(slot));
+                        self.shown[s]
+                    }
+                };
+                self.shown[s] = touched.len() as u64;
+                touched.push(Touch {
+                    slot,
+                    shown,
+                    last_ts: SimTime::ZERO,
+                });
+            }
+            touched[self.shown[s] as usize].last_ts = delta.tuple.timestamp();
+            for _ in 0..delta.sign.unsigned_abs() {
+                for (col, spec) in self.cols.iter_mut().zip(&self.aggs) {
+                    let arg = spec.arg.as_ref().map(|e| e.eval_ref(&delta.tuple));
+                    let v = arg.unwrap_or(Ok(Cow::Borrowed(&one)))?;
+                    match delta.sign > 0 {
+                        true => col.insert(s, &v)?,
+                        false => col.retract(s, &v)?,
                     }
                 }
             }
-            state.weight += delta.sign;
-            let dead = !is_global && state.weight <= 0;
-            if dead {
-                self.groups.remove(&touched[slot].key);
+            self.weight[s] += delta.sign;
+            if self.weight[s] <= 0 && !self.group.is_empty() {
+                self.weight[s] = 0;
+                self.cols.iter_mut().for_each(|c| c.reset(s));
             }
         }
         Ok(())
@@ -505,37 +603,39 @@ impl AggregateOp {
 
 impl DeltaOp for AggregateOp {
     fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
-        let is_global = self.group.is_empty();
-        let mut touched: Vec<Touch> = Vec::new();
-        if let Err(e) = self.apply(batch, &mut touched) {
-            let shown = touched.into_iter().map(|t| (t.key, t.prev_output));
-            self.stale.extend(shown);
+        let (mut touched, mut before) = (Vec::new(), Vec::new());
+        let n = self.aggs.len();
+        if let Err(e) = self.apply(batch, &mut touched, &mut before) {
+            for (i, t) in touched.iter().enumerate() {
+                let row = before[i * n..(i + 1) * n].to_vec();
+                self.stale.insert(t.slot, (t.shown, row));
+            }
             return Err(e);
         }
+        if self.stale.is_empty() {
+            self.stale.shrink_to_fit(); // a failed batch's ledger, spent
+        }
 
-        // Pass 2: one retract/insert pair per touched group, diffing the
-        // group's final state against its pre-batch output row.
+        // Pass 2: one retract/insert pair per touched group whose row
+        // changed; a group that died (and stayed dead) only retracts.
         let mut out = DeltaBatch::with_capacity(touched.len() * 2);
-        for touch in touched {
-            match self.groups.get_mut(&touch.key) {
-                Some(state) if state.weight > 0 || is_global => {
-                    let tuple =
-                        Self::output_tuple(&touch.key, &state.accs, &self.aggs, touch.last_ts);
-                    if touch.prev_output.as_ref() != Some(&tuple) {
-                        if let Some(prev) = touch.prev_output {
-                            out.push_retract(prev);
-                        }
-                        out.push_insert(tuple);
-                    }
-                    state.shown = Some(touch.last_ts);
+        for (i, t) in touched.iter().enumerate() {
+            let alive = self.group.is_empty() || self.weight[t.slot as usize] > 0;
+            let now = t.last_ts.as_micros();
+            let prev = &mut before[i * n..(i + 1) * n];
+            let same = t.shown == now && self.values(t.slot).zip(&*prev).all(|(v, p)| v == *p);
+            if !(alive && same) {
+                if t.shown != NONE {
+                    let prev = prev.iter_mut().map(|v| std::mem::replace(v, Value::Null));
+                    out.push_retract(self.row(t.slot, prev, t.shown));
                 }
-                // Group died during the batch (and was not rebuilt):
-                // retract whatever it showed before the batch.
-                _ => {
-                    if let Some(prev) = touch.prev_output {
-                        out.push_retract(prev);
-                    }
+                if alive {
+                    out.push_insert(self.row(t.slot, self.values(t.slot), now));
                 }
+            }
+            self.shown[t.slot as usize] = now;
+            if !alive {
+                self.release(t.slot);
             }
         }
         Ok(out)
@@ -547,36 +647,27 @@ impl DeltaOp for AggregateOp {
         }
         // Global aggregate over an empty stream still has one row
         // (COUNT = 0, SUM = NULL, ...), emitted at time zero.
-        let accs = self.fresh_accs();
-        let tuple = Self::output_tuple(&[], &accs, &self.aggs, SimTime::ZERO);
-        self.groups.insert(
-            vec![],
-            GroupState {
-                accs,
-                weight: 0,
-                shown: Some(SimTime::ZERO),
-            },
-        );
-        DeltaBatch::from(vec![Delta::insert(tuple)])
+        let slot = self.slot(&[]);
+        self.shown[0] = 0;
+        DeltaBatch::from(vec![Delta::insert(self.row(slot, self.values(slot), 0))])
     }
 
     fn state_bytes(&self) -> usize {
-        // Walked on demand (telemetry cadence), not per delta: group
-        // count is bounded by distinct keys, not input volume.
-        self.groups
-            .iter()
-            .map(|(key, state)| {
-                let mut b = 48; // map entry + GroupState header
-                b += std::mem::size_of::<Value>() * key.len();
-                for v in key {
-                    if let Value::Text(s) = v {
-                        b += s.len();
-                    }
-                }
-                b += std::mem::size_of::<AggAccumulator>() * state.accs.len();
-                b + std::mem::size_of_val(&state.shown)
-            })
-            .sum()
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let text = |vs: &[Value]| vs.iter().map(value_heap_bytes).sum::<usize>();
+        let slots = cap(&self.keys) + text(&self.keys) + cap(&self.weight) + cap(&self.shown);
+        let cols: usize = self.cols.iter().map(AggColumn::heap_bytes).sum();
+        // The failed-batch ledger: an entry and a control byte a bucket.
+        let bucket = std::mem::size_of::<(u32, (u64, Vec<Value>))>() + 1;
+        let stale = self.stale.values().map(|(_, row)| cap(row) + text(row));
+        let stale = self.stale.capacity() * bucket + stale.sum::<usize>();
+        slots + cap(&self.index) + cap(&self.free) + cols + stale
+    }
+
+    fn groups(&self) -> usize {
+        self.group_count()
     }
 }
 
@@ -599,6 +690,8 @@ mod tests {
     use crate::window::WindowOp;
     use aspen_sql::expr::AggFunc;
     use aspen_types::{DataType, WindowSpec};
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     fn t(vals: Vec<Value>, us: u64) -> Tuple {
         Tuple::new(vals, SimTime::from_micros(us))
@@ -612,6 +705,7 @@ mod tests {
                 left: Box::new(BoundExpr::col(0, DataType::Int)),
                 right: Box::new(BoundExpr::Lit(Value::Int(5))),
             },
+            keep_ids: false,
         };
         let keep = Delta::insert(t(vec![Value::Int(7)], 0));
         let drop_ = Delta::insert(t(vec![Value::Int(3)], 0));
@@ -630,6 +724,7 @@ mod tests {
                 left: Box::new(BoundExpr::col(0, DataType::Int)),
                 right: Box::new(BoundExpr::Lit(Value::Int(5))),
             },
+            keep_ids: false,
         };
         let batch: DeltaBatch = (0..10i64)
             .map(|v| Delta::insert(t(vec![Value::Int(v)], 0)))
@@ -1066,5 +1161,429 @@ mod tests {
         let d = Delta::insert(t(vec![Value::Int(1)], 0));
         assert_eq!(u.process(0, &d).unwrap().len(), 1);
         assert_eq!(u.process(1, &d).unwrap().len(), 1);
+    }
+
+    /// The aggregate operator as it stood before the slot table (PR 24):
+    /// a `HashMap` from key to a group object, its accumulators one-slot
+    /// [`AggColumn`]s (which fold `COUNT(*)` into the weight) — the
+    /// oracle the slot table must match batch for batch.
+    mod model {
+        use super::*;
+
+        pub(super) struct MapAggregate {
+            group: Vec<BoundExpr>,
+            aggs: Vec<BoundAgg>,
+            groups: HashMap<Vec<Value>, GroupState>,
+            stale: HashMap<Vec<Value>, Option<Tuple>>,
+        }
+
+        struct GroupState {
+            accs: Vec<AggColumn>,
+            weight: i64,
+            shown: Option<SimTime>,
+        }
+
+        struct Touch {
+            key: Vec<Value>,
+            prev_output: Option<Tuple>,
+            last_ts: SimTime,
+        }
+
+        impl MapAggregate {
+            pub(super) fn new(group: Vec<BoundExpr>, aggs: Vec<BoundAgg>) -> Self {
+                MapAggregate {
+                    group,
+                    aggs,
+                    groups: HashMap::new(),
+                    stale: HashMap::new(),
+                }
+            }
+
+            /// Groups holding rows (a global aggregate's one always): a
+            /// group a failed delta created before it landed holds none.
+            pub(super) fn group_count(&self) -> usize {
+                let global = self.group.is_empty();
+                let live = |g: &&GroupState| global || g.weight > 0;
+                self.groups.values().filter(live).count()
+            }
+
+            fn fresh(&self) -> GroupState {
+                let accs = self.aggs.iter().map(|a| {
+                    let mut col = AggColumn::of(a);
+                    col.push();
+                    col
+                });
+                GroupState {
+                    accs: accs.collect(),
+                    weight: 0,
+                    shown: None,
+                }
+            }
+
+            fn output(key: &[Value], state: &GroupState, ts: SimTime) -> Tuple {
+                let mut vals = key.to_vec();
+                vals.extend(state.accs.iter().map(|a| a.value(0, state.weight)));
+                Tuple::new(vals, ts)
+            }
+
+            fn apply(&mut self, batch: &DeltaBatch, touched: &mut Vec<Touch>) -> Result<()> {
+                let is_global = self.group.is_empty();
+                let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+                for delta in batch {
+                    let mut key = Vec::new();
+                    for g in &self.group {
+                        key.push(g.eval(&delta.tuple)?);
+                    }
+                    if !self.groups.contains_key(&key) {
+                        let fresh = self.fresh();
+                        self.groups.insert(key.clone(), fresh);
+                    }
+                    let state = self.groups.get_mut(&key).unwrap();
+                    let slot = match index.get(&key) {
+                        Some(&slot) => slot,
+                        None => {
+                            let shown = |ts| Self::output(&key, state, ts);
+                            touched.push(Touch {
+                                prev_output: match self.stale.remove(&key) {
+                                    Some(row) => row,
+                                    None => state.shown.map(shown),
+                                },
+                                key: key.clone(),
+                                last_ts: SimTime::ZERO,
+                            });
+                            index.insert(key, touched.len() - 1);
+                            touched.len() - 1
+                        }
+                    };
+                    touched[slot].last_ts = delta.tuple.timestamp();
+                    for _ in 0..delta.sign.unsigned_abs() {
+                        for (acc, spec) in state.accs.iter_mut().zip(&self.aggs) {
+                            let v = match &spec.arg {
+                                Some(e) => e.eval(&delta.tuple)?,
+                                None => Value::Int(1),
+                            };
+                            if delta.sign > 0 {
+                                acc.insert(0, &v)?;
+                            } else {
+                                acc.retract(0, &v)?;
+                            }
+                        }
+                    }
+                    state.weight += delta.sign;
+                    if !is_global && state.weight <= 0 {
+                        self.groups.remove(&touched[slot].key);
+                    }
+                }
+                Ok(())
+            }
+
+            pub(super) fn process_batch(&mut self, batch: &DeltaBatch) -> Result<DeltaBatch> {
+                let is_global = self.group.is_empty();
+                let mut touched = Vec::new();
+                if let Err(e) = self.apply(batch, &mut touched) {
+                    let shown = touched.into_iter().map(|t| (t.key, t.prev_output));
+                    self.stale.extend(shown);
+                    return Err(e);
+                }
+                let mut out = DeltaBatch::new();
+                for touch in touched {
+                    match self.groups.get_mut(&touch.key) {
+                        Some(state) if state.weight > 0 || is_global => {
+                            let tuple = Self::output(&touch.key, state, touch.last_ts);
+                            if touch.prev_output.as_ref() != Some(&tuple) {
+                                if let Some(prev) = touch.prev_output {
+                                    out.push_retract(prev);
+                                }
+                                out.push_insert(tuple);
+                            }
+                            state.shown = Some(touch.last_ts);
+                        }
+                        _ => {
+                            if let Some(prev) = touch.prev_output {
+                                out.push_retract(prev);
+                            }
+                        }
+                    }
+                }
+                Ok(out)
+            }
+
+            pub(super) fn initial(&mut self) -> DeltaBatch {
+                if !self.group.is_empty() {
+                    return DeltaBatch::new();
+                }
+                let mut state = self.fresh();
+                state.shown = Some(SimTime::ZERO);
+                let tuple = Self::output(&[], &state, SimTime::ZERO);
+                self.groups.insert(vec![], state);
+                DeltaBatch::from(vec![Delta::insert(tuple)])
+            }
+        }
+    }
+
+    /// `(k0, k1, v, i)` rows: keys over `Int` / `Float` / text / `NULL`
+    /// (`Int(2)` and `Float(2.0)` among them), a float argument that is
+    /// sometimes `NULL`, an int one, and now and then a poisoned argument
+    /// no sum accepts.
+    fn agg_row(rng: &mut StdRng) -> Tuple {
+        let pick = |rng: &mut StdRng, vs: &[Value]| vs[rng.gen_range(0..vs.len())].clone();
+        let k0 = [
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(0.5),
+            Value::Text("a".into()),
+            Value::Text("bb".into()),
+            Value::Null,
+        ];
+        let k1 = [Value::Int(0), Value::Text("x".into()), Value::Null];
+        let mut v = vec![
+            Value::Float(1.5),
+            Value::Float(-2.0),
+            Value::Int(3),
+            Value::Float(10.25),
+            Value::Null,
+        ];
+        if rng.gen_range(0..40u32) == 0 {
+            v = vec![Value::Text("n/a".into())];
+        }
+        let i = [Value::Int(-1), Value::Int(4), Value::Null];
+        let vals = vec![pick(rng, &k0), pick(rng, &k1), pick(rng, &v), pick(rng, &i)];
+        t(vals, rng.gen_range(0..5u64))
+    }
+
+    /// A random aggregate shape over [`agg_row`]s: global, one key or
+    /// two, and up to four calls among every function.
+    fn agg_shape(rng: &mut StdRng) -> (Vec<BoundExpr>, Vec<BoundAgg>) {
+        let group = match rng.gen_range(0..4u32) {
+            0 => vec![],
+            1 => vec![BoundExpr::col(0, DataType::Int)],
+            2 => vec![BoundExpr::col(1, DataType::Text)],
+            _ => vec![
+                BoundExpr::col(0, DataType::Int),
+                BoundExpr::col(1, DataType::Text),
+            ],
+        };
+        let call = |func, arg: Option<BoundExpr>| BoundAgg {
+            func,
+            arg,
+            name: String::new(),
+        };
+        let v = || Some(BoundExpr::col(2, DataType::Float));
+        let menu = [
+            call(AggFunc::Count, None),
+            call(AggFunc::Count, v()),
+            call(AggFunc::Sum, v()),
+            call(AggFunc::Avg, v()),
+            call(AggFunc::Min, v()),
+            call(AggFunc::Max, v()),
+            call(AggFunc::Sum, Some(BoundExpr::col(3, DataType::Int))),
+        ];
+        let aggs = (0..rng.gen_range(0..5usize))
+            .map(|_| menu[rng.gen_range(0..menu.len())].clone())
+            .collect();
+        (group, aggs)
+    }
+
+    /// The slot table against the map operator it replaced: identical
+    /// output per batch — or the same error — and the same live groups,
+    /// through inserts, in- and out-of-order retractions (weights below
+    /// zero), deaths and rebirths inside a batch, `NULL` arguments and
+    /// keys, failed batches and the batches after them.
+    #[test]
+    fn slot_table_matches_map_operator() {
+        use aspen_types::rng::seeded;
+        // What the draws reached: failed batches, groups that died.
+        let (mut failed, mut died) = (0, 0);
+        for seed in crate::test_seeds(48) {
+            let mut rng = seeded(0xA66 ^ seed);
+            let (group, aggs) = agg_shape(&mut rng);
+            let shape = format!("{} keys, {:?}", group.len(), aggs);
+            let mut slots = AggregateOp::new(group.clone(), aggs.clone());
+            let mut map = model::MapAggregate::new(group, aggs);
+            let ctx = |step| format!("seed {seed}, batch {step}, {shape}");
+            assert_eq!(slots.initial(), map.initial(), "{}", ctx(0));
+            let mut live: Vec<Tuple> = Vec::new();
+            for step in 1..=120 {
+                let mut batch = DeltaBatch::new();
+                for _ in 0..rng.gen_range(0..8usize) {
+                    match rng.gen_range(0..10u32) {
+                        // A live row leaves; half the time one with the
+                        // same key arrives right after it.
+                        0..=3 if !live.is_empty() => {
+                            let row = live.swap_remove(rng.gen_range(0..live.len()));
+                            batch.push(Delta::retract(row.clone()));
+                            if rng.gen_bool(0.5) {
+                                let mut vals = agg_row(&mut rng).values().to_vec();
+                                vals[..2].clone_from_slice(&row.values()[..2]);
+                                let reborn = t(vals, rng.gen_range(0..5u64));
+                                live.push(reborn.clone());
+                                batch.push(Delta::insert(reborn));
+                            }
+                        }
+                        // A retraction ahead of its insertion.
+                        4 => batch.push(Delta::retract(agg_row(&mut rng))),
+                        // A double insertion.
+                        5 => {
+                            let row = agg_row(&mut rng);
+                            live.extend([row.clone(), row.clone()]);
+                            batch.push(Delta {
+                                tuple: row,
+                                sign: 2,
+                            });
+                        }
+                        _ => {
+                            let row = agg_row(&mut rng);
+                            live.push(row.clone());
+                            batch.push(Delta::insert(row));
+                        }
+                    }
+                }
+                let groups = slots.group_count();
+                match (slots.process_batch(0, &batch), map.process_batch(&batch)) {
+                    (Ok(got), Ok(want)) => assert_eq!(got, want, "{}", ctx(step)),
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{}", ctx(step));
+                        failed += 1;
+                    }
+                    (got, want) => panic!("{}: {got:?} vs {want:?}", ctx(step)),
+                }
+                assert_eq!(slots.group_count(), map.group_count(), "{}", ctx(step));
+                died += (slots.group_count() < groups) as usize;
+            }
+        }
+        assert!(
+            failed > 0 && died > 0,
+            "{failed} failed batches, {died} deaths"
+        );
+    }
+
+    fn count_by_key() -> AggregateOp {
+        AggregateOp::new(
+            vec![BoundExpr::col(0, DataType::Int)],
+            vec![BoundAgg {
+                func: AggFunc::Count,
+                arg: None,
+                name: "COUNT(*)".into(),
+            }],
+        )
+    }
+
+    /// A dead group's slot goes back on the free list at batch end and
+    /// the next new key takes it: a churning key domain costs its live
+    /// groups, not every key it ever saw.
+    #[test]
+    fn group_slots_are_reused_under_key_churn() {
+        let mut a = count_by_key();
+        let row = |k: i64| t(vec![Value::Int(k)], k as u64);
+        for k in 0..100_000i64 {
+            let mut batch = DeltaBatch::inserts([row(k)]);
+            if k >= 64 {
+                batch.push(Delta::retract(row(k - 64)));
+            }
+            a.process_batch(0, &batch).unwrap();
+            assert!(a.group_count() <= 64);
+        }
+        assert_eq!(a.group_count(), 64);
+        let capacity = a.weight.capacity();
+        assert!(capacity <= 128, "{capacity} slots");
+        assert!(a.index.len() <= 128, "{}", a.index.len());
+        // 24 B of key, 16 of weight and stamp, 4 of index a slot.
+        assert!(a.state_bytes() <= 128 * 48, "{}", a.state_bytes());
+    }
+
+    /// Growth rehashes every key from its cells and deletion shifts the
+    /// probe runs back: each live group is still found — and retracted to
+    /// nothing — after many of both.
+    #[test]
+    fn index_growth_keeps_every_group() {
+        let mut a = count_by_key();
+        let row = |k: i64| t(vec![Value::Int(k)], 0);
+        let count = |k: i64, n: i64| t(vec![Value::Int(k), Value::Int(n)], 0);
+        for chunk in (0..5_000i64).collect::<Vec<_>>().chunks(97) {
+            a.process_batch(0, &DeltaBatch::inserts(chunk.iter().map(|&k| row(k))))
+                .unwrap();
+        }
+        assert_eq!(a.index.len(), 8_192, "grown from 8, load ≤ 7/8");
+        // Every third group dies: backward shifts all over the table.
+        let dying = (0..5_000i64).filter(|k| k % 3 == 0);
+        let out = a
+            .process_batch(0, &dying.clone().map(|k| Delta::retract(row(k))).collect())
+            .unwrap();
+        assert_eq!(out, dying.map(|k| Delta::retract(count(k, 1))).collect());
+        assert_eq!(a.group_count(), 3_333);
+        // A second row for every key: the survivors count 2, the dead
+        // come back (onto freed slots) at 1.
+        let out = a
+            .process_batch(0, &DeltaBatch::inserts((0..5_000i64).map(row)))
+            .unwrap();
+        let mut want = DeltaBatch::new();
+        for k in 0..5_000i64 {
+            if k % 3 != 0 {
+                want.push_retract(count(k, 1));
+            }
+            want.push_insert(count(k, 1 + (k % 3 != 0) as i64));
+        }
+        assert_eq!(out, want);
+        assert_eq!(a.weight.len(), 5_000, "the dead's slots were reused");
+    }
+
+    /// A global aggregate is one slot allocated at capacity 1, no index:
+    /// `COUNT(*)` costs its weight and stamp cells.
+    #[test]
+    fn global_aggregate_costs_one_slot() {
+        let mut a = AggregateOp::new(
+            vec![],
+            vec![BoundAgg {
+                func: AggFunc::Count,
+                arg: None,
+                name: "COUNT(*)".into(),
+            }],
+        );
+        a.initial();
+        let batch = DeltaBatch::inserts((0..1_000).map(|i| t(vec![Value::Int(i)], 1)));
+        let out = a.process_batch(0, &batch).unwrap();
+        assert_eq!(out.as_slice()[1].tuple.values(), &[Value::Int(1_000)]);
+        assert_eq!(a.state_bytes(), 16);
+        assert!(a.state_bytes() <= 96, "PR 24 charged 96");
+    }
+
+    /// A `MIN` group's multiset is charged per entry: one group holding
+    /// 10 000 distinct values reads at least their pairs' bytes.
+    #[test]
+    fn min_max_state_grows_with_distinct_values() {
+        let mut a = AggregateOp::new(
+            vec![BoundExpr::col(0, DataType::Int)],
+            vec![BoundAgg {
+                func: AggFunc::Min,
+                arg: Some(BoundExpr::col(1, DataType::Float)),
+                name: "MIN(v)".into(),
+            }],
+        );
+        let rows = (0..10_000).map(|i| t(vec![Value::Int(7), Value::Float(i as f64)], 1));
+        a.process_batch(0, &DeltaBatch::inserts(rows)).unwrap();
+        assert_eq!(a.group_count(), 1);
+        assert!(a.state_bytes() >= 10_000 * 32, "{}", a.state_bytes());
+    }
+
+    /// A failed batch leaves a ledger of what downstream still shows,
+    /// and the ledger is charged until a later batch spends it.
+    #[test]
+    fn failed_batch_ledger_is_charged_until_spent() {
+        let mut a = avg_agg();
+        let reading = |room: String, v: Value| Delta::insert(t(vec![Value::Text(room), v], 1));
+        let rooms: DeltaBatch = (0..100)
+            .map(|i| reading(format!("room-{i}"), Value::Float(1.0)))
+            .collect();
+        a.process_batch(0, &rooms).unwrap();
+        let settled = a.state_bytes();
+        let mut poisoned = rooms.clone();
+        poisoned.push(reading("room-0".into(), Value::Text("n/a".into())));
+        assert!(a.process_batch(0, &poisoned).is_err());
+        assert_eq!(a.stale.len(), 100);
+        assert!(a.state_bytes() >= settled + 100 * 40, "{}", a.state_bytes());
+        a.process_batch(0, &rooms).unwrap();
+        assert!(a.stale.is_empty());
+        assert_eq!(a.state_bytes(), settled);
     }
 }

@@ -152,7 +152,7 @@ impl Pipeline {
             drag: None,
             tapped: false,
         };
-        pipeline.build(core, None, opts)?;
+        pipeline.build(core, None, opts, false)?;
         Ok(pipeline)
     }
 
@@ -199,7 +199,15 @@ impl Pipeline {
         self.scans.iter().any(|s| s.window.needs_clock())
     }
 
-    fn build(&mut self, plan: &LogicalPlan, parent: Attach, opts: &StateOptions) -> Result<()> {
+    /// Build `plan` under `parent`; `indexed`: its output feeds an
+    /// indexed join side, the only reader of a filter's row ids.
+    fn build(
+        &mut self,
+        plan: &LogicalPlan,
+        parent: Attach,
+        opts: &StateOptions,
+        indexed: bool,
+    ) -> Result<()> {
         match plan {
             LogicalPlan::Scan { rel } => {
                 self.scans.push(ScanEntry {
@@ -213,11 +221,12 @@ impl Pipeline {
                 let idx = self.push_node(
                     Box::new(FilterOp {
                         predicate: predicate.clone(),
+                        keep_ids: indexed,
                     }),
                     parent,
                     OpKind::Filter,
                 );
-                self.build(input, Some((idx, 0)), opts)
+                self.build(input, Some((idx, 0)), opts, indexed)
             }
             LogicalPlan::Project { input, exprs, .. } => {
                 let idx = self.push_node(
@@ -227,7 +236,7 @@ impl Pipeline {
                     parent,
                     OpKind::Project,
                 );
-                self.build(input, Some((idx, 0)), opts)
+                self.build(input, Some((idx, 0)), opts, false)
             }
             LogicalPlan::Join {
                 left,
@@ -245,8 +254,8 @@ impl Pipeline {
                 ];
                 let join = JoinOp::over_scans(keys.clone(), residual.clone(), opts, scans);
                 let idx = self.push_node(Box::new(join), parent, OpKind::Join);
-                self.build(left, Some((idx, 0)), opts)?;
-                self.build(right, Some((idx, 1)), opts)
+                self.build(left, Some((idx, 0)), opts, scans[0].is_some())?;
+                self.build(right, Some((idx, 1)), opts, scans[1].is_some())
             }
             LogicalPlan::Aggregate {
                 input, group, aggs, ..
@@ -256,12 +265,12 @@ impl Pipeline {
                     parent,
                     OpKind::Aggregate,
                 );
-                self.build(input, Some((idx, 0)), opts)
+                self.build(input, Some((idx, 0)), opts, false)
             }
             LogicalPlan::Union { inputs, .. } => {
                 let idx = self.push_node(Box::new(UnionOp), parent, OpKind::Union);
                 for (port, i) in inputs.iter().enumerate() {
-                    self.build(i, Some((idx, port)), opts)?;
+                    self.build(i, Some((idx, port)), opts, false)?;
                 }
                 Ok(())
             }
@@ -382,6 +391,11 @@ impl Pipeline {
         let windows: usize = self.scans.iter().map(|s| s.window.state_bytes()).sum();
         let ops: usize = self.nodes.iter().map(|n| n.op.state_bytes()).sum();
         windows + ops
+    }
+
+    /// Live aggregate groups across this pipeline's operators.
+    pub fn groups(&self) -> usize {
+        self.nodes.iter().map(|n| n.op.groups()).sum()
     }
 
     /// Bytes this pipeline has paged out to the spill tier.
@@ -658,6 +672,50 @@ mod tests {
         p.push_source(src, &[row("a", 1, 50.0, 1)], &mut sink)
             .unwrap();
         assert_eq!(sink.snapshot().unwrap()[0].values(), &[Value::Int(1)]);
+    }
+
+    /// Run every filter of `sql`'s pipeline on an addressed window step
+    /// and report, per filter, the kind of its parent and whether its
+    /// output kept the row ids.
+    fn filter_outputs(sql: &str) -> Vec<(Option<OpKind>, bool)> {
+        let cat = catalog();
+        let BoundQuery::Select(b) = compile(sql, &cat).unwrap() else {
+            panic!()
+        };
+        let mut p = Pipeline::compile(&b.plan).unwrap();
+        let mut step = DeltaBatch::new();
+        let mut window = WindowOp::new(WindowSpec::Rows(10));
+        window.insert_batch(&[row("a", 1, 95.0, 1), row("b", 2, 99.0, 1)], &mut step);
+        assert!(step.row_ids().is_some(), "window steps are addressed");
+        let parents: Vec<Option<OpKind>> = p
+            .nodes
+            .iter()
+            .map(|n| n.parent.map(|(i, _)| p.nodes[i].kind))
+            .collect();
+        let nodes = p.nodes.iter_mut().zip(parents);
+        let filters = nodes.filter(|(n, _)| n.kind == OpKind::Filter);
+        let run = |(n, parent): (&mut NodeEntry, _)| {
+            let out = n.op.process_batch(0, &step).unwrap();
+            assert_eq!(out.len(), 2);
+            (parent, out.row_ids().is_some())
+        };
+        filters.map(run).collect()
+    }
+
+    /// Only a filter feeding an indexed join side carries row ids on; an
+    /// aggregate (or anything else) never reads them.
+    #[test]
+    fn filters_keep_row_ids_only_for_indexed_join_sides() {
+        let agg = filter_outputs(
+            "select t.room, count(*) from TempSensors t [rows 10] \
+             where t.temp > 90 group by t.room",
+        );
+        assert_eq!(agg, vec![(Some(OpKind::Aggregate), false)]);
+        let join = filter_outputs(
+            "select a.room, b.room from TempSensors a [rows 10], TempSensors b [rows 10] \
+             where a.desk = b.desk ^ a.temp > 90",
+        );
+        assert_eq!(join, vec![(Some(OpKind::Join), true)]);
     }
 
     #[test]

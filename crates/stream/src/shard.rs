@@ -1024,6 +1024,7 @@ impl ShardedEngine {
                         shared: rt.pipeline.tapped,
                         latency: rt.sink.latency.clone(),
                         state_bytes: q_bytes,
+                        groups: rt.pipeline.groups() as u64,
                     });
                 }
             }
@@ -2851,6 +2852,52 @@ mod tests {
             busiest.log_bytes
         );
         assert!(crate::render_json(&report).contains(&json));
+    }
+
+    /// "Why is this query fat" from the exports alone: each query's live
+    /// groups and state bytes, which with the logs and tables add up to
+    /// the engine's total.
+    #[test]
+    fn query_groups_and_state_bytes_are_exported() {
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let grouped = e
+            .register_sql("select r.sensor, count(*) from Readings r group by r.sensor")
+            .unwrap()
+            .expect_query();
+        let global = e
+            .register_sql("select count(*) from Readings r [rows 5]")
+            .unwrap()
+            .expect_query();
+        for i in 0..40u64 {
+            e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i)])
+                .unwrap();
+        }
+        let rs = e.resident_state();
+        let report = e.telemetry_at(Consistency::Fresh);
+        let load = |q: QueryHandle| report.query(q.0).unwrap();
+        assert_eq!((load(grouped).groups, load(global).groups), (8, 1));
+        let queries: u64 = report.queries.iter().map(|q| q.state_bytes).sum();
+        assert!(load(grouped).state_bytes > load(global).state_bytes);
+        assert_eq!(
+            queries as usize + rs.log_bytes + rs.table_bytes,
+            rs.state_bytes
+        );
+        let prom = crate::render_prometheus(&report);
+        let json = crate::render_json(&report);
+        for q in [grouped, global] {
+            let (l, at) = (load(q), format!("{{query=\"{}\",shard=\"0\"}}", q.0 .0));
+            for line in [
+                format!("aspen_query_groups{at} {}\n", l.groups),
+                format!("aspen_query_state_bytes{at} {}\n", l.state_bytes),
+            ] {
+                assert!(prom.contains(&line), "{line} missing from:\n{prom}");
+            }
+            let fields = format!(
+                "\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},",
+                l.ops_invoked, l.state_bytes, l.groups
+            );
+            assert!(json.contains(&fields), "{fields} missing from {json}");
+        }
     }
 
     #[test]

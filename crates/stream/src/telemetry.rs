@@ -92,6 +92,9 @@ pub struct QueryLoad {
     /// the rows it points at being counted once, where they live (the
     /// log, or the query's own window).
     pub state_bytes: u64,
+    /// Live aggregate groups summed over the query's pipeline — a gauge;
+    /// with `state_bytes`, the answer to "why is this query fat".
+    pub groups: u64,
 }
 
 /// Snapshot of one pool worker's cumulative load (empty outside the
@@ -537,6 +540,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
                 shared: false,
                 latency: LatencyHistogram::new(),
                 state_bytes: bytes,
+                groups: 0,
             }
         })
         .collect();

@@ -505,9 +505,13 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         );
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
+    out.push_str("# TYPE aspen_query_state_bytes gauge\n");
+    out.push_str("# TYPE aspen_query_groups gauge\n");
     for q in &report.queries {
         let l = format!("query=\"{}\",shard=\"{}\"", q.query.0, q.shard);
         prom_line(&mut out, "aspen_query_ops_invoked_total", &l, q.ops_invoked);
+        prom_line(&mut out, "aspen_query_state_bytes", &l, q.state_bytes);
+        prom_line(&mut out, "aspen_query_groups", &l, q.groups);
     }
     let latency = report.ingest_latency();
     let queue = report.queue_wait();
@@ -618,9 +622,9 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|q| {
             format!(
-                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"output_deltas\":{},\"latency\":{}}}",
-                q.query.0, q.shard, q.paused, q.tuples_in, q.ops_invoked, q.output_deltas,
-                json_hist(&q.latency)
+                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"output_deltas\":{},\"latency\":{}}}",
+                q.query.0, q.shard, q.paused, q.tuples_in, q.ops_invoked, q.state_bytes,
+                q.groups, q.output_deltas, json_hist(&q.latency)
             )
         })
         .collect();

@@ -9,7 +9,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use smartcis::netsim::codec;
-use smartcis::sql::expr::{AggAccumulator, AggFunc, PartialAgg};
+use smartcis::sql::expr::{AggColumn, AggFunc, PartialAgg};
 use smartcis::stream::delta::{consolidate, Delta, DeltaBatch};
 use smartcis::stream::operators::{DeltaOp, JoinOp};
 use smartcis::types::rng::seeded;
@@ -150,19 +150,30 @@ fn accumulator_retraction_is_exact() {
             .map(|_| rng.gen_range(-1000..1000i64))
             .collect();
         for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-            let mut acc = AggAccumulator::new(func, Some(DataType::Int));
+            // One-slot columns: a group's accumulator is its slot.
+            let one_slot = || {
+                let mut col = AggColumn::new(func, Some(DataType::Int));
+                col.push();
+                col
+            };
+            let mut acc = one_slot();
             for v in keep.iter().chain(&gone) {
-                acc.insert(&Value::Int(*v)).unwrap();
+                acc.insert(0, &Value::Int(*v)).unwrap();
             }
             for v in &gone {
-                acc.retract(&Value::Int(*v)).unwrap();
+                acc.retract(0, &Value::Int(*v)).unwrap();
             }
             // Oracle: aggregate of `keep` alone.
-            let mut oracle = AggAccumulator::new(func, Some(DataType::Int));
+            let mut oracle = one_slot();
             for v in &keep {
-                oracle.insert(&Value::Int(*v)).unwrap();
+                oracle.insert(0, &Value::Int(*v)).unwrap();
             }
-            assert_eq!(acc.value(func), oracle.value(func), "seed {seed} {func:?}");
+            let rows = keep.len() as i64;
+            assert_eq!(
+                acc.value(0, rows),
+                oracle.value(0, rows),
+                "seed {seed} {func:?}"
+            );
         }
     }
 }
