@@ -25,27 +25,37 @@
 //! * [`TupleStore`] — an append-only row store laid out column-wise in
 //!   fixed-capacity *segments*. Every row gets a monotonically increasing
 //!   row id (never reused, stable across compaction), a timestamp, a
-//!   liveness bit, and optionally a signed weight. Timestamps (sealed
-//!   like an integer column), liveness (a bit a row) and weights stay
-//!   resident always; the value columns of a sealed segment may be
+//!   liveness bit, and optionally a signed weight. Segments are aligned
+//!   in row-id space: each starts on a multiple of the segment size (or
+//!   where the store's numbering starts), so two stores that number the
+//!   same rows identically cut them into the same segments. Timestamps
+//!   (sealed like an integer column), liveness (a bit a row) and weights
+//!   stay resident always; the value columns of a sealed segment may be
 //!   *spilled* to disk ([`SpillConfig`]) and are decoded transiently on
 //!   access. A spill file that cannot be read back or decoded makes its
 //!   segment's rows read as absent and is counted
 //!   ([`TupleStore::spill_read_failures`]). Fully-dead sealed segments
 //!   are dropped (and their spill files deleted) automatically.
+//! * [`SegmentPool`] — a sealed segment's stamps and value columns are
+//!   two immutable, shared parts; stores of one pool that seal a full,
+//!   aligned segment another already sealed take its parts. Liveness,
+//!   weights and spilling stay per store.
 //!
 //! Byte accounting is first-class: [`TupleStore::resident_bytes`] /
 //! [`TupleStore::spilled_bytes`] measure the actual heap/disk footprint
 //! (the byte length of every vector held), which is what the engine
-//! surfaces through its telemetry.
+//! surfaces through its telemetry. A pooled part is charged once, to
+//! [`SegmentPool::bytes`], until its last holder drops it.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io::Write;
+use std::ops::Deref;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Rows per segment. Small enough that transiently decoding one spilled
 /// segment is cheap, large enough that per-segment overhead amortizes.
@@ -795,12 +805,117 @@ fn decode_segment(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
 }
 
 // ---------------------------------------------------------------------------
+// Shared parts and the segment pool
+
+/// A segment's stamps or its value columns: appended to while the
+/// segment is active, immutable (and shareable) once sealed.
+#[derive(Debug)]
+struct Part<T> {
+    value: T,
+    /// The pool counter and the bytes charged to it, once published.
+    charged: Option<(Arc<AtomicUsize>, usize)>,
+}
+
+type Stamps = Arc<Part<Words>>;
+type Columns = Arc<Part<Vec<Column>>>;
+type Shared = (Weak<Part<Words>>, Weak<Part<Vec<Column>>>);
+type Entries = BTreeMap<u64, Shared>;
+
+fn part<T>(value: T) -> Arc<Part<T>> {
+    let charged = None;
+    Arc::new(Part { value, charged })
+}
+
+impl<T: Clone> Clone for Part<T> {
+    /// An unpublished copy (the active segment of a cloned store).
+    fn clone(&self) -> Self {
+        let (value, charged) = (self.value.clone(), None);
+        Part { value, charged }
+    }
+}
+
+impl<T> Deref for Part<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> Drop for Part<T> {
+    fn drop(&mut self) {
+        if let Some((counter, bytes)) = &self.charged {
+            counter.fetch_sub(*bytes, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Sealed segments shared by stores that number the same rows alike:
+/// per full, aligned segment, by first row id, its parts held weakly —
+/// the stores own them. Sealing takes the lock briefly; reads take none.
+#[derive(Debug, Clone, Default)]
+pub struct SegmentPool(Arc<(Arc<AtomicUsize>, Mutex<Entries>)>);
+
+impl SegmentPool {
+    /// An empty pool, for another numbering of rows, on the same counter.
+    pub fn sibling(&self) -> Self {
+        SegmentPool(Arc::new((Arc::clone(&self.0 .0), Mutex::default())))
+    }
+
+    /// Bytes of the live parts published here and in siblings (O(1)).
+    pub fn bytes(&self) -> usize {
+        self.0 .0.load(Ordering::Relaxed)
+    }
+
+    /// The live parts of the segment at `base`, if another store sealed it.
+    fn find(&self, base: u64) -> (Option<Stamps>, Option<Columns>) {
+        let map = self.0 .1.lock().expect("pool lock");
+        map.get(&base)
+            .map_or((None, None), |(ts, c)| (ts.upgrade(), c.upgrade()))
+    }
+
+    /// Swap in a live part published meanwhile, or publish our own.
+    /// Stores release prefixes, so dead entries are dropped from the front.
+    fn publish(&self, base: u64, ts: &mut Stamps, cols: &mut Columns) {
+        let mut map = self.0 .1.lock().expect("pool lock");
+        let dead = |(ts, cols): &Shared| ts.strong_count() + cols.strong_count() == 0;
+        while let Some(oldest) = map.first_entry().filter(|e| dead(e.get())) {
+            oldest.remove();
+        }
+        let (ts_slot, cols_slot) = map.entry(base).or_default();
+        self.share(ts_slot, ts, Words::heap_bytes);
+        self.share(cols_slot, cols, |c| c.iter().map(Column::heap_bytes).sum());
+    }
+
+    fn share<T>(&self, slot: &mut Weak<Part<T>>, own: &mut Arc<Part<T>>, bytes: fn(&T) -> usize) {
+        if let Some(live) = slot.upgrade() {
+            *own = live;
+        } else if let Some(p) = Arc::get_mut(own).filter(|p| p.charged.is_none()) {
+            let n = bytes(&p.value);
+            self.0 .0.fetch_add(n, Ordering::Relaxed);
+            p.charged = Some((Arc::clone(&self.0 .0), n));
+            *slot = Arc::downgrade(own);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Segments
 
 #[derive(Debug)]
 enum SegState {
-    Resident(Vec<Column>),
-    Spilled { path: PathBuf, bytes: usize },
+    Resident(Columns),
+    /// The columns are in a file: its path and length.
+    Spilled(Box<(PathBuf, usize)>),
+}
+
+/// Per-row metadata most segments lack, out of line: a store holds a
+/// `Segment` for every segment, shared or not, so that stays small.
+#[derive(Debug, Clone, Default)]
+struct Extras {
+    /// Signed weights (weighted stores only).
+    weight: Vec<i64>,
+    /// True arity per row, only once a row's differs from the columns'.
+    arity: Option<Vec<u16>>,
 }
 
 #[derive(Debug)]
@@ -811,14 +926,10 @@ struct Segment {
     live: u32,
     sealed: bool,
     /// Always-resident per-row metadata. Stamps seal like a column.
-    ts: Words,
+    ts: Stamps,
     /// A dead bit per row, 64 rows a word.
-    dead: Vec<u64>,
-    /// Signed weights (weighted stores only; empty otherwise).
-    weight: Vec<i64>,
-    /// True arity per row, allocated only if a row's arity ever differs
-    /// from the segment's column count.
-    arity: Option<Vec<u16>>,
+    dead: Box<[u64]>,
+    extras: Option<Box<Extras>>,
     /// Offset of the first possibly-live row (monotone hint).
     first: u32,
     state: SegState,
@@ -833,12 +944,11 @@ impl Segment {
             rows: 0,
             live: 0,
             sealed: false,
-            ts: Words::Plain(Vec::new()),
-            dead: Vec::new(),
-            weight: Vec::new(),
-            arity: None,
+            ts: part(Words::Plain(Vec::new())),
+            dead: Box::default(),
+            extras: None,
             first: 0,
-            state: SegState::Resident(Vec::new()),
+            state: SegState::Resident(part(Vec::new())),
         }
     }
 
@@ -862,23 +972,36 @@ impl Segment {
     }
 
     fn meta_bytes(&self) -> usize {
-        self.ts.heap_bytes()
-            + self.dead.len() * 8
-            + self.weight.len() * 8
-            + self.arity.as_ref().map_or(0, |a| a.len() * 2)
+        let extras = self.extras.as_deref().map_or(0, |x| {
+            x.weight.len() * 8 + x.arity.as_ref().map_or(0, |a| a.len() * 2)
+        });
+        self.ts.heap_bytes() + self.dead.len() * 8 + extras
+    }
+
+    fn weight(&self, off: usize) -> Option<i64> {
+        self.extras.as_deref()?.weight.get(off).copied()
     }
 
     fn resident_bytes(&self) -> usize {
         let cols = match &self.state {
             SegState::Resident(cols) => cols.iter().map(Column::heap_bytes).sum(),
-            SegState::Spilled { .. } => 0,
+            SegState::Spilled(_) => 0,
         };
         cols + self.meta_bytes()
     }
 
+    /// The share of `resident_bytes` charged to a pool.
+    fn pooled_bytes(&self) -> usize {
+        let cols = match &self.state {
+            SegState::Resident(cols) => &cols.charged,
+            SegState::Spilled(_) => &None,
+        };
+        self.ts.charged.as_ref().map_or(0, |c| c.1) + cols.as_ref().map_or(0, |c| c.1)
+    }
+
     fn spilled_bytes(&self) -> usize {
         match &self.state {
-            SegState::Spilled { bytes, .. } => *bytes,
+            SegState::Spilled(file) => file.1,
             SegState::Resident(_) => 0,
         }
     }
@@ -890,8 +1013,8 @@ impl Segment {
     #[inline] // the resident arm is every read's first step
     fn columns(&self, failures: &AtomicU64) -> Option<Cow<'_, [Column]>> {
         match &self.state {
-            SegState::Resident(cols) => Some(Cow::Borrowed(cols)),
-            SegState::Spilled { path, .. } => self.read_back(path, failures).map(Cow::Owned),
+            SegState::Resident(cols) => Some(Cow::Borrowed(cols.as_slice())),
+            SegState::Spilled(file) => self.read_back(&file.0, failures).map(Cow::Owned),
         }
     }
 
@@ -905,33 +1028,42 @@ impl Segment {
     }
 
     fn row_arity(&self, off: usize, n_cols: usize) -> usize {
-        self.arity
-            .as_ref()
-            .map_or(n_cols, |a| a[off] as usize)
-            .min(n_cols)
+        let arity = self.extras.as_deref().and_then(|x| x.arity.as_ref());
+        arity.map_or(n_cols, |a| a[off] as usize).min(n_cols)
     }
 
-    fn seal(&mut self) {
-        if let SegState::Resident(cols) = &mut self.state {
-            for c in cols.iter_mut() {
-                c.seal();
-            }
+    /// Seal the active segment. With a pool, parts another store already
+    /// sealed are taken instead of sealed again, and the rest published.
+    fn seal(&mut self, pool: Option<&SegmentPool>) {
+        let SegState::Resident(cols) = &mut self.state else {
+            unreachable!("the active segment is resident");
+        };
+        let (found_ts, found_cols) = pool.map_or((None, None), |p| p.find(self.base));
+        match found_ts {
+            Some(ts) => self.ts = ts,
+            None => Arc::make_mut(&mut self.ts).value.seal(false),
         }
-        self.ts.seal(false);
+        match found_cols {
+            Some(found) => *cols = found,
+            None => Arc::make_mut(cols).value.iter_mut().for_each(Column::seal),
+        }
+        if let Some(pool) = pool {
+            pool.publish(self.base, &mut self.ts, cols);
+        }
         self.sealed = true;
     }
 
     fn spill(&mut self, dir: &PathBuf) {
         let cols = match &self.state {
             SegState::Resident(cols) => cols,
-            SegState::Spilled { .. } => return,
+            SegState::Spilled(_) => return,
         };
         if fs::create_dir_all(dir).is_err() {
             return;
         }
         let mut buf = Vec::new();
         put_u32(&mut buf, cols.len() as u32);
-        for c in cols {
+        for c in cols.iter() {
             encode_column(&mut buf, c);
         }
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -940,38 +1072,38 @@ impl Segment {
             .and_then(|mut f| f.write_all(&buf))
             .is_ok();
         if ok {
-            self.state = SegState::Spilled {
-                path,
-                bytes: buf.len(),
-            };
+            self.state = SegState::Spilled(Box::new((path, buf.len())));
         } else {
             let _ = fs::remove_file(&path);
         }
     }
 
-    /// A fully resident copy — a spilled segment is decoded from its
-    /// file so two stores never share a spill file. `None` when that
-    /// file cannot be read: the copy does not hold the rows at all.
+    /// A fully resident copy sharing the resident parts — a spilled
+    /// segment is decoded from its file so two stores never share a spill
+    /// file. `None` when that file cannot be read.
     fn rehydrated(&self, failures: &AtomicU64) -> Option<Segment> {
+        let cols = match &self.state {
+            SegState::Resident(cols) => Arc::clone(cols),
+            SegState::Spilled(file) => part(self.read_back(&file.0, failures)?),
+        };
         Some(Segment {
             base: self.base,
             rows: self.rows,
             live: self.live,
             sealed: self.sealed,
-            ts: self.ts.clone(),
+            ts: Arc::clone(&self.ts),
             dead: self.dead.clone(),
-            weight: self.weight.clone(),
-            arity: self.arity.clone(),
+            extras: self.extras.clone(),
             first: self.first,
-            state: SegState::Resident(self.columns(failures)?.into_owned()),
+            state: SegState::Resident(cols),
         })
     }
 }
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        if let SegState::Spilled { path, .. } = &self.state {
-            let _ = fs::remove_file(path);
+        if let SegState::Spilled(file) = &self.state {
+            let _ = fs::remove_file(&file.0);
         }
     }
 }
@@ -1020,8 +1152,12 @@ pub struct TupleStore {
     /// `resident_bytes` gauge only has to measure the active segment —
     /// telemetry polls it per structure per report.
     sealed_resident: usize,
+    /// The pooled share of `sealed_resident`.
+    sealed_pooled: usize,
     /// Cached total of spilled segment files.
     spilled: usize,
+    /// Where full, aligned segments are shared once sealed.
+    pool: Option<SegmentPool>,
     /// Reads of a spilled segment that found its file missing, short or
     /// undecodable (a statistic: reads take `&self`).
     read_failures: AtomicU64,
@@ -1037,21 +1173,19 @@ impl Clone for TupleStore {
             .iter()
             .filter_map(|s| s.rehydrated(&self.read_failures))
             .collect();
-        let sealed_resident = segs
-            .iter()
-            .filter(|s| s.sealed)
-            .map(Segment::resident_bytes)
-            .sum();
+        let sealed = segs.iter().filter(|s| s.sealed);
         TupleStore {
             width: self.width,
             weighted: self.weighted,
             live: segs.iter().map(|s| s.live as u64).sum(),
+            sealed_resident: sealed.clone().map(Segment::resident_bytes).sum(),
+            sealed_pooled: sealed.map(Segment::pooled_bytes).sum(),
             segs,
             next_row: self.next_row,
             spill: self.spill.clone(),
             seg_rows: self.seg_rows,
-            sealed_resident,
             spilled: 0,
+            pool: self.pool.clone(),
             read_failures: AtomicU64::new(self.spill_read_failures()),
         }
     }
@@ -1068,7 +1202,9 @@ impl TupleStore {
             spill: None,
             seg_rows: SEG_CAP,
             sealed_resident: 0,
+            sealed_pooled: 0,
             spilled: 0,
+            pool: None,
             read_failures: AtomicU64::new(0),
         }
     }
@@ -1090,6 +1226,13 @@ impl TupleStore {
     /// segments opened after the call.
     pub fn segment_rows(mut self, rows: u32) -> Self {
         self.seg_rows = rows.max(1);
+        self
+    }
+
+    /// Share full, aligned sealed segments through `pool`, whose stores
+    /// must give a row id the same row and use one segment size.
+    pub fn with_pool(mut self, pool: SegmentPool) -> Self {
+        self.pool = Some(pool);
         self
     }
 
@@ -1131,6 +1274,11 @@ impl TupleStore {
         self.sealed_resident + active
     }
 
+    /// The share of [`TupleStore::resident_bytes`] charged to the pool.
+    pub fn pooled_bytes(&self) -> usize {
+        self.sealed_pooled
+    }
+
     pub fn spilled_bytes(&self) -> usize {
         self.spilled
     }
@@ -1150,32 +1298,38 @@ impl TupleStore {
 
     /// Append a weighted row; returns its (stable) row id.
     pub fn push_weighted(&mut self, cells: &[Cell], ts: u64, w: i64) -> u64 {
-        let old_width = self.width;
-        if cells.len() > self.width {
-            self.width = cells.len();
-        }
+        self.width = self.width.max(cells.len());
+        // A segment ends at the next multiple of the segment size, so
+        // stores numbering the same rows cut the same segments.
         let need_new = match self.segs.last() {
-            Some(s) => s.sealed || s.rows >= self.seg_rows,
+            Some(s) => s.sealed || self.next_row.is_multiple_of(self.seg_rows as u64),
             None => true,
         };
         if need_new {
-            let mut just_sealed = 0;
-            if let Some(last) = self.segs.last_mut() {
-                if !last.sealed {
-                    last.seal();
-                    just_sealed = last.resident_bytes();
-                }
+            if let Some(last) = self.segs.last_mut().filter(|s| !s.sealed) {
+                let full = last.rows == self.seg_rows && last.base % self.seg_rows as u64 == 0;
+                last.seal(self.pool.as_ref().filter(|_| full));
+                self.sealed_resident += last.resident_bytes();
+                self.sealed_pooled += last.pooled_bytes();
             }
-            self.sealed_resident += just_sealed;
             self.maybe_spill();
             self.segs.push(Segment::new(self.next_row));
         }
         let weighted = self.weighted;
-        let width = self.width;
         let seg = self.segs.last_mut().expect("active segment");
         let off = seg.rows as usize;
         if let SegState::Resident(cols) = &mut seg.state {
-            while cols.len() < width {
+            // As many columns as the segment's widest row (a sealed segment
+            // depends on its rows alone); narrower rows go in `arity`.
+            let cols: &mut Vec<Column> = &mut Arc::make_mut(cols).value;
+            let width = cols.len();
+            let ragged = seg.extras.as_deref().is_some_and(|x| x.arity.is_some());
+            if off > 0 && cells.len() != width || ragged {
+                let extras = seg.extras.get_or_insert_default();
+                let arity = extras.arity.get_or_insert_with(|| vec![width as u16; off]);
+                arity.push(cells.len() as u16);
+            }
+            while cols.len() < cells.len() {
                 let mut col = Column::Empty;
                 // Backfill rows appended before this column existed.
                 for _ in 0..off {
@@ -1187,19 +1341,12 @@ impl TupleStore {
                 col.push(cells.get(c).cloned().unwrap_or(Cell::Null));
             }
         }
-        // Rows pushed while no arity vec existed all had `old_width`
-        // cells; record that before the first divergent row.
-        if cells.len() != old_width || seg.arity.is_some() {
-            seg.arity
-                .get_or_insert_with(|| vec![old_width as u16; off])
-                .push(cells.len() as u16);
-        }
-        seg.ts.push(ts);
+        Arc::make_mut(&mut seg.ts).value.push(ts);
         if off.is_multiple_of(64) {
-            seg.dead.push(0);
+            seg.dead = [&seg.dead[..], &[0]].concat().into();
         }
         if weighted {
-            seg.weight.push(w);
+            seg.extras.get_or_insert_default().weight.push(w);
         }
         seg.rows += 1;
         seg.live += 1;
@@ -1265,7 +1412,7 @@ impl TupleStore {
 
     pub fn weight(&self, row: u64) -> Option<i64> {
         let (s, off) = self.live_at(row)?;
-        s.weight.get(off).copied()
+        s.weight(off)
     }
 
     pub fn set_weight(&mut self, row: u64, w: i64) -> bool {
@@ -1274,11 +1421,9 @@ impl TupleStore {
         };
         let s = &mut self.segs[i];
         let off = (row - s.base) as usize;
-        if s.is_dead(off) || off >= s.weight.len() {
-            return false;
-        }
-        s.weight[off] = w;
-        true
+        let live = !s.is_dead(off);
+        let slot = s.extras.as_deref_mut().and_then(|x| x.weight.get_mut(off));
+        slot.filter(|_| live).map(|slot| *slot = w).is_some()
     }
 
     /// Mark a row dead. Returns whether it was live. A sealed segment
@@ -1301,6 +1446,7 @@ impl TupleStore {
         if s.live == 0 && s.sealed {
             let seg = self.segs.remove(i);
             self.sealed_resident -= seg.resident_bytes();
+            self.sealed_pooled -= seg.pooled_bytes();
             self.spilled -= seg.spilled_bytes();
         }
         true
@@ -1342,7 +1488,7 @@ impl TupleStore {
                 }
                 let arity = s.row_arity(off, cols.len());
                 let cells: Vec<Cell> = cols[..arity].iter().map(|c| c.get(off)).collect();
-                let w = s.weight.get(off).copied().unwrap_or(1);
+                let w = s.weight(off).unwrap_or(1);
                 f(s.base + off as u64, cells, s.ts.get(off), w);
             }
         }
@@ -1360,6 +1506,7 @@ impl TupleStore {
         for seg in self.segs.drain(..whole) {
             self.live -= seg.live as u64;
             self.sealed_resident -= seg.resident_bytes();
+            self.sealed_pooled -= seg.pooled_bytes();
             self.spilled -= seg.spilled_bytes();
         }
         // At most one segment straddles the bound (or is the unsealed
@@ -1382,6 +1529,7 @@ impl TupleStore {
         self.segs.clear();
         self.live = 0;
         self.sealed_resident = 0;
+        self.sealed_pooled = 0;
         self.spilled = 0;
     }
 
@@ -1393,23 +1541,20 @@ impl TupleStore {
         if resident <= cfg.threshold_bytes {
             return;
         }
-        let mut freed = 0;
-        let mut spilled_add = 0;
         for s in &mut self.segs {
-            if !s.sealed || matches!(s.state, SegState::Spilled { .. }) {
+            if !s.sealed || matches!(s.state, SegState::Spilled(_)) {
                 continue;
             }
-            let before = s.resident_bytes();
+            let (before, pooled) = (s.resident_bytes(), s.pooled_bytes());
             s.spill(&cfg.dir);
-            freed += before - s.resident_bytes();
-            spilled_add += s.spilled_bytes();
             resident -= before - s.resident_bytes();
+            self.sealed_resident -= before - s.resident_bytes();
+            self.sealed_pooled -= pooled - s.pooled_bytes();
+            self.spilled += s.spilled_bytes();
             if resident <= cfg.threshold_bytes {
                 break;
             }
         }
-        self.sealed_resident -= freed;
-        self.spilled += spilled_add;
     }
 }
 
@@ -1418,6 +1563,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn row(i: i64) -> Vec<Cell> {
         vec![
@@ -1700,11 +1846,13 @@ mod tests {
         assert_eq!(s.get(2).unwrap().0, Vec::<Cell>::new());
     }
 
-    /// Both byte gauges are caches; a full recompute must agree.
+    /// The byte gauges are caches; a full recompute must agree.
     fn assert_caches_exact(s: &TupleStore, at: &str) {
         let resident: usize = s.segs.iter().map(Segment::resident_bytes).sum();
+        let pooled: usize = s.segs.iter().map(Segment::pooled_bytes).sum();
         let spilled: usize = s.segs.iter().map(Segment::spilled_bytes).sum();
         assert_eq!(s.resident_bytes(), resident, "resident cache drifted {at}");
+        assert_eq!(s.pooled_bytes(), pooled, "pooled cache drifted {at}");
         assert_eq!(s.spilled_bytes(), spilled, "spill cache drifted {at}");
     }
 
@@ -1803,7 +1951,7 @@ mod tests {
             let SegState::Resident(cols) = &seg.state else {
                 continue;
             };
-            for col in cols {
+            for col in cols.iter() {
                 assert!(!matches!(col, Column::Text { .. }), "append form {at}");
                 let mut appended = Column::Empty;
                 (0..col.len()).for_each(|i| appended.push(col.get(i)));
@@ -1930,7 +2078,7 @@ mod tests {
                                 }
                             )
                         }),
-                        SegState::Spilled { .. } => false,
+                        SegState::Spilled(_) => false,
                     });
                 }
                 assert!(max_spilled > 0, "nothing spilled");
@@ -1940,6 +2088,162 @@ mod tests {
                 let _ = fs::remove_dir_all(&dir);
             }
         }
+    }
+
+    // -- pooled ≡ private -----------------------------------------------------
+
+    /// Full recompute of what a pool should charge: every distinct live
+    /// part that holders of `stores` reference and that was published.
+    fn distinct_pooled_bytes(stores: &[&TupleStore]) -> usize {
+        let mut seen = HashMap::new();
+        for g in stores.iter().flat_map(|s| &s.segs) {
+            if g.ts.charged.is_some() {
+                seen.insert(Arc::as_ptr(&g.ts) as usize, g.ts.heap_bytes());
+            }
+            if let SegState::Resident(cols) = &g.state {
+                if cols.charged.is_some() {
+                    let bytes = cols.iter().map(Column::heap_bytes).sum();
+                    seen.insert(Arc::as_ptr(cols) as usize, bytes);
+                }
+            }
+        }
+        seen.values().sum()
+    }
+
+    fn spill_files(dir: &PathBuf) -> usize {
+        let Ok(entries) = fs::read_dir(dir) else {
+            return 0;
+        };
+        let names = entries.filter_map(|e| e.ok()?.file_name().into_string().ok());
+        names.filter(|n| n.starts_with("colspill-")).count()
+    }
+
+    /// Property: two and three stores of one pool take the same rows —
+    /// the last from a row in mid-segment, via `resume_at` — each with
+    /// its own releases, kills and spill policy, and each reads exactly
+    /// like an unpooled twin fed the same calls. The pool charges every
+    /// live published part once; a spilled holder outlives the others;
+    /// once everything is released the pool is empty and no file is
+    /// left.
+    #[test]
+    fn pooled_stores_read_like_private_twins_and_charge_each_part_once() {
+        let mut shared_segments = 0;
+        for seed in test_seeds(3) {
+            for holders in [2usize, 3] {
+                let mut rng = StdRng::seed_from_u64(seed ^ (holders as u64) << 40);
+                let dir = std::env::temp_dir().join(format!(
+                    "colshim-pool-{}-{seed}-{holders}",
+                    std::process::id()
+                ));
+                let pool = SegmentPool::default();
+                // Holder 1 spills everything it seals; holder 2 starts late.
+                let spill = |h: usize| (h == 1).then(|| SpillConfig::new(0, &dir));
+                let start = [0, 0, rng.gen_range(1..40u64)];
+                let new = |h: usize| {
+                    let mut s = TupleStore::new(3).segment_rows(8).with_spill(spill(h));
+                    s.resume_at(start[h]);
+                    s
+                };
+                let mut stores: Vec<TupleStore> = (0..holders)
+                    .map(|h| new(h).with_pool(pool.clone()))
+                    .collect();
+                let mut twins: Vec<TupleStore> = (0..holders).map(new).collect();
+                let n = 300u64;
+                for i in 0..n {
+                    let at = format!("(seed {seed}, {holders} holders, row {i})");
+                    let cells = [
+                        Cell::Int(rng.gen_range(0..50i64)),
+                        Cell::Text(format!("site-{}", rng.gen_range(0..5))),
+                        Cell::Float(i as f64 * 0.25),
+                    ];
+                    for h in (0..holders).filter(|&h| i >= start[h]) {
+                        let (victim, below) = (rng.gen_range(start[h]..=i), rng.gen_range(0..=i));
+                        let (kill, release) = (rng.gen_bool(0.2), rng.gen_bool(0.05));
+                        for s in [&mut stores[h], &mut twins[h]] {
+                            assert_eq!(s.push(&cells, i * 3), i, "{at}");
+                            if kill {
+                                s.mark_dead(victim);
+                            }
+                            if release {
+                                s.mark_dead_below(below);
+                            }
+                        }
+                        let (s, twin) = (&stores[h], &twins[h]);
+                        assert_row_alike(twin, &[s], rng.gen_range(0..=i), &at);
+                        let (lo, hi) = (rng.gen_range(0..=i), rng.gen_range(0..=i + 1));
+                        let mut got = Vec::new();
+                        s.for_each_live_in(lo, hi, |id, c, ts, w| got.push((id, c, ts, w)));
+                        let mut want = Vec::new();
+                        twin.for_each_live_in(lo, hi, |id, c, ts, w| want.push((id, c, ts, w)));
+                        assert_eq!(got, want, "holder {h} [{lo}, {hi}) {at}");
+                        assert_eq!(s.first_live(), twin.first_live(), "holder {h} {at}");
+                        assert_caches_exact(s, &at);
+                        assert_eq!(s.resident_bytes(), twin.resident_bytes(), "{at}");
+                    }
+                    let all: Vec<&TupleStore> = stores.iter().collect();
+                    assert_eq!(pool.bytes(), distinct_pooled_bytes(&all), "{at}");
+                }
+                // Sharing engaged: some part is held by two stores.
+                let ptrs: Vec<usize> = stores
+                    .iter()
+                    .flat_map(|s| s.segs.iter().map(|g| Arc::as_ptr(&g.ts) as usize))
+                    .collect();
+                shared_segments += ptrs.len() - ptrs.iter().collect::<HashSet<_>>().len();
+                // The spilled holder outlives the others, on its own file.
+                assert!(stores[1].spilled_bytes() > 0, "nothing spilled");
+                let spilled = stores.swap_remove(1);
+                drop(stores);
+                for r in 0..n {
+                    assert_row_alike(&twins[1], &[&spilled], r, "after the others left");
+                }
+                assert_eq!(pool.bytes(), distinct_pooled_bytes(&[&spilled]));
+                drop(twins);
+                let mut spilled = spilled;
+                spilled.mark_dead_below(n);
+                assert_eq!((pool.bytes(), spilled.pooled_bytes()), (0, 0));
+                assert_eq!(spill_files(&dir), 0, "a spill file outlived its rows");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+        assert!(shared_segments > 50, "{shared_segments} shared segments");
+    }
+
+    /// Segments are cut in row-id space: a store resumed at row 45 seals
+    /// `[45, 64)` first, then whole segments — the same `[64, 96)` a
+    /// store numbering from 0 seals, which the pool then holds once.
+    #[test]
+    fn segments_align_in_row_id_space_after_resume_at() {
+        let pool = SegmentPool::default();
+        let mut from_zero = TupleStore::new(3).segment_rows(32).with_pool(pool.clone());
+        let mut late = TupleStore::new(3).segment_rows(32).with_pool(pool.clone());
+        late.resume_at(45);
+        for i in 0..100 {
+            from_zero.push(&row(i), i as u64);
+            if i >= 45 {
+                late.push(&row(i), i as u64);
+            }
+        }
+        let cuts = |s: &TupleStore| -> Vec<(u64, u32)> {
+            s.segs.iter().map(|g| (g.base, g.rows)).collect()
+        };
+        assert_eq!(cuts(&late), vec![(45, 19), (64, 32), (96, 4)]);
+        assert_eq!(cuts(&from_zero), vec![(0, 32), (32, 32), (64, 32), (96, 4)]);
+        // The short first segment is private; [64, 96) is one copy.
+        assert_eq!(late.segs[0].pooled_bytes(), 0);
+        assert!(Arc::ptr_eq(&late.segs[1].ts, &from_zero.segs[2].ts));
+        let (SegState::Resident(a), SegState::Resident(b)) =
+            (&late.segs[1].state, &from_zero.segs[2].state)
+        else {
+            panic!("nothing spills here");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        let pooled = from_zero.pooled_bytes();
+        assert_eq!(pool.bytes(), pooled);
+        assert_eq!(late.pooled_bytes(), late.segs[1].resident_bytes() - 8);
+        assert_eq!(late.get(50).unwrap().0, row(50));
+        drop(from_zero);
+        assert_eq!(pool.bytes(), late.pooled_bytes());
+        assert_eq!(late.get(70).unwrap().0, row(70));
     }
 
     // -- pins -----------------------------------------------------------------
@@ -2047,10 +2351,10 @@ mod tests {
             for i in 0..20 {
                 s.push(&row(i), i as u64);
             }
-            let SegState::Spilled { path, .. } = &s.segs[0].state else {
+            let SegState::Spilled(file) = &s.segs[0].state else {
                 panic!("the first segment did not spill");
             };
-            damage(path);
+            damage(&file.0);
             // Every read of the segment fails once, without a panic.
             assert_eq!(s.get(3), None, "{what}");
             assert_eq!(s.spill_read_failures(), 1, "{what}");

@@ -626,6 +626,7 @@ impl Cluster {
             workers: Vec::new(),
             boundaries: self.boundaries,
             out_of_order_tuples: reports.iter().map(|r| r.out_of_order_tuples).sum(),
+            log_shared_bytes: reports.iter().map(|r| r.log_shared_bytes).sum(),
             now_secs,
             profile,
         }

@@ -45,6 +45,7 @@
 //! deferred boundary is never silently swallowed.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -79,20 +80,25 @@ pub enum Scheduling {
     Deterministic(u64),
 }
 
-/// One shard's slice of one batch boundary, owned so it can outlive the
-/// submitting call. The payload is shared (`Arc`) across the involved
-/// shards, so fan-out enqueueing (and `Clone`) never copies tuple data
-/// per shard.
+/// One shard's slice of one batch boundary. A [`Boundary`] borrows its
+/// payload from the call site: sequential mode executes it in place (no
+/// allocation at all — the single-shard default engine pays nothing for
+/// the pool's existence). A [`Task`] owns it, so it can outlive the
+/// submitting call; the deferred modes convert a boundary to a task
+/// once, and the payload is shared (`Arc`) across the involved shards,
+/// so fan-out enqueueing (and `Clone`) never copies tuple data per shard.
 #[derive(Clone)]
-pub(crate) enum Task {
+pub(crate) enum Work<T, D> {
+    /// A stream batch, its tuples numbered from `first` at admission.
     Batch {
         src: SourceId,
-        tuples: Arc<Vec<Tuple>>,
+        first: u64,
+        tuples: T,
         trace: Option<TraceCtx>,
     },
     Deltas {
         src: SourceId,
-        deltas: Arc<DeltaBatch>,
+        deltas: D,
         trace: Option<TraceCtx>,
     },
     AdvanceTime(SimTime),
@@ -100,7 +106,8 @@ pub(crate) enum Task {
     /// Base-relation changes for the view shard: maintain every view
     /// reading `src`, then forward the net view deltas to the query
     /// shards named by the admission-time route snapshot in `ctx` (as
-    /// follow-up tasks on their queues).
+    /// follow-up tasks on their queues). Built owned at admission, so
+    /// the deferred conversion is an `Arc` clone.
     ViewDeltas {
         src: SourceId,
         deltas: Arc<DeltaBatch>,
@@ -114,6 +121,11 @@ pub(crate) enum Task {
     },
 }
 
+/// Borrowed work, as the engine holds it at the call site.
+pub(crate) type Boundary<'a> = Work<&'a [Tuple], &'a DeltaBatch>;
+/// Owned work, queued.
+pub(crate) type Task = Work<Arc<[Tuple]>, Arc<DeltaBatch>>;
+
 /// Work a task generated while running: follow-up tasks for other
 /// shards, enqueued by the executor after the generating task completes
 /// (outside its state lock). This is how the view shard forwards net
@@ -124,89 +136,54 @@ pub(crate) struct FollowUp {
     pub(crate) task: Task,
 }
 
-impl Task {
+impl<T: Deref<Target = [Tuple]>, D: Deref<Target = DeltaBatch>> Work<T, D> {
     fn run(&self, shard: &mut EngineShard, out: &mut Vec<FollowUp>) -> Result<()> {
         match self {
-            Task::Batch { src, tuples, trace } => shard.push_batch(*src, tuples, *trace),
-            Task::Deltas { src, deltas, trace } => shard.push_deltas(*src, deltas, *trace),
-            Task::AdvanceTime(now) => shard.advance_time(*now),
-            Task::FlushPush(now) => {
+            Work::Batch {
+                src,
+                first,
+                tuples,
+                trace,
+            } => shard.push_batch(*src, *first, tuples, *trace),
+            Work::Deltas { src, deltas, trace } => shard.push_deltas(*src, deltas, *trace),
+            Work::AdvanceTime(now) => shard.advance_time(*now),
+            Work::FlushPush(now) => {
                 shard.flush_push(*now);
                 Ok(())
             }
-            Task::ViewDeltas { src, deltas, ctx } => shard.views.on_base(*src, deltas, ctx, out),
-            Task::ViewAdvance { now, ctx } => shard.views.advance(*now, ctx, out),
+            Work::ViewDeltas { src, deltas, ctx } => shard.views.on_base(*src, deltas, ctx, out),
+            Work::ViewAdvance { now, ctx } => shard.views.advance(*now, ctx, out),
         }
     }
-}
-
-/// Borrowed form of one boundary's work, as the engine holds it at the
-/// call site. Sequential mode executes it in place (no allocation at
-/// all — the single-shard default engine pays nothing for the pool's
-/// existence); the deferred modes convert it to an owned [`Task`] once.
-pub(crate) enum Boundary<'a> {
-    Batch {
-        src: SourceId,
-        tuples: &'a [Tuple],
-        trace: Option<TraceCtx>,
-    },
-    Deltas {
-        src: SourceId,
-        deltas: &'a DeltaBatch,
-        trace: Option<TraceCtx>,
-    },
-    AdvanceTime(SimTime),
-    FlushPush(SimTime),
-    /// View-shard maintenance; the payload and route snapshot are built
-    /// owned at admission, so the deferred conversion is an `Arc` clone.
-    ViewDeltas {
-        src: SourceId,
-        deltas: Arc<DeltaBatch>,
-        ctx: Arc<ViewCtx>,
-    },
-    ViewAdvance {
-        now: SimTime,
-        ctx: Arc<ViewCtx>,
-    },
 }
 
 impl Boundary<'_> {
-    fn run(&self, shard: &mut EngineShard, out: &mut Vec<FollowUp>) -> Result<()> {
-        match self {
-            Boundary::Batch { src, tuples, trace } => shard.push_batch(*src, tuples, *trace),
-            Boundary::Deltas { src, deltas, trace } => shard.push_deltas(*src, deltas, *trace),
-            Boundary::AdvanceTime(now) => shard.advance_time(*now),
-            Boundary::FlushPush(now) => {
-                shard.flush_push(*now);
-                Ok(())
-            }
-            Boundary::ViewDeltas { src, deltas, ctx } => {
-                shard.views.on_base(*src, deltas, ctx, out)
-            }
-            Boundary::ViewAdvance { now, ctx } => shard.views.advance(*now, ctx, out),
-        }
-    }
-
     fn to_task(&self) -> Task {
         match self {
-            Boundary::Batch { src, tuples, trace } => Task::Batch {
+            Work::Batch {
+                src,
+                first,
+                tuples,
+                trace,
+            } => Work::Batch {
                 src: *src,
-                tuples: Arc::new(tuples.to_vec()),
+                first: *first,
+                tuples: Arc::from(*tuples),
                 trace: *trace,
             },
-            Boundary::Deltas { src, deltas, trace } => Task::Deltas {
+            Work::Deltas { src, deltas, trace } => Work::Deltas {
                 src: *src,
                 deltas: Arc::new((*deltas).clone()),
                 trace: *trace,
             },
-            Boundary::AdvanceTime(now) => Task::AdvanceTime(*now),
-            Boundary::FlushPush(now) => Task::FlushPush(*now),
-            Boundary::ViewDeltas { src, deltas, ctx } => Task::ViewDeltas {
+            Work::AdvanceTime(now) => Work::AdvanceTime(*now),
+            Work::FlushPush(now) => Work::FlushPush(*now),
+            Work::ViewDeltas { src, deltas, ctx } => Work::ViewDeltas {
                 src: *src,
                 deltas: Arc::clone(deltas),
                 ctx: Arc::clone(ctx),
             },
-            Boundary::ViewAdvance { now, ctx } => Task::ViewAdvance {
+            Work::ViewAdvance { now, ctx } => Work::ViewAdvance {
                 now: *now,
                 ctx: Arc::clone(ctx),
             },

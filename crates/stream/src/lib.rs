@@ -125,10 +125,12 @@
 //!   log: the columnar buffer a window would own, written once per
 //!   tuple. Every stream scan of every plan — any window spec, both
 //!   sides of a join, both aliases of a self-join — attaches to its
-//!   source's log as a **cursor**, and only the operators above the
-//!   window (filter, join, aggregate) and the sink stay per-query. N
-//!   windows over a stream therefore store it once, not N times. The
-//!   invariants:
+//!   source's log as a **cursor**; only the operators above the window
+//!   and the sink stay per-query. N windows over a stream store it once,
+//!   not N times — and not once per shard: rows are numbered by source
+//!   at admission, so every shard's log gives a tuple one row id, and a
+//!   sealed segment is stored once per engine, in its source's segment
+//!   pool, however many shards' logs hold it. The invariants:
 //!
 //!   - *Contiguous suffix.* A window sits directly above its scan, so
 //!     its live set is always the suffix `[head, tail)` of the arrival

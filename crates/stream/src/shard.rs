@@ -99,6 +99,7 @@ use aspen_optimizer::PlanCacheStats;
 use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
 use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, WindowSpec};
+use columnar::SegmentPool;
 use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
@@ -127,11 +128,12 @@ pub struct ResidentState {
     /// Operator node instances across all registered pipelines.
     pub operators: usize,
     /// Tuples buffered for windows: the rows every source log retains
-    /// (each stored once, however many windows cover it) plus the
-    /// private windows of table scans and migrated queries.
+    /// (once per shard however many of its windows cover it, counted per
+    /// shard) plus the private windows of table scans and migrated queries.
     pub window_tuples: usize,
     /// Source logs across all shards — one per `(shard, stream source)`
-    /// with at least one window attached.
+    /// with at least one window attached. A log stores a row once per
+    /// shard; a sealed segment is stored once per engine.
     pub source_logs: usize,
     /// Window cursors attached to those logs — one per stream scan of
     /// every live, non-migrated query (a self-join counts two).
@@ -145,8 +147,13 @@ pub struct ResidentState {
     /// once, and the retained table store — measured; the benchmark's
     /// `state_bytes`.
     pub state_bytes: usize,
-    /// The source logs' share of `state_bytes`.
+    /// The source logs' share of `state_bytes`: what the shards' logs
+    /// hold privately, plus `log_shared_bytes`.
     pub log_bytes: usize,
+    /// The pooled part of `log_bytes`: sealed segments, each counted once
+    /// however many shards hold it. `ShardLoad::log_bytes` counts them per
+    /// shard; the shards' sum minus `log_bytes` is what sharing saves.
+    pub log_shared_bytes: usize,
     /// The retained table store's share of `state_bytes`; what is left
     /// is the pipelines' ([`TelemetryReport::queries`] has it per query).
     pub table_bytes: usize,
@@ -202,6 +209,9 @@ struct IngestSlice {
     tuples_in: HashMap<SourceId, u64>,
     /// Latest stamp each stream-like source has delivered in a batch.
     latest: HashMap<SourceId, SimTime>,
+    /// Next arrival number of each stream-like source: a batch's tuples
+    /// are numbered here, and every shard's log uses them as row ids.
+    arrivals: HashMap<SourceId, u64>,
     /// Batch tuples that arrived stamped below their source's `latest`:
     /// admitted as they come, expired in arrival order (the prefix rule
     /// of [`crate::window`]) — this count is how an operator sees it.
@@ -402,8 +412,8 @@ struct QueryMeta {
     tune_mark: (u64, u64, SimTime),
 }
 
-/// A stream scan to attach as a cursor: `(scan index, source, spec)`.
-type CursorScan = (usize, SourceId, WindowSpec);
+/// A stream scan to attach as a cursor: `(scan, source, spec, pool)`.
+type CursorScan = (usize, SourceId, WindowSpec, SegmentPool);
 
 /// One ingest call's payload: a source batch (windowed at each scan) or
 /// signed deltas (window-bypassing). The cluster ships either across a
@@ -431,7 +441,9 @@ struct LogCensus {
     cursors: usize,
     classes: usize,
     rows: usize,
+    /// Shared segments at full size; `pooled_bytes` of it in pools.
     state_bytes: usize,
+    pooled_bytes: usize,
     spilled_bytes: usize,
     spill_read_failures: u64,
 }
@@ -470,6 +482,7 @@ impl EngineShard {
     pub(crate) fn push_batch(
         &mut self,
         src: SourceId,
+        first: u64,
         tuples: &[Tuple],
         trace: Option<TraceCtx>,
     ) -> Result<()> {
@@ -505,7 +518,7 @@ impl EngineShard {
         let Some(log) = logs.get_mut(&src) else {
             return Ok(());
         };
-        let batches = log.insert_batch(tuples, meters);
+        let batches = log.insert_batch(first, tuples, meters);
         let rows = |src, row| logs.get(&src)?.get(row);
         // Deliver: each query borrows the deltas its own windows over
         // `src` would have emitted, and reads rows off any log. A failed
@@ -641,13 +654,13 @@ impl EngineShard {
     /// sees none of the pre-attach arrivals, exactly like a fresh
     /// private window (streams are never replayed). Scans are attached
     /// in scan order, which keeps a query's cursors on one log adjacent
-    /// and ordered.
+    /// and ordered. A new log shares segments through its source's pool.
     fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
-        for &(scan, src, spec) in scans {
+        for (scan, src, spec, pool) in scans {
             self.logs
-                .entry(src)
-                .or_insert_with(|| SourceLog::new(opts))
-                .attach(qid, scan, spec);
+                .entry(*src)
+                .or_insert_with(|| SourceLog::new(opts, pool.clone()))
+                .attach(qid, *scan, *spec);
         }
         let rt = self.queries.get_mut(&qid).expect("routed query is local");
         rt.pipeline.tapped = !scans.is_empty();
@@ -696,6 +709,7 @@ impl EngineShard {
             out.classes += log.classes();
             out.rows += log.rows();
             out.state_bytes += log.state_bytes();
+            out.pooled_bytes += log.pooled_bytes();
             out.spilled_bytes += log.spilled_bytes();
             out.spill_read_failures += log.spill_read_failures();
         }
@@ -761,6 +775,9 @@ pub struct ShardedEngine {
     /// Spill policy for every stateful operator
     /// ([`EngineConfig::spill`]).
     state_opts: StateOptions,
+    /// The segment pool each stream source's logs share across shards;
+    /// siblings, so one counter holds `log_shared_bytes`.
+    log_pools: Mutex<HashMap<SourceId, SegmentPool>>,
 }
 
 /// The fan-out a per-shard live count names: shards above zero, ascending.
@@ -820,6 +837,7 @@ impl ShardedEngine {
             next_batch: 0,
             journal: SpanJournal::default(),
             state_opts: config.resolve_state_options(),
+            log_pools: Mutex::default(),
         }
     }
 
@@ -1060,6 +1078,7 @@ impl ShardedEngine {
             workers: self.exec.worker_loads(),
             boundaries: self.boundaries,
             out_of_order_tuples: self.slices.iter().map(|s| s.lock().out_of_order).sum(),
+            log_shared_bytes: self.log_shared_bytes() as u64,
             now_secs: self.now.as_secs_f64(),
             profile,
         }
@@ -1289,6 +1308,24 @@ impl ShardedEngine {
         self.push_counts[shard_idx] += u32::from(push);
     }
 
+    /// The segment pool of `src`'s logs: one per source per engine (cluster
+    /// nodes stand for separate machines and never share one).
+    fn log_pool(&self, src: SourceId) -> SegmentPool {
+        let mut pools = self.log_pools.lock();
+        if let Some(pool) = pools.get(&src) {
+            return pool.clone();
+        }
+        let any = pools.values().next();
+        let fresh = any.map_or_else(SegmentPool::default, SegmentPool::sibling);
+        pools.entry(src).or_insert(fresh).clone()
+    }
+
+    /// Bytes of the sealed log segments shared across shards, once each.
+    fn log_shared_bytes(&self) -> usize {
+        let pools = self.log_pools.lock();
+        pools.values().next().map_or(0, SegmentPool::bytes)
+    }
+
     /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
     /// query's cursors, its entries in the shard's routing slice, and
     /// its route refcounts (a count reaching zero drops the shard from
@@ -1395,7 +1432,7 @@ impl ShardedEngine {
             .scan_windows()
             .enumerate()
             .filter(|(_, (src, _))| streams.contains(src))
-            .map(|(scan, (src, spec))| (scan, src, spec))
+            .map(|(scan, (src, spec))| (scan, src, spec, self.log_pool(src)))
             .collect()
     }
 
@@ -1838,9 +1875,10 @@ impl ShardedEngine {
             Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
         };
         self.now = self.now.max(latest.unwrap_or(self.now));
-        let routes = {
+        let (routes, first) = {
             let mut slice = self.slices[self.slice_of(src)].lock();
             *slice.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
+            let mut first = 0;
             if let (Admission::Batch(tuples), true) = (payload, meta.kind.is_stream_like()) {
                 let slice = &mut *slice;
                 let latest = slice.latest.entry(src).or_insert(SimTime::ZERO);
@@ -1848,6 +1886,8 @@ impl ShardedEngine {
                     slice.out_of_order += u64::from(t.timestamp() < *latest);
                     *latest = (*latest).max(t.timestamp());
                 }
+                let next = slice.arrivals.entry(src).or_insert(0);
+                first = std::mem::replace(next, *next + tuples.len() as u64);
             }
             // Retain table contents for replay at admission time, so a
             // late registration never races the shard queues.
@@ -1861,11 +1901,16 @@ impl ShardedEngine {
                     Admission::Deltas(deltas) => table.apply(deltas),
                 }
             }
-            slice.fanout(src)
+            (slice.fanout(src), first)
         };
         if !routes.is_empty() {
             let boundary = match payload {
-                Admission::Batch(tuples) => Boundary::Batch { src, tuples, trace },
+                Admission::Batch(tuples) => Boundary::Batch {
+                    src,
+                    first,
+                    tuples,
+                    trace,
+                },
                 Admission::Deltas(deltas) => Boundary::Deltas { src, deltas, trace },
             };
             self.exec.submit(&routes, boundary)?;
@@ -2015,6 +2060,16 @@ impl ShardedEngine {
             .sum()
     }
 
+    /// What each shard's log of `source` retains, `(row id, tuple)` in
+    /// arrival order, indexed by shard (`Fresh`). Ids are the source's
+    /// arrival numbers: a tuple two shards hold has one id in both.
+    pub fn log_contents(&self, source: SourceId) -> Vec<Vec<(u64, Tuple)>> {
+        self.exec.settle_all();
+        let of = |s: &EngineShard| s.logs.get(&source).map(SourceLog::numbered);
+        let each = (0..self.shard_count()).map(|i| of(&self.shard(i).lock()));
+        each.map(Option::unwrap_or_default).collect()
+    }
+
     /// Census of resident operator state: per-pipeline node instances
     /// and buffered window tuples, with each source log counted exactly
     /// once — the shared-vs-private ratio of `window_tuples` is the
@@ -2036,7 +2091,7 @@ impl ShardedEngine {
             out.log_cursors += logs.cursors;
             out.cursor_classes += logs.classes;
             out.window_tuples += logs.rows;
-            out.log_bytes += logs.state_bytes;
+            out.log_bytes += logs.state_bytes - logs.pooled_bytes;
             out.spilled_bytes += logs.spilled_bytes;
             out.spill_read_failures += logs.spill_read_failures;
         }
@@ -2048,6 +2103,8 @@ impl ShardedEngine {
                 out.spill_read_failures += table.spill_read_failures();
             }
         }
+        out.log_shared_bytes = self.log_shared_bytes();
+        out.log_bytes += out.log_shared_bytes;
         out.state_bytes += out.log_bytes + out.table_bytes;
         out
     }
@@ -2796,6 +2853,8 @@ mod tests {
 
     /// The engine states its own byte split: pipelines, logs and tables
     /// are disjoint and add up to the gated total, per shard and whole.
+    /// A shard's logs count the sealed segments they share with the other
+    /// shard's at full size; the engine counts them once.
     #[test]
     fn state_bytes_split_into_queries_logs_and_tables() {
         let mut e = ShardedEngine::new(catalog(), 2);
@@ -2837,8 +2896,18 @@ mod tests {
         for s in &report.shards {
             assert_eq!(s.state_bytes, of_shard(s.shard) + s.log_bytes);
         }
+        // Both shards log Readings; what they hold alike is stored once.
+        assert!(report.shards.iter().all(|s| s.source_logs == 1));
         let logs: u64 = report.shards.iter().map(|s| s.log_bytes).sum();
-        assert_eq!((logs as usize, rs.spill_read_failures), (rs.log_bytes, 0));
+        let saved = logs as usize - rs.log_bytes;
+        let smaller = report.shards.iter().map(|s| s.log_bytes).min().unwrap();
+        assert!(
+            saved > 0 && saved <= smaller as usize,
+            "saved {saved} of {logs}"
+        );
+        assert!(rs.log_shared_bytes > 0 && rs.log_shared_bytes < rs.log_bytes);
+        assert_eq!(report.log_shared_bytes as usize, rs.log_shared_bytes);
+        assert_eq!(rs.spill_read_failures, 0);
         let busiest = report.shards.iter().max_by_key(|s| s.log_bytes).unwrap();
         let prom = format!(
             "aspen_shard_log_bytes{{shard=\"{}\"}} {}\n",
@@ -2847,11 +2916,18 @@ mod tests {
         let rendered = crate::render_prometheus(&report);
         assert!(rendered.contains(&prom), "{rendered}");
         assert!(rendered.contains("aspen_shard_spill_read_failures{"));
-        let json = format!(
-            "\"log_bytes\":{},\"spill_read_failures\":0,",
-            busiest.log_bytes
-        );
-        assert!(crate::render_json(&report).contains(&json));
+        let shared = format!("aspen_log_shared_bytes {}\n", rs.log_shared_bytes);
+        assert!(rendered.contains(&shared), "{rendered}");
+        let json = crate::render_json(&report);
+        for field in [
+            format!(
+                "\"log_bytes\":{},\"spill_read_failures\":0,",
+                busiest.log_bytes
+            ),
+            format!("\"log_shared_bytes\":{},", rs.log_shared_bytes),
+        ] {
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
     }
 
     /// "Why is this query fat" from the exports alone: each query's live

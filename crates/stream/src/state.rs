@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use aspen_types::{DataType, SimTime, Tuple, Value};
-use columnar::{Cell, TupleStore};
+use columnar::{Cell, SegmentPool, TupleStore};
 
 use crate::delta::{Delta, DeltaBatch};
 
@@ -516,6 +516,13 @@ impl ColumnarDeque {
         }
     }
 
+    /// Share sealed segments with the other deques of `pool`, which give
+    /// a row id the same tuple (`TupleStore::with_pool`).
+    pub fn with_pool(mut self, pool: SegmentPool) -> Self {
+        self.store = self.store.with_pool(pool);
+        self
+    }
+
     pub fn len(&self) -> usize {
         self.store.live_rows() as usize
     }
@@ -531,19 +538,17 @@ impl ColumnarDeque {
 
     /// Live tuples in arrival order.
     pub fn snapshot(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.len());
-        self.extend_range(0, u64::MAX, &mut out);
-        out
+        self.numbered().into_iter().map(|(_, t)| t).collect()
     }
 
-    /// Row id the next `push_back` gets. Ids count arrivals and are
+    /// Row id the next `push_back` gets. Ids number arrivals and are
     /// never reused, so a source log addresses its rows by them.
     pub fn next_row(&self) -> u64 {
         self.store.len()
     }
 
-    /// Continue another deque's numbering (a demoted cursor's): the next
-    /// `push_back` gets id `row`. Only for a deque that holds no rows.
+    /// Continue a numbering (a demoted cursor's, a log's source's): the
+    /// next `push_back` gets id `row`. Only for a deque holding no rows.
     pub fn resume_at(&mut self, row: u64) {
         self.store.resume_at(row);
     }
@@ -558,6 +563,14 @@ impl ColumnarDeque {
     /// spilled segment in.
     pub fn ts_at(&self, row: u64) -> Option<SimTime> {
         self.store.ts(row).map(SimTime::from_micros)
+    }
+
+    /// Every live tuple with its row id, in arrival order.
+    pub fn numbered(&self) -> Vec<(u64, Tuple)> {
+        let mut out = Vec::with_capacity(self.len());
+        self.store
+            .for_each_live(|row, cells, ts, _| out.push((row, cells_tuple(cells, ts))));
+        out
     }
 
     /// Append the live tuples with row ids in `[lo, hi)` to `out`, in
@@ -578,8 +591,14 @@ impl ColumnarDeque {
         }
     }
 
+    /// Resident bytes, segments shared through a pool at full size.
     pub fn state_bytes(&self) -> usize {
         self.store.resident_bytes()
+    }
+
+    /// The share of `state_bytes` charged to the pool, not to this deque.
+    pub fn pooled_bytes(&self) -> usize {
+        self.store.pooled_bytes()
     }
 
     pub fn spilled_bytes(&self) -> usize {

@@ -143,7 +143,8 @@ pub struct ShardLoad {
     /// "why is this shard fat".
     pub log_rows: usize,
     /// Resident bytes of those logs — the part of `state_bytes` no
-    /// query owns.
+    /// query owns — sealed segments other shards hold too at full size,
+    /// so this does not depend on which shard sealed them first.
     pub log_bytes: u64,
     /// Cumulative [`ShardMeters::window_batches`].
     pub window_batches: u64,
@@ -193,6 +194,9 @@ pub struct TelemetryReport {
     /// arrival order does — late, never lost. (A cluster report sums
     /// its nodes' admissions.)
     pub out_of_order_tuples: u64,
+    /// [`crate::ResidentState::log_shared_bytes`] (a cluster report sums
+    /// its nodes').
+    pub log_shared_bytes: u64,
     /// Engine clock at observation time, seconds.
     pub now_secs: f64,
     /// Per-operator-kind measured busy timings, merged over every live
@@ -550,6 +554,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
         workers: Vec::new(),
         boundaries: 0,
         out_of_order_tuples: 0,
+        log_shared_bytes: 0,
         now_secs: 0.0,
         profile: OpProfile::default(),
     }

@@ -465,6 +465,9 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_out_of_order_tuples_total counter\n");
     let late = report.out_of_order_tuples;
     prom_line(&mut out, "aspen_out_of_order_tuples_total", "", late);
+    out.push_str("# TYPE aspen_log_shared_bytes gauge\n");
+    let shared = report.log_shared_bytes;
+    prom_line(&mut out, "aspen_log_shared_bytes", "", shared);
     out.push_str("# TYPE aspen_shard_tuples_in_total counter\n");
     out.push_str("# TYPE aspen_shard_busy_seconds_total counter\n");
     out.push_str("# TYPE aspen_shard_lag gauge\n");
@@ -642,9 +645,10 @@ pub fn render_json(report: &TelemetryReport) -> String {
         })
         .collect();
     format!(
-        "{{\"boundaries\":{},\"out_of_order_tuples\":{},\"now_secs\":{:.3},\"ingest_latency\":{},\"queue_wait\":{},\"ops_per_sec_observed\":{},\"shards\":[{}],\"queries\":[{}],\"ops\":[{}]}}",
+        "{{\"boundaries\":{},\"out_of_order_tuples\":{},\"log_shared_bytes\":{},\"now_secs\":{:.3},\"ingest_latency\":{},\"queue_wait\":{},\"ops_per_sec_observed\":{},\"shards\":[{}],\"queries\":[{}],\"ops\":[{}]}}",
         report.boundaries,
         report.out_of_order_tuples,
+        report.log_shared_bytes,
         report.now_secs,
         json_hist(&report.ingest_latency()),
         json_hist(&report.queue_wait()),

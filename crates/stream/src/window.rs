@@ -50,6 +50,7 @@
 //! segments in just to discover nothing expired.
 
 use aspen_types::{QueryId, SimTime, Tuple, WindowSpec};
+use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::state::{ColumnarDeque, StateOptions};
@@ -311,15 +312,24 @@ impl Frame {
 /// source delivered that some window still holds, stored once, with
 /// every window over the source attached as a [`Cursor`].
 ///
-/// Invariants: the store numbers rows by arrival and holds exactly
-/// `[floor, tail)` live, `tail` being its next row id; every pinning
-/// cursor has `floor <= head <= tail`; after a [`SourceLog::release`]
-/// `floor` is the minimum pinning head (or `tail` when nothing pins), so
-/// the log never retains a row no window can still retract. A new
-/// cursor starts at `head = tail` — streams are never replayed — which
-/// makes attaching O(1) whatever the log holds. Cursors of one query are
-/// adjacent and in scan order, which is the order their batches are
-/// delivered in.
+/// Invariants: the store holds exactly `[floor, tail)` live, `tail`
+/// being its next row id; every pinning cursor has `floor <= head <=
+/// tail`; after a [`SourceLog::release`] `floor` is the minimum pinning
+/// head (or `tail` when nothing pins), so the log never retains a row no
+/// window can still retract. A new cursor starts at `head = tail` —
+/// streams are never replayed — which makes attaching O(1) whatever the
+/// log holds. Cursors of one query are adjacent and in scan order, which
+/// is the order their batches are delivered in.
+///
+/// **Numbering.** A row's id is its source's arrival number, stamped
+/// once per engine at admission, so a tuple has one id on every shard. A
+/// log holding no rows — new, or emptied — jumps its tail and pinning
+/// heads (equal to it) to the next batch's first number; a log holding
+/// rows was fed every batch since its first. Segments are cut at
+/// multiples of the segment size in that numbering, so every log of a
+/// source shares full segments through one engine-wide [`SegmentPool`],
+/// which is charged for them once ([`SourceLog::state_bytes`] counts
+/// them at full size); a log's short first segment stays its own.
 ///
 /// The log steps cursor **classes**, not cursors: cursors whose
 /// [`Frame`]s are equal emit the same deltas, so each step materializes
@@ -344,9 +354,10 @@ pub(crate) struct SourceLog {
 }
 
 impl SourceLog {
-    pub(crate) fn new(opts: &StateOptions) -> Self {
+    /// A log sharing sealed segments through its source's engine `pool`.
+    pub(crate) fn new(opts: &StateOptions, pool: SegmentPool) -> Self {
         SourceLog {
-            rows: ColumnarDeque::new(opts.spill.clone()),
+            rows: ColumnarDeque::new(opts.spill.clone()).with_pool(pool),
             cursors: Vec::new(),
         }
     }
@@ -416,18 +427,29 @@ impl SourceLog {
         batches
     }
 
-    /// **Step** over one source batch: append it and move every cursor.
-    /// Returns one batch per class (counted into `meters`, with one
-    /// delivery per cursor) for [`SourceLog::fed`] to hand out. Every
-    /// cursor has stepped when this returns, so a query whose delivery
-    /// fails cannot desynchronize its class (a cursor left behind would
-    /// later retract tuples it never inserted).
+    /// **Step** over one source batch, numbered from `first`: append it
+    /// and move every cursor. Returns one batch per class (counted into
+    /// `meters`, with one delivery per cursor) for [`SourceLog::fed`] to
+    /// hand out. Every cursor has stepped when this returns, so a query
+    /// whose delivery fails cannot desynchronize its class (a cursor left
+    /// behind would later retract tuples it never inserted).
     pub(crate) fn insert_batch(
         &mut self,
+        first: u64,
         tuples: &[Tuple],
         meters: &mut ShardMeters,
     ) -> Vec<DeltaBatch> {
-        let tail = self.rows.next_row();
+        if self.rows.is_empty() {
+            // Nothing held: the tail and the pinning heads (equal to it)
+            // jump to this batch's number.
+            self.rows.resume_at(first);
+            for c in self.cursors.iter_mut().filter(|c| c.at.pins()) {
+                c.at.head = first;
+            }
+        }
+        // Rows imply a pinning cursor, whose query is routed here: the
+        // log was fed every batch of its source since its first row.
+        debug_assert_eq!(self.rows.next_row(), first, "a log missed a batch");
         if self.cursors.iter().any(|c| c.at.pins()) {
             for t in tuples {
                 self.rows.push_back(t);
@@ -435,7 +457,7 @@ impl SourceLog {
         }
         let rows = &self.rows;
         let batches = Self::step_classes(&mut self.cursors, |at, out| {
-            at.insert_batch(rows, tail, tuples, out)
+            at.insert_batch(rows, first, tuples, out)
         });
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
@@ -476,6 +498,11 @@ impl SourceLog {
         self.rows.get(row)
     }
 
+    /// The retained rows, `(row id, tuple)` in arrival order.
+    pub(crate) fn numbered(&self) -> Vec<(u64, Tuple)> {
+        self.rows.numbered()
+    }
+
     /// **Release** the rows below the minimum pinning head — once every
     /// pipeline fed by the step has run.
     pub(crate) fn release(&mut self) {
@@ -510,8 +537,14 @@ impl SourceLog {
         self.rows.len()
     }
 
+    /// Resident bytes this log references, shared segments at full size.
     pub(crate) fn state_bytes(&self) -> usize {
         self.rows.state_bytes()
+    }
+
+    /// The share of `state_bytes` charged to the source's pool.
+    pub(crate) fn pooled_bytes(&self) -> usize {
+        self.rows.pooled_bytes()
     }
 
     pub(crate) fn spilled_bytes(&self) -> usize {
@@ -558,8 +591,19 @@ mod tests {
         got
     }
 
+    /// A log of its own pool, the one shard of its source.
+    fn new_log(opts: &StateOptions) -> SourceLog {
+        SourceLog::new(opts, SegmentPool::default())
+    }
+
+    /// Step `log` over the next batch of a source that feeds only it.
+    fn step(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Vec<DeltaBatch> {
+        let first = log.rows.next_row();
+        log.insert_batch(first, tuples, meters)
+    }
+
     fn feed(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Fed {
-        let batches = log.insert_batch(tuples, meters);
+        let batches = step(log, tuples, meters);
         deliver(log, batches)
     }
 
@@ -668,7 +712,7 @@ mod tests {
     /// rebase.
     #[test]
     fn demoted_window_continues_the_logs_numbering() {
-        let mut log = SourceLog::new(&StateOptions::columnar());
+        let mut log = new_log(&StateOptions::columnar());
         let mut meters = ShardMeters::default();
         log.attach(QueryId(0), 0, WindowSpec::Range(SimDuration::from_secs(60)));
         feed(&mut log, &[t(0, 0), t(1, 1)], &mut meters);
@@ -702,6 +746,67 @@ mod tests {
         assert_eq!(out.as_slice()[1], Delta::retract(t(4, 4)));
         // The senior cursor is undisturbed: the log still holds its rows.
         assert_eq!((log.cursors(), log.rows()), (1, 7));
+    }
+
+    /// Two shards' logs of one source, fed its numbered batches — the
+    /// second only from the batch after a query there attached, through
+    /// an unbounded-only stretch that stores nothing — give a tuple one
+    /// id, and hold each full segment as one copy charged to the pool.
+    #[test]
+    fn logs_number_rows_by_the_source_sequence_and_share_segments() {
+        /// Admit the source's next `n` tuples to `logs`: tuple `i` is
+        /// number `i`, stamped `i` seconds.
+        fn admit(next: &mut u64, logs: &mut [&mut SourceLog], n: u64) {
+            let first = *next;
+            let tuples: Vec<Tuple> = (first..first + n).map(|i| t(i as i64, i)).collect();
+            *next += n;
+            for log in logs {
+                let batches = log.insert_batch(first, &tuples, &mut ShardMeters::default());
+                deliver(log, batches);
+            }
+        }
+        let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
+        let mut a = SourceLog::new(&opts, pool.clone());
+        let mut b = SourceLog::new(&opts, pool.clone());
+        let mut next = 0u64;
+        a.attach(QueryId(0), 0, WindowSpec::Rows(200));
+        admit(&mut next, &mut [&mut a], 45);
+        b.attach(QueryId(1), 0, WindowSpec::Unbounded);
+        admit(&mut next, &mut [&mut a, &mut b], 7);
+        assert_eq!(
+            (b.rows(), b.rows.next_row()),
+            (0, 45),
+            "unbounded stores nothing"
+        );
+        b.attach(QueryId(2), 0, WindowSpec::Rows(200));
+        for _ in 0..6 {
+            admit(&mut next, &mut [&mut a, &mut b], 13);
+        }
+        assert_eq!((a.rows(), b.rows(), next), (130, 78, 130));
+        for row in 0..next {
+            let held = (row >= 52).then(|| t(row as i64, row));
+            assert_eq!(b.get(row), held, "row {row}");
+            assert_eq!(a.get(row), Some(t(row as i64, row)), "row {row}");
+        }
+        // [64, 96) and [96, 128) are sealed in both, charged once; b's
+        // [52, 64) started mid-segment and is its own.
+        assert_eq!(pool.bytes(), a.pooled_bytes());
+        assert!(b.pooled_bytes() > 0 && b.pooled_bytes() < a.pooled_bytes());
+        // A range window that expires everything at every heartbeat
+        // empties its log each time; the log resumes at the next batch's
+        // number.
+        let mut c = SourceLog::new(&opts, pool.clone());
+        c.attach(QueryId(3), 0, WindowSpec::Range(SimDuration::from_secs(5)));
+        for _ in 0..3 {
+            admit(&mut next, &mut [&mut a, &mut c], 2);
+            let first = next - 2;
+            assert_eq!(c.get(first), Some(t(first as i64, first)));
+            let batches = c.advance(SimTime::from_secs(next + 10), &mut ShardMeters::default());
+            deliver(&mut c, batches);
+            assert_eq!(c.rows(), 0, "everything expired");
+        }
+        drop((a, b, c));
+        assert_eq!(pool.bytes(), 0, "the last holder frees a segment");
     }
 
     /// The oracle's class key of a private window: all cursors of a log
@@ -755,7 +860,7 @@ mod tests {
         let opts = StateOptions::columnar();
         for seed in crate::test_seeds(6) {
             let mut rng = seeded(0xC0_45 ^ seed);
-            let mut log = SourceLog::new(&opts);
+            let mut log = new_log(&opts);
             // The oracle: one private window per cursor, attach order.
             let mut private: Vec<(QueryId, usize, WindowOp)> = Vec::new();
             let mut next_query = 0u32;
@@ -872,7 +977,7 @@ mod tests {
         // RANGE 5 s: rows at t = 0, 1, 2, then the junior attaches
         // at row 3.
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
-        let mut log = SourceLog::new(&opts);
+        let mut log = new_log(&opts);
         log.attach(QueryId(0), 0, spec);
         feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
         log.attach(QueryId(1), 0, spec);
@@ -896,7 +1001,7 @@ mod tests {
 
         // ROWS 3: the junior attaches to a full senior and merges
         // after exactly three arrivals — before its first eviction.
-        let mut log = SourceLog::new(&opts);
+        let mut log = new_log(&opts);
         log.attach(QueryId(0), 0, WindowSpec::Rows(3));
         feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
         log.attach(QueryId(1), 0, WindowSpec::Rows(3));
@@ -907,7 +1012,7 @@ mod tests {
         // TUMBLING 4 s: same pane, different heads, until the pane
         // rolls over.
         let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
-        let mut log = SourceLog::new(&opts);
+        let mut log = new_log(&opts);
         log.attach(QueryId(0), 0, spec);
         feed(&mut log, &[t(0, 0), t(1, 1)]);
         log.attach(QueryId(1), 0, spec);
@@ -920,14 +1025,14 @@ mod tests {
     fn failed_delivery_still_steps_every_cursor() {
         // Three queries in one class; the middle one's delivery fails —
         // its consumer errors out before reading its share of the step.
-        let mut log = SourceLog::new(&StateOptions::columnar());
+        let mut log = new_log(&StateOptions::columnar());
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         for q in 0..3 {
             log.attach(QueryId(q), 0, WindowSpec::Rows(1));
             log.attach(QueryId(q), 1, spec);
         }
         let mut meters = ShardMeters::default();
-        let batches = log.insert_batch(&[t(1, 0), t(2, 0)], &mut meters);
+        let batches = step(&mut log, &[t(1, 0), t(2, 0)], &mut meters);
         let mut served = Vec::new();
         for (q, fed) in log.fed(&batches) {
             served.push(q);

@@ -2,10 +2,12 @@
 //!
 //! A counting `#[global_allocator]` measures the live heap a structure
 //! holds, and its byte accounting must agree: `AggregateOp::state_bytes`
-//! within 0.8–1.25× for five group shapes. `KeyedState`, `TupleStore`
-//! and the `RowIndex` inside a `KeyedState` are printed, not asserted —
-//! the next accounting targets. Also printed: allocator calls per
-//! `dashboards`-shaped batch. One `#[test]`, so no other test of this
+//! within 0.8–1.25× for five group shapes. `KeyedState`, `TupleStore`,
+//! the `RowIndex` inside a `KeyedState` and the source logs are printed,
+//! not asserted — the next accounting targets. Also printed: allocator
+//! calls per `dashboards`-shaped batch. And the logs' sharing is real
+//! heap: a 2-shard engine holds at most 10 % more than a 1-shard one
+//! running the same windows. One `#[test]`, so no other test of this
 //! binary allocates while a count is taken.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,7 +17,7 @@ use aspen_catalog::{Catalog, SourceKind, SourceStats};
 use aspen_sql::expr::{AggFunc, BoundAgg, BoundExpr};
 use aspen_stream::operators::{AggregateOp, DeltaOp};
 use aspen_stream::state::KeyedState;
-use aspen_stream::{DeltaBatch, ShardedEngine};
+use aspen_stream::{DeltaBatch, EngineConfig, Scheduling, ShardedEngine};
 use aspen_types::{DataType, Field, Schema, SimTime, Tuple, Value};
 use columnar::{Cell, TupleStore};
 
@@ -197,17 +199,29 @@ fn state_bytes_agree_with_the_allocator() {
         keyed_heap - twin_heap,
     );
 
+    // The logs hold nearly all of these engines' heap growth, so its
+    // ratio to their charged bytes is the logs'.
+    let (one, one_logs) = windowed_engine_heap(1);
+    let (two, two_logs) = windowed_engine_heap(2);
+    ratio("source logs (1 shard)", one_logs, one);
+    ratio("source logs (2 shards)", two_logs, two);
+
     println!(
         "allocator calls per dashboards-shaped batch: {:.1}",
         dashboards_allocs()
     );
     assert!(off.is_empty(), "state_bytes off the heap: {off:?}");
+    // One copy of the stream per engine, not per shard: a second shard
+    // adds its own open segment and liveness bits, not a second log.
+    println!("heap growth: 1 shard {one} B, 2 shards {two} B");
+    assert!(
+        two * 10 <= one * 11,
+        "2 shards hold {two} B, 1 shard {one} B"
+    );
 }
 
-/// Allocator calls per 8-tuple batch (and its heartbeat) on a 1-shard
-/// engine running one query of each `dashboards` template over a warm
-/// 30-second window.
-fn dashboards_allocs() -> f64 {
+/// A `Readings` catalog: sensor, room, value.
+fn readings() -> std::sync::Arc<Catalog> {
     let cat = Catalog::shared();
     let schema = Schema::new(vec![
         Field::new("sensor", DataType::Int),
@@ -221,7 +235,53 @@ fn dashboards_allocs() -> f64 {
         SourceStats::stream(64.0),
     )
     .unwrap();
-    let mut e = ShardedEngine::new(cat, 1);
+    cat
+}
+
+/// 8 readings a batch, 64 a second.
+fn readings_batch(seq: &mut u64) -> Vec<Tuple> {
+    (0..8)
+        .map(|_| {
+            *seq += 1;
+            let sensor = (*seq * 7_919 % 320) as i64;
+            let value = (*seq * 104_729 % 200) as f64 * 0.5;
+            let vals = vec![
+                Value::Int(sensor),
+                Value::Int(sensor / 8),
+                Value::Float(value),
+            ];
+            t(vals, *seq * 15_625)
+        })
+        .collect()
+}
+
+/// The heap a sequential engine of `shards` shards holds after 4 096
+/// rows reach four 10-minute windows over one source (each keeping one
+/// group, so the window is nearly all of it), and its charged log bytes.
+fn windowed_engine_heap(shards: usize) -> (usize, usize) {
+    let config = EngineConfig::new()
+        .shards(shards)
+        .scheduling(Scheduling::Sequential);
+    let mut e = ShardedEngine::with_config(readings(), config);
+    for agg in ["count(*)", "sum(r.value)", "max(r.value)", "avg(r.value)"] {
+        let sql = format!("select {agg} from Readings r [range 600 seconds]");
+        e.register_sql(&sql).unwrap();
+    }
+    let mut seq = 0;
+    let batches: Vec<Vec<Tuple>> = (0..512).map(|_| readings_batch(&mut seq)).collect();
+    let heap = held(|| {
+        for b in &batches {
+            e.on_batch("Readings", b).unwrap();
+        }
+    });
+    (heap, e.resident_state().log_bytes)
+}
+
+/// Allocator calls per 8-tuple batch (and its heartbeat) on a 1-shard
+/// engine running one query of each `dashboards` template over a warm
+/// 30-second window.
+fn dashboards_allocs() -> f64 {
+    let mut e = ShardedEngine::new(readings(), 1);
     for sql in [
         "select r.sensor, r.value from Readings r where r.value > 90",
         "select r.value from Readings r where r.sensor = 17",
@@ -234,21 +294,7 @@ fn dashboards_allocs() -> f64 {
         e.register_sql(sql).unwrap();
     }
     let mut seq = 0u64;
-    let mut batch = || -> Vec<Tuple> {
-        (0..8)
-            .map(|_| {
-                seq += 1;
-                let sensor = (seq * 7_919 % 320) as i64;
-                let value = (seq * 104_729 % 200) as f64 * 0.5;
-                let vals = vec![
-                    Value::Int(sensor),
-                    Value::Int(sensor / 8),
-                    Value::Float(value),
-                ];
-                t(vals, seq * 15_625)
-            })
-            .collect()
-    };
+    let mut batch = || readings_batch(&mut seq);
     let step = |e: &mut ShardedEngine, tuples: Vec<Tuple>| {
         let last = tuples.last().unwrap().timestamp();
         e.on_batch("Readings", &tuples).unwrap();
