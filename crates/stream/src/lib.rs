@@ -99,8 +99,10 @@
 //! cursors move, every pipeline runs with read access to all logs, and
 //! only then are rows below the minimum head dropped — a retraction on
 //! one side of a join can still read rows the same step expires on the
-//! other. An id that resolves to no row is an error, as is a signed
-//! delta fed past the window of an indexed stream scan.
+//! other. An id that resolves to no row is an error, and signed deltas
+//! for a stream whose window a live query indexes are refused at
+//! admission (`on_deltas` returns `InvalidArgument` before any shard
+//! runs): they name no row.
 //!
 //! ## Source logs and window cursors (and the plan-template cache)
 //!
@@ -177,6 +179,27 @@
 //!     private on the recipient.
 //!     [`session::EngineConfig::shared_subplans`]`(false)` pins every
 //!     scan to the private path (the equivalence baseline).
+//!   - *Grouped filters.* Template variants differ only in a constant,
+//!     so the filter directly above a cursor-fed stream scan is usually
+//!     the same `col op constant` at n constants. When it is exactly
+//!     `Col op Lit` or `Lit op Col` with `op` one of `= < <= > >=`, a
+//!     constant that is not NULL or NaN (and for a range, one
+//!     comparability class: numbers — an `Int` below 2⁵³ in magnitude,
+//!     or a `Float` — text, or stamps), and it keeps no row ids for an
+//!     indexed join side, the query does not run it: the log's filter
+//!     index does, once per (column, operator) group per class batch —
+//!     a hash from constant to members for `=`, members sorted by
+//!     constant for a range — so a delta costs O(log n + matches), not n
+//!     predicate calls ([`grouped`]; `filter_probes` counts the deltas
+//!     probed). Each member gets exactly its `FilterOp`'s output and
+//!     runs on from the filter's parent. The charging rule: the filter
+//!     hop is charged the whole class batch — in `ops_invoked`,
+//!     `tuples_in` and the op profile's invocations and deltas, as if
+//!     it had run — and an even share of the probe's measured busy
+//!     time. `ops_invoked` stays the *logical* cost the rebalancer,
+//!     `auto_tune` and the optimizer's calibration read. Every other
+//!     filter, and every private path, runs `FilterOp`; the private
+//!     paths are the oracle (`tests/grouped_filters.rs`).
 //!
 //!   Shared-vs-private equivalence under full lifecycle churn
 //!   (register / deregister / pause / resume / migrate, all three
@@ -200,9 +223,12 @@
 //! `log_cursors`, `cursor_classes`, and `window_tuples` = rows retained
 //! in logs and private windows) and the per-shard `log_rows` /
 //! `cursors` / `cursor_classes` gauges and `window_batches` /
-//! `window_deliveries` counters of the telemetry export are the
-//! observability surface: `window_deliveries / window_batches` is how
-//! many windows shared each batch of window work, exact per seed.
+//! `window_deliveries` / `filter_probes` counters of the telemetry export,
+//! with each query's `grouped_filter` flag, are the observability
+//! surface: `window_deliveries / window_batches` is how many windows
+//! shared each batch of window work, and `filter_probes` against the
+//! filter op's deltas how much filter work grouping shared, exact per
+//! seed.
 //!
 //! ## Sessions, registration, and the query lifecycle
 //!
@@ -473,6 +499,7 @@
 pub mod cluster;
 pub mod delta;
 pub mod executor;
+pub mod grouped;
 pub mod operators;
 pub mod pipeline;
 pub mod rebalance;

@@ -85,6 +85,12 @@ pub trait DeltaOp: std::fmt::Debug {
 /// Filter: passes deltas whose tuple satisfies the predicate. A
 /// selection: with `keep_ids` — set by `Pipeline::build` when the output
 /// feeds an indexed join side — survivors keep their row ids.
+///
+/// Every private path runs it. A `col op constant` filter directly above
+/// a cursor-fed stream scan (and keeping no ids) is not run by its query,
+/// though: the scan's source log evaluates it for every member of its
+/// group at once ([`crate::grouped`]) and hands the query exactly this
+/// operator's output, charged as if it had run.
 #[derive(Debug)]
 pub struct FilterOp {
     pub predicate: BoundExpr,
@@ -174,7 +180,7 @@ enum Side {
 /// normalise to equal (and equally hashed) values. A float holding an
 /// integer becomes that integer — except from 2^53, where `f64` stops
 /// telling integers apart and integers become floats instead.
-fn norm(v: &Value) -> Value {
+pub(crate) fn norm(v: &Value) -> Value {
     const EXACT: f64 = (1u64 << 53) as f64;
     match *v {
         Value::Float(f) if f.fract() == 0.0 && f.abs() < EXACT => Value::Int(f as i64),

@@ -11,11 +11,12 @@ use aspen_sql::plan::LogicalPlan;
 use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple, WindowSpec};
 
 use crate::delta::DeltaBatch;
+use crate::grouped::FilterKey;
 use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionOp};
 use crate::sink::Sink;
 use crate::state::StateOptions;
 use crate::trace::{OpKind, OpProfile};
-use crate::window::{Frame, WindowOp};
+use crate::window::{Fed, Frame, WindowOp};
 
 /// Where an operator sends its output: another operator's input port, or
 /// the sink.
@@ -40,6 +41,10 @@ struct ScanEntry {
     source: SourceId,
     window: WindowOp,
     attach: Attach,
+    /// The key of the filter `attach` names, when the scan is over a
+    /// stream and that filter groups: what the scan's cursor hands its
+    /// source log's filter index.
+    filter: Option<FilterKey>,
 }
 
 /// Where a cursor-fed scan's row ids resolve: `(source, row)` is the
@@ -100,6 +105,9 @@ pub struct Pipeline {
     /// of them or none; the shard that attaches them says. The logs, not
     /// the scans' own windows, hold those scans' rows then.
     pub(crate) tapped: bool,
+    /// The sources of the scans whose windows feed an indexed join side:
+    /// signed deltas on one of them name no row.
+    indexed: Vec<SourceId>,
 }
 
 impl Pipeline {
@@ -151,8 +159,11 @@ impl Pipeline {
             timed: false,
             drag: None,
             tapped: false,
+            indexed: Vec::new(),
         };
         pipeline.build(core, None, opts, false)?;
+        pipeline.indexed.sort_unstable();
+        pipeline.indexed.dedup();
         Ok(pipeline)
     }
 
@@ -214,6 +225,7 @@ impl Pipeline {
                     source: rel.meta.id,
                     window: WindowOp::with_options(rel.window, opts),
                     attach: parent,
+                    filter: None,
                 });
                 Ok(())
             }
@@ -226,7 +238,16 @@ impl Pipeline {
                     parent,
                     OpKind::Filter,
                 );
-                self.build(input, Some((idx, 0)), opts, indexed)
+                self.build(input, Some((idx, 0)), opts, indexed)?;
+                // Directly above a stream scan, and keeping no ids for a
+                // join side: the scan's log may run this filter instead.
+                if let LogicalPlan::Scan { rel } = &**input {
+                    if rel.meta.kind.is_stream_like() && !indexed {
+                        let scan = self.scans.last_mut().expect("built just now");
+                        scan.filter = FilterKey::of(predicate);
+                    }
+                }
+                Ok(())
             }
             LogicalPlan::Project { input, exprs, .. } => {
                 let idx = self.push_node(
@@ -255,7 +276,11 @@ impl Pipeline {
                 let join = JoinOp::over_scans(keys.clone(), residual.clone(), opts, scans);
                 let idx = self.push_node(Box::new(join), parent, OpKind::Join);
                 self.build(left, Some((idx, 0)), opts, scans[0].is_some())?;
-                self.build(right, Some((idx, 1)), opts, scans[1].is_some())
+                self.build(right, Some((idx, 1)), opts, scans[1].is_some())?;
+                for scan in scans.into_iter().flatten() {
+                    self.indexed.push(self.scans[scan].source);
+                }
+                Ok(())
             }
             LogicalPlan::Aggregate {
                 input, group, aggs, ..
@@ -340,27 +365,70 @@ impl Pipeline {
         self.scans.iter().map(|s| (s.source, s.window.spec()))
     }
 
-    /// Feed the pre-windowed delta batches of one source batch — one
-    /// `(scan index, deltas)` per cursor-fed scan, in scan order — past
-    /// this pipeline's own window stages (which stay empty while the
-    /// scans are cursors on a source log). The batches are borrowed:
-    /// the log stepped each once for every cursor of its class, so
-    /// this query's cost starts at its first operator. `charge` is the
-    /// raw source-batch size to account to `tuples_in` per scan, the
-    /// same number `push_source` would have charged.
+    /// The grouping key of scan `scan`'s leading filter: a filter directly
+    /// above a stream scan, keeping no row ids, whose predicate is `col
+    /// op constant` ([`FilterKey::of`]).
+    pub(crate) fn leading_filter(&self, scan: usize) -> Option<&FilterKey> {
+        self.scans[scan].filter.as_ref()
+    }
+
+    /// Whether a log's filter index runs one of this pipeline's filters.
+    pub(crate) fn grouped_filter(&self) -> bool {
+        self.tapped && self.scans.iter().any(|s| s.filter.is_some())
+    }
+
+    /// The sources whose windows this pipeline indexes in a join side,
+    /// ascending: signed deltas on them are refused at admission.
+    pub(crate) fn indexed_sources(&self) -> &[SourceId] {
+        &self.indexed
+    }
+
+    /// Feed what the log steps of one source batch fed this pipeline's
+    /// cursor-fed scans — one `(scan index, fed)` each, in scan order —
+    /// past its own window stages (which stay empty while the scans are
+    /// cursors on a source log). Everything is borrowed: the log stepped
+    /// each class batch once for all its members, and probed each grouped
+    /// filter once for its group, so this query's cost starts at its
+    /// first operator, or past its grouped filter. `charge` is the raw
+    /// source-batch size to account to `tuples_in` per scan, the same
+    /// number `push_source` would have charged.
     pub(crate) fn push_windowed(
         &mut self,
-        fed: &mut dyn Iterator<Item = (usize, &DeltaBatch)>,
+        fed: &mut dyn Iterator<Item = (usize, Fed<'_>)>,
         charge: u64,
         sink: &mut Sink,
         logs: LogRows,
     ) -> Result<()> {
         self.pay_drag();
-        for (scan, deltas) in fed {
+        for (scan, fed) in fed {
             self.tuples_in += charge;
-            self.run(self.scans[scan].attach, deltas, sink, logs)?;
+            self.feed(scan, fed, sink, logs)?;
         }
         Ok(())
+    }
+
+    /// Run scan `scan`'s share of a log step: the class batch from the
+    /// scan's first operator or — when the log grouped the scan's leading
+    /// filter — the filter's output from the filter's parent, the filter
+    /// hop charged exactly as running it would have been (the whole class
+    /// batch in `ops_invoked` and the profile, the error it would have
+    /// raised) with its share of the probe's busy time.
+    fn feed(&mut self, scan: usize, fed: Fed, sink: &mut Sink, logs: LogRows) -> Result<()> {
+        let attach = self.scans[scan].attach;
+        let (Some(filtered), Some((filter, _))) = (fed.filtered, attach) else {
+            return self.run(attach, fed.window, sink, logs);
+        };
+        debug_assert_eq!(self.nodes[filter].kind, OpKind::Filter);
+        let deltas = fed.window.len() as u64;
+        self.ops_invoked += deltas;
+        let out = filtered.out.as_ref().map_err(AspenError::clone)?;
+        let busy = if self.timed {
+            filtered.busy
+        } else {
+            std::time::Duration::ZERO
+        };
+        self.profile.record(OpKind::Filter, deltas, busy);
+        self.run(self.nodes[filter].parent, out, sink, logs)
     }
 
     /// Hand scan `scan`'s window stage the frame and live tuples of the
@@ -442,22 +510,22 @@ impl Pipeline {
     }
 
     /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
-    /// `expired` holds the `(scan index, retractions)` their source logs
-    /// stepped (once per cursor class) for this clock. Each scan
-    /// propagates in scan order whichever side windowed it — a
+    /// `expired` holds what their source logs' steps for this clock fed
+    /// the scans whose classes expired something, by scan index. Each
+    /// scan propagates in scan order whichever side windowed it — a
     /// cursor-fed scan's own window is empty, so the two never both
     /// fire.
     pub(crate) fn advance_scans(
         &mut self,
         now: SimTime,
-        expired: &[(usize, &DeltaBatch)],
+        expired: &[(usize, Fed)],
         sink: &mut Sink,
         logs: LogRows,
     ) -> Result<()> {
         for i in 0..self.scans.len() {
             let attach = self.scans[i].attach;
-            if let Some((_, batch)) = expired.iter().find(|(scan, _)| *scan == i) {
-                self.run(attach, batch, sink, logs)?;
+            if let Some(&(_, fed)) = expired.iter().find(|(scan, _)| *scan == i) {
+                self.feed(i, fed, sink, logs)?;
             }
             let mut batch = DeltaBatch::new();
             self.scans[i].window.advance(now, &mut batch);

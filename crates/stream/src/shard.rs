@@ -104,6 +104,7 @@ use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
 use crate::executor::{Boundary, Executor, ExecutorStats, FollowUp, Task};
+use crate::grouped::FilterKey;
 use crate::pipeline::Pipeline;
 use crate::rebalance::RebalanceController;
 use crate::recursive::RecursiveView;
@@ -115,7 +116,7 @@ use crate::sink::Sink;
 use crate::state::{BagState, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
-use crate::window::SourceLog;
+use crate::window::{Fed, SourceLog, Stepped};
 
 /// Handle to a registered continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +202,10 @@ struct IngestSlice {
     /// shard order — a pure function of the live subscriber multiset,
     /// independent of registration and removal order.
     routes: HashMap<SourceId, Vec<u32>>,
+    /// Stream source → live queries indexing its window in a join side
+    /// (absent at zero). Signed deltas name no log row, so admission
+    /// refuses them for a source listed here.
+    indexed: HashMap<SourceId, u32>,
     /// Retained contents of Table sources so late-registered (and
     /// resumed) queries and views can replay them (streams are not
     /// replayed — standard semantics).
@@ -219,16 +224,28 @@ struct IngestSlice {
 }
 
 impl IngestSlice {
-    fn add_route(&mut self, src: SourceId, shard: usize, nshards: usize) {
+    /// Count a live subscriber of `src` on `shard`, one that indexes
+    /// `src`'s window if `indexes`.
+    fn add_route(&mut self, src: SourceId, shard: usize, nshards: usize, indexes: bool) {
         let counts = self.routes.entry(src).or_insert_with(|| vec![0; nshards]);
         counts[shard] += 1;
+        if indexes {
+            *self.indexed.entry(src).or_insert(0) += 1;
+        }
     }
 
-    fn remove_route(&mut self, src: SourceId, shard: usize) {
+    /// The inverse of [`IngestSlice::add_route`].
+    fn remove_route(&mut self, src: SourceId, shard: usize, indexes: bool) {
         if let Some(counts) = self.routes.get_mut(&src) {
             counts[shard] = counts[shard].saturating_sub(1);
             if counts.iter().all(|&c| c == 0) {
                 self.routes.remove(&src);
+            }
+        }
+        if let (true, Some(n)) = (indexes, self.indexed.get_mut(&src)) {
+            *n -= 1;
+            if *n == 0 {
+                self.indexed.remove(&src);
             }
         }
     }
@@ -395,6 +412,8 @@ impl ViewSet {
 struct QueryMeta {
     shard: usize,
     sources: Vec<SourceId>,
+    /// The sources whose windows the query indexes in a join side.
+    indexes: Vec<SourceId>,
     needs_clock: bool,
     paused: bool,
     /// The bound plan, kept for the resume replay path.
@@ -412,8 +431,9 @@ struct QueryMeta {
     tune_mark: (u64, u64, SimTime),
 }
 
-/// A stream scan to attach as a cursor: `(scan, source, spec, pool)`.
-type CursorScan = (usize, SourceId, WindowSpec, SegmentPool);
+/// A stream scan to attach as a cursor: `(scan, source, spec, pool,
+/// leading filter key)`.
+type CursorScan = (usize, SourceId, WindowSpec, SegmentPool, Option<FilterKey>);
 
 /// One ingest call's payload: a source batch (windowed at each scan) or
 /// signed deltas (window-bypassing). The cluster ships either across a
@@ -513,18 +533,20 @@ impl EngineShard {
                 q.sink.latency.record_us(ctx.elapsed_us());
             }
         }
-        // Step: the log stores the batch exactly once and windows it
-        // once per cursor class.
+        // Step: the log stores the batch exactly once, windows it once
+        // per cursor class and probes each class batch once per group of
+        // grouped filters.
         let Some(log) = logs.get_mut(&src) else {
             return Ok(());
         };
-        let batches = log.insert_batch(first, tuples, meters);
+        let step = log.insert_batch(first, tuples, meters);
         let rows = |src, row| logs.get(&src)?.get(row);
         // Deliver: each query borrows the deltas its own windows over
-        // `src` would have emitted, and reads rows off any log. A failed
-        // delivery does not stop the others; the first error is returned.
+        // `src` would have emitted — or its grouped filter's output on
+        // them — and reads rows off any log. A failed delivery does not
+        // stop the others; the first error is returned.
         let mut served = Ok(());
-        for (qid, mut fed) in logs[&src].fed(&batches) {
+        for (qid, mut fed) in logs[&src].fed(&step) {
             let q = queries.get_mut(&qid).expect("tapped query is local");
             let run = q
                 .pipeline
@@ -578,7 +600,7 @@ impl EngineShard {
             ..
         } = self;
         // Step every log: cursor expiry is computed once per class.
-        let stepped: Vec<(SourceId, Vec<DeltaBatch>)> = logs
+        let stepped: Vec<(SourceId, Stepped)> = logs
             .iter_mut()
             .map(|(&src, log)| (src, log.advance(now, meters)))
             .collect();
@@ -587,10 +609,10 @@ impl EngineShard {
         // log readable: a retraction on one side of a join probes the
         // other side's rows, whether or not this step expires them too.
         let rows = |src, row| logs.get(&src)?.get(row);
-        let mut expired: HashMap<QueryId, Vec<(usize, &DeltaBatch)>> = HashMap::new();
-        for (src, batches) in &stepped {
-            for (qid, fed) in logs[src].fed(batches) {
-                for fired in fed.filter(|(_, batch)| !batch.is_empty()) {
+        let mut expired: HashMap<QueryId, Vec<(usize, Fed)>> = HashMap::new();
+        for (src, step) in &stepped {
+            for (qid, fed) in logs[src].fed(step) {
+                for fired in fed.filter(|(_, fed)| !fed.window.is_empty()) {
                     expired.entry(qid).or_default().push(fired);
                 }
             }
@@ -656,11 +678,11 @@ impl EngineShard {
     /// in scan order, which keeps a query's cursors on one log adjacent
     /// and ordered. A new log shares segments through its source's pool.
     fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
-        for (scan, src, spec, pool) in scans {
+        for (scan, src, spec, pool, filter) in scans {
             self.logs
                 .entry(*src)
                 .or_insert_with(|| SourceLog::new(opts, pool.clone()))
-                .attach(qid, *scan, *spec);
+                .attach(qid, *scan, *spec, filter.as_ref());
         }
         let rt = self.queries.get_mut(&qid).expect("routed query is local");
         rt.pipeline.tapped = !scans.is_empty();
@@ -1040,6 +1062,7 @@ impl ShardedEngine {
                         output_deltas: rt.sink.deltas_applied,
                         push_batches: rt.sink.push_batches_delivered(),
                         shared: rt.pipeline.tapped,
+                        grouped_filter: rt.pipeline.grouped_filter(),
                         latency: rt.sink.latency.clone(),
                         state_bytes: q_bytes,
                         groups: rt.pipeline.groups() as u64,
@@ -1064,6 +1087,7 @@ impl ShardedEngine {
                 log_bytes: logs.state_bytes as u64,
                 window_batches: shard.meters.window_batches,
                 window_deliveries: shard.meters.window_deliveries,
+                filter_probes: shard.meters.filter_probes,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
@@ -1207,6 +1231,7 @@ impl ShardedEngine {
             QueryMeta {
                 shard,
                 sources: rt.pipeline.sources(),
+                indexes: rt.pipeline.indexed_sources().to_vec(),
                 needs_clock: rt.pipeline.needs_clock(),
                 paused: false,
                 plan,
@@ -1300,9 +1325,10 @@ impl ShardedEngine {
         shard.attach_cursors(qid, scans, &self.state_opts);
         drop(shard);
         for &src in &meta.sources {
+            let indexes = meta.indexes.contains(&src);
             self.slices[self.slice_of(src)]
                 .lock()
-                .add_route(src, shard_idx, self.nshards);
+                .add_route(src, shard_idx, self.nshards, indexes);
         }
         self.clock_counts[shard_idx] += u32::from(needs_clock);
         self.push_counts[shard_idx] += u32::from(push);
@@ -1350,9 +1376,10 @@ impl ShardedEngine {
             shard.detach(qid, &meta.sources);
         }
         for &src in &meta.sources {
+            let indexes = meta.indexes.contains(&src);
             self.slices[self.slice_of(src)]
                 .lock()
-                .remove_route(src, shard_idx);
+                .remove_route(src, shard_idx, indexes);
         }
         self.clock_counts[shard_idx] -= u32::from(needs_clock);
         self.push_counts[shard_idx] -= u32::from(push);
@@ -1432,7 +1459,10 @@ impl ShardedEngine {
             .scan_windows()
             .enumerate()
             .filter(|(_, (src, _))| streams.contains(src))
-            .map(|(scan, (src, spec))| (scan, src, spec, self.log_pool(src)))
+            .map(|(scan, (src, spec))| {
+                let filter = pipeline.leading_filter(scan).cloned();
+                (scan, src, spec, self.log_pool(src), filter)
+            })
             .collect()
     }
 
@@ -1849,7 +1879,10 @@ impl ShardedEngine {
 
     /// Ingest signed changes for a source (e.g. a table update/delete).
     /// Advances the clock exactly like `on_batch` — delta-only ingest
-    /// must not leave the engine clock stale.
+    /// must not leave the engine clock stale. Refused with
+    /// [`AspenError::InvalidArgument`], before anything moves, for a
+    /// stream whose window a live query indexes in a join side: signed
+    /// deltas name no row of it.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
         let trace = self.make_ctx();
         self.admit(source_name, Admission::Deltas(deltas), Some(trace))
@@ -1867,16 +1900,17 @@ impl ShardedEngine {
     ) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let src = meta.id;
-        // Advance the engine clock to the latest observed event
-        // timestamp, so batch-only, delta-only, and mixed workloads all
-        // keep `now()` fresh.
-        let latest = match payload {
-            Admission::Batch(tuples) => tuples.iter().map(Tuple::timestamp).max(),
-            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
-        };
-        self.now = self.now.max(latest.unwrap_or(self.now));
         let (routes, first) = {
             let mut slice = self.slices[self.slice_of(src)].lock();
+            if let (Admission::Deltas(_), true) = (payload, slice.indexed.contains_key(&src)) {
+                // Refused before anything moved: no shard, counter or
+                // clock has seen the batch.
+                return Err(AspenError::InvalidArgument(format!(
+                    "'{source_name}' is a stream a live query's join side indexes by row, \
+                     and signed deltas name no row of its window; ingest its tuples with \
+                     on_batch"
+                )));
+            }
             *slice.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
             let mut first = 0;
             if let (Admission::Batch(tuples), true) = (payload, meta.kind.is_stream_like()) {
@@ -1903,6 +1937,14 @@ impl ShardedEngine {
             }
             (slice.fanout(src), first)
         };
+        // Advance the engine clock to the latest observed event
+        // timestamp, so batch-only, delta-only, and mixed workloads all
+        // keep `now()` fresh.
+        let latest = match payload {
+            Admission::Batch(tuples) => tuples.iter().map(Tuple::timestamp).max(),
+            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
+        };
+        self.now = self.now.max(latest.unwrap_or(self.now));
         if !routes.is_empty() {
             let boundary = match payload {
                 Admission::Batch(tuples) => Boundary::Batch {
@@ -3241,16 +3283,21 @@ mod tests {
         let report = e.telemetry();
         let held = report.query(join.0).unwrap().state_bytes;
         assert!(held < 400, "two table rows and an index, not {held} B");
-        // Signed deltas on the *stream* name no log row, so the query
-        // indexing its window refuses them — alone: the subscriber
-        // registered after it is served all the same.
+        // Signed deltas on the *stream* name no log row, and a live query
+        // indexes its window: admission refuses them before any shard
+        // runs, so no subscriber — nor the clock — sees them. With the
+        // indexing query paused, the same batch is served.
         let tail = e
             .register_sql("select r.value from Readings r [rows 3]")
             .unwrap()
             .expect_query();
         let signed = DeltaBatch::from(vec![Delta::insert(reading(2, 7.0, 2))]);
         let refused = e.on_deltas("Readings", &signed).and_then(|()| e.quiesce());
-        assert_eq!(refused.unwrap_err().kind(), "execution");
+        assert_eq!(refused.unwrap_err().kind(), "invalid_argument");
+        assert_eq!(rows(&e, tail), Vec::<Vec<Value>>::new());
+        assert_eq!(e.now(), SimTime::from_secs(1));
+        e.pause(join).unwrap();
+        e.on_deltas("Readings", &signed).unwrap();
         assert_eq!(rows(&e, tail), vec![vec![Value::Float(7.0)]]);
     }
 

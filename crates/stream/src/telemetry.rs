@@ -51,6 +51,12 @@ pub struct ShardMeters {
     /// `window_deliveries / window_batches` is how many windows shared
     /// each batch of window work.
     pub window_deliveries: u64,
+    /// Deltas probed through this shard's logs' filter indexes: one per
+    /// delta per group stepped, however many members the group holds.
+    /// Set against the deltas the grouped filters charge to
+    /// `ops_invoked`, it is how much filter work grouping shares. Exact
+    /// per seed.
+    pub filter_probes: u64,
     /// Distribution of admission→execution queue wait per task, recorded
     /// by the executor as it takes the shard lock (empty with tracing
     /// off).
@@ -81,6 +87,11 @@ pub struct QueryLoad {
     /// downstream of the windows — so the rebalancer sees the same
     /// per-query load shared or private, never phantom work.
     pub shared: bool,
+    /// Whether a source log's filter index runs one of the query's
+    /// filters for it (a `col op constant` filter directly above a
+    /// cursor-fed stream scan). The filter hop is still charged in
+    /// `ops_invoked` and the op profile exactly as if it had run.
+    pub grouped_filter: bool,
     /// Distribution of ingest→sink-apply latency for batches that
     /// reached this query's sink (empty with tracing off). Lives in the
     /// sink, so it migrates with the query like the counters do.
@@ -150,6 +161,8 @@ pub struct ShardLoad {
     pub window_batches: u64,
     /// Cumulative [`ShardMeters::window_deliveries`].
     pub window_deliveries: u64,
+    /// Cumulative [`ShardMeters::filter_probes`].
+    pub filter_probes: u64,
     /// Highest boundary sequence number this shard has fully applied —
     /// its watermark, published at batch boundaries. The cut a
     /// barrier-free (`Consistency::Cut`) observation read this shard at.
@@ -269,6 +282,7 @@ impl TelemetryReport {
             log_bytes: 0,
             window_batches: 0,
             window_deliveries: 0,
+            filter_probes: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -289,6 +303,7 @@ impl TelemetryReport {
             out.log_bytes += s.log_bytes;
             out.window_batches += s.window_batches;
             out.window_deliveries += s.window_deliveries;
+            out.filter_probes += s.filter_probes;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
@@ -519,6 +534,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             log_bytes: 0,
             window_batches: 0,
             window_deliveries: 0,
+            filter_probes: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -542,6 +558,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
                 output_deltas: 0,
                 push_batches: 0,
                 shared: false,
+                grouped_filter: false,
                 latency: LatencyHistogram::new(),
                 state_bytes: bytes,
                 groups: 0,

@@ -478,6 +478,7 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_cursor_classes gauge\n");
     out.push_str("# TYPE aspen_shard_window_batches_total counter\n");
     out.push_str("# TYPE aspen_shard_window_deliveries_total counter\n");
+    out.push_str("# TYPE aspen_shard_filter_probes counter\n");
     for s in &report.shards {
         let l = format!("shard=\"{}\"", s.shard);
         prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
@@ -506,15 +507,19 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
             &l,
             s.window_deliveries,
         );
+        prom_line(&mut out, "aspen_shard_filter_probes", &l, s.filter_probes);
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     out.push_str("# TYPE aspen_query_state_bytes gauge\n");
     out.push_str("# TYPE aspen_query_groups gauge\n");
+    out.push_str("# TYPE aspen_query_grouped_filter gauge\n");
     for q in &report.queries {
         let l = format!("query=\"{}\",shard=\"{}\"", q.query.0, q.shard);
         prom_line(&mut out, "aspen_query_ops_invoked_total", &l, q.ops_invoked);
         prom_line(&mut out, "aspen_query_state_bytes", &l, q.state_bytes);
         prom_line(&mut out, "aspen_query_groups", &l, q.groups);
+        let grouped = u8::from(q.grouped_filter);
+        prom_line(&mut out, "aspen_query_grouped_filter", &l, grouped);
     }
     let latency = report.ingest_latency();
     let queue = report.queue_wait();
@@ -600,7 +605,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
@@ -614,6 +619,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.cursor_classes,
                 s.window_batches,
                 s.window_deliveries,
+                s.filter_probes,
                 s.watermark,
                 s.lag,
                 json_hist(&s.queue_wait)
@@ -625,9 +631,9 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|q| {
             format!(
-                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"output_deltas\":{},\"latency\":{}}}",
+                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"grouped_filter\":{},\"output_deltas\":{},\"latency\":{}}}",
                 q.query.0, q.shard, q.paused, q.tuples_in, q.ops_invoked, q.state_bytes,
-                q.groups, q.output_deltas, json_hist(&q.latency)
+                q.groups, q.grouped_filter, q.output_deltas, json_hist(&q.latency)
             )
         })
         .collect();

@@ -53,6 +53,7 @@ use aspen_types::{QueryId, SimTime, Tuple, WindowSpec};
 use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
+use crate::grouped::{FilterIndex, FilterKey, Filtered};
 use crate::state::{ColumnarDeque, StateOptions};
 use crate::telemetry::ShardMeters;
 
@@ -185,6 +186,25 @@ struct Cursor {
 /// A demoted cursor: scan index, live tuples in arrival order, frame —
 /// what [`WindowOp::adopt`] takes.
 pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Frame);
+
+/// One log step's output: a batch per cursor class, and per cursor what
+/// the log's filter index made of its class's batch.
+#[derive(Debug)]
+pub(crate) struct Stepped {
+    batches: Vec<DeltaBatch>,
+    /// By cursor position; empty when the log groups no filter.
+    filtered: Vec<Option<Filtered>>,
+}
+
+/// What a log step feeds one cursor's scan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fed<'a> {
+    /// The class batch: the deltas the scan's window emitted.
+    pub(crate) window: &'a DeltaBatch,
+    /// When the log groups the scan's leading filter and `window` is not
+    /// empty: that filter's output on it.
+    pub(crate) filtered: Option<&'a Filtered>,
+}
 
 /// The tuples of log rows `[lo, hi)`, in arrival order (empty, and no
 /// segment touched, when `lo >= hi`).
@@ -331,6 +351,13 @@ impl Frame {
 /// which is charged for them once ([`SourceLog::state_bytes`] counts
 /// them at full size); a log's short first segment stays its own.
 ///
+/// **Grouped filters.** A cursor attached with its scan's leading
+/// `col op constant` filter is a member of the log's [`FilterIndex`],
+/// kept up to date at attach, detach and demote. Each step probes every
+/// class batch once per group with members in that class and delivers
+/// each member its filter's output beside the class batch
+/// ([`crate::grouped`]).
+///
 /// The log steps cursor **classes**, not cursors: cursors whose
 /// [`Frame`]s are equal emit the same deltas, so each step materializes
 /// one batch per distinct frame and every member borrows it. Classes
@@ -351,6 +378,8 @@ impl Frame {
 pub(crate) struct SourceLog {
     rows: ColumnarDeque,
     cursors: Vec<Cursor>,
+    /// The grouped leading filters of the cursors, by cursor position.
+    filters: FilterIndex,
 }
 
 impl SourceLog {
@@ -359,16 +388,27 @@ impl SourceLog {
         SourceLog {
             rows: ColumnarDeque::new(opts.spill.clone()).with_pool(pool),
             cursors: Vec::new(),
+            filters: FilterIndex::default(),
         }
     }
 
-    /// Attach scan `scan` of `query` as a cursor at the current tail.
-    /// A query attaches all its scans of this source back to back, in
-    /// scan order.
-    pub(crate) fn attach(&mut self, query: QueryId, scan: usize, spec: WindowSpec) {
+    /// Attach scan `scan` of `query` as a cursor at the current tail,
+    /// with `filter` — the scan's leading filter, if it groups — in the
+    /// log's index. A query attaches all its scans of this source back
+    /// to back, in scan order.
+    pub(crate) fn attach(
+        &mut self,
+        query: QueryId,
+        scan: usize,
+        spec: WindowSpec,
+        filter: Option<&FilterKey>,
+    ) {
         let mut at = Frame::new(spec);
         if at.pins() {
             at.head = self.rows.next_row();
+        }
+        if let Some(key) = filter {
+            self.filters.insert(key, self.cursors.len() as u32);
         }
         self.cursors.push(Cursor {
             query,
@@ -378,8 +418,21 @@ impl SourceLog {
         });
     }
 
-    /// Drop the cursors of `query`; rows only they pinned are released.
+    /// Drop the cursors of `query` and their filters from the index; rows
+    /// only they pinned are released.
     pub(crate) fn detach(&mut self, query: QueryId) {
+        let mut kept = 0;
+        let to: Vec<Option<u32>> = self
+            .cursors
+            .iter()
+            .map(|c| {
+                (c.query != query).then(|| {
+                    kept += 1;
+                    kept - 1
+                })
+            })
+            .collect();
+        self.filters.renumber(&to);
         self.cursors.retain(|c| c.query != query);
         self.release();
     }
@@ -427,18 +480,29 @@ impl SourceLog {
         batches
     }
 
+    /// Probe the step's class `batches` through the filter index.
+    fn probe(&self, batches: Vec<DeltaBatch>, meters: &mut ShardMeters) -> Stepped {
+        let class_of = |m: u32| self.cursors[m as usize].class;
+        let probes = &mut meters.filter_probes;
+        let filtered = self
+            .filters
+            .run(self.cursors.len(), class_of, &batches, probes);
+        Stepped { batches, filtered }
+    }
+
     /// **Step** over one source batch, numbered from `first`: append it
     /// and move every cursor. Returns one batch per class (counted into
-    /// `meters`, with one delivery per cursor) for [`SourceLog::fed`] to
-    /// hand out. Every cursor has stepped when this returns, so a query
-    /// whose delivery fails cannot desynchronize its class (a cursor left
-    /// behind would later retract tuples it never inserted).
+    /// `meters`, with one delivery per cursor), probed through the filter
+    /// index, for [`SourceLog::fed`] to hand out. Every cursor has
+    /// stepped when this returns, so a query whose delivery fails cannot
+    /// desynchronize its class (a cursor left behind would later retract
+    /// tuples it never inserted).
     pub(crate) fn insert_batch(
         &mut self,
         first: u64,
         tuples: &[Tuple],
         meters: &mut ShardMeters,
-    ) -> Vec<DeltaBatch> {
+    ) -> Stepped {
         if self.rows.is_empty() {
             // Nothing held: the tail and the pinning heads (equal to it)
             // jump to this batch's number.
@@ -461,33 +525,40 @@ impl SourceLog {
         });
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
-        batches
+        self.probe(batches, meters)
     }
 
     /// **Step** the clock of every cursor. Returns one batch of
-    /// retractions per class, empty where nothing expired; only the
-    /// others count into `meters`.
-    pub(crate) fn advance(&mut self, now: SimTime, meters: &mut ShardMeters) -> Vec<DeltaBatch> {
+    /// retractions per class, empty where nothing expired (only the
+    /// others count into `meters`), probed through the filter index.
+    pub(crate) fn advance(&mut self, now: SimTime, meters: &mut ShardMeters) -> Stepped {
         let rows = &self.rows;
         let batches = Self::step_classes(&mut self.cursors, |at, out| at.advance(rows, now, out));
         let fired = |batch: &&DeltaBatch| !batch.is_empty();
         meters.window_batches += batches.iter().filter(fired).count() as u64;
         let fed = self.cursors.iter().map(|c| &batches[c.class]);
         meters.window_deliveries += fed.filter(fired).count() as u64;
-        batches
+        self.probe(batches, meters)
     }
 
     /// **Deliver**: whose batch is whose. Each query with cursors here,
-    /// in attach order, with its cursors' `(scan, batch)` in scan order,
-    /// out of the step's `batches`; classmates borrow the same batch.
+    /// in attach order, with what each of its cursors is [`Fed`] — by
+    /// scan, in scan order — out of the `step`; classmates borrow the
+    /// same class batch.
     pub(crate) fn fed<'a>(
         &'a self,
-        batches: &'a [DeltaBatch],
-    ) -> impl Iterator<Item = (QueryId, impl Iterator<Item = (usize, &'a DeltaBatch)> + 'a)> + 'a
-    {
+        step: &'a Stepped,
+    ) -> impl Iterator<Item = (QueryId, impl Iterator<Item = (usize, Fed<'a>)> + 'a)> + 'a {
+        let mut at = 0;
         let taps = self.cursors.chunk_by(|a, b| a.query == b.query);
         taps.map(move |tap| {
-            let fed = tap.iter().map(move |c| (c.scan, &batches[c.class]));
+            let first = at;
+            at += tap.len();
+            let fed = tap.iter().enumerate().map(move |(i, c)| {
+                let filtered = step.filtered.get(first + i).and_then(Option::as_ref);
+                let window = &step.batches[c.class];
+                (c.scan, Fed { window, filtered })
+            });
             (tap[0].query, fed)
         })
     }
@@ -578,14 +649,18 @@ mod tests {
     }
 
     /// What each cursor was fed, as the multiset it denotes.
-    type Fed = Vec<(QueryId, usize, Vec<(Tuple, i64)>)>;
+    type Got = Vec<(QueryId, usize, Vec<(Tuple, i64)>)>;
 
     /// One whole log step the way a shard runs it — step, deliver,
-    /// release — returning every cursor's share of `batches`.
-    fn deliver(log: &mut SourceLog, batches: Vec<DeltaBatch>) -> Fed {
+    /// release — returning every cursor's share of the `step`: its class
+    /// batch, or its grouped filter's output.
+    fn deliver(log: &mut SourceLog, step: Stepped) -> Got {
         let mut got = Vec::new();
-        for (q, fed) in log.fed(&batches) {
-            got.extend(fed.map(|(scan, batch)| (q, scan, net(batch))));
+        for (q, fed) in log.fed(&step) {
+            got.extend(fed.map(|(scan, fed)| {
+                let batch = fed.filtered.map_or(fed.window, |f| f.out.as_ref().unwrap());
+                (q, scan, net(batch))
+            }));
         }
         log.release();
         got
@@ -597,18 +672,18 @@ mod tests {
     }
 
     /// Step `log` over the next batch of a source that feeds only it.
-    fn step(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Vec<DeltaBatch> {
+    fn step(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Stepped {
         let first = log.rows.next_row();
         log.insert_batch(first, tuples, meters)
     }
 
-    fn feed(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Fed {
+    fn feed(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Got {
         let batches = step(log, tuples, meters);
         deliver(log, batches)
     }
 
     /// A heartbeat: the cursors that expired something.
-    fn tick(log: &mut SourceLog, secs: u64, meters: &mut ShardMeters) -> Fed {
+    fn tick(log: &mut SourceLog, secs: u64, meters: &mut ShardMeters) -> Got {
         let batches = log.advance(SimTime::from_secs(secs), meters);
         let mut got = deliver(log, batches);
         got.retain(|(.., net)| !net.is_empty());
@@ -714,9 +789,14 @@ mod tests {
     fn demoted_window_continues_the_logs_numbering() {
         let mut log = new_log(&StateOptions::columnar());
         let mut meters = ShardMeters::default();
-        log.attach(QueryId(0), 0, WindowSpec::Range(SimDuration::from_secs(60)));
+        log.attach(
+            QueryId(0),
+            0,
+            WindowSpec::Range(SimDuration::from_secs(60)),
+            None,
+        );
         feed(&mut log, &[t(0, 0), t(1, 1)], &mut meters);
-        log.attach(QueryId(1), 0, WindowSpec::Rows(3));
+        log.attach(QueryId(1), 0, WindowSpec::Rows(3), None);
         let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
         feed(&mut log, &arrivals, &mut meters);
         let issued: Vec<Option<Tuple>> = (0..8).map(|row| log.get(row)).collect();
@@ -769,16 +849,16 @@ mod tests {
         let mut a = SourceLog::new(&opts, pool.clone());
         let mut b = SourceLog::new(&opts, pool.clone());
         let mut next = 0u64;
-        a.attach(QueryId(0), 0, WindowSpec::Rows(200));
+        a.attach(QueryId(0), 0, WindowSpec::Rows(200), None);
         admit(&mut next, &mut [&mut a], 45);
-        b.attach(QueryId(1), 0, WindowSpec::Unbounded);
+        b.attach(QueryId(1), 0, WindowSpec::Unbounded, None);
         admit(&mut next, &mut [&mut a, &mut b], 7);
         assert_eq!(
             (b.rows(), b.rows.next_row()),
             (0, 45),
             "unbounded stores nothing"
         );
-        b.attach(QueryId(2), 0, WindowSpec::Rows(200));
+        b.attach(QueryId(2), 0, WindowSpec::Rows(200), None);
         for _ in 0..6 {
             admit(&mut next, &mut [&mut a, &mut b], 13);
         }
@@ -796,7 +876,12 @@ mod tests {
         // empties its log each time; the log resumes at the next batch's
         // number.
         let mut c = SourceLog::new(&opts, pool.clone());
-        c.attach(QueryId(3), 0, WindowSpec::Range(SimDuration::from_secs(5)));
+        c.attach(
+            QueryId(3),
+            0,
+            WindowSpec::Range(SimDuration::from_secs(5)),
+            None,
+        );
         for _ in 0..3 {
             admit(&mut next, &mut [&mut a, &mut c], 2);
             let first = next - 2;
@@ -881,7 +966,7 @@ mod tests {
                             let query = QueryId(next_query);
                             next_query += 1;
                             for (scan, &spec) in scans.iter().enumerate() {
-                                log.attach(query, scan, spec);
+                                log.attach(query, scan, spec, None);
                                 private.push((query, scan, WindowOp::with_options(spec, &opts)));
                             }
                         }
@@ -978,9 +1063,9 @@ mod tests {
         // at row 3.
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, spec);
+        log.attach(QueryId(0), 0, spec, None);
         feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
-        log.attach(QueryId(1), 0, spec);
+        log.attach(QueryId(1), 0, spec, None);
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         let expire = |log: &mut SourceLog, secs| {
             let mut m = ShardMeters::default();
@@ -1002,9 +1087,9 @@ mod tests {
         // ROWS 3: the junior attaches to a full senior and merges
         // after exactly three arrivals — before its first eviction.
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, WindowSpec::Rows(3));
+        log.attach(QueryId(0), 0, WindowSpec::Rows(3), None);
         feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
-        log.attach(QueryId(1), 0, WindowSpec::Rows(3));
+        log.attach(QueryId(1), 0, WindowSpec::Rows(3), None);
         assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
@@ -1013,9 +1098,9 @@ mod tests {
         // rolls over.
         let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, spec);
+        log.attach(QueryId(0), 0, spec, None);
         feed(&mut log, &[t(0, 0), t(1, 1)]);
-        log.attach(QueryId(1), 0, spec);
+        log.attach(QueryId(1), 0, spec, None);
         assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
@@ -1028,8 +1113,8 @@ mod tests {
         let mut log = new_log(&StateOptions::columnar());
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         for q in 0..3 {
-            log.attach(QueryId(q), 0, WindowSpec::Rows(1));
-            log.attach(QueryId(q), 1, spec);
+            log.attach(QueryId(q), 0, WindowSpec::Rows(1), None);
+            log.attach(QueryId(q), 1, spec, None);
         }
         let mut meters = ShardMeters::default();
         let batches = step(&mut log, &[t(1, 0), t(2, 0)], &mut meters);

@@ -513,3 +513,56 @@ fn failed_lifecycle_verb_changes_nothing() {
         }
     }
 }
+
+/// The same for an ingest admission refuses: signed deltas on a stream
+/// whose window a live query indexes in a join side name no row of it,
+/// so `on_deltas` returns a typed error before any shard runs and leaves
+/// the wiring, every snapshot, the ops total, the source's ingest count
+/// and the clock as they were — under all three scheduling modes. With
+/// the indexing query paused, the same deltas are served.
+#[test]
+fn refused_signed_deltas_change_nothing() {
+    let base: u64 = std::env::var("ASPEN_TEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0);
+    for mode in [
+        Scheduling::Sequential,
+        Scheduling::Pool,
+        Scheduling::Deterministic(base),
+    ] {
+        let config = EngineConfig::new().shards(2).scheduling(mode);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        let readings = e.catalog().source("Readings").unwrap().id;
+        let join = e
+            .register_sql(
+                "select a.value, b.value from Readings a [rows 4], \
+                 Readings b [range 10 seconds] where a.sensor = b.sensor",
+            )
+            .unwrap()
+            .expect_query();
+        let plain = e
+            .register_sql("select r.value from Readings r where r.value > 10")
+            .unwrap()
+            .expect_query();
+        e.on_batch("Readings", &[reading(1, 20.0, 1), reading(1, 30.0, 2)])
+            .unwrap();
+        let seen = |e: &ShardedEngine| {
+            let snapshots = [join, plain].map(|q| e.snapshot(q).unwrap());
+            let counts = (e.total_ops_invoked(), e.source_tuples_in(readings));
+            (wiring(e), snapshots, counts, e.now())
+        };
+        let before = seen(&e);
+        let signed = DeltaBatch::from(vec![Delta::insert(reading(2, 50.0, 9))]);
+        let refused = e.on_deltas("Readings", &signed).unwrap_err();
+        assert_eq!(refused.kind(), "invalid_argument", "{mode:?}");
+        assert_eq!(
+            seen(&e),
+            before,
+            "a refused admission moved state ({mode:?})"
+        );
+        e.pause(join).unwrap();
+        e.on_deltas("Readings", &signed).unwrap();
+        assert_eq!(e.snapshot(plain).unwrap().len(), 3, "{mode:?}");
+    }
+}
