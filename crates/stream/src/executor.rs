@@ -56,7 +56,7 @@ use aspen_types::{AspenError, Result, SimTime, SourceId, Tuple};
 use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
-use crate::shard::{EngineShard, ViewCtx};
+use crate::shard::EngineShard;
 use crate::telemetry::WorkerLoad;
 use crate::trace::{now_us, TraceCtx};
 
@@ -103,22 +103,6 @@ pub(crate) enum Work<T, D> {
     },
     AdvanceTime(SimTime),
     FlushPush(SimTime),
-    /// Base-relation changes for the view shard: maintain every view
-    /// reading `src`, then forward the net view deltas to the query
-    /// shards named by the admission-time route snapshot in `ctx` (as
-    /// follow-up tasks on their queues). Built owned at admission, so
-    /// the deferred conversion is an `Arc` clone.
-    ViewDeltas {
-        src: SourceId,
-        deltas: Arc<DeltaBatch>,
-        ctx: Arc<ViewCtx>,
-    },
-    /// Heartbeat for the view shard: expire time-windowed view state
-    /// and forward the deltas.
-    ViewAdvance {
-        now: SimTime,
-        ctx: Arc<ViewCtx>,
-    },
 }
 
 /// Borrowed work, as the engine holds it at the call site.
@@ -126,18 +110,8 @@ pub(crate) type Boundary<'a> = Work<&'a [Tuple], &'a DeltaBatch>;
 /// Owned work, queued.
 pub(crate) type Task = Work<Arc<[Tuple]>, Arc<DeltaBatch>>;
 
-/// Work a task generated while running: follow-up tasks for other
-/// shards, enqueued by the executor after the generating task completes
-/// (outside its state lock). This is how the view shard forwards net
-/// deltas to query shards through the same bounded-queue task path —
-/// a worker never re-enters `submit` or locks a sibling shard itself.
-pub(crate) struct FollowUp {
-    pub(crate) shards: Vec<usize>,
-    pub(crate) task: Task,
-}
-
 impl<T: Deref<Target = [Tuple]>, D: Deref<Target = DeltaBatch>> Work<T, D> {
-    fn run(&self, shard: &mut EngineShard, out: &mut Vec<FollowUp>) -> Result<()> {
+    fn run(&self, shard: &mut EngineShard) -> Result<()> {
         match self {
             Work::Batch {
                 src,
@@ -151,8 +125,6 @@ impl<T: Deref<Target = [Tuple]>, D: Deref<Target = DeltaBatch>> Work<T, D> {
                 shard.flush_push(*now);
                 Ok(())
             }
-            Work::ViewDeltas { src, deltas, ctx } => shard.views.on_base(*src, deltas, ctx, out),
-            Work::ViewAdvance { now, ctx } => shard.views.advance(*now, ctx, out),
         }
     }
 }
@@ -178,15 +150,6 @@ impl Boundary<'_> {
             },
             Work::AdvanceTime(now) => Work::AdvanceTime(*now),
             Work::FlushPush(now) => Work::FlushPush(*now),
-            Work::ViewDeltas { src, deltas, ctx } => Work::ViewDeltas {
-                src: *src,
-                deltas: Arc::clone(deltas),
-                ctx: Arc::clone(ctx),
-            },
-            Work::ViewAdvance { now, ctx } => Work::ViewAdvance {
-                now: *now,
-                ctx: Arc::clone(ctx),
-            },
         }
     }
 }
@@ -207,9 +170,8 @@ struct ShardQueue {
     enlisted: bool,
     /// Worker that last ran this shard (steal accounting).
     last_worker: Option<usize>,
-    /// Deepest the queue has ever been at *admission* (stays ≤
-    /// `queue_depth`; internal follow-up forwards are depth-exempt and
-    /// not recorded here — see [`PoolCore::enqueue_internal`]).
+    /// Deepest the queue has ever been (stays ≤ `queue_depth`: every
+    /// task enters through a bounded admission).
     high_water: usize,
 }
 
@@ -282,8 +244,7 @@ impl PoolCore {
         &self,
         shard: usize,
         enq_us: u64,
-        out: &mut Vec<FollowUp>,
-        run: impl FnOnce(&mut EngineShard, &mut Vec<FollowUp>) -> Result<()>,
+        run: impl FnOnce(&mut EngineShard) -> Result<()>,
     ) -> (Result<()>, Duration) {
         let mut state = self.cells[shard].state.lock();
         state
@@ -291,7 +252,7 @@ impl PoolCore {
             .queue_wait
             .record_us(now_us().saturating_sub(enq_us));
         let start = Instant::now();
-        let result = run(&mut state, out);
+        let result = run(&mut state);
         let elapsed = start.elapsed();
         state.meters.busy += elapsed;
         state.meters.batches += 1;
@@ -303,18 +264,10 @@ impl PoolCore {
     /// worker (or draining thread) survives it — the panicking task's
     /// slice may be partially applied and its meters unrecorded, like
     /// any mid-batch operator failure. Publishes the shard's applied
-    /// watermark and returns any follow-up work the task generated
-    /// (dropped on error — a failed boundary forwards nothing).
-    fn execute(
-        &self,
-        shard: usize,
-        seq: u64,
-        task: &Task,
-        enq_us: u64,
-    ) -> (Result<()>, Duration, Vec<FollowUp>) {
-        let mut out = Vec::new();
+    /// watermark.
+    fn execute(&self, shard: usize, seq: u64, task: &Task, enq_us: u64) -> (Result<()>, Duration) {
         let (result, busy) = catch_unwind(AssertUnwindSafe(|| {
-            self.run_metered(shard, enq_us, &mut out, |s, o| task.run(s, o))
+            self.run_metered(shard, enq_us, |s| task.run(s))
         }))
         .unwrap_or_else(|_| {
             (
@@ -323,39 +276,7 @@ impl PoolCore {
             )
         });
         self.cells[shard].applied.fetch_max(seq, Ordering::Relaxed);
-        if result.is_err() {
-            out.clear();
-        }
-        (result, busy, out)
-    }
-
-    /// Enqueue internally-generated follow-up work (view-shard output
-    /// forwarding) for a shard. Never blocks and is exempt from the
-    /// admission depth bound: the enqueuing thread may *be* the only
-    /// worker, and blocking it on its own backlog would deadlock the
-    /// pool. Bounded anyway — each admitted view task forwards at most
-    /// one batch per view output, and admission of view tasks is itself
-    /// depth-bounded.
-    fn enqueue_internal(&self, i: usize, seq: u64, task: Task) {
-        let cell = &self.cells[i];
-        cell.submitted.fetch_max(seq, Ordering::Relaxed);
-        let mut q = cell.queue.lock().unwrap();
-        q.tasks.push_back((seq, task, now_us()));
-        if !q.enlisted && !q.running {
-            q.enlisted = true;
-            drop(q);
-            self.ready.lock().unwrap().push_back(i);
-            self.work_cv.notify_one();
-        }
-    }
-
-    /// Fan follow-up tasks out to their target shards' queues.
-    fn dispatch(&self, seq: u64, followups: Vec<FollowUp>) {
-        for f in followups {
-            for &i in &f.shards {
-                self.enqueue_internal(i, seq, f.task.clone());
-            }
-        }
+        (result, busy)
     }
 
     fn record_error(&self, result: Result<()>) {
@@ -415,9 +336,8 @@ enum Mode {
 pub struct ExecutorStats {
     /// Tasks currently queued per shard (excludes the one mid-flight).
     pub pending: Vec<usize>,
-    /// Deepest each shard's queue has ever been at admission — bounded
-    /// by the configured queue depth, by construction (internal view
-    /// follow-up forwards are depth-exempt and not recorded).
+    /// Deepest each shard's queue has ever been — bounded by the
+    /// configured queue depth, by construction.
     pub high_water: Vec<usize>,
     /// Total producer time spent blocked on full queues (backpressure).
     pub admission_stall_seconds: f64,
@@ -489,8 +409,9 @@ impl Executor {
     }
 
     /// Submit one boundary's work to the involved shards. `Sequential`
-    /// runs it inline (first error returned immediately, like the old
-    /// fan-out loop); the deferred modes enqueue with backpressure and
+    /// runs it inline on every involved shard and returns the first
+    /// error, so a shard that fails never keeps the boundary from the
+    /// ones after it; the deferred modes enqueue with backpressure and
     /// surface any *earlier* deferred error. Every submission ticks the
     /// global boundary sequence and advances the involved shards'
     /// `submitted` watermarks.
@@ -503,10 +424,12 @@ impl Executor {
         }
         match &self.mode {
             Mode::Sequential => {
+                let mut served = Ok(());
                 for &i in involved {
-                    self.run_inline(i, seq, &item)?;
+                    let run = self.run_inline(i, seq, &item);
+                    served = served.and(run);
                 }
-                Ok(())
+                served
             }
             Mode::Pool => {
                 if !involved.is_empty() {
@@ -535,37 +458,14 @@ impl Executor {
 
     /// Sequential fast path: run the borrowed boundary directly against
     /// the shard state — no allocation, no Arc, panics propagate on the
-    /// submitting thread like the old inline loop. Follow-up tasks the
-    /// boundary generated (view forwarding) run inline right after it,
-    /// in order.
+    /// submitting thread like the old inline loop.
     fn run_inline(&self, i: usize, seq: u64, item: &Boundary<'_>) -> Result<()> {
-        let mut out = Vec::new();
         let result = self
             .core
-            .run_metered(i, now_us(), &mut out, |state, o| item.run(state, o))
+            .run_metered(i, now_us(), |state| item.run(state))
             .0;
         self.core.cells[i].applied.fetch_max(seq, Ordering::Relaxed);
-        result?;
-        self.run_followups_inline(seq, out)
-    }
-
-    fn run_followups_inline(&self, seq: u64, followups: Vec<FollowUp>) -> Result<()> {
-        for f in followups {
-            for &i in &f.shards {
-                self.core.cells[i]
-                    .submitted
-                    .fetch_max(seq, Ordering::Relaxed);
-                let mut nested = Vec::new();
-                let result = self
-                    .core
-                    .run_metered(i, now_us(), &mut nested, |state, o| f.task.run(state, o))
-                    .0;
-                self.core.cells[i].applied.fetch_max(seq, Ordering::Relaxed);
-                result?;
-                self.run_followups_inline(seq, nested)?;
-            }
-        }
-        Ok(())
+        result
     }
 
     /// Enqueue with backpressure: block while the shard's queue is full.
@@ -617,9 +517,8 @@ impl Executor {
                 None => return false,
             }
         };
-        let (result, _, followups) = self.core.execute(i, seq, &task, enq_us);
+        let (result, _) = self.core.execute(i, seq, &task, enq_us);
         self.core.record_error(result);
-        self.core.dispatch(seq, followups);
         true
     }
 
@@ -658,23 +557,11 @@ impl Executor {
 
     /// Settle every shard without consuming deferred errors — the
     /// global barrier for infallible coherent snapshots
-    /// ([`crate::session::Consistency::Fresh`] reads). A settled shard's
-    /// tasks may have enqueued follow-up work on shards swept earlier
-    /// (view output forwarding), so sweep until a full pass finds every
-    /// queue drained — follow-ups generate no further follow-ups, so two
-    /// passes bound it.
+    /// ([`crate::session::Consistency::Fresh`] reads). Tasks enqueue no
+    /// further work, so one pass drains everything.
     pub(crate) fn settle_all(&self) {
-        loop {
-            for i in 0..self.core.cells.len() {
-                self.settle(i);
-            }
-            let drained = (0..self.core.cells.len()).all(|i| {
-                let q = self.core.cells[i].queue.lock().unwrap();
-                q.tasks.is_empty() && !q.running
-            });
-            if drained {
-                return;
-            }
+        for i in 0..self.core.cells.len() {
+            self.settle(i);
         }
     }
 
@@ -802,13 +689,12 @@ fn worker_loop(core: Arc<PoolCore>, w: usize) {
 
         // Busy time comes from inside the state lock (run_metered), so a
         // worker blocked behind a coordinator read is idle, not busy.
-        let (result, busy, followups) = core.execute(shard, seq, &task, enq_us);
+        let (result, busy) = core.execute(shard, seq, &task, enq_us);
         core.workers[w]
             .busy_nanos
             .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
         core.workers[w].tasks.fetch_add(1, Ordering::Relaxed);
         core.record_error(result);
-        core.dispatch(seq, followups);
 
         // Boundary yield: release the shard; re-enlist it at the back of
         // the ready list if more boundaries are pending, or wake any

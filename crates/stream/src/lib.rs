@@ -269,7 +269,8 @@
 //! every lifecycle transition. `on_batch` / `on_deltas` touch only
 //! subscribers — ingest cost scales with a source's fan-out, not with
 //! the total number of registered queries — and `heartbeat` visits only
-//! pipelines (and time-windowed views) that react to time. This is what
+//! pipelines that react to time (every view pays an O(1) head check per
+//! windowed base). This is what
 //! lets one building-wide sensor feed serve many concurrent dashboards.
 //!
 //! Since the sharding refactor that index and the pipeline set are
@@ -283,10 +284,11 @@
 //! exactly one slice and fans out only to shards whose refcount is
 //! live, so batches for different sources contend only when they hash
 //! to the same slice, and no transition ever rebuilds the route table.
-//! Recursive views run on a dedicated **view shard** (one extra
-//! executor cell): base deltas are forwarded to it as ordinary tasks,
-//! and its output deltas fan back into the query shards like any other
-//! source's. The shard-count invariance property — including under
+//! Recursive views are **maintained at admission**: the coordinator owns
+//! them, the call that admits a base boundary maintains them, and their
+//! output deltas fan into the query shards as ordinary delta boundaries,
+//! like any other source's — the executor has exactly one cell per
+//! shard. The shard-count invariance property — including under
 //! interleaved register/deregister/pause/migration churn with push
 //! subscriptions attached — is tested in `tests/sharding.rs`.
 //!
@@ -311,7 +313,7 @@
 //! cell publishes a `(submitted, applied)` **watermark** pair, and
 //! reads pick a consistency level ([`session::Consistency`]): a `Fresh`
 //! read quiesces exactly what it touches — a snapshot drains its own
-//! query's shard (view shard first when views feed it), a migration
+//! query's shard, a migration
 //! quiesces the two affected shards' queues, not the world — while a
 //! `Cut` read (the `telemetry` default) takes no barrier at all: it
 //! reads each shard's state at its applied watermark under the shard
@@ -423,7 +425,10 @@
 //! this machinery against full recomputation. A base scanned under a
 //! bounded window sits behind a `WindowOp`, so its facts arrive and
 //! expire exactly like a query's over the same scan: a heartbeat is
-//! `WindowOp::advance` per windowed base, then the deletion pass.
+//! `WindowOp::advance` per windowed base, then the deletion pass. Every
+//! map and set a view iterates shares one fixed hasher, so the
+//! derivation a tuple records, the order deltas are emitted in and the
+//! E6 counters follow from the input alone, run after run.
 //!
 //! ## Distribution: the cluster layer
 //!

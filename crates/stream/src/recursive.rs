@@ -19,7 +19,9 @@
 //! the view stay consistent. `recompute()` is the from-scratch baseline
 //! the E6 experiment compares against, and doubles as the test oracle.
 
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
 use aspen_sql::binder::BoundView;
 use aspen_sql::expr::BoundExpr;
@@ -31,6 +33,14 @@ use crate::window::WindowOp;
 
 /// Sorted set of base-fact ids supporting one derivation.
 pub type Prov = Vec<u64>;
+
+/// One fixed hasher for every map and set a view iterates: which
+/// derivation a tuple records, the order deltas are emitted in and
+/// [`ViewStats`] then follow from the input alone, never from the
+/// process's hash seed.
+type Fixed = BuildHasherDefault<DefaultHasher>;
+type Map<K, V> = HashMap<K, V, Fixed>;
+type Set<T> = HashSet<T, Fixed>;
 
 fn prov_union(a: &Prov, b: &Prov) -> Prov {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -66,7 +76,7 @@ fn fact_changes(window: &WindowOp, stepped: DeltaBatch) -> DeltaBatch {
     if net.iter().all(Delta::is_insert) {
         return net;
     }
-    let held: HashSet<Tuple> = window.buffered().into_iter().collect();
+    let held: Set<Tuple> = window.buffered().into_iter().collect();
     net.into_iter()
         .filter(|d| d.is_insert() || !held.contains(&d.tuple))
         .collect()
@@ -75,7 +85,7 @@ fn fact_changes(window: &WindowOp, stepped: DeltaBatch) -> DeltaBatch {
 /// A base relation's live facts, each with a stable id.
 #[derive(Debug, Default)]
 struct BaseState {
-    facts: HashMap<Tuple, u64>,
+    facts: Map<Tuple, u64>,
 }
 
 /// Maintenance statistics for the E6 experiment.
@@ -94,8 +104,8 @@ pub struct RecursiveView {
     bases: Vec<LogicalPlan>,
     steps: Vec<LogicalPlan>,
     /// Materialization: tuple → provenance of its recorded derivation.
-    state: HashMap<Tuple, Prov>,
-    base_states: HashMap<SourceId, BaseState>,
+    state: Map<Tuple, Prov>,
+    base_states: Map<SourceId, BaseState>,
     /// The window in front of each base relation scanned under a bounded
     /// spec — the same [`WindowOp`] a pipeline puts above the same scan,
     /// so a view's base facts arrive and expire exactly like a query's
@@ -127,7 +137,7 @@ impl std::fmt::Debug for RecursiveView {
 
 impl RecursiveView {
     pub fn new(bound: &BoundView) -> Result<Self> {
-        let mut specs: HashMap<SourceId, WindowSpec> = HashMap::new();
+        let mut specs: Map<SourceId, WindowSpec> = Map::default();
         for plan in bound.bases.iter().chain(&bound.steps) {
             for rel in plan.scans() {
                 // One base relation must be scanned under ONE window:
@@ -152,7 +162,7 @@ impl RecursiveView {
             name: bound.name.clone(),
             bases: bound.bases.clone(),
             steps: bound.steps.clone(),
-            state: HashMap::new(),
+            state: Map::default(),
             base_states: specs.keys().map(|&s| (s, BaseState::default())).collect(),
             windows: specs
                 .into_iter()
@@ -190,13 +200,6 @@ impl RecursiveView {
     /// Whether the view depends on the given source.
     pub fn reads(&self, source: SourceId) -> bool {
         self.base_states.contains_key(&source)
-    }
-
-    /// Whether any base relation is scanned under a time window, i.e.
-    /// whether `advance_time` can ever change the materialization. The
-    /// engine routes heartbeats only to clock-sensitive views.
-    pub fn needs_clock(&self) -> bool {
-        self.windows.values().any(WindowOp::needs_clock)
     }
 
     /// Advance the clock: [`WindowOp::advance`] on each windowed base,
@@ -251,7 +254,7 @@ impl RecursiveView {
         deltas: &DeltaBatch,
     ) -> Result<DeltaBatch> {
         let mut inserted: Vec<Tuple> = Vec::new();
-        let mut deleted_ids: HashSet<u64> = HashSet::new();
+        let mut deleted_ids: Set<u64> = Set::default();
         {
             let bs = self.base_states.get_mut(&source).expect("checked");
             for d in deltas {
@@ -261,8 +264,8 @@ impl RecursiveView {
                     // semantics at the base level).
                     let entry = bs.facts.entry(d.tuple.clone());
                     match entry {
-                        std::collections::hash_map::Entry::Occupied(_) => {}
-                        std::collections::hash_map::Entry::Vacant(v) => {
+                        Entry::Occupied(_) => {}
+                        Entry::Vacant(v) => {
                             v.insert(id);
                             self.next_fact_id += 1;
                             inserted.push(d.tuple.clone());
@@ -347,7 +350,7 @@ impl RecursiveView {
     }
 
     /// Provenance-guided DRed.
-    fn delete_pass(&mut self, dead: &HashSet<u64>) -> Result<DeltaBatch> {
+    fn delete_pass(&mut self, dead: &Set<u64>) -> Result<DeltaBatch> {
         // 1. Over-delete: every tuple whose recorded derivation used a
         //    dead base fact.
         let overdeleted: Vec<Tuple> = self
@@ -366,7 +369,7 @@ impl RecursiveView {
         //    candidates: anything else the branches derive now comes from
         //    facts the same batch inserted, and is the insert pass's to
         //    derive *and announce*.
-        let mut pending: HashSet<Tuple> = overdeleted.into_iter().collect();
+        let mut pending: Set<Tuple> = overdeleted.into_iter().collect();
         let mut rescued: Vec<(Tuple, Prov)> = Vec::new();
         for b in &self.bases.clone() {
             for (t, p) in self.eval(b, &[])? {
@@ -447,7 +450,7 @@ impl RecursiveView {
             let mut changed = false;
             for s in &self.steps.clone() {
                 for (t, p) in self.eval(s, &current)? {
-                    if let std::collections::hash_map::Entry::Vacant(e) = self.state.entry(t) {
+                    if let Entry::Vacant(e) = self.state.entry(t) {
                         e.insert(p);
                         changed = true;
                     }
@@ -540,7 +543,7 @@ impl RecursiveView {
         };
         let lk: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
         let rk: Vec<usize> = keys.iter().map(|(_, r)| *r).collect();
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut table: Map<Vec<Value>, Vec<usize>> = Map::default();
         for (i, (t, _)) in right.iter().enumerate() {
             table.entry(key_of(t, &rk)).or_default().push(i);
         }
@@ -850,7 +853,6 @@ mod tests {
         let cat = edge_catalog();
         let mut v = tc_view(&cat);
         let src = cat.source("Edge").unwrap().id;
-        assert!(!v.needs_clock());
         v.on_base_deltas(src, &DeltaBatch::from(vec![Delta::insert(edge("a", "b"))]))
             .unwrap();
         let out = v.advance_time(SimTime::from_secs(1_000_000)).unwrap();
@@ -875,7 +877,6 @@ mod tests {
             panic!()
         };
         let mut v = RecursiveView::new(&bv).unwrap();
-        assert!(v.needs_clock());
         let src = cat.source("Edge").unwrap().id;
         let stamped = |a: &str, b: &str, sec: u64| {
             Tuple::new(
@@ -1152,7 +1153,6 @@ mod tests {
             )",
             &cat,
         );
-        assert!(!v.needs_clock());
         let (_, mut p, mut sink) = scan_as_view_and_pipeline(&cat, WindowSpec::Rows(3));
         for (i, (a, b)) in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")]
             .into_iter()
@@ -1241,8 +1241,8 @@ mod tests {
     #[test]
     fn advance_order_is_independent_of_hash_seed() {
         // Two windowed bases expire on one heartbeat. Every freshly
-        // built view — each `HashMap` in it seeded differently — must
-        // emit the expiry deltas in the same sequence: source order.
+        // built view must emit the expiry deltas in the same sequence:
+        // source order.
         let cat = edge_catalog();
         let schema = cat.source("Edge").unwrap().schema.clone();
         cat.register_source("Door", schema, SourceKind::Table, SourceStats::table(16))
@@ -1276,6 +1276,46 @@ mod tests {
         assert_eq!(first.len(), 16);
         for _ in 1..8 {
             assert_eq!(run(), first);
+        }
+    }
+
+    /// Two instances of one view fed the same seeded churn emit the same
+    /// delta sequence and count the same work: what a view records,
+    /// emits and counts follows from its input, never from a hash seed.
+    #[test]
+    fn maintenance_is_a_function_of_the_input() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+        let cat = edge_catalog();
+        let src = cat.source("Edge").unwrap().id;
+        let nodes = ["a", "b", "c", "d", "e", "f", "g"];
+        for seed in crate::test_seeds(2) {
+            let run = || {
+                let mut rng = seeded(0xD2ED ^ seed);
+                let mut v = tc_view(&cat);
+                let mut live: Vec<Tuple> = Vec::new();
+                let mut emitted = Vec::new();
+                for _ in 0..60 {
+                    let mut batch = DeltaBatch::new();
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        let (a, b) = (rng.gen_range(0..7usize), rng.gen_range(0..7usize));
+                        let e = edge(nodes[a], nodes[b]);
+                        if !live.is_empty() && rng.gen_bool(0.4) {
+                            let gone = live.swap_remove(rng.gen_range(0..live.len()));
+                            batch.push(Delta::retract(gone));
+                        } else if !live.contains(&e) {
+                            live.push(e.clone());
+                            batch.push(Delta::insert(e));
+                        }
+                    }
+                    emitted.push(v.on_base_deltas(src, &batch).unwrap());
+                }
+                (v.stats.clone(), emitted)
+            };
+            let first = run();
+            let stats = &first.0;
+            assert!(stats.tuples_overdeleted > 0 && stats.tuples_rederived > 0);
+            assert_eq!(run(), first, "seed {seed}");
         }
     }
 

@@ -20,14 +20,15 @@
 //! affected query's sources (the order-independence of the resulting
 //! fan-out sets is pinned by a unit test below).
 //!
-//! Recursive views live on a **dedicated view shard**: executor cell
-//! `nshards`, scheduled exactly like a query shard. Ingest admits one
-//! maintenance task onto its FIFO queue per boundary that feeds a view;
-//! the task carries an admission-time routing snapshot ([`ViewCtx`]) and
-//! forwards net output deltas (DRed-style deletions included — the
-//! deltas carry signs) to the subscribed query shards as follow-up tasks
-//! through the same bounded queues. A heartbeat advances each view's
-//! windowed bases through the same [`crate::window::WindowOp`] a
+//! Recursive views are **maintained at admission**: the coordinator owns
+//! them ([`ViewSet`]), and the call that admits a boundary — `on_batch`,
+//! `on_deltas`, `heartbeat` — submits the base boundary, maintains every
+//! view, then submits each view's net output deltas (DRed-style
+//! deletions included — the deltas carry signs) as an ordinary delta
+//! boundary to the query shards subscribed to that view's output. Each
+//! shard therefore sees base boundary, view deltas and push flush in
+//! FIFO order, under every scheduling mode. A heartbeat advances each
+//! view's windowed bases through the same [`crate::window::WindowOp`] a
 //! pipeline would put above that scan — an O(1) head check when nothing
 //! expired.
 //!
@@ -83,7 +84,8 @@
 //!
 //! What stays on the coordinator: the catalog, the front end
 //! ([`crate::session`]'s plan cache and session table, shared with the
-//! cluster coordinator), the query metas, and the engine clock. The per-shard `busy` accounting measures
+//! cluster coordinator), the query metas, the recursive views, and the
+//! engine clock. The per-shard `busy` accounting measures
 //! the wall time each shard spends inside its slice of the work; the
 //! busiest shard's total is the critical path an N-core deployment
 //! would see.
@@ -103,7 +105,7 @@ use columnar::SegmentPool;
 use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
-use crate::executor::{Boundary, Executor, ExecutorStats, FollowUp, Task};
+use crate::executor::{Boundary, Executor, ExecutorStats};
 use crate::grouped::FilterKey;
 use crate::pipeline::Pipeline;
 use crate::rebalance::RebalanceController;
@@ -181,11 +183,6 @@ pub(crate) struct QueryRuntime {
 pub struct DetachedQuery {
     runtime: QueryRuntime,
     meta: QueryMeta,
-}
-
-pub(crate) struct ViewRuntime {
-    pub(crate) view: RecursiveView,
-    pub(crate) out_source: SourceId,
 }
 
 /// One slice of the partitioned ingest plane. Sources hash across the
@@ -270,139 +267,60 @@ impl IngestSlice {
     }
 }
 
-/// Admission-time routing snapshot carried by a view-shard boundary
-/// task: where each view's output deltas go, and which shards to flush
-/// afterwards. Built by the coordinator while admitting the boundary, so
-/// the view shard never reads live coordinator routing state and never
-/// re-enters the executor's submission path — its forwards ride the
-/// follow-up mechanism ([`FollowUp`]) instead.
-pub(crate) struct ViewCtx {
-    /// View output source → query shards subscribed to it.
-    pub(crate) routes: Vec<(SourceId, Vec<usize>)>,
-    /// Query shards with ≥ 1 live push subscription at admission.
-    pub(crate) flush: Vec<usize>,
-    /// Engine clock at admission (stamps the follow-up push flush).
-    pub(crate) now: SimTime,
+/// A recursive view and the source its output is published under.
+struct ViewRuntime {
+    view: RecursiveView,
+    out_source: SourceId,
 }
 
-/// The recursive views of the engine, resident on the dedicated view
-/// shard (executor cell `nshards`). Maintenance runs as ordinary
-/// boundary tasks on that cell's FIFO queue; net output deltas travel to
-/// the subscribed query shards as follow-up tasks through the same
-/// bounded queues — DRed-style deletions included, since the net deltas
-/// carry signs.
+/// Each view's non-empty net output of one maintenance step, under its
+/// output source, in registration order.
+type ViewOutput = Vec<(SourceId, DeltaBatch)>;
+
+/// The recursive views of the engine, in registration order. The
+/// coordinator owns them and maintains them inside the call that admits
+/// a boundary; their net output deltas — DRed-style deletions included,
+/// since the deltas carry signs — travel to the query shards as ordinary
+/// delta boundaries.
 #[derive(Default)]
-pub(crate) struct ViewSet {
+struct ViewSet {
     views: Vec<ViewRuntime>,
-    /// Base source → views scanning it.
-    subs: HashMap<SourceId, Vec<usize>>,
 }
 
 impl ViewSet {
-    /// Install a view (registration order = index, mirrored by the
-    /// coordinator's `view_outs`).
-    fn install(&mut self, view: RecursiveView, out_source: SourceId) {
-        let idx = self.views.len();
-        for src in view.base_sources() {
-            self.subs.entry(src).or_default().push(idx);
-        }
-        self.views.push(ViewRuntime { view, out_source });
+    /// Whether some view reads `src` as a base relation.
+    fn reads(&self, src: SourceId) -> bool {
+        self.views.iter().any(|v| v.view.reads(src))
     }
 
-    /// Base-relation changes: maintain every view scanning `src`, then
-    /// forward each view's net deltas to the query shards named by the
-    /// admission-time snapshot, plus one push flush if anything flowed.
-    pub(crate) fn on_base(
+    /// Run one maintenance step on every view, in registration order. A
+    /// failing view keeps nothing from the views after it: the healthy
+    /// views' output is returned with the first error.
+    fn maintain(
         &mut self,
-        src: SourceId,
-        deltas: &DeltaBatch,
-        ctx: &ViewCtx,
-        out: &mut Vec<FollowUp>,
-    ) -> Result<()> {
-        let Some(idxs) = self.subs.get(&src).cloned() else {
-            return Ok(());
-        };
-        let mut emitted = false;
-        for i in idxs {
-            let vr = &mut self.views[i];
-            let got = vr.view.on_base_deltas(src, deltas)?;
-            emitted |= Self::forward(vr.out_source, got, ctx, out);
-        }
-        if emitted {
-            Self::push_flush(ctx, out);
-        }
-        Ok(())
-    }
-
-    /// Heartbeat: advance every view, in registration order. A view's
-    /// windowed bases each pay their window's O(1) head check; a view
-    /// with none pays nothing.
-    pub(crate) fn advance(
-        &mut self,
-        now: SimTime,
-        ctx: &ViewCtx,
-        out: &mut Vec<FollowUp>,
-    ) -> Result<()> {
-        let mut emitted = false;
+        mut step: impl FnMut(&mut RecursiveView) -> Result<DeltaBatch>,
+    ) -> (ViewOutput, Result<()>) {
+        let mut out = Vec::new();
+        let mut served = Ok(());
         for vr in &mut self.views {
-            let got = vr.view.advance_time(now)?;
-            emitted |= Self::forward(vr.out_source, got, ctx, out);
+            match step(&mut vr.view) {
+                Ok(got) if got.is_empty() => {}
+                Ok(got) => out.push((vr.out_source, got)),
+                Err(e) => served = served.and(Err(e)),
+            }
         }
-        if emitted {
-            Self::push_flush(ctx, out);
-        }
-        Ok(())
+        (out, served)
     }
 
-    /// Queue one view's net output deltas toward its subscribed query
-    /// shards. Returns whether anything was actually forwarded.
-    fn forward(
-        out_source: SourceId,
-        got: DeltaBatch,
-        ctx: &ViewCtx,
-        out: &mut Vec<FollowUp>,
-    ) -> bool {
-        if got.is_empty() {
-            return false;
-        }
-        let Some((_, shards)) = ctx.routes.iter().find(|(s, _)| *s == out_source) else {
-            return false;
-        };
-        if shards.is_empty() {
-            return false;
-        }
-        out.push(FollowUp {
-            shards: shards.clone(),
-            task: Task::Deltas {
-                src: out_source,
-                deltas: Arc::new(got),
-                trace: None,
-            },
-        });
-        true
+    /// Current materialization of the view publishing `out_source`.
+    fn snapshot_of(&self, out_source: SourceId) -> Option<Vec<Tuple>> {
+        let vr = self.views.iter().find(|v| v.out_source == out_source)?;
+        Some(vr.view.snapshot())
     }
 
-    /// Queue a push flush behind the forwarded deltas, so subscriptions
-    /// see view-derived changes at the boundary that produced them (the
-    /// flush lands *after* the deltas in each target shard's FIFO).
-    fn push_flush(ctx: &ViewCtx, out: &mut Vec<FollowUp>) {
-        if !ctx.flush.is_empty() {
-            out.push(FollowUp {
-                shards: ctx.flush.clone(),
-                task: Task::FlushPush(ctx.now),
-            });
-        }
-    }
-
-    /// Current materialization of the view at registration index `idx`.
-    fn snapshot_of(&self, idx: usize) -> Vec<Tuple> {
-        self.views[idx].view.snapshot()
-    }
-
-    fn by_name(&self, name: &str) -> Option<&ViewRuntime> {
-        self.views
-            .iter()
-            .find(|v| v.view.name().eq_ignore_ascii_case(name))
+    fn by_name(&self, name: &str) -> Option<&RecursiveView> {
+        let mut views = self.views.iter().map(|v| &v.view);
+        views.find(|v| v.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -491,9 +409,6 @@ pub(crate) struct EngineShard {
     clock_subs: Vec<QueryId>,
     /// Local live queries with a push subscription attached (flush set).
     push_subs: Vec<QueryId>,
-    /// The engine's recursive views — populated only on the dedicated
-    /// view cell (executor cell `nshards`); empty on query shards.
-    pub(crate) views: ViewSet,
     /// Lock-local telemetry counters (tuples in, slices run, busy time).
     pub(crate) meters: ShardMeters,
 }
@@ -753,8 +668,7 @@ pub struct ShardedEngine {
     next_query: u32,
     /// SQL resolution (plan-template cache) and the session table.
     front: FrontEnd,
-    /// Query-shard count; the executor owns one extra cell (`nshards`) —
-    /// the dedicated view shard.
+    /// Shard count: one executor cell each.
     nshards: usize,
     /// The partitioned ingest plane: `hash(SourceId) % slices.len()`
     /// slices, each owning its sources' route refcounts, retained
@@ -765,16 +679,8 @@ pub struct ShardedEngine {
     clock_counts: Vec<u32>,
     /// Per-shard count of live push-subscribed queries (flush fan-out).
     push_counts: Vec<u32>,
-    /// Output source of each registered view, in registration order
-    /// (aligned with the view shard's [`ViewSet`] indices).
-    view_outs: Vec<SourceId>,
-    /// Admission-side mirror: source → views that read it as a base
-    /// relation (decides whether an ingest boundary needs a view-shard
-    /// task at all).
-    view_subs: HashMap<SourceId, Vec<usize>>,
-    /// Views with clock-sensitive (time-windowed) base scans; heartbeats
-    /// skip the view shard entirely while this is zero.
-    clocked_views: usize,
+    /// The recursive views, maintained inside the admitting call.
+    views: ViewSet,
     now: SimTime,
     /// Batch boundaries processed so far (ingest calls + heartbeats).
     boundaries: u64,
@@ -832,9 +738,8 @@ impl ShardedEngine {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         ShardedEngine {
             catalog,
-            // One cell per query shard plus the dedicated view shard.
             exec: Executor::new(
-                n + 1,
+                n,
                 config.resolve_scheduling(cores),
                 config.resolve_workers(cores),
                 config.resolve_queue_depth(),
@@ -847,9 +752,7 @@ impl ShardedEngine {
             slices: (0..n).map(|_| Mutex::new(IngestSlice::default())).collect(),
             clock_counts: vec![0; n],
             push_counts: vec![0; n],
-            view_outs: Vec::new(),
-            view_subs: HashMap::new(),
-            clocked_views: 0,
+            views: ViewSet::default(),
             now: SimTime::ZERO,
             boundaries: 0,
             rebalancer: config.rebalance_config().map(RebalanceController::new),
@@ -917,14 +820,8 @@ impl ShardedEngine {
         self.now
     }
 
-    /// Query-shard count (the executor owns one further cell — the
-    /// dedicated view shard — which is not a placement target).
+    /// Shard count.
     pub fn shard_count(&self) -> usize {
-        self.nshards
-    }
-
-    /// Executor cell of the dedicated view shard.
-    fn view_cell(&self) -> usize {
         self.nshards
     }
 
@@ -940,25 +837,6 @@ impl ShardedEngine {
     /// coordinator-owned routing slices may lock directly.
     fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         self.exec.shard(i)
-    }
-
-    /// Drain the view shard (if any views exist), so its forwarded net
-    /// deltas are enqueued on the query shards, then drain one query
-    /// shard — the `Fresh` barrier for a point read.
-    fn settle_with_views(&self, shard: usize) {
-        if !self.view_outs.is_empty() {
-            self.exec.settle(self.view_cell());
-        }
-        self.exec.settle(shard);
-    }
-
-    /// [`ShardedEngine::settle_with_views`] surfacing any deferred task
-    /// error the drain uncovered.
-    fn quiesce_with_views(&self, shard: usize) -> Result<()> {
-        if !self.view_outs.is_empty() {
-            self.exec.quiesce(self.view_cell())?;
-        }
-        self.exec.quiesce(shard)
     }
 
     /// Drain every shard's pending boundary tasks (a global barrier;
@@ -982,7 +860,7 @@ impl ShardedEngine {
     /// rebuilt away by a pause/resume cycle.
     pub fn set_query_drag(&mut self, q: QueryHandle, drag: Option<Duration>) -> Result<()> {
         let shard_idx = self.meta(q)?.shard;
-        self.quiesce_with_views(shard_idx)?;
+        self.exec.quiesce(shard_idx)?;
         let mut shard = self.shard(shard_idx).lock();
         let rt = shard
             .queries
@@ -1258,8 +1136,8 @@ impl ShardedEngine {
     /// materializations so the query starts consistent. `fresh_push`
     /// carries the micro-batch knobs of a channel to create (resume
     /// carries the old channel over instead). Also returns the scans
-    /// [`Self::route`] attaches as log cursors. Touches nothing but the
-    /// view cell's queue: a failed build leaves the engine as it was.
+    /// [`Self::route`] attaches as log cursors. Touches nothing: a failed
+    /// build leaves the engine as it was.
     fn build(
         &self,
         plan: &LogicalPlan,
@@ -1282,16 +1160,10 @@ impl ShardedEngine {
         // every scan bound to it), so rows are not multiplied by the
         // alias count.
         for src in pipeline.sources() {
-            if let Some(rows) = self.retained(src) {
+            // A view is maintained at admission, so its materialization
+            // already includes every admitted base boundary.
+            if let Some(rows) = self.retained(src).or_else(|| self.views.snapshot_of(src)) {
                 pipeline.push_source(src, &rows, &mut sink)?;
-            }
-            if let Some(idx) = self.view_outs.iter().position(|&o| o == src) {
-                // Views live on the dedicated view cell; drain it so the
-                // replayed materialization includes every admitted base
-                // boundary.
-                self.exec.settle(self.view_cell());
-                let snapshot = self.shard(self.view_cell()).lock().views.snapshot_of(idx);
-                pipeline.push_source(src, &snapshot, &mut sink)?;
             }
         }
         let scans = self.cursor_scans(plan, &pipeline);
@@ -1362,8 +1234,8 @@ impl ShardedEngine {
     /// multiset — snapshots and the ops total are unchanged, sibling
     /// cursors undisturbed — and stays private wherever it lands.
     /// Infallible, and a no-op for a paused query (already out). The
-    /// caller drained the shard (view cell first), so every admitted
-    /// boundary has reached the runtime.
+    /// caller drained the shard, so every admitted boundary — view
+    /// deltas included — has reached the runtime.
     fn unroute(&mut self, qid: QueryId, demote: bool) {
         let meta = &self.queries[&qid];
         if meta.paused {
@@ -1387,11 +1259,10 @@ impl ShardedEngine {
 
     /// Deregister one query, except for pruning `order`. Pending
     /// boundaries still route to it; apply them before the runtime
-    /// leaves the shard (the view cell drains first so forwarded view
-    /// deltas are included). The drain is the infallible one: a deferred
+    /// leaves the shard. The drain is the infallible one: a deferred
     /// task error stays for the next observer, and retirement completes.
     fn drop_query(&mut self, qid: QueryId) {
-        self.settle_with_views(self.queries[&qid].shard);
+        self.exec.settle(self.queries[&qid].shard);
         self.retire(qid, false);
     }
 
@@ -1466,10 +1337,9 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Materialize a bound view on the dedicated view shard: its
-    /// maintenance runs as queued tasks on executor cell `nshards`, and
-    /// its output deltas fan into the query shards like any other
-    /// source.
+    /// Materialize a bound view: the coordinator maintains it inside
+    /// every admitting call, and its output deltas fan into the query
+    /// shards like any other source's.
     pub fn register_view(&mut self, bound: &BoundView) -> Result<SourceId> {
         let out_source = self.catalog.register_source(
             &bound.name,
@@ -1478,37 +1348,14 @@ impl ShardedEngine {
             SourceStats::default(),
         )?;
         let mut view = RecursiveView::new(bound)?;
-
-        // Seed the view from any already-retained table contents. Table
-        // bases are retained at admission time, so the seed also covers
-        // boundaries still queued on the view cell.
-        let mut emitted = DeltaBatch::new();
+        // Seed the view from the retained tables. What it emits goes
+        // nowhere: no query can scan a source registered in this call.
         for src in view.base_sources() {
             if let Some(rows) = self.retained(src) {
-                emitted.extend(view.on_base_deltas(src, &DeltaBatch::inserts(rows))?);
+                view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
             }
         }
-
-        let idx = self.view_outs.len();
-        for src in view.base_sources() {
-            self.view_subs.entry(src).or_default().push(idx);
-        }
-        if view.needs_clock() {
-            self.clocked_views += 1;
-        }
-        self.view_outs.push(out_source);
-        // Settle-then-install: base boundaries already queued on the
-        // view cell predate this view (the retained seed above covers
-        // their table effects); draining first means the installed view
-        // never double-counts one of them.
-        self.exec.quiesce(self.view_cell())?;
-        self.shard(self.view_cell())
-            .lock()
-            .views
-            .install(view, out_source);
-        if !emitted.is_empty() {
-            self.forward_view_deltas(out_source, &emitted)?;
-        }
+        self.views.views.push(ViewRuntime { view, out_source });
         Ok(out_source)
     }
 
@@ -1556,7 +1403,7 @@ impl ShardedEngine {
         let shard_idx = meta.shard;
         // The frozen sink must reflect every boundary admitted before
         // the pause — view-forwarded deltas included.
-        self.quiesce_with_views(shard_idx)?;
+        self.exec.quiesce(shard_idx)?;
         // The cursors go with the routing entry: resume attaches fresh
         // ones (stream windows restart empty on resume, which is exactly
         // where a new cursor starts).
@@ -1585,7 +1432,7 @@ impl ShardedEngine {
         let (shard_idx, plan) = (meta.shard, meta.plan.clone());
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
         let (mut rt, scans) = self.build(&plan, None)?;
-        self.quiesce_with_views(shard_idx)?;
+        self.exec.quiesce(shard_idx)?;
         let mut old = self.lift(shard_idx, q.0);
         if let Some((queue, delivered)) = old.sink.take_push() {
             // Transfer the channel: attaching against the replayed state
@@ -1619,7 +1466,7 @@ impl ShardedEngine {
             // snapshot: pending boundaries must land first (view-
             // forwarded deltas included) or the seeded state and the
             // subsequent deltas would overlap.
-            self.quiesce_with_views(shard_idx)?;
+            self.exec.quiesce(shard_idx)?;
             let mut shard = self.shard(shard_idx).lock();
             let rt = shard
                 .queries
@@ -1678,13 +1525,11 @@ impl ShardedEngine {
         if from == to {
             return Ok(());
         }
-        // Migration quiesces exactly the two affected shards' queues
-        // (plus the view cell when views exist, so forwarded deltas are
-        // enqueued where they belong), never the world: the donor so the
-        // runtime leaves with every admitted boundary applied, the
-        // recipient so queued boundaries there cannot interleave with
-        // the attach.
-        self.quiesce_with_views(from)?;
+        // Migration quiesces exactly the two affected shards' queues,
+        // never the world: the donor so the runtime leaves with every
+        // admitted boundary applied, the recipient so queued boundaries
+        // there cannot interleave with the attach.
+        self.exec.quiesce(from)?;
         self.exec.quiesce(to)?;
         self.unroute(q.0, true);
         let rt = self.lift(from, q.0);
@@ -1707,7 +1552,7 @@ impl ShardedEngine {
     /// no-replay invariants, except the query also leaves this engine's
     /// coordinator records (meta, order, session) entirely.
     pub fn extract_query(&mut self, q: QueryHandle) -> Result<DetachedQuery> {
-        self.quiesce_with_views(self.meta(q)?.shard)?;
+        self.exec.quiesce(self.meta(q)?.shard)?;
         let detached = self.retire(q.0, true);
         self.order.retain(|&qid| qid != q.0);
         Ok(detached)
@@ -1719,7 +1564,7 @@ impl ShardedEngine {
     /// recipient *before* the donor lifts anything, exactly as
     /// [`ShardedEngine::migrate`] drains both shards up front.
     pub(crate) fn drain_for_install(&self) -> Result<()> {
-        self.quiesce_with_views(self.shard_of(QueryId(self.next_query)))
+        self.exec.quiesce(self.shard_of(QueryId(self.next_query)))
     }
 
     /// Install a query lifted out of another engine by
@@ -1735,7 +1580,7 @@ impl ShardedEngine {
         let qid = QueryId(self.next_query);
         self.next_query += 1;
         meta.shard = self.shard_of(qid);
-        self.settle_with_views(meta.shard);
+        self.exec.settle(meta.shard);
         // The sink's delta counter travelled with the runtime; restart
         // the knob-tuning window against this engine's clock and
         // boundary count.
@@ -1794,7 +1639,7 @@ impl ShardedEngine {
         // task error): pending boundaries flush under the old knobs,
         // and a failed tune leaves meta and the live sink untouched —
         // never half-applied.
-        self.quiesce_with_views(shard_idx)?;
+        self.exec.quiesce(shard_idx)?;
         let meta = self.queries.get_mut(&q.0).expect("existence checked");
         meta.max_batch = max_batch.map(|n| n.max(1));
         meta.max_delay = max_delay;
@@ -1865,11 +1710,12 @@ impl ShardedEngine {
     /// exactly one ingest slice — the one owning the source: its meter,
     /// its retained table contents, and its fan-out counts — then
     /// submits one boundary task per subscribing shard into the bounded
-    /// per-shard queues. A boundary feeding a view additionally admits
-    /// one maintenance task onto the dedicated view cell; the resulting
-    /// net deltas reach downstream query shards as follow-up tasks.
-    /// Finally, push subscriptions are flushed — every ingest is a batch
-    /// boundary. Under pool scheduling this returns once every task is
+    /// per-shard queues. A boundary feeding a view then maintains the
+    /// view right here, and submits its net deltas to the shards
+    /// subscribed to the view's output. Finally, push subscriptions are
+    /// flushed — every ingest is a batch boundary. Every step runs even
+    /// when an earlier one fails; the first error is returned. Under
+    /// pool scheduling this returns once every task is
     /// *admitted*, not processed: a shard hosting a slow query drains
     /// its backlog without gating its siblings or the next ingest.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
@@ -1945,6 +1791,7 @@ impl ShardedEngine {
             Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
         };
         self.now = self.now.max(latest.unwrap_or(self.now));
+        let mut served = Ok(());
         if !routes.is_empty() {
             let boundary = match payload {
                 Admission::Batch(tuples) => Boundary::Batch {
@@ -1955,87 +1802,61 @@ impl ShardedEngine {
                 },
                 Admission::Deltas(deltas) => Boundary::Deltas { src, deltas, trace },
             };
-            self.exec.submit(&routes, boundary)?;
+            served = self.exec.submit(&routes, boundary);
         }
         // Views reading this source (skip building the delta batch when
-        // no view subscribes).
-        if self.view_subs.contains_key(&src) {
+        // no view reads it).
+        if self.views.reads(src) {
             let deltas = match payload {
                 Admission::Batch(tuples) => DeltaBatch::inserts(tuples.iter().cloned()),
                 Admission::Deltas(deltas) => deltas.clone(),
             };
-            self.submit_view_deltas(src, Arc::new(deltas))?;
+            let maintained = self
+                .views
+                .maintain(|view| view.on_base_deltas(src, &deltas));
+            served = served.and(self.forward_views(maintained));
         }
-        self.finish_boundary()
+        let finished = self.finish_boundary();
+        served.and(finished)
     }
 
-    /// Admit one view-maintenance task onto the dedicated view cell,
-    /// carrying an admission-time routing snapshot so the task can fan
-    /// its net output deltas out to the right query shards without ever
-    /// re-entering the coordinator.
-    fn submit_view_deltas(&self, src: SourceId, deltas: Arc<DeltaBatch>) -> Result<()> {
-        let ctx = self.view_ctx();
-        self.exec.submit(
-            &[self.view_cell()],
-            Boundary::ViewDeltas { src, deltas, ctx },
-        )
-    }
-
-    /// Routing snapshot handed to a queued view task: where each view's
-    /// output currently fans out, and which shards need a push flush
-    /// once forwarded deltas land.
-    fn view_ctx(&self) -> Arc<ViewCtx> {
-        let routes = self
-            .view_outs
-            .iter()
-            .map(|&out| (out, self.slices[self.slice_of(out)].lock().fanout(out)))
-            .collect();
-        Arc::new(ViewCtx {
-            routes,
-            flush: live_shards(&self.push_counts),
-            now: self.now,
-        })
-    }
-
-    /// Forward already-materialized view output deltas (the
-    /// registration-time seed) to the subscribing query shards.
-    fn forward_view_deltas(&self, view_source: SourceId, deltas: &DeltaBatch) -> Result<()> {
-        let routes = self.slices[self.slice_of(view_source)]
-            .lock()
-            .fanout(view_source);
-        if !routes.is_empty() {
-            self.exec.submit(
-                &routes,
-                Boundary::Deltas {
-                    src: view_source,
-                    deltas,
-                    trace: None,
-                },
-            )?;
+    /// Submit each view's net output to the shards subscribed to its
+    /// output source, as an ordinary delta boundary. Every batch is
+    /// submitted; the first error — of the maintenance that produced
+    /// them, then of the submissions — is returned.
+    fn forward_views(&self, (out, maintained): (ViewOutput, Result<()>)) -> Result<()> {
+        let mut served = maintained;
+        for (src, deltas) in &out {
+            let (src, trace) = (*src, None);
+            let routes = self.slices[self.slice_of(src)].lock().fanout(src);
+            if !routes.is_empty() {
+                let run = self
+                    .exec
+                    .submit(&routes, Boundary::Deltas { src, deltas, trace });
+                served = served.and(run);
+            }
         }
-        Ok(())
+        served
     }
 
     /// Advance simulated time: expire windows in every clock-sensitive
-    /// pipeline *and every time-windowed recursive view* (pipelines and
-    /// views over unbounded / row-count windows are never touched), then
-    /// flush push subscriptions — a heartbeat is a batch boundary, and
-    /// the one that releases `max_delay` holds.
+    /// pipeline (pipelines over unbounded / row-count windows are never
+    /// touched) and advance every recursive view, forwarding what
+    /// expired, then flush push subscriptions — a heartbeat is a batch
+    /// boundary, and the one that releases `max_delay` holds. As in
+    /// admission, every step runs and the first error is returned.
     pub fn heartbeat(&mut self, now: SimTime) -> Result<()> {
         if now > self.now {
             self.now = now;
         }
-        self.exec
-            .submit(&live_shards(&self.clock_counts), Boundary::AdvanceTime(now))?;
-        // Time-windowed view state expires on the view cell too, and the
-        // resulting deltas reach downstream queries like any other
-        // maintenance.
-        if self.clocked_views > 0 {
-            let ctx = self.view_ctx();
-            self.exec
-                .submit(&[self.view_cell()], Boundary::ViewAdvance { now, ctx })?;
-        }
-        self.finish_boundary()
+        let clocked = live_shards(&self.clock_counts);
+        let served = self.exec.submit(&clocked, Boundary::AdvanceTime(now));
+        // A view's windowed bases each pay their window's O(1) head
+        // check; a view with none pays nothing.
+        let maintained = self.views.maintain(|view| view.advance_time(now));
+        let forwarded = self.forward_views(maintained);
+        let finished = self.finish_boundary();
+        served.and(forwarded).and(finished)
     }
 
     /// Deliver pending push batches on every shard with a live
@@ -2055,9 +1876,9 @@ impl ShardedEngine {
 
     /// Current results of a query (ORDER BY / LIMIT applied), `Fresh`.
     /// Works for paused queries too — the sink is frozen at the
-    /// pause-time state. Quiesces only the owning shard (and the view
-    /// cell feeding it): a snapshot waits for *this* query's pending
-    /// boundaries, never for a slow sibling elsewhere.
+    /// pause-time state. Quiesces only the owning shard: a snapshot
+    /// waits for *this* query's pending boundaries, never for a slow
+    /// sibling elsewhere.
     pub fn snapshot(&self, q: QueryHandle) -> Result<Vec<Tuple>> {
         self.snapshot_at(q, Consistency::Fresh)
     }
@@ -2072,7 +1893,7 @@ impl ShardedEngine {
     pub fn snapshot_at(&self, q: QueryHandle, consistency: Consistency) -> Result<Vec<Tuple>> {
         let meta = self.meta(q)?;
         if consistency == Consistency::Fresh {
-            self.quiesce_with_views(meta.shard)?;
+            self.exec.quiesce(meta.shard)?;
         }
         self.shard(meta.shard).lock().queries[&q.0].sink.snapshot()
     }
@@ -2080,7 +1901,7 @@ impl ShardedEngine {
     /// Result-churn statistic of a query's sink.
     pub fn deltas_applied(&self, q: QueryHandle) -> Result<u64> {
         let meta = self.meta(q)?;
-        self.quiesce_with_views(meta.shard)?;
+        self.exec.quiesce(meta.shard)?;
         Ok(self.shard(meta.shard).lock().queries[&q.0]
             .sink
             .deltas_applied)
@@ -2158,8 +1979,8 @@ impl ShardedEngine {
         Some(self.front.plan_cache_stats())
     }
 
-    /// Current materialization of a named view (drains the view cell
-    /// first, so every admitted base boundary is reflected).
+    /// Current materialization of a named view. Views are maintained at
+    /// admission, so every admitted base boundary is reflected.
     pub fn view_snapshot(&self, name: &str) -> Result<Vec<Tuple>> {
         self.read_view(name, RecursiveView::snapshot)
     }
@@ -2170,9 +1991,7 @@ impl ShardedEngine {
     }
 
     fn read_view<T>(&self, name: &str, read: impl FnOnce(&RecursiveView) -> T) -> Result<T> {
-        self.exec.settle(self.view_cell());
-        let cell = self.shard(self.view_cell()).lock();
-        let found = cell.views.by_name(name).map(|v| read(&v.view));
+        let found = self.views.by_name(name).map(read);
         found.ok_or_else(|| AspenError::Unresolved(format!("no materialized view '{name}'")))
     }
 

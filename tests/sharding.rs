@@ -867,8 +867,8 @@ fn slow_query_isolation_keeps_siblings_fresh_and_admission_bounded() {
 
     // Drain: the slow query catches up completely, nothing was lost.
     e.quiesce().unwrap();
-    // Two query shards plus the dedicated view cell.
-    assert_eq!(e.executor_stats().pending, vec![0, 0, 0]);
+    // One executor cell per shard.
+    assert_eq!(e.executor_stats().pending, vec![0, 0]);
     assert_eq!(e.snapshot(slow).unwrap().len(), 30, "slow query lost rows");
 }
 
