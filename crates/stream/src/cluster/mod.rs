@@ -145,6 +145,8 @@ struct ClusterQuery {
     sources: Vec<SourceId>,
     /// Hash-partitioned group membership; `Some` pins the query.
     group: Option<usize>,
+    /// Scans a view: stays on node 0, where views materialize.
+    on_view: bool,
     session: Option<SessionId>,
 }
 
@@ -197,6 +199,11 @@ pub struct Cluster {
     /// Cluster-level span journal: ships, arrivals, cross-node
     /// migrations, rebalance decisions.
     journal: SpanJournal,
+}
+
+/// A query over a view placed off node 0 would never see its input.
+fn view_elsewhere() -> AspenError {
+    AspenError::InvalidArgument("queries scanning a view run on node 0".into())
 }
 
 impl Cluster {
@@ -364,11 +371,7 @@ impl Cluster {
             // View outputs only materialize on node 0; an explicit
             // hint elsewhere would register a query that never sees
             // its input.
-            Some(n) if scans_view && n != 0 => {
-                return Err(AspenError::InvalidArgument(
-                    "queries scanning a view run on node 0".into(),
-                ));
-            }
+            Some(n) if scans_view && n != 0 => return Err(view_elsewhere()),
             Some(n) => n,
             None if scans_view => 0,
             // Majority-home placement: the node where most of the
@@ -393,6 +396,7 @@ impl Cluster {
             local,
             sources,
             group: None,
+            on_view: scans_view,
             session,
         })))
     }
@@ -500,6 +504,7 @@ impl Cluster {
             local: members[0],
             sources,
             group: Some(gid),
+            on_view: false,
             session: None,
         }))
     }
@@ -690,6 +695,9 @@ impl Cluster {
         if from == to {
             return Ok(());
         }
+        if self.queries[&q.0].on_view {
+            return Err(view_elsewhere());
+        }
         self.nodes[to].drain_for_install()?;
         let detached = self.nodes[from].extract_query(local)?;
         let new_local = self.nodes[to].install_query(detached);
@@ -748,23 +756,27 @@ impl Cluster {
     /// The one routing function behind both ingest calls: the whole
     /// payload to each of [`Cluster::ingest_targets`], or — for an
     /// exchanged source — a hash-scattered share to each node whose
-    /// share is non-empty.
+    /// share is non-empty; every one even if one fails, the first error last.
     fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let (src, n) = (meta.id, self.nodes.len());
         let home = self.home_of(src);
         let trace = self.make_ctx(home);
         let keys = self.exchanged.get(&src);
+        let mut served = Ok(());
         match (keys.map(|gid| self.groups[gid].keys[&src].clone()), payload) {
             (None, whole) => {
                 for to in self.ingest_targets(src, &meta.kind, home) {
-                    self.deliver(source_name, src, home, to, whole, trace)?;
+                    let run = self.deliver(source_name, src, home, to, whole, trace);
+                    served = served.and(run);
                 }
             }
             (Some(keys), Admission::Batch(tuples)) => {
                 let shares = exchange::partition(tuples, &keys, n);
                 for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-                    self.deliver(source_name, src, home, to, Admission::Batch(share), trace)?;
+                    let share = Admission::Batch(share);
+                    let run = self.deliver(source_name, src, home, to, share, trace);
+                    served = served.and(run);
                 }
             }
             (Some(keys), Admission::Deltas(deltas)) => {
@@ -773,11 +785,13 @@ impl Cluster {
                     shares[exchange::node_of(&d.tuple, &keys, n)].push(d.clone());
                 }
                 for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-                    self.deliver(source_name, src, home, to, Admission::Deltas(share), trace)?;
+                    let share = Admission::Deltas(share);
+                    let run = self.deliver(source_name, src, home, to, share, trace);
+                    served = served.and(run);
                 }
             }
         }
-        self.finish_boundary()
+        served.and(self.finish_boundary())
     }
 
     /// Hand one node its share: admitted in place at the home, shipped
@@ -799,17 +813,18 @@ impl Cluster {
     }
 
     /// Advance every node's clock; the tick crosses each link as one
-    /// heartbeat frame charged to the control plane.
+    /// heartbeat frame charged to the control plane (a failing node stops none).
     pub fn heartbeat(&mut self, now: SimTime) -> Result<()> {
         let frame = WireFrame::Heartbeat {
             now_us: now.as_micros(),
         };
         let bytes = encode_frame(&frame).len() as u64;
+        let mut served = Ok(());
         for node in &mut self.nodes {
             self.control.charge(&self.lan, bytes, 0);
-            node.heartbeat(now)?;
+            served = served.and(node.heartbeat(now));
         }
-        self.finish_boundary()
+        served.and(self.finish_boundary())
     }
 
     /// The nodes one non-exchanged batch must reach. Tables broadcast

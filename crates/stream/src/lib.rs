@@ -31,11 +31,10 @@
 //!   or demoting the cursors). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
-//! * [`EngineConfig`] — seven construction-time fields, each with its
+//! * [`EngineConfig`] — six construction-time fields, each with its
 //!   default: `shards` (1), `scheduling` (pool iff shards > 1 and
 //!   cores > 1, else sequential), `workers` (min(shards, cores)),
-//!   `queue_depth` (32), `rebalance` (off), `shared_subplans` (on),
-//!   `spill` (off).
+//!   `queue_depth` (32), `rebalance` (off), `spill` (off).
 //! * [`QuerySpec`] / [`Registration`] / [`SessionId`] /
 //!   [`ResultSubscription`] / [`Consistency`] — the client vocabulary.
 //! * [`Cluster`] (+ [`ClusterConfig`], four fields) — N engines behind
@@ -176,9 +175,9 @@
 //!     Migration demotes: each cursor's frame and live suffix move
 //!     into the query's own window under the log's row ids, the runtime
 //!     travels with its exact live multiset, and the query stays
-//!     private on the recipient.
-//!     [`session::EngineConfig::shared_subplans`]`(false)` pins every
-//!     scan to the private path (the equivalence baseline).
+//!     private on the recipient. The equivalence baseline is the test
+//!     kit's `Private` system (`tests/common/`): one standalone
+//!     [`pipeline::Pipeline`] and [`Sink`] per query, outside any engine.
 //!   - *Grouped filters.* Template variants differ only in a constant,
 //!     so the filter directly above a cursor-fed stream scan is usually
 //!     the same `col op constant` at n constants. When it is exactly
@@ -203,7 +202,8 @@
 //!
 //!   Shared-vs-private equivalence under full lifecycle churn
 //!   (register / deregister / pause / resume / migrate, all three
-//!   scheduling modes) is property-tested in `tests/sharding.rs`. Log
+//!   scheduling modes) is a row of the test kit's event matrix
+//!   (`tests/common/`, rows in `tests/sharding.rs`). Log
 //!   work meters once on the shard; each query's `tuples_in` and
 //!   `ops_invoked` count what a private run would have counted.
 //!

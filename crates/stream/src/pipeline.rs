@@ -480,12 +480,23 @@ impl Pipeline {
         windows.chain(ops).sum()
     }
 
-    /// Feed a signed batch (view maintenance output, table updates) from
-    /// `source` — already consolidated by the shard, once for all its
-    /// subscribers — into every scan bound to it. Retractions bypass
-    /// window buffering — view sources are unbounded. `charge` is the
-    /// raw batch size to account to `tuples_in` per scan.
-    pub(crate) fn push_deltas(
+    /// Feed a signed batch (view output, table updates) from `source` into
+    /// every scan bound to it, consolidated once and its raw length charged
+    /// to `tuples_in` per scan, as a shard does. Retractions bypass windows.
+    pub fn push_deltas(
+        &mut self,
+        source: SourceId,
+        deltas: &DeltaBatch,
+        sink: &mut Sink,
+    ) -> Result<()> {
+        let charge = deltas.len() as u64;
+        let deltas = deltas.clone().consolidated();
+        self.push_deltas_over(source, &deltas, charge, sink, &|_, _| None)
+    }
+
+    /// [`Pipeline::push_deltas`] on a shard, which consolidated `deltas`
+    /// once for all its subscribers and charges `charge` per scan.
+    pub(crate) fn push_deltas_over(
         &mut self,
         source: SourceId,
         deltas: &DeltaBatch,

@@ -8,7 +8,7 @@
 //!
 //! * [`EngineConfig`] — construction-time engine knobs (shard count,
 //!   executor scheduling mode, worker count, per-shard queue depth,
-//!   rebalancing, log sharing, spill). There are no
+//!   rebalancing, spill). There are no
 //!   runtime-mutable engine toggles; everything is fixed when the
 //!   engine is built.
 //! * [`QuerySpec`] — a builder carrying what to run (SQL text or a bound
@@ -47,7 +47,7 @@ use crate::rebalance::RebalanceConfig;
 use crate::shard::QueryHandle;
 use crate::state::{SpillConfig, StateOptions};
 
-/// Construction-time engine configuration: seven settable fields, each
+/// Construction-time engine configuration: six settable fields, each
 /// documented with its default on its setter, all fixed for the engine's
 /// lifetime (there are no runtime toggles). The plan-template cache and
 /// the trace plane are not configurable — both are always on.
@@ -67,9 +67,6 @@ pub struct EngineConfig {
     /// telemetry every `interval_boundaries` batch boundaries and
     /// live-migrates queries off sustained hot shards.
     rebalance: Option<RebalanceConfig>,
-    /// Shared-subplan execution (`None` = on): every stream scan is a
-    /// cursor on its shard's one arrival log of that source.
-    shared_subplans: Option<bool>,
     /// Spill tier for operator state — window buffers, join sides,
     /// retained tables (`None` = stay resident): cold sealed segments
     /// page to disk past the threshold.
@@ -131,18 +128,6 @@ impl EngineConfig {
         self
     }
 
-    /// Toggle shared-subplan execution (default on). When on, each
-    /// shard stores a stream source's arrivals once, in one log, and
-    /// every window over it — any spec, join sides included — is a
-    /// cursor into that log, with results identical to private
-    /// execution (property-tested in `tests/sharding.rs`). Off gives
-    /// every scan a private window — the equivalence property's
-    /// unshared reference.
-    pub fn shared_subplans(mut self, on: bool) -> Self {
-        self.shared_subplans = Some(on);
-        self
-    }
-
     /// Enable the spill tier: operator state pages cold sealed segments
     /// to files under `dir` whenever a store's resident bytes exceed
     /// `threshold_bytes`. Reads fault segments in transiently; results
@@ -185,10 +170,6 @@ impl EngineConfig {
 
     pub(crate) fn resolve_queue_depth(&self) -> usize {
         self.queue_depth.unwrap_or(32).max(1)
-    }
-
-    pub(crate) fn resolve_shared_subplans(&self) -> bool {
-        self.shared_subplans.unwrap_or(true)
     }
 }
 
@@ -603,14 +584,6 @@ mod tests {
         assert_eq!(EngineConfig::new().resolve_queue_depth(), 32);
         assert_eq!(EngineConfig::new().queue_depth(0).resolve_queue_depth(), 1);
         assert_eq!(EngineConfig::new().queue_depth(5).resolve_queue_depth(), 5);
-    }
-
-    #[test]
-    fn sharing_defaults_on() {
-        assert!(EngineConfig::new().resolve_shared_subplans());
-        assert!(!EngineConfig::new()
-            .shared_subplans(false)
-            .resolve_shared_subplans());
     }
 
     #[test]

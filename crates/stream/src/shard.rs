@@ -497,7 +497,7 @@ impl EngineShard {
             let q = self.queries.get_mut(qid).expect("routed query is local");
             let run = q
                 .pipeline
-                .push_deltas(src, deltas, charge, &mut q.sink, &rows);
+                .push_deltas_over(src, deltas, charge, &mut q.sink, &rows);
             if let Some(ctx) = &trace {
                 q.sink.latency.record_us(ctx.elapsed_us());
             }
@@ -688,10 +688,6 @@ pub struct ShardedEngine {
     rebalancer: Option<RebalanceController>,
     /// Queries live-migrated between shards so far.
     migrations: u64,
-    /// Whether stream scans attach as cursors on per-source logs
-    /// ([`EngineConfig::shared_subplans`]); off, every scan keeps a
-    /// private window.
-    shared_subplans: bool,
     /// This engine's node id in a cluster — stamped as the origin into
     /// every trace context created here; 0 standalone.
     node_id: u32,
@@ -757,7 +753,6 @@ impl ShardedEngine {
             boundaries: 0,
             rebalancer: config.rebalance_config().map(RebalanceController::new),
             migrations: 0,
-            shared_subplans: config.resolve_shared_subplans(),
             node_id: 0,
             next_batch: 0,
             journal: SpanJournal::default(),
@@ -1311,15 +1306,12 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// The scans of a plan that attach as log cursors: with sharing on,
-    /// every scan — whatever its window spec, joins and self-joins
-    /// included — over a live stream-kind source. Tables and views
-    /// replay retained state into each new registration, state a shared
-    /// log must not absorb, so their scans keep private windows.
+    /// The scans of a plan that attach as log cursors: every scan —
+    /// whatever its window spec, joins and self-joins included — over a
+    /// live stream-kind source. Tables and views replay retained state
+    /// into each new registration, state a shared log must not absorb,
+    /// so their scans keep private windows.
     fn cursor_scans(&self, plan: &LogicalPlan, pipeline: &Pipeline) -> Vec<CursorScan> {
-        if !self.shared_subplans {
-            return Vec::new();
-        }
         let streams: Vec<SourceId> = plan
             .scans()
             .iter()
@@ -2650,48 +2642,65 @@ mod tests {
 
     #[test]
     fn telemetry_attribution_matches_private_execution() {
-        // The rebalancer must see identical per-query load shared or
-        // private — sharing saves real work without creating phantom or
-        // vanishing attribution.
-        let run = |shared: bool| {
-            let mut e = ShardedEngine::with_config(
-                catalog(),
-                EngineConfig::new().shards(1).shared_subplans(shared),
+        // The rebalancer must see each query's load as what the query
+        // costs run privately — a standalone pipeline of its own — so
+        // sharing saves real work without creating phantom or vanishing
+        // attribution.
+        let sqls: Vec<String> = (0..3)
+            .map(|i| {
+                format!(
+                    "select r.sensor, avg(r.value) from Readings r \
+                     where r.sensor < {} group by r.sensor",
+                    8 - i
+                )
+            })
+            .collect();
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let handles: Vec<QueryHandle> = sqls
+            .iter()
+            .map(|sql| e.register_sql(sql).unwrap().expect_query())
+            .collect();
+        let readings = e.catalog().source("Readings").unwrap().id;
+        let mut private: Vec<(Pipeline, Sink)> = sqls
+            .iter()
+            .map(|sql| {
+                let plan = match aspen_sql::compile(sql, e.catalog()).unwrap() {
+                    aspen_sql::BoundQuery::Select(b) => b.plan,
+                    _ => unreachable!("a select"),
+                };
+                let mut p = Pipeline::compile(&plan).unwrap();
+                let mut sink = p.make_sink();
+                p.start(&mut sink).unwrap();
+                (p, sink)
+            })
+            .collect();
+        for i in 0..20u64 {
+            let batch = [reading((i % 8) as i64, i as f64, i)];
+            e.on_batch("Readings", &batch).unwrap();
+            for (p, sink) in &mut private {
+                p.push_source(readings, &batch, sink).unwrap();
+            }
+        }
+        let at = SimTime::from_secs(40);
+        e.heartbeat(at).unwrap();
+        for (p, sink) in &mut private {
+            p.advance_time(at, sink).unwrap();
+        }
+        assert_eq!(
+            e.resident_state().log_cursors,
+            3,
+            "sharing actually engaged"
+        );
+        let report = e.telemetry();
+        assert_eq!(report.shards[0].tuples_in, 20, "shard ingest metered once");
+        for (h, (p, sink)) in handles.iter().zip(&private) {
+            let q = report.query(h.0).unwrap();
+            assert_eq!(
+                (q.tuples_in, q.ops_invoked, q.output_deltas),
+                (p.tuples_in, p.ops_invoked, sink.deltas_applied),
+                "per-query attribution diverged"
             );
-            let mut handles = Vec::new();
-            for i in 0..3 {
-                handles.push(
-                    e.register_sql(&format!(
-                        "select r.sensor, avg(r.value) from Readings r \
-                         where r.sensor < {} group by r.sensor",
-                        8 - i
-                    ))
-                    .unwrap()
-                    .expect_query(),
-                );
-            }
-            for i in 0..20u64 {
-                e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i)])
-                    .unwrap();
-            }
-            e.heartbeat(SimTime::from_secs(40)).unwrap();
-            let cursors = e.resident_state().log_cursors;
-            let report = e.telemetry();
-            let loads: Vec<_> = handles
-                .iter()
-                .map(|h| {
-                    let q = report.query(h.0).unwrap();
-                    (q.tuples_in, q.ops_invoked, q.output_deltas)
-                })
-                .collect();
-            (cursors, report.shards[0].tuples_in, loads)
-        };
-        let (taps_on, shard_on, loads_on) = run(true);
-        let (taps_off, shard_off, loads_off) = run(false);
-        assert_eq!(taps_on, 3, "sharing actually engaged");
-        assert_eq!(taps_off, 0);
-        assert_eq!(shard_on, shard_off, "shard ingest metered once either way");
-        assert_eq!(loads_on, loads_off, "per-query attribution diverged");
+        }
     }
 
     #[test]
@@ -2857,31 +2866,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         // All three are live, independent queries despite the shared plan.
         assert_eq!(e.query_count(), 3);
-    }
-
-    #[test]
-    fn sharing_can_be_disabled() {
-        let mut e = ShardedEngine::with_config(
-            catalog(),
-            EngineConfig::new().shards(1).shared_subplans(false),
-        );
-        let q1 = e
-            .register_sql("select r.value from Readings r")
-            .unwrap()
-            .expect_query();
-        let q2 = e
-            .register_sql("select r.sensor from Readings r")
-            .unwrap()
-            .expect_query();
-        let rs = e.resident_state();
-        assert_eq!((rs.source_logs, rs.log_cursors), (0, 0));
-        e.on_batch("Readings", &[reading(1, 10.0, 1)]).unwrap();
-        assert_eq!(e.snapshot(q1).unwrap().len(), 1);
-        assert_eq!(e.snapshot(q2).unwrap().len(), 1);
-        assert_eq!(
-            rs.window_tuples, 0,
-            "resident census still works without logs"
-        );
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //! `ShardedEngine` nodes joined by simulated links is a placement
 //! decision, not a semantics change — under interleaved ingest /
 //! register / deregister / pause / resume / *cross-node migration*
-//! churn, every query's snapshot must match a single-node oracle after
-//! every event, every push subscription's accumulated deltas must
-//! reconstruct the polled snapshot, the ops total must be invariant
-//! (migration never replays), and the exchange paths must conserve
-//! tuples exactly (every delta serialized onto a link is decoded off
-//! it).
+//! churn every query equals the naive model and its private run after
+//! every event (a row of the equivalence kit, `tests/common/`), and the
+//! exchange paths conserve tuples exactly (every delta serialized onto a
+//! link is decoded off it).
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
+use common::{seeds, Cell, Config, Mode, Row, Weights, Workload, F, I};
+use rand::rngs::StdRng;
+use rand::Rng;
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
-    Cluster, ClusterConfig, Consistency, EngineConfig, QueryHandle, QuerySpec, Registration,
-    ResultSubscription, Scheduling, ShardedEngine,
+    Cluster, ClusterConfig, Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling,
+    ShardedEngine,
 };
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
@@ -24,20 +26,6 @@ fn inline_node() -> EngineConfig {
     EngineConfig::new()
         .shards(1)
         .scheduling(Scheduling::Sequential)
-}
-
-/// Base seed offset, from `ASPEN_TEST_SEED` (CI sweeps a seed matrix
-/// over the same binary; each value explores disjoint workloads).
-fn seed_base() -> u64 {
-    std::env::var("ASPEN_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn seeds(n: u64) -> impl Iterator<Item = u64> {
-    let base = seed_base().wrapping_mul(0x1000);
-    (0..n).map(move |i| base.wrapping_add(i))
 }
 
 fn catalog() -> Arc<Catalog> {
@@ -98,197 +86,13 @@ const PLANS: &[&str] = &[
     "select a.sensor, a.value from PowerA a [rows 5]",
 ];
 
-fn value_rows(rows: &[Tuple]) -> Vec<Vec<Value>> {
-    rows.iter().map(|t| t.values().to_vec()).collect()
-}
-
-/// One engine under test: either the single-node oracle or a cluster.
-/// The same lifecycle verbs drive both, so the churn loop below stays
-/// engine-shape-agnostic.
-enum AnyEngine {
-    Single(ShardedEngine),
-    Multi(Cluster),
-}
-
-impl AnyEngine {
-    fn nodes(&self) -> usize {
-        match self {
-            AnyEngine::Single(_) => 1,
-            AnyEngine::Multi(c) => c.node_count(),
-        }
-    }
-
-    fn register(&mut self, spec: QuerySpec) -> Registration {
-        match self {
-            AnyEngine::Single(e) => e.register(spec).unwrap(),
-            AnyEngine::Multi(c) => c.register(spec).unwrap(),
-        }
-    }
-
-    fn subscribe(&mut self, q: QueryHandle) -> ResultSubscription {
-        match self {
-            AnyEngine::Single(e) => e.subscribe(q).unwrap(),
-            AnyEngine::Multi(c) => c.subscribe(q).unwrap(),
-        }
-    }
-
-    fn deregister(&mut self, q: QueryHandle) {
-        match self {
-            AnyEngine::Single(e) => e.deregister(q).unwrap(),
-            AnyEngine::Multi(c) => c.deregister(q).unwrap(),
-        }
-    }
-
-    fn pause(&mut self, q: QueryHandle) {
-        match self {
-            AnyEngine::Single(e) => e.pause(q).unwrap(),
-            AnyEngine::Multi(c) => c.pause(q).unwrap(),
-        }
-    }
-
-    fn resume(&mut self, q: QueryHandle) {
-        match self {
-            AnyEngine::Single(e) => e.resume(q).unwrap(),
-            AnyEngine::Multi(c) => c.resume(q).unwrap(),
-        }
-    }
-
-    /// Forced migration, modulo this engine's own node/shard count —
-    /// a no-op on the oracle, which is exactly the point: a cross-node
-    /// move must be invisible.
-    fn migrate(&mut self, q: QueryHandle, target: usize) {
-        match self {
-            AnyEngine::Single(e) => {
-                let shards = e.shard_count();
-                e.migrate(q, target % shards).unwrap();
-            }
-            AnyEngine::Multi(c) => {
-                let nodes = c.node_count();
-                c.migrate(q, target % nodes).unwrap();
-            }
-        }
-    }
-
-    fn on_batch(&mut self, source: &str, tuples: &[Tuple]) {
-        match self {
-            AnyEngine::Single(e) => e.on_batch(source, tuples).unwrap(),
-            AnyEngine::Multi(c) => c.on_batch(source, tuples).unwrap(),
-        }
-    }
-
-    fn heartbeat(&mut self, now: SimTime) {
-        match self {
-            AnyEngine::Single(e) => e.heartbeat(now).unwrap(),
-            AnyEngine::Multi(c) => c.heartbeat(now).unwrap(),
-        }
-    }
-
-    fn snapshot(&self, q: QueryHandle) -> Vec<Tuple> {
-        match self {
-            AnyEngine::Single(e) => e.snapshot(q).unwrap(),
-            AnyEngine::Multi(c) => c.snapshot(q).unwrap(),
-        }
-    }
-
-    fn total_ops_invoked(&self) -> u64 {
-        match self {
-            AnyEngine::Single(e) => e.total_ops_invoked(),
-            AnyEngine::Multi(c) => c.total_ops_invoked(),
-        }
-    }
-}
-
-struct ClientQuery {
-    handle: QueryHandle,
-    sub: ResultSubscription,
-    paused: bool,
-    /// Net multiset accumulated from every drained push delta.
-    accum: HashMap<Tuple, i64>,
-}
-
-/// One engine plus its per-query client state, slot-indexed: every
-/// client registers and retires the same logical slots in the same
-/// order.
-struct Client {
-    engine: AnyEngine,
-    queries: Vec<Option<ClientQuery>>,
-}
-
-impl Client {
-    fn oracle() -> Client {
-        Client {
-            engine: AnyEngine::Single(ShardedEngine::with_config(catalog(), inline_node())),
-            queries: Vec::new(),
-        }
-    }
-
-    fn cluster(nodes: usize) -> Client {
-        let mut c = Cluster::new(
-            catalog(),
-            ClusterConfig::new().nodes(nodes).node_config(inline_node()),
-        );
-        // Pin the wrappers apart so remote subscriptions really cross
-        // links (PowerB enters at the far end of the cluster).
-        c.home_source("PowerA", 0).unwrap();
-        c.home_source("PowerB", nodes - 1).unwrap();
-        Client {
-            engine: AnyEngine::Multi(c),
-            queries: Vec::new(),
-        }
-    }
-
-    /// Register the next slot. The placement hint spreads slots round-
-    /// robin over this client's own node count, so multi-node clusters
-    /// host subscribers away from the sources' homes from the start.
-    fn register(&mut self, sql: &str) {
-        let slot = self.queries.len();
-        let spec = QuerySpec::sql(sql)
-            .push()
-            .on_node(slot % self.engine.nodes());
-        let handle = self.engine.register(spec).expect_query();
-        let sub = self.engine.subscribe(handle);
-        self.queries.push(Some(ClientQuery {
-            handle,
-            sub,
-            paused: false,
-            accum: HashMap::new(),
-        }));
-    }
-
-    /// One slot's accumulated push multiset must equal its polled
-    /// snapshot multiset. Snapshot first: polling quiesces the owning
-    /// shard, so every pending boundary's push batches are delivered
-    /// before the drain folds them in.
-    fn check_slot_push_matches_poll(&mut self, slot: usize, ctx: &str) {
-        let Some(handle) = self.queries[slot].as_ref().map(|q| q.handle) else {
-            return;
-        };
-        let mut snap: HashMap<Tuple, i64> = HashMap::new();
-        for t in self.engine.snapshot(handle) {
-            *snap.entry(t).or_insert(0) += 1;
-        }
-        let q = self.queries[slot].as_mut().unwrap();
-        for batch in q.sub.drain() {
-            for d in &batch {
-                let e = q.accum.entry(d.tuple.clone()).or_insert(0);
-                *e += d.sign;
-                if *e == 0 {
-                    q.accum.remove(&d.tuple);
-                }
-            }
-        }
-        assert_eq!(
-            q.accum,
-            snap,
-            "push accumulation != polled snapshot (slot {slot}, {} nodes, {ctx})",
-            self.engine.nodes()
-        );
-    }
-
-    fn check_push_matches_poll(&mut self, ctx: &str) {
-        for slot in 0..self.queries.len() {
-            self.check_slot_push_matches_poll(slot, ctx);
-        }
+fn cells(rng: &mut StdRng, source: &'static str, serial: i64) -> Vec<Cell> {
+    match source {
+        "Rooms" => vec![I(serial % 4), I(100 + serial)],
+        _ => vec![
+            I(rng.gen_range(0..4i64)),
+            F(rng.gen_range(0..100i64) as f64),
+        ],
     }
 }
 
@@ -296,194 +100,106 @@ impl Client {
 /// Clusters at N ∈ {1, 2, 4} nodes driven through interleaved ingest
 /// (two streams homed on different nodes, plus table upserts that
 /// broadcast), heartbeats, register / deregister / pause / resume, and
-/// forced cross-node migrations must stay observationally identical to
-/// a single-node oracle after every event: snapshots agree slot for
-/// slot, push accumulation reconstructs every poll, the ops total is
-/// invariant (no replay anywhere — a moved runtime carries its
-/// counters), and every exchange conserves tuples (serialized onto a
-/// link == decoded off it, with real wire traffic and real migrations
-/// observed, so the equivalence is non-vacuous).
+/// forced cross-node migrations equal the model after every event, with
+/// push == poll and per-query counters equal to the private run (no
+/// replay anywhere — a moved runtime carries its counters), and every
+/// exchange conserves tuples. Multi-node runs shipped real wire traffic
+/// and really migrated; a 1-node cluster never crossed a link.
+fn cluster_row() -> Row {
+    let mut w = Workload {
+        catalog,
+        streams: &[("PowerA", 1), ("PowerB", 1)],
+        tables: &["Rooms"],
+        cells,
+        templates: (PLANS.len(), 1),
+        sql: |t, _| PLANS[t].into(),
+        views: &[],
+        opening: Vec::new(),
+        push: true,
+        weights: Weights {
+            ingest: 5,
+            table: 1,
+            heartbeat: 1,
+            register: 1,
+            deregister: 1,
+            pause: 1,
+            resume: 1,
+            migrate: 2,
+            ..Weights::default()
+        },
+        events: 60,
+        batch: (1, 8),
+        jump: (1, 15),
+        leap: 0,
+        awkward: 0,
+    };
+    w.opening = w.every_template();
+    let configs = [1, 2, 4].map(|n| Config::cluster(n, Mode::Seq)).to_vec();
+    Row::new("cluster_row()", w, configs)
+}
+
 #[test]
 fn cluster_churn_matches_single_node_oracle() {
-    use rand::Rng;
-    use smartcis::types::rng::seeded;
-
-    let mut total_migrations = 0u64;
-    for seed in seeds(3) {
-        let mut rng = seeded(0xC105 ^ seed);
-        let mut oracle = Client::oracle();
-        let mut clusters: Vec<Client> = [1usize, 2, 4].into_iter().map(Client::cluster).collect();
-        for sql in PLANS {
-            oracle.register(sql);
-            for c in &mut clusters {
-                c.register(sql);
+    let mut migrations = 0;
+    for run in cluster_row().check(seeds(3)) {
+        for o in run.engines() {
+            let (frames, bytes) = o.samples.last().unwrap().wire;
+            match o.label.starts_with("1 ") {
+                true => assert_eq!(frames, 0, "a 1-node cluster crossed a link"),
+                false => assert!(frames > 0 && bytes > 0, "no wire traffic at {}", o.label),
             }
-        }
-
-        let mut now = 0u64;
-        let mut next_room = 0i64;
-        for step in 0..60 {
-            let ctx = format!("seed {seed}, step {step}");
-            let slots: Vec<usize> = oracle
-                .queries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| q.as_ref().map(|_| i))
-                .collect();
-            match rng.gen_range(0..12u32) {
-                // Stream ingest (most common): one of the two streams,
-                // which enter the clusters at different home nodes.
-                0..=4 => {
-                    let source = if rng.gen_bool(0.5) {
-                        "PowerA"
-                    } else {
-                        "PowerB"
-                    };
-                    let n = rng.gen_range(1..8usize);
-                    let batch: Vec<Tuple> = (0..n)
-                        .map(|_| {
-                            power(
-                                rng.gen_range(0..4i64),
-                                rng.gen_range(0..100i64) as f64,
-                                now + rng.gen_range(0..2u64),
-                            )
-                        })
-                        .collect();
-                    now += 1;
-                    oracle.engine.on_batch(source, &batch);
-                    for c in &mut clusters {
-                        c.engine.on_batch(source, &batch);
-                    }
-                }
-                // Table upsert: broadcasts to every node, so late
-                // registrations replay the same retained rows anywhere.
-                5 => {
-                    let batch = [room(next_room % 4, 100 + next_room)];
-                    next_room += 1;
-                    oracle.engine.on_batch("Rooms", &batch);
-                    for c in &mut clusters {
-                        c.engine.on_batch("Rooms", &batch);
-                    }
-                }
-                // Heartbeat: windows expire on every node at once.
-                6 => {
-                    now += rng.gen_range(1..15u64);
-                    oracle.engine.heartbeat(SimTime::from_secs(now));
-                    for c in &mut clusters {
-                        c.engine.heartbeat(SimTime::from_secs(now));
-                    }
-                }
-                // Register a fresh slot from the plan set.
-                7 => {
-                    let sql = PLANS[rng.gen_range(0..PLANS.len())];
-                    oracle.register(sql);
-                    for c in &mut clusters {
-                        c.register(sql);
-                    }
-                }
-                // Deregister a random live slot.
-                8 => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        for c in std::iter::once(&mut oracle).chain(&mut clusters) {
-                            let q = c.queries[slot].take().unwrap();
-                            c.engine.deregister(q.handle);
-                        }
-                    }
-                }
-                // Toggle pause/resume on a random slot.
-                9 => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        for c in std::iter::once(&mut oracle).chain(&mut clusters) {
-                            let q = c.queries[slot].as_mut().unwrap();
-                            if q.paused {
-                                let h = q.handle;
-                                q.paused = false;
-                                c.engine.resume(h);
-                            } else {
-                                let h = q.handle;
-                                q.paused = true;
-                                c.engine.pause(h);
-                            }
-                        }
-                    }
-                }
-                // Forced cross-node migration: every engine moves the
-                // same slot toward the same target modulo its own node
-                // count (a no-op on the oracle and the 1-node cluster).
-                _ => {
-                    if !slots.is_empty() {
-                        let slot = slots[rng.gen_range(0..slots.len())];
-                        let target = rng.gen_range(0..4usize);
-                        for c in std::iter::once(&mut oracle).chain(&mut clusters) {
-                            let h = c.queries[slot].as_ref().unwrap().handle;
-                            c.engine.migrate(h, target);
-                        }
-                    }
-                }
-            }
-
-            // Invariants after every event.
-            oracle.check_push_matches_poll(&ctx);
-            for c in &mut clusters {
-                c.check_push_matches_poll(&ctx);
-            }
-            for c in &clusters {
-                for (slot, (oq, cq)) in oracle.queries.iter().zip(&c.queries).enumerate() {
-                    let (Some(oq), Some(cq)) = (oq, cq) else {
-                        continue;
-                    };
-                    assert_eq!(
-                        value_rows(&c.engine.snapshot(cq.handle)),
-                        value_rows(&oracle.engine.snapshot(oq.handle)),
-                        "slot {slot} diverged at {} nodes ({ctx})",
-                        c.engine.nodes(),
-                    );
-                }
-            }
-        }
-
-        // Cluster execution relocates work but never changes its total.
-        let base_ops = oracle.engine.total_ops_invoked();
-        for c in &clusters {
-            assert_eq!(
-                c.engine.total_ops_invoked(),
-                base_ops,
-                "ops diverged at {} nodes (seed {seed})",
-                c.engine.nodes()
-            );
-        }
-        // Conservation across the exchange paths, and non-vacuity:
-        // multi-node runs really shipped bytes over links.
-        for c in &clusters {
-            let AnyEngine::Multi(cluster) = &c.engine else {
-                unreachable!()
-            };
-            let (out, inn) = cluster.exchange_tuples();
-            assert_eq!(out, inn, "exchange lost or invented tuples (seed {seed})");
-            let wire = cluster.wire_stats();
-            assert_eq!(
-                wire.tuples, out,
-                "link meters disagree with exchange counters"
-            );
-            if cluster.node_count() > 1 {
-                assert!(
-                    wire.frames > 0,
-                    "no wire traffic at {} nodes",
-                    cluster.node_count()
-                );
-                assert!(wire.bytes > 0, "frames shipped without bytes");
-                total_migrations += cluster.migration_count();
-            } else {
-                assert_eq!(wire.frames, 0, "a 1-node cluster crossed a link");
-            }
+            migrations += o.migrations;
         }
     }
     assert!(
-        total_migrations > 0,
-        "forced cross-node migrations never happened across the sweep"
+        migrations > 0,
+        "forced cross-node migrations never happened"
     );
+}
+
+/// A node whose query fails does not starve the nodes after it: a
+/// broadcast table batch still reaches every node and a heartbeat
+/// advances every node, the boundary finishes, and the first error is
+/// returned — whichever node is the table's home, in every mode.
+#[test]
+fn a_failing_node_does_not_starve_the_nodes_after_it() {
+    let seed = seeds(1).next().unwrap();
+    for scheduling in [
+        Scheduling::Sequential,
+        Scheduling::Pool,
+        Scheduling::Deterministic(seed),
+    ] {
+        for home in 0..2 {
+            let cat = Catalog::shared();
+            let facts = Schema::new(vec![
+                Field::new("key", DataType::Text),
+                Field::new("n", DataType::Int),
+            ]);
+            let stats = SourceStats::table(4);
+            cat.register_source("Facts", facts.into_ref(), SourceKind::Table, stats)
+                .unwrap();
+            let config = EngineConfig::new().shards(1).scheduling(scheduling);
+            let mut c = Cluster::new(cat, ClusterConfig::new().nodes(2).node_config(config));
+            c.home_source("Facts", home).unwrap();
+            // Summing a text column fails on node 0, at every batch.
+            let sum = QuerySpec::sql("select sum(f.key) from Facts f").on_node(0);
+            c.register(sum).unwrap();
+            let count = QuerySpec::sql("select count(*) from Facts f").on_node(1);
+            let count = c.register(count).unwrap().expect_query();
+            for n in 0..2 {
+                let fact = Tuple::new(vec![Value::Text("k".into()), Value::Int(n)], SimTime::ZERO);
+                c.on_batch("Facts", &[fact]).ok();
+            }
+            c.heartbeat(SimTime::from_secs(5)).ok();
+            let at = format!("{scheduling:?}, Facts homed on node {home}");
+            assert_eq!(
+                c.snapshot(count).unwrap()[0].values(),
+                &[Value::Int(2)],
+                "{at}"
+            );
+            assert_eq!(c.node(1).now(), SimTime::from_secs(5), "{at}");
+        }
+    }
 }
 
 /// A hash-partitioned join spread over 2 and 4 nodes must equal the

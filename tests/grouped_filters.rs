@@ -2,45 +2,38 @@
 //! above a cursor-fed stream scan is run by its source log's filter
 //! index — once per group per class batch — instead of by its query.
 //! Each member must still get exactly what its own `FilterOp` would have
-//! produced, so against an engine whose every filter is private
-//! (`shared_subplans(false)`), at 1 and 2 shards under every scheduling
-//! mode, after every event of a seeded churn — ingest of NULL, NaN, ±0
-//! and ±(2⁵³ + 1) values, heartbeats, register / deregister / pause /
-//! resume / migrate:
+//! produced. So at 1 and 2 shards under every scheduling mode, after
+//! every event of a seeded churn — ingest of NULL, NaN, ±0 and
+//! ±(2⁵³ + 1) values, heartbeats, register / deregister / pause /
+//! resume / migrate — each query equals the model, and (a row of the
+//! equivalence kit, `tests/common/`) its private run:
 //!
 //! * snapshots are equal, and each push subscription's accumulated
 //!   deltas equal its snapshot;
 //! * per query, `ops_invoked`, `tuples_in` and `output_deltas` are equal,
 //!   and so is the per-kind op profile's count of invocations and deltas
 //!   — the filter hop is charged the whole class batch, as if it ran;
-//! * a fresh registration reports `grouped_filter` exactly when its
-//!   template groups and its engine shares logs.
+//! * a registration reports `grouped_filter` exactly when its template
+//!   groups.
 //!
 //! The templates cover the five grouped operators, `Lit op Col`, `Int`
 //! and `Float` constants on an `Int` and on a `Float` column, text `=`
 //! and `<`, and three controls that must stay private: `<>`, an `AND`,
 //! and a filter feeding an indexed join side.
 
-use std::collections::HashMap;
+mod common;
+
 use std::sync::Arc;
 
+use common::{seeds, Cell, Config, Row, Weights, Workload, F, I, N, T};
+use rand::rngs::StdRng;
 use rand::Rng;
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{
-    render_json, render_prometheus, Consistency, EngineConfig, OpKind, QueryHandle, QuerySpec,
-    ResultSubscription, Scheduling, ShardedEngine, TelemetryReport,
+    render_json, render_prometheus, Consistency, EngineConfig, OpKind, Scheduling, ShardedEngine,
 };
 use smartcis::types::rng::seeded;
-use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
-
-/// `n` seeds in this run's `ASPEN_TEST_SEED` block.
-fn seeds(n: u64) -> impl Iterator<Item = u64> {
-    let base: u64 = std::env::var("ASPEN_TEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (0..n).map(move |i| base.wrapping_mul(0x1000).wrapping_add(i))
-}
+use smartcis::types::{DataType, Field, Schema, SimTime, Tuple};
 
 fn catalog() -> Arc<Catalog> {
     let cat = Catalog::shared();
@@ -137,230 +130,92 @@ fn groups(template: usize, constant: usize) -> bool {
     }
 }
 
-/// One step of the churn. Slot picks are resolved against the live
-/// slots when the event runs, identically in every engine.
-#[derive(Clone, Debug)]
-enum Event {
-    Ingest(Vec<Tuple>),
-    Heartbeat(u64),
-    Register(usize, usize),
-    Deregister(u32),
-    PauseOrResume(u32),
-    Migrate(u32, usize),
-}
-
 /// A reading whose columns take the awkward values often.
-fn tuple(rng: &mut impl Rng, now: u64) -> Tuple {
+fn cells(rng: &mut StdRng, _: &'static str, _: i64) -> Vec<Cell> {
     let i = match rng.gen_range(0..10u32) {
-        0 => Value::Null,
-        1 => Value::Int(BIG),
-        2 => Value::Int(-BIG),
-        _ => Value::Int(rng.gen_range(-4..5i64)),
+        0 => N,
+        1 => I(BIG),
+        2 => I(-BIG),
+        _ => I(rng.gen_range(-4..5i64)),
     };
     let f = match rng.gen_range(0..12u32) {
-        0 => Value::Null,
-        1 => Value::Float(f64::NAN),
-        2 => Value::Float(-0.0),
-        3 => Value::Float(BIG as f64),
-        4 => Value::Float(-(BIG as f64)),
-        _ => Value::Float(rng.gen_range(-8..9i64) as f64 * 0.5),
+        0 => N,
+        1 => F(f64::NAN),
+        2 => F(-0.0),
+        3 => F(BIG as f64),
+        4 => F(-(BIG as f64)),
+        _ => F(rng.gen_range(-8..9i64) as f64 * 0.5),
     };
     let t = match rng.gen_range(0..7u32) {
-        0 => Value::Null,
-        k => Value::Text(["", "a", "b", "m", "z", "a"][k as usize - 1].into()),
+        0 => N,
+        k => T(["", "a", "b", "m", "z", "a"][k as usize - 1]),
     };
-    Tuple::new(
-        vec![i, f, t],
-        SimTime::from_secs(now + rng.gen_range(0..2u64)),
-    )
+    vec![i, f, t]
 }
 
-/// Two registrations of every template, then a seeded churn.
-fn events(seed: u64) -> Vec<Event> {
-    let mut rng = seeded(0x6_F11_7E5 ^ seed);
-    let mut out: Vec<Event> = (0..2 * TEMPLATES.len())
-        .map(|k| Event::Register(k % TEMPLATES.len(), rng.gen_range(0..24usize)))
-        .collect();
-    let mut now = 0u64;
-    for _ in 0..70 {
-        out.push(match rng.gen_range(0..20u32) {
-            0..=10 => {
-                let batch = (0..rng.gen_range(1..24usize))
-                    .map(|_| tuple(&mut rng, now))
-                    .collect();
-                now += 1;
-                Event::Ingest(batch)
-            }
-            11 | 12 => {
-                now += rng.gen_range(1..8u64);
-                Event::Heartbeat(now)
-            }
-            13..=15 => {
-                Event::Register(rng.gen_range(0..TEMPLATES.len()), rng.gen_range(0..24usize))
-            }
-            16 => Event::Deregister(rng.gen()),
-            17 | 18 => Event::PauseOrResume(rng.gen()),
-            _ => Event::Migrate(rng.gen(), rng.gen_range(0..2usize)),
-        });
-    }
-    out
+fn tuple(rng: &mut StdRng, now: u64) -> Tuple {
+    let values = cells(rng, "S", 0).into_iter().map(Cell::value).collect();
+    Tuple::new(values, SimTime::from_secs(now + rng.gen_range(0..2u64)))
 }
 
-/// A live query: its handle, push subscription and the net multiset its
-/// drained deltas add up to.
-type Slot = (QueryHandle, ResultSubscription, HashMap<Tuple, i64>);
-
-/// One engine under test, with its queries by slot.
-struct Client {
-    engine: ShardedEngine,
-    shared: bool,
-    slots: Vec<Option<Slot>>,
-    ctx: String,
-}
-
-/// What a slot shows after an event: its snapshot and its
-/// `(tuples_in, ops_invoked, output_deltas)`.
-type Shown = Vec<Option<(Vec<Tuple>, (u64, u64, u64))>>;
-
-/// Invocations and deltas per operator kind.
-fn profile(report: &TelemetryReport) -> Vec<(u64, u64)> {
-    let kinds = report.profile.iter();
-    kinds.map(|(_, m)| (m.invocations, m.deltas)).collect()
-}
-
-impl Client {
-    fn new(shards: usize, scheduling: Scheduling, shared: bool) -> Client {
-        let config = EngineConfig::new()
-            .shards(shards)
-            .scheduling(scheduling)
-            .shared_subplans(shared);
-        Client {
-            engine: ShardedEngine::with_config(catalog(), config),
-            shared,
-            slots: Vec::new(),
-            ctx: format!("{shards} shards, {scheduling:?}, shared {shared}"),
-        }
-    }
-
-    fn apply(&mut self, event: &Event) {
-        let live: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .collect();
-        let pick = |r: u32| (!live.is_empty()).then(|| live[r as usize % live.len()]);
-        let e = &mut self.engine;
-        let handle = |slot: Option<usize>| slot.and_then(|s| self.slots[s].as_ref().map(|q| q.0));
-        match event {
-            Event::Ingest(batch) => e.on_batch("S", batch).unwrap(),
-            Event::Heartbeat(secs) => e.heartbeat(SimTime::from_secs(*secs)).unwrap(),
-            Event::Register(template, constant) => {
-                let spec = QuerySpec::sql(sql(*template, *constant)).push();
-                let h = e.register(spec).unwrap().expect_query();
-                let sub = e.subscribe(h).unwrap();
-                let report = e.telemetry_at(Consistency::Fresh);
-                assert_eq!(
-                    report.query(h.0).unwrap().grouped_filter,
-                    self.shared && groups(*template, *constant),
-                    "'{}' ({})",
-                    sql(*template, *constant),
-                    self.ctx
-                );
-                self.slots.push(Some((h, sub, HashMap::new())));
-            }
-            Event::Deregister(r) => {
-                if let Some(slot) = pick(*r) {
-                    let (h, ..) = self.slots[slot].take().unwrap();
-                    e.deregister(h).unwrap();
-                }
-            }
-            Event::PauseOrResume(r) => {
-                if let Some(h) = handle(pick(*r)) {
-                    match e.is_paused(h).unwrap() {
-                        true => e.resume(h).unwrap(),
-                        false => e.pause(h).unwrap(),
-                    }
-                }
-            }
-            Event::Migrate(r, to) => {
-                if let Some(h) = handle(pick(*r)) {
-                    e.migrate(h, to % e.shard_count()).unwrap();
-                }
-            }
-        }
-    }
-
-    /// Every slot's snapshot and counters; checks push == poll on the way.
-    fn shown(&mut self, at: &str) -> (Shown, Vec<(u64, u64)>) {
-        let report = self.engine.telemetry_at(Consistency::Fresh);
-        let mut out = Vec::new();
-        for (slot, q) in self.slots.iter_mut().enumerate() {
-            let Some((h, sub, accum)) = q else {
-                out.push(None);
-                continue;
-            };
-            let snapshot = self.engine.snapshot(*h).unwrap();
-            for batch in sub.drain() {
-                for d in &batch {
-                    *accum.entry(d.tuple.clone()).or_insert(0) += d.sign;
-                }
-            }
-            accum.retain(|_, n| *n != 0);
-            let mut polled: HashMap<Tuple, i64> = HashMap::new();
-            for t in &snapshot {
-                *polled.entry(t.clone()).or_insert(0) += 1;
-            }
-            assert_eq!(
-                *accum, polled,
-                "push != poll, slot {slot} ({}, {at})",
-                self.ctx
-            );
-            let l = report.query(h.0).unwrap();
-            out.push(Some((
-                snapshot,
-                (l.tuples_in, l.ops_invoked, l.output_deltas),
-            )));
-        }
-        (out, profile(&report))
-    }
+fn grouped_filters_row() -> Row {
+    let mut w = Workload {
+        catalog,
+        streams: &[("S", 1)],
+        tables: &[],
+        cells,
+        templates: (TEMPLATES.len(), 24),
+        sql,
+        views: &[],
+        opening: Vec::new(),
+        push: true,
+        weights: Weights {
+            ingest: 11,
+            heartbeat: 2,
+            register: 3,
+            deregister: 1,
+            pause: 1,
+            resume: 1,
+            migrate: 1,
+            ..Weights::default()
+        },
+        events: 70,
+        batch: (1, 24),
+        jump: (1, 8),
+        leap: 0,
+        awkward: 0,
+    };
+    // Two registrations of every template.
+    let n = TEMPLATES.len();
+    w.opening = w.register_all((0..2 * n).map(|k| (k % n, 7 * k % 24)));
+    Row::new("grouped_filters_row()", w, Config::matrix(&[1, 2]))
 }
 
 #[test]
 fn grouped_filters_equal_private_filters_event_for_event() {
     let mut probed = 0;
-    for seed in seeds(2) {
-        let events = events(seed);
-        let mut oracle = Client::new(1, Scheduling::Sequential, false);
-        let mut clients: Vec<Client> = [1, 2]
-            .into_iter()
-            .flat_map(|shards| {
-                [
-                    Scheduling::Sequential,
-                    Scheduling::Pool,
-                    Scheduling::Deterministic(seed),
-                ]
-                .map(|mode| Client::new(shards, mode, true))
-            })
-            .collect();
-        for (step, event) in events.iter().enumerate() {
-            let at = format!("seed {seed}, step {step}, {event:?}");
-            oracle.apply(event);
-            let want = oracle.shown(&at);
-            for c in &mut clients {
-                c.apply(event);
-                let got = c.shown(&at);
-                for (slot, (g, w)) in got.0.iter().zip(&want.0).enumerate() {
-                    assert_eq!(g, w, "slot {slot} ({}, {at})", c.ctx);
-                }
-                assert_eq!(got.1, want.1, "op profile ({}, {at})", c.ctx);
-            }
-        }
-        let total = |c: &Client| -> u64 {
-            let report = c.engine.telemetry_at(Consistency::Fresh);
-            report.shards.iter().map(|s| s.filter_probes).sum()
-        };
-        assert_eq!(total(&oracle), 0, "private filters probe no index");
-        probed += clients.iter().map(total).min().unwrap();
+    for run in grouped_filters_row().check(seeds(2)) {
+        probed += run
+            .engines()
+            .map(|o| o.peak(|s| s.filter_probes as usize))
+            .min()
+            .unwrap();
     }
     assert!(probed > 0, "no grouped filter ever ran");
+    // Every template at every constant reports whether it groups.
+    let mut e = ShardedEngine::new(catalog(), 1);
+    let pairs: Vec<(usize, usize)> = (0..TEMPLATES.len())
+        .flat_map(|t| (0..24).map(move |c| (t, c)))
+        .collect();
+    let handles: Vec<_> = pairs
+        .iter()
+        .map(|&(t, c)| e.register_sql(&sql(t, c)).unwrap().expect_query())
+        .collect();
+    let report = e.telemetry_at(Consistency::Fresh);
+    for (&(t, c), h) in pairs.iter().zip(handles) {
+        let grouped = report.query(h.0).unwrap().grouped_filter;
+        assert_eq!(grouped, groups(t, c), "'{}'", sql(t, c));
+    }
 }
 
 /// `threshold`-style and `point`-style dashboards: 16 constants each of

@@ -5,7 +5,9 @@
 use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::stream::{EngineConfig, ShardedEngine};
+use smartcis::sql::{compile, BoundQuery};
+use smartcis::stream::pipeline::Pipeline;
+use smartcis::stream::ShardedEngine;
 use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
@@ -356,40 +358,58 @@ fn arithmetic_and_scalar_functions_in_projection() {
 /// an equi-join key follows SQL `=` — a NULL key matches nothing (not
 /// even another NULL) and an `int` key meets the equal `float` — which
 /// is also what the same predicate answers when it runs as a filter
-/// over the cross product. Sharing on and off: the windowed sides are
-/// indexed either way, over the shard's logs or over private windows.
+/// over the cross product. The windowed sides are indexed either way:
+/// over the shard's logs in the engine, over private windows in a
+/// standalone pipeline (the private path).
 #[test]
 fn equi_join_keys_follow_sql_equality() {
-    for shared in [true, false] {
-        let cat = Catalog::shared();
-        for (name, key) in [("A", DataType::Int), ("B", DataType::Float)] {
-            let fields = vec![Field::new("k", key), Field::new("v", DataType::Int)];
-            let stats = SourceStats::stream(1.0);
-            cat.register_source(
-                name,
-                Schema::new(fields).into_ref(),
-                SourceKind::Stream,
-                stats,
-            )
-            .unwrap();
+    let cat = Catalog::shared();
+    for (name, key) in [("A", DataType::Int), ("B", DataType::Float)] {
+        let fields = vec![Field::new("k", key), Field::new("v", DataType::Int)];
+        let stats = SourceStats::stream(1.0);
+        cat.register_source(
+            name,
+            Schema::new(fields).into_ref(),
+            SourceKind::Stream,
+            stats,
+        )
+        .unwrap();
+    }
+    let mut engine = ShardedEngine::new(Arc::clone(&cat), 1);
+    let from = "select x.v, y.v from A x [rows 10], B y [rows 10]";
+    // `x.k - y.k = 0` is no equi-key: it runs as a filter (residual).
+    let sqls = [
+        format!("{from} where x.k = y.k"),
+        format!("{from} where x.k - y.k = 0"),
+    ];
+    let mut queries: Vec<_> = sqls
+        .iter()
+        .map(|sql| {
+            let q = engine.register_sql(sql).unwrap().expect_query();
+            let BoundQuery::Select(bound) = compile(sql, &cat).unwrap() else {
+                panic!("{sql} is a select");
+            };
+            let mut private = Pipeline::compile(&bound.plan).unwrap();
+            let mut sink = private.make_sink();
+            private.start(&mut sink).unwrap();
+            (q, private, sink)
+        })
+        .collect();
+    let row = |k: Value, v: i64| Tuple::new(vec![k, Value::Int(v)], SimTime::from_secs(1));
+    for (name, batch) in [
+        ("A", [row(Value::Null, 1), row(Value::Int(2), 2)]),
+        ("B", [row(Value::Null, 10), row(Value::Float(2.0), 20)]),
+    ] {
+        engine.on_batch(name, &batch).unwrap();
+        let src = cat.source(name).unwrap().id;
+        for (_, private, sink) in &mut queries {
+            private.push_source(src, &batch, sink).unwrap();
         }
-        let config = EngineConfig::new().shards(1).shared_subplans(shared);
-        let mut engine = ShardedEngine::with_config(cat, config);
-        let from = "select x.v, y.v from A x [rows 10], B y [rows 10]";
-        let join = engine.register_sql(&format!("{from} where x.k = y.k"));
-        // `x.k - y.k = 0` is no equi-key: it runs as a filter (residual).
-        let filter = engine.register_sql(&format!("{from} where x.k - y.k = 0"));
-        let row = |k: Value, v: i64| Tuple::new(vec![k, Value::Int(v)], SimTime::from_secs(1));
-        engine
-            .on_batch("A", &[row(Value::Null, 1), row(Value::Int(2), 2)])
-            .unwrap();
-        engine
-            .on_batch("B", &[row(Value::Null, 10), row(Value::Float(2.0), 20)])
-            .unwrap();
-        for q in [join, filter] {
-            let rows = engine.snapshot(q.unwrap().expect_query()).unwrap();
+    }
+    for (q, _, sink) in &queries {
+        for rows in [engine.snapshot(*q).unwrap(), sink.snapshot().unwrap()] {
             let rows: Vec<&[Value]> = rows.iter().map(Tuple::values).collect();
-            assert_eq!(rows, [[Value::Int(2), Value::Int(20)]], "shared: {shared}");
+            assert_eq!(rows, [[Value::Int(2), Value::Int(20)]]);
         }
     }
 }
