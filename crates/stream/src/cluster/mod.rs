@@ -1189,6 +1189,30 @@ mod tests {
     }
 
     #[test]
+    fn a_query_over_a_view_is_not_migrated_off_node_0() {
+        let mut c = two_nodes();
+        c.home_source("Rooms", 1).unwrap();
+        c.register_sql(
+            "create recursive view Chain as ( \
+             select r.room, r.floor from Rooms r \
+             union \
+             select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )",
+        )
+        .unwrap();
+        let q = c
+            .register_sql("select c.room, c.floor from Chain c")
+            .unwrap()
+            .expect_query();
+        c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
+        assert!(c.migrate(q, 1).is_err());
+        assert_eq!(c.node_of_query(q).unwrap(), 0);
+        assert_eq!(c.migration_count(), 0);
+        // Still fed: 1→2 and 2→3 derive 1→3.
+        c.on_batch("Rooms", &[t(&[2, 3], 0)]).unwrap();
+        assert_eq!(c.snapshot(q).unwrap().len(), 3);
+    }
+
+    #[test]
     fn cluster_rebalancer_moves_load_between_nodes() {
         let mut c = Cluster::new(
             catalog(),

@@ -31,10 +31,10 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::Catalog;
+use smartcis::catalog::{Catalog, SourceKind, SourceStats};
 use smartcis::stream::{Consistency, Delta, DeltaBatch, ResidentState};
 use smartcis::types::rng::seeded;
-use smartcis::types::{SimDuration, SimTime, Tuple, Value};
+use smartcis::types::{DataType, Field, Schema, SimDuration, SimTime, Tuple, Value};
 
 pub use smartcis::stream::Consistency::{Cut, Fresh};
 pub use Cell::{F, I, N, T};
@@ -49,6 +49,26 @@ pub fn seeds(n: u64) -> impl Iterator<Item = u64> {
 pub fn seed_base() -> u64 {
     let var = std::env::var("ASPEN_TEST_SEED").ok();
     var.and_then(|s| s.parse().ok()).unwrap_or(0)
+}
+
+/// A source's name, statistics and columns.
+pub type Source<'a> = (&'a str, SourceStats, &'a [(&'a str, DataType)]);
+
+/// A catalog of these sources: a table where `stats` counts rows, else a
+/// stream.
+pub fn catalog(sources: &[Source]) -> Arc<Catalog> {
+    let cat = Catalog::shared();
+    for (name, stats, columns) in sources {
+        let kind = match stats.row_count {
+            Some(_) => SourceKind::Table,
+            None => SourceKind::Stream,
+        };
+        let fields = columns.iter().map(|&(c, t)| Field::new(c, t)).collect();
+        let schema = Schema::new(fields).into_ref();
+        cat.register_source(name, schema, kind, stats.clone())
+            .unwrap();
+    }
+    cat
 }
 
 // ---------------------------------------------------------------------------
@@ -219,6 +239,8 @@ pub struct Workload {
     pub views: &'static [(&'static str, &'static str)],
     /// Events before the seeded ones.
     pub opening: Vec<Event>,
+    /// Opening slots the seeded events never name.
+    pub keep: &'static [usize],
     /// Every registration asks for push delivery.
     pub push: bool,
     pub weights: Weights,
@@ -246,6 +268,34 @@ fn pick(rng: &mut StdRng, weights: &[u32]) -> usize {
 }
 
 impl Workload {
+    /// A workload with no streams, tables or views, one template and one
+    /// constant, no events weighed, and 60 events of 1–7 rows and 1–14 s
+    /// heartbeats; rows arrive in order.
+    pub fn new(
+        catalog: fn() -> Arc<Catalog>,
+        cells: fn(&mut StdRng, &'static str, i64) -> Vec<Cell>,
+        sql: fn(usize, usize) -> String,
+    ) -> Workload {
+        Workload {
+            catalog,
+            streams: &[],
+            tables: &[],
+            cells,
+            templates: (1, 1),
+            sql,
+            views: &[],
+            opening: Vec::new(),
+            keep: &[],
+            push: false,
+            weights: Weights::default(),
+            events: 60,
+            batch: (1, 8),
+            jump: (1, 15),
+            leap: 0,
+            awkward: 0,
+        }
+    }
+
     /// Registrations of `(template, constant)` pairs at slots 0, 1, ….
     pub fn register_all(&self, pairs: impl IntoIterator<Item = (usize, usize)>) -> Vec<Event> {
         let each = pairs.into_iter().enumerate();
@@ -268,15 +318,19 @@ impl Workload {
         let mut events = self.opening.clone();
         // Each registered slot, and whether it is paused.
         let mut slots: Vec<(usize, bool)> = Vec::new();
-        let mut views = 0;
+        let (mut views, mut next) = (0, 0);
         for e in &events {
             match *e {
-                Register { slot, .. } => slots.push((slot, false)),
+                Register { slot, .. } => {
+                    next = next.max(slot + 1);
+                    if !self.keep.contains(&slot) {
+                        slots.push((slot, false));
+                    }
+                }
                 RegisterView { view } => views = views.max(view + 1),
                 _ => {}
             }
         }
-        let mut next = slots.iter().map(|s| s.0 + 1).max().unwrap_or(0);
         let (mut now, mut serial, mut last) = (0u64, 0i64, None::<At>);
         let mut held: HashMap<&str, Vec<At>> = HashMap::new();
         let mut rows = |rng: &mut StdRng, source: &'static str, now: u64| {
@@ -441,11 +495,13 @@ pub struct Seen {
     pub slots: BTreeMap<usize, SlotSeen>,
     /// Invocations and deltas per operator kind.
     pub profile: Option<Vec<(u64, u64)>>,
-    /// Per registered view: its rows, [`sorted`], and statistics.
-    pub views: Option<Vec<(Vec<Tuple>, String)>>,
+    /// Per registered view: its name, rows ([`sorted`]) and statistics.
+    pub views: Option<Vec<View>>,
     pub now: Option<SimTime>,
     pub sample: Sample,
 }
+
+pub type View = (String, Vec<Tuple>, String);
 
 pub struct SlotSeen {
     /// The snapshot, [`sorted`].
@@ -477,14 +533,17 @@ pub struct Sample {
 #[derive(Clone, Debug)]
 pub struct SlotState {
     pub sql: String,
+    pub template: usize,
+    pub constant: usize,
     pub paused: bool,
     pub subscribed: bool,
     /// Tuned with a `max_delay`: its pushes may lag its snapshot.
     pub held: bool,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Mode {
+    #[default]
     Seq,
     Pool,
     Det,
@@ -494,7 +553,7 @@ pub const MODES: [Mode; 3] = [Mode::Seq, Mode::Pool, Mode::Det];
 
 pub type Wrap = fn(Box<dyn System>) -> Box<dyn System>;
 
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Config {
     /// Shards of one engine, or nodes of a cluster.
     pub width: usize,
@@ -508,14 +567,11 @@ pub struct Config {
 
 impl Config {
     pub fn node(width: usize, mode: Mode) -> Config {
-        let (cluster, depth, spill, wrap) = (false, None, false, None);
+        let config = Config::default();
         Config {
             width,
             mode,
-            cluster,
-            depth,
-            spill,
-            wrap,
+            ..config
         }
     }
 
@@ -564,6 +620,10 @@ impl Config {
         format!("{} {unit} {:?}{depth}{spill}{wrap}", self.width, self.mode)
     }
 }
+
+/// A check of one system against itself: a live slot's snapshot
+/// ([`sorted`]) against the views it shows; `Err` says how they differ.
+pub type Agree = fn(&SlotState, &[Tuple], &[View]) -> Result<(), String>;
 
 /// What snapshots are checked against.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -633,17 +693,19 @@ pub struct Row {
     pub oracle: Oracle,
     /// The seed `Det` configurations replay under.
     pub seed: u64,
+    pub agree: Option<Agree>,
 }
 
 impl Row {
     pub fn new(name: &'static str, workload: Workload, configs: Vec<Config>) -> Row {
-        let (oracle, seed) = (Oracle::Model, 0);
+        let (oracle, seed, agree) = (Oracle::Model, 0, None);
         Row {
             name,
             workload,
             configs,
             oracle,
             seed,
+            agree,
         }
     }
 
@@ -653,6 +715,12 @@ impl Row {
 
     pub fn seed(self, seed: u64) -> Row {
         Row { seed, ..self }
+    }
+
+    /// Check every system that shows views with `agree`, after every event.
+    pub fn agree(self, agree: Agree) -> Row {
+        let agree = Some(agree);
+        Row { agree, ..self }
     }
 
     /// Run every seed's events; on a failure, shrink them and panic with
@@ -796,6 +864,12 @@ impl Row {
                 let mut got = s
                     .observe(&ledger.slots)
                     .map_err(|(check, d)| fail(i, check, d))?;
+                if let (Some(agree), Some(views)) = (self.agree, &got.views) {
+                    for (slot, st) in ledger.slots.iter().filter(|s| !s.1.paused) {
+                        agree(st, &got.slots[slot].rows, views)
+                            .map_err(|d| fail(i, "agree", format!("slot {slot}: {d}")))?;
+                    }
+                }
                 outcomes[i].samples.push(Sample {
                     step,
                     ..std::mem::take(&mut got.sample)
@@ -849,30 +923,14 @@ impl Row {
                 }
                 // Where the engine shows them: its clock against the first
                 // engine's, its views and op profile against the private path.
-                let checks = [
-                    (
-                        "clock",
-                        got.now.is_some(),
-                        format!("{:?}", got.now),
-                        format!("{:?}", seen[n].now),
-                    ),
-                    (
-                        "views",
-                        got.views.is_some(),
-                        format!("{:?}", got.views),
-                        format!("{:?}", private.views),
-                    ),
-                    (
-                        "profile",
-                        got.profile.is_some(),
-                        format!("{:?}", got.profile),
-                        format!("{:?}", private.profile),
-                    ),
-                ];
-                if let Some((check, _, a, b)) =
-                    checks.into_iter().find(|(_, shown, a, b)| *shown && a != b)
-                {
-                    return Err(fail(i, check, format!("{a}\n  vs {b}")));
+                let shown = |s: &Seen| [dbg(&s.now), dbg(&s.views), dbg(&s.profile)];
+                let (g, first, p) = (shown(got), shown(&seen[n]), shown(private));
+                let checks = ["clock", "views", "profile"].into_iter().zip(g);
+                for ((check, a), b) in checks.zip([&first[0], &p[1], &p[2]]) {
+                    if let Some(a) = a.filter(|a| Some(a) != b.as_ref()) {
+                        let b = b.as_deref().unwrap_or("nothing");
+                        return Err(fail(i, check, format!("{a}\n  vs {b}")));
+                    }
                 }
             }
         }
@@ -881,6 +939,11 @@ impl Row {
         }
         Ok(outcomes)
     }
+}
+
+/// An optional value, shown.
+fn dbg<T: fmt::Debug>(v: &Option<T>) -> Option<String> {
+    v.as_ref().map(|v| format!("{v:?}"))
 }
 
 /// Delta debugging: drop chunks of `events` while `fails` holds, down to
@@ -966,6 +1029,8 @@ impl Ledger {
                     slot,
                     SlotState {
                         sql: sql.clone(),
+                        template,
+                        constant,
                         paused,
                         subscribed,
                         held,

@@ -546,7 +546,8 @@ impl System for Private {
                 .collect(),
         );
         let view = |(view, _): &(RecursiveView, SourceId)| {
-            (sorted(view.snapshot()), format!("{:?}", view.stats))
+            let rows = sorted(view.snapshot());
+            (view.name().to_string(), rows, format!("{:?}", view.stats))
         };
         seen.views = Some(self.views.iter().map(view).collect());
         let pipelines = self.slots.values().map(|q| &q.pipeline);

@@ -319,9 +319,10 @@ impl System for EngineSystem {
         let mut views = Vec::new();
         for name in &self.registered {
             let rows = sorted(home.view_snapshot(name).map_err(error)?);
-            views.push((rows, format!("{:?}", home.view_stats(name).map_err(error)?)));
+            let stats = format!("{:?}", home.view_stats(name).map_err(error)?);
+            views.push((name.to_string(), rows, stats));
         }
-        sample.view_rows = views.iter().map(|v| v.0.len()).collect();
+        sample.view_rows = views.iter().map(|v| v.1.len()).collect();
         seen.views = Some(views);
         sample.filter_probes = report.shards.iter().map(|s| s.filter_probes).sum();
         sample.latency_samples = report.ingest_latency().count();

@@ -28,24 +28,17 @@ use std::sync::Arc;
 use common::{seeds, Cell, Config, Row, Weights, Workload, F, I, N, T};
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::{Catalog, SourceKind, SourceStats};
+use smartcis::catalog::{Catalog, SourceStats};
 use smartcis::stream::{
     render_json, render_prometheus, Consistency, EngineConfig, OpKind, Scheduling, ShardedEngine,
 };
 use smartcis::types::rng::seeded;
-use smartcis::types::{DataType, Field, Schema, SimTime, Tuple};
+use smartcis::types::DataType::{Float, Int, Text};
+use smartcis::types::{SimTime, Tuple};
 
 fn catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let schema = Schema::new(vec![
-        Field::new("i", DataType::Int),
-        Field::new("f", DataType::Float),
-        Field::new("t", DataType::Text),
-    ]);
     let stats = SourceStats::stream(8.0).with_distinct("i", 8);
-    cat.register_source("S", schema.into_ref(), SourceKind::Stream, stats)
-        .unwrap();
-    cat
+    common::catalog(&[("S", stats, &[("i", Int), ("f", Float), ("t", Text)])])
 }
 
 /// 2⁵³ + 1: the first integer `f64` cannot hold.
@@ -160,14 +153,8 @@ fn tuple(rng: &mut StdRng, now: u64) -> Tuple {
 
 fn grouped_filters_row() -> Row {
     let mut w = Workload {
-        catalog,
         streams: &[("S", 1)],
-        tables: &[],
-        cells,
         templates: (TEMPLATES.len(), 24),
-        sql,
-        views: &[],
-        opening: Vec::new(),
         push: true,
         weights: Weights {
             ingest: 11,
@@ -182,8 +169,7 @@ fn grouped_filters_row() -> Row {
         events: 70,
         batch: (1, 24),
         jump: (1, 8),
-        leap: 0,
-        awkward: 0,
+        ..Workload::new(catalog, cells, sql)
     };
     // Two registrations of every template.
     let n = TEMPLATES.len();

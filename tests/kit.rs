@@ -11,22 +11,22 @@ use std::sync::Arc;
 use common::*;
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::types::{DataType, Field, Schema};
+use smartcis::catalog::{Catalog, SourceStats};
+use smartcis::types::DataType::{Float, Int};
 
 fn catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let fields = |a: &str, b: &str, t: DataType| {
-        Schema::new(vec![Field::new(a, DataType::Int), Field::new(b, t)]).into_ref()
-    };
-    let stats = SourceStats::stream(2.0);
-    let readings = fields("sensor", "value", DataType::Float);
-    cat.register_source("Readings", readings, SourceKind::Stream, stats)
-        .unwrap();
-    let links = fields("src", "dst", DataType::Int);
-    cat.register_source("Links", links, SourceKind::Table, SourceStats::table(8))
-        .unwrap();
-    cat
+    common::catalog(&[
+        (
+            "Readings",
+            SourceStats::stream(2.0),
+            &[("sensor", Int), ("value", Float)],
+        ),
+        (
+            "Links",
+            SourceStats::table(8),
+            &[("src", Int), ("dst", Int)],
+        ),
+    ])
 }
 
 const TEMPLATES: &[&str] = &[
@@ -56,12 +56,9 @@ fn cells(rng: &mut StdRng, source: &'static str, _: i64) -> Vec<Cell> {
 /// retractions.
 fn workload(templates: usize) -> Workload {
     let mut w = Workload {
-        catalog,
         streams: &[("Readings", 1)],
         tables: &["Links"],
-        cells,
         templates: (templates, 4),
-        sql: |t, c| TEMPLATES[t].replace("{c}", &(10 * c).to_string()),
         views: VIEWS,
         opening: vec![RegisterView { view: 0 }],
         push: true,
@@ -79,11 +76,12 @@ fn workload(templates: usize) -> Workload {
             read: 1,
             ..Weights::default()
         },
-        events: 60,
         batch: (1, 6),
         jump: (1, 8),
-        leap: 0,
         awkward: 10,
+        ..Workload::new(catalog, cells, |t, c| {
+            TEMPLATES[t].replace("{c}", &(10 * c).to_string())
+        })
     };
     w.opening
         .extend(w.register_all((0..templates).map(|t| (t, t % 4))));

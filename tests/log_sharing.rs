@@ -23,37 +23,30 @@ use std::sync::Arc;
 use common::{seeds, Cell, Config, Mode, Row, Weights, Workload, I, T};
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::{Catalog, SourceKind, SourceStats};
+use smartcis::catalog::{Catalog, SourceStats};
 use smartcis::stream::state::ColumnarDeque;
-use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
+use smartcis::types::DataType::{Int, Text};
+use smartcis::types::{SimTime, Tuple, Value};
 
 const SOURCES: [&str; 2] = ["Readings", "Alarms"];
 
 fn catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let field = Field::new;
-    let readings = vec![
-        field("sensor", DataType::Int),
-        field("site", DataType::Text),
-        field("value", DataType::Int),
-    ];
-    let alarms = vec![
-        field("sensor", DataType::Int),
-        field("level", DataType::Int),
-    ];
-    for (name, fields) in SOURCES.into_iter().zip([readings, alarms]) {
-        let stats = SourceStats::stream(4.0).with_distinct("sensor", 6);
-        let schema = Schema::new(fields).into_ref();
-        cat.register_source(name, schema, SourceKind::Stream, stats)
-            .unwrap();
-    }
-    cat
+    let stream = || SourceStats::stream(4.0).with_distinct("sensor", 6);
+    common::catalog(&[
+        (
+            "Readings",
+            stream(),
+            &[("sensor", Int), ("site", Text), ("value", Int)],
+        ),
+        ("Alarms", stream(), &[("sensor", Int), ("level", Int)]),
+    ])
 }
 
 /// Windows of every spec over both streams, plus a join and a
 /// self-join. The four long windows (150 s, 800 rows, 100 s, 120 s) are
 /// registered first, where hash placement puts them on different shards
-/// at 2 and at 4 shards, so several shards' logs hold the same rows.
+/// at 2 and at 4 shards, so several shards' logs hold the same rows; the
+/// churn leaves them there ([`LONG`]).
 const PLANS: &[&str] = &[
     "select r.sensor, count(*), sum(r.value) from Readings r [range 150 seconds] \
      group by r.sensor",
@@ -68,6 +61,9 @@ const PLANS: &[&str] = &[
      where a.sensor = b.sensor",
     "select r.sensor, r.site from Readings r where r.sensor = 2 ^ r.value < 300",
 ];
+
+/// The long windows' templates, registered at the same slots.
+const LONG: &[usize] = &[0, 2, 3, 5];
 
 /// The one plan over `Alarms`: registered only by the churn, so its logs
 /// start mid-stream.
@@ -107,15 +103,9 @@ fn active_segment_bytes() -> usize {
 
 fn log_sharing_row() -> Row {
     let mut w = Workload {
-        catalog,
         streams: &[("Readings", 4), ("Alarms", 1)],
-        tables: &[],
-        cells,
         templates: (PLANS.len(), 1),
-        sql: |t, _| PLANS[t].into(),
-        views: &[],
-        opening: Vec::new(),
-        push: false,
+        keep: LONG,
         weights: Weights {
             ingest: 20,
             heartbeat: 2,
@@ -130,7 +120,7 @@ fn log_sharing_row() -> Row {
         batch: (1, 70),
         jump: (1, 12),
         leap: 20,
-        awkward: 0,
+        ..Workload::new(catalog, cells, |t, _| PLANS[t].into())
     };
     w.opening = w.every_template();
     w.opening

@@ -15,42 +15,26 @@ use std::sync::Arc;
 use common::{seed_base, seeds, Cell, Config, Mode, Row, Weights, Workload, F, I};
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::{Catalog, SourceKind, SourceStats};
+use smartcis::catalog::{Catalog, SourceStats};
 use smartcis::stream::{
     render_json, render_prometheus, Consistency, EngineConfig, QueryHandle, QuerySpec, Scheduling,
     ShardedEngine,
 };
-use smartcis::types::{DataType, Field, Schema, SimTime, Tuple, Value};
+use smartcis::types::DataType::{Float, Int};
+use smartcis::types::{SimTime, Tuple, Value};
 
 fn catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let readings = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("value", DataType::Float),
+    let stream = |rate| SourceStats::stream(rate).with_distinct("sensor", 4);
+    // `Alarms` is scanned only by the log-sharing plans' stream ⋈ stream
+    // join.
+    common::catalog(&[
+        (
+            "Readings",
+            stream(2.0),
+            &[("sensor", Int), ("value", Float)],
+        ),
+        ("Alarms", stream(0.5), &[("sensor", Int), ("level", Int)]),
     ])
-    .into_ref();
-    cat.register_source(
-        "Readings",
-        readings,
-        SourceKind::Stream,
-        SourceStats::stream(2.0).with_distinct("sensor", 4),
-    )
-    .unwrap();
-    // A second stream, scanned only by the log-sharing plans' stream ⋈
-    // stream join.
-    let alarms = Schema::new(vec![
-        Field::new("sensor", DataType::Int),
-        Field::new("level", DataType::Int),
-    ])
-    .into_ref();
-    cat.register_source(
-        "Alarms",
-        alarms,
-        SourceKind::Stream,
-        SourceStats::stream(0.5).with_distinct("sensor", 4),
-    )
-    .unwrap();
-    cat
 }
 
 fn value_rows(rows: &[Tuple]) -> Vec<Vec<Value>> {
@@ -114,21 +98,13 @@ fn reading_cells(rng: &mut StdRng, source: &'static str, _: i64) -> Vec<Cell> {
 /// registered once up front and then churned.
 fn churn(templates: usize, weights: Weights) -> Workload {
     let mut w = Workload {
-        catalog,
         streams: &[("Readings", 1)],
-        tables: &[],
-        cells: reading_cells,
         templates: (templates, 1),
-        sql: |t, _| PLANS.iter().chain(LOG_PLANS).nth(t).unwrap().to_string(),
-        views: &[],
-        opening: Vec::new(),
         push: true,
         weights,
-        events: 60,
-        batch: (1, 8),
-        jump: (1, 15),
-        leap: 0,
-        awkward: 0,
+        ..Workload::new(catalog, reading_cells, |t, _| {
+            PLANS.iter().chain(LOG_PLANS).nth(t).unwrap().to_string()
+        })
     };
     w.opening = w.every_template();
     w
@@ -149,6 +125,16 @@ fn lifecycle(migrate: u32) -> Weights {
     }
 }
 
+/// One shard inline; two and four on the worker pool, the default of a
+/// multi-shard engine.
+fn widths() -> Vec<Config> {
+    let pool = [2, 4].map(|n| Config::node(n, Mode::Pool));
+    [Config::node(1, Mode::Seq)]
+        .into_iter()
+        .chain(pool)
+        .collect()
+}
+
 /// Property: a `ShardedEngine` with N ∈ {1, 2, 4} shards equals the
 /// model after every event of a randomized batch/heartbeat workload over
 /// the mixed plan set.
@@ -166,12 +152,7 @@ fn shard_count_row() -> Row {
     let mut w = churn(PLANS.len(), weights);
     (w.push, w.events) = (false, 25);
     w.opening = w.every_template();
-    let configs = vec![
-        Config::node(1, Mode::Seq),
-        Config::node(2, Mode::Pool),
-        Config::node(4, Mode::Pool),
-    ];
-    Row::new("shard_count_row()", w, configs)
+    Row::new("shard_count_row()", w, widths())
 }
 
 /// Property: shard-count invariance holds under interleaved register /
@@ -190,8 +171,7 @@ fn lifecycle_row() -> Row {
         read: 1,
         ..lifecycle(0)
     };
-    let configs = [1, 2, 4].map(|n| Config::node(n, Mode::Seq)).to_vec();
-    Row::new("lifecycle_row()", churn(PLANS.len(), weights), configs)
+    Row::new("lifecycle_row()", churn(PLANS.len(), weights), widths())
 }
 
 /// Property: live migration is invisible. Forced migrations across
@@ -228,8 +208,11 @@ fn migration_churn_shard_invariance_with_push_subscriptions() {
 }
 
 fn migration_row() -> Row {
-    let configs = [1, 2, 4].map(|n| Config::node(n, Mode::Seq)).to_vec();
-    Row::new("migration_row()", churn(PLANS.len(), lifecycle(4)), configs)
+    Row::new(
+        "migration_row()",
+        churn(PLANS.len(), lifecycle(4)),
+        widths(),
+    )
 }
 
 /// Property: scheduling determinism. `Deterministic(seed)` defers
@@ -343,8 +326,8 @@ fn spill_row() -> Row {
     (w.events, w.batch) = (50, (1, 30));
     w.opening = w.every_template();
     let configs = vec![
-        Config::node(2, Mode::Seq),
-        Config::node(2, Mode::Seq).spill(),
+        Config::node(2, Mode::Pool),
+        Config::node(2, Mode::Pool).spill(),
     ];
     Row::new("spill_row()", w, configs)
 }
@@ -859,23 +842,12 @@ fn byte_aware_rebalancer_drains_memory_fat_shard() {
 /// The join row's sources: two streams whose keys meet across numeric
 /// types and sometimes hold NULL, and a retained table.
 fn join_catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let schema = |key: DataType| {
-        Schema::new(vec![Field::new("k", key), Field::new("v", DataType::Int)]).into_ref()
-    };
-    let stream = || (SourceKind::Stream, SourceStats::stream(1.0));
-    for (name, key, (kind, stats)) in [
-        ("A", DataType::Int, stream()),
-        ("B", DataType::Float, stream()),
-        (
-            "T",
-            DataType::Int,
-            (SourceKind::Table, SourceStats::table(8)),
-        ),
-    ] {
-        cat.register_source(name, schema(key), kind, stats).unwrap();
-    }
-    cat
+    let stream = SourceStats::stream(1.0);
+    common::catalog(&[
+        ("A", stream.clone(), &[("k", Int), ("v", Int)]),
+        ("B", stream, &[("k", Float), ("v", Int)]),
+        ("T", SourceStats::table(8), &[("k", Int), ("v", Int)]),
+    ])
 }
 
 /// `rows 1` stands in for an empty window (SQL has no `rows 0`).
@@ -939,15 +911,9 @@ fn join_cells(rng: &mut StdRng, source: &'static str, _: i64) -> Vec<Cell> {
 /// byte for byte its longest private window — neither does the engine.
 fn indexed_join_row() -> Row {
     let mut w = Workload {
-        catalog: join_catalog,
         streams: &[("A", 2), ("B", 1)],
         tables: &["T"],
-        cells: join_cells,
         templates: (78, 61),
-        sql: join_sql,
-        views: &[],
-        opening: Vec::new(),
-        push: false,
         weights: Weights {
             ingest: 12,
             table: 4,
@@ -963,8 +929,8 @@ fn indexed_join_row() -> Row {
         events: 120,
         batch: (0, 10),
         jump: (0, 6),
-        leap: 0,
         awkward: 40,
+        ..Workload::new(join_catalog, join_cells, join_sql)
     };
     w.opening = w.register_all(PINNED);
     let mut configs = Config::matrix(&[2]);

@@ -13,6 +13,10 @@
 //!   subscription's accumulated deltas equal its snapshot;
 //! * every view's materialization is equal, and so are its maintenance
 //!   statistics;
+//! * each system agrees with itself: a live filter or count over a view
+//!   equals that view's own rows (the kit's `agree` check), so a view
+//!   whose emitted deltas drift from its materialization fails even
+//!   where the private path drifts alike;
 //! * each query's counters and the op profile are equal;
 //! * the executor has one cell per shard, none queued past its depth.
 
@@ -20,37 +24,25 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{seeds, Cell, Config, Oracle, Row, Weights, Workload, I, T};
+use common::{seeds, Cell, Config, Oracle, Row, SlotState, View, Weights, Workload, I, T};
 use rand::rngs::StdRng;
 use rand::Rng;
-use smartcis::catalog::{Catalog, SourceKind, SourceStats};
-use smartcis::types::{DataType, Field, Schema};
+use smartcis::catalog::{Catalog, SourceStats};
+use smartcis::types::DataType::{Int, Text};
+use smartcis::types::{Tuple, Value};
 
 /// The queue depth every engine runs at: small, so `Pool` backpressure
 /// and `Deterministic` inline draining both engage.
 const DEPTH: usize = 2;
 
 fn catalog() -> Arc<Catalog> {
-    let cat = Catalog::shared();
-    let edges = || {
-        let fields = vec![
-            Field::new("src", DataType::Text),
-            Field::new("dst", DataType::Text),
-        ];
-        Schema::new(fields).into_ref()
-    };
-    let stream = SourceStats::stream(4.0);
-    cat.register_source("Moves", edges(), SourceKind::Stream, stream.clone())
-        .unwrap();
-    cat.register_source("Links", edges(), SourceKind::Table, SourceStats::table(16))
-        .unwrap();
-    let pings = Schema::new(vec![
-        Field::new("node", DataType::Text),
-        Field::new("level", DataType::Int),
-    ]);
-    cat.register_source("Pings", pings.into_ref(), SourceKind::Stream, stream)
-        .unwrap();
-    cat
+    let edges: &[_] = &[("src", Text), ("dst", Text)];
+    let stream = || SourceStats::stream(4.0);
+    common::catalog(&[
+        ("Moves", stream(), edges),
+        ("Links", SourceStats::table(16), edges),
+        ("Pings", stream(), &[("node", Text), ("level", Int)]),
+    ])
 }
 
 /// The views, in registration order: `Recent` over a windowed stream
@@ -89,6 +81,32 @@ fn sql(t: usize, c: usize) -> String {
     }
 }
 
+/// A filter over a view holds the view's rows leaving its node; a count
+/// holds how many rows the view has.
+fn agree(slot: &SlotState, rows: &[Tuple], views: &[View]) -> Result<(), String> {
+    let name = VIEWS[slot.template % 2].0;
+    let held = &views
+        .iter()
+        .find(|v| v.0 == name)
+        .expect("registered first")
+        .1;
+    let node = Value::Text(NODES[slot.constant].into());
+    let want: Vec<Vec<Value>> = match slot.template / 2 {
+        0 => held
+            .iter()
+            .filter(|t| *t.get(0) == node)
+            .map(|t| t.values().to_vec())
+            .collect(),
+        2 => vec![vec![Value::Int(held.len() as i64)]],
+        _ => return Ok(()),
+    };
+    let got: Vec<Vec<Value>> = rows.iter().map(|t| t.values().to_vec()).collect();
+    match got == want {
+        true => Ok(()),
+        false => Err(format!("`{}` shows {got:?}, its view {want:?}", slot.sql)),
+    }
+}
+
 fn cells(rng: &mut StdRng, source: &'static str, _: i64) -> Vec<Cell> {
     let node = |rng: &mut StdRng| T(NODES[rng.gen_range(0..5usize)]);
     match source {
@@ -99,12 +117,9 @@ fn cells(rng: &mut StdRng, source: &'static str, _: i64) -> Vec<Cell> {
 
 fn views_row() -> Row {
     let mut w = Workload {
-        catalog,
         streams: &[("Moves", 5), ("Pings", 2)],
         tables: &["Links"],
-        cells,
         templates: (6, NODES.len()),
-        sql,
         views: VIEWS,
         opening: vec![common::RegisterView { view: 0 }],
         push: true,
@@ -123,12 +138,12 @@ fn views_row() -> Row {
         batch: (1, 5),
         // Up to two and a half window widths at once.
         jump: (1, 26),
-        leap: 0,
-        awkward: 0,
+        ..Workload::new(catalog, cells, sql)
     };
     w.opening.extend(w.register_all([(0, 1), (2, 3), (4, 0)]));
     let configs = Config::matrix(&[1, 2]).into_iter().map(|c| c.depth(DEPTH));
-    Row::new("views_row()", w, configs.collect()).oracle(Oracle::Private)
+    let row = Row::new("views_row()", w, configs.collect());
+    row.oracle(Oracle::Private).agree(agree)
 }
 
 #[test]
