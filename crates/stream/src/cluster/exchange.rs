@@ -1,13 +1,14 @@
 //! Exchange operators: the ship and receive sides of cross-node
 //! dataflow.
 //!
-//! The egress side serializes a source's tuples or signed deltas into
-//! one framed wire message ([`WireFrame::Deltas`]); the ingress side
-//! decodes a received frame back into a [`DeltaBatch`] that re-enters
-//! the remote node's *normal* ingest path (`ShardedEngine::on_deltas`)
-//! — a shipped batch is indistinguishable from a local one past the
-//! link, so every downstream invariant (routing refcounts, retained
-//! tables, push flushing, watermarks) holds unchanged.
+//! The egress side serializes a source's batch ([`WireFrame::Batch`],
+//! numbered in its source's cluster-wide sequence) or signed deltas
+//! ([`WireFrame::Deltas`]) into one framed wire message; the ingress side
+//! decodes a received frame back into an [`Arrival`] that re-enters the
+//! remote node's *normal* ingest path as the same kind of payload — a
+//! shipped batch is indistinguishable from a local one past the link, so
+//! every downstream invariant (routing refcounts, retained tables, push
+//! flushing, watermarks, log row ids) holds unchanged.
 //!
 //! [`node_of`] / [`partition`] are the hash-exchange half: key-column
 //! hashing routes tuples to *nodes*, so a repartitioned join's
@@ -17,26 +18,30 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use aspen_netsim::frames::{WireDelta, WireFrame};
+use aspen_netsim::frames::{WireDelta, WireFrame, WireRow};
 use aspen_types::{AspenError, Result, SimTime, SourceId, Tuple};
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::trace::TraceCtx;
 
-/// Serialize a raw tuple batch into one `Deltas` frame (weight +1 per
-/// tuple — plain insertions).
-pub fn egress_batch(src: SourceId, tuples: &[Tuple]) -> WireFrame {
-    WireFrame::Deltas {
+/// Serialize a source batch into one `Batch` frame, its rows numbered
+/// from `first` in the source's sequence (`None`: the receiver's).
+pub fn egress_numbered(src: SourceId, first: Option<u64>, tuples: &[Tuple]) -> WireFrame {
+    let row = |t: &Tuple| WireRow {
+        values: t.values().to_vec(),
+        timestamp_us: t.timestamp().as_micros(),
+    };
+    let rows = tuples.iter().map(row).collect();
+    WireFrame::Batch {
         source: src.0,
-        deltas: tuples
-            .iter()
-            .map(|t| WireDelta {
-                values: t.values().to_vec(),
-                timestamp_us: t.timestamp().as_micros(),
-                weight: 1,
-            })
-            .collect(),
+        first,
+        rows,
     }
+}
+
+/// [`egress_numbered`] for the receiver to number.
+pub fn egress_batch(src: SourceId, tuples: &[Tuple]) -> WireFrame {
+    egress_numbered(src, None, tuples)
 }
 
 /// Serialize a signed delta batch into one `Deltas` frame (retractions
@@ -55,68 +60,86 @@ pub fn egress_deltas(src: SourceId, deltas: &DeltaBatch) -> WireFrame {
     }
 }
 
-/// Attach a trace context to an egress `Deltas` frame, lifting it to
-/// `TracedDeltas` — the context travels inside the encoded frame, so
-/// wire accounting covers it. Non-delta frames pass through untouched.
+/// Wrap an egress data frame in a trace context — it travels inside the
+/// encoded frame, so wire accounting covers it.
 pub fn with_trace(frame: WireFrame, ctx: &TraceCtx) -> WireFrame {
-    match frame {
-        WireFrame::Deltas { source, deltas } => WireFrame::TracedDeltas {
-            source,
-            origin: ctx.origin,
-            batch: ctx.batch,
-            admit_us: ctx.admit_us,
-            deltas,
-        },
-        other => other,
+    let (origin, batch, admit_us, frame) = (ctx.origin, ctx.batch, ctx.admit_us, Box::new(frame));
+    WireFrame::Traced {
+        origin,
+        batch,
+        admit_us,
+        frame,
     }
 }
 
-/// Decode a received `Deltas` frame back into its source and signed
-/// batch, ready for re-admission through the remote node's ingest.
-pub fn ingress(frame: WireFrame) -> Result<(SourceId, DeltaBatch)> {
-    let WireFrame::Deltas { source, deltas } = frame else {
-        return Err(AspenError::Execution(
-            "exchange ingress expects a Deltas frame".into(),
-        ));
-    };
-    Ok((SourceId(source), rebuild(deltas)))
+/// What a data frame delivers: a (numbered) source batch, or deltas.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrival {
+    Batch {
+        first: Option<u64>,
+        tuples: Vec<Tuple>,
+    },
+    Deltas(DeltaBatch),
 }
 
-/// [`ingress`] accepting both plain and traced delta frames; a traced
-/// frame additionally yields the trace context it carried.
-pub fn ingress_traced(frame: WireFrame) -> Result<(SourceId, DeltaBatch, Option<TraceCtx>)> {
-    match frame {
-        WireFrame::Deltas { source, deltas } => Ok((SourceId(source), rebuild(deltas), None)),
-        WireFrame::TracedDeltas {
-            source,
+impl Arrival {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Arrival::Batch { tuples, .. } => tuples.len(),
+            Arrival::Deltas(deltas) => deltas.len(),
+        }
+    }
+}
+
+/// Decode a received data frame into its source, what it delivers, and
+/// any trace context it carried, for the remote node's ingest.
+pub fn ingress(frame: WireFrame) -> Result<(SourceId, Arrival, Option<TraceCtx>)> {
+    let (frame, ctx) = match frame {
+        WireFrame::Traced {
             origin,
             batch,
             admit_us,
-            deltas,
-        } => Ok((
-            SourceId(source),
-            rebuild(deltas),
+            frame,
+        } => (
+            *frame,
             Some(TraceCtx {
                 origin,
                 batch,
                 admit_us,
             }),
-        )),
-        _ => Err(AspenError::Execution(
-            "exchange ingress expects a Deltas or TracedDeltas frame".into(),
-        )),
-    }
-}
-
-fn rebuild(deltas: Vec<WireDelta>) -> DeltaBatch {
-    let mut batch = DeltaBatch::with_capacity(deltas.len());
-    for d in deltas {
-        batch.push(Delta {
-            tuple: Tuple::new(d.values, SimTime::from_micros(d.timestamp_us)),
-            sign: d.weight,
-        });
-    }
-    batch
+        ),
+        frame => (frame, None),
+    };
+    let at = |t: u64| SimTime::from_micros(t);
+    let (source, arrival) = match frame {
+        WireFrame::Batch {
+            source,
+            first,
+            rows,
+        } => {
+            let tuples = rows
+                .into_iter()
+                .map(|r| Tuple::new(r.values, at(r.timestamp_us)));
+            let tuples = tuples.collect();
+            (source, Arrival::Batch { first, tuples })
+        }
+        WireFrame::Deltas { source, deltas } => {
+            let mut batch = DeltaBatch::with_capacity(deltas.len());
+            for d in deltas {
+                let tuple = Tuple::new(d.values, at(d.timestamp_us));
+                batch.push(Delta {
+                    tuple,
+                    sign: d.weight,
+                });
+            }
+            (source, Arrival::Deltas(batch))
+        }
+        _ => {
+            let refused = "exchange ingress expects a data frame";
+            return Err(AspenError::Execution(refused.into()));
+        }
+    };
+    Ok((SourceId(source), arrival, ctx))
 }
 
 /// Which node a tuple's key columns hash to (`DefaultHasher` over the
@@ -150,6 +173,11 @@ mod tests {
         Tuple::new(vec![Value::Int(k), Value::Int(v)], SimTime::from_micros(us))
     }
 
+    /// Through real bytes, not just the frame value.
+    fn wire(frame: WireFrame) -> (SourceId, Arrival, Option<TraceCtx>) {
+        ingress(decode_frame(encode_frame(&frame)).unwrap()).unwrap()
+    }
+
     #[test]
     fn egress_ingress_round_trips_tuples_and_signs() {
         let src = SourceId(9);
@@ -160,30 +188,26 @@ mod tests {
             tuple: t(3, 30, 11),
             sign: 4,
         });
-        // Through real bytes, not just the frame value.
-        let wire = encode_frame(&egress_deltas(src, &batch));
-        let (got_src, got) = ingress(decode_frame(wire).unwrap()).unwrap();
+        let (got_src, got, _) = wire(egress_deltas(src, &batch));
         assert_eq!(got_src, src);
-        assert_eq!(got.as_slice(), batch.as_slice());
+        assert_eq!(got, Arrival::Deltas(batch));
     }
 
     #[test]
     fn egress_batch_is_all_insertions() {
         let tuples = vec![t(1, 2, 3), t(4, 5, 6)];
-        let wire = encode_frame(&egress_batch(SourceId(0), &tuples));
-        let (_, got) = ingress(decode_frame(wire).unwrap()).unwrap();
+        for first in [None, Some(0), Some(4_000_000)] {
+            let (_, got, _) = wire(egress_numbered(SourceId(0), first, &tuples));
+            let tuples = tuples.clone();
+            assert_eq!(got, Arrival::Batch { first, tuples });
+        }
+        let (_, got, _) = wire(egress_batch(SourceId(0), &tuples));
         assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|d| d.sign == 1));
-        assert_eq!(
-            got.iter().map(|d| d.tuple.clone()).collect::<Vec<_>>(),
-            tuples
-        );
     }
 
     #[test]
     fn ingress_rejects_non_delta_frames() {
         assert!(ingress(WireFrame::Heartbeat { now_us: 1 }).is_err());
-        assert!(ingress_traced(WireFrame::Heartbeat { now_us: 1 }).is_err());
     }
 
     #[test]
@@ -196,18 +220,21 @@ mod tests {
         let mut batch = DeltaBatch::new();
         batch.push_insert(t(1, 10, 5));
         batch.push_retract(t(2, 20, 7));
-        let wire = encode_frame(&with_trace(egress_deltas(SourceId(6), &batch), &ctx));
-        let (src, got, carried) = ingress_traced(decode_frame(wire).unwrap()).unwrap();
+        let (src, got, carried) = wire(with_trace(egress_deltas(SourceId(6), &batch), &ctx));
         assert_eq!(src, SourceId(6));
-        assert_eq!(got.as_slice(), batch.as_slice());
+        assert_eq!(got, Arrival::Deltas(batch.clone()));
         assert_eq!(carried, Some(ctx));
-        // A plain frame decodes with no context; the strict `ingress`
-        // refuses a traced frame (callers opt in explicitly).
-        let plain = encode_frame(&egress_deltas(SourceId(6), &batch));
-        let (_, _, none) = ingress_traced(decode_frame(plain).unwrap()).unwrap();
+        let tuples = vec![t(1, 10, 5)];
+        let numbered = egress_numbered(SourceId(6), Some(12), &tuples);
+        let (_, got, carried) = wire(with_trace(numbered, &ctx));
+        let first = Some(12);
+        assert_eq!(
+            (got, carried),
+            (Arrival::Batch { first, tuples }, Some(ctx))
+        );
+        // A plain frame decodes with no context.
+        let (_, _, none) = wire(egress_deltas(SourceId(6), &batch));
         assert!(none.is_none());
-        let traced = encode_frame(&with_trace(egress_deltas(SourceId(6), &batch), &ctx));
-        assert!(ingress(decode_frame(traced).unwrap()).is_err());
     }
 
     #[test]

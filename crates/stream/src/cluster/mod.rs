@@ -34,22 +34,25 @@
 //! broadcast to every node so each node's retained-table replay stays
 //! complete (late registration and resume work anywhere); stream-kind
 //! batches ship only to nodes with live subscribers of that source.
+//! The coordinator numbers each stream's batches in one cluster-wide
+//! arrival sequence, which the home admits at and every shipping frame
+//! carries, so a log row has one id on every node.
 //! [`Cluster::register_hash_partitioned`] installs the same plan on
 //! every node and marks its sources *exchanged*: their batches are
 //! hash-scattered by key columns ([`exchange::partition`]), so equal
 //! join keys always meet on one node and the merged member snapshots
-//! equal the monolithic result.
+//! equal the monolithic result; each node numbers its own shares.
 //!
 //! ## Cross-node live migration
 //!
 //! [`Cluster::migrate`] generalizes intra-engine shard migration
-//! across nodes: the recipient drains first (its one fallible step),
-//! then the donor engine *extracts* the live runtime — window state,
-//! sink ledger, push subscription, log cursors already demoted to
-//! private windows — and the recipient routes it in exactly as a
-//! shard-to-shard move does, with no replay and no snapshot
-//! discontinuity. The handoff is charged as a control
-//! frame on the donor→recipient link. A cluster-level
+//! across nodes by log position: the recipient drains first, the donor
+//! *extracts* the live runtime — operator state, sink ledger, push
+//! subscription, its cursors' positions — with the window rows below
+//! the recipient's log floors (shipped as a data frame, usually none),
+//! and the recipient routes it in exactly as a shard-to-shard move
+//! does, with no replay and no snapshot discontinuity. The handoff is
+//! charged as a control frame on the donor→recipient link. A cluster-level
 //! [`RebalanceController`] can drive this automatically from the
 //! per-node [`TelemetryReport`] assembled by
 //! [`Cluster::cluster_report`].
@@ -63,7 +66,7 @@ use std::sync::Arc;
 use aspen_catalog::{Catalog, SourceKind};
 use aspen_netsim::frames::{decode_frame, encode_frame, WireFrame};
 use aspen_optimizer::PlanCacheStats;
-use aspen_types::{AspenError, QueryId, Result, SimTime, SourceId, Tuple};
+use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple};
 
 use crate::delta::DeltaBatch;
 use crate::rebalance::{RebalanceConfig, RebalanceController};
@@ -74,8 +77,13 @@ use crate::session::{
 use crate::shard::{Admission, QueryHandle, ShardedEngine};
 use crate::telemetry::TelemetryReport;
 use crate::trace::{now_us, LatencyHistogram, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
+use exchange::Arrival;
 
 pub use link::{LanModel, WireStats};
+
+/// A frame carried over a link: the hop's latency, what it delivers, and
+/// the trace context it carried.
+type Carried = (SimDuration, Arrival, Option<TraceCtx>);
 
 /// Control-frame opcode: a live query runtime moved between nodes.
 const CTRL_MIGRATE: u8 = 1;
@@ -184,6 +192,8 @@ pub struct Cluster {
     next_group: usize,
     /// Sources whose ingest is hash-scattered, and to which group.
     exchanged: HashMap<SourceId, usize>,
+    /// Each non-exchanged stream's next cluster-wide arrival number.
+    arrivals: HashMap<SourceId, u64>,
     rebalancer: Option<RebalanceController>,
     boundaries: u64,
     migrations: u64,
@@ -233,6 +243,7 @@ impl Cluster {
             groups: HashMap::new(),
             next_group: 0,
             exchanged: HashMap::new(),
+            arrivals: HashMap::new(),
             rebalancer: config.rebalance.map(RebalanceController::new),
             boundaries: 0,
             migrations: 0,
@@ -674,16 +685,16 @@ impl Cluster {
     // Cross-node migration
     // -----------------------------------------------------------------
 
-    /// Move a live query between nodes with no replay: the donor
-    /// extracts the runtime (demoting its log cursors to private
-    /// windows first, exactly as intra-engine migration does),
-    /// the recipient routes it in, and the handoff is charged as a
-    /// control frame on the link. Window contents, the sink's result
-    /// ledger, and an attached push subscription move wholesale —
-    /// snapshots, push accumulation, and total ops are unchanged by the
-    /// move. Both fallible drains run before the donor lifts anything
-    /// and landing cannot fail, so a migration that returns `Err` left
-    /// the query registered, on the donor, untouched.
+    /// Move a live query between nodes with no replay, by log position:
+    /// the rows its windows hold below the recipient's log floors cross
+    /// the link as data frames (counted in [`Cluster::exchange_tuples`]),
+    /// the donor extracts the runtime and the recipient routes it in, its
+    /// cursors rejoining its logs; the handoff is a control frame.
+    /// Snapshots, push accumulation, and total ops are unchanged by the
+    /// move. A query over a view or an exchanged source (each node numbers
+    /// its own share) is refused. Every fallible step runs before the
+    /// donor lifts anything and landing cannot fail, so a migration that
+    /// returns `Err` left the query registered, on the donor, untouched.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         if to >= self.nodes.len() {
             return Err(AspenError::InvalidArgument(format!(
@@ -695,11 +706,24 @@ impl Cluster {
         if from == to {
             return Ok(());
         }
-        if self.queries[&q.0].on_view {
+        let cq = &self.queries[&q.0];
+        if cq.on_view {
             return Err(view_elsewhere());
         }
-        self.nodes[to].drain_for_install()?;
-        let detached = self.nodes[from].extract_query(local)?;
+        if let Some(src) = cq.sources.iter().find(|s| self.exchanged.contains_key(s)) {
+            let refused = format!("query {} reads {src:?}, a hash-exchanged source", q.0);
+            return Err(AspenError::InvalidArgument(refused));
+        }
+        let floors = self.nodes[to].drain_for_install()?;
+        let mut backfill = self.nodes[from].lacking(local, &floors)?;
+        for (src, first, rows) in &mut backfill {
+            let frame = exchange::egress_numbered(*src, Some(*first), rows);
+            let (_, arrival, _) = self.carry((from, to), frame, rows.len() as u64)?;
+            if let Arrival::Batch { tuples, .. } = arrival {
+                *rows = tuples;
+            }
+        }
+        let detached = self.nodes[from].extract_with(local, backfill);
         let new_local = self.nodes[to].install_query(detached);
         let frame = WireFrame::Control {
             op: CTRL_MIGRATE,
@@ -766,8 +790,13 @@ impl Cluster {
         let mut served = Ok(());
         match (keys.map(|gid| self.groups[gid].keys[&src].clone()), payload) {
             (None, whole) => {
+                let mut at = None;
+                if let (Admission::Batch(tuples), true) = (whole, meta.kind.is_stream_like()) {
+                    let next = self.arrivals.entry(src).or_insert(0);
+                    at = Some(std::mem::replace(next, *next + tuples.len() as u64));
+                }
                 for to in self.ingest_targets(src, &meta.kind, home) {
-                    let run = self.deliver(source_name, src, home, to, whole, trace);
+                    let run = self.deliver(source_name, (src, home, to), whole, trace, at);
                     served = served.and(run);
                 }
             }
@@ -775,7 +804,7 @@ impl Cluster {
                 let shares = exchange::partition(tuples, &keys, n);
                 for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
                     let share = Admission::Batch(share);
-                    let run = self.deliver(source_name, src, home, to, share, trace);
+                    let run = self.deliver(source_name, (src, home, to), share, trace, None);
                     served = served.and(run);
                 }
             }
@@ -786,7 +815,7 @@ impl Cluster {
                 }
                 for (to, share) in shares.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
                     let share = Admission::Deltas(share);
-                    let run = self.deliver(source_name, src, home, to, share, trace);
+                    let run = self.deliver(source_name, (src, home, to), share, trace, None);
                     served = served.and(run);
                 }
             }
@@ -794,21 +823,20 @@ impl Cluster {
         served.and(self.finish_boundary())
     }
 
-    /// Hand one node its share: admitted in place at the home, shipped
-    /// over the link anywhere else.
+    /// Hand node `to` its share of a batch of `src` from `home`, numbered
+    /// `at` on: admitted in place at the home, shipped anywhere else.
     fn deliver(
         &mut self,
         source_name: &str,
-        src: SourceId,
-        home: usize,
-        to: usize,
+        (src, home, to): (SourceId, usize, usize),
         share: Admission<'_>,
         trace: TraceCtx,
+        at: Option<u64>,
     ) -> Result<()> {
         if to == home {
-            self.nodes[home].admit(source_name, share, Some(trace))
+            self.nodes[home].admit(source_name, share, Some(trace), at)
         } else {
-            self.ship(source_name, src, home, to, share, trace)
+            self.ship(source_name, src, (home, to), share, trace, at)
         }
     }
 
@@ -852,39 +880,35 @@ impl Cluster {
 
     /// One cross-node hop, for real: serialize the payload into a frame
     /// through the netsim codec, charge the encoded length against the
-    /// directed link, decode on the far side, and re-admit the decoded
-    /// deltas through the recipient's normal ingest.
+    /// directed link, decode on the far side, and re-admit what the frame
+    /// delivers through the recipient's normal ingest.
     ///
-    /// Re-admission preserves the sender's [`Admission`] variant: a
-    /// shipped source batch re-enters as a batch, so the remote scan's
-    /// *window stage* buffers and later expires the tuples exactly as
-    /// the home node's does, while signed deltas re-enter as deltas,
-    /// which bypass windowing — the same semantics the local signed
-    /// ingest had at the home. Without this split a shipped stream batch
-    /// would never leave its remote windows, and a cluster snapshot
-    /// would diverge from the single-node result as soon as a window
-    /// rolled over.
+    /// Re-admission preserves the payload's kind, which the frame says: a
+    /// shipped source batch re-enters as a batch at its cluster-wide
+    /// number, so the remote log windows, numbers and later expires the
+    /// tuples exactly as the home node's does, while signed deltas
+    /// re-enter as deltas, which bypass windowing — the same semantics
+    /// the local signed ingest had at the home. Without this split a
+    /// shipped stream batch would never leave its remote windows, and a
+    /// cluster snapshot would diverge from the single-node result as soon
+    /// as a window rolled over.
     fn ship(
         &mut self,
         source_name: &str,
         src: SourceId,
-        from: usize,
-        to: usize,
+        (from, to): (usize, usize),
         payload: Admission<'_>,
         trace: TraceCtx,
+        at: Option<u64>,
     ) -> Result<()> {
         let frame = match payload {
-            Admission::Batch(tuples) => exchange::egress_batch(src, tuples),
+            Admission::Batch(tuples) => exchange::egress_numbered(src, at, tuples),
             Admission::Deltas(deltas) => exchange::egress_deltas(src, deltas),
         };
-        let carried = payload.len() as u64;
         // A trace context travels *inside* the frame, so its bytes are
         // charged against the link like any other payload.
-        let wire = encode_frame(&exchange::with_trace(frame, &trace));
-        let hop = self.links[from][to].charge(&self.lan, wire.len() as u64, carried);
-        self.exchange_tuples_out += carried;
-        let (_, batch, mut ctx) = exchange::ingress_traced(decode_frame(wire)?)?;
-        self.exchange_tuples_in += batch.len() as u64;
+        let frame = exchange::with_trace(frame, &trace);
+        let (hop, arrival, mut ctx) = self.carry((from, to), frame, payload.len() as u64)?;
         if let Some(ctx) = &mut ctx {
             // The simulated hop took no wall time; back-date the
             // admission so the receiving node's end-to-end histogram
@@ -905,16 +929,23 @@ impl Cluster {
                 detail: from as u64,
             });
         }
-        let tuples: Vec<Tuple>;
-        let arrived = match payload {
-            Admission::Batch(_) => {
-                debug_assert!(batch.iter().all(|d| d.sign == 1));
-                tuples = batch.iter().map(|d| d.tuple.clone()).collect();
-                Admission::Batch(&tuples)
-            }
-            Admission::Deltas(_) => Admission::Deltas(&batch),
+        let (payload, at) = match &arrival {
+            Arrival::Batch { first, tuples } => (Admission::Batch(tuples), *first),
+            Arrival::Deltas(deltas) => (Admission::Deltas(deltas), None),
         };
-        self.nodes[to].admit(source_name, arrived, ctx)
+        self.nodes[to].admit(source_name, payload, ctx, at)
+    }
+
+    /// Carry a data frame of `n` tuples over the `from → to` link: encode
+    /// it, charge it, decode it, counting the tuples out and in. Returns
+    /// the hop's simulated latency and what the frame delivers.
+    fn carry(&mut self, (from, to): (usize, usize), frame: WireFrame, n: u64) -> Result<Carried> {
+        let wire = encode_frame(&frame);
+        let hop = self.links[from][to].charge(&self.lan, wire.len() as u64, n);
+        self.exchange_tuples_out += n;
+        let (_, arrival, ctx) = exchange::ingress(decode_frame(wire)?)?;
+        self.exchange_tuples_in += arrival.len() as u64;
+        Ok((hop, arrival, ctx))
     }
 
     fn finish_boundary(&mut self) -> Result<()> {

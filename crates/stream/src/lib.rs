@@ -18,7 +18,7 @@
 //!     `close_session`;
 //!   - *lifecycle*: `pause` / `resume` / `deregister` / `subscribe` /
 //!     `tune_query` / `auto_tune` / `migrate` / `rebalance_now`, and
-//!     `extract_query` → `install_query` across engines;
+//!     `extract_query` → `install_query` across a cluster's nodes;
 //!   - *ingest*: `on_batch` / `on_deltas` / `heartbeat`;
 //!   - *read at a [`Consistency`]*: `snapshot[_at]` / `telemetry[_at]`,
 //!     plus `resident_state`, `view_snapshot`, `display_snapshot`,
@@ -27,8 +27,8 @@
 //!   Every lifecycle verb is a composition of three private primitives
 //!   in [`shard`] — **build** (compile + sink + start + replay),
 //!   **route** (land the runtime; wire shard slice, push set, log
-//!   cursors, route refcounts) and **unroute** (the inverse, dropping
-//!   or demoting the cursors). Build and the shard drain are the only
+//!   cursors, route refcounts) and **unroute** (the inverse; cursors
+//!   leave their positions). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
 //! * [`EngineConfig`] — six construction-time fields, each with its
@@ -92,8 +92,8 @@
 //! hash → row ids` and fetches a tuple by id only to emit a match; every
 //! other side copies its rows as before ([`operators::JoinOp`]). The
 //! rows belong to the scan's window: the shard's source log while the
-//! scan is a cursor, the pipeline's own `WindowOp` otherwise — demotion
-//! hands them over under the same ids. Fetch-by-id is sound because a
+//! scan is a cursor (moved or not: ids name the same rows on every
+//! log), the pipeline's own `WindowOp` otherwise. Fetch-by-id is sound because a
 //! shard runs every log step as **step → deliver → release**: all
 //! cursors move, every pipeline runs with read access to all logs, and
 //! only then are rows below the minimum head dropped — a retraction on
@@ -154,7 +154,7 @@
 //!     own cost starts at its first operator. Classes have no registry;
 //!     the key is recomputed per step, so a late cursor joins the
 //!     senior class of its spec by itself (first expiry reaching its
-//!     attach row / `n` arrivals / next rollover), detach, demote and
+//!     attach row / `n` arrivals / next rollover), detach and
 //!     pause take nothing from the classmates, and all members step
 //!     before the first delivery — a failing sink cannot desynchronize
 //!     its class.
@@ -172,10 +172,10 @@
 //!     into each registration — state a shared log must not absorb), as
 //!     does direct `Pipeline` / `WindowOp` use, and a recursive view
 //!     puts one in front of each base it scans under a bounded spec.
-//!     Migration demotes: each cursor's frame and live suffix move
-//!     into the query's own window under the log's row ids, the runtime
-//!     travels with its exact live multiset, and the query stays
-//!     private on the recipient. The equivalence baseline is the test
+//!     Migration moves positions: rows are numbered by source once per
+//!     engine (per cluster), so a moved cursor rejoins the recipient's
+//!     log at its frame, which back-fills only the rows below its floor
+//!     it lacks, and stays shared. The equivalence baseline is the test
 //!     kit's `Private` system (`tests/common/`): one standalone
 //!     [`pipeline::Pipeline`] and [`Sink`] per query, outside any engine.
 //!   - *Grouped filters.* Template variants differ only in a constant,
@@ -443,16 +443,17 @@
 //! exchange egress operator into a netsim wire frame, charged against
 //! the directed link's [`cluster::WireStats`] under the
 //! [`cluster::LanModel`], decoded on the far side, and re-admitted
-//! through the remote node's ordinary `on_deltas` ingest — so
-//! retained-table replay, push accumulation, watermark consistency,
-//! and source-log cursors hold unchanged clusterwide. Hash-exchange
+//! through the remote node's ordinary ingest (a stream batch at its
+//! cluster-wide number) — so retained-table replay, push accumulation,
+//! watermark consistency, and log row ids hold unchanged clusterwide. Hash-exchange
 //! ([`cluster::Cluster::register_hash_partitioned`]) scatters keyed
 //! sources across all nodes by key hash, so a repartitioned
 //! join's members compute disjoint key ranges whose merged snapshots
 //! equal the monolithic result. Live migration generalizes across
-//! nodes: the recipient drains first, the donor engine extracts the
-//! query's runtime (window state, sink ledger, push subscription, log
-//! cursors demoted) and the recipient routes it in with **no replay** —
+//! nodes by log position: the recipient drains, the donor engine
+//! extracts the query's runtime (operator state, sink ledger, push
+//! subscription, cursor positions, the window rows the recipient lacks)
+//! and the recipient routes it in with **no replay** —
 //! same snapshot, same ops total, and a failed attempt leaves the query
 //! on the donor — driven manually or by a cluster-level
 //! [`rebalance::RebalanceController`] consuming the merged per-node
@@ -476,7 +477,7 @@
 //!   [`telemetry::TelemetryReport::queue_wait`] merge them engine-wide.
 //! * **Cross-node tracing** — a batch shipped by the cluster's exchange
 //!   carries its `TraceCtx` *inside* the encoded wire frame
-//!   (`TracedDeltas`), and the receiving node charges the simulated
+//!   (`Traced`, its tick at a fixed width), and the receiving node charges the simulated
 //!   wire hop into its own histogram — so cluster percentiles include
 //!   the network. A sampled [`trace::SpanJournal`] records admissions,
 //!   Ship/Arrive pairs at the exchange, migrations, rebalance

@@ -16,7 +16,7 @@ use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionO
 use crate::sink::Sink;
 use crate::state::StateOptions;
 use crate::trace::{OpKind, OpProfile};
-use crate::window::{Fed, Frame, WindowOp};
+use crate::window::{Fed, WindowOp};
 
 /// Where an operator sends its output: another operator's input port, or
 /// the sink.
@@ -39,6 +39,8 @@ impl std::fmt::Debug for NodeEntry {
 #[derive(Debug)]
 struct ScanEntry {
     source: SourceId,
+    /// Over a live stream: on a shard, a cursor on the source's log.
+    stream: bool,
     window: WindowOp,
     attach: Attach,
     /// The key of the filter `attach` names, when the scan is over a
@@ -101,10 +103,6 @@ pub struct Pipeline {
     /// migrations like any pipeline state, and is rebuilt away (cleared)
     /// by a pause/resume cycle.
     drag: Option<std::time::Duration>,
-    /// Whether the stream scans are cursors on their sources' logs — all
-    /// of them or none; the shard that attaches them says. The logs, not
-    /// the scans' own windows, hold those scans' rows then.
-    pub(crate) tapped: bool,
     /// The sources of the scans whose windows feed an indexed join side:
     /// signed deltas on one of them name no row.
     indexed: Vec<SourceId>,
@@ -158,7 +156,6 @@ impl Pipeline {
             profile: OpProfile::default(),
             timed: false,
             drag: None,
-            tapped: false,
             indexed: Vec::new(),
         };
         pipeline.build(core, None, opts, false)?;
@@ -223,6 +220,7 @@ impl Pipeline {
             LogicalPlan::Scan { rel } => {
                 self.scans.push(ScanEntry {
                     source: rel.meta.id,
+                    stream: rel.meta.kind.is_stream_like(),
                     window: WindowOp::with_options(rel.window, opts),
                     attach: parent,
                     filter: None,
@@ -358,11 +356,21 @@ impl Pipeline {
         Ok(())
     }
 
-    /// The `(source, window spec)` of every scan, by scan index — what
-    /// the engine needs to attach the stream scans as cursors on their
-    /// sources' logs.
-    pub(crate) fn scan_windows(&self) -> impl Iterator<Item = (SourceId, WindowSpec)> + '_ {
-        self.scans.iter().map(|s| (s.source, s.window.spec()))
+    /// The `(scan index, source, window spec)` of every scan over a live
+    /// stream — whatever its window spec, joins and self-joins included:
+    /// the scans a shard attaches as cursors on their sources' logs.
+    /// Tables and views replay retained state into each new registration,
+    /// state a shared log must not absorb, so their scans keep private
+    /// windows.
+    pub(crate) fn stream_scans(&self) -> impl Iterator<Item = (usize, SourceId, WindowSpec)> + '_ {
+        let scans = self.scans.iter().enumerate().filter(|(_, s)| s.stream);
+        scans.map(|(i, s)| (i, s.source, s.window.spec()))
+    }
+
+    /// Scans whose rows this pipeline's own window stages hold: on a
+    /// shard, its table and view scans (its stream scans are cursors).
+    pub(crate) fn private_windows(&self) -> usize {
+        self.scans.iter().filter(|s| !s.stream).count()
     }
 
     /// The grouping key of scan `scan`'s leading filter: a filter directly
@@ -372,9 +380,10 @@ impl Pipeline {
         self.scans[scan].filter.as_ref()
     }
 
-    /// Whether a log's filter index runs one of this pipeline's filters.
+    /// Whether a log's filter index runs one of this pipeline's filters
+    /// while it is routed on a shard.
     pub(crate) fn grouped_filter(&self) -> bool {
-        self.tapped && self.scans.iter().any(|s| s.filter.is_some())
+        self.scans.iter().any(|s| s.filter.is_some())
     }
 
     /// The sources whose windows this pipeline indexes in a join side,
@@ -429,14 +438,6 @@ impl Pipeline {
         };
         self.profile.record(OpKind::Filter, deltas, busy);
         self.run(self.nodes[filter].parent, out, sink, logs)
-    }
-
-    /// Hand scan `scan`'s window stage the frame and live tuples of the
-    /// log cursor it replaces (migration demotes cursors to private
-    /// windows), so the query carries its exact live multiset along —
-    /// under the row ids its operators already hold.
-    pub(crate) fn adopt_window(&mut self, scan: usize, live: Vec<Tuple>, at: Frame) {
-        self.scans[scan].window.adopt(live, at);
     }
 
     /// Operator node instances owned by this pipeline (resident-state
@@ -572,12 +573,13 @@ impl Pipeline {
             };
             let deltas = batch.len() as u64;
             self.ops_invoked += deltas;
-            // The rows behind addressed batches (stream scans' only): the
-            // scan's own window or, tapped, its source's log on the shard.
-            let (scans, tapped) = (&self.scans, self.tapped);
-            let rows = |scan: usize, row: u64| match &scans[scan] {
-                scan if tapped => logs(scan.source, row),
-                scan => scan.window.get(row),
+            // The rows behind addressed batches (stream scans' only): on a
+            // shard, where the scans are cursors, their sources' logs; off
+            // one, the scans' own windows.
+            let scans = &self.scans;
+            let rows = |scan: usize, row: u64| {
+                let scan = &scans[scan];
+                logs(scan.source, row).or_else(|| scan.window.get(row))
             };
             let t0 = self.timed.then(std::time::Instant::now);
             let out = self.nodes[idx].op.process_rows(port, batch, &rows)?;

@@ -41,8 +41,8 @@
 //! * **route** — land a runtime on its shard and, unless the query is
 //!   paused, wire it in: the shard's routing slice, the push-flush set,
 //!   its log cursors, and the route refcounts. Infallible.
-//! * **unroute** — the inverse: cursors out (dropped, or *demoted* into
-//!   the query's own windows when the runtime is about to travel), the
+//! * **unroute** — the inverse: cursors out — each leaves its position,
+//!   which a travelling runtime carries to where it is routed next — the
 //!   shard's routing slice, the route refcounts. Infallible; the caller
 //!   drained the shard first.
 //!
@@ -52,11 +52,13 @@
 //! exactly what a fresh registration would see and a subscription gets
 //! one consolidated catch-up diff; [`ShardedEngine::deregister`] is
 //! unroute + drop, so per-source ingest cost always tracks **live**
-//! fan-out; [`ShardedEngine::migrate`] is unroute(demote) + move the
-//! runtime + route; [`ShardedEngine::extract_query`] and
+//! fan-out; [`ShardedEngine::migrate`] is unroute + move the runtime +
+//! route at the cursors' positions, the recipient's logs back-filled with
+//! the rows they lack; [`ShardedEngine::extract_query`] and
 //! [`ShardedEngine::install_query`] are those same two halves in two
-//! engines. Because build and the drain come first and route/unroute
-//! cannot fail, a verb that returns `Err` has changed nothing.
+//! engines that number their sources alike (a cluster's nodes). Because
+//! build and the drains come first and route/unroute cannot fail, a verb
+//! that returns `Err` has changed nothing.
 //!
 //! Shards live behind the `parking_lot` shim ([`Mutex<EngineShard>`]):
 //! shard state is `Send`, cross-shard work is disjoint by construction
@@ -118,7 +120,7 @@ use crate::sink::Sink;
 use crate::state::{BagState, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
-use crate::window::{Fed, SourceLog, Stepped};
+use crate::window::{Fed, Position, SourceLog, Stepped};
 
 /// Handle to a registered continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,14 +134,14 @@ pub struct ResidentState {
     pub operators: usize,
     /// Tuples buffered for windows: the rows every source log retains
     /// (once per shard however many of its windows cover it, counted per
-    /// shard) plus the private windows of table scans and migrated queries.
+    /// shard) plus the private windows of table and view scans.
     pub window_tuples: usize,
     /// Source logs across all shards — one per `(shard, stream source)`
     /// with at least one window attached. A log stores a row once per
     /// shard; a sealed segment is stored once per engine.
     pub source_logs: usize,
     /// Window cursors attached to those logs — one per stream scan of
-    /// every live, non-migrated query (a self-join counts two).
+    /// every live query, migrated or not (a self-join counts two).
     pub log_cursors: usize,
     /// Cursor classes across those logs — cursors in equal window state
     /// `(spec, head, pane)`, which share one materialized batch per log
@@ -176,13 +178,28 @@ pub(crate) struct QueryRuntime {
 
 /// A query runtime lifted out of one engine, in flight to another —
 /// the carrier of a cross-node live migration. Holds the running
-/// [`QueryRuntime`] (window state, sink ledger, push subscription)
-/// plus the coordinator record [`ShardedEngine::install_query`]
-/// re-homes it under. Opaque by design: there is nothing useful a
-/// caller can do with one except install it somewhere.
+/// [`QueryRuntime`] (operator state, sink ledger, push subscription) and
+/// its cursors' [`Positions`], plus the coordinator record
+/// [`ShardedEngine::install_query`] re-homes it under. Opaque by design:
+/// there is nothing useful a caller can do with one except install it.
 pub struct DetachedQuery {
     runtime: QueryRuntime,
     meta: QueryMeta,
+    at: Positions,
+}
+
+/// Per source, `(source, first row id, rows)` a log lacks.
+pub(crate) type Backfill = Vec<(SourceId, u64, Vec<Tuple>)>;
+
+/// Per stream source, the first row a shard's log retains, if any.
+pub(crate) type Floors = HashMap<SourceId, u64>;
+
+/// Where a travelling query's cursors stood, and the rows its recipient's
+/// logs lack for them; empty for a new runtime's cursors, at the tails.
+#[derive(Default)]
+pub(crate) struct Positions {
+    cursors: Vec<(SourceId, Position)>,
+    backfill: Backfill,
 }
 
 /// One slice of the partitioned ingest plane. Sources hash across the
@@ -396,14 +413,12 @@ struct LogCensus {
 pub(crate) struct EngineShard {
     queries: HashMap<QueryId, QueryRuntime>,
     /// Routing-index slice: source → local queries scanning it, in
-    /// registration order. Tapped queries stay in here — the slice is
-    /// the authority on who is live — but ingest feeds their stream
-    /// scans through log cursors instead of their own windows.
+    /// registration order — the authority on who is live, though ingest
+    /// feeds their stream scans through log cursors, not own windows.
     subs: HashMap<SourceId, Vec<QueryId>>,
     /// The arrival log of every stream source some local window covers;
-    /// the last cursor out frees the log. A query's stream scans are
-    /// cursors on these (`Pipeline::tapped`) — all of them, or none:
-    /// migrated-in queries keep private windows.
+    /// the last cursor out frees the log. Every stream scan of a live
+    /// query is a cursor on these ([`Pipeline::stream_scans`]).
     logs: HashMap<SourceId, SourceLog>,
     /// Local queries whose windows react to the clock.
     clock_subs: Vec<QueryId>,
@@ -431,30 +446,25 @@ impl EngineShard {
         let Some(subs) = subs.get(&src) else {
             return Ok(());
         };
-        // One meter hit per shard per source batch: the log append is
-        // charged once, never once per cursor.
-        meters.tuples_in += tuples.len() as u64;
-        let shared = logs.contains_key(&src);
-        for qid in subs {
-            let q = queries.get_mut(qid).expect("routed query is local");
-            if shared && q.pipeline.tapped {
-                // Fed below through its cursors.
-                continue;
-            }
-            let rows = |src, row| logs.get(&src)?.get(row);
-            q.pipeline
-                .push_source_over(src, tuples, &mut q.sink, &rows)?;
-            if let Some(ctx) = &trace {
-                q.sink.latency.record_us(ctx.elapsed_us());
-            }
-        }
-        // Step: the log stores the batch exactly once, windows it once
-        // per cursor class and probes each class batch once per group of
-        // grouped filters.
         let Some(log) = logs.get_mut(&src) else {
+            // A table's batch: each subscriber windows it itself.
+            meters.tuples_in += tuples.len() as u64;
+            let rows = |src, row| logs.get(&src)?.get(row);
+            for qid in subs {
+                let q = queries.get_mut(qid).expect("routed query is local");
+                q.pipeline
+                    .push_source_over(src, tuples, &mut q.sink, &rows)?;
+                if let Some(ctx) = &trace {
+                    q.sink.latency.record_us(ctx.elapsed_us());
+                }
+            }
             return Ok(());
         };
-        let step = log.insert_batch(first, tuples, meters);
+        // Step a stream's log, whose cursors are all its subscribers: it
+        // stores the batch once (metered once), windows it once per cursor
+        // class and probes each class batch once per filter group.
+        let step = log.insert_batch(src, first, tuples, meters)?;
+        meters.tuples_in += tuples.len() as u64;
         let rows = |src, row| logs.get(&src)?.get(row);
         // Deliver: each query borrows the deltas its own windows over
         // `src` would have emitted — or its grouped filter's output on
@@ -462,7 +472,7 @@ impl EngineShard {
         // stop the others; the first error is returned.
         let mut served = Ok(());
         for (qid, mut fed) in logs[&src].fed(&step) {
-            let q = queries.get_mut(&qid).expect("tapped query is local");
+            let q = queries.get_mut(&qid).expect("a cursor's query is local");
             let run = q
                 .pipeline
                 .push_windowed(&mut fed, tuples.len() as u64, &mut q.sink, &rows);
@@ -472,7 +482,7 @@ impl EngineShard {
             served = served.and(run);
         }
         // Release, now that no pipeline can ask for an evicted row.
-        self.logs.get_mut(&src).expect("stepped above").release();
+        logs.get_mut(&src).expect("stepped above").release();
         served
     }
 
@@ -571,8 +581,11 @@ impl EngineShard {
     }
 
     /// Remove a query from this shard's routing slice (its runtime, if
-    /// any, stays — pause keeps the sink readable).
-    fn detach(&mut self, qid: QueryId, sources: &[SourceId]) {
+    /// any, stays — pause keeps the sink readable) and its cursors, which
+    /// release the rows only they pinned (the last one frees the log),
+    /// returning where each stood.
+    fn detach(&mut self, qid: QueryId, sources: &[SourceId]) -> Vec<(SourceId, Position)> {
+        let mut cursors = Vec::new();
         for src in sources {
             if let Some(subs) = self.subs.get_mut(src) {
                 subs.retain(|&q| q != qid);
@@ -580,57 +593,60 @@ impl EngineShard {
                     self.subs.remove(src);
                 }
             }
+            if let Some(log) = self.logs.get_mut(src) {
+                cursors.extend(log.detach(qid).into_iter().map(|at| (*src, at)));
+                if log.cursors() == 0 {
+                    self.logs.remove(src);
+                }
+            }
         }
         self.clock_subs.retain(|&q| q != qid);
         self.push_subs.retain(|&q| q != qid);
+        cursors
     }
 
     /// Attach a query's stream scans as cursors on their sources' logs,
-    /// creating a log for a source's first window. Each cursor starts
-    /// at its log's tail — O(1), whatever the log holds — so the query
-    /// sees none of the pre-attach arrivals, exactly like a fresh
-    /// private window (streams are never replayed). Scans are attached
-    /// in scan order, which keeps a query's cursors on one log adjacent
-    /// and ordered. A new log shares segments through its source's pool.
-    fn attach_cursors(&mut self, qid: QueryId, scans: &[CursorScan], opts: &StateOptions) {
+    /// creating a log (sharing segments through its source's pool) for a
+    /// source's first window — at the tails, O(1) however much a log holds
+    /// (streams are never replayed), or at a travelling runtime's
+    /// positions once its logs are back-filled. In scan order, so a
+    /// query's cursors on one log are adjacent and ordered.
+    fn attach_cursors(
+        &mut self,
+        qid: QueryId,
+        scans: &[CursorScan],
+        mut at: Positions,
+        opts: &StateOptions,
+    ) {
         for (scan, src, spec, pool, filter) in scans {
-            self.logs
+            let log = self
+                .logs
                 .entry(*src)
-                .or_insert_with(|| SourceLog::new(opts, pool.clone()))
-                .attach(qid, *scan, *spec, filter.as_ref());
+                .or_insert_with(|| SourceLog::new(opts, pool.clone()));
+            if let Some(i) = at.backfill.iter().position(|b| b.0 == *src) {
+                let (_, first, rows) = at.backfill.swap_remove(i);
+                self.meters.backfilled_rows += log.backfill(first, &rows);
+            }
+            let moved = at.cursors.iter().find(|(_, p)| p.scan == *scan);
+            let at = moved.map_or_else(|| Position::fresh(*scan, *spec), |c| c.1);
+            log.attach(qid, at, filter.as_ref());
         }
-        let rt = self.queries.get_mut(&qid).expect("routed query is local");
-        rt.pipeline.tapped = !scans.is_empty();
     }
 
-    /// Unwind a query's cursors, if any. Rows only they pinned are
-    /// released, and the last cursor out frees the log, so shared state
-    /// never outlives its windows. With `keep_windows` (the migration
-    /// donor path) each cursor's live suffix first moves into the
-    /// query's own window stage: the query continues privately with
-    /// exactly the retractions its cursors would have fed it, so
-    /// snapshots and the ops total are untouched. No-op for private
-    /// queries.
-    fn detach_cursors(&mut self, qid: QueryId, sources: &[SourceId], keep_windows: bool) {
-        let rt = self.queries.get_mut(&qid).expect("routed query is local");
-        if !std::mem::take(&mut rt.pipeline.tapped) {
-            return;
-        }
-        for src in sources {
-            let Some(log) = self.logs.get_mut(src) else {
-                continue;
-            };
-            if keep_windows {
-                for (scan, live, at) in log.demote(qid) {
-                    rt.pipeline.adopt_window(scan, live, at);
-                }
-            } else {
-                log.detach(qid);
-            }
-            if log.cursors() == 0 {
-                self.logs.remove(src);
-            }
-        }
+    /// Where this shard's logs start, for those that hold rows.
+    fn floors(&self) -> Floors {
+        let floor = |(src, log): (&SourceId, &SourceLog)| Some((*src, log.floor()?));
+        self.logs.iter().filter_map(floor).collect()
+    }
+
+    /// What logs starting at `floors` lack for a query's cursors here.
+    fn missing(&self, qid: QueryId, sources: &[SourceId], floors: &Floors) -> Backfill {
+        let of = |src: &SourceId| {
+            let log = self.logs.get(src)?;
+            let (first, rows) = log.missing(qid, floors.get(src).copied())?;
+            Some((*src, first, rows))
+        };
+        sources.iter().filter_map(of).collect()
     }
 
     /// Census of this shard's source logs. A log is shard residency,
@@ -917,7 +933,9 @@ impl ShardedEngine {
             let mut state_bytes = 0u64;
             let mut spilled_bytes = 0u64;
             let mut spill_read_failures = 0u64;
+            let mut private_windows = 0;
             for (qid, rt) in &shard.queries {
+                private_windows += rt.pipeline.private_windows();
                 ops += rt.pipeline.ops_invoked;
                 let q_bytes = rt.pipeline.state_bytes() as u64;
                 state_bytes += q_bytes;
@@ -934,8 +952,9 @@ impl ShardedEngine {
                         ops_invoked: rt.pipeline.ops_invoked,
                         output_deltas: rt.sink.deltas_applied,
                         push_batches: rt.sink.push_batches_delivered(),
-                        shared: rt.pipeline.tapped,
-                        grouped_filter: rt.pipeline.grouped_filter(),
+                        shared: !meta.paused && rt.pipeline.stream_scans().next().is_some(),
+                        grouped_filter: !meta.paused && rt.pipeline.grouped_filter(),
+                        private_windows: rt.pipeline.private_windows(),
                         latency: rt.sink.latency.clone(),
                         state_bytes: q_bytes,
                         groups: rt.pipeline.groups() as u64,
@@ -961,6 +980,8 @@ impl ShardedEngine {
                 window_batches: shard.meters.window_batches,
                 window_deliveries: shard.meters.window_deliveries,
                 filter_probes: shard.meters.filter_probes,
+                backfilled_rows: shard.meters.backfilled_rows,
+                private_windows,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
@@ -1087,7 +1108,7 @@ impl ShardedEngine {
             auto,
             node: _,
         } = bound;
-        let (mut rt, scans) = self.build(&plan, push.then_some((max_batch, max_delay)))?;
+        let mut rt = self.build(&plan, push.then_some((max_batch, max_delay)))?;
         // Registration itself is a batch boundary: deliver the replayed
         // state now so a push subscription is immediately consistent
         // with a snapshot poll.
@@ -1118,7 +1139,7 @@ impl ShardedEngine {
         );
         self.order.push(qid);
         self.front.enroll(session, qid);
-        self.route(qid, rt, &scans);
+        self.route(qid, rt, Positions::default());
         Ok(QueryHandle(qid))
     }
 
@@ -1130,14 +1151,13 @@ impl ShardedEngine {
     /// pipeline, and replay retained table contents and current view
     /// materializations so the query starts consistent. `fresh_push`
     /// carries the micro-batch knobs of a channel to create (resume
-    /// carries the old channel over instead). Also returns the scans
-    /// [`Self::route`] attaches as log cursors. Touches nothing: a failed
+    /// carries the old channel over instead). Touches nothing: a failed
     /// build leaves the engine as it was.
     fn build(
         &self,
         plan: &LogicalPlan,
         fresh_push: Option<(Option<usize>, Option<SimDuration>)>,
-    ) -> Result<(QueryRuntime, Vec<CursorScan>)> {
+    ) -> Result<QueryRuntime> {
         let mut pipeline = Pipeline::compile_with(plan, &self.state_opts)?;
         pipeline.timed = true;
         let mut sink = pipeline.make_sink();
@@ -1161,14 +1181,13 @@ impl ShardedEngine {
                 pipeline.push_source(src, &rows, &mut sink)?;
             }
         }
-        let scans = self.cursor_scans(plan, &pipeline);
-        Ok((QueryRuntime { pipeline, sink }, scans))
+        Ok(QueryRuntime { pipeline, sink })
     }
 
     /// **Route**: land `rt` on the query's shard and — unless the query
     /// is paused, in which case it only lands — wire it in: the shard's
-    /// routing slice, the push-flush set, `scans` as log cursors (none
-    /// for a runtime that travelled here with private windows), and the
+    /// routing slice, the push-flush set, its stream scans as log cursors
+    /// (at the tails, or at a travelling runtime's positions), and the
     /// route refcounts — per source, the owning ingest slice's
     /// `source → shard` count, plus the clock and push-flush shard
     /// counts. O(this query's sources), never a whole-table walk, and
@@ -1176,7 +1195,8 @@ impl ShardedEngine {
     /// are independent of the order queries came and went (pinned by a
     /// unit test below). Infallible; the caller drained the shard, so
     /// no boundary queued before this point reaches the runtime.
-    fn route(&mut self, qid: QueryId, rt: QueryRuntime, scans: &[CursorScan]) {
+    fn route(&mut self, qid: QueryId, rt: QueryRuntime, at: Positions) {
+        let scans = self.cursor_scans(&rt.pipeline);
         let meta = &self.queries[&qid];
         let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
         let mut shard = self.shard(shard_idx).lock();
@@ -1189,7 +1209,7 @@ impl ShardedEngine {
         if push {
             shard.mark_push(qid);
         }
-        shard.attach_cursors(qid, scans, &self.state_opts);
+        shard.attach_cursors(qid, &scans, at, &self.state_opts);
         drop(shard);
         for &src in &meta.sources {
             let indexes = meta.indexes.contains(&src);
@@ -1223,25 +1243,17 @@ impl ShardedEngine {
     /// query's cursors, its entries in the shard's routing slice, and
     /// its route refcounts (a count reaching zero drops the shard from
     /// that source's fan-out; the last subscriber removes the slice
-    /// entry). The runtime stays on the shard. With `demote` (the
-    /// runtime is about to travel) each cursor's live suffix first moves
-    /// into the query's own window, so it leaves carrying its exact live
-    /// multiset — snapshots and the ops total are unchanged, sibling
-    /// cursors undisturbed — and stays private wherever it lands.
-    /// Infallible, and a no-op for a paused query (already out). The
-    /// caller drained the shard, so every admitted boundary — view
-    /// deltas included — has reached the runtime.
-    fn unroute(&mut self, qid: QueryId, demote: bool) {
+    /// entry). The runtime stays on the shard; the cursors' positions are
+    /// returned, for a travelling one to rejoin its logs at. Infallible,
+    /// and a no-op for a paused query (already out). The caller drained
+    /// the shard, so every admitted boundary has reached the runtime.
+    fn unroute(&mut self, qid: QueryId) -> Vec<(SourceId, Position)> {
         let meta = &self.queries[&qid];
         if meta.paused {
-            return;
+            return Vec::new();
         }
         let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
-        {
-            let mut shard = self.shard(shard_idx).lock();
-            shard.detach_cursors(qid, &meta.sources, demote);
-            shard.detach(qid, &meta.sources);
-        }
+        let cursors = self.shard(shard_idx).lock().detach(qid, &meta.sources);
         for &src in &meta.sources {
             let indexes = meta.indexes.contains(&src);
             self.slices[self.slice_of(src)]
@@ -1250,6 +1262,7 @@ impl ShardedEngine {
         }
         self.clock_counts[shard_idx] -= u32::from(needs_clock);
         self.push_counts[shard_idx] -= u32::from(push);
+        cursors
     }
 
     /// Deregister one query, except for pruning `order`. Pending
@@ -1258,19 +1271,21 @@ impl ShardedEngine {
     /// task error stays for the next observer, and retirement completes.
     fn drop_query(&mut self, qid: QueryId) {
         self.exec.settle(self.queries[&qid].shard);
-        self.retire(qid, false);
+        self.retire(qid, Backfill::new());
     }
 
     /// Take a drained query out of the engine: unroute it, lift its
     /// runtime off the shard, and drop its coordinator record and
-    /// session membership. The caller prunes `order` (once per batch).
-    fn retire(&mut self, qid: QueryId, demote: bool) -> DetachedQuery {
-        self.unroute(qid, demote);
+    /// session membership, carrying `backfill` for its recipient. The
+    /// caller prunes `order` (once per batch).
+    fn retire(&mut self, qid: QueryId, backfill: Backfill) -> DetachedQuery {
+        let cursors = self.unroute(qid);
         let mut meta = self.queries.remove(&qid).expect("caller checked");
         self.front.leave(meta.session.take(), qid);
         DetachedQuery {
             runtime: self.lift(meta.shard, qid),
             meta,
+            at: Positions { cursors, backfill },
         }
     }
 
@@ -1306,27 +1321,13 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// The scans of a plan that attach as log cursors: every scan —
-    /// whatever its window spec, joins and self-joins included — over a
-    /// live stream-kind source. Tables and views replay retained state
-    /// into each new registration, state a shared log must not absorb,
-    /// so their scans keep private windows.
-    fn cursor_scans(&self, plan: &LogicalPlan, pipeline: &Pipeline) -> Vec<CursorScan> {
-        let streams: Vec<SourceId> = plan
-            .scans()
-            .iter()
-            .filter(|rel| rel.meta.kind.is_stream_like())
-            .map(|rel| rel.meta.id)
-            .collect();
-        pipeline
-            .scan_windows()
-            .enumerate()
-            .filter(|(_, (src, _))| streams.contains(src))
-            .map(|(scan, (src, spec))| {
-                let filter = pipeline.leading_filter(scan).cloned();
-                (scan, src, spec, self.log_pool(src), filter)
-            })
-            .collect()
+    /// A pipeline's [`Pipeline::stream_scans`], with pools and filters.
+    fn cursor_scans(&self, pipeline: &Pipeline) -> Vec<CursorScan> {
+        let scan = |(scan, src, spec)| {
+            let filter = pipeline.leading_filter(scan).cloned();
+            (scan, src, spec, self.log_pool(src), filter)
+        };
+        pipeline.stream_scans().map(scan).collect()
     }
 
     /// Materialize a bound view: the coordinator maintains it inside
@@ -1399,7 +1400,7 @@ impl ShardedEngine {
         // The cursors go with the routing entry: resume attaches fresh
         // ones (stream windows restart empty on resume, which is exactly
         // where a new cursor starts).
-        self.unroute(q.0, false);
+        self.unroute(q.0);
         if let Some(rt) = self.shard(shard_idx).lock().queries.get_mut(&q.0) {
             rt.sink.flush_push(self.now, true);
         }
@@ -1423,7 +1424,7 @@ impl ShardedEngine {
         }
         let (shard_idx, plan) = (meta.shard, meta.plan.clone());
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
-        let (mut rt, scans) = self.build(&plan, None)?;
+        let mut rt = self.build(&plan, None)?;
         self.exec.quiesce(shard_idx)?;
         let mut old = self.lift(shard_idx, q.0);
         if let Some((queue, delivered)) = old.sink.take_push() {
@@ -1438,7 +1439,7 @@ impl ShardedEngine {
         // The rebuilt sink restarts its delta counter at the replayed
         // state; restart the knob-tuning measurement window with it.
         meta.tune_mark = (rt.sink.deltas_applied, self.boundaries, self.now);
-        self.route(q.0, rt, &scans);
+        self.route(q.0, rt, Positions::default());
         Ok(())
     }
 
@@ -1498,14 +1499,18 @@ impl ShardedEngine {
 
     /// Live-migrate a query's runtime to another shard.
     ///
-    /// Unroute with demotion, move the *running* runtime, route: the
-    /// pipeline state (window contents, join/aggregate state), the sink,
-    /// and any push subscription move intact, so snapshots, push
-    /// accumulation, and the ops total are exactly what they would have
-    /// been without the move — no replay, no divergence (property-tested
-    /// in `tests/sharding.rs`). Session membership and every other
-    /// coordinator record are untouched; only the shard assignment and
-    /// the routing slices change.
+    /// Unroute, move the *running* runtime, route at its cursors'
+    /// positions: the pipeline state (join/aggregate state), the sink, and
+    /// any push subscription move intact, and each cursor rejoins the
+    /// recipient shard's log of its source at its frame, which names the
+    /// same rows there — only the rows below that log's floor are copied
+    /// (back-filled), and full segments are shared through the source's
+    /// pool. Snapshots, push accumulation, and the ops total are exactly
+    /// what they would have been without the move — no replay, no
+    /// divergence (property-tested in `tests/sharding.rs`) — and the
+    /// moved cursors share window work like any other. Session membership
+    /// and every other coordinator record are untouched; only the shard
+    /// assignment and the routing slices change.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         let from = self.meta(q)?.shard;
         if to >= self.shard_count() {
@@ -1521,12 +1526,13 @@ impl ShardedEngine {
         // never the world: the donor so the runtime leaves with every
         // admitted boundary applied, the recipient so queued boundaries
         // there cannot interleave with the attach.
-        self.exec.quiesce(from)?;
         self.exec.quiesce(to)?;
-        self.unroute(q.0, true);
+        let floors = self.shard(to).lock().floors();
+        let backfill = self.lacking(q, &floors)?;
+        let cursors = self.unroute(q.0);
         let rt = self.lift(from, q.0);
         self.queries.get_mut(&q.0).expect("meta checked").shard = to;
-        self.route(q.0, rt, &[]);
+        self.route(q.0, rt, Positions { cursors, backfill });
         self.migrations += 1;
         self.journal.record(Span {
             at_us: now_us(),
@@ -1540,35 +1546,54 @@ impl ShardedEngine {
 
     /// Lift a registered query *out* of this engine for cross-node
     /// migration — the donor half of [`ShardedEngine::migrate`] across
-    /// engines: the same drain and unroute-with-demotion, the same
-    /// no-replay invariants, except the query also leaves this engine's
-    /// coordinator records (meta, order, session) entirely.
+    /// engines: the same drain and unroute, the same no-replay
+    /// invariants, except the query also leaves this engine's coordinator
+    /// records (meta, order, session) entirely. It carries its cursors'
+    /// positions and the rows they cover, for an engine that numbers its
+    /// sources as this one does.
     pub fn extract_query(&mut self, q: QueryHandle) -> Result<DetachedQuery> {
-        self.exec.quiesce(self.meta(q)?.shard)?;
-        let detached = self.retire(q.0, true);
+        let backfill = self.lacking(q, &Floors::new())?;
+        Ok(self.extract_with(q, backfill))
+    }
+
+    /// Drain a query's shard — the donor's one fallible step — and read
+    /// the rows logs starting at `floors` lack for its cursors.
+    pub(crate) fn lacking(&self, q: QueryHandle, floors: &Floors) -> Result<Backfill> {
+        let meta = self.meta(q)?;
+        self.exec.quiesce(meta.shard)?;
+        let shard = self.shard(meta.shard).lock();
+        Ok(shard.missing(q.0, &meta.sources, floors))
+    }
+
+    /// Lift a drained query out carrying `backfill`. Infallible.
+    pub(crate) fn extract_with(&mut self, q: QueryHandle, backfill: Backfill) -> DetachedQuery {
+        let detached = self.retire(q.0, backfill);
         self.order.retain(|&qid| qid != q.0);
-        Ok(detached)
+        detached
     }
 
     /// The one fallible step of landing a migrated-in query: drain what
     /// the next [`ShardedEngine::install_query`] will touch, surfacing
-    /// any deferred task error. A cross-node migration runs this on the
-    /// recipient *before* the donor lifts anything, exactly as
-    /// [`ShardedEngine::migrate`] drains both shards up front.
-    pub(crate) fn drain_for_install(&self) -> Result<()> {
-        self.exec.quiesce(self.shard_of(QueryId(self.next_query)))
+    /// any deferred task error, and say where that shard's logs start. A
+    /// cross-node migration runs this on the recipient *before* the donor
+    /// lifts anything, as [`ShardedEngine::migrate`] drains both shards.
+    pub(crate) fn drain_for_install(&self) -> Result<Floors> {
+        let shard = self.shard_of(QueryId(self.next_query));
+        self.exec.quiesce(shard)?;
+        Ok(self.shard(shard).lock().floors())
     }
 
     /// Install a query lifted out of another engine by
     /// [`ShardedEngine::extract_query`] — the recipient half of a
     /// cross-node migration. The runtime is routed intact (no replay:
-    /// window contents, sink ledger, and any push subscription arrive
-    /// exactly as they left the donor) under a locally assigned id;
-    /// session membership does not cross engines. Cannot fail, so a
-    /// lifted query is never dropped; its drain leaves any deferred
-    /// task error for the next observer.
+    /// operator state, sink ledger, and any push subscription arrive
+    /// exactly as they left the donor) under a locally assigned id, its
+    /// cursors rejoining this engine's logs at their positions; session
+    /// membership does not cross engines. Cannot fail, so a lifted query
+    /// is never dropped; its drain leaves any deferred task error for the
+    /// next observer.
     pub fn install_query(&mut self, d: DetachedQuery) -> QueryHandle {
-        let DetachedQuery { runtime, mut meta } = d;
+        let (runtime, mut meta) = (d.runtime, d.meta);
         let qid = QueryId(self.next_query);
         self.next_query += 1;
         meta.shard = self.shard_of(qid);
@@ -1579,7 +1604,7 @@ impl ShardedEngine {
         meta.tune_mark = (runtime.sink.deltas_applied, self.boundaries, self.now);
         self.queries.insert(qid, meta);
         self.order.push(qid);
-        self.route(qid, runtime, &[]);
+        self.route(qid, runtime, d.at);
         QueryHandle(qid)
     }
 
@@ -1712,7 +1737,7 @@ impl ShardedEngine {
     /// its backlog without gating its siblings or the next ingest.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
         let trace = self.make_ctx();
-        self.admit(source_name, Admission::Batch(tuples), Some(trace))
+        self.admit(source_name, Admission::Batch(tuples), Some(trace), None)
     }
 
     /// Ingest signed changes for a source (e.g. a table update/delete).
@@ -1723,18 +1748,23 @@ impl ShardedEngine {
     /// deltas name no row of it.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
         let trace = self.make_ctx();
-        self.admit(source_name, Admission::Deltas(deltas), Some(trace))
+        self.admit(source_name, Admission::Deltas(deltas), Some(trace), None)
     }
 
     /// The one admission path behind [`ShardedEngine::on_batch`] and
     /// [`ShardedEngine::on_deltas`], with an explicit trace context —
     /// the cluster re-admits shipped payloads here, where the context
-    /// was created on the origin node and already carries the wire hop.
+    /// was created on the origin node and already carries the wire hop —
+    /// and, for a stream batch a cluster numbered in its source's
+    /// cluster-wide sequence, the number `at` of its first tuple (`None`
+    /// numbers it here). The source's arrival counter moves past the
+    /// batch and never back.
     pub(crate) fn admit(
         &mut self,
         source_name: &str,
         payload: Admission<'_>,
         trace: Option<TraceCtx>,
+        at: Option<u64>,
     ) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let src = meta.id;
@@ -1759,7 +1789,8 @@ impl ShardedEngine {
                     *latest = (*latest).max(t.timestamp());
                 }
                 let next = slice.arrivals.entry(src).or_insert(0);
-                first = std::mem::replace(next, *next + tuples.len() as u64);
+                first = at.unwrap_or(*next);
+                *next = (*next).max(first + tuples.len() as u64);
             }
             // Retain table contents for replay at admission time, so a
             // late registration never races the shard queues.
@@ -2454,7 +2485,7 @@ mod tests {
             .unwrap()
             .expect_query();
         // All three window the Readings stream: one log, three cursors,
-        // and routing sees the tapped queries as ordinary subscribers.
+        // and routing sees the queries on cursors as ordinary subscribers.
         let rs = e.resident_state();
         assert_eq!((rs.source_logs, rs.log_cursors), (1, 3));
         assert_eq!(rs.cursor_classes, 1, "one window, one class");
@@ -2594,7 +2625,7 @@ mod tests {
     }
 
     #[test]
-    fn migrate_demotes_shared_tap_to_private_window() {
+    fn migrate_rejoins_the_recipient_log() {
         let mut e = ShardedEngine::new(catalog(), 2);
         let early = e
             .register_sql("select r.value from Readings r")
@@ -2617,27 +2648,77 @@ mod tests {
                 late = Some(h);
                 break;
             }
+            e.deregister(h).unwrap();
         }
         let late = late.expect("some late variant lands on the early query's shard");
         e.on_batch("Readings", &[reading(1, 100.0, 3)]).unwrap();
         let before = e.snapshot(late).unwrap();
         assert_eq!(before.len(), 1, "late cursor saw only the post-attach row");
         let ops_before = e.total_ops_invoked();
-        // Migration demotes: the cursor's live suffix of the log moves
-        // into a private window that travels with the runtime.
+        // Migration moves the cursor, not its rows: it rejoins the
+        // recipient's log at its frame, and the one row of its window that
+        // log lacks (it has none) is back-filled under its id.
         let taps_before = e.resident_state().log_cursors;
-        e.migrate(late, (home + 1) % 2).unwrap();
-        assert_eq!(e.resident_state().log_cursors, taps_before - 1);
+        let away = (home + 1) % 2;
+        e.migrate(late, away).unwrap();
+        assert_eq!(e.resident_state().log_cursors, taps_before);
         assert_eq!(e.snapshot(late).unwrap(), before, "no replay on migrate");
         assert_eq!(e.total_ops_invoked(), ops_before);
-        // The private window holds only post-attach tuples: the
-        // pre-attach expiry retracts from `early` alone, and both keep
-        // ingesting.
+        let report = e.telemetry_at(Consistency::Fresh);
+        let moved = report.query(late.0).unwrap();
+        assert!(moved.shared && moved.private_windows == 0, "{moved:?}");
+        assert_eq!(report.shards[away].backfilled_rows, 1);
+        assert_eq!(
+            e.log_contents(e.catalog().source("Readings").unwrap().id)[away].len(),
+            1
+        );
+        // The moved window holds only post-attach tuples: the pre-attach
+        // expiry retracts from `early` alone.
         e.heartbeat(SimTime::from_secs(12)).unwrap();
         assert_eq!(e.snapshot(late).unwrap(), before);
         assert_eq!(e.snapshot(early).unwrap().len(), 1);
+        // Back home its frame equals `early`'s: it joins that class, and
+        // the home log already holds its row, so nothing is copied.
+        e.migrate(late, home).unwrap();
+        let rs = e.resident_state();
+        assert_eq!(
+            (rs.source_logs, rs.log_cursors, rs.cursor_classes),
+            (1, 2, 1)
+        );
+        let report = e.telemetry_at(Consistency::Fresh);
+        assert_eq!(report.shards[home].backfilled_rows, 0);
         e.on_batch("Readings", &[reading(1, 200.0, 13)]).unwrap();
         assert_eq!(e.snapshot(late).unwrap().len(), 2);
+        assert_eq!(e.snapshot(early).unwrap().len(), 2);
+    }
+
+    /// A batch whose first number is not its log's tail is a typed error
+    /// naming the source and both row ids, and nothing moved.
+    #[test]
+    fn a_misnumbered_batch_is_refused_by_the_log() {
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let q = e
+            .register_sql("select r.value from Readings r")
+            .unwrap()
+            .expect_query();
+        e.on_batch("Readings", &[reading(1, 10.0, 1), reading(2, 20.0, 1)])
+            .unwrap();
+        let src = e.catalog().source("Readings").unwrap().id;
+        let skipped = e
+            .shard(0)
+            .lock()
+            .push_batch(src, 5, &[reading(3, 30.0, 2)], None);
+        let Err(AspenError::Execution(msg)) = skipped else {
+            panic!("a gap in the numbering was accepted: {skipped:?}");
+        };
+        assert!(
+            msg.contains(&format!("{src:?}")) && msg.contains("from 5") && msg.contains("row is 2"),
+            "{msg}"
+        );
+        assert_eq!(e.snapshot(q).unwrap().len(), 2);
+        assert_eq!(e.log_contents(src)[0].len(), 2);
+        e.on_batch("Readings", &[reading(4, 40.0, 2)]).unwrap();
+        assert_eq!(e.snapshot(q).unwrap().len(), 3);
     }
 
     #[test]
@@ -2719,6 +2800,33 @@ mod tests {
         assert!(!report.query(private_q.0).unwrap().shared);
         assert_eq!(report.shards[0].source_logs, 1);
         assert_eq!(report.shards[0].log_cursors, 1);
+        // Only the table scan windows privately, and the exports say so.
+        let private = |q: QueryHandle| report.query(q.0).unwrap().private_windows;
+        assert_eq!((private(shared_q), private(private_q)), (0, 1));
+        assert_eq!(report.shards[0].private_windows, 1);
+        let prom = crate::render_prometheus(&report);
+        let line = format!(
+            "aspen_query_private_windows{{query=\"{}\",shard=\"0\"}} 1\n",
+            private_q.0 .0
+        );
+        assert!(prom.contains(&line), "{prom}");
+        assert!(
+            prom.contains("aspen_shard_private_windows{shard=\"0\"} 1\n"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("aspen_shard_backfilled_rows_total{shard=\"0\"} 0\n"),
+            "{prom}"
+        );
+        let json = crate::render_json(&report);
+        assert!(
+            json.contains("\"backfilled_rows\":0,\"private_windows\":1,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"grouped_filter\":false,\"private_windows\":1,"),
+            "{json}"
+        );
     }
 
     /// The engine states its own byte split: pipelines, logs and tables

@@ -547,7 +547,7 @@ impl ColumnarDeque {
         self.store.len()
     }
 
-    /// Continue a numbering (a demoted cursor's, a log's source's): the
+    /// Continue a numbering (a log's source's, or a back-filled log's): the
     /// next `push_back` gets id `row`. Only for a deque holding no rows.
     pub fn resume_at(&mut self, row: u64) {
         self.store.resume_at(row);

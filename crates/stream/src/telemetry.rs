@@ -57,6 +57,8 @@ pub struct ShardMeters {
     /// `ops_invoked`, it is how much filter work grouping shares. Exact
     /// per seed.
     pub filter_probes: u64,
+    /// Rows migrated-in cursors needed below a log's floor, back-filled.
+    pub backfilled_rows: u64,
     /// Distribution of admission→execution queue wait per task, recorded
     /// by the executor as it takes the shard lock (empty with tracing
     /// off).
@@ -80,8 +82,8 @@ pub struct QueryLoad {
     /// Batches delivered through the push subscription (0 when polling).
     pub push_batches: u64,
     /// Whether any of the query's scans is a cursor on a shared source
-    /// log (true for every live query over a stream unless it was
-    /// migrated, which demotes it to private windows). Attribution is
+    /// log (true for every live query over a stream, migrated or not: a
+    /// moved cursor rejoins its new shard's log). Attribution is
     /// unchanged by sharing: `tuples_in` still counts the source batches
     /// routed to the query and `ops_invoked` counts its operators
     /// downstream of the windows — so the rebalancer sees the same
@@ -92,13 +94,15 @@ pub struct QueryLoad {
     /// cursor-fed stream scan). The filter hop is still charged in
     /// `ops_invoked` and the op profile exactly as if it had run.
     pub grouped_filter: bool,
+    /// Scans the pipeline windows itself, not a log: table and view scans.
+    pub private_windows: usize,
     /// Distribution of ingest→sink-apply latency for batches that
     /// reached this query's sink (empty with tracing off). Lives in the
     /// sink, so it migrates with the query like the counters do.
     pub latency: LatencyHistogram,
     /// Resident bytes of this query's own operator state (window
     /// buffers, join sides, aggregate groups) — a gauge, not a counter.
-    /// The source logs a tapped query's cursors read are accounted to
+    /// The source logs a query's cursors read are accounted to
     /// the shard, not here; an indexed join side charges its index only,
     /// the rows it points at being counted once, where they live (the
     /// log, or the query's own window).
@@ -144,7 +148,7 @@ pub struct ShardLoad {
     /// window.
     pub source_logs: usize,
     /// Window cursors attached to this shard's logs — one per stream
-    /// scan of each live, non-migrated query. Exported as `cursors`.
+    /// scan of each live query, migrated or not. Exported as `cursors`.
     pub log_cursors: usize,
     /// Cursor classes on this shard's logs right now: cursors in equal
     /// window state, which share one batch per log step (a gauge).
@@ -163,6 +167,10 @@ pub struct ShardLoad {
     pub window_deliveries: u64,
     /// Cumulative [`ShardMeters::filter_probes`].
     pub filter_probes: u64,
+    /// Cumulative [`ShardMeters::backfilled_rows`].
+    pub backfilled_rows: u64,
+    /// Summed [`QueryLoad::private_windows`].
+    pub private_windows: usize,
     /// Highest boundary sequence number this shard has fully applied —
     /// its watermark, published at batch boundaries. The cut a
     /// barrier-free (`Consistency::Cut`) observation read this shard at.
@@ -283,6 +291,8 @@ impl TelemetryReport {
             window_batches: 0,
             window_deliveries: 0,
             filter_probes: 0,
+            backfilled_rows: 0,
+            private_windows: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -304,6 +314,8 @@ impl TelemetryReport {
             out.window_batches += s.window_batches;
             out.window_deliveries += s.window_deliveries;
             out.filter_probes += s.filter_probes;
+            out.backfilled_rows += s.backfilled_rows;
+            out.private_windows += s.private_windows;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
@@ -535,6 +547,8 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
             window_batches: 0,
             window_deliveries: 0,
             filter_probes: 0,
+            backfilled_rows: 0,
+            private_windows: 0,
             watermark: 0,
             lag: 0,
             queue_wait: LatencyHistogram::new(),
@@ -559,6 +573,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
                 push_batches: 0,
                 shared: false,
                 grouped_filter: false,
+                private_windows: 0,
                 latency: LatencyHistogram::new(),
                 state_bytes: bytes,
                 groups: 0,

@@ -479,6 +479,8 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_window_batches_total counter\n");
     out.push_str("# TYPE aspen_shard_window_deliveries_total counter\n");
     out.push_str("# TYPE aspen_shard_filter_probes counter\n");
+    out.push_str("# TYPE aspen_shard_backfilled_rows_total counter\n");
+    out.push_str("# TYPE aspen_shard_private_windows gauge\n");
     for s in &report.shards {
         let l = format!("shard=\"{}\"", s.shard);
         prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
@@ -508,11 +510,15 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
             s.window_deliveries,
         );
         prom_line(&mut out, "aspen_shard_filter_probes", &l, s.filter_probes);
+        let (filled, private) = (s.backfilled_rows, s.private_windows);
+        prom_line(&mut out, "aspen_shard_backfilled_rows_total", &l, filled);
+        prom_line(&mut out, "aspen_shard_private_windows", &l, private);
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     out.push_str("# TYPE aspen_query_state_bytes gauge\n");
     out.push_str("# TYPE aspen_query_groups gauge\n");
     out.push_str("# TYPE aspen_query_grouped_filter gauge\n");
+    out.push_str("# TYPE aspen_query_private_windows gauge\n");
     for q in &report.queries {
         let l = format!("query=\"{}\",shard=\"{}\"", q.query.0, q.shard);
         prom_line(&mut out, "aspen_query_ops_invoked_total", &l, q.ops_invoked);
@@ -520,6 +526,8 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         prom_line(&mut out, "aspen_query_groups", &l, q.groups);
         let grouped = u8::from(q.grouped_filter);
         prom_line(&mut out, "aspen_query_grouped_filter", &l, grouped);
+        let private = q.private_windows;
+        prom_line(&mut out, "aspen_query_private_windows", &l, private);
     }
     let latency = report.ingest_latency();
     let queue = report.queue_wait();
@@ -605,7 +613,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"backfilled_rows\":{},\"private_windows\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
@@ -620,6 +628,8 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.window_batches,
                 s.window_deliveries,
                 s.filter_probes,
+                s.backfilled_rows,
+                s.private_windows,
                 s.watermark,
                 s.lag,
                 json_hist(&s.queue_wait)
@@ -631,9 +641,10 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|q| {
             format!(
-                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"grouped_filter\":{},\"output_deltas\":{},\"latency\":{}}}",
+                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"grouped_filter\":{},\"private_windows\":{},\"output_deltas\":{},\"latency\":{}}}",
                 q.query.0, q.shard, q.paused, q.tuples_in, q.ops_invoked, q.state_bytes,
-                q.groups, q.grouped_filter, q.output_deltas, json_hist(&q.latency)
+                q.groups, q.grouped_filter, q.private_windows, q.output_deltas,
+                json_hist(&q.latency)
             )
         })
         .collect();

@@ -16,10 +16,10 @@
 //!   per arrival, and every window over the source is a *cursor* into
 //!   it. Cursors in equal state are one *class*: the log steps each
 //!   class once, and every member borrows that batch.
-//! * A [`WindowOp`] — table and view-base scans, migrated queries — is
-//!   a private log with exactly one cursor: append, step the frame,
-//!   release below the head. N cursors on one log and N private windows
-//!   fed the same arrivals emit the same deltas by construction.
+//! * A [`WindowOp`] — table and view-base scans, a pipeline run off a
+//!   shard — is a private log with exactly one cursor: append, step the
+//!   frame, release below the head. N cursors on one log and N private
+//!   windows fed the same arrivals emit the same deltas by construction.
 //!
 //! **A step is net by row.** A step moves `head` and `tail`, so what it
 //! emits is read off the row ids: rows `[old head, new head)` that
@@ -32,10 +32,11 @@
 //! it), and `k` rows holding equal tuples arrive as `k` unit deltas.
 //! `Unbounded` buffers nothing, so its insertions carry no id.
 //!
-//! **Demotion keeps the numbering.** A migrating query's cursors become
-//! private windows (`SourceLog::demote` → `WindowOp::adopt`): the
-//! window takes the cursor's frame as it is and its buffer continues at
-//! `head`, so every row keeps the id the log gave it.
+//! **A moved cursor is a position.** Every log of a source numbers its
+//! rows alike, so a frame names the same rows on every log: a migrating
+//! query's cursors leave as [`Position`]s and rejoin another log at the
+//! same frames, which it back-fills with the rows below its floor they
+//! need ([`SourceLog::missing`]); a frame equal to a class's joins it.
 //!
 //! **The prefix rule.** Admission accepts any stamp, and every spec
 //! expires a *prefix* of the arrival order: `RANGE` advances `head`
@@ -49,7 +50,7 @@
 //! always-resident timestamp column, so a spilled window never faults
 //! segments in just to discover nothing expired.
 
-use aspen_types::{QueryId, SimTime, Tuple, WindowSpec};
+use aspen_types::{AspenError, QueryId, Result, SimTime, SourceId, Tuple, WindowSpec};
 use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
@@ -112,19 +113,6 @@ impl WindowOp {
         self.rows.get(row)
     }
 
-    /// Take over a demoted cursor's window: its frame, and its live
-    /// suffix of the source log in arrival order, under the log's row
-    /// ids. Nothing is emitted — downstream operators hold these tuples
-    /// or ids — so this window retracts what the cursor would have.
-    pub(crate) fn adopt(&mut self, live: Vec<Tuple>, at: Frame) {
-        debug_assert_eq!(at.spec, self.at.spec, "a cursor demotes into its own scan");
-        self.rows.resume_at(at.head);
-        for t in &live {
-            self.rows.push_back(t);
-        }
-        self.at = at;
-    }
-
     /// Whether this window reacts to the passage of time (i.e. whether
     /// `advance` can ever emit retractions). The engine uses this to
     /// route heartbeats only to clock-sensitive pipelines.
@@ -183,9 +171,23 @@ struct Cursor {
     class: usize,
 }
 
-/// A demoted cursor: scan index, live tuples in arrival order, frame —
-/// what [`WindowOp::adopt`] takes.
-pub(crate) type DemotedWindow = (usize, Vec<Tuple>, Frame);
+/// Where a detached cursor stood: scan `scan` at frame `at`, which names
+/// the same rows on every log of its source — or, a window that held no
+/// row (not `live`), at the tail of whatever log it rejoins.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Position {
+    pub(crate) scan: usize,
+    at: Frame,
+    live: bool,
+}
+
+impl Position {
+    /// A new window of scan `scan`, at the tail: streams are never replayed.
+    pub(crate) fn fresh(scan: usize, spec: WindowSpec) -> Self {
+        let (at, live) = (Frame::new(spec), false);
+        Position { scan, at, live }
+    }
+}
 
 /// One log step's output: a batch per cursor class, and per cursor what
 /// the log's filter index made of its class's batch.
@@ -353,7 +355,7 @@ impl Frame {
 ///
 /// **Grouped filters.** A cursor attached with its scan's leading
 /// `col op constant` filter is a member of the log's [`FilterIndex`],
-/// kept up to date at attach, detach and demote. Each step probes every
+/// kept up to date at attach and detach. Each step probes every
 /// class batch once per group with members in that class and delivers
 /// each member its filter's output beside the class batch
 /// ([`crate::grouped`]).
@@ -392,21 +394,17 @@ impl SourceLog {
         }
     }
 
-    /// Attach scan `scan` of `query` as a cursor at the current tail,
-    /// with `filter` — the scan's leading filter, if it groups — in the
-    /// log's index. A query attaches all its scans of this source back
-    /// to back, in scan order.
-    pub(crate) fn attach(
-        &mut self,
-        query: QueryId,
-        scan: usize,
-        spec: WindowSpec,
-        filter: Option<&FilterKey>,
-    ) {
-        let mut at = Frame::new(spec);
-        if at.pins() {
+    /// Attach a cursor of `query` at `at` (a live window's rows must be
+    /// here), with `filter` — its scan's leading filter, if it groups — in
+    /// the log's index. A query attaches its scans of a source back to
+    /// back, in scan order.
+    pub(crate) fn attach(&mut self, query: QueryId, at: Position, filter: Option<&FilterKey>) {
+        let Position { scan, mut at, live } = at;
+        if at.pins() && !live {
             at.head = self.rows.next_row();
         }
+        let held = !at.pins() || self.floor().is_none_or(|f| f <= at.head);
+        assert!(held, "a cursor rejoins a log at a row it holds");
         if let Some(key) = filter {
             self.filters.insert(key, self.cursors.len() as u32);
         }
@@ -418,9 +416,17 @@ impl SourceLog {
         });
     }
 
-    /// Drop the cursors of `query` and their filters from the index; rows
-    /// only they pinned are released.
-    pub(crate) fn detach(&mut self, query: QueryId) {
+    /// Drop the cursors of `query` and their filters from the index, and
+    /// return where they stood; rows only they pinned are released.
+    pub(crate) fn detach(&mut self, query: QueryId) -> Vec<Position> {
+        let tail = self.rows.next_row();
+        let gone = self.cursors.iter().filter(|c| c.query == query);
+        let position = |c: &Cursor| Position {
+            scan: c.scan,
+            at: c.at,
+            live: c.at.pins() && c.at.head < tail,
+        };
+        let gone = gone.map(position).collect();
         let mut kept = 0;
         let to: Vec<Option<u32>> = self
             .cursors
@@ -435,22 +441,49 @@ impl SourceLog {
         self.filters.renumber(&to);
         self.cursors.retain(|c| c.query != query);
         self.release();
+        gone
     }
 
-    /// [`SourceLog::detach`], handing back each dropped cursor's window
-    /// for the query's own [`WindowOp`]s to adopt.
-    pub(crate) fn demote(&mut self, query: QueryId) -> Vec<DemotedWindow> {
-        let mut out = Vec::new();
-        for c in self.cursors.iter().filter(|c| c.query == query) {
-            let live = if c.at.pins() {
-                range(&self.rows, c.at.head, self.rows.next_row())
-            } else {
-                Vec::new()
-            };
-            out.push((c.scan, live, c.at));
+    /// The first row this log retains, if it retains any.
+    pub(crate) fn floor(&self) -> Option<u64> {
+        let (tail, held) = (self.rows.next_row(), self.rows.len() as u64);
+        (held > 0).then(|| tail - held)
+    }
+
+    /// What a log of this source whose rows start at `floor` (`None`: it
+    /// holds none) lacks for `query`'s cursors to rejoin it: the rows from
+    /// their lowest head up to that floor, with the first one's id.
+    pub(crate) fn missing(&self, query: QueryId, floor: Option<u64>) -> Option<(u64, Vec<Tuple>)> {
+        let tail = self.rows.next_row();
+        let mine = |c: &&Cursor| c.query == query && c.at.pins();
+        let heads = self.cursors.iter().filter(mine).map(|c| c.at.head);
+        let (lo, hi) = (heads.min()?, floor.unwrap_or(tail).min(tail));
+        (lo < hi).then(|| (lo, range(&self.rows, lo, hi)))
+    }
+
+    /// Take in, and count, the rows numbered from `first` below those this
+    /// log holds; it is rebuilt once, so full segments re-seal against the
+    /// source's pool, which hands back the parts another log sealed.
+    pub(crate) fn backfill(&mut self, first: u64, rows: &[Tuple]) -> u64 {
+        let (tail, floor) = (self.rows.next_row(), self.floor());
+        let below = floor.map_or(rows.len(), |f| f.saturating_sub(first) as usize);
+        let below = &rows[..below.min(rows.len())];
+        if below.is_empty() {
+            return 0;
         }
-        self.detach(query);
-        out
+        let end = first + below.len() as u64;
+        // An empty log's pinning heads sit at its (maybe stale) tail: their
+        // windows stay empty.
+        for c in self.cursors.iter_mut().filter(|c| c.at.pins()) {
+            c.at.head = c.at.head.max(end);
+        }
+        let held = range(&self.rows, end, tail);
+        self.rows.release_below(tail);
+        self.rows.resume_at(first);
+        for t in below.iter().chain(&held) {
+            self.rows.push_back(t);
+        }
+        below.len() as u64
     }
 
     /// The one place a log step becomes deltas. `step` runs once per
@@ -490,19 +523,22 @@ impl SourceLog {
         Stepped { batches, filtered }
     }
 
-    /// **Step** over one source batch, numbered from `first`: append it
-    /// and move every cursor. Returns one batch per class (counted into
-    /// `meters`, with one delivery per cursor), probed through the filter
-    /// index, for [`SourceLog::fed`] to hand out. Every cursor has
-    /// stepped when this returns, so a query whose delivery fails cannot
-    /// desynchronize its class (a cursor left behind would later retract
-    /// tuples it never inserted).
+    /// **Step** over one batch of source `src`, numbered from `first`:
+    /// append it and move every cursor. Returns one batch per class
+    /// (counted into `meters`, with one delivery per cursor), probed
+    /// through the filter index, for [`SourceLog::fed`] to hand out. Every
+    /// cursor has stepped when this returns, so a query whose delivery
+    /// fails cannot desynchronize its class (a cursor left behind would
+    /// later retract tuples it never inserted). Rows imply a pinning
+    /// cursor, routed here since: a batch not at their tail is refused.
     pub(crate) fn insert_batch(
         &mut self,
+        src: SourceId,
         first: u64,
         tuples: &[Tuple],
         meters: &mut ShardMeters,
-    ) -> Stepped {
+    ) -> Result<Stepped> {
+        let tail = self.rows.next_row();
         if self.rows.is_empty() {
             // Nothing held: the tail and the pinning heads (equal to it)
             // jump to this batch's number.
@@ -510,10 +546,11 @@ impl SourceLog {
             for c in self.cursors.iter_mut().filter(|c| c.at.pins()) {
                 c.at.head = first;
             }
+        } else if tail != first {
+            return Err(AspenError::Execution(format!(
+                "{src:?}: a batch numbered from {first} reached a log whose next row is {tail}"
+            )));
         }
-        // Rows imply a pinning cursor, whose query is routed here: the
-        // log was fed every batch of its source since its first row.
-        debug_assert_eq!(self.rows.next_row(), first, "a log missed a batch");
         if self.cursors.iter().any(|c| c.at.pins()) {
             for t in tuples {
                 self.rows.push_back(t);
@@ -525,7 +562,7 @@ impl SourceLog {
         });
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
-        self.probe(batches, meters)
+        Ok(self.probe(batches, meters))
     }
 
     /// **Step** the clock of every cursor. Returns one batch of
@@ -674,7 +711,8 @@ mod tests {
     /// Step `log` over the next batch of a source that feeds only it.
     fn step(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Stepped {
         let first = log.rows.next_row();
-        log.insert_batch(first, tuples, meters)
+        log.insert_batch(SourceId(0), first, tuples, meters)
+            .unwrap()
     }
 
     fn feed(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Got {
@@ -762,70 +800,111 @@ mod tests {
         assert!(!WindowOp::new(WindowSpec::Unbounded).needs_clock());
     }
 
-    #[test]
-    fn adopted_window_expires_exactly_what_it_took_over() {
-        let mut w = WindowOp::new(WindowSpec::Tumbling(SimDuration::from_secs(10)));
-        let at = Frame {
-            pane: Some(0),
-            ..w.at
-        };
-        w.adopt(vec![t(1, 3), t(1, 3), t(2, 4)], at);
-        assert_eq!(w.buffered(), vec![t(1, 3), t(1, 3), t(2, 4)]);
-        let mut out = DeltaBatch::new();
-        // Still pane 0: the adopted pane index holds, nothing rolls.
-        w.insert(t(3, 9), &mut out);
-        assert_eq!(signs(&out), vec![1]);
-        out.clear();
-        w.advance(SimTime::from_secs(10), &mut out);
-        assert_eq!(signs(&out), vec![-1, -1, -1, -1]);
-        assert_eq!(w.live(), 0);
+    /// Move `query`'s cursors from `from` to `to`, a log of the same
+    /// source: the rows `to` lacks, then detach, back-fill, attach at the
+    /// positions — what a migration does. Returns the rows back-filled.
+    fn move_cursors(from: &mut SourceLog, to: Option<&mut SourceLog>, query: QueryId) -> u64 {
+        let floor = to.as_deref().and_then(SourceLog::floor);
+        let missing = from.missing(query, floor);
+        let at = from.detach(query);
+        let to = to.unwrap_or(from);
+        let filled = missing.map_or(0, |(first, rows)| to.backfill(first, &rows));
+        for at in at {
+            to.attach(query, at, None);
+        }
+        filled
     }
 
-    /// Demotion hands a cursor's rows to a private window under the ids
-    /// the log gave them, and the window keeps counting where the log
-    /// was — so whatever holds those ids (an indexed join side) needs no
-    /// rebase.
+    /// A tumbling cursor that rejoins another log mid-pane keeps its pane:
+    /// the next arrival in the pane rolls nothing, and the rollover
+    /// retracts exactly the rows a private window fed the same arrivals
+    /// retracts — the ones it left with included.
     #[test]
-    fn demoted_window_continues_the_logs_numbering() {
-        let mut log = new_log(&StateOptions::columnar());
-        let mut meters = ShardMeters::default();
-        log.attach(
-            QueryId(0),
-            0,
-            WindowSpec::Range(SimDuration::from_secs(60)),
-            None,
-        );
-        feed(&mut log, &[t(0, 0), t(1, 1)], &mut meters);
-        log.attach(QueryId(1), 0, WindowSpec::Rows(3), None);
-        let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
-        feed(&mut log, &arrivals, &mut meters);
-        let issued: Vec<Option<Tuple>> = (0..8).map(|row| log.get(row)).collect();
-        assert_eq!(
-            issued[4..],
-            [Some(t(4, 4)), Some(t(5, 5)), Some(t(6, 6)), None]
-        );
-
-        let mut demoted = log.demote(QueryId(1));
-        let (scan, live, at) = demoted.pop().expect("one cursor");
-        assert_eq!((scan, at.head, live.len()), (0, 4, 3));
-        let mut w = WindowOp::new(WindowSpec::Rows(3));
-        w.adopt(live, at);
-        assert_eq!(
-            (w.at.head, w.rows.next_row()),
-            (4, 7),
-            "the cursor's head and tail"
-        );
-        for (row, tuple) in issued.iter().enumerate() {
-            let held = (4..7).contains(&row).then(|| tuple.clone()).flatten();
-            assert_eq!(w.get(row as u64), held, "row {row}");
-        }
-        // The next arrival is row 7 and evicts row 4 — by its log id.
+    fn a_rejoined_cursor_expires_exactly_what_it_left_with() {
+        let spec = WindowSpec::Tumbling(SimDuration::from_secs(10));
+        let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
+        let mut a = SourceLog::new(&opts, pool.clone());
+        let mut private = WindowOp::new(spec);
+        a.attach(QueryId(0), Position::fresh(0, spec), None);
         let mut out = DeltaBatch::new();
-        w.insert(t(7, 7), &mut out);
-        assert_eq!(out.row_ids(), Some(&[7, 4][..]));
-        assert_eq!(out.as_slice()[1], Delta::retract(t(4, 4)));
-        // The senior cursor is undisturbed: the log still holds its rows.
-        assert_eq!((log.cursors(), log.rows()), (1, 7));
+        let arrivals = [t(1, 3), t(1, 3), t(2, 4)];
+        private.insert_batch(&arrivals, &mut out);
+        feed(&mut a, &arrivals, &mut ShardMeters::default());
+        let mut b = SourceLog::new(&opts, pool);
+        assert_eq!(move_cursors(&mut a, Some(&mut b), QueryId(0)), 3);
+        assert_eq!((a.cursors(), a.rows(), b.rows()), (0, 0, 3));
+        assert_eq!(b.numbered(), a_numbered(&arrivals, 0));
+        let step = |b: &mut SourceLog, private: &mut WindowOp, batch: &[Tuple]| {
+            let mut out = DeltaBatch::new();
+            private.insert_batch(batch, &mut out);
+            let first = b.rows.next_row();
+            let stepped = b.insert_batch(SourceId(0), first, batch, &mut ShardMeters::default());
+            (deliver(b, stepped.unwrap()), out)
+        };
+        // Still pane 0: the pane index travelled, nothing rolls.
+        let (got, want) = step(&mut b, &mut private, &[t(3, 9)]);
+        assert_eq!(signs(&want), vec![1]);
+        assert_eq!(got, vec![(QueryId(0), 0, net(&want))]);
+        let mut want = DeltaBatch::new();
+        private.advance(SimTime::from_secs(10), &mut want);
+        let got = tick(&mut b, 10, &mut ShardMeters::default());
+        assert_eq!(signs(&want), vec![-1, -1, -1, -1]);
+        assert_eq!(got, vec![(QueryId(0), 0, net(&want))]);
+        assert_eq!(b.rows(), 0);
+    }
+
+    fn a_numbered(tuples: &[Tuple], first: u64) -> Vec<(u64, Tuple)> {
+        (first..).zip(tuples.iter().cloned()).collect()
+    }
+
+    /// A cursor moved to a log of the same source that already holds a
+    /// suffix of its window gets only the rows below that log's floor, and
+    /// keeps the ids the first log gave them — so whatever holds those ids
+    /// (an indexed join side) needs no rebase — and emits what a private
+    /// window fed the same arrivals emits.
+    #[test]
+    fn a_moved_cursor_keeps_the_logs_numbering() {
+        let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
+        let (mut a, mut b) = (
+            SourceLog::new(&opts, pool.clone()),
+            SourceLog::new(&opts, pool),
+        );
+        let mut meters = ShardMeters::default();
+        let range = WindowSpec::Range(SimDuration::from_secs(60));
+        a.attach(QueryId(0), Position::fresh(0, range), None);
+        feed(&mut a, &[t(0, 0), t(1, 1)], &mut meters);
+        a.attach(QueryId(1), Position::fresh(0, WindowSpec::Rows(3)), None);
+        b.attach(QueryId(2), Position::fresh(0, WindowSpec::Rows(2)), None);
+        let mut private = WindowOp::new(WindowSpec::Rows(3));
+        let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
+        private.insert_batch(&arrivals, &mut DeltaBatch::new());
+        for log in [&mut a, &mut b] {
+            let stepped = log.insert_batch(SourceId(0), 2, &arrivals, &mut meters);
+            deliver(log, stepped.unwrap());
+        }
+        assert_eq!((a.floor(), b.floor()), (Some(0), Some(5)));
+
+        // Row 4 is the one row of the cursor's window below b's floor.
+        assert_eq!(move_cursors(&mut a, Some(&mut b), QueryId(1)), 1);
+        assert_eq!(b.numbered(), a_numbered(&arrivals[2..], 4));
+        assert_eq!((b.cursors(), b.classes()), (2, 2));
+        // The next arrival is row 7 and evicts row 4 — by its log id.
+        let next = [t(7, 7)];
+        let mut want = DeltaBatch::new();
+        private.insert_batch(&next, &mut want);
+        let stepped = b.insert_batch(SourceId(0), 7, &next, &mut meters).unwrap();
+        let fed: Vec<(QueryId, DeltaBatch)> = b
+            .fed(&stepped)
+            .map(|(q, mut fed)| (q, fed.next().unwrap().1.window.clone()))
+            .collect();
+        b.release();
+        let moved = &fed.iter().find(|f| f.0 == QueryId(1)).unwrap().1;
+        assert_eq!(moved.row_ids(), Some(&[7, 4][..]));
+        assert_eq!(moved.as_slice()[1], Delta::retract(t(4, 4)));
+        assert_eq!(net(moved), net(&want));
+        // The senior cursor is undisturbed: a still holds its rows.
+        assert_eq!((a.cursors(), a.rows()), (1, 7));
+        assert_eq!(b.floor(), Some(5), "b keeps what its cursors pin");
     }
 
     /// Two shards' logs of one source, fed its numbered batches — the
@@ -841,7 +920,10 @@ mod tests {
             let tuples: Vec<Tuple> = (first..first + n).map(|i| t(i as i64, i)).collect();
             *next += n;
             for log in logs {
-                let batches = log.insert_batch(first, &tuples, &mut ShardMeters::default());
+                let meters = &mut ShardMeters::default();
+                let batches = log
+                    .insert_batch(SourceId(0), first, &tuples, meters)
+                    .unwrap();
                 deliver(log, batches);
             }
         }
@@ -849,16 +931,16 @@ mod tests {
         let mut a = SourceLog::new(&opts, pool.clone());
         let mut b = SourceLog::new(&opts, pool.clone());
         let mut next = 0u64;
-        a.attach(QueryId(0), 0, WindowSpec::Rows(200), None);
+        a.attach(QueryId(0), Position::fresh(0, WindowSpec::Rows(200)), None);
         admit(&mut next, &mut [&mut a], 45);
-        b.attach(QueryId(1), 0, WindowSpec::Unbounded, None);
+        b.attach(QueryId(1), Position::fresh(0, WindowSpec::Unbounded), None);
         admit(&mut next, &mut [&mut a, &mut b], 7);
         assert_eq!(
             (b.rows(), b.rows.next_row()),
             (0, 45),
             "unbounded stores nothing"
         );
-        b.attach(QueryId(2), 0, WindowSpec::Rows(200), None);
+        b.attach(QueryId(2), Position::fresh(0, WindowSpec::Rows(200)), None);
         for _ in 0..6 {
             admit(&mut next, &mut [&mut a, &mut b], 13);
         }
@@ -878,8 +960,7 @@ mod tests {
         let mut c = SourceLog::new(&opts, pool.clone());
         c.attach(
             QueryId(3),
-            0,
-            WindowSpec::Range(SimDuration::from_secs(5)),
+            Position::fresh(0, WindowSpec::Range(SimDuration::from_secs(5))),
             None,
         );
         for _ in 0..3 {
@@ -919,8 +1000,10 @@ mod tests {
     /// with batches larger than the row windows (in-batch insert/evict
     /// interleaving), several tumbling rollovers per batch, stamps that
     /// run backwards inside a batch, self-join (two-scan) taps, and
-    /// detach/demote of single members at random points (their
-    /// classmates keep matching their oracles). The log materializes one
+    /// detach or leave-and-rejoin (a move back onto the same log: detach,
+    /// back-fill, attach at the positions) of single members at random
+    /// points (the moved ones and their classmates keep matching their
+    /// oracles). The log materializes one
     /// batch per distinct oracle frame per step — so a late cursor is in
     /// the senior class exactly from the step its private window's state
     /// coincides with the senior's — retains exactly the longest live
@@ -966,7 +1049,7 @@ mod tests {
                             let query = QueryId(next_query);
                             next_query += 1;
                             for (scan, &spec) in scans.iter().enumerate() {
-                                log.attach(query, scan, spec, None);
+                                log.attach(query, Position::fresh(scan, spec), None);
                                 private.push((query, scan, WindowOp::with_options(spec, &opts)));
                             }
                         }
@@ -975,17 +1058,16 @@ mod tests {
                         let query = private[rng.gen_range(0..private.len())].0;
                         if rng.gen_range(0..2u32) == 0 {
                             log.detach(query);
+                            private.retain(|p| p.0 != query);
                         } else {
-                            let demoted = log.demote(query);
-                            let mut gone = private.iter().filter(|p| p.0 == query);
-                            for (scan, live, at) in demoted {
-                                let (_, pscan, w) = gone.next().expect("one window per cursor");
-                                assert_eq!((scan, at.pane), (*pscan, w.at.pane), "{ctx}");
-                                assert_eq!(live, w.buffered(), "demoted suffix, {ctx}");
-                            }
-                            assert!(gone.next().is_none(), "{ctx}");
+                            // Leave and rejoin at the same positions: the
+                            // query's windows go on as if never moved, its
+                            // cursors now last in attach order.
+                            move_cursors(&mut log, None, query);
+                            let (moved, stay) = private.drain(..).partition(|p| p.0 == query);
+                            private = stay;
+                            private.extend::<Vec<_>>(moved);
                         }
-                        private.retain(|p| p.0 != query);
                     }
                     3 | 4 => {
                         now += rng.gen_range(0..6u64);
@@ -1063,9 +1145,9 @@ mod tests {
         // at row 3.
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, spec, None);
+        log.attach(QueryId(0), Position::fresh(0, spec), None);
         feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
-        log.attach(QueryId(1), 0, spec, None);
+        log.attach(QueryId(1), Position::fresh(0, spec), None);
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         let expire = |log: &mut SourceLog, secs| {
             let mut m = ShardMeters::default();
@@ -1087,9 +1169,9 @@ mod tests {
         // ROWS 3: the junior attaches to a full senior and merges
         // after exactly three arrivals — before its first eviction.
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, WindowSpec::Rows(3), None);
+        log.attach(QueryId(0), Position::fresh(0, WindowSpec::Rows(3)), None);
         feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
-        log.attach(QueryId(1), 0, WindowSpec::Rows(3), None);
+        log.attach(QueryId(1), Position::fresh(0, WindowSpec::Rows(3)), None);
         assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
@@ -1098,9 +1180,9 @@ mod tests {
         // rolls over.
         let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), 0, spec, None);
+        log.attach(QueryId(0), Position::fresh(0, spec), None);
         feed(&mut log, &[t(0, 0), t(1, 1)]);
-        log.attach(QueryId(1), 0, spec, None);
+        log.attach(QueryId(1), Position::fresh(0, spec), None);
         assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
@@ -1113,8 +1195,8 @@ mod tests {
         let mut log = new_log(&StateOptions::columnar());
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         for q in 0..3 {
-            log.attach(QueryId(q), 0, WindowSpec::Rows(1), None);
-            log.attach(QueryId(q), 1, spec, None);
+            log.attach(QueryId(q), Position::fresh(0, WindowSpec::Rows(1)), None);
+            log.attach(QueryId(q), Position::fresh(1, spec), None);
         }
         let mut meters = ShardMeters::default();
         let batches = step(&mut log, &[t(1, 0), t(2, 0)], &mut meters);

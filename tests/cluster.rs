@@ -178,6 +178,149 @@ fn a_failing_node_does_not_starve_the_nodes_after_it() {
     }
 }
 
+/// Benchmark-shaped: 2 nodes, two streams homed on opposite nodes, and
+/// on every (node, source) pair a resident query over the 30 s window
+/// the migrants use. A query moved by log position rejoins a log that
+/// already holds its rows, so the moves put no data tuple on a link;
+/// after one window width of quiet the migrated cluster holds exactly
+/// what a twin that never moved anything holds — state bytes, cursors,
+/// cursor classes, and window batches per admitted batch — and every
+/// query shows the same rows.
+#[test]
+fn migrated_cluster_state_equals_an_unmigrated_twin() {
+    let twin = || {
+        let config = ClusterConfig::new().nodes(2).node_config(inline_node());
+        let mut c = Cluster::new(catalog(), config);
+        c.home_source("PowerA", 0).unwrap();
+        c.home_source("PowerB", 1).unwrap();
+        let mut register = |sql: String, node| {
+            let spec = QuerySpec::sql(sql.as_str()).on_node(node);
+            c.register(spec).unwrap().expect_query()
+        };
+        let window = "[range 30 seconds]";
+        let mut handles = Vec::new();
+        for node in 0..2 {
+            for src in ["PowerA", "PowerB"] {
+                let sql =
+                    format!("select x.sensor, x.value from {src} x {window} where x.value > 50");
+                handles.push(register(sql, node));
+            }
+        }
+        let mut migrants = Vec::new();
+        for i in 0..4 {
+            let src = ["PowerA", "PowerB"][i % 2];
+            let sql = match i / 2 {
+                0 => {
+                    format!("select x.sensor, avg(x.value) from {src} x {window} group by x.sensor")
+                }
+                _ => format!("select x.value from {src} x {window} where x.sensor = {i}"),
+            };
+            migrants.push(register(sql, i % 2));
+        }
+        handles.extend(&migrants);
+        (c, handles, migrants)
+    };
+    let feed = |c: &mut Cluster, sec: u64| {
+        for (k, src) in ["PowerA", "PowerB"].into_iter().enumerate() {
+            let batch: Vec<Tuple> = (0..4)
+                .map(|i| {
+                    let n = sec * 8 + k as u64 * 4 + i;
+                    power((n % 4) as i64, (n * 37 % 100) as f64, sec)
+                })
+                .collect();
+            c.on_batch(src, &batch).unwrap();
+        }
+        c.heartbeat(SimTime::from_secs(sec)).unwrap();
+    };
+    let (mut moved, handles, migrants) = twin();
+    let (mut still, _, _) = twin();
+    for sec in 0..12 {
+        feed(&mut moved, sec);
+        feed(&mut still, sec);
+        let q = migrants[sec as usize % migrants.len()];
+        let to = 1 - moved.node_of_query(q).unwrap();
+        let wire = moved.wire_stats();
+        moved.migrate(q, to).unwrap();
+        let after = moved.wire_stats();
+        assert_eq!(after.tuples, wire.tuples, "a move put data on a link");
+        assert_eq!(after.frames, wire.frames + 1, "the handoff is one frame");
+    }
+    assert_eq!(moved.migration_count(), 12);
+    // One window width of quiet.
+    for sec in 12..43 {
+        feed(&mut moved, sec);
+        feed(&mut still, sec);
+    }
+    let census = |c: &Cluster| {
+        let nodes = (0..2).map(|n| c.node(n));
+        let state = nodes.clone().map(|n| n.resident_state());
+        let reports = nodes.map(|n| n.telemetry_at(Consistency::Fresh));
+        let batches: u64 = reports
+            .flat_map(|r| r.shards)
+            .map(|s| s.window_batches)
+            .sum();
+        let mut sum = (0, 0, 0);
+        for rs in state {
+            sum = (
+                sum.0 + rs.state_bytes,
+                sum.1 + rs.log_cursors,
+                sum.2 + rs.cursor_classes,
+            );
+        }
+        (sum, batches)
+    };
+    let (before_moved, before_still) = (census(&moved), census(&still));
+    assert_eq!(
+        before_moved.0, before_still.0,
+        "(state bytes, cursors, classes)"
+    );
+    assert_eq!(before_moved.0 .1, 8, "every scan a cursor");
+    assert_eq!(before_moved.0 .2, 4, "one class per (node, source)");
+    for sec in 43..53 {
+        feed(&mut moved, sec);
+        feed(&mut still, sec);
+    }
+    let (after_moved, after_still) = (census(&moved), census(&still));
+    assert_eq!(
+        after_moved.1 - before_moved.1,
+        after_still.1 - before_still.1,
+        "window batches over the last 20 admitted batches"
+    );
+    assert_eq!(after_moved.0, after_still.0);
+    assert_eq!(moved.exchange_tuples(), still.exchange_tuples());
+    assert_eq!(moved.wire_stats().tuples, still.wire_stats().tuples);
+    for &q in &handles {
+        let rows = |c: &Cluster| common::sorted(c.snapshot(q).unwrap());
+        assert_eq!(rows(&moved), rows(&still), "query {q:?}");
+    }
+}
+
+/// A query over a source that is hash-exchanged — registered, and paused,
+/// before the exchange split it — cannot move: each node numbers its own
+/// share of that source, so no position names the same rows elsewhere.
+#[test]
+fn a_query_over_an_exchanged_source_is_not_migrated() {
+    let config = ClusterConfig::new().nodes(2).node_config(inline_node());
+    let mut c = Cluster::new(catalog(), config);
+    let q = c
+        .register(QuerySpec::sql("select a.value from PowerA a").on_node(0))
+        .unwrap()
+        .expect_query();
+    c.on_batch("PowerA", &[power(1, 10.0, 1)]).unwrap();
+    c.pause(q).unwrap();
+    let sql = "select a.value, b.value from PowerA a, PowerB b where a.sensor = b.sensor";
+    c.register_hash_partitioned(sql, &[("PowerA", vec![0]), ("PowerB", vec![0])])
+        .unwrap();
+    let refused = c.migrate(q, 1).unwrap_err();
+    assert_eq!(refused.kind(), "invalid_argument", "{refused}");
+    assert_eq!((c.node_of_query(q).unwrap(), c.migration_count()), (0, 0));
+    assert_eq!(
+        c.snapshot(q).unwrap().len(),
+        1,
+        "the paused query is intact"
+    );
+}
+
 /// A hash-partitioned join spread over 2 and 4 nodes must equal the
 /// monolithic join on one engine, batch for batch, while genuinely
 /// exchanging shares over the wire — and an unrelated query migrating

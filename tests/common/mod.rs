@@ -522,6 +522,8 @@ pub struct Sample {
     /// The deepest any executor queue has been.
     pub high_water: usize,
     pub filter_probes: u64,
+    /// Rows the logs took in by back-fill so far.
+    pub backfilled: u64,
     pub view_rows: Vec<usize>,
     /// Ingest→apply latency samples across the queries.
     pub latency_samples: u64,

@@ -51,7 +51,8 @@ pub struct EngineSystem {
     registered: Vec<&'static str>,
     queries: BTreeMap<usize, Query>,
     spill: Option<PathBuf>,
-    /// Every tuple admitted per stream: log row `i` holds the `i`-th.
+    /// Every tuple admitted per stream: log row `i` holds the `i`-th,
+    /// on every node of a cluster too.
     arrivals: HashMap<SourceId, Vec<Tuple>>,
     streams: Vec<&'static str>,
     step: usize,
@@ -115,7 +116,7 @@ impl EngineSystem {
     }
 
     /// Every shard's log of a stream holds, at row `i`, the tuple that
-    /// arrived `i`-th.
+    /// arrived `i`-th — on every node: a cluster numbers a stream once.
     fn check_row_ids(&self, e: &ShardedEngine) -> std::result::Result<(), String> {
         for name in &self.streams {
             let src = e.catalog().source(name).unwrap().id;
@@ -154,8 +155,12 @@ impl System for EngineSystem {
         let h = |slot: &usize| self.queries[slot].handle;
         match op {
             Op::Ingest(source, tuples) => {
-                if let (Engine::Node(e), true) = (&*engine, self.streams.contains(source)) {
-                    let src = e.catalog().source(source)?.id;
+                if self.streams.contains(source) {
+                    let catalog = match &*engine {
+                        Engine::Node(e) => e.catalog(),
+                        Engine::Cluster(c) => c.node(0).catalog(),
+                    };
+                    let src = catalog.source(source)?.id;
                     self.arrivals
                         .entry(src)
                         .or_default()
@@ -253,8 +258,10 @@ impl System for EngineSystem {
                 return Err(("cut", format!("an inline engine lagged {lag:?} boundaries")));
             }
         }
-        if let (Engine::Node(e), 0) = (&self.engine, self.step % 3) {
-            self.check_row_ids(e).map_err(|d| ("row ids", d))?;
+        if self.step.is_multiple_of(3) {
+            for node in self.nodes() {
+                self.check_row_ids(node).map_err(|d| ("row ids", d))?;
+            }
         }
         let mut seen = Seen::default();
         // One slot an event, in turn, reads `Cut` right after its drain.
@@ -325,6 +332,7 @@ impl System for EngineSystem {
         sample.view_rows = views.iter().map(|v| v.1.len()).collect();
         seen.views = Some(views);
         sample.filter_probes = report.shards.iter().map(|s| s.filter_probes).sum();
+        sample.backfilled = report.shards.iter().map(|s| s.backfilled_rows).sum();
         sample.latency_samples = report.ingest_latency().count();
         match &self.engine {
             Engine::Node(e) => {
@@ -346,8 +354,8 @@ impl System for EngineSystem {
     }
 
     /// The telemetry JSON (`Fresh`), resident state, executed tasks and
-    /// view statistics of every node, and a cluster's wire frames and
-    /// tuples and exchange counts.
+    /// view statistics of every node, and a cluster's wire frames, tuples
+    /// and bytes and exchange counts.
     fn finish(&mut self) -> (u64, String) {
         let mut out = String::new();
         for node in self.nodes() {
@@ -359,13 +367,12 @@ impl System for EngineSystem {
             }
         }
         if let Engine::Cluster(c) = &self.engine {
-            // Not the wire bytes: a traced frame carries its admission's
-            // wall-clock stamp as a varint, so its length varies by run.
             let wire = c.wire_stats();
             out += &format!(
-                "frames {} tuples {} {:?}\n",
+                "frames {} tuples {} bytes {} {:?}\n",
                 wire.frames,
                 wire.tuples,
+                wire.bytes,
                 c.exchange_tuples()
             );
         }

@@ -205,7 +205,7 @@ fn without_clocks(json: &str) -> String {
 /// Every exact counter is identical over five same-seed runs, per
 /// scheduling mode and on a cluster: the telemetry JSON without its
 /// wall-clock fields, resident state, executor tasks, view statistics,
-/// and the cluster's wire and exchange counts.
+/// and the cluster's wire frames, tuples and bytes and exchange counts.
 #[test]
 fn counters_repeat_over_same_seed_runs_in_every_mode() {
     let mut configs = Config::matrix(&[2]);

@@ -215,6 +215,62 @@ fn migration_row() -> Row {
     )
 }
 
+/// The back-fill row's plans: a resident `[rows 4]` scan of `Readings`
+/// (kept in every opening slot, so the logs it pins hold only a short
+/// suffix), migrating `[range]` scans beside it, one of them half of a
+/// self-join whose sides index the log's rows, and the only windows over
+/// `Alarms` — whose logs a move leaves behind entirely.
+const BACKFILL_PLANS: &[&str] = &[
+    "select r.sensor, r.value from Readings r [rows 4]",
+    "select r.sensor, avg(r.value) from Readings r [range 30 seconds] group by r.sensor",
+    "select a.sensor, a.level from Alarms a [range 20 seconds] where a.level > 1",
+    "select a.value, b.value from Readings a [range 12 seconds], Readings b [rows 4] \
+     where a.sensor = b.sensor ^ a.value < b.value",
+];
+
+/// Property: a moved cursor rejoins its recipient's log at its position,
+/// and the rows that log lacks — all of them for a source with no log
+/// there, the ones below the floor a resident `[rows 4]` scan pins
+/// otherwise — are back-filled under their ids. Under forced migrations
+/// at 2 / 4 shards × every scheduling mode and on 1 / 2 / 4-node
+/// clusters, every query equals the model and its private run after
+/// every event, every log holds each row at its arrival number, and rows
+/// really were back-filled.
+#[test]
+fn migration_backfills_what_the_recipient_lacks() {
+    let (mut backfilled, mut moves) = (0, 0);
+    for run in backfill_row().check(seeds(3)) {
+        for o in run.engines() {
+            backfilled += o.samples.last().map_or(0, |s| s.backfilled);
+            moves += o.migrations;
+        }
+    }
+    assert!(
+        backfilled > 0 && moves > 0,
+        "{backfilled} rows back-filled in {moves} moves"
+    );
+}
+
+fn backfill_row() -> Row {
+    let mut w = Workload {
+        streams: &[("Readings", 3), ("Alarms", 1)],
+        templates: (BACKFILL_PLANS.len(), 1),
+        push: true,
+        weights: Weights {
+            migrate: 6,
+            ..lifecycle(0)
+        },
+        events: 70,
+        jump: (1, 8),
+        keep: &[0, 1, 2, 3],
+        ..Workload::new(catalog, reading_cells, |t, _| BACKFILL_PLANS[t].into())
+    };
+    w.opening = w.register_all([(0, 0), (0, 0), (0, 0), (0, 0), (1, 0), (2, 0), (3, 0)]);
+    let mut configs = Config::matrix(&[2, 4]);
+    configs.extend([1, 2, 4].map(|n| Config::cluster(n, Mode::Seq)));
+    Row::new("backfill_row()", w, configs)
+}
+
 /// Property: scheduling determinism. `Deterministic(seed)` defers
 /// boundary tasks in the same bounded per-shard queues the pool uses
 /// and replays a fixed seeded interleaving; under full churn it stays
