@@ -907,6 +907,36 @@ mod tests {
         assert_eq!(b.floor(), Some(5), "b keeps what its cursors pin");
     }
 
+    /// A log back-filled within one engine re-seals its full segments
+    /// against the source's pool, which hands back the parts the donor's
+    /// log sealed: the move copies only the open segment.
+    #[test]
+    fn a_backfilled_log_shares_the_donors_sealed_segments() {
+        let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
+        let (mut a, mut b) = (
+            SourceLog::new(&opts, pool.clone()),
+            SourceLog::new(&opts, pool.clone()),
+        );
+        for q in 0..2 {
+            a.attach(QueryId(q), Position::fresh(0, WindowSpec::Rows(100)), None);
+        }
+        let rows: Vec<Tuple> = (0..80).map(|i| t(i, i as u64)).collect();
+        feed(&mut a, &rows, &mut ShardMeters::default());
+        let shared = pool.bytes();
+        assert!(
+            shared > 0 && shared == a.pooled_bytes(),
+            "[0, 64) sealed in a"
+        );
+        assert_eq!(move_cursors(&mut a, Some(&mut b), QueryId(1)), 80);
+        assert_eq!(b.numbered(), a_numbered(&rows, 0));
+        assert_eq!(
+            b.pooled_bytes(),
+            a.pooled_bytes(),
+            "b holds a's sealed parts"
+        );
+        assert_eq!(pool.bytes(), shared, "charged once");
+    }
+
     /// Two shards' logs of one source, fed its numbered batches — the
     /// second only from the batch after a query there attached, through
     /// an unbounded-only stretch that stores nothing — give a tuple one
