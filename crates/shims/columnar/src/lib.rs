@@ -15,9 +15,14 @@
 //!   Sealing re-encodes each column at the width its values need and
 //!   keeps, per segment and per column, whichever encoding measures the
 //!   fewest bytes — nothing but the data selects it:
-//!   * integers and stamps: plain words, run-length runs, or
-//!     frame-of-reference (`min + u8 | u16 | u32` when `max − min` fits
-//!     32 bits);
+//!   * integers and stamps: plain words, run-length runs, or strided
+//!     frame-of-reference (`min + step · (u8 | u16 | u32)`, `step` the
+//!     GCD of the values' distances from `min`, when `(max − min) / step`
+//!     fits 32 bits) — stamps on a fixed clock pack as tick counts;
+//!   * floats: decimals (`int / 10^exp`, `exp` ≤ 4, the integers sealed
+//!     as above) when every value decodes back bit for bit from its
+//!     integer, else plain 8-byte bits — `-0.0`, NaN, ±inf, off-grid
+//!     values and magnitudes from 2^53 keep a segment plain;
 //!   * text: one byte blob plus narrow offset vectors, either as a local
 //!     dictionary (distinct strings, codes as wide as the dictionary
 //!     needs) or as plain per-row strings when nearly all are distinct.
@@ -32,8 +37,9 @@
 //!   (sealed like an integer column), liveness (a bit a row) and weights
 //!   stay resident always; the value columns of a sealed segment may be
 //!   *spilled* to disk ([`SpillConfig`]) and are decoded transiently on
-//!   access. A spill file that cannot be read back or decoded makes its
-//!   segment's rows read as absent and is counted
+//!   access. A spill file carries an FNV-1a checksum of its payload; one
+//!   that cannot be read back, fails its checksum or does not decode makes
+//!   its segment's rows read as absent and is counted
 //!   ([`TupleStore::spill_read_failures`]). Fully-dead sealed segments
 //!   are dropped (and their spill files deleted) automatically.
 //! * [`SegmentPool`] — a sealed segment's stamps and value columns are
@@ -46,6 +52,7 @@
 //! (the byte length of every vector held), which is what the engine
 //! surfaces through its telemetry. A pooled part is charged once, to
 //! [`SegmentPool::bytes`], until its last holder drops it.
+//! [`TupleStore::census`] splits the sealed bytes by encoding.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -126,6 +133,59 @@ impl Hash for Cell {
     }
 }
 
+/// Sealed bytes by encoding: a store's sealed segments' stamps and
+/// resident value columns, counted as they seal, spill and drop. A float
+/// column that fails the decimal check shows here as `float`, 8 B a row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Census([usize; 8]);
+
+impl Census {
+    /// What each count is, in order.
+    const ENCODINGS: [&'static str; 8] = [
+        "plain",
+        "rle",
+        "for",
+        "decimal",
+        "float",
+        "dict_text",
+        "plain_text",
+        "mixed",
+    ];
+
+    /// `(encoding, bytes)` for plain, RLE and FOR words, decimal and
+    /// plain floats, dictionary and plain text, and mixed cells.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, usize)> {
+        Census::ENCODINGS.into_iter().zip(self.0)
+    }
+
+    fn of(encoding: usize, bytes: usize) -> Census {
+        let mut out = Census::default();
+        out.0[encoding] = bytes;
+        out
+    }
+}
+
+impl std::ops::AddAssign for Census {
+    fn add_assign(&mut self, other: Census) {
+        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a += b);
+    }
+}
+
+impl std::ops::SubAssign for Census {
+    fn sub_assign(&mut self, other: Census) {
+        self.0.iter_mut().zip(other.0).for_each(|(a, b)| *a -= b);
+    }
+}
+
+impl std::iter::Sum for Census {
+    fn sum<I: Iterator<Item = Census>>(iter: I) -> Census {
+        iter.fold(Census::default(), |mut a, b| {
+            a += b;
+            a
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Narrow vectors and word columns
 
@@ -194,9 +254,12 @@ enum Words {
         values: Vec<u64>,
         ends: Vec<u32>,
     },
-    /// Row `i` is `base + deltas[i]`; `base` is the column's minimum.
+    /// Row `i` is `base + step · deltas[i]`; `base` is the column's
+    /// minimum and `step` the GCD of every `x − base` (1 when all equal),
+    /// so stamps on a fixed clock pack as tick counts.
     For {
         base: u64,
+        step: u64,
         deltas: Narrow,
     },
 }
@@ -218,6 +281,15 @@ impl Words {
         }
     }
 
+    /// Its [`Census`] index: plain, RLE or FOR.
+    fn encoding(&self) -> usize {
+        match self {
+            Words::Plain(_) => 0,
+            Words::Rle { .. } => 1,
+            Words::For { .. } => 2,
+        }
+    }
+
     fn push(&mut self, x: u64) {
         match self {
             Words::Plain(v) => v.push(x),
@@ -230,7 +302,9 @@ impl Words {
         match self {
             Words::Plain(v) => v[i],
             Words::Rle { values, ends } => values[ends.partition_point(|&e| e as usize <= i)],
-            Words::For { base, deltas } => base.wrapping_add(deltas.get(i) as u64),
+            Words::For { base, step, deltas } => {
+                base.wrapping_add(step.wrapping_mul(deltas.get(i) as u64))
+            }
         }
     }
 
@@ -247,14 +321,25 @@ impl Words {
         let (lo, hi) = v.iter().fold((u64::MAX, 0), |(lo, hi), &x| {
             (lo.min(x ^ flip), hi.max(x ^ flip))
         });
+        // The stride, the GCD of every distance from `lo` (given up at 1),
+        // can only narrow a column wider than a byte.
+        let stride = || {
+            let gcd = v.iter().try_fold(0, |g, &x| match gcd(g, (x ^ flip) - lo) {
+                1 => None,
+                g => Some(g),
+            });
+            gcd.unwrap_or(1).max(1)
+        };
+        let step = if hi - lo > 0xFF { stride() } else { 1 };
         let plain = v.len() * 8;
         let rle = 12 * (1 + v.windows(2).filter(|w| w[0] != w[1]).count());
         let packed = |range| v.len() * Narrow::width(range);
-        match u32::try_from(hi - lo) {
+        match u32::try_from((hi - lo) / step) {
             Ok(range) if packed(range) < plain && packed(range) <= rle => {
                 let base = lo ^ flip;
-                let deltas = Narrow::pack(range, v.iter().map(|&x| x.wrapping_sub(base) as u32));
-                *self = Words::For { base, deltas };
+                let delta = |&x: &u64| (x.wrapping_sub(base) / step) as u32;
+                let deltas = Narrow::pack(range, v.iter().map(delta));
+                *self = Words::For { base, step, deltas };
             }
             _ if rle < plain => {
                 let (values, ends) = rle_encode(v);
@@ -263,6 +348,20 @@ impl Words {
             _ => {}
         }
     }
+}
+
+/// Stein's binary GCD: shifts and subtractions, no division.
+fn gcd(a: u64, b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    let (mut a, mut b) = (a >> a.trailing_zeros(), b >> b.trailing_zeros());
+    while a != b {
+        (a, b) = (a.min(b), a.max(b) - a.min(b));
+        b >>= b.trailing_zeros();
+    }
+    a << shift
 }
 
 /// The runs of a non-empty `v`.
@@ -293,6 +392,12 @@ enum Column {
     Int(Words),
     /// `f64` bit patterns — exact round-trip, NaN payloads included.
     Float(Vec<u64>),
+    /// Sealed `f64`s that are all decimals of `exp` places: row `i` is
+    /// `ints[i] as i64 as f64 / 10^exp`, bit for bit.
+    Decimal {
+        exp: u8,
+        ints: Words,
+    },
     Bool(Vec<bool>),
     Ts(Words),
     /// Text while it takes appends (the active segment only):
@@ -321,6 +426,40 @@ fn cell_heap(c: &Cell) -> usize {
         Cell::Text(s) => s.len(),
         _ => 0,
     }
+}
+
+/// The powers of ten a [`Column::Decimal`] divides by.
+const POW10: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
+
+#[inline]
+fn decimal(int: u64, exp: u8) -> f64 {
+    int as i64 as f64 / POW10[exp as usize]
+}
+
+/// The integer `x` (`f64` bits) is at `exp` places, if decoding that
+/// integer gives `x` back bit for bit — which NaN, ±inf, `-0.0`, values
+/// off the grid and magnitudes of 2^53 and up never do.
+fn scaled(x: u64, exp: u8) -> Option<u64> {
+    let y = f64::from_bits(x) * POW10[exp as usize];
+    // The integer nearest `y` (NaN gives 0, ±inf saturates); only the
+    // decode check makes it exact.
+    let int = (y + 0.5f64.copysign(y)) as i64;
+    let exact = int.unsigned_abs() < 1 << 53 && decimal(int as u64, exp).to_bits() == x;
+    exact.then_some(int as u64)
+}
+
+/// Seal a float column as decimals at the fewest places every value
+/// round-trips at, if that measures fewer bytes than plain.
+fn pack_floats(v: &[u64]) -> Option<Column> {
+    let mut ints = Vec::with_capacity(v.len());
+    let exp = (0..POW10.len() as u8).find(|&e| {
+        ints.clear();
+        ints.extend(v.iter().map_while(|&x| scaled(x, e)));
+        ints.len() == v.len()
+    })?;
+    let mut ints = Words::Plain(ints);
+    ints.seal(true);
+    (ints.heap_bytes() < v.len() * 8).then_some(Column::Decimal { exp, ints })
 }
 
 /// Row `i` of a [`Column::Packed`].
@@ -381,6 +520,7 @@ impl Column {
             Column::Empty => 0,
             Column::Int(w) | Column::Ts(w) => w.len(),
             Column::Float(v) => v.len(),
+            Column::Decimal { ints, .. } => ints.len(),
             Column::Bool(v) => v.len(),
             Column::Text { codes, .. } => codes.len(),
             Column::Packed { ends, codes, .. } => codes.as_ref().unwrap_or(ends).len(),
@@ -395,6 +535,7 @@ impl Column {
             Column::Empty => 0,
             Column::Int(w) | Column::Ts(w) => w.heap_bytes(),
             Column::Float(v) => v.len() * 8,
+            Column::Decimal { ints, .. } => ints.heap_bytes(),
             Column::Bool(v) => v.len(),
             Column::Text {
                 dict,
@@ -411,6 +552,19 @@ impl Column {
                 blob.len() + ends.heap_bytes() + codes.as_ref().map_or(0, Narrow::heap_bytes)
             }
             Column::Mixed(v, text) => v.len() * std::mem::size_of::<Cell>() + *text,
+        }
+    }
+
+    /// Its [`Census`] index.
+    fn encoding(&self) -> usize {
+        match self {
+            Column::Empty | Column::Bool(_) => 0,
+            Column::Int(w) | Column::Ts(w) => w.encoding(),
+            Column::Decimal { .. } => 3,
+            Column::Float(_) => 4,
+            Column::Text { .. } | Column::Packed { codes: Some(_), .. } => 5,
+            Column::Packed { codes: None, .. } => 6,
+            Column::Mixed(..) => 7,
         }
     }
 
@@ -484,6 +638,7 @@ impl Column {
             Column::Empty => Cell::Null,
             Column::Int(w) => Cell::Int(w.get(i) as i64),
             Column::Float(v) => Cell::Float(f64::from_bits(v[i])),
+            Column::Decimal { exp, ints } => Cell::Float(decimal(ints.get(i), *exp)),
             Column::Bool(v) => Cell::Bool(v[i]),
             Column::Ts(w) => Cell::Ts(w.get(i)),
             Column::Text { dict, codes, .. } => Cell::Text(dict[codes[i] as usize].clone()),
@@ -501,6 +656,9 @@ impl Column {
             (Column::Empty, Cell::Null) => true,
             (Column::Int(w), Cell::Int(x)) => w.get(i) == *x as u64,
             (Column::Float(v), Cell::Float(x)) => v[i] == x.to_bits(),
+            (Column::Decimal { exp, ints }, Cell::Float(x)) => {
+                decimal(ints.get(i), *exp).to_bits() == x.to_bits()
+            }
             (Column::Bool(v), Cell::Bool(x)) => v[i] == *x,
             (Column::Ts(w), Cell::Ts(x)) => w.get(i) == *x,
             (Column::Text { dict, codes, .. }, Cell::Text(s)) => dict[codes[i] as usize] == *s,
@@ -523,6 +681,11 @@ impl Column {
             } => *self = pack_text(dict, codes, *str_bytes),
             Column::Int(w) => w.seal(true),
             Column::Ts(w) => w.seal(false),
+            Column::Float(v) => {
+                if let Some(decimal) = pack_floats(v) {
+                    *self = decimal;
+                }
+            }
             _ => {}
         }
     }
@@ -678,9 +841,10 @@ fn encode_words(buf: &mut Vec<u8>, w: &Words) {
             put_u64s(buf, values);
             ends.iter().for_each(|&e| put_u32(buf, e));
         }
-        Words::For { base, deltas } => {
+        Words::For { base, step, deltas } => {
             buf.push(2);
             put_u64(buf, *base);
+            put_u64(buf, *step);
             encode_narrow(buf, deltas);
         }
     }
@@ -700,6 +864,7 @@ fn decode_words(buf: &mut &[u8]) -> Option<Words> {
         }
         2 => Words::For {
             base: take_u64(buf)?,
+            step: take_u64(buf)?,
             deltas: decode_narrow(buf)?,
         },
         _ => return None,
@@ -716,6 +881,11 @@ fn encode_column(buf: &mut Vec<u8>, col: &Column) {
         Column::Float(v) => {
             buf.push(2);
             put_u64s(buf, v);
+        }
+        Column::Decimal { exp, ints } => {
+            buf.push(7);
+            buf.push(*exp);
+            encode_words(buf, ints);
         }
         Column::Bool(v) => {
             buf.push(3);
@@ -790,13 +960,40 @@ fn decode_column(buf: &mut &[u8]) -> Option<Column> {
             let text = v.iter().map(cell_heap).sum();
             Column::Mixed(v, text)
         }
+        7 => Column::Decimal {
+            exp: take_u8(buf).filter(|&e| (e as usize) < POW10.len())?,
+            ints: decode_words(buf)?,
+        },
         _ => return None,
     })
 }
 
-/// A spill file's columns: all of `raw` must decode, into columns of
-/// `rows` rows each.
-fn decode_segment(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
+/// FNV-1a over `bytes`: a spill file's trailer.
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, step)
+}
+
+/// A spill file: `columns` encoded, then their checksum.
+fn encode_segment(columns: &[Column]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, columns.len() as u32);
+    for c in columns {
+        encode_column(&mut buf, c);
+    }
+    let sum = checksum(&buf);
+    put_u64(&mut buf, sum);
+    buf
+}
+
+/// A spill file's columns: its checksum must match, and all of the
+/// payload decode, into columns of `rows` rows each.
+fn decode_segment(raw: &[u8], rows: usize) -> Option<Vec<Column>> {
+    let (payload, sum) = raw.split_at(raw.len().checked_sub(8)?);
+    (checksum(payload).to_le_bytes() == sum).then(|| decode_columns(payload, rows))?
+}
+
+fn decode_columns(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
     let n = take_u32(&mut raw)? as usize;
     let cols: Vec<Column> = (0..n)
         .map(|_| decode_column(&mut raw))
@@ -1006,6 +1203,24 @@ impl Segment {
         }
     }
 
+    /// What a store caches of this segment while it is sealed.
+    fn cached(&self) -> Cached {
+        let cols = match &self.state {
+            SegState::Resident(cols) => cols.as_slice(),
+            SegState::Spilled(_) => &[],
+        };
+        let ts = Census::of(self.ts.encoding(), self.ts.heap_bytes());
+        let census = cols
+            .iter()
+            .map(|c| Census::of(c.encoding(), c.heap_bytes()));
+        Cached {
+            resident: self.resident_bytes(),
+            pooled: self.pooled_bytes(),
+            spilled: self.spilled_bytes(),
+            census: census.chain([ts]).sum(),
+        }
+    }
+
     /// The segment's value columns, decoding a spilled segment
     /// transiently (the cache stays cold; reads do not fault pages in).
     /// `None`, and one more in `failures`, when its file cannot be read
@@ -1061,11 +1276,7 @@ impl Segment {
         if fs::create_dir_all(dir).is_err() {
             return;
         }
-        let mut buf = Vec::new();
-        put_u32(&mut buf, cols.len() as u32);
-        for c in cols.iter() {
-            encode_column(&mut buf, c);
-        }
+        let buf = encode_segment(cols);
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("colspill-{}-{}.seg", std::process::id(), seq));
         let ok = fs::File::create(&path)
@@ -1108,6 +1319,35 @@ impl Drop for Segment {
     }
 }
 
+/// Byte gauges over a store's sealed segments, which are byte-immutable
+/// until spilled or dropped: kept as they seal, spill and drop.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cached {
+    resident: usize,
+    /// The pooled share of `resident`.
+    pooled: usize,
+    spilled: usize,
+    census: Census,
+}
+
+impl std::ops::AddAssign for Cached {
+    fn add_assign(&mut self, o: Cached) {
+        self.resident += o.resident;
+        self.pooled += o.pooled;
+        self.spilled += o.spilled;
+        self.census += o.census;
+    }
+}
+
+impl std::ops::SubAssign for Cached {
+    fn sub_assign(&mut self, o: Cached) {
+        self.resident -= o.resident;
+        self.pooled -= o.pooled;
+        self.spilled -= o.spilled;
+        self.census -= o.census;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Spill policy
 
@@ -1147,15 +1387,10 @@ pub struct TupleStore {
     /// segment is dropped) and gives the spill tier finer pages, at the
     /// cost of more per-segment overhead.
     seg_rows: u32,
-    /// Cached resident bytes of *sealed* segments. Sealed segments are
-    /// byte-immutable until spilled or dropped, so the hot
+    /// The byte gauges of the *sealed* segments, so the hot
     /// `resident_bytes` gauge only has to measure the active segment —
     /// telemetry polls it per structure per report.
-    sealed_resident: usize,
-    /// The pooled share of `sealed_resident`.
-    sealed_pooled: usize,
-    /// Cached total of spilled segment files.
-    spilled: usize,
+    sealed: Cached,
     /// Where full, aligned segments are shared once sealed.
     pool: Option<SegmentPool>,
     /// Reads of a spilled segment that found its file missing, short or
@@ -1173,18 +1408,19 @@ impl Clone for TupleStore {
             .iter()
             .filter_map(|s| s.rehydrated(&self.read_failures))
             .collect();
-        let sealed = segs.iter().filter(|s| s.sealed);
+        let mut sealed = Cached::default();
+        segs.iter()
+            .filter(|s| s.sealed)
+            .for_each(|s| sealed += s.cached());
         TupleStore {
             width: self.width,
             weighted: self.weighted,
             live: segs.iter().map(|s| s.live as u64).sum(),
-            sealed_resident: sealed.clone().map(Segment::resident_bytes).sum(),
-            sealed_pooled: sealed.map(Segment::pooled_bytes).sum(),
+            sealed,
             segs,
             next_row: self.next_row,
             spill: self.spill.clone(),
             seg_rows: self.seg_rows,
-            spilled: 0,
             pool: self.pool.clone(),
             read_failures: AtomicU64::new(self.spill_read_failures()),
         }
@@ -1201,9 +1437,7 @@ impl TupleStore {
             live: 0,
             spill: None,
             seg_rows: SEG_CAP,
-            sealed_resident: 0,
-            sealed_pooled: 0,
-            spilled: 0,
+            sealed: Cached::default(),
             pool: None,
             read_failures: AtomicU64::new(0),
         }
@@ -1271,16 +1505,21 @@ impl TupleStore {
             Some(s) if !s.sealed => s.resident_bytes(),
             _ => 0,
         };
-        self.sealed_resident + active
+        self.sealed.resident + active
     }
 
     /// The share of [`TupleStore::resident_bytes`] charged to the pool.
     pub fn pooled_bytes(&self) -> usize {
-        self.sealed_pooled
+        self.sealed.pooled
     }
 
     pub fn spilled_bytes(&self) -> usize {
-        self.spilled
+        self.sealed.spilled
+    }
+
+    /// Sealed bytes by encoding (O(1)).
+    pub fn census(&self) -> Census {
+        self.sealed.census
     }
 
     /// Segment reads that found a spill file missing, truncated or
@@ -1309,8 +1548,7 @@ impl TupleStore {
             if let Some(last) = self.segs.last_mut().filter(|s| !s.sealed) {
                 let full = last.rows == self.seg_rows && last.base % self.seg_rows as u64 == 0;
                 last.seal(self.pool.as_ref().filter(|_| full));
-                self.sealed_resident += last.resident_bytes();
-                self.sealed_pooled += last.pooled_bytes();
+                self.sealed += last.cached();
             }
             self.maybe_spill();
             self.segs.push(Segment::new(self.next_row));
@@ -1444,10 +1682,7 @@ impl TupleStore {
             s.first = s.next_live(off) as u32;
         }
         if s.live == 0 && s.sealed {
-            let seg = self.segs.remove(i);
-            self.sealed_resident -= seg.resident_bytes();
-            self.sealed_pooled -= seg.pooled_bytes();
-            self.spilled -= seg.spilled_bytes();
+            self.sealed -= self.segs.remove(i).cached();
         }
         true
     }
@@ -1505,9 +1740,7 @@ impl TupleStore {
             .count();
         for seg in self.segs.drain(..whole) {
             self.live -= seg.live as u64;
-            self.sealed_resident -= seg.resident_bytes();
-            self.sealed_pooled -= seg.pooled_bytes();
-            self.spilled -= seg.spilled_bytes();
+            self.sealed -= seg.cached();
         }
         // At most one segment straddles the bound (or is the unsealed
         // active one, which is kept even when fully dead).
@@ -1528,9 +1761,7 @@ impl TupleStore {
     pub fn clear(&mut self) {
         self.segs.clear();
         self.live = 0;
-        self.sealed_resident = 0;
-        self.sealed_pooled = 0;
-        self.spilled = 0;
+        self.sealed = Cached::default();
     }
 
     fn maybe_spill(&mut self) {
@@ -1545,12 +1776,12 @@ impl TupleStore {
             if !s.sealed || matches!(s.state, SegState::Spilled(_)) {
                 continue;
             }
-            let (before, pooled) = (s.resident_bytes(), s.pooled_bytes());
+            let before = s.cached();
             s.spill(&cfg.dir);
-            resident -= before - s.resident_bytes();
-            self.sealed_resident -= before - s.resident_bytes();
-            self.sealed_pooled -= pooled - s.pooled_bytes();
-            self.spilled += s.spilled_bytes();
+            let after = s.cached();
+            resident -= before.resident - after.resident;
+            self.sealed -= before;
+            self.sealed += after;
             if resident <= cfg.threshold_bytes {
                 break;
             }
@@ -1677,8 +1908,10 @@ mod tests {
         let mut varying = TupleStore::new(1);
         for i in 0..(SEG_CAP as i64 + 1) {
             constant.push(&[Cell::Int(42)], i as u64);
-            // Spread past 32 bits, so no narrower encoding applies.
-            varying.push(&[Cell::Int(i * (7919 << 32))], i as u64);
+            // Spread past 32 bits and on no stride (a multiplicative
+            // hash), so no narrower encoding applies.
+            let spread = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            varying.push(&[Cell::Int(spread as i64)], i as u64);
         }
         // Same rows, same always-resident metadata — the RLE'd constant
         // column should save nearly the whole 8-bytes/row payload.
@@ -1851,6 +2084,9 @@ mod tests {
         let resident: usize = s.segs.iter().map(Segment::resident_bytes).sum();
         let pooled: usize = s.segs.iter().map(Segment::pooled_bytes).sum();
         let spilled: usize = s.segs.iter().map(Segment::spilled_bytes).sum();
+        let sealed = s.segs.iter().filter(|g| g.sealed);
+        let census: Census = sealed.map(|g| g.cached().census).sum();
+        assert_eq!(s.census(), census, "census drifted {at}");
         assert_eq!(s.resident_bytes(), resident, "resident cache drifted {at}");
         assert_eq!(s.pooled_bytes(), pooled, "pooled cache drifted {at}");
         assert_eq!(s.spilled_bytes(), spilled, "spill cache drifted {at}");
@@ -2208,6 +2444,235 @@ mod tests {
         assert!(shared_segments > 50, "{shared_segments} shared segments");
     }
 
+    // -- numbers at their width ------------------------------------------------
+
+    /// Floats no decimal form may take: `-0.0`, NaN payloads, ±inf,
+    /// subnormals, sums off every grid, and the edge of exact integers.
+    fn float_edges() -> Vec<f64> {
+        let exact = 2f64.powi(53);
+        vec![
+            -0.0,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0007),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            0.1 + 0.2,
+            exact,
+            -exact,
+            exact + 2.0,
+            exact - 1.0,
+            -(exact - 1.0),
+            1.0 / 3.0,
+            0.001 * 3.0,
+        ]
+    }
+
+    /// How one column of [`numbers`] is drawn.
+    #[derive(Clone, Copy)]
+    enum Number {
+        /// `base + step · k`, `k` cycling 0, `max`, then random, so each
+        /// sealed segment spans exactly `max` steps.
+        Stride {
+            base: i64,
+            step: u64,
+            max: u64,
+            ts: bool,
+        },
+        /// `i64::MIN`, `i64::MAX`, -1 or 0 (`u64::MAX` or 0 as stamps).
+        Extreme { ts: bool },
+        /// A decimal of `exp` places around zero, made by division as the
+        /// sealed form decodes it — or by multiplication, which leaves
+        /// some off the grid.
+        Decimal { exp: i32, span: i64, divided: bool },
+        /// Half-grid values, an edge float (`-0.0`, NaN, …) now and then.
+        Edgy,
+    }
+
+    fn number(d: Number, i: u64, rng: &mut StdRng, edges: &[f64]) -> Cell {
+        match d {
+            Number::Stride {
+                base,
+                step,
+                max,
+                ts,
+            } => {
+                let k = match i % 3 {
+                    0 => 0,
+                    1 => max,
+                    _ => rng.gen_range(0..=max),
+                };
+                let x = (base as u64).wrapping_add(step * k);
+                if ts {
+                    Cell::Ts(x)
+                } else {
+                    Cell::Int(x as i64)
+                }
+            }
+            Number::Extreme { ts: false } => Cell::Int([i64::MIN, i64::MAX, -1, 0][i as usize % 4]),
+            Number::Extreme { ts: true } => Cell::Ts([u64::MAX, 0][rng.gen_range(0..2usize)]),
+            Number::Decimal { exp, span, divided } => {
+                let n = rng.gen_range(-span..=span) as f64;
+                Cell::Float(match divided {
+                    true => n / 10f64.powi(exp),
+                    false => n * 10f64.powi(-exp),
+                })
+            }
+            Number::Edgy if rng.gen_bool(0.02) => Cell::Float(edges[rng.gen_range(0..edges.len())]),
+            Number::Edgy => Cell::Float(rng.gen_range(-400..400i64) as f64 * 0.5),
+        }
+    }
+
+    /// The property's number columns: strides on every side of each
+    /// `Narrow` width, extremes, and floats on and off a decimal grid.
+    fn numbers(rng: &mut StdRng) -> Vec<Number> {
+        let mut columns = Vec::new();
+        let maxes = [0, 0xFF, 0x100, 0xFFFF, 0x1_0000, 0xFFFF_FFFF, 0x1_0000_0000];
+        for (k, max) in maxes.into_iter().enumerate() {
+            let steps = [[(1, false), (1_953, true)], [(180_000, false), (7, true)]];
+            for (step, ts) in steps[k % 2] {
+                let base = rng.gen::<i64>().min(i64::MAX - (step * max) as i64);
+                columns.push(Number::Stride {
+                    base,
+                    step,
+                    max,
+                    ts,
+                });
+            }
+        }
+        columns.extend([Number::Extreme { ts: false }, Number::Extreme { ts: true }]);
+        for exp in 0..=5 {
+            for divided in [true, false] {
+                let span = rng.gen_range(1..100_000i64);
+                columns.push(Number::Decimal { exp, span, divided });
+            }
+        }
+        columns.push(Number::Edgy);
+        columns
+    }
+
+    /// What sealing chose across a store's resident sealed segments.
+    fn encodings(s: &TupleStore) -> HashSet<String> {
+        let words = |w: &Words| match w {
+            Words::For { step, deltas, .. } => {
+                let width = match deltas {
+                    Narrow::U8(_) => 1,
+                    Narrow::U16(_) => 2,
+                    Narrow::U32(_) => 4,
+                };
+                format!("for{width}{}", if *step > 1 { "/strided" } else { "" })
+            }
+            other => format!("words{}", other.encoding()),
+        };
+        let mut out = HashSet::new();
+        for g in s.segs.iter().filter(|g| g.sealed) {
+            out.insert(format!("stamps {}", words(&g.ts)));
+            let SegState::Resident(cols) = &g.state else {
+                continue;
+            };
+            for c in cols.iter() {
+                out.insert(match c {
+                    Column::Int(w) | Column::Ts(w) => words(w),
+                    Column::Decimal { exp, ints } => format!("decimal{exp} {}", words(ints)),
+                    other => format!("column{}", other.encoding()),
+                });
+            }
+        }
+        out
+    }
+
+    /// Property: numbers sealed at their width — strided FOR, decimals —
+    /// read back bit for bit. Sealed, spilled and pooled stores answer
+    /// `get`, `ts`, `row_matches` and scans exactly like an unsealed
+    /// twin fed the same rows, kills and releases.
+    #[test]
+    fn numbers_sealed_at_their_width_read_back_bit_exact() {
+        let edges = float_edges();
+        let mut seen = HashSet::new();
+        for seed in test_seeds(2) {
+            for (seg_rows, n) in [(4u32, 120u64), (32, 700), (1024, 1_100)] {
+                let mut rng = StdRng::seed_from_u64(seed ^ (seg_rows as u64) << 32);
+                let columns = numbers(&mut rng);
+                let dir = std::env::temp_dir().join(format!(
+                    "colshim-numbers-{}-{seed}-{seg_rows}",
+                    std::process::id()
+                ));
+                let pool = SegmentPool::default();
+                let new = |rows: u32| TupleStore::new(columns.len()).segment_rows(rows);
+                let mut twin = new(u32::MAX);
+                let mut stores = [
+                    new(seg_rows),
+                    new(seg_rows).with_spill(Some(SpillConfig::new(0, &dir))),
+                    new(seg_rows).with_pool(pool.clone()),
+                    new(seg_rows).with_pool(pool.clone()),
+                ];
+                for i in 0..n {
+                    let at = format!("(seed {seed}, {seg_rows}-row segments, row {i})");
+                    let cells: Vec<Cell> = columns
+                        .iter()
+                        .map(|&d| number(d, i, &mut rng, &edges))
+                        .collect();
+                    let ts = stamp(i / 3, 1_953);
+                    let victim = rng.gen_range(0..=i);
+                    let (kill, release) = (rng.gen_bool(0.1), rng.gen_bool(0.01));
+                    for s in std::iter::once(&mut twin).chain(&mut stores) {
+                        assert_eq!(s.push(&cells, ts), i, "{at}");
+                        if kill {
+                            s.mark_dead(victim);
+                        }
+                        if release {
+                            s.mark_dead_below(i / 4);
+                        }
+                    }
+                    let all: Vec<&TupleStore> = stores.iter().collect();
+                    assert_row_alike(&twin, &all, rng.gen_range(0..=i), &at);
+                    if (i + 1) % (n / 4) == 0 {
+                        let want = live_rows_of(&twin);
+                        for s in &stores {
+                            assert_eq!(live_rows_of(s), want, "{at}");
+                            assert_caches_exact(s, &at);
+                            assert_sealing_never_grows(s, &at);
+                        }
+                        for _ in 0..48 {
+                            assert_row_alike(&twin, &all, rng.gen_range(0..=i), &at);
+                        }
+                        seen.extend(encodings(&stores[0]));
+                    }
+                }
+                let [_, spilled, a, b] = &stores;
+                assert!(spilled.spilled_bytes() > 0 && spilled.spill_read_failures() == 0);
+                let shared = a
+                    .segs
+                    .iter()
+                    .zip(&b.segs)
+                    .filter(|(x, y)| Arc::ptr_eq(&x.ts, &y.ts));
+                assert!(shared.count() > 0, "the pool shared nothing");
+                drop(stores);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+        // Every form the property means to reach, reached.
+        for form in [
+            "stamps for1/strided",
+            "for1/strided",
+            "for2/strided",
+            "for4/strided",
+            "for1",
+            "for2",
+            "for4",
+            "words0",
+            "words1",
+            "decimal0 for4",
+            "decimal3 for4",
+            "decimal1 for2",
+            "column4",
+        ] {
+            assert!(seen.contains(form), "{form} never sealed: {seen:?}");
+        }
+    }
+
     /// Segments are cut in row-id space: a store resumed at row 45 seals
     /// `[45, 64)` first, then whole segments — the same `[64, 96)` a
     /// store numbering from 0 seals, which the pool then holds once.
@@ -2324,6 +2789,39 @@ mod tests {
         assert!(full.resident_bytes() <= 54_400, "{}", full.resident_bytes());
     }
 
+    /// A quarter-grid float column seals as two-place decimals on a
+    /// stride of 25, and its spill encoding decodes totally: every cut
+    /// short of the whole, and an exponent past 4, give `None`.
+    #[test]
+    fn decimal_columns_seal_strided_and_decode_totally() {
+        let mut col = Column::Empty;
+        (0..40).for_each(|i| col.push(Cell::Float(i as f64 * 0.25)));
+        col.seal();
+        let strided = |w: &Words| {
+            matches!(
+                w,
+                Words::For {
+                    step: 25,
+                    deltas: Narrow::U8(_),
+                    ..
+                }
+            )
+        };
+        assert!(
+            matches!(&col, Column::Decimal { exp: 2, ints } if strided(ints)),
+            "{col:?}"
+        );
+        assert_eq!(col.heap_bytes(), 40);
+        let raw = encode_segment(std::slice::from_ref(&col));
+        let back = decode_segment(&raw, 40).unwrap();
+        assert!((0..40).all(|i| back[0].get(i) == Cell::Float(i as f64 * 0.25)));
+        let payload = &raw[..raw.len() - 8];
+        assert!((0..payload.len()).all(|cut| decode_columns(&payload[..cut], 40).is_none()));
+        let mut bad = payload.to_vec();
+        bad[5] = 5; // the exponent, after the count and the column's tag
+        assert!(decode_columns(&bad, 40).is_none());
+    }
+
     // -- damaged spill files ----------------------------------------------------
 
     #[test]
@@ -2333,13 +2831,24 @@ mod tests {
             fs::write(p, &raw[..len(raw.len())]).unwrap();
         };
         type Damage<'a> = &'a dyn Fn(&PathBuf);
-        let damages: [(&str, Damage); 4] = [
+        let damages: [(&str, Damage); 5] = [
             ("deleted", &|p| fs::remove_file(p).unwrap()),
             ("cut to 3 bytes", &|p| truncate(p, |_| 3)),
             ("cut to half", &|p| truncate(p, |n| n / 2)),
             ("tag byte flipped", &|p| {
                 let mut raw = fs::read(p).unwrap();
                 raw[4] ^= 0xFF; // the first column's tag, after the count
+                fs::write(p, raw).unwrap();
+            }),
+            ("value byte flipped", &|p| {
+                let mut raw = fs::read(p).unwrap();
+                let payload = raw.len() - 8; // the checksum trails it
+                let before = decode_columns(&raw[..payload], 8).unwrap();
+                raw[payload - 1] ^= 1; // the text column's last code
+                                       // Unchecked, the segment would still decode — to a row
+                                       // with another value.
+                let after = decode_columns(&raw[..payload], 8).unwrap();
+                assert_ne!(after[2].get(7), before[2].get(7));
                 fs::write(p, raw).unwrap();
             }),
         ];

@@ -561,9 +561,25 @@ impl Cluster {
         self.nodes[node].pause(local)
     }
 
+    /// Resume a paused query. One over a source a hash group split while
+    /// it was paused is refused: its node now holds only a share.
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
         let (node, local) = self.unpinned(q, "resume")?;
+        self.refuse_exchanged(q)?;
         self.nodes[node].resume(local)
+    }
+
+    /// `Err` when `q` reads a hash-exchanged source, of which each node
+    /// numbers and holds only its own share.
+    fn refuse_exchanged(&self, q: QueryHandle) -> Result<()> {
+        let sources = &self.queries[&q.0].sources;
+        match sources.iter().find(|s| self.exchanged.contains_key(s)) {
+            Some(src) => Err(AspenError::InvalidArgument(format!(
+                "query {} reads {src:?}, a hash-exchanged source",
+                q.0
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Attach push delivery; the subscription rides the sink and so
@@ -706,14 +722,10 @@ impl Cluster {
         if from == to {
             return Ok(());
         }
-        let cq = &self.queries[&q.0];
-        if cq.on_view {
+        if self.queries[&q.0].on_view {
             return Err(view_elsewhere());
         }
-        if let Some(src) = cq.sources.iter().find(|s| self.exchanged.contains_key(s)) {
-            let refused = format!("query {} reads {src:?}, a hash-exchanged source", q.0);
-            return Err(AspenError::InvalidArgument(refused));
-        }
+        self.refuse_exchanged(q)?;
         let floors = self.nodes[to].drain_for_install()?;
         let mut backfill = self.nodes[from].lacking(local, &floors)?;
         for (src, first, rows) in &mut backfill {
@@ -1217,6 +1229,32 @@ mod tests {
         // Deregistration frees the sources again.
         c.deregister(q).unwrap();
         assert!(c.register_sql("select r.value from Readings r").is_ok());
+    }
+
+    /// A paused query is unrouted, so a hash group may split its source;
+    /// resuming it then would feed it one node's share, and is refused
+    /// until the group leaves.
+    #[test]
+    fn a_paused_query_is_not_resumed_over_a_split_source() {
+        let mut c = two_nodes();
+        let q = c
+            .register_sql("select r.value from Readings r")
+            .unwrap()
+            .expect_query();
+        c.pause(q).unwrap();
+        let sql = "select l.value, r.value from Readings l, Extra r where l.room = r.room";
+        let group = c
+            .register_hash_partitioned(sql, &[("Readings", vec![0]), ("Extra", vec![0])])
+            .unwrap();
+        let refused = c.resume(q).unwrap_err();
+        assert!(
+            matches!(refused, AspenError::InvalidArgument(_)),
+            "{refused}"
+        );
+        c.deregister(group).unwrap();
+        c.resume(q).unwrap();
+        c.on_batch("Readings", &[t(&[1, 10], 1)]).unwrap();
+        assert_eq!(c.snapshot(q).unwrap().len(), 1);
     }
 
     #[test]

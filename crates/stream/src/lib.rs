@@ -528,7 +528,7 @@ pub use session::{
 };
 pub use shard::{QueryHandle, ResidentState, ShardedEngine, StreamEngine};
 pub use sink::Sink;
-pub use state::{SpillConfig, StateOptions};
+pub use state::{Census, SpillConfig, StateOptions};
 pub use telemetry::{
     LoadWindow, QueryLoad, ShardLoad, TelemetryReport, WindowedQueryLoad, WorkerLoad,
 };

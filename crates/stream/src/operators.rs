@@ -15,7 +15,7 @@ use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
 use aspen_types::{AspenError, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{hash_of, KeyedState, RowIndex, StateOptions};
+use crate::state::{hash_of, Census, KeyedState, RowIndex, StateOptions};
 
 /// Where the row ids of addressed batches resolve: `(scan, row)` is the
 /// tuple at that row of what the pipeline's scan `scan` windows (its own
@@ -62,6 +62,11 @@ pub trait DeltaOp: std::fmt::Debug {
     /// missing or damaged.
     fn spill_read_failures(&self) -> u64 {
         0
+    }
+
+    /// Sealed bytes of this operator's stores, by encoding.
+    fn census(&self) -> Census {
+        Census::default()
     }
 
     /// Live aggregate groups this operator keeps (0 for any other).
@@ -168,7 +173,7 @@ pub struct JoinOp {
 
 #[derive(Debug)]
 enum Side {
-    Materialised(KeyedState),
+    Materialised(Box<KeyedState>),
     /// Ids of the live rows of scan `scan` that reached this side.
     Indexed {
         scan: usize,
@@ -267,7 +272,7 @@ impl JoinOp {
                 scan,
                 ids: RowIndex::default(),
             },
-            None => Side::Materialised(KeyedState::with_options(opts)),
+            None => Side::Materialised(Box::new(KeyedState::with_options(opts))),
         });
         JoinOp {
             keys,
@@ -364,6 +369,14 @@ impl DeltaOp for JoinOp {
             Side::Indexed { .. } => 0,
         };
         self.sides.iter().map(failures).sum()
+    }
+
+    fn census(&self) -> Census {
+        let census = |side: &Side| match side {
+            Side::Materialised(state) => state.census(),
+            Side::Indexed { .. } => Census::default(),
+        };
+        self.sides.iter().map(census).sum()
     }
 }
 

@@ -14,7 +14,7 @@ use crate::delta::DeltaBatch;
 use crate::grouped::FilterKey;
 use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionOp};
 use crate::sink::Sink;
-use crate::state::StateOptions;
+use crate::state::{Census, StateOptions};
 use crate::trace::{OpKind, OpProfile};
 use crate::window::{Fed, WindowOp};
 
@@ -478,6 +478,13 @@ impl Pipeline {
     pub fn spill_read_failures(&self) -> u64 {
         let windows = self.scans.iter().map(|s| s.window.spill_read_failures());
         let ops = self.nodes.iter().map(|n| n.op.spill_read_failures());
+        windows.chain(ops).sum()
+    }
+
+    /// Sealed bytes of this pipeline's stores, by encoding.
+    pub fn census(&self) -> Census {
+        let windows = self.scans.iter().map(|s| s.window.census());
+        let ops = self.nodes.iter().map(|n| n.op.census());
         windows.chain(ops).sum()
     }
 

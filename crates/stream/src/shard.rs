@@ -117,7 +117,7 @@ use crate::session::{
     ResultSubscription, SessionId, SharedQueue, SubscriptionQueue,
 };
 use crate::sink::Sink;
-use crate::state::{BagState, StateOptions};
+use crate::state::{BagState, Census, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 use crate::window::{Fed, Position, SourceLog, Stepped};
@@ -401,6 +401,7 @@ struct LogCensus {
     pooled_bytes: usize,
     spilled_bytes: usize,
     spill_read_failures: u64,
+    census: Census,
 }
 
 /// One worker shard: a disjoint set of query runtimes plus the slice of
@@ -665,6 +666,7 @@ impl EngineShard {
             out.pooled_bytes += log.pooled_bytes();
             out.spilled_bytes += log.spilled_bytes();
             out.spill_read_failures += log.spill_read_failures();
+            out.census += log.census();
         }
         out
     }
@@ -933,6 +935,7 @@ impl ShardedEngine {
             let mut state_bytes = 0u64;
             let mut spilled_bytes = 0u64;
             let mut spill_read_failures = 0u64;
+            let mut sealed_bytes = Census::default();
             let mut private_windows = 0;
             for (qid, rt) in &shard.queries {
                 private_windows += rt.pipeline.private_windows();
@@ -941,6 +944,7 @@ impl ShardedEngine {
                 state_bytes += q_bytes;
                 spilled_bytes += rt.pipeline.spilled_bytes() as u64;
                 spill_read_failures += rt.pipeline.spill_read_failures();
+                sealed_bytes += rt.pipeline.census();
                 profile.merge(&rt.pipeline.profile);
                 if let Some(&j) = slot.get(qid) {
                     let meta = &self.queries[qid];
@@ -965,6 +969,7 @@ impl ShardedEngine {
             state_bytes += logs.state_bytes as u64;
             spilled_bytes += logs.spilled_bytes as u64;
             spill_read_failures += logs.spill_read_failures;
+            sealed_bytes += logs.census;
             shards.push(ShardLoad {
                 shard: i,
                 queries: shard.queries.len(),
@@ -988,6 +993,7 @@ impl ShardedEngine {
                 state_bytes,
                 spilled_bytes,
                 spill_read_failures,
+                sealed_bytes,
             });
         }
         TelemetryReport {
@@ -2906,6 +2912,40 @@ mod tests {
         ] {
             assert!(json.contains(&field), "{field} missing from {json}");
         }
+    }
+
+    /// The census says which encoding the sealed bytes took: a value
+    /// column on a decimal grid seals as `decimal`, one off every grid
+    /// stays `float` at 8 B a row — and both are exported.
+    #[test]
+    fn sealed_bytes_by_encoding_are_exported() {
+        let mut e = ShardedEngine::new(catalog(), 1);
+        e.register_sql("select r.value from Readings r [rows 500]")
+            .unwrap()
+            .expect_query();
+        let by = |c: Census, name: &str| c.iter().find(|&(e, _)| e == name).unwrap().1;
+        let feed = |e: &mut ShardedEngine, rows: std::ops::Range<u64>, value: fn(u64) -> f64| {
+            for i in rows {
+                let r = reading((i % 8) as i64, value(i), i);
+                e.on_batch("Readings", &[r]).unwrap();
+            }
+        };
+        feed(&mut e, 0..200, |i| i as f64 * 0.5);
+        let on_grid = e.telemetry_at(Consistency::Fresh).shards[0].sealed_bytes;
+        assert!(by(on_grid, "decimal") > 0, "{on_grid:?}");
+        assert_eq!(by(on_grid, "float"), 0, "{on_grid:?}");
+        // Thirds are on no grid: rows 192..384 seal as six plain segments.
+        feed(&mut e, 200..400, |i| i as f64 / 3.0);
+        let report = e.telemetry_at(Consistency::Fresh);
+        let census = report.shards[0].sealed_bytes;
+        assert_eq!(by(census, "float"), 6 * 32 * 8, "{census:?}");
+        assert_eq!(by(census, "decimal"), by(on_grid, "decimal"));
+        let prom = crate::render_prometheus(&report);
+        let line = "aspen_shard_sealed_bytes{shard=\"0\",encoding=\"float\"} 1536\n";
+        assert!(prom.contains(line), "{prom}");
+        let json = crate::render_json(&report);
+        let field = format!("\"sealed_bytes\":{{\"plain\":{},", by(census, "plain"));
+        assert!(json.contains(&field), "{field} missing from {json}");
     }
 
     /// "Why is this query fat" from the exports alone: each query's live

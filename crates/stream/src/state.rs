@@ -9,8 +9,9 @@
 //! [`KeyedState`], [`BagState`] and the window buffer [`ColumnarDeque`]
 //! share one layout: tuples are decomposed into per-column primitive
 //! vectors in a `columnar::TupleStore` (each sealed segment re-encoded
-//! at the width its values need: frame-of-reference ints and stamps,
-//! packed text, a liveness bit a row), indexed by tuple/key hash.
+//! at the width its values need: strided frame-of-reference ints and
+//! stamps, decimal-scaled floats, packed text, a liveness bit a row),
+//! indexed by tuple/key hash.
 //! Hot-path probes compare a converted probe row against the encoded
 //! columns in place (`TupleStore::row_matches`) — no row, no `Value`
 //! materialization — and resident bytes are *measured*, not
@@ -33,7 +34,7 @@ use columnar::{Cell, SegmentPool, TupleStore};
 
 use crate::delta::{Delta, DeltaBatch};
 
-pub use columnar::SpillConfig;
+pub use columnar::{Census, SpillConfig};
 
 /// Spill policy, threaded from `EngineConfig` down to every stateful
 /// operator at pipeline build time.
@@ -129,9 +130,10 @@ const MAP_ENTRY: usize = 48;
 /// the spill tier fine-grained pages. 32 keeps the dead-tail overhead
 /// below one segment per live structure at typical window sizes, and
 /// costs no compression: the store encodes each sealed column from its
-/// own segment's value range and strings, so 32 rows already seal at
-/// about their information width (only a local text dictionary would
-/// amortize over more).
+/// own segment's values — ints and stamps from their range and common
+/// stride, floats as decimals when they round-trip, text from its
+/// strings — so 32 rows already seal at about their information width
+/// (only a local text dictionary would amortize over more).
 const SEGMENT_ROWS: u32 = 32;
 
 /// Estimated resident heap bytes of one privately-held tuple.
@@ -329,6 +331,11 @@ impl KeyedState {
     /// Reads of a spilled segment that failed; its rows read as absent.
     pub fn spill_read_failures(&self) -> u64 {
         self.store.spill_read_failures()
+    }
+
+    /// Sealed bytes by encoding.
+    pub fn census(&self) -> Census {
+        self.store.census()
     }
 }
 
@@ -608,6 +615,11 @@ impl ColumnarDeque {
     /// Reads of a spilled segment that failed; its rows read as absent.
     pub fn spill_read_failures(&self) -> u64 {
         self.store.spill_read_failures()
+    }
+
+    /// Sealed bytes by encoding.
+    pub fn census(&self) -> Census {
+        self.store.census()
     }
 }
 

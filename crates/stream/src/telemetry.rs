@@ -30,6 +30,7 @@ use std::time::Duration;
 
 use aspen_types::QueryId;
 
+use crate::state::Census;
 use crate::trace::{LatencyHistogram, OpProfile};
 
 /// Lock-local counters one worker shard maintains about its own slice of
@@ -129,7 +130,7 @@ pub struct WorkerLoad {
 }
 
 /// Snapshot of one shard's cumulative load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardLoad {
     pub shard: usize,
     /// Queries placed on this shard (live + paused).
@@ -193,6 +194,10 @@ pub struct ShardLoad {
     /// damaged, across this shard's queries and logs; the rows of such a
     /// segment read as absent. Anything above 0 means lost state.
     pub spill_read_failures: u64,
+    /// Sealed bytes of this shard's queries and logs by encoding (a
+    /// gauge; a pooled segment counts in each shard holding it): how
+    /// much of the state sealed narrow, and how much stayed 8 B a row.
+    pub sealed_bytes: Census,
 }
 
 /// One coherent observation of the whole engine, taken at a batch
@@ -278,27 +283,7 @@ impl TelemetryReport {
     pub fn as_node_load(&self, slot: usize) -> ShardLoad {
         let mut out = ShardLoad {
             shard: slot,
-            queries: 0,
-            tuples_in: 0,
-            ops_invoked: 0,
-            batches: 0,
-            busy_seconds: 0.0,
-            source_logs: 0,
-            log_cursors: 0,
-            cursor_classes: 0,
-            log_rows: 0,
-            log_bytes: 0,
-            window_batches: 0,
-            window_deliveries: 0,
-            filter_probes: 0,
-            backfilled_rows: 0,
-            private_windows: 0,
-            watermark: 0,
-            lag: 0,
-            queue_wait: LatencyHistogram::new(),
-            state_bytes: 0,
-            spilled_bytes: 0,
-            spill_read_failures: 0,
+            ..ShardLoad::default()
         };
         for s in &self.shards {
             out.queries += s.queries;
@@ -322,6 +307,7 @@ impl TelemetryReport {
             out.state_bytes += s.state_bytes;
             out.spilled_bytes += s.spilled_bytes;
             out.spill_read_failures += s.spill_read_failures;
+            out.sealed_bytes += s.sealed_bytes;
         }
         out
     }
@@ -534,27 +520,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
     let mut shards: Vec<ShardLoad> = (0..n)
         .map(|i| ShardLoad {
             shard: i,
-            queries: 0,
-            tuples_in: 0,
-            ops_invoked: 0,
-            batches: 0,
-            busy_seconds: 0.0,
-            source_logs: 0,
-            log_cursors: 0,
-            cursor_classes: 0,
-            log_rows: 0,
-            log_bytes: 0,
-            window_batches: 0,
-            window_deliveries: 0,
-            filter_probes: 0,
-            backfilled_rows: 0,
-            private_windows: 0,
-            watermark: 0,
-            lag: 0,
-            queue_wait: LatencyHistogram::new(),
-            state_bytes: 0,
-            spilled_bytes: 0,
-            spill_read_failures: 0,
+            ..ShardLoad::default()
         })
         .collect();
     let queries = rows

@@ -481,6 +481,7 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
     out.push_str("# TYPE aspen_shard_filter_probes counter\n");
     out.push_str("# TYPE aspen_shard_backfilled_rows_total counter\n");
     out.push_str("# TYPE aspen_shard_private_windows gauge\n");
+    out.push_str("# TYPE aspen_shard_sealed_bytes gauge\n");
     for s in &report.shards {
         let l = format!("shard=\"{}\"", s.shard);
         prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
@@ -513,6 +514,10 @@ pub fn render_prometheus(report: &TelemetryReport) -> String {
         let (filled, private) = (s.backfilled_rows, s.private_windows);
         prom_line(&mut out, "aspen_shard_backfilled_rows_total", &l, filled);
         prom_line(&mut out, "aspen_shard_private_windows", &l, private);
+        for (encoding, bytes) in s.sealed_bytes.iter() {
+            let l = format!("{l},encoding=\"{encoding}\"");
+            prom_line(&mut out, "aspen_shard_sealed_bytes", &l, bytes);
+        }
     }
     out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
     out.push_str("# TYPE aspen_query_state_bytes gauge\n");
@@ -613,7 +618,7 @@ pub fn render_json(report: &TelemetryReport) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"backfilled_rows\":{},\"private_windows\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{}}}",
+                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"backfilled_rows\":{},\"private_windows\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{},\"sealed_bytes\":{{{}}}}}",
                 s.shard,
                 s.queries,
                 s.tuples_in,
@@ -632,7 +637,12 @@ pub fn render_json(report: &TelemetryReport) -> String {
                 s.private_windows,
                 s.watermark,
                 s.lag,
-                json_hist(&s.queue_wait)
+                json_hist(&s.queue_wait),
+                s.sealed_bytes
+                    .iter()
+                    .map(|(encoding, bytes)| format!("\"{encoding}\":{bytes}"))
+                    .collect::<Vec<_>>()
+                    .join(",")
             )
         })
         .collect();

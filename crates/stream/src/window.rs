@@ -55,7 +55,7 @@ use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::grouped::{FilterIndex, FilterKey, Filtered};
-use crate::state::{ColumnarDeque, StateOptions};
+use crate::state::{Census, ColumnarDeque, StateOptions};
 use crate::telemetry::ShardMeters;
 
 /// Stateful window maintenance for one scan: a log with one cursor.
@@ -101,6 +101,11 @@ impl WindowOp {
     /// Failed reads of spilled segments (see `ColumnarDeque`).
     pub fn spill_read_failures(&self) -> u64 {
         self.rows.spill_read_failures()
+    }
+
+    /// Sealed bytes by encoding.
+    pub fn census(&self) -> Census {
+        self.rows.census()
     }
 
     /// The live tuples in arrival order.
@@ -661,6 +666,10 @@ impl SourceLog {
 
     pub(crate) fn spill_read_failures(&self) -> u64 {
         self.rows.spill_read_failures()
+    }
+
+    pub(crate) fn census(&self) -> Census {
+        self.rows.census()
     }
 }
 

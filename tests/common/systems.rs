@@ -76,8 +76,10 @@ impl EngineSystem {
             let k = SPILLS.fetch_add(1, Ordering::Relaxed);
             std::env::temp_dir().join(format!("aspen-kit-{}-{k}", std::process::id()))
         });
+        // 64 B: a store spills from its first sealed segment on, however
+        // narrow its rows seal.
         if let Some(dir) = &spill {
-            node = node.spill(256, dir);
+            node = node.spill(64, dir);
         }
         let engine = if config.cluster {
             let mut c = Cluster::new(

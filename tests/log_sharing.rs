@@ -36,7 +36,12 @@ fn catalog() -> Arc<Catalog> {
         (
             "Readings",
             stream(),
-            &[("sensor", Int), ("site", Text), ("value", Int)],
+            &[
+                ("sensor", Int),
+                ("site", Text),
+                ("value", Int),
+                ("payload", Int),
+            ],
         ),
         ("Alarms", stream(), &[("sensor", Int), ("level", Int)]),
     ])
@@ -73,11 +78,23 @@ const SITES: [&str; 9] = [
     "site-0", "site-1", "site-2", "site-3", "site-4", "site-5", "site-6", "site-7", "site-8",
 ];
 
+/// A `Readings` row's payload: unique, and on no stride and within no
+/// 32-bit range, so it seals at 8 B a row — duplicated sealed segments
+/// then cost more than (c)'s slack, and (c) can tell one copy from many.
+fn payload(serial: i64) -> i64 {
+    serial.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64)
+}
+
 /// Every tuple carries a value no other tuple has (its last column).
 fn cells(rng: &mut StdRng, source: &'static str, serial: i64) -> Vec<Cell> {
     let sensor = I(rng.gen_range(0..6i64));
     match source {
-        "Readings" => vec![sensor, T(SITES[rng.gen_range(0..9usize)]), I(serial)],
+        "Readings" => vec![
+            sensor,
+            T(SITES[rng.gen_range(0..9usize)]),
+            I(serial),
+            I(payload(serial)),
+        ],
         _ => vec![sensor, I(serial)],
     }
 }
@@ -91,7 +108,12 @@ fn active_segment_bytes() -> usize {
         for i in 0..32i64 {
             let site = Value::Text(format!("site-{}", i % 9));
             let row = match src {
-                0 => vec![Value::Int(i % 6), site, Value::Int(i)],
+                0 => vec![
+                    Value::Int(i % 6),
+                    site,
+                    Value::Int(i),
+                    Value::Int(payload(i)),
+                ],
                 _ => vec![Value::Int(i % 6), Value::Int(i)],
             };
             deque.push_back(&Tuple::new(row, SimTime::from_secs(i as u64)));
