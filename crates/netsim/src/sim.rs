@@ -114,10 +114,6 @@ impl<M: Payload, A: NodeApp<M>> Simulator<M, A> {
         &self.apps[node.index()]
     }
 
-    pub fn app_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.apps[node.index()]
-    }
-
     /// Run until the queue is empty or the clock passes `until`.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, until: SimTime) -> Result<u64> {

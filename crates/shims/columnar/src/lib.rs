@@ -1470,10 +1470,6 @@ impl TupleStore {
         self
     }
 
-    pub fn spill_config(&self) -> Option<&SpillConfig> {
-        self.spill.as_ref()
-    }
-
     pub fn width(&self) -> usize {
         self.width
     }
@@ -1608,11 +1604,6 @@ impl TupleStore {
         let s = &self.segs[self.seg_index(row)?];
         let off = (row - s.base) as usize;
         (!s.is_dead(off)).then_some((s, off))
-    }
-
-    /// Whether a row id refers to a live row.
-    pub fn is_live(&self, row: u64) -> bool {
-        self.live_at(row).is_some()
     }
 
     /// Materialize a live row as `(cells, ts)`; `None` if dead, gone, or

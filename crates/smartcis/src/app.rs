@@ -320,16 +320,6 @@ impl SmartCis {
         self.engine.deregister(q)
     }
 
-    /// Freeze a standing query (no deltas until resumed).
-    pub fn pause_query(&mut self, q: QueryHandle) -> Result<()> {
-        self.engine.pause(q)
-    }
-
-    /// Reattach a paused standing query via the replay path.
-    pub fn resume_query(&mut self, q: QueryHandle) -> Result<()> {
-        self.engine.resume(q)
-    }
-
     /// Advance one epoch: poll wrappers, emit device readings, expire
     /// windows.
     pub fn tick(&mut self) -> Result<()> {

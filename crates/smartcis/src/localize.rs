@@ -47,10 +47,6 @@ impl Localizer {
         }
     }
 
-    pub fn detector_count(&self) -> usize {
-        self.detectors.len()
-    }
-
     /// Simulate one beacon transmission from `truth`: which detectors
     /// hear it (subject to range and loss) and at what RSSI.
     pub fn observe(&mut self, truth: Point, at: SimTime) -> Vec<Sighting> {

@@ -179,10 +179,6 @@ impl RoutePlanner {
         }
         out
     }
-
-    pub fn point_names(&self) -> &[String] {
-        &self.names
-    }
 }
 
 /// Max-heap entry ordered by *smallest* distance first.

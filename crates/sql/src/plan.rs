@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use aspen_catalog::SourceMeta;
 use aspen_types::{
-    AspenError, DataType, Field, Result, Schema, SchemaRef, SimDuration, Value, WindowSpec,
+    AspenError, DataType, Field, Result, Schema, SchemaRef, SimDuration, WindowSpec,
 };
 
 use crate::ast::{CmpOp, Expr};
@@ -731,12 +731,6 @@ fn bind_after_agg(expr: &Expr, agg_schema: &Schema) -> Result<BoundExpr> {
             Ok(BoundExpr::Func { func, args: bound })
         }
     }
-}
-
-/// Estimated output cardinality helpers used by both optimizers live in
-/// the optimizer crate; this module stays estimation-free.
-pub fn schema_of_value(v: &Value) -> Option<DataType> {
-    v.data_type()
 }
 
 #[cfg(test)]

@@ -629,6 +629,7 @@ impl Cluster {
     /// id namespace with `shard` = owning node. Hash-group members are
     /// omitted from the query list (they are pinned, so the rebalancer
     /// must not plan them), but their work still shows in node loads.
+    /// Its scheduling mode is its nodes' (they share one node config).
     pub fn cluster_report(&self) -> TelemetryReport {
         let reports: Vec<TelemetryReport> = self.nodes.iter().map(|n| n.telemetry()).collect();
         let mut shards = Vec::with_capacity(reports.len());
@@ -661,6 +662,7 @@ impl Cluster {
             log_shared_bytes: reports.iter().map(|r| r.log_shared_bytes).sum(),
             now_secs,
             profile,
+            scheduling: reports.first().map(|r| r.scheduling).unwrap_or_default(),
         }
     }
 
@@ -1022,11 +1024,6 @@ impl Cluster {
         Ok(self.cluster_query(q)?.node)
     }
 
-    /// The sources a query's plan scans (dedup'd, scan order).
-    pub fn query_sources(&self, q: QueryHandle) -> Result<&[SourceId]> {
-        Ok(&self.cluster_query(q)?.sources)
-    }
-
     /// Sum of operator invocations across every node — the cluster's
     /// total work, invariant under cross-node migration (the no-replay
     /// property: moving a runtime never re-runs its history).
@@ -1085,6 +1082,27 @@ mod tests {
                 .nodes(2)
                 .node_config(EngineConfig::new().shards(1)),
         )
+    }
+
+    /// Every row of the metric table reaches both exports of a cluster
+    /// report, which carries its nodes' scheduling mode.
+    #[test]
+    fn cluster_report_exports_every_metric_row() {
+        let mut c = two_nodes();
+        c.home_source("Readings", 1).unwrap();
+        for sql in [
+            "select r.room, count(*) from Readings r group by r.room",
+            "select r.value, o.floor from Readings r [rows 4], Rooms o where r.room = o.room",
+        ] {
+            c.register_sql(sql).unwrap().expect_query();
+        }
+        c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
+        for i in 0..40 {
+            c.on_batch("Readings", &[t(&[i % 4, i], i as u64)]).unwrap();
+        }
+        let report = c.cluster_report();
+        assert_eq!(report.scheduling, crate::Scheduling::Sequential);
+        crate::trace::assert_exports_cover_the_table(&report);
     }
 
     #[test]

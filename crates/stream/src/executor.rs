@@ -62,11 +62,12 @@ use crate::trace::{now_us, TraceCtx};
 
 /// How the engine schedules per-shard boundary tasks. Fixed at
 /// construction via [`crate::session::EngineConfig::scheduling`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scheduling {
     /// Every task runs inline on the ingest thread, shard by shard —
     /// ingest admission waits for all involved shards (the old gated
     /// fan-out semantics, minus the thread churn).
+    #[default]
     Sequential,
     /// Persistent worker pool: tasks are enqueued per shard and ingest
     /// returns as soon as admission succeeds; workers drain the queues
@@ -353,6 +354,8 @@ pub(crate) struct Executor {
     core: Arc<PoolCore>,
     handles: Vec<JoinHandle<()>>,
     mode: Mode,
+    /// The mode as resolved at construction.
+    pub(crate) scheduling: Scheduling,
 }
 
 impl Executor {
@@ -397,6 +400,7 @@ impl Executor {
             core,
             handles,
             mode,
+            scheduling,
         }
     }
 

@@ -492,9 +492,11 @@
 //!   [`shard::ShardedEngine::publish_observed_op_rate`], where the
 //!   optimizer's `stream_cost::estimate_plan_calibrated` blends it into
 //!   the cost model in place of the static CPU calibration.
-//! * **Export surface** — [`trace::render_prometheus`] /
-//!   [`trace::render_json`] render a [`telemetry::TelemetryReport`] in
-//!   Prometheus text exposition and JSON.
+//! * **Export surface** — [`trace::render_prometheus`] / [`trace::render_json`]
+//!   render a [`telemetry::TelemetryReport`] from one metric table (a row
+//!   per metric, a table per report level; see [`telemetry`]): JSON key
+//!   `name`, Prometheus family `aspen_<level prefix><name>` plus `_us` on a
+//!   histogram and `_total` on any other counter.
 //!
 //! Histograms and op profiles are query state: they ride the sink and
 //! pipeline through live migration (asserted under churn in

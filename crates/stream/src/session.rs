@@ -89,7 +89,9 @@ impl EngineConfig {
     /// the persistent worker pool, or the seeded deterministic replay
     /// used by the scheduling tests — results are identical in all
     /// three. Unset, the engine picks pool when it has more than one
-    /// shard and the host more than one core, sequential otherwise.
+    /// shard and the host more than one core, sequential otherwise — so a
+    /// 1-shard engine or a 1-core host runs sequential unless pinned; see
+    /// [`crate::TelemetryReport::scheduling`] for the resolved mode.
     pub fn scheduling(mut self, s: Scheduling) -> Self {
         self.scheduling = Some(s);
         self

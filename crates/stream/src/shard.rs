@@ -1005,6 +1005,7 @@ impl ShardedEngine {
             log_shared_bytes: self.log_shared_bytes() as u64,
             now_secs: self.now.as_secs_f64(),
             profile,
+            scheduling: self.exec.scheduling,
         }
     }
 
@@ -2899,7 +2900,7 @@ mod tests {
         );
         let rendered = crate::render_prometheus(&report);
         assert!(rendered.contains(&prom), "{rendered}");
-        assert!(rendered.contains("aspen_shard_spill_read_failures{"));
+        assert!(rendered.contains("aspen_shard_spill_read_failures_total{"));
         let shared = format!("aspen_log_shared_bytes {}\n", rs.log_shared_bytes);
         assert!(rendered.contains(&shared), "{rendered}");
         let json = crate::render_json(&report);
@@ -2991,6 +2992,48 @@ mod tests {
                 l.ops_invoked, l.state_bytes, l.groups
             );
             assert!(json.contains(&fields), "{fields} missing from {json}");
+        }
+    }
+
+    /// Every row of the metric table reaches both exports on a node with
+    /// queries, logs and tables.
+    #[test]
+    fn every_metric_row_is_in_both_exports() {
+        let mut e = ShardedEngine::with_config(catalog(), EngineConfig::new().shards(2));
+        for sql in [
+            "select r.sensor, avg(r.value) from Readings r [range 30 seconds] group by r.sensor",
+            "select r.value from Readings r [rows 25] where r.value > 3",
+            "select e.src from Edge e",
+        ] {
+            e.register_sql(sql).unwrap().expect_query();
+        }
+        for i in 0..100u64 {
+            e.on_batch("Readings", &[reading((i % 8) as i64, i as f64, i)])
+                .unwrap();
+        }
+        crate::trace::assert_exports_cover_the_table(&e.telemetry_at(Consistency::Fresh));
+    }
+
+    /// The report names the mode the executor resolved: a default
+    /// 1-shard engine runs sequential, a pinned mode is what it says.
+    #[test]
+    fn telemetry_exports_the_resolved_scheduling_mode() {
+        use crate::Scheduling::{Deterministic, Pool, Sequential};
+        for (config, want, name) in [
+            (EngineConfig::new(), Sequential, "sequential"),
+            (EngineConfig::new().scheduling(Pool), Pool, "pool"),
+            (
+                EngineConfig::new().deterministic(3),
+                Deterministic(3),
+                "deterministic",
+            ),
+        ] {
+            let report = ShardedEngine::with_config(catalog(), config).telemetry();
+            assert_eq!(report.scheduling, want);
+            let info = format!("aspen_scheduling{{scheduling=\"{name}\"}} 1\n");
+            assert!(crate::render_prometheus(&report).contains(&info));
+            let field = format!("\"scheduling\":\"{name}\"");
+            assert!(crate::render_json(&report).contains(&field));
         }
     }
 

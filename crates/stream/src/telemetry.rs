@@ -3,8 +3,9 @@
 //! SmartCIS's federated optimizer can only trade work between engines if
 //! the stream engine's *live* load profile is visible — the catalog's
 //! static `NetworkStats` say nothing about which standing queries are
-//! actually hot. This module defines the counters the engine maintains
-//! and the snapshot types everything above it consumes:
+//! actually hot. This module defines the counters the engine maintains,
+//! the snapshot types everything above it consumes, and the metric table
+//! both exports are generated from:
 //!
 //! * **Counters** are updated lock-locally by the owning shard at batch
 //!   boundaries — a query's meters live in its [`crate::pipeline::Pipeline`]
@@ -19,6 +20,11 @@
 //!   per-shard skew, `auto_tune` turns per-query output rates into
 //!   micro-batch knobs, and the app publishes observed source rates back
 //!   into the catalog for the optimizer.
+//! * **The metric table** — `ENGINE`, `SHARDS`, `QUERIES`, `OPS`: per
+//!   report level a label reader and `(name, kind, read)` rows, the only
+//!   thing both exports walk. A metric is its field, the line that fills
+//!   it and one row; a shard row also needs its line in
+//!   [`TelemetryReport::as_node_load`], which a test holds to its kind.
 //!
 //! Cumulative counters travel with their query: a migrated query keeps
 //! its `ops_invoked` history because the counter lives in the pipeline
@@ -30,8 +36,9 @@ use std::time::Duration;
 
 use aspen_types::QueryId;
 
+use crate::executor::Scheduling;
 use crate::state::Census;
-use crate::trace::{LatencyHistogram, OpProfile};
+use crate::trace::{LatencyHistogram, OpKind, OpMeter, OpProfile};
 
 /// Lock-local counters one worker shard maintains about its own slice of
 /// the work. Updated only while the shard mutex is held.
@@ -229,6 +236,9 @@ pub struct TelemetryReport {
     /// pipeline. [`OpProfile::ops_per_sec_observed`] is the rate the
     /// catalog publishes back to the optimizer's cost model.
     pub profile: OpProfile,
+    /// The mode the executor resolved ([`crate::EngineConfig::scheduling`]);
+    /// a cluster report carries its nodes'.
+    pub scheduling: Scheduling,
 }
 
 impl TelemetryReport {
@@ -371,90 +381,6 @@ impl TelemetryReport {
     }
 }
 
-impl std::fmt::Display for QueryLoad {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "query {} @ shard {}{}{}: {} tuples in, {} ops, {} out deltas",
-            self.query.0,
-            self.shard,
-            if self.paused { " (paused)" } else { "" },
-            if self.shared { " (shared)" } else { "" },
-            self.tuples_in,
-            self.ops_invoked,
-            self.output_deltas,
-        )?;
-        if !self.latency.is_empty() {
-            write!(
-                f,
-                ", latency p50/p99/max {}/{}/{} us",
-                self.latency.p50_us(),
-                self.latency.p99_us(),
-                self.latency.max_us()
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Display for ShardLoad {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {}: {} queries, {} tuples in, {} ops, {} batches, \
-             {:.3}s busy, watermark {} (lag {}), {} state bytes",
-            self.shard,
-            self.queries,
-            self.tuples_in,
-            self.ops_invoked,
-            self.batches,
-            self.busy_seconds,
-            self.watermark,
-            self.lag,
-            self.state_bytes,
-        )?;
-        if self.spilled_bytes > 0 {
-            write!(f, " (+{} spilled)", self.spilled_bytes)?;
-        }
-        if !self.queue_wait.is_empty() {
-            write!(f, ", queue wait p99 {} us", self.queue_wait.p99_us())?;
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Display for TelemetryReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "telemetry @ {:.1}s: {} boundaries, {} queries, max lag {}",
-            self.now_secs,
-            self.boundaries,
-            self.queries.len(),
-            self.max_lag()
-        )?;
-        for s in &self.shards {
-            writeln!(f, "  {s}")?;
-        }
-        let latency = self.ingest_latency();
-        if !latency.is_empty() {
-            writeln!(
-                f,
-                "  ingest latency p50/p90/p99/max {}/{}/{}/{} us over {} batches",
-                latency.p50_us(),
-                latency.p90_us(),
-                latency.p99_us(),
-                latency.max_us(),
-                latency.count()
-            )?;
-        }
-        if let Some(rate) = self.ops_per_sec_observed() {
-            writeln!(f, "  measured operator rate: {rate:.0} ops/s")?;
-        }
-        Ok(())
-    }
-}
-
 /// One query's share of a [`LoadWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowedQueryLoad {
@@ -501,6 +427,141 @@ impl LoadWindow {
         max as f64 / (total as f64 / self.shard_loads.len() as f64)
     }
 }
+
+/// How a metric accumulates, and so how [`TelemetryReport::as_node_load`]
+/// merges a shard row: counters (only grow) and gauges (a current level)
+/// sum over shards; a max is a level a node reads at its worst shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+    Max,
+}
+
+/// One metric's value on one item, as both exports print it.
+pub(crate) enum Reading {
+    Int(u64),
+    /// A float and the decimals JSON prints it with.
+    Float(f64, usize),
+    Flag(bool),
+    Name(&'static str),
+    Histogram(Box<LatencyHistogram>),
+    /// Bytes by encoding, one Prometheus sample per encoding.
+    Census(Census),
+    /// Not measured yet: JSON `null`, no Prometheus sample.
+    Missing,
+}
+
+use Kind::{Counter, Gauge, Max};
+use Reading::{Flag, Float, Int, Missing, Name};
+
+fn hist(h: LatencyHistogram) -> Reading {
+    Reading::Histogram(Box::new(h))
+}
+
+/// One exported metric: its JSON key (the Prometheus family's stem), its
+/// kind, and how to read it off one item.
+pub(crate) type Row<T> = (&'static str, Kind, fn(&T) -> Reading);
+
+/// The metric table of one report shape.
+pub(crate) struct Level<T: 'static> {
+    /// Prometheus family prefix after `aspen_`.
+    pub(crate) prefix: &'static str,
+    /// The labels that tell one item of the level from another.
+    pub(crate) labels: fn(&T) -> Vec<(&'static str, Reading)>,
+    /// The metrics in JSON order; a new row goes last, so keys keep their
+    /// neighbours.
+    pub(crate) rows: &'static [Row<T>],
+}
+
+pub(crate) const ENGINE: Level<TelemetryReport> = Level {
+    prefix: "",
+    labels: |_| Vec::new(),
+    rows: &[
+        ("boundaries", Counter, |r| Int(r.boundaries)),
+        ("out_of_order_tuples", Counter, |r| {
+            Int(r.out_of_order_tuples)
+        }),
+        ("log_shared_bytes", Gauge, |r| Int(r.log_shared_bytes)),
+        ("now_secs", Gauge, |r| Float(r.now_secs, 3)),
+        ("ingest_latency", Counter, |r| hist(r.ingest_latency())),
+        ("queue_wait", Counter, |r| hist(r.queue_wait())),
+        ("ops_per_sec_observed", Gauge, |r| {
+            r.ops_per_sec_observed().map_or(Missing, |v| Float(v, 1))
+        }),
+        ("scheduling", Gauge, |r| match r.scheduling {
+            Scheduling::Sequential => Name("sequential"),
+            Scheduling::Pool => Name("pool"),
+            Scheduling::Deterministic(_) => Name("deterministic"),
+        }),
+    ],
+};
+
+pub(crate) const SHARDS: Level<ShardLoad> = Level {
+    prefix: "shard_",
+    labels: |s| vec![("shard", Int(s.shard as u64))],
+    rows: &[
+        ("queries", Gauge, |s| Int(s.queries as u64)),
+        ("tuples_in", Counter, |s| Int(s.tuples_in)),
+        ("ops_invoked", Counter, |s| Int(s.ops_invoked)),
+        ("batches", Counter, |s| Int(s.batches)),
+        ("busy_seconds", Counter, |s| Float(s.busy_seconds, 6)),
+        ("log_rows", Gauge, |s| Int(s.log_rows as u64)),
+        ("log_bytes", Gauge, |s| Int(s.log_bytes)),
+        ("spill_read_failures", Counter, |s| {
+            Int(s.spill_read_failures)
+        }),
+        ("cursors", Gauge, |s| Int(s.log_cursors as u64)),
+        ("cursor_classes", Gauge, |s| Int(s.cursor_classes as u64)),
+        ("window_batches", Counter, |s| Int(s.window_batches)),
+        ("window_deliveries", Counter, |s| Int(s.window_deliveries)),
+        ("filter_probes", Counter, |s| Int(s.filter_probes)),
+        ("backfilled_rows", Counter, |s| Int(s.backfilled_rows)),
+        ("private_windows", Gauge, |s| Int(s.private_windows as u64)),
+        ("watermark", Max, |s| Int(s.watermark)),
+        ("lag", Max, |s| Int(s.lag)),
+        ("queue_wait", Counter, |s| hist(s.queue_wait.clone())),
+        ("sealed_bytes", Gauge, |s| Reading::Census(s.sealed_bytes)),
+        ("source_logs", Gauge, |s| Int(s.source_logs as u64)),
+        ("state_bytes", Gauge, |s| Int(s.state_bytes)),
+        ("spilled_bytes", Gauge, |s| Int(s.spilled_bytes)),
+    ],
+};
+
+pub(crate) const QUERIES: Level<QueryLoad> = Level {
+    prefix: "query_",
+    labels: |q| {
+        vec![
+            ("query", Int(u64::from(q.query.0))),
+            ("shard", Int(q.shard as u64)),
+        ]
+    },
+    rows: &[
+        ("paused", Gauge, |q| Flag(q.paused)),
+        ("tuples_in", Counter, |q| Int(q.tuples_in)),
+        ("ops_invoked", Counter, |q| Int(q.ops_invoked)),
+        ("state_bytes", Gauge, |q| Int(q.state_bytes)),
+        ("groups", Gauge, |q| Int(q.groups)),
+        ("grouped_filter", Gauge, |q| Flag(q.grouped_filter)),
+        ("private_windows", Gauge, |q| Int(q.private_windows as u64)),
+        ("output_deltas", Counter, |q| Int(q.output_deltas)),
+        ("latency", Counter, |q| hist(q.latency.clone())),
+        ("push_batches", Counter, |q| Int(q.push_batches)),
+        ("shared", Gauge, |q| Flag(q.shared)),
+    ],
+};
+
+pub(crate) const OPS: Level<(OpKind, OpMeter)> = Level {
+    prefix: "op_",
+    labels: |(k, _)| vec![("op", Name(k.name()))],
+    rows: &[
+        ("invocations", Counter, |(_, m)| Int(m.invocations)),
+        ("deltas", Counter, |(_, m)| Int(m.deltas)),
+        ("busy_seconds", Counter, |(_, m)| {
+            Float(m.busy.as_secs_f64(), 6)
+        }),
+    ],
+};
 
 /// Test-only report constructor from `(query id, shard, cumulative
 /// ops)` rows — shared by this module's and the rebalance module's
@@ -555,6 +616,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
         log_shared_bytes: 0,
         now_secs: 0.0,
         profile: OpProfile::default(),
+        scheduling: Scheduling::default(),
     }
 }
 
@@ -656,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn report_merges_histograms_and_displays_them() {
+    fn report_merges_histograms() {
         let mut r = report(&[(0, 0, 10), (1, 1, 20)]);
         r.queries[0].latency.record_us(100);
         r.queries[1].latency.record_us(1000);
@@ -665,12 +727,97 @@ mod tests {
         assert_eq!(r.queue_wait().count(), 1);
         // Collapsing to a node load carries the merged queue-wait along.
         assert_eq!(r.as_node_load(3).queue_wait.count(), 1);
-        // Display surfaces watermark/lag and the new percentiles.
-        let text = r.to_string();
-        assert!(text.contains("watermark"), "{text}");
-        assert!(text.contains("ingest latency p50/p90/p99/max"), "{text}");
-        assert!(r.shards[0].to_string().contains("queue wait p99"));
-        assert!(r.queries[0].to_string().contains("latency p50/p99/max"));
+    }
+
+    /// [`TelemetryReport::as_node_load`] merges each shard row by its
+    /// kind: counters and gauges sum, maxima take the worst shard,
+    /// histograms and censuses merge.
+    #[test]
+    fn node_load_merges_every_shard_row_by_its_kind() {
+        let shard = |i: usize, v: u64| {
+            let mut store = columnar::TupleStore::new(1).segment_rows(4);
+            for row in 0..8 * v {
+                store.push(&[columnar::Cell::Int(row as i64)], row);
+            }
+            let mut queue_wait = LatencyHistogram::new();
+            queue_wait.record_us(v);
+            let n = v as usize;
+            ShardLoad {
+                shard: i,
+                queries: n,
+                tuples_in: v,
+                ops_invoked: v,
+                batches: v,
+                busy_seconds: v as f64,
+                source_logs: n,
+                log_cursors: n,
+                cursor_classes: n,
+                log_rows: n,
+                log_bytes: v,
+                window_batches: v,
+                window_deliveries: v,
+                filter_probes: v,
+                backfilled_rows: v,
+                private_windows: n,
+                watermark: v,
+                lag: v,
+                queue_wait,
+                state_bytes: v,
+                spilled_bytes: v,
+                spill_read_failures: v,
+                sealed_bytes: store.census(),
+            }
+        };
+        // The larger shard first, so taking the last shard is no maximum.
+        let report = TelemetryReport {
+            shards: vec![shard(0, 2), shard(1, 1)],
+            ..TelemetryReport::default()
+        };
+        let node = report.as_node_load(5);
+        for &(name, kind, read) in SHARDS.rows {
+            let parts: Vec<Reading> = report.shards.iter().map(read).collect();
+            match (kind, read(&node)) {
+                (_, Int(got)) => {
+                    let ints = parts.iter().map(|r| match r {
+                        Int(v) if *v > 0 => *v,
+                        _ => panic!("{name}: shards must read non-zero"),
+                    });
+                    let want = match kind {
+                        Max => ints.max().unwrap(),
+                        Counter | Gauge => ints.sum(),
+                    };
+                    assert_eq!(got, want, "{name}");
+                }
+                (Counter | Gauge, Float(got, _)) => {
+                    let floats = parts.iter().map(|r| match r {
+                        Float(v, _) => *v,
+                        _ => unreachable!(),
+                    });
+                    assert_eq!(got, floats.sum::<f64>(), "{name}");
+                }
+                (_, Reading::Histogram(got)) => {
+                    let mut want = LatencyHistogram::new();
+                    for r in &parts {
+                        let Reading::Histogram(h) = r else {
+                            unreachable!()
+                        };
+                        want.merge(h);
+                    }
+                    assert!(want.count() == 2 && *got == want, "{name}");
+                }
+                (_, Reading::Census(got)) => {
+                    let want: Census = parts
+                        .iter()
+                        .map(|r| match r {
+                            Reading::Census(c) if *c != Census::default() => *c,
+                            _ => panic!("{name}: shards must read non-zero"),
+                        })
+                        .sum();
+                    assert_eq!(got, want, "{name}");
+                }
+                _ => panic!("{name}: no merge rule for a {kind:?} of this reading"),
+            }
+        }
     }
 
     #[test]

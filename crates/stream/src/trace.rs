@@ -28,18 +28,25 @@
 //!   publishes back to the optimizer's cost model, closing the loop the
 //!   same way observed source rates already feed cardinality.
 //! * [`render_prometheus`] / [`render_json`] — one report, two text
-//!   formats, no serialization dependencies.
+//!   formats, no serialization dependencies. Both are generated from the
+//!   metric table in [`crate::telemetry`] (one row per metric, one table
+//!   per report level): a row's JSON key is its name, and its Prometheus
+//!   family is `aspen_<level prefix><name>`, plus `_us` on a histogram
+//!   and `_total` on any other counter.
 
 use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use crate::telemetry::TelemetryReport;
+use crate::telemetry::{Kind, Level, Reading, TelemetryReport, ENGINE, OPS, QUERIES, SHARDS};
 
 /// Number of log₂ buckets. Bucket 0 holds 0 µs; bucket `b` holds
 /// latencies in `[2^(b-1), 2^b)` µs; the last bucket absorbs everything
 /// from ~146 hours up.
 pub const BUCKETS: usize = 40;
+/// The last bucket, whose upper edge is open (`+Inf` in Prometheus).
+const TOP: u32 = BUCKETS as u32 - 1;
 
 fn bucket_of(us: u64) -> usize {
     if us == 0 {
@@ -371,13 +378,7 @@ impl OpKind {
     }
 
     fn index(self) -> usize {
-        match self {
-            OpKind::Filter => 0,
-            OpKind::Project => 1,
-            OpKind::Join => 2,
-            OpKind::Aggregate => 3,
-            OpKind::Union => 4,
-        }
+        self as usize
     }
 }
 
@@ -446,247 +447,213 @@ impl OpProfile {
 }
 
 fn prom_line(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Display) {
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        out.push_str(labels);
-        out.push('}');
-    }
-    out.push(' ');
-    out.push_str(&value.to_string());
-    out.push('\n');
+    let _ = match labels {
+        "" => writeln!(out, "{name} {value}"),
+        _ => writeln!(out, "{name}{{{labels}}} {value}"),
+    };
 }
 
-/// Render a telemetry report as Prometheus text exposition format.
+/// A scalar reading as a Prometheus sample or label value.
+fn prom_text(reading: &Reading) -> String {
+    match reading {
+        Reading::Int(v) => v.to_string(),
+        Reading::Float(v, _) => v.to_string(),
+        Reading::Flag(b) => u8::from(*b).to_string(),
+        Reading::Name(s) => s.to_string(),
+        _ => String::new(),
+    }
+}
+
+/// One item's samples of one family: a name as an info gauge (value 1,
+/// the name in a label called after the row), a census per encoding, a
+/// histogram as cumulative finite `_bucket`s, one `+Inf`, `_sum`, `_count`.
+fn prom_samples(out: &mut String, family: &str, name: &str, labels: &str, reading: &Reading) {
+    let with = |extra: String| match labels {
+        "" => extra,
+        _ => format!("{labels},{extra}"),
+    };
+    match reading {
+        Reading::Name(v) => prom_line(out, family, &with(format!("{name}=\"{v}\"")), 1),
+        Reading::Census(census) => {
+            for (encoding, bytes) in census.iter() {
+                let l = with(format!("encoding=\"{encoding}\""));
+                prom_line(out, family, &l, bytes);
+            }
+        }
+        Reading::Histogram(h) => {
+            let bucket = format!("{family}_bucket");
+            let mut cum = 0u64;
+            // The top bucket's edge is open: its rows count under `+Inf`.
+            for (b, c) in h.bucket_counts().into_iter().filter(|&(b, _)| b < TOP) {
+                cum += c;
+                let le = with(format!("le=\"{}\"", bucket_upper_us(b as usize)));
+                prom_line(out, &bucket, &le, cum);
+            }
+            prom_line(out, &bucket, &with("le=\"+Inf\"".into()), h.count());
+            prom_line(out, &format!("{family}_sum"), labels, h.sum_us());
+            prom_line(out, &format!("{family}_count"), labels, h.count());
+        }
+        Reading::Missing => {}
+        scalar => prom_line(out, family, labels, prom_text(scalar)),
+    }
+}
+
+fn prom_labels<T>(level: &Level<T>, item: &T) -> String {
+    let pairs = (level.labels)(item).into_iter();
+    let pairs = pairs.map(|(k, v)| format!("{k}=\"{}\"", prom_text(&v)));
+    pairs.collect::<Vec<_>>().join(",")
+}
+
+/// Each row of `level` as one Prometheus family: one `# TYPE` line, then
+/// every item's samples. The family is `aspen_<level prefix><name>`,
+/// plus `_us` on a histogram and `_total` on any other counter.
+fn prom_level<T>(out: &mut String, level: &Level<T>, items: &[T]) {
+    let labels: Vec<String> = items.iter().map(|item| prom_labels(level, item)).collect();
+    for &(name, kind, read) in level.rows {
+        let mut family = String::new();
+        for (item, labels) in items.iter().zip(&labels) {
+            let reading = read(item);
+            if family.is_empty() {
+                let (suffix, ty) = match (&reading, kind) {
+                    (Reading::Histogram(_), _) => ("_us", "histogram"),
+                    (_, Kind::Counter) => ("_total", "counter"),
+                    _ => ("", "gauge"),
+                };
+                family = format!("aspen_{}{name}{suffix}", level.prefix);
+                let _ = writeln!(out, "# TYPE {family} {ty}");
+            }
+            prom_samples(out, &family, name, labels, &reading);
+        }
+    }
+}
+
+/// Render a telemetry report as Prometheus text exposition format, one
+/// family per row of the metric table (see [`crate::telemetry`]).
 pub fn render_prometheus(report: &TelemetryReport) -> String {
     let mut out = String::new();
-    out.push_str("# TYPE aspen_boundaries_total counter\n");
-    prom_line(&mut out, "aspen_boundaries_total", "", report.boundaries);
-    out.push_str("# TYPE aspen_out_of_order_tuples_total counter\n");
-    let late = report.out_of_order_tuples;
-    prom_line(&mut out, "aspen_out_of_order_tuples_total", "", late);
-    out.push_str("# TYPE aspen_log_shared_bytes gauge\n");
-    let shared = report.log_shared_bytes;
-    prom_line(&mut out, "aspen_log_shared_bytes", "", shared);
-    out.push_str("# TYPE aspen_shard_tuples_in_total counter\n");
-    out.push_str("# TYPE aspen_shard_busy_seconds_total counter\n");
-    out.push_str("# TYPE aspen_shard_lag gauge\n");
-    out.push_str("# TYPE aspen_shard_log_rows gauge\n");
-    out.push_str("# TYPE aspen_shard_log_bytes gauge\n");
-    out.push_str("# TYPE aspen_shard_spill_read_failures counter\n");
-    out.push_str("# TYPE aspen_shard_cursors gauge\n");
-    out.push_str("# TYPE aspen_shard_cursor_classes gauge\n");
-    out.push_str("# TYPE aspen_shard_window_batches_total counter\n");
-    out.push_str("# TYPE aspen_shard_window_deliveries_total counter\n");
-    out.push_str("# TYPE aspen_shard_filter_probes counter\n");
-    out.push_str("# TYPE aspen_shard_backfilled_rows_total counter\n");
-    out.push_str("# TYPE aspen_shard_private_windows gauge\n");
-    out.push_str("# TYPE aspen_shard_sealed_bytes gauge\n");
-    for s in &report.shards {
-        let l = format!("shard=\"{}\"", s.shard);
-        prom_line(&mut out, "aspen_shard_tuples_in_total", &l, s.tuples_in);
-        prom_line(
-            &mut out,
-            "aspen_shard_busy_seconds_total",
-            &l,
-            s.busy_seconds,
-        );
-        prom_line(&mut out, "aspen_shard_lag", &l, s.lag);
-        prom_line(&mut out, "aspen_shard_log_rows", &l, s.log_rows);
-        prom_line(&mut out, "aspen_shard_log_bytes", &l, s.log_bytes);
-        let failures = s.spill_read_failures;
-        prom_line(&mut out, "aspen_shard_spill_read_failures", &l, failures);
-        prom_line(&mut out, "aspen_shard_cursors", &l, s.log_cursors);
-        prom_line(&mut out, "aspen_shard_cursor_classes", &l, s.cursor_classes);
-        prom_line(
-            &mut out,
-            "aspen_shard_window_batches_total",
-            &l,
-            s.window_batches,
-        );
-        prom_line(
-            &mut out,
-            "aspen_shard_window_deliveries_total",
-            &l,
-            s.window_deliveries,
-        );
-        prom_line(&mut out, "aspen_shard_filter_probes", &l, s.filter_probes);
-        let (filled, private) = (s.backfilled_rows, s.private_windows);
-        prom_line(&mut out, "aspen_shard_backfilled_rows_total", &l, filled);
-        prom_line(&mut out, "aspen_shard_private_windows", &l, private);
-        for (encoding, bytes) in s.sealed_bytes.iter() {
-            let l = format!("{l},encoding=\"{encoding}\"");
-            prom_line(&mut out, "aspen_shard_sealed_bytes", &l, bytes);
-        }
-    }
-    out.push_str("# TYPE aspen_query_ops_invoked_total counter\n");
-    out.push_str("# TYPE aspen_query_state_bytes gauge\n");
-    out.push_str("# TYPE aspen_query_groups gauge\n");
-    out.push_str("# TYPE aspen_query_grouped_filter gauge\n");
-    out.push_str("# TYPE aspen_query_private_windows gauge\n");
-    for q in &report.queries {
-        let l = format!("query=\"{}\",shard=\"{}\"", q.query.0, q.shard);
-        prom_line(&mut out, "aspen_query_ops_invoked_total", &l, q.ops_invoked);
-        prom_line(&mut out, "aspen_query_state_bytes", &l, q.state_bytes);
-        prom_line(&mut out, "aspen_query_groups", &l, q.groups);
-        let grouped = u8::from(q.grouped_filter);
-        prom_line(&mut out, "aspen_query_grouped_filter", &l, grouped);
-        let private = q.private_windows;
-        prom_line(&mut out, "aspen_query_private_windows", &l, private);
-    }
-    let latency = report.ingest_latency();
-    let queue = report.queue_wait();
-    for (name, h) in [
-        ("aspen_ingest_latency_us", &latency),
-        ("aspen_queue_wait_us", &queue),
-    ] {
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cum = 0u64;
-        for (b, c) in h.bucket_counts() {
-            cum += c;
-            let le = bucket_upper_us(b as usize);
-            let le = if le == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                le.to_string()
-            };
-            prom_line(
-                &mut out,
-                &format!("{name}_bucket"),
-                &format!("le=\"{le}\""),
-                cum,
-            );
-        }
-        prom_line(
-            &mut out,
-            &format!("{name}_bucket"),
-            "le=\"+Inf\"",
-            h.count(),
-        );
-        prom_line(&mut out, &format!("{name}_sum"), "", h.sum_us());
-        prom_line(&mut out, &format!("{name}_count"), "", h.count());
-        for (q, v) in [
-            ("0.5", h.p50_us()),
-            ("0.9", h.p90_us()),
-            ("0.99", h.p99_us()),
-        ] {
-            prom_line(&mut out, name, &format!("quantile=\"{q}\""), v);
-        }
-    }
-    out.push_str("# TYPE aspen_op_busy_seconds_total counter\n");
-    out.push_str("# TYPE aspen_op_deltas_total counter\n");
-    for (kind, m) in report.profile.iter() {
-        let l = format!("op=\"{}\"", kind.name());
-        prom_line(
-            &mut out,
-            "aspen_op_busy_seconds_total",
-            &l,
-            m.busy.as_secs_f64(),
-        );
-        prom_line(&mut out, "aspen_op_deltas_total", &l, m.deltas);
-    }
-    if let Some(rate) = report.profile.ops_per_sec_observed() {
-        out.push_str("# TYPE aspen_ops_per_sec_observed gauge\n");
-        prom_line(&mut out, "aspen_ops_per_sec_observed", "", rate);
-    }
+    prom_level(&mut out, &ENGINE, std::slice::from_ref(report));
+    prom_level(&mut out, &SHARDS, &report.shards);
+    prom_level(&mut out, &QUERIES, &report.queries);
+    prom_level(&mut out, &OPS, &report.profile.iter().collect::<Vec<_>>());
     out
 }
 
-fn json_hist(h: &LatencyHistogram) -> String {
-    let buckets: Vec<String> = h
-        .bucket_counts()
-        .iter()
-        .map(|(b, c)| format!("[{b},{c}]"))
-        .collect();
-    format!(
-        "{{\"count\":{},\"sum_us\":{},\"max_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"buckets\":[{}]}}",
-        h.count(),
-        h.sum_us(),
-        h.max_us(),
-        h.p50_us(),
-        h.p90_us(),
-        h.p99_us(),
-        buckets.join(",")
-    )
+fn json_hist(out: &mut String, h: &LatencyHistogram) -> std::fmt::Result {
+    let (count, sum, max) = (h.count(), h.sum_us(), h.max_us());
+    let (p50, p90, p99) = (h.p50_us(), h.p90_us(), h.p99_us());
+    write!(
+        out,
+        "{{\"count\":{count},\"sum_us\":{sum},\"max_us\":{max},\"p50_us\":{p50},\"p90_us\":{p90},\"p99_us\":{p99},\"buckets\":["
+    )?;
+    for (i, (b, c)) in h.bucket_counts().into_iter().enumerate() {
+        write!(out, "{}[{b},{c}]", if i > 0 { "," } else { "" })?;
+    }
+    out.write_str("]}")
+}
+
+fn json_value(out: &mut String, reading: &Reading) {
+    let _ = match reading {
+        Reading::Int(v) => write!(out, "{v}"),
+        Reading::Float(v, digits) => write!(out, "{v:.digits$}"),
+        Reading::Flag(b) => write!(out, "{b}"),
+        Reading::Name(s) => write!(out, "\"{s}\""),
+        Reading::Histogram(h) => json_hist(out, h),
+        Reading::Census(census) => {
+            let pairs = census.iter().map(|(e, bytes)| format!("\"{e}\":{bytes}"));
+            write!(out, "{{{}}}", pairs.collect::<Vec<_>>().join(","))
+        }
+        Reading::Missing => write!(out, "null"),
+    };
+}
+
+/// One item's labels, then its metrics in table order, as `"key":value`
+/// pairs.
+fn json_fields<T>(out: &mut String, level: &Level<T>, item: &T) {
+    let rows = level.rows.iter().map(|&(name, _, read)| (name, read(item)));
+    for (i, (key, reading)) in (level.labels)(item).into_iter().chain(rows).enumerate() {
+        let _ = write!(out, "{}\"{key}\":", if i > 0 { "," } else { "" });
+        json_value(out, &reading);
+    }
+}
+
+/// `,"key":[{..},..]`: one object per item of a nested level.
+fn json_array<T>(out: &mut String, key: &str, level: &Level<T>, items: &[T]) {
+    let _ = write!(out, ",\"{key}\":[");
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i > 0 { ",{" } else { "{" });
+        json_fields(out, level, item);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Render a telemetry report as one JSON object (hand-rolled — the
-/// repo's no-external-deps constraint rules out serde).
+/// repo's no-external-deps constraint rules out serde): the engine's
+/// rows, then the `shards`, `queries` and `ops` arrays.
 pub fn render_json(report: &TelemetryReport) -> String {
-    let shards: Vec<String> = report
-        .shards
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"shard\":{},\"queries\":{},\"tuples_in\":{},\"ops_invoked\":{},\"batches\":{},\"busy_seconds\":{:.6},\"log_rows\":{},\"log_bytes\":{},\"spill_read_failures\":{},\"cursors\":{},\"cursor_classes\":{},\"window_batches\":{},\"window_deliveries\":{},\"filter_probes\":{},\"backfilled_rows\":{},\"private_windows\":{},\"watermark\":{},\"lag\":{},\"queue_wait\":{},\"sealed_bytes\":{{{}}}}}",
-                s.shard,
-                s.queries,
-                s.tuples_in,
-                s.ops_invoked,
-                s.batches,
-                s.busy_seconds,
-                s.log_rows,
-                s.log_bytes,
-                s.spill_read_failures,
-                s.log_cursors,
-                s.cursor_classes,
-                s.window_batches,
-                s.window_deliveries,
-                s.filter_probes,
-                s.backfilled_rows,
-                s.private_windows,
-                s.watermark,
-                s.lag,
-                json_hist(&s.queue_wait),
-                s.sealed_bytes
-                    .iter()
-                    .map(|(encoding, bytes)| format!("\"{encoding}\":{bytes}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        })
-        .collect();
-    let queries: Vec<String> = report
-        .queries
-        .iter()
-        .map(|q| {
-            format!(
-                "{{\"query\":{},\"shard\":{},\"paused\":{},\"tuples_in\":{},\"ops_invoked\":{},\"state_bytes\":{},\"groups\":{},\"grouped_filter\":{},\"private_windows\":{},\"output_deltas\":{},\"latency\":{}}}",
-                q.query.0, q.shard, q.paused, q.tuples_in, q.ops_invoked, q.state_bytes,
-                q.groups, q.grouped_filter, q.private_windows, q.output_deltas,
-                json_hist(&q.latency)
-            )
-        })
-        .collect();
-    let ops: Vec<String> = report
-        .profile
-        .iter()
-        .map(|(k, m)| {
-            format!(
-                "{{\"op\":\"{}\",\"invocations\":{},\"deltas\":{},\"busy_seconds\":{:.6}}}",
-                k.name(),
-                m.invocations,
-                m.deltas,
-                m.busy.as_secs_f64()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"boundaries\":{},\"out_of_order_tuples\":{},\"log_shared_bytes\":{},\"now_secs\":{:.3},\"ingest_latency\":{},\"queue_wait\":{},\"ops_per_sec_observed\":{},\"shards\":[{}],\"queries\":[{}],\"ops\":[{}]}}",
-        report.boundaries,
-        report.out_of_order_tuples,
-        report.log_shared_bytes,
-        report.now_secs,
-        json_hist(&report.ingest_latency()),
-        json_hist(&report.queue_wait()),
-        report
-            .profile
-            .ops_per_sec_observed()
-            .map_or("null".to_string(), |r| format!("{r:.1}")),
-        shards.join(","),
-        queries.join(","),
-        ops.join(",")
-    )
+    let mut out = String::from("{");
+    json_fields(&mut out, &ENGINE, report);
+    json_array(&mut out, "shards", &SHARDS, &report.shards);
+    json_array(&mut out, "queries", &QUERIES, &report.queries);
+    let ops: Vec<_> = report.profile.iter().collect();
+    json_array(&mut out, "ops", &OPS, &ops);
+    out.push('}');
+    out
+}
+
+/// Both exports of `report` carry every row of every level, for every
+/// item: a JSON key per object, and a Prometheus family named by the
+/// rule with a sample. Every family has exactly one `# TYPE` line, every
+/// counter family ends in `_total` or is a histogram, and the JSON's
+/// braces and brackets balance.
+#[cfg(test)]
+pub(crate) fn assert_exports_cover_the_table(report: &TelemetryReport) {
+    use std::collections::HashMap;
+    let (prom, json) = (render_prometheus(report), render_json(report));
+    for (open, close) in [('{', '}'), ('[', ']')] {
+        assert_eq!(json.matches(open).count(), json.matches(close).count());
+    }
+    let mut types = HashMap::new();
+    for line in prom.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+        let (family, ty) = line.split_once(' ').unwrap();
+        assert!(types.insert(family, ty).is_none(), "two TYPEs: {family}");
+        assert!(ty != "counter" || family.ends_with("_total"), "{family}");
+    }
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let name = line.split(['{', ' ']).next().unwrap();
+        let typed = types.contains_key(name)
+            || ["_bucket", "_sum", "_count"].iter().any(|end| {
+                let family = name.strip_suffix(end).unwrap_or_default();
+                types.get(family) == Some(&"histogram")
+            });
+        assert!(typed, "no TYPE line for {line}");
+    }
+    fn covers<T>(level: &Level<T>, items: &[T], json: &str, types: &HashMap<&str, &str>) {
+        assert!(!items.is_empty(), "no {} items to check", level.prefix);
+        for &(name, kind, read) in level.rows {
+            let keys = json.matches(&format!("\"{name}\":")).count();
+            assert_eq!(keys, items.len(), "JSON key {name} of {}", level.prefix);
+            let (suffix, ty) = match (read(&items[0]), kind) {
+                (Reading::Histogram(_), _) => ("_us", "histogram"),
+                (_, Kind::Counter) => ("_total", "counter"),
+                _ => ("", "gauge"),
+            };
+            let family = format!("aspen_{}{name}{suffix}", level.prefix);
+            assert_eq!(types.get(family.as_str()), Some(&ty), "{family}");
+        }
+    }
+    let split = |from: &str, to: &str| {
+        let start = json.find(from).unwrap() + from.len();
+        &json[start..start + json[start..].find(to).unwrap()]
+    };
+    let engine = split("", "\"shards\":[");
+    covers(&ENGINE, std::slice::from_ref(report), engine, &types);
+    let shards = split("\"shards\":[", "],\"queries\":[");
+    covers(&SHARDS, &report.shards, shards, &types);
+    let queries = split("],\"queries\":[", "],\"ops\":[");
+    covers(&QUERIES, &report.queries, queries, &types);
+    let ops: Vec<_> = report.profile.iter().collect();
+    covers(&OPS, &ops, split("],\"ops\":[", "]}"), &types);
 }
 
 #[cfg(test)]
@@ -858,6 +825,32 @@ mod tests {
         assert_eq!(q.meter(OpKind::Filter).deltas, 2000);
         assert_eq!(q.meter(OpKind::Filter).invocations, 2);
         assert_eq!(q.meter(OpKind::Join).busy, Duration::from_micros(400));
+    }
+
+    /// Histogram families are in exposition format: cumulative finite
+    /// buckets below the open top bucket, exactly one `+Inf` (the
+    /// count), and no summary-style quantile samples.
+    #[test]
+    fn prometheus_histograms_have_one_inf_bucket_and_no_quantiles() {
+        let mut report = crate::telemetry::report_from_rows(&[(4, 0, 1)]);
+        report.queries[0].latency.record_us(3);
+        report.queries[0].latency.record_us(u64::MAX);
+        let prom = render_prometheus(&report);
+        assert!(!prom.contains("quantile="), "{prom}");
+        let buckets: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.starts_with("aspen_ingest_latency_us_bucket"))
+            .collect();
+        assert_eq!(
+            buckets,
+            [
+                "aspen_ingest_latency_us_bucket{le=\"3\"} 1",
+                "aspen_ingest_latency_us_bucket{le=\"+Inf\"} 2",
+            ]
+        );
+        let query = "aspen_query_latency_us_bucket{query=\"4\",shard=\"0\",le=\"+Inf\"} 2\n";
+        assert_eq!(prom.matches(query).count(), 1, "{prom}");
+        assert!(prom.contains("aspen_query_latency_us_count{query=\"4\",shard=\"0\"} 2\n"));
     }
 
     #[test]

@@ -253,7 +253,7 @@ fn filter_probes_are_exact_under_every_scheduling_mode() {
                 "{probes} probes for {filtered} filter-hop deltas ({scheduling:?})"
             );
             assert!(report.queries.iter().all(|q| q.grouped_filter));
-            let prom = format!("aspen_shard_filter_probes{{shard=\"0\"}} {probes}\n");
+            let prom = format!("aspen_shard_filter_probes_total{{shard=\"0\"}} {probes}\n");
             assert!(render_prometheus(&report).contains(&prom));
             let json = render_json(&report);
             assert!(
