@@ -399,8 +399,11 @@
 //!   groups as `aspen_query_groups`). Those gauges feed the rebalancer's
 //!   blended score above; a unit test in [`state`] pins a fixed
 //!   fixture's bytes under a ceiling. Aggregate groups are slots in typed
-//!   columns charged at capacity ([`operators::AggregateOp`]), held to
-//!   0.8–1.25× of a counting allocator by `tests/state_accounting.rs`.
+//!   columns charged at capacity ([`operators::AggregateOp`]), their
+//!   keys included: an `INT`, `FLOAT`, `TIMESTAMP` or `BOOL` key is an
+//!   8 B word until a key not of its type turns the column into `Value`
+//!   cells. Held to 0.8–1.25× of a counting allocator by
+//!   `tests/state_accounting.rs`.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
 //!   first) page to disk and fault back transparently on access, while

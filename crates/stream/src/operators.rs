@@ -9,10 +9,12 @@
 //! batch emits one retract/insert pair per *group*, not per delta.
 
 use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
-use aspen_types::{AspenError, Result, SimTime, Tuple, Value};
+use aspen_types::{AspenError, DataType, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::state::{hash_of, Census, KeyedState, RowIndex, StateOptions};
@@ -387,15 +389,27 @@ impl DeltaOp for JoinOp {
 /// one — intermediate states that only existed mid-batch are never
 /// emitted, which is the batch path's consolidation win.
 ///
-/// **Groups are slots in typed columns**: a group's key cells (`keys`,
-/// `group.len()` a slot), weight (gross live rows), shown stamp (of the
-/// row it shows downstream, recomputed from the cells, not kept) and one
-/// [`AggColumn`] cell per aggregate sit at one slot. `COUNT(*)` moves by
-/// the sign exactly as the weight does, so it reads the weight. `index`
-/// maps a key to its slot: a power-of-two table of slot ids, linear
-/// probing at load ≤ 7/8 under `hash_of`, `Value` `==` on the key
-/// cells, no stored hashes (growth and deletion rehash the cells),
-/// backward-shift deletion. A global aggregate is slot 0 at capacity 1.
+/// **Groups are slots in typed columns**: a group's key cells (one
+/// `KeyColumn` a group expression), weight (gross live rows), shown
+/// stamp (of the row it shows downstream, recomputed from the cells, not
+/// kept) and one [`AggColumn`] cell per aggregate sit at one slot.
+/// `COUNT(*)` moves by the sign exactly as the weight does, so it reads
+/// the weight. `index` maps a key to its slot: a power-of-two table of
+/// slot ids, linear probing at load ≤ 7/8 under `key_hash`, `Value`
+/// `==` on the key cells, no stored hashes (growth and deletion rehash
+/// the cells in place), backward-shift deletion. A global aggregate is
+/// slot 0 at capacity 1.
+///
+/// **Key cells at the width their values need.** A key bound as `INT`,
+/// `FLOAT`, `TIMESTAMP` or `BOOL` is a 64-bit word: the `i64` bits,
+/// `f64::to_bits`, the stamp, 0/1. Within one type `Value` `==` is
+/// bit equality, so `-0.0` and `+0.0` are two groups and so are two NaN
+/// payloads. The first key that is not of the bound type — a `NULL`, or
+/// `Float(2.0)` under `INT` — converts that column to `Value` cells,
+/// once and for good; any other key is a `Value` cell from the start.
+/// An `INT`-keyed `COUNT(*)` slot costs 8 B of key, 8 of weight and 8 of
+/// stamp, and 4 B an index entry at load 7/16–7/8: 32 B at 4 096 groups.
+/// A `Value` key cell costs 24 B plus its text.
 ///
 /// **Death and reuse.** A group whose weight drops to zero or below
 /// mid-batch is reset to fresh in place — as single-delta delivery would
@@ -407,7 +421,7 @@ pub struct AggregateOp {
     pub group: Vec<BoundExpr>,
     pub aggs: Vec<BoundAgg>,
     cols: Vec<AggColumn>,
-    keys: Vec<Value>,
+    keys: Vec<KeyColumn>,
     weight: Vec<i64>,
     /// `NONE` for no row. In a batch, a touched slot's cell is its touch
     /// position (the touch names the slot back: no stamp passes for one).
@@ -418,6 +432,113 @@ pub struct AggregateOp {
     /// (cells moved, nothing emitted). An entry overrides its slot's
     /// `shown` cell; the slot is not freed before the entry is spent.
     stale: HashMap<u32, (u64, Vec<Value>)>,
+}
+
+/// One group expression's key cells, a cell a slot (type docs of
+/// [`AggregateOp`]). A freed slot's cell is stale and never read.
+#[derive(Debug)]
+enum KeyColumn {
+    /// Keys of this word type, as 64-bit words.
+    Words(DataType, Vec<u64>),
+    Values(Vec<Value>),
+}
+
+impl KeyColumn {
+    fn of(expr: &BoundExpr) -> Self {
+        use DataType::*;
+        match expr.data_type() {
+            Some(ty @ (Int | Float | Timestamp | Bool)) => KeyColumn::Words(ty, Vec::new()),
+            _ => KeyColumn::Values(Vec::new()),
+        }
+    }
+
+    /// `v`'s word in a column of type `ty`; `None` if `v` is not of it.
+    fn word(ty: DataType, v: &Value) -> Option<u64> {
+        match (ty, v) {
+            (DataType::Int, Value::Int(i)) => Some(*i as u64),
+            (DataType::Float, Value::Float(f)) => Some(f.to_bits()),
+            (DataType::Timestamp, Value::Timestamp(t)) => Some(*t),
+            (DataType::Bool, Value::Bool(b)) => Some(*b as u64),
+            _ => None,
+        }
+    }
+
+    fn value(ty: DataType, w: u64) -> Value {
+        match ty {
+            DataType::Int => Value::Int(w as i64),
+            DataType::Float => Value::Float(f64::from_bits(w)),
+            DataType::Timestamp => Value::Timestamp(w),
+            _ => Value::Bool(w != 0),
+        }
+    }
+
+    /// The key `slot` holds here (a word cell's `Value` is built on the
+    /// stack, never the heap).
+    fn cell(&self, slot: usize) -> Cow<'_, Value> {
+        match self {
+            KeyColumn::Words(ty, cells) => Cow::Owned(Self::value(*ty, cells[slot])),
+            KeyColumn::Values(cells) => Cow::Borrowed(&cells[slot]),
+        }
+    }
+
+    /// `cell(slot) == v`, without building the cell.
+    fn holds(&self, slot: usize, v: &Value) -> bool {
+        match self {
+            KeyColumn::Words(ty, cells) => Self::word(*ty, v) == Some(cells[slot]),
+            KeyColumn::Values(cells) => cells[slot] == *v,
+        }
+    }
+
+    /// Store `v` at `slot`, one past the end appending it. A value not
+    /// of a word column's type converts the column to `Value` cells.
+    fn put(&mut self, slot: usize, v: &Value) {
+        if let KeyColumn::Words(ty, cells) = self {
+            if let Some(w) = Self::word(*ty, v) {
+                return match cells.get_mut(slot) {
+                    Some(cell) => *cell = w,
+                    None => cells.push(w),
+                };
+            }
+            let mut values = Vec::with_capacity(cells.capacity());
+            values.extend(cells.iter().map(|&w| Self::value(*ty, w)));
+            *self = KeyColumn::Values(values);
+        }
+        if let KeyColumn::Values(cells) = self {
+            match cells.get_mut(slot) {
+                Some(cell) => *cell = v.clone(),
+                None => cells.push(v.clone()),
+            }
+        }
+    }
+
+    /// Drop a freed slot's text.
+    fn clear(&mut self, slot: usize) {
+        if let KeyColumn::Values(cells) = self {
+            cells[slot] = Value::Null;
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            KeyColumn::Words(_, cells) => cap(cells),
+            KeyColumn::Values(cells) => {
+                cap(cells) + cells.iter().map(value_heap_bytes).sum::<usize>()
+            }
+        }
+    }
+}
+
+/// Bytes a vector's capacity holds.
+fn cap<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// The index hash of a key's `Value`s, cell by cell: a probe's values and
+/// a slot's cells hash alike whatever column holds them.
+fn key_hash(cells: impl Iterator<Item = impl Hash>) -> u64 {
+    let mut h = DefaultHasher::new();
+    cells.for_each(|v| v.hash(&mut h));
+    h.finish()
 }
 
 /// The `shown` stamp of a group that shows no row.
@@ -438,9 +559,9 @@ impl AggregateOp {
     pub fn new(group: Vec<BoundExpr>, aggs: Vec<BoundAgg>) -> Self {
         AggregateOp {
             cols: aggs.iter().map(AggColumn::of).collect(),
+            keys: group.iter().map(KeyColumn::of).collect(),
             group,
             aggs,
-            keys: Vec::new(),
             weight: Vec::new(),
             shown: Vec::new(),
             index: Vec::new(),
@@ -455,9 +576,9 @@ impl AggregateOp {
         self.weight.iter().filter(|&&w| global || w > 0).count()
     }
 
-    fn key(&self, slot: u32) -> &[Value] {
-        let n = self.group.len();
-        &self.keys[slot as usize * n..][..n]
+    /// [`key_hash`] of the key `slot` holds.
+    fn slot_hash(&self, slot: u32) -> u64 {
+        key_hash(self.keys.iter().map(|c| c.cell(slot as usize)))
     }
 
     /// Probe `index` from hash `h` for a slot `hit` accepts: `Ok` at its
@@ -485,9 +606,14 @@ impl AggregateOp {
             }
             return 0;
         }
-        let h = hash_of(key);
+        let h = key_hash(key.iter());
         if !self.index.is_empty() {
-            let same = |s| self.key(s).iter().eq(key.iter().map(|v| &**v));
+            let same = |s: u32| {
+                self.keys
+                    .iter()
+                    .zip(key)
+                    .all(|(c, v)| c.holds(s as usize, v))
+            };
             if let Ok(pos) = self.probe(h, same) {
                 return self.index[pos];
             }
@@ -496,7 +622,7 @@ impl AggregateOp {
             let len = (self.index.len() * 2).max(8);
             for slot in std::mem::replace(&mut self.index, vec![VACANT; len]) {
                 if slot != VACANT {
-                    let pos = self.probe(hash_of(self.key(slot)), |_| false);
+                    let pos = self.probe(self.slot_hash(slot), |_| false);
                     self.index[pos.unwrap_err()] = slot;
                 }
             }
@@ -508,16 +634,15 @@ impl AggregateOp {
 
     /// A slot holding `key`, every other cell fresh: a freed one if any.
     fn alloc(&mut self, key: &[Cow<Value>]) -> u32 {
-        let key = key.iter().map(|v| v.clone().into_owned());
-        let Some(slot) = self.free.pop() else {
-            self.keys.extend(key);
+        let slot = self.free.pop().unwrap_or_else(|| {
             self.weight.push(0);
             self.shown.push(NONE);
             self.cols.iter_mut().for_each(AggColumn::push);
-            return (self.weight.len() - 1) as u32;
-        };
-        let at = slot as usize * self.group.len();
-        self.keys.splice(at..at + self.group.len(), key);
+            (self.weight.len() - 1) as u32
+        });
+        for (col, v) in self.keys.iter_mut().zip(key) {
+            col.put(slot as usize, v);
+        }
         slot
     }
 
@@ -526,11 +651,11 @@ impl AggregateOp {
     /// the hole unless its home lies cyclically in (hole, its position].
     fn release(&mut self, slot: u32) {
         let mask = self.index.len() - 1;
-        let found = self.probe(hash_of(self.key(slot)), |s| s == slot);
+        let found = self.probe(self.slot_hash(slot), |s| s == slot);
         let mut hole = found.expect("a live group's slot is indexed");
         let mut pos = (hole + 1) & mask;
         while self.index[pos] != VACANT {
-            let home = hash_of(self.key(self.index[pos])) as usize & mask;
+            let home = self.slot_hash(self.index[pos]) as usize & mask;
             if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
                 self.index[hole] = self.index[pos];
                 hole = pos;
@@ -538,8 +663,7 @@ impl AggregateOp {
             pos = (pos + 1) & mask;
         }
         self.index[hole] = VACANT;
-        let n = self.group.len();
-        self.keys[slot as usize * n..][..n].fill(Value::Null);
+        self.keys.iter_mut().for_each(|c| c.clear(slot as usize));
         self.shown[slot as usize] = NONE;
         self.free.push(slot);
     }
@@ -553,7 +677,7 @@ impl AggregateOp {
     /// The output row of `slot` with aggregate values `aggs`, at `stamp`.
     fn row(&self, slot: u32, aggs: impl Iterator<Item = Value>, stamp: u64) -> Tuple {
         let mut vals = Vec::with_capacity(self.group.len() + self.aggs.len());
-        vals.extend_from_slice(self.key(slot));
+        vals.extend(self.keys.iter().map(|c| c.cell(slot as usize).into_owned()));
         vals.extend(aggs);
         Tuple::new(vals, SimTime::from_micros(stamp))
     }
@@ -672,11 +796,9 @@ impl DeltaOp for AggregateOp {
     }
 
     fn state_bytes(&self) -> usize {
-        fn cap<T>(v: &Vec<T>) -> usize {
-            v.capacity() * std::mem::size_of::<T>()
-        }
         let text = |vs: &[Value]| vs.iter().map(value_heap_bytes).sum::<usize>();
-        let slots = cap(&self.keys) + text(&self.keys) + cap(&self.weight) + cap(&self.shown);
+        let keys: usize = self.keys.iter().map(KeyColumn::heap_bytes).sum();
+        let slots = keys + cap(&self.weight) + cap(&self.shown);
         let cols: usize = self.cols.iter().map(AggColumn::heap_bytes).sum();
         // The failed-batch ledger: an entry and a control byte a bucket.
         let bucket = std::mem::size_of::<(u32, (u64, Vec<Value>))>() + 1;
@@ -1340,10 +1462,13 @@ mod tests {
         }
     }
 
-    /// `(k0, k1, v, i)` rows: keys over `Int` / `Float` / text / `NULL`
-    /// (`Int(2)` and `Float(2.0)` among them), a float argument that is
-    /// sometimes `NULL`, an int one, and now and then a poisoned argument
-    /// no sum accepts.
+    /// `(k0, k1, v, i, f, s, b)` rows: keys over `Int` / `Float` / text /
+    /// `NULL` (`Int(2)` and `Float(2.0)` among them), a float argument that
+    /// is sometimes `NULL`, an int one, and now and then a poisoned
+    /// argument no sum accepts. Then keys for columns bound `FLOAT`
+    /// (`-0.0` and `+0.0`, two NaN payloads), `TIMESTAMP` and `BOOL`: once
+    /// in 60 rows each is a key not of its type (`NULL`, `Int(2)` under
+    /// `FLOAT`), which converts its word column mid-stream.
     fn agg_row(rng: &mut StdRng) -> Tuple {
         let pick = |rng: &mut StdRng, vs: &[Value]| vs[rng.gen_range(0..vs.len())].clone();
         let k0 = [
@@ -1367,20 +1492,55 @@ mod tests {
             v = vec![Value::Text("n/a".into())];
         }
         let i = [Value::Int(-1), Value::Int(4), Value::Null];
-        let vals = vec![pick(rng, &k0), pick(rng, &k1), pick(rng, &v), pick(rng, &i)];
+        let mut vals = vec![pick(rng, &k0), pick(rng, &k1), pick(rng, &v), pick(rng, &i)];
+        let word =
+            |rng: &mut StdRng, typed: &[Value], other: &[Value]| match rng.gen_range(0..60u32) {
+                0 => pick(rng, other),
+                _ => pick(rng, typed),
+            };
+        let nan = |payload: u64| Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | payload));
+        let f = [
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            nan(1),
+            nan(2),
+            Value::Float(2.0),
+        ];
+        let s = [
+            Value::Timestamp(1),
+            Value::Timestamp(2),
+            Value::Timestamp(3),
+        ];
+        let b = [Value::Bool(false), Value::Bool(true)];
+        vals.extend([
+            word(rng, &f, &[Value::Null, Value::Int(2)]),
+            word(rng, &s, &[Value::Null, Value::Int(1)]),
+            word(rng, &b, &[Value::Null]),
+        ]);
         t(vals, rng.gen_range(0..5u64))
     }
 
-    /// A random aggregate shape over [`agg_row`]s: global, one key or
-    /// two, and up to four calls among every function.
+    /// A random aggregate shape over [`agg_row`]s: global, or keys among
+    /// every column type (a `Value` column, a word column or both), and up
+    /// to four calls among every function.
     fn agg_shape(rng: &mut StdRng) -> (Vec<BoundExpr>, Vec<BoundAgg>) {
-        let group = match rng.gen_range(0..4u32) {
+        let group = match rng.gen_range(0..7u32) {
             0 => vec![],
             1 => vec![BoundExpr::col(0, DataType::Int)],
             2 => vec![BoundExpr::col(1, DataType::Text)],
-            _ => vec![
+            3 => vec![
                 BoundExpr::col(0, DataType::Int),
                 BoundExpr::col(1, DataType::Text),
+            ],
+            4 => vec![BoundExpr::col(4, DataType::Float)],
+            5 => vec![
+                BoundExpr::col(5, DataType::Timestamp),
+                BoundExpr::col(6, DataType::Bool),
+            ],
+            _ => vec![
+                BoundExpr::col(4, DataType::Float),
+                BoundExpr::col(1, DataType::Text),
+                BoundExpr::col(6, DataType::Bool),
             ],
         };
         let call = |func, arg: Option<BoundExpr>| BoundAgg {
@@ -1408,13 +1568,19 @@ mod tests {
     /// output per batch — or the same error — and the same live groups,
     /// through inserts, in- and out-of-order retractions (weights below
     /// zero), deaths and rebirths inside a batch, `NULL` arguments and
-    /// keys, failed batches and the batches after them.
+    /// keys, failed batches and the batches after them, and word key
+    /// columns converting to `Value` cells with freed slots in them.
     #[test]
     fn slot_table_matches_map_operator() {
         use aspen_types::rng::seeded;
-        // What the draws reached: failed batches, groups that died.
-        let (mut failed, mut died) = (0, 0);
-        for seed in crate::test_seeds(48) {
+        // What the draws reached: failed batches, groups that died, word
+        // columns converted after a freed slot was reused.
+        let (mut failed, mut died, mut converted) = (0, 0, 0);
+        let words = |a: &AggregateOp| {
+            let words = a.keys.iter().filter(|c| matches!(c, KeyColumn::Words(..)));
+            words.count()
+        };
+        for seed in crate::test_seeds(84) {
             let mut rng = seeded(0xA66 ^ seed);
             let (group, aggs) = agg_shape(&mut rng);
             let shape = format!("{} keys, {:?}", group.len(), aggs);
@@ -1423,6 +1589,7 @@ mod tests {
             let ctx = |step| format!("seed {seed}, batch {step}, {shape}");
             assert_eq!(slots.initial(), map.initial(), "{}", ctx(0));
             let mut live: Vec<Tuple> = Vec::new();
+            let mut reused = false;
             for step in 1..=120 {
                 let mut batch = DeltaBatch::new();
                 for _ in 0..rng.gen_range(0..8usize) {
@@ -1435,6 +1602,7 @@ mod tests {
                             if rng.gen_bool(0.5) {
                                 let mut vals = agg_row(&mut rng).values().to_vec();
                                 vals[..2].clone_from_slice(&row.values()[..2]);
+                                vals[4..].clone_from_slice(&row.values()[4..]);
                                 let reborn = t(vals, rng.gen_range(0..5u64));
                                 live.push(reborn.clone());
                                 batch.push(Delta::insert(reborn));
@@ -1459,6 +1627,7 @@ mod tests {
                     }
                 }
                 let groups = slots.group_count();
+                let (typed, free) = (words(&slots), slots.free.len());
                 match (slots.process_batch(0, &batch), map.process_batch(&batch)) {
                     (Ok(got), Ok(want)) => assert_eq!(got, want, "{}", ctx(step)),
                     (Err(got), Err(want)) => {
@@ -1469,11 +1638,13 @@ mod tests {
                 }
                 assert_eq!(slots.group_count(), map.group_count(), "{}", ctx(step));
                 died += (slots.group_count() < groups) as usize;
+                converted += (reused && free > 0 && words(&slots) < typed) as usize;
+                reused |= slots.free.len() < free;
             }
         }
         assert!(
-            failed > 0 && died > 0,
-            "{failed} failed batches, {died} deaths"
+            failed > 0 && died > 0 && converted > 0,
+            "{failed} failed batches, {died} deaths, {converted} conversions"
         );
     }
 
@@ -1507,8 +1678,20 @@ mod tests {
         let capacity = a.weight.capacity();
         assert!(capacity <= 128, "{capacity} slots");
         assert!(a.index.len() <= 128, "{}", a.index.len());
-        // 24 B of key, 16 of weight and stamp, 4 of index a slot.
+        // 8 B of key, 16 of weight and stamp, 4 of index a slot.
         assert!(a.state_bytes() <= 128 * 48, "{}", a.state_bytes());
+    }
+
+    /// An `INT` key is one word: a 4 096-group `COUNT(*)` slot table
+    /// charges at most 32 B a slot (8 key + 8 weight + 8 stamp + 8
+    /// index), which a 24 B `Value` key cell would overrun.
+    #[test]
+    fn int_keys_cost_a_word_a_slot() {
+        let mut a = count_by_key();
+        let rows = (0..4_096i64).map(|k| t(vec![Value::Int(k)], 1));
+        a.process_batch(0, &DeltaBatch::inserts(rows)).unwrap();
+        assert_eq!(a.group_count(), 4_096);
+        assert!(a.state_bytes() <= 4_096 * 32, "{}", a.state_bytes());
     }
 
     /// Growth rehashes every key from its cells and deletion shifts the

@@ -771,6 +771,11 @@ mod tests {
 
     #[test]
     fn trace_ctx_charges_hops_backward() {
+        // The first `now_us` call of the process reads about 0: wait until
+        // the admission tick can be back-dated by the whole hop.
+        while now_us() < 5_000 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         let mut ctx = TraceCtx::new(2, 77);
         let before = ctx.elapsed_us();
         ctx.charge_hop(5_000);

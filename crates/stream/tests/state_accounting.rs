@@ -2,7 +2,8 @@
 //!
 //! A counting `#[global_allocator]` measures the live heap a structure
 //! holds, and its byte accounting must agree: `AggregateOp::state_bytes`
-//! within 0.8–1.25× for five group shapes. `KeyedState`, `TupleStore`,
+//! within 0.8–1.25× for eight group shapes (`Int`, `Float`, text and
+//! converted key columns among them). `KeyedState`, `TupleStore`,
 //! the `RowIndex` inside a `KeyedState` and the source logs are printed,
 //! not asserted — the next accounting targets. Also printed: allocator
 //! calls per `dashboards`-shaped batch. And the logs' sharing is real
@@ -133,6 +134,27 @@ fn state_bytes_agree_with_the_allocator() {
                 .map(|i| {
                     let site = Value::Text(format!("building-7/site-{}", i % 64));
                     t(vec![site, Value::Float(i as f64)], i as u64)
+                })
+                .collect(),
+        ),
+        (
+            "4 096 Float groups, count(*)",
+            vec![BoundExpr::col(0, DataType::Float)],
+            vec![star()],
+            (0..20_000)
+                .map(|i| t(vec![Value::Float((i % 4_096) as f64 / 4.0)], i as u64))
+                .collect(),
+        ),
+        (
+            "4 096 Int groups, one NULL key",
+            key(),
+            vec![star()],
+            events(20_000, 4_096)
+                .into_iter()
+                .enumerate()
+                .map(|(i, row)| match i {
+                    10_000 => t(vec![Value::Null, Value::Float(1.0)], i as u64),
+                    _ => row,
                 })
                 .collect(),
         ),
