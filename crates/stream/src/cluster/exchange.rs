@@ -7,7 +7,7 @@
 //! decodes a received frame back into an [`Arrival`] that re-enters the
 //! remote node's *normal* ingest path as the same kind of payload — a
 //! shipped batch is indistinguishable from a local one past the link, so
-//! every downstream invariant (routing refcounts, retained tables, push
+//! every downstream invariant (route counts, retained tables, push
 //! flushing, watermarks, log row ids) holds unchanged.
 //!
 //! [`node_of`] / [`partition`] are the hash-exchange half: key-column

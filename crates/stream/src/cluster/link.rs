@@ -34,9 +34,9 @@ impl LanModel {
     }
 }
 
-/// Cumulative wire accounting of one directed cluster link (or of the
-/// control plane): the bytes are the encoded frame lengths that
-/// actually crossed the link, not an estimate.
+/// Cumulative wire accounting of one directed cluster link (or of all
+/// of them): the bytes are the encoded frame lengths that actually
+/// crossed the link, not an estimate.
 #[derive(Debug, Clone, Default)]
 pub struct WireStats {
     /// Frames shipped.

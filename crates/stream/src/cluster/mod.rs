@@ -2,7 +2,7 @@
 //! links.
 //!
 //! This module runs N independent [`ShardedEngine`] nodes — each with
-//! its own executor, shards, ingest slices, and query runtimes — joined
+//! its own executor, shards, route counts, and query runtimes — joined
 //! by `aspen-netsim` simulated LAN links. Everything that crosses a
 //! node boundary goes through the netsim codec as an encoded
 //! [`WireFrame`](aspen_netsim::frames::WireFrame): data batches are
@@ -60,7 +60,7 @@
 pub mod exchange;
 pub mod link;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use aspen_catalog::{Catalog, SourceKind};
@@ -89,13 +89,12 @@ type Carried = (SimDuration, Arrival, Option<TraceCtx>);
 const CTRL_MIGRATE: u8 = 1;
 
 /// Construction-time shape of a [`Cluster`]: node count, the config
-/// every node engine is built from, the link model, and (optionally)
-/// the cluster-level rebalance policy.
+/// every node engine is built from, and (optionally) the cluster-level
+/// rebalance policy. Every link runs [`LanModel::default`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     nodes: usize,
     node_config: EngineConfig,
-    lan: LanModel,
     rebalance: Option<RebalanceConfig>,
 }
 
@@ -104,7 +103,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 1,
             node_config: EngineConfig::new(),
-            lan: LanModel::default(),
             rebalance: None,
         }
     }
@@ -125,12 +123,6 @@ impl ClusterConfig {
     /// scheduling mode, per-node auto-rebalance, ...).
     pub fn node_config(mut self, config: EngineConfig) -> Self {
         self.node_config = config;
-        self
-    }
-
-    /// LAN parameters of every inter-node link.
-    pub fn lan(mut self, lan: LanModel) -> Self {
-        self.lan = lan;
         self
     }
 
@@ -176,14 +168,12 @@ pub struct Cluster {
     nodes: Vec<ShardedEngine>,
     /// Directed data links; `links[from][to]` meters encoded frames.
     links: Vec<Vec<WireStats>>,
-    /// Control-plane accounting (heartbeats, migration handoffs).
-    control: WireStats,
     /// Source → home-node overrides; unmapped sources default to
     /// `id % nodes`.
     homes: HashMap<SourceId, usize>,
-    queries: HashMap<QueryId, ClusterQuery>,
-    /// Global registration order (snapshot/report stability).
-    order: Vec<QueryId>,
+    /// Every registered query, in registration order: `record` issues
+    /// ids in it and never reuses one.
+    queries: BTreeMap<QueryId, ClusterQuery>,
     next_query: u32,
     /// SQL resolution (plan-template cache) and the session table — the
     /// same front end every node owns.
@@ -202,8 +192,6 @@ pub struct Cluster {
     /// `tests/cluster.rs` asserts the conservation.
     exchange_tuples_out: u64,
     exchange_tuples_in: u64,
-    /// Recursive views registered (all live on node 0).
-    views: usize,
     /// Admission sequence for trace contexts created at cluster ingest.
     next_batch: u64,
     /// Cluster-level span journal: ships, arrivals, cross-node
@@ -232,12 +220,10 @@ impl Cluster {
         Cluster {
             nodes,
             links: (0..n).map(|_| vec![WireStats::default(); n]).collect(),
-            control: WireStats::default(),
             catalog,
-            lan: config.lan,
+            lan: LanModel::default(),
             homes: HashMap::new(),
-            queries: HashMap::new(),
-            order: Vec::new(),
+            queries: BTreeMap::new(),
             next_query: 0,
             front: FrontEnd::default(),
             groups: HashMap::new(),
@@ -249,7 +235,6 @@ impl Cluster {
             migrations: 0,
             exchange_tuples_out: 0,
             exchange_tuples_in: 0,
-            views: 0,
             next_batch: 0,
             journal: SpanJournal::default(),
         }
@@ -344,11 +329,9 @@ impl Cluster {
             Resolved::View(v) => {
                 // Views are shared infrastructure: their runtime lives
                 // on node 0 and their output deltas fan out from there.
-                // All ingest routes to node 0 while any view is live
-                // (see `ingest_targets`).
-                let src = self.nodes[0].register_view(&v)?;
-                self.views += 1;
-                return Ok(Registration::View(src));
+                // Their bases' ingest routes to node 0 (see
+                // `ingest_targets`).
+                return Ok(Registration::View(self.nodes[0].register_view(&v)?));
             }
         };
 
@@ -419,7 +402,6 @@ impl Cluster {
         self.next_query += 1;
         self.front.enroll(cq.session, qid);
         self.queries.insert(qid, cq);
-        self.order.push(qid);
         QueryHandle(qid)
     }
 
@@ -541,7 +523,6 @@ impl Cluster {
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
         self.cluster_query(q)?;
         let cq = self.queries.remove(&q.0).expect("checked above");
-        self.order.retain(|&qid| qid != q.0);
         self.front.leave(cq.session, q.0);
         match cq.group {
             None => self.nodes[cq.node].deregister(cq.local),
@@ -641,8 +622,7 @@ impl Cluster {
             profile.merge(&r.profile);
         }
         let mut queries = Vec::new();
-        for &qid in &self.order {
-            let cq = &self.queries[&qid];
+        for (&qid, cq) in &self.queries {
             if cq.group.is_some() {
                 continue;
             }
@@ -668,10 +648,10 @@ impl Cluster {
 
     /// Cluster-wide ingest→apply latency: every node's histogram is
     /// shipped to the coordinator as an encoded [`WireFrame::Histogram`]
-    /// (charged to the control plane) and merged — the mergeability the
-    /// log-bucketed representation exists for. Exchange hops are already
-    /// inside each node's histogram via hop back-dating.
-    pub fn merged_latency(&mut self) -> Result<LatencyHistogram> {
+    /// and merged — the mergeability the log-bucketed representation
+    /// exists for. Exchange hops are already inside each node's
+    /// histogram via hop back-dating.
+    pub fn merged_latency(&self) -> Result<LatencyHistogram> {
         let mut out = LatencyHistogram::new();
         for i in 0..self.nodes.len() {
             let h = self.nodes[i].telemetry().ingest_latency();
@@ -681,14 +661,12 @@ impl Cluster {
                 sum_us: h.sum_us(),
                 buckets: h.bucket_counts(),
             };
-            let wire = encode_frame(&frame);
-            self.control.charge(&self.lan, wire.len() as u64, 0);
             let WireFrame::Histogram {
                 max_us,
                 sum_us,
                 buckets,
                 ..
-            } = decode_frame(wire)?
+            } = decode_frame(encode_frame(&frame))?
             else {
                 return Err(AspenError::Execution(
                     "histogram frame decoded as a different variant".into(),
@@ -854,16 +832,10 @@ impl Cluster {
         }
     }
 
-    /// Advance every node's clock; the tick crosses each link as one
-    /// heartbeat frame charged to the control plane (a failing node stops none).
+    /// Advance every node's clock (a failing node stops none).
     pub fn heartbeat(&mut self, now: SimTime) -> Result<()> {
-        let frame = WireFrame::Heartbeat {
-            now_us: now.as_micros(),
-        };
-        let bytes = encode_frame(&frame).len() as u64;
         let mut served = Ok(());
         for node in &mut self.nodes {
-            self.control.charge(&self.lan, bytes, 0);
             served = served.and(node.heartbeat(now));
         }
         served.and(self.finish_boundary())
@@ -871,9 +843,8 @@ impl Cluster {
 
     /// The nodes one non-exchanged batch must reach. Tables broadcast
     /// (every node's retained replay store must stay complete); streams
-    /// go to the home plus nodes with live subscribers; node 0 is
-    /// always included while recursive views are live (view runtimes
-    /// are homed there).
+    /// go to the home, to nodes with live subscribers, and to node 0
+    /// when one of its recursive views (all homed there) reads them.
     fn ingest_targets(&self, src: SourceId, kind: &SourceKind, home: usize) -> BTreeSet<usize> {
         let mut targets = BTreeSet::new();
         targets.insert(home);
@@ -886,7 +857,7 @@ impl Cluster {
                 targets.insert(i);
             }
         }
-        if self.views > 0 {
+        if self.nodes[0].views_read(src) {
             targets.insert(0);
         }
         targets
@@ -992,11 +963,6 @@ impl Cluster {
     /// One directed data link's accounting.
     pub fn link_stats(&self, from: usize, to: usize) -> &WireStats {
         &self.links[from][to]
-    }
-
-    /// Control-plane accounting (heartbeats and migration handoffs).
-    pub fn control_stats(&self) -> &WireStats {
-        &self.control
     }
 
     /// Cross-node migrations executed (manual and rebalancer-driven).
@@ -1385,5 +1351,101 @@ mod tests {
         assert_eq!(c.close_session(s).unwrap(), 1);
         assert_eq!(c.query_count(), 0);
         assert!(c.snapshot(q).is_err());
+    }
+
+    /// Node 0 hosts the views, but a stream none of them reads stays off
+    /// its link.
+    #[test]
+    fn a_stream_no_view_reads_is_not_shipped_to_node_0() {
+        let mut c = two_nodes();
+        c.home_source("Readings", 1).unwrap();
+        c.register_sql(
+            "create recursive view Chain as ( \
+             select r.room, r.floor from Rooms r \
+             union \
+             select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )",
+        )
+        .unwrap();
+        let q = c
+            .register(QuerySpec::sql("select r.value from Readings r").on_node(1))
+            .unwrap()
+            .expect_query();
+        for i in 0..10i64 {
+            c.on_batch("Readings", &[t(&[1, i], i as u64)]).unwrap();
+        }
+        assert_eq!(c.snapshot(q).unwrap().len(), 10);
+        assert_eq!(c.link_stats(1, 0).frames, 0);
+        let readings = c.catalog.source("Readings").unwrap().id;
+        assert_eq!(c.node(0).source_tuples_in(readings), 0);
+    }
+
+    /// A view over a stream homed on node 1 is still fed on node 0, and
+    /// its rows are a single engine's.
+    #[test]
+    fn a_view_over_a_remote_stream_matches_one_node() {
+        let view = "create recursive view Chain as ( \
+                    select r.room, r.value from Readings r \
+                    union \
+                    select c.room, r.value from Chain c, Readings r where c.value = r.room )";
+        let over = "select c.room, c.value from Chain c";
+        let mut single = ShardedEngine::new(catalog(), 1);
+        single.register_sql(view).unwrap();
+        let sq = single.register_sql(over).unwrap().expect_query();
+        let mut c = two_nodes();
+        c.home_source("Readings", 1).unwrap();
+        c.register_sql(view).unwrap();
+        let cq = c.register_sql(over).unwrap().expect_query();
+        for i in 0..10i64 {
+            let batch = [t(&[i % 3, (i + 1) % 3], i as u64)];
+            c.on_batch("Readings", &batch).unwrap();
+            single.on_batch("Readings", &batch).unwrap();
+        }
+        assert!(c.link_stats(1, 0).frames > 0);
+        let sorted = |mut rows: Vec<Tuple>| {
+            rows.sort_by(|a, b| a.values().cmp(b.values()));
+            rows
+        };
+        let want = sorted(single.view_snapshot("Chain").unwrap());
+        assert!(!want.is_empty());
+        assert_eq!(sorted(c.node(0).view_snapshot("Chain").unwrap()), want);
+        assert_eq!(
+            sorted(c.snapshot(cq).unwrap()),
+            sorted(single.snapshot(sq).unwrap())
+        );
+    }
+
+    /// The cluster report lists queries in registration order through
+    /// every verb; a query migrated in gets a new local id, so its new
+    /// node lists it last.
+    #[test]
+    fn queries_stay_in_registration_order_under_churn() {
+        let mut c = two_nodes();
+        c.home_source("Readings", 0).unwrap();
+        let s = c.open_session();
+        let mut handles = Vec::new();
+        for room in 0..6 {
+            let sql = format!("select r.value from Readings r where r.room = {room}");
+            let spec = QuerySpec::sql(sql).on_node(room % 2);
+            let reg = match room {
+                2 => c.register_in(s, spec),
+                _ => c.register(spec),
+            };
+            handles.push(reg.unwrap().expect_query());
+        }
+        c.deregister(handles[1]).unwrap();
+        c.close_session(s).unwrap();
+        c.pause(handles[3]).unwrap();
+        c.resume(handles[3]).unwrap();
+        c.migrate(handles[4], 1).unwrap();
+        let local = c.queries[&handles[4].0].local;
+        let on_node_1 = c.node(1).telemetry_at(Consistency::Fresh).queries;
+        assert_eq!(on_node_1.last().map(|q| q.query), Some(local.0));
+        let last = c
+            .register(QuerySpec::sql("select r.value from Readings r").on_node(0))
+            .unwrap()
+            .expect_query();
+        let listed: Vec<QueryId> = c.cluster_report().queries.iter().map(|q| q.query).collect();
+        let want = [handles[0], handles[3], handles[4], handles[5], last];
+        assert_eq!(listed, want.map(|h| h.0));
     }
 }

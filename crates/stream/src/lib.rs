@@ -26,8 +26,8 @@
 //!
 //!   Every lifecycle verb is a composition of three private primitives
 //!   in [`shard`] — **build** (compile + sink + start + replay),
-//!   **route** (land the runtime; wire shard slice, push set, log
-//!   cursors, route refcounts) and **unroute** (the inverse; cursors
+//!   **route** (land the runtime; wire the shard's member lists, push
+//!   set, log cursors, route counts) and **unroute** (the inverse; cursors
 //!   leave their positions). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
@@ -276,14 +276,14 @@
 //! Since the sharding refactor that index and the pipeline set are
 //! *partitioned*: [`shard::ShardedEngine`] hash-places every query on
 //! one of N worker shards by `QueryId`, and each shard owns its
-//! queries' runtimes. The ingest plane is sharded the same way: the
-//! routing index, the retained table store, and the per-source meters
-//! live in per-shard **ingest slices** (`SourceId`-hashed), each behind
-//! its own lock and holding per-shard subscriber *refcounts* that every
-//! lifecycle transition adjusts incrementally — admission touches
-//! exactly one slice and fans out only to shards whose refcount is
-//! live, so batches for different sources contend only when they hash
-//! to the same slice, and no transition ever rebuilds the route table.
+//! queries' runtimes. The coordinator keeps one **route-count table**
+//! beside the retained table store and the per-source meters, plain
+//! fields with no lock (every admitting and lifecycle call takes
+//! `&mut self`): per key — a source's scans, a stream's join indexes,
+//! the clock, the push flush — a live count per shard, which every
+//! lifecycle transition adjusts by one per key of the query. Admission
+//! fans out only to shards whose count is live, and no transition ever
+//! rebuilds the route table.
 //! Recursive views are **maintained at admission**: the coordinator owns
 //! them, the call that admits a base boundary maintains them, and their
 //! output deltas fan into the query shards as ordinary delta boundaries,
@@ -309,7 +309,7 @@
 //! never pauses for a slow consumer — blocking only when a bounded
 //! queue fills (backpressure keeps memory flat under sustained skew),
 //! while the clock and session bookkeeping stay on the ingest thread
-//! and table retention rides the owning ingest slice. Every executor
+//! and table retention rides the admitting call. Every executor
 //! cell publishes a `(submitted, applied)` **watermark** pair, and
 //! reads pick a consistency level ([`session::Consistency`]): a `Fresh`
 //! read quiesces exactly what it touches — a snapshot drains its own
@@ -437,7 +437,7 @@
 //!
 //! Everything above describes *one node*. The [`cluster`] module runs
 //! **N of them**: independent [`shard::ShardedEngine`] instances —
-//! each with its own executor, shards, ingest slices, and query
+//! each with its own executor, shards, route counts, and query
 //! runtimes — joined by `aspen-netsim` simulated LAN links behind one
 //! coordinator ([`cluster::Cluster`]) that owns the global catalog,
 //! the source→home map, and placement, and speaks the same

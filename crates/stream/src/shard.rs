@@ -5,20 +5,21 @@
 //! [`ShardedEngine`] hash-partitions *whole pipelines*: every
 //! registered continuous query is placed on exactly one of N worker
 //! shards by hashing its [`QueryId`], and each shard owns the disjoint
-//! set of [`QueryRuntime`]s placed on it **plus the slice of the
-//! `SourceId → subscriber` routing index that targets them**.
+//! set of [`QueryRuntime`]s placed on it **plus the member lists
+//! (`SourceId → subscriber`, clock, push) its tasks deliver to**.
 //!
-//! The coordinator's side of routing is itself partitioned: sources hash
-//! across per-shard [`IngestSlice`]s, each owning — behind its own lock —
-//! the refcounted `source → shard` fan-out counts, the retained Table
-//! contents (replay for late-registered and resumed queries), and the
-//! per-source ingest counters of *its* sources. Ingest (`on_batch` /
-//! `on_deltas`) admission touches exactly one slice, then fans the batch
-//! out to the shards whose count is positive; there is no global route
-//! table and no whole-table rebuild anywhere — registration,
-//! deregistration, pause, and migration adjust only the refcounts of the
-//! affected query's sources (the order-independence of the resulting
-//! fan-out sets is pinned by a unit test below).
+//! The coordinator's side of routing is one [`RouteCounts`] table, a
+//! plain field (every verb and admission takes `&mut self`, so nothing
+//! shares it): per shard, the live queries scanning each source, indexing
+//! each stream's window, reacting to the clock, and holding a push
+//! subscription. Beside it, [`Ingest`] keeps the retained Table contents
+//! (replay for late-registered and resumed queries) and the per-source
+//! ingest counters. Ingest (`on_batch` / `on_deltas`) admission fans the
+//! batch out to the shards whose count for its source is positive; there
+//! is no whole-table rebuild anywhere — registration, deregistration,
+//! pause, and migration add or remove one count per key of the affected
+//! query (the order-independence of the resulting fan-out sets is pinned
+//! by a unit test below).
 //!
 //! Recursive views are **maintained at admission**: the coordinator owns
 //! them ([`ViewSet`]), and the call that admits a boundary — `on_batch`,
@@ -39,11 +40,11 @@
 //!   replay retained tables and view materializations into it. All of a
 //!   verb's fallible work is here or in the drain that follows it.
 //! * **route** — land a runtime on its shard and, unless the query is
-//!   paused, wire it in: the shard's routing slice, the push-flush set,
-//!   its log cursors, and the route refcounts. Infallible.
+//!   paused, wire it in: the shard's member lists, the push-flush set,
+//!   its log cursors, and the route counts. Infallible.
 //! * **unroute** — the inverse: cursors out — each leaves its position,
 //!   which a travelling runtime carries to where it is routed next — the
-//!   shard's routing slice, the route refcounts. Infallible; the caller
+//!   shard's member lists, the route counts. Infallible; the caller
 //!   drained the shard first.
 //!
 //! Register is build + route; [`ShardedEngine::pause`] is unroute (the
@@ -62,7 +63,7 @@
 //!
 //! Shards live behind the `parking_lot` shim ([`Mutex<EngineShard>`]):
 //! shard state is `Send`, cross-shard work is disjoint by construction
-//! (a query's pipeline, sink, and routing entries live on one shard).
+//! (a query's pipeline, sink, and member-list entries live on one shard).
 //! Execution goes through the persistent [`crate::executor::Executor`]:
 //! each ingest/heartbeat boundary becomes one task per involved shard,
 //! pushed onto that shard's bounded FIFO queue. In pool mode the worker
@@ -86,14 +87,15 @@
 //!
 //! What stays on the coordinator: the catalog, the front end
 //! ([`crate::session`]'s plan cache and session table, shared with the
-//! cluster coordinator), the query metas, the recursive views, and the
+//! cluster coordinator), the query metas in registration order, the
+//! route counts, the retained tables, the recursive views, and the
 //! engine clock. The per-shard `busy` accounting measures
 //! the wall time each shard spends inside its slice of the work; the
 //! busiest shard's total is the critical path an N-core deployment
 //! would see.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
@@ -202,24 +204,58 @@ pub(crate) struct Positions {
     backfill: Backfill,
 }
 
-/// One slice of the partitioned ingest plane. Sources hash across the
-/// slices; each slice owns — behind its own lock — the route refcounts,
-/// retained Table contents, and ingest counters of *its* sources, so
-/// admission for sources in different slices never contends, and
-/// registration churn touches only the slices its sources hash to.
-/// Slice locks are coordinator-side: shard workers never take them, so
-/// ingest admission stays independent of a backlogged shard's progress.
+/// What one row of [`RouteCounts`] counts per shard: the live queries
+/// that scan a source, that index a stream's window in a join side, that
+/// react to the clock, or that have a push subscription attached.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Counted {
+    Scans(SourceId),
+    Indexes(SourceId),
+    Clock,
+    Push,
+}
+
+/// The coordinator's route-count table: per [`Counted`] key, the live
+/// count on each shard, absent at all zeros. A key's fan-out is its
+/// shards above zero, read in ascending order — a pure function of the
+/// live queries, independent of the order they came and went.
 #[derive(Default)]
-struct IngestSlice {
-    /// Source → per-shard count of live subscribed queries. The fan-out
-    /// set of a source is "shards with count > 0", read in ascending
-    /// shard order — a pure function of the live subscriber multiset,
-    /// independent of registration and removal order.
-    routes: HashMap<SourceId, Vec<u32>>,
-    /// Stream source → live queries indexing its window in a join side
-    /// (absent at zero). Signed deltas name no log row, so admission
-    /// refuses them for a source listed here.
-    indexed: HashMap<SourceId, u32>,
+struct RouteCounts(HashMap<Counted, Vec<u32>>);
+
+impl RouteCounts {
+    fn add(&mut self, key: Counted, shard: usize, nshards: usize) {
+        self.0.entry(key).or_insert_with(|| vec![0; nshards])[shard] += 1;
+    }
+
+    /// The inverse of [`RouteCounts::add`].
+    fn remove(&mut self, key: Counted, shard: usize) {
+        if let Some(counts) = self.0.get_mut(&key) {
+            counts[shard] = counts[shard].saturating_sub(1);
+            if counts.iter().all(|&c| c == 0) {
+                self.0.remove(&key);
+            }
+        }
+    }
+
+    /// Shards where `key` counts a live query, ascending.
+    fn fanout(&self, key: Counted) -> Vec<usize> {
+        self.0.get(&key).map_or_else(Vec::new, |counts| {
+            (0..counts.len()).filter(|&i| counts[i] > 0).collect()
+        })
+    }
+
+    /// Live queries `key` counts across all shards.
+    fn total(&self, key: Counted) -> usize {
+        self.0
+            .get(&key)
+            .map_or(0, |c| c.iter().map(|&c| c as usize).sum())
+    }
+}
+
+/// What the coordinator keeps per source as it admits: the retained
+/// Table contents and the ingest counters.
+#[derive(Default)]
+struct Ingest {
     /// Retained contents of Table sources so late-registered (and
     /// resumed) queries and views can replay them (streams are not
     /// replayed — standard semantics).
@@ -235,53 +271,6 @@ struct IngestSlice {
     /// admitted as they come, expired in arrival order (the prefix rule
     /// of [`crate::window`]) — this count is how an operator sees it.
     out_of_order: u64,
-}
-
-impl IngestSlice {
-    /// Count a live subscriber of `src` on `shard`, one that indexes
-    /// `src`'s window if `indexes`.
-    fn add_route(&mut self, src: SourceId, shard: usize, nshards: usize, indexes: bool) {
-        let counts = self.routes.entry(src).or_insert_with(|| vec![0; nshards]);
-        counts[shard] += 1;
-        if indexes {
-            *self.indexed.entry(src).or_insert(0) += 1;
-        }
-    }
-
-    /// The inverse of [`IngestSlice::add_route`].
-    fn remove_route(&mut self, src: SourceId, shard: usize, indexes: bool) {
-        if let Some(counts) = self.routes.get_mut(&src) {
-            counts[shard] = counts[shard].saturating_sub(1);
-            if counts.iter().all(|&c| c == 0) {
-                self.routes.remove(&src);
-            }
-        }
-        if let (true, Some(n)) = (indexes, self.indexed.get_mut(&src)) {
-            *n -= 1;
-            if *n == 0 {
-                self.indexed.remove(&src);
-            }
-        }
-    }
-
-    /// Shards with at least one live subscriber of `src`, ascending.
-    fn fanout(&self, src: SourceId) -> Vec<usize> {
-        self.routes.get(&src).map_or_else(Vec::new, |counts| {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, _)| i)
-                .collect()
-        })
-    }
-
-    /// Total live subscribers of `src` across all shards.
-    fn subscribers(&self, src: SourceId) -> usize {
-        self.routes
-            .get(&src)
-            .map_or(0, |counts| counts.iter().map(|&c| c as usize).sum())
-    }
 }
 
 /// A recursive view and the source its output is published under.
@@ -366,6 +355,17 @@ struct QueryMeta {
     tune_mark: (u64, u64, SimTime),
 }
 
+impl QueryMeta {
+    /// The [`RouteCounts`] keys that count this query while it is live.
+    fn counted(&self) -> impl Iterator<Item = Counted> + '_ {
+        let scans = self.sources.iter().map(|&src| Counted::Scans(src));
+        let indexes = self.indexes.iter().map(|&src| Counted::Indexes(src));
+        let clock = self.needs_clock.then_some(Counted::Clock);
+        let push = self.push.then_some(Counted::Push);
+        scans.chain(indexes).chain(clock).chain(push)
+    }
+}
+
 /// A stream scan to attach as a cursor: `(scan, source, spec, pool,
 /// leading filter key)`.
 type CursorScan = (usize, SourceId, WindowSpec, SegmentPool, Option<FilterKey>);
@@ -404,18 +404,18 @@ struct LogCensus {
     census: Census,
 }
 
-/// One worker shard: a disjoint set of query runtimes plus the slice of
-/// the routing index that targets them. All indices are shard-local and
-/// keyed by the global `QueryId`, so queries can be detached without
-/// renumbering their neighbors. The executor's tasks mutate only the
-/// runtimes, logs, and meters; the routing slices are
-/// coordinator-owned and change only under quiescence.
+/// One worker shard: a disjoint set of query runtimes plus the member
+/// lists its tasks deliver to. All lists are shard-local and keyed by
+/// the global `QueryId`, so queries can be detached without renumbering
+/// their neighbors. The executor's tasks mutate only the runtimes, logs,
+/// and meters; the member lists change only under quiescence, when the
+/// coordinator routes or unroutes a query.
 #[derive(Default)]
 pub(crate) struct EngineShard {
     queries: HashMap<QueryId, QueryRuntime>,
-    /// Routing-index slice: source → local queries scanning it, in
-    /// registration order — the authority on who is live, though ingest
-    /// feeds their stream scans through log cursors, not own windows.
+    /// Source → local live queries scanning it, in routing order — the
+    /// authority on who is live, though ingest feeds their stream scans
+    /// through log cursors, not own windows.
     subs: HashMap<SourceId, Vec<QueryId>>,
     /// The arrival log of every stream source some local window covers;
     /// the last cursor out frees the log. Every stream scan of a live
@@ -571,7 +571,7 @@ impl EngineShard {
         }
     }
 
-    /// Wire a query into this shard's routing slice.
+    /// Wire a query into this shard's member lists.
     fn attach(&mut self, qid: QueryId, sources: &[SourceId], needs_clock: bool) {
         for &src in sources {
             self.subs.entry(src).or_default().push(qid);
@@ -581,7 +581,7 @@ impl EngineShard {
         }
     }
 
-    /// Remove a query from this shard's routing slice (its runtime, if
+    /// Remove a query from this shard's member lists (its runtime, if
     /// any, stays — pause keeps the sink readable) and its cursors, which
     /// release the rows only they pinned (the last one frees the log),
     /// returning where each stood.
@@ -678,25 +678,19 @@ pub struct ShardedEngine {
     /// Boundary-task executor: owns the shard cells (and, in pool mode,
     /// the persistent worker threads draining their queues).
     exec: Executor,
-    /// Every registered query (live and paused), by id.
-    queries: HashMap<QueryId, QueryMeta>,
-    /// Registration order of currently registered queries (drives
-    /// deterministic route rebuilds and display iteration).
-    order: Vec<QueryId>,
+    /// Every registered query (live and paused), by id — in registration
+    /// order, since ids are issued in it and never reused.
+    queries: BTreeMap<QueryId, QueryMeta>,
     next_query: u32,
     /// SQL resolution (plan-template cache) and the session table.
     front: FrontEnd,
     /// Shard count: one executor cell each.
     nshards: usize,
-    /// The partitioned ingest plane: `hash(SourceId) % slices.len()`
-    /// slices, each owning its sources' route refcounts, retained
-    /// tables, and ingest counters behind its own lock.
-    slices: Vec<Mutex<IngestSlice>>,
-    /// Per-shard count of live clock-sensitive queries (heartbeat
-    /// fan-out = shards with count > 0).
-    clock_counts: Vec<u32>,
-    /// Per-shard count of live push-subscribed queries (flush fan-out).
-    push_counts: Vec<u32>,
+    /// Per shard, the live queries behind each fan-out: a source's
+    /// scans, a stream's join indexes, the clock, the push flush.
+    routes: RouteCounts,
+    /// Retained tables and per-source ingest counters.
+    ingest: Ingest,
     /// The recursive views, maintained inside the admitting call.
     views: ViewSet,
     now: SimTime,
@@ -719,12 +713,7 @@ pub struct ShardedEngine {
     state_opts: StateOptions,
     /// The segment pool each stream source's logs share across shards;
     /// siblings, so one counter holds `log_shared_bytes`.
-    log_pools: Mutex<HashMap<SourceId, SegmentPool>>,
-}
-
-/// The fan-out a per-shard live count names: shards above zero, ascending.
-fn live_shards(counts: &[u32]) -> Vec<usize> {
-    (0..counts.len()).filter(|&i| counts[i] > 0).collect()
+    log_pools: HashMap<SourceId, SegmentPool>,
 }
 
 /// The engine's older name. Kept, with [`ShardedEngine::sharded`], only
@@ -758,14 +747,12 @@ impl ShardedEngine {
                 config.resolve_workers(cores),
                 config.resolve_queue_depth(),
             ),
-            queries: HashMap::new(),
-            order: Vec::new(),
+            queries: BTreeMap::new(),
             next_query: 0,
             front: FrontEnd::default(),
             nshards: n,
-            slices: (0..n).map(|_| Mutex::new(IngestSlice::default())).collect(),
-            clock_counts: vec![0; n],
-            push_counts: vec![0; n],
+            routes: RouteCounts::default(),
+            ingest: Ingest::default(),
             views: ViewSet::default(),
             now: SimTime::ZERO,
             boundaries: 0,
@@ -775,7 +762,7 @@ impl ShardedEngine {
             next_batch: 0,
             journal: SpanJournal::default(),
             state_opts: config.resolve_state_options(),
-            log_pools: Mutex::default(),
+            log_pools: HashMap::new(),
         }
     }
 
@@ -838,16 +825,9 @@ impl ShardedEngine {
         self.nshards
     }
 
-    /// Which ingest slice a source's routing and retained state live in.
-    fn slice_of(&self, src: SourceId) -> usize {
-        let mut h = DefaultHasher::new();
-        src.hash(&mut h);
-        (h.finish() % self.slices.len() as u64) as usize
-    }
-
     /// One shard's state cell. Callers that must observe every
-    /// submitted boundary quiesce first; callers reading only
-    /// coordinator-owned routing slices may lock directly.
+    /// submitted boundary quiesce first; callers reading only the member
+    /// lists, which change only under quiescence, may lock directly.
     fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         self.exec.shard(i)
     }
@@ -917,13 +897,7 @@ impl ShardedEngine {
             self.exec.settle_all();
         }
         let mut shards = Vec::with_capacity(self.shard_count());
-        let mut queries = vec![None; self.order.len()];
-        let slot: HashMap<QueryId, usize> = self
-            .order
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| (q, i))
-            .collect();
+        let mut queries = Vec::with_capacity(self.queries.len());
         let mut profile = OpProfile::default();
         for i in 0..self.shard_count() {
             // Read the watermark pair *before* locking: once the lock is
@@ -946,24 +920,22 @@ impl ShardedEngine {
                 spill_read_failures += rt.pipeline.spill_read_failures();
                 sealed_bytes += rt.pipeline.census();
                 profile.merge(&rt.pipeline.profile);
-                if let Some(&j) = slot.get(qid) {
-                    let meta = &self.queries[qid];
-                    queries[j] = Some(QueryLoad {
-                        query: *qid,
-                        shard: i,
-                        paused: meta.paused,
-                        tuples_in: rt.pipeline.tuples_in,
-                        ops_invoked: rt.pipeline.ops_invoked,
-                        output_deltas: rt.sink.deltas_applied,
-                        push_batches: rt.sink.push_batches_delivered(),
-                        shared: !meta.paused && rt.pipeline.stream_scans().next().is_some(),
-                        grouped_filter: !meta.paused && rt.pipeline.grouped_filter(),
-                        private_windows: rt.pipeline.private_windows(),
-                        latency: rt.sink.latency.clone(),
-                        state_bytes: q_bytes,
-                        groups: rt.pipeline.groups() as u64,
-                    });
-                }
+                let paused = self.queries[qid].paused;
+                queries.push(QueryLoad {
+                    query: *qid,
+                    shard: i,
+                    paused,
+                    tuples_in: rt.pipeline.tuples_in,
+                    ops_invoked: rt.pipeline.ops_invoked,
+                    output_deltas: rt.sink.deltas_applied,
+                    push_batches: rt.sink.push_batches_delivered(),
+                    shared: !paused && rt.pipeline.stream_scans().next().is_some(),
+                    grouped_filter: !paused && rt.pipeline.grouped_filter(),
+                    private_windows: rt.pipeline.private_windows(),
+                    latency: rt.sink.latency.clone(),
+                    state_bytes: q_bytes,
+                    groups: rt.pipeline.groups() as u64,
+                });
             }
             let logs = shard.log_census();
             state_bytes += logs.state_bytes as u64;
@@ -996,12 +968,14 @@ impl ShardedEngine {
                 sealed_bytes,
             });
         }
+        // Ids are issued in registration order.
+        queries.sort_unstable_by_key(|q| q.query);
         TelemetryReport {
             shards,
-            queries: queries.into_iter().flatten().collect(),
+            queries,
             workers: self.exec.worker_loads(),
             boundaries: self.boundaries,
-            out_of_order_tuples: self.slices.iter().map(|s| s.lock().out_of_order).sum(),
+            out_of_order_tuples: self.ingest.out_of_order,
             log_shared_bytes: self.log_shared_bytes() as u64,
             now_secs: self.now.as_secs_f64(),
             profile,
@@ -1017,21 +991,14 @@ impl ShardedEngine {
     /// Cumulative tuples/deltas ingested for a source — the measured
     /// counterpart of the catalog's declared `rate_hz`.
     pub fn source_tuples_in(&self, src: SourceId) -> u64 {
-        self.slices[self.slice_of(src)]
-            .lock()
-            .tuples_in
-            .get(&src)
-            .copied()
-            .unwrap_or(0)
+        self.ingest.tuples_in.get(&src).copied().unwrap_or(0)
     }
 
     /// Number of *live* queries subscribed to a source across all shards
-    /// (routing-slice refcount fan-out; paused and deregistered queries
-    /// do not count — exposed for tests and the fan-out benches).
+    /// (its route counts; paused and deregistered queries do not count —
+    /// exposed for tests and the fan-out benches).
     pub fn subscriber_count(&self, source: SourceId) -> usize {
-        self.slices[self.slice_of(source)]
-            .lock()
-            .subscribers(source)
+        self.routes.total(Counted::Scans(source))
     }
 
     /// Which shard a query id hashes to.
@@ -1062,8 +1029,6 @@ impl ShardedEngine {
         for &qid in &removed {
             self.drop_query(qid);
         }
-        // One order prune for the whole batch, not one per query.
-        self.order.retain(|q| !removed.contains(q));
         Ok(removed.len())
     }
 
@@ -1144,7 +1109,6 @@ impl ShardedEngine {
                 tune_mark: (rt.sink.deltas_applied, self.boundaries, self.now),
             },
         );
-        self.order.push(qid);
         self.front.enroll(session, qid);
         self.route(qid, rt, Positions::default());
         Ok(QueryHandle(qid))
@@ -1193,11 +1157,10 @@ impl ShardedEngine {
 
     /// **Route**: land `rt` on the query's shard and — unless the query
     /// is paused, in which case it only lands — wire it in: the shard's
-    /// routing slice, the push-flush set, its stream scans as log cursors
-    /// (at the tails, or at a travelling runtime's positions), and the
-    /// route refcounts — per source, the owning ingest slice's
-    /// `source → shard` count, plus the clock and push-flush shard
-    /// counts. O(this query's sources), never a whole-table walk, and
+    /// member lists, the push-flush set, its stream scans as log cursors
+    /// (at the tails, or at a travelling runtime's positions), and one
+    /// route count per key of [`QueryMeta::counted`] on its shard.
+    /// O(this query's keys), never a whole-table walk, and
     /// commutative with [`Self::unroute`], so the resulting fan-out sets
     /// are independent of the order queries came and went (pinned by a
     /// unit test below). Infallible; the caller drained the shard, so
@@ -1205,52 +1168,44 @@ impl ShardedEngine {
     fn route(&mut self, qid: QueryId, rt: QueryRuntime, at: Positions) {
         let scans = self.cursor_scans(&rt.pipeline);
         let meta = &self.queries[&qid];
-        let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
-        let mut shard = self.shard(shard_idx).lock();
+        let mut shard = self.shard(meta.shard).lock();
         shard.queries.insert(qid, rt);
         if meta.paused {
             // Resume routes it, on whatever shard it lives on then.
             return;
         }
-        shard.attach(qid, &meta.sources, needs_clock);
-        if push {
+        shard.attach(qid, &meta.sources, meta.needs_clock);
+        if meta.push {
             shard.mark_push(qid);
         }
         shard.attach_cursors(qid, &scans, at, &self.state_opts);
         drop(shard);
-        for &src in &meta.sources {
-            let indexes = meta.indexes.contains(&src);
-            self.slices[self.slice_of(src)]
-                .lock()
-                .add_route(src, shard_idx, self.nshards, indexes);
+        for key in meta.counted() {
+            self.routes.add(key, meta.shard, self.nshards);
         }
-        self.clock_counts[shard_idx] += u32::from(needs_clock);
-        self.push_counts[shard_idx] += u32::from(push);
     }
 
     /// The segment pool of `src`'s logs: one per source per engine (cluster
     /// nodes stand for separate machines and never share one).
-    fn log_pool(&self, src: SourceId) -> SegmentPool {
-        let mut pools = self.log_pools.lock();
-        if let Some(pool) = pools.get(&src) {
+    fn log_pool(&mut self, src: SourceId) -> SegmentPool {
+        if let Some(pool) = self.log_pools.get(&src) {
             return pool.clone();
         }
-        let any = pools.values().next();
+        let any = self.log_pools.values().next();
         let fresh = any.map_or_else(SegmentPool::default, SegmentPool::sibling);
-        pools.entry(src).or_insert(fresh).clone()
+        self.log_pools.entry(src).or_insert(fresh).clone()
     }
 
     /// Bytes of the sealed log segments shared across shards, once each.
     fn log_shared_bytes(&self) -> usize {
-        let pools = self.log_pools.lock();
-        pools.values().next().map_or(0, SegmentPool::bytes)
+        self.log_pools.values().next().map_or(0, SegmentPool::bytes)
     }
 
     /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
-    /// query's cursors, its entries in the shard's routing slice, and
-    /// its route refcounts (a count reaching zero drops the shard from
-    /// that source's fan-out; the last subscriber removes the slice
-    /// entry). The runtime stays on the shard; the cursors' positions are
+    /// query's cursors, its entries in the shard's member lists, and its
+    /// route counts (a count reaching zero drops the shard from that
+    /// key's fan-out; the last one removes the key's row). The runtime
+    /// stays on the shard; the cursors' positions are
     /// returned, for a travelling one to rejoin its logs at. Infallible,
     /// and a no-op for a paused query (already out). The caller drained
     /// the shard, so every admitted boundary has reached the runtime.
@@ -1259,20 +1214,14 @@ impl ShardedEngine {
         if meta.paused {
             return Vec::new();
         }
-        let (shard_idx, needs_clock, push) = (meta.shard, meta.needs_clock, meta.push);
-        let cursors = self.shard(shard_idx).lock().detach(qid, &meta.sources);
-        for &src in &meta.sources {
-            let indexes = meta.indexes.contains(&src);
-            self.slices[self.slice_of(src)]
-                .lock()
-                .remove_route(src, shard_idx, indexes);
+        let cursors = self.shard(meta.shard).lock().detach(qid, &meta.sources);
+        for key in meta.counted() {
+            self.routes.remove(key, meta.shard);
         }
-        self.clock_counts[shard_idx] -= u32::from(needs_clock);
-        self.push_counts[shard_idx] -= u32::from(push);
         cursors
     }
 
-    /// Deregister one query, except for pruning `order`. Pending
+    /// Deregister one query. Pending
     /// boundaries still route to it; apply them before the runtime
     /// leaves the shard. The drain is the infallible one: a deferred
     /// task error stays for the next observer, and retirement completes.
@@ -1283,8 +1232,7 @@ impl ShardedEngine {
 
     /// Take a drained query out of the engine: unroute it, lift its
     /// runtime off the shard, and drop its coordinator record and
-    /// session membership, carrying `backfill` for its recipient. The
-    /// caller prunes `order` (once per batch).
+    /// session membership, carrying `backfill` for its recipient.
     fn retire(&mut self, qid: QueryId, backfill: Backfill) -> DetachedQuery {
         let cursors = self.unroute(qid);
         let mut meta = self.queries.remove(&qid).expect("caller checked");
@@ -1305,8 +1253,7 @@ impl ShardedEngine {
     /// The retained contents of a Table source, if it has any — what
     /// late registrations, resumes and new views replay.
     fn retained(&self, src: SourceId) -> Option<Vec<Tuple>> {
-        let slice = self.slices[self.slice_of(src)].lock();
-        slice.tables.get(&src).map(BagState::snapshot)
+        self.ingest.tables.get(&src).map(BagState::snapshot)
     }
 
     /// Push delivery exposes the maintained result *multiset* — exactly
@@ -1329,7 +1276,7 @@ impl ShardedEngine {
     }
 
     /// A pipeline's [`Pipeline::stream_scans`], with pools and filters.
-    fn cursor_scans(&self, pipeline: &Pipeline) -> Vec<CursorScan> {
+    fn cursor_scans(&mut self, pipeline: &Pipeline) -> Vec<CursorScan> {
         let scan = |(scan, src, spec)| {
             let filter = pipeline.leading_filter(scan).cloned();
             (scan, src, spec, self.log_pool(src), filter)
@@ -1375,15 +1322,14 @@ impl ShardedEngine {
     }
 
     /// Retire a query: its runtime leaves its shard, its entries leave
-    /// the sharded routing slices, the coordinator route table, the
-    /// clock-sensitive sets, and its session — per-source ingest cost
+    /// the shard's member lists, the route counts, and its session —
+    /// per-source ingest cost
     /// drops back to the remaining live fan-out. Any push subscription
     /// stops receiving batches (already-delivered batches stay
     /// drainable). Never fails on a registered query.
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
         self.meta(q)?;
         self.drop_query(q.0);
-        self.order.retain(|&qid| qid != q.0);
         Ok(())
     }
 
@@ -1495,7 +1441,7 @@ impl ShardedEngine {
         if !was_push && !paused {
             // The query newly entered its shard's push-flush set; a
             // paused query enters it at resume, through route.
-            self.push_counts[shard_idx] += 1;
+            self.routes.add(Counted::Push, shard_idx, self.nshards);
         }
         Ok(ResultSubscription { queue, query: q.0 })
     }
@@ -1517,7 +1463,7 @@ impl ShardedEngine {
     /// divergence (property-tested in `tests/sharding.rs`) — and the
     /// moved cursors share window work like any other. Session membership
     /// and every other coordinator record are untouched; only the shard
-    /// assignment and the routing slices change.
+    /// assignment, the member lists and the route counts change.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         let from = self.meta(q)?.shard;
         if to >= self.shard_count() {
@@ -1555,7 +1501,7 @@ impl ShardedEngine {
     /// migration — the donor half of [`ShardedEngine::migrate`] across
     /// engines: the same drain and unroute, the same no-replay
     /// invariants, except the query also leaves this engine's coordinator
-    /// records (meta, order, session) entirely. It carries its cursors'
+    /// records (meta, session) entirely. It carries its cursors'
     /// positions and the rows they cover, for an engine that numbers its
     /// sources as this one does.
     pub fn extract_query(&mut self, q: QueryHandle) -> Result<DetachedQuery> {
@@ -1574,9 +1520,7 @@ impl ShardedEngine {
 
     /// Lift a drained query out carrying `backfill`. Infallible.
     pub(crate) fn extract_with(&mut self, q: QueryHandle, backfill: Backfill) -> DetachedQuery {
-        let detached = self.retire(q.0, backfill);
-        self.order.retain(|&qid| qid != q.0);
-        detached
+        self.retire(q.0, backfill)
     }
 
     /// The one fallible step of landing a migrated-in query: drain what
@@ -1610,7 +1554,6 @@ impl ShardedEngine {
         // boundary count.
         meta.tune_mark = (runtime.sink.deltas_applied, self.boundaries, self.now);
         self.queries.insert(qid, meta);
-        self.order.push(qid);
         self.route(qid, runtime, d.at);
         QueryHandle(qid)
     }
@@ -1691,7 +1634,8 @@ impl ShardedEngine {
         // include every admitted boundary.
         self.exec.settle_all();
         let mut tuned = 0;
-        for qid in self.order.clone() {
+        let qids: Vec<QueryId> = self.queries.keys().copied().collect();
+        for qid in qids {
             let meta = &self.queries[&qid];
             if !meta.auto || meta.paused {
                 continue;
@@ -1730,9 +1674,9 @@ impl ShardedEngine {
     // Ingest
     // -----------------------------------------------------------------
 
-    /// Ingest a batch of tuples for a named source. Admission touches
-    /// exactly one ingest slice — the one owning the source: its meter,
-    /// its retained table contents, and its fan-out counts — then
+    /// Ingest a batch of tuples for a named source. Admission updates the
+    /// source's meter and retained table contents, reads its fan-out off
+    /// the route counts, then
     /// submits one boundary task per subscribing shard into the bounded
     /// per-shard queues. A boundary feeding a view then maintains the
     /// view right here, and submits its net deltas to the shards
@@ -1775,44 +1719,42 @@ impl ShardedEngine {
     ) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let src = meta.id;
-        let (routes, first) = {
-            let mut slice = self.slices[self.slice_of(src)].lock();
-            if let (Admission::Deltas(_), true) = (payload, slice.indexed.contains_key(&src)) {
-                // Refused before anything moved: no shard, counter or
-                // clock has seen the batch.
-                return Err(AspenError::InvalidArgument(format!(
-                    "'{source_name}' is a stream a live query's join side indexes by row, \
-                     and signed deltas name no row of its window; ingest its tuples with \
-                     on_batch"
-                )));
+        let deltas = matches!(payload, Admission::Deltas(_));
+        if deltas && self.routes.total(Counted::Indexes(src)) > 0 {
+            // Refused before anything moved: no shard, counter or clock
+            // has seen the batch.
+            return Err(AspenError::InvalidArgument(format!(
+                "'{source_name}' is a stream a live query's join side indexes by row, \
+                 and signed deltas name no row of its window; ingest its tuples with \
+                 on_batch"
+            )));
+        }
+        let ingest = &mut self.ingest;
+        *ingest.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
+        let mut first = 0;
+        if let (Admission::Batch(tuples), true) = (payload, meta.kind.is_stream_like()) {
+            let latest = ingest.latest.entry(src).or_insert(SimTime::ZERO);
+            for t in tuples {
+                ingest.out_of_order += u64::from(t.timestamp() < *latest);
+                *latest = (*latest).max(t.timestamp());
             }
-            *slice.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
-            let mut first = 0;
-            if let (Admission::Batch(tuples), true) = (payload, meta.kind.is_stream_like()) {
-                let slice = &mut *slice;
-                let latest = slice.latest.entry(src).or_insert(SimTime::ZERO);
-                for t in tuples {
-                    slice.out_of_order += u64::from(t.timestamp() < *latest);
-                    *latest = (*latest).max(t.timestamp());
-                }
-                let next = slice.arrivals.entry(src).or_insert(0);
-                first = at.unwrap_or(*next);
-                *next = (*next).max(first + tuples.len() as u64);
+            let next = ingest.arrivals.entry(src).or_insert(0);
+            first = at.unwrap_or(*next);
+            *next = (*next).max(first + tuples.len() as u64);
+        }
+        // Retain table contents for replay at admission time, so a late
+        // registration never races the shard queues.
+        if matches!(meta.kind, SourceKind::Table) {
+            let table = ingest
+                .tables
+                .entry(src)
+                .or_insert_with(|| BagState::with_options(&self.state_opts));
+            match payload {
+                Admission::Batch(tuples) => table.insert_all(tuples),
+                Admission::Deltas(deltas) => table.apply(deltas),
             }
-            // Retain table contents for replay at admission time, so a
-            // late registration never races the shard queues.
-            if matches!(meta.kind, SourceKind::Table) {
-                let table = slice
-                    .tables
-                    .entry(src)
-                    .or_insert_with(|| BagState::with_options(&self.state_opts));
-                match payload {
-                    Admission::Batch(tuples) => table.insert_all(tuples),
-                    Admission::Deltas(deltas) => table.apply(deltas),
-                }
-            }
-            (slice.fanout(src), first)
-        };
+        }
+        let routes = self.routes.fanout(Counted::Scans(src));
         // Advance the engine clock to the latest observed event
         // timestamp, so batch-only, delta-only, and mixed workloads all
         // keep `now()` fresh.
@@ -1858,7 +1800,7 @@ impl ShardedEngine {
         let mut served = maintained;
         for (src, deltas) in &out {
             let (src, trace) = (*src, None);
-            let routes = self.slices[self.slice_of(src)].lock().fanout(src);
+            let routes = self.routes.fanout(Counted::Scans(src));
             if !routes.is_empty() {
                 let run = self
                     .exec
@@ -1879,7 +1821,7 @@ impl ShardedEngine {
         if now > self.now {
             self.now = now;
         }
-        let clocked = live_shards(&self.clock_counts);
+        let clocked = self.routes.fanout(Counted::Clock);
         let served = self.exec.submit(&clocked, Boundary::AdvanceTime(now));
         // A view's windowed bases each pay their window's O(1) head
         // check; a view with none pays nothing.
@@ -1892,7 +1834,7 @@ impl ShardedEngine {
     /// Deliver pending push batches on every shard with a live
     /// subscribed query (no-op when nothing is subscribed).
     fn flush_push(&mut self) -> Result<()> {
-        let push_routes = live_shards(&self.push_counts);
+        let push_routes = self.routes.fanout(Counted::Push);
         if push_routes.is_empty() {
             return Ok(());
         }
@@ -1988,13 +1930,10 @@ impl ShardedEngine {
             out.spilled_bytes += logs.spilled_bytes;
             out.spill_read_failures += logs.spill_read_failures;
         }
-        for slice in &self.slices {
-            let slice = slice.lock();
-            for table in slice.tables.values() {
-                out.table_bytes += table.state_bytes();
-                out.spilled_bytes += table.spilled_bytes();
-                out.spill_read_failures += table.spill_read_failures();
-            }
+        for table in self.ingest.tables.values() {
+            out.table_bytes += table.state_bytes();
+            out.spilled_bytes += table.spilled_bytes();
+            out.spill_read_failures += table.spill_read_failures();
         }
         out.log_shared_bytes = self.log_shared_bytes();
         out.log_bytes += out.log_shared_bytes;
@@ -2025,14 +1964,18 @@ impl ShardedEngine {
         found.ok_or_else(|| AspenError::Unresolved(format!("no materialized view '{name}'")))
     }
 
+    /// Whether one of this engine's recursive views reads `src`.
+    pub(crate) fn views_read(&self, src: SourceId) -> bool {
+        self.views.reads(src)
+    }
+
     /// Snapshots of every query routed to the named display, in
     /// registration order (placement does not reorder displays; paused
     /// queries keep their frozen snapshot on screen).
     pub fn display_snapshot(&self, display: &str) -> Result<Vec<Vec<Tuple>>> {
         self.exec.quiesce_all()?;
         let mut out = Vec::new();
-        for qid in &self.order {
-            let meta = &self.queries[qid];
+        for (qid, meta) in &self.queries {
             let shard = self.shard(meta.shard).lock();
             let q = &shard.queries[qid];
             if q.sink.display() == Some(display) {
@@ -3083,15 +3026,15 @@ mod tests {
             (e, hs)
         };
         let routing_state = |e: &ShardedEngine| {
-            // One slice lock at a time — both sources may share a slice.
-            let fan = |src: SourceId| e.slices[e.slice_of(src)].lock().fanout(src);
+            let fan = |src: SourceId| e.routes.fanout(Counted::Scans(src));
             let readings = fan(e.catalog().source("Readings").unwrap().id);
             let edge = fan(e.catalog().source("Edge").unwrap().id);
+            let counts = |key| e.routes.0.get(&key).cloned().unwrap_or(vec![0; 4]);
             (
                 readings,
                 edge,
-                e.clock_counts.clone(),
-                e.push_counts.clone(),
+                counts(Counted::Clock),
+                counts(Counted::Push),
             )
         };
         let (mut a, ha) = build();
@@ -3635,5 +3578,103 @@ mod tests {
         let after = e.total_ops_invoked();
         // Only the Edge query (one Project node) ran.
         assert_eq!(after - before, 1);
+    }
+
+    /// Every route count a query adds comes back off when it leaves,
+    /// whichever verb retires it. A leaked clock or push count costs only
+    /// idle tasks, which no result shows, so count the tasks.
+    #[test]
+    fn route_counts_unwind_under_every_retiring_verb() {
+        use crate::Scheduling::{Deterministic, Pool, Sequential};
+        for scheduling in [Sequential, Pool, Deterministic(5)] {
+            let config = EngineConfig::new().shards(2).scheduling(scheduling);
+            let mut e = ShardedEngine::with_config(catalog(), config);
+            let readings = e.catalog().source("Readings").unwrap().id;
+            let query = |reg: Result<Registration>| reg.unwrap().expect_query();
+            let clocked =
+                query(e.register_sql("select r.sensor from Readings r [range 10 seconds]"));
+            let pushed = QuerySpec::sql("select r.value from Readings r [rows 3]").push();
+            let pushed = query(e.register(pushed));
+            let join = query(e.register_sql(
+                "select a.value, b.value from Readings a [rows 4], Readings b [rows 4] \
+                 where a.sensor = b.sensor",
+            ));
+            let session = e.open_session();
+            let plain = QuerySpec::sql("select r.value from Readings r [rows 2]");
+            query(e.register_in(session, plain));
+            assert_eq!(e.subscriber_count(readings), 4);
+            let tasks = |e: &mut ShardedEngine, sec| {
+                let before = e.executor_stats().tasks_executed;
+                e.heartbeat(SimTime::from_secs(sec)).unwrap();
+                e.on_batch("Readings", &[reading(1, 2.0, sec)]).unwrap();
+                e.quiesce().unwrap();
+                e.executor_stats().tasks_executed - before
+            };
+            assert!(tasks(&mut e, 1) > 0, "{scheduling:?}: the live queries run");
+
+            e.deregister(clocked).unwrap();
+            e.pause(pushed).unwrap();
+            e.migrate(join, 1 - e.shard_of(join.0)).unwrap();
+            e.deregister(join).unwrap();
+            assert_eq!(e.close_session(session).unwrap(), 1);
+            assert_eq!(tasks(&mut e, 2), 0, "{scheduling:?}: a count leaked");
+            assert_eq!(e.subscriber_count(readings), 0);
+            let signed = DeltaBatch::from(vec![Delta::insert(reading(1, 3.0, 3))]);
+            e.on_deltas("Readings", &signed).unwrap();
+        }
+    }
+
+    /// Telemetry and displays list queries in registration order, which
+    /// no verb but deregistration changes: not a pause, not a move
+    /// between shards.
+    #[test]
+    fn queries_stay_in_registration_order_under_churn() {
+        let mut e = ShardedEngine::new(catalog(), 4);
+        let session = e.open_session();
+        let mut handles = Vec::new();
+        for sensor in 0..6 {
+            let sql = format!(
+                "select r.value from Readings r [rows 10] where r.sensor = {sensor} \
+                 output to display 'wall'"
+            );
+            let spec = QuerySpec::sql(sql);
+            let reg = match sensor {
+                2 => e.register_in(session, spec),
+                _ => e.register(spec),
+            };
+            handles.push(reg.unwrap().expect_query());
+        }
+        e.deregister(handles[1]).unwrap();
+        e.close_session(session).unwrap();
+        e.pause(handles[3]).unwrap();
+        e.resume(handles[3]).unwrap();
+        let to = (e.shard_of(handles[4].0) + 1) % 4;
+        e.migrate(handles[4], to).unwrap();
+        let last = e
+            .register_sql(
+                "select r.value from Readings r [rows 10] where r.sensor = 6 \
+                 output to display 'wall'",
+            )
+            .unwrap()
+            .expect_query();
+        let batch: Vec<Tuple> = (0..7).map(|s| reading(s, s as f64, 1)).collect();
+        e.on_batch("Readings", &batch).unwrap();
+
+        let want = [handles[0], handles[3], handles[4], handles[5], last];
+        let listed: Vec<QueryId> = e
+            .telemetry_at(Consistency::Fresh)
+            .queries
+            .iter()
+            .map(|q| q.query)
+            .collect();
+        assert_eq!(listed, want.map(|h| h.0));
+        let shown: Vec<Vec<Value>> = e
+            .display_snapshot("wall")
+            .unwrap()
+            .iter()
+            .map(|rows| rows.iter().map(|t| t.values()[0].clone()).collect())
+            .collect();
+        let sensors = [0, 3, 4, 5, 6].map(|s| vec![Value::Float(s as f64)]);
+        assert_eq!(shown, sensors);
     }
 }

@@ -1,5 +1,5 @@
-//! Integration: one copy of a stream per engine. The ingest slice
-//! numbers every stream batch once, every shard's log of the source uses
+//! Integration: one copy of a stream per engine. Admission numbers
+//! every stream batch once, every shard's log of the source uses
 //! those numbers as row ids, and a sealed segment of a source's log is
 //! stored once per engine whichever shards' cursors read it. So, at any
 //! shard count and under every scheduling mode, through register /
