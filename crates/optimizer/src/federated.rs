@@ -7,9 +7,11 @@
 //! units — the sensor engine in radio messages/epoch
 //! ([`aspen_sensor::subquery::estimate_messages`]), the stream engine in
 //! latency/CPU/LAN ([`crate::stream_cost`]) over the **best join order**
-//! (exhaustive enumeration, as in Garlic) — then normalized through the
-//! catalog's [`aspen_catalog::CostModelParams`] and summed. The winner
-//! becomes a [`FederatedPlan`].
+//! ([`crate::join_order`]: every left-deep order, each priced from one
+//! table per residual graph rather than by building its plan) — then
+//! normalized through the catalog's [`aspen_catalog::CostModelParams`]
+//! and summed. The winner becomes a [`FederatedPlan`]; its stream plan
+//! and SQL are the only ones built.
 //!
 //! The pushed fragment is also rendered as SQL — a `CREATE VIEW` plus the
 //! rewritten residual query — reproducing the decomposition shown in the
@@ -24,7 +26,8 @@ use aspen_sql::ast::{CmpOp, Expr};
 use aspen_sql::plan::{build_plan, LogicalPlan, QueryGraph, Relation};
 use aspen_types::{AspenError, DataType, Field, Result, Schema, SimDuration, SourceId, WindowSpec};
 
-use crate::stream_cost::{estimate_plan, StreamCost};
+use crate::join_order::{best_stream_order, MAX_ENUMERATED};
+use crate::stream_cost::StreamCost;
 
 /// The sensor-side half of a chosen partitioning.
 #[derive(Debug, Clone)]
@@ -105,7 +108,9 @@ pub fn optimize_named(
     }
 
     let mut candidates = Vec::new();
-    let mut best: Option<(f64, FederatedPlan)> = None;
+    // The cheapest candidate so far; only the winner's plan is built and
+    // rendered.
+    let mut best: Option<Winner> = None;
 
     for fragment in fragments {
         let aliases: Vec<String> = fragment
@@ -158,7 +163,7 @@ pub fn optimize_named(
         };
 
         // Stream engine sub-optimizer: best join order (exhaustive).
-        let Some((order, plan, scost)) = best_stream_order(&stream_graph)? else {
+        let Some((order, scost)) = best_stream_order(&stream_graph) else {
             candidates.push(CandidateSummary {
                 fragment: aliases,
                 admitted: true,
@@ -183,84 +188,62 @@ pub fn optimize_named(
             chosen: false,
         });
 
-        let is_better = match &best {
-            None => true,
-            Some((b, _)) => total.units < *b,
-        };
-        if is_better {
-            let (view_sql, rewritten_sql) = match &sensor_part {
-                Some(part) => (
-                    Some(render_view_sql(graph, part)),
-                    Some(render_rewritten_sql(&stream_graph)),
-                ),
-                None => (None, None),
-            };
-            best = Some((
-                total.units,
-                FederatedPlan {
-                    sensor: sensor_part,
-                    stream_graph,
-                    stream_order: order,
-                    stream_plan: plan,
-                    sensor_cost_msgs: sensor_msgs,
-                    stream_cost: scost,
-                    total_cost: total,
-                    candidates: vec![],
-                    view_sql,
-                    rewritten_sql,
-                },
-            ));
+        if best.as_ref().is_none_or(|b| total.units < b.total.units) {
+            best = Some(Winner {
+                sensor: sensor_part,
+                stream_graph,
+                stream_order: order,
+                sensor_cost_msgs: sensor_msgs,
+                stream_cost: scost,
+                total,
+            });
         }
     }
 
-    let (best_units, mut plan) =
+    let w =
         best.ok_or_else(|| AspenError::NotExecutable("no executable partitioning found".into()))?;
+    let fragment: Vec<String> = w
+        .sensor
+        .as_ref()
+        .map(|s| {
+            s.relations
+                .iter()
+                .map(|&i| graph.relations[i].alias.clone())
+                .collect()
+        })
+        .unwrap_or_default();
     for c in &mut candidates {
-        c.chosen = (c.total_units - best_units).abs() < 1e-12
-            && c.fragment
-                == plan
-                    .sensor
-                    .as_ref()
-                    .map(|s| {
-                        s.relations
-                            .iter()
-                            .map(|&i| graph.relations[i].alias.clone())
-                            .collect::<Vec<_>>()
-                    })
-                    .unwrap_or_default();
+        c.chosen = (c.total_units - w.total.units).abs() < 1e-12 && c.fragment == fragment;
     }
-    plan.candidates = candidates;
-    Ok(plan)
+    let (view_sql, rewritten_sql) = match &w.sensor {
+        Some(part) => (
+            Some(render_view_sql(graph, part)),
+            Some(render_rewritten_sql(&w.stream_graph)),
+        ),
+        None => (None, None),
+    };
+    Ok(FederatedPlan {
+        stream_plan: build_plan(&w.stream_graph, &w.stream_order)?,
+        sensor: w.sensor,
+        stream_graph: w.stream_graph,
+        stream_order: w.stream_order,
+        sensor_cost_msgs: w.sensor_cost_msgs,
+        stream_cost: w.stream_cost,
+        total_cost: w.total,
+        candidates,
+        view_sql,
+        rewritten_sql,
+    })
 }
 
-/// Exhaustively enumerate join orders (n ≤ 7) and return the cheapest.
-fn best_stream_order(graph: &QueryGraph) -> Result<Option<(Vec<usize>, LogicalPlan, StreamCost)>> {
-    let n = graph.relations.len();
-    let mut best: Option<(f64, Vec<usize>, LogicalPlan, StreamCost)> = None;
-    let consider =
-        |order: &[usize], best: &mut Option<(f64, Vec<usize>, LogicalPlan, StreamCost)>| {
-            if let Ok(plan) = build_plan(graph, order) {
-                let cost = estimate_plan(&plan);
-                // The stream engine minimizes latency, with CPU work as the
-                // tiebreaker.
-                let metric = cost.latency_sec * 1e6 + cost.cpu_ops * 1e-3;
-                let better = match best {
-                    None => true,
-                    Some((b, ..)) => metric < *b,
-                };
-                if better {
-                    *best = Some((metric, order.to_vec(), plan, cost));
-                }
-            }
-        };
-    if n <= 7 {
-        let mut order: Vec<usize> = (0..n).collect();
-        permute(&mut order, 0, &mut |o| consider(o, &mut best));
-    } else {
-        let order: Vec<usize> = (0..n).collect();
-        consider(&order, &mut best);
-    }
-    Ok(best.map(|(_, o, p, c)| (o, p, c)))
+/// The cheapest candidate partitioning found so far.
+struct Winner {
+    sensor: Option<SensorPart>,
+    stream_graph: QueryGraph,
+    stream_order: Vec<usize>,
+    sensor_cost_msgs: f64,
+    stream_cost: StreamCost,
+    total: NormalizedCost,
 }
 
 /// Messages per epoch to ship every raw reading of a device relation to
@@ -272,18 +255,6 @@ fn collect_all_msgs(graph: &QueryGraph, rel: usize, net: &aspen_catalog::Network
     };
     let avg_hops = (net.diameter_hops as f64 / 2.0).max(1.0) * net.expected_tx_per_hop();
     fleet * avg_hops
-}
-
-fn permute(arr: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
-    if k == arr.len() {
-        f(arr);
-        return;
-    }
-    for i in k..arr.len() {
-        arr.swap(k, i);
-        permute(arr, k + 1, f);
-        arr.swap(k, i);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -866,6 +837,12 @@ impl FederatedPlan {
             self.stream_cost.lan_bytes,
             self.total_cost.units
         ));
+        let n = self.stream_graph.relations.len();
+        if n > MAX_ENUMERATED {
+            out.push_str(&format!(
+                "join order: as written ({n} relations, not enumerated)\n"
+            ));
+        }
         out.push_str("candidates:\n");
         for c in &self.candidates {
             out.push_str(&format!(
@@ -1120,6 +1097,45 @@ mod tests {
         assert!(text.contains("SENSOR ENGINE"));
         assert!(text.contains("STREAM ENGINE"));
         assert!(text.contains("<== chosen"));
+    }
+
+    #[test]
+    fn explain_says_when_join_orders_are_not_enumerated() {
+        let cat = Catalog::new();
+        let schema = Schema::new(vec![Field::new("k", DataType::Int)]).into_ref();
+        for i in 0..8 {
+            cat.register_source(
+                &format!("T{i}"),
+                Arc::clone(&schema),
+                SourceKind::Table,
+                SourceStats::table(10 + i),
+            )
+            .unwrap();
+        }
+        let plan_over = |n: usize| {
+            let from: Vec<String> = (0..n).map(|i| format!("T{i} t{i}")).collect();
+            let chain: Vec<String> = (1..n).map(|i| format!("t{}.k = t{i}.k", i - 1)).collect();
+            let sql = format!(
+                "select t0.k from {} where {}",
+                from.join(", "),
+                chain.join(" ^ ")
+            );
+            let BoundQuery::Select(b) = bind(&parse(&sql).unwrap(), &cat).unwrap() else {
+                panic!()
+            };
+            optimize(&b.graph, &cat).unwrap()
+        };
+        // Eight relations run as written.
+        let plan = plan_over(8);
+        assert_eq!(plan.stream_order, (0..8).collect::<Vec<_>>());
+        assert!(
+            plan.explain()
+                .contains("join order: as written (8 relations, not enumerated)\n"),
+            "{}",
+            plan.explain()
+        );
+        // Seven are enumerated, and the report says nothing of it.
+        assert!(!plan_over(7).explain().contains("join order"));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! prints.
 
 pub mod federated;
+pub mod join_order;
 pub mod plan_cache;
 pub mod stream_cost;
 
 pub use federated::{optimize, optimize_named, CandidateSummary, FederatedPlan, SensorPart};
+pub use join_order::OrderPrices;
 pub use plan_cache::{CachedQuery, PlanCache, PlanCacheStats};
 pub use stream_cost::{
     choose_knobs, delivery_overhead_ops, estimate_cardinality, estimate_output_rate, estimate_plan,

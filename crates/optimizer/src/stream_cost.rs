@@ -40,9 +40,9 @@ pub struct StreamCost {
 
 /// Per-tuple processing cost assumptions (calibrated against the local
 /// pipeline executor).
-const CPU_OPS_PER_SEC: f64 = 50_000_000.0;
+pub(crate) const CPU_OPS_PER_SEC: f64 = 50_000_000.0;
 const LAN_HOP_SEC: f64 = 200e-6;
-const BYTES_PER_TUPLE: f64 = 48.0;
+pub(crate) const BYTES_PER_TUPLE: f64 = 48.0;
 
 /// Delivery-side cost constants, in the same CPU-op currency as
 /// `cpu_ops` (one op ≈ one delta through one operator ≈ 20 ns at
@@ -135,55 +135,81 @@ pub fn choose_knobs(
 /// Estimate the live cardinality of a plan node (tuples in window for
 /// streams, rows for tables).
 pub fn estimate_cardinality(plan: &LogicalPlan) -> f64 {
+    let inputs: Vec<f64> = plan
+        .children()
+        .into_iter()
+        .map(estimate_cardinality)
+        .collect();
+    node_cardinality(plan, &inputs)
+}
+
+/// One operator's live cardinality, given its inputs' (in
+/// [`LogicalPlan::children`] order).
+pub(crate) fn node_cardinality(plan: &LogicalPlan, inputs: &[f64]) -> f64 {
     match plan {
         LogicalPlan::Scan { rel } => scan_cardinality(rel),
-        LogicalPlan::Filter { input, predicate } => {
-            estimate_cardinality(input) * predicate_selectivity(predicate)
+        LogicalPlan::Filter { predicate, .. } => inputs[0] * predicate_selectivity(predicate),
+        LogicalPlan::Project { .. } | LogicalPlan::Sort { .. } | LogicalPlan::Output { .. } => {
+            inputs[0]
         }
-        LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Output { input, .. } => estimate_cardinality(input),
-        LogicalPlan::Limit { input, n } => estimate_cardinality(input).min(*n as f64),
-        LogicalPlan::Join {
-            left,
-            right,
-            keys,
-            residual,
-            ..
-        } => {
-            let l = estimate_cardinality(left);
-            let r = estimate_cardinality(right);
-            let mut card = l * r;
-            for _ in keys {
-                // Classic equi-join selectivity 1/max(d1, d2); distinct
-                // counts are buried in source stats we no longer see here,
-                // so use a domain-size default.
-                card /= 20.0;
-            }
-            if keys.is_empty() {
-                // Cross products keep full cardinality.
-            }
-            if residual.is_some() {
-                card *= 0.5;
-            }
-            card.max(1.0)
+        LogicalPlan::Limit { n, .. } => inputs[0].min(*n as f64),
+        LogicalPlan::Join { keys, residual, .. } => {
+            join_cardinality(inputs[0], inputs[1], keys.len(), residual.is_some())
         }
-        LogicalPlan::Aggregate { input, group, .. } => {
-            let in_card = estimate_cardinality(input);
+        LogicalPlan::Aggregate { group, .. } => {
             if group.is_empty() {
                 1.0
             } else {
-                (in_card / 5.0).clamp(1.0, in_card)
+                // A fifth of the input, but at least one group (also over
+                // an input estimated below one row).
+                (inputs[0] / 5.0).max(1.0)
             }
         }
-        LogicalPlan::Union { inputs, .. } => inputs.iter().map(estimate_cardinality).sum(),
+        LogicalPlan::Union { .. } => inputs.iter().sum(),
         LogicalPlan::RecursiveRef { .. } => 500.0,
+    }
+}
+
+/// A join's live cardinality: the cross product, divided by 20 per hash
+/// key (the classic equi-join selectivity 1/max(d1, d2); distinct counts
+/// are buried in source stats we no longer see here, so a domain-size
+/// default), halved once if any residual remains, and never below one
+/// tuple. A join without keys is a cross product at full cardinality.
+pub(crate) fn join_cardinality(left: f64, right: f64, keys: usize, residual: bool) -> f64 {
+    let mut card = left * right;
+    for _ in 0..keys {
+        card /= 20.0;
+    }
+    if residual {
+        card *= 0.5;
+    }
+    card.max(1.0)
+}
+
+/// The operator work one node adds per epoch, given its inputs'
+/// cardinalities and its own.
+pub(crate) fn node_ops(plan: &LogicalPlan, inputs: &[f64], card: f64) -> f64 {
+    match plan {
+        LogicalPlan::Scan { .. } => card,
+        LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => inputs[0],
+        // Symmetric hash join: each input tuple probes + inserts, plus
+        // output materialization.
+        LogicalPlan::Join { .. } => inputs[0] + inputs[1] + card,
+        LogicalPlan::Aggregate { .. } => inputs[0] * 2.0,
+        LogicalPlan::Sort { .. } => {
+            let n = inputs[0].max(2.0);
+            n * n.log2()
+        }
+        LogicalPlan::Union { .. }
+        | LogicalPlan::Limit { .. }
+        | LogicalPlan::Output { .. }
+        | LogicalPlan::RecursiveRef { .. } => 0.0,
     }
 }
 
 /// Live cardinality of one scanned relation (tuples in window for
 /// streams, rows for tables).
-fn scan_cardinality(rel: &aspen_sql::plan::Relation) -> f64 {
+pub(crate) fn scan_cardinality(rel: &aspen_sql::plan::Relation) -> f64 {
     let stats = &rel.meta.stats;
     match &rel.meta.kind {
         SourceKind::Table => stats.row_count.unwrap_or(1000) as f64,
@@ -201,7 +227,7 @@ fn scan_cardinality(rel: &aspen_sql::plan::Relation) -> f64 {
     }
 }
 
-fn predicate_selectivity(p: &BoundExpr) -> f64 {
+pub(crate) fn predicate_selectivity(p: &BoundExpr) -> f64 {
     match p {
         BoundExpr::Cmp { op, .. } => match op {
             CmpOp::Eq => 0.1,
@@ -241,14 +267,16 @@ pub fn estimate_plan_with_rate(plan: &LogicalPlan, cpu_ops_per_sec: f64) -> Stre
         CPU_OPS_PER_SEC
     };
     let mut cost = StreamCost::default();
-    accumulate(plan, &mut cost);
-    cost.out_card = estimate_cardinality(plan);
-    // Latency: the critical path is one LAN hop per remote scan (they
-    // ship in parallel, so we charge the max — approximated by one hop)
-    // plus CPU time for the per-epoch work.
-    let scans = plan.scans().len().max(1) as f64;
-    cost.latency_sec = LAN_HOP_SEC * scans.log2().max(1.0) + cost.cpu_ops / rate;
+    cost.out_card = accumulate(plan, &mut cost);
+    cost.latency_sec = latency_sec(plan.scans().len(), cost.cpu_ops, rate);
     cost
+}
+
+/// Latency: the critical path is one LAN hop per remote scan (they ship
+/// in parallel, so we charge the max — approximated by one hop) plus CPU
+/// time for the per-epoch work.
+pub(crate) fn latency_sec(scans: usize, cpu_ops: f64, cpu_ops_per_sec: f64) -> f64 {
+    LAN_HOP_SEC * (scans.max(1) as f64).log2().max(1.0) + cpu_ops / cpu_ops_per_sec
 }
 
 /// [`estimate_plan`] calibrated by the catalog: when a measured
@@ -312,45 +340,23 @@ pub fn estimate_plan_with_delivery(
     cost
 }
 
-fn accumulate(plan: &LogicalPlan, cost: &mut StreamCost) {
-    for c in plan.children() {
-        accumulate(c, cost);
+/// Add each operator's work, and each stream scan's LAN bytes, to `cost`
+/// in post-order; return the plan's cardinality.
+fn accumulate(plan: &LogicalPlan, cost: &mut StreamCost) -> f64 {
+    let inputs: Vec<f64> = plan
+        .children()
+        .into_iter()
+        .map(|c| accumulate(c, cost))
+        .collect();
+    let card = node_cardinality(plan, &inputs);
+    cost.cpu_ops += node_ops(plan, &inputs, card);
+    // Stream/device wrappers are remote; tables live with the engine.
+    if let LogicalPlan::Scan { rel } = plan {
+        if rel.meta.kind.is_stream_like() {
+            cost.lan_bytes += card * BYTES_PER_TUPLE;
+        }
     }
-    match plan {
-        LogicalPlan::Scan { rel } => {
-            let card = estimate_cardinality(plan);
-            cost.cpu_ops += card;
-            // Stream/device wrappers are remote; tables live with the
-            // engine.
-            if rel.meta.kind.is_stream_like() {
-                cost.lan_bytes += card * BYTES_PER_TUPLE;
-            }
-        }
-        LogicalPlan::Filter { input, .. } => {
-            cost.cpu_ops += estimate_cardinality(input);
-        }
-        LogicalPlan::Project { input, .. } => {
-            cost.cpu_ops += estimate_cardinality(input);
-        }
-        LogicalPlan::Join { left, right, .. } => {
-            // Symmetric hash join: each input tuple probes + inserts,
-            // plus output materialization.
-            cost.cpu_ops += estimate_cardinality(left)
-                + estimate_cardinality(right)
-                + estimate_cardinality(plan);
-        }
-        LogicalPlan::Aggregate { input, .. } => {
-            cost.cpu_ops += estimate_cardinality(input) * 2.0;
-        }
-        LogicalPlan::Sort { input, .. } => {
-            let n = estimate_cardinality(input).max(2.0);
-            cost.cpu_ops += n * n.log2();
-        }
-        LogicalPlan::Union { .. }
-        | LogicalPlan::Limit { .. }
-        | LogicalPlan::Output { .. }
-        | LogicalPlan::RecursiveRef { .. } => {}
-    }
+    card
 }
 
 #[cfg(test)]
@@ -476,6 +482,17 @@ mod tests {
             "select t.desk, avg(t.temp) from Temps t group by t.desk",
         ));
         assert!(grouped.out_card >= 1.0);
+    }
+
+    #[test]
+    fn grouped_aggregate_over_less_than_a_row_is_one_group() {
+        // 200 rows × 0.1 × 0.1 × 0.1: the aggregate's input is estimated
+        // at 0.2 rows, and it still keeps one group.
+        let p = plan(
+            "select m.desk, count(*) from Machines m \
+             where m.desk = 1 ^ m.software = 'x' ^ m.desk = 2 group by m.desk",
+        );
+        assert_eq!(estimate_plan(&p).out_card, 1.0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! join orders and engine partitions over — and a default [`LogicalPlan`]
 //! (left-deep, in `FROM` order, with predicates placed as early as
 //! possible). [`build_plan`] lowers *any* relation ordering of a graph to
-//! an executable plan, which is how the optimizer costs candidate orders.
+//! an executable plan; [`QueryGraph::placements`] says where it places
+//! each predicate, which is how the optimizer prices candidate orders
+//! without building them.
 
 use std::sync::Arc;
 
@@ -57,11 +59,11 @@ impl QueryGraph {
             for (i, rel) in self.relations.iter().enumerate() {
                 let matches = match qualifier {
                     Some(q) => rel.alias.eq_ignore_ascii_case(q),
-                    None => rel.schema.index_of(None, name).is_ok(),
+                    None => resolve(&rel.schema, None, name).is_some(),
                 };
                 if matches {
                     // For qualified refs also confirm the column exists.
-                    if qualifier.is_some() && rel.schema.index_of(qualifier, name).is_err() {
+                    if qualifier.is_some() && resolve(&rel.schema, qualifier, name).is_none() {
                         return Err(AspenError::Unresolved(format!(
                             "column '{name}' not found in relation '{}'",
                             rel.alias
@@ -115,6 +117,65 @@ impl QueryGraph {
         }
         Ok(out)
     }
+
+    /// Where [`build_plan`] places each predicate in any relation order,
+    /// or `None` when that depends on more than which relations are
+    /// joined.
+    ///
+    /// A conjunct is placed at the first point of a left-deep order where
+    /// it binds. When every column it names is one field of the graph, it
+    /// binds over a set of relations iff the set covers its `mask` and it
+    /// type-checks (the same over every such set). So it lands in the
+    /// leading relation's filter if `mask` is empty or that relation, in
+    /// a later relation's filter if `mask` is that relation alone, and
+    /// otherwise at the join that completes `mask`: as a hash key if
+    /// `hash_key`, else in the join's residual. A conjunct naming a
+    /// column no field answers to never binds. It is `None` when some
+    /// conjunct names a column that several fields answer to, or the
+    /// graph has more than 64 relations.
+    pub fn placements(&self) -> Option<Vec<Placement>> {
+        if self.relations.len() > 64 {
+            return None;
+        }
+        let mut out = Vec::with_capacity(self.predicates.len());
+        for p in &self.predicates {
+            let mut mask = 0u64;
+            for (qualifier, name) in p.columns() {
+                let mut owner = 0;
+                let mut fields = 0;
+                for (i, rel) in self.relations.iter().enumerate() {
+                    let hits = rel
+                        .schema
+                        .fields()
+                        .iter()
+                        .filter(|f| f.matches(qualifier, name))
+                        .count();
+                    if hits > 0 {
+                        owner = i;
+                        fields += hits;
+                    }
+                }
+                match fields {
+                    0 => {}
+                    1 => mask |= 1 << owner,
+                    _ => return None,
+                }
+            }
+            let hash_key = matches!(p, Expr::Cmp { op: CmpOp::Eq, left, right }
+                if matches!(**left, Expr::Column { .. }) && matches!(**right, Expr::Column { .. }));
+            out.push(Placement { mask, hash_key });
+        }
+        Some(out)
+    }
+}
+
+/// Where one conjunct lands in a left-deep plan ([`QueryGraph::placements`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Bit *i* = relation *i*: the relations whose columns it names.
+    pub mask: u64,
+    /// `a = b` over two plain columns: a hash key where a join places it.
+    pub hash_key: bool,
 }
 
 /// An executable logical plan with bound expressions.
@@ -346,10 +407,10 @@ pub fn assemble_left_deep(leaves: Vec<Leaf>, conjuncts: &[Expr]) -> Result<Logic
     let mut plan = first.plan;
 
     // Apply conjuncts already evaluable over the first leaf.
-    plan = apply_local(plan, &mut remaining)?;
+    plan = apply_local(plan, &mut remaining);
 
     for leaf in iter {
-        let right = apply_local(leaf.plan, &mut remaining)?;
+        let right = apply_local(leaf.plan, &mut remaining);
         let left_schema = plan.schema();
         let right_schema = right.schema();
         let joint = left_schema.join(&right_schema);
@@ -359,49 +420,14 @@ pub fn assemble_left_deep(leaves: Vec<Leaf>, conjuncts: &[Expr]) -> Result<Logic
         let mut residuals: Vec<BoundExpr> = Vec::new();
         let mut still: Vec<&Expr> = Vec::new();
         for c in remaining {
-            if bind_expr(c, &joint).is_err() {
+            let Some(bound) = bind_if_in_scope(c, &joint) else {
                 still.push(c);
                 continue;
+            };
+            match hash_key(c, &left_schema, &right_schema) {
+                Some(key) => keys.push(key),
+                None => residuals.push(bound),
             }
-            // Equi-join key? `a = b` with one side entirely in the left
-            // schema and the other entirely in the right.
-            if let Expr::Cmp {
-                op: CmpOp::Eq,
-                left: cl,
-                right: cr,
-            } = c
-            {
-                let l_in_left = bind_expr(cl, &left_schema).is_ok();
-                let l_in_right = bind_expr(cl, &right_schema).is_ok();
-                let r_in_left = bind_expr(cr, &left_schema).is_ok();
-                let r_in_right = bind_expr(cr, &right_schema).is_ok();
-                let pair = if l_in_left && r_in_right && !l_in_right && !r_in_left {
-                    Some((cl, cr))
-                } else if r_in_left && l_in_right && !r_in_right && !l_in_left {
-                    Some((cr, cl))
-                } else {
-                    None
-                };
-                if let Some((lexpr, rexpr)) = pair {
-                    // Only plain columns become hash keys; computed
-                    // equalities stay residual.
-                    if let (Expr::Column { .. }, Expr::Column { .. }) =
-                        (lexpr.as_ref(), rexpr.as_ref())
-                    {
-                        let li = match bind_expr(lexpr, &left_schema)? {
-                            BoundExpr::Col { index, .. } => index,
-                            _ => unreachable!("column binds to Col"),
-                        };
-                        let ri = match bind_expr(rexpr, &right_schema)? {
-                            BoundExpr::Col { index, .. } => index,
-                            _ => unreachable!("column binds to Col"),
-                        };
-                        keys.push((li, ri));
-                        continue;
-                    }
-                }
-            }
-            residuals.push(bind_expr(c, &joint)?);
         }
         remaining = still;
 
@@ -429,24 +455,96 @@ pub fn assemble_left_deep(leaves: Vec<Leaf>, conjuncts: &[Expr]) -> Result<Logic
 }
 
 /// Pull out and apply every conjunct that is fully evaluable over `plan`.
-fn apply_local(plan: LogicalPlan, remaining: &mut Vec<&Expr>) -> Result<LogicalPlan> {
+fn apply_local(plan: LogicalPlan, remaining: &mut Vec<&Expr>) -> LogicalPlan {
     let schema = plan.schema();
     let mut local: Vec<BoundExpr> = Vec::new();
     let mut keep: Vec<&Expr> = Vec::new();
     for c in remaining.drain(..) {
-        match bind_expr(c, &schema) {
-            Ok(b) => local.push(b),
-            Err(_) => keep.push(c),
+        match bind_if_in_scope(c, &schema) {
+            Some(b) => local.push(b),
+            None => keep.push(c),
         }
     }
     *remaining = keep;
-    Ok(match combine_and(local) {
+    match combine_and(local) {
         Some(pred) => LogicalPlan::Filter {
             input: Box::new(plan),
             predicate: pred,
         },
         None => plan,
-    })
+    }
+}
+
+/// The index of the one field `[qualifier.]name` names in `schema`, or
+/// `None` when it names no field or several: [`Schema::index_of`]'s
+/// answer without building its error.
+fn resolve(schema: &Schema, qualifier: Option<&str>, name: &str) -> Option<usize> {
+    let mut matches = schema
+        .fields()
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.matches(qualifier, name));
+    match (matches.next(), matches.next()) {
+        (Some((i, _)), None) => Some(i),
+        _ => None,
+    }
+}
+
+/// Bind `expr` over `schema` if it can be placed there: every column it
+/// names resolves, and it binds (a conjunct that fails to type-check is
+/// never placed, and ends as an out-of-scope error). The scope check runs
+/// first so that a conjunct not yet in scope costs no error string.
+fn bind_if_in_scope(expr: &Expr, schema: &Schema) -> Option<BoundExpr> {
+    let mut in_scope = true;
+    expr.walk(&mut |e| {
+        if let Expr::Column { qualifier, name } = e {
+            in_scope &= resolve(schema, qualifier.as_deref(), name).is_some();
+        }
+    });
+    if in_scope {
+        bind_expr(expr, schema).ok()
+    } else {
+        None
+    }
+}
+
+/// The hash-join key `(left ordinal, right ordinal)` of an evaluable
+/// conjunct, if it is `a = b` over two plain columns, one only in the
+/// left schema and the other only in the right. Computed equalities stay
+/// residual.
+fn hash_key(c: &Expr, left: &Schema, right: &Schema) -> Option<(usize, usize)> {
+    let Expr::Cmp {
+        op: CmpOp::Eq,
+        left: cl,
+        right: cr,
+    } = c
+    else {
+        return None;
+    };
+    let (
+        Expr::Column {
+            qualifier: lq,
+            name: ln,
+        },
+        Expr::Column {
+            qualifier: rq,
+            name: rn,
+        },
+    ) = (cl.as_ref(), cr.as_ref())
+    else {
+        return None;
+    };
+    let sides = |q: &Option<String>, n: &str| {
+        (
+            resolve(left, q.as_deref(), n),
+            resolve(right, q.as_deref(), n),
+        )
+    };
+    match (sides(lq, ln), sides(rq, rn)) {
+        ((Some(li), None), (None, Some(ri))) => Some((li, ri)),
+        ((None, Some(ri)), (Some(li), None)) => Some((li, ri)),
+        _ => None,
+    }
 }
 
 fn combine_and(mut exprs: Vec<BoundExpr>) -> Option<BoundExpr> {
@@ -800,6 +898,30 @@ mod tests {
         assert!(g.relation_mask(&Expr::bare("nope")).is_err());
         // qualified but wrong column errors
         assert!(g.relation_mask(&Expr::col("a", "z")).is_err());
+    }
+
+    #[test]
+    fn placements_follow_relation_masks() {
+        let mut g = graph2();
+        g.predicates
+            .push(Expr::eq(Expr::lit(1i64), Expr::lit(1i64)));
+        g.predicates
+            .push(Expr::eq(Expr::bare("nope"), Expr::lit(1i64)));
+        let at = |mask, hash_key| Placement { mask, hash_key };
+        assert_eq!(
+            g.placements(),
+            Some(vec![
+                at(0b11, true),
+                at(0b10, false),
+                at(0, false),
+                at(0, false)
+            ])
+        );
+        // `x` is a field of both relations: placed wherever it first
+        // binds alone, which depends on the order.
+        g.predicates
+            .push(Expr::eq(Expr::bare("x"), Expr::lit(1i64)));
+        assert_eq!(g.placements(), None);
     }
 
     #[test]
