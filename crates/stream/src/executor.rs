@@ -407,8 +407,8 @@ impl Executor {
     /// The engine state of one shard. Callers that need the state to
     /// reflect every submitted boundary must [`Executor::quiesce`] the
     /// shard first; callers reading fields only the coordinator writes
-    /// (the shard's member lists) may lock directly — tasks never mutate
-    /// those.
+    /// (the runtimes' `routed` flags, the cursors) may lock directly —
+    /// tasks never mutate those.
     pub(crate) fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         &self.core.cells[i].state
     }

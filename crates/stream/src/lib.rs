@@ -26,8 +26,8 @@
 //!
 //!   Every lifecycle verb is a composition of three private primitives
 //!   in [`shard`] — **build** (compile + sink + start + replay),
-//!   **route** (land the runtime; wire the shard's member lists, push
-//!   set, log cursors, route counts) and **unroute** (the inverse; cursors
+//!   **route** (land the runtime; set its `routed` flag, attach its log
+//!   cursors, add its route counts) and **unroute** (the inverse; cursors
 //!   leave their positions). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
@@ -491,10 +491,9 @@
 //! * **Measured-cost profiling** — each pipeline times its operators
 //!   per kind into a [`trace::OpProfile`];
 //!   [`trace::OpProfile::ops_per_sec_observed`] is the measured
-//!   operator throughput, published to the catalog via
-//!   [`shard::ShardedEngine::publish_observed_op_rate`], where the
-//!   optimizer's `stream_cost::estimate_plan_calibrated` blends it into
-//!   the cost model in place of the static CPU calibration.
+//!   operator throughput, exported as the `ops_per_sec_observed` metric
+//!   row. Nothing feeds it to the optimizer yet; its hook is
+//!   `stream_cost::estimate_plan_calibrated`.
 //! * **Export surface** — [`trace::render_prometheus`] / [`trace::render_json`]
 //!   render a [`telemetry::TelemetryReport`] from one metric table (a row
 //!   per metric, a table per report level; see [`telemetry`]): JSON key

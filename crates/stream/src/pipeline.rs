@@ -201,6 +201,11 @@ impl Pipeline {
         out
     }
 
+    /// Whether some scan reads `src`.
+    pub(crate) fn scans(&self, src: SourceId) -> bool {
+        self.scans.iter().any(|s| s.source == src)
+    }
+
     /// Whether any scan's window reacts to the passage of time. The
     /// engine skips heartbeats for pipelines that don't.
     pub fn needs_clock(&self) -> bool {

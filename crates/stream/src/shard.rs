@@ -5,8 +5,8 @@
 //! [`ShardedEngine`] hash-partitions *whole pipelines*: every
 //! registered continuous query is placed on exactly one of N worker
 //! shards by hashing its [`QueryId`], and each shard owns the disjoint
-//! set of [`QueryRuntime`]s placed on it **plus the member lists
-//! (`SourceId → subscriber`, clock, push) its tasks deliver to**.
+//! set of [`QueryRuntime`]s placed on it, **routing by what it holds**:
+//! its tasks deliver to the `routed` runtimes a boundary concerns.
 //!
 //! The coordinator's side of routing is one [`RouteCounts`] table, a
 //! plain field (every verb and admission takes `&mut self`, so nothing
@@ -40,12 +40,12 @@
 //!   replay retained tables and view materializations into it. All of a
 //!   verb's fallible work is here or in the drain that follows it.
 //! * **route** — land a runtime on its shard and, unless the query is
-//!   paused, wire it in: the shard's member lists, the push-flush set,
-//!   its log cursors, and the route counts. Infallible.
-//! * **unroute** — the inverse: cursors out — each leaves its position,
-//!   which a travelling runtime carries to where it is routed next — the
-//!   shard's member lists, the route counts. Infallible; the caller
-//!   drained the shard first.
+//!   paused, wire it in: its `routed` flag, its log cursors, and the
+//!   route counts. Infallible.
+//! * **unroute** — the inverse: the flag cleared, cursors out — each
+//!   leaves its position, which a travelling runtime carries to where it
+//!   is routed next — the route counts. Infallible; the caller drained
+//!   the shard first.
 //!
 //! Register is build + route; [`ShardedEngine::pause`] is unroute (the
 //! sink stays readable, frozen); [`ShardedEngine::resume`] is build +
@@ -63,7 +63,7 @@
 //!
 //! Shards live behind the `parking_lot` shim ([`Mutex<EngineShard>`]):
 //! shard state is `Send`, cross-shard work is disjoint by construction
-//! (a query's pipeline, sink, and member-list entries live on one shard).
+//! (a query's pipeline, sink, and cursors live on one shard).
 //! Execution goes through the persistent [`crate::executor::Executor`]:
 //! each ingest/heartbeat boundary becomes one task per involved shard,
 //! pushed onto that shard's bounded FIFO queue. In pool mode the worker
@@ -176,6 +176,33 @@ pub struct ResidentState {
 pub(crate) struct QueryRuntime {
     pub(crate) pipeline: Pipeline,
     pub(crate) sink: Sink,
+    /// Set by route and cleared by unroute, beside its route counts.
+    routed: bool,
+}
+
+impl QueryRuntime {
+    /// The shard's side of [`QueryMeta::counted`].
+    fn counts(&self, key: Counted) -> bool {
+        match key {
+            Counted::Scans(src) => self.pipeline.scans(src),
+            Counted::Indexes(src) => self.pipeline.indexed_sources().contains(&src),
+            Counted::Clock => self.pipeline.needs_clock(),
+            Counted::Push => self.sink.pushes(),
+        }
+    }
+}
+
+/// A shard's runtimes, by id: in registration order.
+type Runtimes = BTreeMap<QueryId, QueryRuntime>;
+
+/// The routed runtimes `key` counts, in id order.
+fn members(
+    queries: &mut Runtimes,
+    key: Counted,
+) -> impl Iterator<Item = (&QueryId, &mut QueryRuntime)> {
+    queries
+        .iter_mut()
+        .filter(move |(_, q)| q.routed && q.counts(key))
 }
 
 /// A query runtime lifted out of one engine, in flight to another —
@@ -207,7 +234,7 @@ pub(crate) struct Positions {
 /// What one row of [`RouteCounts`] counts per shard: the live queries
 /// that scan a source, that index a stream's window in a join side, that
 /// react to the clock, or that have a push subscription attached.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Counted {
     Scans(SourceId),
     Indexes(SourceId),
@@ -404,27 +431,19 @@ struct LogCensus {
     census: Census,
 }
 
-/// One worker shard: a disjoint set of query runtimes plus the member
-/// lists its tasks deliver to. All lists are shard-local and keyed by
-/// the global `QueryId`, so queries can be detached without renumbering
-/// their neighbors. The executor's tasks mutate only the runtimes, logs,
-/// and meters; the member lists change only under quiescence, when the
-/// coordinator routes or unroutes a query.
+/// One worker shard: a disjoint set of query runtimes by global id, and
+/// the logs their stream scans are cursors on. Stream batches reach the
+/// cursors; all else reaches the [`members`] of its key. Every member
+/// runs, in id order, and the first error is returned. Tasks mutate
+/// runtimes, logs and meters; `routed` flags and cursors change only
+/// under quiescence, when the coordinator routes or unroutes a query.
 #[derive(Default)]
 pub(crate) struct EngineShard {
-    queries: HashMap<QueryId, QueryRuntime>,
-    /// Source → local live queries scanning it, in routing order — the
-    /// authority on who is live, though ingest feeds their stream scans
-    /// through log cursors, not own windows.
-    subs: HashMap<SourceId, Vec<QueryId>>,
+    queries: Runtimes,
     /// The arrival log of every stream source some local window covers;
     /// the last cursor out frees the log. Every stream scan of a live
     /// query is a cursor on these ([`Pipeline::stream_scans`]).
     logs: HashMap<SourceId, SourceLog>,
-    /// Local queries whose windows react to the clock.
-    clock_subs: Vec<QueryId>,
-    /// Local live queries with a push subscription attached (flush set).
-    push_subs: Vec<QueryId>,
     /// Lock-local telemetry counters (tuples in, slices run, busy time).
     pub(crate) meters: ShardMeters,
 }
@@ -439,29 +458,24 @@ impl EngineShard {
     ) -> Result<()> {
         let EngineShard {
             queries,
-            subs,
             logs,
             meters,
-            ..
         } = self;
-        let Some(subs) = subs.get(&src) else {
-            return Ok(());
-        };
+        let mut served = Ok(());
         let Some(log) = logs.get_mut(&src) else {
-            // A table's batch: each subscriber windows it itself.
+            // A table's batch: each routed scan of it windows it itself.
             meters.tuples_in += tuples.len() as u64;
             let rows = |src, row| logs.get(&src)?.get(row);
-            for qid in subs {
-                let q = queries.get_mut(qid).expect("routed query is local");
-                q.pipeline
-                    .push_source_over(src, tuples, &mut q.sink, &rows)?;
+            for (_, q) in members(queries, Counted::Scans(src)) {
+                let run = q.pipeline.push_source_over(src, tuples, &mut q.sink, &rows);
                 if let Some(ctx) = &trace {
                     q.sink.latency.record_us(ctx.elapsed_us());
                 }
+                served = served.and(run);
             }
-            return Ok(());
+            return served;
         };
-        // Step a stream's log, whose cursors are all its subscribers: it
+        // Step a stream's log, whose cursors are all its routed scans: it
         // stores the batch once (metered once), windows it once per cursor
         // class and probes each class batch once per filter group.
         let step = log.insert_batch(src, first, tuples, meters)?;
@@ -469,9 +483,7 @@ impl EngineShard {
         let rows = |src, row| logs.get(&src)?.get(row);
         // Deliver: each query borrows the deltas its own windows over
         // `src` would have emitted — or its grouped filter's output on
-        // them — and reads rows off any log. A failed delivery does not
-        // stop the others; the first error is returned.
-        let mut served = Ok(());
+        // them — and reads rows off any log.
         for (qid, mut fed) in logs[&src].fed(&step) {
             let q = queries.get_mut(&qid).expect("a cursor's query is local");
             let run = q
@@ -493,19 +505,13 @@ impl EngineShard {
         deltas: &DeltaBatch,
         trace: Option<TraceCtx>,
     ) -> Result<()> {
-        let Some(subs) = self.subs.get(&src) else {
-            return Ok(());
-        };
         let charge = deltas.len() as u64;
         self.meters.tuples_in += charge;
-        // Consolidated once here, not once per subscribed scan.
+        // Consolidated once here, not once per routed scan.
         let deltas = &deltas.clone().consolidated();
         let rows = |src, row| self.logs.get(&src)?.get(row);
-        // As in `push_batch`, one subscriber's failure does not starve
-        // the ones after it; the first error is returned.
         let mut served = Ok(());
-        for qid in subs {
-            let q = self.queries.get_mut(qid).expect("routed query is local");
+        for (_, q) in members(&mut self.queries, Counted::Scans(src)) {
             let run = q
                 .pipeline
                 .push_deltas_over(src, deltas, charge, &mut q.sink, &rows);
@@ -521,9 +527,7 @@ impl EngineShard {
         let EngineShard {
             queries,
             logs,
-            clock_subs,
             meters,
-            ..
         } = self;
         // Step every log: cursor expiry is computed once per class.
         let stepped: Vec<(SourceId, Stepped)> = logs
@@ -543,11 +547,11 @@ impl EngineShard {
                 }
             }
         }
-        let served = clock_subs.iter().try_for_each(|qid| {
-            let q = queries.get_mut(qid).expect("clocked query is local");
+        let mut served = Ok(());
+        for (qid, q) in members(queries, Counted::Clock) {
             let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
-            q.pipeline.advance_scans(now, fed, &mut q.sink, &rows)
-        });
+            served = served.and(q.pipeline.advance_scans(now, fed, &mut q.sink, &rows));
+        }
         // Release only now (on an error too).
         for log in self.logs.values_mut() {
             log.release();
@@ -555,45 +559,22 @@ impl EngineShard {
         served
     }
 
-    /// Deliver pending push batches for every live subscribed sink
-    /// (only queries in the push set are touched).
+    /// Deliver pending push batches for every routed subscribed sink.
     pub(crate) fn flush_push(&mut self, now: SimTime) {
-        for qid in &self.push_subs {
-            let q = self.queries.get_mut(qid).expect("push query is local");
+        for (_, q) in members(&mut self.queries, Counted::Push) {
             q.sink.flush_push(now, false);
         }
     }
 
-    /// Mark a live local query as push-subscribed (idempotent).
-    fn mark_push(&mut self, qid: QueryId) {
-        if !self.push_subs.contains(&qid) {
-            self.push_subs.push(qid);
-        }
-    }
-
-    /// Wire a query into this shard's member lists.
-    fn attach(&mut self, qid: QueryId, sources: &[SourceId], needs_clock: bool) {
-        for &src in sources {
-            self.subs.entry(src).or_default().push(qid);
-        }
-        if needs_clock {
-            self.clock_subs.push(qid);
-        }
-    }
-
-    /// Remove a query from this shard's member lists (its runtime, if
-    /// any, stays — pause keeps the sink readable) and its cursors, which
+    /// Unroute a query here: clear its `routed` flag (its runtime stays —
+    /// pause keeps the sink readable) and detach its cursors, which
     /// release the rows only they pinned (the last one frees the log),
     /// returning where each stood.
     fn detach(&mut self, qid: QueryId, sources: &[SourceId]) -> Vec<(SourceId, Position)> {
+        let rt = self.queries.get_mut(&qid);
+        rt.expect("a routed query keeps a runtime").routed = false;
         let mut cursors = Vec::new();
         for src in sources {
-            if let Some(subs) = self.subs.get_mut(src) {
-                subs.retain(|&q| q != qid);
-                if subs.is_empty() {
-                    self.subs.remove(src);
-                }
-            }
             if let Some(log) = self.logs.get_mut(src) {
                 cursors.extend(log.detach(qid).into_iter().map(|at| (*src, at)));
                 if log.cursors() == 0 {
@@ -601,8 +582,6 @@ impl EngineShard {
                 }
             }
         }
-        self.clock_subs.retain(|&q| q != qid);
-        self.push_subs.retain(|&q| q != qid);
         cursors
     }
 
@@ -772,11 +751,6 @@ impl ShardedEngine {
         self.node_id = node;
     }
 
-    /// This engine's node id (0 standalone).
-    pub fn node_id(&self) -> u32 {
-        self.node_id
-    }
-
     /// The engine's span journal (sampled admissions, migrations,
     /// rebalance decisions, knob retunes).
     pub fn journal(&self) -> &SpanJournal {
@@ -804,18 +778,6 @@ impl ShardedEngine {
         &self.catalog
     }
 
-    /// Publish the trace plane's measured operator throughput to the
-    /// catalog, where the optimizer's
-    /// `stream_cost::estimate_plan_calibrated` blends it into the cost
-    /// model in place of the static CPU calibration. Returns the rate
-    /// published, or `None` when too little timed work has run to
-    /// measure one.
-    pub fn publish_observed_op_rate(&self) -> Option<f64> {
-        let rate = self.telemetry().ops_per_sec_observed()?;
-        self.catalog.record_observed_op_rate(rate);
-        Some(rate)
-    }
-
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -826,8 +788,9 @@ impl ShardedEngine {
     }
 
     /// One shard's state cell. Callers that must observe every
-    /// submitted boundary quiesce first; callers reading only the member
-    /// lists, which change only under quiescence, may lock directly.
+    /// submitted boundary quiesce first; callers reading only what
+    /// changes under quiescence (the runtimes' `routed` flags, the
+    /// cursors), may lock directly.
     fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         self.exec.shard(i)
     }
@@ -1152,31 +1115,32 @@ impl ShardedEngine {
                 pipeline.push_source(src, &rows, &mut sink)?;
             }
         }
-        Ok(QueryRuntime { pipeline, sink })
+        Ok(QueryRuntime {
+            pipeline,
+            sink,
+            routed: false,
+        })
     }
 
     /// **Route**: land `rt` on the query's shard and — unless the query
-    /// is paused, in which case it only lands — wire it in: the shard's
-    /// member lists, the push-flush set, its stream scans as log cursors
-    /// (at the tails, or at a travelling runtime's positions), and one
-    /// route count per key of [`QueryMeta::counted`] on its shard.
+    /// is paused, in which case it only lands — wire it in: its `routed`
+    /// flag, its stream scans as log cursors (at the tails, or at a
+    /// travelling runtime's positions), and one route count per key of
+    /// [`QueryMeta::counted`] on its shard.
     /// O(this query's keys), never a whole-table walk, and
     /// commutative with [`Self::unroute`], so the resulting fan-out sets
     /// are independent of the order queries came and went (pinned by a
     /// unit test below). Infallible; the caller drained the shard, so
     /// no boundary queued before this point reaches the runtime.
-    fn route(&mut self, qid: QueryId, rt: QueryRuntime, at: Positions) {
+    fn route(&mut self, qid: QueryId, mut rt: QueryRuntime, at: Positions) {
         let scans = self.cursor_scans(&rt.pipeline);
         let meta = &self.queries[&qid];
         let mut shard = self.shard(meta.shard).lock();
+        rt.routed = !meta.paused;
         shard.queries.insert(qid, rt);
         if meta.paused {
             // Resume routes it, on whatever shard it lives on then.
             return;
-        }
-        shard.attach(qid, &meta.sources, meta.needs_clock);
-        if meta.push {
-            shard.mark_push(qid);
         }
         shard.attach_cursors(qid, &scans, at, &self.state_opts);
         drop(shard);
@@ -1202,11 +1166,10 @@ impl ShardedEngine {
     }
 
     /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
-    /// query's cursors, its entries in the shard's member lists, and its
-    /// route counts (a count reaching zero drops the shard from that
-    /// key's fan-out; the last one removes the key's row). The runtime
-    /// stays on the shard; the cursors' positions are
-    /// returned, for a travelling one to rejoin its logs at. Infallible,
+    /// query's `routed` flag, its cursors, and its route counts (a count
+    /// reaching zero drops the shard from that key's fan-out; the last
+    /// one removes the key's row). The runtime stays on the shard; the
+    /// cursors' positions are returned, for a travelling one to rejoin its logs at. Infallible,
     /// and a no-op for a paused query (already out). The caller drained
     /// the shard, so every admitted boundary has reached the runtime.
     fn unroute(&mut self, qid: QueryId) -> Vec<(SourceId, Position)> {
@@ -1321,9 +1284,8 @@ impl ShardedEngine {
         Ok(self.meta(q)?.paused)
     }
 
-    /// Retire a query: its runtime leaves its shard, its entries leave
-    /// the shard's member lists, the route counts, and its session —
-    /// per-source ingest cost
+    /// Retire a query: it is unrouted, its runtime leaves its shard, and
+    /// it leaves its session — per-source ingest cost
     /// drops back to the remaining live fan-out. Any push subscription
     /// stops receiving batches (already-delivered batches stay
     /// drainable). Never fails on a registered query.
@@ -1404,43 +1366,37 @@ impl ShardedEngine {
     /// state.
     pub fn subscribe(&mut self, q: QueryHandle) -> Result<ResultSubscription> {
         let meta = self.meta(q)?;
-        let (shard_idx, paused) = (meta.shard, meta.paused);
+        let (shard_idx, was_push) = (meta.shard, meta.push);
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
-        let was_push = meta.push;
-        let queue = {
-            // Late subscription seeds the channel from the current
-            // snapshot: pending boundaries must land first (view-
-            // forwarded deltas included) or the seeded state and the
-            // subsequent deltas would overlap.
-            self.exec.quiesce(shard_idx)?;
-            let mut shard = self.shard(shard_idx).lock();
-            let rt = shard
-                .queries
-                .get_mut(&q.0)
-                .expect("registered query keeps a runtime");
-            let queue = match rt.sink.push_queue() {
-                Some(queue) => queue,
-                None => {
-                    Self::check_push_compatible(&rt.pipeline)?;
-                    let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
-                    rt.sink
-                        .attach_push(Arc::clone(&queue), HashMap::new(), max_batch, max_delay);
-                    // Subscribing is a batch boundary: deliver the
-                    // current state immediately.
-                    rt.sink.flush_push(self.now, true);
-                    queue
-                }
-            };
-            if !paused {
-                // A paused query enters the flush set when it resumes.
-                shard.mark_push(q.0);
+        // Late subscription seeds the channel from the current snapshot:
+        // pending boundaries must land first (view-forwarded deltas
+        // included) or the seeded state and the subsequent deltas would
+        // overlap.
+        self.exec.quiesce(shard_idx)?;
+        let mut shard = self.shard(shard_idx).lock();
+        let rt = shard
+            .queries
+            .get_mut(&q.0)
+            .expect("registered query keeps a runtime");
+        let queue = match rt.sink.push_queue() {
+            Some(queue) => queue,
+            None => {
+                Self::check_push_compatible(&rt.pipeline)?;
+                let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
+                rt.sink
+                    .attach_push(Arc::clone(&queue), HashMap::new(), max_batch, max_delay);
+                // Subscribing is a batch boundary: deliver the current
+                // state immediately.
+                rt.sink.flush_push(self.now, true);
+                queue
             }
-            queue
         };
+        let routed = rt.routed;
+        drop(shard);
         self.queries.get_mut(&q.0).expect("meta checked").push = true;
-        if !was_push && !paused {
-            // The query newly entered its shard's push-flush set; a
-            // paused query enters it at resume, through route.
+        if !was_push && routed {
+            // The routed runtime now holds a subscription; a paused one
+            // is counted when it resumes, through route.
             self.routes.add(Counted::Push, shard_idx, self.nshards);
         }
         Ok(ResultSubscription { queue, query: q.0 })
@@ -1463,7 +1419,8 @@ impl ShardedEngine {
     /// divergence (property-tested in `tests/sharding.rs`) — and the
     /// moved cursors share window work like any other. Session membership
     /// and every other coordinator record are untouched; only the shard
-    /// assignment, the member lists and the route counts change.
+    /// assignment (the runtime routed on its new shard) and the route
+    /// counts change.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         let from = self.meta(q)?.shard;
         if to >= self.shard_count() {
@@ -3676,5 +3633,109 @@ mod tests {
             .collect();
         let sensors = [0, 3, 4, 5, 6].map(|s| vec![Value::Float(s as f64)]);
         assert_eq!(shown, sensors);
+    }
+
+    /// Route counts and routed runtimes stay in step: after every verb of
+    /// a seeded churn — register, pause, resume, subscribe (a paused
+    /// query's too), migrate, deregister, close a session — each key's
+    /// fan-out is exactly the shards holding a routed runtime it counts.
+    #[test]
+    fn route_counts_match_routed_runtimes() {
+        use crate::Scheduling::{Deterministic, Pool, Sequential};
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+        let sqls = [
+            "select r.value from Readings r",
+            "select r.sensor from Readings r [range 10 seconds]",
+            "select a.value, b.value from Readings a [rows 4], Readings b [rows 4] \
+             where a.sensor = b.sensor",
+            "select e.src from Edge e",
+            "select count(*) from Readings r [range 5 seconds], Edge e",
+            "select r.sensor, avg(r.value) from Readings r group by r.sensor",
+        ];
+        // Weighted: registration keeps the engine populated.
+        const VERBS: [&str; 12] = [
+            "register",
+            "register",
+            "register",
+            "pause",
+            "pause",
+            "resume",
+            "subscribe",
+            "subscribe",
+            "migrate",
+            "migrate",
+            "deregister",
+            "close_session",
+        ];
+        let in_step = |e: &ShardedEngine, verb: &str| {
+            let sources = ["Readings", "Edge"].map(|name| e.catalog().source(name).unwrap().id);
+            let keys = sources
+                .iter()
+                .flat_map(|&src| [Counted::Scans(src), Counted::Indexes(src)])
+                .chain([Counted::Clock, Counted::Push]);
+            for key in keys {
+                let holds = |i: &usize| {
+                    let shard = e.shard(*i).lock();
+                    shard.queries.values().any(|q| q.routed && q.counts(key))
+                };
+                let held: Vec<usize> = (0..e.shard_count()).filter(holds).collect();
+                assert_eq!(e.routes.fanout(key), held, "{key:?} after {verb}");
+            }
+        };
+        for seed in crate::test_seeds(3) {
+            for scheduling in [Sequential, Pool, Deterministic(seed)] {
+                let config = EngineConfig::new().shards(3).scheduling(scheduling);
+                let mut e = ShardedEngine::with_config(catalog(), config);
+                let mut rng = seeded(0x5EED ^ seed);
+                let mut sessions = [e.open_session(), e.open_session()];
+                for step in 0..80u64 {
+                    let verb = VERBS[rng.gen_range(0..VERBS.len())];
+                    // Resume, and half the subscriptions, go to a paused
+                    // query when there is one.
+                    let paused_only =
+                        verb == "resume" || (verb == "subscribe" && rng.gen_bool(0.5));
+                    let mut ids: Vec<QueryId> = e.queries.keys().copied().collect();
+                    if paused_only && ids.iter().any(|q| e.queries[q].paused) {
+                        ids.retain(|q| e.queries[q].paused);
+                    }
+                    let q = match ids.len() {
+                        0 => QueryHandle(QueryId(u32::MAX)),
+                        n => QueryHandle(ids[rng.gen_range(0..n)]),
+                    };
+                    // A verb refused on this query (pausing a paused
+                    // one, an unknown id) changes nothing either.
+                    let _ = match verb {
+                        "register" => {
+                            let mut spec = QuerySpec::sql(sqls[rng.gen_range(0..sqls.len())]);
+                            if rng.gen_bool(0.3) {
+                                spec = spec.push();
+                            }
+                            match sessions.get(rng.gen_range(0..3usize)) {
+                                Some(&session) => e.register_in(session, spec).map(|_| ()),
+                                None => e.register(spec).map(|_| ()),
+                            }
+                        }
+                        "pause" => e.pause(q),
+                        "resume" => e.resume(q),
+                        "subscribe" => e.subscribe(q).map(|_| ()),
+                        "migrate" => e.migrate(q, rng.gen_range(0..3usize)),
+                        "deregister" => e.deregister(q),
+                        _ => {
+                            let i = rng.gen_range(0..2usize);
+                            let closed = e.close_session(sessions[i]).map(|_| ());
+                            sessions[i] = e.open_session();
+                            closed
+                        }
+                    };
+                    in_step(&e, verb);
+                    let sensor = (step % 8) as i64;
+                    e.on_batch("Readings", &[reading(sensor, 1.0, step)])
+                        .unwrap();
+                    e.heartbeat(SimTime::from_secs(step)).unwrap();
+                }
+                e.quiesce().unwrap();
+            }
+        }
     }
 }

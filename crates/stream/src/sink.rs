@@ -23,15 +23,15 @@ use crate::session::SharedQueue;
 /// heartbeat). `max_delay` holds a flush until the pending deltas have
 /// aged past the delay (coalescing across boundaries); `max_batch` both
 /// overrides the hold when the buffer grows past the cap and chunks what
-/// is delivered. `delivered` tracks the net multiset pushed so far, so
-/// late subscription and pause/resume can emit exact catch-up diffs.
+/// is delivered. The net multiset pushed so far is the state minus
+/// `pending` ([`Sink::take_push`]), so late subscription and
+/// pause/resume can emit exact catch-up diffs.
 #[derive(Debug)]
 pub(crate) struct PushState {
     queue: SharedQueue,
     pending: DeltaBatch,
     /// Boundary at which the oldest pending delta was first seen.
     pending_since: Option<SimTime>,
-    delivered: HashMap<Tuple, i64>,
     max_batch: Option<usize>,
     max_delay: Option<SimDuration>,
 }
@@ -86,11 +86,7 @@ impl Sink {
     pub fn apply(&mut self, deltas: &DeltaBatch) {
         for d in deltas {
             self.deltas_applied += 1;
-            let e = self.state.entry(d.tuple.clone()).or_insert(0);
-            *e += d.sign;
-            if *e == 0 {
-                self.state.remove(&d.tuple);
-            }
+            add(&mut self.state, &d.tuple, d.sign);
         }
         if let Some(p) = &mut self.push {
             p.pending.extend(deltas.iter().cloned());
@@ -99,9 +95,9 @@ impl Sink {
 
     /// Attach the producer half of a push subscription.
     ///
-    /// `delivered` is the net multiset already pushed through `queue`
+    /// `pushed` is the net multiset already pushed through `queue`
     /// (empty for a fresh channel). The pending buffer is seeded with
-    /// `current state − delivered`, so the very first flush delivers a
+    /// `current state − pushed`, so the very first flush delivers a
     /// consolidated catch-up batch: a late subscriber gets the snapshot
     /// as inserts, a resumed query's channel gets exactly the diff
     /// between its pre-pause deliveries and the replayed state, and a
@@ -109,7 +105,7 @@ impl Sink {
     pub(crate) fn attach_push(
         &mut self,
         queue: SharedQueue,
-        delivered: HashMap<Tuple, i64>,
+        pushed: HashMap<Tuple, i64>,
         max_batch: Option<usize>,
         max_delay: Option<SimDuration>,
     ) {
@@ -134,21 +130,31 @@ impl Sink {
         };
         let mut pending = DeltaBatch::new();
         pending.extend(ordered(&self.state, 1));
-        pending.extend(ordered(&delivered, -1));
+        pending.extend(ordered(&pushed, -1));
         self.push = Some(PushState {
             queue,
             pending,
             pending_since: None,
-            delivered,
             max_batch,
             max_delay,
         });
     }
 
-    /// Detach and return the push channel plus its delivered multiset
-    /// (for transfer onto a replacement sink at resume).
+    /// Detach the push channel, for a replacement sink at resume, with
+    /// what it delivered: the state minus `pending`, which `attach_push`
+    /// seeds as state minus what was pushed and `flush_push` only empties.
     pub(crate) fn take_push(&mut self) -> Option<(SharedQueue, HashMap<Tuple, i64>)> {
-        self.push.take().map(|p| (p.queue, p.delivered))
+        let p = self.push.take()?;
+        let mut delivered = self.state.clone();
+        for d in &p.pending {
+            add(&mut delivered, &d.tuple, -d.sign);
+        }
+        Some((p.queue, delivered))
+    }
+
+    /// Whether a push subscription is attached.
+    pub(crate) fn pushes(&self) -> bool {
+        self.push.is_some()
     }
 
     /// The subscription channel, if one is attached.
@@ -202,13 +208,6 @@ impl Sink {
             // Keep coalescing: hold the (consolidated) buffer.
             p.pending = pending;
             return;
-        }
-        for d in &pending {
-            let e = p.delivered.entry(d.tuple.clone()).or_insert(0);
-            *e += d.sign;
-            if *e == 0 {
-                p.delivered.remove(&d.tuple);
-            }
         }
         p.pending_since = None;
         let mut q = p.queue.lock();
@@ -291,6 +290,15 @@ impl Sink {
             rows.truncate(n as usize);
         }
         Ok(rows)
+    }
+}
+
+/// Add `sign` to `tuple`'s multiplicity in `bag`, dropping it at zero.
+fn add(bag: &mut HashMap<Tuple, i64>, tuple: &Tuple, sign: i64) {
+    let e = bag.entry(tuple.clone()).or_insert(0);
+    *e += sign;
+    if *e == 0 {
+        bag.remove(tuple);
     }
 }
 
@@ -478,5 +486,70 @@ mod tests {
         let batches = std::mem::take(&mut q.lock().batches);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].consolidate(), vec![(t(1), -1), (t(2), 1)]);
+    }
+
+    /// `take_push`'s delivered multiset — the state minus what is still
+    /// pending — is the net of every batch the queue received, at each
+    /// checkpoint of a seeded run of signed applies and flushes under
+    /// `max_batch` / `max_delay` holds and chunking. After each
+    /// checkpoint the channel moves onto a replacement sink whose state
+    /// drifted from the old one, as resume re-attaches it, and the run
+    /// continues there.
+    #[test]
+    fn take_push_derives_what_the_queue_received() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+        let received = |q: &SharedQueue| {
+            let mut net = HashMap::new();
+            for d in q.lock().batches.iter().flatten() {
+                add(&mut net, &d.tuple, d.sign);
+            }
+            net
+        };
+        let secs = |s| Some(SimDuration::from_secs(s));
+        let knobs = [
+            (None, None),
+            (Some(3), None),
+            (None, secs(4)),
+            (Some(2), secs(6)),
+        ];
+        for seed in crate::test_seeds(8) {
+            let mut rng = seeded(0x5117 ^ seed);
+            let (max_batch, max_delay) = knobs[rng.gen_range(0..knobs.len())];
+            let q = shared_queue();
+            let mut s = Sink::new(schema(), vec![], None, None);
+            s.attach_push(
+                std::sync::Arc::clone(&q),
+                HashMap::new(),
+                max_batch,
+                max_delay,
+            );
+            let mut now = 0;
+            for checkpoint in 0..12 {
+                for _ in 0..rng.gen_range(1..8) {
+                    let ds = (0..rng.gen_range(0..5)).map(|_| Delta {
+                        tuple: t(rng.gen_range(0..6i64)),
+                        sign: if rng.gen_bool(0.6) { 1 } else { -1 },
+                    });
+                    s.apply(&batch(ds.collect()));
+                    now += rng.gen_range(0..4u64);
+                    s.flush_push(SimTime::from_secs(now), rng.gen_bool(0.1));
+                }
+                let (queue, delivered) = s.take_push().unwrap();
+                let ctx = format!("seed {seed}, checkpoint {checkpoint}");
+                assert_eq!(delivered, received(&queue), "{ctx}");
+                let mut next = Sink::new(schema(), vec![], None, None);
+                let kept = s.state.iter().map(|(t, &sign)| Delta {
+                    tuple: t.clone(),
+                    sign,
+                });
+                let drift = Delta::insert(t(rng.gen_range(0..6i64)));
+                next.apply(&batch(kept.chain([drift]).collect()));
+                next.attach_push(queue, delivered, max_batch, max_delay);
+                next.flush_push(SimTime::from_secs(now), true);
+                assert_eq!(next.state, received(&q), "{ctx}: catch-up diff");
+                s = next;
+            }
+        }
     }
 }

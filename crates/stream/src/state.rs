@@ -26,7 +26,7 @@
 //! sequence number.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use aspen_types::{DataType, SimTime, Tuple, Value};
@@ -364,7 +364,6 @@ pub struct BagState {
     index: RowIndex,
     /// Transient over-retractions (out-of-order deltas), per tuple.
     debts: HashMap<Tuple, u64>,
-    distinct: usize,
 }
 
 impl Default for BagState {
@@ -386,7 +385,6 @@ impl BagState {
                 .with_spill(opts.spill.clone()),
             index: RowIndex::default(),
             debts: HashMap::new(),
-            distinct: 0,
         }
     }
 
@@ -427,13 +425,8 @@ impl BagState {
         }
         let cells = tuple_cells(tuple);
         let ts = tuple.timestamp().as_micros();
-        let h = hash_of(tuple);
-        let already = self.holds(h, &cells, ts).is_some();
         let row = self.store.push(&cells, ts);
-        self.index.insert(h, row);
-        if !already {
-            self.distinct += 1;
-        }
+        self.index.insert(hash_of(tuple), row);
     }
 
     /// The oldest live occurrence of the tuple hashing to `h`.
@@ -451,9 +444,6 @@ impl BagState {
                 // The oldest occurrence leaves first.
                 self.index.remove(h, row);
                 self.store.mark_dead(row);
-                if self.holds(h, &cells, ts).is_none() {
-                    self.distinct -= 1;
-                }
             }
             None => {
                 *self.debts.entry(tuple.clone()).or_insert(0) += 1;
@@ -461,9 +451,9 @@ impl BagState {
         }
     }
 
-    /// Distinct live tuples.
+    /// Distinct live tuples, counted when asked.
     pub fn distinct(&self) -> usize {
-        self.distinct
+        self.snapshot().into_iter().collect::<HashSet<_>>().len()
     }
 
     pub fn is_empty(&self) -> bool {

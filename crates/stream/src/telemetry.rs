@@ -233,8 +233,8 @@ pub struct TelemetryReport {
     /// Engine clock at observation time, seconds.
     pub now_secs: f64,
     /// Per-operator-kind measured busy timings, merged over every live
-    /// pipeline. [`OpProfile::ops_per_sec_observed`] is the rate the
-    /// catalog publishes back to the optimizer's cost model.
+    /// pipeline. [`OpProfile::ops_per_sec_observed`] is the measured
+    /// operator rate, exported as the `ops_per_sec_observed` row.
     pub profile: OpProfile,
     /// The mode the executor resolved ([`crate::EngineConfig::scheduling`]);
     /// a cluster report carries its nodes'.

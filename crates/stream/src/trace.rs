@@ -24,9 +24,9 @@
 //!   decisions, knob retunes) for post-hoc "where did this batch spend
 //!   its time" debugging. Bounded, so it can stay on forever.
 //! * [`OpProfile`] — measured busy time per operator *kind*; its
-//!   [`OpProfile::ops_per_sec_observed`] rate is what the catalog
-//!   publishes back to the optimizer's cost model, closing the loop the
-//!   same way observed source rates already feed cardinality.
+//!   [`OpProfile::ops_per_sec_observed`] rate is exported as the
+//!   `ops_per_sec_observed` metric row. It is not yet fed to the
+//!   optimizer's cost model.
 //! * [`render_prometheus`] / [`render_json`] — one report, two text
 //!   formats, no serialization dependencies. Both are generated from the
 //!   metric table in [`crate::telemetry`] (one row per metric, one table

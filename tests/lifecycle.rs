@@ -621,6 +621,63 @@ fn failing_shard_keeps_nothing_from_its_siblings() {
     assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
 }
 
+/// A clocked query that fails starves none of the clocked queries after
+/// it on its shard: a heartbeat still retracts their expired rows, under
+/// every scheduling mode.
+#[test]
+fn failing_clocked_query_keeps_no_expiry_from_its_siblings() {
+    for mode in modes() {
+        let cat = catalog();
+        let schema = Schema::new(vec![
+            Field::new("key", DataType::Text),
+            Field::new("val", DataType::Int),
+        ]);
+        let stats = SourceStats::stream(1.0);
+        cat.register_source("S", schema.into_ref(), SourceKind::Stream, stats)
+            .unwrap();
+        let config = EngineConfig::new().shards(1).scheduling(mode);
+        let mut e = ShardedEngine::with_config(cat, config);
+        e.register_sql("select sum(s.key) from S s [range 10 seconds]")
+            .unwrap();
+        let count = e
+            .register_sql("select count(*) from S s [range 10 seconds]")
+            .unwrap()
+            .expect_query();
+        let mut counts = Vec::new();
+        for (row, beat) in [(1, 100), (101, 101)] {
+            let at = SimTime::from_secs(row);
+            let tuple = Tuple::new(vec![Value::Text("a".into()), Value::Int(1)], at);
+            // The failing sum's errors, returned now or deferred.
+            let _ = e.on_batch("S", &[tuple]);
+            let _ = e.heartbeat(SimTime::from_secs(beat));
+            let _ = e.quiesce();
+            counts.push(values(&e.snapshot_at(count, Consistency::Cut).unwrap()));
+        }
+        let want = [0, 1].map(|n| vec![vec![Value::Int(n)]]);
+        assert_eq!(counts, want, "{mode:?}");
+    }
+}
+
+/// A query that fails on a table batch starves none of the queries after
+/// it on its shard: each still applies the batch, under every scheduling
+/// mode.
+#[test]
+fn failing_query_keeps_no_table_batch_from_its_siblings() {
+    for mode in modes() {
+        let config = EngineConfig::new().shards(1).scheduling(mode);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        e.register_sql(FAILING).unwrap();
+        let count = e
+            .register_sql("select count(*) from Facts f")
+            .unwrap()
+            .expect_query();
+        let admitted = e.on_batch("Facts", &[fact("a", 1, 1)]);
+        assert!(admitted.and_then(|()| e.quiesce()).is_err(), "{mode:?}");
+        let rows = values(&e.snapshot(count).unwrap());
+        assert_eq!(rows, vec![vec![Value::Int(1)]], "{mode:?}");
+    }
+}
+
 /// A view that fails keeps no batch from the views registered after it,
 /// nor from the queries reading them; the admitting call returns its
 /// error, under every scheduling mode.
