@@ -444,14 +444,14 @@ impl SmartCis {
             self.catalog.record_observed_rate(meta.id, rate)?;
         }
         let budget = self.epoch.as_secs_f64();
-        Ok(self.engine.auto_tune(|out_rate, boundary_hz| {
+        self.engine.auto_tune(|out_rate, boundary_hz| {
             let (max_batch, max_delay) =
                 aspen_optimizer::choose_knobs(out_rate, boundary_hz, budget);
             (
                 max_batch,
                 max_delay.map(|s| SimDuration::from_micros((s * 1e6) as u64)),
             )
-        }))
+        })
     }
 
     /// Place (or move) the visitor: updates the Person table and the

@@ -20,9 +20,10 @@
 //! source→home map, and the global query table, and speaks the same
 //! [`QuerySpec`]/[`Registration`] front end as a single engine — the
 //! same code, not a copy: it owns a [`crate::session`] `FrontEnd` (plan
-//! cache + session table) exactly as each node does. Query handles
-//! returned here live in the *cluster's* id namespace; the coordinator
-//! maps them to `(node, local handle)` pairs. A registration resolves
+//! cache + session table) exactly as each node does. The coordinator
+//! issues every query id, and the node that runs the query places,
+//! migrates in and reports it under that id: a handle means the same
+//! query on the coordinator and on every node. A registration resolves
 //! its SQL at the coordinator and places the bound plan on the node
 //! hinted by [`QuerySpec::on_node`], else on the node homing the most
 //! of its scanned stream sources (view-scanning queries are pinned to
@@ -38,8 +39,8 @@
 //! arrival sequence, which the home admits at and every shipping frame
 //! carries, so a log row has one id on every node.
 //! [`Cluster::register_hash_partitioned`] installs the same plan on
-//! every node and marks its sources *exchanged*: their batches are
-//! hash-scattered by key columns ([`exchange::partition`]), so equal
+//! every node, under one id, and marks its sources *exchanged*: their
+//! batches are hash-scattered by key columns ([`exchange::partition`]), so equal
 //! join keys always meet on one node and the merged member snapshots
 //! equal the monolithic result; each node numbers its own shares.
 //!
@@ -137,26 +138,14 @@ impl ClusterConfig {
 
 /// Coordinator-side record of one registered query.
 struct ClusterQuery {
-    /// Node currently owning the runtime.
+    /// Node currently owning the runtime (node 0 for a hash group, which
+    /// runs on every node).
     node: usize,
-    /// Handle in that node's local id namespace.
-    local: QueryHandle,
     /// Every source the plan scans (dedup'd, scan order).
     sources: Vec<SourceId>,
-    /// Hash-partitioned group membership; `Some` pins the query.
-    group: Option<usize>,
     /// Scans a view: stays on node 0, where views materialize.
     on_view: bool,
     session: Option<SessionId>,
-}
-
-/// One hash-partitioned registration: the same plan live on every
-/// node, fed disjoint key ranges of its exchanged sources.
-struct HashGroup {
-    /// Member handle on each node, indexed by node.
-    members: Vec<QueryHandle>,
-    /// Exchange key columns per scanned source.
-    keys: HashMap<SourceId, Vec<usize>>,
 }
 
 /// N real [`ShardedEngine`] nodes behind one coordinator — global
@@ -178,10 +167,12 @@ pub struct Cluster {
     /// SQL resolution (plan-template cache) and the session table — the
     /// same front end every node owns.
     front: FrontEnd,
-    groups: HashMap<usize, HashGroup>,
-    next_group: usize,
+    /// Hash-partitioned queries — the same plan live on every node under
+    /// one id, fed disjoint key ranges — with the exchange key columns
+    /// of each source they scan. Their members are pinned.
+    groups: HashMap<QueryId, HashMap<SourceId, Vec<usize>>>,
     /// Sources whose ingest is hash-scattered, and to which group.
-    exchanged: HashMap<SourceId, usize>,
+    exchanged: HashMap<SourceId, QueryId>,
     /// Each non-exchanged stream's next cluster-wide arrival number.
     arrivals: HashMap<SourceId, u64>,
     rebalancer: Option<RebalanceController>,
@@ -227,7 +218,6 @@ impl Cluster {
             next_query: 0,
             front: FrontEnd::default(),
             groups: HashMap::new(),
-            next_group: 0,
             exchanged: HashMap::new(),
             arrivals: HashMap::new(),
             rebalancer: config.rebalance.map(RebalanceController::new),
@@ -384,21 +374,22 @@ impl Cluster {
             }
         };
 
-        let local = self.nodes[target].place(None, bound)?;
-        Ok(Registration::Query(self.record(ClusterQuery {
-            node: target,
-            local,
-            sources,
-            group: None,
-            on_view: scans_view,
-            session,
-        })))
+        let qid = QueryId(self.next_query);
+        self.nodes[target].place(qid, None, bound)?;
+        Ok(Registration::Query(self.record(
+            qid,
+            ClusterQuery {
+                node: target,
+                sources,
+                on_view: scans_view,
+                session,
+            },
+        )))
     }
 
-    /// Enter a placed query into the coordinator's tables under the next
-    /// cluster-wide id.
-    fn record(&mut self, cq: ClusterQuery) -> QueryHandle {
-        let qid = QueryId(self.next_query);
+    /// Enter a query placed under the next cluster-wide id, `qid`, into
+    /// the coordinator's tables.
+    fn record(&mut self, qid: QueryId, cq: ClusterQuery) -> QueryHandle {
         self.next_query += 1;
         self.front.enroll(cq.session, qid);
         self.queries.insert(qid, cq);
@@ -415,7 +406,9 @@ impl Cluster {
     /// stream-like, and have no other live subscriber anywhere (a late
     /// split would divide a history other queries already saw whole).
     /// Group members are pinned: no pause, migrate, or subscribe; the
-    /// group snapshot is the canonically sorted merged multiset.
+    /// group snapshot is the canonically sorted merged multiset. When a
+    /// node fails to place its member, the members placed before it are
+    /// deregistered: no member outlives a failed call.
     pub fn register_hash_partitioned(
         &mut self,
         sql: &str,
@@ -472,34 +465,30 @@ impl Cluster {
             }
         }
 
-        let mut members = Vec::with_capacity(self.nodes.len());
-        for node in &mut self.nodes {
+        let qid = QueryId(self.next_query);
+        for i in 0..self.nodes.len() {
             let member = BoundSpec {
                 plan: Arc::clone(&plan),
                 ..bound
             };
-            members.push(node.place(None, member)?);
+            if let Err(e) = self.nodes[i].place(qid, None, member) {
+                for node in &mut self.nodes[..i] {
+                    node.deregister(QueryHandle(qid)).expect("placed above");
+                }
+                return Err(e);
+            }
         }
-        let gid = self.next_group;
-        self.next_group += 1;
         for &sid in &sources {
-            self.exchanged.insert(sid, gid);
+            self.exchanged.insert(sid, qid);
         }
-        self.groups.insert(
-            gid,
-            HashGroup {
-                members: members.clone(),
-                keys: key_map,
-            },
-        );
-        Ok(self.record(ClusterQuery {
+        self.groups.insert(qid, key_map);
+        let cq = ClusterQuery {
             node: 0,
-            local: members[0],
             sources,
-            group: Some(gid),
             on_view: false,
             session: None,
-        }))
+        };
+        Ok(self.record(qid, cq))
     }
 
     fn cluster_query(&self, q: QueryHandle) -> Result<&ClusterQuery> {
@@ -508,46 +497,43 @@ impl Cluster {
             .ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))
     }
 
-    /// Where an unpinned query lives: `(node, local handle)`.
-    fn unpinned(&self, q: QueryHandle, op: &str) -> Result<(usize, QueryHandle)> {
+    /// The node an unpinned query lives on.
+    fn unpinned(&self, q: QueryHandle, op: &str) -> Result<usize> {
         let cq = self.cluster_query(q)?;
-        if cq.group.is_some() {
+        if self.groups.contains_key(&q.0) {
             return Err(AspenError::InvalidArgument(format!(
                 "query {} is a hash-partitioned group member; {op} is not supported",
                 q.0
             )));
         }
-        Ok((cq.node, cq.local))
+        Ok(cq.node)
     }
 
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
         self.cluster_query(q)?;
         let cq = self.queries.remove(&q.0).expect("checked above");
         self.front.leave(cq.session, q.0);
-        match cq.group {
-            None => self.nodes[cq.node].deregister(cq.local),
-            Some(gid) => {
-                let group = self.groups.remove(&gid).expect("group outlives its query");
-                for (node, local) in group.members.into_iter().enumerate() {
-                    self.nodes[node].deregister(local)?;
-                }
-                self.exchanged.retain(|_, g| *g != gid);
-                Ok(())
-            }
+        if self.groups.remove(&q.0).is_none() {
+            return self.nodes[cq.node].deregister(q);
         }
+        for node in &mut self.nodes {
+            node.deregister(q)?;
+        }
+        self.exchanged.retain(|_, g| *g != q.0);
+        Ok(())
     }
 
     pub fn pause(&mut self, q: QueryHandle) -> Result<()> {
-        let (node, local) = self.unpinned(q, "pause")?;
-        self.nodes[node].pause(local)
+        let node = self.unpinned(q, "pause")?;
+        self.nodes[node].pause(q)
     }
 
     /// Resume a paused query. One over a source a hash group split while
     /// it was paused is refused: its node now holds only a share.
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
-        let (node, local) = self.unpinned(q, "resume")?;
+        let node = self.unpinned(q, "resume")?;
         self.refuse_exchanged(q)?;
-        self.nodes[node].resume(local)
+        self.nodes[node].resume(q)
     }
 
     /// `Err` when `q` reads a hash-exchanged source, of which each node
@@ -566,8 +552,8 @@ impl Cluster {
     /// Attach push delivery; the subscription rides the sink and so
     /// survives cross-node migration untouched.
     pub fn subscribe(&mut self, q: QueryHandle) -> Result<ResultSubscription> {
-        let (node, local) = self.unpinned(q, "subscribe")?;
-        self.nodes[node].subscribe(local)
+        let node = self.unpinned(q, "subscribe")?;
+        self.nodes[node].subscribe(q)
     }
 
     // -----------------------------------------------------------------
@@ -585,29 +571,26 @@ impl Cluster {
     /// LIMIT plans are not meaningful across members and should not be
     /// registered partitioned).
     pub fn snapshot_at(&self, q: QueryHandle, consistency: Consistency) -> Result<Vec<Tuple>> {
-        let cq = self.cluster_query(q)?;
-        match cq.group {
-            None => self.nodes[cq.node].snapshot_at(cq.local, consistency),
-            Some(gid) => {
-                let group = &self.groups[&gid];
-                let mut out = Vec::new();
-                for (node, &local) in group.members.iter().enumerate() {
-                    out.extend(self.nodes[node].snapshot_at(local, consistency)?);
-                }
-                out.sort_by(|a, b| {
-                    a.values()
-                        .cmp(b.values())
-                        .then(a.timestamp().cmp(&b.timestamp()))
-                });
-                Ok(out)
-            }
+        let node = self.cluster_query(q)?.node;
+        if !self.groups.contains_key(&q.0) {
+            return self.nodes[node].snapshot_at(q, consistency);
         }
+        let mut out = Vec::new();
+        for node in &self.nodes {
+            out.extend(node.snapshot_at(q, consistency)?);
+        }
+        out.sort_by(|a, b| {
+            a.values()
+                .cmp(b.values())
+                .then(a.timestamp().cmp(&b.timestamp()))
+        });
+        Ok(out)
     }
 
     /// One merged observation of the whole cluster: each node's report
     /// collapsed to one [`ShardLoad`](crate::telemetry::ShardLoad) row
-    /// (indexed by node), and per-query loads remapped into the global
-    /// id namespace with `shard` = owning node. Hash-group members are
+    /// (indexed by node), and each query's load as its node reports it,
+    /// with `shard` = owning node. Hash-group members are
     /// omitted from the query list (they are pinned, so the rebalancer
     /// must not plan them), but their work still shows in node loads.
     /// Its scheduling mode is its nodes' (they share one node config).
@@ -622,13 +605,12 @@ impl Cluster {
             profile.merge(&r.profile);
         }
         let mut queries = Vec::new();
-        for (&qid, cq) in &self.queries {
-            if cq.group.is_some() {
+        for (qid, cq) in &self.queries {
+            if self.groups.contains_key(qid) {
                 continue;
             }
-            if let Some(local) = reports[cq.node].query(cq.local.0) {
-                let mut load = local.clone();
-                load.query = qid;
+            if let Some(load) = reports[cq.node].query(*qid) {
+                let mut load = load.clone();
                 load.shard = cq.node;
                 queries.push(load);
             }
@@ -698,7 +680,7 @@ impl Cluster {
                 self.nodes.len()
             )));
         }
-        let (from, local) = self.unpinned(q, "cross-node migration")?;
+        let from = self.unpinned(q, "cross-node migration")?;
         if from == to {
             return Ok(());
         }
@@ -706,8 +688,8 @@ impl Cluster {
             return Err(view_elsewhere());
         }
         self.refuse_exchanged(q)?;
-        let floors = self.nodes[to].drain_for_install()?;
-        let mut backfill = self.nodes[from].lacking(local, &floors)?;
+        let floors = self.nodes[to].drain_for_install(q.0)?;
+        let mut backfill = self.nodes[from].lacking(q, &floors)?;
         for (src, first, rows) in &mut backfill {
             let frame = exchange::egress_numbered(*src, Some(*first), rows);
             let (_, arrival, _) = self.carry((from, to), frame, rows.len() as u64)?;
@@ -715,17 +697,15 @@ impl Cluster {
                 *rows = tuples;
             }
         }
-        let detached = self.nodes[from].extract_with(local, backfill);
-        let new_local = self.nodes[to].install_query(detached);
+        let detached = self.nodes[from].extract_with(q, backfill);
+        self.nodes[to].install_query(detached);
         let frame = WireFrame::Control {
             op: CTRL_MIGRATE,
             args: vec![u64::from(q.0 .0), from as u64, to as u64],
         };
         let bytes = encode_frame(&frame).len() as u64;
         self.links[from][to].charge(&self.lan, bytes, 0);
-        let cq = self.queries.get_mut(&q.0).expect("checked above");
-        cq.node = to;
-        cq.local = new_local;
+        self.queries.get_mut(&q.0).expect("checked above").node = to;
         self.migrations += 1;
         self.journal.record(Span {
             at_us: now_us(),
@@ -780,7 +760,7 @@ impl Cluster {
         let trace = self.make_ctx(home);
         let keys = self.exchanged.get(&src);
         let mut served = Ok(());
-        match (keys.map(|gid| self.groups[gid].keys[&src].clone()), payload) {
+        match (keys.map(|q| self.groups[q][&src].clone()), payload) {
             (None, whole) => {
                 let mut at = None;
                 if let (Admission::Batch(tuples), true) = (whole, meta.kind.is_stream_like()) {
@@ -1241,6 +1221,43 @@ mod tests {
         assert_eq!(c.snapshot(q).unwrap().len(), 1);
     }
 
+    /// A node that fails to place its member of a hash group (here, on a
+    /// deferred task error) leaves no member on the nodes before it: none
+    /// would be reachable by a cluster verb, and its subscription would
+    /// refuse every retry as splitting a stream mid-way.
+    #[test]
+    fn a_failed_hash_registration_leaves_no_member_behind() {
+        use crate::Scheduling::{Deterministic, Pool};
+        let sql = "select l.value, r.value from Readings l, Extra r where l.room = r.room";
+        let keys = [("Readings", vec![0]), ("Extra", vec![0])];
+        for scheduling in [Pool, Deterministic(11)] {
+            let config = EngineConfig::new().shards(1).scheduling(scheduling);
+            let mut c = Cluster::new(catalog(), ClusterConfig::new().nodes(2).node_config(config));
+            let spec = QuerySpec::sql("select r.floor from Rooms r").on_node(1);
+            let rooms = c.register(spec).unwrap().expect_query();
+            // A 1-column row fails node 1's projection in a deferred task,
+            // queued behind a slow valid batch so no pool worker runs it
+            // before the ingest returns.
+            let drag = Some(std::time::Duration::from_millis(2));
+            c.nodes[1].set_query_drag(rooms, drag).unwrap();
+            c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
+            let bad = Tuple::new(vec![Value::Int(1)], SimTime::ZERO);
+            let queued = (0..64).any(|_| c.on_batch("Rooms", std::slice::from_ref(&bad)).is_ok());
+            assert!(queued, "{scheduling:?}: the failure never stayed deferred");
+
+            assert!(c.register_hash_partitioned(sql, &keys).is_err());
+            let readings = c.catalog.source("Readings").unwrap().id;
+            assert_eq!(c.node(0).query_count(), 0, "{scheduling:?}");
+            assert_eq!(c.node(0).subscriber_count(readings), 0, "{scheduling:?}");
+            assert_eq!(c.query_count(), 1);
+
+            let q = c.register_hash_partitioned(sql, &keys).unwrap();
+            c.on_batch("Readings", &[t(&[1, 10], 1)]).unwrap();
+            c.on_batch("Extra", &[t(&[1, 20], 1)]).unwrap();
+            assert_eq!(c.snapshot(q).unwrap().len(), 1, "{scheduling:?}");
+        }
+    }
+
     #[test]
     fn a_query_over_a_view_is_not_migrated_off_node_0() {
         let mut c = two_nodes();
@@ -1415,8 +1432,8 @@ mod tests {
     }
 
     /// The cluster report lists queries in registration order through
-    /// every verb; a query migrated in gets a new local id, so its new
-    /// node lists it last.
+    /// every verb; a query migrated in keeps its id, so its new node lists
+    /// it among the others in that order too.
     #[test]
     fn queries_stay_in_registration_order_under_churn() {
         let mut c = two_nodes();
@@ -1437,9 +1454,9 @@ mod tests {
         c.pause(handles[3]).unwrap();
         c.resume(handles[3]).unwrap();
         c.migrate(handles[4], 1).unwrap();
-        let local = c.queries[&handles[4].0].local;
         let on_node_1 = c.node(1).telemetry_at(Consistency::Fresh).queries;
-        assert_eq!(on_node_1.last().map(|q| q.query), Some(local.0));
+        let on_node_1: Vec<QueryId> = on_node_1.iter().map(|q| q.query).collect();
+        assert_eq!(on_node_1, [3, 4, 5].map(|i| handles[i].0));
         let last = c
             .register(QuerySpec::sql("select r.value from Readings r").on_node(0))
             .unwrap()

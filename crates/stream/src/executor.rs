@@ -407,7 +407,7 @@ impl Executor {
     /// The engine state of one shard. Callers that need the state to
     /// reflect every submitted boundary must [`Executor::quiesce`] the
     /// shard first; callers reading fields only the coordinator writes
-    /// (the runtimes' `routed` flags, the cursors) may lock directly —
+    /// (the runtimes' pause flags, the cursors) may lock directly —
     /// tasks never mutate those.
     pub(crate) fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         &self.core.cells[i].state

@@ -17,8 +17,8 @@
 //!     `register_sql` / `register_plan` / `register_view` /
 //!     `close_session`;
 //!   - *lifecycle*: `pause` / `resume` / `deregister` / `subscribe` /
-//!     `tune_query` / `auto_tune` / `migrate` / `rebalance_now`, and
-//!     `extract_query` → `install_query` across a cluster's nodes;
+//!     `tune_query` / `auto_tune` / `migrate` / `rebalance_now` (a
+//!     cluster's nodes move a query between them under its one id);
 //!   - *ingest*: `on_batch` / `on_deltas` / `heartbeat`;
 //!   - *read at a [`Consistency`]*: `snapshot[_at]` / `telemetry[_at]`,
 //!     plus `resident_state`, `view_snapshot`, `display_snapshot`,
@@ -26,9 +26,9 @@
 //!
 //!   Every lifecycle verb is a composition of three private primitives
 //!   in [`shard`] — **build** (compile + sink + start + replay),
-//!   **route** (land the runtime; set its `routed` flag, attach its log
-//!   cursors, add its route counts) and **unroute** (the inverse; cursors
-//!   leave their positions). Build and the shard drain are the only
+//!   **route** (land the runtime; unless it is paused, attach its log
+//!   cursors and add its route counts) and **unroute** (the inverse;
+//!   cursors leave their positions). Build and the shard drain are the only
 //!   fallible steps and always come first, so a verb that returns `Err`
 //!   changed nothing (property-tested in `tests/lifecycle.rs`).
 //! * [`EngineConfig`] — six construction-time fields, each with its

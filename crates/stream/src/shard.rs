@@ -6,7 +6,8 @@
 //! registered continuous query is placed on exactly one of N worker
 //! shards by hashing its [`QueryId`], and each shard owns the disjoint
 //! set of [`QueryRuntime`]s placed on it, **routing by what it holds**:
-//! its tasks deliver to the `routed` runtimes a boundary concerns.
+//! its tasks deliver to the runtimes a boundary concerns that are not
+//! paused.
 //!
 //! The coordinator's side of routing is one [`RouteCounts`] table, a
 //! plain field (every verb and admission takes `&mut self`, so nothing
@@ -39,25 +40,26 @@
 //! * **build** — compile the plan, make the sink, start the pipeline and
 //!   replay retained tables and view materializations into it. All of a
 //!   verb's fallible work is here or in the drain that follows it.
-//! * **route** — land a runtime on its shard and, unless the query is
-//!   paused, wire it in: its `routed` flag, its log cursors, and the
-//!   route counts. Infallible.
-//! * **unroute** — the inverse: the flag cleared, cursors out — each
-//!   leaves its position, which a travelling runtime carries to where it
-//!   is routed next — the route counts. Infallible; the caller drained
-//!   the shard first.
+//! * **route** — land a runtime on its shard and, unless it is paused,
+//!   wire it in: its log cursors and the route counts of the keys it
+//!   holds. Infallible.
+//! * **unroute** — the inverse, a no-op for a paused runtime: cursors
+//!   out — each leaves its position, which a travelling runtime carries
+//!   to where it is routed next — and the route counts. Infallible; the
+//!   caller drained the shard first.
 //!
-//! Register is build + route; [`ShardedEngine::pause`] is unroute (the
-//! sink stays readable, frozen); [`ShardedEngine::resume`] is build +
+//! Register is build + route; [`ShardedEngine::pause`] is unroute + set
+//! the runtime's pause flag (the sink stays readable, frozen);
+//! [`ShardedEngine::resume`] is build (a new runtime starts unpaused) +
 //! carry the push channel over + route, so the resumed snapshot is
 //! exactly what a fresh registration would see and a subscription gets
 //! one consolidated catch-up diff; [`ShardedEngine::deregister`] is
 //! unroute + drop, so per-source ingest cost always tracks **live**
 //! fan-out; [`ShardedEngine::migrate`] is unroute + move the runtime +
 //! route at the cursors' positions, the recipient's logs back-filled with
-//! the rows they lack; [`ShardedEngine::extract_query`] and
-//! [`ShardedEngine::install_query`] are those same two halves in two
-//! engines that number their sources alike (a cluster's nodes). Because
+//! the rows they lack; a cross-node migration runs those same two halves
+//! in two of a cluster's nodes, which share the cluster's query ids and
+//! stream numbering, so the runtime lands under its own id. Because
 //! build and the drains come first and route/unroute cannot fail, a verb
 //! that returns `Err` has changed nothing.
 //!
@@ -176,12 +178,13 @@ pub struct ResidentState {
 pub(crate) struct QueryRuntime {
     pub(crate) pipeline: Pipeline,
     pub(crate) sink: Sink,
-    /// Set by route and cleared by unroute, beside its route counts.
-    routed: bool,
+    /// Set by pause; a paused runtime is never routed. Resume builds a
+    /// new runtime, unpaused; a migration carries the flag along.
+    paused: bool,
 }
 
 impl QueryRuntime {
-    /// The shard's side of [`QueryMeta::counted`].
+    /// Whether `key` is one of [`QueryRuntime::counted`].
     fn counts(&self, key: Counted) -> bool {
         match key {
             Counted::Scans(src) => self.pipeline.scans(src),
@@ -190,28 +193,39 @@ impl QueryRuntime {
             Counted::Push => self.sink.pushes(),
         }
     }
+
+    /// The [`RouteCounts`] keys that count this runtime while it is routed.
+    fn counted(&self) -> Vec<Counted> {
+        let scans = self.pipeline.sources().into_iter().map(Counted::Scans);
+        let indexes = self.pipeline.indexed_sources().iter();
+        let clock = self.pipeline.needs_clock().then_some(Counted::Clock);
+        let push = self.sink.pushes().then_some(Counted::Push);
+        let indexes = indexes.map(|&src| Counted::Indexes(src));
+        scans.chain(indexes).chain(clock).chain(push).collect()
+    }
 }
 
 /// A shard's runtimes, by id: in registration order.
 type Runtimes = BTreeMap<QueryId, QueryRuntime>;
 
-/// The routed runtimes `key` counts, in id order.
+/// The routed (unpaused) runtimes `key` counts, in id order.
 fn members(
     queries: &mut Runtimes,
     key: Counted,
 ) -> impl Iterator<Item = (&QueryId, &mut QueryRuntime)> {
     queries
         .iter_mut()
-        .filter(move |(_, q)| q.routed && q.counts(key))
+        .filter(move |(_, q)| !q.paused && q.counts(key))
 }
 
-/// A query runtime lifted out of one engine, in flight to another —
-/// the carrier of a cross-node live migration. Holds the running
-/// [`QueryRuntime`] (operator state, sink ledger, push subscription) and
-/// its cursors' [`Positions`], plus the coordinator record
-/// [`ShardedEngine::install_query`] re-homes it under. Opaque by design:
-/// there is nothing useful a caller can do with one except install it.
-pub struct DetachedQuery {
+/// A query runtime lifted out of one cluster node, in flight to another —
+/// the carrier of a cross-node live migration. Holds the query's id, the
+/// running [`QueryRuntime`] (operator state, sink ledger, push
+/// subscription, pause flag), its cursors' [`Positions`] and its
+/// coordinator record; [`ShardedEngine::install_query`] lands them all
+/// under that id.
+pub(crate) struct DetachedQuery {
+    id: QueryId,
     runtime: QueryRuntime,
     meta: QueryMeta,
     at: Positions,
@@ -223,11 +237,14 @@ pub(crate) type Backfill = Vec<(SourceId, u64, Vec<Tuple>)>;
 /// Per stream source, the first row a shard's log retains, if any.
 pub(crate) type Floors = HashMap<SourceId, u64>;
 
+/// Where each of a query's cursors stood, by source.
+type Cursors = Vec<(SourceId, Position)>;
+
 /// Where a travelling query's cursors stood, and the rows its recipient's
 /// logs lack for them; empty for a new runtime's cursors, at the tails.
 #[derive(Default)]
 pub(crate) struct Positions {
-    cursors: Vec<(SourceId, Position)>,
+    cursors: Cursors,
     backfill: Backfill,
 }
 
@@ -357,40 +374,21 @@ impl ViewSet {
     }
 }
 
-/// Coordinator-side record of one registered query: where it lives, what
-/// it scans, and everything needed to detach it cleanly or rebuild it on
-/// resume.
+/// Coordinator-side record of one registered query: what its runtime
+/// cannot say — where it lives, and what rebuilds and retunes it.
 struct QueryMeta {
     shard: usize,
-    sources: Vec<SourceId>,
-    /// The sources whose windows the query indexes in a join side.
-    indexes: Vec<SourceId>,
-    needs_clock: bool,
-    paused: bool,
     /// The bound plan, kept for the resume replay path.
     plan: Arc<LogicalPlan>,
     session: Option<SessionId>,
     max_batch: Option<usize>,
     max_delay: Option<SimDuration>,
-    /// Whether a push subscription channel is attached to the sink.
-    push: bool,
     /// Knobs are optimizer-owned: `auto_tune` may overwrite them.
     auto: bool,
     /// Measurement mark of the last knob tune: (sink deltas applied,
     /// engine boundaries, engine clock) — the window the next
     /// output-rate and boundary-rate estimates span.
     tune_mark: (u64, u64, SimTime),
-}
-
-impl QueryMeta {
-    /// The [`RouteCounts`] keys that count this query while it is live.
-    fn counted(&self) -> impl Iterator<Item = Counted> + '_ {
-        let scans = self.sources.iter().map(|&src| Counted::Scans(src));
-        let indexes = self.indexes.iter().map(|&src| Counted::Indexes(src));
-        let clock = self.needs_clock.then_some(Counted::Clock);
-        let push = self.push.then_some(Counted::Push);
-        scans.chain(indexes).chain(clock).chain(push)
-    }
 }
 
 /// A stream scan to attach as a cursor: `(scan, source, spec, pool,
@@ -431,12 +429,12 @@ struct LogCensus {
     census: Census,
 }
 
-/// One worker shard: a disjoint set of query runtimes by global id, and
-/// the logs their stream scans are cursors on. Stream batches reach the
+/// One worker shard: a disjoint set of query runtimes by id, and the
+/// logs their stream scans are cursors on. Stream batches reach the
 /// cursors; all else reaches the [`members`] of its key. Every member
 /// runs, in id order, and the first error is returned. Tasks mutate
-/// runtimes, logs and meters; `routed` flags and cursors change only
-/// under quiescence, when the coordinator routes or unroutes a query.
+/// runtimes, logs and meters; pause flags, push channels and cursors
+/// change only under quiescence, when the coordinator runs a verb.
 #[derive(Default)]
 pub(crate) struct EngineShard {
     queries: Runtimes,
@@ -566,23 +564,28 @@ impl EngineShard {
         }
     }
 
-    /// Unroute a query here: clear its `routed` flag (its runtime stays —
-    /// pause keeps the sink readable) and detach its cursors, which
-    /// release the rows only they pinned (the last one frees the log),
-    /// returning where each stood.
-    fn detach(&mut self, qid: QueryId, sources: &[SourceId]) -> Vec<(SourceId, Position)> {
-        let rt = self.queries.get_mut(&qid);
-        rt.expect("a routed query keeps a runtime").routed = false;
+    /// Unroute a query here: detach its cursors (its runtime stays —
+    /// pause keeps the sink readable), which release the rows only they
+    /// pinned (the last one frees the log). Returns the route-count keys
+    /// the runtime held and where each cursor stood; nothing for a paused
+    /// runtime, which is out already.
+    fn detach(&mut self, qid: QueryId) -> Option<(Vec<Counted>, Cursors)> {
+        let rt = &self.queries[&qid];
+        if rt.paused {
+            return None;
+        }
+        let keys = rt.counted();
         let mut cursors = Vec::new();
-        for src in sources {
-            if let Some(log) = self.logs.get_mut(src) {
-                cursors.extend(log.detach(qid).into_iter().map(|at| (*src, at)));
+        for key in &keys {
+            let Counted::Scans(src) = *key else { continue };
+            if let Some(log) = self.logs.get_mut(&src) {
+                cursors.extend(log.detach(qid).into_iter().map(|at| (src, at)));
                 if log.cursors() == 0 {
-                    self.logs.remove(src);
+                    self.logs.remove(&src);
                 }
             }
         }
-        cursors
+        Some((keys, cursors))
     }
 
     /// Attach a query's stream scans as cursors on their sources' logs,
@@ -620,13 +623,14 @@ impl EngineShard {
     }
 
     /// What logs starting at `floors` lack for a query's cursors here.
-    fn missing(&self, qid: QueryId, sources: &[SourceId], floors: &Floors) -> Backfill {
-        let of = |src: &SourceId| {
-            let log = self.logs.get(src)?;
-            let (first, rows) = log.missing(qid, floors.get(src).copied())?;
-            Some((*src, first, rows))
+    fn missing(&self, qid: QueryId, floors: &Floors) -> Backfill {
+        let of = |src: SourceId| {
+            let log = self.logs.get(&src)?;
+            let (first, rows) = log.missing(qid, floors.get(&src).copied())?;
+            Some((src, first, rows))
         };
-        sources.iter().filter_map(of).collect()
+        let sources = self.queries[&qid].pipeline.sources();
+        sources.into_iter().filter_map(of).collect()
     }
 
     /// Census of this shard's source logs. A log is shard residency,
@@ -789,8 +793,8 @@ impl ShardedEngine {
 
     /// One shard's state cell. Callers that must observe every
     /// submitted boundary quiesce first; callers reading only what
-    /// changes under quiescence (the runtimes' `routed` flags, the
-    /// cursors), may lock directly.
+    /// changes under quiescence (the runtimes' pause flags and push
+    /// channels, the cursors), may lock directly.
     fn shard(&self, i: usize) -> &Mutex<EngineShard> {
         self.exec.shard(i)
     }
@@ -883,7 +887,7 @@ impl ShardedEngine {
                 spill_read_failures += rt.pipeline.spill_read_failures();
                 sealed_bytes += rt.pipeline.census();
                 profile.merge(&rt.pipeline.profile);
-                let paused = self.queries[qid].paused;
+                let paused = rt.paused;
                 queries.push(QueryLoad {
                     query: *qid,
                     shard: i,
@@ -1020,21 +1024,26 @@ impl ShardedEngine {
     }
 
     fn do_register(&mut self, session: Option<SessionId>, spec: QuerySpec) -> Result<Registration> {
-        match self.front.resolve(session, spec, &self.catalog)? {
-            Resolved::Query(bound) => self.place(session, bound).map(Registration::Query),
-            Resolved::View(view) => self.register_view(&view).map(Registration::View),
-        }
+        let bound = match self.front.resolve(session, spec, &self.catalog)? {
+            Resolved::Query(bound) => bound,
+            Resolved::View(view) => return self.register_view(&view).map(Registration::View),
+        };
+        let qid = QueryId(self.next_query);
+        self.place(qid, session, bound)?;
+        self.next_query += 1;
+        Ok(Registration::Query(QueryHandle(qid)))
     }
 
-    /// Register a bound query: build its runtime, place it on
-    /// `hash(QueryId) % shards`, and route it. The cluster coordinator
-    /// enters here with what its own front end resolved; its placement
-    /// hint and sessions mean nothing inside one node.
+    /// Register a bound query under `qid`: build its runtime, place it on
+    /// `hash(qid) % shards`, and route it. The cluster coordinator enters
+    /// here with what its own front end resolved, under the id it issued;
+    /// its placement hint and sessions mean nothing inside one node.
     pub(crate) fn place(
         &mut self,
+        qid: QueryId,
         session: Option<SessionId>,
         bound: BoundSpec,
-    ) -> Result<QueryHandle> {
+    ) -> Result<()> {
         let BoundSpec {
             plan,
             push,
@@ -1048,33 +1057,26 @@ impl ShardedEngine {
         // state now so a push subscription is immediately consistent
         // with a snapshot poll.
         rt.sink.flush_push(self.now, true);
-        let qid = QueryId(self.next_query);
         let shard = self.shard_of(qid);
         // Boundaries already queued for this shard predate the
         // registration and must not route to the freshly replayed
         // pipeline (they would double-deliver what the replay seeded).
         self.exec.quiesce(shard)?;
-        self.next_query += 1;
         self.queries.insert(
             qid,
             QueryMeta {
                 shard,
-                sources: rt.pipeline.sources(),
-                indexes: rt.pipeline.indexed_sources().to_vec(),
-                needs_clock: rt.pipeline.needs_clock(),
-                paused: false,
                 plan,
                 session,
                 max_batch,
                 max_delay,
-                push,
                 auto,
                 tune_mark: (rt.sink.deltas_applied, self.boundaries, self.now),
             },
         );
         self.front.enroll(session, qid);
         self.route(qid, rt, Positions::default());
-        Ok(QueryHandle(qid))
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -1118,34 +1120,31 @@ impl ShardedEngine {
         Ok(QueryRuntime {
             pipeline,
             sink,
-            routed: false,
+            paused: false,
         })
     }
 
-    /// **Route**: land `rt` on the query's shard and — unless the query
-    /// is paused, in which case it only lands — wire it in: its `routed`
-    /// flag, its stream scans as log cursors (at the tails, or at a
-    /// travelling runtime's positions), and one route count per key of
-    /// [`QueryMeta::counted`] on its shard.
+    /// **Route**: land `rt` on the query's shard and — unless it is
+    /// paused, in which case it only lands — wire it in: its stream scans
+    /// as log cursors (at the tails, or at a travelling runtime's
+    /// positions), and one route count per key of
+    /// [`QueryRuntime::counted`] on its shard.
     /// O(this query's keys), never a whole-table walk, and
     /// commutative with [`Self::unroute`], so the resulting fan-out sets
     /// are independent of the order queries came and went (pinned by a
     /// unit test below). Infallible; the caller drained the shard, so
     /// no boundary queued before this point reaches the runtime.
-    fn route(&mut self, qid: QueryId, mut rt: QueryRuntime, at: Positions) {
-        let scans = self.cursor_scans(&rt.pipeline);
-        let meta = &self.queries[&qid];
-        let mut shard = self.shard(meta.shard).lock();
-        rt.routed = !meta.paused;
+    fn route(&mut self, qid: QueryId, rt: QueryRuntime, at: Positions) {
+        let on = self.queries[&qid].shard;
+        // Resume routes a paused runtime, on whatever shard it lives on then.
+        let wiring = (!rt.paused).then(|| (self.cursor_scans(&rt.pipeline), rt.counted()));
+        let mut shard = self.shard(on).lock();
         shard.queries.insert(qid, rt);
-        if meta.paused {
-            // Resume routes it, on whatever shard it lives on then.
-            return;
-        }
+        let Some((scans, keys)) = wiring else { return };
         shard.attach_cursors(qid, &scans, at, &self.state_opts);
         drop(shard);
-        for key in meta.counted() {
-            self.routes.add(key, meta.shard, self.nshards);
+        for key in keys {
+            self.routes.add(key, on, self.nshards);
         }
     }
 
@@ -1166,20 +1165,19 @@ impl ShardedEngine {
     }
 
     /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
-    /// query's `routed` flag, its cursors, and its route counts (a count
-    /// reaching zero drops the shard from that key's fan-out; the last
-    /// one removes the key's row). The runtime stays on the shard; the
-    /// cursors' positions are returned, for a travelling one to rejoin its logs at. Infallible,
-    /// and a no-op for a paused query (already out). The caller drained
+    /// query's cursors and its route counts (a count reaching zero drops
+    /// the shard from that key's fan-out; the last one removes the key's
+    /// row). The runtime stays on the shard; the cursors' positions are
+    /// returned, for a travelling one to rejoin its logs at. Infallible,
+    /// and a no-op for a paused runtime (already out). The caller drained
     /// the shard, so every admitted boundary has reached the runtime.
-    fn unroute(&mut self, qid: QueryId) -> Vec<(SourceId, Position)> {
-        let meta = &self.queries[&qid];
-        if meta.paused {
+    fn unroute(&mut self, qid: QueryId) -> Cursors {
+        let on = self.queries[&qid].shard;
+        let Some((keys, cursors)) = self.shard(on).lock().detach(qid) else {
             return Vec::new();
-        }
-        let cursors = self.shard(meta.shard).lock().detach(qid, &meta.sources);
-        for key in meta.counted() {
-            self.routes.remove(key, meta.shard);
+        };
+        for key in keys {
+            self.routes.remove(key, on);
         }
         cursors
     }
@@ -1201,6 +1199,7 @@ impl ShardedEngine {
         let mut meta = self.queries.remove(&qid).expect("caller checked");
         self.front.leave(meta.session.take(), qid);
         DetachedQuery {
+            id: qid,
             runtime: self.lift(meta.shard, qid),
             meta,
             at: Positions { cursors, backfill },
@@ -1281,7 +1280,8 @@ impl ShardedEngine {
 
     /// Whether a registered query is currently paused.
     pub fn is_paused(&self, q: QueryHandle) -> Result<bool> {
-        Ok(self.meta(q)?.paused)
+        let shard = self.meta(q)?.shard;
+        Ok(self.shard(shard).lock().queries[&q.0].paused)
     }
 
     /// Retire a query: it is unrouted, its runtime leaves its shard, and
@@ -1301,14 +1301,13 @@ impl ShardedEngine {
     /// are delivered first, so a subscription is consistent with the
     /// frozen snapshot for the whole pause.
     pub fn pause(&mut self, q: QueryHandle) -> Result<()> {
-        let meta = self.meta(q)?;
-        if meta.paused {
+        if self.is_paused(q)? {
             return Err(AspenError::InvalidArgument(format!(
                 "query {} is already paused",
                 q.0
             )));
         }
-        let shard_idx = meta.shard;
+        let shard_idx = self.queries[&q.0].shard;
         // The frozen sink must reflect every boundary admitted before
         // the pause — view-forwarded deltas included.
         self.exec.quiesce(shard_idx)?;
@@ -1316,10 +1315,13 @@ impl ShardedEngine {
         // ones (stream windows restart empty on resume, which is exactly
         // where a new cursor starts).
         self.unroute(q.0);
-        if let Some(rt) = self.shard(shard_idx).lock().queries.get_mut(&q.0) {
-            rt.sink.flush_push(self.now, true);
-        }
-        self.queries.get_mut(&q.0).expect("meta checked").paused = true;
+        let mut shard = self.shard(shard_idx).lock();
+        let rt = shard
+            .queries
+            .get_mut(&q.0)
+            .expect("registered query keeps a runtime");
+        rt.sink.flush_push(self.now, true);
+        rt.paused = true;
         Ok(())
     }
 
@@ -1330,13 +1332,13 @@ impl ShardedEngine {
     /// one consolidated catch-up diff. A failed resume (compile/replay
     /// error) leaves the query paused and fully intact.
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
-        let meta = self.meta(q)?;
-        if !meta.paused {
+        if !self.is_paused(q)? {
             return Err(AspenError::InvalidArgument(format!(
                 "query {} is not paused",
                 q.0
             )));
         }
+        let meta = &self.queries[&q.0];
         let (shard_idx, plan) = (meta.shard, meta.plan.clone());
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
         let mut rt = self.build(&plan, None)?;
@@ -1349,10 +1351,9 @@ impl ShardedEngine {
             rt.sink.attach_push(queue, delivered, max_batch, max_delay);
             rt.sink.flush_push(self.now, true);
         }
-        let meta = self.queries.get_mut(&q.0).expect("meta checked");
-        meta.paused = false;
         // The rebuilt sink restarts its delta counter at the replayed
         // state; restart the knob-tuning measurement window with it.
+        let meta = self.queries.get_mut(&q.0).expect("meta checked");
         meta.tune_mark = (rt.sink.deltas_applied, self.boundaries, self.now);
         self.route(q.0, rt, Positions::default());
         Ok(())
@@ -1366,8 +1367,7 @@ impl ShardedEngine {
     /// state.
     pub fn subscribe(&mut self, q: QueryHandle) -> Result<ResultSubscription> {
         let meta = self.meta(q)?;
-        let (shard_idx, was_push) = (meta.shard, meta.push);
-        let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
+        let (shard_idx, max_batch, max_delay) = (meta.shard, meta.max_batch, meta.max_delay);
         // Late subscription seeds the channel from the current snapshot:
         // pending boundaries must land first (view-forwarded deltas
         // included) or the seeded state and the subsequent deltas would
@@ -1378,8 +1378,8 @@ impl ShardedEngine {
             .queries
             .get_mut(&q.0)
             .expect("registered query keeps a runtime");
-        let queue = match rt.sink.push_queue() {
-            Some(queue) => queue,
+        let (queue, counted) = match rt.sink.push_queue() {
+            Some(queue) => (queue, false),
             None => {
                 Self::check_push_compatible(&rt.pipeline)?;
                 let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
@@ -1388,15 +1388,12 @@ impl ShardedEngine {
                 // Subscribing is a batch boundary: deliver the current
                 // state immediately.
                 rt.sink.flush_push(self.now, true);
-                queue
+                // A paused runtime is counted when it resumes, through route.
+                (queue, !rt.paused)
             }
         };
-        let routed = rt.routed;
         drop(shard);
-        self.queries.get_mut(&q.0).expect("meta checked").push = true;
-        if !was_push && routed {
-            // The routed runtime now holds a subscription; a paused one
-            // is counted when it resumes, through route.
+        if counted {
             self.routes.add(Counted::Push, shard_idx, self.nshards);
         }
         Ok(ResultSubscription { queue, query: q.0 })
@@ -1454,65 +1451,60 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Lift a registered query *out* of this engine for cross-node
-    /// migration — the donor half of [`ShardedEngine::migrate`] across
-    /// engines: the same drain and unroute, the same no-replay
-    /// invariants, except the query also leaves this engine's coordinator
-    /// records (meta, session) entirely. It carries its cursors'
-    /// positions and the rows they cover, for an engine that numbers its
-    /// sources as this one does.
-    pub fn extract_query(&mut self, q: QueryHandle) -> Result<DetachedQuery> {
-        let backfill = self.lacking(q, &Floors::new())?;
-        Ok(self.extract_with(q, backfill))
-    }
-
-    /// Drain a query's shard — the donor's one fallible step — and read
-    /// the rows logs starting at `floors` lack for its cursors.
+    /// Drain a query's shard — the donor's one fallible step in a
+    /// cross-node migration — and read the rows logs starting at
+    /// `floors` lack for its cursors.
     pub(crate) fn lacking(&self, q: QueryHandle, floors: &Floors) -> Result<Backfill> {
-        let meta = self.meta(q)?;
-        self.exec.quiesce(meta.shard)?;
-        let shard = self.shard(meta.shard).lock();
-        Ok(shard.missing(q.0, &meta.sources, floors))
+        let shard = self.meta(q)?.shard;
+        self.exec.quiesce(shard)?;
+        Ok(self.shard(shard).lock().missing(q.0, floors))
     }
 
-    /// Lift a drained query out carrying `backfill`. Infallible.
+    /// Lift a drained query out of this node carrying `backfill` — the
+    /// donor half of [`ShardedEngine::migrate`] across nodes: the same
+    /// unroute, the same no-replay invariants, except the query also
+    /// leaves this engine's coordinator records (meta, session). Infallible.
     pub(crate) fn extract_with(&mut self, q: QueryHandle, backfill: Backfill) -> DetachedQuery {
         self.retire(q.0, backfill)
     }
 
-    /// The one fallible step of landing a migrated-in query: drain what
-    /// the next [`ShardedEngine::install_query`] will touch, surfacing
-    /// any deferred task error, and say where that shard's logs start. A
-    /// cross-node migration runs this on the recipient *before* the donor
-    /// lifts anything, as [`ShardedEngine::migrate`] drains both shards.
-    pub(crate) fn drain_for_install(&self) -> Result<Floors> {
-        let shard = self.shard_of(QueryId(self.next_query));
+    /// The one fallible step of landing migrated-in query `qid`: drain
+    /// the shard [`ShardedEngine::install_query`] will land it on,
+    /// surfacing any deferred task error, and say where that shard's logs
+    /// start. A cross-node migration runs this on the recipient *before*
+    /// the donor lifts anything, as [`ShardedEngine::migrate`] drains
+    /// both shards.
+    pub(crate) fn drain_for_install(&self, qid: QueryId) -> Result<Floors> {
+        let shard = self.shard_of(qid);
         self.exec.quiesce(shard)?;
         Ok(self.shard(shard).lock().floors())
     }
 
-    /// Install a query lifted out of another engine by
-    /// [`ShardedEngine::extract_query`] — the recipient half of a
-    /// cross-node migration. The runtime is routed intact (no replay:
-    /// operator state, sink ledger, and any push subscription arrive
-    /// exactly as they left the donor) under a locally assigned id, its
-    /// cursors rejoining this engine's logs at their positions; session
-    /// membership does not cross engines. Cannot fail, so a lifted query
-    /// is never dropped; its drain leaves any deferred task error for the
-    /// next observer.
-    pub fn install_query(&mut self, d: DetachedQuery) -> QueryHandle {
-        let (runtime, mut meta) = (d.runtime, d.meta);
-        let qid = QueryId(self.next_query);
-        self.next_query += 1;
-        meta.shard = self.shard_of(qid);
+    /// Install a query another node of the cluster lifted out — the
+    /// recipient half of a cross-node migration. The runtime is routed
+    /// intact (no replay: operator state, sink ledger, push subscription
+    /// and pause flag arrive exactly as they left the donor) under the id
+    /// it carries, on that id's shard, its cursors rejoining this engine's
+    /// logs at their positions; session membership does not cross
+    /// engines. Only a caller that issues the ids of both engines may
+    /// move a query between them. Cannot fail, so a lifted query is never
+    /// dropped; its drain leaves any deferred task error for the next
+    /// observer.
+    pub(crate) fn install_query(&mut self, d: DetachedQuery) {
+        let DetachedQuery {
+            id,
+            runtime,
+            mut meta,
+            at,
+        } = d;
+        meta.shard = self.shard_of(id);
         self.exec.settle(meta.shard);
         // The sink's delta counter travelled with the runtime; restart
         // the knob-tuning window against this engine's clock and
         // boundary count.
         meta.tune_mark = (runtime.sink.deltas_applied, self.boundaries, self.now);
-        self.queries.insert(qid, meta);
-        self.route(qid, runtime, d.at);
-        QueryHandle(qid)
+        self.queries.insert(id, meta);
+        self.route(id, runtime, at);
     }
 
     /// Take one telemetry observation, feed the rebalance controller,
@@ -1581,36 +1573,39 @@ impl ShardedEngine {
     /// query's last tune, ask `chooser` (typically the optimizer's
     /// calibrated `choose_knobs`) for `(max_batch, max_delay)`, and
     /// apply them. Returns how many queries were retuned. Queries whose
-    /// measurement window spans no simulated time are skipped.
-    pub fn auto_tune<F>(&mut self, mut chooser: F) -> usize
+    /// measurement window spans no simulated time are skipped. A deferred
+    /// task error fails the call before any query is retuned.
+    pub fn auto_tune<F>(&mut self, mut chooser: F) -> Result<usize>
     where
         F: FnMut(f64, f64) -> (Option<usize>, Option<SimDuration>),
     {
         let now = self.now;
         // One barrier up front: the measured output-delta counts must
         // include every admitted boundary.
-        self.exec.settle_all();
+        self.exec.quiesce_all()?;
         let mut tuned = 0;
         let qids: Vec<QueryId> = self.queries.keys().copied().collect();
         for qid in qids {
             let meta = &self.queries[&qid];
-            if !meta.auto || meta.paused {
+            if !meta.auto {
                 continue;
             }
             let (shard, (mark_deltas, mark_bounds, mark_time)) = (meta.shard, meta.tune_mark);
             let dt = now.since(mark_time).as_secs_f64();
-            if dt <= 0.0 {
+            let shard = self.shard(shard).lock();
+            let rt = &shard.queries[&qid];
+            if rt.paused || dt <= 0.0 {
                 continue;
             }
-            let deltas = self.shard(shard).lock().queries[&qid].sink.deltas_applied;
+            let deltas = rt.sink.deltas_applied;
+            drop(shard);
             let out_rate = deltas.saturating_sub(mark_deltas) as f64 / dt;
             // Boundary rate over the same window — a lifetime average
             // would be poisoned by idle prefixes or large absolute
             // timestamp origins.
             let boundary_hz = self.boundaries.saturating_sub(mark_bounds) as f64 / dt;
             let (mb, md) = chooser(out_rate, boundary_hz);
-            self.tune_query(QueryHandle(qid), mb, md)
-                .expect("query exists");
+            self.tune_query(QueryHandle(qid), mb, md)?;
             self.queries.get_mut(&qid).expect("meta checked").tune_mark =
                 (deltas, self.boundaries, now);
             tuned += 1;
@@ -1624,7 +1619,7 @@ impl ShardedEngine {
                 detail: tuned as u64,
             });
         }
-        tuned
+        Ok(tuned)
     }
 
     // -----------------------------------------------------------------
@@ -2363,16 +2358,52 @@ mod tests {
         assert!(sub.pending_batches() > 0);
         // Auto-tune calls the chooser with measured rates and applies.
         let mut seen = Vec::new();
-        let tuned = e.auto_tune(|out_rate, boundary_hz| {
-            seen.push((out_rate, boundary_hz));
-            (Some(7), None)
-        });
+        let tuned = e
+            .auto_tune(|out_rate, boundary_hz| {
+                seen.push((out_rate, boundary_hz));
+                (Some(7), None)
+            })
+            .unwrap();
         assert_eq!(tuned, 1);
         assert!(seen[0].0 > 0.0, "measured a nonzero output rate");
         assert!(seen[0].1 > 0.0, "measured a nonzero boundary rate");
         assert_eq!(e.queries[&q.0].max_batch, Some(7));
         // Second pass with no elapsed sim time is skipped.
-        assert_eq!(e.auto_tune(|_, _| (None, None)), 0);
+        assert_eq!(e.auto_tune(|_, _| (None, None)).unwrap(), 0);
+    }
+
+    /// `auto_tune` with a deferred task error pending returns it before
+    /// any knob moves, and a retry tunes the query.
+    #[test]
+    fn auto_tune_surfaces_a_deferred_task_error() {
+        use crate::executor::Scheduling;
+        for scheduling in [Scheduling::Deterministic(11), Scheduling::Pool] {
+            let mut e = ShardedEngine::with_config(
+                catalog(),
+                EngineConfig::new().shards(2).scheduling(scheduling),
+            );
+            let spec = QuerySpec::sql("select r.value from Readings r").auto_knobs();
+            let q = e.register(spec).unwrap().expect_query();
+            // A 1-column tuple fails the projection in a deferred task,
+            // queued behind a slow valid batch so no pool worker runs it
+            // before the ingest returns.
+            e.set_query_drag(q, Some(Duration::from_millis(2))).unwrap();
+            e.on_batch("Readings", &[reading(1, 5.0, 1)]).unwrap();
+            let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(2));
+            let queued =
+                (0..64).any(|_| e.on_batch("Readings", std::slice::from_ref(&bad)).is_ok());
+            assert!(queued, "{scheduling:?}: the failure never stayed deferred");
+            let knobs = |e: &ShardedEngine| {
+                let meta = &e.queries[&q.0];
+                (meta.max_batch, meta.max_delay, meta.tune_mark)
+            };
+            let before = knobs(&e);
+            let retune = |_, _| (Some(7), None);
+            assert!(e.auto_tune(retune).is_err(), "{scheduling:?}");
+            assert_eq!(knobs(&e), before, "{scheduling:?}: a knob moved");
+            assert_eq!(e.auto_tune(retune).unwrap(), 1, "{scheduling:?}");
+            assert_eq!(e.queries[&q.0].max_batch, Some(7));
+        }
     }
 
     #[test]
@@ -3008,15 +3039,15 @@ mod tests {
         b.deregister(hb[0]).unwrap();
         b.subscribe(hb[1]).unwrap();
         assert_eq!(routing_state(&a), routing_state(&b));
-        // Both agree with a recompute from the surviving metas — the
+        // Both agree with a recompute from the surviving runtimes — the
         // oracle the old whole-table rebuild produced.
         let readings = a.catalog().source("Readings").unwrap().id;
-        let mut expected: Vec<usize> = a
-            .queries
-            .values()
-            .filter(|m| !m.paused && m.sources.contains(&readings))
-            .map(|m| m.shard)
-            .collect();
+        let scans_readings = |(qid, m): (&QueryId, &QueryMeta)| {
+            let shard = a.shard(m.shard).lock();
+            let rt = &shard.queries[qid];
+            (!rt.paused && rt.pipeline.scans(readings)).then_some(m.shard)
+        };
+        let mut expected: Vec<usize> = a.queries.iter().filter_map(scans_readings).collect();
         expected.sort_unstable();
         expected.dedup();
         assert_eq!(routing_state(&a).0, expected);
@@ -3677,7 +3708,7 @@ mod tests {
             for key in keys {
                 let holds = |i: &usize| {
                     let shard = e.shard(*i).lock();
-                    shard.queries.values().any(|q| q.routed && q.counts(key))
+                    shard.queries.values().any(|q| !q.paused && q.counts(key))
                 };
                 let held: Vec<usize> = (0..e.shard_count()).filter(holds).collect();
                 assert_eq!(e.routes.fanout(key), held, "{key:?} after {verb}");
@@ -3696,8 +3727,9 @@ mod tests {
                     let paused_only =
                         verb == "resume" || (verb == "subscribe" && rng.gen_bool(0.5));
                     let mut ids: Vec<QueryId> = e.queries.keys().copied().collect();
-                    if paused_only && ids.iter().any(|q| e.queries[q].paused) {
-                        ids.retain(|q| e.queries[q].paused);
+                    let paused = |q: &QueryId| e.is_paused(QueryHandle(*q)).unwrap();
+                    if paused_only && ids.iter().any(paused) {
+                        ids.retain(paused);
                     }
                     let q = match ids.len() {
                         0 => QueryHandle(QueryId(u32::MAX)),

@@ -556,3 +556,63 @@ fn failed_cross_node_migrate_leaves_the_query_on_the_donor() {
         );
     }
 }
+
+/// The donor-side twin: with a deferred task error pending on the
+/// *donor* node, the migration fails at the donor's drain, before it
+/// lifts anything — the query stays registered there, state untouched
+/// and still fed — and, the error observed once, a retry succeeds.
+#[test]
+fn failed_cross_node_migrate_on_a_failing_donor_leaves_the_query_there() {
+    for seed in seeds(4) {
+        let mut c = Cluster::new(
+            catalog(),
+            ClusterConfig::new()
+                .nodes(2)
+                .node_config(EngineConfig::new().shards(1).deterministic(seed)),
+        );
+        c.home_source("PowerA", 0).unwrap();
+        c.home_source("PowerB", 0).unwrap();
+        let q = c
+            .register(QuerySpec::sql("select a.sensor, a.value from PowerA a [rows 5]").on_node(0))
+            .unwrap()
+            .expect_query();
+        c.register(QuerySpec::sql("select b.value from PowerB b").on_node(0))
+            .unwrap();
+        let good: Vec<Tuple> = (0..8)
+            .map(|i| power(i % 4, 10.0 * i as f64, i as u64))
+            .collect();
+        c.on_batch("PowerA", &good).unwrap();
+        let before = c.snapshot(q).unwrap();
+        assert_eq!(before.len(), 5);
+
+        // Poison the donor through its other query's source.
+        let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(9));
+        let queued = (0..64).any(|_| c.on_batch("PowerB", std::slice::from_ref(&bad)).is_ok());
+        assert!(queued, "seed {seed}: the failure never stayed deferred");
+
+        assert!(
+            c.migrate(q, 1).is_err(),
+            "seed {seed}: the donor's pending error must fail the migration"
+        );
+        assert_eq!(c.query_count(), 2, "seed {seed}: the query was dropped");
+        assert_eq!(
+            c.node_of_query(q).unwrap(),
+            0,
+            "seed {seed}: left the donor"
+        );
+        assert_eq!(c.node(1).query_count(), 0, "seed {seed}: landed anyway");
+        assert_eq!(c.migration_count(), 0);
+        assert_eq!(c.snapshot(q).unwrap(), before, "seed {seed}: state changed");
+        c.on_batch("PowerA", &[power(1, 99.0, 10)]).unwrap();
+        let after = c.snapshot(q).unwrap();
+        assert_ne!(after, before, "seed {seed}: the donor stopped feeding it");
+
+        c.migrate(q, 1).unwrap();
+        assert_eq!(c.node_of_query(q).unwrap(), 1);
+        assert_eq!(
+            c.snapshot(q).unwrap(),
+            after,
+            "seed {seed}: replayed or lost rows"
+        );
+    }
+}

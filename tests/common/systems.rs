@@ -349,6 +349,26 @@ impl System for EngineSystem {
                     return Err(("exchange", detail));
                 }
                 sample.wire = (wire.frames, wire.bytes);
+                // One id per query: its node reports it under the handle the
+                // cluster returned, and no other node reports that id.
+                let listed: Vec<Vec<_>> = self
+                    .nodes()
+                    .iter()
+                    .map(|n| n.telemetry_at(Consistency::Fresh).queries)
+                    .map(|loads| loads.iter().map(|q| q.query).collect())
+                    .collect();
+                for slot in slots.keys() {
+                    let id = self.queries[slot].handle;
+                    let node = c.node_of_query(id).map_err(error)?;
+                    let on: Vec<usize> = (0..listed.len())
+                        .filter(|&i| listed[i].contains(&id.0))
+                        .collect();
+                    if on != [node] {
+                        let detail =
+                            format!("slot {slot} ({id:?}) on node {node}, listed on {on:?}");
+                        return Err(("one id", detail));
+                    }
+                }
             }
         }
         seen.sample = sample;

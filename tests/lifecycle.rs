@@ -424,7 +424,7 @@ fn poison(e: &mut ShardedEngine) -> bool {
 
 /// Property: a lifecycle verb that fails changes nothing. With a
 /// deferred task error pending, `pause`, `resume`, `migrate`,
-/// `extract_query`, `subscribe` and `tune_query` each return that error
+/// `subscribe` and `tune_query` each return that error
 /// and leave the registry, pause flags, placement, fan-out and cursors
 /// exactly as they were — and, the error observed, succeed on retry.
 /// `deregister` and `close_session` drain infallibly and complete,
@@ -433,13 +433,10 @@ fn poison(e: &mut ShardedEngine) -> bool {
 #[test]
 fn failed_lifecycle_verb_changes_nothing() {
     type Verb = fn(&mut ShardedEngine, [QueryHandle; 3], usize) -> bool;
-    let verbs: [(&str, Verb); 6] = [
+    let verbs: [(&str, Verb); 5] = [
         ("pause", |e, [live, ..], _| e.pause(live).is_ok()),
         ("resume", |e, [_, held, _], _| e.resume(held).is_ok()),
         ("migrate", |e, [live, ..], to| e.migrate(live, to).is_ok()),
-        ("extract_query", |e, [live, ..], _| {
-            e.extract_query(live).is_ok()
-        }),
         ("subscribe", |e, [live, ..], _| e.subscribe(live).is_ok()),
         ("tune_query", |e, [.., pushed], _| {
             e.tune_query(pushed, Some(4), None).is_ok()
