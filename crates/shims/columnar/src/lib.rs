@@ -1533,7 +1533,20 @@ impl TupleStore {
 
     /// Append a weighted row; returns its (stable) row id.
     pub fn push_weighted(&mut self, cells: &[Cell], ts: u64, w: i64) -> u64 {
-        self.width = self.width.max(cells.len());
+        self.push_cells(cells.iter().cloned(), ts, w)
+    }
+
+    /// Append a weighted row whose cells arrive by value, each moved into
+    /// its column (a text cell is copied once, by whoever made it);
+    /// returns its (stable) row id.
+    pub fn push_cells(
+        &mut self,
+        mut cells: impl ExactSizeIterator<Item = Cell>,
+        ts: u64,
+        w: i64,
+    ) -> u64 {
+        let arity = cells.len();
+        self.width = self.width.max(arity);
         // A segment ends at the next multiple of the segment size, so
         // stores numbering the same rows cut the same segments.
         let need_new = match self.segs.last() {
@@ -1558,12 +1571,12 @@ impl TupleStore {
             let cols: &mut Vec<Column> = &mut Arc::make_mut(cols).value;
             let width = cols.len();
             let ragged = seg.extras.as_deref().is_some_and(|x| x.arity.is_some());
-            if off > 0 && cells.len() != width || ragged {
+            if off > 0 && arity != width || ragged {
                 let extras = seg.extras.get_or_insert_default();
-                let arity = extras.arity.get_or_insert_with(|| vec![width as u16; off]);
-                arity.push(cells.len() as u16);
+                let arities = extras.arity.get_or_insert_with(|| vec![width as u16; off]);
+                arities.push(arity as u16);
             }
-            while cols.len() < cells.len() {
+            while cols.len() < arity {
                 let mut col = Column::Empty;
                 // Backfill rows appended before this column existed.
                 for _ in 0..off {
@@ -1571,8 +1584,8 @@ impl TupleStore {
                 }
                 cols.push(col);
             }
-            for (c, col) in cols.iter_mut().enumerate() {
-                col.push(cells.get(c).cloned().unwrap_or(Cell::Null));
+            for col in cols.iter_mut() {
+                col.push(cells.next().unwrap_or(Cell::Null));
             }
         }
         Arc::make_mut(&mut seg.ts).value.push(ts);

@@ -738,7 +738,10 @@ impl Cluster {
 
     /// Admit one source batch at its home node and route it: local
     /// delivery at the home, wire-framed exchange to every other node
-    /// that needs it (see the module docs for the routing policy).
+    /// that needs it (see the module docs for the routing policy). A
+    /// batch holding a row whose arity is not the source schema's is
+    /// refused with [`AspenError::InvalidArgument`] before it is numbered,
+    /// partitioned or sent anywhere.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
         self.ingest(source_name, Admission::Batch(tuples))
     }
@@ -755,6 +758,8 @@ impl Cluster {
     /// share is non-empty; every one even if one fails, the first error last.
     fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
+        // Refused before any number, store, link or node sees it.
+        payload.check_arity(&meta)?;
         let (src, n) = (meta.id, self.nodes.len());
         let home = self.home_of(src);
         let trace = self.make_ctx(home);
@@ -1115,6 +1120,38 @@ mod tests {
         assert_eq!(c.snapshot(q).unwrap().len(), 2);
     }
 
+    /// The cluster refuses a row of the wrong arity before it numbers,
+    /// partitions or broadcasts anything: no node's store or log takes
+    /// the row, the stream's arrival counter stays put, and the late
+    /// registrations that replay the table on either node succeed.
+    #[test]
+    fn a_row_of_the_wrong_arity_is_refused_before_any_node_sees_it() {
+        let mut c = two_nodes();
+        c.home_source("Readings", 1).unwrap();
+        let readings = c.catalog.source("Readings").unwrap().id;
+        let on = |node| QuerySpec::sql("select r.value from Readings r").on_node(node);
+        let q = c.register(on(0)).unwrap().expect_query();
+        c.on_batch("Readings", &[t(&[1, 10], 1)]).unwrap();
+        let admitted = |c: &Cluster| (0..2).map(|i| c.node(i).source_tuples_in(readings)).sum();
+        let (arrived, tuples_in): (u64, u64) = (c.arrivals[&readings], admitted(&c));
+        let err = c.on_batch("Readings", &[t(&[2, 20], 2), t(&[3], 2)]);
+        assert_eq!(err.unwrap_err().kind(), "invalid_argument");
+        assert_eq!(c.arrivals[&readings], arrived);
+        assert_eq!(admitted(&c), tuples_in);
+        let logs = (0..2).flat_map(|i| c.node(i).log_contents(readings));
+        assert!(logs.flatten().all(|(_, row)| row.len() == 2));
+        assert_eq!(c.snapshot(q).unwrap().len(), 1);
+
+        assert!(c.on_batch("Rooms", &[t(&[1], 0)]).is_err());
+        let wide = DeltaBatch::inserts([t(&[1, 2, 3], 0)]);
+        assert!(c.on_deltas("Rooms", &wide).is_err());
+        for node in [0, 1, 0] {
+            let spec = QuerySpec::sql("select o.floor from Rooms o").on_node(node);
+            let q = c.register(spec).unwrap().expect_query();
+            assert!(c.snapshot(q).unwrap().is_empty());
+        }
+    }
+
     #[test]
     fn cross_node_migration_preserves_state_and_push() {
         let mut c = two_nodes();
@@ -1233,15 +1270,16 @@ mod tests {
         for scheduling in [Pool, Deterministic(11)] {
             let config = EngineConfig::new().shards(1).scheduling(scheduling);
             let mut c = Cluster::new(catalog(), ClusterConfig::new().nodes(2).node_config(config));
-            let spec = QuerySpec::sql("select r.floor from Rooms r").on_node(1);
+            let spec = QuerySpec::sql("select sum(r.floor) from Rooms r").on_node(1);
             let rooms = c.register(spec).unwrap().expect_query();
-            // A 1-column row fails node 1's projection in a deferred task,
-            // queued behind a slow valid batch so no pool worker runs it
-            // before the ingest returns.
+            // A text floor fails node 1's sum in a deferred task, queued
+            // behind a slow valid batch so no pool worker runs it before
+            // the ingest returns.
             let drag = Some(std::time::Duration::from_millis(2));
             c.nodes[1].set_query_drag(rooms, drag).unwrap();
             c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
-            let bad = Tuple::new(vec![Value::Int(1)], SimTime::ZERO);
+            let text = vec![Value::Int(1), Value::Text("n/a".into())];
+            let bad = Tuple::new(text, SimTime::ZERO);
             let queued = (0..64).any(|_| c.on_batch("Rooms", std::slice::from_ref(&bad)).is_ok());
             assert!(queued, "{scheduling:?}: the failure never stayed deferred");
 

@@ -78,6 +78,20 @@
 //! proxy counts one unit per delta per operator, so the optimizer's
 //! calibration is unchanged by batching.
 //!
+//! **An aggregate is its own result.** When an engine-placed query's
+//! plan is an aggregate at the root — alone or under one projection,
+//! below ORDER BY / LIMIT / OUTPUT — and it has no push channel, the
+//! pipeline ends at the aggregate: the aggregate settles each touched
+//! group and *counts* its retract/insert pair instead of building it
+//! ([`operators::AggregateOp::count_batch`]), the count is charged to
+//! `ops_invoked`, the projection's profile and the sink's
+//! `deltas_applied` exactly as the emitted pair would have been, and a
+//! read takes the rows off the aggregate's slots, rebuilding only those
+//! of groups that changed since the last read ([`pipeline`] module docs).
+//! The sink keeps no copy of them. A push channel needs deltas, so a
+//! subscription turns such a query over to emitting (its sink first takes
+//! the aggregate's rows); the standalone `Pipeline` always emits.
+//!
 //! **Addressed batches and indexed join sides.** A window's live set is
 //! a suffix of its scan's arrival log, so the operator above it need
 //! not copy it. A window step's batch is *addressed*: each delta names

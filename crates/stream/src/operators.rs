@@ -76,6 +76,18 @@ pub trait DeltaOp: std::fmt::Debug {
         0
     }
 
+    /// This operator as an aggregate, for a pipeline that reads its
+    /// result off it (`None` for any other operator).
+    fn aggregate(&mut self) -> Option<&mut AggregateOp> {
+        None
+    }
+
+    /// This operator as a projection, for a pipeline that maps an
+    /// aggregate's rows through it at read time.
+    fn projection(&self) -> Option<&ProjectOp> {
+        None
+    }
+
     /// Single-delta convenience over [`DeltaOp::process_batch`], for
     /// tests and callers that genuinely have one delta in hand.
     fn process(&mut self, port: usize, delta: &Delta) -> Result<Vec<Delta>>
@@ -122,26 +134,55 @@ impl DeltaOp for FilterOp {
 
 // ---------------------------------------------------------------------------
 
-/// Project: maps each tuple through the expression list.
+/// Project: maps each tuple through the expression list. An identity
+/// projection — `Col { index: i }` at position `i` over an input as wide,
+/// decided once at construction — forwards each delta as it came, its
+/// value row shared rather than rebuilt.
 #[derive(Debug)]
 pub struct ProjectOp {
     pub exprs: Vec<BoundExpr>,
+    identity: bool,
+}
+
+impl ProjectOp {
+    /// A projection of `exprs` over an input `width` columns wide.
+    pub fn new(exprs: Vec<BoundExpr>, width: usize) -> Self {
+        let at =
+            |(i, e): (usize, &BoundExpr)| matches!(*e, BoundExpr::Col { index, .. } if index == i);
+        let identity = exprs.len() == width && exprs.iter().enumerate().all(at);
+        ProjectOp { exprs, identity }
+    }
+
+    /// `tuple` mapped through the expressions, at its stamp.
+    pub fn map(&self, tuple: Tuple) -> Result<Tuple> {
+        if self.identity {
+            return Ok(tuple);
+        }
+        let mut vals = Vec::with_capacity(self.exprs.len());
+        for e in &self.exprs {
+            vals.push(e.eval(&tuple)?);
+        }
+        Ok(Tuple::new(vals, tuple.timestamp()))
+    }
 }
 
 impl DeltaOp for ProjectOp {
     fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+        if self.identity {
+            return Ok(batch.iter().cloned().collect());
+        }
         let mut out = DeltaBatch::with_capacity(batch.len());
         for d in batch {
-            let mut vals = Vec::with_capacity(self.exprs.len());
-            for e in &self.exprs {
-                vals.push(e.eval(&d.tuple)?);
-            }
             out.push(Delta {
-                tuple: Tuple::new(vals, d.tuple.timestamp()),
+                tuple: self.map(d.tuple.clone())?,
                 sign: d.sign,
             });
         }
         Ok(out)
+    }
+
+    fn projection(&self) -> Option<&ProjectOp> {
+        Some(self)
     }
 }
 
@@ -389,6 +430,14 @@ impl DeltaOp for JoinOp {
 /// one — intermediate states that only existed mid-batch are never
 /// emitted, which is the batch path's consolidation win.
 ///
+/// **Emitted or read through.** [`DeltaOp::process_batch`] emits those
+/// pairs. [`AggregateOp::count_batch`] settles the same groups and only
+/// counts the pairs: a pipeline whose result *is* this operator's rows
+/// (the aggregate at the root, alone or under one projection) reads them
+/// off the slots with [`AggregateOp::shown_rows`] instead of keeping a
+/// copy downstream. A read builds a slot's shown row once and keeps it
+/// until a batch changes the group or frees its slot.
+///
 /// **Groups are slots in typed columns**: a group's key cells (one
 /// `KeyColumn` a group expression), weight (gross live rows), shown
 /// stamp (of the row it shows downstream, recomputed from the cells, not
@@ -432,6 +481,12 @@ pub struct AggregateOp {
     /// (cells moved, nothing emitted). An entry overrides its slot's
     /// `shown` cell; the slot is not freed before the entry is spent.
     stale: HashMap<u32, (u64, Vec<Value>)>,
+    /// Per slot, the shown row the last read built (mapped as that read
+    /// asked), until a batch changes the group; empty unless read.
+    rows: Vec<Option<Tuple>>,
+    /// Output rows built, for the tests that pin when rows are built.
+    #[cfg(test)]
+    built: std::cell::Cell<usize>,
 }
 
 /// One group expression's key cells, a cell a slot (type docs of
@@ -567,6 +622,9 @@ impl AggregateOp {
             index: Vec::new(),
             free: Vec::new(),
             stale: HashMap::new(),
+            rows: Vec::new(),
+            #[cfg(test)]
+            built: std::cell::Cell::new(0),
         }
     }
 
@@ -676,6 +734,8 @@ impl AggregateOp {
 
     /// The output row of `slot` with aggregate values `aggs`, at `stamp`.
     fn row(&self, slot: u32, aggs: impl Iterator<Item = Value>, stamp: u64) -> Tuple {
+        #[cfg(test)]
+        self.built.set(self.built.get() + 1);
         let mut vals = Vec::with_capacity(self.group.len() + self.aggs.len());
         vals.extend(self.keys.iter().map(|c| c.cell(slot as usize).into_owned()));
         vals.extend(aggs);
@@ -742,10 +802,72 @@ impl AggregateOp {
         }
         Ok(())
     }
-}
 
-impl DeltaOp for AggregateOp {
-    fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+    /// [`DeltaOp::process_batch`], counting the deltas it would emit
+    /// instead of building them: the step of an aggregate read through.
+    pub fn count_batch(&mut self, batch: &DeltaBatch) -> Result<u64> {
+        Ok(self.step(batch, false)?.1)
+    }
+
+    /// [`DeltaOp::initial`], counted: open a global aggregate's group,
+    /// shown at time zero.
+    pub fn count_initial(&mut self) -> u64 {
+        self.open().is_some() as u64
+    }
+
+    /// The row each group shows, through `map`, in slot order: a slot's
+    /// row as the last read built it, or — for a group that changed since
+    /// — built now from its cells at its shown stamp (from the failed-batch
+    /// ledger's values, for a slot that ledger holds).
+    pub fn shown_rows(&mut self, map: impl Fn(Tuple) -> Result<Tuple>) -> Result<Vec<Tuple>> {
+        self.rows.resize(self.weight.len(), None);
+        let mut out = Vec::with_capacity(self.weight.len() - self.free.len());
+        for slot in 0..self.weight.len() {
+            if self.rows[slot].is_none() {
+                let Some(row) = self.shown_row(slot as u32) else {
+                    continue;
+                };
+                self.rows[slot] = Some(map(row)?);
+            }
+            out.extend(self.rows[slot].clone());
+        }
+        Ok(out)
+    }
+
+    /// Drop the rows reads built: the result goes downstream as deltas
+    /// from now on.
+    pub fn forget_rows(&mut self) {
+        self.rows = Vec::new();
+    }
+
+    /// The row `slot` shows downstream, if any.
+    fn shown_row(&self, slot: u32) -> Option<Tuple> {
+        match self.stale.get(&slot) {
+            Some(&(NONE, _)) => None,
+            Some((stamp, aggs)) => Some(self.row(slot, aggs.iter().cloned(), *stamp)),
+            None => {
+                let stamp = self.shown[slot as usize];
+                (stamp != NONE).then(|| self.row(slot, self.values(slot), stamp))
+            }
+        }
+    }
+
+    /// A global aggregate's one group, opened: over an empty stream it
+    /// still has a row (COUNT = 0, SUM = NULL, ...), shown at time zero.
+    fn open(&mut self) -> Option<u32> {
+        if !self.group.is_empty() {
+            return None;
+        }
+        let slot = self.slot(&[]);
+        self.shown[0] = 0;
+        Some(slot)
+    }
+
+    /// Apply `batch` (pass 1), then settle every touched group (pass 2):
+    /// one retract/insert pair per group whose row changed — a group that
+    /// died (and stayed dead) only retracts. The pairs are built into the
+    /// batch returned when `emit`, and counted either way.
+    fn step(&mut self, batch: &DeltaBatch, emit: bool) -> Result<(DeltaBatch, u64)> {
         let (mut touched, mut before) = (Vec::new(), Vec::new());
         let n = self.aggs.len();
         if let Err(e) = self.apply(batch, &mut touched, &mut before) {
@@ -759,40 +881,49 @@ impl DeltaOp for AggregateOp {
             self.stale.shrink_to_fit(); // a failed batch's ledger, spent
         }
 
-        // Pass 2: one retract/insert pair per touched group whose row
-        // changed; a group that died (and stayed dead) only retracts.
-        let mut out = DeltaBatch::with_capacity(touched.len() * 2);
+        let mut out = DeltaBatch::with_capacity(if emit { touched.len() * 2 } else { 0 });
+        let mut count = 0;
         for (i, t) in touched.iter().enumerate() {
-            let alive = self.group.is_empty() || self.weight[t.slot as usize] > 0;
+            let s = t.slot as usize;
+            let alive = self.group.is_empty() || self.weight[s] > 0;
             let now = t.last_ts.as_micros();
             let prev = &mut before[i * n..(i + 1) * n];
             let same = t.shown == now && self.values(t.slot).zip(&*prev).all(|(v, p)| v == *p);
             if !(alive && same) {
-                if t.shown != NONE {
+                let retract = t.shown != NONE;
+                count += retract as u64 + alive as u64;
+                if emit && retract {
                     let prev = prev.iter_mut().map(|v| std::mem::replace(v, Value::Null));
                     out.push_retract(self.row(t.slot, prev, t.shown));
                 }
-                if alive {
+                if emit && alive {
                     out.push_insert(self.row(t.slot, self.values(t.slot), now));
                 }
+                if let Some(row) = self.rows.get_mut(s) {
+                    *row = None;
+                }
             }
-            self.shown[t.slot as usize] = now;
+            self.shown[s] = now;
             if !alive {
                 self.release(t.slot);
             }
         }
-        Ok(out)
+        Ok((out, count))
+    }
+}
+
+impl DeltaOp for AggregateOp {
+    fn process_batch(&mut self, _port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
+        Ok(self.step(batch, true)?.0)
     }
 
     fn initial(&mut self) -> DeltaBatch {
-        if !self.group.is_empty() {
-            return DeltaBatch::new();
+        match self.open() {
+            Some(slot) => {
+                DeltaBatch::from(vec![Delta::insert(self.row(slot, self.values(slot), 0))])
+            }
+            None => DeltaBatch::new(),
         }
-        // Global aggregate over an empty stream still has one row
-        // (COUNT = 0, SUM = NULL, ...), emitted at time zero.
-        let slot = self.slot(&[]);
-        self.shown[0] = 0;
-        DeltaBatch::from(vec![Delta::insert(self.row(slot, self.values(slot), 0))])
     }
 
     fn state_bytes(&self) -> usize {
@@ -809,6 +940,10 @@ impl DeltaOp for AggregateOp {
 
     fn groups(&self) -> usize {
         self.group_count()
+    }
+
+    fn aggregate(&mut self) -> Option<&mut AggregateOp> {
+        Some(self)
     }
 }
 
@@ -876,12 +1011,13 @@ mod tests {
 
     #[test]
     fn project_maps_values() {
-        let mut p = ProjectOp {
-            exprs: vec![
+        let mut p = ProjectOp::new(
+            vec![
                 BoundExpr::col(1, DataType::Int),
                 BoundExpr::Lit(Value::Text("x".into())),
             ],
-        };
+            2,
+        );
         let d = Delta::insert(t(vec![Value::Int(1), Value::Int(2)], 9));
         let out = p.process(0, &d).unwrap();
         assert_eq!(
@@ -1569,7 +1705,9 @@ mod tests {
     /// through inserts, in- and out-of-order retractions (weights below
     /// zero), deaths and rebirths inside a batch, `NULL` arguments and
     /// keys, failed batches and the batches after them, and word key
-    /// columns converting to `Value` cells with freed slots in them.
+    /// columns converting to `Value` cells with freed slots in them. A
+    /// twin read through counts what the slot table emits, and two reads
+    /// in three show the net of everything emitted so far.
     #[test]
     fn slot_table_matches_map_operator() {
         use aspen_types::rng::seeded;
@@ -1585,9 +1723,13 @@ mod tests {
             let (group, aggs) = agg_shape(&mut rng);
             let shape = format!("{} keys, {:?}", group.len(), aggs);
             let mut slots = AggregateOp::new(group.clone(), aggs.clone());
+            let mut read = AggregateOp::new(group.clone(), aggs.clone());
             let mut map = model::MapAggregate::new(group, aggs);
             let ctx = |step| format!("seed {seed}, batch {step}, {shape}");
-            assert_eq!(slots.initial(), map.initial(), "{}", ctx(0));
+            let initial = slots.initial();
+            assert_eq!(initial, map.initial(), "{}", ctx(0));
+            assert_eq!(read.count_initial(), initial.len() as u64);
+            let mut held = initial;
             let mut live: Vec<Tuple> = Vec::new();
             let mut reused = false;
             for step in 1..=120 {
@@ -1628,13 +1770,33 @@ mod tests {
                 }
                 let groups = slots.group_count();
                 let (typed, free) = (words(&slots), slots.free.len());
+                let counted = read.count_batch(&batch).ok();
                 match (slots.process_batch(0, &batch), map.process_batch(&batch)) {
-                    (Ok(got), Ok(want)) => assert_eq!(got, want, "{}", ctx(step)),
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got, want, "{}", ctx(step));
+                        assert_eq!(counted, Some(got.len() as u64), "{}", ctx(step));
+                        held.extend(got);
+                        held = held.consolidated();
+                    }
                     (Err(got), Err(want)) => {
                         assert_eq!(got.to_string(), want.to_string(), "{}", ctx(step));
+                        assert_eq!(counted, None, "{}", ctx(step));
                         failed += 1;
                     }
                     (got, want) => panic!("{}: {got:?} vs {want:?}", ctx(step)),
+                }
+                if step % 3 != 0 {
+                    let order = |a: &Tuple, b: &Tuple| {
+                        let values = a.values().cmp(b.values());
+                        values.then(a.timestamp().cmp(&b.timestamp()))
+                    };
+                    let mut shown = read.shown_rows(Ok).unwrap();
+                    shown.sort_by(order);
+                    let copies =
+                        |d: &Delta| vec![d.tuple.clone(); usize::try_from(d.sign).unwrap()];
+                    let mut net: Vec<Tuple> = held.iter().flat_map(copies).collect();
+                    net.sort_by(order);
+                    assert_eq!(shown, net, "{}", ctx(step));
                 }
                 assert_eq!(slots.group_count(), map.group_count(), "{}", ctx(step));
                 died += (slots.group_count() < groups) as usize;
@@ -1657,6 +1819,79 @@ mod tests {
                 name: "COUNT(*)".into(),
             }],
         )
+    }
+
+    /// Read through, an aggregate builds no row before a read, and a read
+    /// rebuilds only the rows of the groups a batch changed since the last
+    /// one: every other row is the very row that read built.
+    #[test]
+    fn a_read_through_aggregate_builds_rows_only_for_changed_groups() {
+        let mut a = count_by_key();
+        let row = |k: i64, us: u64| t(vec![Value::Int(k)], us);
+        let mut counted = 0;
+        for us in 0..8 {
+            counted += a
+                .count_batch(&DeltaBatch::inserts((0..100).map(|k| row(k, us))))
+                .unwrap();
+        }
+        assert_eq!(
+            counted,
+            100 + 7 * 2 * 100,
+            "a pair a group a batch, after the first"
+        );
+        assert_eq!(a.built.get(), 0, "no row before the first read");
+        let first = a.shown_rows(Ok).unwrap();
+        assert_eq!((first.len(), a.built.get()), (100, 100));
+        assert_eq!(first[7].values(), &[Value::Int(7), Value::Int(8)]);
+        let again = a.shown_rows(Ok).unwrap();
+        assert_eq!((again, a.built.get()), (first.clone(), 100));
+        // One batch changes groups 3 and 5; one that cancels changes none.
+        let cancelled = [Delta::insert(row(9, 7)), Delta::retract(row(9, 7))];
+        let batch: DeltaBatch = [Delta::insert(row(3, 9)), Delta::insert(row(5, 9))]
+            .into_iter()
+            .chain(cancelled)
+            .collect();
+        assert_eq!(a.count_batch(&batch).unwrap(), 4);
+        let second = a.shown_rows(Ok).unwrap();
+        assert_eq!(a.built.get(), 102);
+        for (k, (was, now)) in first.iter().zip(&second).enumerate() {
+            let rebuilt = k == 3 || k == 5;
+            let shared = was.values().as_ptr() == now.values().as_ptr();
+            assert_eq!(shared, !rebuilt, "group {k}");
+        }
+        assert_eq!(second[3].values(), &[Value::Int(3), Value::Int(9)]);
+    }
+
+    /// An identity projection forwards its input: the same deltas, each
+    /// sharing its value row; a list that reorders, narrows or reads a
+    /// wider input rebuilds every row.
+    #[test]
+    fn identity_projection_forwards_its_input() {
+        let cols = |ix: &[usize]| {
+            ix.iter()
+                .map(|&i| BoundExpr::col(i, DataType::Int))
+                .collect()
+        };
+        let batch = DeltaBatch::from(vec![
+            Delta::insert(t(vec![Value::Int(1), Value::Int(2)], 3)),
+            Delta::retract(t(vec![Value::Int(4), Value::Int(5)], 6)),
+        ]);
+        let shares = |out: &DeltaBatch| {
+            let rows = out.iter().zip(&batch);
+            rows.map(|(o, i)| o.tuple.values().as_ptr() == i.tuple.values().as_ptr())
+                .collect::<Vec<_>>()
+        };
+        let out = ProjectOp::new(cols(&[0, 1]), 2)
+            .process_batch(0, &batch)
+            .unwrap();
+        assert_eq!(out, batch);
+        assert_eq!(shares(&out), [true, true]);
+        for (ix, width) in [(&[1, 0][..], 2), (&[0][..], 2), (&[0, 1][..], 3)] {
+            let out = ProjectOp::new(cols(ix), width)
+                .process_batch(0, &batch)
+                .unwrap();
+            assert_eq!(shares(&out), [false, false], "{ix:?} over {width}");
+        }
     }
 
     /// A dead group's slot goes back on the free list at batch end and

@@ -5,6 +5,14 @@
 //! feeds each scan. The presentation layers (Sort / Limit / Output) are
 //! peeled off the top of the plan into a [`SinkSpec`]; they re-apply per
 //! snapshot rather than per delta.
+//!
+//! Below them, a pipeline whose core is an aggregate — alone or under one
+//! projection — can be *read through*, which the engine sets on every
+//! such query without a push channel: the aggregate counts the deltas it
+//! settles instead of emitting them ([`AggregateOp::count_batch`]), the
+//! counts are charged as the emitted deltas would have been, and a read
+//! takes the result off the aggregate's slots
+//! ([`AggregateOp::shown_rows`]). A standalone pipeline always emits.
 
 use aspen_sql::expr::BoundExpr;
 use aspen_sql::plan::LogicalPlan;
@@ -106,6 +114,9 @@ pub struct Pipeline {
     /// The sources of the scans whose windows feed an indexed join side:
     /// signed deltas on one of them name no row.
     indexed: Vec<SourceId>,
+    /// The node of the aggregate the result is read off, while the
+    /// pipeline reads through (module docs).
+    through: Option<usize>,
 }
 
 impl Pipeline {
@@ -157,6 +168,7 @@ impl Pipeline {
             timed: false,
             drag: None,
             indexed: Vec::new(),
+            through: None,
         };
         pipeline.build(core, None, opts, false)?;
         pipeline.indexed.sort_unstable();
@@ -254,9 +266,7 @@ impl Pipeline {
             }
             LogicalPlan::Project { input, exprs, .. } => {
                 let idx = self.push_node(
-                    Box::new(ProjectOp {
-                        exprs: exprs.clone(),
-                    }),
+                    Box::new(ProjectOp::new(exprs.clone(), input.schema().len())),
                     parent,
                     OpKind::Project,
                 );
@@ -319,9 +329,69 @@ impl Pipeline {
         self.nodes.len() - 1
     }
 
-    /// Emit operators' initial deltas (global aggregates) into the sink.
+    /// Read the result off the core aggregate from now on, when the core
+    /// (the plan below ORDER BY / LIMIT / OUTPUT) is a grouped or global
+    /// aggregate, alone or under one projection; any other shape keeps
+    /// emitting. Before [`Pipeline::start`].
+    pub(crate) fn read_through(&mut self) {
+        let node = |i: usize| self.nodes.get(i).map(|n| (n.kind, n.parent));
+        self.through = match (node(0), node(1)) {
+            (Some((OpKind::Aggregate, None)), _) => Some(0),
+            (Some((OpKind::Project, None)), Some((OpKind::Aggregate, Some((0, 0))))) => Some(1),
+            _ => None,
+        };
+    }
+
+    /// Whether the result is read off the aggregate.
+    #[cfg(test)]
+    pub(crate) fn reads_through(&self) -> bool {
+        self.through.is_some()
+    }
+
+    /// The rows a read-through result holds — the multiset an emitting
+    /// sink would, once each — or `None` when the pipeline emits.
+    pub(crate) fn shown(&mut self) -> Result<Option<Vec<Tuple>>> {
+        let Some(at) = self.through else {
+            return Ok(None);
+        };
+        let (above, below) = self.nodes.split_at_mut(at);
+        let project = above.first().and_then(|n| n.op.projection());
+        let agg = below[0].op.aggregate().expect("read through an aggregate");
+        let rows = agg.shown_rows(|row| match project {
+            Some(p) => p.map(row),
+            None => Ok(row),
+        })?;
+        Ok(Some(rows))
+    }
+
+    /// Stop reading through, for a push channel, which needs deltas: fill
+    /// `sink`'s multiset with the rows the result holds, and emit from
+    /// now on. One way; a no-op on a pipeline that emits.
+    pub(crate) fn emit_into(&mut self, sink: &mut Sink) -> Result<()> {
+        let Some(rows) = self.shown()? else {
+            return Ok(());
+        };
+        sink.fill(rows);
+        let at = self.through.take().expect("read through above");
+        self.aggregate_at(at).forget_rows();
+        Ok(())
+    }
+
+    /// The aggregate at node `at`, which the result is read off.
+    fn aggregate_at(&mut self, at: usize) -> &mut AggregateOp {
+        let op = self.nodes[at].op.aggregate();
+        op.expect("a read-through node is an aggregate")
+    }
+
+    /// Emit operators' initial deltas (global aggregates) into the sink —
+    /// or, reading through, count them.
     pub fn start(&mut self, sink: &mut Sink) -> Result<()> {
         for i in 0..self.nodes.len() {
+            if Some(i) == self.through {
+                let n = self.aggregate_at(i).count_initial();
+                self.charge(self.nodes[i].parent, n, sink);
+                continue;
+            }
             let init = self.nodes[i].op.initial().consolidated();
             self.run(self.nodes[i].parent, &init, sink, &|_, _| None)?;
         }
@@ -564,7 +634,9 @@ impl Pipeline {
     /// first hop only borrows it, so one batch serves every subscriber.
     /// `ops_invoked` counts one unit per *delta* per operator, so the
     /// optimizer's CPU-cost calibration is unchanged by batching. `logs`
-    /// is where the ids of cursor-fed scans resolve.
+    /// is where the ids of cursor-fed scans resolve. Reading through, the
+    /// run ends at the aggregate, which counts what it settles, and
+    /// [`Pipeline::charge`] charges the rest of the way.
     fn run(
         &mut self,
         start: Attach,
@@ -585,6 +657,14 @@ impl Pipeline {
             };
             let deltas = batch.len() as u64;
             self.ops_invoked += deltas;
+            let t0 = self.timed.then(std::time::Instant::now);
+            if Some(idx) == self.through {
+                let counted = self.aggregate_at(idx).count_batch(batch)?;
+                let busy = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());
+                self.profile.record(OpKind::Aggregate, deltas, busy);
+                self.charge(self.nodes[idx].parent, counted, sink);
+                return Ok(());
+            }
             // The rows behind addressed batches (stream scans' only): on a
             // shard, where the scans are cursors, their sources' logs; off
             // one, the scans' own windows.
@@ -593,13 +673,29 @@ impl Pipeline {
                 let scan = &scans[scan];
                 logs(scan.source, row).or_else(|| scan.window.get(row))
             };
-            let t0 = self.timed.then(std::time::Instant::now);
             let out = self.nodes[idx].op.process_rows(port, batch, &rows)?;
             let busy = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());
             self.profile.record(self.nodes[idx].kind, deltas, busy);
             produced = Some(out);
             attach = self.nodes[idx].parent;
         }
+    }
+
+    /// Charge `n` deltas a read-through aggregate counted, from `attach`
+    /// to the sink, as running them would have been: to `ops_invoked`
+    /// and one profile invocation of the projection above (with no busy
+    /// time: logical cost is counted, nothing ran), and to the sink's
+    /// `deltas_applied`.
+    fn charge(&mut self, attach: Attach, n: u64, sink: &mut Sink) {
+        if n == 0 {
+            return;
+        }
+        if let Some((idx, _)) = attach {
+            self.ops_invoked += n;
+            let zero = std::time::Duration::ZERO;
+            self.profile.record(self.nodes[idx].kind, n, zero);
+        }
+        sink.count(n);
     }
 }
 

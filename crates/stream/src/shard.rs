@@ -102,7 +102,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
-use aspen_catalog::{Catalog, SourceKind, SourceStats};
+use aspen_catalog::{Catalog, SourceKind, SourceMeta, SourceStats};
 use aspen_optimizer::PlanCacheStats;
 use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
@@ -202,6 +202,14 @@ impl QueryRuntime {
         let push = self.sink.pushes().then_some(Counted::Push);
         let indexes = indexes.map(|&src| Counted::Indexes(src));
         scans.chain(indexes).chain(clock).chain(push).collect()
+    }
+
+    /// The query's current result, ORDER BY / LIMIT applied, as every read
+    /// takes it: off the aggregate when the pipeline reads through, else
+    /// off the sink's multiset — and kept by the sink until a batch
+    /// changes the result.
+    fn snapshot(&mut self) -> Result<Vec<Tuple>> {
+        self.sink.read(|| self.pipeline.shown())
     }
 }
 
@@ -410,6 +418,25 @@ impl Admission<'_> {
         match self {
             Admission::Batch(tuples) => tuples.len(),
             Admission::Deltas(deltas) => deltas.len(),
+        }
+    }
+
+    /// Refuse, as [`AspenError::InvalidArgument`], a payload holding a row
+    /// whose arity is not the width of `source`'s schema — before anything
+    /// stores, numbers, counts or queues it.
+    pub(crate) fn check_arity(&self, source: &SourceMeta) -> Result<()> {
+        let width = source.schema.len();
+        let odd = |(_, n): &(usize, usize)| *n != width;
+        let found = match self {
+            Admission::Batch(tuples) => tuples.iter().map(Tuple::len).enumerate().find(odd),
+            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.len()).enumerate().find(odd),
+        };
+        match found {
+            None => Ok(()),
+            Some((row, arity)) => Err(AspenError::InvalidArgument(format!(
+                "row {row} of the batch for '{}' has {arity} columns; its schema has {width}",
+                source.name
+            ))),
         }
     }
 }
@@ -1087,8 +1114,9 @@ impl ShardedEngine {
     /// pipeline, and replay retained table contents and current view
     /// materializations so the query starts consistent. `fresh_push`
     /// carries the micro-batch knobs of a channel to create (resume
-    /// carries the old channel over instead). Touches nothing: a failed
-    /// build leaves the engine as it was.
+    /// carries the old channel over instead); without one, an aggregate
+    /// root is read through ([`Pipeline::read_through`]). Touches nothing:
+    /// a failed build leaves the engine as it was.
     fn build(
         &self,
         plan: &LogicalPlan,
@@ -1097,13 +1125,16 @@ impl ShardedEngine {
         let mut pipeline = Pipeline::compile_with(plan, &self.state_opts)?;
         pipeline.timed = true;
         let mut sink = pipeline.make_sink();
-        if let Some((max_batch, max_delay)) = fresh_push {
-            Self::check_push_compatible(&pipeline)?;
-            // Attach before the first delta can flow, so the
-            // subscription sees everything from the initial aggregate
-            // rows onward.
-            let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
-            sink.attach_push(queue, HashMap::new(), max_batch, max_delay);
+        match fresh_push {
+            Some((max_batch, max_delay)) => {
+                Self::check_push_compatible(&pipeline)?;
+                // Attach before the first delta can flow, so the
+                // subscription sees everything from the initial aggregate
+                // rows onward.
+                let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
+                sink.attach_push(queue, HashMap::new(), max_batch, max_delay);
+            }
+            None => pipeline.read_through(),
         }
         pipeline.start(&mut sink)?;
         // `Pipeline::sources()` is deduplicated: a source scanned under
@@ -1342,6 +1373,11 @@ impl ShardedEngine {
         let (shard_idx, plan) = (meta.shard, meta.plan.clone());
         let (max_batch, max_delay) = (meta.max_batch, meta.max_delay);
         let mut rt = self.build(&plan, None)?;
+        // A paused runtime's channel cannot change before the lift below.
+        if self.shard(shard_idx).lock().queries[&q.0].sink.pushes() {
+            // The channel it is handed needs deltas.
+            rt.pipeline.emit_into(&mut rt.sink)?;
+        }
         self.exec.quiesce(shard_idx)?;
         let mut old = self.lift(shard_idx, q.0);
         if let Some((queue, delivered)) = old.sink.take_push() {
@@ -1382,6 +1418,9 @@ impl ShardedEngine {
             Some(queue) => (queue, false),
             None => {
                 Self::check_push_compatible(&rt.pipeline)?;
+                // A channel needs deltas: a read-through result starts
+                // emitting, from the multiset it held.
+                rt.pipeline.emit_into(&mut rt.sink)?;
                 let queue: SharedQueue = Arc::new(Mutex::new(SubscriptionQueue::default()));
                 rt.sink
                     .attach_push(Arc::clone(&queue), HashMap::new(), max_batch, max_delay);
@@ -1626,11 +1665,12 @@ impl ShardedEngine {
     // Ingest
     // -----------------------------------------------------------------
 
-    /// Ingest a batch of tuples for a named source. Admission updates the
-    /// source's meter and retained table contents, reads its fan-out off
-    /// the route counts, then
-    /// submits one boundary task per subscribing shard into the bounded
-    /// per-shard queues. A boundary feeding a view then maintains the
+    /// Ingest a batch of tuples for a named source. A batch holding a row
+    /// whose arity is not the source schema's is refused with
+    /// [`AspenError::InvalidArgument`] before anything moves. Admission
+    /// updates the source's meter and retained table contents, reads its
+    /// fan-out off the route counts, then submits one boundary task per
+    /// subscribing shard into the bounded per-shard queues. A boundary feeding a view then maintains the
     /// view right here, and submits its net deltas to the shards
     /// subscribed to the view's output. Finally, push subscriptions are
     /// flushed — every ingest is a batch boundary. Every step runs even
@@ -1639,8 +1679,7 @@ impl ShardedEngine {
     /// *admitted*, not processed: a shard hosting a slow query drains
     /// its backlog without gating its siblings or the next ingest.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
-        let trace = self.make_ctx();
-        self.admit(source_name, Admission::Batch(tuples), Some(trace), None)
+        self.ingest(source_name, Admission::Batch(tuples))
     }
 
     /// Ingest signed changes for a source (e.g. a table update/delete).
@@ -1650,8 +1689,15 @@ impl ShardedEngine {
     /// stream whose window a live query indexes in a join side: signed
     /// deltas name no row of it.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
+        self.ingest(source_name, Admission::Deltas(deltas))
+    }
+
+    /// [`ShardedEngine::admit`] a payload under a new trace context, once
+    /// its rows have the source's arity: a refused payload moves nothing.
+    fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
+        payload.check_arity(&*self.catalog.source(source_name)?)?;
         let trace = self.make_ctx();
-        self.admit(source_name, Admission::Deltas(deltas), Some(trace), None)
+        self.admit(source_name, payload, Some(trace), None)
     }
 
     /// The one admission path behind [`ShardedEngine::on_batch`] and
@@ -1819,7 +1865,8 @@ impl ShardedEngine {
         if consistency == Consistency::Fresh {
             self.exec.quiesce(meta.shard)?;
         }
-        self.shard(meta.shard).lock().queries[&q.0].sink.snapshot()
+        let mut shard = self.shard(meta.shard).lock();
+        shard.queries.get_mut(&q.0).expect("a runtime").snapshot()
     }
 
     /// Result-churn statistic of a query's sink.
@@ -1928,10 +1975,10 @@ impl ShardedEngine {
         self.exec.quiesce_all()?;
         let mut out = Vec::new();
         for (qid, meta) in &self.queries {
-            let shard = self.shard(meta.shard).lock();
-            let q = &shard.queries[qid];
+            let mut shard = self.shard(meta.shard).lock();
+            let q = shard.queries.get_mut(qid).expect("a runtime");
             if q.sink.display() == Some(display) {
-                out.push(q.sink.snapshot()?);
+                out.push(q.snapshot()?);
             }
         }
         Ok(out)
@@ -2303,10 +2350,9 @@ mod tests {
     #[test]
     fn deferred_task_error_reaches_the_next_observer() {
         use crate::executor::Scheduling;
-        // A boundary that fails inside a *deferred* task (here: a
-        // malformed 1-column tuple against a 2-column scan, erroring in
-        // the projection) must surface to whoever observes the engine
-        // next — the submitting ingest if the interleaving ran it
+        // A boundary that fails inside a *deferred* task (here: a text
+        // value the sum refuses) must surface to whoever observes the
+        // engine next — the submitting ingest if the interleaving ran it
         // inline, otherwise the first quiescing read — never be
         // silently swallowed by a snapshot that drains the queue.
         for scheduling in [Scheduling::Deterministic(11), Scheduling::Pool] {
@@ -2315,10 +2361,13 @@ mod tests {
                 EngineConfig::new().shards(2).scheduling(scheduling),
             );
             let q = e
-                .register_sql("select r.value from Readings r")
+                .register_sql("select sum(r.value) from Readings r")
                 .unwrap()
                 .expect_query();
-            let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(1));
+            let bad = Tuple::new(
+                vec![Value::Int(1), Value::Text("n/a".into())],
+                SimTime::from_secs(1),
+            );
             let observed = e
                 .on_batch("Readings", std::slice::from_ref(&bad))
                 .and_then(|()| e.quiesce())
@@ -2330,7 +2379,7 @@ mod tests {
             // The error was observed exactly once; the engine stays
             // usable afterwards.
             e.on_batch("Readings", &[reading(1, 5.0, 2)]).unwrap();
-            assert_eq!(e.snapshot(q).unwrap().len(), 1);
+            assert_eq!(e.snapshot(q).unwrap()[0].values(), &[Value::Float(5.0)]);
         }
     }
 
@@ -2382,14 +2431,15 @@ mod tests {
                 catalog(),
                 EngineConfig::new().shards(2).scheduling(scheduling),
             );
-            let spec = QuerySpec::sql("select r.value from Readings r").auto_knobs();
+            let spec = QuerySpec::sql("select sum(r.value) from Readings r").auto_knobs();
             let q = e.register(spec).unwrap().expect_query();
-            // A 1-column tuple fails the projection in a deferred task,
-            // queued behind a slow valid batch so no pool worker runs it
-            // before the ingest returns.
+            // A text value fails the sum in a deferred task, queued
+            // behind a slow valid batch so no pool worker runs it before
+            // the ingest returns.
             e.set_query_drag(q, Some(Duration::from_millis(2))).unwrap();
             e.on_batch("Readings", &[reading(1, 5.0, 1)]).unwrap();
-            let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(2));
+            let text = vec![Value::Int(1), Value::Text("n/a".into())];
+            let bad = Tuple::new(text, SimTime::from_secs(2));
             let queued =
                 (0..64).any(|_| e.on_batch("Readings", std::slice::from_ref(&bad)).is_ok());
             assert!(queued, "{scheduling:?}: the failure never stayed deferred");
@@ -3440,6 +3490,112 @@ mod tests {
         .unwrap();
         let snap = e.snapshot(q).unwrap();
         assert_eq!(snap.len(), 1);
+    }
+
+    /// The plan and the push channel decide whether a query's result is
+    /// read off its aggregate: an aggregate root alone or under one
+    /// projection, below ORDER BY / LIMIT, without a channel, is — its
+    /// sink holds no rows. A channel needs deltas: registered with one, or
+    /// subscribed (paused or not), the result is emitted into the sink,
+    /// which a resume keeps; resumed without one, it is read through again.
+    #[test]
+    fn aggregate_roots_without_a_channel_read_through() {
+        let mut e = ShardedEngine::new(catalog(), 2);
+        let by_sensor = "select r.sensor, count(*) from Readings r group by r.sensor";
+        let shapes = [
+            (by_sensor, true),
+            (
+                "select count(*), r.sensor from Readings r group by r.sensor",
+                true,
+            ),
+            ("select max(r.value) * 2 from Readings r", true),
+            (
+                "select r.sensor, max(r.value) from Readings r group by r.sensor \
+                 order by max(r.value) desc limit 2",
+                true,
+            ),
+            (
+                "select r.sensor, count(*) from Readings r group by r.sensor \
+                 having count(*) > 1",
+                false,
+            ),
+            ("select r.sensor from Readings r where r.value > 3", false),
+        ];
+        let mut queries = Vec::new();
+        for (sql, through) in shapes {
+            queries.push((e.register_sql(sql).unwrap().expect_query(), through));
+        }
+        let pushed = e.register(QuerySpec::sql(by_sensor).push()).unwrap();
+        queries.push((pushed.expect_query(), false));
+        let rows = (0..12).map(|i| reading(i % 5, i as f64, 1));
+        e.on_batch("Readings", &rows.collect::<Vec<_>>()).unwrap();
+        // Whether `q` reads through, and how many rows its sink holds.
+        let state = |e: &ShardedEngine, q: QueryHandle| {
+            let shard = e.shard(e.queries[&q.0].shard).lock();
+            let rt = &shard.queries[&q.0];
+            (rt.pipeline.reads_through(), rt.sink.len())
+        };
+        for &(q, through) in &queries {
+            let shown = e.snapshot(q).unwrap().len();
+            assert!(shown > 0, "{q:?}");
+            assert_eq!(state(&e, q).0, through, "{q:?}");
+            assert_eq!(state(&e, q).1 == 0, through, "{q:?}");
+        }
+        // Subscribed live: the sink takes the aggregate's rows over.
+        let (live, paused, resumed) = (queries[0].0, queries[1].0, queries[2].0);
+        let before = e.snapshot(live).unwrap();
+        let sub = e.subscribe(live).unwrap();
+        assert_eq!(state(&e, live), (false, before.len()));
+        let pushed: usize = sub.drain().iter().map(DeltaBatch::len).sum();
+        assert_eq!(
+            (e.snapshot(live).unwrap(), pushed),
+            (before.clone(), before.len())
+        );
+        // Subscribed while paused, then resumed: emitting both times.
+        e.pause(paused).unwrap();
+        e.subscribe(paused).unwrap();
+        assert!(!state(&e, paused).0);
+        e.resume(paused).unwrap();
+        assert!(!state(&e, paused).0);
+        // Resumed without a channel: read through again.
+        e.pause(resumed).unwrap();
+        e.resume(resumed).unwrap();
+        assert!(state(&e, resumed).0);
+    }
+
+    /// A row whose arity is not its table's is refused at admission, so it
+    /// never reaches the store later registrations replay: before, one
+    /// 1-column `Edge` row made every later `select e.dst` fail in its
+    /// replay with `column ordinal 1 out of range for arity 1`. Signed
+    /// deltas and stream batches are refused alike, and nothing moves.
+    #[test]
+    fn a_row_of_the_wrong_arity_is_refused_at_admission() {
+        let mut e = engine();
+        let edge_id = e.catalog().source("Edge").unwrap().id;
+        let temps = e.catalog().source("Temps").unwrap().id;
+        e.on_batch("Edge", &[edge("a", "b")]).unwrap();
+        let short = Tuple::new(vec![Value::Text("c".into())], SimTime::from_secs(3));
+        let err = e.on_batch("Edge", &[edge("b", "c"), short]);
+        let err = err.unwrap_err().to_string();
+        assert!(err.contains("row 1 of the batch for 'Edge' has 1 columns; its schema has 2"));
+        let wide = DeltaBatch::inserts([edge("c", "d").join(&edge("e", "f"))]);
+        assert!(e.on_deltas("Edge", &wide).is_err());
+        let reading = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(5));
+        assert!(e.on_batch("Temps", &[reading]).is_err());
+        // Nothing moved: counters, clock, trace numbering, the store.
+        assert_eq!(
+            (e.source_tuples_in(edge_id), e.source_tuples_in(temps)),
+            (1, 0)
+        );
+        assert_eq!((e.now(), e.next_batch), (SimTime::ZERO, 1));
+        for _ in 0..3 {
+            let q = e
+                .register_sql("select e.dst from Edge e")
+                .unwrap()
+                .expect_query();
+            let want = vec![Tuple::new(vec![Value::Text("b".into())], SimTime::ZERO)];
+            assert_eq!(e.snapshot(q).unwrap(), want);
+        }
     }
 
     #[test]

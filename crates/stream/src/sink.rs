@@ -1,13 +1,22 @@
 //! Query result sinks.
 //!
-//! A [`Sink`] holds the maintained multiset of a continuous query's
-//! results and applies the presentation clauses — ORDER BY, LIMIT,
-//! OUTPUT TO DISPLAY — at snapshot time. A sink can additionally carry a
-//! [`PushState`]: the producer half of a
+//! A [`Sink`] applies the presentation clauses of a continuous query's
+//! results — ORDER BY, LIMIT, OUTPUT TO DISPLAY — at snapshot time, and
+//! counts the output deltas. It keeps the maintained multiset of the
+//! results only where the result is not already kept upstream: for a
+//! query whose root is not an aggregate, or one with a push channel. An
+//! aggregate root without one is read through
+//! ([`crate::pipeline`] module docs): its sink counts the
+//! deltas the aggregate settles and presents rows the aggregate shows.
+//! Either way an engine read keeps the presented snapshot until the next
+//! batch changes the result.
+//!
+//! A sink can additionally carry a [`PushState`]: the producer half of a
 //! [`ResultSubscription`](crate::session::ResultSubscription), through
 //! which output deltas are delivered at batch boundaries, coalesced
 //! according to the query's micro-batch knobs.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use aspen_sql::expr::BoundExpr;
@@ -45,6 +54,8 @@ pub struct Sink {
     display: Option<String>,
     state: HashMap<Tuple, i64>,
     push: Option<PushState>,
+    /// The snapshot the last engine read presented, until a delta lands.
+    presented: Option<Vec<Tuple>>,
     /// Monotone count of deltas applied — the "result churn" statistic
     /// used by the end-to-end experiment.
     pub deltas_applied: u64,
@@ -68,6 +79,7 @@ impl Sink {
             display,
             state: HashMap::new(),
             push: None,
+            presented: None,
             deltas_applied: 0,
             latency: crate::trace::LatencyHistogram::new(),
         }
@@ -91,6 +103,23 @@ impl Sink {
         if let Some(p) = &mut self.push {
             p.pending.extend(deltas.iter().cloned());
         }
+        self.presented = None;
+    }
+
+    /// Count `n` output deltas that changed the result without reaching
+    /// this sink: a read-through aggregate settled them (module docs).
+    pub(crate) fn count(&mut self, n: u64) {
+        self.deltas_applied += n;
+        self.presented = None;
+    }
+
+    /// Put `rows` into the multiset once each, uncounted: the result a
+    /// read-through aggregate held, taken over when it starts emitting.
+    pub(crate) fn fill(&mut self, rows: Vec<Tuple>) {
+        for row in &rows {
+            add(&mut self.state, row, 1);
+        }
+        self.presented = None;
     }
 
     /// Attach the producer half of a push subscription.
@@ -233,7 +262,8 @@ impl Sink {
         }
     }
 
-    /// Number of distinct live result tuples.
+    /// Number of distinct live result tuples in the multiset (none for a
+    /// result read through: module docs).
     pub fn len(&self) -> usize {
         self.state.len()
     }
@@ -253,6 +283,31 @@ impl Sink {
                 rows.push(t.clone());
             }
         }
+        self.present(rows)
+    }
+
+    /// An engine read: the snapshot presented last, while no delta has
+    /// changed the result since, else the current one — presented from
+    /// `shown`'s rows, when the result is read through, or from the
+    /// multiset — kept for the reads after it.
+    pub(crate) fn read(
+        &mut self,
+        shown: impl FnOnce() -> Result<Option<Vec<Tuple>>>,
+    ) -> Result<Vec<Tuple>> {
+        if let Some(rows) = &self.presented {
+            return Ok(rows.clone());
+        }
+        let rows = match shown()? {
+            Some(rows) => self.present(rows)?,
+            None => self.snapshot()?,
+        };
+        self.presented = Some(rows.clone());
+        Ok(rows)
+    }
+
+    /// `rows` in ORDER BY order (by value, then stamp, without one), cut
+    /// at the LIMIT.
+    fn present(&self, mut rows: Vec<Tuple>) -> Result<Vec<Tuple>> {
         if self.sort_keys.is_empty() {
             // Deterministic default order: by value, then timestamp (two
             // result rows can differ only in timestamp).
@@ -293,12 +348,21 @@ impl Sink {
     }
 }
 
-/// Add `sign` to `tuple`'s multiplicity in `bag`, dropping it at zero.
+/// Add `sign` to `tuple`'s multiplicity in `bag`, dropping it at zero —
+/// one probe either way.
 fn add(bag: &mut HashMap<Tuple, i64>, tuple: &Tuple, sign: i64) {
-    let e = bag.entry(tuple.clone()).or_insert(0);
-    *e += sign;
-    if *e == 0 {
-        bag.remove(tuple);
+    match bag.entry(tuple.clone()) {
+        Entry::Occupied(mut e) => {
+            *e.get_mut() += sign;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+        Entry::Vacant(e) => {
+            if sign != 0 {
+                e.insert(sign);
+            }
+        }
     }
 }
 

@@ -529,8 +529,9 @@ impl ColumnarDeque {
     }
 
     pub fn push_back(&mut self, tuple: &Tuple) {
+        let cells = tuple.values().iter().map(value_to_cell);
         self.store
-            .push(&tuple_cells(tuple), tuple.timestamp().as_micros());
+            .push_cells(cells, tuple.timestamp().as_micros(), 1);
     }
 
     /// Live tuples in arrival order.

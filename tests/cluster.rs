@@ -514,7 +514,7 @@ fn failed_cross_node_migrate_leaves_the_query_on_the_donor() {
             .register(QuerySpec::sql("select a.sensor, a.value from PowerA a [rows 5]").on_node(0))
             .unwrap()
             .expect_query();
-        c.register(QuerySpec::sql("select b.value from PowerB b").on_node(1))
+        c.register(QuerySpec::sql("select b.value * 1 from PowerB b").on_node(1))
             .unwrap();
         let good: Vec<Tuple> = (0..8)
             .map(|i| power(i % 4, 10.0 * i as f64, i as u64))
@@ -523,10 +523,11 @@ fn failed_cross_node_migrate_leaves_the_query_on_the_donor() {
         let before = c.snapshot(q).unwrap();
         assert_eq!(before.len(), 5);
 
-        // Poison the recipient: a malformed 1-column tuple against the
-        // 2-column scan fails inside node 1's deferred task. An ingest
-        // that returns `Ok` left that failure queued, not yet observed.
-        let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(9));
+        // Poison the recipient: a text value fails the arithmetic inside
+        // node 1's deferred task. An ingest that returns `Ok` left that
+        // failure queued, not yet observed.
+        let text = vec![Value::Int(1), Value::Text("n/a".into())];
+        let bad = Tuple::new(text, SimTime::from_secs(9));
         let queued = (0..64).any(|_| c.on_batch("PowerB", std::slice::from_ref(&bad)).is_ok());
         assert!(queued, "seed {seed}: the failure never stayed deferred");
 
@@ -576,7 +577,7 @@ fn failed_cross_node_migrate_on_a_failing_donor_leaves_the_query_there() {
             .register(QuerySpec::sql("select a.sensor, a.value from PowerA a [rows 5]").on_node(0))
             .unwrap()
             .expect_query();
-        c.register(QuerySpec::sql("select b.value from PowerB b").on_node(0))
+        c.register(QuerySpec::sql("select b.value * 1 from PowerB b").on_node(0))
             .unwrap();
         let good: Vec<Tuple> = (0..8)
             .map(|i| power(i % 4, 10.0 * i as f64, i as u64))
@@ -586,7 +587,8 @@ fn failed_cross_node_migrate_on_a_failing_donor_leaves_the_query_there() {
         assert_eq!(before.len(), 5);
 
         // Poison the donor through its other query's source.
-        let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(9));
+        let text = vec![Value::Int(1), Value::Text("n/a".into())];
+        let bad = Tuple::new(text, SimTime::from_secs(9));
         let queued = (0..64).any(|_| c.on_batch("PowerB", std::slice::from_ref(&bad)).is_ok());
         assert!(queued, "seed {seed}: the failure never stayed deferred");
 

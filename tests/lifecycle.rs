@@ -238,28 +238,23 @@ fn micro_batch_knobs_coalesce_and_chunk_push_delivery() {
     assert!(sizes.iter().all(|&n| n <= 1), "max_batch caps chunks");
 }
 
-/// A resume that fails (the replay hits a malformed retained row) must
-/// leave the query paused and fully intact — snapshot still answers,
-/// and nothing panics afterwards.
+/// A resume that fails (the replay hits a retained row its predicate
+/// refuses) must leave the query paused and fully intact — snapshot
+/// still answers, and nothing panics afterwards.
 #[test]
 fn failed_resume_leaves_query_paused_and_readable() {
     let mut e = ShardedEngine::new(catalog(), 1);
     let q = e
-        .register_sql("select f.key from Facts f where f.val > 0")
+        .register_sql("select f.key from Facts f where f.val * 1 > 0")
         .unwrap()
         .expect_query();
     e.on_batch("Facts", &[fact("a", 1, 1)]).unwrap();
     e.pause(q).unwrap();
-    // A wrong-arity row sneaks into the retained table while the query
-    // is detached; the resume replay's predicate evaluation fails.
-    e.on_batch(
-        "Facts",
-        &[Tuple::new(
-            vec![Value::Text("short".into())],
-            SimTime::from_secs(2),
-        )],
-    )
-    .unwrap();
+    // A text `val` sneaks into the retained table while the query is
+    // detached; the resume replay's arithmetic fails.
+    let text = vec![Value::Text("short".into()), Value::Text("n/a".into())];
+    e.on_batch("Facts", &[Tuple::new(text, SimTime::from_secs(2))])
+        .unwrap();
     assert!(e.resume(q).is_err(), "replay over the bad row must fail");
     assert!(
         e.is_paused(q).unwrap(),
@@ -406,8 +401,8 @@ fn wiring(e: &ShardedEngine) -> Wiring {
     }
 }
 
-/// Leave a failing boundary queued: a malformed 1-column reading errors
-/// inside every subscribing shard's task. An ingest that returns `Ok`
+/// Leave a failing boundary queued: a reading whose value is text errors
+/// in the arithmetic of every subscribing shard's task. An ingest that returns `Ok`
 /// did not run it yet — the failure is deferred to the next observer.
 /// Sequential scheduling defers nothing, so there this returns `false`.
 /// The malformed batch is queued behind a valid one: a pool worker woken
@@ -418,7 +413,8 @@ fn wiring(e: &ShardedEngine) -> Wiring {
 /// still inside the valid batch when the malformed one is admitted.
 fn poison(e: &mut ShardedEngine) -> bool {
     e.on_batch("Readings", &[reading(1, 20.0, 3)]).unwrap();
-    let bad = Tuple::new(vec![Value::Int(1)], SimTime::from_secs(3));
+    let text = vec![Value::Int(1), Value::Text("n/a".into())];
+    let bad = Tuple::new(text, SimTime::from_secs(3));
     (0..64).any(|_| e.on_batch("Readings", std::slice::from_ref(&bad)).is_ok())
 }
 
@@ -460,12 +456,12 @@ fn failed_lifecycle_verb_changes_nothing() {
                 let session = e.open_session();
                 let mut register = |spec| e.register_in(session, spec).unwrap().expect_query();
                 let live = register(QuerySpec::sql(
-                    "select r.sensor from Readings r where r.value > 10",
+                    "select r.sensor from Readings r where r.value * 1 > 10",
                 ));
                 let held = register(QuerySpec::sql(
                     "select r.value, f.val from Readings r, Facts f where r.sensor = f.val",
                 ));
-                let pushed = register(QuerySpec::sql("select r.value from Readings r").push());
+                let pushed = register(QuerySpec::sql("select r.value * 1 from Readings r").push());
                 e.on_batch("Facts", &[fact("a", 1, 1), fact("b", 2, 1)])
                     .unwrap();
                 for i in 0..=seed % 4 {
