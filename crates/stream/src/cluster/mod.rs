@@ -17,27 +17,30 @@
 //! ## Coordinator and placement
 //!
 //! [`Cluster`] is the coordinator: it owns the global catalog, the
-//! source→home map, and the global query table, and speaks the same
-//! [`QuerySpec`]/[`Registration`] front end as a single engine — the
-//! same code, not a copy: it owns a [`crate::session`] `FrontEnd` (plan
-//! cache + session table) exactly as each node does. The coordinator
-//! issues every query id, and the node that runs the query places,
-//! migrates in and reports it under that id: a handle means the same
-//! query on the coordinator and on every node. A registration resolves
-//! its SQL at the coordinator and places the bound plan on the node
-//! hinted by [`QuerySpec::on_node`], else on the node homing the most
-//! of its scanned stream sources (view-scanning queries are pinned to
-//! node 0, where view runtimes live).
+//! source→home map and the hash-exchanged sources, and resolves every
+//! registration through the same [`crate::session`] `FrontEnd` (plan
+//! cache + session table) a node owns. It keeps no query table: it issues
+//! each query id, and a query's node is the node that holds that id (a
+//! hash group, held by every node, answers as node 0). A bound plan goes
+//! to the node hinted by [`QuerySpec::on_node`], else to the node homing
+//! the most of its scanned streams.
+//!
+//! ## Views
+//!
+//! A recursive view lives on every node, as a retained table does: each
+//! node builds its copy, the name enters the catalog once, each node
+//! installs its copy. A query over a view runs and moves on any node. A
+//! view over a hash-exchanged source, and a hash split of a source a view
+//! reads, are refused.
 //!
 //! ## Ingest routing
 //!
-//! A source batch enters at its home node. Table-kind batches
-//! broadcast to every node so each node's retained-table replay stays
-//! complete (late registration and resume work anywhere); stream-kind
-//! batches ship only to nodes with live subscribers of that source.
-//! The coordinator numbers each stream's batches in one cluster-wide
-//! arrival sequence, which the home admits at and every shipping frame
-//! carries, so a log row has one id on every node.
+//! A source batch enters at its home node. Table batches broadcast to
+//! every node (replay and views stay complete everywhere); stream batches
+//! ship to nodes with live subscribers and to nodes whose views read them
+//! (every node, then). The home admits every batch of a stream, so its
+//! arrival counter is the stream's one numbering, which every frame
+//! carries: a log row has one id on every node.
 //! [`Cluster::register_hash_partitioned`] installs the same plan on
 //! every node, under one id, and marks its sources *exchanged*: their
 //! batches are hash-scattered by key columns ([`exchange::partition`]), so equal
@@ -46,27 +49,26 @@
 //!
 //! ## Cross-node live migration
 //!
-//! [`Cluster::migrate`] generalizes intra-engine shard migration
-//! across nodes by log position: the recipient drains first, the donor
-//! *extracts* the live runtime — operator state, sink ledger, push
-//! subscription, its cursors' positions — with the window rows below
-//! the recipient's log floors (shipped as a data frame, usually none),
-//! and the recipient routes it in exactly as a shard-to-shard move
-//! does, with no replay and no snapshot discontinuity. The handoff is
-//! charged as a control frame on the donor→recipient link. A cluster-level
-//! [`RebalanceController`] can drive this automatically from the
-//! per-node [`TelemetryReport`] assembled by
-//! [`Cluster::cluster_report`].
+//! [`Cluster::migrate`] is [`ShardedEngine::migrate`]'s four calls run on
+//! two nodes with the link in between: the recipient's `floors`, the
+//! donor's `lacking` (the window rows below those floors, shipped as a
+//! data frame, usually none), the donor's `retire` and the recipient's
+//! `land` — no replay, no snapshot discontinuity. The handoff is a control
+//! frame on the donor→recipient link. A cluster-level
+//! [`RebalanceController`] can drive this from the per-node
+//! [`TelemetryReport`] assembled by [`Cluster::cluster_report`].
 
 pub mod exchange;
 pub mod link;
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use aspen_catalog::{Catalog, SourceKind};
+use aspen_catalog::{Catalog, SourceKind, SourceMeta};
 use aspen_netsim::frames::{decode_frame, encode_frame, WireFrame};
 use aspen_optimizer::PlanCacheStats;
+use aspen_sql::binder::BoundView;
 use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple};
 
 use crate::delta::DeltaBatch;
@@ -75,8 +77,8 @@ use crate::session::{
     BoundSpec, Consistency, EngineConfig, FrontEnd, QuerySpec, Registration, Resolved,
     ResultSubscription, SessionId,
 };
-use crate::shard::{Admission, QueryHandle, ShardedEngine};
-use crate::telemetry::TelemetryReport;
+use crate::shard::{view_source, Admission, QueryHandle, ShardedEngine};
+use crate::telemetry::{QueryLoad, TelemetryReport};
 use crate::trace::{now_us, LatencyHistogram, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 use exchange::Arrival;
 
@@ -136,18 +138,6 @@ impl ClusterConfig {
     }
 }
 
-/// Coordinator-side record of one registered query.
-struct ClusterQuery {
-    /// Node currently owning the runtime (node 0 for a hash group, which
-    /// runs on every node).
-    node: usize,
-    /// Every source the plan scans (dedup'd, scan order).
-    sources: Vec<SourceId>,
-    /// Scans a view: stays on node 0, where views materialize.
-    on_view: bool,
-    session: Option<SessionId>,
-}
-
 /// N real [`ShardedEngine`] nodes behind one coordinator — global
 /// catalog, placement, wire-framed exchange, and cross-node live
 /// migration. See the module docs for the execution model.
@@ -160,21 +150,17 @@ pub struct Cluster {
     /// Source → home-node overrides; unmapped sources default to
     /// `id % nodes`.
     homes: HashMap<SourceId, usize>,
-    /// Every registered query, in registration order: `record` issues
-    /// ids in it and never reuses one.
-    queries: BTreeMap<QueryId, ClusterQuery>,
+    /// The next query id: ids are issued in registration order and never
+    /// reused.
     next_query: u32,
     /// SQL resolution (plan-template cache) and the session table — the
     /// same front end every node owns.
     front: FrontEnd,
-    /// Hash-partitioned queries — the same plan live on every node under
-    /// one id, fed disjoint key ranges — with the exchange key columns
-    /// of each source they scan. Their members are pinned.
-    groups: HashMap<QueryId, HashMap<SourceId, Vec<usize>>>,
-    /// Sources whose ingest is hash-scattered, and to which group.
-    exchanged: HashMap<SourceId, QueryId>,
-    /// Each non-exchanged stream's next cluster-wide arrival number.
-    arrivals: HashMap<SourceId, u64>,
+    /// Sources whose ingest is hash-scattered, with the hash-partitioned
+    /// query they feed — the same plan live on every node under one id,
+    /// fed disjoint key ranges — and the key columns. Its members are
+    /// pinned.
+    exchanged: HashMap<SourceId, (QueryId, Vec<usize>)>,
     rebalancer: Option<RebalanceController>,
     boundaries: u64,
     migrations: u64,
@@ -188,11 +174,6 @@ pub struct Cluster {
     /// Cluster-level span journal: ships, arrivals, cross-node
     /// migrations, rebalance decisions.
     journal: SpanJournal,
-}
-
-/// A query over a view placed off node 0 would never see its input.
-fn view_elsewhere() -> AspenError {
-    AspenError::InvalidArgument("queries scanning a view run on node 0".into())
 }
 
 impl Cluster {
@@ -214,12 +195,9 @@ impl Cluster {
             catalog,
             lan: LanModel::default(),
             homes: HashMap::new(),
-            queries: BTreeMap::new(),
             next_query: 0,
             front: FrontEnd::default(),
-            groups: HashMap::new(),
             exchanged: HashMap::new(),
-            arrivals: HashMap::new(),
             rebalancer: config.rebalance.map(RebalanceController::new),
             boundaries: 0,
             migrations: 0,
@@ -228,15 +206,6 @@ impl Cluster {
             next_batch: 0,
             journal: SpanJournal::default(),
         }
-    }
-
-    /// Trace context for one cluster-admitted batch entering at `home`.
-    /// It travels inside every exchange frame of the batch, and the hop
-    /// latency is charged into the receiving node's histograms.
-    fn make_ctx(&mut self, home: usize) -> TraceCtx {
-        let ctx = TraceCtx::new(home as u32, self.next_batch);
-        self.next_batch += 1;
-        ctx
     }
 
     /// The cluster-level span journal (ships, arrivals, cross-node
@@ -316,84 +285,68 @@ impl Cluster {
         // is the same wherever the runtime lands.
         let bound = match self.front.resolve(session, spec, &self.catalog)? {
             Resolved::Query(bound) => bound,
-            Resolved::View(v) => {
-                // Views are shared infrastructure: their runtime lives
-                // on node 0 and their output deltas fan out from there.
-                // Their bases' ingest routes to node 0 (see
-                // `ingest_targets`).
-                return Ok(Registration::View(self.nodes[0].register_view(&v)?));
-            }
+            Resolved::View(v) => return self.register_view(&v).map(Registration::View),
         };
-
-        let mut sources = Vec::new();
-        let mut stream_sources = Vec::new();
-        let mut scans_view = false;
+        let (mut votes, mut voted) = (vec![0usize; self.nodes.len()], BTreeSet::new());
         for rel in bound.plan.scans() {
-            if self.exchanged.contains_key(&rel.meta.id) {
-                return Err(AspenError::InvalidArgument(format!(
-                    "source '{}' is hash-exchanged across the cluster; only its \
-                     partitioned group may scan it",
-                    rel.meta.name
-                )));
-            }
-            scans_view |= rel.meta.kind == SourceKind::View;
-            if !sources.contains(&rel.meta.id) {
-                sources.push(rel.meta.id);
-                if rel.meta.kind.is_stream_like() {
-                    stream_sources.push(rel.meta.id);
-                }
+            self.refuse_split(&rel.meta)?;
+            // Majority-home placement: the node where most of the scanned
+            // stream data originates pays the fewest hops. Each stream
+            // votes once; tables and views are on every node and don't.
+            if rel.meta.kind.is_stream_like() && voted.insert(rel.meta.id) {
+                votes[self.home_of(rel.meta.id)] += 1;
             }
         }
-
-        let target = match bound.node {
-            Some(n) if n >= self.nodes.len() => {
-                return Err(AspenError::InvalidArgument(format!(
-                    "placement hint node {n} out of range (cluster has {})",
-                    self.nodes.len()
-                )));
-            }
-            // View outputs only materialize on node 0; an explicit
-            // hint elsewhere would register a query that never sees
-            // its input.
-            Some(n) if scans_view && n != 0 => return Err(view_elsewhere()),
-            Some(n) => n,
-            None if scans_view => 0,
-            // Majority-home placement: the node where most of the
-            // scanned stream data originates pays the fewest hops.
-            // Tables are broadcast everywhere, so they don't vote.
-            None => {
-                let mut votes = vec![0usize; self.nodes.len()];
-                for &src in &stream_sources {
-                    votes[self.home_of(src)] += 1;
-                }
-                votes
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(i, v)| (*v, std::cmp::Reverse(i)))
-                    .map_or(0, |(i, _)| i)
-            }
-        };
-
+        let majority = votes
+            .iter()
+            .enumerate()
+            .max_by_key(|&(i, v)| (*v, Reverse(i)));
+        let target = bound.node.unwrap_or(majority.map_or(0, |(i, _)| i));
+        if target >= self.nodes.len() {
+            return Err(AspenError::InvalidArgument(format!(
+                "placement hint node {target} out of range (cluster has {})",
+                self.nodes.len()
+            )));
+        }
         let qid = QueryId(self.next_query);
-        self.nodes[target].place(qid, None, bound)?;
-        Ok(Registration::Query(self.record(
-            qid,
-            ClusterQuery {
-                node: target,
-                sources,
-                on_view: scans_view,
-                session,
-            },
-        )))
+        self.nodes[target].place(qid, bound)?;
+        self.front.enroll(session, qid);
+        self.next_query += 1;
+        Ok(Registration::Query(QueryHandle(qid)))
     }
 
-    /// Enter a query placed under the next cluster-wide id, `qid`, into
-    /// the coordinator's tables.
-    fn record(&mut self, qid: QueryId, cq: ClusterQuery) -> QueryHandle {
-        self.next_query += 1;
-        self.front.enroll(cq.session, qid);
-        self.queries.insert(qid, cq);
-        QueryHandle(qid)
+    /// `Err` when `source` is hash-exchanged: each node numbers and holds
+    /// only its own share.
+    fn refuse_split(&self, source: &SourceMeta) -> Result<()> {
+        match self.exchanged.contains_key(&source.id) {
+            true => Err(AspenError::InvalidArgument(format!(
+                "source '{}' is hash-exchanged across the cluster; only its \
+                 partitioned group may scan it",
+                source.name
+            ))),
+            false => Ok(()),
+        }
+    }
+
+    /// Register a view on every node: each builds its copy, the name
+    /// enters the catalog once, and each installs its copy. A view over a
+    /// hash-exchanged source is refused, and a refused view leaves no name
+    /// and no copy behind.
+    fn register_view(&mut self, bound: &BoundView) -> Result<SourceId> {
+        for plan in bound.bases.iter().chain(&bound.steps) {
+            plan.scans()
+                .iter()
+                .try_for_each(|rel| self.refuse_split(&rel.meta))?;
+        }
+        let mut copies = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            copies.push(node.build_view(bound)?);
+        }
+        let out_source = view_source(&self.catalog, bound)?;
+        for (node, view) in self.nodes.iter_mut().zip(copies) {
+            node.install_view(view, out_source);
+        }
+        Ok(out_source)
     }
 
     /// Register the same continuous plan on *every* node, fed by
@@ -404,7 +357,8 @@ impl Cluster {
     /// `keys` maps each scanned source name to the columns whose hash
     /// routes its tuples; every source the plan scans must be keyed, be
     /// stream-like, and have no other live subscriber anywhere (a late
-    /// split would divide a history other queries already saw whole).
+    /// split would divide a history other queries already saw whole) and
+    /// no view reading it (every node's copy would see only a share).
     /// Group members are pinned: no pause, migrate, or subscribe; the
     /// group snapshot is the canonically sorted merged multiset. When a
     /// node fails to place its member, the members placed before it are
@@ -438,7 +392,6 @@ impl Cluster {
             }
             key_map.insert(meta.id, cols.clone());
         }
-        let mut sources = Vec::new();
         for rel in plan.scans() {
             let sid = rel.meta.id;
             if !key_map.contains_key(&sid) {
@@ -448,20 +401,17 @@ impl Cluster {
                     rel.meta.name
                 )));
             }
-            if self.exchanged.contains_key(&sid) {
+            self.refuse_split(&rel.meta)?;
+            if self
+                .nodes
+                .iter()
+                .any(|n| n.subscriber_count(sid) > 0 || n.views_read(sid))
+            {
                 return Err(AspenError::InvalidArgument(format!(
-                    "source '{}' is already hash-exchanged",
+                    "source '{}' has live subscribers or a view reading it; it cannot be \
+                     split mid-stream",
                     rel.meta.name
                 )));
-            }
-            if self.nodes.iter().any(|n| n.subscriber_count(sid) > 0) {
-                return Err(AspenError::InvalidArgument(format!(
-                    "source '{}' has live subscribers; it cannot be split mid-stream",
-                    rel.meta.name
-                )));
-            }
-            if !sources.contains(&sid) {
-                sources.push(sid);
             }
         }
 
@@ -471,55 +421,53 @@ impl Cluster {
                 plan: Arc::clone(&plan),
                 ..bound
             };
-            if let Err(e) = self.nodes[i].place(qid, None, member) {
+            if let Err(e) = self.nodes[i].place(qid, member) {
                 for node in &mut self.nodes[..i] {
                     node.deregister(QueryHandle(qid)).expect("placed above");
                 }
                 return Err(e);
             }
         }
-        for &sid in &sources {
-            self.exchanged.insert(sid, qid);
+        for rel in plan.scans() {
+            let keys = key_map[&rel.meta.id].clone();
+            self.exchanged.insert(rel.meta.id, (qid, keys));
         }
-        self.groups.insert(qid, key_map);
-        let cq = ClusterQuery {
-            node: 0,
-            sources,
-            on_view: false,
-            session: None,
-        };
-        Ok(self.record(qid, cq))
+        self.next_query += 1;
+        Ok(QueryHandle(qid))
     }
 
-    fn cluster_query(&self, q: QueryHandle) -> Result<&ClusterQuery> {
-        self.queries
-            .get(&q.0)
-            .ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))
+    /// The node holding query `q` — node 0 for a hash group, held by every
+    /// node — and whether `q` is a hash group.
+    fn node_of(&self, q: QueryHandle) -> Result<(usize, bool)> {
+        let node = self.nodes.iter().position(|n| n.holds(q.0));
+        let node =
+            node.ok_or_else(|| AspenError::InvalidArgument(format!("unknown query {}", q.0)))?;
+        Ok((node, self.exchanged.values().any(|(g, _)| *g == q.0)))
     }
 
     /// The node an unpinned query lives on.
     fn unpinned(&self, q: QueryHandle, op: &str) -> Result<usize> {
-        let cq = self.cluster_query(q)?;
-        if self.groups.contains_key(&q.0) {
-            return Err(AspenError::InvalidArgument(format!(
+        match self.node_of(q)? {
+            (_, true) => Err(AspenError::InvalidArgument(format!(
                 "query {} is a hash-partitioned group member; {op} is not supported",
                 q.0
-            )));
+            ))),
+            (node, false) => Ok(node),
         }
-        Ok(cq.node)
     }
 
+    /// Retire a query — on every node, for a hash group, whose sources are
+    /// then no longer exchanged — and drop it from its session.
     pub fn deregister(&mut self, q: QueryHandle) -> Result<()> {
-        self.cluster_query(q)?;
-        let cq = self.queries.remove(&q.0).expect("checked above");
-        self.front.leave(cq.session, q.0);
-        if self.groups.remove(&q.0).is_none() {
-            return self.nodes[cq.node].deregister(q);
+        let (node, group) = self.node_of(q)?;
+        self.front.leave(q.0);
+        if !group {
+            return self.nodes[node].deregister(q);
         }
         for node in &mut self.nodes {
             node.deregister(q)?;
         }
-        self.exchanged.retain(|_, g| *g != q.0);
+        self.exchanged.retain(|_, (g, _)| *g != q.0);
         Ok(())
     }
 
@@ -532,21 +480,16 @@ impl Cluster {
     /// it was paused is refused: its node now holds only a share.
     pub fn resume(&mut self, q: QueryHandle) -> Result<()> {
         let node = self.unpinned(q, "resume")?;
-        self.refuse_exchanged(q)?;
+        self.refuse_exchanged(q, node)?;
         self.nodes[node].resume(q)
     }
 
-    /// `Err` when `q` reads a hash-exchanged source, of which each node
-    /// numbers and holds only its own share.
-    fn refuse_exchanged(&self, q: QueryHandle) -> Result<()> {
-        let sources = &self.queries[&q.0].sources;
-        match sources.iter().find(|s| self.exchanged.contains_key(s)) {
-            Some(src) => Err(AspenError::InvalidArgument(format!(
-                "query {} reads {src:?}, a hash-exchanged source",
-                q.0
-            ))),
-            None => Ok(()),
-        }
+    /// `Err` when `q`, on `node`, reads a hash-exchanged source.
+    fn refuse_exchanged(&self, q: QueryHandle, node: usize) -> Result<()> {
+        let scanned = self.nodes[node].scanned(q)?;
+        scanned
+            .iter()
+            .try_for_each(|source| self.refuse_split(source))
     }
 
     /// Attach push delivery; the subscription rides the sink and so
@@ -554,6 +497,18 @@ impl Cluster {
     pub fn subscribe(&mut self, q: QueryHandle) -> Result<ResultSubscription> {
         let node = self.unpinned(q, "subscribe")?;
         self.nodes[node].subscribe(q)
+    }
+
+    /// Retune a query's micro-batch knobs on its node
+    /// ([`ShardedEngine::tune_query`]); a hash group's are fixed.
+    pub fn tune_query(
+        &mut self,
+        q: QueryHandle,
+        max_batch: Option<usize>,
+        max_delay: Option<SimDuration>,
+    ) -> Result<()> {
+        let node = self.unpinned(q, "tune_query")?;
+        self.nodes[node].tune_query(q, max_batch, max_delay)
     }
 
     // -----------------------------------------------------------------
@@ -571,8 +526,8 @@ impl Cluster {
     /// LIMIT plans are not meaningful across members and should not be
     /// registered partitioned).
     pub fn snapshot_at(&self, q: QueryHandle, consistency: Consistency) -> Result<Vec<Tuple>> {
-        let node = self.cluster_query(q)?.node;
-        if !self.groups.contains_key(&q.0) {
+        let (node, group) = self.node_of(q)?;
+        if !group {
             return self.nodes[node].snapshot_at(q, consistency);
         }
         let mut out = Vec::new();
@@ -589,8 +544,8 @@ impl Cluster {
 
     /// One merged observation of the whole cluster: each node's report
     /// collapsed to one [`ShardLoad`](crate::telemetry::ShardLoad) row
-    /// (indexed by node), and each query's load as its node reports it,
-    /// with `shard` = owning node. Hash-group members are
+    /// (indexed by node), and every query each node reports, with `shard`
+    /// = that node, in id (so registration) order. Hash-group members are
     /// omitted from the query list (they are pinned, so the rebalancer
     /// must not plan them), but their work still shows in node loads.
     /// Its scheduling mode is its nodes' (they share one node config).
@@ -599,22 +554,20 @@ impl Cluster {
         let mut shards = Vec::with_capacity(reports.len());
         let mut now_secs = 0.0f64;
         let mut profile = OpProfile::default();
+        let mut queries = Vec::new();
+        let group = |q: QueryId| self.exchanged.values().any(|(g, _)| *g == q);
         for (i, r) in reports.iter().enumerate() {
             shards.push(r.as_node_load(i));
             now_secs = now_secs.max(r.now_secs);
             profile.merge(&r.profile);
-        }
-        let mut queries = Vec::new();
-        for (qid, cq) in &self.queries {
-            if self.groups.contains_key(qid) {
-                continue;
-            }
-            if let Some(load) = reports[cq.node].query(*qid) {
-                let mut load = load.clone();
-                load.shard = cq.node;
-                queries.push(load);
+            for load in r.queries.iter().filter(|l| !group(l.query)) {
+                queries.push(QueryLoad {
+                    shard: i,
+                    ..load.clone()
+                });
             }
         }
+        queries.sort_unstable_by_key(|q| q.query);
         TelemetryReport {
             shards,
             queries,
@@ -664,15 +617,13 @@ impl Cluster {
     // -----------------------------------------------------------------
 
     /// Move a live query between nodes with no replay, by log position:
-    /// the rows its windows hold below the recipient's log floors cross
-    /// the link as data frames (counted in [`Cluster::exchange_tuples`]),
-    /// the donor extracts the runtime and the recipient routes it in, its
-    /// cursors rejoining its logs; the handoff is a control frame.
-    /// Snapshots, push accumulation, and total ops are unchanged by the
-    /// move. A query over a view or an exchanged source (each node numbers
-    /// its own share) is refused. Every fallible step runs before the
-    /// donor lifts anything and landing cannot fail, so a migration that
-    /// returns `Err` left the query registered, on the donor, untouched.
+    /// [`ShardedEngine::migrate`]'s four calls on two nodes, the rows its
+    /// windows hold below the recipient's log floors crossing the link as
+    /// data frames (counted in [`Cluster::exchange_tuples`]) and the
+    /// handoff as a control frame. A query over an exchanged source (each
+    /// node numbers its own share) is refused. Every fallible step runs
+    /// before the donor lifts anything, so a migration that returns `Err`
+    /// left the query registered, on the donor, untouched.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         if to >= self.nodes.len() {
             return Err(AspenError::InvalidArgument(format!(
@@ -684,11 +635,9 @@ impl Cluster {
         if from == to {
             return Ok(());
         }
-        if self.queries[&q.0].on_view {
-            return Err(view_elsewhere());
-        }
-        self.refuse_exchanged(q)?;
-        let floors = self.nodes[to].drain_for_install(q.0)?;
+        self.refuse_exchanged(q, from)?;
+        let shard = self.nodes[to].shard_of(q.0);
+        let floors = self.nodes[to].floors(shard)?;
         let mut backfill = self.nodes[from].lacking(q, &floors)?;
         for (src, first, rows) in &mut backfill {
             let frame = exchange::egress_numbered(*src, Some(*first), rows);
@@ -697,15 +646,14 @@ impl Cluster {
                 *rows = tuples;
             }
         }
-        let detached = self.nodes[from].extract_with(q, backfill);
-        self.nodes[to].install_query(detached);
+        let moved = self.nodes[from].retire(q.0, backfill);
+        self.nodes[to].land(moved, shard);
         let frame = WireFrame::Control {
             op: CTRL_MIGRATE,
             args: vec![u64::from(q.0 .0), from as u64, to as u64],
         };
         let bytes = encode_frame(&frame).len() as u64;
         self.links[from][to].charge(&self.lan, bytes, 0);
-        self.queries.get_mut(&q.0).expect("checked above").node = to;
         self.migrations += 1;
         self.journal.record(Span {
             at_us: now_us(),
@@ -739,15 +687,18 @@ impl Cluster {
     /// Admit one source batch at its home node and route it: local
     /// delivery at the home, wire-framed exchange to every other node
     /// that needs it (see the module docs for the routing policy). A
-    /// batch holding a row whose arity is not the source schema's is
-    /// refused with [`AspenError::InvalidArgument`] before it is numbered,
-    /// partitioned or sent anywhere.
+    /// batch holding a row that does not fit the source schema (its arity,
+    /// or a Table cell's type) is refused with
+    /// [`AspenError::InvalidArgument`] before it is numbered, partitioned
+    /// or sent anywhere.
     pub fn on_batch(&mut self, source_name: &str, tuples: &[Tuple]) -> Result<()> {
         self.ingest(source_name, Admission::Batch(tuples))
     }
 
     /// Signed-delta ingest (the retraction-capable path), routed the
-    /// same way as [`Cluster::on_batch`].
+    /// same way as [`Cluster::on_batch`]. Refused as a whole, before any
+    /// node sees it, on a stream whose window a live query on any node
+    /// indexes in a join side.
     pub fn on_deltas(&mut self, source_name: &str, deltas: &DeltaBatch) -> Result<()> {
         self.ingest(source_name, Admission::Deltas(deltas))
     }
@@ -758,20 +709,25 @@ impl Cluster {
     /// share is non-empty; every one even if one fails, the first error last.
     fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
-        // Refused before any number, store, link or node sees it.
-        payload.check_arity(&meta)?;
+        // Refused before any number, share, frame or node moves.
+        payload.check_rows(&meta)?;
+        for node in &self.nodes {
+            node.check_deltas(&meta, payload)?;
+        }
         let (src, n) = (meta.id, self.nodes.len());
         let home = self.home_of(src);
-        let trace = self.make_ctx(home);
-        let keys = self.exchanged.get(&src);
+        // One trace context per admitted batch: it travels inside every
+        // exchange frame of it, and the hop latency is charged into the
+        // receiving node's histograms.
+        let trace = TraceCtx::new(home as u32, self.next_batch);
+        self.next_batch += 1;
         let mut served = Ok(());
-        match (keys.map(|q| self.groups[q][&src].clone()), payload) {
+        match (self.exchanged.get(&src).map(|g| g.1.clone()), payload) {
             (None, whole) => {
-                let mut at = None;
-                if let (Admission::Batch(tuples), true) = (whole, meta.kind.is_stream_like()) {
-                    let next = self.arrivals.entry(src).or_insert(0);
-                    at = Some(std::mem::replace(next, *next + tuples.len() as u64));
-                }
+                // The home admits every batch of the stream: its counter
+                // is the stream's one numbering.
+                let streamed = matches!(whole, Admission::Batch(_)) && meta.kind.is_stream_like();
+                let at = streamed.then(|| self.nodes[home].next_arrival(src));
                 for to in self.ingest_targets(src, &meta.kind, home) {
                     let run = self.deliver(source_name, (src, home, to), whole, trace, at);
                     served = served.and(run);
@@ -827,9 +783,10 @@ impl Cluster {
     }
 
     /// The nodes one non-exchanged batch must reach. Tables broadcast
-    /// (every node's retained replay store must stay complete); streams
-    /// go to the home, to nodes with live subscribers, and to node 0
-    /// when one of its recursive views (all homed there) reads them.
+    /// (every node's retained replay store and views must stay complete);
+    /// streams go to the home, to nodes with live subscribers, and to the
+    /// nodes whose views read them — every node, as every node keeps
+    /// every view.
     fn ingest_targets(&self, src: SourceId, kind: &SourceKind, home: usize) -> BTreeSet<usize> {
         let mut targets = BTreeSet::new();
         targets.insert(home);
@@ -838,12 +795,9 @@ impl Cluster {
             return targets;
         }
         for (i, node) in self.nodes.iter().enumerate() {
-            if node.subscriber_count(src) > 0 {
+            if node.subscriber_count(src) > 0 || node.views_read(src) {
                 targets.insert(i);
             }
-        }
-        if self.nodes[0].views_read(src) {
-            targets.insert(0);
         }
         targets
     }
@@ -966,13 +920,16 @@ impl Cluster {
         self.boundaries
     }
 
+    /// Registered queries (live + paused), a hash group once.
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        let held: usize = self.nodes.iter().map(ShardedEngine::query_count).sum();
+        let groups: BTreeSet<QueryId> = self.exchanged.values().map(|g| g.0).collect();
+        held - groups.len() * (self.nodes.len() - 1)
     }
 
-    /// Node currently owning a query's runtime.
+    /// Node currently owning a query's runtime (node 0 for a hash group).
     pub fn node_of_query(&self, q: QueryHandle) -> Result<usize> {
-        Ok(self.cluster_query(q)?.node)
+        Ok(self.node_of(q)?.0)
     }
 
     /// Sum of operator invocations across every node — the cluster's
@@ -1014,6 +971,13 @@ mod tests {
             schema(&["room", "floor"]),
             SourceKind::Table,
             SourceStats::table(8),
+        )
+        .unwrap();
+        cat.register_source(
+            "Spare",
+            schema(&["room", "value"]),
+            SourceKind::Stream,
+            SourceStats::stream(1.0),
         )
         .unwrap();
         cat
@@ -1122,7 +1086,7 @@ mod tests {
 
     /// The cluster refuses a row of the wrong arity before it numbers,
     /// partitions or broadcasts anything: no node's store or log takes
-    /// the row, the stream's arrival counter stays put, and the late
+    /// the row, the stream's arrival counter (its home's) stays put, and the late
     /// registrations that replay the table on either node succeed.
     #[test]
     fn a_row_of_the_wrong_arity_is_refused_before_any_node_sees_it() {
@@ -1133,10 +1097,11 @@ mod tests {
         let q = c.register(on(0)).unwrap().expect_query();
         c.on_batch("Readings", &[t(&[1, 10], 1)]).unwrap();
         let admitted = |c: &Cluster| (0..2).map(|i| c.node(i).source_tuples_in(readings)).sum();
-        let (arrived, tuples_in): (u64, u64) = (c.arrivals[&readings], admitted(&c));
+        let arrived = |c: &Cluster| c.node(1).next_arrival(readings);
+        let (before, tuples_in): (u64, u64) = (arrived(&c), admitted(&c));
         let err = c.on_batch("Readings", &[t(&[2, 20], 2), t(&[3], 2)]);
         assert_eq!(err.unwrap_err().kind(), "invalid_argument");
-        assert_eq!(c.arrivals[&readings], arrived);
+        assert_eq!(arrived(&c), before);
         assert_eq!(admitted(&c), tuples_in);
         let logs = (0..2).flat_map(|i| c.node(i).log_contents(readings));
         assert!(logs.flatten().all(|(_, row)| row.len() == 2));
@@ -1270,17 +1235,17 @@ mod tests {
         for scheduling in [Pool, Deterministic(11)] {
             let config = EngineConfig::new().shards(1).scheduling(scheduling);
             let mut c = Cluster::new(catalog(), ClusterConfig::new().nodes(2).node_config(config));
-            let spec = QuerySpec::sql("select sum(r.floor) from Rooms r").on_node(1);
-            let rooms = c.register(spec).unwrap().expect_query();
-            // A text floor fails node 1's sum in a deferred task, queued
+            let spec = QuerySpec::sql("select sum(s.value) from Spare s").on_node(1);
+            let spare = c.register(spec).unwrap().expect_query();
+            // A text value fails node 1's sum in a deferred task, queued
             // behind a slow valid batch so no pool worker runs it before
             // the ingest returns.
             let drag = Some(std::time::Duration::from_millis(2));
-            c.nodes[1].set_query_drag(rooms, drag).unwrap();
-            c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
+            c.nodes[1].set_query_drag(spare, drag).unwrap();
+            c.on_batch("Spare", &[t(&[1, 2], 0)]).unwrap();
             let text = vec![Value::Int(1), Value::Text("n/a".into())];
             let bad = Tuple::new(text, SimTime::ZERO);
-            let queued = (0..64).any(|_| c.on_batch("Rooms", std::slice::from_ref(&bad)).is_ok());
+            let queued = (0..64).any(|_| c.on_batch("Spare", std::slice::from_ref(&bad)).is_ok());
             assert!(queued, "{scheduling:?}: the failure never stayed deferred");
 
             assert!(c.register_hash_partitioned(sql, &keys).is_err());
@@ -1296,28 +1261,101 @@ mod tests {
         }
     }
 
+    const CHAIN: &str = "create recursive view Chain as ( \
+                         select r.room, r.floor from Rooms r \
+                         union \
+                         select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )";
+
+    /// Every node keeps the view, so a query over it moves between nodes
+    /// and stays fed on either.
     #[test]
-    fn a_query_over_a_view_is_not_migrated_off_node_0() {
+    fn a_query_over_a_view_migrates_between_nodes() {
         let mut c = two_nodes();
         c.home_source("Rooms", 1).unwrap();
-        c.register_sql(
-            "create recursive view Chain as ( \
-             select r.room, r.floor from Rooms r \
-             union \
-             select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )",
-        )
-        .unwrap();
+        c.register_sql(CHAIN).unwrap();
         let q = c
             .register_sql("select c.room, c.floor from Chain c")
             .unwrap()
             .expect_query();
         c.on_batch("Rooms", &[t(&[1, 2], 0)]).unwrap();
-        assert!(c.migrate(q, 1).is_err());
-        assert_eq!(c.node_of_query(q).unwrap(), 0);
-        assert_eq!(c.migration_count(), 0);
+        c.migrate(q, 1).unwrap();
+        assert_eq!(c.node_of_query(q).unwrap(), 1);
+        assert_eq!(c.migration_count(), 1);
         // Still fed: 1→2 and 2→3 derive 1→3.
         c.on_batch("Rooms", &[t(&[2, 3], 0)]).unwrap();
         assert_eq!(c.snapshot(q).unwrap().len(), 3);
+        c.migrate(q, 0).unwrap();
+        c.on_batch("Rooms", &[t(&[3, 4], 0)]).unwrap();
+        assert_eq!(c.snapshot(q).unwrap().len(), 6);
+        assert_eq!(c.node(1).view_snapshot("Chain").unwrap().len(), 6);
+    }
+
+    /// A view over a hash-exchanged source, and a hash split of a source a
+    /// view reads, are refused: no node holds the whole source.
+    #[test]
+    fn views_and_hash_splits_exclude_each_other() {
+        let mut c = two_nodes();
+        let sql = "select l.value, r.value from Readings l, Extra r where l.room = r.room";
+        let keys = [("Readings", vec![0]), ("Extra", vec![0])];
+        let over_readings = "create recursive view Hops as ( \
+                             select r.room, r.value from Readings r \
+                             union \
+                             select h.room, r.value from Hops h, Readings r where h.value = r.room )";
+        let group = c.register_hash_partitioned(sql, &keys).unwrap();
+        assert!(c.register_sql(over_readings).is_err());
+        c.deregister(group).unwrap();
+        c.register_sql(over_readings).unwrap();
+        assert!(c.register_hash_partitioned(sql, &keys).is_err());
+        assert_eq!(c.query_count(), 0);
+    }
+
+    /// A view the build refuses (one base under two windows) leaves its
+    /// name free for the corrected view, on every node.
+    #[test]
+    fn a_refused_view_leaves_its_name_free() {
+        let mut c = two_nodes();
+        let twice = "create recursive view Chain as ( \
+                     select r.room, r.floor from Rooms r [range 10 seconds] \
+                     union \
+                     select c.room, r.floor from Chain c, Rooms r where c.floor = r.room )";
+        let refused = c.register_sql(twice).unwrap_err();
+        assert!(matches!(refused, AspenError::NotExecutable(_)), "{refused}");
+        c.register_sql(CHAIN).unwrap();
+        c.on_batch("Rooms", &[t(&[1, 2], 0), t(&[2, 3], 0)])
+            .unwrap();
+        for i in 0..2 {
+            assert_eq!(c.node(i).view_snapshot("Chain").unwrap().len(), 3);
+        }
+    }
+
+    /// Signed deltas on a stream a query on node 1 indexes in a join side
+    /// are refused before any node admits them: node 0's query over the
+    /// same stream holds nothing, as on a single engine.
+    #[test]
+    fn deltas_one_node_refuses_reach_no_node() {
+        let plain = "select r.value from Readings r";
+        let join = "select a.value, b.value from Readings a [rows 4], Readings b [rows 4] \
+                    where a.room = b.room";
+        let deltas = DeltaBatch::inserts([t(&[1, 10], 1)]);
+        let mut single = ShardedEngine::new(catalog(), 1);
+        let one = single.register_sql(plain).unwrap().expect_query();
+        single.register_sql(join).unwrap();
+        assert!(single.on_deltas("Readings", &deltas).is_err());
+        assert!(single.snapshot(one).unwrap().is_empty());
+
+        let mut c = two_nodes();
+        let q = c
+            .register(QuerySpec::sql(plain).on_node(0))
+            .unwrap()
+            .expect_query();
+        c.register(QuerySpec::sql(join).on_node(1)).unwrap();
+        let refused = c.on_deltas("Readings", &deltas).unwrap_err();
+        assert!(
+            matches!(refused, AspenError::InvalidArgument(_)),
+            "{refused}"
+        );
+        assert!(c.snapshot(q).unwrap().is_empty());
+        assert_eq!(c.wire_stats().frames, 0);
     }
 
     #[test]
@@ -1408,8 +1446,8 @@ mod tests {
         assert!(c.snapshot(q).is_err());
     }
 
-    /// Node 0 hosts the views, but a stream none of them reads stays off
-    /// its link.
+    /// Every node keeps the views, but a stream none of them reads stays
+    /// off the links to nodes with no query over it.
     #[test]
     fn a_stream_no_view_reads_is_not_shipped_to_node_0() {
         let mut c = two_nodes();
@@ -1434,8 +1472,8 @@ mod tests {
         assert_eq!(c.node(0).source_tuples_in(readings), 0);
     }
 
-    /// A view over a stream homed on node 1 is still fed on node 0, and
-    /// its rows are a single engine's.
+    /// A view over a stream homed on node 1 is fed on node 0 too, and every
+    /// node's copy holds a single engine's rows.
     #[test]
     fn a_view_over_a_remote_stream_matches_one_node() {
         let view = "create recursive view Chain as ( \
@@ -1462,7 +1500,9 @@ mod tests {
         };
         let want = sorted(single.view_snapshot("Chain").unwrap());
         assert!(!want.is_empty());
-        assert_eq!(sorted(c.node(0).view_snapshot("Chain").unwrap()), want);
+        for i in 0..2 {
+            assert_eq!(sorted(c.node(i).view_snapshot("Chain").unwrap()), want);
+        }
         assert_eq!(
             sorted(c.snapshot(cq).unwrap()),
             sorted(single.snapshot(sq).unwrap())

@@ -451,11 +451,13 @@
 //!
 //! Everything above describes *one node*. The [`cluster`] module runs
 //! **N of them**: independent [`shard::ShardedEngine`] instances —
-//! each with its own executor, shards, route counts, and query
-//! runtimes — joined by `aspen-netsim` simulated LAN links behind one
-//! coordinator ([`cluster::Cluster`]) that owns the global catalog,
-//! the source→home map, and placement, and speaks the same
-//! [`session::QuerySpec`] front-end. Every cross-node byte is real in
+//! each with its own executor, shards, route counts, query runtimes and
+//! copy of every recursive view — joined by `aspen-netsim` simulated LAN
+//! links behind one coordinator ([`cluster::Cluster`]) that owns the
+//! global catalog, the source→home map and placement, and speaks the
+//! same [`session::QuerySpec`] front-end. It keeps no query table and no
+//! stream counter: a query's node is the node holding its id, and a
+//! stream's home node numbers it. Every cross-node byte is real in
 //! the simulation's terms: a shipped batch is serialized by the
 //! exchange egress operator into a netsim wire frame, charged against
 //! the directed link's [`cluster::WireStats`] under the
@@ -466,11 +468,11 @@
 //! ([`cluster::Cluster::register_hash_partitioned`]) scatters keyed
 //! sources across all nodes by key hash, so a repartitioned
 //! join's members compute disjoint key ranges whose merged snapshots
-//! equal the monolithic result. Live migration generalizes across
-//! nodes by log position: the recipient drains, the donor engine
-//! extracts the query's runtime (operator state, sink ledger, push
+//! equal the monolithic result. Live migration runs the node's four
+//! calls on two nodes, by log position: the recipient drains, the donor
+//! retires the query's runtime (operator state, sink ledger, push
 //! subscription, cursor positions, the window rows the recipient lacks)
-//! and the recipient routes it in with **no replay** —
+//! and the recipient lands it with **no replay** —
 //! same snapshot, same ops total, and a failed attempt leaves the query
 //! on the donor — driven manually or by a cluster-level
 //! [`rebalance::RebalanceController`] consuming the merged per-node

@@ -409,10 +409,10 @@ impl FrontEnd {
         }
     }
 
-    /// Drop a retired query from its session (a no-op once the session
-    /// itself is closed).
-    pub(crate) fn leave(&mut self, session: Option<SessionId>, qid: QueryId) {
-        if let Some(qids) = session.and_then(|sid| self.sessions.get_mut(&sid)) {
+    /// Drop a retired query from the session it was enrolled in, if any
+    /// (a no-op once that session is closed).
+    pub(crate) fn leave(&mut self, qid: QueryId) {
+        for qids in self.sessions.values_mut() {
             qids.retain(|&q| q != qid);
         }
     }

@@ -106,11 +106,13 @@ use aspen_catalog::{Catalog, SourceKind, SourceMeta, SourceStats};
 use aspen_optimizer::PlanCacheStats;
 use aspen_sql::binder::BoundView;
 use aspen_sql::plan::LogicalPlan;
-use aspen_types::{AspenError, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, WindowSpec};
+use aspen_types::{
+    AspenError, Field, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, Value, WindowSpec,
+};
 use columnar::SegmentPool;
 use parking_lot::Mutex;
 
-use crate::delta::DeltaBatch;
+use crate::delta::{Delta, DeltaBatch};
 use crate::executor::{Boundary, Executor, ExecutorStats};
 use crate::grouped::FilterKey;
 use crate::pipeline::Pipeline;
@@ -226,12 +228,18 @@ fn members(
         .filter(move |(_, q)| !q.paused && q.counts(key))
 }
 
-/// A query runtime lifted out of one cluster node, in flight to another —
-/// the carrier of a cross-node live migration. Holds the query's id, the
-/// running [`QueryRuntime`] (operator state, sink ledger, push
-/// subscription, pause flag), its cursors' [`Positions`] and its
-/// coordinator record; [`ShardedEngine::install_query`] lands them all
-/// under that id.
+/// Enter a view's name and schema in the catalog: the source its output
+/// is published under, one for every engine that installs the view.
+pub(crate) fn view_source(catalog: &Catalog, bound: &BoundView) -> Result<SourceId> {
+    let (schema, stats) = (bound.schema.clone(), SourceStats::default());
+    catalog.register_source(&bound.name, schema, SourceKind::View, stats)
+}
+
+/// A query [`ShardedEngine::retire`] lifted out of its shard, in flight
+/// to [`ShardedEngine::land`] — on another shard, or on another node of a
+/// cluster. Holds the query's id, the running [`QueryRuntime`] (operator
+/// state, sink ledger, push subscription, pause flag), its cursors'
+/// [`Positions`] and its coordinator record.
 pub(crate) struct DetachedQuery {
     id: QueryId,
     runtime: QueryRuntime,
@@ -388,7 +396,6 @@ struct QueryMeta {
     shard: usize,
     /// The bound plan, kept for the resume replay path.
     plan: Arc<LogicalPlan>,
-    session: Option<SessionId>,
     max_batch: Option<usize>,
     max_delay: Option<SimDuration>,
     /// Knobs are optimizer-owned: `auto_tune` may overwrite them.
@@ -413,7 +420,7 @@ pub(crate) enum Admission<'a> {
     Deltas(&'a DeltaBatch),
 }
 
-impl Admission<'_> {
+impl<'a> Admission<'a> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Admission::Batch(tuples) => tuples.len(),
@@ -421,20 +428,48 @@ impl Admission<'_> {
         }
     }
 
-    /// Refuse, as [`AspenError::InvalidArgument`], a payload holding a row
-    /// whose arity is not the width of `source`'s schema — before anything
-    /// stores, numbers, counts or queues it.
-    pub(crate) fn check_arity(&self, source: &SourceMeta) -> Result<()> {
-        let width = source.schema.len();
-        let odd = |(_, n): &(usize, usize)| *n != width;
-        let found = match self {
-            Admission::Batch(tuples) => tuples.iter().map(Tuple::len).enumerate().find(odd),
-            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.len()).enumerate().find(odd),
+    /// The payload's rows: a batch's tuples, or each delta's.
+    pub(crate) fn rows(self) -> impl Iterator<Item = &'a Tuple> {
+        let (tuples, deltas): (&[Tuple], &[Delta]) = match self {
+            Admission::Batch(tuples) => (tuples, &[]),
+            Admission::Deltas(deltas) => (&[], deltas.as_slice()),
         };
-        match found {
+        tuples.iter().chain(deltas.iter().map(|d| &d.tuple))
+    }
+
+    /// Refuse, as [`AspenError::InvalidArgument`], a payload holding a row
+    /// whose arity is not the width of `source`'s schema or, for a Table,
+    /// a cell neither NULL nor of a type its column accepts — before
+    /// anything stores, numbers, counts or queues it. A Table's rows are
+    /// retained and replayed into every later registration, so one
+    /// mistyped cell would fail them all; stream rows are never replayed.
+    pub(crate) fn check_rows(self, source: &SourceMeta) -> Result<()> {
+        let (fields, width) = (source.schema.fields(), source.schema.len());
+        let typed = if source.kind == SourceKind::Table {
+            width
+        } else {
+            0
+        };
+        let mistyped =
+            |(f, v): &(&Field, &Value)| v.data_type().is_some_and(|d| !f.data_type.accepts(d));
+        let odd = |t: &Tuple| {
+            if t.len() != width {
+                return Some(format!("has {} columns; its schema has {width}", t.len()));
+            }
+            let (f, v) = fields.iter().zip(t.values()).take(typed).find(mistyped)?;
+            Some(format!(
+                "holds {v:?} in its {} column '{}'",
+                f.data_type, f.name
+            ))
+        };
+        match self
+            .rows()
+            .enumerate()
+            .find_map(|(i, t)| Some((i, odd(t)?)))
+        {
             None => Ok(()),
-            Some((row, arity)) => Err(AspenError::InvalidArgument(format!(
-                "row {row} of the batch for '{}' has {arity} columns; its schema has {width}",
+            Some((row, why)) => Err(AspenError::InvalidArgument(format!(
+                "row {row} of the batch for '{}' {why}",
                 source.name
             ))),
         }
@@ -641,23 +676,6 @@ impl EngineShard {
             let at = moved.map_or_else(|| Position::fresh(*scan, *spec), |c| c.1);
             log.attach(qid, at, filter.as_ref());
         }
-    }
-
-    /// Where this shard's logs start, for those that hold rows.
-    fn floors(&self) -> Floors {
-        let floor = |(src, log): (&SourceId, &SourceLog)| Some((*src, log.floor()?));
-        self.logs.iter().filter_map(floor).collect()
-    }
-
-    /// What logs starting at `floors` lack for a query's cursors here.
-    fn missing(&self, qid: QueryId, floors: &Floors) -> Backfill {
-        let of = |src: SourceId| {
-            let log = self.logs.get(&src)?;
-            let (first, rows) = log.missing(qid, floors.get(&src).copied())?;
-            Some((src, first, rows))
-        };
-        let sources = self.queries[&qid].pipeline.sources();
-        sources.into_iter().filter_map(of).collect()
     }
 
     /// Census of this shard's source logs. A log is shard residency,
@@ -1017,9 +1035,7 @@ impl ShardedEngine {
     /// through the session are shared catalog objects (other clients'
     /// queries may scan them) and deliberately survive it.
     pub fn close_session(&mut self, session: SessionId) -> Result<usize> {
-        let mut removed: Vec<QueryId> = self.front.close_session(session)?;
-        // A query may already have been deregistered individually.
-        removed.retain(|qid| self.queries.contains_key(qid));
+        let removed = self.front.close_session(session)?;
         for &qid in &removed {
             self.drop_query(qid);
         }
@@ -1056,7 +1072,8 @@ impl ShardedEngine {
             Resolved::View(view) => return self.register_view(&view).map(Registration::View),
         };
         let qid = QueryId(self.next_query);
-        self.place(qid, session, bound)?;
+        self.place(qid, bound)?;
+        self.front.enroll(session, qid);
         self.next_query += 1;
         Ok(Registration::Query(QueryHandle(qid)))
     }
@@ -1064,13 +1081,9 @@ impl ShardedEngine {
     /// Register a bound query under `qid`: build its runtime, place it on
     /// `hash(qid) % shards`, and route it. The cluster coordinator enters
     /// here with what its own front end resolved, under the id it issued;
-    /// its placement hint and sessions mean nothing inside one node.
-    pub(crate) fn place(
-        &mut self,
-        qid: QueryId,
-        session: Option<SessionId>,
-        bound: BoundSpec,
-    ) -> Result<()> {
+    /// its placement hint means nothing inside one node. The caller
+    /// enrolls the query in its session.
+    pub(crate) fn place(&mut self, qid: QueryId, bound: BoundSpec) -> Result<()> {
         let BoundSpec {
             plan,
             push,
@@ -1094,14 +1107,12 @@ impl ShardedEngine {
             QueryMeta {
                 shard,
                 plan,
-                session,
                 max_batch,
                 max_delay,
                 auto,
                 tune_mark: (rt.sink.deltas_applied, self.boundaries, self.now),
             },
         );
-        self.front.enroll(session, qid);
         self.route(qid, rt, Positions::default());
         Ok(())
     }
@@ -1213,22 +1224,23 @@ impl ShardedEngine {
         cursors
     }
 
-    /// Deregister one query. Pending
+    /// Deregister one query: it leaves its session and the engine. Pending
     /// boundaries still route to it; apply them before the runtime
     /// leaves the shard. The drain is the infallible one: a deferred
     /// task error stays for the next observer, and retirement completes.
     fn drop_query(&mut self, qid: QueryId) {
         self.exec.settle(self.queries[&qid].shard);
         self.retire(qid, Backfill::new());
+        self.front.leave(qid);
     }
 
     /// Take a drained query out of the engine: unroute it, lift its
-    /// runtime off the shard, and drop its coordinator record and
-    /// session membership, carrying `backfill` for its recipient.
-    fn retire(&mut self, qid: QueryId, backfill: Backfill) -> DetachedQuery {
+    /// runtime off the shard and drop its coordinator record, carrying
+    /// `backfill` for its recipient. The whole of a retirement, and the
+    /// donor half of every migration. Infallible.
+    pub(crate) fn retire(&mut self, qid: QueryId, backfill: Backfill) -> DetachedQuery {
         let cursors = self.unroute(qid);
-        let mut meta = self.queries.remove(&qid).expect("caller checked");
-        self.front.leave(meta.session.take(), qid);
+        let meta = self.queries.remove(&qid).expect("caller checked");
         DetachedQuery {
             id: qid,
             runtime: self.lift(meta.shard, qid),
@@ -1277,26 +1289,34 @@ impl ShardedEngine {
         pipeline.stream_scans().map(scan).collect()
     }
 
-    /// Materialize a bound view: the coordinator maintains it inside
-    /// every admitting call, and its output deltas fan into the query
-    /// shards like any other source's.
+    /// Materialize a bound view in three steps — build it, enter its name
+    /// in the catalog, install it — the same three a cluster takes across
+    /// its nodes. The coordinator maintains it inside every admitting
+    /// call, and its output deltas fan into the query shards like any
+    /// other source's. A view the build refuses leaves no name behind.
     pub fn register_view(&mut self, bound: &BoundView) -> Result<SourceId> {
-        let out_source = self.catalog.register_source(
-            &bound.name,
-            bound.schema.clone(),
-            SourceKind::View,
-            SourceStats::default(),
-        )?;
+        let view = self.build_view(bound)?;
+        let out_source = view_source(&self.catalog, bound)?;
+        self.install_view(view, out_source);
+        Ok(out_source)
+    }
+
+    /// Build this engine's copy of a bound view, seeded from its retained
+    /// tables. What the seeding emits goes nowhere: no query can scan a
+    /// view that is not installed yet.
+    pub(crate) fn build_view(&self, bound: &BoundView) -> Result<RecursiveView> {
         let mut view = RecursiveView::new(bound)?;
-        // Seed the view from the retained tables. What it emits goes
-        // nowhere: no query can scan a source registered in this call.
         for src in view.base_sources() {
             if let Some(rows) = self.retained(src) {
                 view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
             }
         }
+        Ok(view)
+    }
+
+    /// Install a built view, publishing its output as `out_source`.
+    pub(crate) fn install_view(&mut self, view: RecursiveView, out_source: SourceId) {
         self.views.views.push(ViewRuntime { view, out_source });
-        Ok(out_source)
     }
 
     // -----------------------------------------------------------------
@@ -1453,10 +1473,10 @@ impl ShardedEngine {
     /// pool. Snapshots, push accumulation, and the ops total are exactly
     /// what they would have been without the move — no replay, no
     /// divergence (property-tested in `tests/sharding.rs`) — and the
-    /// moved cursors share window work like any other. Session membership
-    /// and every other coordinator record are untouched; only the shard
-    /// assignment (the runtime routed on its new shard) and the route
-    /// counts change.
+    /// moved cursors share window work like any other. Four calls, the
+    /// same four a cluster makes across two nodes: `floors`, `lacking`,
+    /// `retire`, `land`. Session
+    /// membership is untouched; the knob-tuning window restarts.
     pub fn migrate(&mut self, q: QueryHandle, to: usize) -> Result<()> {
         let from = self.meta(q)?.shard;
         if to >= self.shard_count() {
@@ -1469,16 +1489,13 @@ impl ShardedEngine {
             return Ok(());
         }
         // Migration quiesces exactly the two affected shards' queues,
-        // never the world: the donor so the runtime leaves with every
-        // admitted boundary applied, the recipient so queued boundaries
-        // there cannot interleave with the attach.
-        self.exec.quiesce(to)?;
-        let floors = self.shard(to).lock().floors();
+        // never the world: the recipient so queued boundaries there cannot
+        // interleave with the attach, the donor so the runtime leaves with
+        // every admitted boundary applied.
+        let floors = self.floors(to)?;
         let backfill = self.lacking(q, &floors)?;
-        let cursors = self.unroute(q.0);
-        let rt = self.lift(from, q.0);
-        self.queries.get_mut(&q.0).expect("meta checked").shard = to;
-        self.route(q.0, rt, Positions { cursors, backfill });
+        let moved = self.retire(q.0, backfill);
+        self.land(moved, to);
         self.migrations += 1;
         self.journal.record(Span {
             at_us: now_us(),
@@ -1490,57 +1507,54 @@ impl ShardedEngine {
         Ok(())
     }
 
+    /// Drain shard `to`, surfacing any deferred task error, and say where
+    /// its logs start (those that hold rows) — the recipient's one fallible
+    /// step in a migration, run before the donor lifts anything.
+    pub(crate) fn floors(&self, to: usize) -> Result<Floors> {
+        self.exec.quiesce(to)?;
+        let floor = |(src, log): (&SourceId, &SourceLog)| Some((*src, log.floor()?));
+        Ok(self
+            .shard(to)
+            .lock()
+            .logs
+            .iter()
+            .filter_map(floor)
+            .collect())
+    }
+
     /// Drain a query's shard — the donor's one fallible step in a
-    /// cross-node migration — and read the rows logs starting at
-    /// `floors` lack for its cursors.
+    /// migration — and read the rows logs starting at `floors` lack for
+    /// its cursors.
     pub(crate) fn lacking(&self, q: QueryHandle, floors: &Floors) -> Result<Backfill> {
-        let shard = self.meta(q)?.shard;
-        self.exec.quiesce(shard)?;
-        Ok(self.shard(shard).lock().missing(q.0, floors))
+        let on = self.meta(q)?.shard;
+        self.exec.quiesce(on)?;
+        let shard = self.shard(on).lock();
+        let of = |src: SourceId| {
+            let (first, rows) = shard
+                .logs
+                .get(&src)?
+                .missing(q.0, floors.get(&src).copied())?;
+            Some((src, first, rows))
+        };
+        let sources = shard.queries[&q.0].pipeline.sources();
+        Ok(sources.into_iter().filter_map(of).collect())
     }
 
-    /// Lift a drained query out of this node carrying `backfill` — the
-    /// donor half of [`ShardedEngine::migrate`] across nodes: the same
-    /// unroute, the same no-replay invariants, except the query also
-    /// leaves this engine's coordinator records (meta, session). Infallible.
-    pub(crate) fn extract_with(&mut self, q: QueryHandle, backfill: Backfill) -> DetachedQuery {
-        self.retire(q.0, backfill)
-    }
-
-    /// The one fallible step of landing migrated-in query `qid`: drain
-    /// the shard [`ShardedEngine::install_query`] will land it on,
-    /// surfacing any deferred task error, and say where that shard's logs
-    /// start. A cross-node migration runs this on the recipient *before*
-    /// the donor lifts anything, as [`ShardedEngine::migrate`] drains
-    /// both shards.
-    pub(crate) fn drain_for_install(&self, qid: QueryId) -> Result<Floors> {
-        let shard = self.shard_of(qid);
-        self.exec.quiesce(shard)?;
-        Ok(self.shard(shard).lock().floors())
-    }
-
-    /// Install a query another node of the cluster lifted out — the
-    /// recipient half of a cross-node migration. The runtime is routed
-    /// intact (no replay: operator state, sink ledger, push subscription
-    /// and pause flag arrive exactly as they left the donor) under the id
-    /// it carries, on that id's shard, its cursors rejoining this engine's
-    /// logs at their positions; session membership does not cross
-    /// engines. Only a caller that issues the ids of both engines may
-    /// move a query between them. Cannot fail, so a lifted query is never
-    /// dropped; its drain leaves any deferred task error for the next
-    /// observer.
-    pub(crate) fn install_query(&mut self, d: DetachedQuery) {
+    /// Land a query [`Self::retire`] lifted out — of this engine, or of
+    /// another node of the cluster that issues both engines' ids — on
+    /// shard `to` under its own id, routed intact (no replay): its cursors
+    /// rejoin `to`'s logs at their positions once the back-fill is in, and
+    /// its knob-tuning window restarts against this engine's clock and
+    /// boundaries. Infallible: the caller drained `to` through
+    /// [`Self::floors`].
+    pub(crate) fn land(&mut self, d: DetachedQuery, to: usize) {
         let DetachedQuery {
             id,
             runtime,
             mut meta,
             at,
         } = d;
-        meta.shard = self.shard_of(id);
-        self.exec.settle(meta.shard);
-        // The sink's delta counter travelled with the runtime; restart
-        // the knob-tuning window against this engine's clock and
-        // boundary count.
+        meta.shard = to;
         meta.tune_mark = (runtime.sink.deltas_applied, self.boundaries, self.now);
         self.queries.insert(id, meta);
         self.route(id, runtime, at);
@@ -1609,7 +1623,8 @@ impl ShardedEngine {
     /// Close the optimizer loop over the micro-batch knobs: for every
     /// live query registered with [`QuerySpec::auto_knobs`], measure its
     /// output-delta rate and the engine's batch-boundary rate since the
-    /// query's last tune, ask `chooser` (typically the optimizer's
+    /// query's last tune, resume or move (between shards or nodes alike),
+    /// ask `chooser` (typically the optimizer's
     /// calibrated `choose_knobs`) for `(max_batch, max_delay)`, and
     /// apply them. Returns how many queries were retuned. Queries whose
     /// measurement window spans no simulated time are skipped. A deferred
@@ -1693,9 +1708,9 @@ impl ShardedEngine {
     }
 
     /// [`ShardedEngine::admit`] a payload under a new trace context, once
-    /// its rows have the source's arity: a refused payload moves nothing.
+    /// its rows fit the source's schema: a refused payload moves nothing.
     fn ingest(&mut self, source_name: &str, payload: Admission<'_>) -> Result<()> {
-        payload.check_arity(&*self.catalog.source(source_name)?)?;
+        payload.check_rows(&*self.catalog.source(source_name)?)?;
         let trace = self.make_ctx();
         self.admit(source_name, payload, Some(trace), None)
     }
@@ -1717,16 +1732,9 @@ impl ShardedEngine {
     ) -> Result<()> {
         let meta = self.catalog.source(source_name)?;
         let src = meta.id;
-        let deltas = matches!(payload, Admission::Deltas(_));
-        if deltas && self.routes.total(Counted::Indexes(src)) > 0 {
-            // Refused before anything moved: no shard, counter or clock
-            // has seen the batch.
-            return Err(AspenError::InvalidArgument(format!(
-                "'{source_name}' is a stream a live query's join side indexes by row, \
-                 and signed deltas name no row of its window; ingest its tuples with \
-                 on_batch"
-            )));
-        }
+        // Refused before anything moved: no shard, counter or clock has
+        // seen the batch.
+        self.check_deltas(&meta, payload)?;
         let ingest = &mut self.ingest;
         *ingest.tuples_in.entry(src).or_insert(0) += payload.len() as u64;
         let mut first = 0;
@@ -1756,10 +1764,7 @@ impl ShardedEngine {
         // Advance the engine clock to the latest observed event
         // timestamp, so batch-only, delta-only, and mixed workloads all
         // keep `now()` fresh.
-        let latest = match payload {
-            Admission::Batch(tuples) => tuples.iter().map(Tuple::timestamp).max(),
-            Admission::Deltas(deltas) => deltas.iter().map(|d| d.tuple.timestamp()).max(),
-        };
+        let latest = payload.rows().map(Tuple::timestamp).max();
         self.now = self.now.max(latest.unwrap_or(self.now));
         let mut served = Ok(());
         if !routes.is_empty() {
@@ -1788,6 +1793,22 @@ impl ShardedEngine {
         }
         let finished = self.finish_boundary();
         served.and(finished)
+    }
+
+    /// Refuse, as [`AspenError::InvalidArgument`], signed deltas on a
+    /// stream whose window a live query here indexes in a join side: they
+    /// name no row of it. Admission asks first, and a cluster asks every
+    /// node before it numbers, splits or ships anything.
+    pub(crate) fn check_deltas(&self, source: &SourceMeta, payload: Admission<'_>) -> Result<()> {
+        let indexed = self.routes.total(Counted::Indexes(source.id)) > 0;
+        if indexed && matches!(payload, Admission::Deltas(_)) {
+            return Err(AspenError::InvalidArgument(format!(
+                "'{}' is a stream a live query's join side indexes by row, and signed \
+                 deltas name no row of its window; ingest its tuples with on_batch",
+                source.name
+            )));
+        }
+        Ok(())
     }
 
     /// Submit each view's net output to the shards subscribed to its
@@ -1966,6 +1987,23 @@ impl ShardedEngine {
     /// Whether one of this engine's recursive views reads `src`.
     pub(crate) fn views_read(&self, src: SourceId) -> bool {
         self.views.reads(src)
+    }
+
+    /// Whether this engine holds query `qid`, live or paused.
+    pub(crate) fn holds(&self, qid: QueryId) -> bool {
+        self.queries.contains_key(&qid)
+    }
+
+    /// The sources a query's plan scans, read off its stored plan.
+    pub(crate) fn scanned(&self, q: QueryHandle) -> Result<Vec<Arc<SourceMeta>>> {
+        let scans = self.meta(q)?.plan.scans();
+        Ok(scans.into_iter().map(|rel| Arc::clone(&rel.meta)).collect())
+    }
+
+    /// The arrival number the next batch of stream `src` admitted here
+    /// takes.
+    pub(crate) fn next_arrival(&self, src: SourceId) -> u64 {
+        self.ingest.arrivals.get(&src).copied().unwrap_or(0)
     }
 
     /// Snapshots of every query routed to the named display, in
@@ -3596,6 +3634,72 @@ mod tests {
             let want = vec![Tuple::new(vec![Value::Text("b".into())], SimTime::ZERO)];
             assert_eq!(e.snapshot(q).unwrap(), want);
         }
+    }
+
+    /// A Table cell of a type its column does not accept is refused at
+    /// admission, by batch and by signed delta: before, one text `floor`
+    /// was retained and every later `sum(r.floor)` failed in its replay
+    /// with `TypeMismatch`. NULL, and an INT in a FLOAT column, pass.
+    #[test]
+    fn a_table_cell_of_the_wrong_type_is_refused_at_admission() {
+        let cat = Catalog::shared();
+        let fields = [
+            ("room", DataType::Int),
+            ("floor", DataType::Int),
+            ("area", DataType::Float),
+        ];
+        let rooms = Schema::new(fields.map(|(c, t)| Field::new(c, t)).to_vec()).into_ref();
+        cat.register_source("Rooms", rooms, SourceKind::Table, SourceStats::table(8))
+            .unwrap();
+        let mut e = ShardedEngine::new(cat, 1);
+        let row = |floor, area| Tuple::new(vec![Value::Int(1), floor, area], SimTime::ZERO);
+        e.on_batch("Rooms", &[row(Value::Int(2), Value::Int(30))])
+            .unwrap();
+        e.on_batch("Rooms", &[row(Value::Null, Value::Float(2.5))])
+            .unwrap();
+        let text = row(Value::Text("n/a".into()), Value::Null);
+        let err = e.on_batch("Rooms", &[row(Value::Int(3), Value::Null), text]);
+        let err = err.unwrap_err().to_string();
+        assert!(
+            err.contains("row 1 of the batch for 'Rooms' holds"),
+            "{err}"
+        );
+        let float = DeltaBatch::inserts([row(Value::Float(1.5), Value::Null)]);
+        assert!(e.on_deltas("Rooms", &float).is_err());
+        let rooms = e.catalog().source("Rooms").unwrap().id;
+        assert_eq!(e.source_tuples_in(rooms), 2);
+        for _ in 0..3 {
+            let q = e
+                .register_sql("select sum(r.floor) from Rooms r")
+                .unwrap()
+                .expect_query();
+            assert_eq!(e.snapshot(q).unwrap()[0].values(), [Value::Int(2)]);
+        }
+    }
+
+    /// A view the build refuses (one base under two windows) leaves no
+    /// name behind: before, the name entered the catalog first, and the
+    /// corrected view was refused as `source 'Reach' already registered`.
+    #[test]
+    fn a_refused_view_leaves_its_name_free() {
+        let mut e = engine();
+        let twice = "create recursive view Reach as ( \
+                       select e.src, e.dst from Edge e [range 10 seconds] \
+                       union \
+                       select r.src, e.dst from Reach r, Edge e where r.dst = e.src )";
+        let refused = e.register_sql(twice).unwrap_err();
+        assert!(matches!(refused, AspenError::NotExecutable(_)), "{refused}");
+        assert!(e.catalog().source("Reach").is_err());
+        e.register_sql(
+            "create recursive view Reach as ( \
+               select e.src, e.dst from Edge e \
+               union \
+               select r.src, e.dst from Reach r, Edge e where r.dst = e.src )",
+        )
+        .unwrap();
+        e.on_batch("Edge", &[edge("a", "b"), edge("b", "c")])
+            .unwrap();
+        assert_eq!(e.view_snapshot("Reach").unwrap().len(), 3);
     }
 
     #[test]

@@ -250,8 +250,8 @@ pub struct Workload {
     pub jump: (u64, u64),
     /// Percent of heartbeats that leap 200 s instead, past every window.
     pub leap: u32,
-    /// Percent of rows, split evenly, that repeat the previous row or
-    /// arrive up to 8 seconds late.
+    /// Percent of rows, split evenly, that repeat their source's previous
+    /// row or arrive up to 8 seconds late.
     pub awkward: u32,
 }
 
@@ -331,19 +331,21 @@ impl Workload {
                 _ => {}
             }
         }
-        let (mut now, mut serial, mut last) = (0u64, 0i64, None::<At>);
+        let (mut now, mut serial) = (0u64, 0i64);
+        // Each source's previous row, which an awkward row repeats.
+        let mut last: HashMap<&str, At> = HashMap::new();
         let mut held: HashMap<&str, Vec<At>> = HashMap::new();
         let mut rows = |rng: &mut StdRng, source: &'static str, now: u64| {
             let mut row = |rng: &mut StdRng| {
                 let mut awkward = || rng.gen_range(0..200u32) < self.awkward;
-                if let (Some(dup), true) = (&last, awkward()) {
+                if let (Some(dup), true) = (last.get(source), awkward()) {
                     return dup.clone();
                 }
                 let late = if awkward() { rng.gen_range(1..9u64) } else { 0 };
                 serial += 1;
                 let stamp = (now + rng.gen_range(0..2u64)).saturating_sub(late);
                 let row = At(stamp, (self.cells)(rng, source, serial));
-                last = Some(row.clone());
+                last.insert(source, row.clone());
                 row
             };
             Rows(

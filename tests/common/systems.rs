@@ -11,12 +11,12 @@ use smartcis::stream::{
 };
 use smartcis::types::{AspenError, Result, SourceId, Tuple};
 
-use super::{mentions, order, sorted, Config, Mode, Op, Sample, Seen, SlotSeen, SlotState};
+use super::{order, sorted, Config, Mode, Op, Sample, Seen, SlotSeen, SlotState};
 use super::{System, Workload};
 
 pub enum Engine {
-    Node(ShardedEngine),
-    Cluster(Cluster),
+    Node(Box<ShardedEngine>),
+    Cluster(Box<Cluster>),
 }
 
 /// `$body` with `$e` bound to either engine: the two share their verbs.
@@ -31,8 +31,6 @@ macro_rules! each {
 
 struct Query {
     handle: QueryHandle,
-    /// Scans a view.
-    on_view: bool,
     sub: Option<ResultSubscription>,
     /// The net multiset of every drained push delta, in [`order`].
     pushed: Vec<(Tuple, i64)>,
@@ -90,9 +88,9 @@ impl EngineSystem {
             for (i, (s, _)) in w.streams.iter().enumerate() {
                 c.home_source(s, i * (n - 1) % n).unwrap();
             }
-            Engine::Cluster(c)
+            Engine::Cluster(Box::new(c))
         } else {
-            Engine::Node(ShardedEngine::with_config((w.catalog)(), node))
+            Engine::Node(Box::new(ShardedEngine::with_config((w.catalog)(), node)))
         };
         EngineSystem {
             label: config.label(),
@@ -112,7 +110,7 @@ impl EngineSystem {
 
     fn nodes(&self) -> Vec<&ShardedEngine> {
         match &self.engine {
-            Engine::Node(e) => vec![e],
+            Engine::Node(e) => vec![&**e],
             Engine::Cluster(c) => (0..c.node_count()).map(|i| c.node(i)).collect(),
         }
     }
@@ -177,7 +175,7 @@ impl System for EngineSystem {
                 if *push {
                     spec = spec.push();
                 }
-                if let (Engine::Cluster(_), true) = (&*engine, self.views.is_empty()) {
+                if let Engine::Cluster(_) = engine {
                     // Slots spread over the nodes from the start.
                     spec = spec.on_node(slot % width);
                 }
@@ -185,10 +183,8 @@ impl System for EngineSystem {
                 let sub = push
                     .then(|| each!(&mut *engine, e => e.subscribe(handle)))
                     .transpose()?;
-                let on_view = self.views.iter().any(|(name, _)| mentions(sql, name));
                 let query = Query {
                     handle,
-                    on_view,
                     sub,
                     pushed: Vec::new(),
                 };
@@ -207,28 +203,15 @@ impl System for EngineSystem {
             }
             Op::Pause(slot) => each!(engine, e => e.pause(h(slot))),
             Op::Resume(slot) => each!(engine, e => e.resume(h(slot))),
-            Op::Migrate(slot, to) => match engine {
-                Engine::Node(e) => e.migrate(h(slot), to % width),
-                // Views materialize on node 0: moving a query over one
-                // anywhere else is refused, and the query stays.
-                Engine::Cluster(c) if self.queries[slot].on_view && to % width != 0 => {
-                    match c.migrate(h(slot), to % width) {
-                        Err(_) if c.node_of_query(h(slot))? == 0 => Ok(()),
-                        _ => Err(AspenError::Execution("a view's query left node 0".into())),
-                    }
-                }
-                Engine::Cluster(c) => c.migrate(h(slot), to % width),
-            },
+            Op::Migrate(slot, to) => each!(engine, e => e.migrate(h(slot), to % width)),
             Op::Subscribe(slot) => {
                 let sub = each!(engine, e => e.subscribe(h(slot)))?;
                 self.queries.get_mut(slot).unwrap().sub = Some(sub);
                 Ok(())
             }
-            Op::Tune(slot, max_batch, max_delay) => match engine {
-                Engine::Node(e) => e.tune_query(h(slot), *max_batch, *max_delay),
-                // The coordinator has no knob verb.
-                Engine::Cluster(_) => Ok(()),
-            },
+            Op::Tune(slot, max_batch, max_delay) => {
+                each!(engine, e => e.tune_query(h(slot), *max_batch, *max_delay))
+            }
             Op::Read(slot, at) => each!(engine, e => e.snapshot_at(h(slot), *at)).map(drop),
         }
     }
@@ -324,12 +307,18 @@ impl System for EngineSystem {
                 .map(|(_, m)| (m.invocations, m.deltas))
                 .collect(),
         );
-        let home = self.nodes()[0];
-        let mut views = Vec::new();
-        for name in &self.registered {
-            let rows = sorted(home.view_snapshot(name).map_err(error)?);
-            let stats = format!("{:?}", home.view_stats(name).map_err(error)?);
-            views.push((name.to_string(), rows, stats));
+        // Every node keeps every view: each copy is node 0's.
+        let mut views: Vec<super::View> = Vec::new();
+        for (i, node) in self.nodes().into_iter().enumerate() {
+            for (k, name) in self.registered.iter().enumerate() {
+                let rows = sorted(node.view_snapshot(name).map_err(error)?);
+                let stats = format!("{:?}", node.view_stats(name).map_err(error)?);
+                match views.get(k) {
+                    None => views.push((name.to_string(), rows, stats)),
+                    Some(v) if (&v.1, &v.2) == (&rows, &stats) => {}
+                    Some(_) => return Err(("views", format!("node {i}'s {name} is not node 0's"))),
+                }
+            }
         }
         sample.view_rows = views.iter().map(|v| v.1.len()).collect();
         seen.views = Some(views);

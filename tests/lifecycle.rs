@@ -238,24 +238,30 @@ fn micro_batch_knobs_coalesce_and_chunk_push_delivery() {
     assert!(sizes.iter().all(|&n| n <= 1), "max_batch caps chunks");
 }
 
-/// A resume that fails (the replay hits a retained row its predicate
-/// refuses) must leave the query paused and fully intact — snapshot
-/// still answers, and nothing panics afterwards.
+/// A resume that fails (its drain surfaces a deferred task error: a
+/// sibling query's arithmetic over a text reading) must leave the query
+/// paused and fully intact — snapshot still answers, and nothing panics
+/// afterwards. A Table cannot hold a mistyped row, so a stream poisons.
 #[test]
 fn failed_resume_leaves_query_paused_and_readable() {
-    let mut e = ShardedEngine::new(catalog(), 1);
+    let config = EngineConfig::new().shards(1).scheduling(Scheduling::Pool);
+    let mut e = ShardedEngine::with_config(catalog(), config);
     let q = e
         .register_sql("select f.key from Facts f where f.val * 1 > 0")
         .unwrap()
         .expect_query();
     e.on_batch("Facts", &[fact("a", 1, 1)]).unwrap();
     e.pause(q).unwrap();
-    // A text `val` sneaks into the retained table while the query is
-    // detached; the resume replay's arithmetic fails.
-    let text = vec![Value::Text("short".into()), Value::Text("n/a".into())];
-    e.on_batch("Facts", &[Tuple::new(text, SimTime::from_secs(2))])
+    // A text reading is queued behind slow valid ones while the query is
+    // detached; the sibling's arithmetic fails in a deferred task.
+    let sibling = e
+        .register_sql("select r.sensor from Readings r where r.value * 1 > 0")
+        .unwrap()
+        .expect_query();
+    e.set_query_drag(sibling, Some(Duration::from_millis(2)))
         .unwrap();
-    assert!(e.resume(q).is_err(), "replay over the bad row must fail");
+    assert!(poison(&mut e), "the failure never stayed deferred");
+    assert!(e.resume(q).is_err(), "the drain before routing must fail");
     assert!(
         e.is_paused(q).unwrap(),
         "query stays paused after the error"

@@ -35,9 +35,9 @@ use smartcis::types::rng::seeded;
 use smartcis::types::DataType::{Float, Int, Text};
 use smartcis::types::{Result, SimTime, Tuple, Value};
 
-/// Both sources three columns wide, typed alike where the templates
-/// aggregate: the kit's awkward rows repeat the previous row, which may be
-/// the other source's.
+/// A stream of readings and a weighted link table, which one template
+/// sums. (The kit's awkward rows repeat their own source's previous row,
+/// so the two need not share a width.)
 fn catalog() -> Arc<Catalog> {
     common::catalog(&[
         (

@@ -982,7 +982,7 @@ fn indexed_join_row() -> Row {
             subscribe: 1,
             ..Weights::default()
         },
-        events: 120,
+        events: 130,
         batch: (0, 10),
         jump: (0, 6),
         awkward: 40,

@@ -1,7 +1,9 @@
-//! Integration: recursive views under every scheduling mode. Views are
-//! maintained inside the call that admits a boundary, and their output
-//! reaches the query shards as ordinary delta boundaries — so at 1 and 2
-//! shards under `Sequential`, `Pool` and `Deterministic(seed)`, after
+//! Integration: recursive views under every scheduling mode and on a
+//! cluster. Views are maintained inside the call that admits a boundary,
+//! and their output reaches the query shards as ordinary delta boundaries
+//! — so at 1 and 2 shards under `Sequential`, `Pool` and
+//! `Deterministic(seed)`, and on 2- and 3-node clusters, where every node
+//! keeps every view and queries over views move between nodes, after
 //! every event of a seeded churn (stream ingest, table inserts and
 //! retractions, heartbeats that jump past the window, register /
 //! deregister / pause / resume / migrate of the downstream queries, a
@@ -12,7 +14,7 @@
 //! * every downstream query's snapshot is equal, and each push
 //!   subscription's accumulated deltas equal its snapshot;
 //! * every view's materialization is equal, and so are its maintenance
-//!   statistics;
+//!   statistics — on every node of a cluster;
 //! * each system agrees with itself: a live filter or count over a view
 //!   equals that view's own rows (the kit's `agree` check), so a view
 //!   whose emitted deltas drift from its materialization fails even
@@ -24,7 +26,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{seeds, Cell, Config, Oracle, Row, SlotState, View, Weights, Workload, I, T};
+use common::{seeds, Cell, Config, Mode, Oracle, Row, SlotState, View, Weights, Workload, I, T};
 use rand::rngs::StdRng;
 use rand::Rng;
 use smartcis::catalog::{Catalog, SourceStats};
@@ -141,15 +143,20 @@ fn views_row() -> Row {
         ..Workload::new(catalog, cells, sql)
     };
     w.opening.extend(w.register_all([(0, 1), (2, 3), (4, 0)]));
-    let configs = Config::matrix(&[1, 2]).into_iter().map(|c| c.depth(DEPTH));
+    let mut configs = Config::matrix(&[1, 2]);
+    configs.extend([2, 3].map(|n| Config::cluster(n, Mode::Seq)));
+    let configs = configs.into_iter().map(|c| c.depth(DEPTH));
     let row = Row::new("views_row()", w, configs.collect());
     row.oracle(Oracle::Private).agree(agree)
 }
 
 #[test]
 fn views_agree_under_every_scheduling_mode_and_shard_count() {
-    let mut shrank = false;
+    let (mut shrank, mut moved) = (false, false);
     for run in views_row().check(seeds(2)) {
+        moved |= run
+            .engines()
+            .any(|o| o.label.contains("nodes") && o.migrations > 0);
         let held: Vec<usize> = run
             .of("Private")
             .samples
@@ -159,4 +166,5 @@ fn views_agree_under_every_scheduling_mode_and_shard_count() {
         shrank |= held.windows(2).any(|w| w[1] < w[0]);
     }
     assert!(shrank, "the windowed view never shrank");
+    assert!(moved, "no query over a view moved between nodes");
 }
