@@ -46,7 +46,7 @@ pub(crate) const BYTES_PER_TUPLE: f64 = 48.0;
 
 /// Delivery-side cost constants, in the same CPU-op currency as
 /// `cpu_ops` (one op ≈ one delta through one operator ≈ 20 ns at
-/// [`CPU_OPS_PER_SEC`]). Calibrated on a measured 50-query fan-out
+/// `CPU_OPS_PER_SEC`). Calibrated on a measured 50-query fan-out
 /// (20 000 tuples, 79 boundaries): polling every query at every
 /// boundary cost ~1.2 s of wall time for ~6.6 M polled rows (~8 ops per
 /// row), while eager push delivery cost ~75 ms for ~4 k batches /
@@ -247,7 +247,7 @@ pub(crate) fn predicate_selectivity(p: &BoundExpr) -> f64 {
 }
 
 /// Cost a stream-side plan: work per epoch, LAN traffic, latency.
-/// Uses the static [`CPU_OPS_PER_SEC`] calibration; see
+/// Uses the static `CPU_OPS_PER_SEC` calibration; see
 /// [`estimate_plan_with_rate`] for the measured-rate variant.
 pub fn estimate_plan(plan: &LogicalPlan) -> StreamCost {
     estimate_plan_with_rate(plan, CPU_OPS_PER_SEC)
@@ -282,7 +282,7 @@ pub(crate) fn latency_sec(scans: usize, cpu_ops: f64, cpu_ops_per_sec: f64) -> f
 /// [`estimate_plan`] calibrated by the catalog: when a measured
 /// operator rate has been published (`Catalog::record_observed_op_rate`
 /// from the trace plane's `OpProfile` timings), it replaces the static
-/// [`CPU_OPS_PER_SEC`] constant; otherwise the static calibration
+/// `CPU_OPS_PER_SEC` constant; otherwise the static calibration
 /// applies unchanged.
 pub fn estimate_plan_calibrated(
     plan: &LogicalPlan,

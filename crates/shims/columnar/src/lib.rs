@@ -40,8 +40,9 @@
 //!   access. A spill file carries an FNV-1a checksum of its payload; one
 //!   that cannot be read back, fails its checksum or does not decode makes
 //!   its segment's rows read as absent and is counted
-//!   ([`TupleStore::spill_read_failures`]). Fully-dead sealed segments
-//!   are dropped (and their spill files deleted) automatically.
+//!   ([`TupleStore::spill_read_failures`]), as is a file that cannot be
+//!   written ([`TupleStore::spill_write_failures`]). Fully-dead sealed
+//!   segments are dropped (and their spill files deleted) automatically.
 //! * [`SegmentPool`] — a sealed segment's stamps and value columns are
 //!   two immutable, shared parts; stores of one pool that seal a full,
 //!   aligned segment another already sealed take its parts. Liveness,
@@ -1268,13 +1269,15 @@ impl Segment {
         self.sealed = true;
     }
 
-    fn spill(&mut self, dir: &PathBuf) {
+    /// Page the value columns out to a file under `dir`; whether the
+    /// file was written (a failed write leaves the segment resident).
+    fn spill(&mut self, dir: &PathBuf) -> bool {
         let cols = match &self.state {
             SegState::Resident(cols) => cols,
-            SegState::Spilled(_) => return,
+            SegState::Spilled(_) => return true,
         };
         if fs::create_dir_all(dir).is_err() {
-            return;
+            return false;
         }
         let buf = encode_segment(cols);
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -1287,6 +1290,7 @@ impl Segment {
         } else {
             let _ = fs::remove_file(&path);
         }
+        ok
     }
 
     /// A fully resident copy sharing the resident parts — a spilled
@@ -1396,6 +1400,8 @@ pub struct TupleStore {
     /// Reads of a spilled segment that found its file missing, short or
     /// undecodable (a statistic: reads take `&self`).
     read_failures: AtomicU64,
+    /// See [`TupleStore::spill_write_failures`].
+    write_failures: u64,
 }
 
 impl Clone for TupleStore {
@@ -1423,6 +1429,7 @@ impl Clone for TupleStore {
             seg_rows: self.seg_rows,
             pool: self.pool.clone(),
             read_failures: AtomicU64::new(self.spill_read_failures()),
+            write_failures: self.write_failures,
         }
     }
 }
@@ -1440,6 +1447,7 @@ impl TupleStore {
             sealed: Cached::default(),
             pool: None,
             read_failures: AtomicU64::new(0),
+            write_failures: 0,
         }
     }
 
@@ -1524,6 +1532,12 @@ impl TupleStore {
     /// them) until the file reads again.
     pub fn spill_read_failures(&self) -> u64 {
         self.read_failures.load(Ordering::Relaxed)
+    }
+
+    /// Spill passes ended by a file that could not be written; the
+    /// segment stays resident, and the next seal tries again.
+    pub fn spill_write_failures(&self) -> u64 {
+        self.write_failures
     }
 
     /// Append a row; returns its (stable) row id.
@@ -1781,7 +1795,10 @@ impl TupleStore {
                 continue;
             }
             let before = s.cached();
-            s.spill(&cfg.dir);
+            if !s.spill(&cfg.dir) {
+                self.write_failures += 1;
+                break;
+            }
             let after = s.cached();
             resident -= before.resident - after.resident;
             self.sealed -= before;
@@ -2886,5 +2903,28 @@ mod tests {
             drop(s);
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A spill directory that cannot be made (a path under a regular
+    /// file) costs one failed write per seal past the threshold, and
+    /// the store holds what a store without a spill tier holds.
+    #[test]
+    fn failed_spill_writes_are_counted_once_per_seal() {
+        let file = std::env::temp_dir().join(format!("colshim-unwritable-{}", std::process::id()));
+        fs::write(&file, b"not a directory").unwrap();
+        let mut s = TupleStore::new(3)
+            .segment_rows(8)
+            .with_spill(Some(SpillConfig::new(0, file.join("spill"))));
+        let mut plain = TupleStore::new(3).segment_rows(8);
+        for i in 0..40 {
+            s.push(&row(i), i as u64);
+            plain.push(&row(i), i as u64);
+            assert_eq!(s.spill_write_failures(), i as u64 / 8, "after row {i}");
+        }
+        assert_eq!((s.spilled_bytes(), s.spill_read_failures()), (0, 0));
+        assert_eq!(s.resident_bytes(), plain.resident_bytes());
+        assert_eq!(live_rows_of(&s), live_rows_of(&plain));
+        assert_eq!(s.clone().spill_write_failures(), 4);
+        let _ = fs::remove_file(&file);
     }
 }

@@ -5,8 +5,8 @@
 //! its own executor, shards, route counts, and query runtimes — joined
 //! by `aspen-netsim` simulated LAN links. Everything that crosses a
 //! node boundary goes through the netsim codec as an encoded
-//! [`WireFrame`](aspen_netsim::frames::WireFrame): data batches are
-//! serialized by the [`exchange`] egress operator, charged against the
+//! [`WireFrame`]: data batches are serialized by the [`exchange`]
+//! egress operator, charged against the
 //! directed link's [`WireStats`] under the [`LanModel`], decoded on
 //! the far side, and re-admitted through the remote node's *normal*
 //! `on_deltas` ingest path. There is no cluster-private fast path —
@@ -575,6 +575,7 @@ impl Cluster {
             boundaries: self.boundaries,
             out_of_order_tuples: reports.iter().map(|r| r.out_of_order_tuples).sum(),
             log_shared_bytes: reports.iter().map(|r| r.log_shared_bytes).sum(),
+            tables: reports.iter().map(|r| r.tables).sum(),
             now_secs,
             profile,
             scheduling: reports.first().map(|r| r.scheduling).unwrap_or_default(),

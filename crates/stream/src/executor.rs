@@ -7,7 +7,7 @@
 //! sibling's view of the stream. This module replaces that with a pool
 //! the engine owns for its lifetime:
 //!
-//! * **Tasks are batch boundaries.** One [`Task`] is one shard's slice
+//! * **Tasks are batch boundaries.** One `Task` is one shard's slice
 //!   of one ingest batch / delta batch / heartbeat / push flush. Workers
 //!   run exactly one task per scheduling turn and then *yield* the shard
 //!   back to the ready list, so a shard with a deep backlog (a slow
@@ -21,10 +21,10 @@
 //!   (backpressure — memory stays flat under sustained skew, and the
 //!   admission stall is recorded in [`ExecutorStats`]).
 //! * **Quiescence, not global joins.** Readers (snapshots, telemetry,
-//!   lifecycle ops, migrations) call [`Executor::quiesce`] on exactly
+//!   lifecycle ops, migrations) call `Executor::quiesce` on exactly
 //!   the shards they touch; nothing ever waits for the whole engine
 //!   unless it asks for a coherent global snapshot
-//!   ([`Executor::quiesce_all`]).
+//!   (`Executor::quiesce_all`).
 //! * **Three scheduling modes** ([`Scheduling`]): `Sequential` runs
 //!   every task inline on the submitting thread (no threads, no
 //!   scheduler noise in per-shard busy accounting); `Pool` runs the

@@ -308,7 +308,7 @@
 //!
 //! ## Execution: a persistent worker pool with boundary-yield scheduling
 //!
-//! Shard work is driven by the [`executor::Executor`] the engine owns
+//! Shard work is driven by the `executor::Executor` the engine owns
 //! for its lifetime — no per-call thread churn. Every ingest or
 //! heartbeat **batch boundary** becomes one task per involved shard,
 //! admitted into that shard's bounded FIFO queue; per-shard order is
@@ -404,8 +404,8 @@
 //!
 //! Two things fall out of the columnar layout:
 //!
-//! * **Byte-accounted state** — every operator reports measured
-//!   `state_bytes` (and `spilled_bytes`) through
+//! * **Byte-accounted state** — every state holder reports one measured
+//!   [`Footprint`], added up into
 //!   [`shard::ResidentState`] and [`telemetry::TelemetryReport`]:
 //!   segments report their actual encoded footprint, and
 //!   `ResidentState` states the split (`log_bytes`, `table_bytes`, the
@@ -425,12 +425,13 @@
 //!   row for a sensor stream) so window expiry scans never touch
 //!   spilled files. A spill file that is missing, short or undecodable
 //!   makes its segment's rows read as absent — an indexed join side then
-//!   fails with an execution error instead of dropping matches — and is
-//!   counted in `spill_read_failures` (`ResidentState`, `ShardLoad`,
-//!   `aspen_shard_spill_read_failures`). Live migration — including
-//!   cross-node — snapshots through the same tuple-level API, so moved
-//!   state re-lands columnar (respilling under the recipient's config)
-//!   with the existing no-replay invariants untouched.
+//!   fails with an execution error instead of dropping matches; a file
+//!   that cannot be written leaves its segment resident until the next
+//!   seal. Both count (`spill_{read,write}_failures`) in `ResidentState`,
+//!   in `ShardLoad` and, for tables, in the `table_*` rows. Live
+//!   migration — including cross-node — snapshots through the same
+//!   tuple-level API, so moved state re-lands columnar (respilling under
+//!   the recipient's config) with the existing no-replay invariants intact.
 //!
 //! ## Recursive views
 //!
@@ -548,7 +549,7 @@ pub use session::{
 };
 pub use shard::{QueryHandle, ResidentState, ShardedEngine, StreamEngine};
 pub use sink::Sink;
-pub use state::{Census, SpillConfig, StateOptions};
+pub use state::{Census, Footprint, SpillConfig, StateOptions};
 pub use telemetry::{
     LoadWindow, QueryLoad, ShardLoad, TelemetryReport, WindowedQueryLoad, WorkerLoad,
 };

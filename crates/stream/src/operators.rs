@@ -17,7 +17,7 @@ use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
 use aspen_types::{AspenError, DataType, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{hash_of, Census, KeyedState, RowIndex, StateOptions};
+use crate::state::{hash_of, Footprint, KeyedState, RowIndex, StateOptions};
 
 /// Where the row ids of addressed batches resolve: `(scan, row)` is the
 /// tuple at that row of what the pipeline's scan `scan` windows (its own
@@ -49,26 +49,10 @@ pub trait DeltaOp: std::fmt::Debug {
         DeltaBatch::new()
     }
 
-    /// Resident bytes held by this operator's state (0 for stateless
-    /// operators).
-    fn state_bytes(&self) -> usize {
-        0
-    }
-
-    /// Bytes this operator has paged out to the spill tier.
-    fn spilled_bytes(&self) -> usize {
-        0
-    }
-
-    /// Reads of this operator's spilled state that found the file
-    /// missing or damaged.
-    fn spill_read_failures(&self) -> u64 {
-        0
-    }
-
-    /// Sealed bytes of this operator's stores, by encoding.
-    fn census(&self) -> Census {
-        Census::default()
+    /// What this operator's state occupies (nothing for a stateless
+    /// operator).
+    fn footprint(&self) -> Footprint {
+        Footprint::default()
     }
 
     /// Live aggregate groups this operator keeps (0 for any other).
@@ -390,36 +374,12 @@ impl DeltaOp for JoinOp {
         Ok(out)
     }
 
-    fn state_bytes(&self) -> usize {
-        let bytes = |side: &Side| match side {
-            Side::Materialised(state) => state.state_bytes(),
-            Side::Indexed { ids, .. } => ids.state_bytes(),
+    fn footprint(&self) -> Footprint {
+        let side = |side: &Side| match side {
+            Side::Materialised(state) => state.footprint(),
+            Side::Indexed { ids, .. } => Footprint::heap(ids.state_bytes()),
         };
-        self.sides.iter().map(bytes).sum()
-    }
-
-    fn spilled_bytes(&self) -> usize {
-        let bytes = |side: &Side| match side {
-            Side::Materialised(state) => state.spilled_bytes(),
-            Side::Indexed { .. } => 0,
-        };
-        self.sides.iter().map(bytes).sum()
-    }
-
-    fn spill_read_failures(&self) -> u64 {
-        let failures = |side: &Side| match side {
-            Side::Materialised(state) => state.spill_read_failures(),
-            Side::Indexed { .. } => 0,
-        };
-        self.sides.iter().map(failures).sum()
-    }
-
-    fn census(&self) -> Census {
-        let census = |side: &Side| match side {
-            Side::Materialised(state) => state.census(),
-            Side::Indexed { .. } => Census::default(),
-        };
-        self.sides.iter().map(census).sum()
+        self.sides.iter().map(side).sum()
     }
 }
 
@@ -926,7 +886,7 @@ impl DeltaOp for AggregateOp {
         }
     }
 
-    fn state_bytes(&self) -> usize {
+    fn footprint(&self) -> Footprint {
         let text = |vs: &[Value]| vs.iter().map(value_heap_bytes).sum::<usize>();
         let keys: usize = self.keys.iter().map(KeyColumn::heap_bytes).sum();
         let slots = keys + cap(&self.weight) + cap(&self.shown);
@@ -935,7 +895,7 @@ impl DeltaOp for AggregateOp {
         let bucket = std::mem::size_of::<(u32, (u64, Vec<Value>))>() + 1;
         let stale = self.stale.values().map(|(_, row)| cap(row) + text(row));
         let stale = self.stale.capacity() * bucket + stale.sum::<usize>();
-        slots + cap(&self.index) + cap(&self.free) + cols + stale
+        Footprint::heap(slots + cap(&self.index) + cap(&self.free) + cols + stale)
     }
 
     fn groups(&self) -> usize {
@@ -1240,13 +1200,17 @@ mod tests {
             .collect();
         w.push(0, &left, true).unwrap();
         assert_eq!(w.join.state_size(), 2_000);
-        let bytes = w.join.state_bytes();
+        let bytes = w.join.footprint().resident;
         assert!(bytes <= 24 * 2_000, "{bytes} bytes for 2 000 rows");
         // The copy this replaces costs the same index and the rows again
         // (sealed at ~25 B a row since the encodings went per segment).
         let mut copy = JoinOp::new(vec![(0, 0)], None);
         copy.process_batch(0, &DeltaBatch::inserts(left)).unwrap();
-        assert!(copy.state_bytes() > 2 * bytes, "{}", copy.state_bytes());
+        assert!(
+            copy.footprint().resident > 2 * bytes,
+            "{}",
+            copy.footprint().resident
+        );
     }
 
     fn avg_agg() -> AggregateOp {
@@ -1914,7 +1878,11 @@ mod tests {
         assert!(capacity <= 128, "{capacity} slots");
         assert!(a.index.len() <= 128, "{}", a.index.len());
         // 8 B of key, 16 of weight and stamp, 4 of index a slot.
-        assert!(a.state_bytes() <= 128 * 48, "{}", a.state_bytes());
+        assert!(
+            a.footprint().resident <= 128 * 48,
+            "{}",
+            a.footprint().resident
+        );
     }
 
     /// An `INT` key is one word: a 4 096-group `COUNT(*)` slot table
@@ -1926,7 +1894,11 @@ mod tests {
         let rows = (0..4_096i64).map(|k| t(vec![Value::Int(k)], 1));
         a.process_batch(0, &DeltaBatch::inserts(rows)).unwrap();
         assert_eq!(a.group_count(), 4_096);
-        assert!(a.state_bytes() <= 4_096 * 32, "{}", a.state_bytes());
+        assert!(
+            a.footprint().resident <= 4_096 * 32,
+            "{}",
+            a.footprint().resident
+        );
     }
 
     /// Growth rehashes every key from its cells and deletion shifts the
@@ -1981,8 +1953,8 @@ mod tests {
         let batch = DeltaBatch::inserts((0..1_000).map(|i| t(vec![Value::Int(i)], 1)));
         let out = a.process_batch(0, &batch).unwrap();
         assert_eq!(out.as_slice()[1].tuple.values(), &[Value::Int(1_000)]);
-        assert_eq!(a.state_bytes(), 16);
-        assert!(a.state_bytes() <= 96, "PR 24 charged 96");
+        assert_eq!(a.footprint().resident, 16);
+        assert!(a.footprint().resident <= 96, "PR 24 charged 96");
     }
 
     /// A `MIN` group's multiset is charged per entry: one group holding
@@ -2000,7 +1972,11 @@ mod tests {
         let rows = (0..10_000).map(|i| t(vec![Value::Int(7), Value::Float(i as f64)], 1));
         a.process_batch(0, &DeltaBatch::inserts(rows)).unwrap();
         assert_eq!(a.group_count(), 1);
-        assert!(a.state_bytes() >= 10_000 * 32, "{}", a.state_bytes());
+        assert!(
+            a.footprint().resident >= 10_000 * 32,
+            "{}",
+            a.footprint().resident
+        );
     }
 
     /// A failed batch leaves a ledger of what downstream still shows,
@@ -2013,14 +1989,18 @@ mod tests {
             .map(|i| reading(format!("room-{i}"), Value::Float(1.0)))
             .collect();
         a.process_batch(0, &rooms).unwrap();
-        let settled = a.state_bytes();
+        let settled = a.footprint().resident;
         let mut poisoned = rooms.clone();
         poisoned.push(reading("room-0".into(), Value::Text("n/a".into())));
         assert!(a.process_batch(0, &poisoned).is_err());
         assert_eq!(a.stale.len(), 100);
-        assert!(a.state_bytes() >= settled + 100 * 40, "{}", a.state_bytes());
+        assert!(
+            a.footprint().resident >= settled + 100 * 40,
+            "{}",
+            a.footprint().resident
+        );
         a.process_batch(0, &rooms).unwrap();
         assert!(a.stale.is_empty());
-        assert_eq!(a.state_bytes(), settled);
+        assert_eq!(a.footprint().resident, settled);
     }
 }

@@ -22,7 +22,7 @@ use crate::delta::DeltaBatch;
 use crate::grouped::FilterKey;
 use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionOp};
 use crate::sink::Sink;
-use crate::state::{Census, StateOptions};
+use crate::state::{Footprint, StateOptions};
 use crate::trace::{OpKind, OpProfile};
 use crate::window::{Fed, WindowOp};
 
@@ -528,39 +528,17 @@ impl Pipeline {
         self.scans.iter().map(|s| s.window.live()).sum()
     }
 
-    /// Resident bytes held by this pipeline's stateful stages: window
-    /// buffers plus every operator's private state (join sides,
-    /// aggregate groups).
-    pub fn state_bytes(&self) -> usize {
-        let windows: usize = self.scans.iter().map(|s| s.window.state_bytes()).sum();
-        let ops: usize = self.nodes.iter().map(|n| n.op.state_bytes()).sum();
-        windows + ops
+    /// What this pipeline's stateful stages hold: window buffers plus
+    /// every operator's private state (join sides, aggregate groups).
+    pub fn footprint(&self) -> Footprint {
+        let windows = self.scans.iter().map(|s| s.window.footprint());
+        let ops = self.nodes.iter().map(|n| n.op.footprint());
+        windows.chain(ops).sum()
     }
 
     /// Live aggregate groups across this pipeline's operators.
     pub fn groups(&self) -> usize {
         self.nodes.iter().map(|n| n.op.groups()).sum()
-    }
-
-    /// Bytes this pipeline has paged out to the spill tier.
-    pub fn spilled_bytes(&self) -> usize {
-        let windows: usize = self.scans.iter().map(|s| s.window.spilled_bytes()).sum();
-        let ops: usize = self.nodes.iter().map(|n| n.op.spilled_bytes()).sum();
-        windows + ops
-    }
-
-    /// Reads of this pipeline's spilled state that failed.
-    pub fn spill_read_failures(&self) -> u64 {
-        let windows = self.scans.iter().map(|s| s.window.spill_read_failures());
-        let ops = self.nodes.iter().map(|n| n.op.spill_read_failures());
-        windows.chain(ops).sum()
-    }
-
-    /// Sealed bytes of this pipeline's stores, by encoding.
-    pub fn census(&self) -> Census {
-        let windows = self.scans.iter().map(|s| s.window.census());
-        let ops = self.nodes.iter().map(|n| n.op.census());
-        windows.chain(ops).sum()
     }
 
     /// Feed a signed batch (view output, table updates) from `source` into

@@ -5,15 +5,15 @@
 //! [`ShardedEngine`] hash-partitions *whole pipelines*: every
 //! registered continuous query is placed on exactly one of N worker
 //! shards by hashing its [`QueryId`], and each shard owns the disjoint
-//! set of [`QueryRuntime`]s placed on it, **routing by what it holds**:
+//! set of `QueryRuntime`s placed on it, **routing by what it holds**:
 //! its tasks deliver to the runtimes a boundary concerns that are not
 //! paused.
 //!
-//! The coordinator's side of routing is one [`RouteCounts`] table, a
+//! The coordinator's side of routing is one `RouteCounts` table, a
 //! plain field (every verb and admission takes `&mut self`, so nothing
 //! shares it): per shard, the live queries scanning each source, indexing
 //! each stream's window, reacting to the clock, and holding a push
-//! subscription. Beside it, [`Ingest`] keeps the retained Table contents
+//! subscription. Beside it, `Ingest` keeps the retained Table contents
 //! (replay for late-registered and resumed queries) and the per-source
 //! ingest counters. Ingest (`on_batch` / `on_deltas`) admission fans the
 //! batch out to the shards whose count for its source is positive; there
@@ -23,7 +23,7 @@
 //! by a unit test below).
 //!
 //! Recursive views are **maintained at admission**: the coordinator owns
-//! them ([`ViewSet`]), and the call that admits a boundary — `on_batch`,
+//! them (`ViewSet`), and the call that admits a boundary — `on_batch`,
 //! `on_deltas`, `heartbeat` — submits the base boundary, maintains every
 //! view, then submits each view's net output deltas (DRed-style
 //! deletions included — the deltas carry signs) as an ordinary delta
@@ -66,7 +66,7 @@
 //! Shards live behind the `parking_lot` shim ([`Mutex<EngineShard>`]):
 //! shard state is `Send`, cross-shard work is disjoint by construction
 //! (a query's pipeline, sink, and cursors live on one shard).
-//! Execution goes through the persistent [`crate::executor::Executor`]:
+//! Execution goes through the persistent `crate::executor::Executor`:
 //! each ingest/heartbeat boundary becomes one task per involved shard,
 //! pushed onto that shard's bounded FIFO queue. In pool mode the worker
 //! threads drain the queues with batch boundaries as yield points —
@@ -123,7 +123,7 @@ use crate::session::{
     ResultSubscription, SessionId, SharedQueue, SubscriptionQueue,
 };
 use crate::sink::Sink;
-use crate::state::{BagState, Census, StateOptions};
+use crate::state::{BagState, Footprint, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 use crate::window::{Fed, Position, SourceLog, Stepped};
@@ -133,7 +133,8 @@ use crate::window::{Fed, Position, SourceLog, Stepped};
 pub struct QueryHandle(pub QueryId);
 
 /// Resident operator-state census across the engine — what the
-/// shared-vs-private tests compare.
+/// shared-vs-private tests compare. Its bytes and spill counts add the
+/// pipelines', logs' and tables' [`Footprint`]s, a pooled segment once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentState {
     /// Operator node instances across all registered pipelines.
@@ -165,8 +166,8 @@ pub struct ResidentState {
     /// however many shards hold it. `ShardLoad::log_bytes` counts them per
     /// shard; the shards' sum minus `log_bytes` is what sharing saves.
     pub log_shared_bytes: usize,
-    /// The retained table store's share of `state_bytes`; what is left
-    /// is the pipelines' ([`TelemetryReport::queries`] has it per query).
+    /// The retained tables' share of `state_bytes` (the report's
+    /// `tables`); the rest is the pipelines' ([`TelemetryReport::queries`]).
     pub table_bytes: usize,
     /// Bytes currently paged out to the spill tier (disjoint from
     /// `state_bytes`).
@@ -174,6 +175,9 @@ pub struct ResidentState {
     /// Reads of a spilled segment that found its file missing or
     /// damaged; the rows of such a segment read as absent.
     pub spill_read_failures: u64,
+    /// Spill passes ended by a file that could not be written; the
+    /// segment stayed resident.
+    pub spill_write_failures: u64,
 }
 
 /// One placed continuous query: its operator pipeline plus result sink.
@@ -333,6 +337,13 @@ struct Ingest {
     out_of_order: u64,
 }
 
+impl Ingest {
+    /// What the retained tables hold.
+    fn footprint(&self) -> Footprint {
+        self.tables.values().map(BagState::footprint).sum()
+    }
+}
+
 /// A recursive view and the source its output is published under.
 struct ViewRuntime {
     view: RecursiveView,
@@ -483,12 +494,8 @@ struct LogCensus {
     cursors: usize,
     classes: usize,
     rows: usize,
-    /// Shared segments at full size; `pooled_bytes` of it in pools.
-    state_bytes: usize,
-    pooled_bytes: usize,
-    spilled_bytes: usize,
-    spill_read_failures: u64,
-    census: Census,
+    /// Shared segments at full size, their share in `pooled`.
+    footprint: Footprint,
 }
 
 /// One worker shard: a disjoint set of query runtimes by id, and the
@@ -690,11 +697,7 @@ impl EngineShard {
             out.cursors += log.cursors();
             out.classes += log.classes();
             out.rows += log.rows();
-            out.state_bytes += log.state_bytes();
-            out.pooled_bytes += log.pooled_bytes();
-            out.spilled_bytes += log.spilled_bytes();
-            out.spill_read_failures += log.spill_read_failures();
-            out.census += log.census();
+            out.footprint += log.footprint();
         }
         out
     }
@@ -918,19 +921,13 @@ impl ShardedEngine {
             let (submitted, applied) = self.exec.watermark(i);
             let shard = self.shard(i).lock();
             let mut ops = 0u64;
-            let mut state_bytes = 0u64;
-            let mut spilled_bytes = 0u64;
-            let mut spill_read_failures = 0u64;
-            let mut sealed_bytes = Census::default();
+            let mut footprint = Footprint::default();
             let mut private_windows = 0;
             for (qid, rt) in &shard.queries {
                 private_windows += rt.pipeline.private_windows();
                 ops += rt.pipeline.ops_invoked;
-                let q_bytes = rt.pipeline.state_bytes() as u64;
-                state_bytes += q_bytes;
-                spilled_bytes += rt.pipeline.spilled_bytes() as u64;
-                spill_read_failures += rt.pipeline.spill_read_failures();
-                sealed_bytes += rt.pipeline.census();
+                let held = rt.pipeline.footprint();
+                footprint += held;
                 profile.merge(&rt.pipeline.profile);
                 let paused = rt.paused;
                 queries.push(QueryLoad {
@@ -945,15 +942,12 @@ impl ShardedEngine {
                     grouped_filter: !paused && rt.pipeline.grouped_filter(),
                     private_windows: rt.pipeline.private_windows(),
                     latency: rt.sink.latency.clone(),
-                    state_bytes: q_bytes,
+                    state_bytes: held.resident as u64,
                     groups: rt.pipeline.groups() as u64,
                 });
             }
             let logs = shard.log_census();
-            state_bytes += logs.state_bytes as u64;
-            spilled_bytes += logs.spilled_bytes as u64;
-            spill_read_failures += logs.spill_read_failures;
-            sealed_bytes += logs.census;
+            footprint += logs.footprint;
             shards.push(ShardLoad {
                 shard: i,
                 queries: shard.queries.len(),
@@ -965,7 +959,7 @@ impl ShardedEngine {
                 log_cursors: logs.cursors,
                 cursor_classes: logs.classes,
                 log_rows: logs.rows,
-                log_bytes: logs.state_bytes as u64,
+                log_bytes: logs.footprint.resident as u64,
                 window_batches: shard.meters.window_batches,
                 window_deliveries: shard.meters.window_deliveries,
                 filter_probes: shard.meters.filter_probes,
@@ -974,10 +968,7 @@ impl ShardedEngine {
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
-                state_bytes,
-                spilled_bytes,
-                spill_read_failures,
-                sealed_bytes,
+                footprint,
             });
         }
         // Ids are issued in registration order.
@@ -989,6 +980,7 @@ impl ShardedEngine {
             boundaries: self.boundaries,
             out_of_order_tuples: self.ingest.out_of_order,
             log_shared_bytes: self.log_shared_bytes() as u64,
+            tables: self.ingest.footprint(),
             now_secs: self.now.as_secs_f64(),
             profile,
             scheduling: self.exec.scheduling,
@@ -1932,32 +1924,30 @@ impl ShardedEngine {
     pub fn resident_state(&self) -> ResidentState {
         self.exec.settle_all();
         let mut out = ResidentState::default();
+        let (mut queries, mut logs) = (Footprint::default(), Footprint::default());
         for i in 0..self.shard_count() {
             let shard = self.shard(i).lock();
             for rt in shard.queries.values() {
                 out.operators += rt.pipeline.node_count();
                 out.window_tuples += rt.pipeline.buffered_window_tuples();
-                out.state_bytes += rt.pipeline.state_bytes();
-                out.spilled_bytes += rt.pipeline.spilled_bytes();
-                out.spill_read_failures += rt.pipeline.spill_read_failures();
+                queries += rt.pipeline.footprint();
             }
-            let logs = shard.log_census();
-            out.source_logs += logs.logs;
-            out.log_cursors += logs.cursors;
-            out.cursor_classes += logs.classes;
-            out.window_tuples += logs.rows;
-            out.log_bytes += logs.state_bytes - logs.pooled_bytes;
-            out.spilled_bytes += logs.spilled_bytes;
-            out.spill_read_failures += logs.spill_read_failures;
+            let census = shard.log_census();
+            out.source_logs += census.logs;
+            out.log_cursors += census.cursors;
+            out.cursor_classes += census.classes;
+            out.window_tuples += census.rows;
+            logs += census.footprint;
         }
-        for table in self.ingest.tables.values() {
-            out.table_bytes += table.state_bytes();
-            out.spilled_bytes += table.spilled_bytes();
-            out.spill_read_failures += table.spill_read_failures();
-        }
+        let tables = self.ingest.footprint();
         out.log_shared_bytes = self.log_shared_bytes();
-        out.log_bytes += out.log_shared_bytes;
-        out.state_bytes += out.log_bytes + out.table_bytes;
+        out.log_bytes = logs.resident - logs.pooled + out.log_shared_bytes;
+        out.table_bytes = tables.resident;
+        out.state_bytes = queries.resident + out.log_bytes + out.table_bytes;
+        let all = queries + logs + tables;
+        out.spilled_bytes = all.spilled;
+        out.spill_read_failures = all.read_failures;
+        out.spill_write_failures = all.write_failures;
         out
     }
 
@@ -2027,6 +2017,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::delta::Delta;
+    use crate::state::Census;
     use aspen_catalog::{DeviceClass, SourceKind, SourceStats};
     use aspen_types::{DataType, Field, Schema, SimDuration, Value};
 
@@ -2898,7 +2889,7 @@ mod tests {
             queries as usize + rs.log_bytes + rs.table_bytes
         );
         for s in &report.shards {
-            assert_eq!(s.state_bytes, of_shard(s.shard) + s.log_bytes);
+            assert_eq!(s.footprint.resident as u64, of_shard(s.shard) + s.log_bytes);
         }
         // Both shards log Readings; what they hold alike is stored once.
         assert!(report.shards.iter().all(|s| s.source_logs == 1));
@@ -2951,13 +2942,15 @@ mod tests {
             }
         };
         feed(&mut e, 0..200, |i| i as f64 * 0.5);
-        let on_grid = e.telemetry_at(Consistency::Fresh).shards[0].sealed_bytes;
+        let on_grid = e.telemetry_at(Consistency::Fresh).shards[0]
+            .footprint
+            .sealed;
         assert!(by(on_grid, "decimal") > 0, "{on_grid:?}");
         assert_eq!(by(on_grid, "float"), 0, "{on_grid:?}");
         // Thirds are on no grid: rows 192..384 seal as six plain segments.
         feed(&mut e, 200..400, |i| i as f64 / 3.0);
         let report = e.telemetry_at(Consistency::Fresh);
-        let census = report.shards[0].sealed_bytes;
+        let census = report.shards[0].footprint.sealed;
         assert_eq!(by(census, "float"), 6 * 32 * 8, "{census:?}");
         assert_eq!(by(census, "decimal"), by(on_grid, "decimal"));
         let prom = crate::render_prometheus(&report);
@@ -2966,6 +2959,124 @@ mod tests {
         let json = crate::render_json(&report);
         let field = format!("\"sealed_bytes\":{{\"plain\":{},", by(census, "plain"));
         assert!(json.contains(&field), "{field} missing from {json}");
+    }
+
+    /// `n` `Edge` rows `room-i → room-(i+1)`; 200 of them fill six
+    /// sealed segments of 32 and leave eight rows active.
+    fn edges(n: i32) -> Vec<Tuple> {
+        let end = |n: i32| Value::Text(format!("room-{n}"));
+        let edge = |i| Tuple::new(vec![end(i), end(i + 1)], SimTime::ZERO);
+        (0..n).map(edge).collect()
+    }
+
+    /// The retained tables' spill reads reach both exports: with their
+    /// six spill files gone, a late query reads the eight active rows and
+    /// the report says six reads failed, as `resident_state` does.
+    #[test]
+    fn table_spill_read_failures_are_exported() {
+        let dir = std::env::temp_dir().join(format!("aspen-table-reads-{}", std::process::id()));
+        let config = EngineConfig::new().shards(1).spill(64, &dir);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        e.on_batch("Edge", &edges(200)).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 6);
+        for f in files {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+        let q = e.register_sql("select e.src from Edge e").unwrap();
+        assert_eq!(e.snapshot(q.expect_query()).unwrap().len(), 8);
+        assert_eq!(e.resident_state().spill_read_failures, 6);
+        let report = e.telemetry_at(Consistency::Fresh);
+        assert_eq!(report.tables.read_failures, 6);
+        let prom = crate::render_prometheus(&report);
+        let line = "aspen_table_spill_read_failures_total 6\n";
+        assert!(prom.contains(line), "{line} missing from:\n{prom}");
+        let json = crate::render_json(&report);
+        let field = "\"table_spill_read_failures\":6,";
+        assert!(json.contains(field), "{field} missing from {json}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A spill directory that cannot be made costs one counted write
+    /// per seal past the threshold, in a table, a log and a window alike,
+    /// and changes nothing else: every snapshot and byte equals an
+    /// engine's without a spill tier.
+    #[test]
+    fn failed_spill_writes_are_counted_and_change_nothing() {
+        let file = std::env::temp_dir().join(format!("aspen-unwritable-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let config = |spill: bool| {
+            let config = EngineConfig::new().shards(1);
+            if spill {
+                config.spill(64, file.join("spill"))
+            } else {
+                config
+            }
+        };
+        let (mut e, mut plain) = (
+            ShardedEngine::with_config(catalog(), config(true)),
+            ShardedEngine::with_config(catalog(), config(false)),
+        );
+        let mut queries = Vec::new();
+        for sql in [
+            "select r.sensor, r.value from Readings r [rows 100]",
+            "select e.src, r.value from Edge e [rows 150], Readings r [rows 3] \
+             where e.src = 'room-1'",
+        ] {
+            let q = (e.register_sql(sql), plain.register_sql(sql));
+            queries.push((q.0.unwrap().expect_query(), q.1.unwrap().expect_query()));
+        }
+        for engine in [&mut e, &mut plain] {
+            engine.on_batch("Edge", &edges(200)).unwrap();
+        }
+        for i in 0..300u64 {
+            let r = [reading((i % 8) as i64, i as f64 * 0.5, i)];
+            e.on_batch("Readings", &r).unwrap();
+            plain.on_batch("Readings", &r).unwrap();
+            for &(q, p) in &queries {
+                assert_eq!(
+                    e.snapshot(q).unwrap(),
+                    plain.snapshot(p).unwrap(),
+                    "row {i}"
+                );
+            }
+        }
+        let rs = e.resident_state();
+        assert_eq!((rs.spilled_bytes, rs.spill_read_failures), (0, 0));
+        let alike = ResidentState {
+            spill_write_failures: 0,
+            ..rs
+        };
+        assert_eq!(alike, plain.resident_state());
+        let report = e.telemetry_at(Consistency::Fresh);
+        let (tables, shard) = (report.tables, report.shards[0].footprint);
+        assert_eq!(tables.write_failures, 6, "one a seal of a 200-row table");
+        assert!(shard.write_failures > 0 && shard.spilled == 0, "{shard:?}");
+        assert_eq!(
+            rs.spill_write_failures,
+            tables.write_failures + shard.write_failures
+        );
+        let prom = crate::render_prometheus(&report);
+        let json = crate::render_json(&report);
+        for line in [
+            format!(
+                "aspen_table_spill_write_failures_total {}\n",
+                tables.write_failures
+            ),
+            format!(
+                "aspen_shard_spill_write_failures_total{{shard=\"0\"}} {}\n",
+                shard.write_failures
+            ),
+        ] {
+            assert!(prom.contains(&line), "{line} missing from:\n{prom}");
+        }
+        for field in [
+            format!("\"table_spill_write_failures\":{}", tables.write_failures),
+            format!("\"spill_write_failures\":{}}}", shard.write_failures),
+        ] {
+            assert!(json.contains(&field), "{field} missing from {json}");
+        }
+        let _ = std::fs::remove_file(&file);
     }
 
     /// "Why is this query fat" from the exports alone: each query's live

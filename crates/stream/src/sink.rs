@@ -11,7 +11,7 @@
 //! Either way an engine read keeps the presented snapshot until the next
 //! batch changes the result.
 //!
-//! A sink can additionally carry a [`PushState`]: the producer half of a
+//! A sink can additionally carry a `PushState`: the producer half of a
 //! [`ResultSubscription`](crate::session::ResultSubscription), through
 //! which output deltas are delivered at batch boundaries, coalesced
 //! according to the query's micro-batch knobs.

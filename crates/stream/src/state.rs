@@ -24,6 +24,10 @@
 //! invariants every structure keeps: row ids in the stores are assigned
 //! in arrival order and never reused, so a row id *is* an arrival
 //! sequence number.
+//!
+//! Every state holder says what it occupies in one [`Footprint`] (its
+//! stores' measured bytes and spill counts, plus heap kept outside them),
+//! and every census adds footprints: a new count is one field of it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -116,7 +120,72 @@ pub(crate) fn hash_of(h: &(impl Hash + ?Sized)) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Byte accounting outside the stores (the stores measure themselves)
+// Footprints; byte accounting outside the stores (they measure themselves)
+
+/// What a state holder occupies: its stores' measured bytes and spill
+/// counts, plus the heap it keeps outside them. Holders add up.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Resident bytes; segments shared through a pool at full size.
+    pub resident: usize,
+    /// The share of `resident` charged to a segment pool.
+    pub pooled: usize,
+    /// Bytes paged out to the spill tier (disjoint from `resident`).
+    pub spilled: usize,
+    /// Failed reads of spilled segments, whose rows read as absent.
+    pub read_failures: u64,
+    /// Spill passes ended by an unwritable file (the segment stays resident).
+    pub write_failures: u64,
+    /// Sealed bytes by encoding.
+    pub sealed: Census,
+}
+
+impl Footprint {
+    /// A store's footprint — the one place its gauges are read.
+    pub(crate) fn of(store: &TupleStore) -> Footprint {
+        Footprint {
+            resident: store.resident_bytes(),
+            pooled: store.pooled_bytes(),
+            spilled: store.spilled_bytes(),
+            read_failures: store.spill_read_failures(),
+            write_failures: store.spill_write_failures(),
+            sealed: store.census(),
+        }
+    }
+
+    /// Resident bytes held outside a store.
+    pub(crate) fn heap(bytes: usize) -> Footprint {
+        Footprint {
+            resident: bytes,
+            ..Footprint::default()
+        }
+    }
+}
+
+impl std::ops::AddAssign for Footprint {
+    fn add_assign(&mut self, o: Footprint) {
+        self.resident += o.resident;
+        self.pooled += o.pooled;
+        self.spilled += o.spilled;
+        self.read_failures += o.read_failures;
+        self.write_failures += o.write_failures;
+        self.sealed += o.sealed;
+    }
+}
+
+impl std::ops::Add for Footprint {
+    type Output = Footprint;
+    fn add(mut self, o: Footprint) -> Footprint {
+        self += o;
+        self
+    }
+}
+
+impl std::iter::Sum for Footprint {
+    fn sum<I: Iterator<Item = Footprint>>(iter: I) -> Footprint {
+        iter.fold(Footprint::default(), std::ops::Add::add)
+    }
+}
 
 /// Estimated hash-map entry overhead (bucket slot + control byte +
 /// allocator slack), charged per index bucket and per debt entry.
@@ -318,24 +387,9 @@ impl KeyedState {
         self.len() == 0
     }
 
-    /// Resident state bytes: the store's measured bytes plus the index.
-    pub fn state_bytes(&self) -> usize {
-        self.store.resident_bytes() + self.index.state_bytes()
-    }
-
-    /// Bytes currently paged out to the spill tier.
-    pub fn spilled_bytes(&self) -> usize {
-        self.store.spilled_bytes()
-    }
-
-    /// Reads of a spilled segment that failed; its rows read as absent.
-    pub fn spill_read_failures(&self) -> u64 {
-        self.store.spill_read_failures()
-    }
-
-    /// Sealed bytes by encoding.
-    pub fn census(&self) -> Census {
-        self.store.census()
+    /// The store plus the index.
+    pub fn footprint(&self) -> Footprint {
+        Footprint::of(&self.store) + Footprint::heap(self.index.state_bytes())
     }
 }
 
@@ -469,25 +523,11 @@ impl BagState {
         out
     }
 
-    /// Resident state bytes: the store's measured bytes plus the index
-    /// and any outstanding debts.
-    pub fn state_bytes(&self) -> usize {
-        let debt_bytes: usize = self
-            .debts
-            .keys()
-            .map(|t| tuple_heap_bytes(t) + MAP_ENTRY)
-            .sum();
-        self.store.resident_bytes() + self.index.state_bytes() + debt_bytes
-    }
-
-    /// Bytes currently paged out to the spill tier.
-    pub fn spilled_bytes(&self) -> usize {
-        self.store.spilled_bytes()
-    }
-
-    /// Reads of a spilled segment that failed; its rows read as absent.
-    pub fn spill_read_failures(&self) -> u64 {
-        self.store.spill_read_failures()
+    /// The store plus the index and any outstanding debts.
+    pub fn footprint(&self) -> Footprint {
+        let debts = self.debts.keys().map(|t| tuple_heap_bytes(t) + MAP_ENTRY);
+        let heap = self.index.state_bytes() + debts.sum::<usize>();
+        Footprint::of(&self.store) + Footprint::heap(heap)
     }
 }
 
@@ -589,28 +629,10 @@ impl ColumnarDeque {
         }
     }
 
-    /// Resident bytes, segments shared through a pool at full size.
-    pub fn state_bytes(&self) -> usize {
-        self.store.resident_bytes()
-    }
-
-    /// The share of `state_bytes` charged to the pool, not to this deque.
-    pub fn pooled_bytes(&self) -> usize {
-        self.store.pooled_bytes()
-    }
-
-    pub fn spilled_bytes(&self) -> usize {
-        self.store.spilled_bytes()
-    }
-
-    /// Reads of a spilled segment that failed; its rows read as absent.
-    pub fn spill_read_failures(&self) -> u64 {
-        self.store.spill_read_failures()
-    }
-
-    /// Sealed bytes by encoding.
-    pub fn census(&self) -> Census {
-        self.store.census()
+    /// The store; segments shared through a pool at full size, and
+    /// their share in `pooled`.
+    pub fn footprint(&self) -> Footprint {
+        Footprint::of(&self.store)
     }
 }
 
@@ -724,7 +746,7 @@ mod tests {
                     let live: i64 = want.iter().map(|(.., w)| (*w).max(0)).sum();
                     assert_eq!(state.len(), live as usize, "len, {ctx}");
                     assert_eq!(state.is_empty(), live == 0, "is_empty, {ctx}");
-                    max_spilled = max_spilled.max(state.spilled_bytes());
+                    max_spilled = max_spilled.max(state.footprint().spilled);
                 }
             }
             max_spilled
@@ -794,7 +816,7 @@ mod tests {
                     assert_eq!(bag.snapshot(), model.live, "snapshot, {ctx}");
                     assert_eq!(bag.distinct(), model.distinct(), "distinct, {ctx}");
                     assert_eq!(bag.is_empty(), model.live.is_empty(), "is_empty, {ctx}");
-                    max_spilled = max_spilled.max(bag.spilled_bytes());
+                    max_spilled = max_spilled.max(bag.footprint().spilled);
                 }
             }
             max_spilled
@@ -945,7 +967,11 @@ mod tests {
         // What this fixture measured when the ceiling was pinned (less
         // than half of what a `HashMap`-of-`Tuple` layout would hold):
         // the tripwire under the benchmark's gated `state_bytes`.
-        assert!(s.state_bytes() <= 64_902, "{} bytes", s.state_bytes());
+        assert!(
+            s.footprint().resident <= 64_902,
+            "{} bytes",
+            s.footprint().resident
+        );
     }
 
     #[test]
@@ -957,18 +983,18 @@ mod tests {
         for k in 0..10_000 {
             s.update(vec![Value::Int(k)], &t(k), 1);
         }
-        let full = s.state_bytes();
+        let full = s.footprint().resident;
         for k in 0..10_000 {
             assert_eq!(s.update(vec![Value::Int(k)], &t(k), -1), 0);
         }
         assert!(s.is_empty() && s.index.buckets.is_empty());
         // All that is left is the store's active segment (kept when
         // dead, under one segment of rows) — nothing per key.
-        assert_eq!(s.state_bytes(), s.store.resident_bytes());
+        assert_eq!(s.footprint().resident, s.store.resident_bytes());
         assert!(
-            s.state_bytes() * 100 < full,
+            s.footprint().resident * 100 < full,
             "{} of {full}",
-            s.state_bytes()
+            s.footprint().resident
         );
     }
 
@@ -983,7 +1009,7 @@ mod tests {
             plain.insert_all(&[t(i % 100)]);
             spilly.insert_all(&[t(i % 100)]);
         }
-        assert!(spilly.spilled_bytes() > 0, "cold segments must spill");
+        assert!(spilly.footprint().spilled > 0, "cold segments must spill");
         assert_eq!(plain.snapshot(), spilly.snapshot());
         assert_eq!(plain.distinct(), spilly.distinct());
         // Retraction still removes the oldest occurrence through the

@@ -25,6 +25,8 @@
 //!   thing both exports walk. A metric is its field, the line that fills
 //!   it and one row; a shard row also needs its line in
 //!   [`TelemetryReport::as_node_load`], which a test holds to its kind.
+//!   A storage count is a row over a [`Footprint`] field: the shard's
+//!   footprint merges whole, so such a row needs no merge line of its own.
 //!
 //! Cumulative counters travel with their query: a migrated query keeps
 //! its `ops_invoked` history because the counter lives in the pipeline
@@ -37,7 +39,7 @@ use std::time::Duration;
 use aspen_types::QueryId;
 
 use crate::executor::Scheduling;
-use crate::state::Census;
+use crate::state::{Census, Footprint};
 use crate::trace::{LatencyHistogram, OpKind, OpMeter, OpProfile};
 
 /// Lock-local counters one worker shard maintains about its own slice of
@@ -191,20 +193,11 @@ pub struct ShardLoad {
     /// Distribution of admission→execution queue wait on this shard
     /// (empty with tracing off).
     pub queue_wait: LatencyHistogram,
-    /// Resident operator-state bytes on this shard: every owned query's
-    /// state plus each source log, counted once. A gauge.
-    pub state_bytes: u64,
-    /// Bytes this shard's columnar state has paged out to the spill
-    /// tier (also a gauge; disjoint from `state_bytes`).
-    pub spilled_bytes: u64,
-    /// Reads of a spilled segment that found its file missing or
-    /// damaged, across this shard's queries and logs; the rows of such a
-    /// segment read as absent. Anything above 0 means lost state.
-    pub spill_read_failures: u64,
-    /// Sealed bytes of this shard's queries and logs by encoding (a
-    /// gauge; a pooled segment counts in each shard holding it): how
-    /// much of the state sealed narrow, and how much stayed 8 B a row.
-    pub sealed_bytes: Census,
+    /// What the owned queries' state and the source logs hold (a log
+    /// once, pooled segments at full size); exported as `state_bytes`,
+    /// `spilled_bytes`, `sealed_bytes` and `spill_{read,write}_failures`.
+    /// A read failure is lost state: rows that read as absent.
+    pub footprint: Footprint,
 }
 
 /// One coherent observation of the whole engine, taken at a batch
@@ -230,6 +223,9 @@ pub struct TelemetryReport {
     /// [`crate::ResidentState::log_shared_bytes`] (a cluster report sums
     /// its nodes').
     pub log_shared_bytes: u64,
+    /// What the retained tables hold (a cluster report sums its nodes'
+    /// copies); exported as the `table_*` rows.
+    pub tables: Footprint,
     /// Engine clock at observation time, seconds.
     pub now_secs: f64,
     /// Per-operator-kind measured busy timings, merged over every live
@@ -314,10 +310,7 @@ impl TelemetryReport {
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
-            out.state_bytes += s.state_bytes;
-            out.spilled_bytes += s.spilled_bytes;
-            out.spill_read_failures += s.spill_read_failures;
-            out.sealed_bytes += s.sealed_bytes;
+            out.footprint += s.footprint;
         }
         out
     }
@@ -494,6 +487,16 @@ pub(crate) const ENGINE: Level<TelemetryReport> = Level {
             Scheduling::Pool => Name("pool"),
             Scheduling::Deterministic(_) => Name("deterministic"),
         }),
+        ("table_bytes", Gauge, |r| Int(r.tables.resident as u64)),
+        ("table_spilled_bytes", Gauge, |r| {
+            Int(r.tables.spilled as u64)
+        }),
+        ("table_spill_read_failures", Counter, |r| {
+            Int(r.tables.read_failures)
+        }),
+        ("table_spill_write_failures", Counter, |r| {
+            Int(r.tables.write_failures)
+        }),
     ],
 };
 
@@ -509,7 +512,7 @@ pub(crate) const SHARDS: Level<ShardLoad> = Level {
         ("log_rows", Gauge, |s| Int(s.log_rows as u64)),
         ("log_bytes", Gauge, |s| Int(s.log_bytes)),
         ("spill_read_failures", Counter, |s| {
-            Int(s.spill_read_failures)
+            Int(s.footprint.read_failures)
         }),
         ("cursors", Gauge, |s| Int(s.log_cursors as u64)),
         ("cursor_classes", Gauge, |s| Int(s.cursor_classes as u64)),
@@ -521,10 +524,15 @@ pub(crate) const SHARDS: Level<ShardLoad> = Level {
         ("watermark", Max, |s| Int(s.watermark)),
         ("lag", Max, |s| Int(s.lag)),
         ("queue_wait", Counter, |s| hist(s.queue_wait.clone())),
-        ("sealed_bytes", Gauge, |s| Reading::Census(s.sealed_bytes)),
+        ("sealed_bytes", Gauge, |s| {
+            Reading::Census(s.footprint.sealed)
+        }),
         ("source_logs", Gauge, |s| Int(s.source_logs as u64)),
-        ("state_bytes", Gauge, |s| Int(s.state_bytes)),
-        ("spilled_bytes", Gauge, |s| Int(s.spilled_bytes)),
+        ("state_bytes", Gauge, |s| Int(s.footprint.resident as u64)),
+        ("spilled_bytes", Gauge, |s| Int(s.footprint.spilled as u64)),
+        ("spill_write_failures", Counter, |s| {
+            Int(s.footprint.write_failures)
+        }),
     ],
 };
 
@@ -589,7 +597,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
         .map(|&(id, shard, ops, bytes)| {
             shards[shard].queries += 1;
             shards[shard].ops_invoked += ops;
-            shards[shard].state_bytes += bytes;
+            shards[shard].footprint.resident += bytes as usize;
             QueryLoad {
                 query: QueryId(id),
                 shard,
@@ -614,6 +622,7 @@ pub(crate) fn report_from_rows_bytes(rows: &[(u32, usize, u64, u64)]) -> Telemet
         boundaries: 0,
         out_of_order_tuples: 0,
         log_shared_bytes: 0,
+        tables: Footprint::default(),
         now_secs: 0.0,
         profile: OpProfile::default(),
         scheduling: Scheduling::default(),
@@ -762,10 +771,13 @@ mod tests {
                 watermark: v,
                 lag: v,
                 queue_wait,
-                state_bytes: v,
-                spilled_bytes: v,
-                spill_read_failures: v,
-                sealed_bytes: store.census(),
+                footprint: Footprint {
+                    resident: n,
+                    spilled: n,
+                    read_failures: v,
+                    write_failures: v,
+                    ..Footprint::of(&store)
+                },
             }
         };
         // The larger shard first, so taking the last shard is no maximum.

@@ -12,7 +12,7 @@
 //! `[head, tail)` of the scan's arrival order; a frame is that `head`
 //! plus the tumbling pane, and only the owner of the log differs:
 //!
-//! * A shard keeps one [`SourceLog`] per stream source, appended once
+//! * A shard keeps one `SourceLog` per stream source, appended once
 //!   per arrival, and every window over the source is a *cursor* into
 //!   it. Cursors in equal state are one *class*: the log steps each
 //!   class once, and every member borrows that batch.
@@ -34,9 +34,9 @@
 //!
 //! **A moved cursor is a position.** Every log of a source numbers its
 //! rows alike, so a frame names the same rows on every log: a migrating
-//! query's cursors leave as [`Position`]s and rejoin another log at the
+//! query's cursors leave as `Position`s and rejoin another log at the
 //! same frames, which it back-fills with the rows below its floor they
-//! need ([`SourceLog::missing`]); a frame equal to a class's joins it.
+//! need (`SourceLog::missing`); a frame equal to a class's joins it.
 //!
 //! **The prefix rule.** Admission accepts any stamp, and every spec
 //! expires a *prefix* of the arrival order: `RANGE` advances `head`
@@ -55,7 +55,7 @@ use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::grouped::{FilterIndex, FilterKey, Filtered};
-use crate::state::{Census, ColumnarDeque, StateOptions};
+use crate::state::{ColumnarDeque, Footprint, StateOptions};
 use crate::telemetry::ShardMeters;
 
 /// Stateful window maintenance for one scan: a log with one cursor.
@@ -88,24 +88,9 @@ impl WindowOp {
         self.rows.len()
     }
 
-    /// Resident bytes held by the buffer (measured).
-    pub fn state_bytes(&self) -> usize {
-        self.rows.state_bytes()
-    }
-
-    /// Bytes paged out to the spill tier.
-    pub fn spilled_bytes(&self) -> usize {
-        self.rows.spilled_bytes()
-    }
-
-    /// Failed reads of spilled segments (see `ColumnarDeque`).
-    pub fn spill_read_failures(&self) -> u64 {
-        self.rows.spill_read_failures()
-    }
-
-    /// Sealed bytes by encoding.
-    pub fn census(&self) -> Census {
-        self.rows.census()
+    /// What the buffer holds (measured).
+    pub fn footprint(&self) -> Footprint {
+        self.rows.footprint()
     }
 
     /// The live tuples in arrival order.
@@ -650,26 +635,10 @@ impl SourceLog {
         self.rows.len()
     }
 
-    /// Resident bytes this log references, shared segments at full size.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.rows.state_bytes()
-    }
-
-    /// The share of `state_bytes` charged to the source's pool.
-    pub(crate) fn pooled_bytes(&self) -> usize {
-        self.rows.pooled_bytes()
-    }
-
-    pub(crate) fn spilled_bytes(&self) -> usize {
-        self.rows.spilled_bytes()
-    }
-
-    pub(crate) fn spill_read_failures(&self) -> u64 {
-        self.rows.spill_read_failures()
-    }
-
-    pub(crate) fn census(&self) -> Census {
-        self.rows.census()
+    /// What this log references: shared segments at full size, and
+    /// their share in `pooled` (charged to the source's pool).
+    pub(crate) fn footprint(&self) -> Footprint {
+        self.rows.footprint()
     }
 }
 
@@ -788,7 +757,7 @@ mod tests {
         assert_eq!(signs(&out), vec![-1]);
         assert_eq!(out.as_slice()[0].tuple, t(3, 12));
         assert_eq!(w.live(), 0);
-        assert_eq!(w.state_bytes(), 0, "an emptied window holds nothing");
+        assert_eq!(w.footprint().resident, 0, "an emptied window holds nothing");
     }
 
     #[test]
@@ -933,14 +902,14 @@ mod tests {
         feed(&mut a, &rows, &mut ShardMeters::default());
         let shared = pool.bytes();
         assert!(
-            shared > 0 && shared == a.pooled_bytes(),
+            shared > 0 && shared == a.footprint().pooled,
             "[0, 64) sealed in a"
         );
         assert_eq!(move_cursors(&mut a, Some(&mut b), QueryId(1)), 80);
         assert_eq!(b.numbered(), a_numbered(&rows, 0));
         assert_eq!(
-            b.pooled_bytes(),
-            a.pooled_bytes(),
+            b.footprint().pooled,
+            a.footprint().pooled,
             "b holds a's sealed parts"
         );
         assert_eq!(pool.bytes(), shared, "charged once");
@@ -991,8 +960,8 @@ mod tests {
         }
         // [64, 96) and [96, 128) are sealed in both, charged once; b's
         // [52, 64) started mid-segment and is its own.
-        assert_eq!(pool.bytes(), a.pooled_bytes());
-        assert!(b.pooled_bytes() > 0 && b.pooled_bytes() < a.pooled_bytes());
+        assert_eq!(pool.bytes(), a.footprint().pooled);
+        assert!(b.footprint().pooled > 0 && b.footprint().pooled < a.footprint().pooled);
         // A range window that expires everything at every heartbeat
         // empties its log each time; the log resumes at the next batch's
         // number.

@@ -84,7 +84,7 @@ fn aggregate(group: Vec<BoundExpr>, aggs: Vec<BoundAgg>, rows: Vec<Tuple>) -> (u
             drop(op.process_batch(0, b).unwrap());
         }
     });
-    (op.state_bytes(), heap)
+    (op.footprint().resident, heap)
 }
 
 fn ratio(what: &str, charged: usize, heap: usize) -> f64 {
@@ -206,7 +206,7 @@ fn state_bytes_agree_with_the_allocator() {
             keyed.update(vec![r.get(0).clone()], r, 1);
         }
     });
-    ratio("KeyedState", keyed.state_bytes(), keyed_heap);
+    ratio("KeyedState", keyed.footprint().resident, keyed_heap);
     let mut twin = TupleStore::weighted(0).segment_rows(32);
     let twin_heap = held(|| {
         for r in &rows {
@@ -217,7 +217,7 @@ fn state_bytes_agree_with_the_allocator() {
     });
     ratio(
         "RowIndex (KeyedState minus its store)",
-        keyed.state_bytes() - twin.resident_bytes(),
+        keyed.footprint().resident - twin.resident_bytes(),
         keyed_heap - twin_heap,
     );
 

@@ -535,7 +535,7 @@ impl System for Private {
             let (p, sink) = (&q.pipeline, &q.sink);
             let rows = sorted(sink.snapshot().map_err(|e| ("error", e.to_string()))?);
             let counters = (p.tuples_in, p.ops_invoked, sink.deltas_applied);
-            let load = Some((counters, p.state_bytes() as u64, false));
+            let load = Some((counters, p.footprint().resident as u64, false));
             seen.slots.insert(slot, SlotSeen { rows, load });
             profile.merge(&p.profile);
         }
@@ -551,13 +551,13 @@ impl System for Private {
         };
         seen.views = Some(self.views.iter().map(view).collect());
         let pipelines = self.slots.values().map(|q| &q.pipeline);
-        let tables: usize = self.tables.values().map(BagState::state_bytes).sum();
+        let tables: usize = self.tables.values().map(|t| t.footprint().resident).sum();
         seen.sample.resident = ResidentState {
             window_tuples: pipelines
                 .clone()
                 .map(Pipeline::buffered_window_tuples)
                 .sum(),
-            state_bytes: tables + pipelines.map(Pipeline::state_bytes).sum::<usize>(),
+            state_bytes: tables + pipelines.map(|p| p.footprint().resident).sum::<usize>(),
             ..ResidentState::default()
         };
         seen.sample.view_rows = self.views.iter().map(|v| v.0.len()).collect();

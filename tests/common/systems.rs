@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use smartcis::stream::{
-    render_json, Cluster, ClusterConfig, Consistency, EngineConfig, QueryHandle, QuerySpec,
-    ResultSubscription, Scheduling, ShardedEngine,
+    render_json, Cluster, ClusterConfig, Consistency, EngineConfig, Footprint, QueryHandle,
+    QuerySpec, ResultSubscription, Scheduling, ShardedEngine,
 };
 use smartcis::types::{AspenError, Result, SourceId, Tuple};
 
@@ -307,6 +307,30 @@ impl System for EngineSystem {
                 .map(|(_, m)| (m.invocations, m.deltas))
                 .collect(),
         );
+        // The report and `resident_state` walk the same state apart and
+        // must agree on every node: the shards' footprints (a pooled
+        // segment once, as the engine's shared bytes) plus the tables.
+        for (i, node) in self.nodes().into_iter().enumerate() {
+            let (r, rs) = (node.telemetry_at(Consistency::Fresh), node.resident_state());
+            let shards: Footprint = r.shards.iter().map(|s| s.footprint).sum();
+            let private = shards.resident - shards.pooled;
+            let report = (
+                private + r.log_shared_bytes as usize + r.tables.resident,
+                shards.spilled + r.tables.spilled,
+                shards.read_failures + r.tables.read_failures,
+                shards.write_failures + r.tables.write_failures,
+            );
+            let resident = (
+                rs.state_bytes,
+                rs.spilled_bytes,
+                rs.spill_read_failures,
+                rs.spill_write_failures,
+            );
+            if resident != report {
+                let detail = format!("node {i}: resident_state {resident:?}, report {report:?}");
+                return Err(("census", detail));
+            }
+        }
         // Every node keeps every view: each copy is node 0's.
         let mut views: Vec<super::View> = Vec::new();
         for (i, node) in self.nodes().into_iter().enumerate() {

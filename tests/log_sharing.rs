@@ -118,7 +118,7 @@ fn active_segment_bytes() -> usize {
             };
             deque.push_back(&Tuple::new(row, SimTime::from_secs(i as u64)));
         }
-        bytes += deque.state_bytes();
+        bytes += deque.footprint().resident;
     }
     bytes
 }

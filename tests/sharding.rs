@@ -769,7 +769,11 @@ fn state_bytes_travel_with_migration() {
     let q = tel.queries.iter().find(|q| q.query == fat.0).unwrap();
     let (from, bytes) = (q.shard, q.state_bytes);
     assert!(bytes > 0, "window query reports no state bytes");
-    let shard_bytes_before: Vec<u64> = tel.shards.iter().map(|s| s.state_bytes).collect();
+    let shard_bytes_before: Vec<u64> = tel
+        .shards
+        .iter()
+        .map(|s| s.footprint.resident as u64)
+        .collect();
     let engine_bytes_before = e.resident_state().state_bytes;
 
     let to = 1 - from;
@@ -779,7 +783,11 @@ fn state_bytes_travel_with_migration() {
     let q = tel.queries.iter().find(|q| q.query == fat.0).unwrap();
     assert_eq!(q.shard, to, "query did not move");
     assert_eq!(q.state_bytes, bytes, "state_bytes changed in flight");
-    let shard_bytes_after: Vec<u64> = tel.shards.iter().map(|s| s.state_bytes).collect();
+    let shard_bytes_after: Vec<u64> = tel
+        .shards
+        .iter()
+        .map(|s| s.footprint.resident as u64)
+        .collect();
     assert_eq!(
         shard_bytes_before[from] - bytes,
         shard_bytes_after[from],
@@ -885,7 +893,11 @@ fn byte_aware_rebalancer_drains_memory_fat_shard() {
         fat_shards.iter().any(|&s| s != 0),
         "memory-fat shard never drained: fat queries still at {fat_shards:?}"
     );
-    let shard_bytes: Vec<u64> = tel.shards.iter().map(|s| s.state_bytes).collect();
+    let shard_bytes: Vec<u64> = tel
+        .shards
+        .iter()
+        .map(|s| s.footprint.resident as u64)
+        .collect();
     assert!(
         shard_bytes.iter().all(|&b| b > 0),
         "bytes did not spread across shards: {shard_bytes:?}"
