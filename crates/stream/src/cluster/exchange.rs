@@ -13,7 +13,8 @@
 //! [`node_of`] / [`partition`] are the hash-exchange half: key-column
 //! hashing routes tuples to *nodes*, so a repartitioned join's
 //! co-partitioning guarantee (equal keys meet on one node) holds
-//! across the cluster.
+//! across the cluster. Keys hash normalised, as a join looks them up:
+//! an `INT` key and the equal `FLOAT` key land on one node.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -22,6 +23,7 @@ use aspen_netsim::frames::{WireDelta, WireFrame, WireRow};
 use aspen_types::{AspenError, Result, SimTime, SourceId, Tuple};
 
 use crate::delta::{Delta, DeltaBatch};
+use crate::operators::norm;
 use crate::trace::TraceCtx;
 
 /// Serialize a source batch into one `Batch` frame, its rows numbered
@@ -143,11 +145,12 @@ pub fn ingress(frame: WireFrame) -> Result<(SourceId, Arrival, Option<TraceCtx>)
 }
 
 /// Which node a tuple's key columns hash to (`DefaultHasher` over the
-/// key values).
+/// key values, each normalised as a join key is, so values that are
+/// equal under `=` — `INT` 2 and `FLOAT` 2.0 — hash to one node).
 pub fn node_of(tuple: &Tuple, key_cols: &[usize], nodes: usize) -> usize {
     let mut h = DefaultHasher::new();
     for &c in key_cols {
-        tuple.get(c).hash(&mut h);
+        norm(tuple.get(c)).hash(&mut h);
     }
     (h.finish() % nodes as u64) as usize
 }

@@ -45,7 +45,9 @@
 //! every node, under one id, and marks its sources *exchanged*: their
 //! batches are hash-scattered by key columns ([`exchange::partition`]), so equal
 //! join keys always meet on one node and the merged member snapshots
-//! equal the monolithic result; each node numbers its own shares.
+//! equal the monolithic result; each node numbers its own shares. Keys
+//! hash as a join looks them up, numbers normalised: an `INT` key and
+//! the equal `FLOAT` key meet on one node.
 //!
 //! ## Cross-node live migration
 //!
@@ -355,10 +357,12 @@ impl Cluster {
     /// the union of member results equals the monolithic result.
     ///
     /// `keys` maps each scanned source name to the columns whose hash
-    /// routes its tuples; every source the plan scans must be keyed, be
-    /// stream-like, and have no other live subscriber anywhere (a late
-    /// split would divide a history other queries already saw whole) and
-    /// no view reading it (every node's copy would see only a share).
+    /// routes its tuples, each inside the source's schema; every source
+    /// the plan scans must be keyed, be stream-like, and have no other
+    /// live subscriber anywhere (a late split would divide a history
+    /// other queries already saw whole) and no view reading it (every
+    /// node's copy would see only a share). All of this is checked
+    /// before anything is placed.
     /// Group members are pinned: no pause, migrate, or subscribe; the
     /// group snapshot is the canonically sorted merged multiset. When a
     /// node fails to place its member, the members placed before it are
@@ -388,6 +392,12 @@ impl Cluster {
             if cols.is_empty() {
                 return Err(AspenError::InvalidArgument(format!(
                     "source '{name}' needs at least one exchange key column"
+                )));
+            }
+            let width = meta.schema.len();
+            if let Some(col) = cols.iter().find(|&&c| c >= width) {
+                return Err(AspenError::InvalidArgument(format!(
+                    "source '{name}' has {width} columns; exchange key column {col} is past them"
                 )));
             }
             key_map.insert(meta.id, cols.clone());
@@ -1327,6 +1337,30 @@ mod tests {
         for i in 0..2 {
             assert_eq!(c.node(i).view_snapshot("Chain").unwrap().len(), 3);
         }
+    }
+
+    /// An exchange key column at or past its source's width is refused
+    /// before any member is placed: the valid group registered next
+    /// finds the source unsplit and takes a batch.
+    #[test]
+    fn an_exchange_key_past_the_schema_is_refused() {
+        let mut c = two_nodes();
+        let sql = "select r.room, r.value from Readings r";
+        for cols in [vec![2], vec![0, 7]] {
+            let refused = c
+                .register_hash_partitioned(sql, &[("Readings", cols)])
+                .unwrap_err();
+            assert!(
+                matches!(refused, AspenError::InvalidArgument(_)),
+                "{refused}"
+            );
+        }
+        let q = c
+            .register_hash_partitioned(sql, &[("Readings", vec![0])])
+            .unwrap();
+        c.on_batch("Readings", &[t(&[1, 10], 1), t(&[2, 20], 1)])
+            .unwrap();
+        assert_eq!(c.snapshot(q).unwrap(), [t(&[1, 10], 1), t(&[2, 20], 1)]);
     }
 
     /// Signed deltas on a stream a query on node 1 indexes in a join side

@@ -31,7 +31,6 @@
 //! stays the query's own `FilterOp`, as does a filter keeping row ids
 //! for an indexed join side (the pipeline never offers that one).
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -233,7 +232,7 @@ impl Group {
     fn insert(&mut self, constant: &Value, cursor: u32) -> bool {
         match &mut self.members {
             Members::Eq(map) => {
-                let held = map.entry(norm(constant)).or_default();
+                let held = map.entry(norm(constant).into_owned()).or_default();
                 held.push((constant.clone(), cursor));
             }
             Members::Range(ms) => {
@@ -293,11 +292,7 @@ impl Group {
             };
             match &self.members {
                 Members::Eq(map) => {
-                    let key = match v {
-                        Value::Int(_) | Value::Float(_) => Cow::Owned(norm(v)),
-                        _ => Cow::Borrowed(v),
-                    };
-                    let found = map.get(&*key).map_or(&[][..], Vec::as_slice);
+                    let found = map.get(&*norm(v)).map_or(&[][..], Vec::as_slice);
                     for (c, m) in found {
                         if v.sql_cmp(c).is_some_and(Ordering::is_eq) {
                             hit(*m);

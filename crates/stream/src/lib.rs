@@ -37,7 +37,7 @@
 //!   `queue_depth` (32), `rebalance` (off), `spill` (off).
 //! * [`QuerySpec`] / [`Registration`] / [`SessionId`] /
 //!   [`ResultSubscription`] / [`Consistency`] — the client vocabulary.
-//! * [`Cluster`] (+ [`ClusterConfig`], four fields) — N engines behind
+//! * [`Cluster`] (+ [`ClusterConfig`], three fields) — N engines behind
 //!   one coordinator with the same register / lifecycle / ingest / read
 //!   verbs. Node and coordinator share one front end by composition:
 //!   each owns a [`session`] `FrontEnd` (spec → bound plan through the

@@ -186,11 +186,9 @@ impl DeltaOp for ProjectOp {
 /// id whose row is gone, a retraction of an id not held and a delta
 /// without an id are [`AspenError::Execution`], never a missing match.
 ///
-/// **Keys follow SQL `=`**: a pair matches iff [`Value::sql_eq`] holds
-/// on every key column, so a delta whose key holds a `NULL` enters
-/// neither side and matches nothing, and `Int(2)` meets `Float(2.0)`.
-/// Either side kind finds candidates under a normalised key (`norm`)
-/// and then checks `sql_eq` on the two tuples themselves.
+/// **Keys follow SQL `=`**, by the rule of `join_key` and
+/// `keys_meet`: a delta whose key holds a `NULL` enters neither side
+/// and matches nothing, and `Int(2)` meets `Float(2.0)`.
 #[derive(Debug)]
 pub struct JoinOp {
     pub keys: Vec<(usize, usize)>,
@@ -211,14 +209,32 @@ enum Side {
 /// A key value's stand-in for lookup: values that are [`Value::sql_eq`]
 /// normalise to equal (and equally hashed) values. A float holding an
 /// integer becomes that integer — except from 2^53, where `f64` stops
-/// telling integers apart and integers become floats instead.
-pub(crate) fn norm(v: &Value) -> Value {
+/// telling integers apart and integers become floats instead. Any other
+/// value stands for itself, borrowed.
+pub(crate) fn norm(v: &Value) -> Cow<'_, Value> {
     const EXACT: f64 = (1u64 << 53) as f64;
     match *v {
-        Value::Float(f) if f.fract() == 0.0 && f.abs() < EXACT => Value::Int(f as i64),
-        Value::Int(i) if (i as f64).abs() >= EXACT => Value::Float(i as f64),
-        _ => v.clone(),
+        Value::Float(f) if f.fract() == 0.0 && f.abs() < EXACT => Cow::Owned(Value::Int(f as i64)),
+        Value::Int(i) if (i as f64).abs() >= EXACT => Cow::Owned(Value::Float(i as f64)),
+        _ => Cow::Borrowed(v),
     }
+}
+
+/// A tuple's join key over `cols`: each value [`norm`]alised, or `None`
+/// when any is `NULL`, which `=` meets with nothing. Equal keys find a
+/// pair's candidates; [`keys_meet`] decides. A pipeline's join and a
+/// view branch's key this way, and the hash exchange hashes these values.
+pub(crate) fn join_key(tuple: &Tuple, cols: impl IntoIterator<Item = usize>) -> Option<Vec<Value>> {
+    let key = |c| Some(norm(tuple.get(c)).into_owned()).filter(|v| !v.is_null());
+    cols.into_iter().map(key).collect()
+}
+
+/// Whether `l` and `r` meet under [`Value::sql_eq`] on every key pair:
+/// the check after a lookup by [`join_key`], whose normalised values a
+/// few unequal values share (integers from 2^53).
+pub(crate) fn keys_meet(keys: &[(usize, usize)], l: &Tuple, r: &Tuple) -> bool {
+    keys.iter()
+        .all(|&(lc, rc)| l.get(lc).sql_eq(r.get(rc)) == Some(true))
 }
 
 impl Side {
@@ -337,16 +353,13 @@ impl DeltaOp for JoinOp {
         } else {
             (right, &*left)
         };
-        // The lookup is by hash of a normalised key; `=` decides.
-        let eq = |l: &Value, r: &Value| l.sql_eq(r) == Some(true);
         let ids = batch.row_ids();
         let mut out = DeltaBatch::with_capacity(batch.len());
         for (i, delta) in batch.iter().enumerate() {
             let cols = keys.iter().map(|&(l, r)| if is_left { l } else { r });
-            let key: Vec<Value> = cols.map(|c| norm(delta.tuple.get(c))).collect();
-            if key.iter().any(Value::is_null) {
+            let Some(key) = join_key(&delta.tuple, cols) else {
                 continue;
-            }
+            };
             // Update own side's state first so self-joins on the same
             // batch behave like set-at-a-time semantics.
             own.update(&key, delta, ids.map(|ids| ids[i]))?;
@@ -356,7 +369,7 @@ impl DeltaOp for JoinOp {
                 } else {
                     (&match_tuple, &delta.tuple)
                 };
-                if !keys.iter().all(|&(lc, rc)| eq(l.get(lc), r.get(rc))) {
+                if !keys_meet(keys, l, r) {
                     continue;
                 }
                 let joined = l.join(r);

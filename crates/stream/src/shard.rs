@@ -358,7 +358,9 @@ type ViewOutput = Vec<(SourceId, DeltaBatch)>;
 /// coordinator owns them and maintains them inside the call that admits
 /// a boundary; their net output deltas — DRed-style deletions included,
 /// since the deltas carry signs — travel to the query shards as ordinary
-/// delta boundaries.
+/// delta boundaries. A view may read views: registration order puts
+/// every view it reads before it, so one pass in that order feeds each
+/// view the outputs of the views before it in the same step.
 #[derive(Default)]
 struct ViewSet {
     views: Vec<ViewRuntime>,
@@ -370,17 +372,24 @@ impl ViewSet {
         self.views.iter().any(|v| v.view.reads(src))
     }
 
-    /// Run one maintenance step on every view, in registration order. A
-    /// failing view keeps nothing from the views after it: the healthy
-    /// views' output is returned with the first error.
+    /// Run one maintenance step on every view, in registration order,
+    /// each view then fed what the views before it output. A failing
+    /// view keeps nothing from the views after it: the healthy views'
+    /// output is returned with the first error.
     fn maintain(
         &mut self,
         mut step: impl FnMut(&mut RecursiveView) -> Result<DeltaBatch>,
     ) -> (ViewOutput, Result<()>) {
-        let mut out = Vec::new();
+        let mut out: ViewOutput = Vec::new();
         let mut served = Ok(());
         for vr in &mut self.views {
-            match step(&mut vr.view) {
+            let fed = step(&mut vr.view).and_then(|mut got| {
+                for (src, deltas) in &out {
+                    got.extend(vr.view.on_base_deltas(*src, deltas)?);
+                }
+                Ok(got)
+            });
+            match fed {
                 Ok(got) if got.is_empty() => {}
                 Ok(got) => out.push((vr.out_source, got)),
                 Err(e) => served = served.and(Err(e)),
@@ -1294,12 +1303,12 @@ impl ShardedEngine {
     }
 
     /// Build this engine's copy of a bound view, seeded from its retained
-    /// tables. What the seeding emits goes nowhere: no query can scan a
-    /// view that is not installed yet.
+    /// tables and the views it reads. What the seeding emits goes
+    /// nowhere: no query can scan a view that is not installed yet.
     pub(crate) fn build_view(&self, bound: &BoundView) -> Result<RecursiveView> {
         let mut view = RecursiveView::new(bound)?;
         for src in view.base_sources() {
-            if let Some(rows) = self.retained(src) {
+            if let Some(rows) = self.retained(src).or_else(|| self.views.snapshot_of(src)) {
                 view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
             }
         }

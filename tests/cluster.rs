@@ -40,6 +40,7 @@ fn catalog() -> Arc<Catalog> {
             SourceStats::table(4),
             &[("sensor", Int), ("room", Int)],
         ),
+        ("PowerF", stream(), &[("sensor", Float), ("value", Float)]),
     ])
 }
 
@@ -324,15 +325,18 @@ fn a_query_over_an_exchanged_source_is_not_migrated() {
 /// A hash-partitioned join spread over 2 and 4 nodes must equal the
 /// monolithic join on one engine, batch for batch, while genuinely
 /// exchanging shares over the wire — and an unrelated query migrating
-/// across nodes mid-run must not perturb it.
+/// across nodes mid-run must not perturb it. The join runs twice: with
+/// `PowerB` (`INT` keys on both sides) and with `PowerF`, whose `FLOAT`
+/// keys meet `PowerA`'s `INT` keys under `=` and so on one node.
 #[test]
 fn hash_partitioned_join_tracks_oracle_under_interleaved_ingest() {
     use rand::Rng;
     use smartcis::types::rng::seeded;
 
-    let sql = "select a.value, b.value from PowerA a, PowerB b where a.sensor = b.sensor";
-    for seed in seeds(2) {
-        for nodes in [2usize, 4] {
+    for right in ["PowerB", "PowerF"] {
+        let sql =
+            &format!("select a.value, b.value from PowerA a, {right} b where a.sensor = b.sensor");
+        for (seed, nodes) in seeds(2).flat_map(|seed| [(seed, 2usize), (seed, 4)]) {
             let mut rng = seeded(0x9A54 ^ seed);
             let mut oracle = ShardedEngine::with_config(catalog(), inline_node());
             let oq = oracle.register_sql(sql).unwrap().expect_query();
@@ -342,7 +346,7 @@ fn hash_partitioned_join_tracks_oracle_under_interleaved_ingest() {
                 ClusterConfig::new().nodes(nodes).node_config(inline_node()),
             );
             let q = c
-                .register_hash_partitioned(sql, &[("PowerA", vec![0]), ("PowerB", vec![0])])
+                .register_hash_partitioned(sql, &[("PowerA", vec![0]), (right, vec![0])])
                 .unwrap();
             // A bystander query on an un-exchanged source, migrated
             // around mid-run.
@@ -363,14 +367,16 @@ fn hash_partitioned_join_tracks_oracle_under_interleaved_ingest() {
             for step in 0..40 {
                 match rng.gen_range(0..8u32) {
                     0..=5 => {
-                        let source = if rng.gen_bool(0.5) {
-                            "PowerA"
-                        } else {
-                            "PowerB"
-                        };
+                        let source = if rng.gen_bool(0.5) { "PowerA" } else { right };
                         let batch: Vec<Tuple> = (0..rng.gen_range(1..6usize))
                             .map(|_| {
-                                power(rng.gen_range(0..5i64), rng.gen_range(0..100i64) as f64, now)
+                                let sensor = rng.gen_range(0..5i64);
+                                let key = match source {
+                                    "PowerF" => Value::Float(sensor as f64),
+                                    _ => Value::Int(sensor),
+                                };
+                                let value = Value::Float(rng.gen_range(0..100i64) as f64);
+                                Tuple::new(vec![key, value], SimTime::from_secs(now))
                             })
                             .collect();
                         now += 1;
@@ -394,7 +400,7 @@ fn hash_partitioned_join_tracks_oracle_under_interleaved_ingest() {
                 assert_eq!(
                     c.snapshot(q).unwrap(),
                     canon(oracle.snapshot(oq).unwrap()),
-                    "partitioned join diverged ({nodes} nodes, seed {seed}, step {step})"
+                    "partitioned join diverged ({right}, {nodes} nodes, seed {seed}, step {step})"
                 );
             }
             let (out, inn) = c.exchange_tuples();

@@ -5,13 +5,16 @@
 //!   [`LogicalPlan`] — no engine code below the binder's expressions.
 //! * [`Private`] runs the private path outside any engine: one
 //!   standalone [`Pipeline`] and [`Sink`] per query, tables replayed from
-//!   a [`BagState`], views from standalone [`RecursiveView`]s.
+//!   a [`BagState`], views from standalone [`RecursiveView`]s. After every
+//!   event each view over unwindowed tables alone must equal one built
+//!   fresh from those tables (*cut = fresh* for views).
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use smartcis::catalog::{Catalog, SourceKind, SourceStats};
+use smartcis::sql::binder::BoundView;
 use smartcis::sql::expr::{AggFunc, BoundAgg};
 use smartcis::sql::plan::LogicalPlan;
 use smartcis::sql::{compile, BoundQuery};
@@ -362,8 +365,8 @@ struct PrivateQuery {
 pub struct Private {
     catalog: Arc<Catalog>,
     tables: HashMap<SourceId, BagState>,
-    /// Each registered view and its output source.
-    views: Vec<(RecursiveView, SourceId)>,
+    /// Each registered view, its output source and its definition.
+    views: Vec<(RecursiveView, SourceId, BoundView)>,
     slots: BTreeMap<usize, PrivateQuery>,
 }
 
@@ -414,15 +417,22 @@ impl Private {
     }
 
     /// One maintenance step on every view, in registration order, each
-    /// view's output fed on.
+    /// view then fed what the views before it output, and every view's
+    /// output fed on to the queries.
     fn maintain(
         &mut self,
         mut step: impl FnMut(&mut RecursiveView) -> Result<DeltaBatch>,
     ) -> Result<()> {
         let mut served = Ok(());
-        let mut out = Vec::new();
-        for (view, src) in &mut self.views {
-            match step(view) {
+        let mut out: Vec<(SourceId, DeltaBatch)> = Vec::new();
+        for (view, src, _) in &mut self.views {
+            let fed = step(view).and_then(|mut got| {
+                for (from, deltas) in &out {
+                    got.extend(view.on_base_deltas(*from, deltas)?);
+                }
+                Ok(got)
+            });
+            match fed {
                 Ok(got) if !got.is_empty() => out.push((*src, got)),
                 got => served = served.and(got.map(drop)),
             }
@@ -431,6 +441,45 @@ impl Private {
             served = served.and(self.feed(src, None, &deltas));
         }
         served
+    }
+
+    /// Each view that scans only tables, unwindowed, holds the rows (with
+    /// their stamps) of a view built fresh from those tables' bags.
+    fn fresh_views(&self) -> std::result::Result<(), (&'static str, String)> {
+        for (view, _, bound) in &self.views {
+            let mut scans = bound
+                .bases
+                .iter()
+                .chain(&bound.steps)
+                .flat_map(|p| p.scans());
+            if !scans.all(|rel| rel.meta.kind == SourceKind::Table && rel.window.is_append_only()) {
+                continue;
+            }
+            let error = |e: AspenError| ("fresh view", e.to_string());
+            let mut fresh = RecursiveView::new(bound).map_err(error)?;
+            for src in fresh.base_sources() {
+                let rows = self
+                    .tables
+                    .get(&src)
+                    .map(BagState::snapshot)
+                    .unwrap_or_default();
+                fresh
+                    .on_base_deltas(src, &DeltaBatch::inserts(rows))
+                    .map_err(error)?;
+            }
+            let (live, want) = (sorted(view.snapshot()), sorted(fresh.snapshot()));
+            if live != want {
+                let only = |a: &[Tuple], b: &[Tuple]| -> Vec<Tuple> {
+                    a.iter().filter(|t| !b.contains(t)).cloned().collect()
+                };
+                let (extra, lacking) = (only(&live, &want), only(&want, &live));
+                let name = view.name();
+                let detail =
+                    format!("{name} holds {extra:?} beyond a fresh {name}, lacks {lacking:?}");
+                return Err(("fresh view", detail));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -503,11 +552,16 @@ impl System for Private {
                         .register_source(&bound.name, bound.schema.clone(), kind, stats)?;
                 let mut view = RecursiveView::new(&bound)?;
                 for src in view.base_sources() {
-                    if let Some(table) = self.tables.get(&src) {
-                        view.on_base_deltas(src, &DeltaBatch::inserts(table.snapshot()))?;
+                    let read = self
+                        .views
+                        .iter()
+                        .find(|v| v.1 == src)
+                        .map(|v| v.0.snapshot());
+                    if let Some(rows) = self.tables.get(&src).map(BagState::snapshot).or(read) {
+                        view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
                     }
                 }
-                self.views.push((view, out));
+                self.views.push((view, out, bound));
                 Ok(())
             }
             Op::Deregister(slot) => {
@@ -545,7 +599,8 @@ impl System for Private {
                 .map(|(_, m)| (m.invocations, m.deltas))
                 .collect(),
         );
-        let view = |(view, _): &(RecursiveView, SourceId)| {
+        self.fresh_views()?;
+        let view = |(view, ..): &(RecursiveView, SourceId, BoundView)| {
             let rows = sorted(view.snapshot());
             (view.name().to_string(), rows, format!("{:?}", view.stats))
         };

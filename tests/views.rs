@@ -30,6 +30,7 @@ use common::{seeds, Cell, Config, Mode, Oracle, Row, SlotState, View, Weights, W
 use rand::rngs::StdRng;
 use rand::Rng;
 use smartcis::catalog::{Catalog, SourceStats};
+use smartcis::stream::{Cluster, ClusterConfig, EngineConfig, ShardedEngine};
 use smartcis::types::DataType::{Int, Text};
 use smartcis::types::{Tuple, Value};
 
@@ -167,4 +168,61 @@ fn views_agree_under_every_scheduling_mode_and_shard_count() {
     }
     assert!(shrank, "the windowed view never shrank");
     assert!(moved, "no query over a view moved between nodes");
+}
+
+/// A view over a view is seeded with the first view's rows and fed its
+/// every later change, on one engine of 1 and 2 shards and on every node
+/// of a 2-node cluster: `Reach2`, the closure of `Reach`, is `Reach`, and
+/// a count over it says so.
+#[test]
+fn a_view_over_a_view_is_fed() {
+    let over = "create recursive view Reach2 as ( \
+                select r.src, r.dst from Reach r \
+                union \
+                select a.src, b.dst from Reach2 a, Reach b where a.dst = b.src )";
+    let edge = |a: &str, b: &str| Tuple::row(vec![Value::Text(a.into()), Value::Text(b.into())]);
+    let rows = |mut rows: Vec<Tuple>| {
+        rows.sort_by(|a, b| a.values().cmp(b.values()));
+        rows
+    };
+    let count = |n: i64| vec![Tuple::row(vec![Value::Int(n)])];
+    for shards in [1, 2] {
+        let mut e = ShardedEngine::with_config(catalog(), EngineConfig::new().shards(shards));
+        e.register_sql(VIEWS[1].1).unwrap();
+        e.on_batch("Links", &[edge("a", "b")]).unwrap();
+        e.register_sql(over).unwrap();
+        let q = e.register_sql("select count(*) from Reach2 x").unwrap();
+        let q = q.expect_query();
+        assert_eq!(e.view_snapshot("Reach2").unwrap(), [edge("a", "b")]);
+        e.on_batch("Links", &[edge("b", "c")]).unwrap();
+        let reach = rows(e.view_snapshot("Reach").unwrap());
+        assert_eq!(reach.len(), 3, "{shards} shards");
+        assert_eq!(
+            rows(e.view_snapshot("Reach2").unwrap()),
+            reach,
+            "{shards} shards"
+        );
+        assert_eq!(e.snapshot(q).unwrap(), count(3), "{shards} shards");
+    }
+    let config = ClusterConfig::new()
+        .nodes(2)
+        .node_config(EngineConfig::new().shards(1));
+    let mut c = Cluster::new(catalog(), config);
+    c.register_sql(VIEWS[1].1).unwrap();
+    c.on_batch("Links", &[edge("a", "b")]).unwrap();
+    c.register_sql(over).unwrap();
+    let q = c.register_sql("select count(*) from Reach2 x").unwrap();
+    let q = q.expect_query();
+    c.on_batch("Links", &[edge("b", "c")]).unwrap();
+    for i in 0..2 {
+        let node = c.node(i);
+        let reach = rows(node.view_snapshot("Reach").unwrap());
+        assert_eq!(reach.len(), 3, "node {i}");
+        assert_eq!(
+            rows(node.view_snapshot("Reach2").unwrap()),
+            reach,
+            "node {i}"
+        );
+    }
+    assert_eq!(c.snapshot(q).unwrap(), count(3));
 }
