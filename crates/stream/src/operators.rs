@@ -17,7 +17,7 @@ use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
 use aspen_types::{AspenError, DataType, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{hash_of, Footprint, KeyedState, RowIndex, StateOptions};
+use crate::state::{cap, hash_of, Footprint, KeyIndex, KeyedState, ProbeTable, StateOptions};
 
 /// Where the row ids of addressed batches resolve: `(scan, row)` is the
 /// tuple at that row of what the pipeline's scan `scan` windows (its own
@@ -180,9 +180,11 @@ impl DeltaOp for ProjectOp {
 /// side copies its input's live rows into a [`KeyedState`] and accepts
 /// any input. An *indexed* side is fed by one stream scan's window with
 /// only filters in between, so its input is addressed and its rows already
-/// sit in that window or its source log: it keeps `key hash → row ids`
-/// and nothing else, inserts and retracts by id, and asks the pipeline's
-/// [`RowSource`] for a tuple only when the other side probes the key. An
+/// sit in that window or its source log: it keeps only a key index of
+/// `key hash → row ids` (`state::KeyIndex`, about 24 B a key and 8 B a
+/// row; a window's retraction unlinks its key's oldest id in O(1)),
+/// inserts and retracts by id, and asks the pipeline's [`RowSource`] for
+/// a tuple only when the other side probes the key. An
 /// id whose row is gone, a retraction of an id not held and a delta
 /// without an id are [`AspenError::Execution`], never a missing match.
 ///
@@ -202,7 +204,7 @@ enum Side {
     /// Ids of the live rows of scan `scan` that reached this side.
     Indexed {
         scan: usize,
-        ids: RowIndex,
+        ids: KeyIndex,
     },
 }
 
@@ -272,8 +274,8 @@ impl Side {
             Side::Materialised(state) => Ok(state.get(key)),
             Side::Indexed { scan, ids } => {
                 let gone = |row| dangling(*scan, format_args!("a probe for row {row}"));
-                let fetch = |&row| Ok((rows(*scan, row).ok_or_else(|| gone(row))?, 1));
-                ids.get(hash_of(key)).iter().map(fetch).collect()
+                let fetch = |row| Ok((rows(*scan, row).ok_or_else(|| gone(row))?, 1));
+                ids.rows(hash_of(key)).map(fetch).collect()
             }
         }
     }
@@ -313,7 +315,7 @@ impl JoinOp {
         let sides = scans.map(|scan| match scan {
             Some(scan) => Side::Indexed {
                 scan,
-                ids: RowIndex::default(),
+                ids: KeyIndex::default(),
             },
             None => Side::Materialised(Box::new(KeyedState::with_options(opts))),
         });
@@ -390,7 +392,7 @@ impl DeltaOp for JoinOp {
     fn footprint(&self) -> Footprint {
         let side = |side: &Side| match side {
             Side::Materialised(state) => state.footprint(),
-            Side::Indexed { ids, .. } => Footprint::heap(ids.state_bytes()),
+            Side::Indexed { ids, .. } => Footprint::heap(ids.heap_bytes()),
         };
         self.sides.iter().map(side).sum()
     }
@@ -416,11 +418,11 @@ impl DeltaOp for JoinOp {
 /// stamp (of the row it shows downstream, recomputed from the cells, not
 /// kept) and one [`AggColumn`] cell per aggregate sit at one slot.
 /// `COUNT(*)` moves by the sign exactly as the weight does, so it reads
-/// the weight. `index` maps a key to its slot: a power-of-two table of
-/// slot ids, linear probing at load ≤ 7/8 under `key_hash`, `Value`
-/// `==` on the key cells, no stored hashes (growth and deletion rehash
-/// the cells in place), backward-shift deletion. A global aggregate is
-/// slot 0 at capacity 1.
+/// the weight. `index` maps a key to its slot: a `state::ProbeTable` of
+/// slot ids (the crate's one linear-probing table, load ≤ 7/8,
+/// backward-shift deletion) under `key_hash`, `Value` `==` on the key
+/// cells, no stored hashes (growth and deletion rehash the cells in
+/// place). A global aggregate is slot 0 at capacity 1.
 ///
 /// **Key cells at the width their values need.** A key bound as `INT`,
 /// `FLOAT`, `TIMESTAMP` or `BOOL` is a 64-bit word: the `i64` bits,
@@ -448,7 +450,7 @@ pub struct AggregateOp {
     /// `NONE` for no row. In a batch, a touched slot's cell is its touch
     /// position (the touch names the slot back: no stamp passes for one).
     shown: Vec<u64>,
-    index: Vec<u32>,
+    index: ProbeTable,
     free: Vec<u32>,
     /// What downstream still shows for the slots a failed batch touched
     /// (cells moved, nothing emitted). An entry overrides its slot's
@@ -556,11 +558,6 @@ impl KeyColumn {
     }
 }
 
-/// Bytes a vector's capacity holds.
-fn cap<T>(v: &Vec<T>) -> usize {
-    v.capacity() * std::mem::size_of::<T>()
-}
-
 /// The index hash of a key's `Value`s, cell by cell: a probe's values and
 /// a slot's cells hash alike whatever column holds them.
 fn key_hash(cells: impl Iterator<Item = impl Hash>) -> u64 {
@@ -569,10 +566,13 @@ fn key_hash(cells: impl Iterator<Item = impl Hash>) -> u64 {
     h.finish()
 }
 
+/// [`key_hash`] of the key `slot` holds in `keys`.
+fn slot_hash(keys: &[KeyColumn], slot: u32) -> u64 {
+    key_hash(keys.iter().map(|c| c.cell(slot as usize)))
+}
+
 /// The `shown` stamp of a group that shows no row.
 const NONE: u64 = u64::MAX;
-/// An index position holding no slot.
-const VACANT: u32 = u32::MAX;
 
 /// A touched group: the stamp it showed before the batch (the values
 /// are `aggs.len()` of the batch's list at its position) and the stamp
@@ -592,7 +592,7 @@ impl AggregateOp {
             aggs,
             weight: Vec::new(),
             shown: Vec::new(),
-            index: Vec::new(),
+            index: ProbeTable::default(),
             free: Vec::new(),
             stale: HashMap::new(),
             rows: Vec::new(),
@@ -607,25 +607,6 @@ impl AggregateOp {
         self.weight.iter().filter(|&&w| global || w > 0).count()
     }
 
-    /// [`key_hash`] of the key `slot` holds.
-    fn slot_hash(&self, slot: u32) -> u64 {
-        key_hash(self.keys.iter().map(|c| c.cell(slot as usize)))
-    }
-
-    /// Probe `index` from hash `h` for a slot `hit` accepts: `Ok` at its
-    /// position, else `Err` at the first vacancy.
-    fn probe(&self, h: u64, hit: impl Fn(u32) -> bool) -> std::result::Result<usize, usize> {
-        let mask = self.index.len() - 1;
-        let mut pos = h as usize & mask;
-        loop {
-            match self.index[pos] {
-                VACANT => return Err(pos),
-                slot if hit(slot) => return Ok(pos),
-                _ => pos = (pos + 1) & mask,
-            }
-        }
-    }
-
     /// The slot of `key`'s group; a new key gets a fresh one.
     fn slot(&mut self, key: &[Cow<Value>]) -> u32 {
         if self.group.is_empty() {
@@ -638,29 +619,19 @@ impl AggregateOp {
             return 0;
         }
         let h = key_hash(key.iter());
-        if !self.index.is_empty() {
-            let same = |s: u32| {
-                self.keys
-                    .iter()
-                    .zip(key)
-                    .all(|(c, v)| c.holds(s as usize, v))
-            };
-            if let Ok(pos) = self.probe(h, same) {
-                return self.index[pos];
-            }
+        let same = |s: u32| {
+            self.keys
+                .iter()
+                .zip(key)
+                .all(|(c, v)| c.holds(s as usize, v))
+        };
+        if let Some(slot) = self.index.find(h, same) {
+            return slot;
         }
-        if (self.weight.len() - self.free.len() + 1) * 8 > self.index.len() * 7 {
-            let len = (self.index.len() * 2).max(8);
-            for slot in std::mem::replace(&mut self.index, vec![VACANT; len]) {
-                if slot != VACANT {
-                    let pos = self.probe(self.slot_hash(slot), |_| false);
-                    self.index[pos.unwrap_err()] = slot;
-                }
-            }
-        }
-        let pos = self.probe(h, |_| false).unwrap_err();
-        self.index[pos] = self.alloc(key);
-        self.index[pos]
+        let slot = self.alloc(key);
+        let keys = &self.keys;
+        self.index.insert(h, slot, |s| slot_hash(keys, s));
+        slot
     }
 
     /// A slot holding `key`, every other cell fresh: a freed one if any.
@@ -678,22 +649,11 @@ impl AggregateOp {
     }
 
     /// Unindex a dead group's slot (its other cells already fresh) and
-    /// free it. Each entry further along the probe run moves back into
-    /// the hole unless its home lies cyclically in (hole, its position].
+    /// free it.
     fn release(&mut self, slot: u32) {
-        let mask = self.index.len() - 1;
-        let found = self.probe(self.slot_hash(slot), |s| s == slot);
-        let mut hole = found.expect("a live group's slot is indexed");
-        let mut pos = (hole + 1) & mask;
-        while self.index[pos] != VACANT {
-            let home = self.slot_hash(self.index[pos]) as usize & mask;
-            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
-                self.index[hole] = self.index[pos];
-                hole = pos;
-            }
-            pos = (pos + 1) & mask;
-        }
-        self.index[hole] = VACANT;
+        let keys = &self.keys;
+        self.index
+            .remove(slot_hash(keys, slot), slot, |s| slot_hash(keys, s));
         self.keys.iter_mut().for_each(|c| c.clear(slot as usize));
         self.shown[slot as usize] = NONE;
         self.free.push(slot);
@@ -908,7 +868,7 @@ impl DeltaOp for AggregateOp {
         let bucket = std::mem::size_of::<(u32, (u64, Vec<Value>))>() + 1;
         let stale = self.stale.values().map(|(_, row)| cap(row) + text(row));
         let stale = self.stale.capacity() * bucket + stale.sum::<usize>();
-        Footprint::heap(slots + cap(&self.index) + cap(&self.free) + cols + stale)
+        Footprint::heap(slots + self.index.heap_bytes() + cap(&self.free) + cols + stale)
     }
 
     fn groups(&self) -> usize {
@@ -1889,7 +1849,7 @@ mod tests {
         assert_eq!(a.group_count(), 64);
         let capacity = a.weight.capacity();
         assert!(capacity <= 128, "{capacity} slots");
-        assert!(a.index.len() <= 128, "{}", a.index.len());
+        assert!(a.index.slots() <= 128, "{}", a.index.slots());
         // 8 B of key, 16 of weight and stamp, 4 of index a slot.
         assert!(
             a.footprint().resident <= 128 * 48,
@@ -1926,7 +1886,7 @@ mod tests {
             a.process_batch(0, &DeltaBatch::inserts(chunk.iter().map(|&k| row(k))))
                 .unwrap();
         }
-        assert_eq!(a.index.len(), 8_192, "grown from 8, load ≤ 7/8");
+        assert_eq!(a.index.slots(), 8_192, "grown from 8, load ≤ 7/8");
         // Every third group dies: backward shifts all over the table.
         let dying = (0..5_000i64).filter(|k| k % 3 == 0);
         let out = a

@@ -10,14 +10,20 @@
 //!   born (with a fresh id) when its count rises above 0 and dies when it
 //!   falls to 0 or below. A count below 0 is a retraction that came
 //!   before its insert — a debt, as in a `BagState`.
-//! * **Insertions** run semi-naïve: the step branches are evaluated with
-//!   the delta bound to the recursive reference, iterated to fixpoint;
-//!   only never-before-seen tuples seed the next round.
+//! * **Insertions** run semi-naïve, deriving from what is new and never
+//!   from the whole view alone. Round one evaluates every branch once per
+//!   base scan, that scan reading only the facts the batch bore and every
+//!   recursive reference the whole view. Each later round evaluates each
+//!   step branch once per recursive reference, that reference reading
+//!   the last round's new tuples and every other reference the whole
+//!   view — so a *non-linear* branch, one reading the view twice
+//!   (`Reach a, Reach b where a.dst = b.src`), closes as a linear one
+//!   does. Only never-before-seen tuples carry into the next round.
 //! * **Deletions** run provenance-guided DRed: every materialized tuple
 //!   records the set of *base fact ids* in its first derivation tree.
 //!   When base facts die, exactly the tuples whose recorded derivation
 //!   touched them are over-deleted, then a re-derivation pass reinstates
-//!   those still reachable and closes over them.
+//!   those still reachable and closes over them by the same delta rule.
 //!
 //! Both paths run one fixpoint loop, `close`, each admitting its own
 //! tuples, under one cap of [`MAX_ROUNDS`] rounds. A branch joins by the
@@ -57,6 +63,40 @@ pub type Prov = Vec<u64>;
 type Fixed = BuildHasherDefault<DefaultHasher>;
 type Map<K, V> = HashMap<K, V, Fixed>;
 type Set<T> = HashSet<T, Fixed>;
+
+/// What the leaves of a branch read in one evaluation: each recursive
+/// reference the whole view and each scan its live facts, except that
+/// reference `delta.0` reads only `delta.1` and scan `born.0` only the
+/// facts numbered from `born.1`. Leaves are numbered in evaluation
+/// order, scans and references apart ([`Leaves`]).
+#[derive(Clone, Copy, Default)]
+struct Bind<'a> {
+    delta: Option<(usize, &'a [(Tuple, Prov)])>,
+    born: Option<(usize, u64)>,
+}
+
+/// Scan and recursive-reference leaves, counted.
+#[derive(Default)]
+struct Leaves {
+    scans: usize,
+    refs: usize,
+}
+
+/// The leaves under `plan`.
+fn leaves(plan: &LogicalPlan) -> Leaves {
+    match plan {
+        LogicalPlan::Scan { .. } => Leaves { scans: 1, refs: 0 },
+        LogicalPlan::RecursiveRef { .. } => Leaves { scans: 0, refs: 1 },
+        _ => plan
+            .children()
+            .into_iter()
+            .map(leaves)
+            .fold(Leaves::default(), |a, b| Leaves {
+                scans: a.scans + b.scans,
+                refs: a.refs + b.refs,
+            }),
+    }
+}
 
 fn prov_union(a: &Prov, b: &Prov) -> Prov {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -250,6 +290,7 @@ impl RecursiveView {
     /// the facts that died and the insertion pass if any was born.
     fn apply_facts(&mut self, source: SourceId, deltas: &DeltaBatch) -> Result<DeltaBatch> {
         let (mut born, mut dead) = (false, Set::default());
+        let first = self.next_fact_id;
         let facts = &mut self.base_states.get_mut(&source).expect("checked").facts;
         for d in deltas {
             let (id, copies) = facts.entry(d.tuple.clone()).or_default();
@@ -271,33 +312,36 @@ impl RecursiveView {
             out.extend(self.delete_pass(&dead)?);
         }
         if born {
-            out.extend(self.insert_pass()?);
+            out.extend(self.insert_pass(first)?);
         }
         Ok(out)
     }
 
-    /// Semi-naïve insertion: derive everything the new base facts enable.
-    ///
-    /// We re-evaluate the base branches in full and diff against the
-    /// materialization (base branches read small relations — routing
-    /// tables — so this is cheap and exact even for self-joins), then
-    /// close under the step branches starting from the fresh tuples.
-    fn insert_pass(&mut self) -> Result<DeltaBatch> {
-        // Existing view tuples may join with *new base facts* in step
-        // branches. Seeding the fixpoint with the full view handles that
-        // without a separate delta rule: round one evaluates steps
-        // against (view ∪ fresh), and only genuinely new tuples continue.
-        let mut seed = self.rows();
-        let mut fresh = Vec::new();
-        for b in &self.bases {
-            for (t, p) in self.eval(b, &[])? {
-                if !self.state.contains_key(&t) {
-                    self.state.insert(t.clone(), p.clone());
-                    fresh.push(t.clone());
-                    seed.push((t, p));
+    /// Semi-naïve insertion of the facts born in this batch (ids from
+    /// `first`). Round one evaluates every branch once per scan, that
+    /// scan reading only the born facts and every reference the whole
+    /// view: each derivation that uses a born fact and no new view tuple.
+    /// `close` derives the rest from the tuples round one kept.
+    fn insert_pass(&mut self, first: u64) -> Result<DeltaBatch> {
+        let mut seed = Vec::new();
+        for (plans, steps) in [(&self.bases, false), (&self.steps, true)] {
+            for plan in plans {
+                for scan in 0..leaves(plan).scans {
+                    let bind = Bind {
+                        born: Some((scan, first)),
+                        ..Bind::default()
+                    };
+                    for (t, p) in self.eval(plan, bind)? {
+                        self.stats.derivations_computed += steps as u64;
+                        if !self.state.contains_key(&t) {
+                            self.state.insert(t.clone(), p.clone());
+                            seed.push((t, p));
+                        }
+                    }
                 }
             }
         }
+        let mut fresh: Vec<Tuple> = seed.iter().map(|(t, _)| t.clone()).collect();
         fresh.extend(self.close(seed, |state, t| !state.contains_key(t))?);
         Ok(DeltaBatch::inserts(fresh))
     }
@@ -323,11 +367,10 @@ impl RecursiveView {
         //    facts the same batch inserted, and is the insert pass's to
         //    derive *and announce*.
         let mut pending: Set<Tuple> = overdeleted.into_iter().collect();
-        let survivors = self.rows();
         let mut rescued: Vec<(Tuple, Prov)> = Vec::new();
-        for (plans, rref) in [(&self.bases, &[][..]), (&self.steps, &survivors[..])] {
+        for plans in [&self.bases, &self.steps] {
             for plan in plans {
-                for (t, p) in self.eval(plan, rref)? {
+                for (t, p) in self.eval(plan, Bind::default())? {
                     if pending.remove(&t) {
                         rescued.push((t, p));
                     }
@@ -346,9 +389,10 @@ impl RecursiveView {
         Ok(pending.into_iter().map(Delta::retract).collect())
     }
 
-    /// The one semi-naïve fixpoint. Each round evaluates the step
-    /// branches against the last round's tuples (`delta`, materialized
-    /// already), keeps the first derivation of each tuple `admit`
+    /// The one semi-naïve fixpoint. Each round evaluates each step branch
+    /// once per recursive reference, that reference reading the last
+    /// round's tuples (`delta`, materialized already) and every other
+    /// the whole view, keeps the first derivation of each tuple `admit`
     /// accepts, materializes it and carries it into the next round.
     /// Returns the kept tuples in derivation order.
     fn close(
@@ -371,12 +415,18 @@ impl RecursiveView {
             self.stats.seminaive_rounds += 1;
             let mut next = Vec::new();
             for s in &self.steps {
-                for (t, p) in self.eval(s, &delta)? {
-                    self.stats.derivations_computed += 1;
-                    if admit(&self.state, &t) {
-                        self.state.insert(t.clone(), p.clone());
-                        kept.push(t.clone());
-                        next.push((t, p));
+                for r in 0..leaves(s).refs {
+                    let bind = Bind {
+                        delta: Some((r, &delta)),
+                        ..Bind::default()
+                    };
+                    for (t, p) in self.eval(s, bind)? {
+                        self.stats.derivations_computed += 1;
+                        if admit(&self.state, &t) {
+                            self.state.insert(t.clone(), p.clone());
+                            kept.push(t.clone());
+                            next.push((t, p));
+                        }
                     }
                 }
             }
@@ -385,19 +435,13 @@ impl RecursiveView {
         Ok(kept)
     }
 
-    /// The materialization as `(tuple, provenance)` rows, in map order.
-    fn rows(&self) -> Vec<(Tuple, Prov)> {
-        let row = |(t, p): (&Tuple, &Prov)| (t.clone(), p.clone());
-        self.state.iter().map(row).collect()
-    }
-
     /// From-scratch naive fixpoint — the E6 baseline and the test oracle.
     /// Returns the number of fixpoint rounds taken.
     pub fn recompute(&mut self) -> Result<u64> {
         self.stats.full_recomputes += 1;
         self.state.clear();
         for b in &self.bases {
-            for (t, p) in self.eval(b, &[])? {
+            for (t, p) in self.eval(b, Bind::default())? {
                 self.state.entry(t).or_insert(p);
             }
         }
@@ -410,10 +454,9 @@ impl RecursiveView {
                     self.name
                 )));
             }
-            let current = self.rows();
             let mut changed = false;
             for s in &self.steps {
-                for (t, p) in self.eval(s, &current)? {
+                for (t, p) in self.eval(s, Bind::default())? {
                     if let Entry::Vacant(e) = self.state.entry(t) {
                         e.insert(p);
                         changed = true;
@@ -430,9 +473,18 @@ impl RecursiveView {
     // Provenance-threaded batch evaluation of view-branch plans
     // -----------------------------------------------------------------
 
-    /// Evaluate a branch plan. `rref` supplies the tuples bound to any
-    /// [`LogicalPlan::RecursiveRef`] leaf.
-    fn eval(&self, plan: &LogicalPlan, rref: &[(Tuple, Prov)]) -> Result<Vec<(Tuple, Prov)>> {
+    /// Evaluate a branch plan, its leaves reading what `bind` says.
+    fn eval(&self, plan: &LogicalPlan, bind: Bind) -> Result<Vec<(Tuple, Prov)>> {
+        self.eval_at(plan, bind, &mut Leaves::default())
+    }
+
+    /// [`RecursiveView::eval`] below the leaves `seen` counts.
+    fn eval_at(
+        &self,
+        plan: &LogicalPlan,
+        bind: Bind,
+        seen: &mut Leaves,
+    ) -> Result<Vec<(Tuple, Prov)>> {
         match plan {
             LogicalPlan::Scan { rel } => {
                 let bs = self.base_states.get(&rel.meta.id).ok_or_else(|| {
@@ -441,12 +493,31 @@ impl RecursiveView {
                         self.name, rel.meta.name
                     ))
                 })?;
-                let live = bs.facts.iter().filter(|(_, (_, copies))| *copies > 0);
+                let from = match bind.born {
+                    Some((scan, first)) if scan == seen.scans => first,
+                    _ => 0,
+                };
+                seen.scans += 1;
+                let live = bs
+                    .facts
+                    .iter()
+                    .filter(|(_, &(id, copies))| copies > 0 && id >= from);
                 Ok(live.map(|(t, (id, _))| (t.clone(), vec![*id])).collect())
             }
-            LogicalPlan::RecursiveRef { .. } => Ok(rref.to_vec()),
+            LogicalPlan::RecursiveRef { .. } => {
+                let rows = match bind.delta {
+                    Some((r, delta)) if r == seen.refs => delta.to_vec(),
+                    _ => self
+                        .state
+                        .iter()
+                        .map(|(t, p)| (t.clone(), p.clone()))
+                        .collect(),
+                };
+                seen.refs += 1;
+                Ok(rows)
+            }
             LogicalPlan::Filter { input, predicate } => {
-                let rows = self.eval(input, rref)?;
+                let rows = self.eval_at(input, bind, seen)?;
                 let mut out = Vec::new();
                 for (t, p) in rows {
                     if predicate.eval_bool(&t)? {
@@ -456,7 +527,7 @@ impl RecursiveView {
                 Ok(out)
             }
             LogicalPlan::Project { input, exprs, .. } => {
-                let rows = self.eval(input, rref)?;
+                let rows = self.eval_at(input, bind, seen)?;
                 let mut out = Vec::with_capacity(rows.len());
                 for (t, p) in rows {
                     let mut vals = Vec::with_capacity(exprs.len());
@@ -474,14 +545,14 @@ impl RecursiveView {
                 residual,
                 ..
             } => {
-                let lrows = self.eval(left, rref)?;
-                let rrows = self.eval(right, rref)?;
+                let lrows = self.eval_at(left, bind, seen)?;
+                let rrows = self.eval_at(right, bind, seen)?;
                 self.hash_join(&lrows, &rrows, keys, residual.as_ref())
             }
             LogicalPlan::Union { inputs, .. } => {
                 let mut out = Vec::new();
                 for i in inputs {
-                    out.extend(self.eval(i, rref)?);
+                    out.extend(self.eval_at(i, bind, seen)?);
                 }
                 Ok(out)
             }
@@ -742,51 +813,138 @@ mod tests {
         assert!(pairs(&v).contains(&("b".into(), "a".into())));
     }
 
+    /// The closure by squaring: a step branch reading the view twice.
+    fn nonlinear_view(cat: &Catalog) -> RecursiveView {
+        let sql = r#"
+            create recursive view Reach as (
+                select e.src, e.dst from Edge e
+                union
+                select a.src, b.dst from Reach a, Reach b where a.dst = b.src
+            )
+        "#;
+        let BoundQuery::View(v) = bind(&parse(sql).unwrap(), cat).unwrap() else {
+            panic!()
+        };
+        RecursiveView::new(&v).unwrap()
+    }
+
+    /// A view over [`edge_catalog`].
+    type MakeView = fn(&Catalog) -> RecursiveView;
+
+    /// The closure of `edges` by [`RecursiveView::recompute`].
+    fn recomputed(view: MakeView, edges: &[Tuple]) -> HashSet<(String, String)> {
+        let cat = edge_catalog();
+        let mut oracle = view(&cat);
+        let src = cat.source("Edge").unwrap().id;
+        oracle
+            .on_base_deltas(src, &DeltaBatch::inserts(edges.iter().cloned()))
+            .unwrap();
+        oracle.recompute().unwrap();
+        pairs(&oracle)
+    }
+
     #[test]
     fn incremental_matches_recompute_oracle() {
         use aspen_types::rng::seeded;
         use rand::Rng;
-        let cat = edge_catalog();
-        let mut v = tc_view(&cat);
-        let src = cat.source("Edge").unwrap().id;
-        let mut rng = seeded(99);
-        let nodes = ["a", "b", "c", "d", "e", "f"];
-        // A multiset: an edge may be inserted again while live, and a
-        // retraction takes one copy, so the fact outlives it.
-        let mut live: Vec<(usize, usize)> = Vec::new();
-        for step in 0..60 {
-            let i = rng.gen_range(0..nodes.len());
-            let j = rng.gen_range(0..nodes.len());
-            let e = edge(nodes[i], nodes[j]);
-            let insert = live.is_empty() || rng.gen_bool(0.6);
-            let d = if insert {
-                live.push((i, j));
-                Delta::insert(e)
-            } else if let Some(pos) = live
-                .iter()
-                .position(|&(a, b)| edge(nodes[a], nodes[b]) == e)
-            {
-                live.remove(pos);
-                Delta::retract(e)
-            } else if !live.is_empty() {
-                let pos = rng.gen_range(0..live.len());
-                let (a, b) = live.remove(pos);
-                Delta::retract(edge(nodes[a], nodes[b]))
-            } else {
-                continue;
-            };
-            v.on_base_deltas(src, &DeltaBatch::from(vec![d])).unwrap();
+        let views: [(&str, MakeView); 2] = [("linear", tc_view), ("non-linear", nonlinear_view)];
+        for (name, view) in views {
+            let cat = edge_catalog();
+            let mut v = view(&cat);
+            let src = cat.source("Edge").unwrap().id;
+            let mut rng = seeded(99);
+            let nodes = ["a", "b", "c", "d", "e", "f"];
+            // A multiset: an edge may be inserted again while live, and a
+            // retraction takes one copy, so the fact outlives it.
+            let mut live: Vec<(usize, usize)> = Vec::new();
+            for step in 0..60 {
+                let i = rng.gen_range(0..nodes.len());
+                let j = rng.gen_range(0..nodes.len());
+                let e = edge(nodes[i], nodes[j]);
+                let insert = live.is_empty() || rng.gen_bool(0.6);
+                let d = if insert {
+                    live.push((i, j));
+                    Delta::insert(e)
+                } else if let Some(pos) = live
+                    .iter()
+                    .position(|&(a, b)| edge(nodes[a], nodes[b]) == e)
+                {
+                    live.remove(pos);
+                    Delta::retract(e)
+                } else if !live.is_empty() {
+                    let pos = rng.gen_range(0..live.len());
+                    let (a, b) = live.remove(pos);
+                    Delta::retract(edge(nodes[a], nodes[b]))
+                } else {
+                    continue;
+                };
+                v.on_base_deltas(src, &DeltaBatch::from(vec![d])).unwrap();
 
-            // Compare against a fresh view on the same bases.
-            let incremental = pairs(&v);
-            let mut oracle = tc_view(&cat);
-            let deltas: DeltaBatch = live
-                .iter()
-                .map(|&(a, b)| Delta::insert(edge(nodes[a], nodes[b])))
-                .collect();
-            oracle.on_base_deltas(src, &deltas).unwrap();
-            assert_eq!(incremental, pairs(&oracle), "divergence at step {step}");
+                // Compare against a from-scratch fixpoint on the same bases.
+                let edges: Vec<Tuple> = live
+                    .iter()
+                    .map(|&(a, b)| edge(nodes[a], nodes[b]))
+                    .collect();
+                let want = recomputed(view, &edges);
+                assert_eq!(pairs(&v), want, "{name} view diverged at step {step}");
+            }
         }
+    }
+
+    /// A branch reading the view twice binds each reference in turn to a
+    /// round's delta, the other to the whole view: Δ⋈Δ alone misses a→d
+    /// and b→e when the chain comes in one batch.
+    #[test]
+    fn nonlinear_branch_closes_like_recompute() {
+        let chain: Vec<Tuple> = ["a", "b", "c", "d", "e"]
+            .windows(2)
+            .map(|w| edge(w[0], w[1]))
+            .collect();
+        let want = recomputed(nonlinear_view, &chain);
+        assert_eq!(want.len(), 10, "4 + 3 + 2 + 1 pairs");
+        // One batch.
+        let cat = edge_catalog();
+        let src = cat.source("Edge").unwrap().id;
+        let mut v = nonlinear_view(&cat);
+        v.on_base_deltas(src, &DeltaBatch::inserts(chain.iter().cloned()))
+            .unwrap();
+        assert_eq!(pairs(&v), want, "one batch");
+        // One edge a batch: round one joins the new edge with the view.
+        let mut v = nonlinear_view(&cat);
+        for e in &chain {
+            v.on_base_deltas(src, &DeltaBatch::inserts([e.clone()]))
+                .unwrap();
+        }
+        assert_eq!(pairs(&v), want, "one edge a batch");
+    }
+
+    /// Insertion derives from the new facts, not the whole view: an
+    /// isolated edge beside a 40-edge chain's 820 pairs costs no step
+    /// derivation, and the chain's 40th edge one per new pair.
+    #[test]
+    fn insertion_derives_only_from_new_facts() {
+        let cat = edge_catalog();
+        let src = cat.source("Edge").unwrap().id;
+        let node = |i: usize| format!("n{i}");
+        let mut v = tc_view(&cat);
+        let chain = (0..39).map(|i| edge(&node(i), &node(i + 1)));
+        v.on_base_deltas(src, &DeltaBatch::inserts(chain)).unwrap();
+        assert_eq!(v.len(), 780);
+        let before = v.stats.derivations_computed;
+        v.on_base_deltas(src, &DeltaBatch::inserts([edge("n39", "n40")]))
+            .unwrap();
+        assert_eq!(v.len(), 820);
+        let chain_edge = v.stats.derivations_computed - before;
+        assert!(
+            chain_edge <= 80,
+            "{chain_edge} derivations for the 40th edge"
+        );
+        let before = v.stats.derivations_computed;
+        v.on_base_deltas(src, &DeltaBatch::inserts([edge("x", "y")]))
+            .unwrap();
+        assert_eq!(v.len(), 821);
+        let isolated = v.stats.derivations_computed - before;
+        assert!(isolated <= 1, "{isolated} derivations for an isolated edge");
     }
 
     /// A view branch joins under the pipeline's key rule: a `NULL` key

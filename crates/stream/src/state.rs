@@ -11,7 +11,9 @@
 //! vectors in a `columnar::TupleStore` (each sealed segment re-encoded
 //! at the width its values need: strided frame-of-reference ints and
 //! stamps, decimal-scaled floats, packed text, a liveness bit a row),
-//! indexed by tuple/key hash.
+//! indexed by tuple/key hash in one compact key index (`KeyIndex`, also
+//! an indexed join side's whole state): about 24 B a key and 8 B a row,
+//! each key's rows in arrival order, the oldest unlinked in O(1).
 //! Hot-path probes compare a converted probe row against the encoded
 //! columns in place (`TupleStore::row_matches`) — no row, no `Value`
 //! materialization — and resident bytes are *measured*, not
@@ -218,42 +220,415 @@ pub(crate) fn tuple_heap_bytes(t: &Tuple) -> usize {
     b
 }
 
+/// Bytes a vector's capacity holds.
+pub(crate) fn cap<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+// ---------------------------------------------------------------------------
+// Key index
+
+/// An index position holding no id.
+const VACANT: u32 = u32::MAX;
+
+/// A power-of-two table of `u32` ids under linear probing at load ≤ 7/8,
+/// grown by doubling from 8, with backward-shift deletion — the one probe
+/// code in this crate: a [`KeyIndex`] finds its entries through one and
+/// `operators::AggregateOp` its group slots. The table keeps no hashes;
+/// every call that moves ids takes `hash`, which rehashes an id from
+/// where its owner keeps the key.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProbeTable {
+    slots: Vec<u32>,
+    /// Ids indexed.
+    len: usize,
+}
+
+impl ProbeTable {
+    /// Probe from hash `h` for an id `hit` accepts: `Ok` at its position,
+    /// else `Err` at the first vacancy. Only for a non-empty table.
+    fn probe(&self, h: u64, hit: impl Fn(u32) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = h as usize & mask;
+        loop {
+            match self.slots[pos] {
+                VACANT => return Err(pos),
+                id if hit(id) => return Ok(pos),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    /// The id probed from `h` that `hit` accepts.
+    pub(crate) fn find(&self, h: u64, hit: impl Fn(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(h, hit).ok().map(|pos| self.slots[pos])
+    }
+
+    /// Index `id` (not yet indexed) under `h`, first doubling the table if
+    /// it would load past 7/8.
+    pub(crate) fn insert(&mut self, h: u64, id: u32, hash: impl Fn(u32) -> u64) {
+        self.len += 1;
+        if self.len * 8 > self.slots.len() * 7 {
+            self.rebuild((self.slots.len() * 2).max(8), hash);
+        }
+        let pos = self.probe(h, |_| false).unwrap_err();
+        self.slots[pos] = id;
+    }
+
+    /// Unindex `id`, indexed under `h`. Each id further along the probe
+    /// run moves back into the hole unless its home lies cyclically in
+    /// (hole, its position].
+    pub(crate) fn remove(&mut self, h: u64, id: u32, hash: impl Fn(u32) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.probe(h, |s| s == id).expect("an indexed id");
+        let mut pos = (hole + 1) & mask;
+        while self.slots[pos] != VACANT {
+            let home = hash(self.slots[pos]) as usize & mask;
+            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[pos];
+                hole = pos;
+            }
+            pos = (pos + 1) & mask;
+        }
+        self.slots[hole] = VACANT;
+        self.len -= 1;
+    }
+
+    /// Index as `new` the id `old`, indexed under `h`, in its place.
+    pub(crate) fn rename(&mut self, h: u64, old: u32, new: u32) {
+        let pos = self.probe(h, |s| s == old).expect("an indexed id");
+        self.slots[pos] = new;
+    }
+
+    /// Shrink to the smallest table that holds its ids at load ≤ 7/8.
+    pub(crate) fn fit(&mut self, hash: impl Fn(u32) -> u64) {
+        let mut len = 8;
+        while self.len * 8 > len * 7 {
+            len *= 2;
+        }
+        if len < self.slots.len() {
+            self.rebuild(len, hash);
+        }
+    }
+
+    fn rebuild(&mut self, len: usize, hash: impl Fn(u32) -> u64) {
+        for id in std::mem::replace(&mut self.slots, vec![VACANT; len]) {
+            if id != VACANT {
+                let pos = self.probe(hash(id), |_| false).unwrap_err();
+                self.slots[pos] = id;
+            }
+        }
+    }
+
+    /// Positions, vacant ones included.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        cap(&self.slots)
+    }
+}
+
+/// No link: the end of a chain.
+const NIL: u32 = u32::MAX;
+
+/// A key: its hash and the first and last links of its bucket.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    hash: u64,
+    head: u32,
+    tail: u32,
+}
+
+/// A row of a bucket, as its offset from the index's base, and the link
+/// after it (a free link's is the next free one).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    offset: u32,
+    next: u32,
+}
+
 /// `hash → live row ids`, each bucket in arrival order. [`KeyedState`]
 /// and [`BagState`] point it at rows of their own store; an indexed join
 /// side (`operators::JoinOp`) keeps nothing else and points it at rows
-/// its scan's window or source log holds. A bucket goes when its last
-/// row does, so the index tracks the live key domain.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RowIndex {
-    buckets: HashMap<u64, Vec<u64>>,
+/// its scan's window or source log holds.
+///
+/// **Layout.** A [`ProbeTable`] of entry ids; one `{hash, head, tail}`
+/// entry a key, 16 B, swap-removed when its bucket empties; and one arena
+/// of 8 B `{offset, next}` links chaining each bucket oldest first, freed
+/// links reused through a free list. About 24 B a key (the table at load
+/// 7/16–7/8 plus the entry) and 8 B a row. Appending to a bucket and
+/// unlinking its head — every window retraction — are O(1); a row in the
+/// middle is unlinked during the walk that finds it ([`KeyIndex::find`]).
+///
+/// **Rows as offsets.** A link holds a row as a 32-bit offset from a
+/// base the index keeps. A row the offsets cannot reach re-bases the
+/// index on its oldest live row as it lays the links out afresh, in
+/// O(rows); a live span of 2³¹ or more from there gives every link its
+/// offset's high half (`high`), once and for good. So rows arriving in
+/// order re-base at most once per 2³¹ arrivals, and any span works.
+///
+/// **Bytes by capacity.** Vectors grow by an eighth, and shrink to fit
+/// when a removal leaves them half empty, so the index charges what it
+/// holds and tracks the live key domain; an emptied index holds nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyIndex {
+    table: ProbeTable,
+    entries: Vec<Entry>,
+    links: Vec<Link>,
+    /// The offsets' high halves, a link each; empty until a live span
+    /// reaches 2³².
+    high: Vec<u32>,
+    /// The first free link.
+    free: u32,
+    base: u64,
     rows: usize,
 }
 
-impl RowIndex {
-    /// The bucket of the keys (or tuples) that hash to `h` ([`hash_of`]).
-    pub(crate) fn get(&self, h: u64) -> &[u64] {
-        self.buckets.get(&h).map_or(&[], Vec::as_slice)
+/// A row [`KeyIndex::find`] found, for [`KeyIndex::unlink`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Found {
+    pub(crate) row: u64,
+    entry: u32,
+    /// The link before it in its bucket.
+    prev: u32,
+    link: u32,
+}
+
+impl Default for KeyIndex {
+    fn default() -> Self {
+        KeyIndex {
+            table: ProbeTable::default(),
+            entries: Vec::new(),
+            links: Vec::new(),
+            high: Vec::new(),
+            free: NIL,
+            base: 0,
+            rows: 0,
+        }
+    }
+}
+
+/// Room for one more element: an eighth more (at least one), so the
+/// slack stays within an eighth of what a vector holds.
+fn grow<T>(v: &mut Vec<T>) {
+    if v.len() == v.capacity() {
+        v.reserve_exact((v.len() / 8).max(1));
+    }
+}
+
+impl KeyIndex {
+    /// The entry of the keys (or tuples) that hash to `h` ([`hash_of`]).
+    fn entry(&self, h: u64) -> Option<u32> {
+        self.table.find(h, |e| self.entries[e as usize].hash == h)
     }
 
+    fn row_at(&self, link: u32) -> u64 {
+        let high = self
+            .high
+            .get(link as usize)
+            .map_or(0, |&h| (h as u64) << 32);
+        self.base + (high | self.links[link as usize].offset as u64)
+    }
+
+    /// The links of the chain from `link`, in order.
+    fn chain(&self, mut link: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::from_fn(move || {
+            let l = (link != NIL).then_some(link)?;
+            link = self.links[l as usize].next;
+            Some(l)
+        })
+    }
+
+    /// The rows of bucket `h`, oldest first.
+    pub(crate) fn rows(&self, h: u64) -> impl Iterator<Item = u64> + '_ {
+        let head = self.entry(h).map_or(NIL, |e| self.entries[e as usize].head);
+        self.chain(head).map(|l| self.row_at(l))
+    }
+
+    /// The oldest row of bucket `h` that `hit` accepts.
+    pub(crate) fn find(&self, h: u64, mut hit: impl FnMut(u64) -> bool) -> Option<Found> {
+        let entry = self.entry(h)?;
+        let (mut prev, mut link) = (NIL, self.entries[entry as usize].head);
+        while link != NIL {
+            let row = self.row_at(link);
+            if hit(row) {
+                return Some(Found {
+                    row,
+                    entry,
+                    prev,
+                    link,
+                });
+            }
+            prev = link;
+            link = self.links[link as usize].next;
+        }
+        None
+    }
+
+    /// Append `row` to bucket `h`.
     pub(crate) fn insert(&mut self, h: u64, row: u64) {
-        self.buckets.entry(h).or_default().push(row);
+        let link = self.link(row);
+        match self.entry(h) {
+            Some(e) => {
+                let entry = &mut self.entries[e as usize];
+                self.links[entry.tail as usize].next = link;
+                entry.tail = link;
+            }
+            None => {
+                let e = self.entries.len() as u32;
+                grow(&mut self.entries);
+                self.entries.push(Entry {
+                    hash: h,
+                    head: link,
+                    tail: link,
+                });
+                let entries = &self.entries;
+                self.table.insert(h, e, |id| entries[id as usize].hash);
+            }
+        }
         self.rows += 1;
     }
 
     /// Drop `row` from bucket `h`; whether it was there.
     pub(crate) fn remove(&mut self, h: u64, row: u64) -> bool {
-        let Some(bucket) = self.buckets.get_mut(&h) else {
-            return false;
-        };
-        let Some(pos) = bucket.iter().position(|&r| r == row) else {
-            return false;
-        };
-        bucket.remove(pos);
-        if bucket.is_empty() {
-            self.buckets.remove(&h);
+        let found = self.find(h, |r| r == row);
+        found.map(|f| self.unlink(f)).is_some()
+    }
+
+    /// Drop the row `find` found (nothing else changed since).
+    pub(crate) fn unlink(&mut self, found: Found) {
+        let Found {
+            entry, prev, link, ..
+        } = found;
+        let next = self.links[link as usize].next;
+        let e = &mut self.entries[entry as usize];
+        if prev == NIL {
+            e.head = next;
+        } else {
+            self.links[prev as usize].next = next;
         }
+        if e.tail == link {
+            e.tail = prev;
+        }
+        let empty = e.head == NIL;
+        self.links[link as usize].next = self.free;
+        self.free = link;
         self.rows -= 1;
-        true
+        if empty {
+            self.drop_entry(entry);
+        }
+        self.fit();
+    }
+
+    /// Unindex an emptied bucket's entry; the last entry takes its place.
+    fn drop_entry(&mut self, e: u32) {
+        let entries = &self.entries;
+        let h = entries[e as usize].hash;
+        self.table.remove(h, e, |id| entries[id as usize].hash);
+        let last = self.entries.len() as u32 - 1;
+        self.entries.swap_remove(e as usize);
+        if e != last {
+            self.table.rename(self.entries[e as usize].hash, last, e);
+        }
+    }
+
+    /// A link holding `row`, ending a chain: a free one if any.
+    fn link(&mut self, row: u64) -> u32 {
+        if self.rows == 0 {
+            self.base = row;
+        }
+        let reach = match self.high.is_empty() {
+            true => u32::MAX as u64,
+            false => u64::MAX,
+        };
+        if row
+            .checked_sub(self.base)
+            .is_none_or(|offset| offset > reach)
+        {
+            self.compact(Some(row));
+        }
+        let offset = row - self.base;
+        let link = Link {
+            offset: offset as u32,
+            next: NIL,
+        };
+        let id = match self.free {
+            NIL => {
+                grow(&mut self.links);
+                self.links.push(link);
+                if !self.high.is_empty() {
+                    grow(&mut self.high);
+                    self.high.push(0);
+                }
+                self.links.len() as u32 - 1
+            }
+            id => {
+                self.free = self.links[id as usize].next;
+                self.links[id as usize] = link;
+                id
+            }
+        };
+        if let Some(high) = self.high.get_mut(id as usize) {
+            *high = (offset >> 32) as u32;
+        }
+        id
+    }
+
+    /// After a removal: free everything once empty, and shrink a vector
+    /// that is half empty to fit.
+    fn fit(&mut self) {
+        if self.rows == 0 {
+            *self = KeyIndex::default();
+            return;
+        }
+        if self.entries.len() * 2 <= self.entries.capacity() {
+            self.entries.shrink_to_fit();
+            let entries = &self.entries;
+            self.table.fit(|id| entries[id as usize].hash);
+        }
+        if self.rows * 2 <= self.links.capacity() {
+            self.compact(None);
+        }
+    }
+
+    /// Lay the live links out afresh, bucket by bucket, in an arena of
+    /// exactly the rows, re-based on the oldest of them and `row`; the
+    /// offsets widen if the span from there reaches 2³¹.
+    fn compact(&mut self, row: Option<u64>) {
+        let live = self.entries.iter().flat_map(|e| self.chain(e.head));
+        let rows = live.map(|l| self.row_at(l)).chain(row);
+        let (lo, hi) = rows.fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r), hi.max(r)));
+        let wide = !self.high.is_empty() || hi - lo > (u32::MAX / 2) as u64;
+        let mut links = Vec::with_capacity(self.rows);
+        let mut high = Vec::with_capacity(if wide { self.rows } else { 0 });
+        for e in 0..self.entries.len() {
+            let mut old = self.entries[e].head;
+            self.entries[e].head = links.len() as u32;
+            while old != NIL {
+                let offset = self.row_at(old) - lo;
+                if wide {
+                    high.push((offset >> 32) as u32);
+                }
+                links.push(Link {
+                    offset: offset as u32,
+                    next: links.len() as u32 + 1,
+                });
+                old = self.links[old as usize].next;
+            }
+            let tail = links.len() - 1;
+            links[tail].next = NIL;
+            self.entries[e].tail = tail as u32;
+        }
+        self.links = links;
+        self.high = high;
+        self.free = NIL;
+        self.base = lo;
     }
 
     /// Rows indexed.
@@ -261,9 +636,9 @@ impl RowIndex {
         self.rows
     }
 
-    /// Resident bytes: a map entry per bucket, eight bytes per row.
-    pub(crate) fn state_bytes(&self) -> usize {
-        self.buckets.len() * MAP_ENTRY + self.rows * 8
+    /// Resident bytes, by capacity: the table, the entries and the links.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes() + cap(&self.entries) + cap(&self.links) + cap(&self.high)
     }
 }
 
@@ -279,7 +654,7 @@ impl RowIndex {
 pub struct KeyedState {
     store: TupleStore,
     /// By key hash.
-    index: RowIndex,
+    index: KeyIndex,
     key_width: Option<usize>,
     /// Gross live count: Σ max(weight, 0).
     live: usize,
@@ -302,7 +677,7 @@ impl KeyedState {
             store: TupleStore::weighted(0)
                 .segment_rows(SEGMENT_ROWS)
                 .with_spill(opts.spill.clone()),
-            index: RowIndex::default(),
+            index: KeyIndex::default(),
             key_width: None,
             live: 0,
         }
@@ -316,10 +691,10 @@ impl KeyedState {
         probe.extend(tuple.values().iter().map(value_to_cell));
         let ts = tuple.timestamp().as_micros();
         let h = hash_of(&key);
-        let mut bucket = self.index.get(h).iter().copied();
-        let found = bucket.find(|&row| self.store.row_matches(row, &probe, ts));
-        match found {
-            Some(row) => {
+        let store = &self.store;
+        match self.index.find(h, |row| store.row_matches(row, &probe, ts)) {
+            Some(found) => {
+                let row = found.row;
                 let old = self.store.weight(row).unwrap_or(0);
                 let now = old + sign;
                 // Gross count from the actual multiplicity transition, so
@@ -328,7 +703,7 @@ impl KeyedState {
                 self.live = (self.live as i64 + now.max(0) - old.max(0)) as usize;
                 if now == 0 {
                     self.store.mark_dead(row);
-                    self.index.remove(h, row);
+                    self.index.unlink(found);
                 } else {
                     self.store.set_weight(row, now);
                 }
@@ -352,7 +727,7 @@ impl KeyedState {
         };
         let key_cells: Vec<Cell> = key.iter().map(value_to_cell).collect();
         let mut out = Vec::new();
-        for &row in self.index.get(hash_of(key)) {
+        for row in self.index.rows(hash_of(key)) {
             let Some((mut cells, ts)) = self.store.get(row) else {
                 continue;
             };
@@ -389,7 +764,7 @@ impl KeyedState {
 
     /// The store plus the index.
     pub fn footprint(&self) -> Footprint {
-        Footprint::of(&self.store) + Footprint::heap(self.index.state_bytes())
+        Footprint::of(&self.store) + Footprint::heap(self.index.heap_bytes())
     }
 }
 
@@ -415,7 +790,7 @@ impl KeyedState {
 pub struct BagState {
     store: TupleStore,
     /// By tuple hash.
-    index: RowIndex,
+    index: KeyIndex,
     /// Transient over-retractions (out-of-order deltas), per tuple.
     debts: HashMap<Tuple, u64>,
 }
@@ -437,7 +812,7 @@ impl BagState {
             store: TupleStore::new(0)
                 .segment_rows(SEGMENT_ROWS)
                 .with_spill(opts.spill.clone()),
-            index: RowIndex::default(),
+            index: KeyIndex::default(),
             debts: HashMap::new(),
         }
     }
@@ -483,21 +858,18 @@ impl BagState {
         self.index.insert(hash_of(tuple), row);
     }
 
-    /// The oldest live occurrence of the tuple hashing to `h`.
-    fn holds(&self, h: u64, cells: &[Cell], ts: u64) -> Option<u64> {
-        let mut rows = self.index.get(h).iter().copied();
-        rows.find(|&r| self.store.row_matches(r, cells, ts))
-    }
-
     fn retract_one(&mut self, tuple: &Tuple) {
         let cells = tuple_cells(tuple);
         let ts = tuple.timestamp().as_micros();
-        let h = hash_of(tuple);
-        match self.holds(h, &cells, ts) {
-            Some(row) => {
-                // The oldest occurrence leaves first.
-                self.index.remove(h, row);
-                self.store.mark_dead(row);
+        let store = &self.store;
+        // The oldest occurrence leaves first.
+        match self
+            .index
+            .find(hash_of(tuple), |r| store.row_matches(r, &cells, ts))
+        {
+            Some(found) => {
+                self.store.mark_dead(found.row);
+                self.index.unlink(found);
             }
             None => {
                 *self.debts.entry(tuple.clone()).or_insert(0) += 1;
@@ -526,7 +898,7 @@ impl BagState {
     /// The store plus the index and any outstanding debts.
     pub fn footprint(&self) -> Footprint {
         let debts = self.debts.keys().map(|t| tuple_heap_bytes(t) + MAP_ENTRY);
-        let heap = self.index.state_bytes() + debts.sum::<usize>();
+        let heap = self.index.heap_bytes() + debts.sum::<usize>();
         Footprint::of(&self.store) + Footprint::heap(heap)
     }
 }
@@ -987,7 +1359,7 @@ mod tests {
         for k in 0..10_000 {
             assert_eq!(s.update(vec![Value::Int(k)], &t(k), -1), 0);
         }
-        assert!(s.is_empty() && s.index.buckets.is_empty());
+        assert!(s.is_empty() && s.index.entries.is_empty());
         // All that is left is the store's active segment (kept when
         // dead, under one segment of rows) — nothing per key.
         assert_eq!(s.footprint().resident, s.store.resident_bytes());
@@ -996,6 +1368,116 @@ mod tests {
             "{} of {full}",
             s.footprint().resident
         );
+    }
+
+    /// `index` holds exactly `model`'s buckets (bucket `k` under
+    /// `hash_of(&k)`), in arrival order.
+    fn buckets_match(index: &KeyIndex, model: &[Vec<u64>], ctx: &str) {
+        let keys = model.iter().filter(|b| !b.is_empty()).count();
+        let rows: usize = model.iter().map(Vec::len).sum();
+        assert_eq!(index.len(), rows, "rows, {ctx}");
+        assert_eq!(index.entries.len(), keys, "keys, {ctx}");
+        for (k, bucket) in model.iter().enumerate() {
+            let got: Vec<u64> = index.rows(hash_of(&k)).collect();
+            assert_eq!(got, *bucket, "bucket {k}, {ctx}");
+        }
+    }
+
+    /// [`buckets_match`], charging no more than the `HashMap<u64,
+    /// Vec<u64>>` the index replaced was charged: 48 B a key and 8 B a row.
+    fn index_matches(index: &KeyIndex, model: &[Vec<u64>], ctx: &str) {
+        buckets_match(index, model, ctx);
+        let keys = model.iter().filter(|b| !b.is_empty()).count();
+        let rows: usize = model.iter().map(Vec::len).sum();
+        let charged = index.heap_bytes();
+        assert!(
+            charged <= keys * MAP_ENTRY + rows * 8,
+            "{charged} B for {keys} keys and {rows} rows, {ctx}"
+        );
+    }
+
+    #[test]
+    fn key_index_keeps_arrival_order_within_the_old_charge() {
+        use rand::seq::SliceRandom;
+        for seed in crate::test_seeds(2) {
+            for keys in [1, 2, 8, 64, 512, 4_096] {
+                for per_key in [1, 2, 4, 8] {
+                    let ctx = format!("{keys} keys x {per_key}, seed {seed}");
+                    let mut rng = seeded(seed ^ (keys * 8 + per_key) as u64);
+                    let mut index = KeyIndex::default();
+                    let mut model = vec![Vec::new(); keys];
+                    // Rows arrive round-robin over the keys, as a stream's do.
+                    let n = (keys * per_key) as u64;
+                    for row in 0..n {
+                        let k = row as usize % keys;
+                        index.insert(hash_of(&k), row);
+                        model[k].push(row);
+                    }
+                    index_matches(&index, &model, &format!("built, {ctx}"));
+                    // Half leave in a random order: heads, middles, tails
+                    // and whole buckets.
+                    let mut order: Vec<u64> = (0..n).collect();
+                    order.shuffle(&mut rng);
+                    let (gone, kept) = order.split_at(n as usize / 2);
+                    for &row in gone {
+                        let k = row as usize % keys;
+                        assert!(index.remove(hash_of(&k), row), "{row}, {ctx}");
+                        model[k].retain(|&r| r != row);
+                    }
+                    index_matches(&index, &model, &format!("half retracted, {ctx}"));
+                    assert!(!index.remove(hash_of(&0usize), n), "never held, {ctx}");
+                    for &row in kept {
+                        assert!(index.remove(hash_of(&(row as usize % keys)), row));
+                    }
+                    assert_eq!(index.heap_bytes(), 0, "emptied, {ctx}");
+                    assert_eq!(index.table.slots(), 0, "emptied, {ctx}");
+                }
+            }
+        }
+    }
+
+    /// Rows far apart: a live span under 2^31 re-bases and keeps a link
+    /// 32-bit, and a row kept across 2^32 later arrivals widens the links.
+    #[test]
+    fn key_index_rows_span_two_to_the_32() {
+        for seed in crate::test_seeds(4) {
+            let mut rng = seeded(0x5BA4 ^ seed);
+            let mut index = KeyIndex::default();
+            let mut model = vec![Vec::new(); 3];
+            let mut live: Vec<(usize, u64)> = Vec::new();
+            let mut row = rng.gen_range(0..1u64 << 32);
+            for phase in ["narrow", "pinned"] {
+                if phase == "pinned" {
+                    // Never retracted: the span grows past 2^32.
+                    row += 1;
+                    index.insert(hash_of(&0usize), row);
+                    model[0].push(row);
+                }
+                for step in 0..200 {
+                    let ctx = format!("{phase} step {step}, seed {seed}");
+                    row += rng.gen_range(1..1u64 << 30);
+                    let k = rng.gen_range(0..3usize);
+                    index.insert(hash_of(&k), row);
+                    model[k].push(row);
+                    live.push((k, row));
+                    // Now and then any row leaves, and rows 2^30 old do.
+                    let mut gone = Vec::new();
+                    if rng.gen_bool(0.5) {
+                        gone.push(live.remove(rng.gen_range(0..live.len())));
+                    }
+                    while let Some(pos) = live.iter().position(|&(_, r)| r + (1 << 30) < row) {
+                        gone.push(live.remove(pos));
+                    }
+                    for (k, r) in gone {
+                        assert!(index.remove(hash_of(&k), r), "{ctx}");
+                        model[k].retain(|&m| m != r);
+                    }
+                    buckets_match(&index, &model, &ctx);
+                }
+                let wide = !index.high.is_empty();
+                assert_eq!(wide, phase == "pinned", "{phase}, seed {seed}");
+            }
+        }
     }
 
     #[test]

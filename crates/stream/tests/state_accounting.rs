@@ -1,11 +1,14 @@
 //! State accounting checked against the allocator.
 //!
 //! A counting `#[global_allocator]` measures the live heap a structure
-//! holds, and its byte accounting must agree: `AggregateOp::state_bytes`
-//! within 0.8–1.25× for eight group shapes (`Int`, `Float`, text and
-//! converted key columns among them). `KeyedState`, `TupleStore`,
-//! the `RowIndex` inside a `KeyedState` and the source logs are printed,
-//! not asserted — the next accounting targets. Also printed: allocator
+//! holds, and its byte accounting must agree within 0.8–1.25×:
+//! `AggregateOp`'s footprint for eight group shapes (`Int`, `Float`, text
+//! and converted key columns among them), and the key index of a join
+//! side (a `KeyedState`, 4 096 keys × 20 000 rows, where it must also hold
+//! at most 0.75× the 517 136 B its `HashMap<u64, Vec<u64>>` predecessor
+//! held) and of a retained table (a `BagState`, 1 024 rows, one a key).
+//! `KeyedState`, `TupleStore` and the source logs are printed, not
+//! asserted — the next accounting targets. Also printed: allocator
 //! calls per `dashboards`-shaped batch. And the logs' sharing is real
 //! heap: a 2-shard engine holds at most 10 % more than a 1-shard one
 //! running the same windows. One `#[test]`, so no other test of this
@@ -17,7 +20,7 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 use aspen_catalog::{Catalog, SourceKind, SourceStats};
 use aspen_sql::expr::{AggFunc, BoundAgg, BoundExpr};
 use aspen_stream::operators::{AggregateOp, DeltaOp};
-use aspen_stream::state::KeyedState;
+use aspen_stream::state::{BagState, KeyedState};
 use aspen_stream::{DeltaBatch, EngineConfig, Scheduling, ShardedEngine};
 use aspen_types::{DataType, Field, Schema, SimTime, Tuple, Value};
 use columnar::{Cell, TupleStore};
@@ -181,7 +184,6 @@ fn state_bytes_agree_with_the_allocator() {
         }
     }
 
-    // Printed only: the structures accounting should reach next.
     let rows = events(20_000, 4_096);
     let cells = |tup: &Tuple| -> Vec<Cell> {
         let cell = |v: &Value| match v {
@@ -197,9 +199,10 @@ fn state_bytes_agree_with_the_allocator() {
             store.push(&cells(r), r.timestamp().as_micros());
         }
     });
+    // Printed only: the structures accounting should reach next.
     ratio("TupleStore", store.resident_bytes(), store_heap);
     // A `KeyedState` is a weighted store of key ++ tuple cells plus a
-    // `RowIndex`; the index is the difference to that store's twin.
+    // key index; the index is the difference to that store's twin.
     let mut keyed = KeyedState::new();
     let keyed_heap = held(|| {
         for r in &rows {
@@ -215,11 +218,38 @@ fn state_bytes_agree_with_the_allocator() {
             twin.push_weighted(&row, r.timestamp().as_micros(), 1);
         }
     });
-    ratio(
-        "RowIndex (KeyedState minus its store)",
+    let index_heap = keyed_heap - twin_heap;
+    let r = ratio(
+        "key index, 4 096 keys x 20 000 rows (KeyedState minus its store)",
         keyed.footprint().resident - twin.resident_bytes(),
-        keyed_heap - twin_heap,
+        index_heap,
     );
+    if !(0.8..=1.25).contains(&r) {
+        off.push(format!("join-side key index: {r:.3}"));
+    }
+    // The `HashMap<u64, Vec<u64>>` this index replaced held 517 136 B.
+    assert!(
+        index_heap * 4 <= 517_136 * 3,
+        "key index holds {index_heap} B"
+    );
+    // A `BagState` is a store of tuple cells plus a key index by tuple.
+    let table = events(1_024, 1_024);
+    let mut bag = BagState::new();
+    let bag_heap = held(|| bag.insert_all(&table));
+    let mut twin = TupleStore::new(0).segment_rows(32);
+    let twin_heap = held(|| {
+        for r in &table {
+            twin.push(&cells(r), r.timestamp().as_micros());
+        }
+    });
+    let r = ratio(
+        "key index, 1 024 table rows (BagState minus its store)",
+        bag.footprint().resident - twin.resident_bytes(),
+        bag_heap - twin_heap,
+    );
+    if !(0.8..=1.25).contains(&r) {
+        off.push(format!("retained-table key index: {r:.3}"));
+    }
 
     // The logs hold nearly all of these engines' heap growth, so its
     // ratio to their charged bytes is the logs'.

@@ -141,6 +141,8 @@ fn views_row() -> Row {
         batch: (1, 5),
         // Up to two and a half window widths at once.
         jump: (1, 26),
+        // Repeated rows: a fact of several copies outlives a retraction.
+        awkward: 10,
         ..Workload::new(catalog, cells, sql)
     };
     w.opening.extend(w.register_all([(0, 1), (2, 3), (4, 0)]));
