@@ -102,20 +102,26 @@
 //! and signed delta batches (a table's, a view's — they bypass windows)
 //! never start one. A join side fed by an addressed region — `Filter* →
 //! Scan` of a *stream* under a `ROWS` / `RANGE` / `TUMBLING` window,
-//! decided from the plan at compile time — is *indexed*: it keeps `key
-//! hash → row ids` and fetches a tuple by id only to emit a match; every
-//! other side copies its rows as before ([`operators::JoinOp`]). The
-//! rows belong to the scan's window: the shard's source log while the
-//! scan is a cursor (moved or not: ids name the same rows on every
-//! log), the pipeline's own `WindowOp` otherwise. Fetch-by-id is sound because a
+//! decided from the plan at compile time — is *indexed*: it copies
+//! nothing and keeps no index of its own. The rows and their key index
+//! belong to the scan's window: the shard's source log while the scan is
+//! a cursor (moved or not: ids name the same rows on every log), the
+//! pipeline's own `WindowOp` otherwise. A log keeps one `key hash → row
+//! ids` index per key columns and filter chain its indexed sides ask
+//! for, shared by every such side on the shard (a long window and a
+//! short one over the same key keep one index and each reads its own
+//! suffix), and charged once, to the log; a side keeps only the interval
+//! `[head, tail)` of that index its window holds, and fetches a tuple by
+//! id only to emit a match; every other side copies its rows as before
+//! ([`operators::JoinOp`], [`window`]). Fetch-by-id is sound because a
 //! shard runs every log step as **step → deliver → release**: all
 //! cursors move, every pipeline runs with read access to all logs, and
-//! only then are rows below the minimum head dropped — a retraction on
-//! one side of a join can still read rows the same step expires on the
-//! other. An id that resolves to no row is an error, and signed deltas
-//! for a stream whose window a live query indexes are refused at
-//! admission (`on_deltas` returns `InvalidArgument` before any shard
-//! runs): they name no row.
+//! only then are rows below the minimum head dropped, from the log and
+//! its indexes — a retraction on one side of a join can still read rows
+//! the same step expires on the other. An id in a side's interval that
+//! resolves to no row is an error, and signed deltas for a stream whose
+//! window a live query indexes are refused at admission (`on_deltas`
+//! returns `InvalidArgument` before any shard runs): they name no row.
 //!
 //! ## Source logs and window cursors (and the plan-template cache)
 //!

@@ -17,12 +17,33 @@ use aspen_sql::expr::{value_heap_bytes, AggColumn, BoundAgg, BoundExpr};
 use aspen_types::{AspenError, DataType, Result, SimTime, Tuple, Value};
 
 use crate::delta::{Delta, DeltaBatch};
-use crate::state::{cap, hash_of, Footprint, KeyIndex, KeyedState, ProbeTable, StateOptions};
+use crate::state::{cap, hash_of, Footprint, KeyedState, ProbeTable, StateOptions};
 
-/// Where the row ids of addressed batches resolve: `(scan, row)` is the
-/// tuple at that row of what the pipeline's scan `scan` windows (its own
-/// window's rows, or its source log's), `None` when the row is gone.
-pub type RowSource<'a> = &'a dyn Fn(usize, u64) -> Option<Tuple>;
+/// What the pipeline's scan `scan` windows — its own window's rows, or,
+/// on a shard, its source log's — as an indexed join side reads it.
+pub trait Rows {
+    /// The tuple at row `row`, `None` when the row is gone.
+    fn get(&self, scan: usize, row: u64) -> Option<Tuple>;
+
+    /// Hand `visit` the rows of bucket `hash` of the key index the join
+    /// side over the scan is a member of, oldest first, until it returns
+    /// `false`.
+    fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool);
+}
+
+/// Where the row ids of addressed batches resolve.
+pub type RowSource<'a> = &'a dyn Rows;
+
+/// No rows at all: outside a pipeline there is nothing to resolve.
+struct NoRows;
+
+impl Rows for NoRows {
+    fn get(&self, _: usize, _: u64) -> Option<Tuple> {
+        None
+    }
+
+    fn walk(&self, _: usize, _: u64, _: &mut dyn FnMut(u64) -> bool) {}
+}
 
 /// A delta-batch processor. `port` distinguishes the inputs of binary
 /// operators (0 = left, 1 = right).
@@ -180,13 +201,22 @@ impl DeltaOp for ProjectOp {
 /// side copies its input's live rows into a [`KeyedState`] and accepts
 /// any input. An *indexed* side is fed by one stream scan's window with
 /// only filters in between, so its input is addressed and its rows already
-/// sit in that window or its source log: it keeps only a key index of
-/// `key hash → row ids` (`state::KeyIndex`, about 24 B a key and 8 B a
-/// row; a window's retraction unlinks its key's oldest id in O(1)),
-/// inserts and retracts by id, and asks the pipeline's [`RowSource`] for
-/// a tuple only when the other side probes the key. An
-/// id whose row is gone, a retraction of an id not held and a delta
-/// without an id are [`AspenError::Execution`], never a missing match.
+/// sit in that window or its source log — and so does their key index:
+/// the log keeps one `state::KeyIndex` (`key hash → row ids`, each bucket
+/// oldest first) per key columns and filter chain that some side over it
+/// asks for, shared by every such side (`window::IndexKey`). By the
+/// window prefix rule a side's live rows are that index's rows in
+/// `[head, tail)`, so the side keeps only that interval and its live
+/// count: an insertion moves `tail` past its id, a retraction moves
+/// `head` past its id, and a batch that retracts every row live before
+/// it moves `head` to its first insertion, past the ids its window
+/// appended and evicted at once. A probe walks the key's bucket
+/// through the pipeline's [`RowSource`], skips ids below `head`, stops
+/// at `tail` and resolves only the ids between. The side holds no bytes:
+/// its index is charged where the rows live (the log, or the query's
+/// own window). An id in the interval whose row is gone, a retraction of
+/// an id outside it and a delta without an id are
+/// [`AspenError::Execution`], never a missing match.
 ///
 /// **Keys follow SQL `=`**, by the rule of `join_key` and
 /// `keys_meet`: a delta whose key holds a `NULL` enters neither side
@@ -201,10 +231,15 @@ pub struct JoinOp {
 #[derive(Debug)]
 enum Side {
     Materialised(Box<KeyedState>),
-    /// Ids of the live rows of scan `scan` that reached this side.
+    /// A member of the key index over scan `scan`'s window: its live rows
+    /// are the index's rows in `[head, tail)`, `live` of them. `fresh`:
+    /// the first row the batch in progress inserted, and how many it did.
     Indexed {
         scan: usize,
-        ids: KeyIndex,
+        head: u64,
+        tail: u64,
+        live: usize,
+        fresh: Option<(u64, usize)>,
     },
 }
 
@@ -243,7 +278,7 @@ impl Side {
     fn len(&self) -> usize {
         match self {
             Side::Materialised(state) => state.len(),
-            Side::Indexed { ids, .. } => ids.len(),
+            Side::Indexed { live, .. } => *live,
         }
     }
 
@@ -253,14 +288,28 @@ impl Side {
             Side::Materialised(state) => {
                 state.update(key.to_vec(), &delta.tuple, delta.sign);
             }
-            Side::Indexed { scan, ids } => {
+            Side::Indexed {
+                scan,
+                head,
+                tail,
+                live,
+                fresh,
+            } => {
                 // Signed changes fed past a window that pins rows have
                 // no row to address.
                 let row = row.ok_or_else(|| dangling(*scan, "an unaddressed delta"))?;
                 debug_assert_eq!(delta.sign.abs(), 1, "window steps emit unit deltas");
                 if delta.sign > 0 {
-                    ids.insert(hash_of(key), row);
-                } else if !ids.remove(hash_of(key), row) {
+                    if row < *tail {
+                        let what = format_args!("an insertion of row {row} below its tail");
+                        return Err(dangling(*scan, what));
+                    }
+                    let (first, n) = fresh.unwrap_or((row, 0));
+                    *fresh = Some((first, n + 1));
+                    (*tail, *live) = (row + 1, *live + 1);
+                } else if *live > 0 && (*head..*tail).contains(&row) {
+                    (*head, *live) = (row + 1, *live - 1);
+                } else {
                     return Err(dangling(*scan, format_args!("a retraction of row {row}")));
                 }
             }
@@ -268,15 +317,47 @@ impl Side {
         Ok(())
     }
 
+    /// End a batch. When it retracted every row live before it, the
+    /// index rows between the last of those and its first insertion were
+    /// appended and evicted at once (`ROWS n` under a longer batch, a
+    /// `TUMBLING` rollover): the interval starts at that insertion.
+    fn settle(&mut self) {
+        if let Side::Indexed {
+            head, live, fresh, ..
+        } = self
+        {
+            if let Some((first, n)) = fresh.take() {
+                if *live == n {
+                    *head = first;
+                }
+            }
+        }
+    }
+
     /// The live rows under `key` with their multiplicities.
     fn get(&self, key: &[Value], rows: RowSource) -> Result<Vec<(Tuple, i64)>> {
-        match self {
-            Side::Materialised(state) => Ok(state.get(key)),
-            Side::Indexed { scan, ids } => {
-                let gone = |row| dangling(*scan, format_args!("a probe for row {row}"));
-                let fetch = |row| Ok((rows(*scan, row).ok_or_else(|| gone(row))?, 1));
-                ids.rows(hash_of(key)).map(fetch).collect()
+        let (scan, head, tail) = match *self {
+            Side::Materialised(ref state) => return Ok(state.get(key)),
+            Side::Indexed {
+                scan, head, tail, ..
+            } => (scan, head, tail),
+        };
+        let (mut found, mut gone) = (Vec::new(), None);
+        rows.walk(scan, hash_of(key), &mut |row| {
+            if row >= tail {
+                return false;
             }
+            if row >= head {
+                match rows.get(scan, row) {
+                    Some(t) => found.push((t, 1)),
+                    None => gone = Some(row),
+                }
+            }
+            gone.is_none()
+        });
+        match gone {
+            Some(row) => Err(dangling(scan, format_args!("a probe for row {row}"))),
+            None => Ok(found),
         }
     }
 }
@@ -315,7 +396,10 @@ impl JoinOp {
         let sides = scans.map(|scan| match scan {
             Some(scan) => Side::Indexed {
                 scan,
-                ids: KeyIndex::default(),
+                head: 0,
+                tail: 0,
+                live: 0,
+                fresh: None,
             },
             None => Side::Materialised(Box::new(KeyedState::with_options(opts))),
         });
@@ -335,7 +419,7 @@ impl JoinOp {
 impl DeltaOp for JoinOp {
     fn process_batch(&mut self, port: usize, batch: &DeltaBatch) -> Result<DeltaBatch> {
         // Outside a pipeline there are no rows to resolve ids against.
-        self.process_rows(port, batch, &|_, _| None)
+        self.process_rows(port, batch, &NoRows)
     }
 
     fn process_rows(
@@ -357,42 +441,47 @@ impl DeltaOp for JoinOp {
         };
         let ids = batch.row_ids();
         let mut out = DeltaBatch::with_capacity(batch.len());
-        for (i, delta) in batch.iter().enumerate() {
-            let cols = keys.iter().map(|&(l, r)| if is_left { l } else { r });
-            let Some(key) = join_key(&delta.tuple, cols) else {
-                continue;
-            };
-            // Update own side's state first so self-joins on the same
-            // batch behave like set-at-a-time semantics.
-            own.update(&key, delta, ids.map(|ids| ids[i]))?;
-            for (match_tuple, mult) in other.get(&key, rows)? {
-                let (l, r) = if is_left {
-                    (&delta.tuple, &match_tuple)
-                } else {
-                    (&match_tuple, &delta.tuple)
-                };
-                if !keys_meet(keys, l, r) {
+        let mut run = || {
+            for (i, delta) in batch.iter().enumerate() {
+                let cols = keys.iter().map(|&(l, r)| if is_left { l } else { r });
+                let Some(key) = join_key(&delta.tuple, cols) else {
                     continue;
-                }
-                let joined = l.join(r);
-                if let Some(residual) = residual {
-                    if !residual.eval_bool(&joined)? {
+                };
+                // Update own side's state first so self-joins on the same
+                // batch behave like set-at-a-time semantics.
+                own.update(&key, delta, ids.map(|ids| ids[i]))?;
+                for (match_tuple, mult) in other.get(&key, rows)? {
+                    let (l, r) = if is_left {
+                        (&delta.tuple, &match_tuple)
+                    } else {
+                        (&match_tuple, &delta.tuple)
+                    };
+                    if !keys_meet(keys, l, r) {
                         continue;
                     }
+                    let joined = l.join(r);
+                    if let Some(residual) = residual {
+                        if !residual.eval_bool(&joined)? {
+                            continue;
+                        }
+                    }
+                    out.push(Delta {
+                        tuple: joined,
+                        sign: delta.sign * mult,
+                    });
                 }
-                out.push(Delta {
-                    tuple: joined,
-                    sign: delta.sign * mult,
-                });
             }
-        }
-        Ok(out)
+            Ok(())
+        };
+        let ran = run();
+        own.settle();
+        ran.map(|()| out)
     }
 
     fn footprint(&self) -> Footprint {
         let side = |side: &Side| match side {
             Side::Materialised(state) => state.footprint(),
-            Side::Indexed { ids, .. } => Footprint::heap(ids.heap_bytes()),
+            Side::Indexed { .. } => Footprint::default(),
         };
         self.sides.iter().map(side).sum()
     }
@@ -896,7 +985,7 @@ impl DeltaOp for UnionOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::WindowOp;
+    use crate::window::{IndexKey, WindowOp};
     use aspen_sql::expr::AggFunc;
     use aspen_types::{DataType, WindowSpec};
     use rand::rngs::StdRng;
@@ -1049,32 +1138,51 @@ mod tests {
     }
 
     /// A join as a pipeline builds it over `from L [rows n], R [rows n]`:
-    /// both sides indexed, each fed by its scan's window.
+    /// both sides indexed, each fed by its scan's window, which keeps the
+    /// side's key index.
     struct Windowed {
         join: JoinOp,
         windows: [WindowOp; 2],
     }
 
+    /// A key index over column 0, no filter.
+    fn by_first_column() -> IndexKey {
+        IndexKey {
+            cols: vec![0],
+            filters: Vec::new(),
+        }
+    }
+
+    impl Rows for [WindowOp; 2] {
+        fn get(&self, scan: usize, row: u64) -> Option<Tuple> {
+            self[scan].get(row)
+        }
+
+        fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+            self[scan].walk(hash, visit)
+        }
+    }
+
     impl Windowed {
         fn new(rows: u64) -> Self {
             let opts = StateOptions::default();
+            let window = |_| {
+                let mut w = WindowOp::new(WindowSpec::Rows(rows));
+                w.index_by(by_first_column());
+                w
+            };
             Windowed {
                 join: JoinOp::over_scans(vec![(0, 0)], None, &opts, [Some(0), Some(1)]),
-                windows: [0, 1].map(|_| WindowOp::new(WindowSpec::Rows(rows))),
+                windows: [0, 1].map(window),
             }
         }
 
         /// Step `port`'s window over `tuples` and run the join on the
-        /// batch; with `tell` off the join never hears of the step.
-        fn push(&mut self, port: usize, tuples: &[Tuple], tell: bool) -> Result<DeltaBatch> {
+        /// batch.
+        fn push(&mut self, port: usize, tuples: &[Tuple]) -> Result<DeltaBatch> {
             let mut batch = DeltaBatch::new();
             self.windows[port].insert_batch(tuples, &mut batch);
-            if !tell {
-                return Ok(batch);
-            }
-            let windows = &self.windows;
-            let rows = |scan: usize, row: u64| windows[scan].get(row);
-            self.join.process_rows(port, &batch, &rows)
+            self.join.process_rows(port, &batch, &self.windows)
         }
     }
 
@@ -1116,8 +1224,8 @@ mod tests {
         assert_eq!(pairs.filter(|(l, r)| eq(l, r)).count(), 1);
 
         let mut w = Windowed::new(10);
-        let mut out = w.push(0, &a, true).unwrap();
-        out.extend(w.push(1, &b, true).unwrap());
+        let mut out = w.push(0, &a).unwrap();
+        out.extend(w.push(1, &b).unwrap());
         assert_eq!(net_values(&out), want, "indexed sides");
         assert_eq!(w.join.state_size(), 2);
         // Retracting the matched row retracts the pair, whichever side
@@ -1133,24 +1241,43 @@ mod tests {
         );
     }
 
-    /// An indexed side and its window must agree on what is live; when
-    /// they do not, the probe fails loudly instead of dropping the match.
+    /// An indexed side and the window it reads must agree on what is
+    /// live; when they do not, the join fails loudly instead of dropping
+    /// the match.
     #[test]
     fn dangling_row_id_is_an_error_not_a_missing_match() {
         let row = |k: i64, secs: u64| t(vec![Value::Int(k)], secs);
         let mut w = Windowed::new(2);
-        w.push(0, &[row(1, 0), row(2, 0)], true).unwrap();
-        assert_eq!(w.push(1, &[row(1, 1)], true).unwrap().len(), 1);
-        // Release early by hand: the left window evicts row 0 (key 1)
-        // and the join is never delivered the retraction.
-        let lost = w.push(0, &[row(3, 2)], false).unwrap();
-        assert_eq!(lost.len(), 2, "one insertion, one eviction");
-        let err = w.push(1, &[row(1, 3)], true).unwrap_err();
+        w.push(0, &[row(1, 0), row(2, 0)]).unwrap();
+        assert_eq!(w.push(1, &[row(1, 1)]).unwrap().len(), 1);
+        // The left index holds row 0 under key 1, inside the left side's
+        // interval, but the rows behind it read as gone.
+        struct Gone<'a>(&'a [WindowOp; 2]);
+        impl Rows for Gone<'_> {
+            fn get(&self, _: usize, _: u64) -> Option<Tuple> {
+                None
+            }
+
+            fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+                self.0[scan].walk(hash, visit)
+            }
+        }
+        let mut probe = DeltaBatch::new();
+        w.windows[1].insert_batch(&[row(1, 2)], &mut probe);
+        let err = w
+            .join
+            .process_rows(1, &probe, &Gone(&w.windows))
+            .unwrap_err();
         assert_eq!(err.kind(), "execution", "{err}");
-        // So is retracting an id the side never held ...
+        // So is retracting an id outside the side's interval ...
         let mut stray = DeltaBatch::new();
         stray.push_row(Delta::retract(row(7, 0)), 99);
         let err = w.join.process_batch(0, &stray).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+        // ... inserting one below its tail ...
+        let mut back = DeltaBatch::new();
+        back.push_row(Delta::insert(row(7, 0)), 0);
+        let err = w.join.process_batch(0, &back).unwrap_err();
         assert_eq!(err.kind(), "execution", "{err}");
         // ... and a delta that names no row at all.
         let err = w.join.process(0, &Delta::insert(row(7, 0))).unwrap_err();
@@ -1158,7 +1285,8 @@ mod tests {
     }
 
     /// The tripwire under the benchmark's gated `state_bytes`: a join
-    /// side fed by a window holds an index entry per row, not the row.
+    /// side fed by a window holds nothing itself, and its key index an
+    /// entry per row, not the row.
     #[test]
     fn indexed_side_costs_an_index_entry_not_a_copy() {
         let mut w = Windowed::new(2_000);
@@ -1171,10 +1299,16 @@ mod tests {
                 )
             })
             .collect();
-        w.push(0, &left, true).unwrap();
+        w.push(0, &left).unwrap();
         assert_eq!(w.join.state_size(), 2_000);
-        let bytes = w.join.footprint().resident;
-        assert!(bytes <= 24 * 2_000, "{bytes} bytes for 2 000 rows");
+        assert_eq!(w.join.footprint().resident, 0);
+        let mut plain = WindowOp::new(WindowSpec::Rows(2_000));
+        plain.insert_batch(&left, &mut DeltaBatch::new());
+        let bytes = w.windows[0].footprint().resident - plain.footprint().resident;
+        assert!(
+            bytes > 0 && bytes <= 24 * 2_000,
+            "{bytes} bytes for 2 000 rows"
+        );
         // The copy this replaces costs the same index and the rows again
         // (sealed at ~25 B a row since the encodings went per segment).
         let mut copy = JoinOp::new(vec![(0, 0)], None);

@@ -20,11 +20,11 @@ use aspen_types::{AspenError, Result, SchemaRef, SimTime, SourceId, Tuple, Windo
 
 use crate::delta::DeltaBatch;
 use crate::grouped::FilterKey;
-use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, UnionOp};
+use crate::operators::{AggregateOp, DeltaOp, FilterOp, JoinOp, ProjectOp, Rows, UnionOp};
 use crate::sink::Sink;
 use crate::state::{Footprint, StateOptions};
 use crate::trace::{OpKind, OpProfile};
-use crate::window::{Fed, WindowOp};
+use crate::window::{Fed, IndexKey, WindowOp};
 
 /// Where an operator sends its output: another operator's input port, or
 /// the sink.
@@ -55,12 +55,71 @@ struct ScanEntry {
     /// stream and that filter groups: what the scan's cursor hands its
     /// source log's filter index.
     filter: Option<FilterKey>,
+    /// While the scan is a cursor feeding an indexed join side: the slot
+    /// of the side's key index on the source's log. Otherwise the
+    /// scan's own window keeps the index.
+    member: Option<u32>,
 }
 
-/// Where a cursor-fed scan's row ids resolve: `(source, row)` is the
-/// tuple at that row of the source's log. A shard passes its logs; off a
-/// shard there are none to ask.
-pub(crate) type LogRows<'a> = &'a dyn Fn(SourceId, u64) -> Option<Tuple>;
+/// The source logs behind a pipeline's cursor-fed scans: a shard passes
+/// its own; off a shard there are none to ask ([`NoLogs`]).
+pub(crate) trait Logs {
+    /// The tuple at row `row` of `src`'s log.
+    fn get(&self, src: SourceId, row: u64) -> Option<Tuple>;
+
+    /// Visit the rows of bucket `hash` of the key index in `slot` of
+    /// `src`'s log ([`crate::window::SourceLog::walk`]).
+    fn walk(&self, src: SourceId, slot: u32, hash: u64, visit: &mut dyn FnMut(u64) -> bool);
+}
+
+/// Where a cursor-fed scan's row ids and key index resolve.
+pub(crate) type LogRows<'a> = &'a dyn Logs;
+
+/// No logs: a pipeline off a shard, whose scans window themselves.
+pub(crate) struct NoLogs;
+
+impl Logs for NoLogs {
+    fn get(&self, _: SourceId, _: u64) -> Option<Tuple> {
+        None
+    }
+
+    fn walk(&self, _: SourceId, _: u32, _: u64, _: &mut dyn FnMut(u64) -> bool) {}
+}
+
+/// What a pipeline's scans window, as its join sides read it: a cursor's
+/// rows and key index on its source's log, else the scan's own window's.
+struct ScanRows<'a> {
+    scans: &'a [ScanEntry],
+    logs: LogRows<'a>,
+}
+
+impl Rows for ScanRows<'_> {
+    fn get(&self, scan: usize, row: u64) -> Option<Tuple> {
+        let scan = &self.scans[scan];
+        self.logs
+            .get(scan.source, row)
+            .or_else(|| scan.window.get(row))
+    }
+
+    fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+        let scan = &self.scans[scan];
+        match scan.member {
+            Some(slot) => self.logs.walk(scan.source, slot, hash, visit),
+            None => scan.window.walk(hash, visit),
+        }
+    }
+}
+
+/// The filters of `plan`, a `Filter* → Scan` chain, from the top down.
+fn filter_chain(plan: &LogicalPlan) -> Vec<BoundExpr> {
+    let mut filters = Vec::new();
+    let mut at = plan;
+    while let LogicalPlan::Filter { input, predicate } = at {
+        filters.push(predicate.clone());
+        at = input;
+    }
+    filters
+}
 
 /// Whether `plan` is `Filter* → Scan` of a stream under a window that
 /// pins rows: every row reaches the scan through its window (a table's
@@ -241,6 +300,7 @@ impl Pipeline {
                     window: WindowOp::with_options(rel.window, opts),
                     attach: parent,
                     filter: None,
+                    member: None,
                 });
                 Ok(())
             }
@@ -290,7 +350,16 @@ impl Pipeline {
                 let idx = self.push_node(Box::new(join), parent, OpKind::Join);
                 self.build(left, Some((idx, 0)), opts, scans[0].is_some())?;
                 self.build(right, Some((idx, 1)), opts, scans[1].is_some())?;
-                for scan in scans.into_iter().flatten() {
+                // Each indexed side asks the window under its scan for the
+                // key index of its key columns and filter chain.
+                for (port, (side, scan)) in [left, right].into_iter().zip(scans).enumerate() {
+                    let Some(scan) = scan else { continue };
+                    let cols = keys.iter().map(|&(l, r)| if port == 0 { l } else { r });
+                    let key = IndexKey {
+                        cols: cols.collect(),
+                        filters: filter_chain(side),
+                    };
+                    self.scans[scan].window.index_by(key);
                     self.indexed.push(self.scans[scan].source);
                 }
                 Ok(())
@@ -393,7 +462,7 @@ impl Pipeline {
                 continue;
             }
             let init = self.nodes[i].op.initial().consolidated();
-            self.run(self.nodes[i].parent, &init, sink, &|_, _| None)?;
+            self.run(self.nodes[i].parent, &init, sink, &NoLogs)?;
         }
         Ok(())
     }
@@ -406,7 +475,7 @@ impl Pipeline {
         tuples: &[Tuple],
         sink: &mut Sink,
     ) -> Result<()> {
-        self.push_source_over(source, tuples, sink, &|_, _| None)
+        self.push_source_over(source, tuples, sink, &NoLogs)
     }
 
     /// [`Pipeline::push_source`] on a shard, where the pipeline's other
@@ -465,6 +534,19 @@ impl Pipeline {
     /// ascending: signed deltas on them are refused at admission.
     pub(crate) fn indexed_sources(&self) -> &[SourceId] {
         &self.indexed
+    }
+
+    /// The key index the join side scan `scan` feeds asks for, if it
+    /// feeds an indexed side: what the scan's cursor joins on its log.
+    pub(crate) fn join_index(&self, scan: usize) -> Option<&IndexKey> {
+        self.scans[scan].window.index_key()
+    }
+
+    /// Read scan `scan`'s key index off its source log's `slot` from now
+    /// on (`None`: off the scan's own window) — set as its cursor joins
+    /// or leaves the log.
+    pub(crate) fn set_member(&mut self, scan: usize, slot: Option<u32>) {
+        self.scans[scan].member = slot;
     }
 
     /// Feed what the log steps of one source batch fed this pipeline's
@@ -552,7 +634,7 @@ impl Pipeline {
     ) -> Result<()> {
         let charge = deltas.len() as u64;
         let deltas = deltas.clone().consolidated();
-        self.push_deltas_over(source, &deltas, charge, sink, &|_, _| None)
+        self.push_deltas_over(source, &deltas, charge, sink, &NoLogs)
     }
 
     /// [`Pipeline::push_deltas`] on a shard, which consolidated `deltas`
@@ -578,7 +660,7 @@ impl Pipeline {
 
     /// Advance the clock: expire windows and propagate retractions.
     pub fn advance_time(&mut self, now: SimTime, sink: &mut Sink) -> Result<()> {
-        self.advance_scans(now, &[], sink, &|_, _| None)
+        self.advance_scans(now, &[], sink, &NoLogs)
     }
 
     /// [`Pipeline::advance_time`] for a pipeline with cursor-fed scans:
@@ -646,10 +728,9 @@ impl Pipeline {
             // The rows behind addressed batches (stream scans' only): on a
             // shard, where the scans are cursors, their sources' logs; off
             // one, the scans' own windows.
-            let scans = &self.scans;
-            let rows = |scan: usize, row: u64| {
-                let scan = &scans[scan];
-                logs(scan.source, row).or_else(|| scan.window.get(row))
+            let rows = ScanRows {
+                scans: &self.scans,
+                logs,
             };
             let out = self.nodes[idx].op.process_rows(port, batch, &rows)?;
             let busy = t0.map_or(std::time::Duration::ZERO, |t0| t0.elapsed());

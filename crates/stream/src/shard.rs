@@ -96,6 +96,7 @@
 //! busiest shard's total is the critical path an N-core deployment
 //! would see.
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -115,7 +116,7 @@ use parking_lot::Mutex;
 use crate::delta::{Delta, DeltaBatch};
 use crate::executor::{Boundary, Executor, ExecutorStats};
 use crate::grouped::FilterKey;
-use crate::pipeline::Pipeline;
+use crate::pipeline::{Logs, Pipeline};
 use crate::rebalance::RebalanceController;
 use crate::recursive::RecursiveView;
 use crate::session::{
@@ -126,7 +127,7 @@ use crate::sink::Sink;
 use crate::state::{BagState, Footprint, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
-use crate::window::{Fed, Position, SourceLog, Stepped};
+use crate::window::{Fed, IndexKey, Position, SourceLog, Stepped};
 
 /// Handle to a registered continuous query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +161,9 @@ pub struct ResidentState {
     /// `state_bytes`.
     pub state_bytes: usize,
     /// The source logs' share of `state_bytes`: what the shards' logs
-    /// hold privately, plus `log_shared_bytes`.
+    /// hold privately, plus `log_shared_bytes`. A log's key indexes are
+    /// part of it, each charged once however many join sides share it —
+    /// to the shard's log, not to a query.
     pub log_bytes: usize,
     /// The pooled part of `log_bytes`: sealed segments, each counted once
     /// however many shards hold it. `ShardLoad::log_bytes` counts them per
@@ -427,8 +430,15 @@ struct QueryMeta {
 }
 
 /// A stream scan to attach as a cursor: `(scan, source, spec, pool,
-/// leading filter key)`.
-type CursorScan = (usize, SourceId, WindowSpec, SegmentPool, Option<FilterKey>);
+/// leading filter key, key index of the join side it feeds)`.
+type CursorScan = (
+    usize,
+    SourceId,
+    WindowSpec,
+    SegmentPool,
+    Option<FilterKey>,
+    Option<IndexKey>,
+);
 
 /// One ingest call's payload: a source batch (windowed at each scan) or
 /// signed deltas (window-bypassing). The cluster ships either across a
@@ -503,8 +513,44 @@ struct LogCensus {
     cursors: usize,
     classes: usize,
     rows: usize,
-    /// Shared segments at full size, their share in `pooled`.
+    /// Their key indexes, the join sides that are members of them, and
+    /// what the indexes hold.
+    indexes: usize,
+    members: usize,
+    index_bytes: usize,
+    /// Shared segments at full size, their share in `pooled`; the key
+    /// indexes once each.
     footprint: Footprint,
+}
+
+/// A shard's logs as its pipelines read them, counting the ids join
+/// probes walk.
+struct ShardLogs<'a> {
+    logs: &'a HashMap<SourceId, SourceLog>,
+    walked: Cell<u64>,
+}
+
+impl<'a> ShardLogs<'a> {
+    fn new(logs: &'a HashMap<SourceId, SourceLog>) -> Self {
+        let walked = Cell::new(0);
+        ShardLogs { logs, walked }
+    }
+}
+
+impl Logs for ShardLogs<'_> {
+    fn get(&self, src: SourceId, row: u64) -> Option<Tuple> {
+        self.logs.get(&src)?.get(row)
+    }
+
+    fn walk(&self, src: SourceId, slot: u32, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+        if let Some(log) = self.logs.get(&src) {
+            let walked = &self.walked;
+            log.walk(slot, hash, &mut |row| {
+                walked.set(walked.get() + 1);
+                visit(row)
+            });
+        }
+    }
 }
 
 /// One worker shard: a disjoint set of query runtimes by id, and the
@@ -541,7 +587,7 @@ impl EngineShard {
         let Some(log) = logs.get_mut(&src) else {
             // A table's batch: each routed scan of it windows it itself.
             meters.tuples_in += tuples.len() as u64;
-            let rows = |src, row| logs.get(&src)?.get(row);
+            let rows = ShardLogs::new(logs);
             for (_, q) in members(queries, Counted::Scans(src)) {
                 let run = q.pipeline.push_source_over(src, tuples, &mut q.sink, &rows);
                 if let Some(ctx) = &trace {
@@ -549,6 +595,7 @@ impl EngineShard {
                 }
                 served = served.and(run);
             }
+            meters.join_rows_walked += rows.walked.get();
             return served;
         };
         // Step a stream's log, whose cursors are all its routed scans: it
@@ -556,7 +603,7 @@ impl EngineShard {
         // class and probes each class batch once per filter group.
         let step = log.insert_batch(src, first, tuples, meters)?;
         meters.tuples_in += tuples.len() as u64;
-        let rows = |src, row| logs.get(&src)?.get(row);
+        let rows = ShardLogs::new(logs);
         // Deliver: each query borrows the deltas its own windows over
         // `src` would have emitted — or its grouped filter's output on
         // them — and reads rows off any log.
@@ -570,6 +617,7 @@ impl EngineShard {
             }
             served = served.and(run);
         }
+        meters.join_rows_walked += rows.walked.get();
         // Release, now that no pipeline can ask for an evicted row.
         logs.get_mut(&src).expect("stepped above").release();
         served
@@ -585,7 +633,7 @@ impl EngineShard {
         self.meters.tuples_in += charge;
         // Consolidated once here, not once per routed scan.
         let deltas = &deltas.clone().consolidated();
-        let rows = |src, row| self.logs.get(&src)?.get(row);
+        let rows = ShardLogs::new(&self.logs);
         let mut served = Ok(());
         for (_, q) in members(&mut self.queries, Counted::Scans(src)) {
             let run = q
@@ -596,6 +644,7 @@ impl EngineShard {
             }
             served = served.and(run);
         }
+        self.meters.join_rows_walked += rows.walked.get();
         served
     }
 
@@ -614,7 +663,7 @@ impl EngineShard {
         // scans in scan order whichever side windows them, with every
         // log readable: a retraction on one side of a join probes the
         // other side's rows, whether or not this step expires them too.
-        let rows = |src, row| logs.get(&src)?.get(row);
+        let rows = ShardLogs::new(logs);
         let mut expired: HashMap<QueryId, Vec<(usize, Fed)>> = HashMap::new();
         for (src, step) in &stepped {
             for (qid, fed) in logs[src].fed(step) {
@@ -628,6 +677,7 @@ impl EngineShard {
             let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
             served = served.and(q.pipeline.advance_scans(now, fed, &mut q.sink, &rows));
         }
+        meters.join_rows_walked += rows.walked.get();
         // Release only now (on an error too).
         for log in self.logs.values_mut() {
             log.release();
@@ -648,7 +698,7 @@ impl EngineShard {
     /// the runtime held and where each cursor stood; nothing for a paused
     /// runtime, which is out already.
     fn detach(&mut self, qid: QueryId) -> Option<(Vec<Counted>, Cursors)> {
-        let rt = &self.queries[&qid];
+        let rt = self.queries.get_mut(&qid).expect("a local query");
         if rt.paused {
             return None;
         }
@@ -662,6 +712,9 @@ impl EngineShard {
                     self.logs.remove(&src);
                 }
             }
+        }
+        for (_, at) in &cursors {
+            rt.pipeline.set_member(at.scan, None);
         }
         Some((keys, cursors))
     }
@@ -679,7 +732,8 @@ impl EngineShard {
         mut at: Positions,
         opts: &StateOptions,
     ) {
-        for (scan, src, spec, pool, filter) in scans {
+        let pipeline = &mut self.queries.get_mut(&qid).expect("routed").pipeline;
+        for (scan, src, spec, pool, filter, index) in scans {
             let log = self
                 .logs
                 .entry(*src)
@@ -688,9 +742,13 @@ impl EngineShard {
                 let (_, first, rows) = at.backfill.swap_remove(i);
                 self.meters.backfilled_rows += log.backfill(first, &rows);
             }
-            let moved = at.cursors.iter().find(|(_, p)| p.scan == *scan);
-            let at = moved.map_or_else(|| Position::fresh(*scan, *spec), |c| c.1);
-            log.attach(qid, at, filter.as_ref());
+            let moved = at.cursors.iter().position(|(_, p)| p.scan == *scan);
+            let at = moved.map_or_else(
+                || Position::fresh(*scan, *spec),
+                |i| at.cursors.swap_remove(i).1,
+            );
+            let slot = log.attach(qid, at, filter.as_ref(), index.as_ref());
+            pipeline.set_member(*scan, slot);
         }
     }
 
@@ -706,6 +764,11 @@ impl EngineShard {
             out.cursors += log.cursors();
             out.classes += log.classes();
             out.rows += log.rows();
+            for (members, bytes) in log.join_indexes() {
+                out.indexes += 1;
+                out.members += members;
+                out.index_bytes += bytes;
+            }
             out.footprint += log.footprint();
         }
         out
@@ -974,6 +1037,10 @@ impl ShardedEngine {
                 filter_probes: shard.meters.filter_probes,
                 backfilled_rows: shard.meters.backfilled_rows,
                 private_windows,
+                join_indexes: logs.indexes,
+                join_index_members: logs.members,
+                join_index_bytes: logs.index_bytes as u64,
+                join_rows_walked: shard.meters.join_rows_walked,
                 watermark: applied,
                 lag: submitted.saturating_sub(applied),
                 queue_wait: shard.meters.queue_wait.clone(),
@@ -1285,7 +1352,8 @@ impl ShardedEngine {
     fn cursor_scans(&mut self, pipeline: &Pipeline) -> Vec<CursorScan> {
         let scan = |(scan, src, spec)| {
             let filter = pipeline.leading_filter(scan).cloned();
-            (scan, src, spec, self.log_pool(src), filter)
+            let index = pipeline.join_index(scan).cloned();
+            (scan, src, spec, self.log_pool(src), filter, index)
         };
         pipeline.stream_scans().map(scan).collect()
     }
@@ -2026,6 +2094,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::delta::Delta;
+    use crate::executor::Scheduling;
     use crate::state::Census;
     use aspen_catalog::{DeviceClass, SourceKind, SourceStats};
     use aspen_types::{DataType, Field, Schema, SimDuration, Value};
@@ -2718,6 +2787,127 @@ mod tests {
         assert_eq!(e.snapshot(early).unwrap().len(), 2);
     }
 
+    /// Join sides over one log share one key index per shard — one per
+    /// key columns and filter chain — whatever windows they read, before
+    /// and after migrating to a shard that holds their index and to one
+    /// that does not; the shard exports the indexes in both renderings,
+    /// charged once to its log; and the last member out frees them.
+    #[test]
+    fn join_sides_over_one_log_share_one_key_index() {
+        let config = EngineConfig::new()
+            .shards(2)
+            .scheduling(Scheduling::Sequential);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        let sqls: Vec<String> = ["[rows 3]", "[rows 50]", "[range 9 seconds]", "[rows 50]"]
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let filter = if i == 3 { " and a.value > 50" } else { "" };
+                format!(
+                    "select a.value, b.value from Readings a {w}, Readings b [rows 2] \
+                     where a.sensor = b.sensor{filter}"
+                )
+            })
+            .collect();
+        let handles: Vec<QueryHandle> = sqls
+            .iter()
+            .map(|sql| e.register_sql(sql).unwrap().expect_query())
+            .collect();
+        for &h in &handles {
+            e.migrate(h, 0).unwrap();
+        }
+        let readings = e.catalog().source("Readings").unwrap().id;
+        let mut private: Vec<(Pipeline, Sink)> = sqls
+            .iter()
+            .map(|sql| {
+                let plan = match aspen_sql::compile(sql, e.catalog()).unwrap() {
+                    aspen_sql::BoundQuery::Select(b) => b.plan,
+                    _ => unreachable!("a select"),
+                };
+                let mut p = Pipeline::compile(&plan).unwrap();
+                let mut sink = p.make_sink();
+                p.start(&mut sink).unwrap();
+                (p, sink)
+            })
+            .collect();
+        let mut now = 0u64;
+        let mut run = |e: &mut ShardedEngine, private: &mut Vec<(Pipeline, Sink)>, steps| {
+            for step in 0..steps {
+                if step % 4 == 3 {
+                    now += 3;
+                    let at = SimTime::from_secs(now);
+                    e.heartbeat(at).unwrap();
+                    for (p, sink) in private.iter_mut() {
+                        p.advance_time(at, sink).unwrap();
+                    }
+                } else {
+                    let batch: Vec<Tuple> = (0..20u64)
+                        .map(|i| reading(((now + i * 7) % 5) as i64, (i * 13 % 100) as f64, now))
+                        .collect();
+                    now += 1;
+                    e.on_batch("Readings", &batch).unwrap();
+                    for (p, sink) in private.iter_mut() {
+                        p.push_source(readings, &batch, sink).unwrap();
+                    }
+                }
+                for (h, (_, sink)) in handles.iter().zip(private.iter()) {
+                    let mut got = e.snapshot(*h).unwrap();
+                    let mut want = sink.snapshot().unwrap();
+                    got.sort_by_key(|t| format!("{t:?}"));
+                    want.sort_by_key(|t| format!("{t:?}"));
+                    assert_eq!(got, want, "query {} at {now} s", h.0 .0);
+                }
+            }
+        };
+        let shards = |e: &ShardedEngine| -> Vec<(usize, usize)> {
+            let report = e.telemetry_at(Consistency::Fresh);
+            let load = |s: &ShardLoad| (s.join_indexes, s.join_index_members);
+            report.shards.iter().map(load).collect()
+        };
+        run(&mut e, &mut private, 12);
+        // Every side keyed on `sensor` with no filter is a member of one
+        // index (each query's `b`, and `a` but in the filtered one).
+        assert_eq!(shards(&e), vec![(2, 8), (0, 0)]);
+        let report = e.telemetry_at(Consistency::Fresh);
+        let s = &report.shards[0];
+        assert!(s.join_index_bytes > 0 && s.join_rows_walked > 0, "{s:?}");
+        assert!(s.log_bytes > s.join_index_bytes);
+        for q in &report.queries {
+            assert_eq!(q.state_bytes, 0, "an indexed side holds nothing itself");
+        }
+        let prom = crate::render_prometheus(&report);
+        let json = crate::render_json(&report);
+        for (name, value) in [
+            ("join_indexes", 2),
+            ("join_index_members", 8),
+            ("join_index_bytes", s.join_index_bytes),
+            ("join_rows_walked_total", s.join_rows_walked),
+        ] {
+            let line = format!("aspen_shard_{name}{{shard=\"0\"}} {value}\n");
+            assert!(prom.contains(&line), "{line} missing from:\n{prom}");
+        }
+        let row = format!(
+            "\"join_indexes\":2,\"join_index_members\":8,\"join_index_bytes\":{},\
+             \"join_rows_walked\":{}}}",
+            s.join_index_bytes, s.join_rows_walked
+        );
+        assert!(json.contains(&row), "{row} missing from {json}");
+        // To a shard that holds no index, then one that holds its index.
+        e.migrate(handles[1], 1).unwrap();
+        assert_eq!(shards(&e), vec![(2, 6), (1, 2)]);
+        run(&mut e, &mut private, 8);
+        e.migrate(handles[2], 1).unwrap();
+        assert_eq!(shards(&e), vec![(2, 4), (1, 4)]);
+        run(&mut e, &mut private, 8);
+        for &h in &handles {
+            e.deregister(h).unwrap();
+        }
+        let report = e.telemetry_at(Consistency::Fresh);
+        for s in &report.shards {
+            assert_eq!((s.join_indexes, s.join_index_bytes), (0, 0));
+        }
+    }
+
     /// A batch whose first number is not its log's tail is a typed error
     /// naming the source and both row ids, and nothing moved.
     #[test]
@@ -3081,7 +3271,7 @@ mod tests {
         }
         for field in [
             format!("\"table_spill_write_failures\":{}", tables.write_failures),
-            format!("\"spill_write_failures\":{}}}", shard.write_failures),
+            format!(",\"spill_write_failures\":{},", shard.write_failures),
         ] {
             assert!(json.contains(&field), "{field} missing from {json}");
         }

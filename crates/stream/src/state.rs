@@ -496,9 +496,26 @@ impl KeyIndex {
     }
 
     /// Drop `row` from bucket `h`; whether it was there.
+    #[cfg(test)]
     pub(crate) fn remove(&mut self, h: u64, row: u64) -> bool {
         let found = self.find(h, |r| r == row);
         found.map(|f| self.unlink(f)).is_some()
+    }
+
+    /// Drop `row` from bucket `h` if it is the bucket's oldest, in O(1);
+    /// whether it was.
+    pub(crate) fn pop_front(&mut self, h: u64, row: u64) -> bool {
+        let found = self.find(h, |_| true).filter(|f| f.row == row);
+        found.map(|f| self.unlink(f)).is_some()
+    }
+
+    /// Every row held, with its bucket's hash, bucket by bucket.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let bucket = move |e: &Entry| {
+            let (hash, head) = (e.hash, e.head);
+            self.chain(head).map(move |l| (hash, self.row_at(l)))
+        };
+        self.entries.iter().flat_map(bucket)
     }
 
     /// Drop the row `find` found (nothing else changed since).
@@ -704,6 +721,10 @@ impl KeyedState {
                 if now == 0 {
                     self.store.mark_dead(row);
                     self.index.unlink(found);
+                    if self.store.is_empty() {
+                        // No live row: the active segment goes too.
+                        self.store.clear();
+                    }
                 } else {
                     self.store.set_weight(row, now);
                 }
@@ -986,8 +1007,14 @@ impl ColumnarDeque {
     /// Append the live tuples with row ids in `[lo, hi)` to `out`, in
     /// arrival order; each touched segment is decoded once.
     pub fn extend_range(&self, lo: u64, hi: u64, out: &mut Vec<Tuple>) {
-        self.store.for_each_live_in(lo, hi, |_, cells, ts, _| {
-            out.push(cells_tuple(cells, ts));
+        self.for_each_in(lo, hi, |_, t| out.push(t));
+    }
+
+    /// Visit the live rows with ids in `[lo, hi)` with their ids, in
+    /// arrival order; each touched segment is decoded once.
+    pub(crate) fn for_each_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, Tuple)) {
+        self.store.for_each_live_in(lo, hi, |row, cells, ts, _| {
+            f(row, cells_tuple(cells, ts));
         });
     }
 
@@ -1360,14 +1387,35 @@ mod tests {
             assert_eq!(s.update(vec![Value::Int(k)], &t(k), -1), 0);
         }
         assert!(s.is_empty() && s.index.entries.is_empty());
-        // All that is left is the store's active segment (kept when
-        // dead, under one segment of rows) — nothing per key.
-        assert_eq!(s.footprint().resident, s.store.resident_bytes());
-        assert!(
-            s.footprint().resident * 100 < full,
-            "{} of {full}",
-            s.footprint().resident
-        );
+        // Nothing is left — nothing per key, and no segment.
+        assert_eq!(s.footprint().resident, 0, "of {full}");
+    }
+
+    /// A state whose last live row is retracted holds what a fresh one
+    /// holds — nothing, its store's active segment included — and takes
+    /// rows again, a retract-before-insert debt among them.
+    #[test]
+    fn an_emptied_keyed_state_charges_nothing() {
+        let mut s = KeyedState::new();
+        assert_eq!(s.footprint().resident, 0);
+        for round in 0..2 {
+            for k in 0..40 {
+                s.update(vec![Value::Int(k % 7)], &t(k), 1);
+            }
+            assert!(s.footprint().resident > 0);
+            for k in 0..40 {
+                s.update(vec![Value::Int(k % 7)], &t(k), -1);
+            }
+            assert!(s.is_empty(), "round {round}");
+            assert_eq!(s.footprint().resident, 0, "round {round}");
+        }
+        // A debt is a live row of negative weight: the store keeps it.
+        s.update(vec![Value::Int(1)], &t(1), -1);
+        assert!(s.footprint().resident > 0);
+        assert_eq!(s.update(vec![Value::Int(1)], &t(1), 1), 0);
+        assert_eq!(s.footprint().resident, 0);
+        s.update(vec![Value::Int(2)], &t(2), 1);
+        assert_eq!(s.get(&[Value::Int(2)]), vec![(t(2), 1)]);
     }
 
     /// `index` holds exactly `model`'s buckets (bucket `k` under

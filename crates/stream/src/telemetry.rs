@@ -69,6 +69,9 @@ pub struct ShardMeters {
     pub filter_probes: u64,
     /// Rows migrated-in cursors needed below a log's floor, back-filled.
     pub backfilled_rows: u64,
+    /// Ids join probes visited in the logs' key indexes, inside and
+    /// outside the probing side's interval. Exact per seed.
+    pub join_rows_walked: u64,
     /// Distribution of admission→execution queue wait per task, recorded
     /// by the executor as it takes the shard lock (empty with tracing
     /// off).
@@ -111,11 +114,12 @@ pub struct QueryLoad {
     /// sink, so it migrates with the query like the counters do.
     pub latency: LatencyHistogram,
     /// Resident bytes of this query's own operator state (window
-    /// buffers, join sides, aggregate groups) — a gauge, not a counter.
-    /// The source logs a query's cursors read are accounted to
-    /// the shard, not here; an indexed join side charges its index only,
-    /// the rows it points at being counted once, where they live (the
-    /// log, or the query's own window).
+    /// buffers, materialised join sides, aggregate groups) — a gauge, not
+    /// a counter. The source logs a query's cursors read are accounted to
+    /// the shard, not here, and so are their key indexes: an indexed join
+    /// side charges nothing, its index and the rows it points at being
+    /// counted once, where they live (the shard's log — shared with every
+    /// side over it by the same key — or the query's own window).
     pub state_bytes: u64,
     /// Live aggregate groups summed over the query's pipeline — a gauge;
     /// with `state_bytes`, the answer to "why is this query fat".
@@ -181,6 +185,16 @@ pub struct ShardLoad {
     pub backfilled_rows: u64,
     /// Summed [`QueryLoad::private_windows`].
     pub private_windows: usize,
+    /// Key indexes this shard's logs keep for indexed join sides: one per
+    /// `(source, key columns, filter chain)` some live side asks for.
+    pub join_indexes: usize,
+    /// Join sides that are members of those indexes; members beyond one
+    /// an index are sides that share it.
+    pub join_index_members: usize,
+    /// Resident bytes of those indexes, each once — part of `log_bytes`.
+    pub join_index_bytes: u64,
+    /// Cumulative [`ShardMeters::join_rows_walked`].
+    pub join_rows_walked: u64,
     /// Highest boundary sequence number this shard has fully applied —
     /// its watermark, published at batch boundaries. The cut a
     /// barrier-free (`Consistency::Cut`) observation read this shard at.
@@ -307,6 +321,10 @@ impl TelemetryReport {
             out.filter_probes += s.filter_probes;
             out.backfilled_rows += s.backfilled_rows;
             out.private_windows += s.private_windows;
+            out.join_indexes += s.join_indexes;
+            out.join_index_members += s.join_index_members;
+            out.join_index_bytes += s.join_index_bytes;
+            out.join_rows_walked += s.join_rows_walked;
             out.watermark = out.watermark.max(s.watermark);
             out.lag = out.lag.max(s.lag);
             out.queue_wait.merge(&s.queue_wait);
@@ -533,6 +551,12 @@ pub(crate) const SHARDS: Level<ShardLoad> = Level {
         ("spill_write_failures", Counter, |s| {
             Int(s.footprint.write_failures)
         }),
+        ("join_indexes", Gauge, |s| Int(s.join_indexes as u64)),
+        ("join_index_members", Gauge, |s| {
+            Int(s.join_index_members as u64)
+        }),
+        ("join_index_bytes", Gauge, |s| Int(s.join_index_bytes)),
+        ("join_rows_walked", Counter, |s| Int(s.join_rows_walked)),
     ],
 };
 
@@ -768,6 +792,10 @@ mod tests {
                 filter_probes: v,
                 backfilled_rows: v,
                 private_windows: n,
+                join_indexes: n,
+                join_index_members: n,
+                join_index_bytes: v,
+                join_rows_walked: v,
                 watermark: v,
                 lag: v,
                 queue_wait,

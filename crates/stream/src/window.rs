@@ -45,17 +45,40 @@
 //! does — late, never lost, never early. The engine's telemetry counts
 //! such arrivals as `out_of_order_tuples`.
 //!
+//! **The log owns the key indexes.** An indexed join side
+//! (`operators::JoinOp`) asks the log under its scan for a key index by
+//! its key columns and the filters between the scan and the join (an
+//! `IndexKey`); a log keeps one `state::KeyIndex` per key some side asks
+//! for, and every such side is a *member* of it — a `WindowOp` keeps the
+//! one its single cursor's side asks for. A step takes in the arrivals
+//! from the members' lowest head on (what no member can hold is never
+//! indexed), and the release drops the rows below that head, read back
+//! off the log once per index. By the prefix rule a member's live rows
+//! are exactly the index's rows in `[its head, its delivered tail)`, so
+//! the side keeps only that interval, and a probe walks the key's bucket
+//! oldest first, skips ids below the head and stops at the tail. Between
+//! a step and its release the index still holds the rows the step
+//! retracted: in a self-join the left side, delivered first, probes the
+//! right's interval before the step, and the right probes the left's
+//! after it. Membership attaches and detaches with the cursor; a member
+//! leaves with its rows' `(hash, row)` in its `Position`, and the index
+//! it rejoins takes in those below its own rows, laid out afresh once.
+//! The last member out frees the index. An index is charged once, to
+//! the log, however many members it serves.
+//!
 //! The log is a [`ColumnarDeque`] (per-column storage, measured bytes,
 //! optional spill of cold segments). Expiry checks only touch the
 //! always-resident timestamp column, so a spilled window never faults
 //! segments in just to discover nothing expired.
 
+use aspen_sql::expr::BoundExpr;
 use aspen_types::{AspenError, QueryId, Result, SimTime, SourceId, Tuple, WindowSpec};
 use columnar::SegmentPool;
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::grouped::{FilterIndex, FilterKey, Filtered};
-use crate::state::{ColumnarDeque, Footprint, StateOptions};
+use crate::operators::join_key;
+use crate::state::{hash_of, ColumnarDeque, Footprint, KeyIndex, StateOptions};
 use crate::telemetry::ShardMeters;
 
 /// Stateful window maintenance for one scan: a log with one cursor.
@@ -64,6 +87,8 @@ pub struct WindowOp {
     /// The arrivals the window still holds — exactly `[at.head, tail)`.
     rows: ColumnarDeque,
     at: Frame,
+    /// The key index of the join side the scan feeds, if it feeds one.
+    index: Option<LogIndex>,
 }
 
 impl WindowOp {
@@ -76,6 +101,25 @@ impl WindowOp {
         WindowOp {
             rows: ColumnarDeque::new(opts.spill.clone()),
             at: Frame::new(spec),
+            index: None,
+        }
+    }
+
+    /// Keep the key index `key` names over the window's rows, for the one
+    /// join side the scan feeds (before the first arrival).
+    pub(crate) fn index_by(&mut self, key: IndexKey) {
+        self.index = Some(LogIndex::new(key, self.rows.next_row()));
+    }
+
+    /// The key the window's index is by, if it keeps one.
+    pub(crate) fn index_key(&self) -> Option<&IndexKey> {
+        self.index.as_ref().map(|ix| &ix.key)
+    }
+
+    /// Visit the rows of bucket `hash` of the window's key index.
+    pub(crate) fn walk(&self, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+        if let Some(ix) = &self.index {
+            ix.walk(hash, visit);
         }
     }
 
@@ -88,9 +132,10 @@ impl WindowOp {
         self.rows.len()
     }
 
-    /// What the buffer holds (measured).
+    /// What the buffer and its key index hold (measured).
     pub fn footprint(&self) -> Footprint {
-        self.rows.footprint()
+        let index = self.index.as_ref().map_or(0, |ix| ix.rows.heap_bytes());
+        self.rows.footprint() + Footprint::heap(index)
     }
 
     /// The live tuples in arrival order.
@@ -120,6 +165,18 @@ impl WindowOp {
             }
         }
         self.at.insert_batch(&self.rows, tail, tuples, out);
+        if let Some(ix) = &mut self.index {
+            ix.append(tail, tuples, self.at.head);
+        }
+        self.release();
+    }
+
+    /// Drop the rows below the head, from the index first: the one side
+    /// the index serves reads its own retractions off the deltas.
+    fn release(&mut self) {
+        if let Some(ix) = &mut self.index {
+            ix.prune(&self.rows, self.at.head);
+        }
         self.rows.release_below(self.at.head);
     }
 
@@ -133,7 +190,7 @@ impl WindowOp {
     /// a RANGE window (and pane rollovers for TUMBLING).
     pub fn advance(&mut self, now: SimTime, out: &mut DeltaBatch) {
         self.at.advance(&self.rows, now, out);
-        self.rows.release_below(self.at.head);
+        self.release();
     }
 }
 
@@ -159,23 +216,138 @@ struct Cursor {
     /// The class this cursor stepped with: an index into the batches of
     /// the log step in progress, meaningless between steps.
     class: usize,
+    /// The slot of the key index the join side the scan feeds is a
+    /// member of.
+    index: Option<u32>,
 }
 
 /// Where a detached cursor stood: scan `scan` at frame `at`, which names
 /// the same rows on every log of its source — or, a window that held no
-/// row (not `live`), at the tail of whatever log it rejoins.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// row (not `live`), at the tail of whatever log it rejoins. A member of a
+/// key index carries the `(hash, row)` of the rows it held there, in
+/// arrival order, for the index it rejoins.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Position {
     pub(crate) scan: usize,
     at: Frame,
     live: bool,
+    ids: Vec<(u64, u64)>,
 }
 
 impl Position {
     /// A new window of scan `scan`, at the tail: streams are never replayed.
     pub(crate) fn fresh(scan: usize, spec: WindowSpec) -> Self {
         let (at, live) = (Frame::new(spec), false);
-        Position { scan, at, live }
+        Position {
+            scan,
+            at,
+            live,
+            ids: Vec::new(),
+        }
+    }
+}
+
+/// What an indexed join side asks the log under its scan to index: the
+/// rows its filter chain (the filters between the scan and the join)
+/// passes, under their join key over `cols` — normalised, and left out
+/// when it holds a `NULL`, by [`crate::operators::join_key`]'s rule.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct IndexKey {
+    pub(crate) cols: Vec<usize>,
+    pub(crate) filters: Vec<BoundExpr>,
+}
+
+impl IndexKey {
+    /// The bucket of `t`, or `None` when the side never sees it: a filter
+    /// drops it (or fails on it), or its key holds a `NULL`.
+    fn bucket(&self, t: &Tuple) -> Option<u64> {
+        let passes = |p: &BoundExpr| p.eval_bool(t).unwrap_or(false);
+        if !self.filters.iter().all(passes) {
+            return None;
+        }
+        join_key(t, self.cols.iter().copied()).map(|key| hash_of(&key))
+    }
+}
+
+/// A key index over a log's rows, one for every join side whose
+/// [`IndexKey`] it is (its *members*). By the prefix rule a member's live
+/// rows are the index's rows from the member's head up to its delivered
+/// tail, so the index holds the rows from the members' lowest head on,
+/// and a member keeps only its interval (`operators::JoinOp`).
+#[derive(Debug)]
+struct LogIndex {
+    key: IndexKey,
+    rows: KeyIndex,
+    /// Every row from `lo` to the log's tail that `key` buckets is held,
+    /// and none below it — except arrivals no member could hold, which
+    /// are never taken in.
+    lo: u64,
+}
+
+impl LogIndex {
+    fn new(key: IndexKey, lo: u64) -> Self {
+        let rows = KeyIndex::default();
+        LogIndex { key, rows, lo }
+    }
+
+    /// Index the arrivals `tuples`, numbered from `first`, that a member
+    /// can hold: those from row `from`, the members' lowest head, on.
+    fn append(&mut self, first: u64, tuples: &[Tuple], from: u64) {
+        let skip = from.saturating_sub(first) as usize;
+        for (row, t) in (first..).zip(tuples).skip(skip) {
+            if let Some(h) = self.key.bucket(t) {
+                self.rows.insert(h, row);
+            }
+        }
+    }
+
+    /// Unindex the rows below `to` — each its bucket's oldest — read back
+    /// off `log`, which still holds them.
+    fn prune(&mut self, log: &ColumnarDeque, to: u64) {
+        if self.rows.len() > 0 && self.lo < to {
+            let (key, rows) = (&self.key, &mut self.rows);
+            log.for_each_in(self.lo, to, |row, t| {
+                if let Some(h) = key.bucket(&t) {
+                    rows.pop_front(h, row);
+                }
+            });
+        }
+        self.lo = self.lo.max(to);
+    }
+
+    /// Visit the rows of bucket `hash`, oldest first, until `visit`
+    /// returns `false`.
+    fn walk(&self, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+        for row in self.rows.rows(hash) {
+            if !visit(row) {
+                return;
+            }
+        }
+    }
+
+    /// What a member leaving at `head` carries: the rows from there on.
+    fn carried(&self, head: u64) -> Vec<(u64, u64)> {
+        let from = |&(_, row): &(u64, u64)| row >= head;
+        let mut ids: Vec<(u64, u64)> = self.rows.pairs().filter(from).collect();
+        ids.sort_unstable_by_key(|&(_, row)| row);
+        ids
+    }
+
+    /// Take in what a member rejoining at `head` carried below the rows
+    /// held: the index is laid out afresh once, in arrival order.
+    fn merge(&mut self, head: u64, ids: &[(u64, u64)]) {
+        let below = ids.iter().filter(|&&(_, row)| row < self.lo);
+        let mut all: Vec<(u64, u64)> = below.copied().collect();
+        if all.is_empty() {
+            return;
+        }
+        all.extend(self.rows.pairs());
+        all.sort_unstable_by_key(|&(_, row)| row);
+        self.rows = KeyIndex::default();
+        for (h, row) in all {
+            self.rows.insert(h, row);
+        }
+        self.lo = self.lo.min(head);
     }
 }
 
@@ -372,6 +544,9 @@ pub(crate) struct SourceLog {
     cursors: Vec<Cursor>,
     /// The grouped leading filters of the cursors, by cursor position.
     filters: FilterIndex,
+    /// The key indexes of the join sides over the log, by slot; the last
+    /// member out empties its slot.
+    indexes: Vec<Option<LogIndex>>,
 }
 
 impl SourceLog {
@@ -381,15 +556,30 @@ impl SourceLog {
             rows: ColumnarDeque::new(opts.spill.clone()).with_pool(pool),
             cursors: Vec::new(),
             filters: FilterIndex::default(),
+            indexes: Vec::new(),
         }
     }
 
     /// Attach a cursor of `query` at `at` (a live window's rows must be
     /// here), with `filter` — its scan's leading filter, if it groups — in
-    /// the log's index. A query attaches its scans of a source back to
-    /// back, in scan order.
-    pub(crate) fn attach(&mut self, query: QueryId, at: Position, filter: Option<&FilterKey>) {
-        let Position { scan, mut at, live } = at;
+    /// the log's filter index, and with `index` — the key of the join
+    /// side its scan feeds, if it feeds one — a member of that key's
+    /// index, which takes in the ids the position carries. Returns the
+    /// index's slot. A query attaches its scans of a source back to back,
+    /// in scan order.
+    pub(crate) fn attach(
+        &mut self,
+        query: QueryId,
+        at: Position,
+        filter: Option<&FilterKey>,
+        index: Option<&IndexKey>,
+    ) -> Option<u32> {
+        let Position {
+            scan,
+            mut at,
+            live,
+            ids,
+        } = at;
         if at.pins() && !live {
             at.head = self.rows.next_row();
         }
@@ -398,23 +588,61 @@ impl SourceLog {
         if let Some(key) = filter {
             self.filters.insert(key, self.cursors.len() as u32);
         }
+        let slot = index.map(|key| self.join(key, at.head, &ids));
         self.cursors.push(Cursor {
             query,
             scan,
             at,
             class: 0,
+            index: slot,
         });
+        slot
     }
 
-    /// Drop the cursors of `query` and their filters from the index, and
-    /// return where they stood; rows only they pinned are released.
+    /// Make a member of `key`'s index (a new one, if no side asks for it
+    /// yet) that rejoins at `head` carrying `ids`; returns its slot.
+    fn join(&mut self, key: &IndexKey, head: u64, ids: &[(u64, u64)]) -> u32 {
+        let same = |ix: &Option<LogIndex>| ix.as_ref().is_some_and(|ix| ix.key == *key);
+        let slot = match self.indexes.iter().position(same) {
+            Some(slot) => slot,
+            None => {
+                let fresh = Some(LogIndex::new(key.clone(), self.rows.next_row()));
+                match self.indexes.iter().position(Option::is_none) {
+                    Some(free) => {
+                        self.indexes[free] = fresh;
+                        free
+                    }
+                    None => {
+                        self.indexes.push(fresh);
+                        self.indexes.len() - 1
+                    }
+                }
+            }
+        };
+        let ix = self.indexes[slot].as_mut().expect("filled above");
+        ix.merge(head, ids);
+        slot as u32
+    }
+
+    /// Drop the cursors of `query`, their filters from the filter index
+    /// and their memberships from the key indexes, and return where they
+    /// stood; rows only they pinned are released, and the last member of
+    /// a key index frees it.
     pub(crate) fn detach(&mut self, query: QueryId) -> Vec<Position> {
         let tail = self.rows.next_row();
         let gone = self.cursors.iter().filter(|c| c.query == query);
-        let position = |c: &Cursor| Position {
-            scan: c.scan,
-            at: c.at,
-            live: c.at.pins() && c.at.head < tail,
+        let position = |c: &Cursor| {
+            let live = c.at.pins() && c.at.head < tail;
+            let ix = c
+                .index
+                .and_then(|slot| self.indexes[slot as usize].as_ref());
+            let ids = ix.filter(|_| live).map(|ix| ix.carried(c.at.head));
+            Position {
+                scan: c.scan,
+                at: c.at,
+                live,
+                ids: ids.unwrap_or_default(),
+            }
         };
         let gone = gone.map(position).collect();
         let mut kept = 0;
@@ -430,6 +658,11 @@ impl SourceLog {
             .collect();
         self.filters.renumber(&to);
         self.cursors.retain(|c| c.query != query);
+        for slot in 0..self.indexes.len() {
+            if self.members(slot as u32) == 0 {
+                self.indexes[slot] = None;
+            }
+        }
         self.release();
         gone
     }
@@ -463,9 +696,12 @@ impl SourceLog {
         }
         let end = first + below.len() as u64;
         // An empty log's pinning heads sit at its (maybe stale) tail: their
-        // windows stay empty.
+        // windows stay empty, and so do its key indexes, from `end` on.
         for c in self.cursors.iter_mut().filter(|c| c.at.pins()) {
             c.at.head = c.at.head.max(end);
+        }
+        for ix in self.indexes.iter_mut().flatten() {
+            ix.lo = ix.lo.max(end);
         }
         let held = range(&self.rows, end, tail);
         self.rows.release_below(tail);
@@ -530,11 +766,14 @@ impl SourceLog {
     ) -> Result<Stepped> {
         let tail = self.rows.next_row();
         if self.rows.is_empty() {
-            // Nothing held: the tail and the pinning heads (equal to it)
-            // jump to this batch's number.
+            // Nothing held: the tail, the pinning heads (equal to it) and
+            // the key indexes' floors jump to this batch's number.
             self.rows.resume_at(first);
             for c in self.cursors.iter_mut().filter(|c| c.at.pins()) {
                 c.at.head = first;
+            }
+            for ix in self.indexes.iter_mut().flatten() {
+                ix.lo = first;
             }
         } else if tail != first {
             return Err(AspenError::Execution(format!(
@@ -550,6 +789,14 @@ impl SourceLog {
         let batches = Self::step_classes(&mut self.cursors, |at, out| {
             at.insert_batch(rows, first, tuples, out)
         });
+        // Every member has stepped: the arrivals below their lowest head
+        // were appended and evicted at once.
+        for slot in 0..self.indexes.len() {
+            let from = self.lowest_head(slot as u32);
+            if let Some(ix) = &mut self.indexes[slot] {
+                ix.append(first, tuples, from);
+            }
+        }
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
         Ok(self.probe(batches, meters))
@@ -596,14 +843,48 @@ impl SourceLog {
         self.rows.get(row)
     }
 
+    /// Visit the rows of bucket `hash` of the key index in `slot`, oldest
+    /// first, until `visit` returns `false`. Between a step and its
+    /// release the index still holds the rows the step retracted, so a
+    /// member that has not yet been delivered its share reads its
+    /// interval before the step.
+    pub(crate) fn walk(&self, slot: u32, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+        if let Some(ix) = self.indexes.get(slot as usize).and_then(Option::as_ref) {
+            ix.walk(hash, visit);
+        }
+    }
+
+    /// The cursors whose scans feed members of the key index in `slot`.
+    fn member_cursors(&self, slot: u32) -> impl Iterator<Item = &Cursor> + '_ {
+        self.cursors.iter().filter(move |c| c.index == Some(slot))
+    }
+
+    fn members(&self, slot: u32) -> usize {
+        self.member_cursors(slot).count()
+    }
+
+    /// The lowest head of the members of the key index in `slot` (the
+    /// tail, when it has none).
+    fn lowest_head(&self, slot: u32) -> u64 {
+        let heads = self.member_cursors(slot).map(|c| c.at.head);
+        heads.min().unwrap_or_else(|| self.rows.next_row())
+    }
+
     /// The retained rows, `(row id, tuple)` in arrival order.
     pub(crate) fn numbered(&self) -> Vec<(u64, Tuple)> {
         self.rows.numbered()
     }
 
     /// **Release** the rows below the minimum pinning head — once every
-    /// pipeline fed by the step has run.
+    /// pipeline fed by the step has run — and from each key index those
+    /// below its members' lowest head.
     pub(crate) fn release(&mut self) {
+        for slot in 0..self.indexes.len() {
+            let to = self.lowest_head(slot as u32);
+            if let Some(ix) = &mut self.indexes[slot] {
+                ix.prune(&self.rows, to);
+            }
+        }
         let keep = self
             .cursors
             .iter()
@@ -635,10 +916,19 @@ impl SourceLog {
         self.rows.len()
     }
 
+    /// The key indexes right now: `(members, bytes)` each.
+    pub(crate) fn join_indexes(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let slots = self.indexes.iter().enumerate();
+        let held = slots.filter_map(|(slot, ix)| Some((slot as u32, ix.as_ref()?)));
+        held.map(|(slot, ix)| (self.members(slot), ix.rows.heap_bytes()))
+    }
+
     /// What this log references: shared segments at full size, and
-    /// their share in `pooled` (charged to the source's pool).
+    /// their share in `pooled` (charged to the source's pool), and its
+    /// key indexes, each once however many members it serves.
     pub(crate) fn footprint(&self) -> Footprint {
-        self.rows.footprint()
+        let indexes = self.join_indexes().map(|(_, bytes)| bytes).sum();
+        self.rows.footprint() + Footprint::heap(indexes)
     }
 }
 
@@ -782,13 +1072,24 @@ mod tests {
     /// source: the rows `to` lacks, then detach, back-fill, attach at the
     /// positions — what a migration does. Returns the rows back-filled.
     fn move_cursors(from: &mut SourceLog, to: Option<&mut SourceLog>, query: QueryId) -> u64 {
+        move_members(from, to, query, None)
+    }
+
+    /// [`move_cursors`] for cursors whose scans feed join sides indexed
+    /// by `index`.
+    fn move_members(
+        from: &mut SourceLog,
+        to: Option<&mut SourceLog>,
+        query: QueryId,
+        index: Option<&IndexKey>,
+    ) -> u64 {
         let floor = to.as_deref().and_then(SourceLog::floor);
         let missing = from.missing(query, floor);
         let at = from.detach(query);
         let to = to.unwrap_or(from);
         let filled = missing.map_or(0, |(first, rows)| to.backfill(first, &rows));
         for at in at {
-            to.attach(query, at, None);
+            to.attach(query, at, None, index);
         }
         filled
     }
@@ -803,7 +1104,7 @@ mod tests {
         let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
         let mut a = SourceLog::new(&opts, pool.clone());
         let mut private = WindowOp::new(spec);
-        a.attach(QueryId(0), Position::fresh(0, spec), None);
+        a.attach(QueryId(0), Position::fresh(0, spec), None, None);
         let mut out = DeltaBatch::new();
         let arrivals = [t(1, 3), t(1, 3), t(2, 4)];
         private.insert_batch(&arrivals, &mut out);
@@ -849,10 +1150,20 @@ mod tests {
         );
         let mut meters = ShardMeters::default();
         let range = WindowSpec::Range(SimDuration::from_secs(60));
-        a.attach(QueryId(0), Position::fresh(0, range), None);
+        a.attach(QueryId(0), Position::fresh(0, range), None, None);
         feed(&mut a, &[t(0, 0), t(1, 1)], &mut meters);
-        a.attach(QueryId(1), Position::fresh(0, WindowSpec::Rows(3)), None);
-        b.attach(QueryId(2), Position::fresh(0, WindowSpec::Rows(2)), None);
+        a.attach(
+            QueryId(1),
+            Position::fresh(0, WindowSpec::Rows(3)),
+            None,
+            None,
+        );
+        b.attach(
+            QueryId(2),
+            Position::fresh(0, WindowSpec::Rows(2)),
+            None,
+            None,
+        );
         let mut private = WindowOp::new(WindowSpec::Rows(3));
         let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
         private.insert_batch(&arrivals, &mut DeltaBatch::new());
@@ -896,7 +1207,12 @@ mod tests {
             SourceLog::new(&opts, pool.clone()),
         );
         for q in 0..2 {
-            a.attach(QueryId(q), Position::fresh(0, WindowSpec::Rows(100)), None);
+            a.attach(
+                QueryId(q),
+                Position::fresh(0, WindowSpec::Rows(100)),
+                None,
+                None,
+            );
         }
         let rows: Vec<Tuple> = (0..80).map(|i| t(i, i as u64)).collect();
         feed(&mut a, &rows, &mut ShardMeters::default());
@@ -939,16 +1255,31 @@ mod tests {
         let mut a = SourceLog::new(&opts, pool.clone());
         let mut b = SourceLog::new(&opts, pool.clone());
         let mut next = 0u64;
-        a.attach(QueryId(0), Position::fresh(0, WindowSpec::Rows(200)), None);
+        a.attach(
+            QueryId(0),
+            Position::fresh(0, WindowSpec::Rows(200)),
+            None,
+            None,
+        );
         admit(&mut next, &mut [&mut a], 45);
-        b.attach(QueryId(1), Position::fresh(0, WindowSpec::Unbounded), None);
+        b.attach(
+            QueryId(1),
+            Position::fresh(0, WindowSpec::Unbounded),
+            None,
+            None,
+        );
         admit(&mut next, &mut [&mut a, &mut b], 7);
         assert_eq!(
             (b.rows(), b.rows.next_row()),
             (0, 45),
             "unbounded stores nothing"
         );
-        b.attach(QueryId(2), Position::fresh(0, WindowSpec::Rows(200)), None);
+        b.attach(
+            QueryId(2),
+            Position::fresh(0, WindowSpec::Rows(200)),
+            None,
+            None,
+        );
         for _ in 0..6 {
             admit(&mut next, &mut [&mut a, &mut b], 13);
         }
@@ -969,6 +1300,7 @@ mod tests {
         c.attach(
             QueryId(3),
             Position::fresh(0, WindowSpec::Range(SimDuration::from_secs(5))),
+            None,
             None,
         );
         for _ in 0..3 {
@@ -1057,7 +1389,7 @@ mod tests {
                             let query = QueryId(next_query);
                             next_query += 1;
                             for (scan, &spec) in scans.iter().enumerate() {
-                                log.attach(query, Position::fresh(scan, spec), None);
+                                log.attach(query, Position::fresh(scan, spec), None, None);
                                 private.push((query, scan, WindowOp::with_options(spec, &opts)));
                             }
                         }
@@ -1153,9 +1485,9 @@ mod tests {
         // at row 3.
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), Position::fresh(0, spec), None);
+        log.attach(QueryId(0), Position::fresh(0, spec), None, None);
         feed(&mut log, &[t(0, 0), t(1, 1), t(2, 2)]);
-        log.attach(QueryId(1), Position::fresh(0, spec), None);
+        log.attach(QueryId(1), Position::fresh(0, spec), None, None);
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         let expire = |log: &mut SourceLog, secs| {
             let mut m = ShardMeters::default();
@@ -1177,9 +1509,19 @@ mod tests {
         // ROWS 3: the junior attaches to a full senior and merges
         // after exactly three arrivals — before its first eviction.
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), Position::fresh(0, WindowSpec::Rows(3)), None);
+        log.attach(
+            QueryId(0),
+            Position::fresh(0, WindowSpec::Rows(3)),
+            None,
+            None,
+        );
         feed(&mut log, &[t(0, 0), t(1, 0), t(2, 0), t(3, 0)]);
-        log.attach(QueryId(1), Position::fresh(0, WindowSpec::Rows(3)), None);
+        log.attach(
+            QueryId(1),
+            Position::fresh(0, WindowSpec::Rows(3)),
+            None,
+            None,
+        );
         assert_eq!(feed(&mut log, &[t(4, 1), t(5, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(6, 1)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(7, 1)]), (1, 1, 2));
@@ -1188,9 +1530,9 @@ mod tests {
         // rolls over.
         let spec = WindowSpec::Tumbling(SimDuration::from_secs(4));
         let mut log = new_log(&opts);
-        log.attach(QueryId(0), Position::fresh(0, spec), None);
+        log.attach(QueryId(0), Position::fresh(0, spec), None, None);
         feed(&mut log, &[t(0, 0), t(1, 1)]);
-        log.attach(QueryId(1), Position::fresh(0, spec), None);
+        log.attach(QueryId(1), Position::fresh(0, spec), None, None);
         assert_eq!(feed(&mut log, &[t(2, 2)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(3, 3), t(4, 4)]), (2, 2, 2));
         assert_eq!(feed(&mut log, &[t(5, 5)]), (1, 1, 2));
@@ -1203,8 +1545,13 @@ mod tests {
         let mut log = new_log(&StateOptions::columnar());
         let spec = WindowSpec::Range(SimDuration::from_secs(5));
         for q in 0..3 {
-            log.attach(QueryId(q), Position::fresh(0, WindowSpec::Rows(1)), None);
-            log.attach(QueryId(q), Position::fresh(1, spec), None);
+            log.attach(
+                QueryId(q),
+                Position::fresh(0, WindowSpec::Rows(1)),
+                None,
+                None,
+            );
+            log.attach(QueryId(q), Position::fresh(1, spec), None, None);
         }
         let mut meters = ShardMeters::default();
         let batches = step(&mut log, &[t(1, 0), t(2, 0)], &mut meters);
@@ -1346,5 +1693,299 @@ mod tests {
         w.advance(SimTime::from_secs(6), &mut out);
         w.advance(SimTime::from_secs(7), &mut out);
         assert!(out.is_empty());
+    }
+
+    /// A key index on column 0 — of the rows above 1, when `filtered`.
+    fn key(filtered: bool) -> IndexKey {
+        use aspen_sql::ast::CmpOp;
+        use aspen_types::DataType;
+        let above_one = BoundExpr::Cmp {
+            op: CmpOp::Gt,
+            left: Box::new(BoundExpr::col(0, DataType::Int)),
+            right: Box::new(BoundExpr::Lit(Value::Int(1))),
+        };
+        IndexKey {
+            cols: vec![0],
+            filters: if filtered { vec![above_one] } else { vec![] },
+        }
+    }
+
+    /// What `log`'s key index in `slot` holds from row `head` on:
+    /// `(hash, row)` in arrival order.
+    fn held(log: &SourceLog, slot: u32, head: u64) -> Vec<(u64, u64)> {
+        let ix = log.indexes[slot as usize].as_ref();
+        ix.map_or_else(Vec::new, |ix| ix.carried(head))
+    }
+
+    /// What an index by `key` over the `numbered` rows holds from `head`.
+    fn bucketed(key: &IndexKey, numbered: Vec<(u64, Tuple)>, head: u64) -> Vec<(u64, u64)> {
+        let from = numbered.into_iter().filter(|(row, _)| *row >= head);
+        from.filter_map(|(row, t)| Some((key.bucket(&t)?, row)))
+            .collect()
+    }
+
+    /// After a release, each key index holds exactly the rows its key
+    /// buckets from its members' lowest head on; and each member reads
+    /// exactly its private twin's live rows — the index's rows from its
+    /// cursor's head.
+    fn check_members(log: &SourceLog, twins: &[(QueryId, IndexKey, &WindowOp)], ctx: &str) {
+        for (query, key, twin) in twins {
+            let c = log.cursors.iter().find(|c| c.query == *query).unwrap();
+            let slot = c.index.expect("a member");
+            let mine = held(log, slot, c.at.head);
+            assert_eq!(
+                mine,
+                bucketed(key, twin.rows.numbered(), 0),
+                "{query:?}, {ctx}"
+            );
+            let lowest = log.lowest_head(slot);
+            let all = bucketed(key, log.numbered(), lowest);
+            assert_eq!(held(log, slot, 0), all, "index {slot}, {ctx}");
+        }
+    }
+
+    /// Members over one source and key — `ROWS 3`, `ROWS 50`, `RANGE` —
+    /// fed 20-row batches (so `ROWS 3` appends and evicts inside a step)
+    /// and heartbeats, beside a filtered member kept in an index of its
+    /// own: one slot per key, every member reads its own window.
+    #[test]
+    fn members_over_one_key_read_their_own_windows() {
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+
+        let specs = [
+            WindowSpec::Rows(3),
+            WindowSpec::Rows(50),
+            WindowSpec::Range(SimDuration::from_secs(9)),
+            WindowSpec::Rows(50),
+        ];
+        for seed in crate::test_seeds(3) {
+            let mut rng = seeded(0x1D_E5 ^ seed);
+            let mut log = new_log(&StateOptions::columnar());
+            let mut twins = Vec::new();
+            let mut slots = Vec::new();
+            for (q, spec) in specs.into_iter().enumerate() {
+                let k = key(q == 3);
+                let at = Position::fresh(0, spec);
+                slots.push(log.attach(QueryId(q as u32), at, None, Some(&k)).unwrap());
+                twins.push((QueryId(q as u32), k, WindowOp::new(spec)));
+            }
+            assert_eq!(slots, vec![0, 0, 0, 1], "one index per key");
+            let members: Vec<usize> = log.join_indexes().map(|(m, _)| m).collect();
+            assert_eq!(members, vec![3, 1]);
+            let mut now = 0;
+            for step in 0..60 {
+                let ctx = format!("seed {seed}, step {step}");
+                if rng.gen_range(0..4u32) == 0 {
+                    now += rng.gen_range(0..8u64);
+                    tick(&mut log, now, &mut ShardMeters::default());
+                    for (_, _, w) in &mut twins {
+                        w.advance(SimTime::from_secs(now), &mut DeltaBatch::new());
+                    }
+                } else {
+                    let batch: Vec<Tuple> = (0..20)
+                        .map(|_| t(rng.gen_range(0..5i64), now + rng.gen_range(0..2u64)))
+                        .collect();
+                    now += 1;
+                    feed(&mut log, &batch, &mut ShardMeters::default());
+                    for (_, _, w) in &mut twins {
+                        w.insert_batch(&batch, &mut DeltaBatch::new());
+                    }
+                }
+                let view: Vec<_> = twins.iter().map(|(q, k, w)| (*q, k.clone(), w)).collect();
+                check_members(&log, &view, &ctx);
+            }
+        }
+    }
+
+    /// The rows of one log, as a join whose two sides are members of
+    /// the log's index in `slot` reads them.
+    struct Members<'a>(&'a SourceLog, u32);
+
+    impl crate::operators::Rows for Members<'_> {
+        fn get(&self, _: usize, row: u64) -> Option<Tuple> {
+            self.0.get(row)
+        }
+
+        fn walk(&self, _: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
+            self.0.walk(self.1, hash, visit)
+        }
+    }
+
+    /// A self-join on one log, both sides members of one index: each
+    /// step delivers the left scan's batch first, which probes the right
+    /// side's interval as it was before the step — the rows the right
+    /// retracts in this step included — and then the right's, which
+    /// probes the left's after it. The accumulated output is the join of
+    /// the two private windows after every step.
+    #[test]
+    fn a_self_join_probes_each_side_at_its_turn() {
+        use crate::operators::{DeltaOp, JoinOp};
+        use aspen_types::rng::seeded;
+        use rand::Rng;
+
+        let specs = [
+            WindowSpec::Range(SimDuration::from_secs(4)),
+            WindowSpec::Rows(7),
+        ];
+        for seed in crate::test_seeds(3) {
+            let mut rng = seeded(0x5E_1F ^ seed);
+            let mut log = new_log(&StateOptions::columnar());
+            let k = key(false);
+            let slot = log.attach(QueryId(0), Position::fresh(0, specs[0]), None, Some(&k));
+            let right = log.attach(QueryId(0), Position::fresh(1, specs[1]), None, Some(&k));
+            assert_eq!((slot, right), (Some(0), Some(0)));
+            let mut join = JoinOp::over_scans(
+                vec![(0, 0)],
+                None,
+                &StateOptions::default(),
+                [Some(0), Some(1)],
+            );
+            let mut twins = specs.map(WindowOp::new);
+            let mut out = DeltaBatch::new();
+            let mut now = 0;
+            for at in 0..80 {
+                let stepped = if rng.gen_range(0..3u32) == 0 {
+                    now += rng.gen_range(0..4u64);
+                    for w in &mut twins {
+                        w.advance(SimTime::from_secs(now), &mut DeltaBatch::new());
+                    }
+                    log.advance(SimTime::from_secs(now), &mut ShardMeters::default())
+                } else {
+                    let batch: Vec<Tuple> = (0..rng.gen_range(1..20usize))
+                        .map(|_| t(rng.gen_range(0..4i64), now))
+                        .collect();
+                    now += rng.gen_range(0..2u64);
+                    for w in &mut twins {
+                        w.insert_batch(&batch, &mut DeltaBatch::new());
+                    }
+                    step(&mut log, &batch, &mut ShardMeters::default())
+                };
+                let rows = Members(&log, 0);
+                for (_, fed) in log.fed(&stepped) {
+                    for (scan, fed) in fed {
+                        out.extend(join.process_rows(scan, fed.window, &rows).unwrap());
+                    }
+                }
+                log.release();
+                let (l, r) = (twins[0].buffered(), twins[1].buffered());
+                let meet = |a: &Tuple, b: &Tuple| a.get(0) == b.get(0);
+                let pairs = l.iter().flat_map(|a| {
+                    let r = r.iter().filter(move |b| meet(a, b));
+                    r.map(move |b| a.join(b))
+                });
+                let want = net(&DeltaBatch::inserts(pairs));
+                assert_eq!(net(&out), want, "seed {seed}, step {at}");
+            }
+        }
+    }
+
+    /// However many members an index serves, it costs one index's
+    /// bytes; a member leaving keeps the index for the rest, and the last
+    /// one out frees it.
+    #[test]
+    fn members_share_one_index_and_the_last_frees_it() {
+        let opts = StateOptions::columnar();
+        let (mut one, mut three) = (new_log(&opts), new_log(&opts));
+        let k = key(false);
+        let spec = WindowSpec::Rows(50);
+        one.attach(QueryId(0), Position::fresh(0, spec), None, Some(&k));
+        for q in 0..3 {
+            three.attach(QueryId(q), Position::fresh(0, spec), None, Some(&k));
+        }
+        // A cursor that is no member keeps the log itself alive.
+        three.attach(QueryId(9), Position::fresh(0, spec), None, None);
+        let rows: Vec<Tuple> = (0..120).map(|i| t(i % 13, i as u64)).collect();
+        for batch in rows.chunks(20) {
+            feed(&mut one, batch, &mut ShardMeters::default());
+            feed(&mut three, batch, &mut ShardMeters::default());
+        }
+        let bytes = |log: &SourceLog| log.join_indexes().map(|(_, b)| b).sum::<usize>();
+        assert!(bytes(&one) > 0);
+        assert_eq!(bytes(&three), bytes(&one), "three members, one index");
+        assert_eq!(three.join_indexes().next(), Some((3, bytes(&one))));
+        three.detach(QueryId(1));
+        assert_eq!(three.join_indexes().next(), Some((2, bytes(&one))));
+        three.detach(QueryId(0));
+        three.detach(QueryId(2));
+        assert_eq!(three.join_indexes().count(), 0);
+        assert_eq!(
+            three.footprint(),
+            three.rows.footprint(),
+            "the index holds 0 B"
+        );
+        // A new member starts a new index in the freed slot, at the tail.
+        assert_eq!(
+            three.attach(QueryId(4), Position::fresh(0, spec), None, Some(&k)),
+            Some(0)
+        );
+        assert_eq!(three.join_indexes().next(), Some((1, 0)));
+    }
+
+    /// A member leaves with its rows' ids and rejoins a log of its source
+    /// on another shard: one whose index by its key starts above the
+    /// member's head (it merges the ids below), then one that keeps no
+    /// such index (it starts one from them). Either way it reads its
+    /// private twin's rows, and so do the members already there.
+    #[test]
+    fn a_moved_member_brings_its_rows_to_the_index() {
+        let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
+        let mut logs = [0, 1, 2].map(|_| SourceLog::new(&opts, pool.clone()));
+        let k = key(false);
+        let (mover, short, plain) = (QueryId(0), QueryId(1), QueryId(2));
+        let mut twins = [
+            WindowOp::new(WindowSpec::Rows(40)),
+            WindowOp::new(WindowSpec::Rows(3)),
+        ];
+        logs[0].attach(
+            mover,
+            Position::fresh(0, WindowSpec::Rows(40)),
+            None,
+            Some(&k),
+        );
+        logs[1].attach(
+            short,
+            Position::fresh(0, WindowSpec::Rows(3)),
+            None,
+            Some(&k),
+        );
+        logs[2].attach(plain, Position::fresh(0, WindowSpec::Rows(5)), None, None);
+        let mut next = 0u64;
+        let mut admit = |logs: &mut [SourceLog; 3], twins: &mut [WindowOp; 2], n: u64| {
+            let tuples: Vec<Tuple> = (next..next + n).map(|i| t(i as i64 % 7, i)).collect();
+            for log in logs.iter_mut() {
+                let stepped =
+                    log.insert_batch(SourceId(0), next, &tuples, &mut ShardMeters::default());
+                deliver(log, stepped.unwrap());
+            }
+            for w in twins.iter_mut() {
+                w.insert_batch(&tuples, &mut DeltaBatch::new());
+            }
+            next += n;
+        };
+        admit(&mut logs, &mut twins, 30);
+        let [a, b, _] = &mut logs;
+        assert!(b.join_indexes().next().unwrap().1 > 0);
+        assert!(move_members(a, Some(b), mover, Some(&k)) > 0);
+        assert_eq!(b.join_indexes().next().map(|(m, _)| m), Some(2));
+        fn view<'a>(
+            k: &IndexKey,
+            twins: &'a [WindowOp; 2],
+        ) -> Vec<(QueryId, IndexKey, &'a WindowOp)> {
+            vec![
+                (QueryId(0), k.clone(), &twins[0]),
+                (QueryId(1), k.clone(), &twins[1]),
+            ]
+        }
+        check_members(b, &view(&k, &twins)[..], "merged into b");
+        admit(&mut logs, &mut twins, 25);
+        let [_, b, c] = &mut logs;
+        check_members(b, &view(&k, &twins)[..], "b, stepped");
+        move_members(b, Some(c), mover, Some(&k));
+        assert_eq!(b.join_indexes().next().map(|(m, _)| m), Some(1));
+        check_members(c, &view(&k, &twins)[..1], "started on c");
+        admit(&mut logs, &mut twins, 12);
+        check_members(&logs[2], &view(&k, &twins)[..1], "c, stepped");
+        check_members(&logs[1], &view(&k, &twins)[1..], "b, without the mover");
     }
 }

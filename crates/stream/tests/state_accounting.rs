@@ -6,7 +6,9 @@
 //! and converted key columns among them), and the key index of a join
 //! side (a `KeyedState`, 4 096 keys × 20 000 rows, where it must also hold
 //! at most 0.75× the 517 136 B its `HashMap<u64, Vec<u64>>` predecessor
-//! held) and of a retained table (a `BagState`, 1 024 rows, one a key).
+//! held) and of a retained table (a `BagState`, 1 024 rows, one a key);
+//! and a source log's key index two join sides share (4 096 rows) must
+//! read 1.000, and cost what it costs one member.
 //! `KeyedState`, `TupleStore` and the source logs are printed, not
 //! asserted — the next accounting targets. Also printed: allocator
 //! calls per `dashboards`-shaped batch. And the logs' sharing is real
@@ -251,6 +253,22 @@ fn state_bytes_agree_with_the_allocator() {
         off.push(format!("retained-table key index: {r:.3}"));
     }
 
+    // A source log's key index, shared by two join sides: the heap two
+    // joins add to an engine that keeps the same log rows without them.
+    let (with, charged) = join_index_heap(2);
+    let (without, none) = join_index_heap(0);
+    assert_eq!(none, 0);
+    let r = ratio(
+        "log key index, 2 members x 4 096 rows",
+        charged,
+        with - without,
+    );
+    // Charged by capacity, the index is its heap to the byte.
+    if format!("{r:.3}") != "1.000" {
+        off.push(format!("log key index: {r:.3}"));
+    }
+    assert_eq!(join_index_heap(1).1, charged, "two members, one index");
+
     // The logs hold nearly all of these engines' heap growth, so its
     // ratio to their charged bytes is the logs'.
     let (one, one_logs) = windowed_engine_heap(1);
@@ -272,22 +290,52 @@ fn state_bytes_agree_with_the_allocator() {
     );
 }
 
-/// A `Readings` catalog: sensor, room, value.
+/// A `Readings` catalog: sensor, room, value; and `Other`, alike.
 fn readings() -> std::sync::Arc<Catalog> {
     let cat = Catalog::shared();
     let schema = Schema::new(vec![
         Field::new("sensor", DataType::Int),
         Field::new("room", DataType::Int),
         Field::new("value", DataType::Float),
-    ]);
-    cat.register_source(
-        "Readings",
-        schema.into_ref(),
-        SourceKind::Stream,
-        SourceStats::stream(64.0),
-    )
-    .unwrap();
+    ])
+    .into_ref();
+    for name in ["Readings", "Other"] {
+        let stats = SourceStats::stream(64.0);
+        cat.register_source(name, schema.clone(), SourceKind::Stream, stats)
+            .unwrap();
+    }
     cat
+}
+
+/// The heap a 1-shard engine holds after 4 096 rows reach a
+/// `[rows 4096]` window of `Readings` counted by one query, with `joins`
+/// more queries joining that window with an `Other` that stays empty —
+/// the `Readings` sides all members of the log's one key index — and the
+/// bytes the shard charges its key indexes.
+fn join_index_heap(joins: usize) -> (usize, usize) {
+    let config = EngineConfig::new()
+        .shards(1)
+        .scheduling(Scheduling::Sequential);
+    let mut e = ShardedEngine::with_config(readings(), config);
+    e.register_sql("select count(*) from Readings r [rows 4096]")
+        .unwrap();
+    for i in 0..joins {
+        let sql = format!(
+            "select a.value, b.value from Readings a [rows 4096], Other b [rows {}] \
+             where a.sensor = b.sensor",
+            i + 1
+        );
+        e.register_sql(&sql).unwrap();
+    }
+    let mut seq = 0;
+    let batches: Vec<Vec<Tuple>> = (0..512).map(|_| readings_batch(&mut seq)).collect();
+    let heap = held(|| {
+        for b in &batches {
+            e.on_batch("Readings", b).unwrap();
+        }
+    });
+    let report = e.telemetry_at(aspen_stream::Consistency::Fresh);
+    (heap, report.shards[0].join_index_bytes as usize)
 }
 
 /// 8 readings a batch, 64 a second.

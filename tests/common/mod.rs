@@ -524,6 +524,9 @@ pub struct Sample {
     /// The deepest any executor queue has been.
     pub high_water: usize,
     pub filter_probes: u64,
+    /// Join sides sharing a log's key index with another side: the
+    /// shards' index members beyond one an index.
+    pub shared_sides: usize,
     /// Rows the logs took in by back-fill so far.
     pub backfilled: u64,
     pub view_rows: Vec<usize>,

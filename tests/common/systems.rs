@@ -347,6 +347,8 @@ impl System for EngineSystem {
         sample.view_rows = views.iter().map(|v| v.1.len()).collect();
         seen.views = Some(views);
         sample.filter_probes = report.shards.iter().map(|s| s.filter_probes).sum();
+        let shared = |s: &aspen_stream::ShardLoad| s.join_index_members - s.join_indexes;
+        sample.shared_sides = report.shards.iter().map(shared).sum();
         sample.backfilled = report.shards.iter().map(|s| s.backfilled_rows).sum();
         sample.latency_samples = report.ingest_latency().count();
         match &self.engine {

@@ -1008,7 +1008,7 @@ fn indexed_join_row() -> Row {
 
 #[test]
 fn indexed_join_sides_match_materialised_sides_and_the_model() {
-    let (mut pairs, mut on_cursors, mut spilled) = (0, 0, 0);
+    let (mut pairs, mut on_cursors, mut spilled, mut shared) = (0, 0, 0, 0);
     for run in indexed_join_row().check(seeds(2)) {
         pairs += run.of("Private").rows_checked;
         let lifecycle =
@@ -1023,6 +1023,7 @@ fn indexed_join_sides_match_materialised_sides_and_the_model() {
         for o in run.engines() {
             on_cursors += o.on_cursors;
             spilled = spilled.max(o.peak(|s| s.resident.spilled_bytes));
+            shared = shared.max(o.peak(|s| s.shared_sides));
             for (s, p) in o.samples.iter().zip(private) {
                 let (shared, alone) = (s.resident.state_bytes, p.resident.state_bytes);
                 assert!(
@@ -1036,8 +1037,10 @@ fn indexed_join_sides_match_materialised_sides_and_the_model() {
         }
     }
     assert!(
-        pairs > 10_000 && on_cursors > 1_000 && spilled > 0,
+        pairs > 10_000 && on_cursors > 1_000 && spilled > 0 && shared > 0,
         "the run exercised too little: {pairs} joined pairs, {on_cursors} byte \
-         comparisons on cursors, {spilled} bytes spilled"
+         comparisons on cursors, {spilled} bytes spilled, {shared} sides sharing \
+         a key index at most"
     );
+    println!("at most {shared} join sides shared a key index");
 }
