@@ -118,10 +118,13 @@
 //! cursors move, every pipeline runs with read access to all logs, and
 //! only then are rows below the minimum head dropped, from the log and
 //! its indexes — a retraction on one side of a join can still read rows
-//! the same step expires on the other. An id in a side's interval that
-//! resolves to no row is an error, and signed deltas for a stream whose
-//! window a live query indexes are refused at admission (`on_deltas`
-//! returns `InvalidArgument` before any shard runs): they name no row.
+//! the same step expires on the other. A side out of step with its
+//! window is an error, not a missed match — one counting rows its index
+//! dropped, an id in its interval that resolves to no row, a retraction
+//! of a row that is not the oldest it holds under its key — and signed
+//! deltas for a stream whose window a live query indexes are refused at
+//! admission (`on_deltas` returns `InvalidArgument` before any shard
+//! runs): they name no row.
 //!
 //! ## Source logs and window cursors (and the plan-template cache)
 //!

@@ -29,6 +29,9 @@ pub trait Rows {
     /// side over the scan is a member of, oldest first, until it returns
     /// `false`.
     fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool);
+
+    /// The floor of that key index: one past the newest row it dropped.
+    fn index_floor(&self, scan: usize) -> u64;
 }
 
 /// Where the row ids of addressed batches resolve.
@@ -43,6 +46,10 @@ impl Rows for NoRows {
     }
 
     fn walk(&self, _: usize, _: u64, _: &mut dyn FnMut(u64) -> bool) {}
+
+    fn index_floor(&self, _: usize) -> u64 {
+        0
+    }
 }
 
 /// A delta-batch processor. `port` distinguishes the inputs of binary
@@ -214,9 +221,13 @@ impl DeltaOp for ProjectOp {
 /// through the pipeline's [`RowSource`], skips ids below `head`, stops
 /// at `tail` and resolves only the ids between. The side holds no bytes:
 /// its index is charged where the rows live (the log, or the query's
-/// own window). An id in the interval whose row is gone, a retraction of
-/// an id outside it and a delta without an id are
-/// [`AspenError::Execution`], never a missing match.
+/// own window). A side that missed a retraction is an
+/// [`AspenError::Execution`], never a missing match: a probe of a side
+/// counting live rows from below its index's floor (it dropped a row the
+/// side still counts), an id in the interval whose row is gone, a
+/// retraction of an id outside the interval or — while the index still
+/// holds it — of one that is not the oldest of its bucket from `head`,
+/// and a delta without an id.
 ///
 /// **Keys follow SQL `=`**, by the rule of `join_key` and
 /// `keys_meet`: a delta whose key holds a `NULL` enters neither side
@@ -283,7 +294,13 @@ impl Side {
     }
 
     /// Apply one delta of this side's input under its join key.
-    fn update(&mut self, key: &[Value], delta: &Delta, row: Option<u64>) -> Result<()> {
+    fn update(
+        &mut self,
+        key: &[Value],
+        delta: &Delta,
+        row: Option<u64>,
+        rows: RowSource,
+    ) -> Result<()> {
         match self {
             Side::Materialised(state) => {
                 state.update(key.to_vec(), &delta.tuple, delta.sign);
@@ -308,6 +325,15 @@ impl Side {
                     *fresh = Some((first, n + 1));
                     (*tail, *live) = (row + 1, *live + 1);
                 } else if *live > 0 && (*head..*tail).contains(&row) {
+                    // While the index holds the row (a log drops it at
+                    // its release, after the step), it is the oldest of
+                    // its bucket the side holds: not one it never held,
+                    // nor one whose older keymate's retraction was lost.
+                    let held = row < rows.index_floor(*scan)
+                        || oldest(rows, *scan, key, *head) == Some(row);
+                    if !held {
+                        return Err(dangling(*scan, format_args!("a retraction of row {row}")));
+                    }
                     (*head, *live) = (row + 1, *live - 1);
                 } else {
                     return Err(dangling(*scan, format_args!("a retraction of row {row}")));
@@ -336,12 +362,24 @@ impl Side {
 
     /// The live rows under `key` with their multiplicities.
     fn get(&self, key: &[Value], rows: RowSource) -> Result<Vec<(Tuple, i64)>> {
-        let (scan, head, tail) = match *self {
+        let (scan, head, tail, live) = match *self {
             Side::Materialised(ref state) => return Ok(state.get(key)),
             Side::Indexed {
-                scan, head, tail, ..
-            } => (scan, head, tail),
+                scan,
+                head,
+                tail,
+                live,
+                ..
+            } => (scan, head, tail, live),
         };
+        // The index dropped rows the side still counts as live: it
+        // missed their retraction.
+        let floor = rows.index_floor(scan);
+        if live > 0 && head < floor {
+            let what =
+                format_args!("a probe of rows from {head} (its index dropped those below {floor})");
+            return Err(dangling(scan, what));
+        }
         let (mut found, mut gone) = (Vec::new(), None);
         rows.walk(scan, hash_of(key), &mut |row| {
             if row >= tail {
@@ -360,6 +398,17 @@ impl Side {
             None => Ok(found),
         }
     }
+}
+
+/// The oldest row of `key`'s bucket at or above `head` in the key index
+/// the join side over scan `scan` is a member of.
+fn oldest(rows: RowSource, scan: usize, key: &[Value], head: u64) -> Option<u64> {
+    let mut found = None;
+    rows.walk(scan, hash_of(key), &mut |row| {
+        found = (row >= head).then_some(row);
+        found.is_none()
+    });
+    found
 }
 
 /// An indexed side and its scan's window disagree about what is live.
@@ -449,7 +498,7 @@ impl DeltaOp for JoinOp {
                 };
                 // Update own side's state first so self-joins on the same
                 // batch behave like set-at-a-time semantics.
-                own.update(&key, delta, ids.map(|ids| ids[i]))?;
+                own.update(&key, delta, ids.map(|ids| ids[i]), rows)?;
                 for (match_tuple, mult) in other.get(&key, rows)? {
                     let (l, r) = if is_left {
                         (&delta.tuple, &match_tuple)
@@ -1161,6 +1210,10 @@ mod tests {
         fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
             self[scan].walk(hash, visit)
         }
+
+        fn index_floor(&self, scan: usize) -> u64 {
+            self[scan].index_floor()
+        }
     }
 
     impl Windowed {
@@ -1178,10 +1231,13 @@ mod tests {
         }
 
         /// Step `port`'s window over `tuples` and run the join on the
-        /// batch.
-        fn push(&mut self, port: usize, tuples: &[Tuple]) -> Result<DeltaBatch> {
+        /// batch; with `tell` off the join never hears of the step.
+        fn push(&mut self, port: usize, tuples: &[Tuple], tell: bool) -> Result<DeltaBatch> {
             let mut batch = DeltaBatch::new();
             self.windows[port].insert_batch(tuples, &mut batch);
+            if !tell {
+                return Ok(batch);
+            }
             self.join.process_rows(port, &batch, &self.windows)
         }
     }
@@ -1224,8 +1280,8 @@ mod tests {
         assert_eq!(pairs.filter(|(l, r)| eq(l, r)).count(), 1);
 
         let mut w = Windowed::new(10);
-        let mut out = w.push(0, &a).unwrap();
-        out.extend(w.push(1, &b).unwrap());
+        let mut out = w.push(0, &a, true).unwrap();
+        out.extend(w.push(1, &b, true).unwrap());
         assert_eq!(net_values(&out), want, "indexed sides");
         assert_eq!(w.join.state_size(), 2);
         // Retracting the matched row retracts the pair, whichever side
@@ -1248,31 +1304,25 @@ mod tests {
     fn dangling_row_id_is_an_error_not_a_missing_match() {
         let row = |k: i64, secs: u64| t(vec![Value::Int(k)], secs);
         let mut w = Windowed::new(2);
-        w.push(0, &[row(1, 0), row(2, 0)]).unwrap();
-        assert_eq!(w.push(1, &[row(1, 1)]).unwrap().len(), 1);
-        // The left index holds row 0 under key 1, inside the left side's
-        // interval, but the rows behind it read as gone.
-        struct Gone<'a>(&'a [WindowOp; 2]);
-        impl Rows for Gone<'_> {
-            fn get(&self, _: usize, _: u64) -> Option<Tuple> {
-                None
-            }
-
-            fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
-                self.0[scan].walk(hash, visit)
-            }
-        }
-        let mut probe = DeltaBatch::new();
-        w.windows[1].insert_batch(&[row(1, 2)], &mut probe);
-        let err = w
-            .join
-            .process_rows(1, &probe, &Gone(&w.windows))
-            .unwrap_err();
+        w.push(0, &[row(1, 0), row(2, 0)], true).unwrap();
+        assert_eq!(w.push(1, &[row(1, 1)], true).unwrap().len(), 1);
+        // Release early by hand: the left window evicts row 0 (key 1)
+        // and the join is never delivered the retraction.
+        let lost = w.push(0, &[row(3, 2)], false).unwrap();
+        assert_eq!(lost.len(), 2, "one insertion, one eviction");
+        let err = w.push(1, &[row(1, 3)], true).unwrap_err();
         assert_eq!(err.kind(), "execution", "{err}");
-        // So is retracting an id outside the side's interval ...
+        // So is retracting a row the side never held under its key ...
+        let mut w = Windowed::new(2);
+        w.push(0, &[row(1, 0), row(2, 0)], true).unwrap();
+        let mut stray = DeltaBatch::new();
+        stray.push_row(Delta::retract(row(1, 0)), 1);
+        let err = w.join.process_rows(0, &stray, &w.windows).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+        // ... an id outside the side's interval ...
         let mut stray = DeltaBatch::new();
         stray.push_row(Delta::retract(row(7, 0)), 99);
-        let err = w.join.process_batch(0, &stray).unwrap_err();
+        let err = w.join.process_rows(0, &stray, &w.windows).unwrap_err();
         assert_eq!(err.kind(), "execution", "{err}");
         // ... inserting one below its tail ...
         let mut back = DeltaBatch::new();
@@ -1299,7 +1349,7 @@ mod tests {
                 )
             })
             .collect();
-        w.push(0, &left).unwrap();
+        w.push(0, &left, true).unwrap();
         assert_eq!(w.join.state_size(), 2_000);
         assert_eq!(w.join.footprint().resident, 0);
         let mut plain = WindowOp::new(WindowSpec::Rows(2_000));

@@ -70,6 +70,10 @@ pub(crate) trait Logs {
     /// Visit the rows of bucket `hash` of the key index in `slot` of
     /// `src`'s log ([`crate::window::SourceLog::walk`]).
     fn walk(&self, src: SourceId, slot: u32, hash: u64, visit: &mut dyn FnMut(u64) -> bool);
+
+    /// The floor of that key index
+    /// ([`crate::window::SourceLog::index_floor`]).
+    fn index_floor(&self, src: SourceId, slot: u32) -> u64;
 }
 
 /// Where a cursor-fed scan's row ids and key index resolve.
@@ -84,6 +88,10 @@ impl Logs for NoLogs {
     }
 
     fn walk(&self, _: SourceId, _: u32, _: u64, _: &mut dyn FnMut(u64) -> bool) {}
+
+    fn index_floor(&self, _: SourceId, _: u32) -> u64 {
+        0
+    }
 }
 
 /// What a pipeline's scans window, as its join sides read it: a cursor's
@@ -106,6 +114,14 @@ impl Rows for ScanRows<'_> {
         match scan.member {
             Some(slot) => self.logs.walk(scan.source, slot, hash, visit),
             None => scan.window.walk(hash, visit),
+        }
+    }
+
+    fn index_floor(&self, scan: usize) -> u64 {
+        let scan = &self.scans[scan];
+        match scan.member {
+            Some(slot) => self.logs.index_floor(scan.source, slot),
+            None => scan.window.index_floor(),
         }
     }
 }

@@ -524,7 +524,7 @@ struct LogCensus {
 }
 
 /// A shard's logs as its pipelines read them, counting the ids join
-/// probes walk.
+/// sides walk.
 struct ShardLogs<'a> {
     logs: &'a HashMap<SourceId, SourceLog>,
     walked: Cell<u64>,
@@ -550,6 +550,10 @@ impl Logs for ShardLogs<'_> {
                 visit(row)
             });
         }
+    }
+
+    fn index_floor(&self, src: SourceId, slot: u32) -> u64 {
+        self.logs.get(&src).map_or(0, |log| log.index_floor(slot))
     }
 }
 
@@ -619,7 +623,9 @@ impl EngineShard {
         }
         meters.join_rows_walked += rows.walked.get();
         // Release, now that no pipeline can ask for an evicted row.
-        logs.get_mut(&src).expect("stepped above").release();
+        logs.get_mut(&src)
+            .expect("stepped above")
+            .release(Some(&step));
         served
     }
 
@@ -679,8 +685,9 @@ impl EngineShard {
         }
         meters.join_rows_walked += rows.walked.get();
         // Release only now (on an error too).
-        for log in self.logs.values_mut() {
-            log.release();
+        for (src, step) in &stepped {
+            let log = self.logs.get_mut(src).expect("stepped above");
+            log.release(Some(step));
         }
         served
     }
@@ -742,11 +749,8 @@ impl EngineShard {
                 let (_, first, rows) = at.backfill.swap_remove(i);
                 self.meters.backfilled_rows += log.backfill(first, &rows);
             }
-            let moved = at.cursors.iter().position(|(_, p)| p.scan == *scan);
-            let at = moved.map_or_else(
-                || Position::fresh(*scan, *spec),
-                |i| at.cursors.swap_remove(i).1,
-            );
+            let moved = at.cursors.iter().find(|(_, p)| p.scan == *scan);
+            let at = moved.map_or_else(|| Position::fresh(*scan, *spec), |c| c.1);
             let slot = log.attach(qid, at, filter.as_ref(), index.as_ref());
             pipeline.set_member(*scan, slot);
         }

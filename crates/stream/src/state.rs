@@ -502,20 +502,16 @@ impl KeyIndex {
         found.map(|f| self.unlink(f)).is_some()
     }
 
-    /// Drop `row` from bucket `h` if it is the bucket's oldest, in O(1);
-    /// whether it was.
-    pub(crate) fn pop_front(&mut self, h: u64, row: u64) -> bool {
-        let found = self.find(h, |_| true).filter(|f| f.row == row);
-        found.map(|f| self.unlink(f)).is_some()
-    }
-
-    /// Every row held, with its bucket's hash, bucket by bucket.
-    pub(crate) fn pairs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let bucket = move |e: &Entry| {
-            let (hash, head) = (e.hash, e.head);
-            self.chain(head).map(move |l| (hash, self.row_at(l)))
-        };
-        self.entries.iter().flat_map(bucket)
+    /// Drop every row below `to` off the front of bucket `h`, each in
+    /// O(1), rows an earlier drop left behind included; the newest one
+    /// dropped.
+    pub(crate) fn pop_below(&mut self, h: u64, to: u64) -> Option<u64> {
+        let mut dropped = None;
+        while let Some(f) = self.find(h, |_| true).filter(|f| f.row < to) {
+            dropped = Some(f.row);
+            self.unlink(f);
+        }
+        dropped
     }
 
     /// Drop the row `find` found (nothing else changed since).

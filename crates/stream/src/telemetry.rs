@@ -69,8 +69,10 @@ pub struct ShardMeters {
     pub filter_probes: u64,
     /// Rows migrated-in cursors needed below a log's floor, back-filled.
     pub backfilled_rows: u64,
-    /// Ids join probes visited in the logs' key indexes, inside and
-    /// outside the probing side's interval. Exact per seed.
+    /// Ids join sides visited in the logs' key indexes: probes, inside
+    /// and outside the probing side's interval, and retractions checking
+    /// their row is the oldest of its bucket the side holds. Exact per
+    /// seed.
     pub join_rows_walked: u64,
     /// Distribution of admission→execution queue wait per task, recorded
     /// by the executor as it takes the shard lock (empty with tracing

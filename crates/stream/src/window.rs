@@ -52,19 +52,24 @@
 //! for, and every such side is a *member* of it — a `WindowOp` keeps the
 //! one its single cursor's side asks for. A step takes in the arrivals
 //! from the members' lowest head on (what no member can hold is never
-//! indexed), and the release drops the rows below that head, read back
-//! off the log once per index. By the prefix rule a member's live rows
-//! are exactly the index's rows in `[its head, its delivered tail)`, so
-//! the side keeps only that interval, and a probe walks the key's bucket
-//! oldest first, skips ids below the head and stops at the tail. Between
-//! a step and its release the index still holds the rows the step
-//! retracted: in a self-join the left side, delivered first, probes the
-//! right's interval before the step, and the right probes the left's
-//! after it. Membership attaches and detaches with the cursor; a member
-//! leaves with its rows' `(hash, row)` in its `Position`, and the index
-//! it rejoins takes in those below its own rows, laid out afresh once.
-//! The last member out frees the index. An index is charged once, to
-//! the log, however many members it serves.
+//! indexed), and the release drops the rows below that head, keyed off
+//! the step's retractions by the member that stood lowest (a detach, and
+//! a `WindowOp`, read them back off the log); a drop clears every row of
+//! the bucket below that head, so none a failed read left behind stays.
+//! By the prefix rule a member's live rows are exactly the index's rows
+//! in `[its head, its delivered tail)`, so the side keeps only that
+//! interval, and a probe walks the key's bucket oldest first, skips ids
+//! below the head and stops at the tail. Between a step and its release
+//! the index still holds the rows the step retracted: in a self-join the
+//! left side, delivered first, probes the right's interval before the
+//! step, and the right probes the left's after it. The index's *floor*
+//! is one past the newest row it dropped: a side that still counts live
+//! rows from below it missed a retraction, and its probe fails rather
+//! than miss the match. Membership attaches and detaches with the
+//! cursor; a member rejoining below the index's rows (a migrated one,
+//! whose rows the back-fill brought) has the index laid out afresh over
+//! the log's rows from its head. The last member out frees the index. An
+//! index is charged once, to the log, however many members it serves.
 //!
 //! The log is a [`ColumnarDeque`] (per-column storage, measured bytes,
 //! optional spill of cold segments). Expiry checks only touch the
@@ -123,6 +128,11 @@ impl WindowOp {
         }
     }
 
+    /// The floor of the window's key index (0 without one).
+    pub(crate) fn index_floor(&self) -> u64 {
+        self.index.as_ref().map_or(0, |ix| ix.floor)
+    }
+
     pub fn spec(&self) -> WindowSpec {
         self.at.spec
     }
@@ -171,11 +181,12 @@ impl WindowOp {
         self.release();
     }
 
-    /// Drop the rows below the head, from the index first: the one side
-    /// the index serves reads its own retractions off the deltas.
+    /// Drop the rows below the head, from the index first (their keys
+    /// read off the buffer, which still holds them): the one side the
+    /// index serves reads its own retractions off the deltas.
     fn release(&mut self) {
         if let Some(ix) = &mut self.index {
-            ix.prune(&self.rows, self.at.head);
+            ix.prune(&self.rows, None, self.at.head);
         }
         self.rows.release_below(self.at.head);
     }
@@ -223,27 +234,19 @@ struct Cursor {
 
 /// Where a detached cursor stood: scan `scan` at frame `at`, which names
 /// the same rows on every log of its source — or, a window that held no
-/// row (not `live`), at the tail of whatever log it rejoins. A member of a
-/// key index carries the `(hash, row)` of the rows it held there, in
-/// arrival order, for the index it rejoins.
-#[derive(Debug, Clone, PartialEq)]
+/// row (not `live`), at the tail of whatever log it rejoins.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Position {
     pub(crate) scan: usize,
     at: Frame,
     live: bool,
-    ids: Vec<(u64, u64)>,
 }
 
 impl Position {
     /// A new window of scan `scan`, at the tail: streams are never replayed.
     pub(crate) fn fresh(scan: usize, spec: WindowSpec) -> Self {
         let (at, live) = (Frame::new(spec), false);
-        Position {
-            scan,
-            at,
-            live,
-            ids: Vec::new(),
-        }
+        Position { scan, at, live }
     }
 }
 
@@ -282,12 +285,21 @@ struct LogIndex {
     /// and none below it — except arrivals no member could hold, which
     /// are never taken in.
     lo: u64,
+    /// One past the newest row dropped (0 when none is, or may be, out
+    /// of the index again): no member in step with its window counts a
+    /// live row below it.
+    floor: u64,
 }
 
 impl LogIndex {
     fn new(key: IndexKey, lo: u64) -> Self {
         let rows = KeyIndex::default();
-        LogIndex { key, rows, lo }
+        LogIndex {
+            key,
+            rows,
+            lo,
+            floor: 0,
+        }
     }
 
     /// Index the arrivals `tuples`, numbered from `first`, that a member
@@ -301,18 +313,32 @@ impl LogIndex {
         }
     }
 
-    /// Unindex the rows below `to` — each its bucket's oldest — read back
-    /// off `log`, which still holds them.
-    fn prune(&mut self, log: &ColumnarDeque, to: u64) {
+    /// Unindex the rows below `to`. `retracted` is a step's batch and the
+    /// head `from` its member stood at: the batch retracts every row from
+    /// there up to `to` and carries their keys. The rows below `from` (all
+    /// of them, without a batch) are read back off `log`, which still
+    /// holds them.
+    fn prune(&mut self, log: &ColumnarDeque, retracted: Option<(&DeltaBatch, u64)>, to: u64) {
         if self.rows.len() > 0 && self.lo < to {
-            let (key, rows) = (&self.key, &mut self.rows);
-            log.for_each_in(self.lo, to, |row, t| {
-                if let Some(h) = key.bucket(&t) {
-                    rows.pop_front(h, row);
+            let read_to = retracted.map_or(to, |(_, from)| from.clamp(self.lo, to));
+            log.for_each_in(self.lo, read_to, |_, t| self.unindex(&t, to));
+            if let Some((batch, _)) = retracted {
+                let ids = batch.row_ids().unwrap_or_default();
+                for (d, &row) in batch.iter().zip(ids) {
+                    if d.sign < 0 && (read_to..to).contains(&row) {
+                        self.unindex(&d.tuple, to);
+                    }
                 }
-            });
+            }
         }
         self.lo = self.lo.max(to);
+    }
+
+    /// Drop the rows below `to` off the front of `t`'s bucket.
+    fn unindex(&mut self, t: &Tuple, to: u64) {
+        if let Some(row) = self.key.bucket(t).and_then(|h| self.rows.pop_below(h, to)) {
+            self.floor = self.floor.max(row + 1);
+        }
     }
 
     /// Visit the rows of bucket `hash`, oldest first, until `visit`
@@ -325,40 +351,42 @@ impl LogIndex {
         }
     }
 
-    /// What a member leaving at `head` carries: the rows from there on.
-    fn carried(&self, head: u64) -> Vec<(u64, u64)> {
-        let from = |&(_, row): &(u64, u64)| row >= head;
-        let mut ids: Vec<(u64, u64)> = self.rows.pairs().filter(from).collect();
-        ids.sort_unstable_by_key(|&(_, row)| row);
-        ids
-    }
-
-    /// Take in what a member rejoining at `head` carried below the rows
-    /// held: the index is laid out afresh once, in arrival order.
-    fn merge(&mut self, head: u64, ids: &[(u64, u64)]) {
-        let below = ids.iter().filter(|&&(_, row)| row < self.lo);
-        let mut all: Vec<(u64, u64)> = below.copied().collect();
-        if all.is_empty() {
-            return;
+    /// Lay the index out afresh over `log`'s rows from `head`, below the
+    /// rows held, on — for a member rejoining there. Dropped rows from
+    /// `head` on are back, and which below it were dropped is not known:
+    /// a floor above `head` falls to 0. (A side's head may sit below its
+    /// cursor's — past rows it never saw, which no index takes in — so the
+    /// cursor's head is no floor.)
+    fn rebuild(&mut self, log: &ColumnarDeque, head: u64) {
+        let (key, mut rows) = (&self.key, KeyIndex::default());
+        log.for_each_in(head, log.next_row(), |row, t| {
+            if let Some(h) = key.bucket(&t) {
+                rows.insert(h, row);
+            }
+        });
+        self.rows = rows;
+        self.lo = head;
+        if self.floor > head {
+            self.floor = 0;
         }
-        all.extend(self.rows.pairs());
-        all.sort_unstable_by_key(|&(_, row)| row);
-        self.rows = KeyIndex::default();
-        for (h, row) in all {
-            self.rows.insert(h, row);
-        }
-        self.lo = self.lo.min(head);
     }
 }
 
-/// One log step's output: a batch per cursor class, and per cursor what
-/// the log's filter index made of its class's batch.
+/// One log step's output: a batch per cursor class, per cursor what the
+/// log's filter index made of its class's batch, and per key index whose
+/// batch keys its release.
 #[derive(Debug)]
 pub(crate) struct Stepped {
     batches: Vec<DeltaBatch>,
     /// By cursor position; empty when the log groups no filter.
     filtered: Vec<Option<Filtered>>,
+    lowest: Lowest,
 }
+
+/// By key index slot: the class of the member that stood lowest before a
+/// step (before it, its position among the cursors), and its head then —
+/// its batch retracts every row the index drops from there.
+type Lowest = Vec<Option<(usize, u64)>>;
 
 /// What a log step feeds one cursor's scan.
 #[derive(Debug, Clone, Copy)]
@@ -574,12 +602,7 @@ impl SourceLog {
         filter: Option<&FilterKey>,
         index: Option<&IndexKey>,
     ) -> Option<u32> {
-        let Position {
-            scan,
-            mut at,
-            live,
-            ids,
-        } = at;
+        let Position { scan, mut at, live } = at;
         if at.pins() && !live {
             at.head = self.rows.next_row();
         }
@@ -588,7 +611,7 @@ impl SourceLog {
         if let Some(key) = filter {
             self.filters.insert(key, self.cursors.len() as u32);
         }
-        let slot = index.map(|key| self.join(key, at.head, &ids));
+        let slot = index.map(|key| self.join(key, at));
         self.cursors.push(Cursor {
             query,
             scan,
@@ -600,8 +623,8 @@ impl SourceLog {
     }
 
     /// Make a member of `key`'s index (a new one, if no side asks for it
-    /// yet) that rejoins at `head` carrying `ids`; returns its slot.
-    fn join(&mut self, key: &IndexKey, head: u64, ids: &[(u64, u64)]) -> u32 {
+    /// yet) that joins at `at`, whose rows the log holds; returns its slot.
+    fn join(&mut self, key: &IndexKey, at: Frame) -> u32 {
         let same = |ix: &Option<LogIndex>| ix.as_ref().is_some_and(|ix| ix.key == *key);
         let slot = match self.indexes.iter().position(same) {
             Some(slot) => slot,
@@ -620,7 +643,9 @@ impl SourceLog {
             }
         };
         let ix = self.indexes[slot].as_mut().expect("filled above");
-        ix.merge(head, ids);
+        if at.pins() && at.head < ix.lo {
+            ix.rebuild(&self.rows, at.head);
+        }
         slot as u32
     }
 
@@ -631,18 +656,10 @@ impl SourceLog {
     pub(crate) fn detach(&mut self, query: QueryId) -> Vec<Position> {
         let tail = self.rows.next_row();
         let gone = self.cursors.iter().filter(|c| c.query == query);
-        let position = |c: &Cursor| {
-            let live = c.at.pins() && c.at.head < tail;
-            let ix = c
-                .index
-                .and_then(|slot| self.indexes[slot as usize].as_ref());
-            let ids = ix.filter(|_| live).map(|ix| ix.carried(c.at.head));
-            Position {
-                scan: c.scan,
-                at: c.at,
-                live,
-                ids: ids.unwrap_or_default(),
-            }
+        let position = |c: &Cursor| Position {
+            scan: c.scan,
+            at: c.at,
+            live: c.at.pins() && c.at.head < tail,
         };
         let gone = gone.map(position).collect();
         let mut kept = 0;
@@ -663,7 +680,7 @@ impl SourceLog {
                 self.indexes[slot] = None;
             }
         }
-        self.release();
+        self.release(None);
         gone
     }
 
@@ -739,14 +756,47 @@ impl SourceLog {
         batches
     }
 
+    /// Per key index slot, the member standing lowest: its position and
+    /// head.
+    fn lowest_members(&self) -> Lowest {
+        let slots = 0..self.indexes.len() as u32;
+        let lowest = |slot| {
+            let members = self.cursors.iter().enumerate();
+            let members = members.filter(|(_, c)| c.index == Some(slot));
+            members
+                .map(|(i, c)| (i, c.at.head))
+                .min_by_key(|&(_, head)| head)
+        };
+        slots.map(lowest).collect()
+    }
+
+    /// Step every cursor with `step` (see [`SourceLog::step_classes`]);
+    /// the batches, and per key index the class of the member that stood
+    /// lowest with its head before the step.
+    fn step_all(
+        &mut self,
+        mut step: impl FnMut(&ColumnarDeque, &mut Frame, &mut DeltaBatch),
+    ) -> (Vec<DeltaBatch>, Lowest) {
+        let lowest = self.lowest_members();
+        let rows = &self.rows;
+        let batches = Self::step_classes(&mut self.cursors, |at, out| step(rows, at, out));
+        let class = |(i, head): (usize, u64)| (self.cursors[i].class, head);
+        let lowest = lowest.into_iter().map(|m| m.map(class)).collect();
+        (batches, lowest)
+    }
+
     /// Probe the step's class `batches` through the filter index.
-    fn probe(&self, batches: Vec<DeltaBatch>, meters: &mut ShardMeters) -> Stepped {
+    fn probe(&self, batches: Vec<DeltaBatch>, lowest: Lowest, meters: &mut ShardMeters) -> Stepped {
         let class_of = |m: u32| self.cursors[m as usize].class;
         let probes = &mut meters.filter_probes;
         let filtered = self
             .filters
             .run(self.cursors.len(), class_of, &batches, probes);
-        Stepped { batches, filtered }
+        Stepped {
+            batches,
+            filtered,
+            lowest,
+        }
     }
 
     /// **Step** over one batch of source `src`, numbered from `first`:
@@ -785,10 +835,8 @@ impl SourceLog {
                 self.rows.push_back(t);
             }
         }
-        let rows = &self.rows;
-        let batches = Self::step_classes(&mut self.cursors, |at, out| {
-            at.insert_batch(rows, first, tuples, out)
-        });
+        let (batches, lowest) =
+            self.step_all(|rows, at, out| at.insert_batch(rows, first, tuples, out));
         // Every member has stepped: the arrivals below their lowest head
         // were appended and evicted at once.
         for slot in 0..self.indexes.len() {
@@ -799,20 +847,19 @@ impl SourceLog {
         }
         meters.window_batches += batches.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
-        Ok(self.probe(batches, meters))
+        Ok(self.probe(batches, lowest, meters))
     }
 
     /// **Step** the clock of every cursor. Returns one batch of
     /// retractions per class, empty where nothing expired (only the
     /// others count into `meters`), probed through the filter index.
     pub(crate) fn advance(&mut self, now: SimTime, meters: &mut ShardMeters) -> Stepped {
-        let rows = &self.rows;
-        let batches = Self::step_classes(&mut self.cursors, |at, out| at.advance(rows, now, out));
+        let (batches, lowest) = self.step_all(|rows, at, out| at.advance(rows, now, out));
         let fired = |batch: &&DeltaBatch| !batch.is_empty();
         meters.window_batches += batches.iter().filter(fired).count() as u64;
         let fed = self.cursors.iter().map(|c| &batches[c.class]);
         meters.window_deliveries += fed.filter(fired).count() as u64;
-        self.probe(batches, meters)
+        self.probe(batches, lowest, meters)
     }
 
     /// **Deliver**: whose batch is whose. Each query with cursors here,
@@ -854,6 +901,13 @@ impl SourceLog {
         }
     }
 
+    /// The floor of the key index in `slot`: one past the newest row it
+    /// dropped.
+    pub(crate) fn index_floor(&self, slot: u32) -> u64 {
+        let ix = self.indexes.get(slot as usize).and_then(Option::as_ref);
+        ix.map_or(0, |ix| ix.floor)
+    }
+
     /// The cursors whose scans feed members of the key index in `slot`.
     fn member_cursors(&self, slot: u32) -> impl Iterator<Item = &Cursor> + '_ {
         self.cursors.iter().filter(move |c| c.index == Some(slot))
@@ -876,13 +930,16 @@ impl SourceLog {
     }
 
     /// **Release** the rows below the minimum pinning head — once every
-    /// pipeline fed by the step has run — and from each key index those
-    /// below its members' lowest head.
-    pub(crate) fn release(&mut self) {
+    /// pipeline fed by the `step` has run — and from each key index those
+    /// below its members' lowest head, keyed off the step's batches (what
+    /// they do not retract, and everything after a detach, off the log).
+    pub(crate) fn release(&mut self, step: Option<&Stepped>) {
         for slot in 0..self.indexes.len() {
             let to = self.lowest_head(slot as u32);
+            let lowest = step.and_then(|s| Some((s, s.lowest.get(slot).copied()??)));
+            let retracted = lowest.map(|(s, (class, from))| (&s.batches[class], from));
             if let Some(ix) = &mut self.indexes[slot] {
-                ix.prune(&self.rows, to);
+                ix.prune(&self.rows, retracted, to);
             }
         }
         let keep = self
@@ -937,6 +994,7 @@ mod tests {
     use super::*;
     use crate::delta::Delta;
     use aspen_types::{SimDuration, Value};
+    use columnar::SpillConfig;
 
     fn t(v: i64, secs: u64) -> Tuple {
         Tuple::new(vec![Value::Int(v)], SimTime::from_secs(secs))
@@ -967,7 +1025,7 @@ mod tests {
                 (q, scan, net(batch))
             }));
         }
-        log.release();
+        log.release(Some(&step));
         got
     }
 
@@ -1186,7 +1244,7 @@ mod tests {
             .fed(&stepped)
             .map(|(q, mut fed)| (q, fed.next().unwrap().1.window.clone()))
             .collect();
-        b.release();
+        b.release(Some(&stepped));
         let moved = &fed.iter().find(|f| f.0 == QueryId(1)).unwrap().1;
         assert_eq!(moved.row_ids(), Some(&[7, 4][..]));
         assert_eq!(moved.as_slice()[1], Delta::retract(t(4, 4)));
@@ -1562,7 +1620,7 @@ mod tests {
                 fed.for_each(drop);
             }
         }
-        log.release();
+        log.release(Some(&batches));
         assert_eq!(
             served,
             vec![QueryId(0), QueryId(1), QueryId(2)],
@@ -1710,11 +1768,24 @@ mod tests {
         }
     }
 
-    /// What `log`'s key index in `slot` holds from row `head` on:
-    /// `(hash, row)` in arrival order.
+    /// What `log`'s key index in `slot` holds from row `head` on in the
+    /// buckets of the rows the log holds: `(hash, row)` in arrival order.
     fn held(log: &SourceLog, slot: u32, head: u64) -> Vec<(u64, u64)> {
-        let ix = log.indexes[slot as usize].as_ref();
-        ix.map_or_else(Vec::new, |ix| ix.carried(head))
+        let Some(ix) = log.indexes[slot as usize].as_ref() else {
+            return Vec::new();
+        };
+        let numbered = log.numbered();
+        let mut hashes: Vec<u64> = numbered
+            .iter()
+            .filter_map(|(_, t)| ix.key.bucket(t))
+            .collect();
+        hashes.sort_unstable();
+        hashes.dedup();
+        let rows = |h| ix.rows.rows(h).map(move |row| (h, row));
+        let mut held: Vec<(u64, u64)> = hashes.into_iter().flat_map(rows).collect();
+        held.retain(|&(_, row)| row >= head);
+        held.sort_unstable_by_key(|&(_, row)| row);
+        held
     }
 
     /// What an index by `key` over the `numbered` rows holds from `head`.
@@ -1741,6 +1812,8 @@ mod tests {
             let lowest = log.lowest_head(slot);
             let all = bucketed(key, log.numbered(), lowest);
             assert_eq!(held(log, slot, 0), all, "index {slot}, {ctx}");
+            let ix = log.indexes[slot as usize].as_ref().unwrap();
+            assert_eq!(ix.rows.len(), all.len(), "nothing else, {ctx}");
         }
     }
 
@@ -1810,6 +1883,10 @@ mod tests {
         fn walk(&self, _: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
             self.0.walk(self.1, hash, visit)
         }
+
+        fn index_floor(&self, _: usize) -> u64 {
+            self.0.index_floor(self.1)
+        }
     }
 
     /// A self-join on one log, both sides members of one index: each
@@ -1867,7 +1944,7 @@ mod tests {
                         out.extend(join.process_rows(scan, fed.window, &rows).unwrap());
                     }
                 }
-                log.release();
+                log.release(Some(&stepped));
                 let (l, r) = (twins[0].buffered(), twins[1].buffered());
                 let meet = |a: &Tuple, b: &Tuple| a.get(0) == b.get(0);
                 let pairs = l.iter().flat_map(|a| {
@@ -1922,11 +1999,12 @@ mod tests {
         assert_eq!(three.join_indexes().next(), Some((1, 0)));
     }
 
-    /// A member leaves with its rows' ids and rejoins a log of its source
-    /// on another shard: one whose index by its key starts above the
-    /// member's head (it merges the ids below), then one that keeps no
-    /// such index (it starts one from them). Either way it reads its
-    /// private twin's rows, and so do the members already there.
+    /// A member leaves and rejoins a log of its source on another shard:
+    /// one whose index by its key starts above the member's head (it is
+    /// laid out afresh from there, over the rows the back-fill brought),
+    /// then one that keeps no such index (it starts one there). Either
+    /// way it reads its private twin's rows, and so do the members
+    /// already there.
     #[test]
     fn a_moved_member_brings_its_rows_to_the_index() {
         let (opts, pool) = (StateOptions::columnar(), SegmentPool::default());
@@ -1987,5 +2065,157 @@ mod tests {
         admit(&mut logs, &mut twins, 12);
         check_members(&logs[2], &view(&k, &twins)[..1], "c, stepped");
         check_members(&logs[1], &view(&k, &twins)[1..], "b, without the mover");
+    }
+
+    /// Step `log` over `tuples` and deliver only `scans`' batches to the
+    /// join over scans 0 and 1, both members of the index in slot 0; the
+    /// deltas it emitted.
+    fn join_step(
+        log: &mut SourceLog,
+        join: &mut crate::operators::JoinOp,
+        tuples: &[Tuple],
+        scans: &[usize],
+    ) -> Result<DeltaBatch> {
+        use crate::operators::DeltaOp;
+        let stepped = step(log, tuples, &mut ShardMeters::default());
+        let mut ran = Ok(DeltaBatch::new());
+        let rows = Members(log, 0);
+        for (_, fed) in log.fed(&stepped) {
+            for (scan, fed) in fed.filter(|(scan, _)| scans.contains(scan)) {
+                let out = join.process_rows(scan, fed.window, &rows);
+                ran = ran.and_then(|mut all| {
+                    all.extend(out?);
+                    Ok(all)
+                });
+            }
+        }
+        log.release(Some(&stepped));
+        ran
+    }
+
+    /// A side that misses a step of its window still counts the rows the
+    /// step evicted, which the shared index drops at the release (no
+    /// member holds them any more): the next probe of that side fails
+    /// instead of missing the match.
+    #[test]
+    fn a_member_that_missed_a_step_fails_the_next_probe() {
+        let mut log = new_log(&StateOptions::columnar());
+        let k = key(false);
+        for scan in 0..2 {
+            let at = Position::fresh(scan, WindowSpec::Rows(2));
+            log.attach(QueryId(0), at, None, Some(&k));
+        }
+        let opts = StateOptions::default();
+        let both = [Some(0), Some(1)];
+        let mut join = crate::operators::JoinOp::over_scans(vec![(0, 0)], None, &opts, both);
+        join_step(&mut log, &mut join, &[t(1, 0), t(2, 0)], &[0, 1]).unwrap();
+        // The left window evicts row 0 (key 1); its side never hears.
+        join_step(&mut log, &mut join, &[t(3, 1)], &[1]).unwrap();
+        assert_eq!(log.index_floor(0), 1);
+        let err = join_step(&mut log, &mut join, &[t(1, 2)], &[1]).unwrap_err();
+        assert_eq!(err.kind(), "execution", "{err}");
+    }
+
+    /// A side's head may sit below its cursor's, past rows with a `NULL`
+    /// key that it never saw and no index holds. Moved to a log whose index
+    /// is laid out afresh from the cursor's head, it probes and is probed
+    /// as before, and the join goes on matching its private twins.
+    #[test]
+    fn a_moved_side_behind_its_cursor_still_probes() {
+        let opts = StateOptions::columnar();
+        let (mut a, mut b) = (new_log(&opts), new_log(&opts));
+        let k = key(false);
+        let specs = [WindowSpec::Rows(2), WindowSpec::Rows(3)];
+        for (scan, spec) in specs.into_iter().enumerate() {
+            a.attach(QueryId(0), Position::fresh(scan, spec), None, Some(&k));
+        }
+        let both = [Some(0), Some(1)];
+        let join_opts = StateOptions::default();
+        let mut join = crate::operators::JoinOp::over_scans(vec![(0, 0)], None, &join_opts, both);
+        let mut twins = specs.map(WindowOp::new);
+        let key_of =
+            |v: Option<i64>| Tuple::new(vec![v.map_or(Value::Null, Value::Int)], SimTime::ZERO);
+        let mut out = DeltaBatch::new();
+        let mut run = |log: &mut SourceLog, twins: &mut [WindowOp; 2], keys: &[Option<i64>]| {
+            let batch: Vec<Tuple> = keys.iter().map(|&v| key_of(v)).collect();
+            out.extend(join_step(log, &mut join, &batch, &[0, 1]).unwrap());
+            for w in twins.iter_mut() {
+                w.insert_batch(&batch, &mut DeltaBatch::new());
+            }
+            let (l, r) = (twins[0].buffered(), twins[1].buffered());
+            let meet = |x: &Tuple, y: &Tuple| x.get(0).sql_eq(y.get(0)) == Some(true);
+            let pairs = l.iter().flat_map(|x| {
+                let r = r.iter().filter(move |y| meet(x, y));
+                r.map(move |y| x.join(y))
+            });
+            assert_eq!(net(&out), net(&DeltaBatch::inserts(pairs)));
+        };
+        for keys in [
+            &[Some(1), Some(2), None][..],
+            &[Some(3)],
+            &[Some(4)],
+            &[Some(5)],
+        ] {
+            run(&mut a, &mut twins, keys);
+        }
+        // The right side last retracted row 1, its cursor evicted row 2;
+        // the left side, delivered first, probes it before it retracts.
+        let heads: Vec<u64> = a.cursors.iter().map(|c| c.at.head).collect();
+        assert_eq!(heads, vec![4, 3]);
+        move_members(&mut a, Some(&mut b), QueryId(0), Some(&k));
+        for keys in [&[Some(3)][..], &[Some(4), Some(6)], &[None, Some(5)]] {
+            run(&mut b, &mut twins, keys);
+        }
+    }
+
+    /// Spill files that cannot be read hide the keys a detach drops rows
+    /// by, off the log: the rows it leaves behind go with the next drop in
+    /// their buckets, and the shared index ends holding exactly its
+    /// members' rows.
+    #[test]
+    fn rows_a_failed_spill_read_leaves_in_the_index_go_later() {
+        let dir = std::env::temp_dir().join(format!("aspen-log-index-{}", std::process::id()));
+        let opts = StateOptions {
+            spill: Some(SpillConfig::new(0, &dir)),
+        };
+        let mut log = new_log(&opts);
+        let k = key(false);
+        let (long, short, plain) = (QueryId(0), QueryId(1), QueryId(2));
+        let rows = |n| WindowSpec::Rows(n);
+        log.attach(long, Position::fresh(0, rows(40)), None, Some(&k));
+        log.attach(short, Position::fresh(0, rows(8)), None, Some(&k));
+        log.attach(plain, Position::fresh(0, rows(40)), None, None);
+        let mut twin = WindowOp::new(rows(8));
+        let mut next = 0i64;
+        let mut admit = |log: &mut SourceLog, twin: &mut WindowOp, n: i64| {
+            let batch: Vec<Tuple> = (next..next + n).map(|i| t(i % 5, i as u64)).collect();
+            next += n;
+            feed(log, &batch, &mut ShardMeters::default());
+            twin.insert_batch(&batch, &mut DeltaBatch::new());
+        };
+        // Rows 32..64, the long windows' oldest, seal into a spilled
+        // segment; the short window's rows sit in the resident next one.
+        admit(&mut log, &mut twin, 72);
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "a sealed segment spills");
+        for f in files {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+        // The long member leaves: the keys of rows 32..64 do not read, so
+        // they stay indexed until the plain cursor's leaving drops the
+        // segments and the short member's retractions drop their keys.
+        log.detach(long);
+        assert!(log.footprint().read_failures > 0);
+        let stuck = log.indexes[0].as_ref().unwrap().rows.len();
+        assert!(
+            stuck > 8,
+            "{stuck} rows held for the 8 the short window holds"
+        );
+        log.detach(plain);
+        for _ in 0..4 {
+            admit(&mut log, &mut twin, 3);
+        }
+        check_members(&log, &[(short, k.clone(), &twin)], "after failed reads");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -527,6 +527,9 @@ pub struct Sample {
     /// Join sides sharing a log's key index with another side: the
     /// shards' index members beyond one an index.
     pub shared_sides: usize,
+    /// The shards' key indexes' bytes, summed: each shard's own, and part
+    /// of `shard_log_bytes` and of `resident.log_bytes`.
+    pub join_index_bytes: usize,
     /// Rows the logs took in by back-fill so far.
     pub backfilled: u64,
     pub view_rows: Vec<usize>,

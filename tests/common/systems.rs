@@ -349,6 +349,8 @@ impl System for EngineSystem {
         sample.filter_probes = report.shards.iter().map(|s| s.filter_probes).sum();
         let shared = |s: &aspen_stream::ShardLoad| s.join_index_members - s.join_indexes;
         sample.shared_sides = report.shards.iter().map(shared).sum();
+        let index_bytes = |s: &aspen_stream::ShardLoad| s.join_index_bytes as usize;
+        sample.join_index_bytes = report.shards.iter().map(index_bytes).sum();
         sample.backfilled = report.shards.iter().map(|s| s.backfilled_rows).sum();
         sample.latency_samples = report.ingest_latency().count();
         match &self.engine {

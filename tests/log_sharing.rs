@@ -11,7 +11,8 @@
 //!   tuple's arrival number at its source (the kit's row-id check);
 //! * (c) after a drain, the engine's log bytes exceed the 1-shard
 //!   engine's by at most one active segment and one liveness word per
-//!   segment per shard;
+//!   segment per shard — the rows' bytes: a shard's key indexes serve
+//!   its own join sides, so each shard keeps its own;
 //! * (d) engine `state_bytes` is identical over five same-seed runs and
 //!   across the three modes.
 
@@ -178,12 +179,13 @@ fn one_stream_is_one_copy_at_any_shard_count() {
                     // and one more liveness word per segment.
                     let segments = a.resident.window_tuples / 32 + 2 * SOURCES.len();
                     let slack = shards * (active + 8 * segments);
-                    let (many, single) = (b.resident.log_bytes, a.resident.log_bytes);
+                    let rows = |s: &common::Sample| s.resident.log_bytes - s.join_index_bytes;
+                    let (many, single) = (rows(b), rows(a));
                     assert!(
                         many <= single + slack,
                         "logs hold {many} bytes, one shard's {single} + {slack} ({at})"
                     );
-                    let saved = b.shard_log_bytes - many;
+                    let saved = b.shard_log_bytes - b.join_index_bytes - many;
                     margin = margin.max(saved as i64 - slack as i64);
                 }
             }
