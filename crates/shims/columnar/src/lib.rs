@@ -11,7 +11,7 @@
 //!   promotes itself to a row-of-cells `Mixed` fallback the moment a
 //!   non-conforming cell arrives, so the store never rejects data. Only
 //!   the one *active* segment of a store holds the append form (plain
-//!   8-byte words; text as a string dictionary with its lookup map).
+//!   8-byte words; text as 4-byte codes of a [`Dict`]).
 //!   Sealing re-encodes each column at the width its values need and
 //!   keeps, per segment and per column, whichever encoding measures the
 //!   fewest bytes — nothing but the data selects it:
@@ -23,10 +23,20 @@
 //!     as above) when every value decodes back bit for bit from its
 //!     integer, else plain 8-byte bits — `-0.0`, NaN, ±inf, off-grid
 //!     values and magnitudes from 2^53 keep a segment plain;
-//!   * text: one byte blob plus narrow offset vectors, either as a local
-//!     dictionary (distinct strings, codes as wide as the dictionary
-//!     needs) or as plain per-row strings when nearly all are distinct.
-//!     The append map and the `String`s are dropped, not emptied.
+//!   * text: codes sealed like an integer column, plus an `Arc` to the
+//!     immutable dictionary generation ([`Gen`]) they resolve against —
+//!     or plain per-row strings (one blob, narrow offsets) when those
+//!     measure fewer bytes.
+//! * [`Dict`] — the text dictionary. A store owns one and interns its
+//!   own text ([`TupleStore::push_cells`]), or stores that number the
+//!   same rows share one that a single writer interns in row order, and
+//!   are handed the codes ([`TupleStore::push_coded`]): a stream source's,
+//!   coded once at admission for every log of it. Interning a string the
+//!   dictionary holds allocates nothing. A string lives as long as a
+//!   generation holding it, so as long as a segment — resident or spilled
+//!   — holds codes of it; an *epoch* of codes whose strings stopped
+//!   recurring ends at a segment boundary, and its strings go with the
+//!   last segment coded in it (see [`Dict`]).
 //! * [`TupleStore`] — an append-only row store laid out column-wise in
 //!   fixed-capacity *segments*. Every row gets a monotonically increasing
 //!   row id (never reused, stable across compaction), a timestamp, a
@@ -53,10 +63,11 @@
 //! (the byte length of every vector held), which is what the engine
 //! surfaces through its telemetry. A pooled part is charged once, to
 //! [`SegmentPool::bytes`], until its last holder drops it.
-//! [`TupleStore::census`] splits the sealed bytes by encoding.
+//! [`TupleStore::census`] splits the sealed bytes by encoding, and
+//! reports the store's own dictionary as `dictionary`.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::io::Write;
@@ -84,18 +95,7 @@ pub enum Cell {
 
 impl PartialEq for Cell {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Cell::Null, Cell::Null) => true,
-            (Cell::Bool(a), Cell::Bool(b)) => a == b,
-            (Cell::Int(a), Cell::Int(b)) => a == b,
-            // Bit equality: NaN == NaN, 0.0 != -0.0 — the same equivalence
-            // a total-order float comparison induces.
-            (Cell::Float(a), Cell::Float(b)) => a.to_bits() == b.to_bits(),
-            (Cell::Text(a), Cell::Text(b)) => a == b,
-            (Cell::Ts(a), Cell::Ts(b)) => a == b,
-            (Cell::Pair(a, x), Cell::Pair(b, y)) => a == b && x == y,
-            _ => false,
-        }
+        CellRef::from(self) == CellRef::from(other)
     }
 }
 
@@ -134,27 +134,88 @@ impl Hash for Cell {
     }
 }
 
+/// A cell as a store takes it in or compares it: text borrowed, so a
+/// string the store's dictionary already holds is pushed without a copy.
+#[derive(Debug, Clone, Copy)]
+pub enum CellRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Ts(u64),
+    Pair(u16, u8),
+}
+
+impl<'a> From<&'a Cell> for CellRef<'a> {
+    fn from(c: &'a Cell) -> Self {
+        match c {
+            Cell::Null => CellRef::Null,
+            Cell::Bool(b) => CellRef::Bool(*b),
+            Cell::Int(i) => CellRef::Int(*i),
+            Cell::Float(f) => CellRef::Float(*f),
+            Cell::Text(s) => CellRef::Text(s),
+            Cell::Ts(t) => CellRef::Ts(*t),
+            Cell::Pair(a, b) => CellRef::Pair(*a, *b),
+        }
+    }
+}
+
+impl PartialEq for CellRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (CellRef::Null, CellRef::Null) => true,
+            (CellRef::Bool(a), CellRef::Bool(b)) => a == b,
+            (CellRef::Int(a), CellRef::Int(b)) => a == b,
+            // Bit equality: NaN == NaN, 0.0 != -0.0 — the same equivalence
+            // a total-order float comparison induces.
+            (CellRef::Float(a), CellRef::Float(b)) => a.to_bits() == b.to_bits(),
+            (CellRef::Text(a), CellRef::Text(b)) => a == b,
+            (CellRef::Ts(a), CellRef::Ts(b)) => a == b,
+            (CellRef::Pair(a, x), CellRef::Pair(b, y)) => a == b && x == y,
+            _ => false,
+        }
+    }
+}
+
+impl CellRef<'_> {
+    fn to_cell(self) -> Cell {
+        match self {
+            CellRef::Null => Cell::Null,
+            CellRef::Bool(b) => Cell::Bool(b),
+            CellRef::Int(i) => Cell::Int(i),
+            CellRef::Float(f) => Cell::Float(f),
+            CellRef::Text(s) => Cell::Text(s.to_owned()),
+            CellRef::Ts(t) => Cell::Ts(t),
+            CellRef::Pair(a, b) => Cell::Pair(a, b),
+        }
+    }
+}
+
 /// Sealed bytes by encoding: a store's sealed segments' stamps and
-/// resident value columns, counted as they seal, spill and drop. A float
-/// column that fails the decimal check shows here as `float`, 8 B a row.
+/// resident value columns, counted as they seal, spill and drop, and its
+/// own text dictionary. A float column that fails the decimal check
+/// shows here as `float`, 8 B a row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Census([usize; 8]);
+pub struct Census([usize; 9]);
 
 impl Census {
     /// What each count is, in order.
-    const ENCODINGS: [&'static str; 8] = [
+    const ENCODINGS: [&'static str; 9] = [
         "plain",
         "rle",
         "for",
         "decimal",
         "float",
-        "dict_text",
+        "coded_text",
         "plain_text",
         "mixed",
+        "dictionary",
     ];
 
     /// `(encoding, bytes)` for plain, RLE and FOR words, decimal and
-    /// plain floats, dictionary and plain text, and mixed cells.
+    /// plain floats, coded and plain text, mixed cells, and the store's
+    /// dictionary (a store coded against a shared one shows 0 there).
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, usize)> {
         Census::ENCODINGS.into_iter().zip(self.0)
     }
@@ -381,6 +442,442 @@ fn rle_encode(v: &[u64]) -> (Vec<u64>, Vec<u32>) {
 }
 
 // ---------------------------------------------------------------------------
+// Text dictionaries
+
+/// Bytes charged to a gauge while the value holding this lives.
+#[derive(Debug)]
+struct Charge(Arc<AtomicUsize>, usize);
+
+impl Charge {
+    fn new(gauge: &Arc<AtomicUsize>, bytes: usize) -> Charge {
+        gauge.fetch_add(bytes, Ordering::Relaxed);
+        Charge(Arc::clone(gauge), bytes)
+    }
+}
+
+impl Drop for Charge {
+    fn drop(&mut self) {
+        self.0.fetch_sub(self.1, Ordering::Relaxed);
+    }
+}
+
+/// An `Arc`'s counts, ahead of the value in its allocation.
+const ARC_HEADER: usize = 16;
+
+/// The strings one publish added to an epoch: codes
+/// `first..first + ends.len()`, back to back in `blob`, string `i` ending
+/// at `ends[i]` (offsets as wide as the blob needs). Immutable; `prev` is
+/// the run published before it in its epoch, and `jump` one further back
+/// (Myers' skew-binary jump pointers), so finding a code's run takes
+/// O(log runs) steps.
+#[derive(Debug)]
+struct Run {
+    first: u32,
+    blob: Box<str>,
+    ends: Narrow,
+    /// Runs before it in its epoch.
+    depth: u32,
+    prev: Option<Arc<Run>>,
+    jump: Option<Arc<Run>>,
+    _charge: Charge,
+}
+
+impl Run {
+    fn new(
+        first: u32,
+        blob: String,
+        ends: &[u32],
+        prev: Option<Arc<Run>>,
+        gauge: &Arc<AtomicUsize>,
+    ) -> Arc<Run> {
+        let blob = blob.into_boxed_str();
+        let ends = Narrow::pack(blob.len() as u32, ends.iter().copied());
+        let heap = ARC_HEADER + std::mem::size_of::<Run>() + blob.len() + ends.heap_bytes();
+        let jump =
+            prev.as_ref().map(
+                |p| match (&p.jump, p.jump.as_ref().and_then(|j| j.jump.as_ref())) {
+                    (Some(j), Some(jj)) if p.depth - j.depth == j.depth - jj.depth => {
+                        Arc::clone(jj)
+                    }
+                    _ => Arc::clone(p),
+                },
+            );
+        Arc::new(Run {
+            first,
+            blob,
+            ends,
+            depth: prev.as_ref().map_or(0, |p| p.depth + 1),
+            prev,
+            jump,
+            _charge: Charge::new(gauge, heap),
+        })
+    }
+}
+
+impl Drop for Run {
+    /// Unlinks the runs only this one held one at a time, so a long
+    /// epoch does not drop recursively. (A jump's target is an older run
+    /// `prev` still reaches.)
+    fn drop(&mut self) {
+        self.jump = None;
+        let mut next = self.prev.take();
+        while let Some(run) = next.and_then(|r| Arc::try_unwrap(r).ok()) {
+            let mut run = run;
+            run.jump = None;
+            next = run.prev.take();
+        }
+    }
+}
+
+/// A published generation of a [`Dict`]: every string its epoch held
+/// then, immutable — its newest run, which reaches the rest. A segment
+/// holding codes holds the generation they resolve against, so the
+/// strings live as long as a row may read them, and generations of one
+/// epoch share every run they have in common.
+#[derive(Debug, Clone)]
+pub struct Gen(Arc<Run>);
+
+impl Gen {
+    fn get(&self, code: u32) -> &str {
+        let mut run = &*self.0;
+        while run.first > code {
+            run = match &run.jump {
+                Some(j) if j.first > code => j,
+                _ => run
+                    .prev
+                    .as_deref()
+                    .expect("a code of the generation's epoch"),
+            };
+        }
+        plain_str(&run.blob, &run.ends, (code - run.first) as usize)
+    }
+
+    /// One past the last code it resolves.
+    fn codes(&self) -> u32 {
+        self.0.first + self.0.ends.len() as u32
+    }
+
+    fn same(a: &Option<Gen>, b: &Gen) -> bool {
+        a.as_ref().is_some_and(|a| Arc::ptr_eq(&a.0, &b.0))
+    }
+}
+
+/// An epoch whose interned bytes (and 16 B a string) pass this is checked
+/// for strings gone stale at each segment boundary; see [`Dict::boundary`].
+const EPOCH_CHECK: usize = 2_048;
+
+/// Bits of a [`Dict`]'s memory of strings interned in earlier epochs,
+/// cleared once a quarter are set.
+const SEEN_BITS: usize = 8_192;
+
+/// A text dictionary: strings interned to dense `u32` codes, one *epoch*
+/// at a time, published as immutable [`Gen`]erations.
+///
+/// A store owns one and interns its own text, or is handed codes and the
+/// generation of a dictionary shared by the stores that number the same
+/// rows (a stream source's, interned at admission in arrival order, so
+/// the codes of a row are the same in every store). Interning a string
+/// the epoch holds allocates nothing.
+///
+/// **Epochs.** Codes restart at 0 in a new epoch, and an epoch changes
+/// only at a segment boundary, so every segment's codes are of one epoch
+/// and resolve against one generation. Each time an epoch's interned
+/// bytes (16 B a string over its length) double from 2 KB, the next
+/// boundary checks it. It is stale when fewer than half the bytes of the
+/// strings it held at the previous check were interned again since, and
+/// fewer than half its bytes are strings an earlier epoch held (so a
+/// label set recurring over more rows than one epoch spans, up to about
+/// 2 048 strings, grows an epoch until it holds the whole set). A stale
+/// epoch ends: its strings go once no segment holds a generation of it.
+/// A steady label set never turns over; a stream of distinct strings
+/// keeps about its live rows' text plus one epoch. The decision depends
+/// on what was interned alone, so every store of a shared dictionary sees
+/// the same codes however its shards are scheduled.
+///
+/// **Bytes.** The writer's tables by capacity, plus a gauge of the
+/// published runs still alive anywhere: O(1).
+#[derive(Debug, Clone, Default)]
+pub struct Dict {
+    /// Bytes of the published runs still alive, wherever held (made by
+    /// the first publish).
+    gauge: Option<Arc<AtomicUsize>>,
+    /// Codes by string hash under linear probing at load ≤ 7/8.
+    slots: Vec<u32>,
+    /// The last generation published.
+    published: Option<Gen>,
+    /// Strings interned since, as a run lays them out.
+    open: String,
+    open_ends: Vec<u32>,
+    /// Codes interned this epoch.
+    codes: u32,
+    /// A bit a code: interned again since the last check (empty until
+    /// the epoch's first).
+    reused: Vec<u64>,
+    /// Interned bytes (16 B a string over its length) this epoch, the
+    /// codes and bytes held at the previous check, and the bytes of the
+    /// next (at least [`EPOCH_CHECK`]).
+    bytes: usize,
+    old: (u32, usize),
+    check_at: usize,
+    /// From the first turnover on: a bit per string hash interned since
+    /// the bits were last cleared, and how many are set.
+    seen: Vec<u64>,
+    seen_bits: usize,
+    /// Bytes of this epoch's strings `seen` had seen (false positives
+    /// under a quarter).
+    returned: usize,
+}
+
+fn str_hash(s: &str) -> u64 {
+    checksum(s.as_bytes())
+}
+
+impl Dict {
+    pub fn new() -> Self {
+        Dict::default()
+    }
+
+    /// Codes interned this epoch.
+    fn len(&self) -> u32 {
+        self.codes
+    }
+
+    /// The code of `s`, interned in the current epoch if it is new.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        let h = str_hash(s);
+        let code = match self.find(h, s) {
+            Some(code) => code,
+            None => {
+                // A run's offsets are 32-bit.
+                if self.open.len() + s.len() > u32::MAX as usize {
+                    self.publish();
+                }
+                let code = self.len();
+                if (code as usize + 1) * 8 > self.slots.len() * 7 {
+                    self.rehash((self.slots.len() * 2).max(8));
+                }
+                self.open.push_str(s);
+                self.open_ends.push(self.open.len() as u32);
+                self.codes += 1;
+                if !self.reused.is_empty() && self.reused.len() * 64 < self.codes as usize {
+                    self.reused.push(0);
+                }
+                self.bytes += s.len() + 16;
+                if self.see(h) {
+                    self.returned += s.len() + 16;
+                }
+                let pos = self.probe(h, |_| false).unwrap_err();
+                self.slots[pos] = code;
+                code
+            }
+        };
+        if let Some(word) = self.reused.get_mut(code as usize / 64) {
+            *word |= 1 << (code % 64);
+        }
+        code
+    }
+
+    /// Whether `seen` holds hash `h`'s bit; it does from now on.
+    fn see(&mut self, h: u64) -> bool {
+        if self.seen.is_empty() {
+            return false;
+        }
+        let bit = (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 51) as usize % SEEN_BITS;
+        let (word, mask) = (bit / 64, 1 << (bit % 64));
+        if self.seen[word] & mask != 0 {
+            return true;
+        }
+        if self.seen_bits * 4 >= SEEN_BITS {
+            self.seen.fill(0);
+            self.seen_bits = 0;
+        }
+        self.seen[word] |= mask;
+        self.seen_bits += 1;
+        false
+    }
+
+    fn find(&self, h: u64, s: &str) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(h, |c| self.get(c) == s)
+            .ok()
+            .map(|p| self.slots[p])
+    }
+
+    /// From `h`'s home: `Ok` at the code `hit` accepts, else `Err` at the
+    /// first vacancy.
+    fn probe(&self, h: u64, hit: impl Fn(u32) -> bool) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut pos = h as usize & mask;
+        loop {
+            match self.slots[pos] {
+                u32::MAX => return Err(pos),
+                c if hit(c) => return Ok(pos),
+                _ => pos = (pos + 1) & mask,
+            }
+        }
+    }
+
+    fn rehash(&mut self, len: usize) {
+        self.slots = vec![u32::MAX; len];
+        for code in 0..self.len() {
+            let pos = self.probe(str_hash(self.get(code)), |_| false).unwrap_err();
+            self.slots[pos] = code;
+        }
+    }
+
+    /// The string of a code of the current epoch.
+    fn get(&self, code: u32) -> &str {
+        let open_first = self.len() - self.open_ends.len() as u32;
+        match code.checked_sub(open_first) {
+            Some(i) => {
+                let i = i as usize;
+                let start = if i == 0 { 0 } else { self.open_ends[i - 1] };
+                &self.open[start as usize..self.open_ends[i] as usize]
+            }
+            None => self.published.as_ref().expect("published codes").get(code),
+        }
+    }
+
+    /// A generation resolving every code interned this epoch so far: the
+    /// strings interned since the last one become a run on top of it.
+    pub fn publish(&mut self) -> Gen {
+        if let (Some(gen), true) = (&self.published, self.open_ends.is_empty()) {
+            return gen.clone();
+        }
+        let gauge = self.gauge.get_or_insert_with(Arc::default);
+        let first = self.codes - self.open_ends.len() as u32;
+        let (blob, ends) = (
+            std::mem::take(&mut self.open),
+            std::mem::take(&mut self.open_ends),
+        );
+        let prev = self.published.take().map(|g| g.0);
+        let gen = Gen(Run::new(first, blob, &ends, prev, gauge));
+        self.published = Some(gen.clone());
+        gen
+    }
+
+    /// A segment boundary: the caller is about to intern the first row of
+    /// a segment. If the epoch is due for its check and found stale, it
+    /// ends here, and its last generation is returned — the one the rows
+    /// before the boundary resolve against.
+    pub fn boundary(&mut self) -> Option<Gen> {
+        if self.bytes < self.check_at.max(EPOCH_CHECK) {
+            return None;
+        }
+        let (old, old_bytes) = self.old;
+        let again = |c: u32| self.reused[c as usize / 64] >> (c % 64) & 1 == 1;
+        let reused: usize = (0..old)
+            .filter(|&c| again(c))
+            .map(|c| self.get(c).len() + 16)
+            .sum();
+        if reused * 2 < old_bytes && self.returned * 2 < self.bytes {
+            let last = self.publish();
+            if self.seen.is_empty() {
+                self.seen = vec![0; SEEN_BITS / 64];
+                for code in 0..self.len() {
+                    self.see(str_hash(self.get(code)));
+                }
+            }
+            let (gauge, seen, seen_bits) = (
+                self.gauge.take(),
+                std::mem::take(&mut self.seen),
+                self.seen_bits,
+            );
+            *self = Dict {
+                gauge,
+                seen,
+                seen_bits,
+                ..Dict::new()
+            };
+            return Some(last);
+        }
+        // Reuse is tracked from an epoch's first check on: until then
+        // there is nothing it could find stale.
+        self.reused.clear();
+        self.reused.resize(self.len().div_ceil(64) as usize, 0);
+        (self.old, self.check_at) = ((self.len(), self.bytes), self.bytes * 2);
+        None
+    }
+
+    /// Forget every string: for a store holding no segment, so nothing
+    /// of what was published is charged here any more.
+    pub fn clear(&mut self) {
+        *self = Dict::new();
+    }
+
+    /// Heap bytes: the writer's vectors by capacity, and every published
+    /// run still held anywhere (O(1)).
+    pub fn bytes(&self) -> usize {
+        let writer = self.slots.capacity() * 4
+            + self.open.capacity()
+            + self.open_ends.capacity() * 4
+            + self.reused.capacity() * 8
+            + self.seen.capacity() * 8;
+        writer + self.gauge.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
+    }
+
+    /// [`Dict::bytes`], as the census row `dictionary`.
+    pub fn census(&self) -> Census {
+        Census::of(8, self.bytes())
+    }
+}
+
+/// Where a segment's codes resolve: its generation, or — the active
+/// segment of a store interning its own text — the store's dictionary;
+/// `None` while a segment coded by its caller has no text yet.
+#[derive(Clone, Copy)]
+enum Strings<'a> {
+    Gen(&'a Gen),
+    Dict(&'a Dict),
+    None,
+}
+
+impl Strings<'_> {
+    fn get(&self, code: u32) -> &str {
+        match self {
+            Strings::Gen(g) => g.get(code),
+            Strings::Dict(d) => d.get(code),
+            Strings::None => unreachable!("a code pushed without its generation"),
+        }
+    }
+}
+
+/// How the active segment's text takes codes: interned in the store's
+/// own dictionary, or handed in by the caller, coded against `gen`.
+enum Coder<'a> {
+    Own(&'a mut Dict),
+    Shared {
+        gen: Option<&'a Gen>,
+        codes: &'a mut dyn Iterator<Item = u32>,
+    },
+}
+
+impl Coder<'_> {
+    fn code(&mut self, s: &str) -> u32 {
+        match self {
+            Coder::Own(dict) => dict.intern(s),
+            Coder::Shared { codes, .. } => codes.next().expect("a code for every text cell"),
+        }
+    }
+
+    /// A text cell stored as a cell: a shared code is passed over.
+    fn skip(&mut self, cell: CellRef) {
+        if let (CellRef::Text(_), Coder::Shared { codes, .. }) = (cell, self) {
+            codes.next();
+        }
+    }
+
+    fn strings(&self) -> Strings<'_> {
+        match self {
+            Coder::Own(dict) => Strings::Dict(dict),
+            Coder::Shared { gen, .. } => gen.map_or(Strings::None, Strings::Gen),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Columns
 
 /// One attribute of a segment, stored as a primitive vector where the
@@ -401,22 +898,18 @@ enum Column {
     },
     Bool(Vec<bool>),
     Ts(Words),
-    /// Text while it takes appends (the active segment only):
-    /// dictionary-coded, `map` finding a string's code.
-    Text {
-        dict: Vec<String>,
-        map: HashMap<String, u32>,
-        codes: Vec<u32>,
-        /// Σ string lengths in `dict` (O(1) byte accounting).
-        str_bytes: usize,
-    },
-    /// Sealed text: the strings back to back in `blob`, string `e`
-    /// ending at `ends[e]`. With `codes` the strings are a dictionary
-    /// and row `i` is string `codes[i]`; without, row `i` is string `i`.
-    Packed {
+    /// Text while it takes appends (the active segment only): a code a
+    /// row, of the store's dictionary or of the one it is handed codes of.
+    Text(Vec<u32>),
+    /// Sealed text as codes of the segment's generation, sealed like an
+    /// integer column (a constant label is one run, a stream of distinct
+    /// strings a narrow frame of reference).
+    Coded(Words),
+    /// Sealed text that measured fewer bytes as strings than as codes:
+    /// back to back in `blob`, row `i` ending at `ends[i]`.
+    Plain {
         blob: String,
         ends: Narrow,
-        codes: Option<Narrow>,
     },
     /// Row-of-cells fallback for heterogeneous or null-bearing columns.
     Mixed(Vec<Cell>, usize),
@@ -463,55 +956,34 @@ fn pack_floats(v: &[u64]) -> Option<Column> {
     (ints.heap_bytes() < v.len() * 8).then_some(Column::Decimal { exp, ints })
 }
 
-/// Row `i` of a [`Column::Packed`].
-fn packed_str<'a>(blob: &'a str, ends: &Narrow, codes: &Option<Narrow>, i: usize) -> &'a str {
-    let e = codes.as_ref().map_or(i, |c| c.get(i) as usize);
-    let start = if e == 0 { 0 } else { ends.get(e - 1) };
-    &blob[start as usize..ends.get(e) as usize]
+/// Row `i` of a [`Column::Plain`].
+fn plain_str<'a>(blob: &'a str, ends: &Narrow, i: usize) -> &'a str {
+    let start = if i == 0 { 0 } else { ends.get(i - 1) };
+    &blob[start as usize..ends.get(i) as usize]
 }
 
-/// `strs` back to back, and where each ends; `total` is Σ lengths.
-fn pack_strs<'a>(strs: impl Iterator<Item = &'a str> + Clone, total: u32) -> (String, Narrow) {
-    let mut end = 0;
-    let ends = Narrow::pack(
-        total,
-        strs.clone().map(|s| {
-            end += s.len() as u32;
-            end
-        }),
-    );
-    (strs.collect(), ends)
-}
-
-/// Seal an append-form text column (`dict` non-empty, every entry
-/// coded): a local dictionary or plain per-row strings, whichever
-/// measures fewer bytes.
-fn pack_text(dict: &[String], codes: &[u32], str_bytes: usize) -> Column {
-    let rows = || codes.iter().map(move |&c| dict[c as usize].as_str());
-    let row_bytes: usize = rows().map(str::len).sum();
-    // Offsets are 32-bit (`str_bytes <= row_bytes`); a segment holding
-    // more text than that stays cells.
-    let Ok(row_total) = u32::try_from(row_bytes) else {
-        return Column::Mixed(
-            rows().map(|s| Cell::Text(s.to_owned())).collect(),
-            row_bytes,
-        );
-    };
-    let (dict_total, last_code) = (str_bytes as u32, dict.len() as u32 - 1);
-    let as_dict =
-        str_bytes + dict.len() * Narrow::width(dict_total) + codes.len() * Narrow::width(last_code);
-    let as_rows = row_bytes + codes.len() * Narrow::width(row_total);
-    if as_dict < as_rows {
-        let (blob, ends) = pack_strs(dict.iter().map(String::as_str), dict_total);
-        let codes = Some(Narrow::pack(last_code, codes.iter().copied()));
-        Column::Packed { blob, ends, codes }
-    } else {
-        let (blob, ends) = pack_strs(rows(), row_total);
-        Column::Packed {
-            blob,
-            ends,
-            codes: None,
+/// Seal appended codes: as codes at their width, or as plain strings
+/// when those measure fewer bytes (offsets are 32-bit, so a segment
+/// holding more text than that stays codes).
+fn pack_text(codes: &[u32], strings: Strings) -> Column {
+    let mut words = Words::Plain(codes.iter().map(|&c| c as u64).collect());
+    words.seal(false);
+    let rows = || codes.iter().map(|&c| strings.get(c));
+    let total: usize = rows().map(str::len).sum();
+    match u32::try_from(total) {
+        Ok(t) if total + codes.len() * Narrow::width(t) < words.heap_bytes() => {
+            let mut end = 0;
+            let ends = Narrow::pack(
+                t,
+                rows().map(|s| {
+                    end += s.len() as u32;
+                    end
+                }),
+            );
+            let blob = rows().collect();
+            Column::Plain { blob, ends }
         }
+        _ => Column::Coded(words),
     }
 }
 
@@ -519,39 +991,28 @@ impl Column {
     fn len(&self) -> usize {
         match self {
             Column::Empty => 0,
-            Column::Int(w) | Column::Ts(w) => w.len(),
+            Column::Int(w) | Column::Ts(w) | Column::Coded(w) => w.len(),
             Column::Float(v) => v.len(),
             Column::Decimal { ints, .. } => ints.len(),
             Column::Bool(v) => v.len(),
-            Column::Text { codes, .. } => codes.len(),
-            Column::Packed { ends, codes, .. } => codes.as_ref().unwrap_or(ends).len(),
+            Column::Text(v) => v.len(),
+            Column::Plain { ends, .. } => ends.len(),
             Column::Mixed(v, _) => v.len(),
         }
     }
 
     /// Heap bytes of this column's payload: the byte length of the
-    /// vectors it holds (O(1)).
+    /// vectors it holds (O(1)). Codes are charged here, their strings to
+    /// the dictionary.
     fn heap_bytes(&self) -> usize {
         match self {
             Column::Empty => 0,
-            Column::Int(w) | Column::Ts(w) => w.heap_bytes(),
+            Column::Int(w) | Column::Ts(w) | Column::Coded(w) => w.heap_bytes(),
             Column::Float(v) => v.len() * 8,
             Column::Decimal { ints, .. } => ints.heap_bytes(),
             Column::Bool(v) => v.len(),
-            Column::Text {
-                dict,
-                map,
-                codes,
-                str_bytes,
-            } => {
-                // Dict strings + codes, and the append map's own copy of
-                // every string.
-                let map_cost = *str_bytes + map.len() * 32;
-                codes.len() * 4 + dict.len() * 24 + *str_bytes + map_cost
-            }
-            Column::Packed { blob, ends, codes } => {
-                blob.len() + ends.heap_bytes() + codes.as_ref().map_or(0, Narrow::heap_bytes)
-            }
+            Column::Text(v) => v.len() * 4,
+            Column::Plain { blob, ends } => blob.len() + ends.heap_bytes(),
             Column::Mixed(v, text) => v.len() * std::mem::size_of::<Cell>() + *text,
         }
     }
@@ -563,78 +1024,55 @@ impl Column {
             Column::Int(w) | Column::Ts(w) => w.encoding(),
             Column::Decimal { .. } => 3,
             Column::Float(_) => 4,
-            Column::Text { .. } | Column::Packed { codes: Some(_), .. } => 5,
-            Column::Packed { codes: None, .. } => 6,
+            Column::Text(_) | Column::Coded(_) => 5,
+            Column::Plain { .. } => 6,
             Column::Mixed(..) => 7,
         }
     }
 
-    /// Rebuild self as `Mixed`, then push the non-conforming cell.
-    fn promote_and_push(&mut self, cell: Cell) {
-        let cells: Vec<Cell> = (0..self.len()).map(|i| self.get(i)).collect();
-        let text: usize = cells.iter().map(cell_heap).sum();
-        let mut mixed = Column::Mixed(cells, text);
-        std::mem::swap(self, &mut mixed);
-        self.push(cell);
+    /// Whether its rows are codes, resolved against a generation.
+    fn coded(&self) -> bool {
+        matches!(self, Column::Text(_) | Column::Coded(_))
     }
 
-    fn push(&mut self, cell: Cell) {
+    /// Rebuild self as `Mixed`, then push the non-conforming cell.
+    fn promote_and_push(&mut self, cell: CellRef, coder: &mut Coder) {
+        let strings = coder.strings();
+        let cells: Vec<Cell> = (0..self.len()).map(|i| self.get(i, strings)).collect();
+        let text: usize = cells.iter().map(cell_heap).sum();
+        *self = Column::Mixed(cells, text);
+        self.push(cell, coder);
+    }
+
+    fn push(&mut self, cell: CellRef, coder: &mut Coder) {
         match (&mut *self, cell) {
             (Column::Empty, c) => {
                 *self = match c {
-                    Cell::Int(i) => Column::Int(Words::Plain(vec![i as u64])),
-                    Cell::Float(f) => Column::Float(vec![f.to_bits()]),
-                    Cell::Bool(b) => Column::Bool(vec![b]),
-                    Cell::Ts(t) => Column::Ts(Words::Plain(vec![t])),
-                    Cell::Text(s) => {
-                        let str_bytes = s.len();
-                        let mut map = HashMap::new();
-                        map.insert(s.clone(), 0u32);
-                        Column::Text {
-                            dict: vec![s],
-                            map,
-                            codes: vec![0],
-                            str_bytes,
-                        }
-                    }
-                    other => Column::Mixed(vec![other], 0),
+                    CellRef::Int(i) => Column::Int(Words::Plain(vec![i as u64])),
+                    CellRef::Float(f) => Column::Float(vec![f.to_bits()]),
+                    CellRef::Bool(b) => Column::Bool(vec![b]),
+                    CellRef::Ts(t) => Column::Ts(Words::Plain(vec![t])),
+                    CellRef::Text(s) => Column::Text(vec![coder.code(s)]),
+                    other => Column::Mixed(vec![other.to_cell()], 0),
                 };
             }
-            (Column::Int(w), Cell::Int(i)) => w.push(i as u64),
-            (Column::Float(v), Cell::Float(f)) => v.push(f.to_bits()),
-            (Column::Bool(v), Cell::Bool(b)) => v.push(b),
-            (Column::Ts(w), Cell::Ts(t)) => w.push(t),
-            (
-                Column::Text {
-                    dict,
-                    map,
-                    codes,
-                    str_bytes,
-                },
-                Cell::Text(s),
-            ) => {
-                let code = match map.get(&s) {
-                    Some(&c) => c,
-                    None => {
-                        let c = dict.len() as u32;
-                        *str_bytes += s.len();
-                        dict.push(s.clone());
-                        map.insert(s, c);
-                        c
-                    }
-                };
-                codes.push(code);
-            }
+            (Column::Int(w), CellRef::Int(i)) => w.push(i as u64),
+            (Column::Float(v), CellRef::Float(f)) => v.push(f.to_bits()),
+            (Column::Bool(v), CellRef::Bool(b)) => v.push(b),
+            (Column::Ts(w), CellRef::Ts(t)) => w.push(t),
+            (Column::Text(v), CellRef::Text(s)) => v.push(coder.code(s)),
             (Column::Mixed(v, text), c) => {
+                coder.skip(c);
+                let c = c.to_cell();
                 *text += cell_heap(&c);
                 v.push(c);
             }
-            (_, c) => self.promote_and_push(c),
+            (_, c) => self.promote_and_push(c, coder),
         }
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Cell {
+    fn get(&self, i: usize, strings: Strings) -> Cell {
         match self {
             Column::Empty => Cell::Null,
             Column::Int(w) => Cell::Int(w.get(i) as i64),
@@ -642,44 +1080,37 @@ impl Column {
             Column::Decimal { exp, ints } => Cell::Float(decimal(ints.get(i), *exp)),
             Column::Bool(v) => Cell::Bool(v[i]),
             Column::Ts(w) => Cell::Ts(w.get(i)),
-            Column::Text { dict, codes, .. } => Cell::Text(dict[codes[i] as usize].clone()),
-            Column::Packed { blob, ends, codes } => {
-                Cell::Text(packed_str(blob, ends, codes, i).to_owned())
-            }
+            Column::Text(v) => Cell::Text(strings.get(v[i]).to_owned()),
+            Column::Coded(w) => Cell::Text(strings.get(w.get(i) as u32).to_owned()),
+            Column::Plain { blob, ends } => Cell::Text(plain_str(blob, ends, i).to_owned()),
             Column::Mixed(v, _) => v[i].clone(),
         }
     }
 
-    /// Whether row `i` is `cell` — `self.get(i) == *cell`, compared
+    /// Whether row `i` is `cell` — `self.get(i) == cell`, compared
     /// against the encoded value without materialising one.
-    fn holds(&self, i: usize, cell: &Cell) -> bool {
+    fn holds(&self, i: usize, cell: CellRef, strings: Strings) -> bool {
         match (self, cell) {
-            (Column::Empty, Cell::Null) => true,
-            (Column::Int(w), Cell::Int(x)) => w.get(i) == *x as u64,
-            (Column::Float(v), Cell::Float(x)) => v[i] == x.to_bits(),
-            (Column::Decimal { exp, ints }, Cell::Float(x)) => {
+            (Column::Empty, CellRef::Null) => true,
+            (Column::Int(w), CellRef::Int(x)) => w.get(i) == x as u64,
+            (Column::Float(v), CellRef::Float(x)) => v[i] == x.to_bits(),
+            (Column::Decimal { exp, ints }, CellRef::Float(x)) => {
                 decimal(ints.get(i), *exp).to_bits() == x.to_bits()
             }
-            (Column::Bool(v), Cell::Bool(x)) => v[i] == *x,
-            (Column::Ts(w), Cell::Ts(x)) => w.get(i) == *x,
-            (Column::Text { dict, codes, .. }, Cell::Text(s)) => dict[codes[i] as usize] == *s,
-            (Column::Packed { blob, ends, codes }, Cell::Text(s)) => {
-                packed_str(blob, ends, codes, i) == s
-            }
-            (Column::Mixed(v, _), c) => v[i] == *c,
+            (Column::Bool(v), CellRef::Bool(x)) => v[i] == x,
+            (Column::Ts(w), CellRef::Ts(x)) => w.get(i) == x,
+            (Column::Text(v), CellRef::Text(s)) => strings.get(v[i]) == s,
+            (Column::Coded(w), CellRef::Text(s)) => strings.get(w.get(i) as u32) == s,
+            (Column::Plain { blob, ends }, CellRef::Text(s)) => plain_str(blob, ends, i) == s,
+            (Column::Mixed(v, _), c) => CellRef::from(&v[i]) == c,
             _ => false,
         }
     }
 
-    /// Seal-time re-encoding; the append form (and its map) is consumed.
-    fn seal(&mut self) {
+    /// Seal-time re-encoding.
+    fn seal(&mut self, strings: Strings) {
         match self {
-            Column::Text {
-                dict,
-                codes,
-                str_bytes,
-                ..
-            } => *self = pack_text(dict, codes, *str_bytes),
+            Column::Text(codes) => *self = pack_text(codes, strings),
             Column::Int(w) => w.seal(true),
             Column::Ts(w) => w.seal(false),
             Column::Float(v) => {
@@ -897,20 +1328,21 @@ fn encode_column(buf: &mut Vec<u8>, col: &Column) {
             buf.push(4);
             encode_words(buf, w);
         }
-        Column::Text {
-            dict,
-            codes,
-            str_bytes,
-            ..
-        } => encode_column(buf, &pack_text(dict, codes, *str_bytes)),
-        Column::Packed { blob, ends, codes } => {
+        Column::Text(codes) => {
+            buf.push(8);
+            encode_words(
+                buf,
+                &Words::Plain(codes.iter().map(|&c| c as u64).collect()),
+            );
+        }
+        Column::Coded(w) => {
+            buf.push(8);
+            encode_words(buf, w);
+        }
+        Column::Plain { blob, ends } => {
             buf.push(5);
             put_str(buf, blob);
             encode_narrow(buf, ends);
-            buf.push(codes.is_some() as u8);
-            if let Some(codes) = codes {
-                encode_narrow(buf, codes);
-            }
         }
         Column::Mixed(v, _) => {
             buf.push(6);
@@ -922,7 +1354,8 @@ fn encode_column(buf: &mut Vec<u8>, col: &Column) {
     }
 }
 
-fn decode_column(buf: &mut &[u8]) -> Option<Column> {
+/// One column of a spill file whose codes are below `codes`.
+fn decode_column(buf: &mut &[u8], codes: u32) -> Option<Column> {
     Some(match take_u8(buf)? {
         0 => Column::Empty,
         1 => Column::Int(decode_words(buf)?),
@@ -935,13 +1368,8 @@ fn decode_column(buf: &mut &[u8]) -> Option<Column> {
         5 => {
             let blob = take_str(buf)?;
             let ends = decode_narrow(buf)?;
-            let codes = match take_u8(buf)? {
-                0 => None,
-                1 => Some(decode_narrow(buf)?),
-                _ => return None,
-            };
             // `get` slices the blob between ends: they must ascend on
-            // character boundaries inside it, and codes must name one.
+            // character boundaries inside it.
             let mut prev = 0;
             for e in (0..ends.len()).map(|i| ends.get(i) as usize) {
                 if e < prev || !blob.is_char_boundary(e) {
@@ -949,11 +1377,14 @@ fn decode_column(buf: &mut &[u8]) -> Option<Column> {
                 }
                 prev = e;
             }
-            let strings = ends.len() as u32;
-            if matches!(&codes, Some(c) if (0..c.len()).any(|i| c.get(i) >= strings)) {
-                return None;
-            }
-            Column::Packed { blob, ends, codes }
+            Column::Plain { blob, ends }
+        }
+        8 => {
+            let w = decode_words(buf)?;
+            // Every code must name a string of the segment's generation.
+            (0..w.len())
+                .all(|i| w.get(i) < codes as u64)
+                .then_some(Column::Coded(w))?
         }
         6 => {
             let n = take_u32(buf)? as usize;
@@ -988,16 +1419,16 @@ fn encode_segment(columns: &[Column]) -> Vec<u8> {
 }
 
 /// A spill file's columns: its checksum must match, and all of the
-/// payload decode, into columns of `rows` rows each.
-fn decode_segment(raw: &[u8], rows: usize) -> Option<Vec<Column>> {
+/// payload decode, into columns of `rows` rows each, coded below `codes`.
+fn decode_segment(raw: &[u8], rows: usize, codes: u32) -> Option<Vec<Column>> {
     let (payload, sum) = raw.split_at(raw.len().checked_sub(8)?);
-    (checksum(payload).to_le_bytes() == sum).then(|| decode_columns(payload, rows))?
+    (checksum(payload).to_le_bytes() == sum).then(|| decode_columns(payload, rows, codes))?
 }
 
-fn decode_columns(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
+fn decode_columns(mut raw: &[u8], rows: usize, codes: u32) -> Option<Vec<Column>> {
     let n = take_u32(&mut raw)? as usize;
     let cols: Vec<Column> = (0..n)
-        .map(|_| decode_column(&mut raw))
+        .map(|_| decode_column(&mut raw, codes))
         .collect::<Option<_>>()?;
     (raw.is_empty() && cols.iter().all(|c| c.len() == rows)).then_some(cols)
 }
@@ -1010,13 +1441,23 @@ fn decode_columns(mut raw: &[u8], rows: usize) -> Option<Vec<Column>> {
 #[derive(Debug)]
 struct Part<T> {
     value: T,
-    /// The pool counter and the bytes charged to it, once published.
-    charged: Option<(Arc<AtomicUsize>, usize)>,
+    /// The bytes charged to the pool, once published.
+    charged: Option<Charge>,
+}
+
+/// A segment's value columns, with the generation their codes resolve
+/// against (`None` while the active segment of a store interning its own
+/// text codes against the store's dictionary, and once sealed without
+/// codes).
+#[derive(Debug, Clone, Default)]
+struct Cols {
+    columns: Vec<Column>,
+    gen: Option<Gen>,
 }
 
 type Stamps = Arc<Part<Words>>;
-type Columns = Arc<Part<Vec<Column>>>;
-type Shared = (Weak<Part<Words>>, Weak<Part<Vec<Column>>>);
+type Columns = Arc<Part<Cols>>;
+type Shared = (Weak<Part<Words>>, Weak<Part<Cols>>);
 type Entries = BTreeMap<u64, Shared>;
 
 fn part<T>(value: T) -> Arc<Part<T>> {
@@ -1036,14 +1477,6 @@ impl<T> Deref for Part<T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.value
-    }
-}
-
-impl<T> Drop for Part<T> {
-    fn drop(&mut self) {
-        if let Some((counter, bytes)) = &self.charged {
-            counter.fetch_sub(*bytes, Ordering::Relaxed);
-        }
     }
 }
 
@@ -1081,16 +1514,16 @@ impl SegmentPool {
         }
         let (ts_slot, cols_slot) = map.entry(base).or_default();
         self.share(ts_slot, ts, Words::heap_bytes);
-        self.share(cols_slot, cols, |c| c.iter().map(Column::heap_bytes).sum());
+        self.share(cols_slot, cols, |c| {
+            c.columns.iter().map(Column::heap_bytes).sum()
+        });
     }
 
     fn share<T>(&self, slot: &mut Weak<Part<T>>, own: &mut Arc<Part<T>>, bytes: fn(&T) -> usize) {
         if let Some(live) = slot.upgrade() {
             *own = live;
         } else if let Some(p) = Arc::get_mut(own).filter(|p| p.charged.is_none()) {
-            let n = bytes(&p.value);
-            self.0 .0.fetch_add(n, Ordering::Relaxed);
-            p.charged = Some((Arc::clone(&self.0 .0), n));
+            p.charged = Some(Charge::new(&self.0 .0, bytes(&p.value)));
             *slot = Arc::downgrade(own);
         }
     }
@@ -1102,8 +1535,17 @@ impl SegmentPool {
 #[derive(Debug)]
 enum SegState {
     Resident(Columns),
-    /// The columns are in a file: its path and length.
-    Spilled(Box<(PathBuf, usize)>),
+    /// The columns are in a file.
+    Spilled(Box<File>),
+}
+
+/// A spilled segment's file: its path and length, and the generation its
+/// codes resolve against, which stays resident.
+#[derive(Debug)]
+struct File {
+    path: PathBuf,
+    len: usize,
+    gen: Option<Gen>,
 }
 
 /// Per-row metadata most segments lack, out of line: a store holds a
@@ -1114,6 +1556,8 @@ struct Extras {
     weight: Vec<i64>,
     /// True arity per row, only once a row's differs from the columns'.
     arity: Option<Vec<u16>>,
+    /// Dead bits of the rows from 64 on, 64 rows a word.
+    dead: Vec<u64>,
 }
 
 #[derive(Debug)]
@@ -1125,8 +1569,8 @@ struct Segment {
     sealed: bool,
     /// Always-resident per-row metadata. Stamps seal like a column.
     ts: Stamps,
-    /// A dead bit per row, 64 rows a word.
-    dead: Box<[u64]>,
+    /// A dead bit per row of the first 64 (the rest in `extras`).
+    dead: u64,
     extras: Option<Box<Extras>>,
     /// Offset of the first possibly-live row (monotone hint).
     first: u32,
@@ -1143,21 +1587,33 @@ impl Segment {
             live: 0,
             sealed: false,
             ts: part(Words::Plain(Vec::new())),
-            dead: Box::default(),
+            dead: 0,
             extras: None,
             first: 0,
-            state: SegState::Resident(part(Vec::new())),
+            state: SegState::Resident(part(Cols::default())),
+        }
+    }
+
+    /// The word holding row `off`'s dead bit.
+    fn dead_word(&self, off: usize) -> u64 {
+        match off.checked_sub(64) {
+            None => self.dead,
+            Some(o) => self.extras.as_deref().expect("rows past 64").dead[o / 64],
         }
     }
 
     fn is_dead(&self, off: usize) -> bool {
-        self.dead[off / 64] >> (off % 64) & 1 == 1
+        self.dead_word(off) >> (off % 64) & 1 == 1
     }
 
     /// Set row `off`'s dead bit; whether it was live.
     fn kill(&mut self, off: usize) -> bool {
         let was_live = !self.is_dead(off);
-        self.dead[off / 64] |= 1 << (off % 64);
+        let bit = 1 << (off % 64);
+        match off.checked_sub(64) {
+            None => self.dead |= bit,
+            Some(o) => self.extras.as_deref_mut().expect("rows past 64").dead[o / 64] |= bit,
+        }
         was_live
     }
 
@@ -1173,7 +1629,7 @@ impl Segment {
         let extras = self.extras.as_deref().map_or(0, |x| {
             x.weight.len() * 8 + x.arity.as_ref().map_or(0, |a| a.len() * 2)
         });
-        self.ts.heap_bytes() + self.dead.len() * 8 + extras
+        self.ts.heap_bytes() + (self.rows as usize).div_ceil(64) * 8 + extras
     }
 
     fn weight(&self, off: usize) -> Option<i64> {
@@ -1182,7 +1638,7 @@ impl Segment {
 
     fn resident_bytes(&self) -> usize {
         let cols = match &self.state {
-            SegState::Resident(cols) => cols.iter().map(Column::heap_bytes).sum(),
+            SegState::Resident(cols) => cols.columns.iter().map(Column::heap_bytes).sum(),
             SegState::Spilled(_) => 0,
         };
         cols + self.meta_bytes()
@@ -1199,7 +1655,7 @@ impl Segment {
 
     fn spilled_bytes(&self) -> usize {
         match &self.state {
-            SegState::Spilled(file) => file.1,
+            SegState::Spilled(file) => file.len,
             SegState::Resident(_) => 0,
         }
     }
@@ -1207,7 +1663,7 @@ impl Segment {
     /// What a store caches of this segment while it is sealed.
     fn cached(&self) -> Cached {
         let cols = match &self.state {
-            SegState::Resident(cols) => cols.as_slice(),
+            SegState::Resident(cols) => cols.columns.as_slice(),
             SegState::Spilled(_) => &[],
         };
         let ts = Census::of(self.ts.encoding(), self.ts.heap_bytes());
@@ -1222,6 +1678,19 @@ impl Segment {
         }
     }
 
+    /// The generation its codes resolve against, resident or spilled.
+    fn gen(&self) -> Option<&Gen> {
+        match &self.state {
+            SegState::Resident(cols) => cols.gen.as_ref(),
+            SegState::Spilled(file) => file.gen.as_ref(),
+        }
+    }
+
+    /// Where its codes resolve, its store's dictionary being `dict`.
+    fn strings<'a>(&'a self, dict: &'a Dict) -> Strings<'a> {
+        self.gen().map_or(Strings::Dict(dict), Strings::Gen)
+    }
+
     /// The segment's value columns, decoding a spilled segment
     /// transiently (the cache stays cold; reads do not fault pages in).
     /// `None`, and one more in `failures`, when its file cannot be read
@@ -1229,14 +1698,15 @@ impl Segment {
     #[inline] // the resident arm is every read's first step
     fn columns(&self, failures: &AtomicU64) -> Option<Cow<'_, [Column]>> {
         match &self.state {
-            SegState::Resident(cols) => Some(Cow::Borrowed(cols.as_slice())),
-            SegState::Spilled(file) => self.read_back(&file.0, failures).map(Cow::Owned),
+            SegState::Resident(cols) => Some(Cow::Borrowed(cols.columns.as_slice())),
+            SegState::Spilled(file) => self.read_back(file, failures).map(Cow::Owned),
         }
     }
 
-    fn read_back(&self, path: &PathBuf, failures: &AtomicU64) -> Option<Vec<Column>> {
-        let raw = fs::read(path).ok();
-        let cols = raw.and_then(|raw| decode_segment(&raw, self.rows as usize));
+    fn read_back(&self, file: &File, failures: &AtomicU64) -> Option<Vec<Column>> {
+        let raw = fs::read(&file.path).ok();
+        let codes = file.gen.as_ref().map_or(0, Gen::codes);
+        let cols = raw.and_then(|raw| decode_segment(&raw, self.rows as usize, codes));
         if cols.is_none() {
             failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -1248,9 +1718,12 @@ impl Segment {
         arity.map_or(n_cols, |a| a[off] as usize).min(n_cols)
     }
 
-    /// Seal the active segment. With a pool, parts another store already
-    /// sealed are taken instead of sealed again, and the rest published.
-    fn seal(&mut self, pool: Option<&SegmentPool>) {
+    /// Seal the active segment; its codes resolve against its generation,
+    /// or `dict`, the store's own, which publishes one for them. With a
+    /// pool, parts another store already sealed are taken instead of
+    /// sealed again (the columns with the generation they resolve
+    /// against), and the rest published.
+    fn seal(&mut self, pool: Option<&SegmentPool>, dict: &mut Dict) {
         let SegState::Resident(cols) = &mut self.state else {
             unreachable!("the active segment is resident");
         };
@@ -1261,7 +1734,15 @@ impl Segment {
         }
         match found_cols {
             Some(found) => *cols = found,
-            None => Arc::make_mut(cols).value.iter_mut().for_each(Column::seal),
+            None => {
+                let Cols { columns, gen } = &mut Arc::make_mut(cols).value;
+                let strings = gen.as_ref().map_or(Strings::Dict(dict), Strings::Gen);
+                columns.iter_mut().for_each(|c| c.seal(strings));
+                *gen = match columns.iter().any(Column::coded) {
+                    true => Some(gen.take().unwrap_or_else(|| dict.publish())),
+                    false => None,
+                };
+            }
         }
         if let Some(pool) = pool {
             pool.publish(self.base, &mut self.ts, cols);
@@ -1279,14 +1760,15 @@ impl Segment {
         if fs::create_dir_all(dir).is_err() {
             return false;
         }
-        let buf = encode_segment(cols);
+        let buf = encode_segment(&cols.columns);
         let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("colspill-{}-{}.seg", std::process::id(), seq));
         let ok = fs::File::create(&path)
             .and_then(|mut f| f.write_all(&buf))
             .is_ok();
         if ok {
-            self.state = SegState::Spilled(Box::new((path, buf.len())));
+            let (len, gen) = (buf.len(), cols.gen.clone());
+            self.state = SegState::Spilled(Box::new(File { path, len, gen }));
         } else {
             let _ = fs::remove_file(&path);
         }
@@ -1299,7 +1781,13 @@ impl Segment {
     fn rehydrated(&self, failures: &AtomicU64) -> Option<Segment> {
         let cols = match &self.state {
             SegState::Resident(cols) => Arc::clone(cols),
-            SegState::Spilled(file) => part(self.read_back(&file.0, failures)?),
+            SegState::Spilled(file) => {
+                let columns = self.read_back(file, failures)?;
+                part(Cols {
+                    columns,
+                    gen: file.gen.clone(),
+                })
+            }
         };
         Some(Segment {
             base: self.base,
@@ -1307,7 +1795,7 @@ impl Segment {
             live: self.live,
             sealed: self.sealed,
             ts: Arc::clone(&self.ts),
-            dead: self.dead.clone(),
+            dead: self.dead,
             extras: self.extras.clone(),
             first: self.first,
             state: SegState::Resident(cols),
@@ -1318,7 +1806,7 @@ impl Segment {
 impl Drop for Segment {
     fn drop(&mut self) {
         if let SegState::Spilled(file) = &self.state {
-            let _ = fs::remove_file(&file.0);
+            let _ = fs::remove_file(&file.path);
         }
     }
 }
@@ -1397,6 +1885,8 @@ pub struct TupleStore {
     sealed: Cached,
     /// Where full, aligned segments are shared once sealed.
     pool: Option<SegmentPool>,
+    /// The store's own text dictionary (empty when it is handed codes).
+    dict: Dict,
     /// Reads of a spilled segment that found its file missing, short or
     /// undecodable (a statistic: reads take `&self`).
     read_failures: AtomicU64,
@@ -1428,6 +1918,7 @@ impl Clone for TupleStore {
             spill: self.spill.clone(),
             seg_rows: self.seg_rows,
             pool: self.pool.clone(),
+            dict: self.dict.clone(),
             read_failures: AtomicU64::new(self.spill_read_failures()),
             write_failures: self.write_failures,
         }
@@ -1446,6 +1937,7 @@ impl TupleStore {
             seg_rows: SEG_CAP,
             sealed: Cached::default(),
             pool: None,
+            dict: Dict::new(),
             read_failures: AtomicU64::new(0),
             write_failures: 0,
         }
@@ -1472,7 +1964,10 @@ impl TupleStore {
     }
 
     /// Share full, aligned sealed segments through `pool`, whose stores
-    /// must give a row id the same row and use one segment size.
+    /// must give a row id the same row and use one segment size. (A
+    /// shared segment keeps the generation its codes resolve against, so
+    /// stores sharing a pool should also share a dictionary —
+    /// [`TupleStore::push_coded`] — or its text is stored once per store.)
     pub fn with_pool(mut self, pool: SegmentPool) -> Self {
         self.pool = Some(pool);
         self
@@ -1503,13 +1998,14 @@ impl TupleStore {
     }
 
     /// O(columns of the active segment): sealed segments are served
-    /// from the cache, so telemetry can poll this every report.
+    /// from the cache, so telemetry can poll this every report. The
+    /// store's own dictionary is included.
     pub fn resident_bytes(&self) -> usize {
         let active = match self.segs.last() {
             Some(s) if !s.sealed => s.resident_bytes(),
             _ => 0,
         };
-        self.sealed.resident + active
+        self.sealed.resident + active + self.dict.bytes()
     }
 
     /// The share of [`TupleStore::resident_bytes`] charged to the pool.
@@ -1521,9 +2017,11 @@ impl TupleStore {
         self.sealed.spilled
     }
 
-    /// Sealed bytes by encoding (O(1)).
+    /// Sealed bytes by encoding, and the store's dictionary (O(1)).
     pub fn census(&self) -> Census {
-        self.sealed.census
+        let mut census = self.sealed.census;
+        census += self.dict.census();
+        census
     }
 
     /// Segment reads that found a spill file missing, truncated or
@@ -1547,15 +2045,40 @@ impl TupleStore {
 
     /// Append a weighted row; returns its (stable) row id.
     pub fn push_weighted(&mut self, cells: &[Cell], ts: u64, w: i64) -> u64 {
-        self.push_cells(cells.iter().cloned(), ts, w)
+        self.push_cells(cells.iter().map(CellRef::from), ts, w)
     }
 
-    /// Append a weighted row whose cells arrive by value, each moved into
-    /// its column (a text cell is copied once, by whoever made it);
-    /// returns its (stable) row id.
-    pub fn push_cells(
+    /// Append a weighted row, its text interned in the store's own
+    /// dictionary (a string it holds is not copied); returns its (stable)
+    /// row id.
+    pub fn push_cells<'a>(
         &mut self,
-        mut cells: impl ExactSizeIterator<Item = Cell>,
+        cells: impl ExactSizeIterator<Item = CellRef<'a>>,
+        ts: u64,
+        w: i64,
+    ) -> u64 {
+        self.push_row(cells, None, ts, w)
+    }
+
+    /// Append a weighted row whose text cells are coded already: each
+    /// takes the next of `codes`, which `gen` resolves — a generation of
+    /// a dictionary every store numbering these rows is coded against
+    /// (one epoch a segment: see [`Dict::boundary`]). Returns the row id.
+    pub fn push_coded<'a>(
+        &mut self,
+        cells: impl ExactSizeIterator<Item = CellRef<'a>>,
+        codes: &mut dyn Iterator<Item = u32>,
+        gen: Option<&Gen>,
+        ts: u64,
+        w: i64,
+    ) -> u64 {
+        self.push_row(cells, Some((gen, codes)), ts, w)
+    }
+
+    fn push_row<'a>(
+        &mut self,
+        mut cells: impl ExactSizeIterator<Item = CellRef<'a>>,
+        coded: Option<(Option<&Gen>, &mut dyn Iterator<Item = u32>)>,
         ts: u64,
         w: i64,
     ) -> u64 {
@@ -1570,19 +2093,35 @@ impl TupleStore {
         if need_new {
             if let Some(last) = self.segs.last_mut().filter(|s| !s.sealed) {
                 let full = last.rows == self.seg_rows && last.base % self.seg_rows as u64 == 0;
-                last.seal(self.pool.as_ref().filter(|_| full));
+                last.seal(self.pool.as_ref().filter(|_| full), &mut self.dict);
                 self.sealed += last.cached();
             }
             self.maybe_spill();
+            if coded.is_none() {
+                self.dict.boundary();
+            }
             self.segs.push(Segment::new(self.next_row));
         }
         let weighted = self.weighted;
         let seg = self.segs.last_mut().expect("active segment");
         let off = seg.rows as usize;
         if let SegState::Resident(cols) = &mut seg.state {
+            let Cols {
+                columns: cols,
+                gen: seg_gen,
+            } = &mut Arc::make_mut(cols).value;
+            let mut coder = match coded {
+                Some((gen, codes)) => {
+                    if let Some(gen) = gen.filter(|g| !Gen::same(seg_gen, g)) {
+                        *seg_gen = Some(gen.clone());
+                    }
+                    let gen = seg_gen.as_ref();
+                    Coder::Shared { gen, codes }
+                }
+                None => Coder::Own(&mut self.dict),
+            };
             // As many columns as the segment's widest row (a sealed segment
             // depends on its rows alone); narrower rows go in `arity`.
-            let cols: &mut Vec<Column> = &mut Arc::make_mut(cols).value;
             let width = cols.len();
             let ragged = seg.extras.as_deref().is_some_and(|x| x.arity.is_some());
             if off > 0 && arity != width || ragged {
@@ -1594,17 +2133,17 @@ impl TupleStore {
                 let mut col = Column::Empty;
                 // Backfill rows appended before this column existed.
                 for _ in 0..off {
-                    col.push(Cell::Null);
+                    col.push(CellRef::Null, &mut coder);
                 }
                 cols.push(col);
             }
             for col in cols.iter_mut() {
-                col.push(cells.next().unwrap_or(Cell::Null));
+                col.push(cells.next().unwrap_or(CellRef::Null), &mut coder);
             }
         }
         Arc::make_mut(&mut seg.ts).value.push(ts);
-        if off.is_multiple_of(64) {
-            seg.dead = [&seg.dead[..], &[0]].concat().into();
+        if off > 0 && off.is_multiple_of(64) {
+            seg.extras.get_or_insert_default().dead.push(0);
         }
         if weighted {
             seg.extras.get_or_insert_default().weight.push(w);
@@ -1638,15 +2177,15 @@ impl TupleStore {
     pub fn get(&self, row: u64) -> Option<(Vec<Cell>, u64)> {
         let (s, off) = self.live_at(row)?;
         let cols = s.columns(&self.read_failures)?;
-        let arity = s.row_arity(off, cols.len());
-        let cells = cols[..arity].iter().map(|c| c.get(off)).collect();
+        let (arity, strings) = (s.row_arity(off, cols.len()), s.strings(&self.dict));
+        let cells = cols[..arity].iter().map(|c| c.get(off, strings)).collect();
         Some((cells, s.ts.get(off)))
     }
 
     /// Whether `get(row)` would answer exactly `(cells, ts)` — each cell
     /// compared in place against its encoded column, no row built. (A
     /// spilled segment is still decoded, once per call.)
-    pub fn row_matches(&self, row: u64, cells: &[Cell], ts: u64) -> bool {
+    pub fn row_matches(&self, row: u64, cells: &[CellRef], ts: u64) -> bool {
         let Some((s, off)) = self.live_at(row) else {
             return false;
         };
@@ -1656,8 +2195,12 @@ impl TupleStore {
         let Some(cols) = s.columns(&self.read_failures) else {
             return false;
         };
+        let strings = s.strings(&self.dict);
         s.row_arity(off, cols.len()) == cells.len()
-            && cols.iter().zip(cells).all(|(col, c)| col.holds(off, c))
+            && cols
+                .iter()
+                .zip(cells)
+                .all(|(col, &c)| col.holds(off, c, strings))
     }
 
     /// Timestamp of a live row.
@@ -1735,12 +2278,13 @@ impl TupleStore {
             };
             let from = (lo.saturating_sub(s.base) as usize).max(s.first as usize);
             let to = (hi - s.base).min(s.rows as u64) as usize;
+            let strings = s.strings(&self.dict);
             for off in from..to {
                 if s.is_dead(off) {
                     continue;
                 }
                 let arity = s.row_arity(off, cols.len());
-                let cells: Vec<Cell> = cols[..arity].iter().map(|c| c.get(off)).collect();
+                let cells: Vec<Cell> = cols[..arity].iter().map(|c| c.get(off, strings)).collect();
                 let w = s.weight(off).unwrap_or(1);
                 f(s.base + off as u64, cells, s.ts.get(off), w);
             }
@@ -1774,12 +2318,14 @@ impl TupleStore {
         self.live -= killed as u64;
     }
 
-    /// Drop every row (spill files included). Row ids keep increasing
-    /// monotonically — ids are never reused.
+    /// Drop every row (spill files included) and start the store's own
+    /// dictionary afresh. Row ids keep increasing monotonically — ids are
+    /// never reused.
     pub fn clear(&mut self) {
         self.segs.clear();
         self.live = 0;
         self.sealed = Cached::default();
+        self.dict.clear();
     }
 
     fn maybe_spill(&mut self) {
@@ -1815,7 +2361,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
+
+    fn refs(cells: &[Cell]) -> Vec<CellRef<'_>> {
+        cells.iter().map(CellRef::from).collect()
+    }
 
     fn row(i: i64) -> Vec<Cell> {
         vec![
@@ -2081,7 +2631,7 @@ mod tests {
         // Clones rehydrate spilled segments; their caches are rebuilt.
         let c = s.clone();
         let c_full: usize = c.segs.iter().map(Segment::resident_bytes).sum();
-        assert_eq!(c.resident_bytes(), c_full);
+        assert_eq!(c.resident_bytes(), c_full + c.dict.bytes());
         assert_eq!(c.spilled_bytes(), 0);
         s.clear();
         assert_eq!(s.resident_bytes(), 0);
@@ -2102,11 +2652,15 @@ mod tests {
 
     /// The byte gauges are caches; a full recompute must agree.
     fn assert_caches_exact(s: &TupleStore, at: &str) {
-        let resident: usize = s.segs.iter().map(Segment::resident_bytes).sum();
+        let dict = s.dict.bytes();
+        let resident = dict + s.segs.iter().map(Segment::resident_bytes).sum::<usize>();
         let pooled: usize = s.segs.iter().map(Segment::pooled_bytes).sum();
         let spilled: usize = s.segs.iter().map(Segment::spilled_bytes).sum();
         let sealed = s.segs.iter().filter(|g| g.sealed);
-        let census: Census = sealed.map(|g| g.cached().census).sum();
+        let census = sealed
+            .map(|g| g.cached().census)
+            .chain([Census::of(8, dict)]);
+        let census: Census = census.sum();
         assert_eq!(s.census(), census, "census drifted {at}");
         assert_eq!(s.resident_bytes(), resident, "resident cache drifted {at}");
         assert_eq!(s.pooled_bytes(), pooled, "pooled cache drifted {at}");
@@ -2190,10 +2744,11 @@ mod tests {
             assert_eq!(s.weight(r), twin.weight(r), "store {k} row {r} {at}");
             assert_eq!(s.ts(r), twin.ts(r), "store {k} row {r} {at}");
             let (cells, ts) = want.clone().unwrap_or_default();
+            let cells = refs(&cells);
             assert_eq!(s.row_matches(r, &cells, ts), want.is_some(), "{k} {r} {at}");
             assert!(!s.row_matches(r, &cells, ts ^ 1), "store {k} row {r} {at}");
             if !cells.is_empty() {
-                let other = [&cells[..cells.len() - 1], &[Cell::Pair(9, 9)]].concat();
+                let other = [&cells[..cells.len() - 1], &[CellRef::Pair(9, 9)]].concat();
                 assert!(!s.row_matches(r, &other, ts), "store {k} row {r} {at}");
                 assert!(!s.row_matches(r, &cells[1..], ts), "store {k} row {r} {at}");
             }
@@ -2208,10 +2763,14 @@ mod tests {
             let SegState::Resident(cols) = &seg.state else {
                 continue;
             };
-            for col in cols.iter() {
-                assert!(!matches!(col, Column::Text { .. }), "append form {at}");
-                let mut appended = Column::Empty;
-                (0..col.len()).for_each(|i| appended.push(col.get(i)));
+            let strings = seg.strings(&s.dict);
+            for col in cols.columns.iter() {
+                assert!(!matches!(col, Column::Text(_)), "append form {at}");
+                let (mut appended, mut dict) = (Column::Empty, Dict::new());
+                for i in 0..col.len() {
+                    let cell = col.get(i, strings);
+                    appended.push(CellRef::from(&cell), &mut Coder::Own(&mut dict));
+                }
                 let (sealed, open) = (col.heap_bytes(), appended.heap_bytes());
                 assert!(sealed <= open, "{sealed} > {open} for {col:?} {at}");
             }
@@ -2272,7 +2831,7 @@ mod tests {
                 // Short and long rows put a `Null` in most columns of a big
                 // segment, so every other seed keeps its rows whole.
                 let ragged = seed % 2 == 1;
-                let (mut max_spilled, mut saw_wide_dictionary) = (0, false);
+                let (mut max_spilled, mut saw_coded) = (0, false);
                 for i in 0..n {
                     let at = format!("(seed {seed}, {seg_rows}-row segments, step {i})");
                     let mut cells: Vec<Cell> =
@@ -2322,25 +2881,17 @@ mod tests {
                     for _ in 0..48 {
                         assert_row_alike(&twin, &all, rng.gen_range(0..=i), &at);
                     }
-                    // 300 strings need two-byte codes, 77 KB of them
-                    // four-byte offsets.
-                    saw_wide_dictionary |= sealing.segs.iter().any(|g| match &g.state {
-                        SegState::Resident(cols) => cols.iter().any(|c| {
-                            matches!(
-                                c,
-                                Column::Packed {
-                                    ends: Narrow::U32(_),
-                                    codes: Some(Narrow::U16(_)),
-                                    ..
-                                }
-                            )
-                        }),
+                    saw_coded |= sealing.segs.iter().any(|g| match &g.state {
+                        SegState::Resident(cols) => {
+                            g.gen().is_some()
+                                && cols.columns.iter().any(|c| matches!(c, Column::Coded(_)))
+                        }
                         SegState::Spilled(_) => false,
                     });
                 }
                 assert!(max_spilled > 0, "nothing spilled");
                 assert_eq!(spilling.spill_read_failures(), 0);
-                assert!(saw_wide_dictionary || seg_rows < 1024 || ragged);
+                assert!(saw_coded || ragged, "no sealed codes");
                 drop(spilling);
                 let _ = fs::remove_dir_all(&dir);
             }
@@ -2359,7 +2910,7 @@ mod tests {
             }
             if let SegState::Resident(cols) = &g.state {
                 if cols.charged.is_some() {
-                    let bytes = cols.iter().map(Column::heap_bytes).sum();
+                    let bytes = cols.columns.iter().map(Column::heap_bytes).sum();
                     seen.insert(Arc::as_ptr(cols) as usize, bytes);
                 }
             }
@@ -2376,12 +2927,13 @@ mod tests {
     }
 
     /// Property: two and three stores of one pool take the same rows —
-    /// the last from a row in mid-segment, via `resume_at` — each with
-    /// its own releases, kills and spill policy, and each reads exactly
-    /// like an unpooled twin fed the same calls. The pool charges every
-    /// live published part once; a spilled holder outlives the others;
-    /// once everything is released the pool is empty and no file is
-    /// left.
+    /// the last from a row in mid-segment, via `resume_at` — coded against
+    /// one dictionary whose epochs turn over, each with its own releases,
+    /// kills and spill policy, and each reads exactly like an unpooled
+    /// twin fed the same calls. The pool charges every live published part
+    /// once; a spilled holder outlives the others; once everything is
+    /// released the pool is empty, no file is left and the dictionary's
+    /// generations are gone.
     #[test]
     fn pooled_stores_read_like_private_twins_and_charge_each_part_once() {
         let mut shared_segments = 0;
@@ -2397,7 +2949,7 @@ mod tests {
                 let spill = |h: usize| (h == 1).then(|| SpillConfig::new(0, &dir));
                 let start = [0, 0, rng.gen_range(1..40u64)];
                 let new = |h: usize| {
-                    let mut s = TupleStore::new(3).segment_rows(8).with_spill(spill(h));
+                    let mut s = TupleStore::new(4).segment_rows(8).with_spill(spill(h));
                     s.resume_at(start[h]);
                     s
                 };
@@ -2405,19 +2957,34 @@ mod tests {
                     .map(|h| new(h).with_pool(pool.clone()))
                     .collect();
                 let mut twins: Vec<TupleStore> = (0..holders).map(new).collect();
-                let n = 300u64;
+                let (n, mut dict, mut first_run) = (300u64, Dict::new(), None);
                 for i in 0..n {
                     let at = format!("(seed {seed}, {holders} holders, row {i})");
                     let cells = [
                         Cell::Int(rng.gen_range(0..50i64)),
                         Cell::Text(format!("site-{}", rng.gen_range(0..5))),
                         Cell::Float(i as f64 * 0.25),
+                        Cell::Text(format!("{i}-{}", "x".repeat(40))),
                     ];
+                    // Coded once for every holder, as a source's rows are
+                    // at admission; the distinct strings turn epochs over.
+                    if i % 8 == 0 {
+                        dict.boundary();
+                    }
+                    let codes = [&cells[1], &cells[3]].map(|c| match c {
+                        Cell::Text(t) => dict.intern(t),
+                        _ => unreachable!(),
+                    });
+                    let gen = dict.publish();
+                    first_run.get_or_insert_with(|| Arc::downgrade(&gen.0));
                     for h in (0..holders).filter(|&h| i >= start[h]) {
                         let (victim, below) = (rng.gen_range(start[h]..=i), rng.gen_range(0..=i));
                         let (kill, release) = (rng.gen_bool(0.2), rng.gen_bool(0.05));
                         for s in [&mut stores[h], &mut twins[h]] {
-                            assert_eq!(s.push(&cells, i * 3), i, "{at}");
+                            let row = refs(&cells).into_iter();
+                            let pushed =
+                                s.push_coded(row, &mut codes.into_iter(), Some(&gen), i * 3, 1);
+                            assert_eq!(pushed, i, "{at}");
                             if kill {
                                 s.mark_dead(victim);
                             }
@@ -2459,6 +3026,9 @@ mod tests {
                 spilled.mark_dead_below(n);
                 assert_eq!((pool.bytes(), spilled.pooled_bytes()), (0, 0));
                 assert_eq!(spill_files(&dir), 0, "a spill file outlived its rows");
+                drop(spilled);
+                let first_run = first_run.unwrap();
+                assert!(first_run.upgrade().is_none(), "an epoch outlived its rows");
                 let _ = fs::remove_dir_all(&dir);
             }
         }
@@ -2593,7 +3163,7 @@ mod tests {
             let SegState::Resident(cols) = &g.state else {
                 continue;
             };
-            for c in cols.iter() {
+            for c in cols.columns.iter() {
                 out.insert(match c {
                     Column::Int(w) | Column::Ts(w) => words(w),
                     Column::Decimal { exp, ints } => format!("decimal{exp} {}", words(ints)),
@@ -2774,6 +3344,10 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Text is coded once per store: the active segment appends codes of
+    /// the store's dictionary, and every sealed segment holds narrow codes
+    /// and one generation, shared by all of them — no segment holds a
+    /// string.
     #[test]
     fn sealed_text_holds_no_append_map() {
         let s = events_store(None);
@@ -2781,15 +3355,32 @@ mod tests {
             let SegState::Resident(cols) = &g.state else {
                 panic!("resident store spilled");
             };
-            let count = |f: fn(&Column) -> bool| cols.iter().filter(|c| f(c)).count();
+            let count = |f: fn(&Column) -> bool| cols.columns.iter().filter(|c| f(c)).count();
             (
-                count(|c| matches!(c, Column::Text { .. })),
-                count(|c| matches!(c, Column::Packed { .. })),
+                count(|c| matches!(c, Column::Text(_))),
+                count(|c| {
+                    matches!(
+                        c,
+                        Column::Coded(Words::For {
+                            deltas: Narrow::U8(_),
+                            ..
+                        })
+                    )
+                }),
             )
         };
         let (active, sealed) = s.segs.split_last().unwrap();
         assert_eq!(text_forms(active), (2, 0), "the active segment appends");
+        assert!(active.gen().is_none());
         assert!(sealed.iter().all(|g| text_forms(g) == (0, 2)));
+        // 68 labels: the last generation resolves every sealed segment.
+        let last = sealed.last().unwrap().gen().unwrap();
+        assert_eq!(last.codes(), 68);
+        let gens: HashSet<usize> = sealed
+            .iter()
+            .map(|g| Arc::as_ptr(&g.gen().unwrap().0) as usize)
+            .collect();
+        assert!(gens.len() < 20, "{} generations", gens.len());
     }
 
     /// Data no encoding helps measures no more than it did when sealing
@@ -2815,9 +3406,9 @@ mod tests {
     /// short of the whole, and an exponent past 4, give `None`.
     #[test]
     fn decimal_columns_seal_strided_and_decode_totally() {
-        let mut col = Column::Empty;
-        (0..40).for_each(|i| col.push(Cell::Float(i as f64 * 0.25)));
-        col.seal();
+        let (mut col, mut dict) = (Column::Empty, Dict::new());
+        (0..40).for_each(|i| col.push(CellRef::Float(i as f64 * 0.25), &mut Coder::Own(&mut dict)));
+        col.seal(Strings::Dict(&dict));
         let strided = |w: &Words| {
             matches!(
                 w,
@@ -2834,13 +3425,121 @@ mod tests {
         );
         assert_eq!(col.heap_bytes(), 40);
         let raw = encode_segment(std::slice::from_ref(&col));
-        let back = decode_segment(&raw, 40).unwrap();
-        assert!((0..40).all(|i| back[0].get(i) == Cell::Float(i as f64 * 0.25)));
+        let back = decode_segment(&raw, 40, 0).unwrap();
+        let get = |i| back[0].get(i, Strings::Dict(&dict));
+        assert!((0..40).all(|i| get(i) == Cell::Float(i as f64 * 0.25)));
         let payload = &raw[..raw.len() - 8];
-        assert!((0..payload.len()).all(|cut| decode_columns(&payload[..cut], 40).is_none()));
+        assert!((0..payload.len()).all(|cut| decode_columns(&payload[..cut], 40, 0).is_none()));
         let mut bad = payload.to_vec();
         bad[5] = 5; // the exponent, after the count and the column's tag
-        assert!(decode_columns(&bad, 40).is_none());
+        assert!(decode_columns(&bad, 40, 0).is_none());
+    }
+
+    /// The dictionary `census` reports.
+    fn dictionary_bytes(s: &TupleStore) -> usize {
+        s.census().iter().find(|e| e.0 == "dictionary").unwrap().1
+    }
+
+    /// A one-segment store charges no more for a text column — its codes
+    /// and its own dictionary — than the per-segment dictionary it
+    /// replaced did: 4 B a code, and for each distinct string 24 B in the
+    /// dictionary, 32 B in the append map and its bytes in both.
+    #[test]
+    fn a_one_segment_text_store_charges_no_more_than_a_segment_dictionary() {
+        for (rows, labels, len) in [
+            (1, 1, 1),
+            (32, 1, 4),
+            (32, 4, 8),
+            (32, 32, 12),
+            (20, 20, 40),
+        ] {
+            let label = |i: usize| Cell::Text(format!("{:0len$}", i % labels));
+            let mut text = TupleStore::new(2).segment_rows(32);
+            let mut bare = TupleStore::new(1).segment_rows(32);
+            for i in 0..rows {
+                text.push(&[Cell::Int(i as i64), label(i)], i as u64);
+                bare.push(&[Cell::Int(i as i64)], i as u64);
+            }
+            let charged = text.resident_bytes() - bare.resident_bytes();
+            let before = 4 * rows + labels * (56 + 2 * len);
+            let at = format!("{rows} rows of {labels} strings of {len} B");
+            assert!(charged <= before, "{charged} B > {before} B for {at}");
+            assert!(dictionary_bytes(&text) > 0, "{at}");
+        }
+    }
+
+    /// A store without text holds no dictionary, and charges what it did
+    /// before text was coded once per store.
+    #[test]
+    fn a_store_without_text_holds_no_dictionary() {
+        let mut s = TupleStore::new(3).segment_rows(32);
+        for i in 0..100i64 {
+            let cells = [
+                Cell::Int(i % 7),
+                Cell::Float(i as f64 * 0.25),
+                Cell::Ts(i as u64),
+            ];
+            s.push(&cells, i as u64 * 1_000);
+        }
+        assert_eq!((dictionary_bytes(&s), s.dict.bytes()), (0, 0));
+        assert_eq!(s.resident_bytes(), 544);
+    }
+
+    /// A spilled segment keeps the generation its codes resolve against,
+    /// and reads back the cells it was pushed — coded by its own store or
+    /// handed codes of a shared dictionary — as does a rehydrated clone.
+    #[test]
+    fn spilled_coded_segments_read_back_their_cells() {
+        let dir = std::env::temp_dir().join(format!("columnar-coded-{}", std::process::id()));
+        let spill = || Some(SpillConfig::new(0, &dir));
+        let mut own = TupleStore::new(3).segment_rows(8).with_spill(spill());
+        let mut handed = TupleStore::new(3).segment_rows(8).with_spill(spill());
+        let mut dict = Dict::new();
+        let rows: Vec<Vec<Cell>> = (0..44i64)
+            .map(|i| {
+                let site = Cell::Text(format!("site-{}", i % 5));
+                vec![Cell::Int(i), site, Cell::Text(format!("{i}"))]
+            })
+            .collect();
+        for (i, cells) in rows.iter().enumerate() {
+            own.push(cells, i as u64);
+            if i % 8 == 0 {
+                dict.boundary();
+            }
+            let mut codes = cells[1..].iter().map(|c| match c {
+                Cell::Text(t) => dict.intern(t),
+                _ => unreachable!(),
+            });
+            let codes: Vec<u32> = codes.by_ref().collect();
+            let gen = dict.publish();
+            handed.push_coded(
+                refs(cells).into_iter(),
+                &mut codes.into_iter(),
+                Some(&gen),
+                i as u64,
+                1,
+            );
+        }
+        for s in [&own, &handed] {
+            let spilled = s
+                .segs
+                .iter()
+                .filter(|g| matches!(g.state, SegState::Spilled(_)));
+            assert_eq!(spilled.clone().count(), 5, "every sealed segment spilled");
+            assert!(
+                spilled.clone().all(|g| g.gen().is_some()),
+                "a spilled segment kept its codes' strings"
+            );
+            for s in [s, &s.clone()] {
+                for (i, cells) in rows.iter().enumerate() {
+                    assert_eq!(s.get(i as u64), Some((cells.clone(), i as u64)), "row {i}");
+                    assert!(s.row_matches(i as u64, &refs(cells), i as u64), "row {i}");
+                }
+                assert_eq!(s.spill_read_failures(), 0);
+            }
+        }
+        drop((own, handed));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     // -- damaged spill files ----------------------------------------------------
@@ -2864,12 +3563,12 @@ mod tests {
             ("value byte flipped", &|p| {
                 let mut raw = fs::read(p).unwrap();
                 let payload = raw.len() - 8; // the checksum trails it
-                let before = decode_columns(&raw[..payload], 8).unwrap();
-                raw[payload - 1] ^= 1; // the text column's last code
-                                       // Unchecked, the segment would still decode — to a row
-                                       // with another value.
-                let after = decode_columns(&raw[..payload], 8).unwrap();
-                assert_ne!(after[2].get(7), before[2].get(7));
+                let before = decode_columns(&raw[..payload], 8, 4).unwrap();
+                // The text column's last code: unchecked, the segment
+                // would still decode — to a row with another value.
+                raw[payload - 1] ^= 1;
+                let after = decode_columns(&raw[..payload], 8, 4).unwrap();
+                assert_ne!(format!("{:?}", after[2]), format!("{:?}", before[2]));
                 fs::write(p, raw).unwrap();
             }),
         ];
@@ -2884,11 +3583,11 @@ mod tests {
             let SegState::Spilled(file) = &s.segs[0].state else {
                 panic!("the first segment did not spill");
             };
-            damage(&file.0);
+            damage(&file.path);
             // Every read of the segment fails once, without a panic.
             assert_eq!(s.get(3), None, "{what}");
             assert_eq!(s.spill_read_failures(), 1, "{what}");
-            assert!(!s.row_matches(3, &row(3), 3), "{what}");
+            assert!(!s.row_matches(3, &refs(&row(3)), 3), "{what}");
             assert_eq!(s.spill_read_failures(), 2, "{what}");
             let seen: Vec<u64> = live_rows_of(&s).iter().map(|r| r.0).collect();
             assert_eq!(seen, (8..20).collect::<Vec<u64>>(), "{what}");

@@ -57,6 +57,7 @@ use parking_lot::Mutex;
 
 use crate::delta::DeltaBatch;
 use crate::shard::EngineShard;
+use crate::state::Coded;
 use crate::telemetry::WorkerLoad;
 use crate::trace::{now_us, TraceCtx};
 
@@ -90,11 +91,13 @@ pub enum Scheduling {
 /// so fan-out enqueueing (and `Clone`) never copies tuple data per shard.
 #[derive(Clone)]
 pub(crate) enum Work<T, D> {
-    /// A stream batch, its tuples numbered from `first` at admission.
+    /// A stream batch, its tuples numbered from `first` and its text
+    /// coded at admission.
     Batch {
         src: SourceId,
         first: u64,
         tuples: T,
+        text: Option<Arc<Coded>>,
         trace: Option<TraceCtx>,
     },
     Deltas {
@@ -118,8 +121,9 @@ impl<T: Deref<Target = [Tuple]>, D: Deref<Target = DeltaBatch>> Work<T, D> {
                 src,
                 first,
                 tuples,
+                text,
                 trace,
-            } => shard.push_batch(*src, *first, tuples, *trace),
+            } => shard.push_batch(*src, *first, tuples, text.as_deref(), *trace),
             Work::Deltas { src, deltas, trace } => shard.push_deltas(*src, deltas, *trace),
             Work::AdvanceTime(now) => shard.advance_time(*now),
             Work::FlushPush(now) => {
@@ -137,11 +141,13 @@ impl Boundary<'_> {
                 src,
                 first,
                 tuples,
+                text,
                 trace,
             } => Work::Batch {
                 src: *src,
                 first: *first,
                 tuples: Arc::from(*tuples),
+                text: text.clone(),
                 trace: *trace,
             },
             Work::Deltas { src, deltas, trace } => Work::Deltas {

@@ -126,14 +126,29 @@ impl Rows for ScanRows<'_> {
     }
 }
 
-/// The filters of `plan`, a `Filter* → Scan` chain, from the top down.
+/// The filters of `plan`, a `Filter* → Scan` chain, as their conjuncts
+/// in one canonical order — by their printed form, repeats dropped — so
+/// sides whose chains say the same in another order or split ask for one
+/// key index. (A row passes the chain exactly when it passes every
+/// conjunct, so the order changes no row the index holds.)
 fn filter_chain(plan: &LogicalPlan) -> Vec<BoundExpr> {
+    fn conjuncts(e: &BoundExpr, out: &mut Vec<BoundExpr>) {
+        match e {
+            BoundExpr::And(l, r) => {
+                conjuncts(l, out);
+                conjuncts(r, out);
+            }
+            other => out.push(other.clone()),
+        }
+    }
     let mut filters = Vec::new();
     let mut at = plan;
     while let LogicalPlan::Filter { input, predicate } = at {
-        filters.push(predicate.clone());
+        conjuncts(predicate, &mut filters);
         at = input;
     }
+    filters.sort_by_cached_key(|f| format!("{f:?}"));
+    filters.dedup();
     filters
 }
 
@@ -510,8 +525,11 @@ impl Pipeline {
             }
             self.tuples_in += tuples.len() as u64;
             let mut batch = DeltaBatch::with_capacity(tuples.len());
-            self.scans[i].window.insert_batch(tuples, &mut batch);
+            // What the window read runs; then any rows it could not.
+            let window = &mut self.scans[i].window;
+            let stepped = window.try_insert_batch(source, tuples, &mut batch);
             self.run(self.scans[i].attach, &batch, sink, logs)?;
+            stepped?;
         }
         Ok(())
     }
@@ -698,8 +716,10 @@ impl Pipeline {
                 self.feed(i, fed, sink, logs)?;
             }
             let mut batch = DeltaBatch::new();
-            self.scans[i].window.advance(now, &mut batch);
+            let source = self.scans[i].source;
+            let stepped = self.scans[i].window.try_advance(source, now, &mut batch);
             self.run(attach, &batch, sink, logs)?;
+            stepped?;
         }
         Ok(())
     }

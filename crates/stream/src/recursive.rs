@@ -245,17 +245,17 @@ impl RecursiveView {
     /// A base with nothing to expire costs its window's O(1) head check.
     /// Returns the net view deltas to forward downstream.
     pub fn advance_time(&mut self, now: SimTime) -> Result<DeltaBatch> {
-        let mut expired = Vec::new();
+        let (mut expired, mut read) = (Vec::new(), Ok(()));
         for (&src, window) in &mut self.windows {
             let mut stepped = DeltaBatch::new();
-            window.advance(now, &mut stepped);
+            read = read.and(window.try_advance(src, now, &mut stepped));
             expired.push((src, stepped.consolidated()));
         }
         let mut out = DeltaBatch::new();
         for (src, facts) in expired {
             out.extend(self.apply_facts(src, &facts)?);
         }
-        Ok(out)
+        read.map(|()| out)
     }
 
     /// Apply a batch of base-fact changes from one source; returns the
@@ -280,10 +280,11 @@ impl RecursiveView {
             deltas.iter().cloned().partition(Delta::is_insert);
         let arrivals: Vec<Tuple> = arrivals.into_iter().map(|d| d.tuple).collect();
         let mut stepped = DeltaBatch::new();
-        window.insert_batch(&arrivals, &mut stepped);
+        let read = window.try_insert_batch(source, &arrivals, &mut stepped);
         let mut facts = stepped.consolidated();
         facts.extend(retractions);
-        self.apply_facts(source, &facts)
+        let out = self.apply_facts(source, &facts)?;
+        read.map(|()| out)
     }
 
     /// Count each delta against its fact's copies, then run DRed over

@@ -110,7 +110,7 @@ use aspen_sql::plan::LogicalPlan;
 use aspen_types::{
     AspenError, Field, QueryId, Result, SimDuration, SimTime, SourceId, Tuple, Value, WindowSpec,
 };
-use columnar::SegmentPool;
+use columnar::{Dict, SegmentPool};
 use parking_lot::Mutex;
 
 use crate::delta::{Delta, DeltaBatch};
@@ -124,7 +124,7 @@ use crate::session::{
     ResultSubscription, SessionId, SharedQueue, SubscriptionQueue,
 };
 use crate::sink::Sink;
-use crate::state::{BagState, Footprint, StateOptions};
+use crate::state::{BagState, Coded, Footprint, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 use crate::window::{Fed, IndexKey, Position, SourceLog, Stepped};
@@ -334,6 +334,10 @@ struct Ingest {
     /// Next arrival number of each stream-like source: a batch's tuples
     /// are numbered here, and every shard's log uses them as row ids.
     arrivals: HashMap<SourceId, u64>,
+    /// The text dictionary of each stream-like source whose batches
+    /// reach logs: its text is coded here, in arrival order, and every
+    /// log of the source stores the codes ([`Coded`]).
+    dicts: HashMap<SourceId, Dict>,
     /// Batch tuples that arrived stamped below their source's `latest`:
     /// admitted as they come, expired in arrival order (the prefix rule
     /// of [`crate::window`]) — this count is how an operator sees it.
@@ -344,6 +348,12 @@ impl Ingest {
     /// What the retained tables hold.
     fn footprint(&self) -> Footprint {
         self.tables.values().map(BagState::footprint).sum()
+    }
+
+    /// Bytes of the sources' text dictionaries: their tables and every
+    /// string a log segment may still resolve, once per engine.
+    fn dict_bytes(&self) -> usize {
+        self.dicts.values().map(Dict::bytes).sum()
     }
 }
 
@@ -580,6 +590,7 @@ impl EngineShard {
         src: SourceId,
         first: u64,
         tuples: &[Tuple],
+        text: Option<&Coded>,
         trace: Option<TraceCtx>,
     ) -> Result<()> {
         let EngineShard {
@@ -605,7 +616,7 @@ impl EngineShard {
         // Step a stream's log, whose cursors are all its routed scans: it
         // stores the batch once (metered once), windows it once per cursor
         // class and probes each class batch once per filter group.
-        let step = log.insert_batch(src, first, tuples, meters)?;
+        let step = log.insert_batch(src, first, tuples, text, meters)?;
         meters.tuples_in += tuples.len() as u64;
         let rows = ShardLogs::new(logs);
         // Deliver: each query borrows the deltas its own windows over
@@ -626,7 +637,8 @@ impl EngineShard {
         logs.get_mut(&src)
             .expect("stepped above")
             .release(Some(&step));
-        served
+        // Then say which rows the step could not read back.
+        step.read(src).and(served)
     }
 
     pub(crate) fn push_deltas(
@@ -678,7 +690,8 @@ impl EngineShard {
                 }
             }
         }
-        let mut served = Ok(());
+        // What the logs read is delivered before any rows they could not.
+        let mut served = stepped.iter().try_for_each(|(src, step)| step.read(*src));
         for (qid, q) in members(queries, Counted::Clock) {
             let fed = expired.get(qid).map_or(&[][..], Vec::as_slice);
             served = served.and(q.pipeline.advance_scans(now, fed, &mut q.sink, &rows));
@@ -738,6 +751,7 @@ impl EngineShard {
         scans: &[CursorScan],
         mut at: Positions,
         opts: &StateOptions,
+        dicts: &mut HashMap<SourceId, Dict>,
     ) {
         let pipeline = &mut self.queries.get_mut(&qid).expect("routed").pipeline;
         for (scan, src, spec, pool, filter, index) in scans {
@@ -747,7 +761,8 @@ impl EngineShard {
                 .or_insert_with(|| SourceLog::new(opts, pool.clone()));
             if let Some(i) = at.backfill.iter().position(|b| b.0 == *src) {
                 let (_, first, rows) = at.backfill.swap_remove(i);
-                self.meters.backfilled_rows += log.backfill(first, &rows);
+                let dict = dicts.entry(*src).or_default();
+                self.meters.backfilled_rows += log.backfill(first, &rows, dict);
             }
             let moved = at.cursors.iter().find(|(_, p)| p.scan == *scan);
             let at = moved.map_or_else(|| Position::fresh(*scan, *spec), |c| c.1);
@@ -759,12 +774,15 @@ impl EngineShard {
     /// Census of this shard's source logs. A log is shard residency,
     /// charged once — never once per cursor (mirrors the ops
     /// attribution rule).
-    fn log_census(&self) -> LogCensus {
+    fn log_census(&self, dicts: &HashMap<SourceId, Dict>) -> LogCensus {
         let mut out = LogCensus {
             logs: self.logs.len(),
             ..LogCensus::default()
         };
-        for log in self.logs.values() {
+        for (src, log) in &self.logs {
+            if let Some(dict) = dicts.get(src) {
+                out.footprint += Footprint::shared_dict(dict);
+            }
             out.cursors += log.cursors();
             out.classes += log.classes();
             out.rows += log.rows();
@@ -1022,7 +1040,7 @@ impl ShardedEngine {
                     groups: rt.pipeline.groups() as u64,
                 });
             }
-            let logs = shard.log_census();
+            let logs = shard.log_census(&self.ingest.dicts);
             footprint += logs.footprint;
             shards.push(ShardLoad {
                 shard: i,
@@ -1252,10 +1270,11 @@ impl ShardedEngine {
         let on = self.queries[&qid].shard;
         // Resume routes a paused runtime, on whatever shard it lives on then.
         let wiring = (!rt.paused).then(|| (self.cursor_scans(&rt.pipeline), rt.counted()));
-        let mut shard = self.shard(on).lock();
+        let mut shard = self.exec.shard(on).lock();
         shard.queries.insert(qid, rt);
         let Some((scans, keys)) = wiring else { return };
-        shard.attach_cursors(qid, &scans, at, &self.state_opts);
+        let dicts = &mut self.ingest.dicts;
+        shard.attach_cursors(qid, &scans, at, &self.state_opts, dicts);
         drop(shard);
         for key in keys {
             self.routes.add(key, on, self.nshards);
@@ -1273,9 +1292,11 @@ impl ShardedEngine {
         self.log_pools.entry(src).or_insert(fresh).clone()
     }
 
-    /// Bytes of the sealed log segments shared across shards, once each.
+    /// Bytes of the sealed log segments shared across shards, once each,
+    /// and of the sources' text dictionaries.
     fn log_shared_bytes(&self) -> usize {
-        self.log_pools.values().next().map_or(0, SegmentPool::bytes)
+        let pooled = self.log_pools.values().next().map_or(0, SegmentPool::bytes);
+        pooled + self.ingest.dict_bytes()
     }
 
     /// **Unroute** — the exact inverse of [`Self::route`]'s wiring: the
@@ -1292,6 +1313,13 @@ impl ShardedEngine {
         };
         for key in keys {
             self.routes.remove(key, on);
+            // The last scan of a stream out: its logs are gone, and so is
+            // every segment its dictionary's codes were read in.
+            if let Counted::Scans(src) = key {
+                if self.routes.total(key) == 0 {
+                    self.ingest.dicts.remove(&src);
+                }
+            }
         }
         cursors
     }
@@ -1846,6 +1874,12 @@ impl ShardedEngine {
                     src,
                     first,
                     tuples,
+                    text: if meta.kind.is_stream_like() {
+                        let dict = self.ingest.dicts.entry(src).or_default();
+                        Coded::intern(dict, first, tuples, true).map(Arc::new)
+                    } else {
+                        None
+                    },
                     trace,
                 },
                 Admission::Deltas(deltas) => Boundary::Deltas { src, deltas, trace },
@@ -2013,7 +2047,7 @@ impl ShardedEngine {
                 out.window_tuples += rt.pipeline.buffered_window_tuples();
                 queries += rt.pipeline.footprint();
             }
-            let census = shard.log_census();
+            let census = shard.log_census(&self.ingest.dicts);
             out.source_logs += census.logs;
             out.log_cursors += census.cursors;
             out.cursor_classes += census.classes;
@@ -2912,6 +2946,87 @@ mod tests {
         }
     }
 
+    /// A source's dictionary cannot grow without bound: a column of
+    /// all-distinct strings streamed through a 1 000-row window keeps it
+    /// within twice the live rows' text, its stale epochs gone with the
+    /// segments coded in them.
+    #[test]
+    fn a_dictionary_of_distinct_strings_stays_near_its_live_rows() {
+        let cat = Catalog::shared();
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("tag", DataType::Text),
+        ])
+        .into_ref();
+        cat.register_source("Tags", schema, SourceKind::Stream, SourceStats::stream(1.0))
+            .unwrap();
+        let config = EngineConfig::new()
+            .shards(2)
+            .scheduling(Scheduling::Sequential);
+        let mut e = ShardedEngine::with_config(cat, config);
+        e.register_sql("select t.id, t.tag from Tags t [rows 1000]")
+            .unwrap();
+        let tag = |i: u64| format!("tag-{i:08}");
+        let (mut most, live) = (0, 1_000 * tag(0).len());
+        for b in 0..500u64 {
+            let batch: Vec<Tuple> = (b * 40..b * 40 + 40)
+                .map(|i| {
+                    Tuple::new(
+                        vec![Value::Int(i as i64), Value::Text(tag(i))],
+                        SimTime::from_secs(i),
+                    )
+                })
+                .collect();
+            e.on_batch("Tags", &batch).unwrap();
+            let report = e.telemetry_at(Consistency::Fresh);
+            let census = report.shards.iter().map(|s| s.footprint.sealed);
+            let dict = census.map(|c| c.iter().find(|e| e.0 == "dictionary").unwrap().1);
+            most = most.max(dict.max().unwrap());
+        }
+        assert!(
+            most > 0 && most <= 2 * live,
+            "dictionary reached {most} B over {live} B of text"
+        );
+    }
+
+    /// Join sides whose filter chains hold the same conjuncts in another
+    /// order, or split over two filters, are members of one key index.
+    #[test]
+    fn reordered_filter_chains_share_a_key_index() {
+        let config = EngineConfig::new()
+            .shards(1)
+            .scheduling(Scheduling::Sequential);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        // Each side of each self-join keeps the rows with 10 < value < 90.
+        for (a, b) in [
+            (
+                "a.value > 10 and a.value < 90",
+                "b.value < 90 and b.value > 10",
+            ),
+            (
+                "a.value < 90 and a.value > 10",
+                "b.value > 10 and b.value < 90",
+            ),
+            (
+                "(a.value < 90 and a.value > 10) and a.value > 10",
+                "b.value > 10 and b.value < 90",
+            ),
+        ] {
+            let sql = format!(
+                "select a.value, b.value from Readings a [rows 50], Readings b [rows 20] \
+                 where a.sensor = b.sensor and {a} and {b}"
+            );
+            e.register_sql(&sql).unwrap();
+        }
+        let batch: Vec<Tuple> = (0..40u64)
+            .map(|i| reading((i % 5) as i64, (i * 13 % 100) as f64, i))
+            .collect();
+        e.on_batch("Readings", &batch).unwrap();
+        let report = e.telemetry_at(Consistency::Fresh);
+        let s = &report.shards[0];
+        assert_eq!((s.join_indexes, s.join_index_members), (1, 6));
+    }
+
     /// A batch whose first number is not its log's tail is a typed error
     /// naming the source and both row ids, and nothing moved.
     #[test]
@@ -2927,7 +3042,7 @@ mod tests {
         let skipped = e
             .shard(0)
             .lock()
-            .push_batch(src, 5, &[reading(3, 30.0, 2)], None);
+            .push_batch(src, 5, &[reading(3, 30.0, 2)], None, None);
         let Err(AspenError::Execution(msg)) = skipped else {
             panic!("a gap in the numbering was accepted: {skipped:?}");
         };

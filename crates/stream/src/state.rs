@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 use aspen_types::{DataType, SimTime, Tuple, Value};
-use columnar::{Cell, SegmentPool, TupleStore};
+use columnar::{Cell, CellRef, Dict, Gen, SegmentPool, TupleStore};
 
 use crate::delta::{Delta, DeltaBatch};
 
@@ -80,15 +80,16 @@ fn code_datatype(c: u8) -> DataType {
     }
 }
 
-fn value_to_cell(v: &Value) -> Cell {
+/// A value as a store takes it in: text borrowed, not copied.
+fn value_ref(v: &Value) -> CellRef<'_> {
     match v {
-        Value::Null => Cell::Null,
-        Value::Bool(b) => Cell::Bool(*b),
-        Value::Int(i) => Cell::Int(*i),
-        Value::Float(f) => Cell::Float(*f),
-        Value::Text(s) => Cell::Text(s.clone()),
-        Value::Timestamp(t) => Cell::Ts(*t),
-        Value::Param(slot, dt) => Cell::Pair(*slot, datatype_code(*dt)),
+        Value::Null => CellRef::Null,
+        Value::Bool(b) => CellRef::Bool(*b),
+        Value::Int(i) => CellRef::Int(*i),
+        Value::Float(f) => CellRef::Float(*f),
+        Value::Text(s) => CellRef::Text(s),
+        Value::Timestamp(t) => CellRef::Ts(*t),
+        Value::Param(slot, dt) => CellRef::Pair(*slot, datatype_code(*dt)),
     }
 }
 
@@ -104,8 +105,8 @@ fn cell_to_value(c: Cell) -> Value {
     }
 }
 
-fn tuple_cells(t: &Tuple) -> Vec<Cell> {
-    t.values().iter().map(value_to_cell).collect()
+fn tuple_cells(t: &Tuple) -> Vec<CellRef<'_>> {
+    t.values().iter().map(value_ref).collect()
 }
 
 fn cells_tuple(cells: Vec<Cell>, ts: u64) -> Tuple {
@@ -152,6 +153,19 @@ impl Footprint {
             read_failures: store.spill_read_failures(),
             write_failures: store.spill_write_failures(),
             sealed: store.census(),
+        }
+    }
+
+    /// A source's text dictionary as one of its logs references it: at
+    /// full size, all of it pooled — stored once per engine, as the
+    /// sealed segments the logs share are.
+    pub(crate) fn shared_dict(dict: &Dict) -> Footprint {
+        let bytes = dict.bytes();
+        Footprint {
+            resident: bytes,
+            pooled: bytes,
+            sealed: dict.census(),
+            ..Footprint::default()
         }
     }
 
@@ -700,8 +714,8 @@ impl KeyedState {
     pub fn update(&mut self, key: Vec<Value>, tuple: &Tuple, sign: i64) -> i64 {
         let kw = *self.key_width.get_or_insert(key.len());
         debug_assert_eq!(kw, key.len(), "key arity is fixed per state");
-        let mut probe: Vec<Cell> = key.iter().map(value_to_cell).collect();
-        probe.extend(tuple.values().iter().map(value_to_cell));
+        let mut probe: Vec<CellRef> = key.iter().map(value_ref).collect();
+        probe.extend(tuple.values().iter().map(value_ref));
         let ts = tuple.timestamp().as_micros();
         let h = hash_of(&key);
         let store = &self.store;
@@ -728,7 +742,7 @@ impl KeyedState {
             }
             None => {
                 if sign != 0 {
-                    let row = self.store.push_weighted(&probe, ts, sign);
+                    let row = self.store.push_cells(probe.into_iter(), ts, sign);
                     self.index.insert(h, row);
                     self.live += sign.max(0) as usize;
                 }
@@ -742,13 +756,13 @@ impl KeyedState {
         let Some(kw) = self.key_width else {
             return Vec::new();
         };
-        let key_cells: Vec<Cell> = key.iter().map(value_to_cell).collect();
         let mut out = Vec::new();
         for row in self.index.rows(hash_of(key)) {
             let Some((mut cells, ts)) = self.store.get(row) else {
                 continue;
             };
-            if cells.len() < kw || cells[..kw] != key_cells[..] {
+            let key_cells = cells.iter().take(kw).map(CellRef::from);
+            if cells.len() < kw || !key_cells.eq(key.iter().map(value_ref)) {
                 continue;
             }
             let w = self.store.weight(row).unwrap_or(0);
@@ -869,9 +883,9 @@ impl BagState {
             }
             return;
         }
-        let cells = tuple_cells(tuple);
         let ts = tuple.timestamp().as_micros();
-        let row = self.store.push(&cells, ts);
+        let cells = tuple.values().iter().map(value_ref);
+        let row = self.store.push_cells(cells, ts, 1);
         self.index.insert(hash_of(tuple), row);
     }
 
@@ -921,6 +935,64 @@ impl BagState {
 }
 
 // ---------------------------------------------------------------------------
+// Coded text
+
+/// A stream batch's text, coded at admission against its source's
+/// dictionary — one per source per engine, interned in arrival order by
+/// its one writer, so a row's codes are the same in every log of the
+/// source and a segment the pool shares reads alike whoever sealed it.
+/// Every text cell's code, row by row, and the generation each run of
+/// rows resolves against, by its first row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Coded {
+    codes: Vec<u32>,
+    gens: Vec<(u64, Gen)>,
+}
+
+impl Coded {
+    /// Code the text of `tuples`, numbered from `first`, in `dict`. At
+    /// admission (`arriving`) a row opening a log segment is a boundary of
+    /// the dictionary, where its epoch may turn over ([`Dict::boundary`]);
+    /// rows a log takes in again below the tail are all coded in the
+    /// current epoch, which the source's active segments are coded in.
+    /// `None` when no cell is text.
+    pub(crate) fn intern(
+        dict: &mut Dict,
+        first: u64,
+        tuples: &[Tuple],
+        arriving: bool,
+    ) -> Option<Coded> {
+        let text = |t: &Tuple| t.values().iter().any(|v| matches!(v, Value::Text(_)));
+        if !tuples.iter().any(text) {
+            return None;
+        }
+        let mut out = Coded::default();
+        let mut from = first;
+        for (row, t) in (first..).zip(tuples) {
+            if arriving && row % SEGMENT_ROWS as u64 == 0 {
+                if let Some(last) = dict.boundary() {
+                    out.gens.extend((row > from).then_some((from, last)));
+                    from = row;
+                }
+            }
+            for v in t.values() {
+                if let Value::Text(s) = v {
+                    out.codes.push(dict.intern(s));
+                }
+            }
+        }
+        out.gens.push((from, dict.publish()));
+        Some(out)
+    }
+
+    /// The generation row `row` resolves against.
+    fn gen(&self, row: u64) -> Option<&Gen> {
+        let after = self.gens.partition_point(|(from, _)| *from <= row);
+        after.checked_sub(1).map(|i| &self.gens[i].1)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // ColumnarDeque — the window buffer
 
 /// Arrival-ordered tuple deque over a [`TupleStore`]: `push_back`
@@ -957,10 +1029,24 @@ impl ColumnarDeque {
         self.store.is_empty()
     }
 
+    /// Append `tuple`, its text interned in the deque's own dictionary.
     pub fn push_back(&mut self, tuple: &Tuple) {
-        let cells = tuple.values().iter().map(value_to_cell);
+        let cells = tuple.values().iter().map(value_ref);
         self.store
             .push_cells(cells, tuple.timestamp().as_micros(), 1);
+    }
+
+    /// Append `tuples`, numbered from `first`, their text as `text` coded
+    /// it against the dictionary every deque numbering these rows shares
+    /// (`None`: they hold none).
+    pub(crate) fn push_coded(&mut self, first: u64, tuples: &[Tuple], text: Option<&Coded>) {
+        let mut codes = text.into_iter().flat_map(|c| c.codes.iter().copied());
+        for (row, t) in (first..).zip(tuples) {
+            let cells = t.values().iter().map(value_ref);
+            let gen = text.and_then(|c| c.gen(row));
+            self.store
+                .push_coded(cells, &mut codes, gen, t.timestamp().as_micros(), 1);
+        }
     }
 
     /// Live tuples in arrival order.
@@ -998,12 +1084,6 @@ impl ColumnarDeque {
         self.store
             .for_each_live(|row, cells, ts, _| out.push((row, cells_tuple(cells, ts))));
         out
-    }
-
-    /// Append the live tuples with row ids in `[lo, hi)` to `out`, in
-    /// arrival order; each touched segment is decoded once.
-    pub fn extend_range(&self, lo: u64, hi: u64, out: &mut Vec<Tuple>) {
-        self.for_each_in(lo, hi, |_, t| out.push(t));
     }
 
     /// Visit the live rows with ids in `[lo, hi)` with their ids, in

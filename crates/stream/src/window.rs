@@ -78,12 +78,12 @@
 
 use aspen_sql::expr::BoundExpr;
 use aspen_types::{AspenError, QueryId, Result, SimTime, SourceId, Tuple, WindowSpec};
-use columnar::SegmentPool;
+use columnar::{Dict, SegmentPool};
 
 use crate::delta::{Delta, DeltaBatch};
 use crate::grouped::{FilterIndex, FilterKey, Filtered};
 use crate::operators::join_key;
-use crate::state::{hash_of, ColumnarDeque, Footprint, KeyIndex, StateOptions};
+use crate::state::{hash_of, Coded, ColumnarDeque, Footprint, KeyIndex, StateOptions};
 use crate::telemetry::ShardMeters;
 
 /// Stateful window maintenance for one scan: a log with one cursor.
@@ -166,19 +166,39 @@ impl WindowOp {
     }
 
     /// Ingest a whole source batch; appends the step's net deltas (the
-    /// surviving insertions plus any eager retractions) to `out`.
+    /// surviving insertions plus any eager retractions) to `out`. A row
+    /// the window cannot read back (its spill file lost) has no
+    /// retraction, and the loss shows only in the footprint's read
+    /// failures; the engine steps with `WindowOp::try_insert_batch`.
     pub fn insert_batch(&mut self, tuples: &[Tuple], out: &mut DeltaBatch) {
+        let _lost = self.step_batch(tuples, out);
+    }
+
+    /// [`WindowOp::insert_batch`] over a batch of source `src`: an
+    /// `execution` error names the rows it could not read back (the step
+    /// is taken all the same).
+    pub(crate) fn try_insert_batch(
+        &mut self,
+        src: SourceId,
+        tuples: &[Tuple],
+        out: &mut DeltaBatch,
+    ) -> Result<()> {
+        self.step_batch(tuples, out).map_err(|lost| lost.error(src))
+    }
+
+    fn step_batch(&mut self, tuples: &[Tuple], out: &mut DeltaBatch) -> Step {
         let tail = self.rows.next_row();
         if self.at.pins() {
             for t in tuples {
                 self.rows.push_back(t);
             }
         }
-        self.at.insert_batch(&self.rows, tail, tuples, out);
+        let stepped = self.at.insert_batch(&self.rows, tail, tuples, out);
         if let Some(ix) = &mut self.index {
             ix.append(tail, tuples, self.at.head);
         }
         self.release();
+        stepped
     }
 
     /// Drop the rows below the head, from the index first (their keys
@@ -198,10 +218,27 @@ impl WindowOp {
     }
 
     /// Advance the clock; appends retractions for tuples that fell out of
-    /// a RANGE window (and pane rollovers for TUMBLING).
+    /// a RANGE window (and pane rollovers for TUMBLING). Rows it cannot
+    /// read back go as in [`WindowOp::insert_batch`].
     pub fn advance(&mut self, now: SimTime, out: &mut DeltaBatch) {
-        self.at.advance(&self.rows, now, out);
+        let _lost = self.step_clock(now, out);
+    }
+
+    /// [`WindowOp::advance`] over source `src`'s rows, as
+    /// [`WindowOp::try_insert_batch`].
+    pub(crate) fn try_advance(
+        &mut self,
+        src: SourceId,
+        now: SimTime,
+        out: &mut DeltaBatch,
+    ) -> Result<()> {
+        self.step_clock(now, out).map_err(|lost| lost.error(src))
+    }
+
+    fn step_clock(&mut self, now: SimTime, out: &mut DeltaBatch) -> Step {
+        let stepped = self.at.advance(&self.rows, now, out);
         self.release();
+        stepped
     }
 }
 
@@ -373,14 +410,23 @@ impl LogIndex {
 }
 
 /// One log step's output: a batch per cursor class, per cursor what the
-/// log's filter index made of its class's batch, and per key index whose
-/// batch keys its release.
+/// log's filter index made of its class's batch, per key index whose
+/// batch keys its release, and the rows the step could not read back.
 #[derive(Debug)]
 pub(crate) struct Stepped {
     batches: Vec<DeltaBatch>,
     /// By cursor position; empty when the log groups no filter.
     filtered: Vec<Option<Filtered>>,
     lowest: Lowest,
+    lost: Option<Lost>,
+}
+
+impl Stepped {
+    /// An `execution` error naming the rows of source `src` the step
+    /// could not read back (their retractions are missing), if any.
+    pub(crate) fn read(&self, src: SourceId) -> Result<()> {
+        self.lost.map_or(Ok(()), |lost| Err(lost.error(src)))
+    }
 }
 
 /// By key index slot: the class of the member that stood lowest before a
@@ -398,14 +444,64 @@ pub(crate) struct Fed<'a> {
     pub(crate) filtered: Option<&'a Filtered>,
 }
 
-/// The tuples of log rows `[lo, hi)`, in arrival order (empty, and no
-/// segment touched, when `lo >= hi`).
-fn range(rows: &ColumnarDeque, lo: u64, hi: u64) -> Vec<Tuple> {
+/// Rows `[lo, hi)` of a log that a window holds but that could not be
+/// read back — their segment's spill file is lost or damaged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Lost {
+    lo: u64,
+    hi: u64,
+}
+
+impl Lost {
+    /// The span covering both.
+    fn and(a: Option<Lost>, b: Option<Lost>) -> Option<Lost> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(Lost {
+                lo: a.lo.min(b.lo),
+                hi: a.hi.max(b.hi),
+            }),
+            (a, b) => a.or(b),
+        }
+    }
+
+    fn error(self, src: SourceId) -> AspenError {
+        AspenError::Execution(format!(
+            "{src:?}: window rows {}..{} could not be read back (a spill file is lost or \
+             damaged), so their retractions are missing",
+            self.lo, self.hi
+        ))
+    }
+}
+
+/// The live rows `[lo, hi)` of a log, `(row id, tuple)` in arrival order
+/// (empty, and no segment touched, when `lo >= hi`), and the span of
+/// those it could not read back. A window's rows are all live, so any
+/// row missing here is lost.
+fn range(rows: &ColumnarDeque, lo: u64, hi: u64) -> (Vec<(u64, Tuple)>, Option<Lost>) {
     let mut out = Vec::new();
     if lo < hi {
-        rows.extend_range(lo, hi, &mut out);
+        rows.for_each_in(lo, hi, |row, t| out.push((row, t)));
     }
-    out
+    let mut lost = None;
+    let mut next = lo;
+    for row in out
+        .iter()
+        .map(|(row, _)| *row)
+        .chain((lo < hi).then_some(hi))
+    {
+        if row > next {
+            lost = Lost::and(lost, Some(Lost { lo: next, hi: row }));
+        }
+        next = row + 1;
+    }
+    (out, lost)
+}
+
+/// A step over rows it could not all read: `Err` with their span.
+type Step = std::result::Result<(), Lost>;
+
+fn step_of(lost: Option<Lost>) -> Step {
+    lost.map_or(Ok(()), Err)
 }
 
 impl Frame {
@@ -427,42 +523,46 @@ impl Frame {
     /// `[tail, tail + tuples.len())`: the insertions plus the eager
     /// retractions (`ROWS` overflow, `TUMBLING` pane change — *any*
     /// change, so a stray older-pane arrival rolls too), net by row and
-    /// in arrival order.
+    /// in arrival order. A row to retract that cannot be read back is
+    /// passed over and reported; the frame moves all the same.
     fn insert_batch(
         &mut self,
         rows: &ColumnarDeque,
         tail: u64,
         tuples: &[Tuple],
         out: &mut DeltaBatch,
-    ) {
+    ) -> Step {
         let arrivals = (tail..).zip(tuples);
         match self.spec {
             WindowSpec::Unbounded => {
                 for t in tuples {
                     out.push_insert(t.clone());
                 }
+                Ok(())
             }
             WindowSpec::Range(_) => {
                 for (row, t) in arrivals {
                     out.push_row(Delta::insert(t.clone()), row);
                 }
+                Ok(())
             }
             WindowSpec::Rows(n) => {
                 // Where the head ends up: arrivals below it never show.
                 let head = (tail + tuples.len() as u64).saturating_sub(n);
-                let mut evicted = range(rows, self.head, head.min(tail)).into_iter();
+                let (evicted, lost) = range(rows, self.head, head.min(tail));
+                let mut evicted = evicted.into_iter().peekable();
                 for (row, t) in arrivals {
                     if row >= head {
                         out.push_row(Delta::insert(t.clone()), row);
                     }
                     while row + 1 - self.head > n {
-                        if self.head < tail {
-                            let old = evicted.next().expect("eviction run is sized");
-                            out.push_row(Delta::retract(old), self.head);
+                        if let Some((at, old)) = evicted.next_if(|(at, _)| *at == self.head) {
+                            out.push_row(Delta::retract(old), at);
                         }
                         self.head += 1;
                     }
                 }
+                step_of(lost)
             }
             WindowSpec::Tumbling(w) => {
                 // The last pane change of the batch retracts everything
@@ -476,24 +576,28 @@ impl Frame {
                     }
                     self.pane = Some(pane);
                 }
-                for (row, old) in (self.head..).zip(range(rows, self.head, head.min(tail))) {
+                let (rolled, lost) = range(rows, self.head, head.min(tail));
+                for (row, old) in rolled {
                     out.push_row(Delta::retract(old), row);
                 }
                 for (row, t) in arrivals.filter(|(row, _)| *row >= head) {
                     out.push_row(Delta::insert(t.clone()), row);
                 }
                 self.head = head;
+                step_of(lost)
             }
         }
     }
 
     /// Advance the clock against the log's retained rows: `RANGE`
     /// retracts the expired prefix, `TUMBLING` rolls only *forward* (a
-    /// lagging clock never touches live rows).
-    fn advance(&mut self, rows: &ColumnarDeque, now: SimTime, out: &mut DeltaBatch) {
+    /// lagging clock never touches live rows). Rows that cannot be read
+    /// back go as in [`Frame::insert_batch`].
+    fn advance(&mut self, rows: &ColumnarDeque, now: SimTime, out: &mut DeltaBatch) -> Step {
         let tail = rows.next_row();
         let expired_to = match self.spec {
             WindowSpec::Range(_) => {
+                // Stamps stay resident: a lost segment still expires.
                 let ts = |row| rows.ts_at(row).expect("rows from a head on are live");
                 let mut h = self.head;
                 while h < tail && !self.spec.contains(ts(h), now) {
@@ -513,10 +617,12 @@ impl Frame {
             }
             _ => self.head,
         };
-        for (row, old) in (self.head..).zip(range(rows, self.head, expired_to)) {
+        let (expired, lost) = range(rows, self.head, expired_to);
+        for (row, old) in expired {
             out.push_row(Delta::retract(old), row);
         }
         self.head = expired_to;
+        step_of(lost)
     }
 }
 
@@ -698,13 +804,15 @@ impl SourceLog {
         let mine = |c: &&Cursor| c.query == query && c.at.pins();
         let heads = self.cursors.iter().filter(mine).map(|c| c.at.head);
         let (lo, hi) = (heads.min()?, floor.unwrap_or(tail).min(tail));
-        (lo < hi).then(|| (lo, range(&self.rows, lo, hi)))
+        let tuples = || range(&self.rows, lo, hi).0.into_iter().map(|(_, t)| t);
+        (lo < hi).then(|| (lo, tuples().collect()))
     }
 
     /// Take in, and count, the rows numbered from `first` below those this
     /// log holds; it is rebuilt once, so full segments re-seal against the
-    /// source's pool, which hands back the parts another log sealed.
-    pub(crate) fn backfill(&mut self, first: u64, rows: &[Tuple]) -> u64 {
+    /// source's pool, which hands back the parts another log sealed. The
+    /// rows' text is coded again in `dict`, the source's dictionary.
+    pub(crate) fn backfill(&mut self, first: u64, rows: &[Tuple], dict: &mut Dict) -> u64 {
         let (tail, floor) = (self.rows.next_row(), self.floor());
         let below = floor.map_or(rows.len(), |f| f.saturating_sub(first) as usize);
         let below = &rows[..below.min(rows.len())];
@@ -720,11 +828,16 @@ impl SourceLog {
         for ix in self.indexes.iter_mut().flatten() {
             ix.lo = ix.lo.max(end);
         }
-        let held = range(&self.rows, end, tail);
+        let held: Vec<Tuple> = range(&self.rows, end, tail)
+            .0
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect();
         self.rows.release_below(tail);
         self.rows.resume_at(first);
-        for t in below.iter().chain(&held) {
-            self.rows.push_back(t);
+        for (first, rows) in [(first, below), (end, &held)] {
+            let text = Coded::intern(dict, first, rows, false);
+            self.rows.push_coded(first, rows, text.as_ref());
         }
         below.len() as u64
     }
@@ -736,24 +849,24 @@ impl SourceLog {
     /// batch; `Cursor::class` indexes them.
     fn step_classes(
         cursors: &mut [Cursor],
-        mut step: impl FnMut(&mut Frame, &mut DeltaBatch),
-    ) -> Vec<DeltaBatch> {
+        mut step: impl FnMut(&mut Frame, &mut DeltaBatch) -> Step,
+    ) -> (Vec<DeltaBatch>, Option<Lost>) {
         let mut frames: Vec<(Frame, Frame)> = Vec::new();
-        let mut batches = Vec::new();
+        let (mut batches, mut lost) = (Vec::new(), None);
         for c in cursors {
             c.class = frames
                 .iter()
                 .position(|(from, _)| *from == c.at)
                 .unwrap_or_else(|| {
                     let (mut to, mut batch) = (c.at, DeltaBatch::new());
-                    step(&mut to, &mut batch);
+                    lost = Lost::and(lost, step(&mut to, &mut batch).err());
                     batches.push(batch);
                     frames.push((c.at, to));
                     frames.len() - 1
                 });
             c.at = frames[c.class].1;
         }
-        batches
+        (batches, lost)
     }
 
     /// Per key index slot, the member standing lowest: its position and
@@ -771,22 +884,27 @@ impl SourceLog {
     }
 
     /// Step every cursor with `step` (see [`SourceLog::step_classes`]);
-    /// the batches, and per key index the class of the member that stood
-    /// lowest with its head before the step.
+    /// the batches, per key index the class of the member that stood
+    /// lowest with its head before the step, and the rows a step could
+    /// not read back.
     fn step_all(
         &mut self,
-        mut step: impl FnMut(&ColumnarDeque, &mut Frame, &mut DeltaBatch),
-    ) -> (Vec<DeltaBatch>, Lowest) {
+        mut step: impl FnMut(&ColumnarDeque, &mut Frame, &mut DeltaBatch) -> Step,
+    ) -> (Vec<DeltaBatch>, Lowest, Option<Lost>) {
         let lowest = self.lowest_members();
         let rows = &self.rows;
-        let batches = Self::step_classes(&mut self.cursors, |at, out| step(rows, at, out));
+        let (batches, lost) = Self::step_classes(&mut self.cursors, |at, out| step(rows, at, out));
         let class = |(i, head): (usize, u64)| (self.cursors[i].class, head);
         let lowest = lowest.into_iter().map(|m| m.map(class)).collect();
-        (batches, lowest)
+        (batches, lowest, lost)
     }
 
     /// Probe the step's class `batches` through the filter index.
-    fn probe(&self, batches: Vec<DeltaBatch>, lowest: Lowest, meters: &mut ShardMeters) -> Stepped {
+    fn probe(
+        &self,
+        (batches, lowest, lost): (Vec<DeltaBatch>, Lowest, Option<Lost>),
+        meters: &mut ShardMeters,
+    ) -> Stepped {
         let class_of = |m: u32| self.cursors[m as usize].class;
         let probes = &mut meters.filter_probes;
         let filtered = self
@@ -796,22 +914,27 @@ impl SourceLog {
             batches,
             filtered,
             lowest,
+            lost,
         }
     }
 
-    /// **Step** over one batch of source `src`, numbered from `first`:
-    /// append it and move every cursor. Returns one batch per class
-    /// (counted into `meters`, with one delivery per cursor), probed
-    /// through the filter index, for [`SourceLog::fed`] to hand out. Every
-    /// cursor has stepped when this returns, so a query whose delivery
-    /// fails cannot desynchronize its class (a cursor left behind would
-    /// later retract tuples it never inserted). Rows imply a pinning
-    /// cursor, routed here since: a batch not at their tail is refused.
+    /// **Step** over one batch of source `src`, numbered from `first`,
+    /// its text coded at admission as `text`: append it and move every
+    /// cursor. Returns one batch per class (counted into `meters`, with
+    /// one delivery per cursor), probed through the filter index, for
+    /// [`SourceLog::fed`] to hand out. Every cursor has stepped when this
+    /// returns, so a query whose delivery fails cannot desynchronize its
+    /// class (a cursor left behind would later retract tuples it never
+    /// inserted) — also when a step cannot read back rows it retracts:
+    /// it passes them over, and [`Stepped::read`] names them. Rows imply
+    /// a pinning cursor, routed here since: a batch not at their tail is
+    /// refused.
     pub(crate) fn insert_batch(
         &mut self,
         src: SourceId,
         first: u64,
         tuples: &[Tuple],
+        text: Option<&Coded>,
         meters: &mut ShardMeters,
     ) -> Result<Stepped> {
         let tail = self.rows.next_row();
@@ -831,12 +954,9 @@ impl SourceLog {
             )));
         }
         if self.cursors.iter().any(|c| c.at.pins()) {
-            for t in tuples {
-                self.rows.push_back(t);
-            }
+            self.rows.push_coded(first, tuples, text);
         }
-        let (batches, lowest) =
-            self.step_all(|rows, at, out| at.insert_batch(rows, first, tuples, out));
+        let step = self.step_all(|rows, at, out| at.insert_batch(rows, first, tuples, out));
         // Every member has stepped: the arrivals below their lowest head
         // were appended and evicted at once.
         for slot in 0..self.indexes.len() {
@@ -845,21 +965,22 @@ impl SourceLog {
                 ix.append(first, tuples, from);
             }
         }
-        meters.window_batches += batches.len() as u64;
+        meters.window_batches += step.0.len() as u64;
         meters.window_deliveries += self.cursors.len() as u64;
-        Ok(self.probe(batches, lowest, meters))
+        Ok(self.probe(step, meters))
     }
 
     /// **Step** the clock of every cursor. Returns one batch of
     /// retractions per class, empty where nothing expired (only the
-    /// others count into `meters`), probed through the filter index.
+    /// others count into `meters`), probed through the filter index; rows
+    /// it could not read back go as in [`SourceLog::insert_batch`].
     pub(crate) fn advance(&mut self, now: SimTime, meters: &mut ShardMeters) -> Stepped {
-        let (batches, lowest) = self.step_all(|rows, at, out| at.advance(rows, now, out));
+        let step = self.step_all(|rows, at, out| at.advance(rows, now, out));
         let fired = |batch: &&DeltaBatch| !batch.is_empty();
-        meters.window_batches += batches.iter().filter(fired).count() as u64;
-        let fed = self.cursors.iter().map(|c| &batches[c.class]);
+        meters.window_batches += step.0.iter().filter(fired).count() as u64;
+        let fed = self.cursors.iter().map(|c| &step.0[c.class]);
         meters.window_deliveries += fed.filter(fired).count() as u64;
-        self.probe(batches, lowest, meters)
+        self.probe(step, meters)
     }
 
     /// **Deliver**: whose batch is whose. Each query with cursors here,
@@ -1037,7 +1158,7 @@ mod tests {
     /// Step `log` over the next batch of a source that feeds only it.
     fn step(log: &mut SourceLog, tuples: &[Tuple], meters: &mut ShardMeters) -> Stepped {
         let first = log.rows.next_row();
-        log.insert_batch(SourceId(0), first, tuples, meters)
+        log.insert_batch(SourceId(0), first, tuples, None, meters)
             .unwrap()
     }
 
@@ -1145,7 +1266,9 @@ mod tests {
         let missing = from.missing(query, floor);
         let at = from.detach(query);
         let to = to.unwrap_or(from);
-        let filled = missing.map_or(0, |(first, rows)| to.backfill(first, &rows));
+        let filled = missing.map_or(0, |(first, rows)| {
+            to.backfill(first, &rows, &mut Dict::new())
+        });
         for at in at {
             to.attach(query, at, None, index);
         }
@@ -1175,7 +1298,8 @@ mod tests {
             let mut out = DeltaBatch::new();
             private.insert_batch(batch, &mut out);
             let first = b.rows.next_row();
-            let stepped = b.insert_batch(SourceId(0), first, batch, &mut ShardMeters::default());
+            let stepped =
+                b.insert_batch(SourceId(0), first, batch, None, &mut ShardMeters::default());
             (deliver(b, stepped.unwrap()), out)
         };
         // Still pane 0: the pane index travelled, nothing rolls.
@@ -1226,7 +1350,7 @@ mod tests {
         let arrivals: Vec<Tuple> = (2..7).map(|i| t(i, i as u64)).collect();
         private.insert_batch(&arrivals, &mut DeltaBatch::new());
         for log in [&mut a, &mut b] {
-            let stepped = log.insert_batch(SourceId(0), 2, &arrivals, &mut meters);
+            let stepped = log.insert_batch(SourceId(0), 2, &arrivals, None, &mut meters);
             deliver(log, stepped.unwrap());
         }
         assert_eq!((a.floor(), b.floor()), (Some(0), Some(5)));
@@ -1239,7 +1363,9 @@ mod tests {
         let next = [t(7, 7)];
         let mut want = DeltaBatch::new();
         private.insert_batch(&next, &mut want);
-        let stepped = b.insert_batch(SourceId(0), 7, &next, &mut meters).unwrap();
+        let stepped = b
+            .insert_batch(SourceId(0), 7, &next, None, &mut meters)
+            .unwrap();
         let fed: Vec<(QueryId, DeltaBatch)> = b
             .fed(&stepped)
             .map(|(q, mut fed)| (q, fed.next().unwrap().1.window.clone()))
@@ -1304,7 +1430,7 @@ mod tests {
             for log in logs {
                 let meters = &mut ShardMeters::default();
                 let batches = log
-                    .insert_batch(SourceId(0), first, &tuples, meters)
+                    .insert_batch(SourceId(0), first, &tuples, None, meters)
                     .unwrap();
                 deliver(log, batches);
             }
@@ -2032,8 +2158,13 @@ mod tests {
         let mut admit = |logs: &mut [SourceLog; 3], twins: &mut [WindowOp; 2], n: u64| {
             let tuples: Vec<Tuple> = (next..next + n).map(|i| t(i as i64 % 7, i)).collect();
             for log in logs.iter_mut() {
-                let stepped =
-                    log.insert_batch(SourceId(0), next, &tuples, &mut ShardMeters::default());
+                let stepped = log.insert_batch(
+                    SourceId(0),
+                    next,
+                    &tuples,
+                    None,
+                    &mut ShardMeters::default(),
+                );
                 deliver(log, stepped.unwrap());
             }
             for w in twins.iter_mut() {
@@ -2216,6 +2347,96 @@ mod tests {
             admit(&mut log, &mut twin, 3);
         }
         check_members(&log, &[(short, k.clone(), &twin)], "after failed reads");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log of one cursor under `spec` whose sealed segments all spill:
+    /// 72 rows a second apart, the files of rows 0..64 then deleted.
+    fn lost_log(spec: WindowSpec, dir: &std::path::Path) -> SourceLog {
+        let opts = StateOptions {
+            spill: Some(SpillConfig::new(0, dir)),
+        };
+        let mut log = new_log(&opts);
+        log.attach(QueryId(0), Position::fresh(0, spec), None, None);
+        let rows: Vec<Tuple> = (0..72).map(|i| t(i, i as u64)).collect();
+        deliver_all(&mut log, &rows);
+        for f in std::fs::read_dir(dir).unwrap() {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+        log
+    }
+
+    fn deliver_all(log: &mut SourceLog, rows: &[Tuple]) {
+        let first = log.rows.next_row();
+        let step = log.insert_batch(SourceId(7), first, rows, None, &mut ShardMeters::default());
+        deliver(log, step.unwrap());
+    }
+
+    /// The step names the source and the rows it could not read back in
+    /// an `execution` error, counts the failed read, and delivers what it
+    /// read: `want`, as a multiset.
+    fn lost_rows(log: &mut SourceLog, step: Stepped, (lo, hi): (u64, u64), want: &[(Tuple, i64)]) {
+        match step.read(SourceId(7)) {
+            Err(AspenError::Execution(msg)) => {
+                let rows = format!("SourceId(7): window rows {lo}..{hi} could not be read back");
+                assert!(msg.starts_with(&rows), "{msg}");
+            }
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+        assert!(log.footprint().read_failures > 0);
+        let mut want = want.to_vec();
+        want.sort_by_key(|(t, _)| (t.values().to_vec(), t.timestamp()));
+        assert_eq!(deliver(log, step), vec![(QueryId(0), 0, want)]);
+    }
+
+    #[test]
+    fn a_rows_window_evicting_a_lost_segment_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("aspen-lost-rows-{}", std::process::id()));
+        let mut log = lost_log(WindowSpec::Rows(40), &dir);
+        // Three arrivals evict rows 32, 33 and 34, whose file is gone: the
+        // step inserts them all the same, and the log goes on from there.
+        let arrivals: Vec<Tuple> = (72..75).map(|i| t(i, i as u64)).collect();
+        let step = log.insert_batch(
+            SourceId(7),
+            72,
+            &arrivals,
+            None,
+            &mut ShardMeters::default(),
+        );
+        let inserted: Vec<(Tuple, i64)> = arrivals.into_iter().map(|t| (t, 1)).collect();
+        lost_rows(&mut log, step.unwrap(), (32, 35), &inserted);
+        assert_eq!(log.floor(), Some(35));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_range_window_expiring_a_lost_segment_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("aspen-lost-range-{}", std::process::id()));
+        let mut log = lost_log(WindowSpec::Range(SimDuration::from_secs(30)), &dir);
+        // At 80 s the rows stamped up to 50 s expire, all of them lost.
+        let step = log.advance(SimTime::from_secs(80), &mut ShardMeters::default());
+        lost_rows(&mut log, step, (0, 51), &[]);
+        assert_eq!(log.floor(), Some(51));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tumbling_roll_over_a_lost_segment_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("aspen-lost-pane-{}", std::process::id()));
+        let mut log = lost_log(WindowSpec::Tumbling(SimDuration::from_secs(100)), &dir);
+        // An arrival in the next pane rolls all 72: 0..64 are lost, and
+        // the resident 64..72 are retracted.
+        let step = log.insert_batch(
+            SourceId(7),
+            72,
+            &[t(0, 150)],
+            None,
+            &mut ShardMeters::default(),
+        );
+        let mut want: Vec<(Tuple, i64)> = (64..72).map(|i| (t(i, i as u64), -1)).collect();
+        want.push((t(0, 150), 1));
+        lost_rows(&mut log, step.unwrap(), (0, 64), &want);
+        assert_eq!(log.floor(), Some(72));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -276,6 +276,35 @@ fn state_bytes_agree_with_the_allocator() {
     ratio("source logs (1 shard)", one_logs, one);
     ratio("source logs (2 shards)", two_logs, two);
 
+    // Text dictionaries: a source's, interned at admission and shared by
+    // its logs, and a store's own (a retained table's). Each is the heap
+    // its text adds over a twin holding each string's code as an `Int`.
+    let (charged, heap) = source_dictionary_heap();
+    let r = ratio("source dictionary, 1 024 labels", charged, heap);
+    if !(0.8..=1.25).contains(&r) {
+        off.push(format!("source dictionary: {r:.3}"));
+    }
+    let labels: Vec<Tuple> = (0..1_024)
+        .map(|i| t(vec![Value::Int(i), label(i)], 1))
+        .collect();
+    let codes: Vec<Tuple> = (0..1_024)
+        .map(|i| t(vec![Value::Int(i), Value::Int(i)], 1))
+        .collect();
+    let (mut text, mut twin) = (BagState::new(), BagState::new());
+    let text_heap = held(|| text.insert_all(&labels));
+    let twin_heap = held(|| twin.insert_all(&codes));
+    let r = ratio(
+        "store dictionary, a 1 024-row table of distinct labels",
+        dictionary(&text.footprint().sealed),
+        text_heap - twin_heap,
+    );
+    if !(0.8..=1.25).contains(&r) {
+        off.push(format!("store dictionary: {r:.3}"));
+    }
+    // Printed only: a text-bearing log, charged against its heap.
+    let (heap, charged) = labelled_log_heap();
+    ratio("text-bearing source log (1 shard)", charged, heap);
+
     println!(
         "allocator calls per dashboards-shaped batch: {:.1}",
         dashboards_allocs()
@@ -336,6 +365,103 @@ fn join_index_heap(joins: usize) -> (usize, usize) {
     });
     let report = e.telemetry_at(aspen_stream::Consistency::Fresh);
     (heap, report.shards[0].join_index_bytes as usize)
+}
+
+/// Label `i` of 1 024, 21 B.
+fn label(i: i64) -> Value {
+    Value::Text(format!("building-7/owner-{:04}", i % 1_024))
+}
+
+/// The `dictionary` row of a census.
+fn dictionary(census: &columnar::Census) -> usize {
+    census
+        .iter()
+        .find(|e| e.0 == "dictionary")
+        .map_or(0, |e| e.1)
+}
+
+/// `Labels`: sensor, owner (text, or its code as an `Int` in the twin),
+/// value.
+fn labels(text: bool) -> std::sync::Arc<Catalog> {
+    let cat = Catalog::shared();
+    let owner = if text { DataType::Text } else { DataType::Int };
+    let schema = Schema::new(vec![
+        Field::new("sensor", DataType::Int),
+        Field::new("owner", owner),
+        Field::new("value", DataType::Float),
+    ])
+    .into_ref();
+    cat.register_source(
+        "Labels",
+        schema,
+        SourceKind::Stream,
+        SourceStats::stream(64.0),
+    )
+    .unwrap();
+    cat
+}
+
+/// 4 096 `Labels` rows in batches of 8, 64 a second: owner `i` first
+/// arrives as row `i`, so its code is `i`.
+fn labels_batches(text: bool) -> Vec<Vec<Tuple>> {
+    let row = |i: i64| {
+        let owner = if text {
+            label(i)
+        } else {
+            Value::Int(i % 1_024)
+        };
+        t(
+            vec![Value::Int(i % 320), owner, Value::Float((i % 200) as f64)],
+            i as u64 * 15_625,
+        )
+    };
+    (0..512)
+        .map(|b| (b * 8..b * 8 + 8).map(row).collect())
+        .collect()
+}
+
+/// The heap a 1-shard engine's log of 4 096 `Labels` rows holds (one
+/// `[rows 4096]` window) with text over its `Int` twin, and the bytes
+/// the shard charges the source's dictionary.
+fn source_dictionary_heap() -> (usize, usize) {
+    let run = |text: bool| {
+        let config = EngineConfig::new()
+            .shards(1)
+            .scheduling(Scheduling::Sequential);
+        let mut e = ShardedEngine::with_config(labels(text), config);
+        e.register_sql("select count(*) from Labels l [rows 4096]")
+            .unwrap();
+        let batches = labels_batches(text);
+        let heap = held(|| {
+            for b in &batches {
+                e.on_batch("Labels", b).unwrap();
+            }
+        });
+        let report = e.telemetry_at(aspen_stream::Consistency::Fresh);
+        (heap, dictionary(&report.shards[0].footprint.sealed))
+    };
+    let ((text, charged), (twin, _)) = (run(true), run(false));
+    (charged, text - twin)
+}
+
+/// The heap a sequential 1-shard engine holds after the 4 096 text
+/// `Labels` rows reach four 10-minute windows, and its charged log bytes.
+fn labelled_log_heap() -> (usize, usize) {
+    let config = EngineConfig::new()
+        .shards(1)
+        .scheduling(Scheduling::Sequential);
+    let mut e = ShardedEngine::with_config(labels(true), config);
+    for agg in ["count(*)", "sum(l.value)", "max(l.value)", "avg(l.value)"] {
+        let sql = format!("select {agg} from Labels l [range 600 seconds]");
+        e.register_sql(&sql).unwrap();
+    }
+    let batches = labels_batches(true);
+    let heap = held(|| {
+        for b in &batches {
+            e.on_batch("Labels", b).unwrap();
+        }
+    });
+    (heap, e.resident_state().log_bytes)
 }
 
 /// 8 readings a batch, 64 a second.
