@@ -16,9 +16,9 @@
 //!   keeps, per segment and per column, whichever encoding measures the
 //!   fewest bytes — nothing but the data selects it:
 //!   * integers and stamps: plain words, run-length runs, or strided
-//!     frame-of-reference (`min + step · (u8 | u16 | u32)`, `step` the
-//!     GCD of the values' distances from `min`, when `(max − min) / step`
-//!     fits 32 bits) — stamps on a fixed clock pack as tick counts;
+//!     frame-of-reference (`min + step · d`, `d` a [`Packed`] cell of
+//!     1, 2 or 4 bytes, `step` the GCD of the values' distances from
+//!     `min`) — stamps on a fixed clock pack as tick counts;
 //!   * floats: decimals (`int / 10^exp`, `exp` ≤ 4, the integers sealed
 //!     as above) when every value decodes back bit for bit from its
 //!     integer, else plain 8-byte bits — `-0.0`, NaN, ±inf, off-grid
@@ -27,6 +27,12 @@
 //!     immutable dictionary generation ([`Gen`]) they resolve against —
 //!     or plain per-row strings (one blob, narrow offsets) when those
 //!     measure fewer bytes.
+//! * [`Packed`] — the one narrow-integer column: `u8`, `u16`, `u32` or
+//!   `u64` cells, optionally against a base, widening itself in place
+//!   when a value does not fit. Sealed columns use it at the width their
+//!   values need (frame-of-reference deltas, string offsets); the
+//!   engine's mutable operator state (aggregate slots, key indexes) uses
+//!   it for ids, counts and keys that stay small.
 //! * [`Dict`] — the text dictionary. A store owns one and interns its
 //!   own text ([`TupleStore::push_cells`]), or stores that number the
 //!   same rows share one that a single writer interns in row order, and
@@ -75,6 +81,9 @@ use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+
+mod packed;
+pub use packed::Packed;
 
 /// Rows per segment. Small enough that transiently decoding one spilled
 /// segment is cheap, large enough that per-segment overhead amortizes.
@@ -249,61 +258,7 @@ impl std::iter::Sum for Census {
 }
 
 // ---------------------------------------------------------------------------
-// Narrow vectors and word columns
-
-/// `u32`-range values stored at one, two or four bytes each — the
-/// narrowest width that holds the largest of them.
-#[derive(Debug, Clone)]
-enum Narrow {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-}
-
-impl Narrow {
-    /// Bytes a value takes when the largest is `max`.
-    fn width(max: u32) -> usize {
-        match max {
-            0..=0xFF => 1,
-            0x100..=0xFFFF => 2,
-            _ => 4,
-        }
-    }
-
-    /// `values`, none above `max`, at [`Narrow::width`]`(max)`.
-    fn pack(max: u32, values: impl Iterator<Item = u32>) -> Narrow {
-        match Narrow::width(max) {
-            1 => Narrow::U8(values.map(|v| v as u8).collect()),
-            2 => Narrow::U16(values.map(|v| v as u16).collect()),
-            _ => Narrow::U32(values.collect()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Narrow::U8(v) => v.len(),
-            Narrow::U16(v) => v.len(),
-            Narrow::U32(v) => v.len(),
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u32 {
-        match self {
-            Narrow::U8(v) => v[i] as u32,
-            Narrow::U16(v) => v[i] as u32,
-            Narrow::U32(v) => v[i],
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Narrow::U8(v) => v.len(),
-            Narrow::U16(v) => v.len() * 2,
-            Narrow::U32(v) => v.len() * 4,
-        }
-    }
-}
+// Word columns
 
 /// A column of 64-bit words — `i64` bit patterns or stamps. Plain while
 /// it takes appends; sealed to whichever of plain, run-length and
@@ -322,7 +277,7 @@ enum Words {
     For {
         base: u64,
         step: u64,
-        deltas: Narrow,
+        deltas: Packed,
     },
 }
 
@@ -365,7 +320,7 @@ impl Words {
             Words::Plain(v) => v[i],
             Words::Rle { values, ends } => values[ends.partition_point(|&e| e as usize <= i)],
             Words::For { base, step, deltas } => {
-                base.wrapping_add(step.wrapping_mul(deltas.get(i) as u64))
+                base.wrapping_add(step.wrapping_mul(deltas.get(i)))
             }
         }
     }
@@ -395,19 +350,16 @@ impl Words {
         let step = if hi - lo > 0xFF { stride() } else { 1 };
         let plain = v.len() * 8;
         let rle = 12 * (1 + v.windows(2).filter(|w| w[0] != w[1]).count());
-        let packed = |range| v.len() * Narrow::width(range);
-        match u32::try_from((hi - lo) / step) {
-            Ok(range) if packed(range) < plain && packed(range) <= rle => {
-                let base = lo ^ flip;
-                let delta = |&x: &u64| (x.wrapping_sub(base) / step) as u32;
-                let deltas = Narrow::pack(range, v.iter().map(delta));
-                *self = Words::For { base, step, deltas };
-            }
-            _ if rle < plain => {
-                let (values, ends) = rle_encode(v);
-                *self = Words::Rle { values, ends };
-            }
-            _ => {}
+        let range = (hi - lo) / step;
+        let packed = v.len() * Packed::width_of(range);
+        if packed < plain && packed <= rle {
+            let base = lo ^ flip;
+            let delta = |&x: &u64| x.wrapping_sub(base) / step;
+            let deltas = Packed::pack(range, v.iter().map(delta));
+            *self = Words::For { base, step, deltas };
+        } else if rle < plain {
+            let (values, ends) = rle_encode(v);
+            *self = Words::Rle { values, ends };
         }
     }
 }
@@ -474,7 +426,7 @@ const ARC_HEADER: usize = 16;
 struct Run {
     first: u32,
     blob: Box<str>,
-    ends: Narrow,
+    ends: Packed,
     /// Runs before it in its epoch.
     depth: u32,
     prev: Option<Arc<Run>>,
@@ -491,7 +443,7 @@ impl Run {
         gauge: &Arc<AtomicUsize>,
     ) -> Arc<Run> {
         let blob = blob.into_boxed_str();
-        let ends = Narrow::pack(blob.len() as u32, ends.iter().copied());
+        let ends = Packed::pack(blob.len() as u64, ends.iter().map(|&e| e as u64));
         let heap = ARC_HEADER + std::mem::size_of::<Run>() + blob.len() + ends.heap_bytes();
         let jump =
             prev.as_ref().map(
@@ -909,7 +861,7 @@ enum Column {
     /// back to back in `blob`, row `i` ending at `ends[i]`.
     Plain {
         blob: String,
-        ends: Narrow,
+        ends: Packed,
     },
     /// Row-of-cells fallback for heterogeneous or null-bearing columns.
     Mixed(Vec<Cell>, usize),
@@ -957,34 +909,32 @@ fn pack_floats(v: &[u64]) -> Option<Column> {
 }
 
 /// Row `i` of a [`Column::Plain`].
-fn plain_str<'a>(blob: &'a str, ends: &Narrow, i: usize) -> &'a str {
+fn plain_str<'a>(blob: &'a str, ends: &Packed, i: usize) -> &'a str {
     let start = if i == 0 { 0 } else { ends.get(i - 1) };
     &blob[start as usize..ends.get(i) as usize]
 }
 
 /// Seal appended codes: as codes at their width, or as plain strings
-/// when those measure fewer bytes (offsets are 32-bit, so a segment
-/// holding more text than that stays codes).
+/// when those measure fewer bytes.
 fn pack_text(codes: &[u32], strings: Strings) -> Column {
     let mut words = Words::Plain(codes.iter().map(|&c| c as u64).collect());
     words.seal(false);
     let rows = || codes.iter().map(|&c| strings.get(c));
-    let total: usize = rows().map(str::len).sum();
-    match u32::try_from(total) {
-        Ok(t) if total + codes.len() * Narrow::width(t) < words.heap_bytes() => {
-            let mut end = 0;
-            let ends = Narrow::pack(
-                t,
-                rows().map(|s| {
-                    end += s.len() as u32;
-                    end
-                }),
-            );
-            let blob = rows().collect();
-            Column::Plain { blob, ends }
-        }
-        _ => Column::Coded(words),
+    let total = rows().map(str::len).sum::<usize>() as u64;
+    let ends = codes.len() * Packed::width_of(total);
+    if total as usize + ends >= words.heap_bytes() {
+        return Column::Coded(words);
     }
+    let mut end = 0;
+    let ends = Packed::pack(
+        total,
+        rows().map(|s| {
+            end += s.len() as u64;
+            end
+        }),
+    );
+    let blob = rows().collect();
+    Column::Plain { blob, ends }
 }
 
 impl Column {
@@ -1230,38 +1180,6 @@ fn decode_cell(buf: &mut &[u8]) -> Option<Cell> {
     })
 }
 
-fn encode_narrow(buf: &mut Vec<u8>, n: &Narrow) {
-    match n {
-        Narrow::U8(v) => {
-            buf.push(1);
-            put_u32(buf, v.len() as u32);
-            buf.extend_from_slice(v);
-        }
-        Narrow::U16(v) => {
-            buf.push(2);
-            put_u32(buf, v.len() as u32);
-            v.iter()
-                .for_each(|x| buf.extend_from_slice(&x.to_le_bytes()));
-        }
-        Narrow::U32(v) => {
-            buf.push(4);
-            put_u32(buf, v.len() as u32);
-            v.iter().for_each(|&x| put_u32(buf, x));
-        }
-    }
-}
-
-fn decode_narrow(buf: &mut &[u8]) -> Option<Narrow> {
-    let width = take_u8(buf)?;
-    let n = take_u32(buf)? as usize;
-    Some(match width {
-        1 => Narrow::U8(take(buf, n)?.to_vec()),
-        2 => Narrow::U16(take_vec(buf, n, u16::from_le_bytes)?),
-        4 => Narrow::U32(take_vec(buf, n, u32::from_le_bytes)?),
-        _ => return None,
-    })
-}
-
 fn encode_words(buf: &mut Vec<u8>, w: &Words) {
     match w {
         Words::Plain(v) => {
@@ -1277,7 +1195,7 @@ fn encode_words(buf: &mut Vec<u8>, w: &Words) {
             buf.push(2);
             put_u64(buf, *base);
             put_u64(buf, *step);
-            encode_narrow(buf, deltas);
+            deltas.encode(buf);
         }
     }
 }
@@ -1297,7 +1215,7 @@ fn decode_words(buf: &mut &[u8]) -> Option<Words> {
         2 => Words::For {
             base: take_u64(buf)?,
             step: take_u64(buf)?,
-            deltas: decode_narrow(buf)?,
+            deltas: Packed::decode(buf)?,
         },
         _ => return None,
     })
@@ -1342,7 +1260,7 @@ fn encode_column(buf: &mut Vec<u8>, col: &Column) {
         Column::Plain { blob, ends } => {
             buf.push(5);
             put_str(buf, blob);
-            encode_narrow(buf, ends);
+            ends.encode(buf);
         }
         Column::Mixed(v, _) => {
             buf.push(6);
@@ -1367,7 +1285,7 @@ fn decode_column(buf: &mut &[u8], codes: u32) -> Option<Column> {
         4 => Column::Ts(decode_words(buf)?),
         5 => {
             let blob = take_str(buf)?;
-            let ends = decode_narrow(buf)?;
+            let ends = Packed::decode(buf)?;
             // `get` slices the blob between ends: they must ascend on
             // character boundaries inside it.
             let mut prev = 0;
@@ -2256,16 +2174,26 @@ impl TupleStore {
     }
 
     /// Visit every live row in row-id (= arrival) order. Each spilled
-    /// segment is decoded once for the whole scan.
+    /// segment is decoded once for the whole scan; one that cannot be
+    /// read back is skipped (and counted), as
+    /// [`TupleStore::for_each_live_in`] reports.
     pub fn for_each_live(&self, f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
         self.for_each_live_in(0, u64::MAX, f);
     }
 
     /// [`TupleStore::for_each_live`] restricted to row ids in
     /// `[lo, hi)`: segments outside the range are never touched, and a
-    /// spilled segment that cannot be read back is skipped.
-    pub fn for_each_live_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, Vec<Cell>, u64, i64)) {
+    /// spilled segment that cannot be read back is skipped — the span
+    /// `(first, end)` of the rows skipped so is returned, `None` when
+    /// every row was read.
+    pub fn for_each_live_in(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut f: impl FnMut(u64, Vec<Cell>, u64, i64),
+    ) -> Option<(u64, u64)> {
         let start = self.segs.partition_point(|s| s.base + s.rows as u64 <= lo);
+        let mut lost: Option<(u64, u64)> = None;
         for s in &self.segs[start..] {
             if s.base >= hi {
                 break;
@@ -2274,6 +2202,9 @@ impl TupleStore {
                 continue;
             }
             let Some(cols) = s.columns(&self.read_failures) else {
+                let first = lo.max(s.base + s.first as u64);
+                let end = hi.min(s.base + s.rows as u64);
+                lost = Some(lost.map_or((first, end), |(a, b)| (a.min(first), b.max(end))));
                 continue;
             };
             let from = (lo.saturating_sub(s.base) as usize).max(s.first as usize);
@@ -2289,6 +2220,7 @@ impl TupleStore {
                 f(s.base + off as u64, cells, s.ts.get(off), w);
             }
         }
+        lost
     }
 
     /// Mark every live row with id below `row` dead — the release of a
@@ -3117,7 +3049,7 @@ mod tests {
     }
 
     /// The property's number columns: strides on every side of each
-    /// `Narrow` width, extremes, and floats on and off a decimal grid.
+    /// `Packed` width, extremes, and floats on and off a decimal grid.
     fn numbers(rng: &mut StdRng) -> Vec<Number> {
         let mut columns = Vec::new();
         let maxes = [0, 0xFF, 0x100, 0xFFFF, 0x1_0000, 0xFFFF_FFFF, 0x1_0000_0000];
@@ -3148,11 +3080,7 @@ mod tests {
     fn encodings(s: &TupleStore) -> HashSet<String> {
         let words = |w: &Words| match w {
             Words::For { step, deltas, .. } => {
-                let width = match deltas {
-                    Narrow::U8(_) => 1,
-                    Narrow::U16(_) => 2,
-                    Narrow::U32(_) => 4,
-                };
+                let width = deltas.width();
                 format!("for{width}{}", if *step > 1 { "/strided" } else { "" })
             }
             other => format!("words{}", other.encoding()),
@@ -3358,15 +3286,9 @@ mod tests {
             let count = |f: fn(&Column) -> bool| cols.columns.iter().filter(|c| f(c)).count();
             (
                 count(|c| matches!(c, Column::Text(_))),
-                count(|c| {
-                    matches!(
-                        c,
-                        Column::Coded(Words::For {
-                            deltas: Narrow::U8(_),
-                            ..
-                        })
-                    )
-                }),
+                count(
+                    |c| matches!(c, Column::Coded(Words::For { deltas, .. }) if deltas.width() == 1),
+                ),
             )
         };
         let (active, sealed) = s.segs.split_last().unwrap();
@@ -3409,16 +3331,8 @@ mod tests {
         let (mut col, mut dict) = (Column::Empty, Dict::new());
         (0..40).for_each(|i| col.push(CellRef::Float(i as f64 * 0.25), &mut Coder::Own(&mut dict)));
         col.seal(Strings::Dict(&dict));
-        let strided = |w: &Words| {
-            matches!(
-                w,
-                Words::For {
-                    step: 25,
-                    deltas: Narrow::U8(_),
-                    ..
-                }
-            )
-        };
+        let strided =
+            |w: &Words| matches!(w, Words::For { step: 25, deltas, .. } if deltas.width() == 1);
         assert!(
             matches!(&col, Column::Decimal { exp: 2, ints } if strided(ints)),
             "{col:?}"
@@ -3599,6 +3513,13 @@ mod tests {
             assert_eq!((s.spill_read_failures(), c.spill_read_failures()), (4, 4));
             assert_eq!((c.get(3), c.live_rows(), c.len()), (None, 12, 20), "{what}");
             assert_eq!(c.get(9).unwrap().0, row(9), "{what}");
+            // A ranged read reports the span it skipped.
+            let skipped = |lo, hi| s.for_each_live_in(lo, hi, |_, _, _, _| {});
+            assert_eq!(
+                (skipped(2, 30), skipped(8, 30)),
+                (Some((2, 8)), None),
+                "{what}"
+            );
             drop(s);
             let _ = fs::remove_dir_all(&dir);
         }

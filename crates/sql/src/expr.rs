@@ -23,20 +23,29 @@
 //! | call | cells a slot |
 //! |---|---|
 //! | `COUNT(*)` | none: the group's weight, which the operator keeps |
-//! | `COUNT(expr)` | `i64` non-`NULL` inputs |
-//! | `SUM` / `AVG` | `f64` sum, `i64` non-`NULL` inputs (`int_input` once per column) |
+//! | `COUNT(expr)` | non-`NULL` inputs, a [`Packed`] count (1 B below 128) |
+//! | `SUM` / `AVG` | `f64` sum of the finite inputs, non-`NULL` inputs as a [`Packed`] count (`int_input` once per column) |
 //! | `MIN` / `MAX` | a `BTreeMap<Value, usize>` multiset of live values |
+//!
+//! Counts are signed (a retraction may land before its insertion inside
+//! a batch), zig-zagged into a packed column that widens itself only
+//! when a count needs it. A `SUM` / `AVG` slot that ever holds a live
+//! `NaN`, `+∞` or `−∞` counts them in a side table, made on the first
+//! one, so they retract as exactly as the finite inputs do: the value
+//! is `NaN` while a `NaN` (or both infinities) is live, else the live
+//! infinity, else the finite sum.
 //!
 //! `COUNT(*)` moves by the delta's sign exactly as the weight does, so
 //! it has no cells and reads the weight the operator passes to
 //! [`AggColumn::value`]. [`AggColumn::heap_bytes`] measures the column
-//! from its capacities; only a `BTreeMap` entry's share of its node is a
-//! constant.
+//! from its capacities; only a `BTreeMap` entry's and a side-table
+//! bucket's share of their nodes are constants.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use aspen_types::{ArithOp, AspenError, DataType, Result, Tuple, Value};
+use columnar::Packed;
 
 use crate::ast::CmpOp;
 
@@ -495,16 +504,48 @@ pub struct AggColumn {
 enum Cells {
     /// `COUNT(*)`: the group's weight, kept by the operator.
     Rows,
-    /// `COUNT(expr)`: non-`NULL` inputs.
-    Count(Vec<i64>),
-    /// `SUM` / `AVG`: the sum and the non-`NULL` inputs behind it.
+    /// `COUNT(expr)`: non-`NULL` inputs, zig-zagged.
+    Count(Packed),
+    /// `SUM` / `AVG`: the sum of the finite inputs, the non-`NULL`
+    /// inputs behind it (zig-zagged), and per slot holding any, its live
+    /// non-finite inputs (module docs).
     Sum {
         sum: Vec<f64>,
-        n: Vec<i64>,
+        n: Packed,
+        non_finite: HashMap<usize, NonFinite>,
         int_input: bool,
     },
     /// `MIN` / `MAX`: the exact multiset of live values.
     Extreme(Vec<BTreeMap<Value, usize>>),
+}
+
+/// A slot's live `NaN`, `+∞` and `−∞` inputs.
+type NonFinite = [i64; 3];
+
+/// Add `sign` copies of `x` to `slot`: a finite `x` to its sum, a
+/// non-finite one to its count in `non_finite` (the entry dropped once every
+/// count is back at 0).
+fn add(
+    sum: &mut [f64],
+    non_finite: &mut HashMap<usize, NonFinite>,
+    slot: usize,
+    x: f64,
+    sign: i64,
+) {
+    if x.is_finite() {
+        sum[slot] += sign as f64 * x;
+        return;
+    }
+    let at = match x {
+        f64::INFINITY => 1,
+        f64::NEG_INFINITY => 2,
+        _ => 0,
+    };
+    let counts = non_finite.entry(slot).or_default();
+    counts[at] += sign;
+    if *counts == [0; 3] {
+        non_finite.remove(&slot);
+    }
 }
 
 impl AggColumn {
@@ -512,10 +553,11 @@ impl AggColumn {
     /// (`None`: a `NULL` literal).
     pub fn new(func: AggFunc, arg_type: Option<DataType>) -> Self {
         let cells = match func {
-            AggFunc::Count => Cells::Count(Vec::new()),
+            AggFunc::Count => Cells::Count(Packed::new()),
             AggFunc::Sum | AggFunc::Avg => Cells::Sum {
                 sum: Vec::new(),
-                n: Vec::new(),
+                n: Packed::new(),
+                non_finite: HashMap::new(),
                 int_input: arg_type == Some(DataType::Int),
             },
             AggFunc::Min | AggFunc::Max => Cells::Extreme(Vec::new()),
@@ -564,10 +606,15 @@ impl AggColumn {
     pub fn reset(&mut self, slot: usize) {
         match &mut self.cells {
             Cells::Rows => {}
-            Cells::Count(c) => c[slot] = 0,
-            Cells::Sum { sum, n, .. } => {
+            Cells::Count(c) => c.set(slot, 0),
+            Cells::Sum {
+                sum, n, non_finite, ..
+            } => {
                 sum[slot] = 0.0;
-                n[slot] = 0;
+                n.set(slot, 0);
+                if !non_finite.is_empty() {
+                    non_finite.remove(&slot);
+                }
             }
             Cells::Extreme(sets) => sets[slot] = BTreeMap::new(),
         }
@@ -581,10 +628,12 @@ impl AggColumn {
         }
         match &mut self.cells {
             Cells::Rows => {}
-            Cells::Count(c) => c[slot] += 1,
-            Cells::Sum { sum, n, .. } => {
-                sum[slot] += v.as_f64()?;
-                n[slot] += 1;
+            Cells::Count(c) => c.set_i64(slot, c.get_i64(slot) + 1),
+            Cells::Sum {
+                sum, n, non_finite, ..
+            } => {
+                add(sum, non_finite, slot, v.as_f64()?, 1);
+                n.set_i64(slot, n.get_i64(slot) + 1);
             }
             Cells::Extreme(sets) => *sets[slot].entry(v.clone()).or_insert(0) += 1,
         }
@@ -599,10 +648,12 @@ impl AggColumn {
         }
         match &mut self.cells {
             Cells::Rows => {}
-            Cells::Count(c) => c[slot] -= 1,
-            Cells::Sum { sum, n, .. } => {
-                sum[slot] -= v.as_f64()?;
-                n[slot] -= 1;
+            Cells::Count(c) => c.set_i64(slot, c.get_i64(slot) - 1),
+            Cells::Sum {
+                sum, n, non_finite, ..
+            } => {
+                add(sum, non_finite, slot, v.as_f64()?, -1);
+                n.set_i64(slot, n.get_i64(slot) - 1);
             }
             Cells::Extreme(sets) => match sets[slot].get_mut(v) {
                 Some(n) if *n > 1 => *n -= 1,
@@ -624,13 +675,26 @@ impl AggColumn {
     pub fn value(&self, slot: usize, rows: i64) -> Value {
         match &self.cells {
             Cells::Rows => Value::Int(rows),
-            Cells::Count(c) => Value::Int(c[slot]),
-            Cells::Sum { n, .. } if n[slot] == 0 => Value::Null,
-            Cells::Sum { sum, n, int_input } => match self.func {
-                AggFunc::Avg => Value::Float(sum[slot] / n[slot] as f64),
-                _ if *int_input => Value::Int(sum[slot] as i64),
-                _ => Value::Float(sum[slot]),
-            },
+            Cells::Count(c) => Value::Int(c.get_i64(slot)),
+            Cells::Sum { n, .. } if n.get(slot) == 0 => Value::Null,
+            Cells::Sum {
+                sum,
+                n,
+                non_finite,
+                int_input,
+            } => {
+                let sum = match non_finite.get(&slot) {
+                    Some(&[nan, pos, neg]) if nan > 0 || (pos > 0 && neg > 0) => f64::NAN,
+                    Some(&[_, pos, _]) if pos > 0 => f64::INFINITY,
+                    Some(&[_, _, neg]) if neg > 0 => f64::NEG_INFINITY,
+                    _ => sum[slot],
+                };
+                match self.func {
+                    AggFunc::Avg => Value::Float(sum / n.get_i64(slot) as f64),
+                    _ if *int_input => Value::Int(sum as i64),
+                    _ => Value::Float(sum),
+                }
+            }
             Cells::Extreme(sets) => {
                 let pick = match self.func {
                     AggFunc::Min => sets[slot].first_key_value(),
@@ -649,8 +713,15 @@ impl AggColumn {
         }
         match &self.cells {
             Cells::Rows => 0,
-            Cells::Count(c) => cap(c),
-            Cells::Sum { sum, n, .. } => cap(sum) + cap(n),
+            Cells::Count(c) => c.heap_bytes(),
+            Cells::Sum {
+                sum, n, non_finite, ..
+            } => {
+                // An entry and a control byte a bucket.
+                let non_finite =
+                    non_finite.capacity() * (std::mem::size_of::<(usize, NonFinite)>() + 1);
+                cap(sum) + n.heap_bytes() + non_finite
+            }
             Cells::Extreme(sets) => {
                 let entries = sets.iter().flat_map(BTreeMap::keys);
                 let bytes = entries.map(|v| BTREE_ENTRY_BYTES + value_heap_bytes(v));
@@ -836,10 +907,51 @@ mod tests {
         assert_eq!(sum.value(0, 1), Value::Null);
         avg.reset(0);
         assert_eq!(avg.value(0, 0), Value::Null);
-        let Cells::Sum { sum: cells, .. } = &sum.cells else {
+        let Cells::Sum { sum: cells, n, .. } = &sum.cells else {
             panic!("SUM keeps sum cells");
         };
-        assert_eq!(sum.heap_bytes(), 2 * 8 * cells.capacity());
+        assert_eq!(n.width(), 1, "a count below 128 is a byte");
+        assert_eq!(sum.heap_bytes(), 8 * cells.capacity() + n.capacity());
+    }
+
+    /// Non-finite inputs are counted apart from the finite sum, so each
+    /// retracts exactly; the side table is made on the first and goes
+    /// with the last.
+    #[test]
+    fn non_finite_inputs_retract() {
+        let mut sum = one_slot(AggFunc::Sum, Some(DataType::Float));
+        sum.push();
+        let bytes = sum.heap_bytes();
+        let f = Value::Float;
+        let steps: [(f64, i64, &str); 8] = [
+            (1.5, 1, "Float(1.5)"),
+            (f64::NAN, 1, "Float(NaN)"),
+            (f64::INFINITY, 1, "Float(NaN)"),
+            (f64::NAN, -1, "Float(inf)"),
+            (f64::NEG_INFINITY, 1, "Float(NaN)"),
+            (f64::INFINITY, -1, "Float(-inf)"),
+            (f64::NEG_INFINITY, -1, "Float(1.5)"),
+            (2.0, 1, "Float(3.5)"),
+        ];
+        for (x, sign, want) in steps {
+            match sign > 0 {
+                true => sum.insert(0, &f(x)).unwrap(),
+                false => sum.retract(0, &f(x)).unwrap(),
+            }
+            assert_eq!(format!("{:?}", sum.value(0, 1)), want, "{sign} x {x}");
+            assert_eq!(sum.value(1, 0), Value::Null, "the other slot stays fresh");
+        }
+        let Cells::Sum { non_finite, .. } = &sum.cells else {
+            panic!("SUM keeps sum cells");
+        };
+        assert!(non_finite.is_empty());
+        assert!(sum.heap_bytes() > bytes, "the side table is charged");
+        // A reset slot forgets its non-finite inputs.
+        sum.insert(1, &f(f64::NAN)).unwrap();
+        sum.reset(1);
+        assert_eq!(sum.value(1, 0), Value::Null);
+        sum.insert(1, &f(2.0)).unwrap();
+        assert_eq!(sum.value(1, 1), f(2.0));
     }
 
     #[test]

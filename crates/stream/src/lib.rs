@@ -423,9 +423,10 @@
 //!   blended score above; a unit test in [`state`] pins a fixed
 //!   fixture's bytes under a ceiling. Aggregate groups are slots in typed
 //!   columns charged at capacity ([`operators::AggregateOp`]), their
-//!   keys included: an `INT`, `FLOAT`, `TIMESTAMP` or `BOOL` key is an
-//!   8 B word until a key not of its type turns the column into `Value`
-//!   cells. Held to 0.8–1.25× of a counting allocator by
+//!   keys included: an `INT`, `FLOAT`, `TIMESTAMP` or `BOOL` key is a
+//!   word — packed at 1, 2, 4 or 8 bytes against a base, as the keys
+//!   need (`columnar::Packed`) — until a key not of its type turns the
+//!   column into `Value` cells. Held to 0.8–1.25× of a counting allocator by
 //!   `tests/state_accounting.rs`.
 //! * **Spill tier** — [`session::EngineConfig::spill`] sets a
 //!   per-structure resident-byte threshold: cold *segments* (oldest
@@ -433,8 +434,10 @@
 //!   timestamps, liveness, and weights stay resident (about 4¼ bytes a
 //!   row for a sensor stream) so window expiry scans never touch
 //!   spilled files. A spill file that is missing, short or undecodable
-//!   makes its segment's rows read as absent — an indexed join side then
-//!   fails with an execution error instead of dropping matches; a file
+//!   makes its segment's rows read as absent, and whatever needs them
+//!   fails with an execution error naming the source or table and the
+//!   rows — a window step, an indexed join side's probe, a table's
+//!   replay into a late query or view — instead of reading short; a file
 //!   that cannot be written leaves its segment resident until the next
 //!   seal. Both count (`spill_{read,write}_failures`) in `ResidentState`,
 //!   in `ShardLoad` and, for tables, in the `table_*` rows. Live

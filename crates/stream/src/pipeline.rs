@@ -64,8 +64,9 @@ struct ScanEntry {
 /// The source logs behind a pipeline's cursor-fed scans: a shard passes
 /// its own; off a shard there are none to ask ([`NoLogs`]).
 pub(crate) trait Logs {
-    /// The tuple at row `row` of `src`'s log.
-    fn get(&self, src: SourceId, row: u64) -> Option<Tuple>;
+    /// The tuple at row `row` of `src`'s log, `None` if it holds none;
+    /// an `execution` error if it holds the row but cannot read it back.
+    fn get(&self, src: SourceId, row: u64) -> Result<Option<Tuple>>;
 
     /// Visit the rows of bucket `hash` of the key index in `slot` of
     /// `src`'s log ([`crate::window::SourceLog::walk`]).
@@ -83,8 +84,8 @@ pub(crate) type LogRows<'a> = &'a dyn Logs;
 pub(crate) struct NoLogs;
 
 impl Logs for NoLogs {
-    fn get(&self, _: SourceId, _: u64) -> Option<Tuple> {
-        None
+    fn get(&self, _: SourceId, _: u64) -> Result<Option<Tuple>> {
+        Ok(None)
     }
 
     fn walk(&self, _: SourceId, _: u32, _: u64, _: &mut dyn FnMut(u64) -> bool) {}
@@ -102,11 +103,15 @@ struct ScanRows<'a> {
 }
 
 impl Rows for ScanRows<'_> {
-    fn get(&self, scan: usize, row: u64) -> Option<Tuple> {
+    fn get(&self, scan: usize, row: u64) -> Result<Option<Tuple>> {
         let scan = &self.scans[scan];
-        self.logs
-            .get(scan.source, row)
-            .or_else(|| scan.window.get(row))
+        match self.logs.get(scan.source, row)? {
+            Some(t) => Ok(Some(t)),
+            None => scan
+                .window
+                .get(row)
+                .map_err(|lost| lost.probe_error(scan.source)),
+        }
     }
 
     fn walk(&self, scan: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {

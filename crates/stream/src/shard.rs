@@ -124,7 +124,7 @@ use crate::session::{
     ResultSubscription, SessionId, SharedQueue, SubscriptionQueue,
 };
 use crate::sink::Sink;
-use crate::state::{BagState, Coded, Footprint, StateOptions};
+use crate::state::{BagState, Coded, Footprint, Lost, StateOptions};
 use crate::telemetry::{QueryLoad, ShardLoad, ShardMeters, TelemetryReport};
 use crate::trace::{now_us, OpProfile, Span, SpanJournal, SpanKind, TraceCtx};
 use crate::window::{Fed, IndexKey, Position, SourceLog, Stepped};
@@ -548,8 +548,11 @@ impl<'a> ShardLogs<'a> {
 }
 
 impl Logs for ShardLogs<'_> {
-    fn get(&self, src: SourceId, row: u64) -> Option<Tuple> {
-        self.logs.get(&src)?.get(row)
+    fn get(&self, src: SourceId, row: u64) -> Result<Option<Tuple>> {
+        let Some(log) = self.logs.get(&src) else {
+            return Ok(None);
+        };
+        log.get(row).map_err(|lost| lost.probe_error(src))
     }
 
     fn walk(&self, src: SourceId, slot: u32, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {
@@ -1245,7 +1248,8 @@ impl ShardedEngine {
         for src in pipeline.sources() {
             // A view is maintained at admission, so its materialization
             // already includes every admitted base boundary.
-            if let Some(rows) = self.retained(src).or_else(|| self.views.snapshot_of(src)) {
+            let retained = self.retained(src).transpose()?;
+            if let Some(rows) = retained.or_else(|| self.views.snapshot_of(src)) {
                 pipeline.push_source(src, &rows, &mut sink)?;
             }
         }
@@ -1356,9 +1360,18 @@ impl ShardedEngine {
     }
 
     /// The retained contents of a Table source, if it has any — what
-    /// late registrations, resumes and new views replay.
-    fn retained(&self, src: SourceId) -> Option<Vec<Tuple>> {
-        self.ingest.tables.get(&src).map(BagState::snapshot)
+    /// late registrations, resumes and new views replay — or an
+    /// `execution` error naming the rows it could not read back.
+    fn retained(&self, src: SourceId) -> Option<Result<Vec<Tuple>>> {
+        let table = self.ingest.tables.get(&src)?;
+        let unread = |lost: Lost| {
+            let holder = format_args!("{src:?}: table");
+            lost.unread(
+                holder,
+                "a query or view replaying it would start without them",
+            )
+        };
+        Some(table.snapshot().map_err(unread))
     }
 
     /// Push delivery exposes the maintained result *multiset* — exactly
@@ -1408,7 +1421,8 @@ impl ShardedEngine {
     pub(crate) fn build_view(&self, bound: &BoundView) -> Result<RecursiveView> {
         let mut view = RecursiveView::new(bound)?;
         for src in view.base_sources() {
-            if let Some(rows) = self.retained(src).or_else(|| self.views.snapshot_of(src)) {
+            let retained = self.retained(src).transpose()?;
+            if let Some(rows) = retained.or_else(|| self.views.snapshot_of(src)) {
                 view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
             }
         }
@@ -2189,6 +2203,32 @@ mod tests {
             assert_eq!(e.queries[&h.0].shard, e.shard_of(h.0));
             assert_eq!(report.query(h.0).unwrap().shard, e.shard_of(h.0));
             e.snapshot(h).unwrap();
+        }
+    }
+
+    /// A `NaN` that has left a `[rows 2]` window leaves `SUM` and `AVG`
+    /// with it, and so does each infinity: non-finite inputs retract as
+    /// exactly as finite ones.
+    #[test]
+    fn a_nan_leaving_the_window_leaves_the_sum() {
+        let mut e = ShardedEngine::new(catalog(), 1);
+        let sql = "select sum(r.value), avg(r.value), count(*) from Readings r [rows 2]";
+        let q = e.register_sql(sql).unwrap().expect_query();
+        let steps = [
+            (f64::NAN, "[Float(NaN), Float(NaN), Int(1)]"),
+            (1.0, "[Float(NaN), Float(NaN), Int(2)]"),
+            (2.0, "[Float(3.0), Float(1.5), Int(2)]"),
+            (f64::INFINITY, "[Float(inf), Float(inf), Int(2)]"),
+            (f64::NEG_INFINITY, "[Float(NaN), Float(NaN), Int(2)]"),
+            (4.0, "[Float(-inf), Float(-inf), Int(2)]"),
+            (5.0, "[Float(9.0), Float(4.5), Int(2)]"),
+        ];
+        for (sec, (v, want)) in steps.into_iter().enumerate() {
+            e.on_batch("Readings", &[reading(1, v, sec as u64)])
+                .unwrap();
+            e.quiesce().unwrap();
+            let rows = e.snapshot(q).unwrap();
+            assert_eq!(format!("{:?}", rows[0].values()), want, "after {v}");
         }
     }
 
@@ -3288,8 +3328,8 @@ mod tests {
     }
 
     /// The retained tables' spill reads reach both exports: with their
-    /// six spill files gone, a late query reads the eight active rows and
-    /// the report says six reads failed, as `resident_state` does.
+    /// six spill files gone, a late query's replay fails and the report
+    /// says six reads failed, as `resident_state` does.
     #[test]
     fn table_spill_read_failures_are_exported() {
         let dir = std::env::temp_dir().join(format!("aspen-table-reads-{}", std::process::id()));
@@ -3301,8 +3341,8 @@ mod tests {
         for f in files {
             std::fs::remove_file(f.unwrap().path()).unwrap();
         }
-        let q = e.register_sql("select e.src from Edge e").unwrap();
-        assert_eq!(e.snapshot(q.expect_query()).unwrap().len(), 8);
+        // A late query cannot replay the lost rows: it is refused.
+        assert!(e.register_sql("select e.src from Edge e").is_err());
         assert_eq!(e.resident_state().spill_read_failures, 6);
         let report = e.telemetry_at(Consistency::Fresh);
         assert_eq!(report.tables.read_failures, 6);
@@ -3312,6 +3352,74 @@ mod tests {
         let json = crate::render_json(&report);
         let field = "\"table_spill_read_failures\":6,";
         assert!(json.contains(field), "{field} missing from {json}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A query attached to a table whose spill file is lost is refused
+    /// with an `execution` error naming the table and the rows, where it
+    /// used to replay the rows it could read and start short; a view
+    /// over the table is refused alike, and other tables still attach.
+    #[test]
+    fn a_table_replay_over_a_lost_segment_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("aspen-table-replay-{}", std::process::id()));
+        let config = EngineConfig::new().shards(1).spill(64, &dir);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        e.on_batch("Edge", &edges(100)).unwrap();
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 3, "rows 0..96 spill");
+        std::fs::remove_file(&files[1]).unwrap();
+        let edge = e.catalog().source("Edge").unwrap().id;
+        let want = format!("{edge:?}: table rows 32..64 could not be read back");
+        for sql in [
+            "select e.src from Edge e",
+            "select count(*) from Edge e [rows 5]",
+            "select a.src from Edge a, Edge b where a.dst = b.src",
+        ] {
+            match e.register_sql(sql) {
+                Err(AspenError::Execution(msg)) => assert!(msg.starts_with(&want), "{msg}"),
+                other => panic!("{sql}: expected an execution error, got {other:?}"),
+            }
+        }
+        assert_eq!(e.query_count(), 0, "nothing attached short");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An indexed join side whose probe meets a log row in a lost spill
+    /// file fails with an `execution` error naming the source and the
+    /// row, not as a side out of step with its window.
+    #[test]
+    fn a_join_probe_over_a_lost_log_segment_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("aspen-join-lost-{}", std::process::id()));
+        let config = EngineConfig::new().shards(1).spill(0, &dir);
+        let mut e = ShardedEngine::with_config(catalog(), config);
+        let sql = "select a.value, b.value from Readings a [rows 100], Readings b [rows 100] \
+                   where a.sensor = b.sensor";
+        e.register_sql(sql).unwrap().expect_query();
+        let rows: Vec<Tuple> = (0..60)
+            .map(|i| reading(i % 3, i as f64, i as u64))
+            .collect();
+        e.on_batch("Readings", &rows).unwrap();
+        e.quiesce().unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(!files.is_empty(), "a sealed log segment spills");
+        for f in files {
+            std::fs::remove_file(f.unwrap().path()).unwrap();
+        }
+        let readings = e.catalog().source("Readings").unwrap().id;
+        let fail = e
+            .on_batch("Readings", &[reading(0, 1.0, 61)])
+            .and_then(|_| e.quiesce());
+        match fail {
+            Err(AspenError::Execution(msg)) => {
+                let want = format!("{readings:?}: log rows 0..1 could not be read back");
+                assert!(msg.starts_with(&want), "{msg}");
+            }
+            other => panic!("expected an execution error, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

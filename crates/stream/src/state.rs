@@ -12,8 +12,10 @@
 //! at the width its values need: strided frame-of-reference ints and
 //! stamps, decimal-scaled floats, packed text, a liveness bit a row),
 //! indexed by tuple/key hash in one compact key index (`KeyIndex`, also
-//! an indexed join side's whole state): about 24 B a key and 8 B a row,
-//! each key's rows in arrival order, the oldest unlinked in O(1).
+//! an indexed join side's whole state): its ids and row offsets are
+//! `columnar::Packed` cells as wide as their values need — below 2¹⁶
+//! rows about 16 B a key and 4 B a row — each key's rows in arrival
+//! order, the oldest unlinked in O(1).
 //! Hot-path probes compare a converted probe row against the encoded
 //! columns in place (`TupleStore::row_matches`) — no row, no `Value`
 //! materialization — and resident bytes are *measured*, not
@@ -35,8 +37,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
-use aspen_types::{DataType, SimTime, Tuple, Value};
-use columnar::{Cell, CellRef, Dict, Gen, SegmentPool, TupleStore};
+use aspen_types::{AspenError, DataType, SimTime, Tuple, Value};
+use columnar::{Cell, CellRef, Dict, Gen, Packed, SegmentPool, TupleStore};
 
 use crate::delta::{Delta, DeltaBatch};
 
@@ -239,21 +241,51 @@ pub(crate) fn cap<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
+/// Rows `[lo, hi)` a holder keeps but could not read back: their
+/// segment's spill file is lost or damaged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lost {
+    pub lo: u64,
+    pub hi: u64,
+}
+
+impl Lost {
+    /// The span covering both.
+    pub(crate) fn and(a: Option<Lost>, b: Option<Lost>) -> Option<Lost> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(Lost {
+                lo: a.lo.min(b.lo),
+                hi: a.hi.max(b.hi),
+            }),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// An `execution` error: `holder`'s rows in the span could not be
+    /// read back, so `consequence`.
+    pub(crate) fn unread(self, holder: impl std::fmt::Display, consequence: &str) -> AspenError {
+        AspenError::Execution(format!(
+            "{holder} rows {}..{} could not be read back (a spill file is lost or damaged), \
+             so {consequence}",
+            self.lo, self.hi
+        ))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Key index
-
-/// An index position holding no id.
-const VACANT: u32 = u32::MAX;
 
 /// A power-of-two table of `u32` ids under linear probing at load ≤ 7/8,
 /// grown by doubling from 8, with backward-shift deletion — the one probe
 /// code in this crate: a [`KeyIndex`] finds its entries through one and
 /// `operators::AggregateOp` its group slots. The table keeps no hashes;
 /// every call that moves ids takes `hash`, which rehashes an id from
-/// where its owner keeps the key.
+/// where its owner keeps the key. A position holds id `i` as `i + 1` in
+/// a [`Packed`] column, so 0 is the vacancy at every width and the table
+/// is as wide as its largest id needs: 2 B a position below 2¹⁶ − 1 ids.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ProbeTable {
-    slots: Vec<u32>,
+    slots: Packed,
     /// Ids indexed.
     len: usize,
 }
@@ -265,9 +297,9 @@ impl ProbeTable {
         let mask = self.slots.len() - 1;
         let mut pos = h as usize & mask;
         loop {
-            match self.slots[pos] {
-                VACANT => return Err(pos),
-                id if hit(id) => return Ok(pos),
+            match self.slots.get(pos) {
+                0 => return Err(pos),
+                s if hit(s as u32 - 1) => return Ok(pos),
                 _ => pos = (pos + 1) & mask,
             }
         }
@@ -278,7 +310,8 @@ impl ProbeTable {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(h, hit).ok().map(|pos| self.slots[pos])
+        let pos = self.probe(h, hit).ok()?;
+        Some(self.slots.get(pos) as u32 - 1)
     }
 
     /// Index `id` (not yet indexed) under `h`, first doubling the table if
@@ -289,7 +322,7 @@ impl ProbeTable {
             self.rebuild((self.slots.len() * 2).max(8), hash);
         }
         let pos = self.probe(h, |_| false).unwrap_err();
-        self.slots[pos] = id;
+        self.slots.set(pos, id as u64 + 1);
     }
 
     /// Unindex `id`, indexed under `h`. Each id further along the probe
@@ -299,22 +332,26 @@ impl ProbeTable {
         let mask = self.slots.len() - 1;
         let mut hole = self.probe(h, |s| s == id).expect("an indexed id");
         let mut pos = (hole + 1) & mask;
-        while self.slots[pos] != VACANT {
-            let home = hash(self.slots[pos]) as usize & mask;
+        loop {
+            let s = self.slots.get(pos);
+            if s == 0 {
+                break;
+            }
+            let home = hash(s as u32 - 1) as usize & mask;
             if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
-                self.slots[hole] = self.slots[pos];
+                self.slots.set(hole, s);
                 hole = pos;
             }
             pos = (pos + 1) & mask;
         }
-        self.slots[hole] = VACANT;
+        self.slots.set(hole, 0);
         self.len -= 1;
     }
 
     /// Index as `new` the id `old`, indexed under `h`, in its place.
     pub(crate) fn rename(&mut self, h: u64, old: u32, new: u32) {
         let pos = self.probe(h, |s| s == old).expect("an indexed id");
-        self.slots[pos] = new;
+        self.slots.set(pos, new as u64 + 1);
     }
 
     /// Shrink to the smallest table that holds its ids at load ≤ 7/8.
@@ -328,12 +365,13 @@ impl ProbeTable {
         }
     }
 
+    /// Re-probe every id into `len` positions at the table's width.
     fn rebuild(&mut self, len: usize, hash: impl Fn(u32) -> u64) {
-        for id in std::mem::replace(&mut self.slots, vec![VACANT; len]) {
-            if id != VACANT {
-                let pos = self.probe(hash(id), |_| false).unwrap_err();
-                self.slots[pos] = id;
-            }
+        let fresh = Packed::zeros(len, self.slots.max());
+        let old = std::mem::replace(&mut self.slots, fresh);
+        for s in old.iter().filter(|&s| s != 0) {
+            let pos = self.probe(hash(s as u32 - 1), |_| false).unwrap_err();
+            self.slots.set(pos, s);
         }
     }
 
@@ -344,27 +382,21 @@ impl ProbeTable {
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        cap(&self.slots)
+        self.slots.heap_bytes()
     }
 }
 
 /// No link: the end of a chain.
 const NIL: u32 = u32::MAX;
 
-/// A key: its hash and the first and last links of its bucket.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    hash: u64,
-    head: u32,
-    tail: u32,
+/// A link id as a [`KeyIndex`] cell keeps it: `link + 1`, [`NIL`] as 0.
+fn cell(link: u32) -> u64 {
+    link.wrapping_add(1) as u64
 }
 
-/// A row of a bucket, as its offset from the index's base, and the link
-/// after it (a free link's is the next free one).
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    offset: u32,
-    next: u32,
+/// The link id a cell holds.
+fn link_of(cell: u64) -> u32 {
+    (cell as u32).wrapping_sub(1)
 }
 
 /// `hash → live row ids`, each bucket in arrival order. [`KeyedState`]
@@ -372,32 +404,39 @@ struct Link {
 /// side (`operators::JoinOp`) keeps nothing else and points it at rows
 /// its scan's window or source log holds.
 ///
-/// **Layout.** A [`ProbeTable`] of entry ids; one `{hash, head, tail}`
-/// entry a key, 16 B, swap-removed when its bucket empties; and one arena
-/// of 8 B `{offset, next}` links chaining each bucket oldest first, freed
-/// links reused through a free list. About 24 B a key (the table at load
-/// 7/16–7/8 plus the entry) and 8 B a row. Appending to a bucket and
-/// unlinking its head — every window retraction — are O(1); a row in the
-/// middle is unlinked during the walk that finds it ([`KeyIndex::find`]).
+/// **Layout.** A [`ProbeTable`] of entry ids; one entry a key — its hash
+/// (8 B) and its bucket's first and last links — swap-removed when its
+/// bucket empties; and one arena of links chaining each bucket oldest
+/// first, a link a row offset and the link after it, freed links reused
+/// through a free list. Link ids are [`Packed`] cells as wide as the
+/// index's row count needs, so below 2¹⁶ rows a key costs about 16 B (the
+/// table at load 7/16–7/8, the hash, two link cells) and a row 4 B.
+/// Appending to a bucket and unlinking its head — every window
+/// retraction — are O(1); a row in the middle is unlinked during the
+/// walk that finds it ([`KeyIndex::find`]).
 ///
-/// **Rows as offsets.** A link holds a row as a 32-bit offset from a
-/// base the index keeps. A row the offsets cannot reach re-bases the
-/// index on its oldest live row as it lays the links out afresh, in
-/// O(rows); a live span of 2³¹ or more from there gives every link its
-/// offset's high half (`high`), once and for good. So rows arriving in
-/// order re-base at most once per 2³¹ arrivals, and any span works.
+/// **Rows as offsets.** A link holds a row as its offset from a base the
+/// index keeps, in a packed column as wide as twice the live span needs.
+/// A row out of the column's reach lays the links out afresh, re-based on
+/// the oldest live row, in O(rows), at the narrowest width that holds
+/// twice the live span from there — it widens only when that span passes
+/// half the width. So rows arriving in order re-lay out at most once per
+/// half a width's range of arrivals, and any span works.
 ///
-/// **Bytes by capacity.** Vectors grow by an eighth, and shrink to fit
+/// **Bytes by capacity.** Columns grow by an eighth, and shrink to fit
 /// when a removal leaves them half empty, so the index charges what it
 /// holds and tracks the live key domain; an emptied index holds nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyIndex {
     table: ProbeTable,
-    entries: Vec<Entry>,
-    links: Vec<Link>,
-    /// The offsets' high halves, a link each; empty until a live span
-    /// reaches 2³².
-    high: Vec<u32>,
+    /// Per entry: its key's hash, and its bucket's first and last links.
+    hashes: Vec<u64>,
+    heads: Packed,
+    tails: Packed,
+    /// Per link: its row, as an offset from `base`, and the link after
+    /// it (a free link's is the next free one).
+    offsets: Packed,
+    next: Packed,
     /// The first free link.
     free: u32,
     base: u64,
@@ -418,9 +457,11 @@ impl Default for KeyIndex {
     fn default() -> Self {
         KeyIndex {
             table: ProbeTable::default(),
-            entries: Vec::new(),
-            links: Vec::new(),
-            high: Vec::new(),
+            hashes: Vec::new(),
+            heads: Packed::new(),
+            tails: Packed::new(),
+            offsets: Packed::new(),
+            next: Packed::new(),
             free: NIL,
             base: 0,
             rows: 0,
@@ -436,39 +477,52 @@ fn grow<T>(v: &mut Vec<T>) {
     }
 }
 
+/// [`grow`] for packed columns.
+fn grow_packed(cols: [&mut Packed; 2]) {
+    for c in cols {
+        if c.len() == c.capacity() {
+            c.reserve_exact((c.len() / 8).max(1));
+        }
+    }
+}
+
 impl KeyIndex {
     /// The entry of the keys (or tuples) that hash to `h` ([`hash_of`]).
     fn entry(&self, h: u64) -> Option<u32> {
-        self.table.find(h, |e| self.entries[e as usize].hash == h)
+        self.table.find(h, |e| self.hashes[e as usize] == h)
     }
 
     fn row_at(&self, link: u32) -> u64 {
-        let high = self
-            .high
-            .get(link as usize)
-            .map_or(0, |&h| (h as u64) << 32);
-        self.base + (high | self.links[link as usize].offset as u64)
+        self.base + self.offsets.get(link as usize)
+    }
+
+    fn next_of(&self, link: u32) -> u32 {
+        link_of(self.next.get(link as usize))
+    }
+
+    fn head(&self, entry: u32) -> u32 {
+        link_of(self.heads.get(entry as usize))
     }
 
     /// The links of the chain from `link`, in order.
     fn chain(&self, mut link: u32) -> impl Iterator<Item = u32> + '_ {
         std::iter::from_fn(move || {
             let l = (link != NIL).then_some(link)?;
-            link = self.links[l as usize].next;
+            link = self.next_of(l);
             Some(l)
         })
     }
 
     /// The rows of bucket `h`, oldest first.
     pub(crate) fn rows(&self, h: u64) -> impl Iterator<Item = u64> + '_ {
-        let head = self.entry(h).map_or(NIL, |e| self.entries[e as usize].head);
+        let head = self.entry(h).map_or(NIL, |e| self.head(e));
         self.chain(head).map(|l| self.row_at(l))
     }
 
     /// The oldest row of bucket `h` that `hit` accepts.
     pub(crate) fn find(&self, h: u64, mut hit: impl FnMut(u64) -> bool) -> Option<Found> {
         let entry = self.entry(h)?;
-        let (mut prev, mut link) = (NIL, self.entries[entry as usize].head);
+        let (mut prev, mut link) = (NIL, self.head(entry));
         while link != NIL {
             let row = self.row_at(link);
             if hit(row) {
@@ -480,7 +534,7 @@ impl KeyIndex {
                 });
             }
             prev = link;
-            link = self.links[link as usize].next;
+            link = self.next_of(link);
         }
         None
     }
@@ -490,20 +544,19 @@ impl KeyIndex {
         let link = self.link(row);
         match self.entry(h) {
             Some(e) => {
-                let entry = &mut self.entries[e as usize];
-                self.links[entry.tail as usize].next = link;
-                entry.tail = link;
+                let tail = link_of(self.tails.get(e as usize));
+                self.next.set(tail as usize, cell(link));
+                self.tails.set(e as usize, cell(link));
             }
             None => {
-                let e = self.entries.len() as u32;
-                grow(&mut self.entries);
-                self.entries.push(Entry {
-                    hash: h,
-                    head: link,
-                    tail: link,
-                });
-                let entries = &self.entries;
-                self.table.insert(h, e, |id| entries[id as usize].hash);
+                let e = self.hashes.len() as u32;
+                grow(&mut self.hashes);
+                grow_packed([&mut self.heads, &mut self.tails]);
+                self.hashes.push(h);
+                self.heads.push(cell(link));
+                self.tails.push(cell(link));
+                let hashes = &self.hashes;
+                self.table.insert(h, e, |id| hashes[id as usize]);
             }
         }
         self.rows += 1;
@@ -533,18 +586,16 @@ impl KeyIndex {
         let Found {
             entry, prev, link, ..
         } = found;
-        let next = self.links[link as usize].next;
-        let e = &mut self.entries[entry as usize];
-        if prev == NIL {
-            e.head = next;
-        } else {
-            self.links[prev as usize].next = next;
+        let (e, next) = (entry as usize, self.next.get(link as usize));
+        match prev {
+            NIL => self.heads.set(e, next),
+            prev => self.next.set(prev as usize, next),
         }
-        if e.tail == link {
-            e.tail = prev;
+        if self.tails.get(e) == cell(link) {
+            self.tails.set(e, cell(prev));
         }
-        let empty = e.head == NIL;
-        self.links[link as usize].next = self.free;
+        let empty = self.heads.get(e) == cell(NIL);
+        self.next.set(link as usize, cell(self.free));
         self.free = link;
         self.rows -= 1;
         if empty {
@@ -555,13 +606,15 @@ impl KeyIndex {
 
     /// Unindex an emptied bucket's entry; the last entry takes its place.
     fn drop_entry(&mut self, e: u32) {
-        let entries = &self.entries;
-        let h = entries[e as usize].hash;
-        self.table.remove(h, e, |id| entries[id as usize].hash);
-        let last = self.entries.len() as u32 - 1;
-        self.entries.swap_remove(e as usize);
+        let hashes = &self.hashes;
+        self.table
+            .remove(hashes[e as usize], e, |id| hashes[id as usize]);
+        let last = self.hashes.len() as u32 - 1;
+        self.hashes.swap_remove(e as usize);
+        self.heads.swap_remove(e as usize);
+        self.tails.swap_remove(e as usize);
         if e != last {
-            self.table.rename(self.entries[e as usize].hash, last, e);
+            self.table.rename(self.hashes[e as usize], last, e);
         }
     }
 
@@ -570,41 +623,25 @@ impl KeyIndex {
         if self.rows == 0 {
             self.base = row;
         }
-        let reach = match self.high.is_empty() {
-            true => u32::MAX as u64,
-            false => u64::MAX,
-        };
-        if row
-            .checked_sub(self.base)
-            .is_none_or(|offset| offset > reach)
-        {
+        let reach = self.offsets.max();
+        if row.checked_sub(self.base).is_none_or(|o| o > reach) {
             self.compact(Some(row));
         }
         let offset = row - self.base;
-        let link = Link {
-            offset: offset as u32,
-            next: NIL,
-        };
-        let id = match self.free {
+        match self.free {
             NIL => {
-                grow(&mut self.links);
-                self.links.push(link);
-                if !self.high.is_empty() {
-                    grow(&mut self.high);
-                    self.high.push(0);
-                }
-                self.links.len() as u32 - 1
+                grow_packed([&mut self.offsets, &mut self.next]);
+                self.offsets.push(offset);
+                self.next.push(cell(NIL));
+                self.offsets.len() as u32 - 1
             }
             id => {
-                self.free = self.links[id as usize].next;
-                self.links[id as usize] = link;
+                self.free = self.next_of(id);
+                self.offsets.set(id as usize, offset);
+                self.next.set(id as usize, cell(NIL));
                 id
             }
-        };
-        if let Some(high) = self.high.get_mut(id as usize) {
-            *high = (offset >> 32) as u32;
         }
-        id
     }
 
     /// After a removal: free everything once empty, and shrink a vector
@@ -614,46 +651,42 @@ impl KeyIndex {
             *self = KeyIndex::default();
             return;
         }
-        if self.entries.len() * 2 <= self.entries.capacity() {
-            self.entries.shrink_to_fit();
-            let entries = &self.entries;
-            self.table.fit(|id| entries[id as usize].hash);
+        if self.hashes.len() * 2 <= self.hashes.capacity() {
+            self.hashes.shrink_to_fit();
+            self.heads.shrink_to_fit();
+            self.tails.shrink_to_fit();
+            let hashes = &self.hashes;
+            self.table.fit(|id| hashes[id as usize]);
         }
-        if self.rows * 2 <= self.links.capacity() {
+        if self.rows * 2 <= self.offsets.capacity() {
             self.compact(None);
         }
     }
 
     /// Lay the live links out afresh, bucket by bucket, in an arena of
-    /// exactly the rows, re-based on the oldest of them and `row`; the
-    /// offsets widen if the span from there reaches 2³¹.
+    /// exactly the rows, re-based on the oldest of them and `row`, the
+    /// offsets at the narrowest width holding twice the span from there.
     fn compact(&mut self, row: Option<u64>) {
-        let live = self.entries.iter().flat_map(|e| self.chain(e.head));
+        let live = (0..self.hashes.len() as u32).flat_map(|e| self.chain(self.head(e)));
         let rows = live.map(|l| self.row_at(l)).chain(row);
         let (lo, hi) = rows.fold((u64::MAX, 0), |(lo, hi), r| (lo.min(r), hi.max(r)));
-        let wide = !self.high.is_empty() || hi - lo > (u32::MAX / 2) as u64;
-        let mut links = Vec::with_capacity(self.rows);
-        let mut high = Vec::with_capacity(if wide { self.rows } else { 0 });
-        for e in 0..self.entries.len() {
-            let mut old = self.entries[e].head;
-            self.entries[e].head = links.len() as u32;
+        let mut offsets = Packed::with_capacity(self.rows, (hi - lo).saturating_mul(2));
+        let mut next = Packed::with_capacity(self.rows, self.rows as u64 + 1);
+        for e in 0..self.hashes.len() {
+            let mut old = self.head(e as u32);
+            self.heads.set(e, cell(offsets.len() as u32));
             while old != NIL {
-                let offset = self.row_at(old) - lo;
-                if wide {
-                    high.push((offset >> 32) as u32);
-                }
-                links.push(Link {
-                    offset: offset as u32,
-                    next: links.len() as u32 + 1,
-                });
-                old = self.links[old as usize].next;
+                let id = offsets.len() as u64;
+                offsets.push(self.row_at(old) - lo);
+                next.push(id + 2);
+                old = self.next_of(old);
             }
-            let tail = links.len() - 1;
-            links[tail].next = NIL;
-            self.entries[e].tail = tail as u32;
+            let tail = offsets.len() - 1;
+            next.set(tail, cell(NIL));
+            self.tails.set(e, cell(tail as u32));
         }
-        self.links = links;
-        self.high = high;
+        self.offsets = offsets;
+        self.next = next;
         self.free = NIL;
         self.base = lo;
     }
@@ -665,7 +698,8 @@ impl KeyIndex {
 
     /// Resident bytes, by capacity: the table, the entries and the links.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.table.heap_bytes() + cap(&self.entries) + cap(&self.links) + cap(&self.high)
+        let entries = cap(&self.hashes) + self.heads.heap_bytes() + self.tails.heap_bytes();
+        self.table.heap_bytes() + entries + self.offsets.heap_bytes() + self.next.heap_bytes()
     }
 }
 
@@ -909,21 +943,26 @@ impl BagState {
     }
 
     /// Distinct live tuples, counted when asked.
-    pub fn distinct(&self) -> usize {
-        self.snapshot().into_iter().collect::<HashSet<_>>().len()
+    pub fn distinct(&self) -> Result<usize, Lost> {
+        Ok(self.snapshot()?.into_iter().collect::<HashSet<_>>().len())
     }
 
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
     }
 
-    /// Live occurrences in arrival order.
-    pub fn snapshot(&self) -> Vec<Tuple> {
+    /// Live occurrences in arrival order — the rows a query attached to
+    /// the table replays — or the span of those that could not be read
+    /// back.
+    pub fn snapshot(&self) -> Result<Vec<Tuple>, Lost> {
         let mut out = Vec::with_capacity(self.store.live_rows() as usize);
-        self.store.for_each_live(|_, cells, ts, _| {
+        let lost = self.store.for_each_live_in(0, u64::MAX, |_, cells, ts, _| {
             out.push(cells_tuple(cells, ts));
         });
-        out
+        match lost {
+            Some((lo, hi)) => Err(Lost { lo, hi }),
+            None => Ok(out),
+        }
     }
 
     /// The store plus the index and any outstanding debts.
@@ -1066,10 +1105,17 @@ impl ColumnarDeque {
         self.store.resume_at(row);
     }
 
-    /// The live tuple at `row`, if the deque still holds it.
-    pub fn get(&self, row: u64) -> Option<Tuple> {
-        let (cells, ts) = self.store.get(row)?;
-        Some(cells_tuple(cells, ts))
+    /// The live tuple at `row`, `None` if the deque does not hold it;
+    /// a row it holds but cannot read back is [`Lost`].
+    pub fn get(&self, row: u64) -> Result<Option<Tuple>, Lost> {
+        match self.store.get(row) {
+            Some((cells, ts)) => Ok(Some(cells_tuple(cells, ts))),
+            None if self.store.ts(row).is_some() => Err(Lost {
+                lo: row,
+                hi: row + 1,
+            }),
+            None => Ok(None),
+        }
     }
 
     /// Timestamp of a live row — O(log segments), never faults a
@@ -1087,11 +1133,18 @@ impl ColumnarDeque {
     }
 
     /// Visit the live rows with ids in `[lo, hi)` with their ids, in
-    /// arrival order; each touched segment is decoded once.
-    pub(crate) fn for_each_in(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, Tuple)) {
-        self.store.for_each_live_in(lo, hi, |row, cells, ts, _| {
+    /// arrival order; each touched segment is decoded once. The span of
+    /// the rows it could not read back, if any.
+    pub(crate) fn for_each_in(
+        &self,
+        lo: u64,
+        hi: u64,
+        mut f: impl FnMut(u64, Tuple),
+    ) -> Option<Lost> {
+        let lost = self.store.for_each_live_in(lo, hi, |row, cells, ts, _| {
             f(row, cells_tuple(cells, ts));
         });
+        lost.map(|(lo, hi)| Lost { lo, hi })
     }
 
     /// Kill every row with id below `row` (whole dead segments drop
@@ -1288,8 +1341,8 @@ mod tests {
                         .collect();
                     bag.apply(&batch);
                     model.apply(&batch);
-                    assert_eq!(bag.snapshot(), model.live, "snapshot, {ctx}");
-                    assert_eq!(bag.distinct(), model.distinct(), "distinct, {ctx}");
+                    assert_eq!(bag.snapshot().unwrap(), model.live, "snapshot, {ctx}");
+                    assert_eq!(bag.distinct().unwrap(), model.distinct(), "distinct, {ctx}");
                     assert_eq!(bag.is_empty(), model.live.is_empty(), "is_empty, {ctx}");
                     max_spilled = max_spilled.max(bag.footprint().spilled);
                 }
@@ -1325,11 +1378,11 @@ mod tests {
     fn bag_state_batch_apply_and_snapshot() {
         let mut b = BagState::new();
         b.insert_all(&[t(1), t(2), t(2)]);
-        assert_eq!(b.distinct(), 2);
-        assert_eq!(b.snapshot().len(), 3);
+        assert_eq!(b.distinct().unwrap(), 2);
+        assert_eq!(b.snapshot().unwrap().len(), 3);
         let batch: DeltaBatch = vec![Delta::retract(t(2)), Delta::insert(t(3))].into();
         b.apply(&batch);
-        let snap = b.snapshot();
+        let snap = b.snapshot().unwrap();
         assert_eq!(snap.len(), 3);
         // Arrival order: the surviving tuples keep their positions.
         assert_eq!(snap[0], t(1));
@@ -1349,13 +1402,13 @@ mod tests {
         // [1, 2] where a live one retained [7, 2].
         let mut b = BagState::new();
         b.insert_all(&[t(7), t(1), t(7), t(2)]);
-        assert_eq!(b.snapshot(), vec![t(7), t(1), t(7), t(2)]);
-        assert_eq!(b.distinct(), 3);
+        assert_eq!(b.snapshot().unwrap(), vec![t(7), t(1), t(7), t(2)]);
+        assert_eq!(b.distinct().unwrap(), 3);
         // A retraction removes the OLDEST occurrence: the later 7
         // stays at its own (third) position.
         b.apply(&DeltaBatch::from(vec![Delta::retract(t(7))]));
-        assert_eq!(b.snapshot(), vec![t(1), t(7), t(2)]);
-        assert_eq!(b.distinct(), 3);
+        assert_eq!(b.snapshot().unwrap(), vec![t(1), t(7), t(2)]);
+        assert_eq!(b.distinct().unwrap(), 3);
     }
 
     #[test]
@@ -1365,10 +1418,10 @@ mod tests {
         assert!(b.is_empty());
         // The first insertion cancels the debt instead of going live...
         b.apply(&DeltaBatch::from(vec![Delta::insert(t(5))]));
-        assert!(b.snapshot().is_empty());
+        assert!(b.snapshot().unwrap().is_empty());
         // ...and the next one is a genuinely new arrival.
         b.apply(&DeltaBatch::from(vec![Delta::insert(t(5))]));
-        assert_eq!(b.snapshot(), vec![t(5)]);
+        assert_eq!(b.snapshot().unwrap(), vec![t(5)]);
     }
 
     #[test]
@@ -1439,11 +1492,11 @@ mod tests {
             s.update(key, &tuple, 1);
         }
         assert_eq!(s.len(), 2000);
-        // What this fixture measured when the ceiling was pinned (less
-        // than half of what a `HashMap`-of-`Tuple` layout would hold):
-        // the tripwire under the benchmark's gated `state_bytes`.
+        // What this fixture measured when the ceiling was pinned (35 807
+        // B), + 5 %: the tripwire under the benchmark's gated
+        // `state_bytes`.
         assert!(
-            s.footprint().resident <= 64_902,
+            s.footprint().resident <= 37_598,
             "{} bytes",
             s.footprint().resident
         );
@@ -1462,7 +1515,7 @@ mod tests {
         for k in 0..10_000 {
             assert_eq!(s.update(vec![Value::Int(k)], &t(k), -1), 0);
         }
-        assert!(s.is_empty() && s.index.entries.is_empty());
+        assert!(s.is_empty() && s.index.hashes.is_empty());
         // Nothing is left — nothing per key, and no segment.
         assert_eq!(s.footprint().resident, 0, "of {full}");
     }
@@ -1500,7 +1553,7 @@ mod tests {
         let keys = model.iter().filter(|b| !b.is_empty()).count();
         let rows: usize = model.iter().map(Vec::len).sum();
         assert_eq!(index.len(), rows, "rows, {ctx}");
-        assert_eq!(index.entries.len(), keys, "keys, {ctx}");
+        assert_eq!(index.hashes.len(), keys, "keys, {ctx}");
         for (k, bucket) in model.iter().enumerate() {
             let got: Vec<u64> = index.rows(hash_of(&k)).collect();
             assert_eq!(got, *bucket, "bucket {k}, {ctx}");
@@ -1560,8 +1613,9 @@ mod tests {
         }
     }
 
-    /// Rows far apart: a live span under 2^31 re-bases and keeps a link
-    /// 32-bit, and a row kept across 2^32 later arrivals widens the links.
+    /// Rows far apart: a live span under 2^31 re-bases and keeps a row
+    /// offset 32-bit, and a row kept across 2^32 later arrivals widens
+    /// the offsets to 64.
     #[test]
     fn key_index_rows_span_two_to_the_32() {
         for seed in crate::test_seeds(4) {
@@ -1598,8 +1652,60 @@ mod tests {
                     }
                     buckets_match(&index, &model, &ctx);
                 }
-                let wide = !index.high.is_empty();
+                let wide = index.offsets.width() == 8;
                 assert_eq!(wide, phase == "pinned", "{phase}, seed {seed}");
+            }
+        }
+    }
+
+    /// [`index_matches`] across every width: more than 2^8 and 2^16
+    /// keys, row spans past 2^16 and 2^32, rows arriving round-robin over
+    /// the keys and half retracted in a random order. Each column sits at
+    /// the narrowest width its values need — the offsets at most twice
+    /// the live span's.
+    #[test]
+    fn key_index_matches_its_model_across_widths() {
+        use rand::seq::SliceRandom;
+        let cases = [
+            (300, 600, 1),
+            (3, 3_000, 100),
+            (70_000, 70_000, 1),
+            (3, 60, 1 << 27),
+        ];
+        for seed in crate::test_seeds(2) {
+            for (keys, n, stride) in cases {
+                let ctx = format!("{keys} keys, {n} rows x {stride}, seed {seed}");
+                let mut rng = seeded(seed ^ keys as u64 ^ stride);
+                let (mut index, mut model) = (KeyIndex::default(), vec![Vec::new(); keys]);
+                let base = rng.gen_range(0..1u64 << 40);
+                for i in 0..n {
+                    index.insert(hash_of(&(i % keys)), base + i as u64 * stride);
+                    model[i % keys].push(base + i as u64 * stride);
+                }
+                index_matches(&index, &model, &format!("built, {ctx}"));
+                let span = (n as u64 - 1) * stride;
+                let offsets = index.offsets.width();
+                assert!(Packed::width_of(span) <= offsets, "{ctx}");
+                assert!(offsets <= Packed::width_of(2 * span), "{ctx}");
+                let widths = (
+                    index.tails.width(),
+                    index.next.width(),
+                    index.table.slots.width(),
+                );
+                let ids = (Packed::width_of(n as u64), Packed::width_of(keys as u64));
+                assert_eq!(widths, (ids.0, ids.0, ids.1), "{ctx}");
+                let mut order: Vec<usize> = (0..n).collect();
+                order.shuffle(&mut rng);
+                let (gone, kept) = order.split_at(n / 2);
+                for &i in gone {
+                    assert!(index.remove(hash_of(&(i % keys)), base + i as u64 * stride));
+                    model[i % keys].retain(|&r| r != base + i as u64 * stride);
+                }
+                index_matches(&index, &model, &format!("half retracted, {ctx}"));
+                for &i in kept {
+                    assert!(index.remove(hash_of(&(i % keys)), base + i as u64 * stride));
+                }
+                assert_eq!(index.heap_bytes(), 0, "emptied, {ctx}");
             }
         }
     }
@@ -1616,13 +1722,13 @@ mod tests {
             spilly.insert_all(&[t(i % 100)]);
         }
         assert!(spilly.footprint().spilled > 0, "cold segments must spill");
-        assert_eq!(plain.snapshot(), spilly.snapshot());
-        assert_eq!(plain.distinct(), spilly.distinct());
+        assert_eq!(plain.snapshot().unwrap(), spilly.snapshot().unwrap());
+        assert_eq!(plain.distinct().unwrap(), spilly.distinct().unwrap());
         // Retraction still removes the oldest occurrence through the
         // spill tier.
         spilly.apply(&DeltaBatch::from(vec![Delta::retract(t(0))]));
         plain.apply(&DeltaBatch::from(vec![Delta::retract(t(0))]));
-        assert_eq!(plain.snapshot(), spilly.snapshot());
+        assert_eq!(plain.snapshot().unwrap(), spilly.snapshot().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -83,7 +83,7 @@ use columnar::{Dict, SegmentPool};
 use crate::delta::{Delta, DeltaBatch};
 use crate::grouped::{FilterIndex, FilterKey, Filtered};
 use crate::operators::join_key;
-use crate::state::{hash_of, Coded, ColumnarDeque, Footprint, KeyIndex, StateOptions};
+use crate::state::{hash_of, Coded, ColumnarDeque, Footprint, KeyIndex, Lost, StateOptions};
 use crate::telemetry::ShardMeters;
 
 /// Stateful window maintenance for one scan: a log with one cursor.
@@ -153,8 +153,9 @@ impl WindowOp {
         self.rows.snapshot()
     }
 
-    /// The live tuple at row id `row` (an id this window's steps emitted).
-    pub(crate) fn get(&self, row: u64) -> Option<Tuple> {
+    /// The live tuple at row id `row` (an id this window's steps
+    /// emitted); a row it holds but cannot read back is [`Lost`].
+    pub(crate) fn get(&self, row: u64) -> std::result::Result<Option<Tuple>, Lost> {
         self.rows.get(row)
     }
 
@@ -197,18 +198,20 @@ impl WindowOp {
         if let Some(ix) = &mut self.index {
             ix.append(tail, tuples, self.at.head);
         }
-        self.release();
-        stepped
+        step_of(Lost::and(stepped.err(), self.release()))
     }
 
     /// Drop the rows below the head, from the index first (their keys
     /// read off the buffer, which still holds them): the one side the
-    /// index serves reads its own retractions off the deltas.
-    fn release(&mut self) {
-        if let Some(ix) = &mut self.index {
-            ix.prune(&self.rows, None, self.at.head);
-        }
+    /// index serves reads its own retractions off the deltas. The rows
+    /// whose keys could not be read back, if any.
+    fn release(&mut self) -> Option<Lost> {
+        let lost = self
+            .index
+            .as_mut()
+            .and_then(|ix| ix.prune(&self.rows, None, self.at.head));
         self.rows.release_below(self.at.head);
+        lost
     }
 
     /// Ingest one inserted tuple; appends the deltas to propagate to
@@ -237,8 +240,7 @@ impl WindowOp {
 
     fn step_clock(&mut self, now: SimTime, out: &mut DeltaBatch) -> Step {
         let stepped = self.at.advance(&self.rows, now, out);
-        self.release();
-        stepped
+        step_of(Lost::and(stepped.err(), self.release()))
     }
 }
 
@@ -354,11 +356,19 @@ impl LogIndex {
     /// head `from` its member stood at: the batch retracts every row from
     /// there up to `to` and carries their keys. The rows below `from` (all
     /// of them, without a batch) are read back off `log`, which still
-    /// holds them.
-    fn prune(&mut self, log: &ColumnarDeque, retracted: Option<(&DeltaBatch, u64)>, to: u64) {
+    /// holds them; the span of those it could not read back is returned
+    /// (they stay indexed until a later drop from their bucket's front
+    /// passes them, [`KeyIndex::pop_below`]).
+    fn prune(
+        &mut self,
+        log: &ColumnarDeque,
+        retracted: Option<(&DeltaBatch, u64)>,
+        to: u64,
+    ) -> Option<Lost> {
+        let mut lost = None;
         if self.rows.len() > 0 && self.lo < to {
             let read_to = retracted.map_or(to, |(_, from)| from.clamp(self.lo, to));
-            log.for_each_in(self.lo, read_to, |_, t| self.unindex(&t, to));
+            lost = log.for_each_in(self.lo, read_to, |_, t| self.unindex(&t, to));
             if let Some((batch, _)) = retracted {
                 let ids = batch.row_ids().unwrap_or_default();
                 for (d, &row) in batch.iter().zip(ids) {
@@ -369,6 +379,7 @@ impl LogIndex {
             }
         }
         self.lo = self.lo.max(to);
+        lost
     }
 
     /// Drop the rows below `to` off the front of `t`'s bucket.
@@ -393,10 +404,11 @@ impl LogIndex {
     /// `head` on are back, and which below it were dropped is not known:
     /// a floor above `head` falls to 0. (A side's head may sit below its
     /// cursor's — past rows it never saw, which no index takes in — so the
-    /// cursor's head is no floor.)
-    fn rebuild(&mut self, log: &ColumnarDeque, head: u64) {
+    /// cursor's head is no floor.) The span of the rows it could not read
+    /// back, which it could not take in.
+    fn rebuild(&mut self, log: &ColumnarDeque, head: u64) -> Option<Lost> {
         let (key, mut rows) = (&self.key, KeyIndex::default());
-        log.for_each_in(head, log.next_row(), |row, t| {
+        let lost = log.for_each_in(head, log.next_row(), |row, t| {
             if let Some(h) = key.bucket(&t) {
                 rows.insert(h, row);
             }
@@ -406,6 +418,7 @@ impl LogIndex {
         if self.floor > head {
             self.floor = 0;
         }
+        lost
     }
 }
 
@@ -444,56 +457,31 @@ pub(crate) struct Fed<'a> {
     pub(crate) filtered: Option<&'a Filtered>,
 }
 
-/// Rows `[lo, hi)` of a log that a window holds but that could not be
-/// read back — their segment's spill file is lost or damaged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Lost {
-    lo: u64,
-    hi: u64,
-}
-
 impl Lost {
-    /// The span covering both.
-    fn and(a: Option<Lost>, b: Option<Lost>) -> Option<Lost> {
-        match (a, b) {
-            (Some(a), Some(b)) => Some(Lost {
-                lo: a.lo.min(b.lo),
-                hi: a.hi.max(b.hi),
-            }),
-            (a, b) => a.or(b),
-        }
+    /// The error of a window step over source `src` that could not read
+    /// these rows back.
+    fn error(self, src: SourceId) -> AspenError {
+        self.unread(
+            format_args!("{src:?}: window"),
+            "their retractions are missing",
+        )
     }
 
-    fn error(self, src: SourceId) -> AspenError {
-        AspenError::Execution(format!(
-            "{src:?}: window rows {}..{} could not be read back (a spill file is lost or \
-             damaged), so their retractions are missing",
-            self.lo, self.hi
-        ))
+    /// The error of a join probe that could not read these rows of
+    /// source `src`'s log (or of a scan's window over it) back.
+    pub(crate) fn probe_error(self, src: SourceId) -> AspenError {
+        self.unread(format_args!("{src:?}: log"), "a join probe cannot see them")
     }
 }
 
 /// The live rows `[lo, hi)` of a log, `(row id, tuple)` in arrival order
 /// (empty, and no segment touched, when `lo >= hi`), and the span of
-/// those it could not read back. A window's rows are all live, so any
-/// row missing here is lost.
+/// those it could not read back.
 fn range(rows: &ColumnarDeque, lo: u64, hi: u64) -> (Vec<(u64, Tuple)>, Option<Lost>) {
     let mut out = Vec::new();
-    if lo < hi {
-        rows.for_each_in(lo, hi, |row, t| out.push((row, t)));
-    }
-    let mut lost = None;
-    let mut next = lo;
-    for row in out
-        .iter()
-        .map(|(row, _)| *row)
-        .chain((lo < hi).then_some(hi))
-    {
-        if row > next {
-            lost = Lost::and(lost, Some(Lost { lo: next, hi: row }));
-        }
-        next = row + 1;
-    }
+    let lost = (lo < hi)
+        .then(|| rows.for_each_in(lo, hi, |row, t| out.push((row, t))))
+        .flatten();
     (out, lost)
 }
 
@@ -681,6 +669,9 @@ pub(crate) struct SourceLog {
     /// The key indexes of the join sides over the log, by slot; the last
     /// member out empties its slot.
     indexes: Vec<Option<LogIndex>>,
+    /// Rows a key index could not read back after a step or outside one
+    /// (a member attaching or detaching), for the next step to report.
+    unread: Option<Lost>,
 }
 
 impl SourceLog {
@@ -691,6 +682,7 @@ impl SourceLog {
             cursors: Vec::new(),
             filters: FilterIndex::default(),
             indexes: Vec::new(),
+            unread: None,
         }
     }
 
@@ -750,7 +742,8 @@ impl SourceLog {
         };
         let ix = self.indexes[slot].as_mut().expect("filled above");
         if at.pins() && at.head < ix.lo {
-            ix.rebuild(&self.rows, at.head);
+            let lost = ix.rebuild(&self.rows, at.head);
+            self.unread = Lost::and(self.unread, lost);
         }
         slot as u32
     }
@@ -896,7 +889,7 @@ impl SourceLog {
         let (batches, lost) = Self::step_classes(&mut self.cursors, |at, out| step(rows, at, out));
         let class = |(i, head): (usize, u64)| (self.cursors[i].class, head);
         let lowest = lowest.into_iter().map(|m| m.map(class)).collect();
-        (batches, lowest, lost)
+        (batches, lowest, Lost::and(lost, self.unread.take()))
     }
 
     /// Probe the step's class `batches` through the filter index.
@@ -1006,8 +999,9 @@ impl SourceLog {
     }
 
     /// The tuple at row id `row`: live from its arrival until the
-    /// release after the step in which its last cursor retracted it.
-    pub(crate) fn get(&self, row: u64) -> Option<Tuple> {
+    /// release after the step in which its last cursor retracted it. A
+    /// row it holds but cannot read back is [`Lost`].
+    pub(crate) fn get(&self, row: u64) -> std::result::Result<Option<Tuple>, Lost> {
         self.rows.get(row)
     }
 
@@ -1054,13 +1048,16 @@ impl SourceLog {
     /// pipeline fed by the `step` has run — and from each key index those
     /// below its members' lowest head, keyed off the step's batches (what
     /// they do not retract, and everything after a detach, off the log).
+    /// Rows whose keys could not be read back go to the next step's
+    /// report.
     pub(crate) fn release(&mut self, step: Option<&Stepped>) {
         for slot in 0..self.indexes.len() {
             let to = self.lowest_head(slot as u32);
             let lowest = step.and_then(|s| Some((s, s.lowest.get(slot).copied()??)));
             let retracted = lowest.map(|(s, (class, from))| (&s.batches[class], from));
             if let Some(ix) = &mut self.indexes[slot] {
-                ix.prune(&self.rows, retracted, to);
+                let lost = ix.prune(&self.rows, retracted, to);
+                self.unread = Lost::and(self.unread, lost);
             }
         }
         let keep = self
@@ -1470,8 +1467,8 @@ mod tests {
         assert_eq!((a.rows(), b.rows(), next), (130, 78, 130));
         for row in 0..next {
             let held = (row >= 52).then(|| t(row as i64, row));
-            assert_eq!(b.get(row), held, "row {row}");
-            assert_eq!(a.get(row), Some(t(row as i64, row)), "row {row}");
+            assert_eq!(b.get(row).unwrap(), held, "row {row}");
+            assert_eq!(a.get(row).unwrap(), Some(t(row as i64, row)), "row {row}");
         }
         // [64, 96) and [96, 128) are sealed in both, charged once; b's
         // [52, 64) started mid-segment and is its own.
@@ -1490,7 +1487,7 @@ mod tests {
         for _ in 0..3 {
             admit(&mut next, &mut [&mut a, &mut c], 2);
             let first = next - 2;
-            assert_eq!(c.get(first), Some(t(first as i64, first)));
+            assert_eq!(c.get(first).unwrap(), Some(t(first as i64, first)));
             let batches = c.advance(SimTime::from_secs(next + 10), &mut ShardMeters::default());
             deliver(&mut c, batches);
             assert_eq!(c.rows(), 0, "everything expired");
@@ -2002,8 +1999,8 @@ mod tests {
     struct Members<'a>(&'a SourceLog, u32);
 
     impl crate::operators::Rows for Members<'_> {
-        fn get(&self, _: usize, row: u64) -> Option<Tuple> {
-            self.0.get(row)
+        fn get(&self, _: usize, row: u64) -> Result<Option<Tuple>> {
+            Ok(self.0.get(row).expect("the log is resident"))
         }
 
         fn walk(&self, _: usize, hash: u64, visit: &mut dyn FnMut(u64) -> bool) {

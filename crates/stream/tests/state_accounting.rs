@@ -176,6 +176,21 @@ fn state_bytes_agree_with_the_allocator() {
             vec![call(AggFunc::Min, v())],
             min_values(|i| i),
         ),
+        (
+            "70 000 Int groups across the i64 range, one of 70 000 rows (every column widened)",
+            key(),
+            vec![star(), call(AggFunc::Count, v()), call(AggFunc::Avg, v())],
+            (0..140_000i64)
+                .map(|i| {
+                    let k = if i % 2 == 0 {
+                        0
+                    } else {
+                        (i / 2).wrapping_mul(263_130_836_933_693)
+                    };
+                    t(vec![Value::Int(k), Value::Float(1.0)], i as u64)
+                })
+                .collect(),
+        ),
     ];
     let mut off = Vec::new();
     for (what, group, aggs, rows) in shapes {
@@ -234,6 +249,31 @@ fn state_bytes_agree_with_the_allocator() {
         index_heap * 4 <= 517_136 * 3,
         "key index holds {index_heap} B"
     );
+    // Past 2^16 keys and rows every column of the index widens.
+    let wide = events(70_000, 70_000);
+    let mut keyed = KeyedState::new();
+    let keyed_heap = held(|| {
+        for r in &wide {
+            keyed.update(vec![r.get(0).clone()], r, 1);
+        }
+    });
+    let mut twin = TupleStore::weighted(0).segment_rows(32);
+    let twin_heap = held(|| {
+        for r in &wide {
+            let mut row = cells(r);
+            row.insert(0, row[0].clone());
+            twin.push_weighted(&row, r.timestamp().as_micros(), 1);
+        }
+    });
+    let r = ratio(
+        "key index, 70 000 keys x 70 000 rows (every column widened)",
+        keyed.footprint().resident - twin.resident_bytes(),
+        keyed_heap - twin_heap,
+    );
+    if !(0.8..=1.25).contains(&r) {
+        off.push(format!("widened key index: {r:.3}"));
+    }
+    drop((keyed, twin));
     // A `BagState` is a store of tuple cells plus a key index by tuple.
     let table = events(1_024, 1_024);
     let mut bag = BagState::new();

@@ -392,7 +392,7 @@ impl Private {
                 .iter()
                 .find(|v| v.1 == src)
                 .map(|v| v.0.snapshot());
-            if let Some(rows) = self.tables.get(&src).map(BagState::snapshot).or(view) {
+            if let Some(rows) = self.tables.get(&src).map(table_rows).or(view) {
                 pipeline.push_source(src, &rows, &mut sink)?;
             }
         }
@@ -458,11 +458,7 @@ impl Private {
             let error = |e: AspenError| ("fresh view", e.to_string());
             let mut fresh = RecursiveView::new(bound).map_err(error)?;
             for src in fresh.base_sources() {
-                let rows = self
-                    .tables
-                    .get(&src)
-                    .map(BagState::snapshot)
-                    .unwrap_or_default();
+                let rows = self.tables.get(&src).map(table_rows).unwrap_or_default();
                 fresh
                     .on_base_deltas(src, &DeltaBatch::inserts(rows))
                     .map_err(error)?;
@@ -557,7 +553,7 @@ impl System for Private {
                         .iter()
                         .find(|v| v.1 == src)
                         .map(|v| v.0.snapshot());
-                    if let Some(rows) = self.tables.get(&src).map(BagState::snapshot).or(read) {
+                    if let Some(rows) = self.tables.get(&src).map(table_rows).or(read) {
                         view.on_base_deltas(src, &DeltaBatch::inserts(rows))?;
                     }
                 }
@@ -618,4 +614,9 @@ impl System for Private {
         seen.sample.view_rows = self.views.iter().map(|v| v.0.len()).collect();
         Ok(seen)
     }
+}
+
+/// A table's rows: the oracle's tables never spill, so every row reads.
+fn table_rows(table: &BagState) -> Vec<Tuple> {
+    table.snapshot().expect("the oracle's tables are resident")
 }
